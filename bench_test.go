@@ -7,6 +7,7 @@ package radiv
 //
 //	go test -bench=. -benchmem
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"testing"
@@ -521,12 +522,13 @@ func BenchmarkVectorizedPipeline(b *testing.B) {
 	})
 }
 
-// BenchmarkRelationAdd measures the stored-clone path of Relation.Add
-// with -benchmem: the chunked clone arena and the chained dedup index
-// put the steady-state cost of an accepted tuple well under one
-// allocation (the pre-arena path paid a clone allocation plus an index
-// bucket append per tuple). The dup arm re-adds existing tuples:
-// rejected duplicates must not allocate at all.
+// BenchmarkRelationAdd measures Relation.Add with -benchmem. fresh
+// fills a relation sized at construction, where an accepted tuple
+// allocates nothing beyond dictionary growth; reserved starts from
+// NewRelation and calls Reserve with half the tuples already in, so it
+// adds the growth of that half and the one re-chaining of the dedup
+// index Reserve does; dup re-adds existing tuples, and rejected
+// duplicates must not allocate at all.
 func BenchmarkRelationAdd(b *testing.B) {
 	tuples := make([]rel.Tuple, 4096)
 	for i := range tuples {
@@ -537,6 +539,20 @@ func BenchmarkRelationAdd(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			r := rel.NewRelationSized(2, len(tuples))
 			for _, t := range tuples {
+				r.Add(t)
+			}
+		}
+	})
+	b.Run("reserved", func(b *testing.B) {
+		half := len(tuples) / 2
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			r := rel.NewRelation(2)
+			for _, t := range tuples[:half] {
+				r.Add(t)
+			}
+			r.Reserve(len(tuples) - half)
+			for _, t := range tuples[half:] {
 				r.Add(t)
 			}
 		}
@@ -570,6 +586,35 @@ func BenchmarkRelationAdd(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkReadText measures the text loader with -benchmem on a
+// 20 000-tuple file: ints is the R(A,B) shape of the division
+// workloads, strings a Likes(drinker, beer) shape whose every value
+// takes the string path of the dictionary. Allocations should scale
+// with relations and distinct strings, not with tuples.
+func BenchmarkReadText(b *testing.B) {
+	const tuples = 20000
+	var ints, strs bytes.Buffer
+	for i := 0; i < tuples; i++ {
+		fmt.Fprintf(&ints, "R %d,%d\n", i/20, 1000000+i%977)
+		fmt.Fprintf(&strs, "Likes drinker%d,beer%d\n", i/20, i%977)
+	}
+	for _, c := range []struct {
+		name string
+		file []byte
+	}{{"ints", ints.Bytes()}, {"strings", strs.Bytes()}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(c.file)))
+			for i := 0; i < b.N; i++ {
+				d, err := rel.ReadText(bytes.NewReader(c.file))
+				if err != nil || d.Size() != tuples {
+					b.Fatalf("ReadText: %v, %d tuples", err, d.Size())
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkStreamedSemijoinAlgebra compares the materialized and

@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime/debug"
 	"strings"
 
 	"radiv/internal/exec"
@@ -70,7 +71,14 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
+	// A bulk load keeps most of what it allocates, so a collection
+	// during it frees little, while its workers compete with the loader
+	// for the CPUs and make run time and peak memory vary from one run
+	// to the next. Collection is back on before the query runs; its
+	// first cycle then takes the loaded database as the baseline.
+	gc := debug.SetGCPercent(-1)
 	d, err := rel.ReadText(f)
+	debug.SetGCPercent(gc)
 	f.Close()
 	if err != nil {
 		return err

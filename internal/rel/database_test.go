@@ -2,6 +2,7 @@ package rel
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -178,6 +179,9 @@ func TestConstSet(t *testing.T) {
 
 func TestTextRoundTrip(t *testing.T) {
 	d := fig2Database()
+	// The two arity-0 relations: {} and {()}.
+	d.Schema()["False"], d.Schema()["True"] = 0, 0
+	d.Add("True", T())
 	var buf bytes.Buffer
 	if err := WriteText(&buf, d); err != nil {
 		t.Fatal(err)
@@ -189,6 +193,9 @@ func TestTextRoundTrip(t *testing.T) {
 	if !d.Equal(got) {
 		t.Errorf("round trip mismatch:\n%s\nvs\n%s", d, got)
 	}
+	if got.Rel("False").Len() != 0 || got.Rel("True").Len() != 1 {
+		t.Errorf("arity-0 relations came back as False=%d True=%d tuples", got.Rel("False").Len(), got.Rel("True").Len())
+	}
 }
 
 func TestReadTextErrors(t *testing.T) {
@@ -197,10 +204,20 @@ func TestReadTextErrors(t *testing.T) {
 		"@R 2\nR 1,2,3", // arity mismatch
 		"justonetoken",  // no tuple
 		"@R 2\n@R 3",    // redeclaration
+		"@S 1\n@R -1",   // negative arity
+		"@R 2 junk",     // text after the arity
+		"@T 0\nT\nU",    // bare name of an undeclared relation
+		"@R 2\nR",       // bare name of a relation that has columns
+		// A declared arity no tuple line backs must not size anything.
+		"@R 999999999999999999\nR 1",
+		"@R 300000000\nR 1",
 	}
 	for _, c := range cases {
-		if _, err := ReadText(strings.NewReader(c)); err == nil {
+		_, err := ReadText(strings.NewReader(c))
+		if err == nil {
 			t.Errorf("ReadText(%q) should fail", c)
+		} else if want := fmt.Sprintf("line %d:", strings.Count(c, "\n")+1); !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("ReadText(%q) = %v, want a %q error", c, err, want)
 		}
 	}
 }

@@ -41,18 +41,44 @@ func (in *Interner) Intern(v Value) uint32 {
 		if id, ok := in.ints[v.i]; ok {
 			return id
 		}
-		id := uint32(len(in.vals))
+		id := in.push(v)
 		in.ints[v.i] = id
-		in.vals = append(in.vals, v)
 		return id
 	}
 	if id, ok := in.strs[v.s]; ok {
 		return id
 	}
-	id := uint32(len(in.vals))
+	id := in.push(v)
 	in.strs[v.s] = id
-	in.vals = append(in.vals, v)
 	return id
+}
+
+// push appends a value that is new to the dictionary and returns its
+// ID. A full dictionary doubles: append's 1.25x steps copy a
+// dictionary that a bulk load fills about five times over, and that
+// garbage is what sets the collector off mid-load.
+func (in *Interner) push(v Value) uint32 {
+	if len(in.vals) == cap(in.vals) {
+		grown := make([]Value, len(in.vals), max(2*cap(in.vals), 8))
+		copy(grown, in.vals)
+		in.vals = grown
+	}
+	in.vals = append(in.vals, v)
+	return uint32(len(in.vals) - 1)
+}
+
+// internText interns the value whose display form is b — ParseValue
+// fused with Intern for the text loader: no Value and no string is
+// built for a field already in the dictionary, and b is copied only
+// when it is a string seen for the first time.
+func (in *Interner) internText(b []byte) uint32 {
+	if n, ok := parseInt(b); ok {
+		return in.Intern(Int(n))
+	}
+	if id, ok := in.strs[string(b)]; ok {
+		return id
+	}
+	return in.Intern(Str(string(b)))
 }
 
 // ID returns the ID of v without interning; ok is false when v has not
@@ -101,15 +127,21 @@ func (in *Interner) Clone() *Interner {
 // correctness. It backs the relation deduplication index and the
 // many-equality hash joins in internal/ra.
 func HashIDs(ids []uint32) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
+	h := uint64(hashOffset)
 	for _, id := range ids {
-		h ^= uint64(id)
-		h *= prime64
+		h = (h ^ uint64(id)) * hashPrime
 	}
+	return hashFinish(h)
+}
+
+// The FNV-1a parameters and the finisher of HashIDs, split out so the
+// dedup index can hash a stored row straight from its ID columns.
+const (
+	hashOffset = 14695981039346656037
+	hashPrime  = 1099511628211
+)
+
+func hashFinish(h uint64) uint64 {
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33

@@ -44,6 +44,14 @@ func TestInternerManyValues(t *testing.T) {
 		if id, ok := in.ID(Int(int64(i))); !ok || id != uint32(i) {
 			t.Fatalf("ID(%d) = %d, %v", i, id, ok)
 		}
+		if v := in.Value(uint32(i)); v != Int(int64(i)) {
+			t.Fatalf("Value(%d) = %v after growth", i, v)
+		}
+	}
+	// The dictionary doubles when full, so filling it copies it about
+	// once over, not the five times append's 1.25x steps would.
+	if got := cap(in.vals); got != 1024 {
+		t.Errorf("dictionary of 1000 values has capacity %d, want 1024", got)
 	}
 }
 

@@ -12,26 +12,39 @@ import (
 // benchmark output stable.
 //
 // Deduplication runs on interned value IDs: each relation owns an
-// Interner and an integer hash index, so Add and Contains never build
-// the Tuple.Key string encodings (those remain available to callers
-// that need an injective encoding without a dictionary).
+// Interner, and every insert path (Add, AddBatch, the text loader)
+// reduces its row to IDs in that dictionary and goes through one
+// insert core, addIDs. Add and Contains never build the Tuple.Key
+// string encodings (those remain available to callers that need an
+// injective encoding without a dictionary).
 //
 // Besides the tuple slice, the relation keeps its interned IDs in flat
-// per-attribute columns (struct-of-arrays), appended at Add time. The
-// columns are what BatchScan emits — the vectorized executors scan
+// per-attribute columns (struct-of-arrays), appended at insert time.
+// The columns are what BatchScan emits — the vectorized executors scan
 // stored relations without re-interning a single value — and what the
 // deduplication probes compare, turning candidate verification into
 // uint32 comparisons.
+//
+// The dedup index is a flat chained hash table over those columns:
+// heads is a power-of-two bucket array (bucket = HashIDs & mask)
+// holding 1 + the position of the newest tuple in the bucket, and next
+// chains each tuple to the previous one in its bucket. There are
+// always at least two buckets per tuple, so chains stay short: the
+// array is doubled, and every chain rebuilt from the stored ID
+// columns, when the tuple count reaches half the bucket count, and
+// Reserve sizes it ahead of a bulk load. Rebuilding happens only
+// inside Add, AddBatch and Reserve — the writer side — so probing a
+// sealed relation never writes.
 type Relation struct {
 	arity  int
 	tuples []Tuple
 	cols   [][]uint32 // arity flat ID columns, one entry per stored tuple
 	intern *Interner
-	index  map[uint64]int32 // HashIDs of interned tuple -> 1 + chain head position
-	next   []int32          // per tuple: 1 + next position in its hash chain (0 ends)
-	idbuf  []uint32         // scratch for Add/Contains, avoids per-call allocation
-	arena  []Value          // chunked backing storage for stored tuple clones
-	xlat   *IDMap           // lazy translation cache for AddBatch sinks
+	heads  []int32  // per bucket: 1 + newest position in its chain (0 = empty); nil while empty
+	next   []int32  // per tuple: 1 + next position in its hash chain (0 ends)
+	idbuf  []uint32 // scratch for the insert paths, avoids per-call allocation
+	arena  []Value  // chunked backing storage for stored tuple clones
+	xlat   *IDMap   // lazy translation cache for AddBatch sinks
 }
 
 // NewRelation returns an empty relation of the given arity. Arity 0 is
@@ -45,30 +58,27 @@ func NewRelation(arity int) *Relation {
 		arity:  arity,
 		cols:   make([][]uint32, arity),
 		intern: NewInterner(),
-		index:  make(map[uint64]int32),
 		idbuf:  make([]uint32, arity),
 	}
 }
 
-// NewRelationSized returns an empty relation of the given arity with
-// capacity for about n tuples pre-allocated: tuple storage, the ID
-// columns, the clone arena and the hash index all start at their final
-// size instead of growing from zero through every doubling. Evaluator
-// sinks and store materialization use it whenever a cardinality (or a
-// decent estimate) is known up front.
+// NewRelationSized is NewRelation followed by Reserve(n): an empty
+// relation whose tuple storage, ID columns, clone arena and dedup
+// index all start at the size n tuples need instead of growing from
+// zero through every doubling. Evaluator sinks and store
+// materialization use it whenever a cardinality (or a decent estimate)
+// is known up front.
 func NewRelationSized(arity, n int) *Relation {
 	r := NewRelation(arity)
-	if n > 0 {
-		r.index = make(map[uint64]int32, n)
-		r.Reserve(n)
-	}
+	r.Reserve(n)
 	return r
 }
 
-// Reserve grows the relation's storage (tuples, ID columns, arena) to
-// hold n more tuples without reallocation. The dedup index map cannot
-// be re-sized after creation; use NewRelationSized when the final
-// cardinality is known at construction.
+// Reserve grows the relation's storage — tuples, ID columns, arena and
+// the dedup index — to hold n more tuples without reallocation or
+// re-chaining. It is a capacity hint: contents, insertion order and
+// IDs are unchanged, and inserting more than n tuples afterwards just
+// resumes amortized growth.
 func (r *Relation) Reserve(n int) {
 	if n <= 0 {
 		return
@@ -94,6 +104,44 @@ func (r *Relation) Reserve(n int) {
 	if r.arity > 0 && cap(r.arena)-len(r.arena) < n*r.arity {
 		r.arena = make([]Value, 0, n*r.arity)
 	}
+	if len(r.heads) < 2*want {
+		r.rechain(2 * want)
+	}
+}
+
+// minBuckets is the smallest dedup index allocated.
+const minBuckets = 8
+
+// rechain replaces the dedup index with one of at least n buckets
+// (rounded up to a power of two) and rebuilds every chain from the
+// stored ID columns. Positions are re-linked in insertion order, so a
+// chain lists its tuples newest first exactly as incremental inserts
+// leave it.
+func (r *Relation) rechain(n int) {
+	size := minBuckets
+	for size < n {
+		size <<= 1
+	}
+	r.heads = make([]int32, size)
+	mask := uint64(size - 1)
+	for pos := range r.tuples {
+		h := uint64(hashOffset)
+		for _, col := range r.cols {
+			h = (h ^ uint64(col[pos])) * hashPrime
+		}
+		b := hashFinish(h) & mask
+		r.next[pos] = r.heads[b]
+		r.heads[b] = int32(pos) + 1
+	}
+}
+
+// chain returns 1 + the position of the newest stored tuple whose hash
+// falls in h's bucket, 0 when the bucket (or the whole index) is empty.
+func (r *Relation) chain(h uint64) int32 {
+	if len(r.heads) == 0 {
+		return 0
+	}
+	return r.heads[h&uint64(len(r.heads)-1)]
 }
 
 // Interner exposes the relation's value dictionary: every value
@@ -137,7 +185,8 @@ func (r *Relation) Len() int { return len(r.tuples) }
 // clone's backing storage comes from a chunked arena, so the steady-
 // state allocation cost of an accepted tuple is well under one
 // allocation (one arena chunk per arenaChunkRows tuples, plus the
-// amortized growth of the columns and the tuple slice).
+// amortized growth of the columns, the tuple slice and the index) and
+// zero into storage a Reserve has sized.
 func (r *Relation) Add(t Tuple) bool {
 	if len(t) != r.arity {
 		panic(fmt.Sprintf("rel: tuple arity %d inserted into relation of arity %d", len(t), r.arity))
@@ -146,28 +195,31 @@ func (r *Relation) Add(t Tuple) bool {
 	for i, v := range t {
 		ids[i] = r.intern.Intern(v)
 	}
-	h := HashIDs(ids)
-	for pos := r.index[h]; pos != 0; pos = r.next[pos-1] {
-		if r.rowEqualIDs(int(pos-1), ids) {
-			return false
-		}
-	}
-	r.appendRow(t, ids, h)
-	return true
+	return r.addIDs(ids)
 }
 
 // arenaChunkRows is the arena growth unit: one []Value allocation
 // backs the clones of this many stored tuples.
 const arenaChunkRows = 256
 
-// appendRow stores a verified-new tuple: clone into the arena, IDs
-// into the columns, position into the index bucket for hash h.
-func (r *Relation) appendRow(t Tuple, ids []uint32, h uint64) {
-	// Chain through a flat array instead of per-bucket slices: a new
-	// tuple costs zero bucket allocations, and the index map holds one
-	// int32 per distinct hash.
-	r.next = append(r.next, r.index[h])
-	r.index[h] = int32(len(r.tuples)) + 1
+// addIDs is the insert core shared by Add, AddBatch and the text
+// loader: it inserts the tuple whose components have the given IDs in
+// the relation's own dictionary unless it is already stored, and
+// reports whether it was new. The stored tuple is decoded from the
+// dictionary into the arena; ids is read, not retained.
+func (r *Relation) addIDs(ids []uint32) bool {
+	h := HashIDs(ids)
+	for pos := r.chain(h); pos != 0; pos = r.next[pos-1] {
+		if r.rowEqualIDs(int(pos-1), ids) {
+			return false
+		}
+	}
+	if 2*len(r.tuples) >= len(r.heads) {
+		r.rechain(2 * len(r.heads))
+	}
+	b := h & uint64(len(r.heads)-1)
+	r.next = append(r.next, r.heads[b])
+	r.heads[b] = int32(len(r.tuples)) + 1
 	var clone Tuple
 	if r.arity > 0 {
 		if cap(r.arena)-len(r.arena) < r.arity {
@@ -179,7 +231,9 @@ func (r *Relation) appendRow(t Tuple, ids []uint32, h uint64) {
 		// storage, so an append by a caller can never scribble over the
 		// next tuple's values.
 		clone = Tuple(r.arena[off : off+r.arity : off+r.arity])
-		copy(clone, t)
+		for k, id := range ids {
+			clone[k] = r.intern.vals[id]
+		}
 	} else {
 		clone = Tuple{}
 	}
@@ -187,6 +241,7 @@ func (r *Relation) appendRow(t Tuple, ids []uint32, h uint64) {
 	for k := range r.cols {
 		r.cols[k] = append(r.cols[k], ids[k])
 	}
+	return true
 }
 
 // rowEqualIDs reports whether the stored tuple at position pos has
@@ -228,7 +283,7 @@ func (r *Relation) ContainsIDs(ids []uint32) bool {
 	if len(ids) != r.arity {
 		return false
 	}
-	for pos := r.index[HashIDs(ids)]; pos != 0; pos = r.next[pos-1] {
+	for pos := r.chain(HashIDs(ids)); pos != 0; pos = r.next[pos-1] {
 		if r.rowEqualIDs(int(pos-1), ids) {
 			return true
 		}
@@ -254,31 +309,13 @@ func (r *Relation) AddBatch(b *Batch) int {
 	}
 	ids := r.idbuf
 	added := 0
-	var tbuf Tuple
 	for row := 0; row < b.Len(); row++ {
 		for k := 0; k < r.arity; k++ {
 			ids[k] = r.xlat.Intern(b.dicts[k], b.cols[k][row])
 		}
-		h := HashIDs(ids)
-		dup := false
-		for pos := r.index[h]; pos != 0; pos = r.next[pos-1] {
-			if r.rowEqualIDs(int(pos-1), ids) {
-				dup = true
-				break
-			}
+		if r.addIDs(ids) {
+			added++
 		}
-		if dup {
-			continue
-		}
-		if cap(tbuf) < r.arity {
-			tbuf = make(Tuple, r.arity)
-		}
-		tbuf = tbuf[:r.arity]
-		for k := range tbuf {
-			tbuf[k] = r.intern.Value(ids[k])
-		}
-		r.appendRow(tbuf, ids, h)
-		added++
 	}
 	return added
 }

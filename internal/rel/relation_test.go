@@ -190,3 +190,67 @@ func TestRelationCursor(t *testing.T) {
 		t.Error("cursor over empty relation yielded a tuple")
 	}
 }
+
+// TestRelationIndexGrowth drives the dedup index through every
+// doubling, with Reserve calls landing mid-load, and checks that no
+// stored tuple is ever lost from it: each is found again, re-adding it
+// is rejected, and a relation grown step by step equals one sized up
+// front, position for position.
+func TestRelationIndexGrowth(t *testing.T) {
+	const n = 5000
+	grown, sized := NewRelation(2), NewRelationSized(2, n)
+	for i := 0; i < n; i++ {
+		tup := Ints(int64(i%71), int64(i))
+		if i == 3 || i == 100 || i == 4097 {
+			grown.Reserve(i)
+		}
+		if !grown.Add(tup) || !sized.Add(tup) {
+			t.Fatalf("tuple %d rejected as a duplicate", i)
+		}
+	}
+	ids := make([]uint32, 2)
+	for i := 0; i < n; i++ {
+		tup := Ints(int64(i%71), int64(i))
+		if !grown.Contains(tup) || grown.Add(tup) || sized.Add(tup) {
+			t.Fatalf("tuple %d lost from the index", i)
+		}
+		if !grown.At(i).Equal(sized.At(i)) {
+			t.Fatalf("position %d: %v vs %v", i, grown.At(i), sized.At(i))
+		}
+		ids[0], ids[1] = grown.cols[0][i], grown.cols[1][i]
+		if !grown.ContainsIDs(ids) {
+			t.Fatalf("IDs of tuple %d not found", i)
+		}
+	}
+	if grown.Contains(Ints(0, n)) || grown.Len() != n {
+		t.Errorf("Len = %d, spurious member = %v", grown.Len(), grown.Contains(Ints(0, n)))
+	}
+	if len(grown.heads) < 2*n || len(grown.heads)&(len(grown.heads)-1) != 0 {
+		t.Errorf("index has %d buckets for %d tuples", len(grown.heads), n)
+	}
+}
+
+// TestRelationAddAllocations pins Add into reserved storage at zero
+// allocations per tuple: what a load allocates is the relation, its
+// reservation and the dictionary of a fixed value domain, whatever the
+// number of tuples.
+func TestRelationAddAllocations(t *testing.T) {
+	load := func(n int) float64 {
+		tuples := make([]Tuple, n)
+		for i := range tuples {
+			tuples[i] = Ints(int64(i%100), int64(i/100%100), int64(i/10000))
+		}
+		return testing.AllocsPerRun(5, func() {
+			r := NewRelationSized(3, n)
+			for _, tup := range tuples {
+				r.Add(tup)
+			}
+			if r.Len() != n {
+				t.Fatalf("Len = %d, want %d", r.Len(), n)
+			}
+		})
+	}
+	if small, large := load(20000), load(40000); large != small {
+		t.Errorf("Add allocates per tuple: %v allocs for 20000 tuples, %v for 40000", small, large)
+	}
+}

@@ -103,9 +103,9 @@ func Materialized(s ReadStore, name string) (r *Relation, aliased bool) {
 }
 
 // Reserver is the optional capacity-hint hook of a Store: Reserve
-// pre-sizes the named relation's storage for n more tuples. *Database
-// implements it; CopyStore uses it so bulk loads never grow storage
-// from zero.
+// pre-sizes the named relation's storage for n more tuples. *Database,
+// *Epoch and the sharded store implement it; CopyStore uses it so bulk
+// loads never grow storage from zero.
 type Reserver interface {
 	Reserve(name string, n int)
 }

@@ -81,13 +81,13 @@ type Source interface {
 }
 
 // Database is the hash-partitioned epoch writer. It implements
-// rel.Store (the writer's uncommitted view) and Source. Mutate it only
-// through its own Add; writing directly into a shard-local epoch
-// bypasses the routing and placement bookkeeping. Like rel.Epoch, all
-// methods except Snapshot must be called from a single writer
-// goroutine; concurrent readers of the live store are safe once
-// loading is complete, and published snapshots are safe for unlimited
-// concurrent readers at any time.
+// rel.Store (the writer's uncommitted view), rel.Reserver and Source.
+// Mutate it only through its own Add; writing directly into a
+// shard-local epoch bypasses the routing and placement bookkeeping.
+// Like rel.Epoch, all methods except Snapshot must be called from a
+// single writer goroutine; concurrent readers of the live store are
+// safe once loading is complete, and published snapshots are safe for
+// unlimited concurrent readers at any time.
 type Database struct {
 	schema rel.Schema
 	shards []*rel.Epoch
@@ -108,8 +108,9 @@ type Database struct {
 }
 
 var (
-	_ rel.Store = (*Database)(nil)
-	_ Source    = (*Database)(nil)
+	_ rel.Store    = (*Database)(nil)
+	_ rel.Reserver = (*Database)(nil)
+	_ Source       = (*Database)(nil)
 )
 
 // New returns an empty sharded database over the schema with n shards
@@ -196,6 +197,27 @@ func (s *Database) Add(name string, t rel.Tuple) bool {
 	}
 	s.placement[name] = append(s.placement[name], place{int32(q), int32(pos)})
 	return true
+}
+
+// Reserve implements rel.Reserver, so rel.CopyStore (and FromStore)
+// pre-size a sharded load: the placement log gets room for n more
+// entries and every shard-local relation for its even share ⌈n/k⌉.
+// Hash routing spreads tuples evenly only in expectation; a shard that
+// receives more than its share resumes amortized growth. It is a
+// capacity hint and changes no content.
+func (s *Database) Reserve(name string, n int) {
+	if n <= 0 {
+		return
+	}
+	k := len(s.shards)
+	if k > 1 {
+		if log := s.placement[name]; cap(log)-len(log) < n {
+			s.placement[name] = append(make([]place, 0, len(log)+n), log...)
+		}
+	}
+	for _, e := range s.shards {
+		e.Reserve(name, (n+k-1)/k)
+	}
 }
 
 // AddInts inserts a tuple of integers into the named relation.

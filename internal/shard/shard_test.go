@@ -100,6 +100,51 @@ func TestShardStoreContract(t *testing.T) {
 	}
 }
 
+// TestFromStoreReserveChangesNothing pins Reserve as a pure capacity
+// hint: FromStore, which pre-sizes every relation through
+// rel.CopyStore, builds exactly what tuple-by-tuple Adds into an
+// unreserved store build — same shard-local relations in the same
+// order, same routing dictionaries, same global scan order.
+func TestFromStoreReserveChangesNothing(t *testing.T) {
+	for seed := int64(0); seed < 4; seed++ {
+		d := workload.RandomDivision(seed).Database()
+		for _, n := range shardCounts {
+			reserved := shard.FromStore(d, n)
+			plain := shard.New(d.Schema(), n)
+			for _, name := range d.Schema().Names() {
+				for _, tup := range d.Rel(name).Tuples() {
+					plain.Add(name, tup)
+				}
+			}
+			plain.Publish()
+			for _, name := range d.Schema().Names() {
+				for q := 0; q < n; q++ {
+					if err := sameTuples(reserved.ShardRel(q, name), plain.ShardRel(q, name)); err != nil {
+						t.Fatalf("seed %d shards %d: %s on shard %d: %v", seed, n, name, q, err)
+					}
+				}
+				rr, pr := reserved.Router(name), plain.Router(name)
+				if rr.Len() != pr.Len() {
+					t.Fatalf("seed %d shards %d: %s router has %d values, want %d", seed, n, name, rr.Len(), pr.Len())
+				}
+				for id := 0; id < pr.Len(); id++ {
+					if !rr.Value(uint32(id)).Equal(pr.Value(uint32(id))) {
+						t.Fatalf("seed %d shards %d: %s router diverges at ID %d", seed, n, name, id)
+					}
+				}
+				rm, _ := rel.Materialized(reserved.Snapshot(), name)
+				pm, _ := rel.Materialized(plain.Snapshot(), name)
+				if err := sameTuples(rm, pm); err != nil {
+					t.Fatalf("seed %d shards %d: %s global order: %v", seed, n, name, err)
+				}
+				if err := sameTuples(rm, d.Rel(name)); err != nil {
+					t.Fatalf("seed %d shards %d: %s against the source: %v", seed, n, name, err)
+				}
+			}
+		}
+	}
+}
+
 // TestShardSingleShardDelegation pins the zero-overhead contract at
 // shard count 1: no routing state exists and the view is the
 // underlying relation itself, exactly what the in-memory database

@@ -53,12 +53,14 @@ func TestTextRoundTripThroughShards(t *testing.T) {
 }
 
 // TestTextRoundTripStringsThroughShards covers the string-valued path
-// (routing hashes string interner IDs too) with a hand-built store.
+// (routing hashes string interner IDs too) and the two arity-0
+// relations {} and {()} with a hand-built store.
 func TestTextRoundTripStringsThroughShards(t *testing.T) {
-	d := rel.NewDatabase(rel.NewSchema(map[string]int{"Likes": 2, "Empty": 1}))
+	d := rel.NewDatabase(rel.NewSchema(map[string]int{"Likes": 2, "Empty": 1, "False": 0, "True": 0}))
 	d.AddStrs("Likes", "alex", "ale")
 	d.AddStrs("Likes", "alex", "stout")
 	d.AddStrs("Likes", "sam", "ale")
+	d.Add("True", rel.Tuple{})
 	for _, n := range shardCounts {
 		s := shard.FromStore(d, n)
 		var buf bytes.Buffer
@@ -69,7 +71,7 @@ func TestTextRoundTripStringsThroughShards(t *testing.T) {
 		if err != nil {
 			t.Fatalf("shards %d: read: %v", n, err)
 		}
-		if !back.Equal(d) {
+		if !back.Equal(d) || back.Rel("True").Len() != 1 || back.Rel("False").Len() != 0 {
 			t.Fatalf("shards %d: string round trip lost data", n)
 		}
 	}
