@@ -575,8 +575,9 @@ func runST5(w io.Writer) {
 		}
 		res0, t0 := p0.ExecuteTraced()
 		res1, t1 := p1.ExecuteTraced()
-		if !sameEmission(res1.Tuples(), res0.Tuples()) {
-			fmt.Fprintln(w, "!! optimized result diverges from the expression as written")
+		want := ra.Eval(e, d).Sorted()
+		if !sameEmission(res0.Tuples(), want) || !sameEmission(res1.Tuples(), want) {
+			fmt.Fprintln(w, "!! a plan's result diverges from the materialized evaluation of the expression as written")
 			return
 		}
 		t.AddRow(n, d.Size(), t0.MaxIntermediate, t1.MaxIntermediate, string(p1.Engine()))
@@ -640,8 +641,8 @@ func xraTracesMatch(got, want *xra.Trace) bool {
 // the worker count — while the shard compute divides across workers
 // and amortizes with batch size. Every merged result is checked byte
 // for byte against the sequential hash division, and a planner tail
-// pins the mixed vectorized executor against the tuple plan. -workers
-// and -batch pin single points of the sweep.
+// pins the plan layer's mixed executor against the materialized
+// ra.Eval. -workers and -batch pin single points of the sweep.
 func runST6(w io.Writer) {
 	r, s := divisionScaling(400)
 	d := rel.NewDatabase(rel.NewSchema(map[string]int{"R": 2, "S": 1}))
@@ -739,8 +740,9 @@ func runST6(w io.Writer) {
 	fmt.Fprint(w, et)
 
 	// Planner tail: the optimized set-containment plan — a mixed
-	// semijoin/γ plan — executed vectorized at every batch size must
-	// match the tuple executor byte for byte.
+	// semijoin/γ plan no single algebra evaluates — must match the
+	// materialized evaluation of the source expression byte for byte
+	// at every batch size.
 	wl := workload.SetJoin{RGroups: 200, SGroups: 200, MeanSize: 5, Dist: workload.Uniform,
 		Domain: 50, ContainFraction: 0.1, Seed: 21}
 	rRel, sRel := wl.Generate()
@@ -752,25 +754,22 @@ func runST6(w io.Writer) {
 		dj.Add("S", tp)
 	}
 	pe := ra.SetContainmentJoinExpr("R", "S")
-	tp, err := plan.Compile(pe, dj, plan.Options{Optimize: true})
-	if err != nil {
-		fmt.Fprintf(w, "!! planner tail compile: %v\n", err)
-		return
-	}
-	wantJ := tp.Execute()
+	wantJ := ra.Eval(pe, dj).Sorted()
+	var engine plan.Engine
 	for _, size := range batchSizes() {
-		vp, err := plan.Compile(pe, dj, plan.Options{Optimize: true, Vectorize: true, BatchSize: size})
+		p, err := plan.Compile(pe, dj, plan.Options{Optimize: true, BatchSize: size})
 		if err != nil {
-			fmt.Fprintf(w, "!! planner tail vectorized compile: %v\n", err)
+			fmt.Fprintf(w, "!! planner tail compile: %v\n", err)
 			return
 		}
-		if !sameEmission(vp.Execute().Tuples(), wantJ.Tuples()) {
-			fmt.Fprintf(w, "!! vectorized mixed plan diverges at batch %d\n", size)
+		if !sameEmission(p.Execute().Tuples(), wantJ) {
+			fmt.Fprintf(w, "!! mixed plan diverges from ra.Eval at batch %d\n", size)
 			return
 		}
+		engine = p.Engine()
 	}
 	liveAfter, _, _ := rel.BatchPoolStats()
-	fmt.Fprintf(w, "\nmixed plan (engine %s) vectorized == tuple at every batch size; batch pool:\n", tp.Engine())
+	fmt.Fprintf(w, "\nmixed plan (engine %s) == materialized ra.Eval at every batch size; batch pool:\n", engine)
 	fmt.Fprintf(w, "%d batches live before the sweep, %d after — transport recycled, nothing leaked\n",
 		liveBefore, liveAfter)
 }

@@ -11,10 +11,21 @@
 //	raquery -db data.txt -ra '...' -explain      # print plan + cost estimates
 //	raquery -db data.txt -ra '...' -timeout 5s   # governed: wall-clock budget
 //	raquery -db data.txt -ra '...' -max-resident 100000  # tuple budget
+//	raquery -db data.txt -ra '...' -oracle       # the paper's materialized semantics
 //
-// With -timeout or -max-resident the query runs through the governed
-// executor: exceeding either budget aborts the query cleanly (typed
-// error on stderr, exit 1) instead of running away.
+// One executor runs every -ra and -sa query, the batch-native one:
+// -ra compiles through internal/plan (rewriting only under -optimize)
+// and runs the plan's columnar executor, -sa runs sa's. -timeout and
+// -max-resident put the same executor under a governor: exceeding
+// either budget aborts the query cleanly (typed error on stderr, exit
+// 1) instead of running away. -trace prints what flowed out of each
+// operator and the peak tuple count held in operator state.
+//
+// -oracle evaluates the expression as written with the materialized
+// evaluators instead — every intermediate result built in full, which
+// is the semantics the paper's size measures are defined on, and the
+// reference the executor is tested against. Its -trace reports result
+// cardinalities, not flows. It takes no budget and no planner flag.
 //
 // The database format is line oriented: "@R 2" declares relation R of
 // arity 2 and "R 1,2" adds the tuple (1,2); see internal/rel.ReadText.
@@ -60,6 +71,7 @@ func run(args []string, out io.Writer) error {
 	explain := fs.Bool("explain", false, "print the compiled -ra plan with cost estimates")
 	timeout := fs.Duration("timeout", 0, "abort the query after this wall-clock duration (0 = none)")
 	maxResident := fs.Int("max-resident", 0, "abort the query past this resident-tuple budget (0 = none)")
+	oracle := fs.Bool("oracle", false, "evaluate -ra/-sa with the materialized evaluators (the paper's semantics) instead of the executor")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -88,9 +100,12 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("-optimize and -explain apply to -ra queries only")
 	}
 
-	// Budgets route the query through the governed executor: a timeout
-	// cancels the context mid-flight, a resident cap aborts on budget.
+	// Budgets put the executor under a governor: a timeout cancels the
+	// context mid-flight, a resident cap aborts on budget.
 	governed := *timeout > 0 || *maxResident > 0
+	if *oracle && (governed || *optimize || *explain) {
+		return fmt.Errorf("-oracle evaluates the expression as written, unbudgeted: it excludes -optimize, -explain, -timeout and -max-resident")
+	}
 	lim := exec.Limits{MaxResident: *maxResident}
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -105,47 +120,36 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if *optimize || *explain {
-			// The planner path: compile (optionally rewriting), explain,
-			// and execute through whichever engine the plan bound.
-			p, err := plan.Compile(e, d, plan.Options{Optimize: *optimize, Limits: lim})
-			if err != nil {
-				return err
-			}
-			if *explain {
-				fmt.Fprint(out, p.Explain())
-			}
-			var res *rel.Relation
-			var tr *plan.Trace
-			if governed {
-				res, tr, err = p.ExecuteTracedContext(ctx)
-				if err != nil {
-					return err
-				}
-			} else {
-				res, tr = p.ExecuteTraced()
-			}
+		if *oracle {
+			res, tr := ra.EvalTraced(e, d)
 			if *trace {
-				for _, s := range tr.Steps {
-					fmt.Fprintf(out, "%8d  %s\n", s.Size, s.Label)
-				}
-				fmt.Fprintf(out, "max intermediate: %d\n", tr.MaxIntermediate)
+				fmt.Fprint(out, tr)
 			}
 			fmt.Fprint(out, res)
 			return nil
 		}
+		p, err := plan.Compile(e, d, plan.Options{Optimize: *optimize, Limits: lim})
+		if err != nil {
+			return err
+		}
+		if *explain {
+			fmt.Fprint(out, p.Explain())
+		}
 		var res *rel.Relation
-		var tr *ra.Trace
+		var tr *plan.Trace
 		if governed {
-			res, tr, err = ra.EvalStreamedContext(ctx, e, d, ra.StreamOptions{Limits: lim})
+			res, tr, err = p.ExecuteTracedContext(ctx)
 			if err != nil {
 				return err
 			}
 		} else {
-			res, tr = ra.EvalTraced(e, d)
+			res, tr = p.ExecuteTraced()
 		}
 		if *trace {
-			fmt.Fprint(out, tr)
+			for _, s := range tr.Steps {
+				fmt.Fprintf(out, "%8d  %s\n", s.Size, s.Label)
+			}
+			fmt.Fprintf(out, "max intermediate: %d\nmax resident: %d\n", tr.MaxIntermediate, tr.MaxResident)
 		}
 		fmt.Fprint(out, res)
 	case *saSrc != "":
@@ -155,24 +159,31 @@ func run(args []string, out io.Writer) error {
 		}
 		var res *rel.Relation
 		var tr *sa.Trace
-		if governed {
-			res, tr, err = sa.EvalStreamedContext(ctx, e, d, lim)
+		switch {
+		case *oracle:
+			res, tr = sa.EvalTraced(e, d)
+		case governed:
+			res, tr, err = sa.EvalVectorizedContext(ctx, e, d, 0, lim)
 			if err != nil {
 				return err
 			}
-		} else {
-			res, tr = sa.EvalTraced(e, d)
+		default:
+			res, tr = sa.EvalVectorizedTraced(e, d)
 		}
 		if *trace {
 			for _, s := range tr.Steps {
 				fmt.Fprintf(out, "%8d  %s\n", s.Size, s.Expr)
 			}
 			fmt.Fprintf(out, "max intermediate: %d\n", tr.MaxIntermediate)
+			if !*oracle {
+				// Only the executor holds operator state to measure.
+				fmt.Fprintf(out, "max resident: %d\n", tr.MaxResident)
+			}
 		}
 		fmt.Fprint(out, res)
 	case *gfSrc != "":
-		if governed {
-			return fmt.Errorf("-timeout and -max-resident apply to -ra and -sa queries only")
+		if governed || *oracle {
+			return fmt.Errorf("-timeout, -max-resident and -oracle apply to -ra and -sa queries only")
 		}
 		formula, err := parser.ParseGF(*gfSrc)
 		if err != nil {

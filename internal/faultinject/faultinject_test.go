@@ -116,16 +116,8 @@ func arms(t *testing.T, schema rel.Schema, batchSize int) []arm {
 			res, _, err := xra.EvalVectorizedContext(ctx, xraExpr, d, batchSize, lim)
 			return res, err
 		}},
-		{name: "plan/optimized", run: func(ctx context.Context, d rel.ReadStore, lim exec.Limits) (*rel.Relation, error) {
-			p, err := plan.Compile(raExpr, d, plan.Options{Optimize: true, Limits: lim})
-			if err != nil {
-				return nil, err
-			}
-			res, _, err := p.ExecuteTracedContext(ctx)
-			return res, err
-		}},
-		{name: "plan/vectorized", run: func(ctx context.Context, d rel.ReadStore, lim exec.Limits) (*rel.Relation, error) {
-			p, err := plan.Compile(raExpr, d, plan.Options{Optimize: true, Vectorize: true, BatchSize: batchSize, Limits: lim})
+		{name: "plan", run: func(ctx context.Context, d rel.ReadStore, lim exec.Limits) (*rel.Relation, error) {
+			p, err := plan.Compile(raExpr, d, plan.Options{Optimize: true, BatchSize: batchSize, Limits: lim})
 			if err != nil {
 				return nil, err
 			}

@@ -7,18 +7,22 @@ import (
 	"radiv/internal/plan"
 	"radiv/internal/ra"
 	"radiv/internal/rel"
+	"radiv/internal/sa"
 	"radiv/internal/shard"
 	"radiv/internal/workload"
+	"radiv/internal/xra"
 )
 
 // This file is the planner-equivalence suite: for every expression in
 // the operator corpus and for randomized division and set-join
-// workloads, the optimized plan must produce byte-identical results —
-// emission order included — to the unoptimized plan, across every
-// execution surface the plan layer dispatches to: the streamed
-// engines, the vectorized RA path, the traced path, and the sharded
-// store at shard counts 1/2/4 with worker counts 1/2/4. Run under
-// -race this doubles as the planner's parallel-safety check.
+// workloads, the plan — optimized or not — must produce the result the
+// materialized ra.Eval gives for the source expression, byte for byte
+// in canonical order, across every execution surface the plan layer
+// dispatches to: the batch-native engines at batch sizes 1, 64 and
+// 1024, the traced path, and the sharded store at shard counts 1/2/4
+// with worker counts 1/2/4. The trace is held, step by step and in
+// MaxResident, to the bound algebra's tuple-at-a-time evaluator. Run
+// under -race this doubles as the planner's parallel-safety check.
 
 // sameEmission compares two results tuple-by-tuple in emission order.
 func sameEmission(a, b *rel.Relation) error {
@@ -37,56 +41,85 @@ func sameEmission(a, b *rel.Relation) error {
 	return nil
 }
 
+// tupleTrace evaluates the plan's tree with the tuple-at-a-time
+// evaluator of the algebra the plan is bound to, returning the trace in
+// the plan layer's form; ok is false for mixed plans, which no single
+// algebra evaluates.
+func tupleTrace(p *plan.Plan, d rel.ReadStore) (tr plan.Trace, ok bool) {
+	switch p.Engine() {
+	case plan.EngineRA:
+		e, _ := plan.ToRA(p.Root())
+		_, t := ra.EvalStreamedTraced(e, d)
+		for _, s := range t.Steps {
+			tr.Steps = append(tr.Steps, plan.Step{Label: s.Expr.String(), Size: s.Size})
+		}
+		tr.MaxResident = t.MaxResident
+	case plan.EngineSA:
+		e, _ := plan.ToSA(p.Root())
+		_, t := sa.EvalStreamedTraced(e, d)
+		for _, s := range t.Steps {
+			tr.Steps = append(tr.Steps, plan.Step{Label: s.Expr.String(), Size: s.Size})
+		}
+		tr.MaxResident = t.MaxResident
+	case plan.EngineXRA:
+		e, _ := plan.ToXRA(p.Root())
+		_, t := xra.EvalStreamedTraced(e, d)
+		for _, s := range t.Steps {
+			tr.Steps = append(tr.Steps, plan.Step{Label: s.Expr.String(), Size: s.Size})
+		}
+		tr.MaxResident = t.MaxResident
+	default:
+		return tr, false
+	}
+	return tr, true
+}
+
 // checkEquivalence runs one expression over one store through every
-// optimized execution surface and compares against the unoptimized
-// baseline.
+// execution surface and compares against the materialized oracle.
 func checkEquivalence(t *testing.T, e ra.Expr, d *rel.Database) {
 	t.Helper()
+	oracle := ra.Eval(e, d)
+	want := rel.NewRelationSized(oracle.Arity(), oracle.Len())
+	for _, tp := range oracle.Sorted() {
+		want.Add(tp)
+	}
+
 	base, err := plan.Compile(e, d, plan.Options{})
 	if err != nil {
-		t.Fatalf("%s: baseline compile: %v", e, err)
+		t.Fatalf("%s: unoptimized compile: %v", e, err)
 	}
-	want := base.Execute()
-
-	opt, err := plan.Compile(e, d, plan.Options{Optimize: true})
-	if err != nil {
-		t.Fatalf("%s: optimized compile: %v", e, err)
-	}
-	if err := sameEmission(want, opt.Execute()); err != nil {
-		t.Errorf("%s: optimized (engine %s): %v", e, opt.Engine(), err)
-	}
-	traced, tt := opt.ExecuteTraced()
-	if err := sameEmission(want, traced); err != nil {
-		t.Errorf("%s: optimized traced (engine %s): %v", e, opt.Engine(), err)
+	if err := sameEmission(want, base.Execute()); err != nil {
+		t.Errorf("%s: unoptimized (engine %s): %v", e, base.Engine(), err)
 	}
 
-	// The vectorized arm covers every engine the dispatch knows — the
-	// RA, SA and XRA vectorized executors and the batch-native mixed
-	// executor — and must match the tuple path byte for byte, trace
-	// shape included, at a batch size that forces mid-operator batch
-	// boundaries.
-	vec, err := plan.Compile(e, d, plan.Options{Optimize: true, Vectorize: true, BatchSize: 64})
-	if err != nil {
-		t.Fatalf("%s: vectorized compile: %v", e, err)
-	}
-	if err := sameEmission(want, vec.Execute()); err != nil {
-		t.Errorf("%s: optimized vectorized: %v", e, err)
-	}
-	vecTraced, vt := vec.ExecuteTraced()
-	if err := sameEmission(want, vecTraced); err != nil {
-		t.Errorf("%s: optimized vectorized traced (engine %s): %v", e, vec.Engine(), err)
-	}
-	if len(vt.Steps) != len(tt.Steps) {
-		t.Errorf("%s (engine %s): vectorized trace has %d steps, tuple %d", e, vec.Engine(), len(vt.Steps), len(tt.Steps))
-	} else {
-		for i := range tt.Steps {
-			if vt.Steps[i] != tt.Steps[i] {
-				t.Errorf("%s (engine %s): step %d: vectorized %+v, tuple %+v", e, vec.Engine(), i, vt.Steps[i], tt.Steps[i])
+	for _, size := range []int{1, 64, 1024} {
+		opt, err := plan.Compile(e, d, plan.Options{Optimize: true, BatchSize: size})
+		if err != nil {
+			t.Fatalf("%s: optimized compile: %v", e, err)
+		}
+		if err := sameEmission(want, opt.Execute()); err != nil {
+			t.Errorf("%s: optimized (engine %s, batch %d): %v", e, opt.Engine(), size, err)
+		}
+		traced, got := opt.ExecuteTraced()
+		if err := sameEmission(want, traced); err != nil {
+			t.Errorf("%s: optimized traced (engine %s, batch %d): %v", e, opt.Engine(), size, err)
+		}
+		ref, ok := tupleTrace(opt, d)
+		if !ok {
+			continue
+		}
+		if len(got.Steps) != len(ref.Steps) {
+			t.Errorf("%s (engine %s, batch %d): trace has %d steps, tuple evaluator %d", e, opt.Engine(), size, len(got.Steps), len(ref.Steps))
+			continue
+		}
+		for i := range ref.Steps {
+			if got.Steps[i] != ref.Steps[i] {
+				t.Errorf("%s (engine %s, batch %d): step %d: %+v, tuple evaluator %+v", e, opt.Engine(), size, i, got.Steps[i], ref.Steps[i])
 			}
 		}
-	}
-	if vt.MaxResident != tt.MaxResident {
-		t.Errorf("%s (engine %s): vectorized MaxResident %d, tuple %d", e, vec.Engine(), vt.MaxResident, tt.MaxResident)
+		if got.MaxResident != ref.MaxResident {
+			t.Errorf("%s (engine %s, batch %d): MaxResident %d, tuple evaluator %d", e, opt.Engine(), size, got.MaxResident, ref.MaxResident)
+		}
 	}
 
 	for _, shards := range []int{1, 2, 4} {

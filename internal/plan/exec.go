@@ -20,10 +20,11 @@ type Options struct {
 	// canonical emission, so optimized and unoptimized runs are
 	// byte-comparable).
 	Optimize bool
-	// Vectorize runs pure-RA plans through the vectorized executor
-	// with the given BatchSize (0 = default), as in ra.StreamOptions.
+	// Vectorize is ignored; kept until the next benchmark-only PR
+	// removes it from bench/layers.go. Every plan runs batch-native.
 	Vectorize bool
-	// BatchSize is the vectorized batch capacity (0 = default).
+	// BatchSize is the row capacity of the batches operators exchange
+	// (0 = rel.BatchCap).
 	BatchSize int
 	// Workers is the worker count for the sharded division fast path
 	// (0 = sequential).
@@ -34,17 +35,17 @@ type Options struct {
 	Limits exec.Limits
 }
 
-// Engine names which streaming executor runs the plan.
+// Engine names which algebra's batch-native executor runs the plan.
 type Engine string
 
 const (
-	// EngineRA is the pure-RA streaming/vectorized executor.
+	// EngineRA is the pure-RA executor.
 	EngineRA Engine = "ra"
-	// EngineSA is the semijoin-algebra streaming executor.
+	// EngineSA is the semijoin-algebra executor.
 	EngineSA Engine = "sa"
-	// EngineXRA is the extended-algebra streaming executor.
+	// EngineXRA is the extended-algebra executor.
 	EngineXRA Engine = "xra"
-	// EngineMixed is the planner's native cursor executor, for plans
+	// EngineMixed is the planner's own batch-cursor executor, for plans
 	// mixing operators no single algebra holds.
 	EngineMixed Engine = "mixed"
 )
@@ -187,7 +188,7 @@ func (p *Plan) ExecuteContext(ctx context.Context) (*rel.Relation, error) {
 	return res, err
 }
 
-// ExecuteTraced runs the plan through its streaming engine (never the
+// ExecuteTraced runs the plan through its bound engine (never the
 // sharded fast path, whose per-shard work has no single-plan trace)
 // and returns the canonical result plus the trace.
 func (p *Plan) ExecuteTraced() (*rel.Relation, *Trace) {
@@ -197,7 +198,7 @@ func (p *Plan) ExecuteTraced() (*rel.Relation, *Trace) {
 
 // ExecuteTracedContext is the governed ExecuteTraced: like
 // ExecuteContext it runs under one governor, but always through the
-// plan's streaming engine so the trace exists. On error the relation
+// plan's bound engine so the trace exists. On error the relation
 // and trace are nil.
 func (p *Plan) ExecuteTracedContext(ctx context.Context) (*rel.Relation, *Trace, error) {
 	res, tr, err := func() (res *rel.Relation, tr *Trace, err error) {
@@ -212,50 +213,32 @@ func (p *Plan) ExecuteTracedContext(ctx context.Context) (*rel.Relation, *Trace,
 	return res, tr, nil
 }
 
-// run dispatches to the bound engine, threading the governor (nil =
-// ungoverned) into its executor core.
+// run dispatches to the bound engine's batch-native executor,
+// threading the governor (nil = ungoverned) into its core.
 func (p *Plan) run(g *exec.Governor) (*rel.Relation, *Trace) {
 	switch p.engine {
 	case EngineRA:
-		res, t := ra.EvalStreamedGoverned(g, p.raExpr, p.d, ra.StreamOptions{
-			Vectorize: p.opts.Vectorize, BatchSize: p.opts.BatchSize,
-		})
-		tr := &Trace{MaxIntermediate: t.MaxIntermediate, TotalTuples: t.TotalTuples, MaxResident: t.MaxResident}
-		for _, s := range t.Steps {
-			tr.Steps = append(tr.Steps, Step{Label: s.Expr.String(), Size: s.Size})
-		}
-		return res, tr
+		res, t := ra.EvalStreamedGoverned(g, p.raExpr, p.d, ra.StreamOptions{Vectorize: true, BatchSize: p.opts.BatchSize})
+		return res, newTrace(t.MaxResident, t.Steps, func(s ra.TraceStep) Step { return Step{s.Expr.String(), s.Size} })
 	case EngineSA:
-		var res *rel.Relation
-		var t *sa.Trace
-		if p.opts.Vectorize {
-			res, t = sa.EvalVectorizedGoverned(g, p.saExpr, p.d, p.opts.BatchSize)
-		} else {
-			res, t = sa.EvalStreamedGoverned(g, p.saExpr, p.d)
-		}
-		tr := &Trace{MaxIntermediate: t.MaxIntermediate, TotalTuples: t.TotalTuples, MaxResident: t.MaxResident}
-		for _, s := range t.Steps {
-			tr.Steps = append(tr.Steps, Step{Label: s.Expr.String(), Size: s.Size})
-		}
-		return res, tr
+		res, t := sa.EvalVectorizedGoverned(g, p.saExpr, p.d, p.opts.BatchSize)
+		return res, newTrace(t.MaxResident, t.Steps, func(s sa.TraceStep) Step { return Step{s.Expr.String(), s.Size} })
 	case EngineXRA:
-		var res *rel.Relation
-		var t *xra.Trace
-		if p.opts.Vectorize {
-			res, t = xra.EvalVectorizedGoverned(g, p.xraExpr, p.d, p.opts.BatchSize)
-		} else {
-			res, t = xra.EvalStreamedGoverned(g, p.xraExpr, p.d)
-		}
-		tr := &Trace{MaxIntermediate: t.MaxIntermediate, TotalTuples: t.TotalTuples, MaxResident: t.MaxResident}
-		for _, s := range t.Steps {
-			tr.Steps = append(tr.Steps, Step{Label: s.Expr.String(), Size: s.Size})
-		}
-		return res, tr
+		res, t := xra.EvalVectorizedGoverned(g, p.xraExpr, p.d, p.opts.BatchSize)
+		return res, newTrace(t.MaxResident, t.Steps, func(s xra.TraceStep) Step { return Step{s.Expr.String(), s.Size} })
 	}
-	if p.opts.Vectorize {
-		return p.runMixedVectorized(g)
+	return p.runMixedVectorized(g)
+}
+
+// newTrace rebuilds an algebra evaluator's trace in engine-neutral
+// form.
+func newTrace[S any](maxResident int, steps []S, step func(S) Step) *Trace {
+	tr := &Trace{MaxResident: maxResident}
+	for _, s := range steps {
+		st := step(s)
+		tr.record(st.Label, st.Size)
 	}
-	return p.runMixed(g)
+	return tr
 }
 
 // canonical rebuilds a result in sorted tuple order. The copy is
@@ -291,25 +274,6 @@ func matchGammaDivision(n *Node) (rName, sName string, ok bool) {
 
 // --- the native mixed executor ---
 
-// runMixed executes a plan no single algebra expresses, directly on
-// the shared ra.Cursor substrate: RA operators use ra's exported
-// cursors, semijoins/antijoins use sa.NewSemijoinCursor, γ uses
-// xra.NewGammaCursor — all metered into one resident count.
-func (p *Plan) runMixed(g *exec.Governor) (*rel.Relation, *Trace) {
-	m := ra.NewGovernedMeter(g)
-	b := &mixedBuilder{d: p.d, meter: m}
-	cur, root := b.cursor(p.root)
-	drain := m.Guard(cur)
-	out := rel.NewRelation(p.root.arity)
-	for t, ok := drain.Next(); ok; t, ok = drain.Next() {
-		out.Add(t)
-	}
-	tr := &Trace{}
-	root.record(tr)
-	tr.MaxResident = m.Max()
-	return out, tr
-}
-
 // planCountNode mirrors one plan node occurrence, collecting its
 // emission count.
 type planCountNode struct {
@@ -323,107 +287,6 @@ func (c *planCountNode) record(tr *Trace) {
 		k.record(tr)
 	}
 	tr.record(c.n.String(), c.size)
-}
-
-type planCountCursor struct {
-	in   ra.Cursor
-	node *planCountNode
-}
-
-func (c *planCountCursor) Next() (rel.Tuple, bool) {
-	t, ok := c.in.Next()
-	if ok {
-		c.node.size++
-	}
-	return t, ok
-}
-
-type mixedBuilder struct {
-	d     rel.ReadStore
-	meter *ra.Meter
-}
-
-func (b *mixedBuilder) baseRel(n *Node) rel.StoredRel {
-	return rel.CheckView(b.d, n.Name, n.arity, "plan")
-}
-
-func (b *mixedBuilder) cursor(n *Node) (ra.Cursor, *planCountNode) {
-	node := &planCountNode{n: n}
-	var cur ra.Cursor
-	switch n.Kind {
-	case KRel:
-		cur = b.meter.Guard(b.baseRel(n).Scan())
-	case KUnion:
-		l, ln := b.cursor(n.Kids[0])
-		r, rn := b.cursor(n.Kids[1])
-		node.kids = []*planCountNode{ln, rn}
-		cur = ra.NewUnionSinkCursor(l, r, n.arity, b.meter)
-	case KDiff:
-		l, ln := b.cursor(n.Kids[0])
-		node.kids = []*planCountNode{ln}
-		if sub := n.Kids[1]; sub.Kind == KRel {
-			cur = ra.NewDiffCursor(l, nil, b.baseRel(sub), n.arity, b.meter)
-			node.kids = append(node.kids, &planCountNode{n: sub})
-		} else {
-			rc, rn := b.cursor(sub)
-			cur = ra.NewDiffCursor(l, rc, nil, n.arity, b.meter)
-			node.kids = append(node.kids, rn)
-		}
-	case KProject:
-		in, kn := b.cursor(n.Kids[0])
-		node.kids = []*planCountNode{kn}
-		cols := n.Cols
-		cur = ra.NewMapCursor(in, func(t rel.Tuple) rel.Tuple { return t.Project(cols) })
-	case KSelect:
-		in, kn := b.cursor(n.Kids[0])
-		node.kids = []*planCountNode{kn}
-		i, op, j := n.I, n.Op, n.J
-		cur = ra.NewFilterCursor(in, func(t rel.Tuple) bool { return op.Eval(t[i-1], t[j-1]) })
-	case KSelectConst:
-		in, kn := b.cursor(n.Kids[0])
-		node.kids = []*planCountNode{kn}
-		i, cv := n.I, n.C
-		cur = ra.NewFilterCursor(in, func(t rel.Tuple) bool { return t[i-1].Equal(cv) })
-	case KConstTag:
-		in, kn := b.cursor(n.Kids[0])
-		node.kids = []*planCountNode{kn}
-		tag := rel.Tuple{n.C}
-		cur = ra.NewMapCursor(in, func(t rel.Tuple) rel.Tuple { return t.Concat(tag) })
-	case KJoin:
-		l, ln := b.cursor(n.Kids[0])
-		node.kids = []*planCountNode{ln}
-		if len(n.Cond.EqPairs()) > 0 {
-			rc, rn := b.cursor(n.Kids[1])
-			node.kids = append(node.kids, rn)
-			cur = ra.NewHashJoinCursor(l, rc, n.Cond, b.meter)
-		} else if sub := n.Kids[1]; sub.Kind == KRel {
-			node.kids = append(node.kids, &planCountNode{n: sub})
-			cur = ra.NewLoopJoinCursor(l, nil, b.baseRel(sub), n.Cond, b.meter)
-		} else {
-			rc, rn := b.cursor(sub)
-			node.kids = append(node.kids, rn)
-			cur = ra.NewLoopJoinCursor(l, rc, nil, n.Cond, b.meter)
-		}
-	case KSemijoin, KAntijoin:
-		keep := n.Kind == KSemijoin
-		l, ln := b.cursor(n.Kids[0])
-		node.kids = []*planCountNode{ln}
-		if sub := n.Kids[1]; len(n.Cond.EqPairs()) == 0 && sub.Kind == KRel {
-			node.kids = append(node.kids, &planCountNode{n: sub})
-			cur = sa.NewSemijoinCursor(l, nil, b.baseRel(sub), n.Cond, keep, b.meter)
-		} else {
-			rc, rn := b.cursor(sub)
-			node.kids = append(node.kids, rn)
-			cur = sa.NewSemijoinCursor(l, rc, nil, n.Cond, keep, b.meter)
-		}
-	case KGamma:
-		in, kn := b.cursor(n.Kids[0])
-		node.kids = []*planCountNode{kn}
-		cur = xra.NewGammaCursor(in, n.Cols, n.CountCol, n.Kids[0].arity, mayEmitDuplicates(n.Kids[0]), b.meter)
-	default:
-		panic(fmt.Sprintf("plan: unknown kind %d", n.Kind))
-	}
-	return &planCountCursor{in: cur, node: node}, node
 }
 
 // mayEmitDuplicates mirrors xra's duplicate analysis over IR nodes:
@@ -447,13 +310,10 @@ func mayEmitDuplicates(n *Node) bool {
 	return true
 }
 
-// --- the vectorized mixed executor ---
-
-// runMixedVectorized is runMixed over columnar batches: RA operators
-// use ra's exported batch cursors, semijoins/antijoins use
-// sa.NewSemijoinBatchCursor, γ uses xra.NewGammaBatchCursor — the same
-// plan shape, strategy choices and meter accounting as the tuple mixed
-// executor, so emission and trace are byte-identical.
+// runMixedVectorized executes a plan no single algebra expresses,
+// over columnar batches: RA operators use ra's exported batch cursors,
+// semijoins/antijoins use sa.NewSemijoinBatchCursor, γ uses
+// xra.NewGammaBatchCursor — all metered into one resident count.
 func (p *Plan) runMixedVectorized(g *exec.Governor) (*rel.Relation, *Trace) {
 	m := ra.NewGovernedMeter(g)
 	capacity := p.opts.BatchSize
@@ -471,7 +331,7 @@ func (p *Plan) runMixedVectorized(g *exec.Governor) (*rel.Relation, *Trace) {
 }
 
 // planCountBatchCursor counts rows flowing out of an operator into the
-// plan's planCountNode — the batch sibling of planCountCursor.
+// plan's planCountNode.
 type planCountBatchCursor struct {
 	in   ra.BatchCursor
 	node *planCountNode

@@ -426,11 +426,10 @@ func (x *IDMap) To() *Interner { return x.to }
 func (x *IDMap) slot(d *Interner, id uint32) []uint32 {
 	tr := x.m[d]
 	if int(id) >= len(tr) {
-		n := d.Len()
-		if n <= int(id) {
-			n = int(id) + 1
-		}
-		grown := make([]uint32, n)
+		// The first miss sizes the cache to the dictionary; a dictionary
+		// still growing then doubles it, where refitting it to d.Len()
+		// would copy it once per batch of new values.
+		grown := make([]uint32, max(d.Len(), int(id)+1, 2*len(tr)))
 		copy(grown, tr)
 		tr = grown
 		x.m[d] = tr

@@ -3,6 +3,7 @@ package rel
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -164,6 +165,38 @@ func TestIDMap(t *testing.T) {
 	// The identity fast path.
 	if got, ok := x.Lookup(dst, id); !ok || got != id {
 		t.Fatal("identity lookup failed")
+	}
+}
+
+// TestIDMapGrowingSourceAllocations: translating out of a dictionary
+// that grows between batches — a ToBatches stream interns as it packs,
+// γ's count dictionary grows as it emits — allocates in proportion to
+// the values translated, not one resized cache per batch.
+func TestIDMapGrowingSourceAllocations(t *testing.T) {
+	translate := func(values int) float64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		src := NewInterner()
+		x := NewIDMap(NewInterner())
+		for v := 0; v < values; v += 64 {
+			for i := v; i < v+64; i++ {
+				src.Intern(Int(int64(i)))
+			}
+			for i := v; i < v+64; i++ {
+				x.Intern(src, uint32(i))
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if x.To().Len() != values {
+			t.Fatalf("translated %d values, want %d", x.To().Len(), values)
+		}
+		return float64(after.TotalAlloc - before.TotalAlloc)
+	}
+	const values = 1 << 15
+	base, doubled := translate(values), translate(2*values)
+	if doubled > 2.3*base {
+		t.Errorf("%.0f bytes for %d values, %.0f for %d (×%.2f); want at most ×2.3", base, values, doubled, 2*values, doubled/base)
 	}
 }
 

@@ -263,42 +263,6 @@ func (b *streamBuilder) semijoin(l Expr, cond ra.Cond, r Expr, keep bool) (ra.Cu
 	return sj, kids
 }
 
-// NewSemijoinCursor builds a streaming semijoin (keep) or antijoin
-// (!keep) cursor for external plan builders (internal/plan's mixed
-// executor): left streams as the probe side, and the build side is
-// either a cursor or — for θ-only conditions — a stored relation
-// replayed in place. With equality atoms the build cursor is drained
-// into the hash index exactly as the sa executor does (key-only
-// compaction when the condition is pure equality); without them the
-// cursor falls back to the loop strategy. cond must have at least one
-// atom (Definition 2) and exactly one of build/stored must be set,
-// except that an equality condition requires a build cursor.
-func NewSemijoinCursor(left, build ra.Cursor, stored rel.StoredRel, cond ra.Cond, keep bool, m *ra.Meter) ra.Cursor {
-	if len(cond) == 0 {
-		panic("sa: semijoin cursor requires at least one condition atom")
-	}
-	if (build == nil) == (stored == nil) {
-		panic("sa: semijoin cursor requires exactly one of build cursor and stored relation")
-	}
-	eqs := cond.EqPairs()
-	if len(eqs) > 0 {
-		if build == nil {
-			panic("sa: semijoin cursor with equality atoms requires a build cursor")
-		}
-		residual := 0
-		for _, at := range cond {
-			if at.Op != ra.OpEq {
-				residual++
-			}
-		}
-		return &hashSemijoinCursor{
-			left: left, buildC: build, cond: cond, eqs: eqs,
-			keysOnly: residual == 0, keep: keep, meter: m,
-		}
-	}
-	return &loopSemijoinCursor{left: left, buildC: build, base: stored, cond: cond, keep: keep, meter: m}
-}
-
 // hashSemijoinCursor drains the build (right) side into a hash index
 // on interned value IDs and streams the probe (left) side through the
 // partner test. keysOnly compacts the build side to the distinct key

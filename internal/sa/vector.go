@@ -222,14 +222,13 @@ func (b *vecBuilder) semijoin(l Expr, cond ra.Cond, r Expr, keep bool) (ra.Batch
 }
 
 // NewSemijoinBatchCursor builds a vectorized semijoin (keep) or
-// antijoin (!keep) cursor — the batch-native counterpart of
-// NewSemijoinCursor, with the same argument contract: left streams as
-// the probe side, and the build side is either a batch cursor or — for
-// θ-only conditions — a stored relation replayed in place. capacity
-// bounds the output batches of the replay materialization (0 means
-// rel.BatchCap). cond must have at least one atom and exactly one of
-// build/stored must be set, except that an equality condition requires
-// a build cursor.
+// antijoin (!keep) cursor for external plan builders (internal/plan's
+// mixed executor): left streams as the probe side, and the build side
+// is either a batch cursor or — for θ-only conditions — a stored
+// relation replayed in place. capacity bounds the output batches of
+// the replay materialization (0 means rel.BatchCap). cond must have at
+// least one atom and exactly one of build/stored must be set, except
+// that an equality condition requires a build cursor.
 func NewSemijoinBatchCursor(left, build ra.BatchCursor, stored rel.StoredRel, cond ra.Cond, keep bool, m *ra.Meter, capacity int) ra.BatchCursor {
 	if len(cond) == 0 {
 		panic("sa: semijoin cursor requires at least one condition atom")

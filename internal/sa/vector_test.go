@@ -164,7 +164,7 @@ func TestVectorizedSAOnShardedStores(t *testing.T) {
 }
 
 // TestSemijoinBatchCursorContract pins NewSemijoinBatchCursor's
-// argument panics, matching NewSemijoinCursor's.
+// argument panics.
 func TestSemijoinBatchCursorContract(t *testing.T) {
 	mustPanic := func(name, want string, f func()) {
 		defer func() {

@@ -263,28 +263,6 @@ func raMayEmitDuplicates(e ra.Expr) bool {
 	return true
 }
 
-// NewGammaCursor builds a streaming γ cursor for external plan
-// builders (internal/plan's mixed executor): the input is drained into
-// the interned gammaAgg accumulator and the aggregate rows stream out,
-// exactly as the xra executor's own γ node. dedupAll must be set when
-// countCol is 0 and the input can deliver duplicate tuples
-// (mayEmitDuplicates' analysis) — count(*) is only exact over a set.
-// Column indices are validated against inputArity with the usual
-// "xra:"-prefixed panics.
-func NewGammaCursor(in ra.Cursor, groupCols []int, countCol, inputArity int, dedupAll bool, m *ra.Meter) ra.Cursor {
-	for _, c := range groupCols {
-		if c < 1 || c > inputArity {
-			panic(fmt.Sprintf("xra: group column %d out of range 1..%d", c, inputArity))
-		}
-	}
-	if countCol < 0 || countCol > inputArity {
-		panic(fmt.Sprintf("xra: count column %d out of range 0..%d", countCol, inputArity))
-	}
-	g := &Gamma{GroupCols: append([]int(nil), groupCols...), CountCol: countCol}
-	return &gammaCursor{in: in, g: g, inputArity: inputArity,
-		dedupAll: countCol == 0 && dedupAll, meter: m}
-}
-
 // gammaCursor streams its input into a gammaAgg accumulator — one
 // resident entry per group, per distinct counted value, and (for
 // count(*) over a duplicate-capable input, whose exactness needs it)

@@ -8,13 +8,15 @@ package xra
 // to the trace — joins are ra's vectorized hash/loop join cursors, and
 // γ gathers group keys columnar-ly: group columns are translated into
 // one key dictionary through rel.IDMap caches, so after the first
-// occurrence of a value, grouping a row is an array load, a hash of
-// flat IDs, and an integer-compare chain walk (no per-row tuple is
-// built, and key equality is ID equality — exact, because the IDs live
-// in a single dictionary). The static duplicate-possibility analysis
-// (mayEmitDuplicates) is shared with the streaming executor, so exact
-// count(*) deduplicates full rows — through an ra.IDSet — in exactly
-// the plans the tuple path does.
+// occurrence of a value, grouping a row is an array load and — past a
+// single key column — a hash of flat IDs and an integer-compare probe
+// (no per-row tuple is built, and key equality is ID equality — exact,
+// because the IDs live in a single dictionary). The accumulator is flat
+// tables of IDs, one entry per metered entry, so what it holds is what
+// a governor's MaxResident budget sees. The static
+// duplicate-possibility analysis (mayEmitDuplicates) is shared with the
+// streaming executor, so exact count(*) deduplicates full rows —
+// through an ra.IDSet — in exactly the plans the tuple path does.
 //
 // Accumulator accounting matches gammaCursor entry for entry (groups,
 // distinct counted values, deduplicated input rows), so MaxResident
@@ -182,11 +184,11 @@ func (b *xVecBuilder) wrappedBaseRel(e Expr) rel.StoredRel {
 }
 
 // NewGammaBatchCursor builds a vectorized γ cursor for external plan
-// builders (internal/plan's mixed executor) — the batch-native
-// counterpart of NewGammaCursor, with the same contract: dedupAll must
-// be set when countCol is 0 and the input can deliver duplicate tuples
-// (mayEmitDuplicates' analysis); column indices are validated against
-// inputArity. capacity bounds the emitted batches (0 means
+// builders (internal/plan's mixed executor). dedupAll must be set when
+// countCol is 0 and the input can deliver duplicate tuples
+// (mayEmitDuplicates' analysis) — count(*) is only exact over a set.
+// Column indices are validated against inputArity with the usual
+// "xra:"-prefixed panics. capacity bounds the emitted batches (0 means
 // rel.BatchCap).
 func NewGammaBatchCursor(in ra.BatchCursor, groupCols []int, countCol, inputArity int, dedupAll bool, m *ra.Meter, capacity int) ra.BatchCursor {
 	for _, c := range groupCols {
@@ -205,45 +207,105 @@ func NewGammaBatchCursor(in ra.BatchCursor, groupCols []int, countCol, inputArit
 		dedupAll: countCol == 0 && dedupAll, meter: m, capacity: capacity}
 }
 
-// vecGammaGroup is one group of the batch accumulator: its key held as
-// flat IDs in the accumulator's key dictionary (key equality is ID
-// equality), the distinct-counted-value set, and the count.
-type vecGammaGroup struct {
-	keyIDs []uint32
-	// seen marks the distinct counted-value IDs this group has
-	// absorbed, indexed by the accumulator's value dictionary — value
-	// IDs are dense, so distinctness is an array load.
-	seen []bool
-	n    int
+// idTable is a flat open-addressed set of fixed-width rows of IDs,
+// held in insertion order: row i is rows[i*width:(i+1)*width], and
+// slots maps a HashIDs value to 1 + a row index by linear probing. Rows
+// and slots both grow geometrically, so the bytes it holds — and the
+// bytes it allocates getting there — are proportional to the row count.
+type idTable struct {
+	width int
+	n     int
+	rows  []uint32
+	slots []int32
+}
+
+func (t *idTable) row(i int) []uint32 { return t.rows[i*t.width : (i+1)*t.width] }
+
+// push appends a row without indexing it, for a caller that finds its
+// rows some cheaper way (γ's dense single-key index).
+func (t *idTable) push(ids []uint32) int {
+	t.rows = append(t.rows, ids...)
+	t.n++
+	return t.n - 1
+}
+
+// insert returns the index of the row equal to ids, appending it first
+// when absent; fresh reports whether it was appended.
+func (t *idTable) insert(ids []uint32) (row int, fresh bool) {
+	if 4*(t.n+1) > 3*len(t.slots) {
+		t.rehash()
+	}
+	mask := uint64(len(t.slots) - 1)
+	for i := rel.HashIDs(ids) & mask; ; i = (i + 1) & mask {
+		s := t.slots[i]
+		if s == 0 {
+			t.slots[i] = int32(t.n) + 1
+			return t.push(ids), true
+		}
+		if idsEqual(t.row(int(s-1)), ids) {
+			return int(s - 1), false
+		}
+	}
+}
+
+func (t *idTable) rehash() {
+	size := 2 * len(t.slots)
+	if size < 16 {
+		size = 16
+	}
+	t.slots = make([]int32, size)
+	mask := uint64(size - 1)
+	for r := 0; r < t.n; r++ {
+		i := rel.HashIDs(t.row(r)) & mask
+		for t.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		t.slots[i] = int32(r) + 1
+	}
+}
+
+func idsEqual(a, b []uint32) bool {
+	for i, id := range a {
+		if b[i] != id {
+			return false
+		}
+	}
+	return true
 }
 
 // gammaBatchAgg is the columnar sibling of gammaAgg: group keys and
 // counted values are translated into accumulator-owned dictionaries
 // through rel.IDMap caches (amortizing interning over batch dictionary
-// reuse), groups are found by a HashIDs bucket walk comparing flat
-// IDs, and exact count(*) over duplicate-capable inputs deduplicates
+// reuse), so key equality is ID equality. Groups are rows of key IDs in
+// one idTable, in first-occurrence order; the distinct counted values
+// are (group index, value ID) rows in a second one — one flat entry per
+// metered entry, never a per-group structure sized by the value
+// dictionary. Exact count(*) over duplicate-capable inputs deduplicates
 // full rows in an ra.IDSet. Metered entries — groups, distinct counted
 // values, deduplicated rows — match gammaAgg one for one.
 type gammaBatchAgg struct {
-	g       *Gamma
-	keys    *rel.Interner
-	keysXl  *rel.IDMap
-	vals    *rel.Interner
-	valsXl  *rel.IDMap
-	buckets map[uint64][]int32
-	byKey   []int32 // single group column: 1 + group index by key ID
-	groups  []*vecGammaGroup
-	idbuf   []uint32
-	seen    *ra.IDSet // distinct input rows; only when dedupAll and CountCol == 0
-	held    int
+	g      *Gamma
+	keys   *rel.Interner
+	keysXl *rel.IDMap
+	vals   *rel.Interner
+	valsXl *rel.IDMap
+	groups idTable
+	counts []int   // per group, parallel to groups
+	byKey  []int32 // single group column: 1 + group index by key ID
+	pairs  idTable // distinct (group index, counted value ID); CountCol > 0
+	idbuf  []uint32
+	pair   [2]uint32
+	seen   *ra.IDSet // distinct input rows; only when dedupAll and CountCol == 0
+	held   int
 }
 
 func newGammaBatchAgg(g *Gamma, inputArity int, dedupAll bool) *gammaBatchAgg {
 	a := &gammaBatchAgg{
-		g:       g,
-		keys:    rel.NewInterner(),
-		buckets: make(map[uint64][]int32),
-		idbuf:   make([]uint32, len(g.GroupCols)),
+		g:      g,
+		keys:   rel.NewInterner(),
+		groups: idTable{width: len(g.GroupCols)},
+		pairs:  idTable{width: 2},
+		idbuf:  make([]uint32, len(g.GroupCols)),
 	}
 	a.keysXl = rel.NewIDMap(a.keys)
 	if g.CountCol > 0 {
@@ -265,71 +327,47 @@ func (a *gammaBatchAgg) add(b *rel.Batch, row int) int {
 		}
 		grew++
 	}
-	var grp *vecGammaGroup
-	if len(a.g.GroupCols) == 1 {
+	for i, c := range a.g.GroupCols {
+		a.idbuf[i] = a.keysXl.Intern(b.Dict(c-1), b.Col(c - 1)[row])
+	}
+	var gi int
+	var fresh bool
+	if len(a.idbuf) == 1 {
 		// Single-key fast path: key IDs are dense in the key
 		// dictionary, so the group is an array load away — no hash, no
-		// chain walk.
-		c := a.g.GroupCols[0]
-		kid := a.keysXl.Intern(b.Dict(c-1), b.Col(c - 1)[row])
+		// probe. The index doubles when a key ID outruns it; sizing it
+		// to the dictionary instead would copy it once per new group.
+		kid := a.idbuf[0]
 		if int(kid) >= len(a.byKey) {
-			grown := make([]int32, a.keys.Len())
+			grown := make([]int32, max(2*len(a.byKey), int(kid)+1, 16))
 			copy(grown, a.byKey)
 			a.byKey = grown
 		}
-		if gi := a.byKey[kid]; gi != 0 {
-			grp = a.groups[gi-1]
+		if at := a.byKey[kid]; at != 0 {
+			gi = int(at - 1)
 		} else {
-			grp = &vecGammaGroup{keyIDs: []uint32{kid}}
-			a.byKey[kid] = int32(len(a.groups)) + 1
-			a.groups = append(a.groups, grp)
-			grew++
+			gi, fresh = a.groups.push(a.idbuf), true
+			a.byKey[kid] = int32(gi) + 1
 		}
 	} else {
-		for i, c := range a.g.GroupCols {
-			a.idbuf[i] = a.keysXl.Intern(b.Dict(c-1), b.Col(c - 1)[row])
-		}
-		h := rel.HashIDs(a.idbuf)
-		for _, gi := range a.buckets[h] {
-			cand := a.groups[gi]
-			if idsEqual(cand.keyIDs, a.idbuf) {
-				grp = cand
-				break
-			}
-		}
-		if grp == nil {
-			grp = &vecGammaGroup{keyIDs: append([]uint32(nil), a.idbuf...)}
-			a.buckets[h] = append(a.buckets[h], int32(len(a.groups)))
-			a.groups = append(a.groups, grp)
-			grew++
-		}
+		gi, fresh = a.groups.insert(a.idbuf)
+	}
+	if fresh {
+		a.counts = append(a.counts, 0)
+		grew++
 	}
 	if a.g.CountCol == 0 {
-		grp.n++
+		a.counts[gi]++
 	} else {
-		vid := a.valsXl.Intern(b.Dict(a.g.CountCol-1), b.Col(a.g.CountCol - 1)[row])
-		if int(vid) >= len(grp.seen) {
-			grown := make([]bool, a.vals.Len())
-			copy(grown, grp.seen)
-			grp.seen = grown
-		}
-		if !grp.seen[vid] {
-			grp.seen[vid] = true
-			grp.n++
+		a.pair[0] = uint32(gi)
+		a.pair[1] = a.valsXl.Intern(b.Dict(a.g.CountCol-1), b.Col(a.g.CountCol - 1)[row])
+		if _, fresh := a.pairs.insert(a.pair[:]); fresh {
+			a.counts[gi]++
 			grew++
 		}
 	}
 	a.held += grew
 	return grew
-}
-
-func idsEqual(a, b []uint32) bool {
-	for i, id := range a {
-		if b[i] != id {
-			return false
-		}
-	}
-	return true
 }
 
 // vecGammaCursor streams its input into a gammaBatchAgg, then emits
@@ -369,7 +407,7 @@ func (c *vecGammaCursor) NextBatch() (*rel.Batch, bool) {
 	if c.done {
 		return nil, false
 	}
-	ng := len(c.agg.groups)
+	ng := c.agg.groups.n
 	if c.gi < ng {
 		k := len(c.g.GroupCols)
 		out := rel.NewBatchSized(k+1, c.capacity)
@@ -383,11 +421,10 @@ func (c *vecGammaCursor) NextBatch() (*rel.Batch, bool) {
 		}
 		rows := 0
 		for ; c.gi < hi; c.gi++ {
-			grp := c.agg.groups[c.gi]
-			for i := 0; i < k; i++ {
-				out.WritableCol(i)[rows] = grp.keyIDs[i]
+			for i, id := range c.agg.groups.row(c.gi) {
+				out.WritableCol(i)[rows] = id
 			}
-			out.WritableCol(k)[rows] = c.counts.Intern(rel.Int(int64(grp.n)))
+			out.WritableCol(k)[rows] = c.counts.Intern(rel.Int(int64(c.agg.counts[c.gi])))
 			rows++
 		}
 		out.SetLen(rows)

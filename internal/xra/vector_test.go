@@ -2,6 +2,7 @@ package xra
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"radiv/internal/ra"
@@ -171,7 +172,7 @@ func TestVectorizedXRAOnShardedStores(t *testing.T) {
 }
 
 // TestGammaBatchCursorContract pins NewGammaBatchCursor's validation
-// panics, matching NewGammaCursor's.
+// panics.
 func TestGammaBatchCursorContract(t *testing.T) {
 	mustPanic := func(name, want string, f func()) {
 		defer func() {
@@ -191,4 +192,79 @@ func TestGammaBatchCursorContract(t *testing.T) {
 	mustPanic("count-col", "xra: count column 5 out of range 0..2", func() {
 		NewGammaBatchCursor(nil, []int{1}, 5, 2, false, &ra.Meter{}, 0)
 	})
+}
+
+// allocatedBytes returns the bytes f allocates (live or not).
+func allocatedBytes(f func()) float64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc - before.TotalAlloc)
+}
+
+// TestVectorizedGammaAllocations pins γ's allocation profile: at fixed
+// rows per group, the bytes EvalVectorized allocates are proportional
+// to the group count — no index is recopied per new group, and no
+// per-group structure is sized by the counted-value dictionary.
+func TestVectorizedGammaAllocations(t *testing.T) {
+	const rowsPerGroup = 4
+	database := func(groups int) *rel.Database {
+		d := rel.NewDatabase(rel.NewSchema(map[string]int{"G": 3}))
+		for g := 0; g < groups; g++ {
+			for j := 0; j < rowsPerGroup; j++ {
+				// Every counted value is new to the value dictionary.
+				d.AddInts("G", int64(g), int64(g%97), int64(g*rowsPerGroup+j))
+			}
+		}
+		return d
+	}
+	g3 := &Wrap{E: ra.R("G", 3)}
+	for _, c := range []struct {
+		name string
+		e    Expr
+	}{
+		{"one-column key, count(*)", NewGamma([]int{1}, 0, g3)},
+		{"one-column key, count(col)", NewGamma([]int{1}, 3, g3)},
+		{"two-column key, count(*)", NewGamma([]int{1, 2}, 0, g3)},
+		{"two-column key, count(col)", NewGamma([]int{1, 2}, 3, g3)},
+	} {
+		const groups = 10000
+		small, large := database(groups), database(2*groups)
+		run := func(d *rel.Database, want int) func() {
+			return func() {
+				if got := EvalVectorized(c.e, d).Len(); got != want {
+					t.Fatalf("%s: %d groups, want %d", c.name, got, want)
+				}
+			}
+		}
+		base := allocatedBytes(run(small, groups))
+		doubled := allocatedBytes(run(large, 2*groups))
+		if doubled > 2.2*base {
+			t.Errorf("%s: %.0f bytes at %d groups, %.0f at %d (×%.2f); want at most ×2.2",
+				c.name, base, groups, doubled, 2*groups, doubled/base)
+		}
+	}
+}
+
+// TestVectorizedGammaMemoryIsMetered runs the γ-division on a hostile
+// shape — many small groups whose counted values range over a divisor
+// as large as the group count — and requires the bytes allocated to be
+// bounded by the resident entries the meter (and so a governor's
+// MaxResident budget) saw.
+func TestVectorizedGammaMemoryIsMetered(t *testing.T) {
+	const groups = 8000
+	d := rel.NewDatabase(rel.NewSchema(map[string]int{"R": 2, "S": 1}))
+	for g := 0; g < groups; g++ {
+		d.AddInts("R", int64(g), int64(2*g%groups))
+		d.AddInts("R", int64(g), int64((2*g+1)%groups))
+		d.AddInts("S", int64(g))
+	}
+	var tr *Trace
+	bytes := allocatedBytes(func() { _, tr = EvalVectorizedTraced(ContainmentDivision("R", "S"), d) })
+	if perEntry := bytes / float64(tr.MaxResident); perEntry > 400 {
+		t.Errorf("%.0f bytes allocated for %d metered resident entries (%.0f B/entry); want at most 400",
+			bytes, tr.MaxResident, perEntry)
+	}
 }
