@@ -1,8 +1,8 @@
 package radiv
 
-// One benchmark per experiment id of DESIGN.md §3. Each benchmark
-// reports, besides time, the custom metrics that carry the paper's
-// claims (max intermediate sizes, growth exponents, candidate-pair
+// One benchmark per experiment id of cmd/radiv (radiv -list), plus the
+// executor's operators. Each benchmark reports, besides time, the
+// custom metrics that carry the paper's claims (max intermediate sizes, growth exponents, candidate-pair
 // counts). Run with:
 //
 //	go test -bench=. -benchmem
@@ -383,86 +383,20 @@ func BenchmarkEngineSetJoinParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkStreamedDivision (exp ST1) evaluates the classical
-// division expression with the materialized and the streaming
-// executor, reporting each one's memory observable: max intermediate
-// (quadratic, Proposition 26) versus max resident (linear — the
-// quadratic product flows through the pipeline but is never stored).
-func BenchmarkStreamedDivision(b *testing.B) {
-	r, s := benchDivisionInput(400)
-	d := rel.NewDatabase(rel.NewSchema(map[string]int{"R": 2, "S": 1}))
-	for _, t := range r.Tuples() {
-		d.Add("R", t)
-	}
-	for _, t := range s.Tuples() {
-		d.Add("S", t)
-	}
-	e := ra.DivisionExpr("R", "S")
-	b.Run("materialized", func(b *testing.B) {
-		var tr *ra.Trace
-		for i := 0; i < b.N; i++ {
-			_, tr = ra.EvalTraced(e, d)
-		}
-		b.ReportMetric(float64(tr.MaxIntermediate), "max-intermediate")
-	})
-	b.Run("streamed", func(b *testing.B) {
-		var tr *ra.Trace
-		for i := 0; i < b.N; i++ {
-			_, tr = ra.EvalStreamedTraced(e, d)
-		}
-		b.ReportMetric(float64(tr.MaxResident), "max-resident")
-		b.ReportMetric(float64(tr.MaxIntermediate), "max-intermediate")
-	})
-}
-
-// BenchmarkStreamedDedupFilter measures the ROADMAP's time-for-memory
-// trade on a projection feeding a join's probe side: R has 40 tuples
-// per group key, so π1(R) emits every key 40 times and the deferred-
-// dedup executor replays the join's candidate scan once per duplicate
-// probe (40× the probes), while the opt-in pipelined dedup filter
-// (StreamOptions.DedupProjections) spends one resident tuple per
-// distinct key to probe once. The max-resident metrics quantify the
-// memory side of the trade.
-func BenchmarkStreamedDedupFilter(b *testing.B) {
-	d := rel.NewDatabase(rel.NewSchema(map[string]int{"R": 2, "S": 2}))
-	for a := 0; a < 50; a++ {
-		for j := 0; j < 40; j++ {
-			d.AddInts("R", int64(a), int64(1000+j))
-		}
-		for j := 0; j < 20; j++ {
-			d.AddInts("S", int64(a), int64(j))
-		}
-	}
-	e := ra.NewJoin(ra.NewProject([]int{1}, ra.R("R", 2)), ra.Eq(1, 1), ra.R("S", 2))
-	for _, cfg := range []struct {
-		name string
-		opts ra.StreamOptions
-	}{
-		{"replay", ra.StreamOptions{Dedup: ra.DedupOff}},
-		{"dedup-filter", ra.StreamOptions{DedupProjections: true}},
-		// The cost-based default should land on the filter here: 40
-		// duplicate probes per key against ~20-candidate buckets dwarf
-		// one resident tuple per distinct key.
-		{"auto", ra.StreamOptions{}},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			var tr *ra.Trace
-			for i := 0; i < b.N; i++ {
-				_, tr = ra.EvalStreamedTracedOpts(e, d, cfg.opts)
-			}
-			b.ReportMetric(float64(tr.MaxResident), "max-resident")
-			b.ReportMetric(float64(tr.TotalTuples), "total-flow")
-		})
+// execute runs a plan as written at the given batch size b.N times.
+func execute(b *testing.B, root *plan.Node, d rel.ReadStore, batchSize int) {
+	b.ReportAllocs()
+	p := plan.CompileIR(root, d, plan.Options{BatchSize: batchSize})
+	for i := 0; i < b.N; i++ {
+		p.Execute()
 	}
 }
 
-// BenchmarkVectorizedDivision (exp ST4) is the vectorized-execution
-// acceptance benchmark: the classical division expression evaluated
-// tuple-at-a-time against the columnar batch executor at batch sizes
-// 1, 64 and 1024. The vectorized arm at default batch size must beat
-// the tuple arm by ≥2x; allocs/op (visible with -benchmem) drop by two
-// orders of magnitude because batches are pooled and the hot loops
-// never leave interned IDs.
+// BenchmarkVectorizedDivision runs the classical division expression
+// on the executor at batch sizes 1, 64 and 1024: batch size 1 prices
+// the batch machinery with none of its amortization. allocs/op
+// (visible with -benchmem) stay flat in the flow because batches are
+// pooled and the hot loops never leave interned IDs.
 func BenchmarkVectorizedDivision(b *testing.B) {
 	r, s := benchDivisionInput(400)
 	d := rel.NewDatabase(rel.NewSchema(map[string]int{"R": 2, "S": 1}))
@@ -472,30 +406,17 @@ func BenchmarkVectorizedDivision(b *testing.B) {
 	for _, t := range s.Tuples() {
 		d.Add("S", t)
 	}
-	e := ra.DivisionExpr("R", "S")
-	b.Run("tuple", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			ra.EvalStreamed(e, d)
-		}
-	})
+	root := plan.FromRA(ra.DivisionExpr("R", "S"))
 	for _, size := range []int{1, 64, 1024} {
-		b.Run(fmt.Sprintf("vector-%d", size), func(b *testing.B) {
-			b.ReportAllocs()
-			opts := ra.StreamOptions{Vectorize: true, BatchSize: size}
-			for i := 0; i < b.N; i++ {
-				ra.EvalStreamedTracedOpts(e, d, opts)
-			}
-		})
+		b.Run(fmt.Sprintf("vector-%d", size), func(b *testing.B) { execute(b, root, d, size) })
 	}
 }
 
-// BenchmarkVectorizedPipeline (exp ST4) prices the pipelined
+// BenchmarkVectorizedPipeline prices the pipelined
 // select→project→join path on a flow-dominated workload: 5000 probe
 // tuples stream through the operators, 50 reach the output, so the
-// per-row costs of the pipeline — not the shared result sink — are
-// what the allocs/op and ns/op numbers measure. Acceptance: allocs/op
-// on the vectorized arm is ≥5x below the tuple arm.
+// per-row costs of the pipeline — not the result sink — are what the
+// allocs/op and ns/op numbers measure.
 func BenchmarkVectorizedPipeline(b *testing.B) {
 	d := rel.NewDatabase(rel.NewSchema(map[string]int{"P": 2, "Q": 2}))
 	for i := 0; i < 5000; i++ {
@@ -507,19 +428,7 @@ func BenchmarkVectorizedPipeline(b *testing.B) {
 	e := ra.NewJoin(
 		ra.NewProject([]int{1}, ra.NewSelect(1, ra.OpNe, 2, ra.R("P", 2))),
 		ra.Eq(1, 1), ra.R("Q", 2))
-	b.Run("tuple", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			ra.EvalStreamed(e, d)
-		}
-	})
-	b.Run("vector", func(b *testing.B) {
-		b.ReportAllocs()
-		opts := ra.StreamOptions{Vectorize: true}
-		for i := 0; i < b.N; i++ {
-			ra.EvalStreamedTracedOpts(e, d, opts)
-		}
-	})
+	b.Run("vector", func(b *testing.B) { execute(b, plan.FromRA(e), d, 0) })
 }
 
 // BenchmarkRelationAdd measures Relation.Add with -benchmem. fresh
@@ -617,39 +526,9 @@ func BenchmarkReadText(b *testing.B) {
 	}
 }
 
-// BenchmarkStreamedSemijoinAlgebra compares the materialized and
-// streaming SA executors on the ST2 antijoin shape, reporting each
-// one's memory observable.
-func BenchmarkStreamedSemijoinAlgebra(b *testing.B) {
-	r, s := benchDivisionInput(400)
-	d := rel.NewDatabase(rel.NewSchema(map[string]int{"R": 2, "S": 1}))
-	for _, t := range r.Tuples() {
-		d.Add("R", t)
-	}
-	for _, t := range s.Tuples() {
-		d.Add("S", t)
-	}
-	e := sa.NewProject([]int{1}, sa.NewAntijoin(sa.R("R", 2), ra.Eq(2, 1), sa.R("S", 1)))
-	b.Run("materialized", func(b *testing.B) {
-		var tr *sa.Trace
-		for i := 0; i < b.N; i++ {
-			_, tr = sa.EvalTraced(e, d)
-		}
-		b.ReportMetric(float64(tr.MaxIntermediate), "max-intermediate")
-	})
-	b.Run("streamed", func(b *testing.B) {
-		var tr *sa.Trace
-		for i := 0; i < b.N; i++ {
-			_, tr = sa.EvalStreamedTraced(e, d)
-		}
-		b.ReportMetric(float64(tr.MaxResident), "max-resident")
-	})
-}
-
-// BenchmarkVectorizedSemijoin (exp ST6) is the SA-vectorization
-// acceptance benchmark on a flow-dominated probe: 20000 probe tuples
-// stream through the semijoin, 50 survive, so the numbers price the
-// per-row probe cost — not the shared result sink. The build side
+// BenchmarkVectorizedSemijoin prices the semijoin on a flow-dominated
+// probe: 20000 probe tuples stream through it, 50 survive, so the
+// numbers price the per-row probe cost — not the result sink. The build side
 // interns into an ID-keyed distinct-key table and the probe compacts
 // batches in place through a selection vector, so at real batch sizes
 // the per-probed-row cost is a column load and a set lookup — no tuple
@@ -663,26 +542,15 @@ func BenchmarkVectorizedSemijoin(b *testing.B) {
 	for j := 0; j < 50; j++ {
 		d.AddInts("Q", int64(400*j))
 	}
-	e := sa.NewSemijoin(sa.R("P", 2), ra.Eq(1, 1), sa.R("Q", 1))
-	b.Run("tuple", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sa.EvalStreamed(e, d)
-		}
-	})
+	root := plan.FromSA(sa.NewSemijoin(sa.R("P", 2), ra.Eq(1, 1), sa.R("Q", 1)))
 	for _, size := range []int{1, 64, 1024} {
-		b.Run(fmt.Sprintf("vector-%d", size), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				sa.EvalVectorizedTracedSized(e, d, size)
-			}
-		})
+		b.Run(fmt.Sprintf("vector-%d", size), func(b *testing.B) { execute(b, root, d, size) })
 	}
 }
 
-// BenchmarkVectorizedGamma (exp ST6) is the γ-vectorization acceptance
-// benchmark on a flow-dominated aggregate: 20000 input tuples collapse
-// into 7 groups, so the numbers price the per-row grouping cost.
+// BenchmarkVectorizedGamma prices γ on a flow-dominated aggregate:
+// 20000 input tuples collapse into 7 groups, so the numbers price the
+// per-row grouping cost.
 // Group keys gather columnar-ly through IDMap caches into one key
 // dictionary, so grouping a seen value is an array load, a hash of
 // flat IDs and a chained-index walk — no per-row tuple build or
@@ -692,20 +560,9 @@ func BenchmarkVectorizedGamma(b *testing.B) {
 	for i := 0; i < 20000; i++ {
 		d.AddInts("G", int64(i%7), int64(i%400))
 	}
-	e := xra.NewGamma([]int{1}, 2, &xra.Wrap{E: ra.R("G", 2)})
-	b.Run("tuple", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			xra.EvalStreamed(e, d)
-		}
-	})
+	root := plan.FromXRA(xra.NewGamma([]int{1}, 2, &xra.Wrap{E: ra.R("G", 2)}))
 	for _, size := range []int{1, 64, 1024} {
-		b.Run(fmt.Sprintf("vector-%d", size), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				xra.EvalVectorizedTracedSized(e, d, size)
-			}
-		})
+		b.Run(fmt.Sprintf("vector-%d", size), func(b *testing.B) { execute(b, root, d, size) })
 	}
 }
 
@@ -778,15 +635,12 @@ func BenchmarkBisimScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkGovernedOverhead prices the fault-tolerance plumbing of
-// PR 10: the same vectorized division run ungoverned (nil governor —
-// the legacy path, which must be byte-for-byte the pre-governor
-// executor) and through the governed Context boundary with an active
-// context and budgets. The governed arm's only steady-state cost is
-// one guard branch per batch on the columnar path (one per 64 tuples
-// on the tuple path), so the two arms must stay within noise of each
-// other. Acceptance: no >20% spread between the arms at the default
-// batch size.
+// BenchmarkGovernedOverhead prices the fault-tolerance plumbing: the
+// same division plan run ungoverned (nil governor: no guards at all)
+// and through the governed Context boundary with an active context and
+// budgets. The governed arm's only steady-state cost is one guard
+// branch per batch, so the two arms must stay within noise of each
+// other.
 func BenchmarkGovernedOverhead(b *testing.B) {
 	r, s := benchDivisionInput(400)
 	d := rel.NewDatabase(rel.NewSchema(map[string]int{"R": 2, "S": 1}))
@@ -796,23 +650,16 @@ func BenchmarkGovernedOverhead(b *testing.B) {
 	for _, t := range s.Tuples() {
 		d.Add("S", t)
 	}
-	e := ra.DivisionExpr("R", "S")
+	root := plan.FromRA(ra.DivisionExpr("R", "S"))
 	for _, size := range []int{64, 1024} {
-		opts := ra.StreamOptions{Vectorize: true, BatchSize: size}
-		b.Run(fmt.Sprintf("ungoverned-%d", size), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				ra.EvalStreamedTracedOpts(e, d, opts)
-			}
-		})
+		b.Run(fmt.Sprintf("ungoverned-%d", size), func(b *testing.B) { execute(b, root, d, size) })
 		b.Run(fmt.Sprintf("governed-%d", size), func(b *testing.B) {
 			b.ReportAllocs()
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			gopts := opts
-			gopts.Limits = exec.Limits{MaxResident: 1 << 30}
+			p := plan.CompileIR(root, d, plan.Options{BatchSize: size, Limits: exec.Limits{MaxResident: 1 << 30}})
 			for i := 0; i < b.N; i++ {
-				if _, _, err := ra.EvalStreamedContext(ctx, e, d, gopts); err != nil {
+				if _, err := p.ExecuteContext(ctx); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 	"io"
-	"testing"
 	"time"
 
 	"radiv/internal/bisim"
@@ -25,9 +24,9 @@ import (
 )
 
 // sameEmission reports byte-identity of two tuple sequences: same
-// length, same tuples, same order — the check the streamed/sharded
-// equivalence experiments (ST2, ST3) make against their sequential
-// references.
+// length, same tuples, same order — the check the cursor-fed and
+// sharded equivalence experiments (ST2, ST3, ST6) make against their
+// sequential references.
 func sameEmission(got, want []rel.Tuple) bool {
 	if len(got) != len(want) {
 		return false
@@ -55,14 +54,13 @@ var workers int
 // stores into (0 = sweep 1, 2, 4).
 var shards int
 
-// batchSize is the -batch flag: the batch row capacity the vectorized
-// sweeps run at (0 = the default sweep).
+// batchSize is the -batch flag: the batch row capacity ST6 runs at
+// (0 = the default sweep).
 var batchSize int
 
-// batchSizes is the batch-capacity sweep every vectorized experiment
-// shares (ST4 and ST6 use one knob): the -batch flag pins a single
-// size; the default sweeps 1 — pricing the batch machinery with none
-// of its amortization — then 64 and 1024 (rel.BatchCap).
+// batchSizes is ST6's batch-capacity sweep: the -batch flag pins a
+// single size; the default sweeps 1 — pricing the batch machinery with
+// none of its amortization — then 64 and 1024 (rel.BatchCap).
 func batchSizes() []int {
 	if batchSize > 0 {
 		return []int{batchSize}
@@ -85,12 +83,11 @@ func experiments() []experiment {
 		{"SJ1", "Set-containment join algorithms", runSJ1},
 		{"SJ2", "Set-equality join algorithms", runSJ2},
 		{"G5", "Section 5: linear division with grouping and counting", runG5},
-		{"ST1", "Streaming executor: resident vs intermediate on the division expression", runST1},
-		{"ST2", "Streamed SA/XRA: linear resident memory; cursor-fed parallel division", runST2},
+		{"ST1", "The executor: resident vs intermediate on the division expression", runST1},
+		{"ST2", "SA and γ plans: linear resident memory; cursor-fed parallel division", runST2},
 		{"ST3", "Sharded stores: shard-local division and set joins, per-shard resident memory, merge cost", runST3},
-		{"ST4", "Vectorized execution: tuple-at-a-time vs columnar batches, throughput and allocs", runST4},
 		{"ST5", "Query planner: automatic linearization — division flow exponent 2 → 1, identical results", runST5},
-		{"ST6", "Vectorized semijoin algebras: workers × batch sweep, exchange overhead vs worker compute", runST6},
+		{"ST6", "Sharded batch division: workers × batch sweep, exchange overhead vs worker compute", runST6},
 	}
 }
 
@@ -265,19 +262,26 @@ func runP26(w io.Writer) {
 	}
 	fmt.Fprint(w, t)
 	fmt.Fprintln(w, "\nclassic-ra's memory column grows quadratically; hash/aggregate stay linear")
-	fmt.Fprintln(w, "and merge-sort stays n·log n (footnote 1 of the paper); streamed-ra runs the")
+	fmt.Fprintln(w, "and merge-sort stays n·log n (footnote 1 of the paper); the executor runs the")
 	fmt.Fprintln(w, "same quadratic expression but holds only linear state (see ST1)")
 }
 
-// runST1 evaluates the classical division expression with both
-// executors on the P26 scaling family and contrasts the two memory
-// observables: the materialized evaluator's max intermediate (what
-// pure RA must compute, quadratic by Proposition 26) against the
-// streaming executor's max resident (what a pipelined executor must
-// hold, which stays linear — the product flows but is never stored).
+// executed runs an IR tree as written on the executor and returns the
+// canonical result with its trace.
+func executed(root *plan.Node, d rel.ReadStore) (*rel.Relation, *plan.Trace) {
+	return plan.CompileIR(root, d, plan.Options{}).ExecuteTraced()
+}
+
+// runST1 evaluates the classical division expression with the
+// materialized evaluator and on the executor, on the P26 scaling
+// family, and contrasts the two memory observables: the materialized
+// evaluator's max intermediate (what pure RA must compute, quadratic by
+// Proposition 26) against the executor's max resident (what a
+// pipelined executor must hold, which stays linear — the product flows
+// but is never stored).
 func runST1(w io.Writer) {
 	e := ra.DivisionExpr("R", "S")
-	t := stats.NewTable("n", "|D|", "max intermediate", "streamed flow max", "max resident")
+	t := stats.NewTable("n", "|D|", "max intermediate", "executor flow max", "max resident")
 	var interPts, resPts []ra.SizePoint
 	for _, n := range []int{100, 200, 400, 800} {
 		r, s := divisionScaling(n)
@@ -289,9 +293,9 @@ func runST1(w io.Writer) {
 			d.Add("S", tp)
 		}
 		mat, mt := ra.EvalTraced(e, d)
-		str, st := ra.EvalStreamedTraced(e, d)
+		str, st := executed(plan.FromRA(e), d)
 		if !mat.Equal(str) {
-			fmt.Fprintln(w, "!! streamed result diverges from materialized")
+			fmt.Fprintln(w, "!! executor result diverges from materialized")
 			return
 		}
 		t.AddRow(n, d.Size(), mt.MaxIntermediate, st.MaxIntermediate, st.MaxResident)
@@ -311,11 +315,11 @@ func runST1(w io.Writer) {
 // scaling family it evaluates the SA expressions the division family
 // admits (division itself is out of SA's reach, Proposition 26 — the
 // semijoin/antijoin shapes are its linear core) and the Section 5
-// γ-division expression with both executors, and fits the streamed
-// executors' resident peaks against the database size. SA is linear
-// on both axes — flow and resident — and γ-division keeps its resident
-// linear too, completing the streaming story ST1 started for pure RA,
-// where only the resident side is linear. The experiment also drives
+// γ-division expression with the materialized evaluators and on the
+// executor, and fits the executor's resident peaks against the
+// database size. SA is linear on both axes — flow and resident — and
+// γ-division keeps its resident linear too, completing the story ST1
+// started for pure RA, where only the resident side is linear. The experiment also drives
 // the cursor-fed parallel division (division.ParallelHash.DivideStream
 // at the -workers count) from a relation cursor and checks it emits
 // the sequential Hash sequence byte for byte.
@@ -334,11 +338,11 @@ func runST2(w io.Writer) {
 			d.Add("S", tp)
 		}
 		saMat, saT := sa.EvalTraced(saExpr, d)
-		saStr, saS := sa.EvalStreamedTraced(saExpr, d)
+		saStr, saS := executed(plan.FromSA(saExpr), d)
 		xMat, xT := xra.EvalTraced(xraExpr, d)
-		xStr, xS := xra.EvalStreamedTraced(xraExpr, d)
+		xStr, xS := executed(plan.FromXRA(xraExpr), d)
 		if !saMat.Equal(saStr) || !xMat.Equal(xStr) {
-			fmt.Fprintln(w, "!! streamed result diverges from materialized")
+			fmt.Fprintln(w, "!! executor result diverges from materialized")
 			return
 		}
 		want, _ := division.Hash{}.Divide(r, s, division.Containment)
@@ -453,93 +457,6 @@ func runST3(w io.Writer) {
 	fmt.Fprintln(w, "flat — each shard holds only its own groups (plus the broadcast divisor)")
 }
 
-// runST4 measures the vectorized executor against the tuple-at-a-time
-// streaming executor on the BenchmarkStreamedDivision-scale division
-// family and on a pipelined select→project→join plan, sweeping batch
-// sizes 1, 64 and 1024 (size 1 prices the batch machinery with none of
-// its amortization). Every vectorized run is checked byte-identical to
-// the streamed emission, resident peaks must agree (operator state is
-// accounted identically), and the pooled batch footprint is reported
-// separately — the ISSUE's accounting split: batches are recycled
-// transport, not resident operator state.
-func runST4(w io.Writer) {
-	bench := func(f func()) (time.Duration, float64) {
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				f()
-			}
-		})
-		return time.Duration(r.NsPerOp()), float64(r.AllocsPerOp())
-	}
-	r, s := divisionScaling(400)
-	d := rel.NewDatabase(rel.NewSchema(map[string]int{"R": 2, "S": 1}))
-	for _, tp := range r.Tuples() {
-		d.Add("R", tp)
-	}
-	for _, tp := range s.Tuples() {
-		d.Add("S", tp)
-	}
-	div := ra.DivisionExpr("R", "S")
-	// The pipelined plan: a selection and a projection feeding an
-	// equi-join probe — the path the allocs/op acceptance targets. The
-	// workload is flow-dominated: 5000 probe tuples stream through the
-	// pipeline, 50 reach the output, so the measurement prices the
-	// operators rather than the (shared) result sink.
-	dp := rel.NewDatabase(rel.NewSchema(map[string]int{"P": 2, "Q": 2}))
-	for i := 0; i < 5000; i++ {
-		dp.AddInts("P", int64(i), int64(i%7))
-	}
-	for j := 0; j < 50; j++ {
-		dp.AddInts("Q", int64(100*j), int64(j))
-	}
-	pipe := ra.NewJoin(
-		ra.NewProject([]int{1}, ra.NewSelect(1, ra.OpNe, 2, ra.R("P", 2))),
-		ra.Eq(1, 1), ra.R("Q", 2))
-	t := stats.NewTable("plan", "executor", "batch", "time/op", "allocs/op", "speedup", "alloc ratio")
-	for _, pl := range []struct {
-		name string
-		e    ra.Expr
-		d    *rel.Database
-	}{{"division", div, d}, {"select→project→join", pipe, dp}} {
-		e, d := pl.e, pl.d
-		want, wt := ra.EvalStreamedTraced(e, d)
-		wantT := want.Tuples()
-		baseNs, baseAllocs := bench(func() { ra.EvalStreamed(e, d) })
-		t.AddRow(pl.name, "tuple-at-a-time", "—", baseNs.Round(time.Microsecond), int64(baseAllocs), "1.00x", "1.0x")
-		for _, size := range batchSizes() {
-			opts := ra.StreamOptions{Vectorize: true, BatchSize: size}
-			got, gt := ra.EvalStreamedTracedOpts(e, d, opts)
-			if !sameEmission(got.Tuples(), wantT) {
-				fmt.Fprintln(w, "!! vectorized result diverges from streamed")
-				return
-			}
-			if gt.MaxResident != wt.MaxResident {
-				fmt.Fprintf(w, "!! resident accounting diverges: vectorized %d, streamed %d\n", gt.MaxResident, wt.MaxResident)
-				return
-			}
-			ns, allocs := bench(func() { ra.EvalStreamedTracedOpts(e, d, opts) })
-			ratio := "—"
-			if allocs > 0 {
-				ratio = fmt.Sprintf("%.1fx", baseAllocs/allocs)
-			}
-			t.AddRow(pl.name, "vectorized", size, ns.Round(time.Microsecond), int64(allocs),
-				fmt.Sprintf("%.2fx", float64(baseNs)/float64(ns)), ratio)
-		}
-		fmt.Fprintf(w, "%s: vectorized emission byte-identical to streamed; MaxResident %d on both executors\n",
-			pl.name, wt.MaxResident)
-	}
-	rel.ResetBatchPoolPeak()
-	ra.EvalStreamedTracedOpts(div, d, ra.StreamOptions{Vectorize: true})
-	live, peak, _ := rel.BatchPoolStats()
-	fmt.Fprintln(w)
-	fmt.Fprint(w, t)
-	fmt.Fprintf(w, "\npooled batches: peak %d in flight (≤ %d rows) during vectorized division, %d live after —\n",
-		peak, peak*int64(rel.BatchCap), live)
-	fmt.Fprintln(w, "transport buffers recycle through the pool and never enter MaxResident, so the")
-	fmt.Fprintln(w, "ST1–ST3 resident-memory exponents are untouched by vectorization")
-}
-
 // runST5 drives the planner end to end on the P26 scaling family: the
 // classical division expression compiled with and without the rewrite
 // rules. As written, the plan streams the expression and its flow peak
@@ -595,54 +512,18 @@ func runST5(w io.Writer) {
 	fmt.Fprintln(w, "expression into the linear γ-division automatically")
 }
 
-// saTracesMatch reports whether two SA traces agree on shape: the
-// same steps in the same order — operator and flow count — and the
-// same resident peak. This is the parity the vectorized executor owes
-// the tuple executor beyond byte-identical emission.
-func saTracesMatch(got, want *sa.Trace) bool {
-	if len(got.Steps) != len(want.Steps) || got.MaxResident != want.MaxResident {
-		return false
-	}
-	for i := range want.Steps {
-		if got.Steps[i].Size != want.Steps[i].Size ||
-			got.Steps[i].Expr.String() != want.Steps[i].Expr.String() {
-			return false
-		}
-	}
-	return true
-}
-
-// xraTracesMatch is saTracesMatch for the extended algebra.
-func xraTracesMatch(got, want *xra.Trace) bool {
-	if len(got.Steps) != len(want.Steps) || got.MaxResident != want.MaxResident {
-		return false
-	}
-	for i := range want.Steps {
-		if got.Steps[i].Size != want.Steps[i].Size ||
-			got.Steps[i].Expr.String() != want.Steps[i].Expr.String() {
-			return false
-		}
-	}
-	return true
-}
-
-// runST6 sweeps the vectorized semijoin algebras across worker counts
-// and batch sizes, separating the two costs parallel vectorized
-// execution pays. The compute arm is single-worker by construction:
-// the vectorized SA and γ executors against their tuple-at-a-time
-// baselines at each batch size, so the batch knob is the only thing
-// moving — guarded by byte-identical emission, identical trace shape
-// (step order and per-step flow) and identical resident peak. The
-// exchange arm runs division sharded four ways, feeding shard-local
-// sized batch scans into the vectorized probe
-// (division.DivideShardBatches) over the worker pool at each
-// workers × batch point; the gid-ordered merge is timed separately,
-// because merge time is pure exchange overhead — paid once, whatever
-// the worker count — while the shard compute divides across workers
-// and amortizes with batch size. Every merged result is checked byte
-// for byte against the sequential hash division, and a planner tail
-// pins the plan layer's mixed executor against the materialized
-// ra.Eval. -workers and -batch pin single points of the sweep.
+// runST6 sweeps sharded batch division across worker counts and batch
+// sizes, separating the two costs parallel batch execution pays:
+// division runs sharded four ways, feeding shard-local sized batch
+// scans into the batch probe (division.DivideShardBatches) over the
+// worker pool at each workers × batch point, and the gid-ordered merge
+// is timed separately, because merge time is pure exchange overhead —
+// paid once, whatever the worker count — while the shard compute
+// divides across workers and amortizes with batch size. Every merged
+// result is checked byte for byte against the sequential hash
+// division, and a planner tail pins the executor, on the optimized
+// set-containment plan, against the materialized ra.Eval at every batch
+// size. -workers and -batch pin single points of the sweep.
 func runST6(w io.Writer) {
 	r, s := divisionScaling(400)
 	d := rel.NewDatabase(rel.NewSchema(map[string]int{"R": 2, "S": 1}))
@@ -652,47 +533,7 @@ func runST6(w io.Writer) {
 	for _, tp := range s.Tuples() {
 		d.Add("S", tp)
 	}
-	bench := func(f func()) time.Duration {
-		res := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				f()
-			}
-		})
-		return time.Duration(res.NsPerOp())
-	}
 	liveBefore, _, _ := rel.BatchPoolStats()
-
-	// Compute arm.
-	saExpr := sa.NewProject([]int{1}, sa.NewAntijoin(sa.R("R", 2), ra.Eq(2, 1), sa.R("S", 1)))
-	xExpr := xra.ContainmentDivision("R", "S")
-	saWant, saWT := sa.EvalStreamedTraced(saExpr, d)
-	xWant, xWT := xra.EvalStreamedTraced(xExpr, d)
-	saBase := bench(func() { sa.EvalStreamed(saExpr, d) })
-	xBase := bench(func() { xra.EvalStreamed(xExpr, d) })
-	ct := stats.NewTable("algebra", "batch", "time/op", "speedup")
-	ct.AddRow("SA antijoin-division", "tuple", saBase.Round(time.Microsecond), "1.00x")
-	ct.AddRow("γ-division", "tuple", xBase.Round(time.Microsecond), "1.00x")
-	for _, size := range batchSizes() {
-		saGot, saGT := sa.EvalVectorizedTracedSized(saExpr, d, size)
-		xGot, xGT := xra.EvalVectorizedTracedSized(xExpr, d, size)
-		if !sameEmission(saGot.Tuples(), saWant.Tuples()) || !sameEmission(xGot.Tuples(), xWant.Tuples()) {
-			fmt.Fprintln(w, "!! vectorized emission diverges from streamed")
-			return
-		}
-		if !saTracesMatch(saGT, saWT) || !xraTracesMatch(xGT, xWT) {
-			fmt.Fprintln(w, "!! vectorized trace shape diverges from streamed")
-			return
-		}
-		saNs := bench(func() { sa.EvalVectorizedTracedSized(saExpr, d, size) })
-		xNs := bench(func() { xra.EvalVectorizedTracedSized(xExpr, d, size) })
-		ct.AddRow("SA antijoin-division", size, saNs.Round(time.Microsecond),
-			fmt.Sprintf("%.2fx", float64(saBase)/float64(saNs)))
-		ct.AddRow("γ-division", size, xNs.Round(time.Microsecond),
-			fmt.Sprintf("%.2fx", float64(xBase)/float64(xNs)))
-	}
-	fmt.Fprintln(w, "compute arm (one worker): vectorized SA/γ emission, trace shape and resident")
-	fmt.Fprintln(w, "peak identical to tuple-at-a-time at every batch size")
-	fmt.Fprint(w, ct)
 
 	// Exchange arm.
 	const exShards = 4
@@ -734,13 +575,11 @@ func runST6(w io.Writer) {
 				(total - merge).Round(time.Microsecond))
 		}
 	}
-	fmt.Fprintln(w)
 	fmt.Fprintln(w, "exchange arm (4 shards): every merged emission matched sequential hash")
 	fmt.Fprintln(w, "division byte for byte")
 	fmt.Fprint(w, et)
 
-	// Planner tail: the optimized set-containment plan — a mixed
-	// semijoin/γ plan no single algebra evaluates — must match the
+	// Planner tail: the optimized set-containment plan must match the
 	// materialized evaluation of the source expression byte for byte
 	// at every batch size.
 	wl := workload.SetJoin{RGroups: 200, SGroups: 200, MeanSize: 5, Dist: workload.Uniform,
@@ -763,13 +602,13 @@ func runST6(w io.Writer) {
 			return
 		}
 		if !sameEmission(p.Execute().Tuples(), wantJ) {
-			fmt.Fprintf(w, "!! mixed plan diverges from ra.Eval at batch %d\n", size)
+			fmt.Fprintf(w, "!! optimized plan diverges from ra.Eval at batch %d\n", size)
 			return
 		}
 		engine = p.Engine()
 	}
 	liveAfter, _, _ := rel.BatchPoolStats()
-	fmt.Fprintf(w, "\nmixed plan (engine %s) == materialized ra.Eval at every batch size; batch pool:\n", engine)
+	fmt.Fprintf(w, "\noptimized set-containment plan (engine %s) == materialized ra.Eval at every batch size; batch pool:\n", engine)
 	fmt.Fprintf(w, "%d batches live before the sweep, %d after — transport recycled, nothing leaked\n",
 		liveBefore, liveAfter)
 }

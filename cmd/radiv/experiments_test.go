@@ -31,7 +31,7 @@ func TestExperimentIDsUnique(t *testing.T) {
 			t.Errorf("experiment %s has no title", e.ID)
 		}
 	}
-	for _, id := range []string{"F1", "F2", "F3", "F4", "F5", "F6", "E3", "T8", "T17", "P26", "SJ1", "SJ2", "G5", "ST1", "ST2", "ST3", "ST4", "ST5", "ST6"} {
+	for _, id := range []string{"F1", "F2", "F3", "F4", "F5", "F6", "E3", "T8", "T17", "P26", "SJ1", "SJ2", "G5", "ST1", "ST2", "ST3", "ST5", "ST6"} {
 		if !seen[id] {
 			t.Errorf("experiment %s missing from registry", id)
 		}
@@ -82,8 +82,8 @@ func TestExperimentOutputsCarryTheClaims(t *testing.T) {
 		t.Errorf("ST5 lost the planner claim:\n%s", out)
 	}
 	if out := get("ST6"); !strings.Contains(out, "byte for byte") || strings.Contains(out, "diverges") ||
-		!strings.Contains(out, "trace shape") || !strings.Contains(out, "nothing leaked") {
-		t.Errorf("ST6 lost the vectorized identity/trace-parity claims:\n%s", out)
+		!strings.Contains(out, "== materialized ra.Eval") || !strings.Contains(out, "nothing leaked") {
+		t.Errorf("ST6 lost the sharded byte-identity or executor-vs-oracle claims:\n%s", out)
 	}
 }
 
@@ -117,8 +117,8 @@ func TestST5FlowExponents(t *testing.T) {
 }
 
 // TestST2ResidentExponentsLinear parses the fitted exponents out of
-// the ST2 report and pins them near 1, the acceptance bar for the
-// streamed SA/XRA executors.
+// the ST2 report and pins them near 1, the acceptance bar for SA and
+// γ plans on the executor.
 func TestST2ResidentExponentsLinear(t *testing.T) {
 	var buf bytes.Buffer
 	for _, e := range experiments() {
@@ -137,10 +137,10 @@ func TestST2ResidentExponentsLinear(t *testing.T) {
 		t.Fatalf("cannot parse exponents from ST2 output: %v\n%s", err, out)
 	}
 	if saExp < 0.7 || saExp > 1.3 {
-		t.Errorf("SA streamed resident exponent %.2f, want ≈ 1.0", saExp)
+		t.Errorf("SA resident exponent %.2f, want ≈ 1.0", saExp)
 	}
 	if xraExp < 0.7 || xraExp > 1.3 {
-		t.Errorf("γ-division streamed resident exponent %.2f, want ≈ 1.0", xraExp)
+		t.Errorf("γ-division resident exponent %.2f, want ≈ 1.0", xraExp)
 	}
 }
 

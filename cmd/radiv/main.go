@@ -1,6 +1,6 @@
 // Command radiv runs the paper-reproduction experiments and prints
 // their tables. Each experiment id corresponds to a figure, example or
-// claim of the paper, as indexed in DESIGN.md and EXPERIMENTS.md.
+// claim of the paper; -list prints the index.
 //
 // Usage:
 //
@@ -25,7 +25,7 @@ func main() {
 	flag.IntVar(&shards, "shards", 0,
 		"shard count for the sharded-store experiment ST3 (0 = sweep 1, 2, 4)")
 	flag.IntVar(&batchSize, "batch", 0,
-		"batch row capacity for the vectorized sweeps in ST4 and ST6 (0 = sweep 1, 64, 1024)")
+		"batch row capacity for the sweeps in ST6 (0 = sweep 1, 64, 1024)")
 	flag.Parse()
 
 	switch {

@@ -13,9 +13,9 @@
 //	raquery -db data.txt -ra '...' -max-resident 100000  # tuple budget
 //	raquery -db data.txt -ra '...' -oracle       # the paper's materialized semantics
 //
-// One executor runs every -ra and -sa query, the batch-native one:
-// -ra compiles through internal/plan (rewriting only under -optimize)
-// and runs the plan's columnar executor, -sa runs sa's. -timeout and
+// One executor runs every -ra and -sa query: the expression becomes
+// internal/plan's IR (rewritten only under -optimize, which applies to
+// -ra) and plan builds and runs its batch cursor tree. -timeout and
 // -max-resident put the same executor under a governor: exceeding
 // either budget aborts the query cleanly (typed error on stderr, exit
 // 1) instead of running away. -trace prints what flowed out of each
@@ -115,31 +115,48 @@ func run(args []string, out io.Writer) error {
 	}
 
 	switch {
-	case *raSrc != "":
-		e, err := parser.ParseRA(*raSrc, d.Schema())
-		if err != nil {
-			return err
-		}
-		if *oracle {
-			res, tr := ra.EvalTraced(e, d)
-			if *trace {
-				fmt.Fprint(out, tr)
+	case *raSrc != "" || *saSrc != "":
+		var root *plan.Node
+		if *raSrc != "" {
+			e, err := parser.ParseRA(*raSrc, d.Schema())
+			if err != nil {
+				return err
 			}
-			fmt.Fprint(out, res)
-			return nil
+			if *oracle {
+				res, tr := ra.EvalTraced(e, d)
+				if *trace {
+					fmt.Fprint(out, tr)
+				}
+				fmt.Fprint(out, res)
+				return nil
+			}
+			root = plan.FromRA(e)
+		} else {
+			e, err := parser.ParseSA(*saSrc, d.Schema())
+			if err != nil {
+				return err
+			}
+			if *oracle {
+				res, tr := sa.EvalTraced(e, d)
+				if *trace {
+					for _, s := range tr.Steps {
+						fmt.Fprintf(out, "%8d  %s\n", s.Size, s.Expr)
+					}
+					fmt.Fprintf(out, "max intermediate: %d\n", tr.MaxIntermediate)
+				}
+				fmt.Fprint(out, res)
+				return nil
+			}
+			root = plan.FromSA(e)
 		}
-		p, err := plan.Compile(e, d, plan.Options{Optimize: *optimize, Limits: lim})
-		if err != nil {
-			return err
-		}
+		p := plan.CompileIR(root, d, plan.Options{Optimize: *optimize, Limits: lim})
 		if *explain {
 			fmt.Fprint(out, p.Explain())
 		}
 		var res *rel.Relation
 		var tr *plan.Trace
 		if governed {
-			res, tr, err = p.ExecuteTracedContext(ctx)
-			if err != nil {
+			if res, tr, err = p.ExecuteTracedContext(ctx); err != nil {
 				return err
 			}
 		} else {
@@ -150,35 +167,6 @@ func run(args []string, out io.Writer) error {
 				fmt.Fprintf(out, "%8d  %s\n", s.Size, s.Label)
 			}
 			fmt.Fprintf(out, "max intermediate: %d\nmax resident: %d\n", tr.MaxIntermediate, tr.MaxResident)
-		}
-		fmt.Fprint(out, res)
-	case *saSrc != "":
-		e, err := parser.ParseSA(*saSrc, d.Schema())
-		if err != nil {
-			return err
-		}
-		var res *rel.Relation
-		var tr *sa.Trace
-		switch {
-		case *oracle:
-			res, tr = sa.EvalTraced(e, d)
-		case governed:
-			res, tr, err = sa.EvalVectorizedContext(ctx, e, d, 0, lim)
-			if err != nil {
-				return err
-			}
-		default:
-			res, tr = sa.EvalVectorizedTraced(e, d)
-		}
-		if *trace {
-			for _, s := range tr.Steps {
-				fmt.Fprintf(out, "%8d  %s\n", s.Size, s.Expr)
-			}
-			fmt.Fprintf(out, "max intermediate: %d\n", tr.MaxIntermediate)
-			if !*oracle {
-				// Only the executor holds operator state to measure.
-				fmt.Fprintf(out, "max resident: %d\n", tr.MaxResident)
-			}
 		}
 		fmt.Fprint(out, res)
 	case *gfSrc != "":

@@ -21,6 +21,6 @@
 //     (internal/parser, internal/workload, internal/paperfigs).
 //
 // The benchmarks in bench_test.go regenerate every figure and claim of
-// the paper; see DESIGN.md for the experiment index and EXPERIMENTS.md
-// for measured results.
+// the paper; `go run ./cmd/radiv -list` prints the experiment index,
+// and README.md describes the library.
 package radiv

@@ -1,4 +1,4 @@
-// This file states the three engine contracts the radivvet suite
+// This file states the four engine contracts the radivvet suite
 // enforces, with pointers to the analyzers that enforce them. It is
 // documentation only.
 //
@@ -64,7 +64,7 @@
 // drive every abort path and assert the pool returns to its
 // pre-query level.
 //
-// A fourth, stylistic rule rides along: panic messages carry their
+// A fifth, stylistic rule rides along: panic messages carry their
 // package prefix (ra:, sa:, xra:, …) so a query-abort names the layer
 // that gave up. Enforced by radiv/internal/analysis/panicprefix.
 package analysis

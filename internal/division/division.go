@@ -434,26 +434,6 @@ func (Aggregate) Divide(r, s *rel.Relation, sem Semantics) (*rel.Relation, Stats
 	return out, st
 }
 
-// raDivide evaluates the classical division expression (containment
-// or equality variant) over a database built from r and s, through the
-// given traced evaluator. Shared by ClassicRA and StreamedRA.
-func raDivide(r, s *rel.Relation, sem Semantics,
-	eval func(ra.Expr, rel.ReadStore) (*rel.Relation, *ra.Trace)) (*rel.Relation, *ra.Trace) {
-	checkInputs(r, s)
-	d := rel.NewDatabase(rel.NewSchema(map[string]int{"R": 2, "S": 1}))
-	for _, t := range r.Tuples() {
-		d.Add("R", t)
-	}
-	for _, t := range s.Tuples() {
-		d.Add("S", t)
-	}
-	e := ra.DivisionExpr("R", "S")
-	if sem == Equality {
-		e = ra.EqualityDivisionExpr("R", "S")
-	}
-	return eval(e, d)
-}
-
 // ClassicRA evaluates division through the pure relational-algebra
 // expression π1(R) − π1((π1(R) × S) − R) (or its equality variant),
 // the formulation Proposition 26 proves inherently quadratic. Stats
@@ -466,33 +446,22 @@ func (ClassicRA) Name() string { return "classic-ra" }
 
 // Divide implements Algorithm.
 func (ClassicRA) Divide(r, s *rel.Relation, sem Semantics) (*rel.Relation, Stats) {
-	res, tr := raDivide(r, s, sem, ra.EvalTraced)
+	checkInputs(r, s)
+	d := rel.NewDatabase(rel.NewSchema(map[string]int{"R": 2, "S": 1}))
+	for _, t := range r.Tuples() {
+		d.Add("R", t)
+	}
+	for _, t := range s.Tuples() {
+		d.Add("S", t)
+	}
+	e := ra.DivisionExpr("R", "S")
+	if sem == Equality {
+		e = ra.EqualityDivisionExpr("R", "S")
+	}
+	res, tr := ra.EvalTraced(e, d)
 	return res, Stats{
 		TuplesRead:      tr.TotalTuples,
 		MaxMemoryTuples: tr.MaxIntermediate,
-		Comparisons:     tr.TotalTuples,
-	}
-}
-
-// StreamedRA evaluates the same classical RA expressions as ClassicRA
-// but through the streaming (Volcano-style) executor: pipelined
-// selections and projections, build-side-only joins, blocking
-// union/difference sinks. The quadratic product still *flows* —
-// Proposition 26 says it must — but it is never stored, so
-// MaxMemoryTuples reports ra.Trace.MaxResident: the executor's peak
-// held state, which stays linear on the division family while
-// ClassicRA's materialized intermediates grow quadratically.
-type StreamedRA struct{}
-
-// Name implements Algorithm.
-func (StreamedRA) Name() string { return "streamed-ra" }
-
-// Divide implements Algorithm.
-func (StreamedRA) Divide(r, s *rel.Relation, sem Semantics) (*rel.Relation, Stats) {
-	res, tr := raDivide(r, s, sem, ra.EvalStreamedTraced)
-	return res, Stats{
-		TuplesRead:      tr.TotalTuples,
-		MaxMemoryTuples: tr.MaxResident,
 		Comparisons:     tr.TotalTuples,
 	}
 }
@@ -506,7 +475,7 @@ func All() []Algorithm { return AllWorkers(0) }
 // variants (<= 0 means one worker per CPU).
 func AllWorkers(workers int) []Algorithm {
 	return []Algorithm{
-		ClassicRA{}, StreamedRA{}, NestedLoop{}, MergeSort{}, Hash{}, HashStringKey{}, Aggregate{},
+		ClassicRA{}, NestedLoop{}, MergeSort{}, Hash{}, HashStringKey{}, Aggregate{},
 		ParallelHash{Workers: workers},
 	}
 }

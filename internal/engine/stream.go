@@ -75,9 +75,8 @@ func SendOr[T any](ch chan<- T, v T, done <-chan struct{}) bool {
 }
 
 // Cursor is the engine's pull-based tuple iterator. It is structurally
-// identical to ra.Cursor and to *rel.Cursor, so cursors from the
-// streaming evaluators and from stored relations satisfy it without
-// adaptation.
+// identical to rel.NextCursor, so *rel.Cursor and every other
+// stored-relation scan satisfy it without adaptation.
 type Cursor interface {
 	Next() (rel.Tuple, bool)
 }

@@ -13,8 +13,10 @@
 // abort-panic discipline: the panicking frame holds no pooled batch.
 //
 // Wrapped views deliberately do not implement rel.BatchScanner: the
-// vectorized executors fall back to packing the (injecting) tuple
-// scan, so one wrapper covers both the streamed and columnar paths.
+// executor falls back to packing the (injecting) tuple scan into
+// batches, so every leaf of a plan pulls through the injection. With a
+// zero Fault the wrapper is the test suites' backend without batch
+// scans.
 package faultinject
 
 import (
@@ -71,8 +73,7 @@ func (s *Store) Size() int { return s.d.Size() }
 
 // Rows reports how many rows injecting scans have yielded so far.
 // Single-goroutine evaluators only (the counter is unsynchronized by
-// design — the streamed and vectorized executors pull on one
-// goroutine).
+// design — the executor pulls on one goroutine).
 func (s *Store) Rows() int { return int(s.rows) }
 
 // View implements rel.ReadStore, wrapping matching relations.

@@ -15,13 +15,12 @@ import (
 	"radiv/internal/plan"
 	"radiv/internal/ra"
 	"radiv/internal/rel"
-	"radiv/internal/sa"
 	"radiv/internal/xra"
 )
 
-// The suite drives every governed entry point — ra/sa/xra, streamed
-// and vectorized, plus the planner — through injected failures and
-// asserts the robustness contract after each abort:
+// The suite drives the executor's governed entry point — over plans
+// from each algebra, as written and rewritten — through injected
+// failures and asserts the robustness contract after each abort:
 //
 //   - exactly one typed error that wraps the injected cause,
 //   - a nil result,
@@ -33,9 +32,9 @@ var errInjected = errors.New("faultinject: injected cursor failure")
 
 // newSnapshot publishes the suite's shared database: sizes are chosen
 // so every relation survives FailAfter/CancelAt in [1,5] and so at
-// least one guard stride (64 tuples / one batch) of pulls remains
-// after any injection point — that is what makes the abort
-// deterministic rather than watcher-scheduling dependent.
+// least one batch of pulls remains after any injection point — that is
+// what makes the abort deterministic rather than watcher-scheduling
+// dependent.
 func newSnapshot() *rel.Snapshot {
 	ep := rel.NewEpoch(rel.NewSchema(map[string]int{"R": 2, "S": 1, "T": 2}))
 	for i := 0; i < 400; i++ {
@@ -59,71 +58,49 @@ func fingerprint(snap *rel.Snapshot) map[string]string {
 	return fp
 }
 
-// arm is one governed entry point under test. zeroResident marks
-// queries that legitimately keep no resident state (the streamed diff
-// consumes its subtrahend in place and defers projection dedup to the
-// sink), so the resident-budget test skips them.
+// arm is one plan under test. zeroResident marks queries that
+// legitimately keep no resident state (the difference consumes its
+// stored subtrahend in place and defers projection dedup to the sink),
+// so the resident-budget test skips them.
 type arm struct {
 	name         string
+	root         *plan.Node
+	optimize     bool
 	zeroResident bool
-	run          func(ctx context.Context, d rel.ReadStore, lim exec.Limits) (*rel.Relation, error)
 }
 
-// arms builds the full entry-point matrix against the schema. Except
-// for the zeroResident arms, every query builds resident state (a
-// hash side or division groups), so the budget test trips on it.
-func arms(t *testing.T, schema rel.Schema, batchSize int) []arm {
+// run executes the arm's plan under a governor at the given batch
+// size.
+func (a arm) run(ctx context.Context, d rel.ReadStore, batchSize int, lim exec.Limits) (*rel.Relation, error) {
+	p := plan.CompileIR(a.root, d, plan.Options{Optimize: a.optimize, BatchSize: batchSize, Limits: lim})
+	res, _, err := p.ExecuteTracedContext(ctx)
+	return res, err
+}
+
+// arms builds the plans against the schema: one per algebra, plus a
+// rewritten one. Except for the zeroResident arm, every query builds
+// resident state (a hash side or γ groups), so the budget test trips
+// on it.
+func arms(t *testing.T, schema rel.Schema) []arm {
 	t.Helper()
-	raExpr, err := parser.ParseRA("join[2=1](R, S)", schema)
+	join, err := parser.ParseRA("join[2=1](R, S)", schema)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raExpr2, err := parser.ParseRA("diff(project[1](R), S)", schema)
+	diff, err := parser.ParseRA("diff(project[1](R), S)", schema)
 	if err != nil {
 		t.Fatal(err)
 	}
-	saExpr, err := parser.ParseSA("semijoin[2=1](R, S)", schema)
+	semijoin, err := parser.ParseSA("semijoin[2=1](R, S)", schema)
 	if err != nil {
 		t.Fatal(err)
 	}
-	xraExpr := xra.ContainmentDivision("R", "S")
 	return []arm{
-		{name: "ra/streamed", run: func(ctx context.Context, d rel.ReadStore, lim exec.Limits) (*rel.Relation, error) {
-			res, _, err := ra.EvalStreamedContext(ctx, raExpr, d, ra.StreamOptions{Limits: lim})
-			return res, err
-		}},
-		{name: "ra/vectorized", run: func(ctx context.Context, d rel.ReadStore, lim exec.Limits) (*rel.Relation, error) {
-			res, _, err := ra.EvalStreamedContext(ctx, raExpr, d, ra.StreamOptions{Vectorize: true, BatchSize: batchSize, Limits: lim})
-			return res, err
-		}},
-		{name: "ra/streamed/diff", zeroResident: true, run: func(ctx context.Context, d rel.ReadStore, lim exec.Limits) (*rel.Relation, error) {
-			res, _, err := ra.EvalStreamedContext(ctx, raExpr2, d, ra.StreamOptions{Limits: lim})
-			return res, err
-		}},
-		{name: "sa/streamed", run: func(ctx context.Context, d rel.ReadStore, lim exec.Limits) (*rel.Relation, error) {
-			res, _, err := sa.EvalStreamedContext(ctx, saExpr, d, lim)
-			return res, err
-		}},
-		{name: "sa/vectorized", run: func(ctx context.Context, d rel.ReadStore, lim exec.Limits) (*rel.Relation, error) {
-			res, _, err := sa.EvalVectorizedContext(ctx, saExpr, d, batchSize, lim)
-			return res, err
-		}},
-		{name: "xra/streamed", run: func(ctx context.Context, d rel.ReadStore, lim exec.Limits) (*rel.Relation, error) {
-			res, _, err := xra.EvalStreamedContext(ctx, xraExpr, d, lim)
-			return res, err
-		}},
-		{name: "xra/vectorized", run: func(ctx context.Context, d rel.ReadStore, lim exec.Limits) (*rel.Relation, error) {
-			res, _, err := xra.EvalVectorizedContext(ctx, xraExpr, d, batchSize, lim)
-			return res, err
-		}},
-		{name: "plan", run: func(ctx context.Context, d rel.ReadStore, lim exec.Limits) (*rel.Relation, error) {
-			p, err := plan.Compile(raExpr, d, plan.Options{Optimize: true, BatchSize: batchSize, Limits: lim})
-			if err != nil {
-				return nil, err
-			}
-			res, _, err := p.ExecuteTracedContext(ctx)
-			return res, err
-		}},
+		{name: "ra/join", root: plan.FromRA(join)},
+		{name: "ra/join/optimized", root: plan.FromRA(join), optimize: true},
+		{name: "ra/diff", root: plan.FromRA(diff), zeroResident: true},
+		{name: "sa/semijoin", root: plan.FromSA(semijoin)},
+		{name: "xra/gamma-division", root: plan.FromXRA(xra.ContainmentDivision("R", "S"))},
 	}
 }
 
@@ -146,19 +123,19 @@ func checkAborted(t *testing.T, label string, res *rel.Relation, err error, want
 }
 
 // TestInjectedCursorErrorAborts: a cursor failure at row N surfaces
-// as a single wrapped error at every entry point, with no result, no
-// leaked batches, no leaked goroutines and an untouched snapshot.
+// as a single wrapped error on every plan, with no result, no leaked
+// batches, no leaked goroutines and an untouched snapshot.
 func TestInjectedCursorErrorAborts(t *testing.T) {
 	leakcheck.Check(t)
 	snap := newSnapshot()
 	before := fingerprint(snap)
 	for _, batchSize := range []int{1, 64} {
-		for _, a := range arms(t, snap.Schema(), batchSize) {
+		for _, a := range arms(t, snap.Schema()) {
 			for _, failAfter := range []int{1, 3, 5} {
 				label := fmt.Sprintf("%s/bs=%d/failAfter=%d", a.name, batchSize, failAfter)
 				st := faultinject.Wrap(snap, faultinject.Fault{FailAfter: failAfter, Err: errInjected})
 				live, _, _ := rel.BatchPoolStats()
-				res, err := a.run(context.Background(), st, exec.Limits{})
+				res, err := a.run(context.Background(), st, batchSize, exec.Limits{})
 				checkAborted(t, label, res, err, errInjected, live)
 			}
 		}
@@ -170,17 +147,17 @@ func TestInjectedCursorErrorAborts(t *testing.T) {
 	}
 }
 
-// TestBudgetTripAborts: every entry point aborts with *exec.BudgetError
-// once its resident-tuple budget is exceeded, releasing all batches.
+// TestBudgetTripAborts: every plan aborts with *exec.BudgetError once
+// its resident-tuple budget is exceeded, releasing all batches.
 func TestBudgetTripAborts(t *testing.T) {
 	leakcheck.Check(t)
 	snap := newSnapshot()
-	for _, a := range arms(t, snap.Schema(), 16) {
+	for _, a := range arms(t, snap.Schema()) {
 		if a.zeroResident {
 			continue
 		}
 		live, _, _ := rel.BatchPoolStats()
-		res, err := a.run(context.Background(), snap, exec.Limits{MaxResident: 2})
+		res, err := a.run(context.Background(), snap, 16, exec.Limits{MaxResident: 2})
 		if err == nil {
 			t.Fatalf("%s: want budget error, got nil (res=%v)", a.name, res)
 		}
@@ -204,31 +181,31 @@ func TestPreCanceledContext(t *testing.T) {
 	snap := newSnapshot()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, a := range arms(t, snap.Schema(), 64) {
+	for _, a := range arms(t, snap.Schema()) {
 		live, _, _ := rel.BatchPoolStats()
-		res, err := a.run(ctx, snap, exec.Limits{})
+		res, err := a.run(ctx, snap, 64, exec.Limits{})
 		checkAborted(t, a.name, res, err, context.Canceled, live)
 	}
 }
 
 // TestCancelMidFlight: a cancel fired from inside the scan (at an
-// exact row, via the fault hook) aborts every entry point cleanly.
+// exact row, via the fault hook) aborts every plan cleanly.
 func TestCancelMidFlight(t *testing.T) {
 	leakcheck.Check(t)
 	snap := newSnapshot()
-	for _, a := range arms(t, snap.Schema(), 32) {
+	for _, a := range arms(t, snap.Schema()) {
 		ctx, cancel := context.WithCancel(context.Background())
 		st := faultinject.Wrap(snap, faultinject.Fault{CancelAt: 5, OnRow: cancel})
 		live, _, _ := rel.BatchPoolStats()
-		res, err := a.run(ctx, st, exec.Limits{})
+		res, err := a.run(ctx, st, 32, exec.Limits{})
 		checkAborted(t, a.name, res, err, context.Canceled, live)
 		cancel()
 	}
 }
 
 // TestRandomizedAbortSuite is the seeded fuzz pass over the whole
-// matrix: random entry point × batch size × injection kind × injection
-// row, every iteration re-asserting the abort contract and, at the
+// matrix: random plan × batch size × injection kind × injection row,
+// every iteration re-asserting the abort contract and, at the
 // end, snapshot identity. Run under -race this doubles as the
 // goroutine-join proof for the governed exchanges.
 func TestRandomizedAbortSuite(t *testing.T) {
@@ -237,9 +214,9 @@ func TestRandomizedAbortSuite(t *testing.T) {
 	before := fingerprint(snap)
 	rng := rand.New(rand.NewSource(0x5eed))
 	batchSizes := []int{1, 8, 64, 1024}
+	as := arms(t, snap.Schema())
 	for iter := 0; iter < 80; iter++ {
 		bs := batchSizes[rng.Intn(len(batchSizes))]
-		as := arms(t, snap.Schema(), bs)
 		a := as[rng.Intn(len(as))]
 		k := 1 + rng.Intn(5)
 		kind := rng.Intn(2)
@@ -248,12 +225,12 @@ func TestRandomizedAbortSuite(t *testing.T) {
 		switch kind {
 		case 0: // injected cursor error
 			st := faultinject.Wrap(snap, faultinject.Fault{FailAfter: k, Err: errInjected})
-			res, err := a.run(context.Background(), st, exec.Limits{})
+			res, err := a.run(context.Background(), st, bs, exec.Limits{})
 			checkAborted(t, label, res, err, errInjected, live)
 		case 1: // cancellation at row k
 			ctx, cancel := context.WithCancel(context.Background())
 			st := faultinject.Wrap(snap, faultinject.Fault{CancelAt: k, OnRow: cancel})
-			res, err := a.run(ctx, st, exec.Limits{})
+			res, err := a.run(ctx, st, bs, exec.Limits{})
 			checkAborted(t, label, res, err, context.Canceled, live)
 			cancel()
 		}
@@ -275,15 +252,15 @@ func TestCleanRunAfterAborts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	a := arm{root: plan.FromRA(e)}
 	for i := 0; i < 5; i++ {
 		st := faultinject.Wrap(snap, faultinject.Fault{FailAfter: 2, Err: errInjected})
-		_, _, err := ra.EvalStreamedContext(context.Background(), e, st, ra.StreamOptions{Vectorize: true, BatchSize: 8})
-		if !errors.Is(err, errInjected) {
+		if _, err := a.run(context.Background(), st, 8, exec.Limits{}); !errors.Is(err, errInjected) {
 			t.Fatalf("warm-up abort %d: %v", i, err)
 		}
 	}
 	want := ra.Eval(e, snap)
-	got, _, err := ra.EvalStreamedContext(context.Background(), e, snap, ra.StreamOptions{Vectorize: true, BatchSize: 8})
+	got, err := a.run(context.Background(), snap, 8, exec.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,8 +270,8 @@ func TestCleanRunAfterAborts(t *testing.T) {
 }
 
 // TestCancellationLatencyWithinOneBatch pins the cancellation-latency
-// contract: on the vectorized path a cancel fired mid-scan is
-// observed within one batch boundary — the scan yields at most one
+// contract: a cancel fired mid-scan is observed within one batch
+// boundary — the scan yields at most one
 // batch of rows past the cancellation point — at batch sizes 1, 64
 // and 1024. The fault store's row counter measures exactly how far
 // the (synthetically slow) scan ran past the cancel.
@@ -319,38 +296,12 @@ func TestCancellationLatencyWithinOneBatch(t *testing.T) {
 			Delay:      100 * time.Microsecond,
 		})
 		live, _, _ := rel.BatchPoolStats()
-		res, _, rerr := ra.EvalStreamedContext(ctx, e, st, ra.StreamOptions{Vectorize: true, BatchSize: bs})
+		res, rerr := arm{root: plan.FromRA(e)}.run(ctx, st, bs, exec.Limits{})
 		checkAborted(t, fmt.Sprintf("bs=%d", bs), res, rerr, context.Canceled, live)
 		if extra := st.Rows() - cancelAt; extra < 0 || extra > bs {
 			t.Errorf("bs=%d: scan ran %d rows past the cancel; want at most one batch (%d)", bs, extra, bs)
 		}
 		cancel()
-	}
-}
-
-// TestCancellationLatencyStreamed pins the tuple path's analogous
-// bound: the streamed guard checks every guard stride (64 tuples), so
-// a cancel is observed within one stride of pulls.
-func TestCancellationLatencyStreamed(t *testing.T) {
-	leakcheck.Check(t)
-	ep := rel.NewEpoch(rel.NewSchema(map[string]int{"Big": 1}))
-	for i := 0; i < 5000; i++ {
-		ep.AddInts("Big", int64(i))
-	}
-	snap := ep.Publish()
-	e, err := parser.ParseRA("project[1](Big)", snap.Schema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	const cancelAt, stride = 100, 64
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	st := faultinject.Wrap(snap, faultinject.Fault{CancelAt: cancelAt, OnRow: cancel})
-	live, _, _ := rel.BatchPoolStats()
-	res, _, rerr := ra.EvalStreamedContext(ctx, e, st, ra.StreamOptions{})
-	checkAborted(t, "streamed", res, rerr, context.Canceled, live)
-	if extra := st.Rows() - cancelAt; extra < 0 || extra > stride {
-		t.Errorf("scan ran %d rows past the cancel; want at most one guard stride (%d)", extra, stride)
 	}
 }
 
@@ -363,7 +314,7 @@ func TestFaultStoreIsTransparent(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := faultinject.Wrap(snap, faultinject.Fault{})
-	got := ra.EvalStreamed(e, st)
+	got := plan.CompileIR(plan.FromRA(e), st, plan.Options{}).Execute()
 	want := ra.Eval(e, snap)
 	if got.String() != want.String() {
 		t.Fatalf("transparent wrap diverged:\n got %v\nwant %v", got, want)

@@ -9,7 +9,9 @@ import (
 )
 
 // This file converts between the IR and the three algebras' ASTs.
-// FromRA/FromSA are total — every RA and SA expression has an IR form.
+// FromRA/FromSA/FromXRA are total — every expression of the three
+// algebras has an IR form (an xra.Wrap is transparent: the IR holds the
+// wrapped RA subtree itself).
 // The To* directions are partial: ToRA fails on SA/XRA-only operators,
 // ToSA on joins and γ, ToXRA on anything the extended algebra lacks
 // below its Join/Project/Gamma spine (xra has no union, difference or
@@ -62,6 +64,21 @@ func FromSA(e sa.Expr) *Node {
 		return NAntijoin(FromSA(n.L), n.Cond, FromSA(n.E))
 	}
 	panic(fmt.Sprintf("plan: unknown sa expression %T", e))
+}
+
+// FromXRA converts an extended-algebra expression into the IR.
+func FromXRA(e xra.Expr) *Node {
+	switch n := e.(type) {
+	case *xra.Wrap:
+		return FromRA(n.E)
+	case *xra.Gamma:
+		return NGamma(n.GroupCols, n.CountCol, FromXRA(n.E))
+	case *xra.Join:
+		return NJoin(FromXRA(n.L), n.Cond, FromXRA(n.E))
+	case *xra.Project:
+		return NProject(n.Cols, FromXRA(n.E))
+	}
+	panic(fmt.Sprintf("plan: unknown xra expression %T", e))
 }
 
 // ToRA converts the plan back to pure RA, or reports false when it

@@ -1,6 +1,8 @@
 package plan
 
 import (
+	"math"
+
 	"radiv/internal/plan/cost"
 	"radiv/internal/rel"
 )
@@ -10,7 +12,9 @@ import (
 // tuple flow a streamed execution of the plan would emit, the quantity
 // the paper's linear/quadratic dichotomy is about — so a rule only
 // fires when the estimated flow drops (or, for semijoin reduction, the
-// estimated resident state drops by more than the added flow).
+// estimated resident state drops by more than the added flow). The
+// executor's two physical choices — the projection dedup filter and
+// the result sink's initial size — are priced here too.
 
 // estimate guesses the (rows, distinct) a streamed execution of the
 // subplan emits, using exact base-relation cardinalities from the
@@ -82,4 +86,43 @@ func estFlow(d rel.ReadStore, n *Node) float64 {
 	total := 0.0
 	Walk(n, func(x *Node) { total += estimate(d, x).Rows })
 	return total
+}
+
+// joinBucket estimates how many build-side candidates one probe tuple
+// of the join scans.
+func joinBucket(d rel.ReadStore, n *Node) float64 {
+	return cost.JoinBucket(estimate(d, n.Kids[1]), len(n.Cond.EqPairs()), n.Kids[1].arity)
+}
+
+// dedupProjection decides the pipelined dedup filter for one
+// projection node. Projections defer deduplication to the consuming
+// sink, which keeps their state at zero — but a projection feeding a
+// join's probe side then replays the join's candidate scan once per
+// duplicate probe tuple. The filter spends one resident tuple per
+// distinct projected tuple to make every probe unique, so it is
+// inserted exactly when the estimated duplicate fan-in times bucket —
+// the consuming join's per-probe candidate scan, 0 when the projection
+// does not feed a probe input — outweighs that resident cost.
+func dedupProjection(d rel.ReadStore, n *Node, bucket float64) bool {
+	if bucket <= 1 {
+		return false // nothing to save: each duplicate probe is O(1)
+	}
+	child := estimate(d, n.Kids[0])
+	distinct := cost.ProjectDistinct(child, n.Cols, n.Kids[0].arity)
+	dups := child.Rows - distinct
+	if dups <= 0 {
+		return false
+	}
+	return dups*bucket > distinct
+}
+
+// sinkHint sizes a result sink from the distinct-output estimate,
+// clamped so a wild quadratic guess cannot balloon an empty result's
+// allocation.
+func sinkHint(d rel.ReadStore, n *Node) int {
+	est := estimate(d, n).Distinct
+	if math.IsNaN(est) || est <= 0 {
+		return 0
+	}
+	return int(math.Min(est, 1<<16))
 }

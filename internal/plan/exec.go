@@ -13,10 +13,20 @@ import (
 	"radiv/internal/xra"
 )
 
+// This file is the executor: the one place a cursor tree is built and
+// run. A plan — whatever algebra it came from, rewritten or not — is a
+// tree of IR nodes; builder.batches turns it node by node into the
+// batch operator cursors of internal/ra (selection, projection, sinks,
+// joins, the dedup filter), internal/sa (semijoin, antijoin) and
+// internal/xra (γ), all charging one resident meter, and Plan.run
+// drains the root into the result. The materialized Eval of each
+// algebra is the semantics this is tested against, not a second way to
+// run a plan.
+
 // Options tunes compilation and execution.
 type Options struct {
 	// Optimize runs the rewrite rule pipeline. Off, the plan executes
-	// the expression as written (through the same engine dispatch and
+	// the expression as written (through the same executor and
 	// canonical emission, so optimized and unoptimized runs are
 	// byte-comparable).
 	Optimize bool
@@ -35,18 +45,22 @@ type Options struct {
 	Limits exec.Limits
 }
 
-// Engine names which algebra's batch-native executor runs the plan.
+// Engine labels a plan with the smallest algebra that expresses it. It
+// selects nothing — every plan runs on the same executor — but it is
+// what the paper's laws speak about: a plan labelled sa has linear flow
+// by Definition 2, and linearization succeeded exactly when an RA query
+// comes out labelled sa.
 type Engine string
 
 const (
-	// EngineRA is the pure-RA executor.
+	// EngineRA labels a plan of pure RA operators.
 	EngineRA Engine = "ra"
-	// EngineSA is the semijoin-algebra executor.
+	// EngineSA labels a plan the semijoin algebra expresses.
 	EngineSA Engine = "sa"
-	// EngineXRA is the extended-algebra executor.
+	// EngineXRA labels a plan the γ-extended algebra expresses.
 	EngineXRA Engine = "xra"
-	// EngineMixed is the planner's own batch-cursor executor, for plans
-	// mixing operators no single algebra holds.
+	// EngineMixed labels a plan mixing operators no single algebra
+	// holds (a join next to a semijoin, say).
 	EngineMixed Engine = "mixed"
 )
 
@@ -57,22 +71,22 @@ const (
 type Plan struct {
 	d       rel.ReadStore
 	opts    Options
-	source  ra.Expr
 	root    *Node
 	firings []Firing
 	engine  Engine
 
-	raExpr  ra.Expr
-	saExpr  sa.Expr
-	xraExpr xra.Expr
-
-	// divR/divS name the division operands when the optimized plan is
-	// exactly the γ-division of two stored relations — the shape the
-	// sharded division fast path accelerates.
+	// divR/divS name the division operands when the plan is exactly the
+	// γ-division of two stored relations, the divisor nonempty — the
+	// shape the sharded division fast path accelerates.
 	divR, divS string
 }
 
-// Trace mirrors the evaluators' traces in engine-neutral form.
+// Trace is what one execution measured. Its step order is the
+// materialized evaluators' (post-order), but its sizes are flows, not
+// cardinalities: a dedup-deferring projection counts the duplicates it
+// emits, and a stored relation consumed in place (the subtrahend of a
+// difference, the replayed side of a θ-only join or semijoin) counts
+// zero, because nothing flows through the operator graph for it.
 type Trace struct {
 	// Steps lists each executed operator with its emission count, in
 	// post-order.
@@ -83,8 +97,11 @@ type Trace struct {
 	MaxIntermediate int
 	// TotalTuples is the summed emission count.
 	TotalTuples int
-	// MaxResident is the peak tuple count held in operator state (see
-	// ra.Trace.MaxResident).
+	// MaxResident is the peak number of tuples simultaneously held in
+	// operator state — join build tables, union and difference sinks,
+	// dedup filters, γ accumulators — across the whole plan. The result
+	// relation is not counted: every evaluator must hold its output, so
+	// MaxResident measures auxiliary state only.
 	MaxResident int
 }
 
@@ -102,33 +119,41 @@ func (tr *Trace) record(label string, size int) {
 	tr.TotalTuples += size
 }
 
-// Compile validates the expression, optionally rewrites it, and binds
-// it to the store and an engine. The returned plan is immutable and
-// reusable (each Execute streams afresh), but bound to d's statistics.
+// Compile validates the RA expression and compiles its IR form.
 func Compile(e ra.Expr, d rel.ReadStore, opts Options) (*Plan, error) {
 	if err := ra.Validate(e); err != nil {
 		return nil, fmt.Errorf("plan: invalid expression: %w", err)
 	}
-	p := &Plan{d: d, opts: opts, source: e, root: FromRA(e)}
+	return CompileIR(FromRA(e), d, opts), nil
+}
+
+// CompileIR optionally rewrites an IR tree (FromRA, FromSA, FromXRA, or
+// the N* constructors, which validate as they build) and binds it to
+// the store. The returned plan is immutable and reusable (each Execute
+// streams afresh), but bound to d's statistics.
+func CompileIR(root *Node, d rel.ReadStore, opts Options) *Plan {
+	p := &Plan{d: d, opts: opts, root: root, engine: EngineMixed}
 	if opts.Optimize {
 		p.root, p.firings = optimize(d, p.root)
 	}
-	if ex, ok := ToRA(p.root); ok {
-		p.engine, p.raExpr = EngineRA, ex
-	} else if ex, ok := ToSA(p.root); ok {
-		p.engine, p.saExpr = EngineSA, ex
-	} else if ex, ok := ToXRA(p.root); ok {
-		p.engine, p.xraExpr = EngineXRA, ex
-	} else {
-		p.engine = EngineMixed
+	if _, ok := ToRA(p.root); ok {
+		p.engine = EngineRA
+	} else if _, ok := ToSA(p.root); ok {
+		p.engine = EngineSA
+	} else if _, ok := ToXRA(p.root); ok {
+		p.engine = EngineXRA
 	}
-	if r, s, ok := matchGammaDivision(p.root); ok {
+	// The fast path computes true division, which the γ-expression
+	// equals only on a nonempty divisor — what the division rule
+	// guarantees for the plans it produced, but not for a γ-division
+	// handed in as written.
+	if r, s, ok := matchGammaDivision(p.root); ok && nonemptyUnary(d, s) {
 		p.divR, p.divS = r, s
 	}
-	return p, nil
+	return p
 }
 
-// Engine returns the executor the plan is bound to.
+// Engine returns the plan's algebra label.
 func (p *Plan) Engine() Engine { return p.engine }
 
 // Firings returns the recorded rule applications.
@@ -141,9 +166,9 @@ func (p *Plan) Root() *Node { return p.root }
 // the caller, built in canonical sorted tuple order — rewrites may
 // legitimately permute an executor's natural emission order, so the
 // plan layer fixes the order once for optimized and unoptimized runs
-// alike. When the bound store is a shard.Source and the optimized plan
-// is exactly a γ-division, the shard-local division path runs instead
-// of the generic executor (same result, shard-parallel).
+// alike. When the bound store is a shard.Source and the plan is exactly
+// a γ-division by a nonempty divisor, the shard-local division path
+// runs instead of the generic executor (same result, shard-parallel).
 func (p *Plan) Execute() *rel.Relation {
 	if p.divR != "" {
 		if src, ok := p.d.(shard.Source); ok {
@@ -160,11 +185,11 @@ func (p *Plan) Execute() *rel.Relation {
 }
 
 // ExecuteContext is the governed Execute: one governor spans the
-// whole plan — whichever engine it is bound to, the sharded division
-// fast path included — honoring ctx cancellation and deadlines at
-// every pull boundary, enforcing Options.Limits, converting internal
-// panics into typed errors, and releasing every pooled batch on every
-// abort path. On error the relation is nil.
+// whole plan — the sharded division fast path included — honoring ctx
+// cancellation and deadlines at every pull boundary, enforcing
+// Options.Limits, converting internal panics into typed errors, and
+// releasing every pooled batch on every abort path. On error the
+// relation is nil.
 func (p *Plan) ExecuteContext(ctx context.Context) (*rel.Relation, error) {
 	if p.divR != "" {
 		if src, ok := p.d.(shard.Source); ok {
@@ -188,18 +213,18 @@ func (p *Plan) ExecuteContext(ctx context.Context) (*rel.Relation, error) {
 	return res, err
 }
 
-// ExecuteTraced runs the plan through its bound engine (never the
-// sharded fast path, whose per-shard work has no single-plan trace)
-// and returns the canonical result plus the trace.
+// ExecuteTraced runs the plan on the executor (never the sharded fast
+// path, whose per-shard work has no single-plan trace) and returns the
+// canonical result plus the trace.
 func (p *Plan) ExecuteTraced() (*rel.Relation, *Trace) {
 	res, tr := p.run(nil)
 	return canonical(res), tr
 }
 
 // ExecuteTracedContext is the governed ExecuteTraced: like
-// ExecuteContext it runs under one governor, but always through the
-// plan's bound engine so the trace exists. On error the relation
-// and trace are nil.
+// ExecuteContext it runs under one governor, but always on the
+// executor so the trace exists. On error the relation and trace are
+// nil.
 func (p *Plan) ExecuteTracedContext(ctx context.Context) (*rel.Relation, *Trace, error) {
 	res, tr, err := func() (res *rel.Relation, tr *Trace, err error) {
 		g := exec.NewGovernor(ctx, p.opts.Limits)
@@ -213,37 +238,45 @@ func (p *Plan) ExecuteTracedContext(ctx context.Context) (*rel.Relation, *Trace,
 	return res, tr, nil
 }
 
-// run dispatches to the bound engine's batch-native executor,
-// threading the governor (nil = ungoverned) into its core.
+// run builds the plan's cursor tree and drains it into a fresh result
+// relation, threading the governor (nil = ungoverned: no guards, no
+// overhead) through the meter so every leaf scan and the root drain
+// check it once per batch.
 func (p *Plan) run(g *exec.Governor) (*rel.Relation, *Trace) {
-	switch p.engine {
-	case EngineRA:
-		res, t := ra.EvalStreamedGoverned(g, p.raExpr, p.d, ra.StreamOptions{Vectorize: true, BatchSize: p.opts.BatchSize})
-		return res, newTrace(t.MaxResident, t.Steps, func(s ra.TraceStep) Step { return Step{s.Expr.String(), s.Size} })
-	case EngineSA:
-		res, t := sa.EvalVectorizedGoverned(g, p.saExpr, p.d, p.opts.BatchSize)
-		return res, newTrace(t.MaxResident, t.Steps, func(s sa.TraceStep) Step { return Step{s.Expr.String(), s.Size} })
-	case EngineXRA:
-		res, t := xra.EvalVectorizedGoverned(g, p.xraExpr, p.d, p.opts.BatchSize)
-		return res, newTrace(t.MaxResident, t.Steps, func(s xra.TraceStep) Step { return Step{s.Expr.String(), s.Size} })
+	m := ra.NewGovernedMeter(g)
+	capacity := p.opts.BatchSize
+	if capacity <= 0 {
+		capacity = rel.BatchCap
 	}
-	return p.runMixedVectorized(g)
-}
-
-// newTrace rebuilds an algebra evaluator's trace in engine-neutral
-// form.
-func newTrace[S any](maxResident int, steps []S, step func(S) Step) *Trace {
-	tr := &Trace{MaxResident: maxResident}
-	for _, s := range steps {
-		st := step(s)
-		tr.record(st.Label, st.Size)
+	b := &builder{d: p.d, meter: m, capacity: capacity}
+	out := rel.NewRelationSized(p.root.arity, sinkHint(p.d, p.root))
+	var root *countNode
+	if p.root.Kind == KUnion {
+		// A root union's sink would be the result itself: drain both
+		// inputs straight into the output relation instead, so the
+		// result is built once and — per the MaxResident contract — not
+		// counted as resident.
+		l, ln := b.batches(p.root.Kids[0])
+		r, rn := b.batches(p.root.Kids[1])
+		l, r = m.GuardBatches(l), m.GuardBatches(r)
+		root = &countNode{n: p.root, kids: []*countNode{ln, rn}}
+		ra.DrainBatches(l, out)
+		ra.DrainBatches(r, out)
+		root.size = out.Len()
+	} else {
+		var cur ra.BatchCursor
+		cur, root = b.batches(p.root)
+		ra.DrainBatches(m.GuardBatches(cur), out)
 	}
-	return tr
+	tr := &Trace{}
+	root.record(tr)
+	tr.MaxResident = m.Max()
+	return out, tr
 }
 
 // canonical rebuilds a result in sorted tuple order. The copy is
 // cheap relative to evaluation and buys order-stability across
-// engines, rewrites, shard counts and batch sizes.
+// rewrites, shard counts and batch sizes.
 func canonical(r *rel.Relation) *rel.Relation {
 	out := rel.NewRelationSized(r.Arity(), r.Len())
 	for _, t := range r.Sorted() {
@@ -272,28 +305,48 @@ func matchGammaDivision(n *Node) (rName, sName string, ok bool) {
 	return rn.Name, sn.Name, true
 }
 
-// --- the native mixed executor ---
-
-// planCountNode mirrors one plan node occurrence, collecting its
-// emission count.
-type planCountNode struct {
+// countNode mirrors one occurrence of a plan node, collecting its
+// emission count. A subplan shared between two places in the tree gets
+// two countNodes, exactly as the materialized evaluators evaluate (and
+// record) it twice.
+type countNode struct {
 	n    *Node
 	size int
-	kids []*planCountNode
+	kids []*countNode
 }
 
-func (c *planCountNode) record(tr *Trace) {
+// record appends the subtree's steps in post-order, matching the
+// materialized evaluators' step order.
+func (c *countNode) record(tr *Trace) {
 	for _, k := range c.kids {
 		k.record(tr)
 	}
 	tr.record(c.n.String(), c.size)
 }
 
-// mayEmitDuplicates mirrors xra's duplicate analysis over IR nodes:
-// only dedup-deferring projections create duplicates, blocking sinks
-// (union, γ) and stored relations are duplicate-free, filters and
-// semijoins pass their left input's property through, and joins pair
-// distinct inputs into distinct outputs.
+// countCursor counts rows flowing out of an operator into the plan's
+// countNode.
+type countCursor struct {
+	in   ra.BatchCursor
+	node *countNode
+}
+
+func (c *countCursor) NextBatch() (*rel.Batch, bool) {
+	b, ok := c.in.NextBatch()
+	if ok {
+		c.node.size += b.Len()
+	}
+	return b, ok
+}
+
+// mayEmitDuplicates reports whether the cursor tree for n can deliver
+// the same tuple more than once: only dedup-deferring projections
+// create duplicates, blocking sinks (union, γ) and stored relations
+// are duplicate-free, filters and semijoins pass their left input's
+// property through (a difference materializes only its subtrahend),
+// and joins pair distinct inputs into distinct outputs. γ's count(*)
+// uses it to decide whether exactness requires full-row
+// deduplication.
 func mayEmitDuplicates(n *Node) bool {
 	switch n.Kind {
 	case KRel, KUnion, KGamma:
@@ -310,98 +363,85 @@ func mayEmitDuplicates(n *Node) bool {
 	return true
 }
 
-// runMixedVectorized executes a plan no single algebra expresses,
-// over columnar batches: RA operators use ra's exported batch cursors,
-// semijoins/antijoins use sa.NewSemijoinBatchCursor, γ uses
-// xra.NewGammaBatchCursor — all metered into one resident count.
-func (p *Plan) runMixedVectorized(g *exec.Governor) (*rel.Relation, *Trace) {
-	m := ra.NewGovernedMeter(g)
-	capacity := p.opts.BatchSize
-	if capacity <= 0 {
-		capacity = rel.BatchCap
-	}
-	b := &mixedVecBuilder{d: p.d, meter: m, capacity: capacity}
-	cur, root := b.batches(p.root)
-	out := rel.NewRelation(p.root.arity)
-	ra.DrainBatches(m.GuardBatches(cur), out)
-	tr := &Trace{}
-	root.record(tr)
-	tr.MaxResident = m.Max()
-	return out, tr
-}
-
-// planCountBatchCursor counts rows flowing out of an operator into the
-// plan's planCountNode.
-type planCountBatchCursor struct {
-	in   ra.BatchCursor
-	node *planCountNode
-}
-
-func (c *planCountBatchCursor) NextBatch() (*rel.Batch, bool) {
-	b, ok := c.in.NextBatch()
-	if ok {
-		c.node.size += b.Len()
-	}
-	return b, ok
-}
-
-type mixedVecBuilder struct {
+// builder translates a plan tree into a batch-cursor tree.
+type builder struct {
 	d        rel.ReadStore
 	meter    *ra.Meter
 	capacity int
+	// probeBucket carries consumer context one level down the
+	// recursion: when a join builds its probe (left) input, it holds
+	// the estimated per-probe candidate scan, so a projection directly
+	// below can weigh the dedup filter (dedupProjection). Zero
+	// elsewhere.
+	probeBucket float64
 }
 
-func (b *mixedVecBuilder) baseRel(n *Node) rel.StoredRel {
+// baseRel resolves a relation-name node against the store, with the
+// same arity check the materialized evaluators perform. For the
+// in-memory database the view is the stored *rel.Relation itself; a
+// sharded store routes probes and scans through its placement log.
+func (b *builder) baseRel(n *Node) rel.StoredRel {
 	return rel.CheckView(b.d, n.Name, n.arity, "plan")
 }
 
-func (b *mixedVecBuilder) batches(n *Node) (ra.BatchCursor, *planCountNode) {
-	node := &planCountNode{n: n}
+// batches builds the cursor for n and its count node. A stored
+// relation on the right of a difference, a θ-only join or a θ-only
+// semijoin is handed to the operator as a view and consumed in place:
+// it gets a count node (the materialized evaluators record it) but no
+// cursor, so its flow is zero.
+func (b *builder) batches(n *Node) (ra.BatchCursor, *countNode) {
+	node := &countNode{n: n}
 	var cur ra.BatchCursor
+	dedup := false
+	// Consume the consumer context: it applies to this node only.
+	bucket := b.probeBucket
+	b.probeBucket = 0
 	switch n.Kind {
 	case KRel:
 		cur = b.meter.GuardBatches(ra.ScanBatches(b.baseRel(n), b.capacity))
 	case KUnion:
 		l, ln := b.batches(n.Kids[0])
 		r, rn := b.batches(n.Kids[1])
-		node.kids = []*planCountNode{ln, rn}
+		node.kids = []*countNode{ln, rn}
 		cur = ra.NewUnionSinkBatchCursor(l, r, n.arity, b.meter, b.capacity)
 	case KDiff:
 		l, ln := b.batches(n.Kids[0])
-		node.kids = []*planCountNode{ln}
+		node.kids = []*countNode{ln}
 		if sub := n.Kids[1]; sub.Kind == KRel {
 			cur = ra.NewDiffBatchCursor(l, nil, b.baseRel(sub), n.arity, b.meter)
-			node.kids = append(node.kids, &planCountNode{n: sub})
+			node.kids = append(node.kids, &countNode{n: sub})
 		} else {
 			rc, rn := b.batches(sub)
 			cur = ra.NewDiffBatchCursor(l, rc, nil, n.arity, b.meter)
 			node.kids = append(node.kids, rn)
 		}
 	case KProject:
+		dedup = dedupProjection(b.d, n, bucket)
 		in, kn := b.batches(n.Kids[0])
-		node.kids = []*planCountNode{kn}
+		node.kids = []*countNode{kn}
 		cur = ra.NewProjectBatchCursor(in, n.Cols)
 	case KSelect:
 		in, kn := b.batches(n.Kids[0])
-		node.kids = []*planCountNode{kn}
+		node.kids = []*countNode{kn}
 		cur = ra.NewSelectBatchCursor(in, n.I, n.Op, n.J)
 	case KSelectConst:
 		in, kn := b.batches(n.Kids[0])
-		node.kids = []*planCountNode{kn}
+		node.kids = []*countNode{kn}
 		cur = ra.NewSelectConstBatchCursor(in, n.I, n.C)
 	case KConstTag:
 		in, kn := b.batches(n.Kids[0])
-		node.kids = []*planCountNode{kn}
+		node.kids = []*countNode{kn}
 		cur = ra.NewConstTagBatchCursor(in, n.C)
 	case KJoin:
+		b.probeBucket = joinBucket(b.d, n)
 		l, ln := b.batches(n.Kids[0])
-		node.kids = []*planCountNode{ln}
+		node.kids = []*countNode{ln}
 		if len(n.Cond.EqPairs()) > 0 {
 			rc, rn := b.batches(n.Kids[1])
 			node.kids = append(node.kids, rn)
 			cur = ra.NewHashJoinBatchCursor(l, rc, n.Cond, b.meter, b.capacity)
 		} else if sub := n.Kids[1]; sub.Kind == KRel {
-			node.kids = append(node.kids, &planCountNode{n: sub})
+			node.kids = append(node.kids, &countNode{n: sub})
 			cur = ra.NewLoopJoinBatchCursor(l, nil, b.baseRel(sub), n.Cond, b.meter, b.capacity)
 		} else {
 			rc, rn := b.batches(sub)
@@ -411,9 +451,9 @@ func (b *mixedVecBuilder) batches(n *Node) (ra.BatchCursor, *planCountNode) {
 	case KSemijoin, KAntijoin:
 		keep := n.Kind == KSemijoin
 		l, ln := b.batches(n.Kids[0])
-		node.kids = []*planCountNode{ln}
+		node.kids = []*countNode{ln}
 		if sub := n.Kids[1]; len(n.Cond.EqPairs()) == 0 && sub.Kind == KRel {
-			node.kids = append(node.kids, &planCountNode{n: sub})
+			node.kids = append(node.kids, &countNode{n: sub})
 			cur = sa.NewSemijoinBatchCursor(l, nil, b.baseRel(sub), n.Cond, keep, b.meter, b.capacity)
 		} else {
 			rc, rn := b.batches(sub)
@@ -422,10 +462,17 @@ func (b *mixedVecBuilder) batches(n *Node) (ra.BatchCursor, *planCountNode) {
 		}
 	case KGamma:
 		in, kn := b.batches(n.Kids[0])
-		node.kids = []*planCountNode{kn}
+		node.kids = []*countNode{kn}
 		cur = xra.NewGammaBatchCursor(in, n.Cols, n.CountCol, n.Kids[0].arity, mayEmitDuplicates(n.Kids[0]), b.meter, b.capacity)
 	default:
 		panic(fmt.Sprintf("plan: unknown kind %d", n.Kind))
 	}
-	return &planCountBatchCursor{in: cur, node: node}, node
+	counted := &countCursor{in: cur, node: node}
+	if dedup {
+		// The filter sits outside the count, so the node's flow number
+		// still reports what the operator emitted (duplicates included)
+		// and only the downstream consumers see the deduplicated stream.
+		return ra.NewDedupBatchCursor(counted, n.arity, b.meter), node
+	}
+	return counted, node
 }

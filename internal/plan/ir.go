@@ -1,11 +1,11 @@
-// Package plan implements the linearization-aware query planner: a
-// unified plan IR spanning the repository's three algebras (RA of
-// Definition 1, the semijoin algebra SA of Definition 2, and the
-// γ-extended algebra of Section 5), a rule-driven rewrite framework
-// priced by the shared cost model of internal/plan/cost, and an
-// executor that routes the rewritten plan to the cheapest existing
-// streaming engine — ra, sa or xra when the plan fits one of them, a
-// native mixed cursor plan on the same ra.Cursor substrate otherwise.
+// Package plan implements the linearization-aware query planner and
+// the executor: a unified plan IR spanning the repository's three
+// algebras (RA of Definition 1, the semijoin algebra SA of Definition 2,
+// and the γ-extended algebra of Section 5), a rule-driven rewrite
+// framework priced by the shared cost model of internal/plan/cost, and
+// the one builder that turns any plan — rewritten or as written, from
+// whichever algebra — into a tree of the batch operator cursors of
+// internal/ra, internal/sa and internal/xra and runs it (exec.go).
 //
 // The planner is the paper's dichotomy theorem made operational: a
 // query the user wrote quadratically is rewritten to a linear-flow

@@ -1,31 +1,51 @@
 package plan_test
 
 import (
+	"context"
+	"fmt"
 	"strings"
 	"testing"
 
+	"radiv/internal/exec"
 	"radiv/internal/plan"
 	"radiv/internal/ra"
 	"radiv/internal/rel"
 	"radiv/internal/workload"
 )
 
-// TestConversionRoundTrip pins FromRA/ToRA as inverses over the
-// operator corpus: the IR must represent every RA expression without
-// loss, textual form included.
+// TestConversionRoundTrip pins From*/To* as inverses over the three
+// operator corpora: the IR must represent every RA, SA and XRA
+// expression without loss, textual form included.
 func TestConversionRoundTrip(t *testing.T) {
-	for _, e := range testCorpus() {
-		n := plan.FromRA(e)
-		back, ok := plan.ToRA(n)
+	check := func(e interface {
+		String() string
+		Arity() int
+	}, n *plan.Node, back fmt.Stringer, ok bool) {
+		t.Helper()
 		if !ok {
-			t.Fatalf("%s: ToRA failed", e)
+			t.Fatalf("%s: no way back from the IR", e)
 		}
-		if back.String() != e.String() {
-			t.Errorf("round trip changed %s to %s", e, back)
+		if back.String() != e.String() || n.String() != e.String() {
+			t.Errorf("round trip changed %s to %s (IR %s)", e, back, n)
 		}
 		if n.Arity() != e.Arity() {
 			t.Errorf("%s: IR arity %d, expression arity %d", e, n.Arity(), e.Arity())
 		}
+	}
+	for _, c := range raCorpus() {
+		n := plan.FromRA(c.e)
+		back, ok := plan.ToRA(n)
+		check(c.e, n, back, ok)
+	}
+	for _, c := range saCorpus() {
+		n := plan.FromSA(c.e)
+		back, ok := plan.ToSA(n)
+		check(c.e, n, back, ok)
+	}
+	for _, c := range xraCorpus() {
+		n := plan.FromXRA(c.e)
+		back, ok := plan.ToXRA(n)
+		check(c.e, n, back, ok)
 	}
 }
 
@@ -68,7 +88,7 @@ func TestDivisionRuleDeclinesEmptyS(t *testing.T) {
 		}
 	}
 	got := p.Execute()
-	want := ra.EvalStreamed(e, d)
+	want := ra.Eval(e, d)
 	if got.String() != want.String() {
 		t.Fatalf("empty-S division: got\n%s\nwant\n%s", got, want)
 	}
@@ -224,6 +244,45 @@ func TestSemijoinReduceRuleFires(t *testing.T) {
 	}
 }
 
+// TestBudgetExcludesRootUnionResult pins the MaxResident contract on a
+// plan no single algebra expresses: a union at the root drains into the
+// result, which is not operator state. Semijoin reduction makes the
+// plan mixed; what it holds is the reducer's 100 distinct keys plus the
+// join's 100 surviving build rows, so a 1000-tuple budget must pass
+// although the result has 4000 tuples.
+func TestBudgetExcludesRootUnionResult(t *testing.T) {
+	d := rel.NewDatabase(rel.NewSchema(map[string]int{"Small": 2, "Huge": 2}))
+	for i := 0; i < 100; i++ {
+		d.Add("Small", rel.Tuple{rel.Int(int64(i)), rel.Int(int64(i))})
+	}
+	for i := 0; i < 4000; i++ {
+		d.Add("Huge", rel.Tuple{rel.Int(int64(i)), rel.Int(int64(i))})
+	}
+	join := ra.NewJoin(ra.R("Small", 2), ra.Eq(2, 1).And(ra.A(1, ra.OpLt, 2)), ra.R("Huge", 2))
+	e := ra.NewUnion(ra.NewProject([]int{1, 2}, join), ra.R("Huge", 2))
+	p, err := plan.Compile(e, d, plan.Options{Optimize: true, Limits: exec.Limits{MaxResident: 1000}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Engine() != plan.EngineMixed {
+		t.Fatalf("engine = %s, want %s\n%s", p.Engine(), plan.EngineMixed, p.Explain())
+	}
+	res, tr := p.ExecuteTraced()
+	if tr.MaxResident != 200 {
+		t.Errorf("MaxResident = %d, want 200 (the result is not operator state)", tr.MaxResident)
+	}
+	if want := ra.Eval(e, d); res.String() != want.String() {
+		t.Error("result differs from the materialized evaluation")
+	}
+	governed, _, err := p.ExecuteTracedContext(context.Background())
+	if err != nil {
+		t.Fatalf("a 1000-tuple budget aborted a plan that holds 200: %v", err)
+	}
+	if governed.String() != res.String() {
+		t.Error("governed result differs from ungoverned")
+	}
+}
+
 // TestExplainEstimates pins the explain format: per-node estimates
 // appear for every operator in the tree.
 func TestExplainEstimates(t *testing.T) {
@@ -253,38 +312,8 @@ func TestCompileRejectsInvalid(t *testing.T) {
 	}
 }
 
-// testCorpus is the streaming suite's operator corpus, shared with the
-// equivalence test.
-func testCorpus() []ra.Expr {
-	r2 := ra.R("R", 2)
-	s2 := ra.R("S", 2)
-	idS := ra.NewProject([]int{1, 2}, s2)
-	tag3 := func(e ra.Expr) ra.Expr { return ra.NewConstTag(rel.Int(7), e) }
-	return []ra.Expr{
-		ra.NewUnion(r2, s2),
-		ra.NewUnion(ra.NewDiff(r2, s2), ra.NewDiff(s2, r2)),
-		ra.NewDiff(r2, s2),
-		ra.NewDiff(r2, idS),
-		ra.NewSelect(1, ra.OpLt, 2, r2),
-		ra.NewSelect(1, ra.OpNe, 2, r2),
-		ra.NewSelectConst(2, rel.Int(1), r2),
-		tag3(r2),
-		ra.NewProject([]int{2, 1, 1}, r2),
-		ra.NewJoin(r2, ra.Eq(2, 1), s2),
-		ra.NewJoin(r2, ra.EqAll([2]int{1, 1}, [2]int{2, 2}), s2),
-		ra.NewJoin(tag3(r2), ra.EqAll([2]int{1, 1}, [2]int{2, 2}, [2]int{3, 3}), tag3(s2)),
-		ra.NewJoin(r2, ra.Eq(1, 1).And(ra.A(2, ra.OpLt, 2)), s2),
-		ra.NewJoin(r2, ra.Lt(2, 1), s2),
-		ra.NewJoin(r2, ra.Lt(2, 1), idS),
-		ra.Product(r2, s2),
-		ra.EquiSemijoinExpr(r2, ra.Eq(2, 1), ra.NewProject([]int{1}, s2)),
-		ra.SetContainmentJoinExpr("R", "S"),
-		ra.SetEqualityJoinExpr("R", "S"),
-	}
-}
-
 // setJoinDatabase wraps a RandomSetJoin draw into a database over
-// {R/2, S/2}, as in the ra streaming suite.
+// {R/2, S/2}.
 func setJoinDatabase(seed int64) *rel.Database {
 	r, s := workload.RandomSetJoin(seed).Generate()
 	d := rel.NewDatabase(rel.NewSchema(map[string]int{"R": 2, "S": 2}))

@@ -36,7 +36,7 @@ func (divisionRule) rewrite(d rel.ReadStore, root *Node) (*Node, []Firing) {
 	var rec func(n *Node) *Node
 	rec = func(n *Node) *Node {
 		if rName, sName, ok := matchDivision(n); ok {
-			if s, sOK := d.Schema().Arity(sName); sOK && s == 1 && d.View(sName).Len() > 0 {
+			if nonemptyUnary(d, sName) {
 				cand := gammaDivision(rName, sName)
 				before, after := estFlow(d, n), estFlow(d, cand)
 				if after < before {
@@ -51,6 +51,14 @@ func (divisionRule) rewrite(d rel.ReadStore, root *Node) (*Node, []Firing) {
 		return rewriteKids(n, rec)
 	}
 	return rec(root), firings
+}
+
+// nonemptyUnary reports whether the store holds a nonempty unary
+// relation of that name — the divisors on which division and the
+// γ-expression agree.
+func nonemptyUnary(d rel.ReadStore, name string) bool {
+	arity, ok := d.Schema().Arity(name)
+	return ok && arity == 1 && d.View(name).Len() > 0
 }
 
 // gammaDivision builds the IR of xra.ContainmentDivision(rName, sName).

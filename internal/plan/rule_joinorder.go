@@ -8,7 +8,7 @@ import (
 )
 
 // joinOrderRule is classic join commutation for the plans that stay
-// quadratic: the streaming executor materializes a hash join's right
+// quadratic: the executor materializes a hash join's right
 // (build) side and streams the left (probe) side, so when the build
 // side is estimated larger than the probe side the rule swaps them —
 // E1 ⋈θ E2 becomes π_perm(E2 ⋈θ' E1) with θ' the mirrored condition

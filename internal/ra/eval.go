@@ -18,23 +18,13 @@ type Trace struct {
 	// post-order (children before parents).
 	Steps []TraceStep
 	// MaxIntermediate is the maximum output cardinality over all
-	// subexpressions, including the root. In a streamed trace
-	// (EvalStreamedTraced) it is the maximum *emission* count instead:
-	// dedup-deferred projections count duplicates, and stored
-	// relations consumed in place count zero, so streamed and
-	// materialized values are not like-for-like cardinalities.
+	// subexpressions, including the root. (The executor's plan.Trace
+	// reports emission counts instead, which are not like-for-like
+	// cardinalities.)
 	MaxIntermediate int
 	// TotalTuples is the sum of all output cardinalities — a proxy for
 	// the total work an iterator-based executor would materialize.
 	TotalTuples int
-	// MaxResident is the peak number of tuples simultaneously held in
-	// operator state — hash-join build tables, union/difference sinks —
-	// across the whole plan. Only the streaming evaluator
-	// (EvalStreamedTraced) fills it; the materialized evaluator leaves
-	// it zero, since it holds every intermediate in full. The final
-	// result relation is not counted: every evaluator must hold its
-	// output, so MaxResident measures auxiliary state only.
-	MaxResident int
 }
 
 // TraceStep is one subexpression's evaluation record.
@@ -212,9 +202,8 @@ func (v *evaluator) eval(e Expr, tr *Trace) *rel.Relation {
 }
 
 // JoinKeyer computes 64-bit hash keys over the equality columns of a
-// join condition, shared by the materialized and streaming hash joins
-// (and, exported, by the sibling algebras' semijoin and join
-// operators). Values are interned into a per-join dictionary; with at
+// join condition, shared by the materialized hash joins of all three
+// algebras. Values are interned into a per-join dictionary; with at
 // most two equality atoms the IDs pack exactly (collision-free) into
 // the key, with more they are mixed by rel.HashIDs — collisions only
 // cost extra Cond.Holds verifications, never correctness, since every

@@ -29,7 +29,7 @@ func TestEvalResultOwnership(t *testing.T) {
 			res, _ := ra.EvalTraced(e, d)
 			return res
 		}},
-		{"EvalStreamed", ra.EvalStreamed},
+		{"executor", onExecutor},
 	}
 	for _, ev := range evaluators {
 		d := build()
@@ -90,8 +90,8 @@ func TestEvalJoinManyEqualities(t *testing.T) {
 		if got := ra.Eval(e, d); !got.Equal(want) {
 			t.Errorf("Eval join[%s]: got\n%swant\n%s", c, got, want)
 		}
-		if got := ra.EvalStreamed(e, d); !got.Equal(want) {
-			t.Errorf("EvalStreamed join[%s]: got\n%swant\n%s", c, got, want)
+		if got := onExecutor(e, d); !got.Equal(want) {
+			t.Errorf("executor join[%s]: got\n%swant\n%s", c, got, want)
 		}
 	}
 }
@@ -112,7 +112,7 @@ func TestEvalJoinManyEqualitiesStrings(t *testing.T) {
 	if got := ra.Eval(e, d); !got.Equal(want) {
 		t.Errorf("Eval join[%s] on strings: got\n%swant\n%s", c, got, want)
 	}
-	if got := ra.EvalStreamed(e, d); !got.Equal(want) {
-		t.Errorf("EvalStreamed join[%s] on strings: got\n%swant\n%s", c, got, want)
+	if got := onExecutor(e, d); !got.Equal(want) {
+		t.Errorf("executor join[%s] on strings: got\n%swant\n%s", c, got, want)
 	}
 }

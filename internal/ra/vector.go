@@ -1,105 +1,44 @@
 package ra
 
-// This file implements the vectorized executor: the same pull-based
-// plans as stream.go, but operators exchange columnar rel.Batch blocks
-// (flat uint32 ID columns, ~1024 rows each) through the BatchCursor
-// interface instead of one rel.Tuple per Next call. The per-row
-// interface call and the per-row allocation of the tuple executor are
-// amortized over a whole batch, and the hot loops — selection, dedup
-// probes, join probes, difference membership — run on interned IDs
-// through rel.IDMap translation caches: after the first occurrence of
-// a value, a probe is an array load and an integer compare.
+// This file is the batch operator library: the cursors the executor
+// in internal/plan builds its trees from. Operators exchange columnar
+// rel.Batch blocks (flat uint32 ID columns, ~1024 rows each) through
+// the BatchCursor interface, so the per-row interface call and the
+// per-row allocation of a tuple-at-a-time pipeline are amortized over
+// a whole batch, and the hot loops — selection, dedup probes, join
+// probes, difference membership — run on interned IDs through
+// rel.IDMap translation caches: after the first occurrence of a value,
+// a probe is an array load and an integer compare.
 //
-// The executor is a drop-in sibling of the tuple path: same plans,
-// same cost-based dedup decisions, same trace shape, byte-identical
-// results (order included). Resident-state accounting matches the
-// tuple executor operator for operator — build tables, sinks and
-// dedup filters grow the shared Meter by exactly the rows they hold —
-// while the batches themselves are pooled transport buffers tracked
-// separately by rel.BatchPoolStats, so the ST1–ST3 resident-memory
-// story is unchanged. (One deliberate exception: a pure-theta join
-// whose stored right side lives on a backend other than the in-memory
-// *rel.Relation is materialized — and metered — instead of replayed in
-// place, because only the in-memory relation exposes the zero-copy ID
-// columns the vectorized replay runs on.)
+// Selections, constant selection and tagging, and projections are
+// fully pipelined; projection defers deduplication, which is sound
+// because every consumer either pipelines further or deduplicates in a
+// sink (the optional dedup filter drops duplicates where they arise
+// instead). Joins materialize only their build side — a key index on
+// interned IDs for equi-joins, a replayed column store for pure
+// theta/cartesian joins — and stream the probe side. Union and
+// difference are blocking sinks, as set semantics requires.
+//
+// Operator state — build tables, sinks, dedup filters — grows the
+// shared Meter by exactly the rows held and releases them at
+// exhaustion, while the batches themselves are pooled transport
+// buffers tracked separately by rel.BatchPoolStats. A stored relation
+// consumed in place holds nothing, with one deliberate exception: a
+// pure-theta join whose stored right side lives on a backend other
+// than the in-memory *rel.Relation is materialized — and metered —
+// instead of replayed in place, because only the in-memory relation
+// exposes the zero-copy ID columns the replay runs on.
 //
 // Batch ownership follows the contract in rel: a cursor's caller owns
 // the yielded batch and releases it (or passes it on); operators that
 // reshape rows write into pooled batches and release their inputs.
 
-import (
-	"context"
-	"fmt"
-	"math"
+import "radiv/internal/rel"
 
-	"radiv/internal/exec"
-	"radiv/internal/rel"
-)
-
-// BatchCursor is the pull-based batch iterator of the vectorized
-// executor, re-exported from rel so the sibling algebras and the
+// BatchCursor is the pull-based batch iterator every operator
+// implements, re-exported from rel so the sibling algebras and the
 // engine exchange speak the same type.
 type BatchCursor = rel.BatchCursor
-
-// EvalVectorized evaluates the expression with the vectorized executor
-// and returns the result relation, always a fresh relation owned by
-// the caller. Results are byte-identical — same tuples, same insertion
-// order — to EvalStreamed on any backend holding the same data.
-func EvalVectorized(e Expr, d rel.ReadStore) *rel.Relation {
-	res, _ := EvalVectorizedTraced(e, d)
-	return res
-}
-
-// EvalVectorizedTraced is EvalVectorized with the trace: the same flow
-// counts, step order and MaxResident the tuple-at-a-time streaming
-// executor reports.
-func EvalVectorizedTraced(e Expr, d rel.ReadStore) (*rel.Relation, *Trace) {
-	return evalVectorizedTraced(nil, e, d, StreamOptions{Vectorize: true})
-}
-
-// EvalVectorizedContext is the governed vectorized entry point: the
-// columnar sibling of EvalStreamedContext (which it equals with
-// opts.Vectorize set).
-func EvalVectorizedContext(ctx context.Context, e Expr, d rel.ReadStore) (*rel.Relation, error) {
-	res, _, err := EvalStreamedContext(ctx, e, d, StreamOptions{Vectorize: true})
-	return res, err
-}
-
-// evalVectorizedTraced is the vectorized entry point behind
-// EvalStreamedTracedOpts when opts.Vectorize is set. A non-nil
-// governor threads cancellation and budget guards through every leaf
-// scan and the root drain.
-func evalVectorizedTraced(g *exec.Governor, e Expr, d rel.ReadStore, opts StreamOptions) (*rel.Relation, *Trace) {
-	if err := Validate(e); err != nil {
-		panic("ra: invalid expression: " + err.Error())
-	}
-	meter := &Meter{gov: g}
-	b := &vecBuilder{d: d, meter: meter, opts: opts}
-	out := rel.NewRelationSized(e.Arity(), sinkHint(d, e))
-	var root *countNode
-	if u, ok := e.(*Union); ok {
-		// Mirror the tuple executor's root-union special case: both
-		// inputs drain straight into the result, which is not resident.
-		var lc, rc BatchCursor
-		var ln, rn *countNode
-		lc, ln = b.batches(u.L)
-		rc, rn = b.batches(u.E)
-		lc, rc = meter.GuardBatches(lc), meter.GuardBatches(rc)
-		root = &countNode{e: e, kids: []*countNode{ln, rn}}
-		DrainBatches(lc, out)
-		DrainBatches(rc, out)
-		root.n = out.Len()
-	} else {
-		var cur BatchCursor
-		cur, root = b.batches(e)
-		cur = meter.GuardBatches(cur)
-		DrainBatches(cur, out)
-	}
-	tr := &Trace{}
-	root.record(tr)
-	tr.MaxResident = meter.Max()
-	return out, tr
-}
 
 // DrainBatches pulls in to exhaustion into the result sink, then
 // drops the sink's translation cache: the cache pins every source
@@ -114,52 +53,11 @@ func DrainBatches(in BatchCursor, sink *rel.Relation) {
 	sink.DropBatchCache()
 }
 
-// sinkHint sizes a result sink from the cost model's distinct-output
-// estimate, clamped so a wild quadratic guess cannot balloon an empty
-// result's allocation.
-func sinkHint(d rel.ReadStore, e Expr) int {
-	est := estimateSize(d, e).Distinct
-	if math.IsNaN(est) || est <= 0 {
-		return 0
-	}
-	if est > 1<<16 {
-		return 1 << 16
-	}
-	return int(est)
-}
-
-// vecBuilder translates an expression tree into a batch-cursor plan,
-// mirroring streamBuilder node for node (including the probe-bucket
-// context the cost-based dedup decision consumes), so both executors
-// make identical filter choices and produce identical trace shapes.
-type vecBuilder struct {
-	d           rel.ReadStore
-	meter       *Meter
-	opts        StreamOptions
-	probeBucket float64
-}
-
-// batchCap resolves the executor's batch row capacity.
-func (b *vecBuilder) batchCap() int {
-	if b.opts.BatchSize > 0 {
-		return b.opts.BatchSize
-	}
-	return rel.BatchCap
-}
-
-// scan opens the columnar scan of a stored relation at the builder's
-// batch capacity, guarded when the plan is governed (one governor
-// check per batch boundary at every leaf).
-func (b *vecBuilder) scan(v rel.StoredRel) BatchCursor {
-	return b.meter.GuardBatches(ScanBatches(v, b.batchCap()))
-}
-
 // ScanBatches opens the columnar scan of a stored relation: straight
 // off the stored ID columns when the backend offers them (the
 // in-memory relation and shard views do), otherwise through the
 // interning tuple→batch adapter. capacity <= 0 means rel.BatchCap.
-// This is the scan resolution every vectorized executor (ra's, and
-// sa/xra's through the exported surface) shares.
+// Every leaf of a cursor tree is opened through it.
 func ScanBatches(v rel.StoredRel, capacity int) BatchCursor {
 	if capacity <= 0 {
 		capacity = rel.BatchCap
@@ -171,106 +69,6 @@ func ScanBatches(v rel.StoredRel, capacity int) BatchCursor {
 		return s.BatchScan()
 	}
 	return rel.ToBatches(v.Scan(), v.Arity(), capacity)
-}
-
-func (b *vecBuilder) baseRel(n *Rel) rel.StoredRel {
-	return rel.CheckView(b.d, n.Name, n.arity, "ra")
-}
-
-func (b *vecBuilder) batches(e Expr) (BatchCursor, *countNode) {
-	node := &countNode{e: e}
-	var cur BatchCursor
-	dedup := false
-	bucket := b.probeBucket
-	b.probeBucket = 0
-	switch n := e.(type) {
-	case *Rel:
-		cur = b.scan(b.baseRel(n))
-	case *Union:
-		l, ln := b.batches(n.L)
-		r, rn := b.batches(n.E)
-		node.kids = []*countNode{ln, rn}
-		cur = &vecUnionCursor{l: l, r: r, arity: n.Arity(), meter: b.meter, capacity: b.batchCap()}
-	case *Diff:
-		l, ln := b.batches(n.L)
-		node.kids = []*countNode{ln}
-		dc := &vecDiffCursor{in: l, arity: n.Arity(), meter: b.meter}
-		if base, ok := n.E.(*Rel); ok {
-			// The subtrahend is a stored relation: probe it in place
-			// through a translation cache, holding nothing.
-			dc.stored = b.baseRel(base)
-			node.kids = append(node.kids, &countNode{e: n.E})
-		} else {
-			rc, rn := b.batches(n.E)
-			dc.buildC = rc
-			node.kids = append(node.kids, rn)
-		}
-		cur = dc
-	case *Project:
-		dedup = dedupProjection(b.d, b.opts, n, bucket)
-		in, kn := b.batches(n.E)
-		node.kids = []*countNode{kn}
-		cur = &vecProjectCursor{in: in, cols: n.Cols}
-	case *Select:
-		in, kn := b.batches(n.E)
-		node.kids = []*countNode{kn}
-		cur = &vecSelectCursor{in: in, i: n.I - 1, op: n.Op, j: n.J - 1}
-	case *SelectConst:
-		in, kn := b.batches(n.E)
-		node.kids = []*countNode{kn}
-		cur = &vecSelectConstCursor{in: in, i: n.I - 1, c: n.C}
-	case *ConstTag:
-		in, kn := b.batches(n.E)
-		node.kids = []*countNode{kn}
-		cur = newVecTagCursor(in, n.C)
-	case *Join:
-		b.probeBucket = joinBucket(b.d, n)
-		l, ln := b.batches(n.L)
-		node.kids = []*countNode{ln}
-		if eqs := n.Cond.EqPairs(); len(eqs) > 0 {
-			rc, rn := b.batches(n.E)
-			node.kids = append(node.kids, rn)
-			cur = newVecHashJoinCursor(l, rc, n.Cond, eqs, b.meter, b.batchCap())
-		} else {
-			lj := &vecLoopJoinCursor{left: l, cond: n.Cond, meter: b.meter, capacity: b.batchCap()}
-			b.meter.Watch(lj)
-			if base, ok := n.E.(*Rel); ok {
-				lj.stored = b.baseRel(base)
-				node.kids = append(node.kids, &countNode{e: n.E})
-			} else {
-				rc, rn := b.batches(n.E)
-				lj.buildC = rc
-				node.kids = append(node.kids, rn)
-			}
-			cur = lj
-		}
-	default:
-		panic(fmt.Sprintf("ra: unknown expression %T", e))
-	}
-	counted := &countBatchCursor{in: cur, node: node}
-	if dedup {
-		// Outside the count, exactly like the tuple path: the node's
-		// flow number reports what the operator emitted, duplicates
-		// included.
-		return &vecDedupCursor{in: counted, arity: e.Arity(), meter: b.meter}, node
-	}
-	return counted, node
-}
-
-// countBatchCursor counts rows flowing out of an operator into the
-// plan's countNode — the batch sibling of countCursor, producing the
-// same per-node flow totals.
-type countBatchCursor struct {
-	in   BatchCursor
-	node *countNode
-}
-
-func (c *countBatchCursor) NextBatch() (*rel.Batch, bool) {
-	b, ok := c.in.NextBatch()
-	if ok {
-		c.node.n += b.Len()
-	}
-	return b, ok
 }
 
 // FilterBatch compacts src to the rows where keep is true, calling
@@ -420,8 +218,7 @@ func (c *vecTagCursor) NextBatch() (*rel.Batch, bool) {
 
 // vecProjectCursor is π_{cols}: a column gather — each output column
 // block-copies (possibly repeating or reordering) an input column with
-// its dictionary. Deduplication is deferred, exactly as in the tuple
-// path.
+// its dictionary. Deduplication is deferred.
 type vecProjectCursor struct {
 	in   BatchCursor
 	cols []int
@@ -452,9 +249,9 @@ func (c *vecProjectCursor) NextBatch() (*rel.Batch, bool) {
 // the column-mapped variants — the sibling algebras' build tables
 // (sa's semijoin key table): rows are translated into one canonical
 // dictionary through an IDMap cache and stored in flat columns with a
-// HashIDs index — insertion order preserved, so re-emission reproduces
-// the tuple sinks' order exactly. An IDSet is owned by one operator
-// and is not safe for concurrent use.
+// HashIDs index — insertion order preserved, so re-emission is in
+// first-occurrence order. An IDSet is owned by one operator and is not
+// safe for concurrent use.
 type IDSet struct {
 	arity int
 	dict  *rel.Interner
@@ -633,7 +430,7 @@ func (c *setCursor) NextBatch() (*rel.Batch, bool) {
 // vecDedupCursor is the pipelined dedup filter at batch granularity:
 // the IDSet holds one row per distinct tuple (charged to the meter,
 // released at exhaustion) and each batch is compacted to its fresh
-// rows in place of the tuple filter's per-row probe.
+// rows.
 type vecDedupCursor struct {
 	in    BatchCursor
 	arity int
@@ -670,9 +467,8 @@ func (c *vecDedupCursor) NextBatch() (*rel.Batch, bool) {
 }
 
 // vecUnionCursor is the blocking union sink: both inputs drain into
-// one IDSet, whose distinct rows then stream out in insertion order —
-// the exact emission of the tuple unionCursor — with the held state
-// released at exhaustion.
+// one IDSet, whose distinct rows then stream out in insertion order,
+// with the held state released at exhaustion.
 type vecUnionCursor struct {
 	l, r     BatchCursor
 	arity    int
@@ -1248,13 +1044,9 @@ func (c *vecLoopJoinCursor) NextBatch() (*rel.Batch, bool) {
 	}
 }
 
-// The constructors below expose the generic batch-operator cursors to
-// the sibling algebras' vectorized evaluators (internal/sa,
-// internal/xra) and the planner's mixed batch executor, mirroring the
-// tuple-side constructor surface (NewFilterCursor etc.): one
-// implementation of selection, projection, sinks and joins serves
-// every vectorized executor. Column indices are 1-based, as in the
-// expression nodes.
+// The constructors below are how internal/plan's builder reaches the
+// operator cursors. Column indices are 1-based, as in the expression
+// nodes.
 
 // NewSelectBatchCursor streams σ_{i op j} over batches (columns
 // 1-based).
@@ -1273,10 +1065,15 @@ func NewConstTagBatchCursor(in BatchCursor, c rel.Value) BatchCursor {
 }
 
 // NewProjectBatchCursor streams π_{cols} over batches (cols 1-based);
-// deduplication is deferred to the consuming sink, as in the tuple
-// path.
+// deduplication is deferred to the consuming sink.
 func NewProjectBatchCursor(in BatchCursor, cols []int) BatchCursor {
 	return &vecProjectCursor{in: in, cols: cols}
+}
+
+// NewDedupBatchCursor passes each distinct row of in through exactly
+// once, holding one metered row per distinct input until exhaustion.
+func NewDedupBatchCursor(in BatchCursor, arity int, m *Meter) BatchCursor {
+	return &vecDedupCursor{in: in, arity: arity, meter: m}
 }
 
 // NewUnionSinkBatchCursor drains both inputs into one deduplicated
@@ -1289,7 +1086,7 @@ func NewUnionSinkBatchCursor(l, r BatchCursor, arity int, m *Meter, capacity int
 // NewDiffBatchCursor streams left through a membership filter against
 // the subtrahend: a stored relation is probed in place (holding
 // nothing), otherwise build is materialized first. Exactly one of
-// build and stored must be non-nil, as in NewDiffCursor.
+// build and stored must be non-nil.
 func NewDiffBatchCursor(left, build BatchCursor, stored rel.StoredRel, arity int, m *Meter) BatchCursor {
 	return &vecDiffCursor{in: left, buildC: build, stored: stored, arity: arity, meter: m}
 }
@@ -1316,35 +1113,3 @@ func NewLoopJoinBatchCursor(left, build BatchCursor, stored rel.StoredRel, cond 
 	m.Watch(c)
 	return c
 }
-
-// BatchStream is the batch sibling of Stream: a compiled vectorized
-// plan handle through which the extended algebra pipelines wrapped
-// pure-RA subexpressions batch-natively. The caller pulls batches with
-// NextBatch (owning each yielded batch) and, once done, folds the
-// plan's flow counts into its own trace with EachStep.
-type BatchStream struct {
-	cur  BatchCursor
-	root *countNode
-}
-
-// OpenBatchStream validates e and compiles it into a vectorized plan
-// over d, charging operator state to m. opts.BatchSize sets the batch
-// capacity (0 = rel.BatchCap); the dedup decisions are the same ones
-// OpenStream makes for the same options, so tuple and batch streams of
-// one expression have identical trace shapes.
-func OpenBatchStream(e Expr, d rel.ReadStore, m *Meter, opts StreamOptions) *BatchStream {
-	if err := Validate(e); err != nil {
-		panic("ra: invalid expression: " + err.Error())
-	}
-	b := &vecBuilder{d: d, meter: m, opts: opts}
-	cur, root := b.batches(e)
-	return &BatchStream{cur: cur, root: root}
-}
-
-// NextBatch implements BatchCursor.
-func (s *BatchStream) NextBatch() (*rel.Batch, bool) { return s.cur.NextBatch() }
-
-// EachStep visits the plan's flow counts in post-order (children
-// before parents), matching the tuple Stream's step order. Call it
-// only after the stream is exhausted.
-func (s *BatchStream) EachStep(f func(e Expr, n int)) { s.root.each(f) }

@@ -271,8 +271,8 @@ type BatchScannerSized interface {
 }
 
 // NextCursor is the minimal tuple iterator the adapters consume; it is
-// structurally identical to ra.Cursor and engine.Cursor, so cursors
-// from any layer satisfy it without wrapping.
+// structurally identical to engine.Cursor, so stored-relation scans and
+// exchange cursors satisfy it without wrapping.
 type NextCursor interface {
 	Next() (Tuple, bool)
 }
@@ -487,59 +487,4 @@ func (x *IDMap) Lookup(d *Interner, id uint32) (uint32, bool) {
 	}
 	tr[id] = v + xlatOffset
 	return v, true
-}
-
-// Batched wraps a store so that every relation scan is routed through
-// the batch adapters (tuple → columnar batch → tuple) at the given
-// batch capacity. Results and iteration order are unchanged — that is
-// the adapter-equivalence property the test suites check — so any
-// evaluator runs unmodified on a Batched store; it exists to exercise
-// the adapter pair under real plans and to measure adapter overhead.
-func Batched(s Store, capacity int) Store {
-	if capacity < 1 {
-		capacity = BatchCap
-	}
-	return &batchedStore{s: s, capacity: capacity}
-}
-
-type batchedStore struct {
-	s        Store
-	capacity int
-}
-
-func (b *batchedStore) Schema() Schema                { return b.s.Schema() }
-func (b *batchedStore) Add(name string, t Tuple) bool { return b.s.Add(name, t) }
-func (b *batchedStore) Size() int                     { return b.s.Size() }
-
-func (b *batchedStore) View(name string) StoredRel {
-	return &batchedRel{v: b.s.View(name), capacity: b.capacity}
-}
-
-type batchedRel struct {
-	v        StoredRel
-	capacity int
-}
-
-func (r *batchedRel) Arity() int            { return r.v.Arity() }
-func (r *batchedRel) Len() int              { return r.v.Len() }
-func (r *batchedRel) Contains(t Tuple) bool { return r.v.Contains(t) }
-
-// Scan routes the underlying scan through ToBatches∘ToTuples; Reset
-// rebuilds the pipeline from a fresh underlying scan, preserving the
-// replayability the streaming evaluators' loop joins need.
-func (r *batchedRel) Scan() TupleCursor {
-	c := &batchedScan{r: r}
-	c.Reset()
-	return c
-}
-
-type batchedScan struct {
-	r     *batchedRel
-	inner NextCursor
-}
-
-func (c *batchedScan) Next() (Tuple, bool) { return c.inner.Next() }
-
-func (c *batchedScan) Reset() {
-	c.inner = ToTuples(ToBatches(c.r.v.Scan(), c.r.v.Arity(), c.r.capacity))
 }

@@ -253,23 +253,3 @@ func TestArenaCloneIsolation(t *testing.T) {
 		t.Fatal("index lost a tuple after aliased append")
 	}
 }
-
-// TestBatchedStoreEquality: the Batched wrapper preserves store
-// contents and scan order.
-func TestBatchedStoreEquality(t *testing.T) {
-	d := NewDatabase(NewSchema(map[string]int{"R": 2}))
-	d.AddInts("R", 1, 2)
-	d.AddInts("R", 3, 4)
-	d.AddInts("R", 1, 2)
-	w := Batched(d, 1)
-	if !StoresEqual(d, w) {
-		t.Fatal("batched store differs from its base")
-	}
-	c := w.View("R").Scan()
-	t1, _ := c.Next()
-	c.Reset()
-	t2, _ := c.Next()
-	if !t1.Equal(Ints(1, 2)) || !t2.Equal(Ints(1, 2)) {
-		t.Fatalf("batched scan/reset order broken: %v, %v", t1, t2)
-	}
-}

@@ -335,8 +335,8 @@ func (r *Relation) Tuples() []Tuple {
 // reads the relation's backing store directly, without the defensive
 // copy Tuples() makes. The yielded tuples are shared with the relation
 // and must not be mutated; the relation must not be modified while the
-// cursor is in use. This is the scan primitive of the streaming
-// evaluator in internal/ra.
+// cursor is in use. This is the tuple scan of a stored relation
+// (StoredRel.Scan).
 func (r *Relation) Cursor() *Cursor { return &Cursor{r: r} }
 
 // Cursor iterates a relation's tuples in insertion order. The zero

@@ -2,15 +2,15 @@ package rel
 
 // This file defines the storage abstraction of the library: Store is
 // what a "database" looks like to every layer above the tuple store —
-// the ra/sa/xra evaluators (materialized and streaming), the text
-// codec, and the engine's dictionary builders all consume this
+// the materialized ra/sa/xra evaluators, the executor in internal/plan,
+// the text codec, and the engine's dictionary builders all consume this
 // interface rather than the concrete in-memory *Database. The
 // in-memory Database is one implementation; internal/shard provides a
 // hash-partitioned one that splits every relation across shard-local
 // stores behind the same contract.
 //
 // The contract every implementation must honor, because the
-// byte-identity guarantees of the streaming evaluators rest on it:
+// executor's byte-identity guarantees rest on it:
 //
 //   - Scan yields tuples in global insertion order (the order Add
 //     first accepted them), so any evaluator produces the same output
@@ -23,8 +23,8 @@ package rel
 import "fmt"
 
 // TupleCursor iterates tuples in insertion order and can rewind, which
-// is what the streaming evaluators need to replay a stored relation as
-// the inner side of a nested-loop join. *Cursor (from Relation.Cursor)
+// is what replaying a stored relation as the inner side of a
+// nested-loop join needs. *Cursor (from Relation.Cursor)
 // is the in-memory implementation.
 type TupleCursor interface {
 	Next() (Tuple, bool)

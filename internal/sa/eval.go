@@ -16,13 +16,6 @@ type Trace struct {
 	Steps           []TraceStep
 	MaxIntermediate int
 	TotalTuples     int
-	// MaxResident is the peak number of tuples simultaneously held in
-	// operator state — semijoin build indexes, union/difference sinks —
-	// across the whole plan. Only the streaming evaluator
-	// (EvalStreamedTraced) fills it; the materialized evaluator leaves
-	// it zero, since it holds every intermediate in full. The final
-	// result relation is not counted, exactly as in ra.Trace.
-	MaxResident int
 }
 
 // TraceStep is one subexpression's evaluation record.

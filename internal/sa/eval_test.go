@@ -30,7 +30,6 @@ func TestEvalResultOwnership(t *testing.T) {
 			res, _ := EvalTraced(e, d)
 			return res
 		}},
-		{"EvalStreamed", EvalStreamed},
 	}
 	for _, ev := range evaluators {
 		d := build()
@@ -84,8 +83,8 @@ func TestValidateCatchesMalformedTrees(t *testing.T) {
 	}
 }
 
-// TestEvalPanicsWithPrefixOnInvalid pins the error surface: both
-// evaluators reject a malformed tree at entry with an "sa:"-prefixed
+// TestEvalPanicsWithPrefixOnInvalid pins the error surface: the
+// evaluator rejects a malformed tree at entry with an "sa:"-prefixed
 // panic, before any tuple is touched.
 func TestEvalPanicsWithPrefixOnInvalid(t *testing.T) {
 	d := rel.NewDatabase(rel.NewSchema(map[string]int{"R": 2}))
@@ -96,7 +95,6 @@ func TestEvalPanicsWithPrefixOnInvalid(t *testing.T) {
 		run  func()
 	}{
 		{"Eval", func() { Eval(bad, d) }},
-		{"EvalStreamed", func() { EvalStreamed(bad, d) }},
 	} {
 		func() {
 			defer func() {

@@ -9,8 +9,8 @@ import "fmt"
 // constructors (NewSelect, NewProject, NewSemijoin, ...) enforce the
 // same invariants at build time; Validate covers trees assembled from
 // struct literals, which previously panicked with raw
-// index-out-of-range errors mid-eval. Both evaluators call it at
-// entry, mirroring ra.Validate.
+// index-out-of-range errors mid-eval. EvalTraced calls it at entry,
+// mirroring ra.Validate.
 func Validate(e Expr) error {
 	for _, c := range e.Children() {
 		if err := Validate(c); err != nil {

@@ -1,13 +1,10 @@
 package sa
 
-// This file implements the vectorized executor for the semijoin
-// algebra: the same cursor plans as stream.go, but operators exchange
-// columnar rel.Batch blocks through ra's exported batch surface
-// (ScanBatches, the batch operator constructors, FilterBatch, IDSet,
-// ColStore). The generic operators — selection, constant selection,
-// tagging, projection, union, difference — are ra's batch cursors
-// verbatim; what this file adds are the algebra-specific ones, the
-// semijoin and antijoin:
+// This file is the semijoin algebra's part of the batch operator
+// library (see internal/ra/vector.go for the generic operators): the
+// semijoin and antijoin cursor, built by internal/plan's executor like
+// any other operator. It picks one of three strategies from the
+// condition's shape:
 //
 //   - pure-equality conditions build a distinct-key table on interned
 //     IDs (ra.IDSet keyed through the equality columns), so resident
@@ -19,211 +16,27 @@ package sa
 //   - theta-only conditions replay the right side per probe row — in
 //     place over the in-memory relation's ID columns (nothing held),
 //     otherwise from a materialized, metered columnar copy (the same
-//     deliberate resident-parity exception ra's vectorized theta join
-//     documents).
+//     deliberate exception ra's theta join documents).
 //
 // In every strategy the probe side streams through selection-vector
-// compaction (ra.FilterBatch), so emission order — and with it the
-// byte-identity and trace-parity contracts of the streaming executor —
-// is preserved exactly. Meter accounting matches the tuple cursors
-// operator for operator: distinct key rows, full build rows, or
-// nothing, released at probe exhaustion.
+// compaction (ra.FilterBatch), so the probe side's order is preserved,
+// and the meter is charged what is held — distinct key rows, full build
+// rows, or nothing — and released at probe exhaustion.
+//
+// The paper's point about SA is that every operator's output is bounded
+// by one of its inputs, so the *flow* is linear by construction. This
+// operator sharpens that into a resident-memory statement: it holds
+// only build-side key sets, so a plan of SA operators keeps
+// plan.Trace.MaxResident linear in the database (experiment ST2), the
+// memory-side counterpart of the syntactic linearity of Definition 2.
 
 import (
-	"context"
-	"fmt"
-
-	"radiv/internal/exec"
 	"radiv/internal/ra"
 	"radiv/internal/rel"
 )
 
-// EvalVectorized evaluates the expression with the vectorized executor
-// and returns the result relation, always a fresh relation owned by
-// the caller. Results are byte-identical — same tuples, same insertion
-// order — to EvalStreamed on any backend holding the same data.
-func EvalVectorized(e Expr, d rel.ReadStore) *rel.Relation {
-	res, _ := EvalVectorizedTraced(e, d)
-	return res
-}
-
-// EvalVectorizedTraced is EvalVectorized with the trace: the same flow
-// counts, step order and MaxResident EvalStreamedTraced reports.
-func EvalVectorizedTraced(e Expr, d rel.ReadStore) (*rel.Relation, *Trace) {
-	return EvalVectorizedTracedSized(e, d, 0)
-}
-
-// EvalVectorizedTracedSized is EvalVectorizedTraced at an explicit
-// batch row capacity (0 means rel.BatchCap).
-func EvalVectorizedTracedSized(e Expr, d rel.ReadStore, batchSize int) (*rel.Relation, *Trace) {
-	if err := Validate(e); err != nil {
-		panic("sa: invalid expression: " + err.Error())
-	}
-	return evalVectorizedMetered(&ra.Meter{}, e, d, batchSize)
-}
-
-// EvalVectorizedContext is the governed vectorized entry point: the
-// columnar sibling of EvalStreamedContext, at an explicit batch row
-// capacity (0 means rel.BatchCap).
-func EvalVectorizedContext(ctx context.Context, e Expr, d rel.ReadStore, batchSize int, lim exec.Limits) (*rel.Relation, *Trace, error) {
-	if verr := Validate(e); verr != nil {
-		return nil, nil, fmt.Errorf("sa: invalid expression: %w", verr)
-	}
-	res, tr, err := func() (res *rel.Relation, tr *Trace, err error) {
-		g := exec.NewGovernor(ctx, lim)
-		defer g.Recover(&err)
-		res, tr = evalVectorizedMetered(ra.NewGovernedMeter(g), e, d, batchSize)
-		return res, tr, nil
-	}()
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, tr, nil
-}
-
-// EvalVectorizedGoverned runs the vectorized executor under a caller-
-// supplied governor (the plan layer's shared-governor hook). The
-// caller owns the boundary: it must recover with Governor.Recover. A
-// nil governor is exactly the legacy ungoverned path.
-func EvalVectorizedGoverned(g *exec.Governor, e Expr, d rel.ReadStore, batchSize int) (*rel.Relation, *Trace) {
-	if err := Validate(e); err != nil {
-		panic("sa: invalid expression: " + err.Error())
-	}
-	return evalVectorizedMetered(ra.NewGovernedMeter(g), e, d, batchSize)
-}
-
-// evalVectorizedMetered is the vectorized executor core shared by the
-// legacy and governed entries.
-func evalVectorizedMetered(meter *ra.Meter, e Expr, d rel.ReadStore, batchSize int) (*rel.Relation, *Trace) {
-	capacity := batchSize
-	if capacity <= 0 {
-		capacity = rel.BatchCap
-	}
-	b := &vecBuilder{d: d, meter: meter, capacity: capacity}
-	out := rel.NewRelation(e.Arity())
-	var root *saCountNode
-	if u, ok := e.(*Union); ok {
-		// Mirror the tuple executor's root-union special case: both
-		// inputs drain straight into the result, which is not resident.
-		lc, ln := b.batches(u.L)
-		rc, rn := b.batches(u.E)
-		root = &saCountNode{e: e, kids: []*saCountNode{ln, rn}}
-		ra.DrainBatches(meter.GuardBatches(lc), out)
-		ra.DrainBatches(meter.GuardBatches(rc), out)
-		root.n = out.Len()
-	} else {
-		var cur ra.BatchCursor
-		cur, root = b.batches(e)
-		ra.DrainBatches(meter.GuardBatches(cur), out)
-	}
-	tr := &Trace{}
-	root.record(tr)
-	tr.MaxResident = meter.Max()
-	return out, tr
-}
-
-// saCountBatchCursor counts rows flowing out of an operator into the
-// plan's saCountNode — the batch sibling of saCountCursor.
-type saCountBatchCursor struct {
-	in   ra.BatchCursor
-	node *saCountNode
-}
-
-func (c *saCountBatchCursor) NextBatch() (*rel.Batch, bool) {
-	b, ok := c.in.NextBatch()
-	if ok {
-		c.node.n += b.Len()
-	}
-	return b, ok
-}
-
-// vecBuilder translates an SA expression tree into a batch-cursor
-// plan, mirroring streamBuilder node for node so both executors
-// produce identical emission and trace shapes.
-type vecBuilder struct {
-	d        rel.ReadStore
-	meter    *ra.Meter
-	capacity int
-}
-
-func (b *vecBuilder) baseRel(n *Rel) rel.StoredRel {
-	return rel.CheckView(b.d, n.Name, n.arity, "sa")
-}
-
-func (b *vecBuilder) batches(e Expr) (ra.BatchCursor, *saCountNode) {
-	node := &saCountNode{e: e}
-	var cur ra.BatchCursor
-	switch n := e.(type) {
-	case *Rel:
-		cur = b.meter.GuardBatches(ra.ScanBatches(b.baseRel(n), b.capacity))
-	case *Union:
-		l, ln := b.batches(n.L)
-		r, rn := b.batches(n.E)
-		node.kids = []*saCountNode{ln, rn}
-		cur = ra.NewUnionSinkBatchCursor(l, r, n.Arity(), b.meter, b.capacity)
-	case *Diff:
-		l, ln := b.batches(n.L)
-		node.kids = []*saCountNode{ln}
-		if base, ok := n.E.(*Rel); ok {
-			// The subtrahend is a stored relation: probe it in place,
-			// holding nothing.
-			cur = ra.NewDiffBatchCursor(l, nil, b.baseRel(base), n.Arity(), b.meter)
-			node.kids = append(node.kids, &saCountNode{e: n.E})
-		} else {
-			rc, rn := b.batches(n.E)
-			cur = ra.NewDiffBatchCursor(l, rc, nil, n.Arity(), b.meter)
-			node.kids = append(node.kids, rn)
-		}
-	case *Project:
-		in, kn := b.batches(n.E)
-		node.kids = []*saCountNode{kn}
-		cur = ra.NewProjectBatchCursor(in, n.Cols)
-	case *Select:
-		in, kn := b.batches(n.E)
-		node.kids = []*saCountNode{kn}
-		cur = ra.NewSelectBatchCursor(in, n.I, n.Op, n.J)
-	case *SelectConst:
-		in, kn := b.batches(n.E)
-		node.kids = []*saCountNode{kn}
-		cur = ra.NewSelectConstBatchCursor(in, n.I, n.C)
-	case *ConstTag:
-		in, kn := b.batches(n.E)
-		node.kids = []*saCountNode{kn}
-		cur = ra.NewConstTagBatchCursor(in, n.C)
-	case *Semijoin:
-		cur, node.kids = b.semijoin(n.L, n.Cond, n.E, true)
-	case *Antijoin:
-		cur, node.kids = b.semijoin(n.L, n.Cond, n.E, false)
-	default:
-		panic(fmt.Sprintf("sa: unknown expression %T", e))
-	}
-	return &saCountBatchCursor{in: cur, node: node}, node
-}
-
-// semijoin builds the batch plan for l ⋉θ r (keep) or l ▷θ r (!keep),
-// choosing the same strategy streamBuilder.semijoin does for the same
-// condition shape.
-func (b *vecBuilder) semijoin(l Expr, cond ra.Cond, r Expr, keep bool) (ra.BatchCursor, []*saCountNode) {
-	lc, ln := b.batches(l)
-	kids := []*saCountNode{ln}
-	if len(cond.EqPairs()) > 0 {
-		rc, rn := b.batches(r)
-		kids = append(kids, rn)
-		return NewSemijoinBatchCursor(lc, rc, nil, cond, keep, b.meter, b.capacity), kids
-	}
-	if base, ok := r.(*Rel); ok {
-		// Replay the stored relation in place per probe row.
-		kids = append(kids, &saCountNode{e: r})
-		return NewSemijoinBatchCursor(lc, nil, b.baseRel(base), cond, keep, b.meter, b.capacity), kids
-	}
-	rc, rn := b.batches(r)
-	kids = append(kids, rn)
-	return NewSemijoinBatchCursor(lc, rc, nil, cond, keep, b.meter, b.capacity), kids
-}
-
-// NewSemijoinBatchCursor builds a vectorized semijoin (keep) or
-// antijoin (!keep) cursor for external plan builders (internal/plan's
-// mixed executor): left streams as the probe side, and the build side
+// NewSemijoinBatchCursor builds a semijoin (keep) or antijoin (!keep)
+// cursor: left streams as the probe side, and the build side
 // is either a batch cursor or — for θ-only conditions — a stored
 // relation replayed in place. capacity bounds the output batches of
 // the replay materialization (0 means rel.BatchCap). cond must have at
@@ -273,8 +86,7 @@ func NewSemijoinBatchCursor(left, build ra.BatchCursor, stored rel.StoredRel, co
 // is IDSet.ContainsCols through the equality columns; a condition with
 // residual atoms stores the full build rows in per-column ID stores
 // indexed by ra.PackKey, verifying equality on raw IDs and residual
-// atoms on decoded values per candidate, exactly as the tuple
-// hashSemijoinCursor does.
+// atoms on decoded values per candidate.
 type vecHashSemijoinCursor struct {
 	left      ra.BatchCursor
 	buildC    ra.BatchCursor

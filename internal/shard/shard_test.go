@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"radiv/internal/division"
+	"radiv/internal/plan"
 	"radiv/internal/ra"
 	"radiv/internal/rel"
 	"radiv/internal/sa"
@@ -250,9 +251,11 @@ func TestShardedSetJoinEquivalence(t *testing.T) {
 }
 
 // TestShardedEvaluatorEquivalence is the acceptance criterion for the
-// algebra layers: streamed and materialized ra/sa/xra plans evaluate
-// byte-identically over a sharded store and the in-memory database at
-// shard counts 1, 2 and 4 — the Store abstraction leaks nothing.
+// algebra layers: the materialized ra/sa/xra evaluators — the oracle
+// every execution is tested against — evaluate byte-identically over a
+// sharded store and the in-memory database at shard counts 1, 2 and 4:
+// the Store abstraction leaks nothing. (The executor over sharded
+// stores is a dimension of internal/plan's executor suite.)
 func TestShardedEvaluatorEquivalence(t *testing.T) {
 	raExpr := ra.DivisionExpr("R", "S")
 	saExpr := sa.NewProject([]int{1}, sa.NewAntijoin(sa.R("R", 2), ra.Eq(2, 1), sa.R("S", 1)))
@@ -260,17 +263,14 @@ func TestShardedEvaluatorEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		for _, n := range shardCounts {
 			d, s := divisionStores(seed, n)
-			if err := sameTuples(ra.EvalStreamed(raExpr, d), ra.EvalStreamed(raExpr, s)); err != nil {
-				t.Fatalf("ra streamed seed %d shards %d: %v", seed, n, err)
-			}
 			if err := sameTuples(ra.Eval(raExpr, d), ra.Eval(raExpr, s)); err != nil {
-				t.Fatalf("ra materialized seed %d shards %d: %v", seed, n, err)
+				t.Fatalf("ra seed %d shards %d: %v", seed, n, err)
 			}
-			if err := sameTuples(sa.EvalStreamed(saExpr, d), sa.EvalStreamed(saExpr, s)); err != nil {
-				t.Fatalf("sa streamed seed %d shards %d: %v", seed, n, err)
+			if err := sameTuples(sa.Eval(saExpr, d), sa.Eval(saExpr, s)); err != nil {
+				t.Fatalf("sa seed %d shards %d: %v", seed, n, err)
 			}
-			if err := sameTuples(xra.EvalStreamed(xraExpr, d), xra.EvalStreamed(xraExpr, s)); err != nil {
-				t.Fatalf("xra streamed seed %d shards %d: %v", seed, n, err)
+			if err := sameTuples(xra.Eval(xraExpr, d), xra.Eval(xraExpr, s)); err != nil {
+				t.Fatalf("xra seed %d shards %d: %v", seed, n, err)
 			}
 		}
 	}
@@ -316,8 +316,8 @@ func TestShardConcurrentReaders(t *testing.T) {
 					t.Errorf("concurrent reader saw wrong contents (n=%d)", n)
 					return
 				}
-				if got := ra.EvalStreamed(ra.R("S", 1), s); got.Len() != 1 {
-					t.Errorf("concurrent streamed eval saw %d tuples", got.Len())
+				if got := plan.CompileIR(plan.NRel("S", 1), s, plan.Options{}).Execute(); got.Len() != 1 {
+					t.Errorf("concurrent execution saw %d tuples", got.Len())
 					return
 				}
 			}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"radiv/internal/division"
+	"radiv/internal/plan"
 	"radiv/internal/ra"
 	"radiv/internal/rel"
 	"radiv/internal/shard"
@@ -86,10 +87,14 @@ func TestShardSnapshotExecEquivalence(t *testing.T) {
 					}
 				}
 			}
-			// Evaluators over the snapshot match the in-memory database.
+			// The executor and the materialized evaluator over the
+			// snapshot match the in-memory database.
 			raExpr := ra.DivisionExpr("R", "S")
-			if err := sameTuples(ra.EvalStreamed(raExpr, d), ra.EvalStreamed(raExpr, snap)); err != nil {
-				t.Fatalf("seed %d shards %d: ra streamed on snapshot: %v", seed, n, err)
+			onExecutor := func(d rel.ReadStore) *rel.Relation {
+				return plan.CompileIR(plan.FromRA(raExpr), d, plan.Options{}).Execute()
+			}
+			if err := sameTuples(onExecutor(d), onExecutor(snap)); err != nil {
+				t.Fatalf("seed %d shards %d: executor on snapshot: %v", seed, n, err)
 			}
 			if err := sameTuples(ra.Eval(raExpr, d), ra.Eval(raExpr, snap)); err != nil {
 				t.Fatalf("seed %d shards %d: ra materialized on snapshot: %v", seed, n, err)

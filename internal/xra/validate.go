@@ -12,8 +12,8 @@ import (
 // join-condition atoms out of the operands' arities. Wrapped pure-RA
 // subexpressions are validated by ra.Validate. The checking
 // constructors enforce the same invariants at build time; Validate
-// covers trees assembled from struct literals. Both evaluators call it
-// at entry.
+// covers trees assembled from struct literals. EvalTraced calls it at
+// entry.
 func Validate(e Expr) error {
 	for _, c := range e.Children() {
 		if err := Validate(c); err != nil {

@@ -1,193 +1,36 @@
 package xra
 
-// This file implements the vectorized executor for the extended
-// algebra: the same cursor plans as stream.go, but operators exchange
-// columnar rel.Batch blocks. Wrapped pure-RA subexpressions pipeline
-// batch-natively through ra.OpenBatchStream — sharing the enclosing
-// plan's resident meter and contributing the same per-node flow counts
-// to the trace — joins are ra's vectorized hash/loop join cursors, and
-// γ gathers group keys columnar-ly: group columns are translated into
+// This file is the extended algebra's part of the batch operator
+// library (see internal/ra/vector.go for the generic operators): the γ
+// cursor, built by internal/plan's executor like any other operator. γ
+// gathers group keys columnar-ly: group columns are translated into
 // one key dictionary through rel.IDMap caches, so after the first
 // occurrence of a value, grouping a row is an array load and — past a
 // single key column — a hash of flat IDs and an integer-compare probe
 // (no per-row tuple is built, and key equality is ID equality — exact,
 // because the IDs live in a single dictionary). The accumulator is flat
-// tables of IDs, one entry per metered entry, so what it holds is what
-// a governor's MaxResident budget sees. The static
-// duplicate-possibility analysis (mayEmitDuplicates) is shared with the
-// streaming executor, so exact count(*) deduplicates full rows —
-// through an ra.IDSet — in exactly the plans the tuple path does.
+// tables of IDs, one entry per metered entry — groups, distinct counted
+// values, deduplicated input rows — so what it holds is what a
+// governor's MaxResident budget sees. Emission is first-occurrence
+// group order with the SQL-style zero row for an empty grand aggregate.
 //
-// Accumulator accounting matches gammaCursor entry for entry (groups,
-// distinct counted values, deduplicated input rows), so MaxResident
-// parity with the tuple path holds, and emission is first-occurrence
-// group order with the SQL-style zero row for an empty grand
-// aggregate — byte-identical to EvalStreamed.
+// That is the Section 5 punchline in memory terms: the γ-division
+// expression not only keeps its *flow* linear (what EvalTraced shows),
+// its executor *holds* only the per-group counters and one build side
+// at a time, so plan.Trace.MaxResident stays linear too (experiment
+// ST2).
 
 import (
-	"context"
 	"fmt"
 
-	"radiv/internal/exec"
 	"radiv/internal/ra"
 	"radiv/internal/rel"
 )
 
-// EvalVectorized evaluates the expression with the vectorized executor
-// and returns the result relation, always a fresh relation owned by
-// the caller. Results are byte-identical — same tuples, same insertion
-// order — to EvalStreamed on any backend holding the same data.
-func EvalVectorized(e Expr, d rel.ReadStore) *rel.Relation {
-	res, _ := EvalVectorizedTraced(e, d)
-	return res
-}
-
-// EvalVectorizedTraced is EvalVectorized with the trace: the same flow
-// counts, step order and MaxResident EvalStreamedTraced reports.
-func EvalVectorizedTraced(e Expr, d rel.ReadStore) (*rel.Relation, *Trace) {
-	return EvalVectorizedTracedSized(e, d, 0)
-}
-
-// EvalVectorizedTracedSized is EvalVectorizedTraced at an explicit
-// batch row capacity (0 means rel.BatchCap).
-func EvalVectorizedTracedSized(e Expr, d rel.ReadStore, batchSize int) (*rel.Relation, *Trace) {
-	if err := Validate(e); err != nil {
-		panic("xra: invalid expression: " + err.Error())
-	}
-	return evalVectorizedMetered(&ra.Meter{}, e, d, batchSize)
-}
-
-// EvalVectorizedContext is the governed vectorized entry point: the
-// columnar sibling of EvalStreamedContext, at an explicit batch row
-// capacity (0 means rel.BatchCap).
-func EvalVectorizedContext(ctx context.Context, e Expr, d rel.ReadStore, batchSize int, lim exec.Limits) (*rel.Relation, *Trace, error) {
-	if verr := Validate(e); verr != nil {
-		return nil, nil, fmt.Errorf("xra: invalid expression: %w", verr)
-	}
-	res, tr, err := func() (res *rel.Relation, tr *Trace, err error) {
-		g := exec.NewGovernor(ctx, lim)
-		defer g.Recover(&err)
-		res, tr = evalVectorizedMetered(ra.NewGovernedMeter(g), e, d, batchSize)
-		return res, tr, nil
-	}()
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, tr, nil
-}
-
-// EvalVectorizedGoverned runs the vectorized executor under a caller-
-// supplied governor (the plan layer's shared-governor hook). The
-// caller owns the boundary: it must recover with Governor.Recover. A
-// nil governor is exactly the legacy ungoverned path.
-func EvalVectorizedGoverned(g *exec.Governor, e Expr, d rel.ReadStore, batchSize int) (*rel.Relation, *Trace) {
-	if err := Validate(e); err != nil {
-		panic("xra: invalid expression: " + err.Error())
-	}
-	return evalVectorizedMetered(ra.NewGovernedMeter(g), e, d, batchSize)
-}
-
-// evalVectorizedMetered is the vectorized executor core shared by the
-// legacy and governed entries.
-func evalVectorizedMetered(meter *ra.Meter, e Expr, d rel.ReadStore, batchSize int) (*rel.Relation, *Trace) {
-	capacity := batchSize
-	if capacity <= 0 {
-		capacity = rel.BatchCap
-	}
-	b := &xVecBuilder{d: d, meter: meter, capacity: capacity}
-	cur, root := b.batches(e)
-	out := rel.NewRelation(e.Arity())
-	ra.DrainBatches(meter.GuardBatches(cur), out)
-	tr := &Trace{}
-	root.record(tr)
-	tr.MaxResident = meter.Max()
-	return out, tr
-}
-
-// xCountBatchCursor counts rows flowing out of an operator into the
-// plan's xCountNode — the batch sibling of xCountCursor.
-type xCountBatchCursor struct {
-	in   ra.BatchCursor
-	node *xCountNode
-}
-
-func (c *xCountBatchCursor) NextBatch() (*rel.Batch, bool) {
-	b, ok := c.in.NextBatch()
-	if ok {
-		c.node.n += b.Len()
-	}
-	return b, ok
-}
-
-// xVecBuilder translates an extended-algebra expression tree into a
-// batch-cursor plan, mirroring xStreamBuilder node for node.
-type xVecBuilder struct {
-	d        rel.ReadStore
-	meter    *ra.Meter
-	capacity int
-}
-
-func (b *xVecBuilder) batches(e Expr) (ra.BatchCursor, *xCountNode) {
-	node := &xCountNode{e: e}
-	var cur ra.BatchCursor
-	switch n := e.(type) {
-	case *Wrap:
-		s := ra.OpenBatchStream(n.E, b.d, b.meter, ra.StreamOptions{Vectorize: true, BatchSize: b.capacity})
-		node.sub = s
-		// The Wrap itself is transparent: no count wrapper, the inner
-		// plan counts its own flows.
-		return s, node
-	case *Gamma:
-		in, kn := b.batches(n.E)
-		node.kids = []*xCountNode{kn}
-		cur = &vecGammaCursor{in: in, g: n, inputArity: n.E.Arity(),
-			dedupAll: n.CountCol == 0 && mayEmitDuplicates(n.E), meter: b.meter, capacity: b.capacity}
-	case *Join:
-		l, ln := b.batches(n.L)
-		node.kids = []*xCountNode{ln}
-		if len(n.Cond.EqPairs()) > 0 {
-			rc, rn := b.batches(n.E)
-			node.kids = append(node.kids, rn)
-			cur = ra.NewHashJoinBatchCursor(l, rc, n.Cond, b.meter, b.capacity)
-		} else if base := b.wrappedBaseRel(n.E); base != nil {
-			// Pure-theta join against a wrapped stored relation: replay
-			// it in place, as the tuple executor does. The Wrap node
-			// still appears in the trace with zero flow.
-			node.kids = append(node.kids, &xCountNode{e: n.E})
-			cur = ra.NewLoopJoinBatchCursor(l, nil, base, n.Cond, b.meter, b.capacity)
-		} else {
-			rc, rn := b.batches(n.E)
-			node.kids = append(node.kids, rn)
-			cur = ra.NewLoopJoinBatchCursor(l, rc, nil, n.Cond, b.meter, b.capacity)
-		}
-	case *Project:
-		in, kn := b.batches(n.E)
-		node.kids = []*xCountNode{kn}
-		cur = ra.NewProjectBatchCursor(in, n.Cols)
-	default:
-		panic(fmt.Sprintf("xra: unknown expression %T", e))
-	}
-	return &xCountBatchCursor{in: cur, node: node}, node
-}
-
-// wrappedBaseRel mirrors xStreamBuilder.wrappedBaseRel.
-func (b *xVecBuilder) wrappedBaseRel(e Expr) rel.StoredRel {
-	w, ok := e.(*Wrap)
-	if !ok {
-		return nil
-	}
-	r, ok := w.E.(*ra.Rel)
-	if !ok {
-		return nil
-	}
-	return rel.CheckView(b.d, r.Name, r.Arity(), "xra")
-}
-
-// NewGammaBatchCursor builds a vectorized γ cursor for external plan
-// builders (internal/plan's mixed executor). dedupAll must be set when
-// countCol is 0 and the input can deliver duplicate tuples
-// (mayEmitDuplicates' analysis) — count(*) is only exact over a set.
-// Column indices are validated against inputArity with the usual
+// NewGammaBatchCursor builds a γ cursor. dedupAll must be set when
+// countCol is 0 and the input can deliver duplicate tuples (a
+// dedup-deferring projection below it) — count(*) is only exact over a
+// set. Column indices are validated against inputArity with the usual
 // "xra:"-prefixed panics. capacity bounds the emitted batches (0 means
 // rel.BatchCap).
 func NewGammaBatchCursor(in ra.BatchCursor, groupCols []int, countCol, inputArity int, dedupAll bool, m *ra.Meter, capacity int) ra.BatchCursor {
@@ -273,16 +116,15 @@ func idsEqual(a, b []uint32) bool {
 	return true
 }
 
-// gammaBatchAgg is the columnar sibling of gammaAgg: group keys and
-// counted values are translated into accumulator-owned dictionaries
-// through rel.IDMap caches (amortizing interning over batch dictionary
-// reuse), so key equality is ID equality. Groups are rows of key IDs in
+// gammaBatchAgg is γ's accumulator: group keys and counted values are
+// translated into accumulator-owned dictionaries through rel.IDMap
+// caches (amortizing interning over batch dictionary reuse), so key
+// equality is ID equality. Groups are rows of key IDs in
 // one idTable, in first-occurrence order; the distinct counted values
 // are (group index, value ID) rows in a second one — one flat entry per
 // metered entry, never a per-group structure sized by the value
 // dictionary. Exact count(*) over duplicate-capable inputs deduplicates
-// full rows in an ra.IDSet. Metered entries — groups, distinct counted
-// values, deduplicated rows — match gammaAgg one for one.
+// full rows in an ra.IDSet.
 type gammaBatchAgg struct {
 	g      *Gamma
 	keys   *rel.Interner

@@ -189,3 +189,65 @@ func TestTraceIncludesWrappedSteps(t *testing.T) {
 		t.Error("no intermediate sizes recorded")
 	}
 }
+
+// TestEvalResultOwnership asserts the caller-owned-results contract
+// for the xra evaluator, the same contract ra and sa regression-test:
+// mutating a result must never write through to the database. The root
+// shapes covered are a wrapped bare relation (delegating to ra, which
+// clones) and an operator node (fresh relation by construction).
+func TestEvalResultOwnership(t *testing.T) {
+	build := func() *rel.Database {
+		d := rel.NewDatabase(rel.NewSchema(map[string]int{"R": 2}))
+		d.AddInts("R", 1, 2)
+		d.AddInts("R", 3, 4)
+		return d
+	}
+	evaluators := []struct {
+		name string
+		run  func(Expr, rel.ReadStore) *rel.Relation
+	}{
+		{"Eval", Eval},
+		{"EvalTraced", func(e Expr, d rel.ReadStore) *rel.Relation {
+			res, _ := EvalTraced(e, d)
+			return res
+		}},
+	}
+	intruder := rel.Ints(9, 9)
+	for _, ev := range evaluators {
+		d := build()
+		res := ev.run(&Wrap{E: ra.R("R", 2)}, d)
+		if !res.Add(intruder) {
+			t.Fatalf("%s: result should accept a new tuple", ev.name)
+		}
+		if d.Rel("R").Contains(intruder) {
+			t.Errorf("%s: adding to the result mutated the database", ev.name)
+		}
+		if got := d.Rel("R").Len(); got != 2 {
+			t.Errorf("%s: database relation has %d tuples after result mutation, want 2", ev.name, got)
+		}
+	}
+}
+
+// TestValidateCatchesMalformedTrees covers struct-literal trees that
+// bypass the checking constructors.
+func TestValidateCatchesMalformedTrees(t *testing.T) {
+	r2 := &Wrap{E: ra.R("R", 2)}
+	bad := []struct {
+		name string
+		e    Expr
+	}{
+		{"gamma group", &Gamma{GroupCols: []int{5}, CountCol: 0, E: r2}},
+		{"gamma count", &Gamma{GroupCols: []int{1}, CountCol: 9, E: r2}},
+		{"join cond", &Join{L: r2, E: r2, Cond: ra.Eq(7, 1)}},
+		{"project", &Project{Cols: []int{0}, E: r2}},
+		{"wrapped ra", &Wrap{E: &ra.Project{Cols: []int{9}, E: ra.R("R", 2)}}},
+	}
+	for _, c := range bad {
+		if err := Validate(c.e); err == nil {
+			t.Errorf("%s: Validate accepted a malformed tree", c.name)
+		}
+	}
+	if err := Validate(ContainmentDivision("R", "S")); err != nil {
+		t.Errorf("Validate rejected the Section 5 expression: %v", err)
+	}
+}
