@@ -61,11 +61,25 @@ func TestBatchScanRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAddBatchMatchesAdd: feeding a relation through AddBatch (with a
-// foreign dictionary per batch) must produce exactly the relation
-// built by tuple-wise Add — same set, same insertion order — and
-// report the same new-row count.
+// TestAddBatchMatchesAdd: feeding a relation through AddBatch must
+// produce exactly the relation built by tuple-wise Add — same set, same
+// insertion order, same dictionary — and report the same new-row
+// count, whether the batches carry one foreign dictionary (ToBatches)
+// or a different one in every column, rotated from batch to batch: a
+// join output carries each side's dictionary through, and a shard
+// view's scan changes dictionaries at run boundaries.
 func TestAddBatchMatchesAdd(t *testing.T) {
+	sources := []struct {
+		name string
+		open func(tuples []Tuple, arity int) BatchCursor
+	}{
+		{"one dictionary", func(tuples []Tuple, arity int) BatchCursor {
+			return ToBatches(&sliceCursor{ts: tuples}, arity, 17)
+		}},
+		{"rotating dictionaries", func(tuples []Tuple, arity int) BatchCursor {
+			return &rotatingBatcher{ts: tuples, arity: arity, dicts: []*Interner{NewInterner(), NewInterner(), NewInterner()}}
+		}},
+	}
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 20; trial++ {
 		arity := rng.Intn(4)
@@ -77,33 +91,64 @@ func TestAddBatchMatchesAdd(t *testing.T) {
 				wantAdded++
 			}
 		}
-		src := NewRelation(arity)
-		for _, tp := range tuples {
-			src.Add(tp)
-		}
-		// Route through ToBatches so batches carry a fresh dictionary,
-		// then AddBatch with duplicates included: replay the raw tuple
-		// stream, not the deduplicated relation.
-		got := NewRelationSized(arity, len(tuples))
-		gotAdded := 0
-		cur := ToBatches(&sliceCursor{ts: tuples}, arity, 17)
-		for b, ok := cur.NextBatch(); ok; b, ok = cur.NextBatch() {
-			gotAdded += got.AddBatch(b)
-			b.Release()
-		}
-		if gotAdded != wantAdded {
-			t.Fatalf("trial %d: AddBatch accepted %d rows, Add %d", trial, gotAdded, wantAdded)
-		}
-		wt, gt := want.Tuples(), got.Tuples()
-		if len(wt) != len(gt) {
-			t.Fatalf("trial %d: %d tuples, want %d", trial, len(gt), len(wt))
-		}
-		for i := range wt {
-			if !wt[i].Equal(gt[i]) {
-				t.Fatalf("trial %d: tuple %d is %v, want %v", trial, i, gt[i], wt[i])
+		for _, src := range sources {
+			// Replay the raw tuple stream, duplicates included, not the
+			// deduplicated relation.
+			got := NewRelationSized(arity, len(tuples))
+			gotAdded := 0
+			cur := src.open(tuples, arity)
+			for b, ok := cur.NextBatch(); ok; b, ok = cur.NextBatch() {
+				gotAdded += got.AddBatch(b)
+				b.Release()
+			}
+			if gotAdded != wantAdded {
+				t.Fatalf("trial %d, %s: AddBatch accepted %d rows, Add %d", trial, src.name, gotAdded, wantAdded)
+			}
+			wt, gt := want.Tuples(), got.Tuples()
+			if len(wt) != len(gt) {
+				t.Fatalf("trial %d, %s: %d tuples, want %d", trial, src.name, len(gt), len(wt))
+			}
+			for i := range wt {
+				if !wt[i].Equal(gt[i]) {
+					t.Fatalf("trial %d, %s: tuple %d is %v, want %v", trial, src.name, i, gt[i], wt[i])
+				}
+			}
+			if wd, gd := want.Interner(), got.Interner(); !Tuple(wd.vals).Equal(Tuple(gd.vals)) {
+				t.Fatalf("trial %d, %s: dictionary order %v, want %v", trial, src.name, gd.vals, wd.vals)
 			}
 		}
 	}
+}
+
+// rotatingBatcher packs tuples into pooled batches of 17 rows in which
+// column k of the i-th batch carries dictionary (i+k) mod 3: no two
+// columns of a batch share a dictionary, and every column changes
+// dictionary at every batch boundary.
+type rotatingBatcher struct {
+	ts      []Tuple
+	arity   int
+	dicts   []*Interner
+	batches int
+}
+
+func (r *rotatingBatcher) NextBatch() (*Batch, bool) {
+	if len(r.ts) == 0 {
+		return nil, false
+	}
+	n := min(17, len(r.ts))
+	b := NewBatchSized(r.arity, n)
+	for k := 0; k < r.arity; k++ {
+		d := r.dicts[(r.batches+k)%len(r.dicts)]
+		b.SetDict(k, d)
+		col := b.WritableCol(k)
+		for row, tp := range r.ts[:n] {
+			col[row] = d.Intern(tp[k])
+		}
+	}
+	b.SetLen(n)
+	r.ts = r.ts[n:]
+	r.batches++
+	return b, true
 }
 
 type sliceCursor struct {

@@ -307,11 +307,38 @@ func (r *Relation) AddBatch(b *Batch) int {
 	if r.xlat == nil {
 		r.xlat = NewIDMap(r.intern)
 	}
+	x := r.xlat
+	// Each column's translation slice is looked up once per batch, not
+	// once per value: the columns of one batch may carry different
+	// dictionaries (a join output carries each side's through), and the
+	// IDMap's one-entry memo would then miss on every value.
+	var few [4][]uint32
+	trs := few[:min(r.arity, len(few))]
+	if r.arity > len(few) {
+		trs = make([][]uint32, r.arity)
+	}
+	for k, d := range b.dicts {
+		trs[k] = x.m[d]
+	}
 	ids := r.idbuf
 	added := 0
 	for row := 0; row < b.Len(); row++ {
-		for k := 0; k < r.arity; k++ {
-			ids[k] = r.xlat.Intern(b.dicts[k], b.cols[k][row])
+		for k, tr := range trs {
+			id := b.cols[k][row]
+			if d := b.dicts[k]; d != r.intern {
+				if int(id) < len(tr) && tr[id] >= xlatOffset {
+					id = tr[id] - xlatOffset
+				} else {
+					// First sight of the value. Intern leaves d's slice,
+					// regrown if id lay beyond it, in the memo. Another
+					// column sharing d may keep reading the slice from
+					// before the regrowth: what it holds stays valid, and
+					// what it lacks sends that column here too.
+					id = x.Intern(d, id)
+					trs[k] = x.lastTr
+				}
+			}
+			ids[k] = id
 		}
 		if r.addIDs(ids) {
 			added++

@@ -81,7 +81,8 @@ var _ TupleCursor = (*Cursor)(nil)
 
 // Materialized returns the named relation of s as a *Relation, for
 // consumers that need whole-relation operations (the materialized
-// evaluators' base case, the shard executors' broadcast sides). For
+// evaluators' base case, the divisor of a sharded division, the ID
+// columns shard.FromStore loads from). For
 // the in-memory Database — and for a published Snapshot, whose sealed
 // relations are frozen — it is the stored relation itself: aliased is
 // true and the caller must treat it as read-only. Any other backend
@@ -103,9 +104,9 @@ func Materialized(s ReadStore, name string) (r *Relation, aliased bool) {
 }
 
 // Reserver is the optional capacity-hint hook of a Store: Reserve
-// pre-sizes the named relation's storage for n more tuples. *Database,
-// *Epoch and the sharded store implement it; CopyStore uses it so bulk
-// loads never grow storage from zero.
+// pre-sizes the named relation's storage for n more tuples. *Database
+// and *Epoch implement it; CopyStore uses it so bulk loads never grow
+// storage from zero.
 type Reserver interface {
 	Reserve(name string, n int)
 }

@@ -333,10 +333,3 @@ func EqualityAlgorithmsWorkers(workers int) []Algorithm {
 		ParallelHashEquality{Workers: workers},
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

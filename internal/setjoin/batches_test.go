@@ -10,8 +10,8 @@ import (
 
 // TestGroupsFromBatchesMatchesGroups pins the batch-fed group builder
 // against Groups on randomized relations: same groups, same
-// first-occurrence order, same sorted elements, same signature and
-// canonical key — at batch sizes 1, 2 and 1024, with no pool leak.
+// first-occurrence order, same sorted elements, same signature — at
+// batch sizes 1, 2 and 1024, with no pool leak.
 func TestGroupsFromBatchesMatchesGroups(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -43,8 +43,8 @@ func TestGroupsFromBatchesMatchesGroups(t *testing.T) {
 						t.Fatalf("seed %d size=%d: group %d elem %d is %s, want %s", seed, size, i, j, h.Elems[j], g.Elems[j])
 					}
 				}
-				if g.sig != h.sig || g.ckey != h.ckey {
-					t.Fatalf("seed %d size=%d: group %d signature/ckey mismatch", seed, size, i)
+				if g.sig != h.sig {
+					t.Fatalf("seed %d size=%d: group %d signature mismatch", seed, size, i)
 				}
 			}
 		}

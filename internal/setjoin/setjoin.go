@@ -37,19 +37,22 @@ type Group struct {
 	Key   rel.Value
 	Elems []rel.Value // sorted, distinct
 	sig   uint64
-	ckey  string // canonical encoding, memoized by Groups
+	// keyID is Key's ID in the dictionary of the batch column the group
+	// was first seen in (GroupsFromBatches only). Over a stored
+	// relation's scan that is the relation's own dictionary, which is
+	// what lets the shard-local joins emit pairs as IDs.
+	keyID uint32
 }
 
 // NewGroup builds one group from a key and its elements, establishing
 // the same invariants Groups establishes for whole relations: Elems
 // sorted and deduplicated (into a private copy — the caller keeps
-// ownership of elems), signature and canonical key precomputed. Use it
-// for hand-built groups so every consumer, containment checks
-// included, sees normalized input.
+// ownership of elems), signature precomputed. Use it for hand-built
+// groups so every consumer, containment checks included, sees
+// normalized input.
 func NewGroup(key rel.Value, elems ...rel.Value) *Group {
 	g := &Group{Key: key, Elems: normalizeElems(append([]rel.Value(nil), elems...))}
 	g.sig = signature(g.Elems)
-	g.ckey = canonicalKey(g.Elems)
 	return g
 }
 
@@ -75,7 +78,6 @@ func Groups(r *rel.Relation) []*Group {
 	for _, g := range order {
 		sort.Slice(g.Elems, func(i, j int) bool { return g.Elems[i].Less(g.Elems[j]) })
 		g.sig = signature(g.Elems)
-		g.ckey = canonicalKey(g.Elems)
 	}
 	return order
 }
@@ -103,7 +105,7 @@ func GroupsFromBatches(in rel.BatchCursor) []*Group {
 		for row := 0; row < n; row++ {
 			gid := xl.Intern(kdict, kcol[row])
 			if int(gid) == len(order) {
-				order = append(order, &Group{Key: kdict.Value(kcol[row])})
+				order = append(order, &Group{Key: kdict.Value(kcol[row]), keyID: kcol[row]})
 			}
 			// As in Groups: the source has set semantics, so elems
 			// within a group arrive distinct.
@@ -114,7 +116,6 @@ func GroupsFromBatches(in rel.BatchCursor) []*Group {
 	for _, g := range order {
 		sort.Slice(g.Elems, func(i, j int) bool { return g.Elems[i].Less(g.Elems[j]) })
 		g.sig = signature(g.Elems)
-		g.ckey = canonicalKey(g.Elems)
 	}
 	return order
 }
@@ -178,19 +179,20 @@ func (g *Group) ContainsAll(h *Group, cmp *int) bool {
 	return true
 }
 
-// CanonicalKey returns an injective encoding of the element set, used
-// by the equality joins. For groups built by Groups the encoding is
-// memoized; hand-built groups (zero ckey) compute it on the fly,
-// normalizing first — Elems is sorted and deduplicated into a copy if
-// needed — so a hand-built group with unsorted or repeated elements
-// encodes to the same key as the Groups-built group of the same set.
-// (Without the normalization, equality joins silently missed matches
-// on hand-built groups.)
+// CanonicalKey returns an injective encoding of the element set that
+// needs no shared dictionary: what Reference decides set equality by
+// (the equality joins key through a Dict instead). It normalizes first
+// — Elems is sorted and deduplicated into a copy if needed — so a
+// hand-built group with unsorted or repeated elements encodes to the
+// same key as the Groups-built group of the same set. It is a pure
+// function of Elems: nothing is memoized on the group, so groups shared
+// by concurrent workers stay read-only.
 func (g *Group) CanonicalKey() string {
-	if g.ckey == "" && len(g.Elems) > 0 {
-		g.ckey = canonicalKey(normalizeElems(g.Elems))
+	var b strings.Builder
+	for _, e := range normalizeElems(g.Elems) {
+		b.WriteString(rel.Tuple{e}.Key())
 	}
-	return g.ckey
+	return b.String()
 }
 
 // normalizeElems returns elems sorted and deduplicated. The input is
@@ -213,14 +215,6 @@ func normalizeElems(elems []rel.Value) []rel.Value {
 		}
 	}
 	return elems
-}
-
-func canonicalKey(elems []rel.Value) string {
-	var b strings.Builder
-	for _, e := range elems {
-		b.WriteString(rel.Tuple{e}.Key())
-	}
-	return b.String()
 }
 
 // Dict is the shared canonical-key dictionary of one equality join:
@@ -338,18 +332,30 @@ type Algorithm interface {
 	Join(r, s []*Group) (*rel.Relation, Stats)
 }
 
+func canonicalKeys(gs []*Group) []string {
+	keys := make([]string, len(gs))
+	for i, g := range gs {
+		keys[i] = g.CanonicalKey()
+	}
+	return keys
+}
+
 // Reference computes any predicate naively; the tests' oracle.
 func Reference(r, s []*Group, p Predicate) *rel.Relation {
 	out := rel.NewRelation(2)
 	var cmp int
-	for _, gr := range r {
-		for _, gs := range s {
+	var rKeys, sKeys []string // canonical keys, once per group per side
+	if p == Equal {
+		rKeys, sKeys = canonicalKeys(r), canonicalKeys(s)
+	}
+	for ri, gr := range r {
+		for si, gs := range s {
 			ok := false
 			switch p {
 			case Containment:
 				ok = gr.ContainsAll(gs, &cmp)
 			case Equal:
-				ok = gr.CanonicalKey() == gs.CanonicalKey()
+				ok = rKeys[ri] == sKeys[si]
 			case Overlap:
 				for _, e := range gs.Elems {
 					if gr.ContainsElem(e) {

@@ -12,6 +12,15 @@ package shard
 // delegates straight to the sequential algorithm on the underlying
 // store: no routing happened at load time and none is paid here.
 //
+// The set joins never leave interned-ID space between the stored
+// columns and the result: the broadcast side is grouped straight off
+// the store view's batch scan, each shard's pairs come back as two ID
+// columns cut into runs (setjoin.ShardPairs), and the merge feeds the
+// runs to the result's AddBatch as view batches (see shardedSetJoin).
+// Division alone runs under a query governor (DivideGov, what
+// internal/plan calls); the set joins have no governed caller and no
+// governed variant.
+//
 // Every entry point takes a Source: the live *Database (the writer's
 // uncommitted view, safe when nothing is concurrently mutating) or a
 // published *Snapshot (safe unconditionally — run on snapshot N while
@@ -20,11 +29,13 @@ package shard
 // exactly like the live store that published it.
 
 import (
+	"fmt"
 	"time"
 
 	"radiv/internal/division"
 	"radiv/internal/engine"
 	"radiv/internal/exec"
+	"radiv/internal/ra"
 	"radiv/internal/rel"
 	"radiv/internal/setjoin"
 )
@@ -150,20 +161,14 @@ func DivideGov(g *exec.Governor, db Source, rName, sName string, sem division.Se
 }
 
 // ContainmentJoin computes the set-containment join rName ⋈[B⊇D] sName
-// shard-locally: the S side is materialized and grouped once
-// (broadcast, read-only), each shard joins its local R groups against
-// it with the signature nested loop, and the merge concatenates each
-// group's pairs in the R router's gid order — reproducing the
-// sequential setjoin.SignatureContainment emission byte for byte at
-// every shard count. workers <= 0 means one per CPU.
+// shard-locally: the S side is grouped once straight off its batch
+// scan (broadcast, read-only), each shard joins its local R groups
+// against it with the signature nested loop, and the merge concatenates
+// each group's run of pairs in the R router's gid order — reproducing
+// the sequential setjoin.SignatureContainment emission byte for byte
+// at every shard count. workers <= 0 means one per CPU.
 func ContainmentJoin(db Source, rName, sName string, workers int) (*rel.Relation, Stats) {
-	return shardedSetJoin(nil, db, rName, sName, workers, true)
-}
-
-// ContainmentJoinGov is ContainmentJoin under a query governor; see
-// DivideGov for the contract.
-func ContainmentJoinGov(g *exec.Governor, db Source, rName, sName string, workers int) (*rel.Relation, Stats) {
-	return shardedSetJoin(g, db, rName, sName, workers, true)
+	return shardedSetJoin(db, rName, sName, workers, true)
 }
 
 // EqualityJoin computes the set-equality join rName ⋈[B=D] sName
@@ -174,13 +179,7 @@ func ContainmentJoinGov(g *exec.Governor, db Source, rName, sName string, worker
 // (S-major, R insertion order within a probe) byte for byte at every
 // shard count. workers <= 0 means one per CPU.
 func EqualityJoin(db Source, rName, sName string, workers int) (*rel.Relation, Stats) {
-	return shardedSetJoin(nil, db, rName, sName, workers, false)
-}
-
-// EqualityJoinGov is EqualityJoin under a query governor; see
-// DivideGov for the contract.
-func EqualityJoinGov(g *exec.Governor, db Source, rName, sName string, workers int) (*rel.Relation, Stats) {
-	return shardedSetJoin(g, db, rName, sName, workers, false)
+	return shardedSetJoin(db, rName, sName, workers, false)
 }
 
 // groupsHeld counts the entries a shard's group list pins: one per
@@ -193,10 +192,18 @@ func groupsHeld(gs []*setjoin.Group) int {
 	return held
 }
 
-func shardedSetJoin(g *exec.Governor, db Source, rName, sName string, workers int, containment bool) (*rel.Relation, Stats) {
+// shardedSetJoin is both set joins. Between the group builders and the
+// result relation the data stays interned IDs: each shard returns its
+// pairs as two ID columns (setjoin.ShardPairs) — the R key in the
+// shard-local relation's dictionary, the S key as its position in the
+// broadcast group list — and the merge hands runs of those columns to
+// the result's AddBatch as view batches, in the sequential algorithm's
+// emission order. AddBatch translates a row's R key before its S key,
+// the order Add interns a pair in, so the result's dictionary comes out
+// in the sequential order too.
+func shardedSetJoin(db Source, rName, sName string, workers int, containment bool) (*rel.Relation, Stats) {
 	arityOf(db, rName, 2)
 	arityOf(db, sName, 2)
-	g.Check()
 	if db.NumShards() == 1 {
 		rG, sG := setjoin.Groups(db.ShardRel(0, rName)), setjoin.Groups(db.ShardRel(0, sName))
 		var out *rel.Relation
@@ -207,92 +214,90 @@ func shardedSetJoin(g *exec.Governor, db Source, rName, sName string, workers in
 		}
 		return out, Stats{ShardResident: []int{groupsHeld(rG)}}
 	}
-	sRel, _ := rel.Materialized(db, sName) // broadcast side, read-only
-	sGroups := setjoin.Groups(sRel)
 	n := db.NumShards()
+	// Broadcast side, read-only: no copy of S is made.
+	sGroups := setjoin.GroupsFromBatches(ra.ScanBatches(db.View(sName), 0))
+	// A shard meets its groups in ascending gid order, so the i-th gid
+	// the router sends to shard q is the rank of q's i-th local group.
 	rt := db.Router(rName)
-	rank := func(v rel.Value) uint32 {
-		id, _ := rt.ID(v) // every local group key was interned at Add time
-		return id
+	ranks := make([][]uint32, n)
+	for gid := 0; gid < rt.Len(); gid++ {
+		q := engine.PartOf(uint32(gid), n)
+		ranks[q] = append(ranks[q], uint32(gid))
 	}
-	containPairs := make([]map[rel.Value][]rel.Tuple, n)
-	eqPairs := make([][][]setjoin.RankedPair, n)
+	pairs := make([]setjoin.ShardPairs, n)
 	resident := make([]int, n)
-	engine.Executor{Workers: workers}.RunGoverned(g, n, func(q int) {
+	engine.Executor{Workers: workers}.Run(n, func(q int) {
 		// Shard-local R sides flow as columnar batches straight off the
 		// relations' stored ID columns into the group builder — no tuple
 		// decoding on the grouping pass, and each worker's translation
 		// cache only reads the shard's sealed dictionaries.
-		rGroups := setjoin.GroupsFromBatches(guardShard(g, db.ShardRel(q, rName).BatchScan()))
+		rGroups := setjoin.GroupsFromBatches(db.ShardRel(q, rName).BatchScan())
+		if len(rGroups) != len(ranks[q]) {
+			panic(fmt.Sprintf("shard: shard %d holds %d groups of %s, its router sends %d there", q, len(rGroups), rName, len(ranks[q])))
+		}
 		resident[q] = groupsHeld(rGroups)
 		if containment {
-			containPairs[q], _ = setjoin.ShardContainment(rGroups, sGroups)
+			pairs[q], _ = setjoin.ShardContainment(rGroups, sGroups)
 		} else {
-			eqPairs[q], _ = setjoin.ShardEquality(rGroups, sGroups, rank)
+			pairs[q], _ = setjoin.ShardEquality(rGroups, sGroups, ranks[q])
 		}
 	})
-	g.Check() // rethrow a worker abort before merging partial results
 	st := Stats{ShardResident: resident}
 	mergeStart := time.Now()
-	// The merge's output cardinality is the sum of the per-shard pair
-	// lists: size the sink exactly, so the gid-ordered splice never
-	// grows a map.
-	pairs := 0
-	for q := 0; q < n; q++ {
-		if containment {
-			for _, ps := range containPairs[q] {
-				pairs += len(ps)
-			}
-		} else {
-			for _, ps := range eqPairs[q] {
-				pairs += len(ps)
-			}
-		}
+	// The pairs' S column counts positions in sGroups: a dictionary
+	// holding the S keys in that order decodes it.
+	sKeys := rel.NewInterner()
+	for _, g := range sGroups {
+		sKeys.Intern(g.Key)
 	}
-	out := rel.NewRelationSized(2, pairs)
+	// One view batch per shard over its pair columns, re-sliced per run.
+	// The result is sized exactly, so the splice never grows it.
+	total := 0
+	cols := make([][][]uint32, n)
+	views := make([]rel.Batch, n)
+	for q, p := range pairs {
+		total += len(p.R)
+		cols[q] = [][]uint32{p.R, p.S}
+		views[q].MakeView(cols[q], db.ShardRel(q, rName).Interner())
+		views[q].SetDict(1, sKeys)
+	}
+	out := rel.NewRelationSized(2, total)
+	emit := func(q, lo, hi int) {
+		views[q].SliceView(cols[q], lo, hi)
+		out.AddBatch(&views[q])
+	}
+	next := make([]int, n) // per shard: its next run (R-major) or pair (S-major)
 	if containment {
 		// R-major merge: walk the dividend router's gids in order and
-		// splice in each group's pair list from its owning shard.
+		// splice in each group's run from its owning shard.
 		for gid := 0; gid < rt.Len(); gid++ {
-			if gid%mergeCheckStride == 0 {
-				g.Check()
-			}
 			st.Merged++
-			v := rt.Value(uint32(gid))
-			for _, p := range containPairs[engine.PartOf(uint32(gid), n)][v] {
-				out.Add(p)
-			}
+			q := engine.PartOf(uint32(gid), n)
+			emit(q, pairs[q].Start[next[q]], pairs[q].Start[next[q]+1])
+			next[q]++
 		}
-		st.MergeTime = time.Since(mergeStart)
-		return out, st
-	}
-	// S-major merge: per probe position, interleave the shards' rank-
-	// ascending pair lists into global rank order.
-	heads := make([]int, n) // per-shard cursor into eqPairs[q][si]
-	for si := range sGroups {
-		if si%mergeCheckStride == 0 {
-			g.Check()
-		}
-		for q := range heads {
-			heads[q] = 0
-		}
-		for {
-			best, bq := uint32(0), -1
-			for q := 0; q < n; q++ {
-				if heads[q] < len(eqPairs[q][si]) {
-					if r := eqPairs[q][si][heads[q]].Rank; bq < 0 || r < best {
-						best, bq = r, q
+	} else {
+		// S-major merge: per probe position, interleave the shards'
+		// rank-ascending runs into global rank order.
+		for si := range sGroups {
+			for {
+				bq := -1
+				for q, p := range pairs {
+					if next[q] < p.Start[si+1] && (bq < 0 || p.Rank[next[q]] < pairs[bq].Rank[next[bq]]) {
+						bq = q
 					}
 				}
+				if bq < 0 {
+					break
+				}
+				st.Merged++
+				emit(bq, next[bq], next[bq]+1)
+				next[bq]++
 			}
-			if bq < 0 {
-				break
-			}
-			st.Merged++
-			out.Add(eqPairs[bq][si][heads[bq]].Pair)
-			heads[bq]++
 		}
 	}
+	out.DropBatchCache() // the result must not pin the shards' dictionaries
 	st.MergeTime = time.Since(mergeStart)
 	return out, st
 }

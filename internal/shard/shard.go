@@ -37,6 +37,16 @@
 // placement log is prefix-shared (it is append-only, and a snapshot
 // captures its length).
 //
+// There are two write paths and they build the same store. Add is the
+// incremental one: route a tuple, insert it, log its place. FromStore
+// is the bulk one: the source already holds every relation as columns
+// of interned IDs, so it routes each relation in one pass over its
+// first column (one router intern per distinct key), deals the IDs out
+// to per-shard column buffers, and lets one builder per shard insert
+// its buffer through Relation.AddBatch in parallel — no tuple is
+// decoded and no value re-interned per row, and every row still passes
+// the shard-local relation's dedup.
+//
 // With one shard the routing apparatus switches off: no routing, no
 // placement log, every operation delegates to the single underlying
 // rel.Epoch at zero overhead — and Publish still works, sealing that
@@ -44,6 +54,7 @@
 package shard
 
 import (
+	"fmt"
 	"sync/atomic"
 
 	"radiv/internal/engine"
@@ -81,10 +92,11 @@ type Source interface {
 }
 
 // Database is the hash-partitioned epoch writer. It implements
-// rel.Store (the writer's uncommitted view), rel.Reserver and Source.
-// Mutate it only through its own Add; writing directly into a
-// shard-local epoch bypasses the routing and placement bookkeeping.
-// Like rel.Epoch, all methods except Snapshot must be called from a
+// rel.Store (the writer's uncommitted view) and Source. Mutate it only
+// through its own Add (FromStore's bulk load is the one other writer,
+// and only into a database nobody else holds yet); writing directly
+// into a shard-local epoch bypasses the routing and placement
+// bookkeeping. Like rel.Epoch, all methods except Snapshot must be called from a
 // single writer goroutine; concurrent readers of the live store are
 // safe once loading is complete, and published snapshots are safe for
 // unlimited concurrent readers at any time.
@@ -108,9 +120,8 @@ type Database struct {
 }
 
 var (
-	_ rel.Store    = (*Database)(nil)
-	_ rel.Reserver = (*Database)(nil)
-	_ Source       = (*Database)(nil)
+	_ rel.Store = (*Database)(nil)
+	_ Source    = (*Database)(nil)
 )
 
 // New returns an empty sharded database over the schema with n shards
@@ -139,12 +150,104 @@ func New(schema rel.Schema, n int) *Database {
 // src's schema, relations in name order, tuples in insertion order —
 // so the routing dictionaries, and hence the partitioning, are
 // deterministic for a deterministically built source — and publishes
-// the loaded state as epoch 1.
+// the loaded state as epoch 1. The result is what adding src's tuples
+// one by one through Add and publishing builds, down to every
+// shard-local ID column and dictionary; it gets there without leaving
+// interned-ID space (see load).
 func FromStore(src rel.ReadStore, n int) *Database {
 	s := New(src.Schema(), n)
-	rel.CopyStore(s, src)
+	for _, name := range src.Schema().Names() {
+		// The stored relation itself for the in-memory backends, a
+		// one-off copy for any other: either way its ID columns.
+		r, _ := rel.Materialized(src, name)
+		s.load(name, r)
+	}
 	s.Publish()
 	return s
+}
+
+// load bulk-inserts src into the named relation of a database fresh
+// from New. The rows stay interned IDs in src's dictionary until a
+// shard-local relation translates them into its own: scatter deals
+// them out to per-shard column buffers, then one builder per shard, in
+// parallel (each writes its own rel.Epoch and only reads src's
+// dictionary), inserts its buffer through Relation.AddBatch — the same
+// dedup probe and dictionary assignment order as Add. With one shard
+// there is nothing to route and the one builder reads src's columns in
+// place.
+func (s *Database) load(name string, src *rel.Relation) {
+	if src.Len() == 0 {
+		return // as through Add: no working copy, no router, no log
+	}
+	cols, dict := src.IDColumns()
+	bufs, counts := [][][]uint32{cols}, []int32{int32(src.Len())}
+	if len(s.shards) > 1 {
+		bufs, counts = s.scatter(name, cols, dict, src.Len())
+	}
+	added := make([]int, len(s.shards))
+	engine.Executor{}.Run(len(s.shards), func(q int) {
+		n := int(counts[q])
+		if n == 0 {
+			return
+		}
+		r := s.shards[q].Mutable(name)
+		r.Reserve(n)
+		var b rel.Batch
+		b.MakeView(bufs[q], dict)
+		b.SliceView(bufs[q], 0, n)
+		added[q] = r.AddBatch(&b)
+		r.DropBatchCache() // the shard must not pin src's dictionary
+	})
+	for q, n := range added {
+		// The placement log was written from the routed counts: a
+		// rejected row would leave it pointing past the shard's end.
+		if n != int(counts[q]) {
+			panic(fmt.Sprintf("shard: bulk load of %s routed %d rows to shard %d, which accepted %d", name, counts[q], q, n))
+		}
+	}
+}
+
+// scatter is load's sequential routing pass. It walks the first column
+// once, assigning router IDs in first-occurrence order — one
+// Interner.Intern per distinct key; every later row of the key finds
+// its shard in a flat array indexed by source ID — and writes the
+// placement log; the log then says where each row's IDs go in the
+// per-shard column buffers it returns, with the per-shard row counts.
+// Arity-0 rows all go to shard 0 and need no router, like Add's.
+func (s *Database) scatter(name string, cols [][]uint32, dict *rel.Interner, rows int) ([][][]uint32, []int32) {
+	k := len(s.shards)
+	log := make([]place, rows)
+	counts := make([]int32, k)
+	if len(cols) == 0 {
+		counts[0] = int32(rows) // log entries are already {0, 0}: the one row there can be
+	} else {
+		rt := rel.NewInterner()
+		s.routers[name] = rt
+		shardOf := make([]int32, dict.Len()) // source ID -> 1 + shard, 0 until routed
+		for row, id := range cols[0] {
+			q := shardOf[id] - 1
+			if q < 0 {
+				q = int32(engine.PartOf(rt.Intern(dict.Value(id)), k))
+				shardOf[id] = q + 1
+			}
+			log[row] = place{q, counts[q]}
+			counts[q]++
+		}
+	}
+	s.placement[name] = log
+	bufs := make([][][]uint32, k)
+	for q := range bufs {
+		bufs[q] = make([][]uint32, len(cols))
+		for c := range cols {
+			bufs[q][c] = make([]uint32, counts[q])
+		}
+	}
+	for c, col := range cols {
+		for row, id := range col {
+			bufs[log[row].shard][c][log[row].idx] = id
+		}
+	}
+	return bufs, counts
 }
 
 // NumShards implements Source.
@@ -197,27 +300,6 @@ func (s *Database) Add(name string, t rel.Tuple) bool {
 	}
 	s.placement[name] = append(s.placement[name], place{int32(q), int32(pos)})
 	return true
-}
-
-// Reserve implements rel.Reserver, so rel.CopyStore (and FromStore)
-// pre-size a sharded load: the placement log gets room for n more
-// entries and every shard-local relation for its even share ⌈n/k⌉.
-// Hash routing spreads tuples evenly only in expectation; a shard that
-// receives more than its share resumes amortized growth. It is a
-// capacity hint and changes no content.
-func (s *Database) Reserve(name string, n int) {
-	if n <= 0 {
-		return
-	}
-	k := len(s.shards)
-	if k > 1 {
-		if log := s.placement[name]; cap(log)-len(log) < n {
-			s.placement[name] = append(make([]place, 0, len(log)+n), log...)
-		}
-	}
-	for _, e := range s.shards {
-		e.Reserve(name, (n+k-1)/k)
-	}
 }
 
 // AddInts inserts a tuple of integers into the named relation.

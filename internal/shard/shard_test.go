@@ -2,10 +2,12 @@ package shard_test
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
 	"radiv/internal/division"
+	"radiv/internal/faultinject"
 	"radiv/internal/plan"
 	"radiv/internal/ra"
 	"radiv/internal/rel"
@@ -41,6 +43,32 @@ func sameTuples(a, b *rel.Relation) error {
 	for i := range at {
 		if !at[i].Equal(bt[i]) {
 			return fmt.Errorf("position %d: %s vs %s", i, at[i], bt[i])
+		}
+	}
+	return nil
+}
+
+// sameStorage is sameTuples plus the interned form: same ID columns
+// and the same dictionary, value for value in ID order — what "built
+// the same way" means for two relations, beyond holding the same
+// tuples in the same order.
+func sameStorage(a, b *rel.Relation) error {
+	if err := sameTuples(a, b); err != nil {
+		return err
+	}
+	ac, ad := a.IDColumns()
+	bc, bd := b.IDColumns()
+	for k := range ac {
+		if !slices.Equal(ac[k], bc[k]) {
+			return fmt.Errorf("ID column %d differs", k)
+		}
+	}
+	if ad.Len() != bd.Len() {
+		return fmt.Errorf("dictionary of %d values vs %d", ad.Len(), bd.Len())
+	}
+	for id := 0; id < ad.Len(); id++ {
+		if !ad.Value(uint32(id)).Equal(bd.Value(uint32(id))) {
+			return fmt.Errorf("dictionary ID %d: %s vs %s", id, ad.Value(uint32(id)), bd.Value(uint32(id)))
 		}
 	}
 	return nil
@@ -101,49 +129,129 @@ func TestShardStoreContract(t *testing.T) {
 	}
 }
 
-// TestFromStoreReserveChangesNothing pins Reserve as a pure capacity
-// hint: FromStore, which pre-sizes every relation through
-// rel.CopyStore, builds exactly what tuple-by-tuple Adds into an
-// unreserved store build — same shard-local relations in the same
-// order, same routing dictionaries, same global scan order.
+// TestFromStoreReserveChangesNothing pins FromStore's bulk load
+// against the incremental write path (the name dates from when
+// FromStore was Add plus a capacity hint): for every kind of source it
+// builds exactly what tuple-by-tuple Adds into an empty store build —
+// the same shard-local relations down to ID columns and dictionary
+// order, the same routing dictionaries, versions and placement-derived
+// global scan order — and it leaves the routers, their sealed flags and
+// the placement log in the state Add expects, so the two stores stay
+// identical through further Adds and another Publish.
 func TestFromStoreReserveChangesNothing(t *testing.T) {
+	sources := map[string]*rel.Database{}
 	for seed := int64(0); seed < 4; seed++ {
-		d := workload.RandomDivision(seed).Database()
-		for _, n := range shardCounts {
-			reserved := shard.FromStore(d, n)
-			plain := shard.New(d.Schema(), n)
-			for _, name := range d.Schema().Names() {
-				for _, tup := range d.Rel(name).Tuples() {
-					plain.Add(name, tup)
-				}
-			}
-			plain.Publish()
-			for _, name := range d.Schema().Names() {
-				for q := 0; q < n; q++ {
-					if err := sameTuples(reserved.ShardRel(q, name), plain.ShardRel(q, name)); err != nil {
-						t.Fatalf("seed %d shards %d: %s on shard %d: %v", seed, n, name, q, err)
+		sources[fmt.Sprintf("division seed %d", seed)] = workload.RandomDivision(seed).Database()
+	}
+	// String values, arities 0, 1 and 3, and an empty relation.
+	mixed := rel.NewDatabase(rel.NewSchema(map[string]int{"Empty": 2, "Flag": 0, "Names": 1, "Triples": 3}))
+	mixed.Add("Flag", rel.Tuple{})
+	for i := 0; i < 60; i++ {
+		mixed.AddStrs("Names", fmt.Sprintf("name-%d", i%23))
+		mixed.Add("Triples", rel.Tuple{rel.Str(fmt.Sprintf("k%d", i%7)), rel.Int(int64(i)), rel.Str(fmt.Sprintf("v%d", i%5))})
+	}
+	sources["strings and arities 0/1/3"] = mixed
+	// One key owns three quarters of the tuples.
+	skewed := rel.NewDatabase(rel.NewSchema(map[string]int{"R": 2, "S": 1}))
+	for i := int64(0); i < 400; i++ {
+		if i%4 == 0 {
+			skewed.AddInts("R", 1+i, i%9)
+		} else {
+			skewed.AddInts("R", 0, i)
+		}
+	}
+	skewed.AddInts("S", 3)
+	sources["one heavy key"] = skewed
+
+	for label, d := range sources {
+		// The same data behind every kind of backend: the in-memory
+		// database and a published snapshot hand out their stored
+		// relations, a sharded snapshot is copied off its batch scan,
+		// and the fault-injection wrapper has only a tuple scan.
+		backends := map[string]rel.ReadStore{
+			"rel.Database":   d,
+			"rel.Snapshot":   rel.EpochFromStore(d).Snapshot(),
+			"shard.Snapshot": shard.FromStore(d, 2).Snapshot(),
+			"faultinject":    faultinject.Wrap(d, faultinject.Fault{}),
+		}
+		for backend, src := range backends {
+			for _, n := range shardCounts {
+				bulk := shard.FromStore(src, n)
+				plain := shard.New(d.Schema(), n)
+				for _, name := range d.Schema().Names() {
+					for _, tup := range d.Rel(name).Tuples() {
+						plain.Add(name, tup)
 					}
 				}
-				rr, pr := reserved.Router(name), plain.Router(name)
-				if rr.Len() != pr.Len() {
-					t.Fatalf("seed %d shards %d: %s router has %d values, want %d", seed, n, name, rr.Len(), pr.Len())
+				plain.Publish()
+				where := fmt.Sprintf("%s from %s at %d shards", label, backend, n)
+				if err := sameShardedStores(bulk, plain); err != nil {
+					t.Fatalf("%s: %v", where, err)
 				}
-				for id := 0; id < pr.Len(); id++ {
-					if !rr.Value(uint32(id)).Equal(pr.Value(uint32(id))) {
-						t.Fatalf("seed %d shards %d: %s router diverges at ID %d", seed, n, name, id)
+				// A duplicate, a new element under a known key, and new
+				// keys, in every relation that has columns to vary.
+				for _, name := range d.Schema().Names() {
+					if d.Rel(name).Len() == 0 || d.Rel(name).Arity() == 0 {
+						continue
+					}
+					first := d.Rel(name).At(0)
+					fresh := first.Clone()
+					fresh[len(fresh)-1] = rel.Str("a value nobody has")
+					newKey := first.Clone()
+					newKey[0] = rel.Int(-1)
+					for _, tup := range []rel.Tuple{first, fresh, newKey, fresh} {
+						if b, p := bulk.Add(name, tup), plain.Add(name, tup); b != p {
+							t.Fatalf("%s: Add(%s, %s) = %v after the bulk load, %v after Adds", where, name, tup, b, p)
+						}
 					}
 				}
-				rm, _ := rel.Materialized(reserved.Snapshot(), name)
-				pm, _ := rel.Materialized(plain.Snapshot(), name)
-				if err := sameTuples(rm, pm); err != nil {
-					t.Fatalf("seed %d shards %d: %s global order: %v", seed, n, name, err)
+				// Before Publish the new tuples are the writer's alone.
+				if err := sameShardedStores(bulk, plain); err != nil {
+					t.Fatalf("%s, after further Adds: %v", where, err)
 				}
-				if err := sameTuples(rm, d.Rel(name)); err != nil {
-					t.Fatalf("seed %d shards %d: %s against the source: %v", seed, n, name, err)
+				bulk.Publish()
+				plain.Publish()
+				if err := sameShardedStores(bulk, plain); err != nil {
+					t.Fatalf("%s, after further Adds and Publish: %v", where, err)
 				}
 			}
 		}
 	}
+}
+
+// sameShardedStores compares two sharded databases of one schema and
+// shard count in everything a reader or a later Add can observe, on the
+// writer's view and on the published snapshot: per shard the stored
+// relations (sameStorage), per relation the routing dictionary, the
+// version and the global scan order.
+func sameShardedStores(a, b *shard.Database) error {
+	for _, name := range a.Schema().Names() {
+		for _, src := range [][2]shard.Source{{a, b}, {a.Snapshot(), b.Snapshot()}} {
+			for q := 0; q < a.NumShards(); q++ {
+				if err := sameStorage(src[0].ShardRel(q, name), src[1].ShardRel(q, name)); err != nil {
+					return fmt.Errorf("%s on shard %d of %T: %v", name, q, src[0], err)
+				}
+			}
+			ar, br := src[0].Router(name), src[1].Router(name)
+			if ar.Len() != br.Len() {
+				return fmt.Errorf("%s router of %T has %d values, want %d", name, src[0], ar.Len(), br.Len())
+			}
+			for id := 0; id < br.Len(); id++ {
+				if !ar.Value(uint32(id)).Equal(br.Value(uint32(id))) {
+					return fmt.Errorf("%s router of %T diverges at ID %d", name, src[0], id)
+				}
+			}
+			am, _ := rel.Materialized(src[0], name)
+			bm, _ := rel.Materialized(src[1], name)
+			if err := sameTuples(am, bm); err != nil {
+				return fmt.Errorf("%s global order of %T: %v", name, src[0], err)
+			}
+		}
+		if av, bv := a.Snapshot().Version(name), b.Snapshot().Version(name); av != bv {
+			return fmt.Errorf("%s version %d, want %d", name, av, bv)
+		}
+	}
+	return nil
 }
 
 // TestShardSingleShardDelegation pins the zero-overhead contract at
@@ -220,7 +328,9 @@ func TestShardedDivisionEquivalence(t *testing.T) {
 
 // TestShardedSetJoinEquivalence is the acceptance criterion for the
 // set joins: both shard-local joins are byte-identical to their
-// sequential counterparts at shard counts 1, 2 and 4.
+// sequential counterparts at shard counts 1, 2 and 4 — tuples,
+// insertion order, and the result's ID columns and dictionary order
+// too, since the merges insert interned pairs rather than tuples.
 func TestShardedSetJoinEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		r, sRel := workload.RandomSetJoin(seed).Generate()
@@ -238,15 +348,58 @@ func TestShardedSetJoinEquivalence(t *testing.T) {
 			s := shard.FromStore(d, n)
 			for _, workers := range []int{1, 2, 4} {
 				gotC, _ := shard.ContainmentJoin(s, "R", "S", workers)
-				if err := sameTuples(wantC, gotC); err != nil {
+				if err := sameStorage(wantC, gotC); err != nil {
 					t.Fatalf("containment seed %d shards %d workers %d: %v", seed, n, workers, err)
 				}
 				gotE, _ := shard.EqualityJoin(s, "R", "S", workers)
-				if err := sameTuples(wantE, gotE); err != nil {
+				if err := sameStorage(wantE, gotE); err != nil {
 					t.Fatalf("equality seed %d shards %d workers %d: %v", seed, n, workers, err)
 				}
 			}
 		}
+	}
+}
+
+// TestShardedAllocationCeilings pins the interned-ID data path by what
+// it does not allocate, at 2 shards: the containment join makes well
+// under one allocation per emitted pair (a rel.Tuple per pair and a
+// pair list per group made it 2.7), and FromStore's allocations do not
+// scale with the tuple count (buffers and reservations per relation
+// and shard, never per tuple).
+func TestShardedAllocationCeilings(t *testing.T) {
+	// 200 R sets over a 40-value domain, each holding all but one value;
+	// 200 two-element S sets: an S set is contained unless it names the
+	// R set's missing value, so 200 × 200 × 0.95 = 38 000 pairs. Bulk is
+	// there for the load only: 100 000 more tuples.
+	d := rel.NewDatabase(rel.NewSchema(map[string]int{"R": 2, "S": 2, "Bulk": 2}))
+	for g := int64(0); g < 200; g++ {
+		for e := int64(0); e < 40; e++ {
+			if e != g%40 {
+				d.AddInts("R", g, e)
+			}
+		}
+		d.AddInts("S", g, g%40)
+		d.AddInts("S", g, (g+7)%40)
+	}
+	for i := int64(0); i < 100000; i++ {
+		d.AddInts("Bulk", i/100, i%100)
+	}
+	s := shard.FromStore(d, 2).Snapshot()
+	pairs := 0
+	allocs := testing.AllocsPerRun(3, func() {
+		out, _ := shard.ContainmentJoin(s, "R", "S", 2)
+		pairs = out.Len()
+	})
+	if pairs < 20000 {
+		t.Fatalf("the instance yields %d pairs, the ceiling is stated for at least 20000", pairs)
+	}
+	if perPair := allocs / float64(pairs); perPair > 0.5 {
+		t.Errorf("ContainmentJoin: %.0f allocations for %d pairs (%.2f each), want at most 0.5 each", allocs, pairs, perPair)
+	}
+	tuples := d.Size()
+	allocs = testing.AllocsPerRun(3, func() { shard.FromStore(d, 2) })
+	if perTuple := allocs / float64(tuples); perTuple > 0.01 {
+		t.Errorf("FromStore: %.0f allocations for %d tuples (%.4f each), want at most 0.01 each", allocs, tuples, perTuple)
 	}
 }
 
