@@ -265,12 +265,13 @@ func (g *divGroup) mark(slot uint32) {
 }
 
 // Hash is Graefe's hash division on interned value IDs: the divisor
-// dictionary assigns each S value a dense slot (its interned ID), the
-// group dictionary assigns each candidate a dense index, and every
-// probe is an integer map lookup — no key strings are built. Each
-// candidate group keeps a bitmap of matched slots and qualifies when
-// the bitmap is full (containment) or full with no extra B's
-// (equality). Expected O(|R| + |S|).
+// table assigns each S value a dense slot, and R is read as its stored
+// ID columns (DivisorTable.divideBatches, the kernel the sharded
+// division runs per shard) — after a value's first occurrence a row
+// costs two array loads, and no row is decoded. Each candidate group
+// keeps a bitmap of matched slots and qualifies when the bitmap is full
+// (containment) or full with no extra B's (equality). Expected
+// O(|R| + |S|).
 type Hash struct{}
 
 // Name implements Algorithm.
@@ -279,44 +280,15 @@ func (Hash) Name() string { return "hash" }
 // Divide implements Algorithm.
 func (Hash) Divide(r, s *rel.Relation, sem Semantics) (*rel.Relation, Stats) {
 	checkInputs(r, s)
-	var st Stats
-	slots := rel.NewInterner() // S value -> dense slot
-	for _, t := range s.Tuples() {
-		st.TuplesRead++
-		st.Probes++
-		slots.Intern(t[0])
-	}
-	need := slots.Len()
-	words := (need + 63) / 64
-	gids := rel.NewInterner() // candidate value -> dense group index
-	var groups []*divGroup    // indexed by group ID
-	for _, t := range r.Tuples() {
-		st.TuplesRead++
-		st.Probes++
-		gid := gids.Intern(t[0])
-		if int(gid) == len(groups) {
-			groups = append(groups, &divGroup{rep: t[0], seen: make([]uint64, words)})
-		}
-		g := groups[gid]
-		st.Probes++
-		if slot, ok := slots.ID(t[1]); ok {
-			g.mark(slot)
-		} else {
-			g.extras++
-		}
-	}
-	// Memory: one entry per group and divisor plus the per-group
-	// bitmaps (64 slots per word).
-	st.MaxMemoryTuples = len(groups) + s.Len() + len(groups)*words
+	keys, st := NewDivisorTable(s).divideBatches(r.BatchScan(), sem)
+	// The kernel counts the dividend; building the table read, probed
+	// and holds one entry per divisor tuple.
+	st.TuplesRead += s.Len()
+	st.Probes += s.Len()
+	st.MaxMemoryTuples += s.Len()
 	out := rel.NewRelation(1)
-	for _, g := range groups {
-		if g.hits != need {
-			continue
-		}
-		if sem == Equality && g.extras > 0 {
-			continue
-		}
-		out.Add(rel.Tuple{g.rep})
+	for _, a := range keys {
+		out.Add(rel.Tuple{a})
 	}
 	return out, st
 }

@@ -184,6 +184,19 @@ func (dt *DivisorTable) DivideShard(shard engine.Cursor, sem Semantics) (map[rel
 // DivideShard on the same rows exactly. Concurrent calls are safe: the
 // divisor table is read-only and the caches are call-local.
 func (dt *DivisorTable) DivideShardBatches(shard engine.BatchCursor, sem Semantics) (map[rel.Value]bool, Stats) {
+	keys, st := dt.divideBatches(shard, sem)
+	qualified := make(map[rel.Value]bool, len(keys))
+	for _, v := range keys {
+		qualified[v] = true
+	}
+	return qualified, st
+}
+
+// divideBatches is the one hash-division kernel, shared by
+// DivideShardBatches and the sequential Hash: the Graefe bitmap scheme
+// over (group, element) ID batches. It returns the qualifying group
+// keys in first-occurrence order; the stats cover the dividend only.
+func (dt *DivisorTable) divideBatches(shard engine.BatchCursor, sem Semantics) ([]rel.Value, Stats) {
 	var st Stats
 	var groups []*divGroup
 	groupOf := rel.NewIDMap(rel.NewInterner()) // group value -> dense local index
@@ -228,7 +241,7 @@ func (dt *DivisorTable) DivideShardBatches(shard engine.BatchCursor, sem Semanti
 		b.Release()
 	}
 	st.MaxMemoryTuples = len(groups) + len(groups)*dt.words
-	qualified := make(map[rel.Value]bool, len(groups))
+	var qualified []rel.Value
 	for _, g := range groups {
 		if g.hits != dt.need {
 			continue
@@ -236,7 +249,7 @@ func (dt *DivisorTable) DivideShardBatches(shard engine.BatchCursor, sem Semanti
 		if sem == Equality && g.extras > 0 {
 			continue
 		}
-		qualified[g.rep] = true
+		qualified = append(qualified, g.rep)
 	}
 	return qualified, st
 }

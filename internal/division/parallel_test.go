@@ -61,8 +61,10 @@ func TestParallelHashDeterministic(t *testing.T) {
 	}
 }
 
-// TestHashStringKeyMatchesHash pins the string-key reference path to
-// the interned path on the same instances.
+// TestHashStringKeyMatchesHash pins the interned path — the batch
+// kernel over R's ID columns — to the string-key reference path, which
+// still walks decoded rows, on the same instances: same result in the
+// same emission order, and the same Stats to the last probe.
 func TestHashStringKeyMatchesHash(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 40; trial++ {
@@ -75,10 +77,18 @@ func TestHashStringKeyMatchesHash(t *testing.T) {
 			s.Add(rel.Ints(int64(rng.Intn(11))))
 		}
 		for _, sem := range []Semantics{Containment, Equality} {
-			a, _ := Hash{}.Divide(r, s, sem)
-			b, _ := HashStringKey{}.Divide(r, s, sem)
+			a, ast := Hash{}.Divide(r, s, sem)
+			b, bst := HashStringKey{}.Divide(r, s, sem)
 			if !a.Equal(b) {
 				t.Fatalf("trial %d %s: interned %vstring %v", trial, sem, a, b)
+			}
+			for i, tup := range b.Tuples() {
+				if !a.At(i).Equal(tup) {
+					t.Fatalf("trial %d %s: emission order differs at %d: interned %v, string %v", trial, sem, i, a.At(i), tup)
+				}
+			}
+			if ast != bst {
+				t.Fatalf("trial %d %s: stats differ: interned %+v, string %+v", trial, sem, ast, bst)
 			}
 		}
 	}

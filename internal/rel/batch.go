@@ -346,43 +346,33 @@ func (t *tupleBatcher) ReleaseHeld() {
 	b.Release()
 }
 
-// ToTuples adapts a batch cursor to a tuple cursor, decoding each row
-// into a fresh caller-owned tuple — the batch→tuple half of the
-// adapter pair. Batches are released as they are exhausted.
+// ToTuples adapts a batch cursor to a tuple cursor — the batch→tuple
+// half of the adapter pair. Each batch is decoded whole into fresh
+// storage, one arena per batch, and released at once: the yielded
+// tuples are the caller's, and the adapter holds no batch between
+// calls.
 func ToTuples(in BatchCursor) NextCursor { return &batchUnpacker{in: in} }
 
 type batchUnpacker struct {
-	in  BatchCursor
-	cur *Batch
-	row int
+	in   BatchCursor
+	rows []Tuple // decoded and not yet yielded
 }
 
 func (u *batchUnpacker) Next() (Tuple, bool) {
-	for u.cur == nil || u.row >= u.cur.Len() {
-		if u.cur != nil {
-			u.cur.Release()
-			u.cur = nil
-		}
+	for len(u.rows) == 0 {
 		b, ok := u.in.NextBatch()
 		if !ok {
 			return nil, false
 		}
-		u.cur, u.row = b, 0
+		u.rows = arenaRows(b.Len(), b.Arity())
+		for row, t := range u.rows {
+			b.Row(t, row)
+		}
+		b.Release()
 	}
-	t := make(Tuple, u.cur.Arity())
-	for k := range t {
-		t[k] = u.cur.Value(k, u.row)
-	}
-	u.row++
+	t := u.rows[0]
+	u.rows = u.rows[1:]
 	return t, true
-}
-
-// ReleaseHeld implements BatchHolder: it releases the batch being
-// unpacked when an abort unwound through a consumer mid-batch.
-func (u *batchUnpacker) ReleaseHeld() {
-	b := u.cur
-	u.cur = nil
-	b.Release()
 }
 
 // IDMap is a translation cache between dictionaries: it maps (source

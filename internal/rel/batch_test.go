@@ -282,17 +282,17 @@ func TestRelationSizedEquivalent(t *testing.T) {
 	}
 }
 
-// TestArenaCloneIsolation: tuples returned by Tuples share the clone
-// arena, so an append through a returned tuple must reallocate rather
-// than scribble over the next stored tuple.
+// TestArenaCloneIsolation: tuples decoded together share one arena, so
+// an append through a returned tuple must reallocate rather than
+// scribble over the tuple decoded next to it.
 func TestArenaCloneIsolation(t *testing.T) {
 	r := NewRelation(2)
 	r.Add(Ints(1, 2))
 	r.Add(Ints(3, 4))
 	ts := r.Tuples()
 	_ = append(ts[0], Int(99)) // must copy, not overwrite ts[1]'s storage
-	if !r.Tuples()[1].Equal(Ints(3, 4)) {
-		t.Fatal("append through a returned tuple corrupted the next stored tuple")
+	if !ts[1].Equal(Ints(3, 4)) || !r.Tuples()[1].Equal(Ints(3, 4)) {
+		t.Fatal("append through a returned tuple corrupted the next tuple")
 	}
 	if !r.Contains(Ints(3, 4)) {
 		t.Fatal("index lost a tuple after aliased append")

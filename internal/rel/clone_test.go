@@ -1,14 +1,18 @@
 package rel
 
-import "testing"
+import (
+	"bytes"
+	"slices"
+	"testing"
+)
 
 // These tests are the regression suite of the Clone/Equal interner
 // audit: a clone must not alias the original's interner (or dedup
-// index, or tuple storage) in any way that lets post-clone adds
-// corrupt deduplication on either side. The audit found no sharing —
-// Clone rebuilds through Add, so every relation owns its dictionary —
-// and these tests pin that property against future rewrites (a
-// tempting "optimization" would be to share the interner and copy the
+// index, or ID columns) in any way that lets post-clone adds corrupt
+// deduplication on either side. Clone copies the columns, the index
+// and the dictionary, so every relation owns all three, and these
+// tests pin that property against future rewrites (a tempting
+// "optimization" would be to share the interner and copy only the
 // index, which would break ID assignment for values added to only one
 // side).
 
@@ -120,4 +124,100 @@ func TestCloneTupleStorageIndependence(t *testing.T) {
 	if &rt[0] == &ct[0] {
 		t.Errorf("clone aliases the original's tuple storage")
 	}
+}
+
+// relationState is everything a reader can observe of a relation's
+// storage: its ID columns, its dictionary in ID order, its cardinality.
+type relationState struct {
+	cols [][]uint32
+	dict []Value
+	n    int
+}
+
+func stateOf(r *Relation) relationState {
+	cols, dict := r.IDColumns()
+	st := relationState{cols: make([][]uint32, len(cols)), n: r.Len()}
+	for k, col := range cols {
+		st.cols[k] = slices.Clone(col)
+	}
+	for id := 0; id < dict.Len(); id++ {
+		st.dict = append(st.dict, dict.Value(uint32(id)))
+	}
+	return st
+}
+
+// requireState fails unless r still has the recorded state, finds
+// every tuple of members and none of strangers.
+func requireState(t *testing.T, label string, r *Relation, want relationState, members, strangers []Tuple) {
+	t.Helper()
+	got := stateOf(r)
+	if got.n != want.n || !slices.Equal(got.dict, want.dict) {
+		t.Fatalf("%s: Len %d and %d dictionary entries, want %d and %d in the same order", label, got.n, len(got.dict), want.n, len(want.dict))
+	}
+	for k := range want.cols {
+		if !slices.Equal(got.cols[k], want.cols[k]) {
+			t.Fatalf("%s: ID column %d changed", label, k)
+		}
+	}
+	for _, tup := range members {
+		if !r.Contains(tup) {
+			t.Fatalf("%s: lost %v", label, tup)
+		}
+	}
+	for _, tup := range strangers {
+		if r.Contains(tup) {
+			t.Fatalf("%s: holds %v, which was added to the other side only", label, tup)
+		}
+	}
+}
+
+// TestCloneIsAColumnCopy: cloning a loaded relation allocates its
+// columns, index and dictionary over again and nothing per tuple beyond
+// that, and the two sides then share no storage — a run of Adds long
+// enough to re-chain one side's index leaves the other's ID columns,
+// dictionary order, Len and Contains exactly as they were.
+func TestCloneIsAColumnCopy(t *testing.T) {
+	const tuples = 100000
+	d, err := ReadText(bytes.NewReader(integerFile(tuples)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := d.Rel("R")
+	var c *Relation
+	perTuple := float64(allocatedBytes(func() { c = r.Clone() })) / tuples
+	t.Logf("%.1f B allocated per cloned tuple", perTuple)
+	if perTuple > 40 {
+		t.Errorf("%.1f B allocated per cloned tuple, want at most 40", perTuple)
+	}
+	if !c.Equal(r) {
+		t.Fatal("clone differs from its source")
+	}
+
+	loaded := r.Tuples()
+	fresh := func(base int64) []Tuple {
+		ts := make([]Tuple, 40000)
+		for i := range ts {
+			ts[i] = Ints(base+int64(i), base)
+		}
+		return ts
+	}
+	grow := func(side *Relation, ts []Tuple) {
+		buckets := len(side.heads)
+		for _, tup := range ts {
+			if !side.Add(tup) {
+				t.Fatalf("fresh tuple %v rejected", tup)
+			}
+		}
+		if len(side.heads) == buckets {
+			t.Fatalf("%d Adds did not re-chain an index of %d buckets", len(ts), buckets)
+		}
+	}
+
+	toClone, toSource := fresh(-1000000), fresh(-2000000)
+	sourceState := stateOf(r)
+	grow(c, toClone)
+	requireState(t, "source after the clone grew", r, sourceState, loaded, toClone)
+	cloneState := stateOf(c)
+	grow(r, toSource)
+	requireState(t, "clone after the source grew", c, cloneState, append(loaded, toClone...), toSource)
 }

@@ -281,6 +281,39 @@ func TestReadTextAllocations(t *testing.T) {
 	}
 }
 
+// integerFile is an n-line text database of one binary integer
+// relation R: n distinct tuples over n/20 + 977 distinct values.
+func integerFile(n int) []byte {
+	var file bytes.Buffer
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&file, "R %d,%d\n", i/20, 1000000+i%977)
+	}
+	return file.Bytes()
+}
+
+// TestReadTextFootprint holds the bytes a load allocates per tuple: the
+// input buffer (the text is read whole), the reserved ID columns and
+// dedup index, and the dictionary — no decoded row beside them.
+func TestReadTextFootprint(t *testing.T) {
+	const tuples = 100000
+	file := integerFile(tuples)
+	var d *Database
+	got := allocatedBytes(func() {
+		var err error
+		if d, err = ReadText(bytes.NewReader(file)); err != nil {
+			t.Fatalf("ReadText: %v", err)
+		}
+	})
+	if d.Size() != tuples {
+		t.Fatalf("loaded %d tuples, want %d", d.Size(), tuples)
+	}
+	perTuple := float64(got) / tuples
+	t.Logf("%.1f B allocated per loaded tuple, %.1f of them the input buffer", perTuple, float64(len(file))/tuples)
+	if perTuple > 64 {
+		t.Errorf("%.1f B allocated per loaded tuple, want at most 64", perTuple)
+	}
+}
+
 // ReadText sizes its buffer from a reader that knows its length (Len
 // for the in-memory readers, Stat for a file) and falls back to a
 // doubling buffer for any other; all three must load the same database.

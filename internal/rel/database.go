@@ -153,9 +153,7 @@ type SpaceTuple struct {
 func (d *Database) ActiveDomain() []Value {
 	var vs []Value
 	for _, r := range d.rels {
-		for _, t := range r.Tuples() {
-			vs = append(vs, t...)
-		}
+		vs = append(vs, r.Values()...)
 	}
 	return Tuple(vs).Set()
 }

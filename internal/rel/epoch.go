@@ -13,11 +13,11 @@ package rel
 //
 // Cost model: publishing is O(#relations) map copying plus version
 // bumps; the data is shared structurally. The copy-on-write cost —
-// one Clone of a relation's tuples, columns, index and dictionary —
-// is paid at most once per relation per epoch, on the first write,
-// and only for relations actually written. The clone rebuilds
-// through Add in insertion order, so the working copy's interned IDs,
-// columns and scan order are identical to the sealed base's.
+// one Clone of a relation: a copy of its ID columns, its index and
+// its dictionary, nothing re-hashed or re-interned — is paid at most
+// once per relation per epoch, on the first write, and only for
+// relations actually written. The working copy's interned IDs,
+// columns and scan order are therefore identical to the sealed base's.
 
 import (
 	"fmt"

@@ -2,6 +2,7 @@ package rel
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -11,19 +12,20 @@ import (
 // preserved for deterministic iteration, which keeps tests and
 // benchmark output stable.
 //
-// Deduplication runs on interned value IDs: each relation owns an
-// Interner, and every insert path (Add, AddBatch, the text loader)
-// reduces its row to IDs in that dictionary and goes through one
-// insert core, addIDs. Add and Contains never build the Tuple.Key
-// string encodings (those remain available to callers that need an
-// injective encoding without a dictionary).
-//
-// Besides the tuple slice, the relation keeps its interned IDs in flat
-// per-attribute columns (struct-of-arrays), appended at insert time.
-// The columns are what BatchScan emits — the vectorized executors scan
-// stored relations without re-interning a single value — and what the
-// deduplication probes compare, turning candidate verification into
-// uint32 comparisons.
+// A relation is stored as its columns and nothing else: each relation
+// owns an Interner, every insert path (Add, AddBatch, the text loader)
+// reduces its row to IDs in that dictionary and goes through one insert
+// core, addIDs, and the IDs are kept in flat per-attribute columns
+// (struct-of-arrays) — 4 bytes per value. The columns are what
+// BatchScan emits — the executor scans stored relations without
+// re-interning a single value — and what the deduplication probes
+// compare, turning candidate verification into uint32 comparisons. No
+// decoded row is kept beside them: Tuples, Sorted, Cursor and At decode
+// rows from columns and dictionary when asked, into storage the caller
+// then owns, and no accessor caches what it decoded, so reading a
+// relation never writes to it. Add and Contains never build the
+// Tuple.Key string encodings (those remain available to callers that
+// need an injective encoding without a dictionary).
 //
 // The dedup index is a flat chained hash table over those columns:
 // heads is a power-of-two bucket array (bucket = HashIDs & mask)
@@ -37,13 +39,12 @@ import (
 // sealed relation never writes.
 type Relation struct {
 	arity  int
-	tuples []Tuple
+	n      int        // cardinality: an arity-0 relation has no column to measure
 	cols   [][]uint32 // arity flat ID columns, one entry per stored tuple
 	intern *Interner
 	heads  []int32  // per bucket: 1 + newest position in its chain (0 = empty); nil while empty
 	next   []int32  // per tuple: 1 + next position in its hash chain (0 ends)
 	idbuf  []uint32 // scratch for the insert paths, avoids per-call allocation
-	arena  []Value  // chunked backing storage for stored tuple clones
 	xlat   *IDMap   // lazy translation cache for AddBatch sinks
 }
 
@@ -63,32 +64,27 @@ func NewRelation(arity int) *Relation {
 }
 
 // NewRelationSized is NewRelation followed by Reserve(n): an empty
-// relation whose tuple storage, ID columns, clone arena and dedup
-// index all start at the size n tuples need instead of growing from
-// zero through every doubling. Evaluator sinks and store
-// materialization use it whenever a cardinality (or a decent estimate)
-// is known up front.
+// relation whose ID columns and dedup index start at the size n tuples
+// need instead of growing from zero through every doubling. Evaluator
+// sinks and store materialization use it whenever a cardinality (or a
+// decent estimate) is known up front.
 func NewRelationSized(arity, n int) *Relation {
 	r := NewRelation(arity)
 	r.Reserve(n)
 	return r
 }
 
-// Reserve grows the relation's storage — tuples, ID columns, arena and
-// the dedup index — to hold n more tuples without reallocation or
-// re-chaining. It is a capacity hint: contents, insertion order and
-// IDs are unchanged, and inserting more than n tuples afterwards just
-// resumes amortized growth.
+// Reserve grows the relation's storage — the ID columns and the dedup
+// index (chain links and buckets) — to hold n more tuples without
+// reallocation or re-chaining. It is a capacity hint: contents,
+// insertion order and IDs are unchanged, and inserting more than n
+// tuples afterwards just resumes amortized growth. The dictionary is
+// not sized: how many distinct values n tuples bring is not known here.
 func (r *Relation) Reserve(n int) {
 	if n <= 0 {
 		return
 	}
-	want := len(r.tuples) + n
-	if cap(r.tuples) < want {
-		ts := make([]Tuple, len(r.tuples), want)
-		copy(ts, r.tuples)
-		r.tuples = ts
-	}
+	want := r.n + n
 	for k := range r.cols {
 		if cap(r.cols[k]) < want {
 			c := make([]uint32, len(r.cols[k]), want)
@@ -100,9 +96,6 @@ func (r *Relation) Reserve(n int) {
 		nx := make([]int32, len(r.next), want)
 		copy(nx, r.next)
 		r.next = nx
-	}
-	if r.arity > 0 && cap(r.arena)-len(r.arena) < n*r.arity {
-		r.arena = make([]Value, 0, n*r.arity)
 	}
 	if len(r.heads) < 2*want {
 		r.rechain(2 * want)
@@ -124,7 +117,7 @@ func (r *Relation) rechain(n int) {
 	}
 	r.heads = make([]int32, size)
 	mask := uint64(size - 1)
-	for pos := range r.tuples {
+	for pos := 0; pos < r.n; pos++ {
 		h := uint64(hashOffset)
 		for _, col := range r.cols {
 			h = (h ^ uint64(col[pos])) * hashPrime
@@ -177,16 +170,16 @@ func (r *Relation) Arity() int { return r.arity }
 
 // Len returns the cardinality of the relation — its "size" in the sense
 // of Definition 15.
-func (r *Relation) Len() int { return len(r.tuples) }
+func (r *Relation) Len() int { return r.n }
 
 // Add inserts a tuple, ignoring duplicates. It reports whether the
 // tuple was new. It panics if the tuple has the wrong arity. The
-// relation stores a clone, so the caller keeps ownership of t; the
-// clone's backing storage comes from a chunked arena, so the steady-
-// state allocation cost of an accepted tuple is well under one
-// allocation (one arena chunk per arenaChunkRows tuples, plus the
-// amortized growth of the columns, the tuple slice and the index) and
-// zero into storage a Reserve has sized.
+// relation keeps the IDs of t's values, not t: the caller keeps
+// ownership of t, and an accepted tuple costs one uint32 per column
+// plus its share of the index — the amortized growth of the columns,
+// the chain links and the buckets, and nothing at all into storage a
+// Reserve has sized (a value seen for the first time also grows the
+// dictionary).
 func (r *Relation) Add(t Tuple) bool {
 	if len(t) != r.arity {
 		panic(fmt.Sprintf("rel: tuple arity %d inserted into relation of arity %d", len(t), r.arity))
@@ -198,15 +191,10 @@ func (r *Relation) Add(t Tuple) bool {
 	return r.addIDs(ids)
 }
 
-// arenaChunkRows is the arena growth unit: one []Value allocation
-// backs the clones of this many stored tuples.
-const arenaChunkRows = 256
-
 // addIDs is the insert core shared by Add, AddBatch and the text
 // loader: it inserts the tuple whose components have the given IDs in
 // the relation's own dictionary unless it is already stored, and
-// reports whether it was new. The stored tuple is decoded from the
-// dictionary into the arena; ids is read, not retained.
+// reports whether it was new. ids is read, not retained.
 func (r *Relation) addIDs(ids []uint32) bool {
 	h := HashIDs(ids)
 	for pos := r.chain(h); pos != 0; pos = r.next[pos-1] {
@@ -214,30 +202,13 @@ func (r *Relation) addIDs(ids []uint32) bool {
 			return false
 		}
 	}
-	if 2*len(r.tuples) >= len(r.heads) {
+	if 2*r.n >= len(r.heads) {
 		r.rechain(2 * len(r.heads))
 	}
 	b := h & uint64(len(r.heads)-1)
 	r.next = append(r.next, r.heads[b])
-	r.heads[b] = int32(len(r.tuples)) + 1
-	var clone Tuple
-	if r.arity > 0 {
-		if cap(r.arena)-len(r.arena) < r.arity {
-			r.arena = make([]Value, 0, arenaChunkRows*r.arity)
-		}
-		off := len(r.arena)
-		r.arena = r.arena[:off+r.arity]
-		// Full slice expression: the clone's capacity ends at its own
-		// storage, so an append by a caller can never scribble over the
-		// next tuple's values.
-		clone = Tuple(r.arena[off : off+r.arity : off+r.arity])
-		for k, id := range ids {
-			clone[k] = r.intern.vals[id]
-		}
-	} else {
-		clone = Tuple{}
-	}
-	r.tuples = append(r.tuples, clone)
+	r.n++
+	r.heads[b] = int32(r.n)
 	for k := range r.cols {
 		r.cols[k] = append(r.cols[k], ids[k])
 	}
@@ -347,46 +318,72 @@ func (r *Relation) AddBatch(b *Batch) int {
 	return added
 }
 
-// Tuples returns the tuples in insertion order. The returned slice is
-// a fresh copy the caller may reorder or truncate freely; the Tuple
-// values themselves are shared with the relation and MUST NOT be
-// modified in place — doing so would corrupt the deduplication index.
-// Use Tuple.Clone before mutating a tuple obtained from a relation.
+// row decodes the stored tuple at position pos into buf, which must
+// have the relation's arity, and returns buf.
+func (r *Relation) row(buf Tuple, pos int) Tuple {
+	for k, col := range r.cols {
+		buf[k] = r.intern.vals[col[pos]]
+	}
+	return buf
+}
+
+// arenaRows returns n zeroed tuples of the given arity over one arena:
+// two allocations whatever n. Each tuple's capacity ends at its own
+// storage, so an append by a caller can never run into the next tuple's
+// values.
+func arenaRows(n, arity int) []Tuple {
+	arena := make([]Value, n*arity)
+	ts := make([]Tuple, n)
+	for i := range ts {
+		ts[i] = Tuple(arena[i*arity : (i+1)*arity : (i+1)*arity])
+	}
+	return ts
+}
+
+// Tuples returns the tuples in insertion order, decoded from the ID
+// columns into one fresh arena. Slice and tuples belong to the caller,
+// which may reorder, truncate or modify them freely: nothing it does to
+// them reaches the relation.
 func (r *Relation) Tuples() []Tuple {
-	ts := make([]Tuple, len(r.tuples))
-	copy(ts, r.tuples)
+	ts := arenaRows(r.n, r.arity)
+	for pos, t := range ts {
+		r.row(t, pos)
+	}
 	return ts
 }
 
 // Cursor returns an iterator over the tuples in insertion order that
-// reads the relation's backing store directly, without the defensive
-// copy Tuples() makes. The yielded tuples are shared with the relation
-// and must not be mutated; the relation must not be modified while the
-// cursor is in use. This is the tuple scan of a stored relation
-// (StoredRel.Scan).
+// decodes them a chunk at a time, so a scan never holds the whole
+// relation in row form the way Tuples() does. The yielded tuples belong
+// to the caller; the relation must not be modified while the cursor is
+// in use. This is the tuple scan of a stored relation (StoredRel.Scan).
 func (r *Relation) Cursor() *Cursor { return &Cursor{r: r} }
 
 // Cursor iterates a relation's tuples in insertion order. The zero
 // Cursor is not usable; obtain one from Relation.Cursor.
 type Cursor struct {
-	r *Relation
-	i int
+	r  *Relation
+	in NextCursor // the decoded batch scan; nil until the first Next of a pass
 }
 
+// arenaChunkRows is how many tuples a Cursor decodes at a time: one
+// arena allocation backs this many yielded tuples.
+const arenaChunkRows = 256
+
 // Next returns the next tuple, or (nil, false) when the cursor is
-// exhausted. The tuple shares storage with the relation: read-only.
+// exhausted. The tuple is the caller's to keep and to modify: every
+// chunk is decoded into fresh storage (ToTuples), never into a buffer
+// the cursor reuses, because callers do retain what they are handed.
 func (c *Cursor) Next() (Tuple, bool) {
-	if c.i >= len(c.r.tuples) {
-		return nil, false
+	if c.in == nil {
+		c.in = ToTuples(c.r.BatchScanSized(arenaChunkRows))
 	}
-	t := c.r.tuples[c.i]
-	c.i++
-	return t, true
+	return c.in.Next()
 }
 
 // Reset rewinds the cursor to the first tuple, so one cursor can drive
-// the inner side of a nested-loop join without re-copying the relation.
-func (c *Cursor) Reset() { c.i = 0 }
+// the inner side of a nested-loop join. The next pass decodes afresh.
+func (c *Cursor) Reset() { c.in = nil }
 
 // Scan implements StoredRel: the in-memory relation is its own view,
 // so scanning it is exactly Cursor().
@@ -427,7 +424,7 @@ type relBatchCursor struct {
 }
 
 func (c *relBatchCursor) NextBatch() (*Batch, bool) {
-	n := len(c.r.tuples)
+	n := c.r.n
 	if c.i >= n {
 		return nil, false
 	}
@@ -444,11 +441,16 @@ func (c *relBatchCursor) NextBatch() (*Batch, bool) {
 	return &c.view, true
 }
 
-// At returns the tuple at position i in insertion order, shared with
-// the relation: read-only. It is the random-access primitive the
-// sharded store's placement log uses to replay global insertion order
-// across shard-local relations.
-func (r *Relation) At(i int) Tuple { return r.tuples[i] }
+// At returns the tuple at position i in insertion order, decoded into
+// a tuple of its own that belongs to the caller (one allocation per
+// call: a walk over many positions wants Cursor, Tuples or the ID
+// columns). It panics when i is not a position of the relation.
+func (r *Relation) At(i int) Tuple {
+	if i < 0 || i >= r.n {
+		panic(fmt.Sprintf("rel: position %d outside relation of %d tuples", i, r.n))
+	}
+	return r.row(make(Tuple, r.arity), i)
+}
 
 // DropBatchCache releases the AddBatch translation cache and the
 // source dictionaries it references. Call it when a batch stream has
@@ -462,23 +464,33 @@ func (r *Relation) DropBatchCache() { r.xlat = nil }
 // live storage: the relation must not be modified while they are held.
 func (r *Relation) IDColumns() ([][]uint32, *Interner) { return r.cols, r.intern }
 
-// Sorted returns the tuples in lexicographic order as a fresh slice.
+// Sorted returns the tuples in lexicographic order, caller-owned like
+// the result of Tuples.
 func (r *Relation) Sorted() []Tuple {
-	ts := make([]Tuple, len(r.tuples))
-	copy(ts, r.tuples)
+	ts := r.Tuples()
 	sort.Slice(ts, func(i, j int) bool { return ts[i].Cmp(ts[j]) < 0 })
 	return ts
 }
 
-// Clone returns a deep copy of the relation. The copy shares nothing
-// mutable with the original: it is rebuilt through Add, which gives it
-// its own Interner, its own dedup index, and clones of the tuples — so
-// adds to either side after cloning can never corrupt the other's
-// deduplication (regression-tested in TestCloneInternerIndependence).
+// Clone returns a deep copy of the relation: a copy of the ID columns,
+// of the dedup index as it stands and of the dictionary — nothing is
+// re-hashed or re-interned, so the copy has the original's IDs, chains
+// and scan order. It shares nothing mutable with the original: adds to
+// either side after cloning, re-chaining included, can never reach the
+// other (regression-tested in TestCloneInternerIndependence). It is
+// the copy-on-write step of the epoch writer.
 func (r *Relation) Clone() *Relation {
-	c := NewRelationSized(r.arity, len(r.tuples))
-	for _, t := range r.tuples {
-		c.Add(t)
+	c := &Relation{
+		arity:  r.arity,
+		n:      r.n,
+		cols:   make([][]uint32, r.arity),
+		intern: r.intern.Clone(),
+		heads:  slices.Clone(r.heads),
+		next:   slices.Clone(r.next),
+		idbuf:  make([]uint32, r.arity),
+	}
+	for k, col := range r.cols {
+		c.cols[k] = slices.Clone(col)
 	}
 	return c
 }
@@ -486,11 +498,12 @@ func (r *Relation) Clone() *Relation {
 // Equal reports whether two relations hold exactly the same set of
 // tuples (arity included).
 func (r *Relation) Equal(s *Relation) bool {
-	if r.arity != s.arity || len(r.tuples) != len(s.tuples) {
+	if r.arity != s.arity || r.n != s.n {
 		return false
 	}
-	for _, t := range r.tuples {
-		if !s.Contains(t) {
+	buf := make(Tuple, r.arity)
+	for pos := 0; pos < r.n; pos++ {
+		if !s.Contains(r.row(buf, pos)) {
 			return false
 		}
 	}
@@ -501,8 +514,9 @@ func (r *Relation) Equal(s *Relation) bool {
 func (r *Relation) Union(s *Relation) *Relation {
 	mustSameArity(r, s)
 	out := r.Clone()
-	for _, t := range s.tuples {
-		out.Add(t)
+	buf := make(Tuple, s.arity)
+	for pos := 0; pos < s.n; pos++ {
+		out.Add(s.row(buf, pos))
 	}
 	return out
 }
@@ -511,8 +525,9 @@ func (r *Relation) Union(s *Relation) *Relation {
 func (r *Relation) Diff(s *Relation) *Relation {
 	mustSameArity(r, s)
 	out := NewRelation(r.arity)
-	for _, t := range r.tuples {
-		if !s.Contains(t) {
+	buf := make(Tuple, r.arity)
+	for pos := 0; pos < r.n; pos++ {
+		if t := r.row(buf, pos); !s.Contains(t) {
 			out.Add(t)
 		}
 	}
@@ -527,8 +542,9 @@ func (r *Relation) Intersect(s *Relation) *Relation {
 	if s.Len() < r.Len() {
 		small, large = s, r
 	}
-	for _, t := range small.tuples {
-		if large.Contains(t) {
+	buf := make(Tuple, small.arity)
+	for pos := 0; pos < small.n; pos++ {
+		if t := small.row(buf, pos); large.Contains(t) {
 			out.Add(t)
 		}
 	}
@@ -544,8 +560,12 @@ func (r *Relation) Project(idx ...int) *Relation {
 		}
 	}
 	out := NewRelation(len(idx))
-	for _, t := range r.tuples {
-		out.Add(t.Project(idx))
+	buf := make(Tuple, len(idx))
+	for pos := 0; pos < r.n; pos++ {
+		for p, i := range idx {
+			buf[p] = r.intern.vals[r.cols[i-1][pos]]
+		}
+		out.Add(buf)
 	}
 	return out
 }
@@ -553,9 +573,15 @@ func (r *Relation) Project(idx ...int) *Relation {
 // Values returns the sorted set of all values occurring in the
 // relation.
 func (r *Relation) Values() []Value {
+	seen := make([]bool, r.intern.Len())
 	var vs []Value
-	for _, t := range r.tuples {
-		vs = append(vs, t...)
+	for _, col := range r.cols {
+		for _, id := range col {
+			if !seen[id] {
+				seen[id] = true
+				vs = append(vs, r.intern.vals[id])
+			}
+		}
 	}
 	return Tuple(vs).Set()
 }

@@ -1,6 +1,7 @@
 package rel
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -252,5 +253,39 @@ func TestRelationAddAllocations(t *testing.T) {
 	}
 	if small, large := load(20000), load(40000); large != small {
 		t.Errorf("Add allocates per tuple: %v allocs for 20000 tuples, %v for 40000", small, large)
+	}
+}
+
+// allocatedBytes reports how many heap bytes fn allocated.
+func allocatedBytes(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestRelationAddFootprint holds what a stored tuple costs: an arity-2
+// tuple added into reserved storage is two column IDs, a chain link and
+// its share of the bucket array — a row copy beside the columns would
+// be some 90 bytes more.
+func TestRelationAddFootprint(t *testing.T) {
+	const n = 100000
+	var r *Relation
+	tup := make(Tuple, 2)
+	got := allocatedBytes(func() {
+		r = NewRelationSized(2, n)
+		for i := 0; i < n; i++ {
+			tup[0], tup[1] = Int(int64(i%1000)), Int(int64(i/1000))
+			r.Add(tup)
+		}
+	})
+	if r.Len() != n {
+		t.Fatalf("Len = %d, want %d", r.Len(), n)
+	}
+	perTuple := float64(got) / n
+	t.Logf("%.1f B allocated per stored tuple", perTuple)
+	if perTuple > 40 {
+		t.Errorf("%.1f B allocated per stored tuple, want at most 40", perTuple)
 	}
 }

@@ -2,6 +2,7 @@ package rel
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -68,63 +69,48 @@ func TestEpochPublishVisibility(t *testing.T) {
 
 // TestEpochCOWIdentity pins the byte-identity property the
 // copy-on-write clone must preserve: after the writer clones a sealed
-// relation and keeps appending, the published snapshot is untouched,
-// and the next snapshot's relation replays the previous one's interned
-// ID columns and scan order as an exact prefix.
+// relation and keeps appending — far enough to re-chain the working
+// copy's index — the published snapshot is untouched down to its batch
+// scan, and the next snapshot's relation replays the previous one's
+// interned ID columns and scan order as an exact prefix.
 func TestEpochCOWIdentity(t *testing.T) {
+	const base, more = 30000, 10000
 	w := NewEpoch(epochSchema())
-	for i := int64(0); i < 100; i++ {
+	for i := int64(0); i < base; i++ {
 		w.AddInts("R", i%17, i)
 	}
 	s1 := w.Publish()
 	r1 := s1.Rel("R")
-	cols1, dict1 := r1.IDColumns()
-	frozenLen := r1.Len()
-	frozen := make([][]uint32, len(cols1))
-	for k, c := range cols1 {
-		frozen[k] = append([]uint32(nil), c...)
-	}
+	_, dict1 := r1.IDColumns()
+	sealed, members := stateOf(r1), batchScanRows(r1)
 	// Write through the epoch: the sealed relation must not move.
-	for i := int64(100); i < 150; i++ {
+	var added []Tuple
+	for i := int64(base); i < base+more; i++ {
+		added = append(added, Ints(i%17, i))
 		w.AddInts("R", i%17, i)
 	}
-	if r1.Len() != frozenLen {
-		t.Fatalf("published relation grew under the writer: %d -> %d", frozenLen, r1.Len())
+	if len(w.Rel("R").heads) == len(r1.heads) {
+		t.Fatalf("%d inserts did not re-chain the working copy's index of %d buckets", more, len(r1.heads))
 	}
-	cols1b, dict1b := r1.IDColumns()
-	if dict1b != dict1 {
+	requireState(t, "published relation under the writer", r1, sealed, members, added)
+	if _, dict1b := r1.IDColumns(); dict1b != dict1 {
 		t.Fatalf("published relation's dictionary changed identity")
 	}
-	for k := range frozen {
-		for i, id := range frozen[k] {
-			if cols1b[k][i] != id {
-				t.Fatalf("published ID column %d changed at %d", k, i)
-			}
-		}
-	}
+	sameRows(t, "published relation's batch scan under the writer", batchScanRows(r1), members)
 	s2 := w.Publish()
 	r2 := s2.Rel("R")
-	if r2.Len() != 150 {
+	if r2.Len() != base+more {
 		t.Fatalf("epoch-2 relation has %d tuples", r2.Len())
 	}
-	// The clone rebuilt through Add in insertion order: identical ID
+	// The clone copied the columns and the dictionary: identical ID
 	// assignment, columns and scan order on the shared prefix.
 	cols2, _ := r2.IDColumns()
-	for k := range frozen {
-		for i, id := range frozen[k] {
-			if cols2[k][i] != id {
-				t.Fatalf("COW clone diverges in ID column %d at %d: %d vs %d", k, i, cols2[k][i], id)
-			}
+	for k, col := range sealed.cols {
+		if !slices.Equal(cols2[k][:len(col)], col) {
+			t.Fatalf("COW clone diverges in ID column %d", k)
 		}
 	}
-	c1, c2 := r1.Scan(), r2.Scan()
-	for i := 0; i < frozenLen; i++ {
-		t1, _ := c1.Next()
-		t2, _ := c2.Next()
-		if !t1.Equal(t2) {
-			t.Fatalf("COW clone diverges in scan order at %d: %s vs %s", i, t1, t2)
-		}
-	}
+	sameRows(t, "COW clone's scan order on the shared prefix", drainTuples(r2.Scan())[:base], members)
 }
 
 // TestEpochFromStore pins the loader: the published epoch-1 snapshot
@@ -230,12 +216,16 @@ func TestSnapshotIsolationRandomized(t *testing.T) {
 		if r.Len() != len(want) {
 			return fmt.Errorf("epoch %d: %d tuples, want %d", e, r.Len(), len(want))
 		}
-		c := r.Scan()
-		for i, wt := range want {
-			got, ok := c.Next()
-			if !ok || !got.Equal(wt) {
-				return fmt.Errorf("epoch %d: scan diverges at %d: %s vs %s", e, i, got, wt)
+		// Every way of reading rows, from every reader goroutine at once:
+		// under -race this is the check that no accessor writes to a
+		// sealed relation.
+		for _, reader := range rowReaders {
+			if err := rowsDiffer(reader.read(r), want); err != nil {
+				return fmt.Errorf("epoch %d: %s diverges: %v", e, reader.name, err)
 			}
+		}
+		if len(r.Sorted()) != len(want) || (len(want) > 0 && !r.Contains(want[len(want)-1])) {
+			return fmt.Errorf("epoch %d: Sorted or Contains lost a tuple", e)
 		}
 		// The interned ID columns are deterministic too: rebuilding the
 		// same insertion sequence assigns the same IDs.

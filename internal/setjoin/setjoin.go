@@ -57,40 +57,25 @@ func NewGroup(key rel.Value, elems ...rel.Value) *Group {
 }
 
 // Groups converts a binary relation into its set-valued form, one
-// group per distinct first-column value, in first-occurrence order.
-// Grouping and element deduplication run on interned IDs, so no key
-// strings are built per tuple.
+// group per distinct first-column value, in first-occurrence order: it
+// is GroupsFromBatches over the relation's stored ID columns, so no
+// row is decoded and no key string built per tuple.
 func Groups(r *rel.Relation) []*Group {
 	if r.Arity() != 2 {
 		panic(fmt.Sprintf("setjoin: relation arity %d, want 2", r.Arity()))
 	}
-	gids := rel.NewInterner() // group key -> dense index into order
-	var order []*Group
-	for _, t := range r.Tuples() {
-		gid := gids.Intern(t[0])
-		if int(gid) == len(order) {
-			order = append(order, &Group{Key: t[0]})
-		}
-		// No per-group dedup needed: r has set semantics, so (key,
-		// elem) pairs — and hence elems within a group — are distinct.
-		order[gid].Elems = append(order[gid].Elems, t[1])
-	}
-	for _, g := range order {
-		sort.Slice(g.Elems, func(i, j int) bool { return g.Elems[i].Less(g.Elems[j]) })
-		g.sig = signature(g.Elems)
-	}
-	return order
+	return GroupsFromBatches(r.BatchScan())
 }
 
-// GroupsFromBatches is Groups over a columnar batch stream: grouping
-// runs on interned IDs translated through a rel.IDMap cache (after the
-// first occurrence of a key value, assigning a row to its group is an
-// array load), and the cursor's batches are released as they are
-// consumed. For streams carrying the same tuples in the same order —
-// e.g. a shard view's BatchScan against that shard's Tuples() — the
-// returned groups are identical to Groups', first-occurrence order
-// included, which is what lets the sharded set joins feed shard-local
-// batch scans straight into the group builder.
+// GroupsFromBatches builds the groups of a columnar batch stream of
+// binary rows: grouping runs on interned IDs translated through a
+// rel.IDMap cache (after the first occurrence of a key value, assigning
+// a row to its group is an array load), and the cursor's batches are
+// released as they are consumed. Groups come in first-occurrence order
+// of their keys in the stream, so any two streams carrying the same
+// tuples in the same order — a relation's BatchScan, a shard view's —
+// yield identical groups, which is what lets the sharded set joins feed
+// shard-local batch scans straight into the group builder.
 func GroupsFromBatches(in rel.BatchCursor) []*Group {
 	gids := rel.NewInterner() // group key -> dense index into order
 	xl := rel.NewIDMap(gids)
@@ -107,8 +92,9 @@ func GroupsFromBatches(in rel.BatchCursor) []*Group {
 			if int(gid) == len(order) {
 				order = append(order, &Group{Key: kdict.Value(kcol[row]), keyID: kcol[row]})
 			}
-			// As in Groups: the source has set semantics, so elems
-			// within a group arrive distinct.
+			// No per-group dedup needed: the source has set semantics,
+			// so (key, elem) pairs — and hence elems within a group —
+			// arrive distinct.
 			order[gid].Elems = append(order[gid].Elems, edict.Value(ecol[row]))
 		}
 		b.Release()

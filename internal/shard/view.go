@@ -97,11 +97,10 @@ func (v *relView) Contains(t rel.Tuple) bool {
 
 // Scan implements rel.StoredRel: the cursor walks the placement log,
 // yielding tuples in global insertion order even though they live in
-// different shards. Next is index arithmetic plus one slice load, like
-// the in-memory rel.Cursor.
-func (v *relView) Scan() rel.TupleCursor {
-	return &scanCursor{log: v.log, rels: v.rels}
-}
+// different shards. Like the in-memory rel.Cursor it decodes a run of
+// rows at a time into fresh storage, so the yielded tuples are the
+// caller's. It is the oracles' scan; the executor reads BatchScan.
+func (v *relView) Scan() rel.TupleCursor { return &scanCursor{v: v} }
 
 // BatchScan implements rel.BatchScanner: zero-copy columnar batches
 // over the shard-local stored ID columns, in global insertion order.
@@ -126,25 +125,24 @@ func (v *relView) BatchScanSized(size int) rel.BatchCursor {
 	return c
 }
 
-// scanCursor iterates a sharded relation in global insertion order.
+// scanCursor iterates a sharded relation in global insertion order: it
+// is the view's batch scan decoded by rel.ToTuples, one arena per
+// same-shard run rather than a tuple per placement-log entry.
 type scanCursor struct {
-	log  []place
-	rels []*rel.Relation
-	i    int
+	v  *relView
+	in rel.NextCursor // nil until the first Next of a pass
 }
 
 // Next implements rel.TupleCursor.
 func (c *scanCursor) Next() (rel.Tuple, bool) {
-	if c.i >= len(c.log) {
-		return nil, false
+	if c.in == nil {
+		c.in = rel.ToTuples(c.v.BatchScan())
 	}
-	p := c.log[c.i]
-	c.i++
-	return c.rels[p.shard].At(int(p.idx)), true
+	return c.in.Next()
 }
 
 // Reset implements rel.TupleCursor.
-func (c *scanCursor) Reset() { c.i = 0 }
+func (c *scanCursor) Reset() { c.in = nil }
 
 // shardBatchCursor yields view batches over maximal same-shard runs of
 // the placement log, capped at the batch size. It keeps one view batch
