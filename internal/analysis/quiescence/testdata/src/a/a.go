@@ -1,6 +1,6 @@
 // Package a reproduces the worker-interning hazard of PR 5's batched
 // exchange: a worker mutating a dictionary shared with the router (or
-// with sibling workers) races rel.Interner's maps. The legal patterns
+// with sibling workers) races rel.Interner's table. The legal patterns
 // — interning on the route callback, worker-local dictionaries, and
 // (since the snapshot epochs landed) reads of captured dictionaries on
 // every path — must stay silent.

@@ -179,10 +179,10 @@ func (dt *DivisorTable) DivideShard(shard engine.Cursor, sem Semantics) (map[rel
 // arrives as columnar batches of (group, element) ID columns, and both
 // probes run through flat per-dictionary translation caches — after
 // the first occurrence of a group or element value, a row costs two
-// array loads instead of two value-keyed map probes. Groups accumulate
-// in first-occurrence order; the returned set and stats match
-// DivideShard on the same rows exactly. Concurrent calls are safe: the
-// divisor table is read-only and the caches are call-local.
+// array loads instead of two value-keyed dictionary probes. Groups
+// accumulate in first-occurrence order; the returned set and stats
+// match DivideShard on the same rows exactly. Concurrent calls are
+// safe: the divisor table is read-only and the caches are call-local.
 func (dt *DivisorTable) DivideShardBatches(shard engine.BatchCursor, sem Semantics) (map[rel.Value]bool, Stats) {
 	keys, st := dt.divideBatches(shard, sem)
 	qualified := make(map[rel.Value]bool, len(keys))

@@ -1,6 +1,7 @@
 // Package engine provides the shared execution substrate for the fast
-// paths of the library: value-interning dictionaries (rel.Value →
-// dense uint32 ID) and a hash-partitioned parallel executor.
+// paths of the library: a hash-partitioned parallel executor over the
+// value-interning dictionaries of package rel (rel.Interner:
+// rel.Value → dense uint32 ID).
 //
 // The paper's algorithm comparisons (division in Proposition 26 and
 // footnote 1, set joins in the introduction) are about constant
@@ -32,38 +33,6 @@ import (
 	"radiv/internal/exec"
 	"radiv/internal/rel"
 )
-
-// Interner is the value dictionary: rel.Value → dense uint32 ID. The
-// implementation lives in package rel so that rel.Relation can use the
-// same dictionary for its deduplication index without an import cycle;
-// engine re-exports it and adds the per-database constructors.
-type Interner = rel.Interner
-
-// NewInterner returns an empty dictionary.
-func NewInterner() *Interner { return rel.NewInterner() }
-
-// ForStore builds the per-database dictionary for any rel.ReadStore
-// backend: every value of the active domain of s is interned,
-// relations in schema name order, tuples in insertion (scan) order,
-// components left to right. The assignment is therefore deterministic
-// for a deterministically built store, and identical across backends
-// holding the same data — sharding does not change dictionary IDs.
-func ForStore(s rel.ReadStore) *Interner {
-	in := NewInterner()
-	for _, name := range s.Schema().Names() {
-		c := s.View(name).Scan()
-		for t, ok := c.Next(); ok; t, ok = c.Next() {
-			for _, v := range t {
-				in.Intern(v)
-			}
-		}
-	}
-	return in
-}
-
-// ForDatabase is ForStore on the in-memory database, kept for call
-// sites that hold the concrete type.
-func ForDatabase(d *rel.Database) *Interner { return ForStore(d) }
 
 // Executor is a worker pool for partitioned execution. The zero value
 // is valid and uses one worker per available CPU.
@@ -207,7 +176,7 @@ func PartOf(id uint32, parts int) int {
 // per partition, the indices of the tuples assigned to it. All tuples
 // sharing a group key land in the same partition, which is what makes
 // per-partition group processing exact rather than approximate.
-func PartitionByFirst(in *Interner, tuples []rel.Tuple, parts int) [][]int32 {
+func PartitionByFirst(in *rel.Interner, tuples []rel.Tuple, parts int) [][]int32 {
 	out := make([][]int32, parts)
 	for i, t := range tuples {
 		q := PartOf(in.Intern(t[0]), parts)

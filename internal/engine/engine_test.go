@@ -8,40 +8,6 @@ import (
 	"radiv/internal/rel"
 )
 
-func TestForDatabaseCoversActiveDomain(t *testing.T) {
-	d := rel.NewDatabase(rel.NewSchema(map[string]int{"R": 2, "S": 1}))
-	d.AddInts("R", 1, 2)
-	d.AddInts("R", 2, 3)
-	d.AddInts("S", 9)
-	in := ForDatabase(d)
-	if in.Len() != 4 {
-		t.Fatalf("interned %d values, want 4", in.Len())
-	}
-	for _, v := range d.ActiveDomain() {
-		if _, ok := in.ID(v); !ok {
-			t.Errorf("active-domain value %v not interned", v)
-		}
-	}
-}
-
-func TestForDatabaseDeterministic(t *testing.T) {
-	build := func() *rel.Database {
-		d := rel.NewDatabase(rel.NewSchema(map[string]int{"B": 1, "A": 2}))
-		d.AddInts("A", 5, 6)
-		d.AddInts("B", 7)
-		return d
-	}
-	a, b := ForDatabase(build()), ForDatabase(build())
-	if a.Len() != b.Len() {
-		t.Fatalf("lengths differ: %d vs %d", a.Len(), b.Len())
-	}
-	for id := 0; id < a.Len(); id++ {
-		if !a.Value(uint32(id)).Equal(b.Value(uint32(id))) {
-			t.Errorf("ID %d maps to %v vs %v", id, a.Value(uint32(id)), b.Value(uint32(id)))
-		}
-	}
-}
-
 func TestExecutorRunsEveryTaskOnce(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 7} {
 		ex := Executor{Workers: workers}
@@ -107,7 +73,7 @@ func TestPartitionByFirstKeepsGroupsTogether(t *testing.T) {
 			r.Add(rel.Ints(g, e))
 		}
 	}
-	in := NewInterner()
+	in := rel.NewInterner()
 	tuples := r.Tuples()
 	parts := PartitionByFirst(in, tuples, 8)
 	covered := 0

@@ -2,7 +2,10 @@ package rel
 
 import (
 	"bytes"
+	"fmt"
 	"slices"
+	"strings"
+	"sync"
 	"testing"
 )
 
@@ -220,4 +223,179 @@ func TestCloneIsAColumnCopy(t *testing.T) {
 	cloneState := stateOf(c)
 	grow(r, toSource)
 	requireState(t, "clone after the source grew", c, cloneState, append(loaded, toClone...), toSource)
+}
+
+// storageDump renders what a reader can see of a relation's first
+// rows — the first entries of its dictionary in ID order, then the rows
+// as BatchScan yields them — into bytes of its own, so a later
+// comparison notices a stored string whose bytes were overwritten in
+// place.
+func storageDump(r *Relation, entries, rows int) string {
+	var out strings.Builder
+	for id := 0; id < entries; id++ {
+		fmt.Fprintf(&out, "%d=%#v\n", id, r.Interner().Value(uint32(id)))
+	}
+	for _, row := range batchScanRows(r)[:rows] {
+		fmt.Fprintln(&out, row)
+	}
+	return out.String()
+}
+
+// addTextRows appends n fresh binary rows of strings to r the way the
+// text loader does, through internText and addIDs, and checks that the
+// dictionary hands out the next free IDs for them.
+func addTextRows(t *testing.T, r *Relation, prefix string, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		next := uint32(r.intern.Len())
+		ids := r.idbuf
+		for k := range ids {
+			ids[k] = r.intern.internText([]byte(fmt.Sprintf("%s-%05d-%d", prefix, i, k)))
+			if ids[k] != next+uint32(k) {
+				t.Fatalf("%s row %d: new string interned as %d, want the next free ID %d", prefix, i, ids[k], next+uint32(k))
+			}
+		}
+		if !r.addIDs(ids) {
+			t.Fatalf("%s row %d rejected as a duplicate", prefix, i)
+		}
+	}
+}
+
+// requireTextRows checks that the rows addTextRows appended after the
+// first base ones read back as written, and that the other side's are
+// absent.
+func requireTextRows(t *testing.T, r *Relation, base int, prefix, others string, n int) {
+	t.Helper()
+	if r.Len() != base+n {
+		t.Fatalf("%s side holds %d rows, want %d", prefix, r.Len(), base+n)
+	}
+	for i := 0; i < n; i++ {
+		want := Strs(fmt.Sprintf("%s-%05d-0", prefix, i), fmt.Sprintf("%s-%05d-1", prefix, i))
+		if got := r.At(base + i); !got.Equal(want) {
+			t.Fatalf("%s side row %d reads %v, want %v", prefix, base+i, got, want)
+		}
+		if _, ok := r.intern.ID(Str(fmt.Sprintf("%s-%05d-0", others, i))); ok {
+			t.Fatalf("%s side sees a string interned on the %s side only", prefix, others)
+		}
+	}
+}
+
+// publishedStringDatabase loads a string file into an epoch writer,
+// adds a few rows the way the text loader does so that the relation's
+// dictionary ends in a part-full chunk of strings, and publishes.
+func publishedStringDatabase(t *testing.T, lines int) *Epoch {
+	t.Helper()
+	d, err := ReadText(bytes.NewReader(stringFile(lines)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := EpochFromStore(d)
+	addTextRows(t, w.Mutable("Likes"), "published", 100)
+	w.Publish()
+	return w
+}
+
+// requirePartFullChunk fails unless r's dictionary has room left in a
+// chunk it has started: the state in which a clone that shared the
+// chunk would append into it.
+func requirePartFullChunk(t *testing.T, r *Relation) {
+	t.Helper()
+	if c := &r.intern.chunk; c.Len() == 0 || c.Len() == c.Cap() {
+		t.Fatalf("dictionary's last chunk holds %d of %d bytes, want it part full", c.Len(), c.Cap())
+	}
+}
+
+// TestCloneSharesNoWritableStorage: a dictionary loaded from text ends
+// in a part-full chunk of strings. Its clone must not append there:
+// after ten thousand new strings on each side, through every way a
+// relation is cloned, every string either side held or has added since
+// still reads as written.
+func TestCloneSharesNoWritableStorage(t *testing.T) {
+	const added = 10000
+	load := func() *Database {
+		d, err := ReadText(bytes.NewReader(stringFile(3000)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	for name, clone := range map[string]func() (source, copy *Relation){
+		"Relation.Clone": func() (*Relation, *Relation) { r := load().Rel("Likes"); return r, r.Clone() },
+		"Database.Clone": func() (*Relation, *Relation) { d := load(); return d.Rel("Likes"), d.Clone().Rel("Likes") },
+		"Epoch.Mutable": func() (*Relation, *Relation) {
+			w := publishedStringDatabase(t, 3000)
+			return w.Snapshot().Rel("Likes"), w.Mutable("Likes")
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			source, copy := clone()
+			requirePartFullChunk(t, source)
+			rows, entries := source.Len(), source.intern.Len()
+			before := storageDump(source, entries, rows)
+			if copy.Len() != rows || copy.intern.Len() != entries || storageDump(copy, entries, rows) != before {
+				t.Fatal("clone differs from its source")
+			}
+			addTextRows(t, copy, "clone", added)
+			if name != "Epoch.Mutable" { // a published relation is never written
+				addTextRows(t, source, "source", added)
+				requireTextRows(t, source, rows, "source", "clone", added)
+			} else if source.Len() != rows || source.intern.Len() != entries {
+				t.Fatal("the published relation grew under the writer's inserts")
+			}
+			requireTextRows(t, copy, rows, "clone", "source", added)
+			for side, r := range map[string]*Relation{"source": source, "clone": copy} {
+				if storageDump(r, entries, rows) != before {
+					t.Fatalf("%s: what was loaded before the clone no longer reads as it did", side)
+				}
+			}
+		})
+	}
+}
+
+// TestPublishedDictionaryIsNeverWritten: readers dump a published
+// snapshot's dictionary and rows over and over while the writer clones
+// the relation and loads ten thousand new strings into its copy; the
+// dump never changes. Under -race this is also the check that the
+// writer's chunk is not the snapshot's.
+func TestPublishedDictionaryIsNeverWritten(t *testing.T) {
+	w := publishedStringDatabase(t, 600)
+	snap := w.Snapshot()
+	requirePartFullChunk(t, snap.Rel("Likes"))
+	dump := func() string {
+		r := snap.Rel("Likes")
+		return storageDump(r, r.Interner().Len(), r.Len())
+	}
+	before := dump()
+
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				if dump() != before {
+					t.Error("published snapshot changed while the writer was interning")
+					return
+				}
+				if id, ok := snap.Dict("Likes").ID(Str("beer-000007")); !ok || snap.Dict("Likes").Value(id) != Str("beer-000007") {
+					t.Error("published dictionary lost a value")
+					return
+				}
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	addTextRows(t, w.Mutable("Likes"), "writer", 10000)
+	next := w.Publish()
+	close(done)
+	wg.Wait()
+	if dump() != before {
+		t.Error("the earlier snapshot changed after the next publish")
+	}
+	requireTextRows(t, next.Rel("Likes"), snap.Rel("Likes").Len(), "writer", "nobody", 10000)
 }

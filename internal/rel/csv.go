@@ -37,11 +37,12 @@ import (
 // ReadText reads the input whole (the text is about a fifteenth of
 // its in-memory form), counts each relation's tuple lines so its
 // storage is reserved once, and then loads in one pass over the bytes
-// that allocates per relation and per distinct string, not per tuple:
+// that allocates per relation and per chunk of strings, not per tuple:
 // fields are sliced in place, integers decoded by a byte loop, every
 // field interned straight into its relation's dictionary (a string is
-// copied only the first time the relation sees it), and the row enters
-// the relation by those IDs through Relation.addIDs.
+// copied only the first time the relation sees it, into a chunk the
+// dictionary owns), and the row enters the relation by those IDs
+// through Relation.addIDs.
 
 // WriteText writes a store in the text format. It accepts any ReadStore
 // backend; relations are emitted in name order and tuples in sorted
@@ -133,21 +134,28 @@ func eachLine(data []byte, fn func(line []byte) error) error {
 type loader struct {
 	d    *Database
 	rels map[string]*loadRel
+	last *loadRel // the previous tuple line's entry
 }
 
 // loadRel is what the loader knows about one relation name.
 type loadRel struct {
+	name  string
 	lines int       // tuple lines in the input, counted before loading
 	rel   *Relation // nil until the first tuple line is loaded
 }
 
-// rel returns the entry for a relation name, creating it when new.
+// rel returns the entry for a relation name, creating it when new. It
+// tries the previous line's entry before the map: names come in runs.
 func (ld *loader) rel(name []byte) *loadRel {
+	if ld.last != nil && ld.last.name == string(name) {
+		return ld.last
+	}
 	lr, ok := ld.rels[string(name)]
 	if !ok {
-		lr = new(loadRel)
-		ld.rels[string(name)] = lr
+		lr = &loadRel{name: string(name)}
+		ld.rels[lr.name] = lr
 	}
+	ld.last = lr
 	return lr
 }
 
@@ -215,7 +223,7 @@ func (ld *loader) tuple(line []byte) error {
 	want := arity
 	if lr.rel != nil {
 		want = lr.rel.arity
-	} else if a, ok := ld.d.schema[string(name)]; ok {
+	} else if a, ok := ld.d.schema[lr.name]; ok {
 		want = a
 	} else if arity == 0 {
 		return fmt.Errorf("expected '<rel> <v1,v2,...>', got %q", line)
@@ -227,7 +235,7 @@ func (ld *loader) tuple(line []byte) error {
 	if r == nil {
 		r = NewRelationSized(arity, lr.lines)
 		lr.rel = r
-		ld.d.schema[string(name)], ld.d.rels[string(name)] = arity, r
+		ld.d.schema[lr.name], ld.d.rels[lr.name] = arity, r
 	}
 	ids := r.idbuf
 	for k := range ids {

@@ -1,7 +1,16 @@
 package rel
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash/maphash"
+	"maps"
+	"math/rand"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -53,6 +62,276 @@ func TestInternerManyValues(t *testing.T) {
 	if got := cap(in.vals); got != 1024 {
 		t.Errorf("dictionary of 1000 values has capacity %d, want 1024", got)
 	}
+	// The index is kept at most half full.
+	if got := len(in.slots); got != 2048 {
+		t.Errorf("dictionary of 1000 values has %d slots, want 2048", got)
+	}
+}
+
+// checkedDict drives an Interner and a plain map-and-slice model of it
+// through the same operations and fails on the first difference.
+type checkedDict struct {
+	t    testing.TB
+	in   *Interner
+	ids  map[Value]uint32
+	vals []Value
+}
+
+func newCheckedDict(t testing.TB) *checkedDict {
+	return &checkedDict{t: t, in: NewInterner(), ids: map[Value]uint32{}}
+}
+
+// interned checks the ID an interning call returned for v: the model's,
+// which is the next free one when v is new.
+func (c *checkedDict) interned(got uint32, v Value) {
+	c.t.Helper()
+	want, seen := c.ids[v]
+	if !seen {
+		want = uint32(len(c.vals))
+		c.ids[v] = want
+		c.vals = append(c.vals, v)
+	}
+	if got != want {
+		c.t.Fatalf("%#v interned as %d, model says %d (seen before: %v)", v, got, want, seen)
+	}
+	if back := c.in.Value(got); back != v {
+		c.t.Fatalf("Value(%d) = %#v right after interning %#v", got, back, v)
+	}
+	if c.in.Len() != len(c.vals) {
+		c.t.Fatalf("Len = %d, model holds %d", c.in.Len(), len(c.vals))
+	}
+}
+
+func (c *checkedDict) intern(v Value) { c.t.Helper(); c.interned(c.in.Intern(v), v) }
+
+// text interns a field as the loader does, then scribbles over the
+// buffer it passed: the dictionary must have kept its own copy.
+func (c *checkedDict) text(field string) {
+	c.t.Helper()
+	b := []byte(field)
+	id := c.in.internText(b)
+	for i := range b {
+		b[i] = '#'
+	}
+	c.interned(id, ParseValue(field))
+}
+
+func (c *checkedDict) id(v Value) {
+	c.t.Helper()
+	got, ok := c.in.ID(v)
+	want, seen := c.ids[v]
+	if ok != seen || (ok && got != want) {
+		c.t.Fatalf("ID(%#v) = %d, %v; model says %d, %v", v, got, ok, want, seen)
+	}
+}
+
+// sweep checks the whole dictionary against the model, and the shape of
+// the index.
+func (c *checkedDict) sweep() {
+	c.t.Helper()
+	if c.in.Len() != len(c.vals) {
+		c.t.Fatalf("Len = %d, model holds %d", c.in.Len(), len(c.vals))
+	}
+	for id, v := range c.vals {
+		if got := c.in.Value(uint32(id)); got != v {
+			c.t.Fatalf("Value(%d) = %#v, model says %#v", id, got, v)
+		}
+		if got, ok := c.in.ID(v); !ok || got != uint32(id) {
+			c.t.Fatalf("ID(%#v) = %d, %v; want %d", v, got, ok, id)
+		}
+	}
+	if n := len(c.in.slots); n&(n-1) != 0 || n < 2*len(c.vals) {
+		c.t.Fatalf("%d slots for %d values: want a power of two at least twice the values", n, len(c.vals))
+	}
+	used := 0
+	for _, w := range c.in.slots {
+		if w != 0 {
+			used++
+		}
+	}
+	if used != len(c.vals) {
+		c.t.Fatalf("%d slots in use for %d values", used, len(c.vals))
+	}
+}
+
+func (c *checkedDict) clone() *checkedDict {
+	return &checkedDict{t: c.t, in: c.in.Clone(), ids: maps.Clone(c.ids), vals: slices.Clone(c.vals)}
+}
+
+// lookAlikes returns the values and fields that must stay apart or
+// fall together around the integer n: Int(n) and Str of its digits are
+// distinct; "007" and "+7" read as the integer when they arrive as text.
+func lookAlikes(n int64) (vals []Value, fields []string) {
+	d := strconv.FormatInt(n, 10)
+	return []Value{Int(n), Str(d), Str("00" + d), Str("+" + d), Str(""), Str("v" + d)},
+		[]string{d, "00" + d, "+" + d, "-" + d, "", "v" + d, d + "x"}
+}
+
+// randomOp applies one random operation over the domain [0, domain).
+func (c *checkedDict) randomOp(rng *rand.Rand, domain int64) {
+	c.t.Helper()
+	vals, fields := lookAlikes(rng.Int63n(domain))
+	switch rng.Intn(3) {
+	case 0:
+		c.intern(vals[rng.Intn(len(vals))])
+	case 1:
+		c.text(fields[rng.Intn(len(fields))])
+	case 2:
+		c.id(vals[rng.Intn(len(vals))])
+	}
+}
+
+// sharingLastBucket returns n integers and n/4 strings whose hashes all
+// fall in the last bucket of a table of the given size — and so of
+// every smaller table.
+func sharingLastBucket(n, tableSize int) (vals []Value) {
+	mask := uint64(tableSize - 1)
+	for i := int64(0); len(vals) < n; i++ {
+		if v := Int(i); hashOf(v)>>32&mask == mask {
+			vals = append(vals, v)
+		}
+	}
+	buf := []byte("s")
+	for i := int64(0); len(vals) < n+n/4; i++ {
+		buf = strconv.AppendInt(buf[:1], i, 10)
+		if maphash.Bytes(hashSeed, buf)>>32&mask == mask {
+			vals = append(vals, Str(string(buf)))
+		}
+	}
+	return vals
+}
+
+// TestInternerAgainstModel runs random interleavings of Intern,
+// internText and ID against the model, then freezes the dictionary at
+// that point and keeps interning.
+func TestInternerAgainstModel(t *testing.T) {
+	boundary := map[int]bool{0: true, 1: true, 7: true, 8: true, 9: true}
+	for k := 4; k <= 17; k++ {
+		boundary[1<<k-1], boundary[1<<k], boundary[1<<k+1] = true, true, true
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(c *checkedDict, rng *rand.Rand)
+	}{
+		{"growth boundaries", func(c *checkedDict, rng *rand.Rand) {
+			// Fresh values nearly every step; a sweep at every size next
+			// to a doubling of the value slice or the index.
+			swept := -1
+			for c.in.Len() <= 1<<17+1 {
+				if n := c.in.Len(); boundary[n] && n != swept {
+					c.sweep()
+					swept = n
+				}
+				c.randomOp(rng, 1<<40)
+			}
+		}},
+		{"look-alikes", func(c *checkedDict, rng *rand.Rand) {
+			// A small domain: mostly hits, ints against their string twins.
+			for i := 0; i < 20000; i++ {
+				c.randomOp(rng, 50)
+			}
+		}},
+		{"one bucket", func(c *checkedDict, rng *rand.Rand) {
+			// 1500 values that share the last bucket of the table they
+			// end up in: every probe run wraps around, the last one is
+			// over a thousand slots long, and growth re-places them all.
+			vals := sharingLastBucket(1200, 4096)
+			rng.Shuffle(len(vals), func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
+			for _, v := range vals {
+				if v.IsInt() || rng.Intn(2) == 0 {
+					c.intern(v)
+				} else {
+					c.text(v.AsString())
+				}
+				c.id(vals[rng.Intn(len(vals))])
+			}
+			if len(c.in.slots) != 4096 {
+				t.Fatalf("%d slots, the values were picked for 4096", len(c.in.slots))
+			}
+		}},
+		{"strings around the chunk sizes", func(c *checkedDict, rng *rand.Rand) {
+			// Long strings between short ones, so chunk tails are
+			// abandoned part full; lengths on both sides of every limit.
+			for round := 0; round < 3; round++ {
+				for _, n := range []int{0, 1, 100, minChunk - 1, minChunk, minChunk + 1, 1000, maxChunk/4 - 1, maxChunk / 4, maxChunk/4 + 1, maxChunk, 70000} {
+					c.text(strings.Repeat(string(rune('a'+round)), n))
+					for i := 0; i < 40; i++ {
+						c.text(fmt.Sprintf("short-%d-%d-%d", round, n, i))
+					}
+				}
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(24))
+			c := newCheckedDict(t)
+			tc.run(c, rng)
+			c.sweep()
+
+			frozen := FreezeDict(c.in)
+			prefix := slices.Clone(c.vals)
+			for i := 0; i < 2000; i++ {
+				c.randomOp(rng, 1<<50)
+			}
+			c.sweep()
+			if frozen.Len() != len(prefix) {
+				t.Fatalf("frozen Len = %d, want %d", frozen.Len(), len(prefix))
+			}
+			for id, v := range c.vals {
+				got, ok := frozen.ID(v)
+				if inPrefix := id < len(prefix); ok != inPrefix || (ok && got != uint32(id)) {
+					t.Fatalf("frozen ID(%#v) = %d, %v; the value has ID %d and the prefix ends at %d", v, got, ok, id, len(prefix))
+				}
+			}
+			if len(c.vals) > len(prefix) {
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Error("frozen Value past the prefix did not panic")
+						}
+					}()
+					frozen.Value(uint32(len(prefix)))
+				}()
+			}
+		})
+	}
+}
+
+// FuzzInterner reads its input as a stream of operations — a byte that
+// picks the operation and the dictionary it goes to, then an operand up
+// to the next zero byte — and runs them against the model. The clone
+// operation adds a dictionary, and every later operation goes to one of
+// those made so far, so clones and their sources keep growing apart.
+func FuzzInterner(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dicts := []*checkedDict{newCheckedDict(t)}
+		for len(data) > 0 {
+			op := data[0]
+			var arg []byte
+			arg, data, _ = bytes.Cut(data[1:], []byte{0})
+			c := dicts[int(op>>4)%len(dicts)]
+			switch op % 5 {
+			case 0:
+				var n [8]byte
+				copy(n[:], arg)
+				c.intern(Int(int64(binary.LittleEndian.Uint64(n[:]))))
+			case 1:
+				c.intern(Str(string(arg)))
+			case 2:
+				c.text(string(arg))
+			case 3:
+				c.id(ParseValue(string(arg)))
+				c.id(Str(string(arg)))
+			case 4:
+				if len(dicts) < 4 {
+					dicts = append(dicts, c.clone())
+				}
+			}
+		}
+		for _, c := range dicts {
+			c.sweep()
+		}
+	})
 }
 
 // The relation index must key on value identity, not on hash buckets
