@@ -24,9 +24,8 @@ import (
 )
 
 // sameEmission reports byte-identity of two tuple sequences: same
-// length, same tuples, same order — the check the cursor-fed and
-// sharded equivalence experiments (ST2, ST3, ST6) make against their
-// sequential references.
+// length, same tuples, same order — the check the equivalence
+// experiments (ST3, ST5, ST6) make against their references.
 func sameEmission(got, want []rel.Tuple) bool {
 	if len(got) != len(want) {
 		return false
@@ -84,7 +83,7 @@ func experiments() []experiment {
 		{"SJ2", "Set-equality join algorithms", runSJ2},
 		{"G5", "Section 5: linear division with grouping and counting", runG5},
 		{"ST1", "The executor: resident vs intermediate on the division expression", runST1},
-		{"ST2", "SA and γ plans: linear resident memory; cursor-fed parallel division", runST2},
+		{"ST2", "SA and γ plans: linear resident memory", runST2},
 		{"ST3", "Sharded stores: shard-local division and set joins, per-shard resident memory, merge cost", runST3},
 		{"ST5", "Query planner: automatic linearization — division flow exponent 2 → 1, identical results", runST5},
 		{"ST6", "Sharded batch division: workers × batch sweep, exchange overhead vs worker compute", runST6},
@@ -319,10 +318,7 @@ func runST1(w io.Writer) {
 // executor, and fits the executor's resident peaks against the
 // database size. SA is linear on both axes — flow and resident — and
 // γ-division keeps its resident linear too, completing the story ST1
-// started for pure RA, where only the resident side is linear. The experiment also drives
-// the cursor-fed parallel division (division.ParallelHash.DivideStream
-// at the -workers count) from a relation cursor and checks it emits
-// the sequential Hash sequence byte for byte.
+// started for pure RA, where only the resident side is linear.
 func runST2(w io.Writer) {
 	saExpr := sa.NewProject([]int{1}, sa.NewAntijoin(sa.R("R", 2), ra.Eq(2, 1), sa.R("S", 1)))
 	xraExpr := xra.ContainmentDivision("R", "S")
@@ -345,18 +341,6 @@ func runST2(w io.Writer) {
 			fmt.Fprintln(w, "!! executor result diverges from materialized")
 			return
 		}
-		want, _ := division.Hash{}.Divide(r, s, division.Containment)
-		cur := division.ParallelHash{Workers: workers}.DivideStream(r.Cursor(), s, division.Containment)
-		// Drain fully before comparing: the cursor contract requires
-		// exhaustion, or the exchange goroutines stay blocked.
-		var got []rel.Tuple
-		for tp, ok := cur.Next(); ok; tp, ok = cur.Next() {
-			got = append(got, tp)
-		}
-		if !sameEmission(got, want.Tuples()) {
-			fmt.Fprintln(w, "!! cursor-fed parallel division diverges from sequential hash")
-			return
-		}
 		t.AddRow(n, d.Size(), saT.MaxIntermediate, saS.MaxResident, xT.MaxIntermediate, xS.MaxResident)
 		// GrowthExponent fits the MaxIntermediate field; carry the
 		// resident peaks there, as ST1 does.
@@ -366,14 +350,13 @@ func runST2(w io.Writer) {
 	fmt.Fprint(w, t)
 	fmt.Fprintf(w, "\nresident growth exponents: SA %.2f, γ-division %.2f (both ≈ 1: linear)\n",
 		ra.GrowthExponent(saRes), ra.GrowthExponent(xraRes))
-	fmt.Fprintln(w, "cursor-fed parallel division matched the sequential emission byte for byte")
 }
 
 // runST3 measures the sharded storage layer on the P26 scaling family
 // and a set-join workload: a shard.Database is loaded at each shard
-// count, division and both set joins run shard-locally
-// (engine.StreamSharded workers over shard-local cursors, broadcast
-// divisor/S side), and the table reports the per-shard resident peak
+// count, division and both set joins run shard-locally (one worker
+// task per shard-local batch scan, broadcast divisor/S side), and the
+// table reports the per-shard resident peak
 // (max and sum over shards) next to the merge's entry count and wall
 // time. Every sharded result is checked byte for byte against the
 // sequential algorithm on the merged relations — the equivalence the
@@ -549,12 +532,12 @@ func runST6(w io.Writer) {
 	for _, wk := range counts {
 		for _, size := range batchSizes() {
 			start := time.Now()
-			cursors := make([]engine.BatchCursor, exShards)
+			cursors := make([]rel.BatchCursor, exShards)
 			for q := range cursors {
 				cursors[q] = ra.ScanBatches(sdb.ShardRel(q, "R"), size)
 			}
 			qualified := make([]map[rel.Value]bool, exShards)
-			engine.Executor{Workers: wk}.StreamShardedBatches(cursors, func(q int, shard engine.BatchCursor) {
+			engine.Executor{Workers: wk}.StreamShardedBatchesGov(nil, cursors, func(q int, shard rel.BatchCursor) {
 				qualified[q], _ = dt.DivideShardBatches(shard, division.Containment)
 			})
 			mergeStart := time.Now()

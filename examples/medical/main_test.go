@@ -6,7 +6,6 @@ import (
 
 	"radiv/internal/division"
 	"radiv/internal/paperfigs"
-	"radiv/internal/rel"
 	"radiv/internal/setjoin"
 )
 
@@ -31,47 +30,25 @@ func TestMedicalCorePath(t *testing.T) {
 	}
 }
 
-// TestMedicalCursorFedParallel exercises the cursor-fed parallel
-// paths at two workers — the configuration CI pins — on the Fig. 1
-// data: the streamed containment join and streamed division must emit
-// exactly what the sequential algorithms produce.
-func TestMedicalCursorFedParallel(t *testing.T) {
+// TestMedicalParallelAtTwoWorkers pins the parallel algorithms at two
+// workers — the configuration CI pins, which keeps them parallel on a
+// one-CPU box where the default pool would delegate to the sequential
+// algorithms — on the Fig. 1 data: the parallel containment join and
+// the parallel division must return exactly what the sequential
+// algorithms produce, in the same order.
+func TestMedicalParallelAtTwoWorkers(t *testing.T) {
 	d := paperfigs.Fig1()
 	person := setjoin.Groups(d.Rel("Person"))
 	disease := setjoin.Groups(d.Rel("Disease"))
-	// Drain each cursor fully before comparing — the cursor contract
-	// requires exhaustion, and a t.Fatalf mid-drain would leave the
-	// exchange goroutines blocked.
-	drain := func(c interface {
-		Next() (rel.Tuple, bool)
-	}) []rel.Tuple {
-		var out []rel.Tuple
-		for p, ok := c.Next(); ok; p, ok = c.Next() {
-			out = append(out, p)
-		}
-		return out
-	}
 	want, _ := setjoin.SignatureContainment{}.Join(person, disease)
-	got := drain(setjoin.ParallelSignatureContainment{Workers: 2}.JoinStream(person, disease))
-	wantT := want.Tuples()
-	if len(got) != len(wantT) {
-		t.Fatalf("streamed containment join emitted %d pairs, want %d", len(got), len(wantT))
-	}
-	for i := range got {
-		if !got[i].Equal(wantT[i]) {
-			t.Fatalf("streamed containment pair %d is %v, want %v", i, got[i], wantT[i])
-		}
+	got, _ := setjoin.ParallelSignatureContainment{Workers: 2}.Join(person, disease)
+	if got.String() != want.String() {
+		t.Errorf("parallel containment join:\n%vwant\n%v", got, want)
 	}
 	div, _ := division.Hash{}.Divide(d.Rel("Person"), d.Rel("Symptoms"), division.Containment)
-	dgot := drain(division.ParallelHash{Workers: 2}.DivideStream(d.Rel("Person").Cursor(), d.Rel("Symptoms"), division.Containment))
-	dwant := div.Tuples()
-	if len(dgot) != len(dwant) {
-		t.Fatalf("streamed division emitted %d tuples, want %d", len(dgot), len(dwant))
-	}
-	for i := range dgot {
-		if !dgot[i].Equal(dwant[i]) {
-			t.Fatalf("streamed division tuple %d is %v, want %v", i, dgot[i], dwant[i])
-		}
+	pdiv, _ := division.ParallelHash{Workers: 2}.Divide(d.Rel("Person"), d.Rel("Symptoms"), division.Containment)
+	if !pdiv.Equal(div) {
+		t.Errorf("parallel division:\n%vwant\n%v", pdiv, div)
 	}
 }
 

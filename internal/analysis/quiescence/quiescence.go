@@ -1,6 +1,6 @@
 // Package quiescence enforces the snapshot contract of the storage
-// and exchange layers (rel/snapshot.go, engine/batchstream.go). Since
-// the epoch refactor the law has two halves:
+// and execution layers (rel/snapshot.go, engine/engine.go). Since the
+// epoch refactor the law has two halves:
 //
 //  1. Published snapshots are immutable. A *rel.Snapshot or
 //     *shard.Snapshot hands out sealed state — relations, their
@@ -11,13 +11,12 @@
 //     snapshot is published.
 //
 //  2. Exchange workers do not intern into shared dictionaries. Worker
-//     callbacks of the engine.Executor Stream* family run concurrently
-//     with each other (and, in the routed exchanges, with the router),
-//     and a rel.Interner is not safe for concurrent mutation — so no
-//     worker may intern into any dictionary captured from the
-//     enclosing scope. Reading captured dictionaries is legal on every
-//     path: under the snapshot contract the dictionaries a worker sees
-//     are sealed (the historical routed-exchange read ban is gone);
+//     callbacks of engine.Executor's Run, RunGoverned and
+//     StreamShardedBatchesGov run concurrently with each other, and a
+//     rel.Interner is not safe for concurrent mutation — so no worker
+//     may intern into any dictionary captured from the enclosing
+//     scope. Reading captured dictionaries is legal: under the
+//     snapshot contract the dictionaries a worker sees are sealed;
 //     what workers must not do is mutate.
 //
 // Half 1 is a lexical taint walk per function body: snapshot method
@@ -26,14 +25,12 @@
 // snapshot dictionary) are tainted, mutating method calls on tainted
 // receivers are flagged, and Clone sanitizes — a cloned relation is
 // the caller's to mutate. Half 2 inspects every function-literal
-// worker callback passed to a Stream* method and flags interning calls
-// — Interner.Intern, IDMap.Intern, Relation.Add/AddBatch, Store.Add,
-// setjoin's Dict.Key — whose receiver is captured from the enclosing
-// scope. A receiver declared inside the callback (a worker-local
-// relation or interner) is private to the worker and exempt. The route
-// callback of a routed exchange is exempt by design: it runs on the
-// router goroutine, the one place interning during an exchange is
-// documented safe (see engine.StreamPartitionedBatches).
+// worker callback passed to one of those three methods and flags
+// interning calls — Interner.Intern, IDMap.Intern,
+// Relation.Add/AddBatch, Store.Add, setjoin's Dict.Key — whose
+// receiver is captured from the enclosing scope. A receiver declared
+// inside the callback (a worker-local relation or interner) is private
+// to the worker and exempt.
 package quiescence
 
 import (
@@ -46,7 +43,7 @@ import (
 // Analyzer is the quiescence check.
 var Analyzer = &analysis.Analyzer{
 	Name: "quiescence",
-	Doc:  "forbid mutation of published snapshots and interning on captured dictionaries inside engine.Stream* worker callbacks",
+	Doc:  "forbid mutation of published snapshots and interning on captured dictionaries inside engine.Executor worker callbacks",
 	Run:  run,
 }
 
@@ -57,13 +54,12 @@ const (
 	shardPath   = "radiv/internal/shard"
 )
 
-// exchangeMethods is the engine.Executor exchange family whose last
-// argument is a worker callback.
+// exchangeMethods are the engine.Executor methods whose last argument
+// is a worker callback run concurrently with its siblings.
 var exchangeMethods = map[string]bool{
-	"StreamPartitioned":        true,
-	"StreamPartitionedBatches": true,
-	"StreamSharded":            true,
-	"StreamShardedBatches":     true,
+	"Run":                     true,
+	"RunGoverned":             true,
+	"StreamShardedBatchesGov": true,
 }
 
 func run(pass *analysis.Pass) error {
@@ -124,7 +120,7 @@ func checkWorker(pass *analysis.Pass, work *ast.FuncLit, storeIface *types.Inter
 				return true // worker-local dictionary: private to this goroutine
 			}
 		}
-		pass.Reportf(call.Pos(), "%s inside an exchange worker: workers share it with other goroutines; intern through the epoch writer before the exchange (snapshot contract, see engine.StreamPartitionedBatches)", kind)
+		pass.Reportf(call.Pos(), "%s inside an exchange worker: workers share it with other goroutines; intern through the epoch writer before the exchange (snapshot contract, see rel.Snapshot)", kind)
 		return true
 	})
 }

@@ -47,10 +47,10 @@ func MutateMaterialized(snap *rel.Snapshot, t rel.Tuple) {
 // MutateInWorker is the race the contract exists to prevent: a worker
 // goroutine writing into captured snapshot state while other workers
 // read it — both halves of the law flag it.
-func MutateInWorker(ex engine.Executor, shards []engine.Cursor, snap *rel.Snapshot) {
+func MutateInWorker(ex engine.Executor, parts [][]rel.Tuple, snap *rel.Snapshot) {
 	r := snap.Rel("R")
-	ex.StreamSharded(shards, func(q int, sh engine.Cursor) {
-		for t, ok := sh.Next(); ok; t, ok = sh.Next() {
+	ex.Run(len(parts), func(q int) {
+		for _, t := range parts[q] {
 			r.Add(t) // want `Relation.Add interning into a captured relation` `Relation.Add mutating a published snapshot`
 		}
 	})
@@ -76,15 +76,13 @@ func ReadSnapshot(snap *rel.Snapshot, t rel.Tuple) int {
 	return n + snap.Size()
 }
 
-// WorkerReadsSnapshotDict is the pattern the old routed-exchange read
-// ban forbade and the snapshot contract legalizes: workers decode
-// against a captured snapshot dictionary while the router is still
-// routing. The dictionary is sealed, so the reads are safe — silent.
-func WorkerReadsSnapshotDict(ex engine.Executor, in engine.BatchCursor, snap *rel.Snapshot, hits []int) {
+// WorkerReadsSnapshotDict is the pattern the snapshot contract
+// legalizes: sharded-exchange workers decode against a captured
+// snapshot dictionary while their siblings do the same. The dictionary
+// is sealed, so the reads are safe — silent.
+func WorkerReadsSnapshotDict(ex engine.Executor, shards []rel.BatchCursor, snap *rel.Snapshot, hits []int) {
 	dict := snap.Rel("R").Interner()
-	ex.StreamPartitionedBatches(in, func(b *rel.Batch, row int) int {
-		return int(b.Col(0)[row]) % 2
-	}, func(q int, shard engine.BatchCursor) {
+	ex.StreamShardedBatchesGov(nil, shards, func(q int, shard rel.BatchCursor) {
 		for b, ok := shard.NextBatch(); ok; b, ok = shard.NextBatch() {
 			for row := 0; row < b.Len(); row++ {
 				_ = dict.Value(b.Col(0)[row]) // sealed dictionary: reads are safe mid-exchange

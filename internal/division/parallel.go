@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"radiv/internal/engine"
-	"radiv/internal/exec"
 	"radiv/internal/rel"
 )
 
@@ -111,9 +110,8 @@ func (p ParallelHash) Divide(r, s *rel.Relation, sem Semantics) (*rel.Relation, 
 // DivisorTable is the shared read-only divisor dictionary of one hash
 // division: every divisor value gets a dense slot (its interned ID),
 // so per-shard workers probe integers and mark bitmap bits without
-// touching shared mutable state. It is the build-phase artifact that
-// DivideStream's workers and the shard-local division in
-// internal/shard both divide against.
+// touching shared mutable state. It is the build-phase artifact the
+// shard-local division in internal/shard divides against.
 type DivisorTable struct {
 	slots *rel.Interner
 	need  int
@@ -139,8 +137,9 @@ func NewDivisorTable(s *rel.Relation) *DivisorTable {
 // requires the shard to hold its groups whole — every tuple of a
 // qualifying group must flow through the same call — which is exactly
 // the invariant hash partitioning on the group key establishes.
-// Concurrent calls are safe: the divisor table is read-only.
-func (dt *DivisorTable) DivideShard(shard engine.Cursor, sem Semantics) (map[rel.Value]bool, Stats) {
+// Concurrent calls are safe: the divisor table is read-only. It is the
+// row-walking reference DivideShardBatches is tested against.
+func (dt *DivisorTable) DivideShard(shard rel.NextCursor, sem Semantics) (map[rel.Value]bool, Stats) {
 	var st Stats
 	local := make(map[rel.Value]*divGroup)
 	for t, ok := shard.Next(); ok; t, ok = shard.Next() {
@@ -183,7 +182,7 @@ func (dt *DivisorTable) DivideShard(shard engine.Cursor, sem Semantics) (map[rel
 // accumulate in first-occurrence order; the returned set and stats
 // match DivideShard on the same rows exactly. Concurrent calls are
 // safe: the divisor table is read-only and the caches are call-local.
-func (dt *DivisorTable) DivideShardBatches(shard engine.BatchCursor, sem Semantics) (map[rel.Value]bool, Stats) {
+func (dt *DivisorTable) DivideShardBatches(shard rel.BatchCursor, sem Semantics) (map[rel.Value]bool, Stats) {
 	keys, st := dt.divideBatches(shard, sem)
 	qualified := make(map[rel.Value]bool, len(keys))
 	for _, v := range keys {
@@ -196,7 +195,7 @@ func (dt *DivisorTable) DivideShardBatches(shard engine.BatchCursor, sem Semanti
 // DivideShardBatches and the sequential Hash: the Graefe bitmap scheme
 // over (group, element) ID batches. It returns the qualifying group
 // keys in first-occurrence order; the stats cover the dividend only.
-func (dt *DivisorTable) divideBatches(shard engine.BatchCursor, sem Semantics) ([]rel.Value, Stats) {
+func (dt *DivisorTable) divideBatches(shard rel.BatchCursor, sem Semantics) ([]rel.Value, Stats) {
 	var st Stats
 	var groups []*divGroup
 	groupOf := rel.NewIDMap(rel.NewInterner()) // group value -> dense local index
@@ -252,202 +251,4 @@ func (dt *DivisorTable) divideBatches(shard engine.BatchCursor, sem Semantics) (
 		qualified = append(qualified, g.rep)
 	}
 	return qualified, st
-}
-
-// DivideStream is cursor-fed hash division: the dividend arrives as a
-// stream of binary tuples and flows through the engine exchange —
-// router goroutine, bounded per-partition channels, one partition per
-// worker — so no partition index is materialized and partitions divide
-// while the producer is still emitting. Since PR 5 the exchange moves
-// columnar batches: the input is packed into rel.BatchCap-row batches,
-// the router scatters rows into per-partition staging batches (one
-// channel send per full batch), and each partition runs the
-// vectorized DivideShardBatches on its shard against the shared
-// read-only divisor dictionary.
-//
-// The result is produced as a cursor, in the dividend's group
-// first-occurrence order — the order the sequential Hash algorithm
-// emits — for every worker count: the router's group dictionary
-// assigns dense IDs in first-occurrence order, and the merge walks the
-// IDs in order, asking the owning partition whether the group
-// qualified. Qualification is only known once a partition's shard is
-// exhausted, so emission starts after the input is consumed; the
-// *input* side is where the pipelining happens (the output of division
-// is one tuple per qualifying group, bounded by the number of groups).
-//
-// The returned cursor must be drained to exhaustion. With one worker
-// the stream is consumed inline and delegated to the sequential Hash.
-func (p ParallelHash) DivideStream(rc engine.Cursor, s *rel.Relation, sem Semantics) engine.Cursor {
-	return p.DivideStreamGov(nil, rc, s, sem)
-}
-
-// DivideStreamGov is DivideStream under a query governor (nil means
-// ungoverned, with identical behavior). Governed, the exchange and
-// the emitting goroutine select on the governor's Done channel, so an
-// abort — cancellation, budget trip, worker panic — stops routing and
-// emission promptly, closes the output channel, and strands no
-// goroutine; the in-flight packing batch is registered for abort
-// release. Callers check g.Err() after draining.
-func (p ParallelHash) DivideStreamGov(g *exec.Governor, rc engine.Cursor, s *rel.Relation, sem Semantics) engine.Cursor {
-	if s.Arity() != 1 {
-		panic(fmt.Sprintf("division: S has arity %d, want 1", s.Arity()))
-	}
-	ex := engine.Executor{Workers: p.Workers}
-	if ex.WorkerCount() <= 1 {
-		// One worker cannot pipeline against itself: drain and run the
-		// sequential algorithm, then stream its result.
-		r := rel.NewRelation(2)
-		for t, ok := rc.Next(); ok; t, ok = rc.Next() {
-			r.Add(t)
-		}
-		res, _ := Hash{}.Divide(r, s, sem)
-		return res.Cursor()
-	}
-	done := g.Done()
-	out := make(chan rel.Tuple, 64)
-	go func() {
-		defer close(out)
-		defer func() {
-			if g != nil {
-				g.AbortRecovered(recover())
-			}
-		}()
-		dt := NewDivisorTable(s)  // frozen after this point
-		gids := rel.NewInterner() // group value -> ID, router-owned while routing
-		// The producer side runs entirely on the router goroutine: rows
-		// are packed into batches and immediately re-encoded into dense
-		// (gid, slot) integer columns — the group's router ID in gids'
-		// first-occurrence order, and the element's divisor slot (+1, 0
-		// for a value outside the divisor). Workers therefore run on raw
-		// integers and never touch a dictionary, which matters because
-		// the packing dictionary is not a sealed snapshot dictionary:
-		// it is still being interned into while earlier batches are in
-		// flight, exactly the live-dictionary case the snapshot
-		// contract on StreamPartitionedBatches calls out.
-		packed := rel.ToBatches(&arityCheckCursor{in: rc}, 2, rel.BatchCap)
-		g.Watch(packed) // packer's staging batch released on abort
-		in := &gidSlotCursor{
-			in:    packed,
-			gids:  rel.NewIDMap(gids),
-			dt:    dt,
-			slots: make(map[*rel.Interner][]int32),
-		}
-		qualified := make([]map[uint32]bool, ex.WorkerCount())
-		parts := ex.StreamPartitionedBatchesGov(g, in, func(b *rel.Batch, row int) int {
-			return engine.PartOf(b.Col(0)[row], ex.WorkerCount())
-		}, func(q int, shard engine.BatchCursor) {
-			qualified[q] = dt.divideGidSlots(shard, sem)
-		})
-		if g.Aborted() {
-			return
-		}
-		// All workers done (the exchange returned): the packing
-		// dictionary is complete and sealed. Emit in group-ID order == group
-		// first-occurrence order == sequential Hash emission order.
-		for gid := 0; gid < gids.Len(); gid++ {
-			if qualified[engine.PartOf(uint32(gid), parts)][uint32(gid)] {
-				if !engine.SendOr(out, rel.Tuple{gids.Value(uint32(gid))}, done) {
-					return
-				}
-			}
-		}
-	}()
-	return engine.ChanCursor{C: out}
-}
-
-// gidSlotCursor re-encodes binary (group, element) batches into dense
-// dictionary-free integer columns on the consuming (router) goroutine:
-// column 0 becomes the group's router gid, column 1 the element's
-// divisor slot + 1 (0 = not a divisor value). The translation caches
-// make both columns an array load per row after a value's first
-// occurrence; the divisor table is frozen, so its ID lookups are safe
-// here while workers probe downstream batches.
-type gidSlotCursor struct {
-	in    rel.BatchCursor
-	gids  *rel.IDMap
-	dt    *DivisorTable
-	slots map[*rel.Interner][]int32
-}
-
-func (c *gidSlotCursor) NextBatch() (*rel.Batch, bool) {
-	b, ok := c.in.NextBatch()
-	if !ok {
-		return nil, false
-	}
-	n := b.Len()
-	out := rel.NewBatchSized(2, n)
-	c0, c1 := b.Col(0), b.Col(1)
-	d0, d1 := b.Dict(0), b.Dict(1)
-	slots := c.slots[d1]
-	if len(slots) < d1.Len() {
-		grown := make([]int32, d1.Len())
-		copy(grown, slots)
-		slots = grown
-		c.slots[d1] = slots
-	}
-	g, s := out.WritableCol(0), out.WritableCol(1)
-	for row := 0; row < n; row++ {
-		g[row] = c.gids.Intern(d0, c0[row])
-		sl := slots[c1[row]]
-		if sl == 0 {
-			if slot, ok := c.dt.slots.ID(d1.Value(c1[row])); ok {
-				sl = int32(slot) + 2
-			} else {
-				sl = 1
-			}
-			slots[c1[row]] = sl
-		}
-		s[row] = uint32(sl - 1)
-	}
-	out.SetLen(n)
-	b.Release()
-	return out, true
-}
-
-// divideGidSlots runs the Graefe bitmap scheme on a shard of dense
-// (gid, slot+1) integer batches — the dictionary-free worker half of
-// DivideStream. Groups accumulate per gid; the returned set holds the
-// qualifying gids.
-func (dt *DivisorTable) divideGidSlots(shard engine.BatchCursor, sem Semantics) map[uint32]bool {
-	local := make(map[uint32]*divGroup)
-	for b, ok := shard.NextBatch(); ok; b, ok = shard.NextBatch() {
-		gcol, scol := b.Col(0), b.Col(1)
-		for row := range gcol {
-			g := local[gcol[row]]
-			if g == nil {
-				g = &divGroup{seen: make([]uint64, dt.words)}
-				local[gcol[row]] = g
-			}
-			if scol[row] > 0 {
-				g.mark(scol[row] - 1)
-			} else {
-				g.extras++
-			}
-		}
-		b.Release()
-	}
-	qualified := make(map[uint32]bool, len(local))
-	for gid, g := range local {
-		if g.hits != dt.need {
-			continue
-		}
-		if sem == Equality && g.extras > 0 {
-			continue
-		}
-		qualified[gid] = true
-	}
-	return qualified
-}
-
-// arityCheckCursor guards the streamed dividend with the same arity
-// panic the tuple-at-a-time path raised, before rows enter the batch
-// packer.
-type arityCheckCursor struct{ in engine.Cursor }
-
-func (c *arityCheckCursor) Next() (rel.Tuple, bool) {
-	t, ok := c.in.Next()
-	if ok && len(t) != 2 {
-		panic(fmt.Sprintf("division: R tuple has arity %d, want 2", len(t)))
-	}
-	return t, ok
 }

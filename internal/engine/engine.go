@@ -23,6 +23,10 @@
 //  3. merge phase (sequential): per-partition outputs concatenate in
 //     partition order, so a run with W workers returns exactly the
 //     same relation as the sequential algorithm.
+//
+// Input that is already partitioned at storage time (internal/shard)
+// skips the build phase: StreamShardedBatchesGov hands each shard's
+// batch cursor to one task of the same pool.
 package engine
 
 import (
@@ -152,6 +156,18 @@ func (e Executor) RunGoverned(g *exec.Governor, tasks int, f func(task int)) {
 		}()
 	}
 	wg.Wait()
+}
+
+// StreamShardedBatchesGov runs work(q, shards[q]) once per shard over
+// the worker pool, under a query governor (nil means ungoverned). The
+// input is already partitioned: one batch cursor per shard-local
+// store, with the partition invariant (all tuples of a group in one
+// shard) established at storage time. A panicking shard task aborts
+// the query instead of killing the process and remaining shards are
+// skipped; callers check g.Err(). It returns the shard count.
+func (e Executor) StreamShardedBatchesGov(g *exec.Governor, shards []rel.BatchCursor, work func(q int, shard rel.BatchCursor)) int {
+	e.RunGoverned(g, len(shards), func(q int) { work(q, shards[q]) })
+	return len(shards)
 }
 
 // PartOf maps an interned ID to a partition in [0, parts). The ID is

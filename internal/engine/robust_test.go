@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"sync/atomic"
 	"testing"
 
 	"radiv/internal/exec"
@@ -9,156 +10,108 @@ import (
 	"radiv/internal/rel"
 )
 
-// TestStreamPartitionedEarlyStopJoinsRouter: a work callback that
-// abandons its shard after one tuple used to strand the router on a
-// full channel forever; the drain-on-return contract must join every
-// goroutine even ungoverned.
-func TestStreamPartitionedEarlyStopJoinsRouter(t *testing.T) {
-	leakcheck.Check(t)
-	const n = 100000 // far more than the channels can buffer
-	tuples := make([]rel.Tuple, n)
-	for i := range tuples {
-		tuples[i] = rel.Ints(int64(i))
+// shardScans returns one lazily packed batch cursor per shard: shard q
+// holds the unary tuples q, q+shards, q+2·shards, … (rows of them). The
+// batches are pooled, so a cursor that is never pulled allocates none.
+func shardScans(shards, rows int) []rel.BatchCursor {
+	out := make([]rel.BatchCursor, shards)
+	for q := range out {
+		i := 0
+		out[q] = rel.ToBatches(funcCursor(func() (rel.Tuple, bool) {
+			if i >= rows {
+				return nil, false
+			}
+			i++
+			return rel.Ints(int64(q + (i-1)*shards)), true
+		}), 1, 8)
 	}
-	for _, workers := range []int{2, 4, 8} {
-		ex := Executor{Workers: workers}
-		ex.StreamPartitioned(&sliceCursor{ts: tuples}, func(t rel.Tuple) int {
-			return int(t[0].AsInt()) % ex.WorkerCount()
-		}, func(q int, shard Cursor) {
-			shard.Next() // abandon the rest
-		})
-	}
+	return out
 }
 
-// TestStreamPartitionedBatchesEarlyStopReleasesAll: the batch
-// exchange's early-stop path must additionally release every batch
-// still staged or in flight.
-func TestStreamPartitionedBatchesEarlyStopReleasesAll(t *testing.T) {
+type funcCursor func() (rel.Tuple, bool)
+
+func (f funcCursor) Next() (rel.Tuple, bool) { return f() }
+
+// TestStreamShardedRunsEveryShardOnce: the shard-aware exchange hands
+// each pre-partitioned cursor to work exactly once, with its own index,
+// across worker counts — including workers > shards and workers == 1 —
+// ungoverned, and leaves no pooled batch live.
+func TestStreamShardedRunsEveryShardOnce(t *testing.T) {
 	leakcheck.Check(t)
-	var tuples []rel.Tuple
-	for i := 0; i < 50000; i++ {
-		tuples = append(tuples, rel.Ints(int64(i%31), int64(i)))
-	}
-	for _, workers := range []int{2, 4} {
+	const shards, rows = 3, 20
+	for _, workers := range []int{1, 2, 4, 8} {
 		live, _, _ := rel.BatchPoolStats()
-		ex := Executor{Workers: workers}
-		ex.StreamPartitionedBatches(scanOf(tuples, 2, 64), func(b *rel.Batch, row int) int {
-			return int(b.Col(0)[row]) % ex.WorkerCount()
-		}, func(q int, shard BatchCursor) {
-			if b, ok := shard.NextBatch(); ok {
+		var calls [shards]atomic.Int64
+		var seen [shards]int
+		n := Executor{Workers: workers}.StreamShardedBatchesGov(nil, shardScans(shards, rows), func(q int, shard rel.BatchCursor) {
+			calls[q].Add(1)
+			for b, ok := shard.NextBatch(); ok; b, ok = shard.NextBatch() {
+				for row := 0; row < b.Len(); row++ {
+					if v := b.Value(0, row).AsInt(); int(v)%shards != q {
+						t.Errorf("workers %d: shard %d saw row %d", workers, q, v)
+					}
+					seen[q]++
+				}
 				b.Release()
 			}
-			// abandon the rest
 		})
+		if n != shards {
+			t.Fatalf("workers %d: reported %d shards, want %d", workers, n, shards)
+		}
+		for q := range calls {
+			if c := calls[q].Load(); c != 1 {
+				t.Errorf("workers %d: shard %d processed %d times", workers, q, c)
+			}
+			if seen[q] != rows {
+				t.Errorf("workers %d: shard %d saw %d rows, want %d", workers, q, seen[q], rows)
+			}
+		}
 		if after, _, _ := rel.BatchPoolStats(); after != live {
-			t.Fatalf("workers=%d: %d batches leaked on early stop", workers, after-live)
+			t.Fatalf("workers %d: %d batches leaked", workers, after-live)
 		}
 	}
 }
 
-// TestStreamPartitionedGovWorkerPanicAborts: a panicking worker must
-// surface as the governor's abort cause — not kill the process — and
-// the exchange must still join every goroutine and release every
-// batch.
-func TestStreamPartitionedGovWorkerPanicAborts(t *testing.T) {
+// TestStreamShardedGovWorkerPanicAborts: a panicking shard task must
+// surface as the governor's abort cause — not kill the process — the
+// shards after it must be skipped, and the exchange must join every
+// goroutine and leave no pooled batch live. With one worker the shard
+// order is sequential, so "skipped" is exact.
+func TestStreamShardedGovWorkerPanicAborts(t *testing.T) {
 	leakcheck.Check(t)
 	boom := errors.New("worker exploded")
-	var tuples []rel.Tuple
-	for i := 0; i < 50000; i++ {
-		tuples = append(tuples, rel.Ints(int64(i%17), int64(i)))
-	}
-	live, _, _ := rel.BatchPoolStats()
-	err := func() (err error) {
-		g := exec.NewGovernor(nil, exec.Limits{})
-		defer g.Recover(&err)
-		ex := Executor{Workers: 4}
-		ex.StreamPartitionedBatchesGov(g, scanOf(tuples, 2, 64), func(b *rel.Batch, row int) int {
-			return int(b.Col(0)[row]) % ex.WorkerCount()
-		}, func(q int, shard BatchCursor) {
-			if q == 1 {
-				panic(boom)
-			}
-			for b, ok := shard.NextBatch(); ok; b, ok = shard.NextBatch() {
-				b.Release()
-			}
-		})
-		g.Check() // observe the abort on the boundary goroutine
-		return nil
-	}()
-	if err == nil {
-		t.Fatal("want abort error, got nil")
-	}
-	if !errors.Is(err, boom) {
-		t.Fatalf("abort cause %v does not wrap the worker panic", err)
-	}
-	if after, _, _ := rel.BatchPoolStats(); after != live {
-		t.Fatalf("%d batches leaked on worker panic", after-live)
-	}
-}
-
-// TestOrderedMergeStopCloseUnblocksProducers: producers blocked on
-// full merge channels must return once the consumer closes the merge.
-func TestOrderedMergeStopCloseUnblocksProducers(t *testing.T) {
-	leakcheck.Check(t)
-	stop := NewStop()
-	chans := make([]chan rel.Tuple, 4)
-	for i := range chans {
-		chans[i] = make(chan rel.Tuple, 2)
-		go func(ch chan rel.Tuple) {
-			defer close(ch)
-			for j := 0; j < 10000; j++ {
-				if !SendOr(ch, rel.Ints(int64(j)), stop.C()) {
-					return
+	const shards = 8
+	for _, workers := range []int{1, 4} {
+		live, _, _ := rel.BatchPoolStats()
+		var ran [shards]atomic.Bool
+		err := func() (err error) {
+			g := exec.NewGovernor(nil, exec.Limits{})
+			defer g.Recover(&err)
+			Executor{Workers: workers}.StreamShardedBatchesGov(g, shardScans(shards, 50), func(q int, shard rel.BatchCursor) {
+				ran[q].Store(true)
+				if q == 1 {
+					panic(boom)
 				}
-			}
-		}(chans[i])
-	}
-	cur := OrderedMergeStop(chans, stop)
-	if _, ok := cur.Next(); !ok {
-		t.Fatal("merge yielded nothing")
-	}
-	cur.Close()
-	if _, ok := cur.Next(); ok {
-		t.Fatal("cursor yielded after Close")
-	}
-}
-
-// TestOrderedMergeBatchesStopCloseReleasesInFlight: closing the batch
-// merge must also release every batch still buffered on the channels.
-func TestOrderedMergeBatchesStopCloseReleasesInFlight(t *testing.T) {
-	leakcheck.Check(t)
-	live, _, _ := rel.BatchPoolStats()
-	stop := NewStop()
-	chans := make([]chan *rel.Batch, 3)
-	for i := range chans {
-		chans[i] = make(chan *rel.Batch, 2)
-		go func(ch chan *rel.Batch) {
-			defer close(ch)
-			for j := 0; j < 100; j++ {
-				b := rel.NewBatch(1)
-				if !SendOr(ch, b, stop.C()) {
+				for b, ok := shard.NextBatch(); ok; b, ok = shard.NextBatch() {
 					b.Release()
-					return
+				}
+			})
+			g.Check() // observe the abort on the boundary goroutine
+			return nil
+		}()
+		if !errors.Is(err, boom) {
+			t.Fatalf("workers %d: abort cause %v does not wrap the worker panic", workers, err)
+		}
+		if workers == 1 {
+			for q := 2; q < shards; q++ {
+				if ran[q].Load() {
+					t.Errorf("workers 1: shard %d ran after the abort", q)
 				}
 			}
-		}(chans[i])
-	}
-	cur := OrderedMergeBatchesStop(chans, stop)
-	if b, ok := cur.NextBatch(); ok {
-		b.Release()
-	} else {
-		t.Fatal("merge yielded nothing")
-	}
-	cur.Close()
-	// The producers' final sends may still race Close's drain; settle
-	// via the leak check's grace implicitly by re-draining here.
-	for _, ch := range chans {
-		for b := range ch {
-			b.Release()
 		}
-	}
-	if after, _, _ := rel.BatchPoolStats(); after != live {
-		t.Fatalf("%d batches leaked after Close", after-live)
+		if after, _, _ := rel.BatchPoolStats(); after != live {
+			t.Fatalf("workers %d: %d batches leaked on worker panic", workers, after-live)
+		}
 	}
 }
 

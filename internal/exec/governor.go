@@ -14,8 +14,7 @@
 // every pooled batch exactly once.
 //
 // A nil *Governor is valid everywhere and means "ungoverned": every
-// method is a no-op (Done returns a nil channel, which blocks
-// forever in a select), so legacy entry points pay nothing.
+// method is a no-op, so legacy entry points pay nothing.
 package exec
 
 import (
@@ -86,7 +85,7 @@ type Governor struct {
 	limits   Limits
 	baseLive int64 // pooled-batch live count at creation
 
-	quit chan struct{} // closed on abort or finish
+	quit chan struct{} // closed on abort or finish; Aborted, Check and the ctx watcher read it
 
 	mu       sync.Mutex
 	cause    error
@@ -121,20 +120,9 @@ func NewGovernor(ctx context.Context, limits Limits) *Governor {
 	return g
 }
 
-// Done returns a channel closed when the query aborts or finishes.
-// Bounded-channel sends inside exchanges select on it so an
-// abandoned consumer can never strand a producer. On a nil Governor
-// it returns nil (blocks forever in a select).
-func (g *Governor) Done() <-chan struct{} {
-	if g == nil {
-		return nil
-	}
-	return g.quit
-}
-
 // Abort records err as the query's failure cause (first call wins)
-// and signals every goroutine selecting on Done. Safe to call from
-// any goroutine, any number of times.
+// and closes the quit channel Aborted and Check observe. Safe to call
+// from any goroutine, any number of times.
 func (g *Governor) Abort(err error) {
 	if g == nil || err == nil {
 		return
@@ -282,9 +270,9 @@ func RecoverPanic(errp *error) {
 // Recover is the evaluator-boundary handler: defer it with the named
 // error result. It converts an abort panic into its recorded cause,
 // any other panic into a *PanicError (the package-prefixed panic
-// convention becomes a typed error at the API surface), signals
-// Done, runs the registered cleanups, and surfaces the first abort
-// cause through *errp.
+// convention becomes a typed error at the API surface), closes the
+// quit channel, runs the registered cleanups, and surfaces the first
+// abort cause through *errp.
 func (g *Governor) Recover(errp *error) {
 	if r := recover(); r != nil {
 		if ap, ok := r.(abortPanic); ok {
@@ -307,9 +295,8 @@ func (g *Governor) Recover(errp *error) {
 	}
 }
 
-// finish closes Done (releasing the context watcher and any
-// producers still selecting on it) and runs the cleanups exactly
-// once.
+// finish closes the quit channel (releasing the context watcher) and
+// runs the cleanups exactly once.
 func (g *Governor) finish() {
 	if g == nil {
 		return

@@ -14,9 +14,6 @@ import (
 // no-op, so legacy entry points can thread nil everywhere.
 func TestNilGovernorIsUngoverned(t *testing.T) {
 	var g *exec.Governor
-	if g.Done() != nil {
-		t.Error("nil governor Done() should be nil (blocks forever in select)")
-	}
 	g.Check()
 	g.CheckResident(1 << 30)
 	g.Abort(errors.New("ignored"))
@@ -60,11 +57,6 @@ func TestAbortFirstWins(t *testing.T) {
 	}
 	if !errors.Is(g.Err(), first) {
 		t.Fatalf("cause %v is not the first abort", g.Err())
-	}
-	select {
-	case <-g.Done():
-	default:
-		t.Fatal("Done not closed after abort")
 	}
 	var err error
 	func() { defer g.Recover(&err) }()
@@ -172,16 +164,18 @@ func TestCanceledContext(t *testing.T) {
 }
 
 // TestWatcherAbortsBlockedQuery: the watcher goroutine converts a
-// cancel into an abort even when no guard is running — that is what
-// unblocks exchange sends parked on Done.
+// cancel into an abort even when no guard is running, so workers that
+// only poll Aborted (engine.Executor.RunGoverned) stop claiming tasks.
 func TestWatcherAbortsBlockedQuery(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	g := exec.NewGovernor(ctx, exec.Limits{})
 	cancel()
-	select {
-	case <-g.Done():
-	case <-time.After(5 * time.Second):
-		t.Fatal("watcher never closed Done after cancel")
+	deadline := time.Now().Add(5 * time.Second)
+	for !g.Aborted() {
+		if time.Now().After(deadline) {
+			t.Fatal("watcher never aborted the query after cancel")
+		}
+		time.Sleep(time.Millisecond)
 	}
 	var err error
 	func() { defer g.Recover(&err) }()

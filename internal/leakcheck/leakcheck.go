@@ -5,9 +5,8 @@
 // goroutine's identity is in the test log, not just its count.
 //
 // Exchange and fault-injection tests use it to prove the abort paths
-// join every goroutine they started: router goroutines, pool workers,
-// context watchers and merge producers all run within one Check
-// window.
+// join every goroutine they started: pool workers and context
+// watchers all run within one Check window.
 package leakcheck
 
 import (

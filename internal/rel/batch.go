@@ -108,27 +108,13 @@ func (b *Batch) Row(buf Tuple, row int) Tuple {
 }
 
 // AppendRowFrom copies row `row` of src onto the end of b. The batch
-// must not be full, and b's dictionaries must match src's (see
-// DictsMatch); the IDs are copied verbatim.
+// must not be full, and b's dictionaries must be src's (see
+// AdoptDicts); the IDs are copied verbatim.
 func (b *Batch) AppendRowFrom(src *Batch, row int) {
 	for k := range b.cols {
 		b.cols[k][b.n] = src.cols[k][row]
 	}
 	b.n++
-}
-
-// DictsMatch reports whether src's per-column dictionaries are exactly
-// b's, which is the precondition for copying raw IDs between them.
-func (b *Batch) DictsMatch(src *Batch) bool {
-	if len(b.dicts) != len(src.dicts) {
-		return false
-	}
-	for k := range b.dicts {
-		if b.dicts[k] != src.dicts[k] {
-			return false
-		}
-	}
-	return true
 }
 
 // AdoptDicts copies src's per-column dictionaries onto b.
@@ -270,9 +256,8 @@ type BatchScannerSized interface {
 	BatchScanSized(size int) BatchCursor
 }
 
-// NextCursor is the minimal tuple iterator the adapters consume; it is
-// structurally identical to engine.Cursor, so stored-relation scans and
-// exchange cursors satisfy it without wrapping.
+// NextCursor is the minimal tuple iterator the adapters consume;
+// stored-relation scans satisfy it without wrapping.
 type NextCursor interface {
 	Next() (Tuple, bool)
 }

@@ -1,10 +1,7 @@
 package setjoin
 
 import (
-	"sync/atomic"
-
 	"radiv/internal/engine"
-	"radiv/internal/exec"
 	"radiv/internal/rel"
 )
 
@@ -97,132 +94,6 @@ func (p ParallelSignatureContainment) Join(r, s []*Group) (*rel.Relation, Stats)
 	return out, mergeStats(per)
 }
 
-// streamJoinChanCap bounds the per-chunk output channels of the
-// JoinStream variants, in result chunks of up to engine.ChunkCap
-// pairs each; see engine.OrderedMergeChunks.
-const streamJoinChanCap = 4
-
-// chunkSender batches one worker's emissions: pairs accumulate in a
-// buffer of engine.ChunkCap rows that is sent as a whole when full —
-// one channel operation per chunk instead of per pair, the exchange
-// half of the vectorized-execution work. Sends select on the stop and
-// done channels (either may be nil), so neither an abandoning
-// consumer nor a query abort can strand a worker on a full channel;
-// send reports false once either fires and the worker bails out.
-type chunkSender struct {
-	ch   chan []rel.Tuple
-	buf  []rel.Tuple
-	stop <-chan struct{} // consumer abandoned the merge
-	done <-chan struct{} // query aborted
-	dead bool
-}
-
-func (s *chunkSender) send(t rel.Tuple) bool {
-	if s.dead {
-		return false
-	}
-	if s.buf == nil {
-		s.buf = make([]rel.Tuple, 0, engine.ChunkCap)
-	}
-	s.buf = append(s.buf, t)
-	if len(s.buf) == engine.ChunkCap {
-		if !s.flush() {
-			return false
-		}
-	}
-	return true
-}
-
-func (s *chunkSender) flush() bool {
-	buf := s.buf
-	s.buf = nil
-	select {
-	case s.ch <- buf:
-		return true
-	case <-s.stop:
-	case <-s.done:
-	}
-	s.dead = true
-	return false
-}
-
-func (s *chunkSender) closeFlush() {
-	if len(s.buf) > 0 && !s.dead {
-		s.flush()
-	}
-	close(s.ch)
-}
-
-// JoinStream runs the signature containment join on the worker pool
-// and produces the result as a cursor: contiguous R chunks are
-// verified concurrently, each streaming its (a, c) pairs through a
-// bounded channel in engine.ChunkCap-pair batches, and the returned
-// cursor drains the chunks in chunk order — the exact sequential
-// SignatureContainment emission sequence — while later chunks are
-// still being verified. Partition boundaries hold no materialized
-// output beyond one in-flight buffer per worker; backpressure from
-// the bounded channels paces workers that run ahead of the consumer.
-// The cursor must be drained to exhaustion. With one worker the
-// sequential join runs inline and its result is streamed.
-//
-// The byte-identical guarantee assumes distinct group keys per side,
-// which Groups establishes; a hand-built list repeating a key can make
-// the stream emit a pair twice where a materialized result relation
-// would deduplicate it.
-//
-// The returned cursor supports early Close (it is an
-// *engine.OrderedMergeChunksStop merge): Close unblocks the workers
-// and drains the channels, so abandoning the stream leaks nothing.
-func (p ParallelSignatureContainment) JoinStream(r, s []*Group) engine.Cursor {
-	return p.JoinStreamGov(nil, r, s)
-}
-
-// JoinStreamGov is JoinStream under a query governor (nil means
-// ungoverned; the early-Close escape hatch works either way).
-// Governed, worker sends also select on the governor's Done channel
-// and a panicking worker aborts the query; callers check g.Err().
-func (p ParallelSignatureContainment) JoinStreamGov(g *exec.Governor, r, s []*Group) engine.Cursor {
-	ex := engine.Executor{Workers: p.Workers}
-	if ex.WorkerCount() <= 1 {
-		res, _ := SignatureContainment{}.Join(r, s)
-		return res.Cursor()
-	}
-	chunks := chunkRanges(len(r), ex.PartitionCount())
-	chans := make([]chan []rel.Tuple, len(chunks))
-	for c := range chans {
-		chans[c] = make(chan []rel.Tuple, streamJoinChanCap)
-	}
-	stop := engine.NewStop()
-	done := g.Done()
-	go func() {
-		claimed := make([]atomic.Bool, len(chunks))
-		ex.RunGoverned(g, len(chunks), func(c int) {
-			claimed[c].Store(true)
-			snd := chunkSender{ch: chans[c], stop: stop.C(), done: done}
-			defer snd.closeFlush()
-			var cmp int
-			for _, gr := range r[chunks[c][0]:chunks[c][1]] {
-				for _, gs := range s {
-					if gs.sig&^gr.sig != 0 {
-						continue
-					}
-					if gr.ContainsAll(gs, &cmp) && !snd.send(rel.Tuple{gr.Key, gs.Key}) {
-						return
-					}
-				}
-			}
-		})
-		// After an abort RunGoverned skips unclaimed chunks; close
-		// their channels so the merge cursor still terminates.
-		for c := range chans {
-			if !claimed[c].Load() {
-				close(chans[c])
-			}
-		}
-	}()
-	return engine.OrderedMergeChunksStop(chans, stop)
-}
-
 // ParallelHashEquality is the canonical-encoding hash equality join
 // with a parallel probe phase: the R-side index is built sequentially
 // on a shared Dict (interned element IDs — the build phase is the only
@@ -282,87 +153,4 @@ func (p ParallelHashEquality) Join(r, s []*Group) (*rel.Relation, Stats) {
 	st := mergeStats(per)
 	st.Probes += build.Probes
 	return out, st
-}
-
-// JoinStream is the cursor-producing hash equality join: the R-side
-// index and shared dictionary are built sequentially, then contiguous
-// S chunks probe concurrently (read-only, via Dict.ProbeKey) and
-// stream their pairs through bounded channels in engine.ChunkCap-pair
-// batches merged in chunk order — the exact sequential HashEquality
-// emission sequence. The cursor must be drained to exhaustion. With
-// one worker the sequential join runs inline and its result is
-// streamed. As with JoinStream on the containment side, byte-identity
-// assumes the distinct group keys Groups establishes.
-// The returned cursor supports early Close, exactly as on the
-// containment side.
-func (p ParallelHashEquality) JoinStream(r, s []*Group) engine.Cursor {
-	return p.JoinStreamGov(nil, r, s)
-}
-
-// JoinStreamGov is JoinStream under a query governor (nil means
-// ungoverned; the early-Close escape hatch works either way).
-// Governed, worker sends also select on the governor's Done channel,
-// a panic in the build phase or a worker aborts the query, and every
-// channel is still closed so the merge cursor terminates; callers
-// check g.Err().
-func (p ParallelHashEquality) JoinStreamGov(g *exec.Governor, r, s []*Group) engine.Cursor {
-	ex := engine.Executor{Workers: p.Workers}
-	if ex.WorkerCount() <= 1 {
-		res, _ := HashEquality{}.Join(r, s)
-		return res.Cursor()
-	}
-	chunks := chunkRanges(len(s), ex.PartitionCount())
-	chans := make([]chan []rel.Tuple, len(chunks))
-	for c := range chans {
-		chans[c] = make(chan []rel.Tuple, streamJoinChanCap)
-	}
-	stop := engine.NewStop()
-	done := g.Done()
-	go func() {
-		built := false
-		defer func() {
-			if g != nil {
-				g.AbortRecovered(recover())
-			}
-			if !built {
-				// Build-phase failure: the workers never ran, so close
-				// the channels here or the merge cursor never terminates.
-				for _, ch := range chans {
-					close(ch)
-				}
-			}
-		}()
-		dict := NewDict()
-		index := make(map[string][]*Group, len(r))
-		for _, gr := range r {
-			k := dict.Key(gr)
-			index[k] = append(index[k], gr)
-		}
-		built = true
-		claimed := make([]atomic.Bool, len(chunks))
-		ex.RunGoverned(g, len(chunks), func(c int) {
-			claimed[c].Store(true)
-			snd := chunkSender{ch: chans[c], stop: stop.C(), done: done}
-			defer snd.closeFlush()
-			for _, gs := range s[chunks[c][0]:chunks[c][1]] {
-				k, ok := dict.ProbeKey(gs)
-				if !ok {
-					continue
-				}
-				for _, gr := range index[k] {
-					if !snd.send(rel.Tuple{gr.Key, gs.Key}) {
-						return
-					}
-				}
-			}
-		})
-		// After an abort RunGoverned skips unclaimed chunks; close
-		// their channels so the merge cursor still terminates.
-		for c := range chans {
-			if !claimed[c].Load() {
-				close(chans[c])
-			}
-		}
-	}()
-	return engine.OrderedMergeChunksStop(chans, stop)
 }

@@ -7,10 +7,9 @@ package shard
 // router assigns IDs in first-occurrence order, gid order is exactly
 // the group order the sequential algorithms emit in, so the merged
 // result is byte-identical to the single-store run at every shard
-// count (the same argument division.ParallelHash.DivideStream makes
-// for its worker partitions). With one shard every entry point
-// delegates straight to the sequential algorithm on the underlying
-// store: no routing happened at load time and none is paid here.
+// count. With one shard every entry point delegates straight to the
+// sequential algorithm on the underlying store: no routing happened at
+// load time and none is paid here.
 //
 // The set joins never leave interned-ID space between the stored
 // columns and the result: the broadcast side is grouped straight off
@@ -45,7 +44,7 @@ import (
 // frame holds no pooled batch, so a budget trip or cancellation
 // unwinds without stranding a batch. One branch per batch.
 type guardedBatches struct {
-	in engine.BatchCursor
+	in rel.BatchCursor
 	g  *exec.Governor
 }
 
@@ -57,7 +56,7 @@ func (c *guardedBatches) NextBatch() (*rel.Batch, bool) {
 // guardShard wraps cur with a governor check per NextBatch; with a
 // nil governor it returns cur unchanged, so ungoverned runs pay
 // nothing.
-func guardShard(g *exec.Governor, cur engine.BatchCursor) engine.BatchCursor {
+func guardShard(g *exec.Governor, cur rel.BatchCursor) rel.BatchCursor {
 	if g == nil {
 		return cur
 	}
@@ -93,11 +92,12 @@ func arityOf(db Source, name string, want int) {
 // Divide computes rName ÷ sName shard-locally: the divisor is
 // materialized once into a shared read-only dictionary
 // (division.DivisorTable), each shard runs the Graefe bitmap scheme
-// over its local dividend cursor on the worker pool
-// (engine.StreamSharded), and the merge emits qualifying groups in the
-// dividend router's gid order — the sequential Hash emission order, so
-// the result is byte-identical to division.Hash on the merged
-// relations at every shard count. workers <= 0 means one per CPU.
+// over its local dividend batch scan on the worker pool
+// (engine.StreamShardedBatchesGov), and the merge emits qualifying
+// groups in the dividend router's gid order — the sequential Hash
+// emission order, so the result is byte-identical to division.Hash on
+// the merged relations at every shard count. workers <= 0 means one
+// per CPU.
 func Divide(db Source, rName, sName string, sem division.Semantics, workers int) (*rel.Relation, Stats) {
 	return DivideGov(nil, db, rName, sName, sem, workers)
 }
@@ -130,13 +130,13 @@ func DivideGov(g *exec.Governor, db Source, rName, sName string, sem division.Se
 	// relations' stored ID columns: no tuple decoding, no re-interning —
 	// each worker runs the vectorized bitmap scheme on flat uint32
 	// columns.
-	cursors := make([]engine.BatchCursor, n)
+	cursors := make([]rel.BatchCursor, n)
 	for q := range cursors {
 		cursors[q] = guardShard(g, db.ShardRel(q, rName).BatchScan())
 	}
 	qualified := make([]map[rel.Value]bool, n)
 	resident := make([]int, n)
-	engine.Executor{Workers: workers}.StreamShardedBatchesGov(g, cursors, func(q int, shard engine.BatchCursor) {
+	engine.Executor{Workers: workers}.StreamShardedBatchesGov(g, cursors, func(q int, shard rel.BatchCursor) {
 		var st division.Stats
 		qualified[q], st = dt.DivideShardBatches(shard, sem)
 		resident[q] = st.MaxMemoryTuples
