@@ -15,7 +15,6 @@ package division
 
 import (
 	"fmt"
-	"sort"
 
 	"radiv/internal/ra"
 	"radiv/internal/rel"
@@ -353,9 +352,9 @@ func (HashStringKey) Divide(r, s *rel.Relation, sem Semantics) (*rel.Relation, S
 }
 
 // Aggregate is counting division (Graefe's "aggregate division", the
-// trick behind the linear grouping expression of Section 5): semijoin
-// R with S, count distinct matching B's per group, and compare the
-// count to |S|. Expected O(|R| + |S|).
+// trick behind the linear grouping expression of Section 5): count the
+// B's of each group that are in S, and compare the count to |S|. It is
+// Count over the stored ID columns. Expected O(|R| + |S|).
 type Aggregate struct{}
 
 // Name implements Algorithm.
@@ -364,46 +363,28 @@ func (Aggregate) Name() string { return "aggregate" }
 // Divide implements Algorithm.
 func (Aggregate) Divide(r, s *rel.Relation, sem Semantics) (*rel.Relation, Stats) {
 	checkInputs(r, s)
-	var st Stats
-	inS := rel.NewInterner()
-	for _, t := range s.Tuples() {
-		st.TuplesRead++
-		st.Probes++
-		inS.Intern(t[0])
-	}
-	type counts struct {
-		rep     rel.Value
-		matched int
-		total   int
-	}
-	gids := rel.NewInterner()
-	var groups []*counts // indexed by group ID
-	for _, t := range r.Tuples() {
-		st.TuplesRead++
-		st.Probes++
-		gid := gids.Intern(t[0])
-		if int(gid) == len(groups) {
-			groups = append(groups, &counts{rep: t[0]})
+	if s.Len() == 0 {
+		// Division by ∅ keeps every group under containment and none
+		// under equality; the counting kernel, like the γ-expression,
+		// keeps none either way.
+		out := rel.NewRelation(1)
+		if sem == Containment {
+			out = r.Project(1)
 		}
-		g := groups[gid]
-		g.total++ // relations are sets, so B's are distinct per group
-		st.Probes++
-		if _, ok := inS.ID(t[1]); ok {
-			g.matched++
-		}
+		return out, Stats{TuplesRead: r.Len()}
 	}
-	st.MaxMemoryTuples = len(groups) + s.Len()
-	out := rel.NewRelation(1)
-	for _, g := range groups {
-		if g.matched != s.Len() {
-			continue
-		}
-		if sem == Equality && g.total != s.Len() {
-			continue
-		}
-		out.Add(rel.Tuple{g.rep})
+	c := Count(r.BatchScan(), s.BatchScan(), sem, func(int) {})
+	out := rel.NewRelationSized(1, len(c.Qualified))
+	for _, id := range c.Qualified {
+		out.Add(rel.Tuple{c.Dict.Value(id)})
 	}
-	return out, st
+	// One probe per divisor insert and per membership test, plus one per
+	// group update: every row under Equality, the matched ones otherwise.
+	probes := c.Divisor + c.Rows + c.Matched
+	if sem == Equality {
+		probes += c.Rows - c.Matched
+	}
+	return out, Stats{TuplesRead: c.Rows + c.Divisor, Probes: probes, MaxMemoryTuples: c.Divisor + c.Groups}
 }
 
 // ClassicRA evaluates division through the pure relational-algebra
@@ -450,15 +431,4 @@ func AllWorkers(workers int) []Algorithm {
 		ClassicRA{}, NestedLoop{}, MergeSort{}, Hash{}, HashStringKey{}, Aggregate{},
 		ParallelHash{Workers: workers},
 	}
-}
-
-// Divisors extracts the divisor set from a unary relation as sorted
-// values, a convenience for workload reporting.
-func Divisors(s *rel.Relation) []rel.Value {
-	vals := make([]rel.Value, 0, s.Len())
-	for _, t := range s.Tuples() {
-		vals = append(vals, t[0])
-	}
-	sort.Slice(vals, func(i, j int) bool { return vals[i].Less(vals[j]) })
-	return vals
 }

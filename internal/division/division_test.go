@@ -231,11 +231,3 @@ func TestInputValidation(t *testing.T) {
 		}()
 	}
 }
-
-func TestDivisors(t *testing.T) {
-	s := rel.FromTuples(1, rel.Ints(3), rel.Ints(1), rel.Ints(2))
-	vals := Divisors(s)
-	if len(vals) != 3 || !vals[0].Equal(rel.Int(1)) || !vals[2].Equal(rel.Int(3)) {
-		t.Errorf("Divisors = %v", vals)
-	}
-}

@@ -172,6 +172,27 @@ func TestBudgetTripAborts(t *testing.T) {
 			t.Fatalf("%s: %d pooled batches leaked on budget trip", a.name, after-live)
 		}
 	}
+	// The γ-division runs as one operator that charges the meter as
+	// groups appear: with room for S's 30 values and 10 groups, the trip
+	// must come inside R's scan (50 groups over 400 rows), not after it.
+	for _, a := range arms(t, snap.Schema()) {
+		if a.name != "xra/gamma-division" {
+			continue
+		}
+		st := faultinject.Wrap(snap, faultinject.Fault{Rel: "R"})
+		live, _, _ := rel.BatchPoolStats()
+		res, err := a.run(context.Background(), st, 16, exec.Limits{MaxResident: 40})
+		var be *exec.BudgetError
+		if !errors.As(err, &be) || res != nil {
+			t.Fatalf("%s: want a budget error and no result, got %v, %v", a.name, res, err)
+		}
+		if rows := st.Rows(); rows >= 400 {
+			t.Errorf("%s: the budget trip came after R's scan (%d of 400 rows read)", a.name, rows)
+		}
+		if after, _, _ := rel.BatchPoolStats(); after != live {
+			t.Fatalf("%s: %d pooled batches leaked on budget trip", a.name, after-live)
+		}
+	}
 }
 
 // TestPreCanceledContext: a context canceled before the query starts

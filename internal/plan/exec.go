@@ -9,7 +9,6 @@ import (
 	"radiv/internal/ra"
 	"radiv/internal/rel"
 	"radiv/internal/sa"
-	"radiv/internal/shard"
 	"radiv/internal/xra"
 )
 
@@ -36,9 +35,6 @@ type Options struct {
 	// BatchSize is the row capacity of the batches operators exchange
 	// (0 = rel.BatchCap).
 	BatchSize int
-	// Workers is the worker count for the sharded division fast path
-	// (0 = sequential).
-	Workers int
 	// Limits bounds the query's resource use on the governed entry
 	// points (ExecuteContext, ExecuteTracedContext). Zero values mean
 	// unlimited; the legacy Execute/ExecuteTraced entries ignore it.
@@ -74,11 +70,6 @@ type Plan struct {
 	root    *Node
 	firings []Firing
 	engine  Engine
-
-	// divR/divS name the division operands when the plan is exactly the
-	// γ-division of two stored relations, the divisor nonempty — the
-	// shape the sharded division fast path accelerates.
-	divR, divS string
 }
 
 // Trace is what one execution measured. Its step order is the
@@ -143,13 +134,6 @@ func CompileIR(root *Node, d rel.ReadStore, opts Options) *Plan {
 	} else if _, ok := ToXRA(p.root); ok {
 		p.engine = EngineXRA
 	}
-	// The fast path computes true division, which the γ-expression
-	// equals only on a nonempty divisor — what the division rule
-	// guarantees for the plans it produced, but not for a γ-division
-	// handed in as written.
-	if r, s, ok := matchGammaDivision(p.root); ok && nonemptyUnary(d, s) {
-		p.divR, p.divS = r, s
-	}
 	return p
 }
 
@@ -166,64 +150,31 @@ func (p *Plan) Root() *Node { return p.root }
 // the caller, built in canonical sorted tuple order — rewrites may
 // legitimately permute an executor's natural emission order, so the
 // plan layer fixes the order once for optimized and unoptimized runs
-// alike. When the bound store is a shard.Source and the plan is exactly
-// a γ-division by a nonempty divisor, the shard-local division path
-// runs instead of the generic executor (same result, shard-parallel).
+// alike.
 func (p *Plan) Execute() *rel.Relation {
-	if p.divR != "" {
-		if src, ok := p.d.(shard.Source); ok {
-			workers := p.opts.Workers
-			if workers < 1 {
-				workers = 1
-			}
-			res, _ := shard.Divide(src, p.divR, p.divS, division.Containment, workers)
-			return canonical(res)
-		}
-	}
 	res, _ := p.run(nil)
 	return canonical(res)
 }
 
 // ExecuteContext is the governed Execute: one governor spans the
-// whole plan — the sharded division fast path included — honoring ctx
-// cancellation and deadlines at every pull boundary, enforcing
-// Options.Limits, converting internal panics into typed errors, and
-// releasing every pooled batch on every abort path. On error the
-// relation is nil.
+// whole plan, honoring ctx cancellation and deadlines at every pull
+// boundary, enforcing Options.Limits, converting internal panics into
+// typed errors, and releasing every pooled batch on every abort path.
+// On error the relation is nil.
 func (p *Plan) ExecuteContext(ctx context.Context) (*rel.Relation, error) {
-	if p.divR != "" {
-		if src, ok := p.d.(shard.Source); ok {
-			workers := p.opts.Workers
-			if workers < 1 {
-				workers = 1
-			}
-			res, err := func() (res *rel.Relation, err error) {
-				g := exec.NewGovernor(ctx, p.opts.Limits)
-				defer g.Recover(&err)
-				r, _ := shard.DivideGov(g, src, p.divR, p.divS, division.Containment, workers)
-				return canonical(r), nil
-			}()
-			if err != nil {
-				return nil, err
-			}
-			return res, nil
-		}
-	}
 	res, _, err := p.ExecuteTracedContext(ctx)
 	return res, err
 }
 
-// ExecuteTraced runs the plan on the executor (never the sharded fast
-// path, whose per-shard work has no single-plan trace) and returns the
-// canonical result plus the trace.
+// ExecuteTraced runs the plan and returns the canonical result plus
+// the trace.
 func (p *Plan) ExecuteTraced() (*rel.Relation, *Trace) {
 	res, tr := p.run(nil)
 	return canonical(res), tr
 }
 
-// ExecuteTracedContext is the governed ExecuteTraced: like
-// ExecuteContext it runs under one governor, but always on the
-// executor so the trace exists. On error the relation and trace are
+// ExecuteTracedContext is the governed ExecuteTraced, under one
+// governor like ExecuteContext. On error the relation and trace are
 // nil.
 func (p *Plan) ExecuteTracedContext(ctx context.Context) (*rel.Relation, *Trace, error) {
 	res, tr, err := func() (res *rel.Relation, tr *Trace, err error) {
@@ -285,24 +236,95 @@ func canonical(r *rel.Relation) *rel.Relation {
 	return out
 }
 
-// matchGammaDivision recognizes the exact IR of
-// xra.ContainmentDivision over two stored relations.
-func matchGammaDivision(n *Node) (rName, sName string, ok bool) {
+// matchGammaDivision recognizes the IR of xra.ContainmentDivision and
+// xra.EqualityDivision over two stored relations: the γ-divisions the
+// executor runs as one operator (aggregateDivision).
+func matchGammaDivision(n *Node) (rName, sName string, sem division.Semantics, ok bool) {
 	if n.Kind != KProject || n.Kids[0].Kind != KJoin {
-		return "", "", false
+		return "", "", 0, false
 	}
-	pg := n.Kids[0].Kids[0]
+	// Both start γ_{1,count(2)}(R ⋈_{2=1} S) on the left of the top
+	// join, the equality one a join further down.
+	pg, div := n.Kids[0].Kids[0], xra.ContainmentDivision
+	if pg.Kind == KJoin {
+		pg, sem, div = pg.Kids[0], division.Equality, xra.EqualityDivision
+	}
 	if pg.Kind != KGamma || pg.Kids[0].Kind != KJoin {
-		return "", "", false
+		return "", "", 0, false
 	}
 	rn, sn := pg.Kids[0].Kids[0], pg.Kids[0].Kids[1]
-	if rn.Kind != KRel || sn.Kind != KRel {
-		return "", "", false
+	if rn.Kind != KRel || sn.Kind != KRel || !Equal(n, FromXRA(div(rn.Name, sn.Name))) {
+		return "", "", 0, false
 	}
-	if !Equal(n, gammaDivision(rn.Name, sn.Name)) {
-		return "", "", false
+	return rn.Name, sn.Name, sem, true
+}
+
+// aggregateDivision builds n, a γ-division of two stored relations
+// (matchGammaDivision), as one operator over division.Count: S's and
+// R's scans feed the kernel through the meter's guards, so a governed
+// run checks R per batch and a MaxResident budget trips as groups
+// appear. On an empty S it emits ∅, as the γ-expression does. Every
+// node of the subtree keeps its own count node, set to that node's
+// cardinality from the kernel's counts, so the trace is the one the
+// subtree's operators would have recorded one by one.
+func (b *builder) aggregateDivision(n *Node, rName, sName string, sem division.Semantics) (ra.BatchCursor, *countNode) {
+	c := &aggDivCursor{sem: sem, meter: b.meter, capacity: b.capacity,
+		r: b.meter.GuardBatches(ra.ScanBatches(rel.CheckView(b.d, rName, 2, "plan"), b.capacity)),
+		s: b.meter.GuardBatches(ra.ScanBatches(rel.CheckView(b.d, sName, 1, "plan"), b.capacity))}
+	var mirror func(n *Node) *countNode
+	mirror = func(n *Node) *countNode {
+		node := &countNode{n: n}
+		for _, k := range n.Kids {
+			node.kids = append(node.kids, mirror(k))
+		}
+		c.nodes = append(c.nodes, node)
+		return node
 	}
-	return rn.Name, sn.Name, true
+	root := mirror(n)
+	return &countCursor{in: c, node: root}, root
+}
+
+// aggDivCursor runs division.Count on its first pull, then emits the
+// qualifying groups as view batches over the kernel's ID list, holding
+// the kernel's charge on the meter until the last one is out.
+type aggDivCursor struct {
+	r, s     ra.BatchCursor
+	sem      division.Semantics
+	meter    *ra.Meter
+	capacity int
+	nodes    []*countNode // the subtree's count nodes in post-order
+
+	out      [][]uint32 // one column of group IDs; nil until run
+	view     rel.Batch
+	at, held int
+}
+
+func (c *aggDivCursor) NextBatch() (*rel.Batch, bool) {
+	if c.out == nil {
+		k := division.Count(c.r, c.s, c.sem, c.meter.Grow)
+		// Post-order, root excluded (its flow is counted as it leaves):
+		// R, S, R ⋈ S, its γ, S, γ(S), the top join; under Equality R,
+		// γ(R) and the join of the two γs come before the second S.
+		q := len(k.Qualified)
+		sizes := []int{k.Rows, k.Divisor, k.Matched, k.MatchedGroups, k.Divisor, 1, q}
+		if c.sem == division.Equality {
+			sizes = []int{k.Rows, k.Divisor, k.Matched, k.MatchedGroups, k.Rows, k.Groups, k.Pure, k.Divisor, 1, q}
+		}
+		for i, size := range sizes {
+			c.nodes[i].size = size
+		}
+		c.out, c.held = [][]uint32{k.Qualified}, k.Divisor+k.Groups
+		c.view.MakeView(c.out, k.Dict)
+	}
+	if c.at == len(c.out[0]) {
+		c.meter.Release(c.held)
+		c.held = 0
+		return nil, false
+	}
+	hi := min(c.at+c.capacity, len(c.out[0]))
+	c.view.SliceView(c.out, c.at, hi)
+	c.at = hi
+	return &c.view, true
 }
 
 // countNode mirrors one occurrence of a plan node, collecting its
@@ -416,6 +438,9 @@ func (b *builder) batches(n *Node) (ra.BatchCursor, *countNode) {
 			node.kids = append(node.kids, rn)
 		}
 	case KProject:
+		if rName, sName, sem, ok := matchGammaDivision(n); ok {
+			return b.aggregateDivision(n, rName, sName, sem)
+		}
 		dedup = dedupProjection(b.d, n, bucket)
 		in, kn := b.batches(n.Kids[0])
 		node.kids = []*countNode{kn}

@@ -154,7 +154,8 @@ func corpusCases() []suiteCase {
 // divisionCases is the division family over {R/2, S/1}: the classical
 // quadratic RA expressions, the semijoin and antijoin shapes that are
 // SA's linear core of it (division itself is out of SA's reach,
-// Proposition 26), and Section 5's γ-expressions.
+// Proposition 26), and Section 5's γ-expressions, at the root and below
+// another operator.
 func divisionCases() []suiteCase {
 	r2, s1 := sa.R("R", 2), sa.R("S", 1)
 	return []suiteCase{
@@ -168,6 +169,10 @@ func divisionCases() []suiteCase {
 		{"division/gamma-containment", plan.FromXRA(xra.ContainmentDivision("R", "S"))},
 		{"division/gamma-equality", plan.FromXRA(xra.EqualityDivision("R", "S"))},
 		{"division/gamma-star", plan.FromXRA(xra.NewGamma([]int{1}, 0, &xra.Wrap{E: ra.R("R", 2)}))},
+		// γ-divisions below another operator, where the executor's
+		// aggregate-division operator runs as an inner node.
+		{"division/gamma-under-join", plan.FromXRA(xra.NewJoin(&xra.Wrap{E: ra.R("R", 2)}, ra.Eq(1, 1), xra.ContainmentDivision("R", "S")))},
+		{"division/gamma-under-gamma", plan.FromXRA(xra.NewGamma(nil, 1, xra.EqualityDivision("R", "S")))},
 	}
 }
 

@@ -43,9 +43,6 @@ import (
 //     that had them, so it pins the accounting this executor inherited.
 //     Other backends may hold more: a θ-only join materializes (and
 //     meters) a stored right side it cannot replay in place.
-//
-// Run under -race this doubles as the planner's parallel-safety check
-// (the sharded division fast path).
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/max_resident.golden from this run")
 
@@ -296,19 +293,17 @@ func checkExecutor(t *testing.T, g *golden, key string, c suiteCase, d *rel.Data
 					}
 				}
 			}
-			if src, sharded := st.d.(shard.Source); sharded && optimize {
-				// Execute, unlike ExecuteTraced, may take the shard-local
-				// division fast path.
-				for _, workers := range []int{1, 2, 4} {
-					p := plan.CompileIR(c.root, src, plan.Options{Optimize: true, Workers: workers})
-					if err := sameEmission(want, p.Execute()); err != nil {
-						t.Errorf("%s store=%s workers=%d: Execute differs from the materialized evaluation: %v", gkey, st.name, workers, err)
-					}
-					if res, err := p.ExecuteContext(context.Background()); err != nil {
-						t.Errorf("%s store=%s workers=%d: ExecuteContext: %v", gkey, st.name, workers, err)
-					} else if err := sameEmission(want, res); err != nil {
-						t.Errorf("%s store=%s workers=%d: ExecuteContext differs from the materialized evaluation: %v", gkey, st.name, workers, err)
-					}
+			if _, sharded := st.d.(shard.Source); sharded && optimize {
+				// The untraced entries run the same executor; hold them to
+				// the oracle once per sharded store.
+				p := plan.CompileIR(c.root, st.d, plan.Options{Optimize: true})
+				if err := sameEmission(want, p.Execute()); err != nil {
+					t.Errorf("%s store=%s: Execute differs from the materialized evaluation: %v", gkey, st.name, err)
+				}
+				if res, err := p.ExecuteContext(context.Background()); err != nil {
+					t.Errorf("%s store=%s: ExecuteContext: %v", gkey, st.name, err)
+				} else if err := sameEmission(want, res); err != nil {
+					t.Errorf("%s store=%s: ExecuteContext differs from the materialized evaluation: %v", gkey, st.name, err)
 				}
 			}
 		}
@@ -334,9 +329,10 @@ func TestPlannerEquivalenceCorpus(t *testing.T) {
 }
 
 // TestPlannerEquivalenceDivision sweeps the division family — the
-// rewrites that change the plan's algebra and enable the shard fast
-// path — over randomized division workloads, including degenerate draws
-// (empty S, empty R) where the rewrite guards must decline.
+// rewrites that change the plan's algebra, and the γ-divisions the
+// executor runs as one operator — over randomized division workloads,
+// including degenerate draws (empty S, empty R) where the rewrite
+// guards must decline.
 func TestPlannerEquivalenceDivision(t *testing.T) {
 	g := loadGolden(t)
 	for seed := int64(0); seed < 8; seed++ {

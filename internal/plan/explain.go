@@ -7,13 +7,11 @@ import (
 
 // Explain renders the compiled plan for humans: the engine it is
 // bound to, the rule firings that shaped it, and the plan tree with
-// per-node cost estimates from the shared model.
+// per-node cost estimates from the shared model, marking the
+// γ-divisions the executor runs as one aggregate-division operator.
 func (p *Plan) Explain() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "engine: %s\n", p.engine)
-	if p.divR != "" {
-		fmt.Fprintf(&b, "fast path: sharded division of %s by %s when the store is a shard.Source\n", p.divR, p.divS)
-	}
 	if !p.opts.Optimize {
 		b.WriteString("rules: off (-optimize not set)\n")
 	} else if len(p.firings) == 0 {
@@ -31,8 +29,12 @@ func (p *Plan) Explain() string {
 
 func (p *Plan) explainNode(b *strings.Builder, n *Node, depth int) {
 	est := estimate(p.d, n)
-	fmt.Fprintf(b, "%s%s  (arity %d, est rows %.0f, distinct %.0f)\n",
+	fmt.Fprintf(b, "%s%s  (arity %d, est rows %.0f, distinct %.0f)",
 		strings.Repeat("  ", depth), head(n), n.arity, est.Rows, est.Distinct)
+	if r, s, sem, ok := matchGammaDivision(n); ok {
+		fmt.Fprintf(b, "  [run as aggregate division: %s ÷ %s, %s]", r, s, sem)
+	}
+	b.WriteByte('\n')
 	for _, k := range n.Kids {
 		p.explainNode(b, k, depth+1)
 	}

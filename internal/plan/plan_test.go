@@ -6,11 +6,13 @@ import (
 	"strings"
 	"testing"
 
+	"radiv/internal/division"
 	"radiv/internal/exec"
 	"radiv/internal/plan"
 	"radiv/internal/ra"
 	"radiv/internal/rel"
 	"radiv/internal/workload"
+	"radiv/internal/xra"
 )
 
 // TestConversionRoundTrip pins From*/To* as inverses over the three
@@ -51,8 +53,8 @@ func TestConversionRoundTrip(t *testing.T) {
 
 // TestDivisionRuleFires pins the tentpole rewrite: the classical
 // division expression compiles to the γ-division plan on the xra
-// engine, with the sharded fast path recognized, and only when S is
-// nonempty.
+// engine, which Explain marks as run by the aggregate-division
+// operator.
 func TestDivisionRuleFires(t *testing.T) {
 	d := workload.RandomDivision(1).Database()
 	p, err := plan.Compile(ra.DivisionExpr("R", "S"), d, plan.Options{Optimize: true})
@@ -65,8 +67,8 @@ func TestDivisionRuleFires(t *testing.T) {
 	if fs := p.Firings(); len(fs) != 1 || fs[0].Rule != "division" {
 		t.Fatalf("firings = %v, want one division firing", fs)
 	}
-	if !strings.Contains(p.Explain(), "fast path: sharded division") {
-		t.Errorf("explain does not advertise the shard fast path:\n%s", p.Explain())
+	if !strings.Contains(p.Explain(), "[run as aggregate division: R ÷ S, containment]") {
+		t.Errorf("explain does not mark the aggregate-division operator:\n%s", p.Explain())
 	}
 }
 
@@ -94,6 +96,74 @@ func TestDivisionRuleDeclinesEmptyS(t *testing.T) {
 	}
 	if got.Len() != 2 {
 		t.Fatalf("division by empty S must keep all candidates, got %d", got.Len())
+	}
+}
+
+// TestGammaDivisionLaw is the paper's law "γ-division ≡ division
+// exactly when the divisor is nonempty" as a property. On every draw —
+// workload.RandomDivision seeds 0–63 and hand-made edges — the
+// executor's γ-divisions, containment and equality, as written and
+// optimized, equal division.Reference when S ≠ ∅ and are empty when
+// S = ∅; the classical expressions under the division rule equal
+// Reference either way (the rule declines on an empty S, so RA runs as
+// written); and division.Aggregate equals Reference.
+func TestGammaDivisionLaw(t *testing.T) {
+	type draw struct {
+		name string
+		d    *rel.Database
+	}
+	var draws []draw
+	for seed := int64(0); seed < 64; seed++ {
+		draws = append(draws, draw{fmt.Sprintf("seed=%d", seed), workload.RandomDivision(seed).Database()})
+	}
+	a, b, one := rel.Str("a"), rel.Str("b"), rel.Int(1)
+	edge := func(name string, r, s []rel.Tuple) {
+		d := rel.NewDatabase(rel.NewSchema(map[string]int{"R": 2, "S": 1}))
+		for _, tp := range r {
+			d.Add("R", tp)
+		}
+		for _, tp := range s {
+			d.Add("S", tp)
+		}
+		draws = append(draws, draw{name, d})
+	}
+	edge("empty R and S", nil, nil)
+	edge("empty R", nil, []rel.Tuple{{one}})
+	edge("empty S", []rel.Tuple{{a, one}, {b, rel.Int(2)}}, nil)
+	edge("S outside R's dictionary", []rel.Tuple{{a, one}, {b, one}}, []rel.Tuple{{one}, {rel.Int(99)}})
+	edge("int S against string R", []rel.Tuple{{a, rel.Str("1")}, {b, one}}, []rel.Tuple{{one}})
+	edge("all of S plus extras", []rel.Tuple{{a, one}, {a, rel.Int(2)}, {a, rel.Int(3)}, {b, one}, {b, rel.Int(2)}},
+		[]rel.Tuple{{one}, {rel.Int(2)}})
+	for _, dr := range draws {
+		r, s := dr.d.Rel("R"), dr.d.Rel("S")
+		for _, sem := range []division.Semantics{division.Containment, division.Equality} {
+			want := division.Reference(r, s, sem)
+			gamma, classic := xra.ContainmentDivision("R", "S"), ra.DivisionExpr("R", "S")
+			if sem == division.Equality {
+				gamma, classic = xra.EqualityDivision("R", "S"), ra.EqualityDivisionExpr("R", "S")
+			}
+			wantGamma := want
+			if s.Len() == 0 {
+				wantGamma = rel.NewRelation(1)
+			}
+			label := fmt.Sprintf("%s %s", dr.name, sem)
+			for _, optimize := range []bool{false, true} {
+				if got := plan.CompileIR(plan.FromXRA(gamma), dr.d, plan.Options{Optimize: optimize}).Execute(); !got.Equal(wantGamma) {
+					t.Errorf("%s: γ-division (optimize=%v) = %v, want %v", label, optimize, got, wantGamma)
+				}
+			}
+			p := plan.CompileIR(plan.FromRA(classic), dr.d, plan.Options{Optimize: true})
+			if got := p.Execute(); !got.Equal(want) {
+				t.Errorf("%s: optimized classical division = %v, want %v\n%s", label, got, want, p.Explain())
+			}
+			fired := strings.Contains(p.Explain(), "aggregate division")
+			if fired && s.Len() == 0 {
+				t.Errorf("%s: the γ-division replaced division by an empty S\n%s", label, p.Explain())
+			}
+			if got, _ := (division.Aggregate{}).Divide(r, s, sem); !got.Equal(want) {
+				t.Errorf("%s: Aggregate = %v, want %v", label, got, want)
+			}
+		}
 	}
 }
 

@@ -3,8 +3,8 @@ package plan
 import (
 	"fmt"
 
-	"radiv/internal/ra"
 	"radiv/internal/rel"
+	"radiv/internal/xra"
 )
 
 // divisionRule rewrites the classical quadratic division idiom
@@ -37,7 +37,7 @@ func (divisionRule) rewrite(d rel.ReadStore, root *Node) (*Node, []Firing) {
 	rec = func(n *Node) *Node {
 		if rName, sName, ok := matchDivision(n); ok {
 			if nonemptyUnary(d, sName) {
-				cand := gammaDivision(rName, sName)
+				cand := FromXRA(xra.ContainmentDivision(rName, sName))
 				before, after := estFlow(d, n), estFlow(d, cand)
 				if after < before {
 					firings = append(firings, Firing{
@@ -59,14 +59,6 @@ func (divisionRule) rewrite(d rel.ReadStore, root *Node) (*Node, []Firing) {
 func nonemptyUnary(d rel.ReadStore, name string) bool {
 	arity, ok := d.Schema().Arity(name)
 	return ok && arity == 1 && d.View(name).Len() > 0
-}
-
-// gammaDivision builds the IR of xra.ContainmentDivision(rName, sName).
-func gammaDivision(rName, sName string) *Node {
-	matched := NJoin(NRel(rName, 2), ra.Eq(2, 1), NRel(sName, 1))
-	perGroup := NGamma([]int{1}, 2, matched)
-	total := NGamma(nil, 1, NRel(sName, 1))
-	return NProject([]int{1}, NJoin(perGroup, ra.Eq(2, 1), total))
 }
 
 // matchDivision recognizes the IR shape of ra.DivisionExpr(rName,

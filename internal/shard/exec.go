@@ -16,9 +16,9 @@ package shard
 // the store view's batch scan, each shard's pairs come back as two ID
 // columns cut into runs (setjoin.ShardPairs), and the merge feeds the
 // runs to the result's AddBatch as view batches (see shardedSetJoin).
-// Division alone runs under a query governor (DivideGov, what
-// internal/plan calls); the set joins have no governed caller and no
-// governed variant.
+// None of them runs under a query governor: the executor in
+// internal/plan runs every plan, division included, over a sharded
+// store's views, and these entry points are library calls.
 //
 // Every entry point takes a Source: the live *Database (the writer's
 // uncommitted view, safe when nothing is concurrently mutating) or a
@@ -33,39 +33,10 @@ import (
 
 	"radiv/internal/division"
 	"radiv/internal/engine"
-	"radiv/internal/exec"
 	"radiv/internal/ra"
 	"radiv/internal/rel"
 	"radiv/internal/setjoin"
 )
-
-// guardedBatches interposes the query governor at a shard cursor's
-// pull boundary: the check runs before the pull, when the worker
-// frame holds no pooled batch, so a budget trip or cancellation
-// unwinds without stranding a batch. One branch per batch.
-type guardedBatches struct {
-	in rel.BatchCursor
-	g  *exec.Governor
-}
-
-func (c *guardedBatches) NextBatch() (*rel.Batch, bool) {
-	c.g.Check()
-	return c.in.NextBatch()
-}
-
-// guardShard wraps cur with a governor check per NextBatch; with a
-// nil governor it returns cur unchanged, so ungoverned runs pay
-// nothing.
-func guardShard(g *exec.Governor, cur rel.BatchCursor) rel.BatchCursor {
-	if g == nil {
-		return cur
-	}
-	return &guardedBatches{in: cur, g: g}
-}
-
-// mergeCheckStride is how many merge-loop iterations run between
-// governor checks on the coordinating goroutine.
-const mergeCheckStride = 64
 
 // Stats reports the cost anatomy of one sharded run: what each shard
 // held and what the merge cost.
@@ -99,25 +70,13 @@ func arityOf(db Source, name string, want int) {
 // the merged relations at every shard count. workers <= 0 means one
 // per CPU.
 func Divide(db Source, rName, sName string, sem division.Semantics, workers int) (*rel.Relation, Stats) {
-	return DivideGov(nil, db, rName, sName, sem, workers)
-}
-
-// DivideGov is Divide under a query governor (nil means ungoverned,
-// with identical behavior): every shard worker checks the governor
-// once per pulled batch, a panicking worker aborts the run instead of
-// killing the process, and the merge loop checks periodically. On
-// abort it unwinds with the abort panic only the boundary
-// Governor.Recover catches — callers are governed cores or API
-// boundaries, never bare user code.
-func DivideGov(g *exec.Governor, db Source, rName, sName string, sem division.Semantics, workers int) (*rel.Relation, Stats) {
 	arityOf(db, rName, 2)
 	arityOf(db, sName, 1)
-	g.Check()
 	if db.NumShards() == 1 {
 		sRel := db.ShardRel(0, sName)
 		out, st := division.Hash{}.Divide(db.ShardRel(0, rName), sRel, sem)
 		// Hash's MaxMemoryTuples includes the divisor table; subtract
-		// it so the figure counts the same thing DivideShard reports
+		// it so the figure counts the same thing DivideShardBatches reports
 		// for multi-shard runs (group state only — the divisor is
 		// broadcast, not shard-local) and the column is comparable
 		// across shard counts.
@@ -132,24 +91,20 @@ func DivideGov(g *exec.Governor, db Source, rName, sName string, sem division.Se
 	// columns.
 	cursors := make([]rel.BatchCursor, n)
 	for q := range cursors {
-		cursors[q] = guardShard(g, db.ShardRel(q, rName).BatchScan())
+		cursors[q] = db.ShardRel(q, rName).BatchScan()
 	}
 	qualified := make([]map[rel.Value]bool, n)
 	resident := make([]int, n)
-	engine.Executor{Workers: workers}.StreamShardedBatchesGov(g, cursors, func(q int, shard rel.BatchCursor) {
+	engine.Executor{Workers: workers}.StreamShardedBatchesGov(nil, cursors, func(q int, shard rel.BatchCursor) {
 		var st division.Stats
 		qualified[q], st = dt.DivideShardBatches(shard, sem)
 		resident[q] = st.MaxMemoryTuples
 	})
-	g.Check() // rethrow a worker abort before merging partial results
 	st := Stats{ShardResident: resident}
 	mergeStart := time.Now()
 	rt := db.Router(rName)
 	out := rel.NewRelationSized(1, rt.Len())
 	for gid := 0; gid < rt.Len(); gid++ {
-		if gid%mergeCheckStride == 0 {
-			g.Check()
-		}
 		st.Merged++
 		v := rt.Value(uint32(gid))
 		if qualified[engine.PartOf(uint32(gid), n)][v] {
