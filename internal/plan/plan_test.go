@@ -272,6 +272,45 @@ func TestJoinOrderRuleCommutes(t *testing.T) {
 	}
 }
 
+// TestJoinRulesKeepGammaDivision pins that -optimize does not undo the
+// aggregate-division operator: the equality γ-division's inner join
+// has a build side larger than its probe side, so joinorder used to
+// commute it, the subtree stopped matching, and the plan ran as five
+// operators holding the whole join. Optimized, both γ-divisions must
+// still be marked, fire no join rule, and hold exactly what the
+// as-written plan holds.
+func TestJoinRulesKeepGammaDivision(t *testing.T) {
+	for seed := int64(0); seed < 8; seed++ {
+		d := workload.RandomDivision(seed).Database()
+		for _, c := range []struct {
+			sem  string
+			expr *plan.Node
+		}{
+			{"containment", plan.FromXRA(xra.ContainmentDivision("R", "S"))},
+			{"equality", plan.FromXRA(xra.EqualityDivision("R", "S"))},
+		} {
+			label := fmt.Sprintf("seed=%d %s", seed, c.sem)
+			opt := plan.CompileIR(c.expr, d, plan.Options{Optimize: true})
+			if !strings.Contains(opt.Explain(), "[run as aggregate division: R ÷ S, "+c.sem+"]") {
+				t.Errorf("%s: optimized plan is not the aggregate division:\n%s", label, opt.Explain())
+			}
+			for _, f := range opt.Firings() {
+				if f.Rule == "joinorder" || f.Rule == "semijoin" {
+					t.Errorf("%s: %s rewrote a join of the γ-division: %s", label, f.Rule, f.Note)
+				}
+			}
+			got, gotTr := opt.ExecuteTraced()
+			want, wantTr := plan.CompileIR(c.expr, d, plan.Options{}).ExecuteTraced()
+			if !got.Equal(want) {
+				t.Errorf("%s: optimized %v, as written %v", label, got, want)
+			}
+			if gotTr.MaxResident != wantTr.MaxResident {
+				t.Errorf("%s: optimized MaxResident %d, as written %d", label, gotTr.MaxResident, wantTr.MaxResident)
+			}
+		}
+	}
+}
+
 // TestSemijoinReduceRuleFires pins semijoin reduction: a huge,
 // mostly-partnerless build side behind a tiny probe side is reduced,
 // the plan leaves pure RA (it now holds a semijoin), and results stay

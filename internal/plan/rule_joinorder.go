@@ -22,7 +22,9 @@ import (
 //
 // Only equi-joins are considered: a θ-only join against a stored right
 // side is replayed in place at zero resident cost, which a swap would
-// destroy.
+// destroy. Nor are the joins inside a γ-division (isGammaDivision),
+// which the executor runs as one operator holding less than either
+// order would.
 type joinOrderRule struct{}
 
 func (joinOrderRule) name() string { return "joinorder" }
@@ -31,6 +33,9 @@ func (joinOrderRule) rewrite(d rel.ReadStore, root *Node) (*Node, []Firing) {
 	var firings []Firing
 	var rec func(n *Node) *Node
 	rec = func(n *Node) *Node {
+		if isGammaDivision(n) {
+			return n
+		}
 		n = rewriteKids(n, rec)
 		if n.Kind != KJoin || len(n.Cond.EqPairs()) == 0 {
 			return n

@@ -26,7 +26,8 @@ import (
 //
 // with sel the estimated partnered fraction of E2 — i.e. when the
 // build side is large and mostly partnerless while the probe side is
-// small.
+// small. The joins inside a γ-division (isGammaDivision) are left
+// alone: the executor runs it as one operator.
 type semijoinReduceRule struct{}
 
 func (semijoinReduceRule) name() string { return "semijoin" }
@@ -35,6 +36,9 @@ func (semijoinReduceRule) rewrite(d rel.ReadStore, root *Node) (*Node, []Firing)
 	var firings []Firing
 	var rec func(n *Node) *Node
 	rec = func(n *Node) *Node {
+		if isGammaDivision(n) {
+			return n
+		}
 		n = rewriteKids(n, rec)
 		eqs := n.Cond.EqPairs()
 		if n.Kind != KJoin || len(eqs) == 0 {

@@ -68,6 +68,17 @@ func optimize(d rel.ReadStore, root *Node) (*Node, []Firing) {
 	return root, all
 }
 
+// isGammaDivision reports whether the executor runs n as one operator,
+// the aggregate division (matchGammaDivision). The join rules leave
+// such a subtree alone: commuting or reducing one of its joins would
+// stop it from matching, and it would run as its five operators,
+// holding its whole join instead of the divisor and one counter per
+// group.
+func isGammaDivision(n *Node) bool {
+	_, _, _, ok := matchGammaDivision(n)
+	return ok
+}
+
 // rewriteKids applies f to every kid and rebuilds the node when any
 // kid changed, preserving arity invariants via the constructors.
 func rewriteKids(n *Node, f func(*Node) *Node) *Node {

@@ -495,3 +495,31 @@ func TestDedupAutoSkipsFilterWhenUseless(t *testing.T) {
 		t.Errorf("sink-feeding projection: resident %d, want 0", tr.MaxResident)
 	}
 }
+
+// TestHashJoinBuildAllocations holds the hash join's build table to a
+// number of allocations logarithmic in its size: over 100 000 distinct
+// keys its columns, dictionary and index grow by doubling, where a
+// slice per key would make 100 000 allocations.
+func TestHashJoinBuildAllocations(t *testing.T) {
+	build := rel.NewRelationSized(2, 100000)
+	for i := 0; i < 100000; i++ {
+		build.Add(rel.Ints(int64(i), int64(i%7)))
+	}
+	probe := rel.FromRows(2, []int64{5, 5})
+	out := 0
+	allocs := testing.AllocsPerRun(1, func() {
+		c := ra.NewHashJoinBatchCursor(probe.BatchScan(), build.BatchScan(), ra.EqAll([2]int{1, 1}, [2]int{2, 2}), &ra.Meter{}, rel.BatchCap)
+		out = 0
+		for b, ok := c.NextBatch(); ok; b, ok = c.NextBatch() {
+			out += b.Len()
+			b.Release()
+		}
+	})
+	if out != 1 {
+		t.Fatalf("join emitted %d rows, want 1", out)
+	}
+	t.Logf("%.0f allocations", allocs)
+	if allocs > 1000 {
+		t.Errorf("a hash join over 100000 distinct keys made %.0f allocations, want at most 1000", allocs)
+	}
+}

@@ -14,10 +14,15 @@ package ra
 // fully pipelined; projection defers deduplication, which is sound
 // because every consumer either pipelines further or deduplicates in a
 // sink (the optional dedup filter drops duplicates where they arise
-// instead). Joins materialize only their build side — a key index on
-// interned IDs for equi-joins, a replayed column store for pure
+// instead). Joins materialize only their build side — a BuildTable
+// for equi-joins, a replayed column store (ReplaySide) for pure
 // theta/cartesian joins — and stream the probe side. Union and
 // difference are blocking sinks, as set semantics requires.
+//
+// Every hash index here is a rel.RowSet, the module's one row index:
+// IDSet keeps its rows in one, and BuildTable keeps its distinct keys
+// in an IDSet. How rows are hashed and chained is decided in
+// rel/rowset.go alone.
 //
 // Operator state — build tables, sinks, dedup filters — grows the
 // shared Meter by exactly the rows held and releases them at
@@ -244,23 +249,19 @@ func (c *vecProjectCursor) NextBatch() (*rel.Batch, bool) {
 	return out, true
 }
 
-// IDSet is the columnar hash set shared by the vectorized sinks (the
-// union sink, the built diff subtrahend, the dedup filter) and — via
-// the column-mapped variants — the sibling algebras' build tables
-// (sa's semijoin key table): rows are translated into one canonical
-// dictionary through an IDMap cache and stored in flat columns with a
-// HashIDs index — insertion order preserved, so re-emission is in
-// first-occurrence order. An IDSet is owned by one operator and is not
-// safe for concurrent use.
+// IDSet is the columnar hash set of the vectorized sinks (the union
+// sink, the built diff subtrahend, the dedup filter), of γ's full-row
+// dedup and of BuildTable's key rows: batch rows — or, through a column
+// mapping, the key columns of wider rows — are translated into one
+// set-owned dictionary through an IDMap cache and held in a rel.RowSet,
+// insertion order preserved, so re-emission is in first-occurrence
+// order. An IDSet is owned by one operator and is not safe for
+// concurrent use.
 type IDSet struct {
-	arity int
-	dict  *rel.Interner
-	xl    *rel.IDMap
-	cols  [][]uint32
-	index map[uint64]int32 // hash -> 1 + chain head row
-	next  []int32          // per row: 1 + next row in chain (0 ends)
-	n     int
-	buf   []uint32
+	dict *rel.Interner
+	xl   *rel.IDMap
+	rows *rel.RowSet
+	buf  []uint32
 
 	// Probe acceleration for single-column sets: per probe dictionary,
 	// a dense membership table built by translating the set's few
@@ -277,102 +278,71 @@ type IDSet struct {
 // NewIDSet returns an empty set of rows of the given arity.
 func NewIDSet(arity int) *IDSet {
 	d := rel.NewInterner()
-	return &IDSet{
-		arity: arity,
-		dict:  d,
-		xl:    rel.NewIDMap(d),
-		cols:  make([][]uint32, arity),
-		index: make(map[uint64]int32),
-		buf:   make([]uint32, arity),
-	}
-}
-
-// Len returns the number of distinct rows held.
-func (s *IDSet) Len() int { return s.n }
-
-func (s *IDSet) rowEqual(pos int) bool {
-	for k, id := range s.buf {
-		if s.cols[k][pos] != id {
-			return false
-		}
-	}
-	return true
+	return &IDSet{dict: d, xl: rel.NewIDMap(d), rows: rel.NewRowSet(arity), buf: make([]uint32, arity)}
 }
 
 // Add inserts row `row` of b, reporting whether it was new.
-func (s *IDSet) Add(b *rel.Batch, row int) bool { return s.AddCols(b, row, nil) }
+func (s *IDSet) Add(b *rel.Batch, row int) bool {
+	_, fresh := s.insert(b, row, nil)
+	return fresh
+}
 
-// AddCols is Add over a column subset: set column k is read from batch
-// column cols[k] (0-based), so a consumer can key a set on the
-// equality columns of a wider batch — sa's semijoin build table. A nil
-// cols is the identity mapping.
-func (s *IDSet) AddCols(b *rel.Batch, row int, cols []int) bool {
-	for k := 0; k < s.arity; k++ {
+// insert adds row `row` of b and returns its position in the set,
+// fresh reporting whether it was new. Set column k is read from batch
+// column cols[k], so a caller can key a set on the equality columns of
+// a wider batch; a nil cols is the identity mapping.
+func (s *IDSet) insert(b *rel.Batch, row int, cols []int) (pos int, fresh bool) {
+	for k := range s.buf {
 		src := k
 		if cols != nil {
 			src = cols[k]
 		}
 		s.buf[k] = s.xl.Intern(b.Dict(src), b.Col(src)[row])
 	}
-	h := rel.HashIDs(s.buf)
-	for pos := s.index[h]; pos != 0; pos = s.next[pos-1] {
-		if s.rowEqual(int(pos - 1)) {
-			return false
-		}
-	}
-	s.next = append(s.next, s.index[h])
-	s.index[h] = int32(s.n) + 1
-	for k := range s.cols {
-		s.cols[k] = append(s.cols[k], s.buf[k])
-	}
-	s.n++
-	return true
+	return s.rows.Insert(s.buf)
 }
 
-// Contains probes row `row` of b without growing the set's dictionary.
-func (s *IDSet) Contains(b *rel.Batch, row int) bool { return s.ContainsCols(b, row, nil) }
-
-// ContainsCols is Contains over a column subset, mapped as in AddCols.
-func (s *IDSet) ContainsCols(b *rel.Batch, row int, cols []int) bool {
-	if s.arity == 1 {
-		// Single-column fast path: a dense membership table over the
-		// probe dictionary, one array load per row.
-		src := 0
-		if cols != nil {
-			src = cols[0]
-		}
-		d, id := b.Dict(src), b.Col(src)[row]
-		tbl := s.lastT
-		if d != s.lastD || s.oneN != s.n {
-			tbl = s.oneTable(d)
-		}
-		if int(id) < len(tbl) {
-			return tbl[id]
-		}
-		// The probe dictionary grew past the table: resolve the late
-		// ID through the forward cache (the set's dictionary holds
-		// exactly the values added, so dictionary membership is set
-		// membership).
-		_, ok := s.xl.Lookup(d, id)
-		return ok
-	}
-	for k := 0; k < s.arity; k++ {
+// find returns the position of row `row` of b, read through cols as in
+// insert, or -1 — without growing the set's dictionary.
+func (s *IDSet) find(b *rel.Batch, row int, cols []int) int {
+	for k := range s.buf {
 		src := k
 		if cols != nil {
 			src = cols[k]
 		}
 		id, ok := s.xl.Lookup(b.Dict(src), b.Col(src)[row])
 		if !ok {
-			return false
+			return -1 // a value the set has never seen
 		}
 		s.buf[k] = id
 	}
-	for pos := s.index[rel.HashIDs(s.buf)]; pos != 0; pos = s.next[pos-1] {
-		if s.rowEqual(int(pos - 1)) {
-			return true
-		}
+	return s.rows.Find(s.buf)
+}
+
+// contains is find as a membership test, with the single-column fast
+// path: a dense membership table over the probe dictionary, one array
+// load per row.
+func (s *IDSet) contains(b *rel.Batch, row int, cols []int) bool {
+	if len(s.buf) != 1 {
+		return s.find(b, row, cols) >= 0
 	}
-	return false
+	src := 0
+	if cols != nil {
+		src = cols[0]
+	}
+	d, id := b.Dict(src), b.Col(src)[row]
+	tbl := s.lastT
+	if d != s.lastD || s.oneN != s.rows.Len() {
+		tbl = s.oneTable(d)
+	}
+	if int(id) < len(tbl) {
+		return tbl[id]
+	}
+	// The probe dictionary grew past the table: resolve the late ID
+	// through the forward cache (the set's dictionary holds exactly the
+	// values added, so dictionary membership is set membership).
+	_, ok := s.xl.Lookup(d, id)
+	return ok
 }
 
 // oneTable returns the membership table for probe dictionary d,
@@ -381,14 +351,14 @@ func (s *IDSet) ContainsCols(b *rel.Batch, row int, cols []int) bool {
 // per-probe cost is independent of how many distinct values flow past
 // the probe — the DivisorTable trick, generalized.
 func (s *IDSet) oneTable(d *rel.Interner) []bool {
-	if s.oneTbl == nil || s.oneN != s.n {
+	if s.oneTbl == nil || s.oneN != s.rows.Len() {
 		s.oneTbl = make(map[*rel.Interner][]bool)
-		s.oneN = s.n
+		s.oneN = s.rows.Len()
 	}
 	tbl, ok := s.oneTbl[d]
 	if !ok {
 		tbl = make([]bool, d.Len())
-		for _, kid := range s.cols[0] {
+		for _, kid := range s.rows.Cols()[0] {
 			if pid, ok := d.ID(s.dict.Value(kid)); ok && int(pid) < len(tbl) {
 				tbl[pid] = true
 			}
@@ -399,11 +369,11 @@ func (s *IDSet) oneTable(d *rel.Interner) []bool {
 	return tbl
 }
 
-// Batches re-emits the set's contents in insertion order as view
+// batches re-emits the set's contents in insertion order as view
 // batches over its columns (valid until the next NextBatch call).
-func (s *IDSet) Batches(capacity int) BatchCursor {
+func (s *IDSet) batches(capacity int) BatchCursor {
 	c := &setCursor{s: s, size: capacity}
-	c.view.MakeView(s.cols, s.dict)
+	c.view.MakeView(s.rows.Cols(), s.dict)
 	return c
 }
 
@@ -415,14 +385,12 @@ type setCursor struct {
 }
 
 func (c *setCursor) NextBatch() (*rel.Batch, bool) {
-	if c.i >= c.s.n {
+	n := c.s.rows.Len()
+	if c.i >= n {
 		return nil, false
 	}
-	hi := c.i + c.size
-	if hi > c.s.n {
-		hi = c.s.n
-	}
-	c.view.SliceView(c.s.cols, c.i, hi)
+	hi := min(c.i+c.size, n)
+	c.view.SliceView(c.s.rows.Cols(), c.i, hi)
 	c.i = hi
 	return &c.view, true
 }
@@ -500,7 +468,7 @@ func (c *vecUnionCursor) NextBatch() (*rel.Batch, bool) {
 		c.set = NewIDSet(c.arity)
 		c.drain(c.l)
 		c.drain(c.r)
-		c.out = c.set.Batches(c.capacity)
+		c.out = c.set.batches(c.capacity)
 	}
 	if c.out == nil {
 		return nil, false
@@ -576,7 +544,7 @@ func (c *vecDiffCursor) NextBatch() (*rel.Batch, bool) {
 func (c *vecDiffCursor) containsRow(b *rel.Batch, row int) bool {
 	switch {
 	case c.set != nil:
-		return c.set.Contains(b, row)
+		return c.set.contains(b, row, nil)
 	case c.storedRel != nil:
 		for k := 0; k < c.arity; k++ {
 			id, ok := c.xl.Lookup(b.Dict(k), b.Col(k)[row])
@@ -592,84 +560,194 @@ func (c *vecDiffCursor) containsRow(b *rel.Batch, row int) bool {
 	}
 }
 
-// ColStore is one materialized build-side column: IDs translated into
-// a store-owned dictionary through an IDMap, so probes from any input
-// dictionary resolve with a cached array load. The vectorized joins —
-// and, through the exported surface, sa's residual-semijoin build —
-// append with Map.Intern and probe with Map.Lookup; IDs holds the
-// stored column in append order, decoded by Dict.
-type ColStore struct {
-	// Dict is the store-owned dictionary IDs are drawn from.
-	Dict *rel.Interner
-	// Map is the translation cache into Dict.
-	Map *rel.IDMap
-	// IDs is the stored column, in append order.
-	IDs []uint32
+// colStore is a materialized build side: every row, translated into
+// one store-owned dictionary through an IDMap — so the stored columns
+// outlive the batches they came from, whatever dictionaries those
+// carried — and kept as flat columns in arrival order.
+type colStore struct {
+	dict *rel.Interner
+	xl   *rel.IDMap
+	cols [][]uint32 // nil until the first batch fixes the arity
+	n    int
 }
 
-// NewColStore returns an empty column store with a fresh dictionary.
-func NewColStore() *ColStore {
+func newColStore() *colStore {
 	d := rel.NewInterner()
-	return &ColStore{Dict: d, Map: rel.NewIDMap(d)}
+	return &colStore{dict: d, xl: rel.NewIDMap(d)}
 }
 
-// Len returns the number of stored rows.
-func (cs *ColStore) Len() int { return len(cs.IDs) }
-
-// Append translates (d, id) into the store's dictionary and appends it.
-func (cs *ColStore) Append(d *rel.Interner, id uint32) {
-	cs.IDs = append(cs.IDs, cs.Map.Intern(d, id))
-}
-
-// PackKey mixes eq-column IDs like JoinKeyer.Key: with at most two
-// atoms the IDs pack collision-free, beyond that rel.HashIDs bucketing
-// is verified per candidate.
-func PackKey(ids []uint32) uint64 {
-	if len(ids) <= 2 {
-		var h uint64
-		for _, id := range ids {
-			h = h<<32 | uint64(id)
-		}
-		return h
+// append stores every row of b.
+func (s *colStore) append(b *rel.Batch) {
+	if s.cols == nil {
+		s.cols = make([][]uint32, b.Arity())
 	}
-	return rel.HashIDs(ids)
+	n := b.Len()
+	for k := range s.cols {
+		col, d := b.Col(k), b.Dict(k)
+		for row := 0; row < n; row++ {
+			s.cols[k] = append(s.cols[k], s.xl.Intern(d, col[row]))
+		}
+	}
+	s.n += n
+}
+
+// ReplaySide opens the right side of a θ-only join or semijoin, which
+// is replayed per probe row: a stored in-memory relation's own ID
+// columns in place (nothing held), otherwise a materialized columnar
+// copy of build — or, when build is nil, of the stored backend's scan
+// (see the file comment) — charging every buffered row to m. The
+// caller releases held from m when done with the columns. Exactly one
+// of build and stored must be non-nil.
+func ReplaySide(build BatchCursor, stored rel.StoredRel, m *Meter, capacity int) (cols [][]uint32, dict *rel.Interner, rows, held int) {
+	if build == nil {
+		if r, ok := stored.(*rel.Relation); ok {
+			cols, dict = r.IDColumns()
+			return cols, dict, r.Len(), 0
+		}
+		tb := rel.ToBatches(stored.Scan(), stored.Arity(), capacity)
+		m.Watch(tb)
+		build = tb
+	}
+	s := newColStore()
+	for b, ok := build.NextBatch(); ok; b, ok = build.NextBatch() {
+		s.append(b)
+		m.Grow(b.Len())
+		b.Release()
+	}
+	return s.cols, s.dict, s.n, s.n
+}
+
+// BuildTable is the build side of the equality-keyed operators — the
+// hash join here and sa's semijoins: the distinct equality-key rows in
+// an IDSet and, unless the operator needs only those, every build row
+// in a colStore, the rows of each key chained in build order. A probe
+// finds its key row once and then walks exactly the build rows with
+// that key, so equality atoms are never re-verified; only residual
+// (non-equality) atoms are evaluated per candidate. The table charges
+// the meter as it is built — one per distinct key, or one per build
+// row — and Held reports the charge for the caller to release.
+type BuildTable struct {
+	keys  *IDSet
+	rows  *colStore // every build row; nil when only the keys are kept
+	first []int32   // per key: 1 + its first build row
+	next  []int32   // per build row: 1 + the next build row with its key (0 ends)
+	held  int
+}
+
+// NewBuildTable drains in into a table keyed on the build columns
+// keyCols (0-based). keysOnly keeps the distinct key rows alone, which
+// is all a semijoin without residual atoms needs.
+func NewBuildTable(in BatchCursor, keyCols []int, keysOnly bool, m *Meter) *BuildTable {
+	t := &BuildTable{keys: NewIDSet(len(keyCols))}
+	if keysOnly {
+		for b, ok := in.NextBatch(); ok; b, ok = in.NextBatch() {
+			for row := 0; row < b.Len(); row++ {
+				if _, fresh := t.keys.insert(b, row, keyCols); fresh {
+					m.Grow(1)
+					t.held++
+				}
+			}
+			b.Release()
+		}
+		return t
+	}
+	t.rows = newColStore()
+	var last []int32 // per key: 1 + its latest build row, while building
+	for b, ok := in.NextBatch(); ok; b, ok = in.NextBatch() {
+		n := b.Len()
+		t.rows.append(b)
+		for row := 0; row < n; row++ {
+			pos := int32(len(t.next)) + 1
+			t.next = append(t.next, 0)
+			if k, fresh := t.keys.insert(b, row, keyCols); fresh {
+				t.first = append(t.first, pos)
+				last = append(last, pos)
+			} else {
+				t.next[last[k]-1] = pos
+				last[k] = pos
+			}
+		}
+		m.Grow(n)
+		t.held += n
+		b.Release()
+	}
+	return t
+}
+
+// Held returns the number of rows the table charged to the meter.
+func (t *BuildTable) Held() int { return t.held }
+
+// candidates returns 1 + the first build row whose key equals probe
+// row `row` of b read through probeCols (0-based, aligned with the
+// table's key columns), 0 when no build row has that key.
+func (t *BuildTable) candidates(b *rel.Batch, row int, probeCols []int) int32 {
+	k := t.keys.find(b, row, probeCols)
+	if k < 0 {
+		return 0
+	}
+	return t.first[k]
+}
+
+// holds reports whether build row brow satisfies every residual atom
+// against probe row `row` of b.
+func (t *BuildTable) holds(resid []Atom, b *rel.Batch, row, brow int) bool {
+	for _, at := range resid {
+		if !at.Op.Eval(b.Value(at.L-1, row), t.rows.dict.Value(t.rows.cols[at.R-1][brow])) {
+			return false
+		}
+	}
+	return true
+}
+
+// Partner reports whether probe row `row` of b has a build row with
+// its key (read through probeCols) that satisfies every residual atom:
+// the semijoin's test. A keys-only table answers from its keys alone,
+// so it must be built only for a condition without residual atoms.
+func (t *BuildTable) Partner(b *rel.Batch, row int, probeCols []int, resid []Atom) bool {
+	if t.rows == nil {
+		return t.keys.contains(b, row, probeCols)
+	}
+	for p := t.candidates(b, row, probeCols); p != 0; p = t.next[p-1] {
+		if t.holds(resid, b, row, int(p-1)) {
+			return true
+		}
+	}
+	return false
 }
 
 // vecHashJoinCursor is the equality-keyed hash join: the build side is
-// materialized into per-column ID stores plus a key index, and probe
-// batches stream against it — probe keys resolve through the build
-// columns' translation caches, equality atoms verify on raw IDs, and
-// only residual (non-equality) atoms decode values. Output batches
-// carry the probe side's dictionaries on the left columns and the
-// build stores' on the right, so nothing is re-interned on the way
-// out.
+// materialized into a BuildTable, and probe batches stream against it —
+// each probe row resolves its key once, walks the build rows with
+// exactly that key, and decodes values only for residual
+// (non-equality) atoms. Output batches carry the probe side's
+// dictionaries on the left columns and the table's on the right, so
+// nothing is re-interned on the way out.
 type vecHashJoinCursor struct {
-	left     BatchCursor
-	buildC   BatchCursor
-	eqs      [][2]int
-	resid    []Atom
-	meter    *Meter
-	capacity int
+	left      BatchCursor
+	buildC    BatchCursor
+	probeCols []int // 0-based probe columns of the equality atoms
+	buildCols []int // 0-based build columns of the equality atoms
+	resid     []Atom
+	meter     *Meter
+	capacity  int
 
 	opened bool
-	build  []*ColStore
-	index  map[uint64][]int32
-	rows   int
+	table  *BuildTable
 	held   int
 
 	probe *rel.Batch
 	prow  int
-	cands []int32
-	ci    int
-	pids  []uint32
-	kbuf  []uint32
+	cand  int32 // 1 + the next candidate build row, 0 when exhausted
 	out   *rel.Batch
 }
 
 func newVecHashJoinCursor(left, buildC BatchCursor, cond Cond, eqs [][2]int, m *Meter, capacity int) *vecHashJoinCursor {
 	c := &vecHashJoinCursor{
-		left: left, buildC: buildC, eqs: eqs, meter: m, capacity: capacity,
-		pids: make([]uint32, len(eqs)), kbuf: make([]uint32, len(eqs)),
+		left: left, buildC: buildC, meter: m, capacity: capacity,
+		probeCols: make([]int, len(eqs)), buildCols: make([]int, len(eqs)),
+	}
+	for x, p := range eqs {
+		c.probeCols[x], c.buildCols[x] = p[0]-1, p[1]-1
 	}
 	for _, at := range cond {
 		if at.Op != OpEq {
@@ -690,87 +768,24 @@ func (c *vecHashJoinCursor) ReleaseHeld() {
 	o.Release()
 }
 
-func (c *vecHashJoinCursor) openBuild() {
-	c.index = make(map[uint64][]int32)
-	for b, ok := c.buildC.NextBatch(); ok; b, ok = c.buildC.NextBatch() {
-		n := b.Len()
-		if c.build == nil {
-			c.build = make([]*ColStore, b.Arity())
-			for k := range c.build {
-				c.build[k] = NewColStore()
-			}
-		}
-		base := c.rows
-		for k, cs := range c.build {
-			col, d := b.Col(k), b.Dict(k)
-			for row := 0; row < n; row++ {
-				cs.Append(d, col[row])
-			}
-		}
-		c.rows += n
-		c.meter.Grow(n)
-		c.held += n
-		for row := 0; row < n; row++ {
-			for x, p := range c.eqs {
-				c.kbuf[x] = c.build[p[1]-1].IDs[base+row]
-			}
-			k := PackKey(c.kbuf)
-			c.index[k] = append(c.index[k], int32(base+row))
-		}
-		b.Release()
-	}
-}
-
-// loadCands resolves the current probe row's key through the build
-// columns' caches; a value absent from a build column means no match.
-func (c *vecHashJoinCursor) loadCands() {
-	c.cands, c.ci = nil, 0
-	if c.rows == 0 {
-		return
-	}
-	for x, p := range c.eqs {
-		col := p[0] - 1
-		id, ok := c.build[p[1]-1].Map.Lookup(c.probe.Dict(col), c.probe.Col(col)[c.prow])
-		if !ok {
-			return
-		}
-		c.pids[x] = id
-	}
-	c.cands = c.index[PackKey(c.pids)]
-}
-
-func (c *vecHashJoinCursor) verify(brow int) bool {
-	for x, p := range c.eqs {
-		if c.build[p[1]-1].IDs[brow] != c.pids[x] {
-			return false
-		}
-	}
-	for _, at := range c.resid {
-		bs := c.build[at.R-1]
-		if !at.Op.Eval(c.probe.Value(at.L-1, c.prow), bs.Dict.Value(bs.IDs[brow])) {
-			return false
-		}
-	}
-	return true
-}
-
 func (c *vecHashJoinCursor) emit(brow int) {
 	la := c.probe.Arity()
+	rs := c.table.rows
 	if c.out == nil {
-		c.out = rel.NewBatchSized(la+len(c.build), c.capacity)
+		c.out = rel.NewBatchSized(la+len(rs.cols), c.capacity)
 		for k := 0; k < la; k++ {
 			c.out.SetDict(k, c.probe.Dict(k))
 		}
-		for k, cs := range c.build {
-			c.out.SetDict(la+k, cs.Dict)
+		for k := range rs.cols {
+			c.out.SetDict(la+k, rs.dict)
 		}
 	}
 	row := c.out.Len()
 	for k := 0; k < la; k++ {
 		c.out.WritableCol(k)[row] = c.probe.Col(k)[c.prow]
 	}
-	for k, cs := range c.build {
-		c.out.WritableCol(la + k)[row] = cs.IDs[brow]
+	for k, col := range rs.cols {
+		c.out.WritableCol(la + k)[row] = col[brow]
 	}
 	c.out.SetLen(row + 1)
 }
@@ -778,7 +793,8 @@ func (c *vecHashJoinCursor) emit(brow int) {
 func (c *vecHashJoinCursor) NextBatch() (*rel.Batch, bool) {
 	if !c.opened {
 		c.opened = true
-		c.openBuild()
+		c.table = NewBuildTable(c.buildC, c.buildCols, false, c.meter)
+		c.held = c.table.Held()
 	}
 	for {
 		if c.probe == nil {
@@ -795,7 +811,7 @@ func (c *vecHashJoinCursor) NextBatch() (*rel.Batch, bool) {
 				c.out = nil
 				c.meter.Release(c.held)
 				c.held = 0
-				c.build, c.index, c.cands = nil, nil, nil
+				c.table = nil
 				return nil, false
 			}
 			if b.Len() == 0 {
@@ -803,21 +819,21 @@ func (c *vecHashJoinCursor) NextBatch() (*rel.Batch, bool) {
 				continue
 			}
 			c.probe, c.prow = b, 0
-			c.loadCands()
+			c.cand = c.table.candidates(c.probe, c.prow, c.probeCols)
 		}
-		if c.ci >= len(c.cands) {
+		if c.cand == 0 {
 			c.prow++
 			if c.prow >= c.probe.Len() {
 				c.probe.Release()
 				c.probe = nil
 				continue
 			}
-			c.loadCands()
+			c.cand = c.table.candidates(c.probe, c.prow, c.probeCols)
 			continue
 		}
-		brow := int(c.cands[c.ci])
-		c.ci++
-		if !c.verify(brow) {
+		brow := int(c.cand - 1)
+		c.cand = c.table.next[brow]
+		if !c.table.holds(c.resid, c.probe, c.prow, brow) {
 			continue
 		}
 		c.emit(brow)
@@ -830,8 +846,8 @@ func (c *vecHashJoinCursor) NextBatch() (*rel.Batch, bool) {
 }
 
 // vecLoopJoinCursor handles joins without equality atoms. The right
-// side is, in preference order: the stored in-memory relation's ID
-// columns replayed in place (zero copies, nothing held); a
+// side is opened by ReplaySide: the stored in-memory relation's ID
+// columns replayed in place (zero copies, nothing held), or a
 // materialized column store (computed right child, or a stored
 // relation on a non-in-memory backend — see the file comment). The
 // empty condition — the cartesian product — is a pure block copy: the
@@ -847,7 +863,7 @@ type vecLoopJoinCursor struct {
 
 	opened bool
 	rcols  [][]uint32
-	rdicts []*rel.Interner
+	rdict  *rel.Interner
 	rn     int
 	held   int
 
@@ -867,71 +883,6 @@ func (c *vecLoopJoinCursor) ReleaseHeld() {
 	o.Release()
 }
 
-func (c *vecLoopJoinCursor) open() {
-	switch {
-	case c.buildC != nil:
-		c.materialize(c.buildC)
-	default:
-		if r, ok := c.stored.(*rel.Relation); ok {
-			cols, dict := r.IDColumns()
-			c.rcols = cols
-			c.rdicts = make([]*rel.Interner, len(cols))
-			for k := range c.rdicts {
-				c.rdicts[k] = dict
-			}
-			c.rn = r.Len()
-			return
-		}
-		// Non-in-memory stored backend: materialize (and meter) a
-		// columnar copy instead of replaying the backend per probe row.
-		tb := rel.ToBatches(c.stored.Scan(), c.stored.Arity(), c.capacity)
-		c.meter.Watch(tb)
-		c.materialize(tb)
-	}
-}
-
-// materialize drains in into per-column ID stores, charging every
-// buffered row to the meter.
-func (c *vecLoopJoinCursor) materialize(in BatchCursor) {
-	c.rcols, c.rdicts, c.rn = MaterializeBatchColumns(in, c.meter)
-	c.held += c.rn
-}
-
-// MaterializeBatchColumns drains in into per-column ID stores and
-// returns the flat columns with their store-owned dictionaries,
-// charging every buffered row to m. The caller owns the buffered
-// state: it must Release the returned row count from m when done with
-// the columns. Shared by the loop-replay sides of the vectorized theta
-// joins here and the theta semijoins in internal/sa.
-func MaterializeBatchColumns(in BatchCursor, m *Meter) (cols [][]uint32, dicts []*rel.Interner, rows int) {
-	var stores []*ColStore
-	for b, ok := in.NextBatch(); ok; b, ok = in.NextBatch() {
-		n := b.Len()
-		if stores == nil {
-			stores = make([]*ColStore, b.Arity())
-			for k := range stores {
-				stores[k] = NewColStore()
-			}
-		}
-		for k, cs := range stores {
-			col, d := b.Col(k), b.Dict(k)
-			for row := 0; row < n; row++ {
-				cs.Append(d, col[row])
-			}
-		}
-		rows += n
-		m.Grow(n)
-		b.Release()
-	}
-	cols = make([][]uint32, len(stores))
-	dicts = make([]*rel.Interner, len(stores))
-	for k, cs := range stores {
-		cols[k] = cs.IDs
-		dicts[k] = cs.Dict
-	}
-	return cols, dicts, rows
-}
-
 func (c *vecLoopJoinCursor) ensureOut() {
 	if c.out != nil {
 		return
@@ -942,13 +893,13 @@ func (c *vecLoopJoinCursor) ensureOut() {
 		c.out.SetDict(k, c.probe.Dict(k))
 	}
 	for k := range c.rcols {
-		c.out.SetDict(la+k, c.rdicts[k])
+		c.out.SetDict(la+k, c.rdict)
 	}
 }
 
 func (c *vecLoopJoinCursor) holds() bool {
 	for _, at := range c.cond {
-		if !at.Op.Eval(c.probe.Value(at.L-1, c.prow), c.rdicts[at.R-1].Value(c.rcols[at.R-1][c.ri])) {
+		if !at.Op.Eval(c.probe.Value(at.L-1, c.prow), c.rdict.Value(c.rcols[at.R-1][c.ri])) {
 			return false
 		}
 	}
@@ -958,7 +909,7 @@ func (c *vecLoopJoinCursor) holds() bool {
 func (c *vecLoopJoinCursor) NextBatch() (*rel.Batch, bool) {
 	if !c.opened {
 		c.opened = true
-		c.open()
+		c.rcols, c.rdict, c.rn, c.held = ReplaySide(c.buildC, c.stored, c.meter, c.capacity)
 	}
 	for {
 		if c.probe == nil {
@@ -973,7 +924,7 @@ func (c *vecLoopJoinCursor) NextBatch() (*rel.Batch, bool) {
 				c.out = nil
 				c.meter.Release(c.held)
 				c.held = 0
-				c.rcols, c.rdicts = nil, nil
+				c.rcols, c.rdict = nil, nil
 				return nil, false
 			}
 			if b.Len() == 0 {
@@ -1092,8 +1043,8 @@ func NewDiffBatchCursor(left, build BatchCursor, stored rel.StoredRel, arity int
 }
 
 // NewHashJoinBatchCursor builds the equality-keyed vectorized hash
-// join: the build side is materialized into per-column ID stores plus
-// a PackKey index, and probe batches stream against it. cond must
+// join: the build side is materialized into a BuildTable keyed on the
+// equality columns, and probe batches stream against it. cond must
 // contain at least one equality atom.
 func NewHashJoinBatchCursor(left, build BatchCursor, cond Cond, m *Meter, capacity int) BatchCursor {
 	eqs := cond.EqPairs()

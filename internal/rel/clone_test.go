@@ -205,13 +205,13 @@ func TestCloneIsAColumnCopy(t *testing.T) {
 		return ts
 	}
 	grow := func(side *Relation, ts []Tuple) {
-		buckets := len(side.heads)
+		buckets := len(side.rows.heads)
 		for _, tup := range ts {
 			if !side.Add(tup) {
 				t.Fatalf("fresh tuple %v rejected", tup)
 			}
 		}
-		if len(side.heads) == buckets {
+		if len(side.rows.heads) == buckets {
 			t.Fatalf("%d Adds did not re-chain an index of %d buckets", len(ts), buckets)
 		}
 	}

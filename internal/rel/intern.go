@@ -192,8 +192,8 @@ func (in *Interner) Clone() *Interner {
 // (FNV-1a over the IDs followed by a splitmix64-style finisher). The
 // hash is used for bucketing only — callers must always confirm
 // equality on the tuples themselves — so collisions cost time, never
-// correctness. It backs the relation deduplication index and the
-// many-equality hash joins in internal/ra.
+// correctness. It backs RowSet, the module's one row index, and the
+// join and group keys of the materialized evaluators.
 func HashIDs(ids []uint32) uint64 {
 	h := uint64(hashOffset)
 	for _, id := range ids {
@@ -202,8 +202,8 @@ func HashIDs(ids []uint32) uint64 {
 	return hashFinish(h)
 }
 
-// The FNV-1a parameters and the finisher of HashIDs, split out so the
-// dedup index can hash a stored row straight from its ID columns.
+// The FNV-1a parameters and the finisher of HashIDs, split out so
+// RowSet can re-hash a stored row straight from its columns.
 const (
 	hashOffset = 14695981039346656037
 	hashPrime  = 1099511628211

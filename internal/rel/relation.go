@@ -2,7 +2,6 @@ package rel
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 )
@@ -27,23 +26,16 @@ import (
 // Tuple.Key string encodings (those remain available to callers that
 // need an injective encoding without a dictionary).
 //
-// The dedup index is a flat chained hash table over those columns:
-// heads is a power-of-two bucket array (bucket = HashIDs & mask)
-// holding 1 + the position of the newest tuple in the bucket, and next
-// chains each tuple to the previous one in its bucket. There are
-// always at least two buckets per tuple, so chains stay short: the
-// array is doubled, and every chain rebuilt from the stored ID
-// columns, when the tuple count reaches half the bucket count, and
-// Reserve sizes it ahead of a bulk load. Rebuilding happens only
-// inside Add, AddBatch and Reserve — the writer side — so probing a
-// sealed relation never writes.
+// The ID columns and the dedup index over them are one RowSet, the
+// module's row index: insertion-ordered columns under chained buckets,
+// at least two per tuple, re-chained only inside Add, AddBatch and
+// Reserve — the writer side — so probing a sealed relation never
+// writes. The relation does not hand the RowSet out: IDColumns exposes
+// the columns read-only, and the index stays private.
 type Relation struct {
 	arity  int
-	n      int        // cardinality: an arity-0 relation has no column to measure
-	cols   [][]uint32 // arity flat ID columns, one entry per stored tuple
+	rows   RowSet // the ID columns, one entry per stored tuple, and their dedup index
 	intern *Interner
-	heads  []int32  // per bucket: 1 + newest position in its chain (0 = empty); nil while empty
-	next   []int32  // per tuple: 1 + next position in its hash chain (0 ends)
 	idbuf  []uint32 // scratch for the insert paths, avoids per-call allocation
 	xlat   *IDMap   // lazy translation cache for AddBatch sinks
 }
@@ -57,7 +49,7 @@ func NewRelation(arity int) *Relation {
 	}
 	return &Relation{
 		arity:  arity,
-		cols:   make([][]uint32, arity),
+		rows:   RowSet{cols: make([][]uint32, arity)},
 		intern: NewInterner(),
 		idbuf:  make([]uint32, arity),
 	}
@@ -80,62 +72,7 @@ func NewRelationSized(arity, n int) *Relation {
 // insertion order and IDs are unchanged, and inserting more than n
 // tuples afterwards just resumes amortized growth. The dictionary is
 // not sized: how many distinct values n tuples bring is not known here.
-func (r *Relation) Reserve(n int) {
-	if n <= 0 {
-		return
-	}
-	want := r.n + n
-	for k := range r.cols {
-		if cap(r.cols[k]) < want {
-			c := make([]uint32, len(r.cols[k]), want)
-			copy(c, r.cols[k])
-			r.cols[k] = c
-		}
-	}
-	if cap(r.next) < want {
-		nx := make([]int32, len(r.next), want)
-		copy(nx, r.next)
-		r.next = nx
-	}
-	if len(r.heads) < 2*want {
-		r.rechain(2 * want)
-	}
-}
-
-// minBuckets is the smallest dedup index allocated.
-const minBuckets = 8
-
-// rechain replaces the dedup index with one of at least n buckets
-// (rounded up to a power of two) and rebuilds every chain from the
-// stored ID columns. Positions are re-linked in insertion order, so a
-// chain lists its tuples newest first exactly as incremental inserts
-// leave it.
-func (r *Relation) rechain(n int) {
-	size := minBuckets
-	for size < n {
-		size <<= 1
-	}
-	r.heads = make([]int32, size)
-	mask := uint64(size - 1)
-	for pos := 0; pos < r.n; pos++ {
-		h := uint64(hashOffset)
-		for _, col := range r.cols {
-			h = (h ^ uint64(col[pos])) * hashPrime
-		}
-		b := hashFinish(h) & mask
-		r.next[pos] = r.heads[b]
-		r.heads[b] = int32(pos) + 1
-	}
-}
-
-// chain returns 1 + the position of the newest stored tuple whose hash
-// falls in h's bucket, 0 when the bucket (or the whole index) is empty.
-func (r *Relation) chain(h uint64) int32 {
-	if len(r.heads) == 0 {
-		return 0
-	}
-	return r.heads[h&uint64(len(r.heads)-1)]
-}
+func (r *Relation) Reserve(n int) { r.rows.reserve(n) }
 
 // Interner exposes the relation's value dictionary: every value
 // occurring in the relation has an ID, in first-occurrence order. The
@@ -170,7 +107,7 @@ func (r *Relation) Arity() int { return r.arity }
 
 // Len returns the cardinality of the relation — its "size" in the sense
 // of Definition 15.
-func (r *Relation) Len() int { return r.n }
+func (r *Relation) Len() int { return r.rows.n }
 
 // Add inserts a tuple, ignoring duplicates. It reports whether the
 // tuple was new. It panics if the tuple has the wrong arity. The
@@ -196,35 +133,8 @@ func (r *Relation) Add(t Tuple) bool {
 // the relation's own dictionary unless it is already stored, and
 // reports whether it was new. ids is read, not retained.
 func (r *Relation) addIDs(ids []uint32) bool {
-	h := HashIDs(ids)
-	for pos := r.chain(h); pos != 0; pos = r.next[pos-1] {
-		if r.rowEqualIDs(int(pos-1), ids) {
-			return false
-		}
-	}
-	if 2*r.n >= len(r.heads) {
-		r.rechain(2 * len(r.heads))
-	}
-	b := h & uint64(len(r.heads)-1)
-	r.next = append(r.next, r.heads[b])
-	r.n++
-	r.heads[b] = int32(r.n)
-	for k := range r.cols {
-		r.cols[k] = append(r.cols[k], ids[k])
-	}
-	return true
-}
-
-// rowEqualIDs reports whether the stored tuple at position pos has
-// exactly the given interned IDs. Interning is injective, so ID
-// equality is value equality.
-func (r *Relation) rowEqualIDs(pos int, ids []uint32) bool {
-	for k, id := range ids {
-		if r.cols[k][pos] != id {
-			return false
-		}
-	}
-	return true
+	_, fresh := r.rows.Insert(ids)
+	return fresh
 }
 
 // Contains reports membership of t in the relation. It is read-only
@@ -251,15 +161,7 @@ func (r *Relation) Contains(t Tuple) bool {
 // batch IDs once and then probe without touching values. Read-only and
 // safe for concurrent use with other readers.
 func (r *Relation) ContainsIDs(ids []uint32) bool {
-	if len(ids) != r.arity {
-		return false
-	}
-	for pos := r.chain(HashIDs(ids)); pos != 0; pos = r.next[pos-1] {
-		if r.rowEqualIDs(int(pos-1), ids) {
-			return true
-		}
-	}
-	return false
+	return len(ids) == r.arity && r.rows.Find(ids) >= 0
 }
 
 // AddBatch inserts every row of the batch in row order, deduplicating
@@ -321,7 +223,7 @@ func (r *Relation) AddBatch(b *Batch) int {
 // row decodes the stored tuple at position pos into buf, which must
 // have the relation's arity, and returns buf.
 func (r *Relation) row(buf Tuple, pos int) Tuple {
-	for k, col := range r.cols {
+	for k, col := range r.rows.cols {
 		buf[k] = r.intern.vals[col[pos]]
 	}
 	return buf
@@ -345,7 +247,7 @@ func arenaRows(n, arity int) []Tuple {
 // which may reorder, truncate or modify them freely: nothing it does to
 // them reaches the relation.
 func (r *Relation) Tuples() []Tuple {
-	ts := arenaRows(r.n, r.arity)
+	ts := arenaRows(r.rows.n, r.arity)
 	for pos, t := range ts {
 		r.row(t, pos)
 	}
@@ -424,7 +326,7 @@ type relBatchCursor struct {
 }
 
 func (c *relBatchCursor) NextBatch() (*Batch, bool) {
-	n := c.r.n
+	n := c.r.rows.n
 	if c.i >= n {
 		return nil, false
 	}
@@ -433,7 +335,7 @@ func (c *relBatchCursor) NextBatch() (*Batch, bool) {
 		hi = n
 	}
 	for k := range c.view.cols {
-		c.view.cols[k] = c.r.cols[k][c.i:hi]
+		c.view.cols[k] = c.r.rows.cols[k][c.i:hi]
 	}
 	c.view.n = hi - c.i
 	c.view.capacity = c.view.n
@@ -446,8 +348,8 @@ func (c *relBatchCursor) NextBatch() (*Batch, bool) {
 // call: a walk over many positions wants Cursor, Tuples or the ID
 // columns). It panics when i is not a position of the relation.
 func (r *Relation) At(i int) Tuple {
-	if i < 0 || i >= r.n {
-		panic(fmt.Sprintf("rel: position %d outside relation of %d tuples", i, r.n))
+	if i < 0 || i >= r.rows.n {
+		panic(fmt.Sprintf("rel: position %d outside relation of %d tuples", i, r.rows.n))
 	}
 	return r.row(make(Tuple, r.arity), i)
 }
@@ -462,7 +364,7 @@ func (r *Relation) DropBatchCache() { r.xlat = nil }
 // executors' in-place operators (a cartesian join replays a stored
 // relation by block-copying its columns). Both are read-only views of
 // live storage: the relation must not be modified while they are held.
-func (r *Relation) IDColumns() ([][]uint32, *Interner) { return r.cols, r.intern }
+func (r *Relation) IDColumns() ([][]uint32, *Interner) { return r.rows.cols, r.intern }
 
 // Sorted returns the tuples in lexicographic order, caller-owned like
 // the result of Tuples.
@@ -480,29 +382,22 @@ func (r *Relation) Sorted() []Tuple {
 // other (regression-tested in TestCloneInternerIndependence). It is
 // the copy-on-write step of the epoch writer.
 func (r *Relation) Clone() *Relation {
-	c := &Relation{
+	return &Relation{
 		arity:  r.arity,
-		n:      r.n,
-		cols:   make([][]uint32, r.arity),
+		rows:   r.rows.clone(),
 		intern: r.intern.Clone(),
-		heads:  slices.Clone(r.heads),
-		next:   slices.Clone(r.next),
 		idbuf:  make([]uint32, r.arity),
 	}
-	for k, col := range r.cols {
-		c.cols[k] = slices.Clone(col)
-	}
-	return c
 }
 
 // Equal reports whether two relations hold exactly the same set of
 // tuples (arity included).
 func (r *Relation) Equal(s *Relation) bool {
-	if r.arity != s.arity || r.n != s.n {
+	if r.arity != s.arity || r.Len() != s.Len() {
 		return false
 	}
 	buf := make(Tuple, r.arity)
-	for pos := 0; pos < r.n; pos++ {
+	for pos := 0; pos < r.Len(); pos++ {
 		if !s.Contains(r.row(buf, pos)) {
 			return false
 		}
@@ -515,7 +410,7 @@ func (r *Relation) Union(s *Relation) *Relation {
 	mustSameArity(r, s)
 	out := r.Clone()
 	buf := make(Tuple, s.arity)
-	for pos := 0; pos < s.n; pos++ {
+	for pos := 0; pos < s.Len(); pos++ {
 		out.Add(s.row(buf, pos))
 	}
 	return out
@@ -526,7 +421,7 @@ func (r *Relation) Diff(s *Relation) *Relation {
 	mustSameArity(r, s)
 	out := NewRelation(r.arity)
 	buf := make(Tuple, r.arity)
-	for pos := 0; pos < r.n; pos++ {
+	for pos := 0; pos < r.Len(); pos++ {
 		if t := r.row(buf, pos); !s.Contains(t) {
 			out.Add(t)
 		}
@@ -543,7 +438,7 @@ func (r *Relation) Intersect(s *Relation) *Relation {
 		small, large = s, r
 	}
 	buf := make(Tuple, small.arity)
-	for pos := 0; pos < small.n; pos++ {
+	for pos := 0; pos < small.Len(); pos++ {
 		if t := small.row(buf, pos); large.Contains(t) {
 			out.Add(t)
 		}
@@ -561,9 +456,9 @@ func (r *Relation) Project(idx ...int) *Relation {
 	}
 	out := NewRelation(len(idx))
 	buf := make(Tuple, len(idx))
-	for pos := 0; pos < r.n; pos++ {
+	for pos := 0; pos < r.Len(); pos++ {
 		for p, i := range idx {
-			buf[p] = r.intern.vals[r.cols[i-1][pos]]
+			buf[p] = r.intern.vals[r.rows.cols[i-1][pos]]
 		}
 		out.Add(buf)
 	}
@@ -575,7 +470,7 @@ func (r *Relation) Project(idx ...int) *Relation {
 func (r *Relation) Values() []Value {
 	seen := make([]bool, r.intern.Len())
 	var vs []Value
-	for _, col := range r.cols {
+	for _, col := range r.rows.cols {
 		for _, id := range col {
 			if !seen[id] {
 				seen[id] = true

@@ -218,7 +218,7 @@ func TestRelationIndexGrowth(t *testing.T) {
 		if !grown.At(i).Equal(sized.At(i)) {
 			t.Fatalf("position %d: %v vs %v", i, grown.At(i), sized.At(i))
 		}
-		ids[0], ids[1] = grown.cols[0][i], grown.cols[1][i]
+		ids[0], ids[1] = grown.rows.cols[0][i], grown.rows.cols[1][i]
 		if !grown.ContainsIDs(ids) {
 			t.Fatalf("IDs of tuple %d not found", i)
 		}
@@ -226,8 +226,8 @@ func TestRelationIndexGrowth(t *testing.T) {
 	if grown.Contains(Ints(0, n)) || grown.Len() != n {
 		t.Errorf("Len = %d, spurious member = %v", grown.Len(), grown.Contains(Ints(0, n)))
 	}
-	if len(grown.heads) < 2*n || len(grown.heads)&(len(grown.heads)-1) != 0 {
-		t.Errorf("index has %d buckets for %d tuples", len(grown.heads), n)
+	if len(grown.rows.heads) < 2*n || len(grown.rows.heads)&(len(grown.rows.heads)-1) != 0 {
+		t.Errorf("index has %d buckets for %d tuples", len(grown.rows.heads), n)
 	}
 }
 

@@ -89,8 +89,8 @@ func TestEpochCOWIdentity(t *testing.T) {
 		added = append(added, Ints(i%17, i))
 		w.AddInts("R", i%17, i)
 	}
-	if len(w.Rel("R").heads) == len(r1.heads) {
-		t.Fatalf("%d inserts did not re-chain the working copy's index of %d buckets", more, len(r1.heads))
+	if len(w.Rel("R").rows.heads) == len(r1.rows.heads) {
+		t.Fatalf("%d inserts did not re-chain the working copy's index of %d buckets", more, len(r1.rows.heads))
 	}
 	requireState(t, "published relation under the writer", r1, sealed, members, added)
 	if _, dict1b := r1.IDColumns(); dict1b != dict1 {

@@ -391,3 +391,31 @@ func TestSemijoinBatchCursorContract(t *testing.T) {
 		sa.NewSemijoinBatchCursor(sc(), nil, d.Rel("R"), ra.Eq(1, 1), true, &ra.Meter{}, 0)
 	})
 }
+
+// TestResidualSemijoinBuildAllocations holds the semijoin's build
+// table for a condition with a residual atom — every build row kept,
+// chained per key — to a number of allocations logarithmic in its
+// size: 100 000 distinct keys must not cost a slice per key.
+func TestResidualSemijoinBuildAllocations(t *testing.T) {
+	build := rel.NewRelationSized(2, 100000)
+	for i := 0; i < 100000; i++ {
+		build.Add(rel.Ints(int64(i), int64(i%7)))
+	}
+	probe := rel.FromRows(2, []int64{5, 9}, []int64{5, 1})
+	out := 0
+	allocs := testing.AllocsPerRun(1, func() {
+		c := sa.NewSemijoinBatchCursor(probe.BatchScan(), build.BatchScan(), nil, ra.Eq(1, 1).And(ra.A(2, ra.OpGt, 2)), true, &ra.Meter{}, 0)
+		out = 0
+		for b, ok := c.NextBatch(); ok; b, ok = c.NextBatch() {
+			out += b.Len()
+			b.Release()
+		}
+	})
+	if out != 1 {
+		t.Fatalf("semijoin kept %d rows, want 1", out)
+	}
+	t.Logf("%.0f allocations", allocs)
+	if allocs > 1000 {
+		t.Errorf("a residual semijoin over 100000 distinct keys made %.0f allocations, want at most 1000", allocs)
+	}
+}

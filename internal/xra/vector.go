@@ -6,13 +6,14 @@ package xra
 // gathers group keys columnar-ly: group columns are translated into
 // one key dictionary through rel.IDMap caches, so after the first
 // occurrence of a value, grouping a row is an array load and — past a
-// single key column — a hash of flat IDs and an integer-compare probe
-// (no per-row tuple is built, and key equality is ID equality — exact,
-// because the IDs live in a single dictionary). The accumulator is flat
-// tables of IDs, one entry per metered entry — groups, distinct counted
-// values, deduplicated input rows — so what it holds is what a
-// governor's MaxResident budget sees. Emission is first-occurrence
-// group order with the SQL-style zero row for an empty grand aggregate.
+// single key column — a rel.RowSet probe: a hash of flat IDs and an
+// integer-compare chain walk (no per-row tuple is built, and key
+// equality is ID equality — exact, because the IDs live in a single
+// dictionary). The accumulator is rel.RowSets of IDs, one row per
+// metered entry — groups, distinct counted values, deduplicated input
+// rows — so what it holds is what a governor's MaxResident budget sees.
+// Emission is first-occurrence group order with the SQL-style zero row
+// for an empty grand aggregate.
 //
 // That is the Section 5 punchline in memory terms: the γ-division
 // expression not only keeps its *flow* linear (what EvalTraced shows),
@@ -50,91 +51,25 @@ func NewGammaBatchCursor(in ra.BatchCursor, groupCols []int, countCol, inputArit
 		dedupAll: countCol == 0 && dedupAll, meter: m, capacity: capacity}
 }
 
-// idTable is a flat open-addressed set of fixed-width rows of IDs,
-// held in insertion order: row i is rows[i*width:(i+1)*width], and
-// slots maps a HashIDs value to 1 + a row index by linear probing. Rows
-// and slots both grow geometrically, so the bytes it holds — and the
-// bytes it allocates getting there — are proportional to the row count.
-type idTable struct {
-	width int
-	n     int
-	rows  []uint32
-	slots []int32
-}
-
-func (t *idTable) row(i int) []uint32 { return t.rows[i*t.width : (i+1)*t.width] }
-
-// push appends a row without indexing it, for a caller that finds its
-// rows some cheaper way (γ's dense single-key index).
-func (t *idTable) push(ids []uint32) int {
-	t.rows = append(t.rows, ids...)
-	t.n++
-	return t.n - 1
-}
-
-// insert returns the index of the row equal to ids, appending it first
-// when absent; fresh reports whether it was appended.
-func (t *idTable) insert(ids []uint32) (row int, fresh bool) {
-	if 4*(t.n+1) > 3*len(t.slots) {
-		t.rehash()
-	}
-	mask := uint64(len(t.slots) - 1)
-	for i := rel.HashIDs(ids) & mask; ; i = (i + 1) & mask {
-		s := t.slots[i]
-		if s == 0 {
-			t.slots[i] = int32(t.n) + 1
-			return t.push(ids), true
-		}
-		if idsEqual(t.row(int(s-1)), ids) {
-			return int(s - 1), false
-		}
-	}
-}
-
-func (t *idTable) rehash() {
-	size := 2 * len(t.slots)
-	if size < 16 {
-		size = 16
-	}
-	t.slots = make([]int32, size)
-	mask := uint64(size - 1)
-	for r := 0; r < t.n; r++ {
-		i := rel.HashIDs(t.row(r)) & mask
-		for t.slots[i] != 0 {
-			i = (i + 1) & mask
-		}
-		t.slots[i] = int32(r) + 1
-	}
-}
-
-func idsEqual(a, b []uint32) bool {
-	for i, id := range a {
-		if b[i] != id {
-			return false
-		}
-	}
-	return true
-}
-
 // gammaBatchAgg is γ's accumulator: group keys and counted values are
 // translated into accumulator-owned dictionaries through rel.IDMap
 // caches (amortizing interning over batch dictionary reuse), so key
-// equality is ID equality. Groups are rows of key IDs in
-// one idTable, in first-occurrence order; the distinct counted values
-// are (group index, value ID) rows in a second one — one flat entry per
-// metered entry, never a per-group structure sized by the value
-// dictionary. Exact count(*) over duplicate-capable inputs deduplicates
-// full rows in an ra.IDSet.
+// equality is ID equality. Groups are rows of key IDs in one RowSet, in
+// first-occurrence order; the distinct counted values are (group index,
+// value ID) rows in a second one — one flat row per metered entry,
+// never a per-group structure sized by the value dictionary. Exact
+// count(*) over duplicate-capable inputs deduplicates full rows in an
+// ra.IDSet.
 type gammaBatchAgg struct {
 	g      *Gamma
 	keys   *rel.Interner
 	keysXl *rel.IDMap
 	vals   *rel.Interner
 	valsXl *rel.IDMap
-	groups idTable
-	counts []int   // per group, parallel to groups
-	byKey  []int32 // single group column: 1 + group index by key ID
-	pairs  idTable // distinct (group index, counted value ID); CountCol > 0
+	groups *rel.RowSet // group key rows
+	counts []int       // per group, parallel to groups
+	byKey  []int32     // single group column: 1 + group index by key ID
+	pairs  *rel.RowSet // distinct (group index, counted value ID); CountCol > 0
 	idbuf  []uint32
 	pair   [2]uint32
 	seen   *ra.IDSet // distinct input rows; only when dedupAll and CountCol == 0
@@ -145,8 +80,8 @@ func newGammaBatchAgg(g *Gamma, inputArity int, dedupAll bool) *gammaBatchAgg {
 	a := &gammaBatchAgg{
 		g:      g,
 		keys:   rel.NewInterner(),
-		groups: idTable{width: len(g.GroupCols)},
-		pairs:  idTable{width: 2},
+		groups: rel.NewRowSet(len(g.GroupCols)),
+		pairs:  rel.NewRowSet(2),
 		idbuf:  make([]uint32, len(g.GroupCols)),
 	}
 	a.keysXl = rel.NewIDMap(a.keys)
@@ -177,8 +112,9 @@ func (a *gammaBatchAgg) add(b *rel.Batch, row int) int {
 	if len(a.idbuf) == 1 {
 		// Single-key fast path: key IDs are dense in the key
 		// dictionary, so the group is an array load away — no hash, no
-		// probe. The index doubles when a key ID outruns it; sizing it
-		// to the dictionary instead would copy it once per new group.
+		// probe but a new group's insert. The index doubles when a key
+		// ID outruns it; sizing it to the dictionary instead would copy
+		// it once per new group.
 		kid := a.idbuf[0]
 		if int(kid) >= len(a.byKey) {
 			grown := make([]int32, max(2*len(a.byKey), int(kid)+1, 16))
@@ -188,11 +124,11 @@ func (a *gammaBatchAgg) add(b *rel.Batch, row int) int {
 		if at := a.byKey[kid]; at != 0 {
 			gi = int(at - 1)
 		} else {
-			gi, fresh = a.groups.push(a.idbuf), true
+			gi, fresh = a.groups.Insert(a.idbuf)
 			a.byKey[kid] = int32(gi) + 1
 		}
 	} else {
-		gi, fresh = a.groups.insert(a.idbuf)
+		gi, fresh = a.groups.Insert(a.idbuf)
 	}
 	if fresh {
 		a.counts = append(a.counts, 0)
@@ -203,7 +139,7 @@ func (a *gammaBatchAgg) add(b *rel.Batch, row int) int {
 	} else {
 		a.pair[0] = uint32(gi)
 		a.pair[1] = a.valsXl.Intern(b.Dict(a.g.CountCol-1), b.Col(a.g.CountCol - 1)[row])
-		if _, fresh := a.pairs.insert(a.pair[:]); fresh {
+		if _, fresh := a.pairs.Insert(a.pair[:]); fresh {
 			a.counts[gi]++
 			grew++
 		}
@@ -249,7 +185,7 @@ func (c *vecGammaCursor) NextBatch() (*rel.Batch, bool) {
 	if c.done {
 		return nil, false
 	}
-	ng := c.agg.groups.n
+	ng := c.agg.groups.Len()
 	if c.gi < ng {
 		k := len(c.g.GroupCols)
 		out := rel.NewBatchSized(k+1, c.capacity)
@@ -262,9 +198,10 @@ func (c *vecGammaCursor) NextBatch() (*rel.Batch, bool) {
 			hi = ng
 		}
 		rows := 0
+		keys := c.agg.groups.Cols()
 		for ; c.gi < hi; c.gi++ {
-			for i, id := range c.agg.groups.row(c.gi) {
-				out.WritableCol(i)[rows] = id
+			for i, col := range keys {
+				out.WritableCol(i)[rows] = col[c.gi]
 			}
 			out.WritableCol(k)[rows] = c.counts.Intern(rel.Int(int64(c.agg.counts[c.gi])))
 			rows++
