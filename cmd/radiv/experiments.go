@@ -534,7 +534,7 @@ func runST6(w io.Writer) {
 			start := time.Now()
 			cursors := make([]rel.BatchCursor, exShards)
 			for q := range cursors {
-				cursors[q] = ra.ScanBatches(sdb.ShardRel(q, "R"), size)
+				cursors[q] = sdb.ShardRel(q, "R").BatchScanSized(size)
 			}
 			qualified := make([]map[rel.Value]bool, exShards)
 			engine.Executor{Workers: wk}.StreamShardedBatchesGov(nil, cursors, func(q int, shard rel.BatchCursor) {

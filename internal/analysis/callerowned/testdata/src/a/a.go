@@ -52,9 +52,10 @@ func EvalDirectClone(d *rel.Database, name string) *rel.Relation {
 func EvalFresh(s rel.Store, name string) *rel.Relation {
 	v := s.View(name)
 	out := rel.NewRelation(v.Arity())
-	c := v.Scan()
-	for t, ok := c.Next(); ok; t, ok = c.Next() {
-		out.Add(t)
+	c := v.BatchScanSized(0)
+	for b, ok := c.NextBatch(); ok; b, ok = c.NextBatch() {
+		out.AddBatch(b)
+		b.Release()
 	}
 	return out
 }

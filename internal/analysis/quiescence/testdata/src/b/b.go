@@ -61,7 +61,7 @@ func MutateInWorker(ex engine.Executor, parts [][]rel.Tuple, snap *rel.Snapshot)
 func ReadSnapshot(snap *rel.Snapshot, t rel.Tuple) int {
 	n := 0
 	r := snap.Rel("R")
-	c := r.Scan()
+	c := r.Cursor()
 	for tup, ok := c.Next(); ok; tup, ok = c.Next() {
 		if r.Contains(tup) {
 			n++

@@ -11,7 +11,7 @@ import (
 // divideShard is the row-walking reference DivideShardBatches is
 // tested against: the same Graefe bitmap scheme over a tuple cursor,
 // with groups accumulated by value.
-func divideShard(dt *DivisorTable, shard rel.NextCursor, sem Semantics) (map[rel.Value]bool, Stats) {
+func divideShard(dt *DivisorTable, shard *rel.Cursor, sem Semantics) (map[rel.Value]bool, Stats) {
 	var st Stats
 	local := make(map[rel.Value]*divGroup)
 	for t, ok := shard.Next(); ok; t, ok = shard.Next() {

@@ -16,21 +16,36 @@ import (
 func shardScans(shards, rows int) []rel.BatchCursor {
 	out := make([]rel.BatchCursor, shards)
 	for q := range out {
-		i := 0
-		out[q] = rel.ToBatches(funcCursor(func() (rel.Tuple, bool) {
-			if i >= rows {
-				return nil, false
-			}
-			i++
-			return rel.Ints(int64(q + (i-1)*shards)), true
-		}), 1, 8)
+		s := &packedScan{rows: rows, dict: rel.NewInterner()}
+		for i := 0; i < rows; i++ {
+			s.dict.Intern(rel.Int(int64(q + i*shards))) // ID i
+		}
+		out[q] = s
 	}
 	return out
 }
 
-type funcCursor func() (rel.Tuple, bool)
+// packedScan yields the IDs 0…rows-1 of its dictionary in pooled
+// batches of 8 rows.
+type packedScan struct {
+	rows, i int
+	dict    *rel.Interner
+}
 
-func (f funcCursor) Next() (rel.Tuple, bool) { return f() }
+func (s *packedScan) NextBatch() (*rel.Batch, bool) {
+	if s.i >= s.rows {
+		return nil, false
+	}
+	b := rel.NewBatchSized(1, 8)
+	b.SetDict(0, s.dict)
+	col, n := b.WritableCol(0), 0
+	for ; n < 8 && s.i < s.rows; n++ {
+		col[n] = uint32(s.i)
+		s.i++
+	}
+	b.SetLen(n)
+	return b, true
+}
 
 // TestStreamShardedRunsEveryShardOnce: the shard-aware exchange hands
 // each pre-partitioned cursor to work exactly once, with its own index,

@@ -12,11 +12,13 @@
 // boundary — before the row is produced — matching the engine's
 // abort-panic discipline: the panicking frame holds no pooled batch.
 //
-// Wrapped views deliberately do not implement rel.BatchScanner: the
-// executor falls back to packing the (injecting) tuple scan into
-// batches, so every leaf of a plan pulls through the injection. With a
-// zero Fault the wrapper is the test suites' backend without batch
-// scans.
+// A wrapped view's batch scan is the wrapped backend's own, injected
+// per batch and row-exact: a batch that would carry the scan across a
+// FailAfter, CancelAt or DelayEvery row is handed out in pieces that
+// end at that row, so where a fault fires, and what Rows reads after
+// an abort, do not depend on the batch size. Every leaf of a plan pulls
+// through the injection; with a zero Fault the wrapper only counts
+// rows.
 package faultinject
 
 import (
@@ -33,8 +35,8 @@ type Fault struct {
 	Rel string
 	// FailAfter, when > 0 with a non-nil Err, makes each scan panic
 	// with Err at the pull after FailAfter rows have been yielded.
-	// Replayed scans (Reset) count afresh, so inner-loop replays fail
-	// at the same row.
+	// Every scan counts afresh, so a relation scanned twice fails at
+	// the same row both times.
 	FailAfter int
 	// Err is the value the failing pull panics with. Boundary
 	// recovery surfaces it wrapped in *exec.PanicError.
@@ -86,45 +88,89 @@ func (s *Store) View(name string) rel.StoredRel {
 	return &faultRel{StoredRel: v, s: s}
 }
 
-// faultRel wraps one relation view; only Scan is intercepted.
+// faultRel wraps one relation view; only the scan is intercepted. It
+// defines BatchScanSized itself, so the embedded view's uninjected
+// scan is never promoted.
 type faultRel struct {
 	rel.StoredRel
 	s *Store
 }
 
-func (r *faultRel) Scan() rel.TupleCursor {
-	return &faultCursor{in: r.StoredRel.Scan(), s: r.s}
+// BatchScanSized implements rel.StoredRel: the wrapped view's scan,
+// injected.
+func (r *faultRel) BatchScanSized(size int) rel.BatchCursor {
+	return &faultCursor{in: r.StoredRel.BatchScanSized(size), s: r.s}
 }
 
 // faultCursor injects at the pull boundary: the failure fires before
-// the underlying pull, when this frame — and by the guard-cursor
-// idiom every downstream frame — holds no pooled batch.
+// the underlying pull, after releasing what the cursor holds, so this
+// frame — and by the guard-cursor idiom every downstream frame — holds
+// no pooled batch. A batch crossing an injection row is held and
+// handed out as view pieces over its columns.
 type faultCursor struct {
-	in rel.TupleCursor
-	s  *Store
-	n  int
+	in   rel.BatchCursor
+	s    *Store
+	n    int        // rows this scan has yielded
+	held *rel.Batch // underlying batch being handed out in pieces
+	off  int        // rows of held already handed out
+	cols [][]uint32 // held's columns, which the pieces slice
+	view rel.Batch
 }
 
-func (c *faultCursor) Next() (rel.Tuple, bool) {
+// ReleaseHeld implements rel.BatchHolder.
+func (c *faultCursor) ReleaseHeld() {
+	b := c.held
+	c.held = nil
+	b.Release()
+}
+
+func (c *faultCursor) NextBatch() (*rel.Batch, bool) {
 	f := &c.s.f
 	if f.FailAfter > 0 && f.Err != nil && c.n >= f.FailAfter {
+		c.ReleaseHeld()
 		panic(f.Err)
 	}
 	if f.DelayEvery > 0 && c.n > 0 && c.n%f.DelayEvery == 0 {
 		time.Sleep(f.Delay)
 	}
-	t, ok := c.in.Next()
-	if ok {
-		c.n++
-		c.s.rows++
-		if f.CancelAt > 0 && f.OnRow != nil && c.n == f.CancelAt {
-			f.OnRow()
+	for c.held == nil || c.off == c.held.Len() {
+		c.ReleaseHeld()
+		b, ok := c.in.NextBatch()
+		if !ok {
+			return nil, false
+		}
+		c.held, c.off = b, 0
+	}
+	take := c.held.Len() - c.off
+	for _, at := range []int{f.FailAfter, f.CancelAt} {
+		if at > c.n {
+			take = min(take, at-c.n)
 		}
 	}
-	return t, ok
-}
-
-func (c *faultCursor) Reset() {
-	c.in.Reset()
-	c.n = 0
+	if f.DelayEvery > 0 {
+		take = min(take, f.DelayEvery-c.n%f.DelayEvery)
+	}
+	out := &c.view
+	if c.off == 0 && take == c.held.Len() {
+		out, c.held = c.held, nil // the whole batch: ownership passes on
+	} else {
+		if c.off == 0 {
+			c.cols = c.cols[:0]
+			for k := 0; k < c.held.Arity(); k++ {
+				c.cols = append(c.cols, c.held.Col(k))
+			}
+			c.view.MakeView(c.cols, nil)
+			for k := range c.cols {
+				c.view.SetDict(k, c.held.Dict(k))
+			}
+		}
+		c.view.SliceView(c.cols, c.off, c.off+take)
+		c.off += take
+	}
+	c.n += take
+	c.s.rows += int64(take)
+	if f.CancelAt > 0 && f.OnRow != nil && c.n == f.CancelAt {
+		f.OnRow()
+	}
+	return out, true
 }

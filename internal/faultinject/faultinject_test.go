@@ -15,6 +15,7 @@ import (
 	"radiv/internal/plan"
 	"radiv/internal/ra"
 	"radiv/internal/rel"
+	"radiv/internal/shard"
 	"radiv/internal/xra"
 )
 
@@ -323,6 +324,71 @@ func TestCancellationLatencyWithinOneBatch(t *testing.T) {
 			t.Errorf("bs=%d: scan ran %d rows past the cancel; want at most one batch (%d)", bs, extra, bs)
 		}
 		cancel()
+	}
+}
+
+// TestRowExactInjectionAborts pins injection to the row whatever the
+// batch size: a wrapped scan hands a batch out in pieces that end at
+// the injection row, so FailAfter k aborts with Rows() at exactly k,
+// and the CancelAt hook fires with exactly k rows out and the abort
+// lands before another row is pulled. Every arm scans R (400 rows)
+// once; at a k beyond R's end the run is clean. k straddles every
+// batch boundary, on a rel.Snapshot and on a 2-shard shard.Snapshot,
+// whose scans switch dictionaries mid-stream.
+func TestRowExactInjectionAborts(t *testing.T) {
+	leakcheck.Check(t)
+	snap := newSnapshot()
+	rows := snap.Rel("R").Len()
+	stores := []struct {
+		name string
+		d    rel.ReadStore
+	}{
+		{"rel.Snapshot", snap},
+		{"shard.Snapshot/2", shard.FromStore(snap, 2).Snapshot()},
+	}
+	for _, s := range stores {
+		for _, a := range arms(t, s.d.Schema()) {
+			for _, bs := range []int{1, 7, 64, 1024} {
+				for _, k := range []int{1, bs - 1, bs, bs + 1} {
+					if k < 1 {
+						continue
+					}
+					label := fmt.Sprintf("%s/%s/bs=%d/k=%d", s.name, a.name, bs, k)
+					live, _, _ := rel.BatchPoolStats()
+					fail := faultinject.Wrap(s.d, faultinject.Fault{Rel: "R", FailAfter: k, Err: errInjected})
+					res, err := a.run(context.Background(), fail, bs, exec.Limits{})
+					if k <= rows {
+						checkAborted(t, label+"/fail", res, err, errInjected, live)
+						if got := fail.Rows(); got != k {
+							t.Errorf("%s/fail: aborted with %d rows out, want %d", label, got, k)
+						}
+					} else if err != nil || fail.Rows() != rows {
+						t.Errorf("%s/fail: past R's end, got err %v after %d rows", label, err, fail.Rows())
+					}
+
+					ctx, cancel := context.WithCancel(context.Background())
+					fired := -1
+					var cs *faultinject.Store
+					cs = faultinject.Wrap(s.d, faultinject.Fault{Rel: "R", CancelAt: k, OnRow: func() {
+						fired = cs.Rows()
+						cancel()
+					}})
+					res, err = a.run(ctx, cs, bs, exec.Limits{})
+					cancel()
+					if k <= rows {
+						checkAborted(t, label+"/cancel", res, err, context.Canceled, live)
+						if fired != k || cs.Rows() != k {
+							t.Errorf("%s/cancel: hook fired at row %d, abort after %d rows; want both %d", label, fired, cs.Rows(), k)
+						}
+					} else if err != nil || fired != -1 {
+						t.Errorf("%s/cancel: past R's end, got err %v, hook at %d", label, err, fired)
+					}
+					if after, _, _ := rel.BatchPoolStats(); after != live {
+						t.Fatalf("%s: %d pooled batches live", label, after-live)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -269,8 +269,8 @@ func matchGammaDivision(n *Node) (rName, sName string, sem division.Semantics, o
 // subtree's operators would have recorded one by one.
 func (b *builder) aggregateDivision(n *Node, rName, sName string, sem division.Semantics) (ra.BatchCursor, *countNode) {
 	c := &aggDivCursor{sem: sem, meter: b.meter, capacity: b.capacity,
-		r: b.meter.GuardBatches(ra.ScanBatches(rel.CheckView(b.d, rName, 2, "plan"), b.capacity)),
-		s: b.meter.GuardBatches(ra.ScanBatches(rel.CheckView(b.d, sName, 1, "plan"), b.capacity))}
+		r: b.meter.GuardBatches(rel.CheckView(b.d, rName, 2, "plan").BatchScanSized(b.capacity)),
+		s: b.meter.GuardBatches(rel.CheckView(b.d, sName, 1, "plan").BatchScanSized(b.capacity))}
 	var mirror func(n *Node) *countNode
 	mirror = func(n *Node) *countNode {
 		node := &countNode{n: n}
@@ -420,7 +420,7 @@ func (b *builder) batches(n *Node) (ra.BatchCursor, *countNode) {
 	b.probeBucket = 0
 	switch n.Kind {
 	case KRel:
-		cur = b.meter.GuardBatches(ra.ScanBatches(b.baseRel(n), b.capacity))
+		cur = b.meter.GuardBatches(b.baseRel(n).BatchScanSized(b.capacity))
 	case KUnion:
 		l, ln := b.batches(n.Kids[0])
 		r, rn := b.batches(n.Kids[1])

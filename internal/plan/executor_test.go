@@ -11,7 +11,6 @@ import (
 	"strings"
 	"testing"
 
-	"radiv/internal/faultinject"
 	"radiv/internal/plan"
 	"radiv/internal/ra"
 	"radiv/internal/rel"
@@ -24,9 +23,8 @@ import (
 // This file is the executor suite: every row of executor_cases_test.go,
 // on randomized databases, crossed with {as written, optimized} × batch
 // size {1, 2, 64, 1024} × store {rel.Database, shard.Database at 1/2/4
-// shards, a backend without batch scans} × {ungoverned, governed}. The
-// materialized evaluators are the oracle; each execution is held to
-// three laws:
+// shards} × {ungoverned, governed}. The materialized evaluators are the
+// oracle; each execution is held to three laws:
 //
 //  1. Result. Byte-identical, in canonical order, to the materialized
 //     Eval of the expression as written.
@@ -227,15 +225,14 @@ type backend struct {
 }
 
 // backends returns the crossing's stores, all holding d's data: d
-// itself, hash-partitioned copies, and a wrapper whose views offer no
-// batch scan, so every leaf goes through the interning tuple adapter.
+// itself and hash-partitioned copies, whose scans switch dictionaries
+// at shard-run boundaries.
 func backends(d *rel.Database) []backend {
 	return []backend{
 		{"database", d},
 		{"shards=1", shard.FromStore(d, 1)},
 		{"shards=2", shard.FromStore(d, 2)},
 		{"shards=4", shard.FromStore(d, 4)},
-		{"no-batch-scan", faultinject.Wrap(d, faultinject.Fault{})},
 	}
 }
 

@@ -25,8 +25,7 @@ import (
 //
 // The test names predate the single executor and are pinned by the
 // repository's test floor: Streamed* tests hold the executor to the
-// materialized evaluator, Vectorized* tests sweep the batch size, and
-// *BatchedStore* tests run over a backend without batch scans.
+// materialized evaluator, and Vectorized* tests sweep the batch size.
 
 // executed runs e as written on the executor at the given batch size
 // (0 = the default).
@@ -336,19 +335,29 @@ func TestVectorizedOnShardedStores(t *testing.T) {
 }
 
 // TestVectorizedConstSelectGrowingDictionary is the regression test
-// for the stale negative-cache bug: over a store whose scans go
-// through the interning adapter (a backend without batch scans — here
-// the fault-injection wrapper with nothing to inject), the adapter's
-// dictionary grows while the stream flows, so a constant absent from
-// the first batch's dictionary may appear in a later one. The cached
-// "absent" verdict must be re-checked, or matching rows are dropped.
+// for the stale negative-cache bug: γ interns each count into its
+// output dictionary as it emits, so in σ_{2=2}(γ_{[1],count}(R)) at
+// batch size 1 the count 2 is absent from the dictionary the first
+// batch carries and present when the second batch carries it, grown.
+// The cached "absent" verdict must be re-checked, or the matching row
+// is dropped.
 func TestVectorizedConstSelectGrowingDictionary(t *testing.T) {
 	d := rel.NewDatabase(rel.NewSchema(map[string]int{"R": 2}))
-	d.AddInts("R", 1, 1) // batch 1 at BatchSize 1: dictionary = {1}
-	d.AddInts("R", 2, 2) // batch 2 interns 2 after the first check
+	d.AddInts("R", 1, 1) // group 1 counts 1: the first batch's dictionary is {1}
+	d.AddInts("R", 2, 2) // group 2 counts 2, interned after the first check
 	d.AddInts("R", 2, 3)
-	e := ra.NewSelectConst(1, rel.Int(2), ra.R("R", 2))
-	checkBatchInvariance(t, "select-const", e, d, faultinject.Wrap(d, faultinject.Fault{}))
+	root := plan.NSelectConst(2, rel.Int(2), plan.NGamma([]int{1}, 0, plan.NRel("R", 2)))
+	want := rel.FromRows(2, []int64{2, 2})
+	for _, size := range batchSizes {
+		live, _, _ := rel.BatchPoolStats()
+		got := plan.CompileIR(root, d, plan.Options{BatchSize: size}).Execute()
+		if after, _, _ := rel.BatchPoolStats(); after != live {
+			t.Fatalf("size=%d: %d batches leaked", size, after-live)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("size=%d: σ_{2=2}(γ_{[1],count}(R)) = %v, want %v", size, got, want)
+		}
+	}
 }
 
 // TestVectorizedResultOwnership pins the result-ownership contract on

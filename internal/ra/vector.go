@@ -47,8 +47,8 @@ type BatchCursor = rel.BatchCursor
 
 // DrainBatches pulls in to exhaustion into the result sink, then
 // drops the sink's translation cache: the cache pins every source
-// dictionary the stream carried (operator dictionaries, adapter
-// dictionaries), which must not outlive the evaluation on a
+// dictionary the stream carried (stored relations', shard-local and
+// operator dictionaries), which must not outlive the evaluation on a
 // caller-retained result.
 func DrainBatches(in BatchCursor, sink *rel.Relation) {
 	for b, ok := in.NextBatch(); ok; b, ok = in.NextBatch() {
@@ -56,24 +56,6 @@ func DrainBatches(in BatchCursor, sink *rel.Relation) {
 		b.Release()
 	}
 	sink.DropBatchCache()
-}
-
-// ScanBatches opens the columnar scan of a stored relation: straight
-// off the stored ID columns when the backend offers them (the
-// in-memory relation and shard views do), otherwise through the
-// interning tuple→batch adapter. capacity <= 0 means rel.BatchCap.
-// Every leaf of a cursor tree is opened through it.
-func ScanBatches(v rel.StoredRel, capacity int) BatchCursor {
-	if capacity <= 0 {
-		capacity = rel.BatchCap
-	}
-	if s, ok := v.(rel.BatchScannerSized); ok {
-		return s.BatchScanSized(capacity)
-	}
-	if s, ok := v.(rel.BatchScanner); ok && capacity == rel.BatchCap {
-		return s.BatchScan()
-	}
-	return rel.ToBatches(v.Scan(), v.Arity(), capacity)
 }
 
 // FilterBatch compacts src to the rows where keep is true, calling
@@ -145,9 +127,10 @@ func (c *vecSelectCursor) NextBatch() (*rel.Batch, bool) {
 // compare; a constant absent from the dictionary kills the whole
 // batch without touching a row. A positive resolution is stable
 // (interner IDs are never reassigned), but a negative one can go
-// stale when the dictionary is still growing — a ToBatches stream
-// interns as it packs — so an absent verdict is re-checked whenever
-// the dictionary has grown since it was cached.
+// stale when the dictionary is still growing — γ interns each count
+// into its output dictionary as it emits, so σ_{2=2} over γ's counts
+// meets 2 only in a later batch — so an absent verdict is re-checked
+// whenever the dictionary has grown since it was cached.
 type vecSelectConstCursor struct {
 	in BatchCursor
 	i  int
@@ -594,8 +577,8 @@ func (s *colStore) append(b *rel.Batch) {
 // ReplaySide opens the right side of a θ-only join or semijoin, which
 // is replayed per probe row: a stored in-memory relation's own ID
 // columns in place (nothing held), otherwise a materialized columnar
-// copy of build — or, when build is nil, of the stored backend's scan
-// (see the file comment) — charging every buffered row to m. The
+// copy of build — or, when build is nil, of the stored backend's batch
+// scan (see the file comment) — charging every buffered row to m. The
 // caller releases held from m when done with the columns. Exactly one
 // of build and stored must be non-nil.
 func ReplaySide(build BatchCursor, stored rel.StoredRel, m *Meter, capacity int) (cols [][]uint32, dict *rel.Interner, rows, held int) {
@@ -604,9 +587,7 @@ func ReplaySide(build BatchCursor, stored rel.StoredRel, m *Meter, capacity int)
 			cols, dict = r.IDColumns()
 			return cols, dict, r.Len(), 0
 		}
-		tb := rel.ToBatches(stored.Scan(), stored.Arity(), capacity)
-		m.Watch(tb)
-		build = tb
+		build = stored.BatchScanSized(capacity)
 	}
 	s := newColStore()
 	for b, ok := build.NextBatch(); ok; b, ok = build.NextBatch() {

@@ -243,25 +243,6 @@ type BatchCursor interface {
 	NextBatch() (*Batch, bool)
 }
 
-// BatchScanner is the optional columnar scan a StoredRel may offer:
-// batches of the relation's stored ID columns in insertion order,
-// without re-interning. *Relation implements it.
-type BatchScanner interface {
-	BatchScan() BatchCursor
-}
-
-// BatchScannerSized is BatchScanner with an explicit batch size, for
-// the batch-size sweeps of the experiments and tests.
-type BatchScannerSized interface {
-	BatchScanSized(size int) BatchCursor
-}
-
-// NextCursor is the minimal tuple iterator the adapters consume;
-// stored-relation scans satisfy it without wrapping.
-type NextCursor interface {
-	Next() (Tuple, bool)
-}
-
 // BatchHolder is implemented by cursors that retain ownership of a
 // pooled Batch between calls (or across an inner pull that may
 // abort). ReleaseHeld releases whatever the cursor currently owns
@@ -270,95 +251,6 @@ type NextCursor interface {
 // be called once the cursor is quiescent (the boundary goroutine,
 // after all workers have joined).
 type BatchHolder interface{ ReleaseHeld() }
-
-// ToBatches adapts a tuple cursor to a batch cursor: tuples are
-// interned into one fresh per-stream dictionary and packed into pooled
-// batches of up to capacity rows. It panics if a tuple's arity differs
-// from arity. This is the tuple→batch half of the bidirectional
-// adapter pair that lets operators migrate incrementally.
-func ToBatches(in NextCursor, arity, capacity int) BatchCursor {
-	return &tupleBatcher{in: in, arity: arity, capacity: capacity, dict: NewInterner()}
-}
-
-type tupleBatcher struct {
-	in       NextCursor
-	arity    int
-	capacity int
-	dict     *Interner
-	staging  *Batch // batch being filled; owned until handed off
-	done     bool
-}
-
-func (t *tupleBatcher) NextBatch() (*Batch, bool) {
-	if t.done {
-		return nil, false
-	}
-	b := NewBatchSized(t.arity, t.capacity)
-	t.staging = b
-	for k := 0; k < t.arity; k++ {
-		b.SetDict(k, t.dict)
-	}
-	for b.n < t.capacity {
-		tp, ok := t.in.Next()
-		if !ok {
-			t.done = true
-			break
-		}
-		if len(tp) != t.arity {
-			t.staging = nil
-			b.Release()
-			panic(fmt.Sprintf("rel: tuple arity %d batched at arity %d", len(tp), t.arity))
-		}
-		for k, v := range tp {
-			b.cols[k][b.n] = t.dict.Intern(v)
-		}
-		b.n++
-	}
-	t.staging = nil
-	if b.n == 0 {
-		b.Release()
-		return nil, false
-	}
-	return b, true
-}
-
-// ReleaseHeld implements BatchHolder: it releases the staging batch
-// abandoned by an abort that unwound through the inner tuple cursor
-// mid-fill.
-func (t *tupleBatcher) ReleaseHeld() {
-	b := t.staging
-	t.staging = nil
-	b.Release()
-}
-
-// ToTuples adapts a batch cursor to a tuple cursor — the batch→tuple
-// half of the adapter pair. Each batch is decoded whole into fresh
-// storage, one arena per batch, and released at once: the yielded
-// tuples are the caller's, and the adapter holds no batch between
-// calls.
-func ToTuples(in BatchCursor) NextCursor { return &batchUnpacker{in: in} }
-
-type batchUnpacker struct {
-	in   BatchCursor
-	rows []Tuple // decoded and not yet yielded
-}
-
-func (u *batchUnpacker) Next() (Tuple, bool) {
-	for len(u.rows) == 0 {
-		b, ok := u.in.NextBatch()
-		if !ok {
-			return nil, false
-		}
-		u.rows = arenaRows(b.Len(), b.Arity())
-		for row, t := range u.rows {
-			b.Row(t, row)
-		}
-		b.Release()
-	}
-	t := u.rows[0]
-	u.rows = u.rows[1:]
-	return t, true
-}
 
 // IDMap is a translation cache between dictionaries: it maps (source
 // dictionary, source ID) pairs to IDs in a target dictionary, caching

@@ -64,17 +64,17 @@ func TestBatchScanRoundTrip(t *testing.T) {
 // TestAddBatchMatchesAdd: feeding a relation through AddBatch must
 // produce exactly the relation built by tuple-wise Add — same set, same
 // insertion order, same dictionary — and report the same new-row
-// count, whether the batches carry one foreign dictionary (ToBatches)
-// or a different one in every column, rotated from batch to batch: a
-// join output carries each side's dictionary through, and a shard
-// view's scan changes dictionaries at run boundaries.
+// count, whether the batches carry one foreign dictionary or a
+// different one in every column, rotated from batch to batch: a join
+// output carries each side's dictionary through, and a shard view's
+// scan changes dictionaries at run boundaries.
 func TestAddBatchMatchesAdd(t *testing.T) {
 	sources := []struct {
 		name string
 		open func(tuples []Tuple, arity int) BatchCursor
 	}{
 		{"one dictionary", func(tuples []Tuple, arity int) BatchCursor {
-			return ToBatches(&sliceCursor{ts: tuples}, arity, 17)
+			return &rotatingBatcher{ts: tuples, arity: arity, dicts: []*Interner{NewInterner()}}
 		}},
 		{"rotating dictionaries", func(tuples []Tuple, arity int) BatchCursor {
 			return &rotatingBatcher{ts: tuples, arity: arity, dicts: []*Interner{NewInterner(), NewInterner(), NewInterner()}}
@@ -120,10 +120,11 @@ func TestAddBatchMatchesAdd(t *testing.T) {
 	}
 }
 
-// rotatingBatcher packs tuples into pooled batches of 17 rows in which
-// column k of the i-th batch carries dictionary (i+k) mod 3: no two
-// columns of a batch share a dictionary, and every column changes
-// dictionary at every batch boundary.
+// rotatingBatcher packs tuples, duplicates included, into pooled
+// batches of 17 rows in which column k of the i-th batch carries
+// dictionary (i+k) mod len(dicts): with three dictionaries no two
+// columns of a batch share one, and every column changes dictionary at
+// every batch boundary; with one, every batch carries the same.
 type rotatingBatcher struct {
 	ts      []Tuple
 	arity   int
@@ -149,42 +150,6 @@ func (r *rotatingBatcher) NextBatch() (*Batch, bool) {
 	r.ts = r.ts[n:]
 	r.batches++
 	return b, true
-}
-
-type sliceCursor struct {
-	ts []Tuple
-	i  int
-}
-
-func (c *sliceCursor) Next() (Tuple, bool) {
-	if c.i >= len(c.ts) {
-		return nil, false
-	}
-	t := c.ts[c.i]
-	c.i++
-	return t, true
-}
-
-// TestBatchAdapterRoundTrip: ToTuples∘ToBatches is the identity on any
-// tuple stream, order included, at every batch size.
-func TestBatchAdapterRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	tuples := randomTuples(rng, 157, 2, 9)
-	for _, size := range []int{1, 2, 64, 1024} {
-		cur := ToTuples(ToBatches(&sliceCursor{ts: tuples}, 2, size))
-		var got []Tuple
-		for tp, ok := cur.Next(); ok; tp, ok = cur.Next() {
-			got = append(got, tp)
-		}
-		if len(got) != len(tuples) {
-			t.Fatalf("size=%d: %d tuples, want %d", size, len(got), len(tuples))
-		}
-		for i := range tuples {
-			if !tuples[i].Equal(got[i]) {
-				t.Fatalf("size=%d: tuple %d is %v, want %v", size, i, got[i], tuples[i])
-			}
-		}
-	}
 }
 
 // TestIDMap: interning and read-only lookup across dictionaries, with
@@ -214,9 +179,9 @@ func TestIDMap(t *testing.T) {
 }
 
 // TestIDMapGrowingSourceAllocations: translating out of a dictionary
-// that grows between batches — a ToBatches stream interns as it packs,
-// γ's count dictionary grows as it emits — allocates in proportion to
-// the values translated, not one resized cache per batch.
+// that grows between batches — γ interns each count into its output
+// dictionary as it emits — allocates in proportion to the values
+// translated, not one resized cache per batch.
 func TestIDMapGrowingSourceAllocations(t *testing.T) {
 	translate := func(values int) float64 {
 		var before, after runtime.MemStats

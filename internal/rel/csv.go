@@ -70,7 +70,7 @@ func WriteText(w io.Writer, d ReadStore) error {
 // order, the generalization of Relation.Sorted over StoredRel.
 func sortedScan(v StoredRel) []Tuple {
 	ts := make([]Tuple, 0, v.Len())
-	c := v.Scan()
+	c := scanTuples(v)
 	for t, ok := c.Next(); ok; t, ok = c.Next() {
 		ts = append(ts, t)
 	}

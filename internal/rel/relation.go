@@ -258,49 +258,58 @@ func (r *Relation) Tuples() []Tuple {
 // decodes them a chunk at a time, so a scan never holds the whole
 // relation in row form the way Tuples() does. The yielded tuples belong
 // to the caller; the relation must not be modified while the cursor is
-// in use. This is the tuple scan of a stored relation (StoredRel.Scan).
-func (r *Relation) Cursor() *Cursor { return &Cursor{r: r} }
+// in use.
+func (r *Relation) Cursor() *Cursor { return scanTuples(r) }
 
-// Cursor iterates a relation's tuples in insertion order. The zero
-// Cursor is not usable; obtain one from Relation.Cursor.
+// Cursor iterates a stored relation's tuples in insertion order,
+// decoding its batch scan: the module's one decode of batches into
+// rows. The zero Cursor is not usable; obtain one from
+// Relation.Cursor.
 type Cursor struct {
-	r  *Relation
-	in NextCursor // the decoded batch scan; nil until the first Next of a pass
+	in   BatchCursor
+	rows []Tuple // decoded and not yet yielded
 }
 
 // arenaChunkRows is how many tuples a Cursor decodes at a time: one
 // arena allocation backs this many yielded tuples.
 const arenaChunkRows = 256
 
+// scanTuples returns the tuple cursor over any stored relation — the
+// row reader of CopyStore, StoresEqual and the text writer.
+func scanTuples(v StoredRel) *Cursor { return &Cursor{in: v.BatchScanSized(arenaChunkRows)} }
+
 // Next returns the next tuple, or (nil, false) when the cursor is
-// exhausted. The tuple is the caller's to keep and to modify: every
-// chunk is decoded into fresh storage (ToTuples), never into a buffer
-// the cursor reuses, because callers do retain what they are handed.
+// exhausted. The tuple is the caller's to keep and to modify: each
+// batch is decoded whole into fresh storage, one arena per batch, and
+// released at once, never into a buffer the cursor reuses, because
+// callers do retain what they are handed.
 func (c *Cursor) Next() (Tuple, bool) {
-	if c.in == nil {
-		c.in = ToTuples(c.r.BatchScanSized(arenaChunkRows))
+	for len(c.rows) == 0 {
+		b, ok := c.in.NextBatch()
+		if !ok {
+			return nil, false
+		}
+		c.rows = arenaRows(b.Len(), b.Arity())
+		for row, t := range c.rows {
+			b.Row(t, row)
+		}
+		b.Release()
 	}
-	return c.in.Next()
+	t := c.rows[0]
+	c.rows = c.rows[1:]
+	return t, true
 }
 
-// Reset rewinds the cursor to the first tuple, so one cursor can drive
-// the inner side of a nested-loop join. The next pass decodes afresh.
-func (c *Cursor) Reset() { c.in = nil }
-
-// Scan implements StoredRel: the in-memory relation is its own view,
-// so scanning it is exactly Cursor().
-func (r *Relation) Scan() TupleCursor { return r.Cursor() }
-
-// BatchScan implements BatchScanner: columnar batches over the
-// relation's stored ID columns in insertion order, without decoding or
-// re-interning anything. The yielded batches are views aliasing the
-// relation's storage — read-only, valid until the next NextBatch call,
-// their Release a no-op — so a full scan allocates nothing per row.
-// The relation must not be modified while the cursor is in use.
+// BatchScan is BatchScanSized at the default batch size.
 func (r *Relation) BatchScan() BatchCursor { return r.BatchScanSized(BatchCap) }
 
-// BatchScanSized is BatchScan with an explicit batch size, for the
-// batch-size sweeps of the experiments and tests.
+// BatchScanSized implements StoredRel: columnar batches of at most size
+// rows (size < 1 means BatchCap) over the relation's stored ID columns
+// in insertion order, without decoding or re-interning anything. The
+// yielded batches are views aliasing the relation's storage —
+// read-only, valid until the next NextBatch call, their Release a no-op
+// — so a full scan allocates nothing per row. The relation must not be
+// modified while the cursor is in use.
 func (r *Relation) BatchScanSized(size int) BatchCursor {
 	if size < 1 {
 		size = BatchCap

@@ -17,7 +17,6 @@ var rowReaders = []struct {
 }{
 	{"Tuples", (*Relation).Tuples},
 	{"Cursor", func(r *Relation) []Tuple { return drainTuples(r.Cursor()) }},
-	{"Scan", func(r *Relation) []Tuple { return drainTuples(r.Scan()) }},
 	{"At", func(r *Relation) []Tuple {
 		var ts []Tuple
 		for i := 0; i < r.Len(); i++ {
@@ -41,7 +40,7 @@ func batchScanRows(r *Relation) []Tuple {
 	return ts
 }
 
-func drainTuples(c TupleCursor) []Tuple {
+func drainTuples(c *Cursor) []Tuple {
 	var ts []Tuple
 	for t, ok := c.Next(); ok; t, ok = c.Next() {
 		ts = append(ts, t)
@@ -74,7 +73,7 @@ func sameRows(t *testing.T, label string, got, want []Tuple) {
 // cannot disagree, and rows are caller-owned. Over generated relations
 // (integers, strings and mixed; arity 0, 1, 2 and 4; empty, singleton,
 // {()} and duplicate-heavy insert sequences; built by Add, by AddBatch
-// from a foreign dictionary and by ReadText) every row reader yields
+// from rotating foreign dictionaries and by ReadText) every row reader yields
 // the inserted sequence, Sorted is its sort, and Len, Contains and
 // ContainsIDs agree with it. Then every tuple every reader handed out
 // is overwritten, and a second read, Contains of the original rows and
@@ -115,7 +114,7 @@ func TestRowsMatchColumns(t *testing.T) {
 		}},
 		{"AddBatch", func(_ *testing.T, arity int, rows []Tuple) *Relation {
 			r := NewRelation(arity)
-			in := ToBatches(&sliceCursor{ts: rows}, arity, 64)
+			in := &rotatingBatcher{ts: rows, arity: arity, dicts: []*Interner{NewInterner(), NewInterner(), NewInterner()}}
 			for b, ok := in.NextBatch(); ok; b, ok = in.NextBatch() {
 				r.AddBatch(b)
 				b.Release()

@@ -110,7 +110,7 @@ func TestEpochCOWIdentity(t *testing.T) {
 			t.Fatalf("COW clone diverges in ID column %d", k)
 		}
 	}
-	sameRows(t, "COW clone's scan order on the shared prefix", drainTuples(r2.Scan())[:base], members)
+	sameRows(t, "COW clone's scan order on the shared prefix", drainTuples(r2.Cursor())[:base], members)
 }
 
 // TestEpochFromStore pins the loader: the published epoch-1 snapshot
@@ -129,20 +129,7 @@ func TestEpochFromStore(t *testing.T) {
 	if !StoresEqual(d, s) {
 		t.Fatalf("epoch snapshot differs from source")
 	}
-	dc, sc := d.Rel("R").Scan(), s.Rel("R").Scan()
-	for {
-		dt, dok := dc.Next()
-		st, sok := sc.Next()
-		if dok != sok {
-			t.Fatalf("scan lengths differ")
-		}
-		if !dok {
-			break
-		}
-		if !dt.Equal(st) {
-			t.Fatalf("scan order differs: %s vs %s", dt, st)
-		}
-	}
+	sameRows(t, "snapshot scan order", drainTuples(s.Rel("R").Cursor()), drainTuples(d.Rel("R").Cursor()))
 }
 
 // TestFrozenDictPrefix pins the facade semantics: the frozen prefix is

@@ -12,24 +12,16 @@ package rel
 // The contract every implementation must honor, because the
 // executor's byte-identity guarantees rest on it:
 //
-//   - Scan yields tuples in global insertion order (the order Add
-//     first accepted them), so any evaluator produces the same output
-//     sequence on any backend holding the same data;
+//   - BatchScanSized yields the stored ID columns in global insertion
+//     order (the order Add first accepted them), so any evaluator
+//     produces the same output sequence on any backend holding the
+//     same data;
 //   - Add deduplicates with set semantics, exactly like Relation.Add;
 //   - View panics for names outside the schema, mirroring
 //     Database.Rel;
-//   - yielded tuples may share backend storage and are read-only.
+//   - yielded batches may alias backend storage and are read-only.
 
 import "fmt"
-
-// TupleCursor iterates tuples in insertion order and can rewind, which
-// is what replaying a stored relation as the inner side of a
-// nested-loop join needs. *Cursor (from Relation.Cursor)
-// is the in-memory implementation.
-type TupleCursor interface {
-	Next() (Tuple, bool)
-	Reset()
-}
 
 // StoredRel is the per-relation handle of a Store: the read-only view
 // the evaluators scan, probe and replay in place. *Relation implements
@@ -40,9 +32,10 @@ type StoredRel interface {
 	Arity() int
 	// Len returns the relation's cardinality.
 	Len() int
-	// Scan returns a resettable cursor over the tuples in insertion
-	// order. Yielded tuples share backend storage: read-only.
-	Scan() TupleCursor
+	// BatchScanSized returns a cursor over the relation's rows in
+	// insertion order, in batches of at most size rows (size < 1 means
+	// BatchCap). Yielded batches may alias backend storage: read-only.
+	BatchScanSized(size int) BatchCursor
 	// Contains reports membership of t.
 	Contains(t Tuple) bool
 }
@@ -77,7 +70,6 @@ type Store interface {
 
 var _ Store = (*Database)(nil)
 var _ StoredRel = (*Relation)(nil)
-var _ TupleCursor = (*Cursor)(nil)
 
 // Materialized returns the named relation of s as a *Relation, for
 // consumers that need whole-relation operations (the materialized
@@ -86,7 +78,9 @@ var _ TupleCursor = (*Cursor)(nil)
 // the in-memory Database — and for a published Snapshot, whose sealed
 // relations are frozen — it is the stored relation itself: aliased is
 // true and the caller must treat it as read-only. Any other backend
-// materializes a fresh copy from a scan, owned by the caller.
+// materializes a fresh copy from its batch scan, owned by the caller:
+// AddBatch interns row by row, column by column, so the copy has the
+// dictionary order tuple-wise Adds of the scan would give it.
 func Materialized(s ReadStore, name string) (r *Relation, aliased bool) {
 	switch d := s.(type) {
 	case *Database:
@@ -96,10 +90,12 @@ func Materialized(s ReadStore, name string) (r *Relation, aliased bool) {
 	}
 	v := s.View(name)
 	r = NewRelationSized(v.Arity(), v.Len())
-	c := v.Scan()
-	for t, ok := c.Next(); ok; t, ok = c.Next() {
-		r.Add(t)
+	c := v.BatchScanSized(BatchCap)
+	for b, ok := c.NextBatch(); ok; b, ok = c.NextBatch() {
+		r.AddBatch(b)
+		b.Release()
 	}
+	r.DropBatchCache()
 	return r, false
 }
 
@@ -123,7 +119,7 @@ func CopyStore(dst Store, src ReadStore) {
 		if res != nil {
 			res.Reserve(name, v.Len())
 		}
-		c := v.Scan()
+		c := scanTuples(v)
 		for t, ok := c.Next(); ok; t, ok = c.Next() {
 			dst.Add(name, t)
 		}
@@ -149,7 +145,7 @@ func StoresEqual(a, b ReadStore) bool {
 		if av.Len() != bv.Len() {
 			return false
 		}
-		c := av.Scan()
+		c := scanTuples(av)
 		for t, ok := c.Next(); ok; t, ok = c.Next() {
 			if !bv.Contains(t) {
 				return false

@@ -26,8 +26,7 @@ import (
 //
 // The test names predate the single executor and are pinned by the
 // repository's test floor: Streamed* tests hold the executor to the
-// materialized evaluator, Vectorized* tests sweep the batch size, and
-// *BatchedStore* tests run over a backend without batch scans.
+// materialized evaluator, and Vectorized* tests sweep the batch size.
 
 // executed runs e as written on the executor at the given batch size
 // (0 = the default).
@@ -301,36 +300,6 @@ func TestVectorizedSAOnShardedStores(t *testing.T) {
 	}
 }
 
-// noBatchScan wraps d in a backend whose views offer no batch scan —
-// the fault-injection store with nothing to inject — so every leaf goes
-// through the interning tuple→batch adapter, whose dictionary grows
-// while the stream flows.
-func noBatchScan(d *rel.Database) rel.ReadStore { return faultinject.Wrap(d, faultinject.Fault{}) }
-
-// TestStreamedOnBatchedStore is the adapter-equivalence suite for the
-// semijoin algebra: over a backend scanned through the tuple→batch
-// adapter, the corpus gives the bare store's results and flows at
-// batch sizes 1, 2 and 1024.
-func TestStreamedOnBatchedStore(t *testing.T) {
-	for seed := int64(0); seed < 6; seed++ {
-		d := setJoinDatabase(seed)
-		for _, c := range operatorCorpus() {
-			checkBatchInvariance(t, fmt.Sprintf("%s seed %d", c.name, seed), c.e, d, noBatchScan(d))
-		}
-	}
-}
-
-// TestBatchedStoreRandomizedDivisionFamily runs the division family
-// over the adapter-scanned backend on the division workload family.
-func TestBatchedStoreRandomizedDivisionFamily(t *testing.T) {
-	for seed := int64(0); seed < 10; seed++ {
-		d := workload.RandomDivision(seed).Database()
-		for _, c := range divisionFamily() {
-			checkBatchInvariance(t, fmt.Sprintf("%s seed %d", c.name, seed), c.e, d, noBatchScan(d))
-		}
-	}
-}
-
 // errAbort is the injected cursor failure of the aborted-run sweep.
 var errAbort = errors.New("sa_test: injected abort")
 
@@ -380,7 +349,7 @@ func TestSemijoinBatchCursorContract(t *testing.T) {
 		f()
 	}
 	d := rel.NewDatabase(rel.NewSchema(map[string]int{"R": 2}))
-	sc := func() ra.BatchCursor { return ra.ScanBatches(d.Rel("R"), 0) }
+	sc := func() ra.BatchCursor { return d.Rel("R").BatchScan() }
 	mustPanic("no-cond", "sa: semijoin cursor requires at least one condition atom", func() {
 		sa.NewSemijoinBatchCursor(sc(), sc(), nil, nil, true, &ra.Meter{}, 0)
 	})

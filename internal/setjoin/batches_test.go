@@ -35,7 +35,7 @@ func groupsByRows(r *rel.Relation) []*Group {
 // TestGroupsFromBatchesMatchesGroups pins the one group builder against
 // the row-loop reference on workload.RandomSetJoin draws — as generated
 // (integers), rendered as strings, and mixed: Groups (the relation's
-// own ID columns) and GroupsFromBatches over a re-interned tuple stream
+// own ID columns) and GroupsFromBatches over the relation's batch scan
 // at batch sizes 1, 2 and 1024 all yield the same groups, same
 // first-occurrence order, same sorted elements, same signature, with no
 // pool leak.
@@ -90,7 +90,7 @@ func TestGroupsFromBatchesMatchesGroups(t *testing.T) {
 				check(label+" Groups", Groups(r), want)
 				for _, size := range []int{1, 2, 1024} {
 					liveBefore, _, _ := rel.BatchPoolStats()
-					got := GroupsFromBatches(rel.ToBatches(r.Scan(), 2, size))
+					got := GroupsFromBatches(r.BatchScanSized(size))
 					liveAfter, _, _ := rel.BatchPoolStats()
 					if liveAfter != liveBefore {
 						t.Fatalf("%s size=%d: batch leak: %d live before, %d after", label, size, liveBefore, liveAfter)
@@ -112,5 +112,5 @@ func TestGroupsFromBatchesArityPanic(t *testing.T) {
 	}()
 	r := rel.NewRelation(1)
 	r.Add(rel.Ints(1))
-	GroupsFromBatches(rel.ToBatches(r.Scan(), 1, 4))
+	GroupsFromBatches(r.BatchScanSized(4))
 }

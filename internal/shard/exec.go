@@ -33,7 +33,6 @@ import (
 
 	"radiv/internal/division"
 	"radiv/internal/engine"
-	"radiv/internal/ra"
 	"radiv/internal/rel"
 	"radiv/internal/setjoin"
 )
@@ -171,7 +170,7 @@ func shardedSetJoin(db Source, rName, sName string, workers int, containment boo
 	}
 	n := db.NumShards()
 	// Broadcast side, read-only: no copy of S is made.
-	sGroups := setjoin.GroupsFromBatches(ra.ScanBatches(db.View(sName), 0))
+	sGroups := setjoin.GroupsFromBatches(db.View(sName).BatchScanSized(rel.BatchCap))
 	// A shard meets its groups in ascending gid order, so the i-th gid
 	// the router sends to shard q is the rank of q's i-th local group.
 	rt := db.Router(rName)

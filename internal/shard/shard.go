@@ -18,7 +18,7 @@
 // its own per-relation interners and dedup indexes; nothing is shared
 // between shards except the read-only routing dictionaries.
 //
-// The Store contract's insertion-order Scan is preserved across
+// The Store contract's insertion-order batch scan is preserved across
 // partitioning by a placement log: per relation, the (shard, local
 // index) of every accepted tuple in arrival order. Scanning resolves
 // the log against the shard-local relations, so every evaluator

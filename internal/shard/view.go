@@ -9,16 +9,16 @@ package shard
 // no mutable state afterwards, so one view may be shared by concurrent
 // readers.
 //
-// Beyond the tuple-at-a-time Scan, the view is a native
-// rel.BatchScanner: consecutive placement-log entries that landed in
-// the same shard occupy consecutive local indices (a tuple's local
-// position is the shard relation's length at insertion), so every
-// maximal same-shard run of the log is a contiguous local range, and
-// the batch cursor yields it as a zero-copy view batch over that
+// The view's scan is columnar: consecutive placement-log entries that
+// landed in the same shard occupy consecutive local indices (a tuple's
+// local position is the shard relation's length at insertion), so
+// every maximal same-shard run of the log is a contiguous local range,
+// and the batch cursor yields it as a zero-copy view batch over that
 // shard's stored ID columns — no tuple decoding, no re-interning, no
 // per-row work at all. Batches switch dictionaries at run boundaries
 // (each shard owns its interners), which is legal for a BatchCursor;
-// the vectorized operators resolve dictionaries per batch.
+// the vectorized operators resolve dictionaries per batch, and rows
+// are decoded only by rel's one decode over batches.
 
 import (
 	"fmt"
@@ -66,11 +66,7 @@ type relView struct {
 	router rel.FrozenDict
 }
 
-var (
-	_ rel.StoredRel         = (*relView)(nil)
-	_ rel.BatchScanner      = (*relView)(nil)
-	_ rel.BatchScannerSized = (*relView)(nil)
-)
+var _ rel.StoredRel = (*relView)(nil)
 
 // Arity implements rel.StoredRel.
 func (v *relView) Arity() int { return v.arity }
@@ -95,21 +91,12 @@ func (v *relView) Contains(t rel.Tuple) bool {
 	return v.rels[engine.PartOf(id, len(v.rels))].Contains(t)
 }
 
-// Scan implements rel.StoredRel: the cursor walks the placement log,
-// yielding tuples in global insertion order even though they live in
-// different shards. Like the in-memory rel.Cursor it decodes a run of
-// rows at a time into fresh storage, so the yielded tuples are the
-// caller's. It is the oracles' scan; the executor reads BatchScan.
-func (v *relView) Scan() rel.TupleCursor { return &scanCursor{v: v} }
-
-// BatchScan implements rel.BatchScanner: zero-copy columnar batches
-// over the shard-local stored ID columns, in global insertion order.
-func (v *relView) BatchScan() rel.BatchCursor { return v.BatchScanSized(rel.BatchCap) }
-
-// BatchScanSized implements rel.BatchScannerSized. The yielded batches
-// are views aliasing shard-local relation storage — read-only, valid
-// until the next NextBatch call, their Release a no-op — and carry the
-// owning shard's dictionaries.
+// BatchScanSized implements rel.StoredRel: zero-copy columnar batches
+// over the shard-local stored ID columns, walking the placement log in
+// global insertion order even though the rows live in different
+// shards. The yielded batches are views aliasing shard-local relation
+// storage — read-only, valid until the next NextBatch call, their
+// Release a no-op — and carry the owning shard's dictionaries.
 func (v *relView) BatchScanSized(size int) rel.BatchCursor {
 	if size < 1 {
 		size = rel.BatchCap
@@ -124,25 +111,6 @@ func (v *relView) BatchScanSized(size int) rel.BatchCursor {
 	}
 	return c
 }
-
-// scanCursor iterates a sharded relation in global insertion order: it
-// is the view's batch scan decoded by rel.ToTuples, one arena per
-// same-shard run rather than a tuple per placement-log entry.
-type scanCursor struct {
-	v  *relView
-	in rel.NextCursor // nil until the first Next of a pass
-}
-
-// Next implements rel.TupleCursor.
-func (c *scanCursor) Next() (rel.Tuple, bool) {
-	if c.in == nil {
-		c.in = rel.ToTuples(c.v.BatchScan())
-	}
-	return c.in.Next()
-}
-
-// Reset implements rel.TupleCursor.
-func (c *scanCursor) Reset() { c.in = nil }
 
 // shardBatchCursor yields view batches over maximal same-shard runs of
 // the placement log, capped at the batch size. It keeps one view batch

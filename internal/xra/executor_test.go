@@ -28,8 +28,7 @@ import (
 //
 // The test names predate the single executor and are pinned by the
 // repository's test floor: Streamed* tests hold the executor to the
-// materialized evaluator, Vectorized* tests sweep the batch size, and
-// *BatchedStore* tests run over a backend without batch scans.
+// materialized evaluator, and Vectorized* tests sweep the batch size.
 
 // executed runs e as written on the executor at the given batch size
 // (0 = the default).
@@ -307,36 +306,6 @@ func TestVectorizedXRAOnShardedStores(t *testing.T) {
 			for _, c := range exprs {
 				checkBatchInvariance(t, fmt.Sprintf("%s seed %d shards=%d", c.name, seed, shards), c.e, d, sdb)
 			}
-		}
-	}
-}
-
-// noBatchScan wraps d in a backend whose views offer no batch scan —
-// the fault-injection store with nothing to inject — so every leaf goes
-// through the interning tuple→batch adapter, whose dictionary grows
-// while the stream flows.
-func noBatchScan(d *rel.Database) rel.ReadStore { return faultinject.Wrap(d, faultinject.Fault{}) }
-
-// TestStreamedOnBatchedStore is the adapter-equivalence suite for the
-// extended algebra: over a backend scanned through the tuple→batch
-// adapter, the corpus gives the bare store's results and flows at
-// batch sizes 1, 2 and 1024.
-func TestStreamedOnBatchedStore(t *testing.T) {
-	for _, seed := range corpusSeeds[:6] {
-		d := setJoinDatabase(seed)
-		for _, c := range operatorCorpus() {
-			checkBatchInvariance(t, fmt.Sprintf("%s seed %d", c.name, seed), c.e, d, noBatchScan(d))
-		}
-	}
-}
-
-// TestBatchedStoreGammaDivision runs the Section 5 γ-division over the
-// adapter-scanned backend on the randomized division family.
-func TestBatchedStoreGammaDivision(t *testing.T) {
-	for seed := int64(0); seed < 10; seed++ {
-		d := workload.RandomDivision(seed).Database()
-		for _, e := range []xra.Expr{xra.ContainmentDivision("R", "S"), xra.EqualityDivision("R", "S")} {
-			checkBatchInvariance(t, fmt.Sprintf("%s seed %d", e, seed), e, d, noBatchScan(d))
 		}
 	}
 }
