@@ -56,7 +56,7 @@
 // count on every abort and is flagged by the batchrelease extension.
 // Second, any cursor that retains pooled batches across calls
 // implements rel.BatchHolder and is registered at construction
-// (Governor.Watch / Meter.Watch), so the boundary can release its
+// (Governor.Watch, or the executor's meter.watch), so the boundary can release its
 // held batches after all workers have joined. Deferred releases are
 // accepted — defers run during the unwind. Enforced by
 // radiv/internal/analysis/batchrelease (the governor-checkpoint

@@ -31,7 +31,7 @@ import (
 // unlimited.
 type Limits struct {
 	// MaxResident caps the evaluator's resident-tuple count as
-	// tracked by the live ra.Meter. Enforcement happens at pull
+	// tracked by the executor's live meter. Enforcement happens at pull
 	// boundaries, so a query may overshoot by at most one batch of
 	// growth before aborting.
 	MaxResident int

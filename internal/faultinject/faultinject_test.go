@@ -194,6 +194,30 @@ func TestBudgetTripAborts(t *testing.T) {
 			t.Fatalf("%s: %d pooled batches leaked on budget trip", a.name, after-live)
 		}
 	}
+	// A θ-only join copies a stored right side that is not the in-memory
+	// relation (here the wrapped R), charging the meter as it reads:
+	// the trip must come within one batch of the budget, not after the
+	// copy has read all of R.
+	theta, err := parser.ParseRA("join[1<1](S, R)", snap.Schema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const budget = 100
+	for _, bs := range []int{1, 16, 64} {
+		st := faultinject.Wrap(snap, faultinject.Fault{Rel: "R"})
+		live, _, _ := rel.BatchPoolStats()
+		res, err := arm{root: plan.FromRA(theta)}.run(context.Background(), st, bs, exec.Limits{MaxResident: budget})
+		var be *exec.BudgetError
+		if !errors.As(err, &be) || res != nil {
+			t.Fatalf("theta-join bs=%d: want a budget error and no result, got %v, %v", bs, res, err)
+		}
+		if rows := st.Rows(); rows > budget+bs {
+			t.Errorf("theta-join bs=%d: the budget tripped after %d of R's %d rows; want at most one batch past %d", bs, rows, snap.Rel("R").Len(), budget)
+		}
+		if after, _, _ := rel.BatchPoolStats(); after != live {
+			t.Fatalf("theta-join bs=%d: %d pooled batches leaked on budget trip", bs, after-live)
+		}
+	}
 }
 
 // TestPreCanceledContext: a context canceled before the query starts
@@ -296,34 +320,67 @@ func TestCleanRunAfterAborts(t *testing.T) {
 // boundary — the scan yields at most one
 // batch of rows past the cancellation point — at batch sizes 1, 64
 // and 1024. The fault store's row counter measures exactly how far
-// the (synthetically slow) scan ran past the cancel.
+// the (synthetically slow) scan ran past the cancel. Beside a plain
+// scan, the θ-only join and semijoin read Big as their replayed right
+// side, which a wrapped or sharded view cannot replay in place, so the
+// operator copies it: that copy is a scan like any other, on a
+// rel.Snapshot and on a 2-shard shard.Snapshot.
 func TestCancellationLatencyWithinOneBatch(t *testing.T) {
 	leakcheck.Check(t)
-	ep := rel.NewEpoch(rel.NewSchema(map[string]int{"Big": 1}))
+	ep := rel.NewEpoch(rel.NewSchema(map[string]int{"Big": 1, "L": 1}))
 	for i := 0; i < 5000; i++ {
 		ep.AddInts("Big", int64(i))
 	}
+	for i := 0; i < 10; i++ {
+		ep.AddInts("L", int64(i))
+	}
 	snap := ep.Publish()
-	e, err := parser.ParseRA("project[1](Big)", snap.Schema())
+	stores := []struct {
+		name string
+		d    rel.ReadStore
+	}{
+		{"rel.Snapshot", snap},
+		{"shard.Snapshot/2", shard.FromStore(snap, 2).Snapshot()},
+	}
+	scan, err := parser.ParseRA("project[1](Big)", snap.Schema())
 	if err != nil {
 		t.Fatal(err)
 	}
+	join, err := parser.ParseRA("join[1<1](L, Big)", snap.Schema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	semijoin, err := parser.ParseSA("semijoin[1<1](L, Big)", snap.Schema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := []arm{
+		{name: "scan", root: plan.FromRA(scan)},
+		{name: "theta-join", root: plan.FromRA(join)},
+		{name: "theta-semijoin", root: plan.FromSA(semijoin)},
+	}
 	const cancelAt = 100
-	for _, bs := range []int{1, 64, 1024} {
-		ctx, cancel := context.WithCancel(context.Background())
-		st := faultinject.Wrap(snap, faultinject.Fault{
-			CancelAt:   cancelAt,
-			OnRow:      cancel,
-			DelayEvery: 50,
-			Delay:      100 * time.Microsecond,
-		})
-		live, _, _ := rel.BatchPoolStats()
-		res, rerr := arm{root: plan.FromRA(e)}.run(ctx, st, bs, exec.Limits{})
-		checkAborted(t, fmt.Sprintf("bs=%d", bs), res, rerr, context.Canceled, live)
-		if extra := st.Rows() - cancelAt; extra < 0 || extra > bs {
-			t.Errorf("bs=%d: scan ran %d rows past the cancel; want at most one batch (%d)", bs, extra, bs)
+	for _, s := range stores {
+		for _, q := range queries {
+			for _, bs := range []int{1, 64, 1024} {
+				label := fmt.Sprintf("%s/%s/bs=%d", s.name, q.name, bs)
+				ctx, cancel := context.WithCancel(context.Background())
+				st := faultinject.Wrap(s.d, faultinject.Fault{
+					Rel:        "Big",
+					CancelAt:   cancelAt,
+					OnRow:      cancel,
+					DelayEvery: 50,
+					Delay:      100 * time.Microsecond,
+				})
+				live, _, _ := rel.BatchPoolStats()
+				res, rerr := q.run(ctx, st, bs, exec.Limits{})
+				checkAborted(t, label, res, rerr, context.Canceled, live)
+				if extra := st.Rows() - cancelAt; extra < 0 || extra > bs {
+					t.Errorf("%s: scan ran %d rows past the cancel; want at most one batch (%d)", label, extra, bs)
+				}
+				cancel()
+			}
 		}
-		cancel()
 	}
 }
 

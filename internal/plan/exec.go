@@ -8,19 +8,19 @@ import (
 	"radiv/internal/exec"
 	"radiv/internal/ra"
 	"radiv/internal/rel"
-	"radiv/internal/sa"
 	"radiv/internal/xra"
 )
 
 // This file is the executor: the one place a cursor tree is built and
 // run. A plan — whatever algebra it came from, rewritten or not — is a
 // tree of IR nodes; builder.batches turns it node by node into the
-// batch operator cursors of internal/ra (selection, projection, sinks,
-// joins, the dedup filter), internal/sa (semijoin, antijoin) and
-// internal/xra (γ), all charging one resident meter, and Plan.run
-// drains the root into the result. The materialized Eval of each
-// algebra is the semantics this is tested against, not a second way to
-// run a plan.
+// batch operator cursors of this package — op_filter.go (selection,
+// constant selection and tagging, projection, the dedup filter),
+// op_set.go (the union and difference sinks), op_join.go (joins,
+// semijoins, antijoins) and op_gamma.go (γ) — all charging one resident
+// meter (meter.go), and Plan.run drains the root into the result. The
+// materialized Eval of each algebra is the semantics this is tested
+// against, not a second way to run a plan.
 
 // Options tunes compilation and execution.
 type Options struct {
@@ -194,7 +194,7 @@ func (p *Plan) ExecuteTracedContext(ctx context.Context) (*rel.Relation, *Trace,
 // overhead) through the meter so every leaf scan and the root drain
 // check it once per batch.
 func (p *Plan) run(g *exec.Governor) (*rel.Relation, *Trace) {
-	m := ra.NewGovernedMeter(g)
+	m := &meter{gov: g}
 	capacity := p.opts.BatchSize
 	if capacity <= 0 {
 		capacity = rel.BatchCap
@@ -209,19 +209,19 @@ func (p *Plan) run(g *exec.Governor) (*rel.Relation, *Trace) {
 		// counted as resident.
 		l, ln := b.batches(p.root.Kids[0])
 		r, rn := b.batches(p.root.Kids[1])
-		l, r = m.GuardBatches(l), m.GuardBatches(r)
+		l, r = m.guardBatches(l), m.guardBatches(r)
 		root = &countNode{n: p.root, kids: []*countNode{ln, rn}}
-		ra.DrainBatches(l, out)
-		ra.DrainBatches(r, out)
+		drainBatches(l, out)
+		drainBatches(r, out)
 		root.size = out.Len()
 	} else {
-		var cur ra.BatchCursor
+		var cur rel.BatchCursor
 		cur, root = b.batches(p.root)
-		ra.DrainBatches(m.GuardBatches(cur), out)
+		drainBatches(m.guardBatches(cur), out)
 	}
 	tr := &Trace{}
 	root.record(tr)
-	tr.MaxResident = m.Max()
+	tr.MaxResident = m.max
 	return out, tr
 }
 
@@ -267,10 +267,10 @@ func matchGammaDivision(n *Node) (rName, sName string, sem division.Semantics, o
 // node of the subtree keeps its own count node, set to that node's
 // cardinality from the kernel's counts, so the trace is the one the
 // subtree's operators would have recorded one by one.
-func (b *builder) aggregateDivision(n *Node, rName, sName string, sem division.Semantics) (ra.BatchCursor, *countNode) {
+func (b *builder) aggregateDivision(n *Node, rName, sName string, sem division.Semantics) (rel.BatchCursor, *countNode) {
 	c := &aggDivCursor{sem: sem, meter: b.meter, capacity: b.capacity,
-		r: b.meter.GuardBatches(rel.CheckView(b.d, rName, 2, "plan").BatchScanSized(b.capacity)),
-		s: b.meter.GuardBatches(rel.CheckView(b.d, sName, 1, "plan").BatchScanSized(b.capacity))}
+		r: b.meter.guardBatches(rel.CheckView(b.d, rName, 2, "plan").BatchScanSized(b.capacity)),
+		s: b.meter.guardBatches(rel.CheckView(b.d, sName, 1, "plan").BatchScanSized(b.capacity))}
 	var mirror func(n *Node) *countNode
 	mirror = func(n *Node) *countNode {
 		node := &countNode{n: n}
@@ -288,9 +288,9 @@ func (b *builder) aggregateDivision(n *Node, rName, sName string, sem division.S
 // qualifying groups as view batches over the kernel's ID list, holding
 // the kernel's charge on the meter until the last one is out.
 type aggDivCursor struct {
-	r, s     ra.BatchCursor
+	r, s     rel.BatchCursor
 	sem      division.Semantics
-	meter    *ra.Meter
+	meter    *meter
 	capacity int
 	nodes    []*countNode // the subtree's count nodes in post-order
 
@@ -301,7 +301,7 @@ type aggDivCursor struct {
 
 func (c *aggDivCursor) NextBatch() (*rel.Batch, bool) {
 	if c.out == nil {
-		k := division.Count(c.r, c.s, c.sem, c.meter.Grow)
+		k := division.Count(c.r, c.s, c.sem, c.meter.grow)
 		// Post-order, root excluded (its flow is counted as it leaves):
 		// R, S, R ⋈ S, its γ, S, γ(S), the top join; under Equality R,
 		// γ(R) and the join of the two γs come before the second S.
@@ -317,7 +317,7 @@ func (c *aggDivCursor) NextBatch() (*rel.Batch, bool) {
 		c.view.MakeView(c.out, k.Dict)
 	}
 	if c.at == len(c.out[0]) {
-		c.meter.Release(c.held)
+		c.meter.release(c.held)
 		c.held = 0
 		return nil, false
 	}
@@ -349,7 +349,7 @@ func (c *countNode) record(tr *Trace) {
 // countCursor counts rows flowing out of an operator into the plan's
 // countNode.
 type countCursor struct {
-	in   ra.BatchCursor
+	in   rel.BatchCursor
 	node *countNode
 }
 
@@ -388,7 +388,7 @@ func mayEmitDuplicates(n *Node) bool {
 // builder translates a plan tree into a batch-cursor tree.
 type builder struct {
 	d        rel.ReadStore
-	meter    *ra.Meter
+	meter    *meter
 	capacity int
 	// probeBucket carries consumer context one level down the
 	// recursion: when a join builds its probe (left) input, it holds
@@ -406,37 +406,48 @@ func (b *builder) baseRel(n *Node) rel.StoredRel {
 	return rel.CheckView(b.d, n.Name, n.arity, "plan")
 }
 
-// batches builds the cursor for n and its count node. A stored
-// relation on the right of a difference, a θ-only join or a θ-only
-// semijoin is handed to the operator as a view and consumed in place:
-// it gets a count node (the materialized evaluators record it) but no
-// cursor, so its flow is zero.
-func (b *builder) batches(n *Node) (ra.BatchCursor, *countNode) {
+// inPlace builds the right input of a difference, a θ-only join or a
+// θ-only semijoin under node. A stored relation is handed to the
+// operator as a view and consumed in place: it gets a count node (the
+// materialized evaluators record it) but no cursor, so its flow is
+// zero. Anything else is built as a cursor. Exactly one of the results
+// is non-nil.
+func (b *builder) inPlace(sub *Node, node *countNode) (rel.BatchCursor, rel.StoredRel) {
+	if sub.Kind == KRel {
+		node.kids = append(node.kids, &countNode{n: sub})
+		return nil, b.baseRel(sub)
+	}
+	rc, rn := b.batches(sub)
+	node.kids = append(node.kids, rn)
+	return rc, nil
+}
+
+// batches builds the cursor for n and its count node. Every operator
+// is filled in here from its node, which validated its columns and
+// condition when it was built (the N* constructors): the one place
+// that picks an operator's strategy — hash or loop join and semijoin by
+// whether the condition has equality atoms, consumed in place or built
+// for a right input (inPlace).
+func (b *builder) batches(n *Node) (rel.BatchCursor, *countNode) {
 	node := &countNode{n: n}
-	var cur ra.BatchCursor
+	var cur rel.BatchCursor
 	dedup := false
 	// Consume the consumer context: it applies to this node only.
 	bucket := b.probeBucket
 	b.probeBucket = 0
 	switch n.Kind {
 	case KRel:
-		cur = b.meter.GuardBatches(b.baseRel(n).BatchScanSized(b.capacity))
+		cur = b.meter.guardBatches(b.baseRel(n).BatchScanSized(b.capacity))
 	case KUnion:
 		l, ln := b.batches(n.Kids[0])
 		r, rn := b.batches(n.Kids[1])
 		node.kids = []*countNode{ln, rn}
-		cur = ra.NewUnionSinkBatchCursor(l, r, n.arity, b.meter, b.capacity)
+		cur = &unionCursor{l: l, r: r, arity: n.arity, meter: b.meter, capacity: b.capacity}
 	case KDiff:
 		l, ln := b.batches(n.Kids[0])
 		node.kids = []*countNode{ln}
-		if sub := n.Kids[1]; sub.Kind == KRel {
-			cur = ra.NewDiffBatchCursor(l, nil, b.baseRel(sub), n.arity, b.meter)
-			node.kids = append(node.kids, &countNode{n: sub})
-		} else {
-			rc, rn := b.batches(sub)
-			cur = ra.NewDiffBatchCursor(l, rc, nil, n.arity, b.meter)
-			node.kids = append(node.kids, rn)
-		}
+		rc, stored := b.inPlace(n.Kids[1], node)
+		cur = &diffCursor{in: l, buildC: rc, stored: stored, arity: n.arity, meter: b.meter}
 	case KProject:
 		if rName, sName, sem, ok := matchGammaDivision(n); ok {
 			return b.aggregateDivision(n, rName, sName, sem)
@@ -444,60 +455,60 @@ func (b *builder) batches(n *Node) (ra.BatchCursor, *countNode) {
 		dedup = dedupProjection(b.d, n, bucket)
 		in, kn := b.batches(n.Kids[0])
 		node.kids = []*countNode{kn}
-		cur = ra.NewProjectBatchCursor(in, n.Cols)
+		cur = &projectCursor{in: in, cols: n.Cols}
 	case KSelect:
 		in, kn := b.batches(n.Kids[0])
 		node.kids = []*countNode{kn}
-		cur = ra.NewSelectBatchCursor(in, n.I, n.Op, n.J)
+		cur = &selectCursor{in: in, i: n.I - 1, op: n.Op, j: n.J - 1}
 	case KSelectConst:
 		in, kn := b.batches(n.Kids[0])
 		node.kids = []*countNode{kn}
-		cur = ra.NewSelectConstBatchCursor(in, n.I, n.C)
+		cur = &selectConstCursor{in: in, i: n.I - 1, c: n.C}
 	case KConstTag:
 		in, kn := b.batches(n.Kids[0])
 		node.kids = []*countNode{kn}
-		cur = ra.NewConstTagBatchCursor(in, n.C)
+		cur = newTagCursor(in, n.C)
 	case KJoin:
 		b.probeBucket = joinBucket(b.d, n)
 		l, ln := b.batches(n.Kids[0])
 		node.kids = []*countNode{ln}
-		if len(n.Cond.EqPairs()) > 0 {
+		if keys := splitEquiKeys(n.Cond); len(keys.probeCols) > 0 {
 			rc, rn := b.batches(n.Kids[1])
 			node.kids = append(node.kids, rn)
-			cur = ra.NewHashJoinBatchCursor(l, rc, n.Cond, b.meter, b.capacity)
-		} else if sub := n.Kids[1]; sub.Kind == KRel {
-			node.kids = append(node.kids, &countNode{n: sub})
-			cur = ra.NewLoopJoinBatchCursor(l, nil, b.baseRel(sub), n.Cond, b.meter, b.capacity)
+			cur = &hashJoinCursor{left: l, buildC: rc, equiKeys: keys, meter: b.meter, capacity: b.capacity}
 		} else {
-			rc, rn := b.batches(sub)
-			node.kids = append(node.kids, rn)
-			cur = ra.NewLoopJoinBatchCursor(l, rc, nil, n.Cond, b.meter, b.capacity)
+			rc, stored := b.inPlace(n.Kids[1], node)
+			cur = &loopJoinCursor{left: l, buildC: rc, stored: stored, cond: n.Cond, meter: b.meter, capacity: b.capacity}
 		}
 	case KSemijoin, KAntijoin:
 		keep := n.Kind == KSemijoin
 		l, ln := b.batches(n.Kids[0])
 		node.kids = []*countNode{ln}
-		if sub := n.Kids[1]; len(n.Cond.EqPairs()) == 0 && sub.Kind == KRel {
-			node.kids = append(node.kids, &countNode{n: sub})
-			cur = sa.NewSemijoinBatchCursor(l, nil, b.baseRel(sub), n.Cond, keep, b.meter, b.capacity)
-		} else {
-			rc, rn := b.batches(sub)
+		if keys := splitEquiKeys(n.Cond); len(keys.probeCols) > 0 {
+			rc, rn := b.batches(n.Kids[1])
 			node.kids = append(node.kids, rn)
-			cur = sa.NewSemijoinBatchCursor(l, rc, nil, n.Cond, keep, b.meter, b.capacity)
+			cur = &hashSemijoinCursor{left: l, buildC: rc, equiKeys: keys, keep: keep, meter: b.meter}
+		} else {
+			rc, stored := b.inPlace(n.Kids[1], node)
+			cur = &loopSemijoinCursor{left: l, buildC: rc, stored: stored, cond: n.Cond, keep: keep, meter: b.meter, capacity: b.capacity}
 		}
 	case KGamma:
 		in, kn := b.batches(n.Kids[0])
 		node.kids = []*countNode{kn}
-		cur = xra.NewGammaBatchCursor(in, n.Cols, n.CountCol, n.Kids[0].arity, mayEmitDuplicates(n.Kids[0]), b.meter, b.capacity)
+		cur = &gammaCursor{in: in, groupCols: n.Cols, countCol: n.CountCol, inputArity: n.Kids[0].arity,
+			dedupAll: n.CountCol == 0 && mayEmitDuplicates(n.Kids[0]), meter: b.meter, capacity: b.capacity}
 	default:
 		panic(fmt.Sprintf("plan: unknown kind %d", n.Kind))
 	}
+	// An operator that holds batches across calls (the joins) releases
+	// them when an abort unwinds through it.
+	b.meter.watch(cur)
 	counted := &countCursor{in: cur, node: node}
 	if dedup {
 		// The filter sits outside the count, so the node's flow number
 		// still reports what the operator emitted (duplicates included)
 		// and only the downstream consumers see the deduplicated stream.
-		return ra.NewDedupBatchCursor(counted, n.arity, b.meter), node
+		return &dedupCursor{in: counted, arity: n.arity, meter: b.meter}, node
 	}
 	return counted, node
 }

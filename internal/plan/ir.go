@@ -4,8 +4,8 @@
 // and the γ-extended algebra of Section 5), a rule-driven rewrite
 // framework priced by the shared cost model of internal/plan/cost, and
 // the one builder that turns any plan — rewritten or as written, from
-// whichever algebra — into a tree of the batch operator cursors of
-// internal/ra, internal/sa and internal/xra and runs it (exec.go).
+// whichever algebra — into a tree of this package's batch operator
+// cursors (op_*.go) and runs it (exec.go).
 //
 // The planner is the paper's dichotomy theorem made operational: a
 // query the user wrote quadratically is rewritten to a linear-flow

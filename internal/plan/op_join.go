@@ -1,0 +1,564 @@
+package plan
+
+// This file holds the executor's joins and semijoins. Both materialize
+// only their build (right) side and stream the probe (left) side, and
+// both pick their strategy from the condition's shape:
+//
+//   - a condition with equality atoms keys a buildTable on the equality
+//     columns (equiKeys). The hash join keeps every build row, chained
+//     per key; a semijoin keeps only the distinct key rows when the
+//     condition is pure equality — the partner *set* is all it needs —
+//     and every build row otherwise. A probe resolves its key once and
+//     walks exactly the rows with that key, so equality atoms are never
+//     re-verified; only residual atoms decode values;
+//   - a θ-only condition replays the right side per probe row, opened by
+//     replaySide: in place over the in-memory relation's ID columns
+//     (nothing held), otherwise from a materialized, metered columnar
+//     copy. The empty condition — the cartesian product — is a pure
+//     block copy.
+//
+// A semijoin's probe side streams through filterBatch, so its order is
+// preserved, and the meter is charged what is held — distinct key rows,
+// full build rows, or nothing — and released at probe exhaustion.
+//
+// The paper's point about SA is that every operator's output is bounded
+// by one of its inputs, so the *flow* is linear by construction. The
+// semijoin sharpens that into a resident-memory statement: it holds
+// only build-side key sets, so a plan of SA operators keeps
+// Trace.MaxResident linear in the database (experiment ST2), the
+// memory-side counterpart of the syntactic linearity of Definition 2.
+
+import (
+	"radiv/internal/ra"
+	"radiv/internal/rel"
+)
+
+// equiKeys is a condition split for the equality-keyed operators: the
+// 0-based probe and build columns of its equality atoms, aligned, and
+// its residual (non-equality) atoms.
+type equiKeys struct {
+	probeCols, buildCols []int
+	resid                []ra.Atom
+}
+
+func splitEquiKeys(cond ra.Cond) equiKeys {
+	var k equiKeys
+	for _, at := range cond {
+		if at.Op == ra.OpEq {
+			k.probeCols = append(k.probeCols, at.L-1)
+			k.buildCols = append(k.buildCols, at.R-1)
+		} else {
+			k.resid = append(k.resid, at)
+		}
+	}
+	return k
+}
+
+// colStore is a materialized build side: every row, translated into
+// one store-owned dictionary through an IDMap — so the stored columns
+// outlive the batches they came from, whatever dictionaries those
+// carried — and kept as flat columns in arrival order.
+type colStore struct {
+	dict *rel.Interner
+	xl   *rel.IDMap
+	cols [][]uint32 // nil until the first batch fixes the arity
+	n    int
+}
+
+func newColStore() *colStore {
+	d := rel.NewInterner()
+	return &colStore{dict: d, xl: rel.NewIDMap(d)}
+}
+
+// append stores every row of b.
+func (s *colStore) append(b *rel.Batch) {
+	if s.cols == nil {
+		s.cols = make([][]uint32, b.Arity())
+	}
+	n := b.Len()
+	for k := range s.cols {
+		col, d := b.Col(k), b.Dict(k)
+		for row := 0; row < n; row++ {
+			s.cols[k] = append(s.cols[k], s.xl.Intern(d, col[row]))
+		}
+	}
+	s.n += n
+}
+
+// replaySide opens the right side of a θ-only join or semijoin, which
+// is replayed per probe row: a stored in-memory relation's own ID
+// columns in place (nothing held), otherwise a materialized columnar
+// copy of build — or, when build is nil, of the stored backend's batch
+// scan — charging every buffered row to m. Only the in-memory relation
+// exposes zero-copy ID columns, so a stored right side on any other
+// backend (a shard view, a wrapper) is materialized and metered; its
+// scan goes through m's guard like every leaf scan, so a governed run
+// checks it per batch. The caller releases held from m when done with
+// the columns. Exactly one of build and stored is non-nil
+// (builder.inPlace).
+func replaySide(build rel.BatchCursor, stored rel.StoredRel, m *meter, capacity int) (cols [][]uint32, dict *rel.Interner, rows, held int) {
+	if build == nil {
+		if r, ok := stored.(*rel.Relation); ok {
+			cols, dict = r.IDColumns()
+			return cols, dict, r.Len(), 0
+		}
+		build = m.guardBatches(stored.BatchScanSized(capacity))
+	}
+	s := newColStore()
+	for b, ok := build.NextBatch(); ok; b, ok = build.NextBatch() {
+		s.append(b)
+		m.grow(b.Len())
+		b.Release()
+	}
+	return s.cols, s.dict, s.n, s.n
+}
+
+// buildTable is the build side of the equality-keyed operators — the
+// hash join and the hash semijoins: the distinct equality-key rows in
+// an idSet and, unless the operator needs only those, every build row
+// in a colStore, the rows of each key chained in build order. A probe
+// finds its key row once and then walks exactly the build rows with
+// that key, so equality atoms are never re-verified; only residual
+// (non-equality) atoms are evaluated per candidate. The table charges
+// the meter as it is built — one per distinct key, or one per build
+// row — and held reports the charge for the caller to release.
+type buildTable struct {
+	keys  *idSet
+	rows  *colStore // every build row; nil when only the keys are kept
+	first []int32   // per key: 1 + its first build row
+	next  []int32   // per build row: 1 + the next build row with its key (0 ends)
+	held  int
+}
+
+// newBuildTable drains in into a table keyed on the build columns
+// keyCols (0-based). keysOnly keeps the distinct key rows alone, which
+// is all a semijoin without residual atoms needs.
+func newBuildTable(in rel.BatchCursor, keyCols []int, keysOnly bool, m *meter) *buildTable {
+	t := &buildTable{keys: newIDSet(len(keyCols))}
+	if keysOnly {
+		for b, ok := in.NextBatch(); ok; b, ok = in.NextBatch() {
+			for row := 0; row < b.Len(); row++ {
+				if _, fresh := t.keys.insert(b, row, keyCols); fresh {
+					m.grow(1)
+					t.held++
+				}
+			}
+			b.Release()
+		}
+		return t
+	}
+	t.rows = newColStore()
+	var last []int32 // per key: 1 + its latest build row, while building
+	for b, ok := in.NextBatch(); ok; b, ok = in.NextBatch() {
+		n := b.Len()
+		t.rows.append(b)
+		for row := 0; row < n; row++ {
+			pos := int32(len(t.next)) + 1
+			t.next = append(t.next, 0)
+			if k, fresh := t.keys.insert(b, row, keyCols); fresh {
+				t.first = append(t.first, pos)
+				last = append(last, pos)
+			} else {
+				t.next[last[k]-1] = pos
+				last[k] = pos
+			}
+		}
+		m.grow(n)
+		t.held += n
+		b.Release()
+	}
+	return t
+}
+
+// candidates returns 1 + the first build row whose key equals probe
+// row `row` of b read through probeCols (0-based, aligned with the
+// table's key columns), 0 when no build row has that key.
+func (t *buildTable) candidates(b *rel.Batch, row int, probeCols []int) int32 {
+	k := t.keys.find(b, row, probeCols)
+	if k < 0 {
+		return 0
+	}
+	return t.first[k]
+}
+
+// holds reports whether build row brow satisfies every residual atom
+// against probe row `row` of b.
+func (t *buildTable) holds(resid []ra.Atom, b *rel.Batch, row, brow int) bool {
+	for _, at := range resid {
+		if !at.Op.Eval(b.Value(at.L-1, row), t.rows.dict.Value(t.rows.cols[at.R-1][brow])) {
+			return false
+		}
+	}
+	return true
+}
+
+// partner reports whether probe row `row` of b has a build row with
+// its key (read through probeCols) that satisfies every residual atom:
+// the semijoin's test. A keys-only table answers from its keys alone,
+// so it must be built only for a condition without residual atoms.
+func (t *buildTable) partner(b *rel.Batch, row int, probeCols []int, resid []ra.Atom) bool {
+	if t.rows == nil {
+		return t.keys.contains(b, row, probeCols)
+	}
+	for p := t.candidates(b, row, probeCols); p != 0; p = t.next[p-1] {
+		if t.holds(resid, b, row, int(p-1)) {
+			return true
+		}
+	}
+	return false
+}
+
+// hashJoinCursor is the equality-keyed hash join: the build side is
+// materialized into a buildTable, and probe batches stream against it —
+// each probe row resolves its key once, walks the build rows with
+// exactly that key, and decodes values only for residual
+// (non-equality) atoms. Output batches carry the probe side's
+// dictionaries on the left columns and the table's on the right, so
+// nothing is re-interned on the way out.
+type hashJoinCursor struct {
+	left   rel.BatchCursor
+	buildC rel.BatchCursor
+	equiKeys
+	meter    *meter
+	capacity int
+
+	opened bool
+	table  *buildTable
+	held   int
+
+	probe *rel.Batch
+	prow  int
+	cand  int32 // 1 + the next candidate build row, 0 when exhausted
+	out   *rel.Batch
+}
+
+// ReleaseHeld implements rel.BatchHolder: the hash join retains the
+// probe batch and the staging output batch across NextBatch calls;
+// both are released when an abort unwinds through the cursor.
+func (c *hashJoinCursor) ReleaseHeld() {
+	p, o := c.probe, c.out
+	c.probe, c.out = nil, nil
+	p.Release()
+	o.Release()
+}
+
+func (c *hashJoinCursor) emit(brow int) {
+	la := c.probe.Arity()
+	rs := c.table.rows
+	if c.out == nil {
+		c.out = rel.NewBatchSized(la+len(rs.cols), c.capacity)
+		for k := 0; k < la; k++ {
+			c.out.SetDict(k, c.probe.Dict(k))
+		}
+		for k := range rs.cols {
+			c.out.SetDict(la+k, rs.dict)
+		}
+	}
+	row := c.out.Len()
+	for k := 0; k < la; k++ {
+		c.out.WritableCol(k)[row] = c.probe.Col(k)[c.prow]
+	}
+	for k, col := range rs.cols {
+		c.out.WritableCol(la + k)[row] = col[brow]
+	}
+	c.out.SetLen(row + 1)
+}
+
+func (c *hashJoinCursor) NextBatch() (*rel.Batch, bool) {
+	if !c.opened {
+		c.opened = true
+		c.table = newBuildTable(c.buildC, c.buildCols, false, c.meter)
+		c.held = c.table.held
+	}
+	for {
+		if c.probe == nil {
+			// Flush at probe-batch boundaries, so one output batch never
+			// mixes left columns from two probe dictionaries.
+			if c.out != nil && c.out.Len() > 0 {
+				o := c.out
+				c.out = nil
+				return o, true
+			}
+			b, ok := c.left.NextBatch()
+			if !ok {
+				c.out.Release()
+				c.out = nil
+				c.meter.release(c.held)
+				c.held = 0
+				c.table = nil
+				return nil, false
+			}
+			if b.Len() == 0 {
+				b.Release()
+				continue
+			}
+			c.probe, c.prow = b, 0
+			c.cand = c.table.candidates(c.probe, c.prow, c.probeCols)
+		}
+		if c.cand == 0 {
+			c.prow++
+			if c.prow >= c.probe.Len() {
+				c.probe.Release()
+				c.probe = nil
+				continue
+			}
+			c.cand = c.table.candidates(c.probe, c.prow, c.probeCols)
+			continue
+		}
+		brow := int(c.cand - 1)
+		c.cand = c.table.next[brow]
+		if !c.table.holds(c.resid, c.probe, c.prow, brow) {
+			continue
+		}
+		c.emit(brow)
+		if c.out.Full() {
+			o := c.out
+			c.out = nil
+			return o, true
+		}
+	}
+}
+
+// loopJoinCursor handles joins without equality atoms. The right side
+// is opened by replaySide and replayed per probe row. The empty
+// condition — the cartesian product — is a pure block copy: the probe
+// value is broadcast down the left columns while the right columns are
+// copied in slabs.
+type loopJoinCursor struct {
+	left     rel.BatchCursor
+	buildC   rel.BatchCursor
+	stored   rel.StoredRel
+	cond     ra.Cond
+	meter    *meter
+	capacity int
+
+	opened bool
+	rcols  [][]uint32
+	rdict  *rel.Interner
+	rn     int
+	held   int
+
+	probe *rel.Batch
+	prow  int
+	ri    int
+	out   *rel.Batch
+}
+
+// ReleaseHeld implements rel.BatchHolder: the loop join retains the
+// probe batch and the staging output batch across NextBatch calls;
+// both are released when an abort unwinds through the cursor.
+func (c *loopJoinCursor) ReleaseHeld() {
+	p, o := c.probe, c.out
+	c.probe, c.out = nil, nil
+	p.Release()
+	o.Release()
+}
+
+func (c *loopJoinCursor) ensureOut() {
+	if c.out != nil {
+		return
+	}
+	la := c.probe.Arity()
+	c.out = rel.NewBatchSized(la+len(c.rcols), c.capacity)
+	for k := 0; k < la; k++ {
+		c.out.SetDict(k, c.probe.Dict(k))
+	}
+	for k := range c.rcols {
+		c.out.SetDict(la+k, c.rdict)
+	}
+}
+
+func (c *loopJoinCursor) holds() bool {
+	for _, at := range c.cond {
+		if !at.Op.Eval(c.probe.Value(at.L-1, c.prow), c.rdict.Value(c.rcols[at.R-1][c.ri])) {
+			return false
+		}
+	}
+	return true
+}
+
+func (c *loopJoinCursor) NextBatch() (*rel.Batch, bool) {
+	if !c.opened {
+		c.opened = true
+		c.rcols, c.rdict, c.rn, c.held = replaySide(c.buildC, c.stored, c.meter, c.capacity)
+	}
+	for {
+		if c.probe == nil {
+			if c.out != nil && c.out.Len() > 0 {
+				o := c.out
+				c.out = nil
+				return o, true
+			}
+			b, ok := c.left.NextBatch()
+			if !ok {
+				c.out.Release()
+				c.out = nil
+				c.meter.release(c.held)
+				c.held = 0
+				c.rcols, c.rdict = nil, nil
+				return nil, false
+			}
+			if b.Len() == 0 {
+				b.Release()
+				continue
+			}
+			c.probe, c.prow, c.ri = b, 0, 0
+		}
+		if c.prow >= c.probe.Len() {
+			c.probe.Release()
+			c.probe = nil
+			continue
+		}
+		if c.ri >= c.rn {
+			c.prow++
+			c.ri = 0
+			continue
+		}
+		if len(c.cond) == 0 {
+			// Cartesian slab: fill as much of the output batch as the
+			// remaining right rows allow in one block copy.
+			c.ensureOut()
+			la := c.probe.Arity()
+			start := c.out.Len()
+			m := c.capacity - start
+			if rest := c.rn - c.ri; m > rest {
+				m = rest
+			}
+			for k := 0; k < la; k++ {
+				id := c.probe.Col(k)[c.prow]
+				dst := c.out.WritableCol(k)[start : start+m]
+				for i := range dst {
+					dst[i] = id
+				}
+			}
+			for k := range c.rcols {
+				copy(c.out.WritableCol(la + k)[start:start+m], c.rcols[k][c.ri:c.ri+m])
+			}
+			c.out.SetLen(start + m)
+			c.ri += m
+			if c.out.Full() {
+				o := c.out
+				c.out = nil
+				return o, true
+			}
+			continue
+		}
+		if c.holds() {
+			c.ensureOut()
+			la := c.probe.Arity()
+			row := c.out.Len()
+			for k := 0; k < la; k++ {
+				c.out.WritableCol(k)[row] = c.probe.Col(k)[c.prow]
+			}
+			for k := range c.rcols {
+				c.out.WritableCol(la + k)[row] = c.rcols[k][c.ri]
+			}
+			c.out.SetLen(row + 1)
+			c.ri++
+			if c.out.Full() {
+				o := c.out
+				c.out = nil
+				return o, true
+			}
+			continue
+		}
+		c.ri++
+	}
+}
+
+// hashSemijoinCursor is the semijoin (keep) or antijoin (!keep) of a
+// condition with equality atoms: it drains the build side into a
+// buildTable keyed on the equality columns — the distinct key rows
+// alone when there are no residual atoms — and compacts probe batches
+// through the partner test.
+type hashSemijoinCursor struct {
+	left   rel.BatchCursor
+	buildC rel.BatchCursor
+	equiKeys
+	keep  bool
+	meter *meter
+
+	opened bool
+	table  *buildTable
+	held   int
+}
+
+func (c *hashSemijoinCursor) NextBatch() (*rel.Batch, bool) {
+	if !c.opened {
+		c.opened = true
+		c.table = newBuildTable(c.buildC, c.buildCols, len(c.resid) == 0, c.meter)
+		c.held = c.table.held
+	}
+	for {
+		b, ok := c.left.NextBatch()
+		if !ok {
+			c.meter.release(c.held)
+			c.held = 0
+			c.table = nil
+			return nil, false
+		}
+		out := filterBatch(b, func(row int) bool { return c.table.partner(b, row, c.probeCols, c.resid) == c.keep })
+		if out.Len() > 0 {
+			return out, true
+		}
+		out.Release()
+	}
+}
+
+// loopSemijoinCursor is the semijoin (keep) or antijoin (!keep) of a
+// θ-only condition: the right side, opened by replaySide, is replayed
+// per probe row over flat ID columns.
+type loopSemijoinCursor struct {
+	left     rel.BatchCursor
+	buildC   rel.BatchCursor
+	stored   rel.StoredRel
+	cond     ra.Cond
+	keep     bool
+	meter    *meter
+	capacity int
+
+	opened bool
+	rcols  [][]uint32
+	rdict  *rel.Interner
+	rn     int
+	held   int
+}
+
+// partner reports whether probe row `row` of b satisfies the condition
+// against any replayed right row.
+func (c *loopSemijoinCursor) partner(b *rel.Batch, row int) bool {
+	for ri := 0; ri < c.rn; ri++ {
+		holds := true
+		for _, at := range c.cond {
+			if !at.Op.Eval(b.Value(at.L-1, row), c.rdict.Value(c.rcols[at.R-1][ri])) {
+				holds = false
+				break
+			}
+		}
+		if holds {
+			return true
+		}
+	}
+	return false
+}
+
+func (c *loopSemijoinCursor) NextBatch() (*rel.Batch, bool) {
+	if !c.opened {
+		c.opened = true
+		c.rcols, c.rdict, c.rn, c.held = replaySide(c.buildC, c.stored, c.meter, c.capacity)
+	}
+	for {
+		b, ok := c.left.NextBatch()
+		if !ok {
+			c.meter.release(c.held)
+			c.held = 0
+			c.rcols, c.rdict = nil, nil
+			return nil, false
+		}
+		out := filterBatch(b, func(row int) bool { return c.partner(b, row) == c.keep })
+		if out.Len() > 0 {
+			return out, true
+		}
+		out.Release()
+	}
+}

@@ -1,0 +1,128 @@
+package plan
+
+import (
+	"testing"
+
+	"radiv/internal/ra"
+	"radiv/internal/rel"
+)
+
+// This file holds the executor's operators to the properties that need
+// their internals: the allocation profile of the equality build tables,
+// and what the operators rely on instead of checking their own
+// arguments — the IR constructors' validation and the builder's choice
+// of right input.
+
+// mustPanic runs f and requires it to panic with exactly want.
+func mustPanic(t *testing.T, name, want string, f func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		r := recover()
+		if r == nil {
+			t.Fatalf("%s: no panic", name)
+		}
+		if s, ok := r.(string); !ok || s != want {
+			t.Fatalf("%s: panic %v, want %q", name, r, want)
+		}
+	}()
+	f()
+}
+
+// rowsOut drains c and returns the number of rows it emitted.
+func rowsOut(c rel.BatchCursor) int {
+	out := 0
+	for b, ok := c.NextBatch(); ok; b, ok = c.NextBatch() {
+		out += b.Len()
+		b.Release()
+	}
+	return out
+}
+
+// operator builds n on the in-memory database d and returns its
+// operator cursor, unwrapped from the flow count.
+func operator(d rel.ReadStore, n *Node) rel.BatchCursor {
+	c, _ := (&builder{d: d, meter: &meter{}, capacity: rel.BatchCap}).batches(n)
+	return c.(*countCursor).in
+}
+
+// TestSemijoinBatchCursorContract pins what the semijoin cursors rely
+// on: NSemijoin and NAntijoin refuse an empty condition, and the
+// builder hands the operator exactly one right input — a build cursor
+// whenever the condition has an equality atom, and a stored view
+// consumed in place only for a θ-only condition over a stored relation.
+func TestSemijoinBatchCursorContract(t *testing.T) {
+	r := NRel("R", 2)
+	mustPanic(t, "semijoin-no-cond", "plan: semijoin requires at least one condition atom", func() { NSemijoin(r, nil, r) })
+	mustPanic(t, "antijoin-no-cond", "plan: antijoin requires at least one condition atom", func() { NAntijoin(r, nil, r) })
+
+	d := rel.NewDatabase(rel.NewSchema(map[string]int{"R": 2}))
+	if op := operator(d, NSemijoin(r, ra.Eq(1, 1), r)); op.(*hashSemijoinCursor).buildC == nil {
+		t.Error("equality semijoin over a stored relation: no build cursor")
+	}
+	if op := operator(d, NAntijoin(r, ra.Lt(1, 1), r)).(*loopSemijoinCursor); op.buildC != nil || op.stored == nil {
+		t.Error("θ-only antijoin over a stored relation: want the stored view alone, replayed in place")
+	}
+	if op := operator(d, NSemijoin(r, ra.Lt(1, 1), NProject([]int{2, 1}, r))).(*loopSemijoinCursor); op.buildC == nil || op.stored != nil {
+		t.Error("θ-only semijoin over a computed right side: want the build cursor alone")
+	}
+}
+
+// TestGammaBatchCursorContract pins NGamma's column validation, which
+// the γ cursor relies on.
+func TestGammaBatchCursorContract(t *testing.T) {
+	r := NRel("R", 2)
+	mustPanic(t, "group-col", "plan: group column 3 out of range 1..2", func() { NGamma([]int{3}, 0, r) })
+	mustPanic(t, "count-col", "plan: count column 5 out of range 0..2", func() { NGamma([]int{1}, 5, r) })
+}
+
+// buildRelation is 100 000 rows with 100 000 distinct (a, a mod 7) keys.
+func buildRelation() *rel.Relation {
+	build := rel.NewRelationSized(2, 100000)
+	for i := 0; i < 100000; i++ {
+		build.Add(rel.Ints(int64(i), int64(i%7)))
+	}
+	return build
+}
+
+// TestHashJoinBuildAllocations holds the hash join's build table to a
+// number of allocations logarithmic in its size: over 100 000 distinct
+// keys its columns, dictionary and index grow by doubling, where a
+// slice per key would make 100 000 allocations.
+func TestHashJoinBuildAllocations(t *testing.T) {
+	build := buildRelation()
+	probe := rel.FromRows(2, []int64{5, 5})
+	out := 0
+	allocs := testing.AllocsPerRun(1, func() {
+		out = rowsOut(&hashJoinCursor{left: probe.BatchScan(), buildC: build.BatchScan(),
+			equiKeys: splitEquiKeys(ra.EqAll([2]int{1, 1}, [2]int{2, 2})), meter: &meter{}, capacity: rel.BatchCap})
+	})
+	if out != 1 {
+		t.Fatalf("join emitted %d rows, want 1", out)
+	}
+	t.Logf("%.0f allocations", allocs)
+	if allocs > 1000 {
+		t.Errorf("a hash join over 100000 distinct keys made %.0f allocations, want at most 1000", allocs)
+	}
+}
+
+// TestResidualSemijoinBuildAllocations holds the semijoin's build
+// table for a condition with a residual atom — every build row kept,
+// chained per key — to a number of allocations logarithmic in its
+// size: 100 000 distinct keys must not cost a slice per key.
+func TestResidualSemijoinBuildAllocations(t *testing.T) {
+	build := buildRelation()
+	probe := rel.FromRows(2, []int64{5, 9}, []int64{5, 1})
+	out := 0
+	allocs := testing.AllocsPerRun(1, func() {
+		out = rowsOut(&hashSemijoinCursor{left: probe.BatchScan(), buildC: build.BatchScan(),
+			equiKeys: splitEquiKeys(ra.Eq(1, 1).And(ra.A(2, ra.OpGt, 2))), keep: true, meter: &meter{}})
+	})
+	if out != 1 {
+		t.Fatalf("semijoin kept %d rows, want 1", out)
+	}
+	t.Logf("%.0f allocations", allocs)
+	if allocs > 1000 {
+		t.Errorf("a residual semijoin over 100000 distinct keys made %.0f allocations, want at most 1000", allocs)
+	}
+}

@@ -9,7 +9,7 @@ import (
 // fixed-width rows kept in insertion order as flat columns
 // (struct-of-arrays, 4 bytes per ID), deduplicated through a chained
 // hash table. A relation's dedup index is one, and so are the
-// executor's sets — ra.IDSet behind the union and difference sinks and
+// executor's sets — the idSet behind the union and difference sinks and
 // the dedup filter, the key table of the hash join and the semijoins,
 // γ's groups and counted values — so how rows are hashed and found is
 // decided here and nowhere else.

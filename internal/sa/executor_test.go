@@ -16,8 +16,9 @@ import (
 )
 
 // This file holds SA expressions to the executor in internal/plan —
-// the only thing that runs a cursor tree, and so the only consumer of
-// this package's semijoin cursor. The full crossing of corpora,
+// the only thing that runs a cursor tree, over its own batch operators
+// (the semijoin and antijoin among them); this package holds the
+// semantics they are checked against. The full crossing of corpora,
 // rewrites, stores and governors is internal/plan's executor suite;
 // what lives here are the properties stated about SA in particular:
 // the linear-resident bound of its operators and its scaling,
@@ -330,61 +331,5 @@ func TestVectorizedSAAbortedRunsReleasePool(t *testing.T) {
 			}
 		}
 		checkBatchInvariance(t, fmt.Sprintf("%s after aborts", c.name), c.e, d, d)
-	}
-}
-
-// TestSemijoinBatchCursorContract pins NewSemijoinBatchCursor's
-// argument panics.
-func TestSemijoinBatchCursorContract(t *testing.T) {
-	mustPanic := func(name, want string, f func()) {
-		defer func() {
-			r := recover()
-			if r == nil {
-				t.Fatalf("%s: no panic", name)
-			}
-			if s, ok := r.(string); !ok || s != want {
-				t.Fatalf("%s: panic %v, want %q", name, r, want)
-			}
-		}()
-		f()
-	}
-	d := rel.NewDatabase(rel.NewSchema(map[string]int{"R": 2}))
-	sc := func() ra.BatchCursor { return d.Rel("R").BatchScan() }
-	mustPanic("no-cond", "sa: semijoin cursor requires at least one condition atom", func() {
-		sa.NewSemijoinBatchCursor(sc(), sc(), nil, nil, true, &ra.Meter{}, 0)
-	})
-	mustPanic("both-sides", "sa: semijoin cursor requires exactly one of build cursor and stored relation", func() {
-		sa.NewSemijoinBatchCursor(sc(), sc(), d.Rel("R"), ra.Eq(1, 1), true, &ra.Meter{}, 0)
-	})
-	mustPanic("eq-needs-build", "sa: semijoin cursor with equality atoms requires a build cursor", func() {
-		sa.NewSemijoinBatchCursor(sc(), nil, d.Rel("R"), ra.Eq(1, 1), true, &ra.Meter{}, 0)
-	})
-}
-
-// TestResidualSemijoinBuildAllocations holds the semijoin's build
-// table for a condition with a residual atom — every build row kept,
-// chained per key — to a number of allocations logarithmic in its
-// size: 100 000 distinct keys must not cost a slice per key.
-func TestResidualSemijoinBuildAllocations(t *testing.T) {
-	build := rel.NewRelationSized(2, 100000)
-	for i := 0; i < 100000; i++ {
-		build.Add(rel.Ints(int64(i), int64(i%7)))
-	}
-	probe := rel.FromRows(2, []int64{5, 9}, []int64{5, 1})
-	out := 0
-	allocs := testing.AllocsPerRun(1, func() {
-		c := sa.NewSemijoinBatchCursor(probe.BatchScan(), build.BatchScan(), nil, ra.Eq(1, 1).And(ra.A(2, ra.OpGt, 2)), true, &ra.Meter{}, 0)
-		out = 0
-		for b, ok := c.NextBatch(); ok; b, ok = c.NextBatch() {
-			out += b.Len()
-			b.Release()
-		}
-	})
-	if out != 1 {
-		t.Fatalf("semijoin kept %d rows, want 1", out)
-	}
-	t.Logf("%.0f allocations", allocs)
-	if allocs > 1000 {
-		t.Errorf("a residual semijoin over 100000 distinct keys made %.0f allocations, want at most 1000", allocs)
 	}
 }

@@ -17,14 +17,15 @@ import (
 )
 
 // This file holds extended-algebra expressions to the executor in
-// internal/plan — the only thing that runs a cursor tree, and so the
-// only consumer of this package's γ cursor. The full crossing of
-// corpora, rewrites, stores and governors is internal/plan's executor
-// suite; what lives here are the properties stated about γ in
-// particular: exact counts over duplicate-capable inputs, the linear
-// resident footprint of the Section 5 division and its scaling, γ's
-// allocation profile, batch-size and backend invariance of results and
-// traces, and the abort contract.
+// internal/plan — the only thing that runs a cursor tree, over its own
+// batch operators (γ among them); this package holds the semantics
+// they are checked against. The full crossing of corpora, rewrites,
+// stores and governors is internal/plan's executor suite; what lives
+// here are the properties stated about γ in particular: exact counts
+// over duplicate-capable inputs, the linear resident footprint of the
+// Section 5 division and its scaling, γ's allocation profile,
+// batch-size and backend invariance of results and traces, and the
+// abort contract.
 //
 // The test names predate the single executor and are pinned by the
 // repository's test floor: Streamed* tests hold the executor to the
@@ -341,29 +342,6 @@ func TestVectorizedXRAAbortedRunsReleasePool(t *testing.T) {
 		}
 		checkBatchInvariance(t, fmt.Sprintf("%s after aborts", c.name), c.e, d, d)
 	}
-}
-
-// TestGammaBatchCursorContract pins NewGammaBatchCursor's validation
-// panics.
-func TestGammaBatchCursorContract(t *testing.T) {
-	mustPanic := func(name, want string, f func()) {
-		defer func() {
-			r := recover()
-			if r == nil {
-				t.Fatalf("%s: no panic", name)
-			}
-			if s, ok := r.(string); !ok || s != want {
-				t.Fatalf("%s: panic %v, want %q", name, r, want)
-			}
-		}()
-		f()
-	}
-	mustPanic("group-col", "xra: group column 3 out of range 1..2", func() {
-		xra.NewGammaBatchCursor(nil, []int{3}, 0, 2, false, &ra.Meter{}, 0)
-	})
-	mustPanic("count-col", "xra: count column 5 out of range 0..2", func() {
-		xra.NewGammaBatchCursor(nil, []int{1}, 5, 2, false, &ra.Meter{}, 0)
-	})
 }
 
 // allocatedBytes returns the bytes f allocates (live or not).

@@ -13,8 +13,14 @@
 #                          fixture suites (testdata is invisible to
 #                          go list patterns, so radivvet alone never
 #                          exercises them)
-#   4. gofmt             — formatting must be clean, testdata included
-#   5. golangci-lint     — curated correctness linters (.golangci.yml)
+#   4. layering          — the algebra packages (ra, sa, xra) hold the
+#                          paper's semantics only: they must not depend
+#                          on the executor's governor (internal/exec),
+#                          and no non-test file in them may declare a
+#                          batch cursor (a NextBatch method); the
+#                          executor's operators live in internal/plan
+#   5. gofmt             — formatting must be clean, testdata included
+#   6. golangci-lint     — curated correctness linters (.golangci.yml)
 #
 # golangci-lint is optional locally (the sandbox image does not ship
 # it) but mandatory in CI: export LINT_REQUIRE_GOLANGCI=1 to make a
@@ -30,6 +36,19 @@ go run ./cmd/radivvet ./...
 
 echo "== analyzer fixtures =="
 go test -count=1 ./internal/analysis/...
+
+echo "== layering =="
+deps=$(go list -deps ./internal/ra ./internal/sa ./internal/xra)
+if grep -qx 'radiv/internal/exec' <<<"$deps"; then
+	echo "internal/ra, internal/sa or internal/xra depends on radiv/internal/exec" >&2
+	exit 1
+fi
+cursors=$(grep -lE '^func \([^)]*\) NextBatch\(' internal/ra/*.go internal/sa/*.go internal/xra/*.go | grep -v '_test\.go$' || true)
+if [ -n "$cursors" ]; then
+	echo "batch cursors belong in internal/plan, not in the algebra packages:" >&2
+	echo "$cursors" >&2
+	exit 1
+fi
 
 echo "== gofmt =="
 unformatted=$(gofmt -l .)
