@@ -5,7 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"io/fs"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -34,15 +34,17 @@ import (
 // integer, and a string containing ',' or leading or trailing
 // whitespace (the empty string is fine) comes back split or trimmed.
 //
-// ReadText reads the input whole (the text is about a fifteenth of
-// its in-memory form), counts each relation's tuple lines so its
-// storage is reserved once, and then loads in one pass over the bytes
-// that allocates per relation and per chunk of strings, not per tuple:
-// fields are sliced in place, integers decoded by a byte loop, every
-// field interned straight into its relation's dictionary (a string is
-// copied only the first time the relation sees it, into a chunk the
-// dictionary owns), and the row enters the relation by those IDs
-// through Relation.addIDs.
+// ReadText makes two passes over its input through one read buffer of
+// readBuf bytes, which grows only for a longer line. The first counts
+// each relation's tuple lines so its storage is reserved once; the
+// second loads, allocating per relation and per chunk of strings, not
+// per tuple: fields are sliced in place, integers decoded by a byte
+// loop, every field interned straight into its relation's dictionary
+// (a string is copied only the first time the relation sees it, into a
+// chunk the dictionary owns), and the row enters the relation by those
+// IDs through Relation.addIDs. Nothing keeps a slice of the buffer. An
+// input that cannot seek back for the second pass, such as a pipe, is
+// read into memory once and parsed from there by the same code.
 
 // WriteText writes a store in the text format. It accepts any ReadStore
 // backend; relations are emitted in name order and tuples in sorted
@@ -81,52 +83,82 @@ func sortedScan(v StoredRel) []Tuple {
 // ReadText parses a database from the text format. Relations hold
 // their tuples in file order. Errors name the offending line.
 func ReadText(r io.Reader) (*Database, error) {
-	data, err := slurp(r)
-	if err != nil {
-		return nil, err
+	in, seekable := r.(io.ReadSeeker)
+	var start int64
+	var err error
+	if seekable {
+		start, err = in.Seek(0, io.SeekCurrent)
+	}
+	if !seekable || err != nil {
+		data, err := slurp(r)
+		if err != nil {
+			return nil, err
+		}
+		in, start = bytes.NewReader(data), 0
 	}
 	ld := loader{d: NewDatabase(Schema{}), rels: make(map[string]*loadRel)}
+	buf := make([]byte, readBuf)
 	for _, pass := range []func([]byte) error{ld.count, ld.line} {
-		if err := eachLine(data, pass); err != nil {
+		if _, err = in.Seek(start, io.SeekStart); err != nil {
+			return nil, fmt.Errorf("seeking to the start of the input: %w", err)
+		}
+		if buf, err = readLines(in, buf, pass); err != nil {
 			return nil, err
 		}
 	}
 	return ld.d, nil
 }
 
-// slurp reads r to its end. A reader that can say how much it holds —
-// an in-memory reader through Len, an *os.File through Stat — gets a
-// buffer of that size at once; any other is read into one that doubles
-// as it fills, which allocates about three times the input.
+// readBuf is the starting size of ReadText's one read buffer.
+const readBuf = 64 << 10
+
+// slurp reads r to its end. A reader that can say how much it holds
+// through Len gets a buffer of that size at once; any other is read
+// into one that doubles as it fills, which allocates about three times
+// the input.
 func slurp(r io.Reader) ([]byte, error) {
 	var buf bytes.Buffer
-	switch r := r.(type) {
-	case interface{ Len() int }:
+	if r, ok := r.(interface{ Len() int }); ok {
 		buf.Grow(r.Len() + bytes.MinRead)
-	case interface{ Stat() (fs.FileInfo, error) }:
-		if fi, err := r.Stat(); err == nil && fi.Mode().IsRegular() {
-			buf.Grow(int(fi.Size()) + bytes.MinRead)
-		}
 	}
 	_, err := buf.ReadFrom(r)
 	return buf.Bytes(), err
 }
 
-// eachLine calls fn on every line of data that is neither blank nor a
-// comment, surrounding whitespace removed, and stops at fn's first
-// error, which it returns prefixed with the line number.
-func eachLine(data []byte, fn func(line []byte) error) error {
-	for lineno := 1; len(data) > 0; lineno++ {
-		var line []byte
-		line, data, _ = bytes.Cut(data, newline)
-		if line = bytes.TrimSpace(line); len(line) == 0 || line[0] == '#' {
-			continue
+// readLines reads r to its end through buf and calls fn on every line
+// that is neither blank nor a comment, surrounding whitespace removed.
+// It stops at fn's first error, which it returns prefixed with the line
+// number. A line longer than buf grows it; readLines returns the buffer
+// it ended with, for the next pass to reuse.
+func readLines(r io.Reader, buf []byte, fn func(line []byte) error) ([]byte, error) {
+	lineno, held := 0, 0 // buf[:held] is a line the last read did not end
+	for {
+		n, rerr := r.Read(buf[held:])
+		data := buf[:held+n]
+		for len(data) > 0 {
+			line, rest, found := bytes.Cut(data, newline)
+			if !found && rerr != io.EOF {
+				break // the line goes on in the next read
+			}
+			data = rest
+			lineno++
+			if line = bytes.TrimSpace(line); len(line) == 0 || line[0] == '#' {
+				continue
+			}
+			if err := fn(line); err != nil {
+				return buf, fmt.Errorf("line %d: %w", lineno, err)
+			}
 		}
-		if err := fn(line); err != nil {
-			return fmt.Errorf("line %d: %w", lineno, err)
+		switch held = copy(buf, data); {
+		case rerr == io.EOF:
+			return buf, nil
+		case rerr != nil:
+			return buf, rerr
+		case held == len(buf):
+			buf = slices.Grow(buf, len(buf))
+			buf = buf[:cap(buf)]
 		}
 	}
-	return nil
 }
 
 // loader is the state of one ReadText call. The database's schema is

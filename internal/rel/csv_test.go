@@ -102,8 +102,8 @@ func divergesFromOracle(data []byte) bool {
 }
 
 // sameLoad fails unless got is exactly what the oracle built: same
-// schema, and per relation the same tuples in the same insertion order
-// under the same dictionary IDs.
+// schema, and per relation the same dictionary in the same order and
+// the same tuples in the same insertion order under the same IDs.
 func sameLoad(t *testing.T, got, want *Database) {
 	t.Helper()
 	if len(got.Schema()) != len(want.Schema()) {
@@ -125,6 +125,9 @@ func sameLoad(t *testing.T, got, want *Database) {
 		if g.Len() != w.Len() {
 			t.Fatalf("%s: %d tuples, oracle %d", name, g.Len(), w.Len())
 		}
+		if gd, wd := dictOrder(g.Interner()), dictOrder(w.Interner()); !gd.Equal(wd) {
+			t.Fatalf("%s: dictionary order %v, oracle %v", name, gd, wd)
+		}
 		gc, _ := g.IDColumns()
 		wc, _ := w.IDColumns()
 		for i := 0; i < w.Len(); i++ {
@@ -140,14 +143,22 @@ func sameLoad(t *testing.T, got, want *Database) {
 	}
 }
 
-// FuzzReadText checks that ReadText never panics and, away from the
-// deliberate divergences, agrees with the oracle on error-or-not and
-// on everything it loads.
+// FuzzReadText checks that ReadText never panics, that a reader it
+// streams and one it must read into memory load the same, and, away
+// from the deliberate divergences, that it agrees with the oracle on
+// error-or-not and on everything it loads.
 func FuzzReadText(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := ReadText(bytes.NewReader(data))
 		if (got == nil) == (err == nil) {
 			t.Fatalf("ReadText returned database %v with error %v", got != nil, err)
+		}
+		inMemory, merr := ReadText(struct{ io.Reader }{bytes.NewReader(data)})
+		if fmt.Sprint(merr) != fmt.Sprint(err) {
+			t.Fatalf("unseekable reader: error %v, seekable %v", merr, err)
+		}
+		if err == nil {
+			sameLoad(t, inMemory, got)
 		}
 		if divergesFromOracle(data) {
 			return
@@ -303,10 +314,11 @@ func stringFile(n int) []byte {
 }
 
 // TestReadTextFootprint holds the bytes a load allocates per tuple: the
-// input buffer (the text is read whole), the reserved ID columns and
-// dedup index, and the dictionary — no decoded row beside them. The
-// string file has a distinct string for every second tuple, so there
-// the dictionary (values, index, string chunks) is most of it.
+// reserved ID columns and dedup index, the dictionary and the one read
+// buffer — no copy of the input, no decoded row and no earlier copy of
+// a dictionary's values beside them. The string file has a distinct
+// string for every second tuple, so there the dictionary (values,
+// index, string chunks) is most of it.
 func TestReadTextFootprint(t *testing.T) {
 	const tuples = 100000
 	for _, tc := range []struct {
@@ -314,8 +326,8 @@ func TestReadTextFootprint(t *testing.T) {
 		file    []byte
 		ceiling float64
 	}{
-		{"integers", integerFile(tuples), 64},
-		{"strings", stringFile(tuples), 132},
+		{"integers", integerFile(tuples), 36},
+		{"strings", stringFile(tuples), 85},
 	} {
 		var d *Database
 		got := allocatedBytes(func() {
@@ -327,52 +339,89 @@ func TestReadTextFootprint(t *testing.T) {
 		if d.Size() != tuples {
 			t.Fatalf("%s: loaded %d tuples, want %d", tc.name, d.Size(), tuples)
 		}
-		// The input buffer is charged at its length: a race build's
-		// bytes.Buffer allocates it twice over.
-		buffer := allocatedBytes(func() { _, _ = slurp(bytes.NewReader(tc.file)) })
-		perTuple := float64(got-buffer+uint64(len(tc.file))) / tuples
-		t.Logf("%s: %.1f B allocated per loaded tuple, %.1f of them the input buffer", tc.name, perTuple, float64(len(tc.file))/tuples)
+		perTuple := float64(got) / tuples
+		t.Logf("%s: %.1f B allocated per loaded tuple", tc.name, perTuple)
 		if perTuple > tc.ceiling {
 			t.Errorf("%s: %.1f B allocated per loaded tuple, want at most %.0f", tc.name, perTuple, tc.ceiling)
 		}
 	}
 }
 
-// ReadText sizes its buffer from a reader that knows its length (Len
-// for the in-memory readers, Stat for a file) and falls back to a
-// doubling buffer for any other; all three must load the same database.
+// ReadText streams a reader it can seek back to where it started (a
+// bytes.Reader, a file, a file already past its first line) and reads
+// any other into memory once (a pipe, a bytes.Buffer, which has Len but
+// no Seek, an opaque io.Reader); each must load what the oracle loads
+// from the bytes it has left.
 func TestReadTextKnownSizeReaders(t *testing.T) {
 	var file bytes.Buffer
 	for i := 0; i < 50000; i++ {
 		fmt.Fprintf(&file, "R %d,v%d\n", i, i%100)
 	}
+	data := file.Bytes()
 	path := filepath.Join(t.TempDir(), "db.txt")
-	if err := os.WriteFile(path, file.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	want, err := readTextOracle(bytes.NewReader(file.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, r := range map[string]io.Reader{
-		"Len":    bytes.NewReader(file.Bytes()),
-		"Stat":   f,
-		"opaque": struct{ io.Reader }{bytes.NewReader(file.Bytes())},
-	} {
-		got, err := ReadText(r)
+	open := func() *os.File {
+		f, err := os.Open(path)
 		if err != nil {
-			t.Fatalf("%s reader: %v", name, err)
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { f.Close() })
+		return f
+	}
+	firstLine := bytes.IndexByte(data, '\n') + 1
+	advanced := open()
+	if _, err := io.ReadFull(advanced, make([]byte, firstLine)); err != nil {
+		t.Fatal(err)
+	}
+	pr, pw, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	written := make(chan struct{})
+	go func() {
+		defer close(written)
+		_, _ = pw.Write(data) // fails only once the test has closed the read end
+		pw.Close()
+	}()
+	t.Cleanup(func() {
+		pr.Close()
+		<-written
+	})
+	for _, tc := range []struct {
+		name string
+		r    io.Reader
+		skip int // bytes the reader has already consumed
+	}{
+		{"bytes.Reader", bytes.NewReader(data), 0},
+		{"file", open(), 0},
+		{"file past its first line", advanced, firstLine},
+		{"pipe", pr, 0},
+		{"bytes.Buffer", bytes.NewBuffer(data), 0},
+		{"opaque", struct{ io.Reader }{bytes.NewReader(data)}, 0},
+	} {
+		want, err := readTextOracle(bytes.NewReader(data[tc.skip:]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadText(tc.r)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
 		}
 		sameLoad(t, got, want)
 	}
 
-	sized := testing.AllocsPerRun(5, func() { _, _ = slurp(bytes.NewReader(file.Bytes())) })
-	opaque := testing.AllocsPerRun(5, func() { _, _ = slurp(struct{ io.Reader }{bytes.NewReader(file.Bytes())}) })
+	// A file is streamed: it loads without the copy of itself that an
+	// unseekable reader over it needs.
+	streamed := allocatedBytes(func() { _, _ = ReadText(open()) })
+	inMemory := allocatedBytes(func() { _, _ = ReadText(struct{ io.Reader }{open()}) })
+	if streamed+uint64(len(data)) > inMemory {
+		t.Errorf("loading the file allocated %d B, loading it through an unseekable reader %d B: want at least the file's %d B less", streamed, inMemory, len(data))
+	}
+
+	sized := testing.AllocsPerRun(5, func() { _, _ = slurp(bytes.NewBuffer(data)) })
+	opaque := testing.AllocsPerRun(5, func() { _, _ = slurp(struct{ io.Reader }{bytes.NewReader(data)}) })
 	if sized > opaque/4 {
 		t.Errorf("slurp made %.0f allocations with a known length and %.0f without; want one buffer, not a doubling series", sized, opaque)
 	}

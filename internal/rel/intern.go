@@ -15,15 +15,19 @@ import (
 // building a key string per tuple; Tuple.Key remains for code that
 // needs an injective encoding without a shared dictionary.
 //
-// The dictionary is its value slice and one flat open-addressed index
-// over it, for both kinds of value. A slot is 0 when empty, otherwise
-// the value's 32-bit hash in the high half and 1 + its ID in the low
-// half; the bucket is the hash masked to the table size, collisions
-// probe linearly, and the table is kept at most half full. A probe
-// compares the stored hash before it follows the ID into the value
-// slice, then confirms equality on the value (kind and payload), never
-// on the hash alone. Growth doubles the table and re-places the stored
-// words: no value is hashed again, and a copy is two slice copies.
+// The dictionary is its values, held in pages, and one flat
+// open-addressed index over them, for both kinds of value. A slot is 0
+// when empty, otherwise the value's 32-bit hash in the high half and
+// 1 + its ID in the low half; the bucket is the hash masked to the
+// table size, collisions probe linearly, and the table is kept at most
+// half full. A probe compares the stored hash before it follows the ID
+// to the value, then confirms equality on the value (kind and payload),
+// never on the hash alone. Growth doubles the table and re-places the
+// stored words: no value is hashed again. Values never move: the value
+// of ID id is pages[id>>pageBits][id&pageMask], every page but the last
+// is full, and growth appends a page without copying any. Only the
+// first page grows in place, doubling up to a page, so that the many
+// small dictionaries of the executor do not each cost a page.
 
 // Interner assigns dense uint32 IDs to values. IDs are allocated in
 // first-intern order starting at 0, so an Interner also acts as an
@@ -45,10 +49,18 @@ import (
 // again — so snapshot readers need no coordination at all, and
 // FrozenDict is the read-only facade that makes the freeze a type.
 type Interner struct {
-	slots []uint64 // the index: empty or a power of two, at least 2*len(vals)
-	vals  []Value
+	slots []uint64        // the index: empty or a power of two, at least 2*Len()
+	pages [][]Value       // the values in ID order
 	chunk strings.Builder // the string storage internText is filling
 }
+
+// A page holds pageSize values (32 KB); the first starts at firstPage.
+const (
+	pageBits  = 10
+	pageSize  = 1 << pageBits
+	pageMask  = pageSize - 1
+	firstPage = 8
+)
 
 // The per-process seeds: strings hash through the runtime's string
 // hash (hash/maphash), integers through hashFinish keyed by hashKey.
@@ -71,7 +83,7 @@ func hashOf(v Value) uint64 {
 func (in *Interner) find(h uint64, v Value) (uint32, bool) {
 	mask := uint64(len(in.slots) - 1)
 	for i := h >> 32 & mask; len(in.slots) > 0 && in.slots[i] != 0; i = (i + 1) & mask {
-		if w := in.slots[i]; w>>32 == h>>32 && in.vals[uint32(w)-1] == v {
+		if w := in.slots[i]; w>>32 == h>>32 && in.Value(uint32(w)-1) == v {
 			return uint32(w) - 1, true
 		}
 	}
@@ -89,18 +101,27 @@ func (in *Interner) Intern(v Value) uint32 {
 }
 
 // insert appends a value that is new to the dictionary and returns its
-// ID. A full value slice doubles: append's 1.25x steps copy a
-// dictionary that a bulk load fills about five times over, and that
-// garbage is what sets the collector off mid-load. A half-full index
-// doubles too, and its words are re-placed as they stand.
+// ID. The value goes at the end of the last page, or of a new one when
+// that is full: no stored value is copied, so a bulk load allocates the
+// values it keeps and no earlier copies of them. Only a first page
+// short of pageSize doubles. A half-full index doubles too, and its
+// words are re-placed as they stand.
 func (in *Interner) insert(h uint64, v Value) uint32 {
-	if len(in.vals) == cap(in.vals) {
-		grown := make([]Value, len(in.vals), max(2*cap(in.vals), 8))
-		copy(grown, in.vals)
-		in.vals = grown
+	id := uint32(in.Len())
+	last := len(in.pages) - 1
+	switch {
+	case last < 0:
+		in.pages = append(in.pages, make([]Value, 0, firstPage))
+		last = 0
+	case len(in.pages[last]) == pageSize:
+		in.pages = append(in.pages, make([]Value, 0, pageSize))
+		last++
+	case len(in.pages[last]) == cap(in.pages[last]):
+		p := in.pages[last]
+		in.pages[last] = append(make([]Value, 0, min(2*cap(p), pageSize)), p...)
 	}
-	in.vals = append(in.vals, v)
-	if old := in.slots; 2*len(in.vals) > len(old) {
+	in.pages[last] = append(in.pages[last], v)
+	if old := in.slots; 2*int(id+1) > len(old) {
 		in.slots = make([]uint64, max(2*len(old), 8))
 		for _, w := range old {
 			if w != 0 {
@@ -108,8 +129,8 @@ func (in *Interner) insert(h uint64, v Value) uint32 {
 			}
 		}
 	}
-	in.place(h>>32<<32 | uint64(len(in.vals)))
-	return uint32(len(in.vals) - 1)
+	in.place(h>>32<<32 | uint64(id+1))
+	return id
 }
 
 // place stores a word that is not in the table at the end of its run.
@@ -134,8 +155,9 @@ func (in *Interner) internText(b []byte) uint32 {
 	mask := uint64(len(in.slots) - 1)
 	for i := h >> 32 & mask; len(in.slots) > 0 && in.slots[i] != 0; i = (i + 1) & mask {
 		if w := in.slots[i]; w>>32 == h>>32 {
-			if v := &in.vals[uint32(w)-1]; v.kind == KindString && v.s == string(b) {
-				return uint32(w) - 1
+			id := uint32(w) - 1
+			if v := &in.pages[id>>pageBits][id&pageMask]; v.kind == KindString && v.s == string(b) {
+				return id
 			}
 		}
 	}
@@ -172,20 +194,29 @@ func (in *Interner) ID(v Value) (uint32, bool) { return in.find(hashOf(v), v) }
 
 // Value returns the value with the given ID. It panics when the ID has
 // not been assigned.
-func (in *Interner) Value(id uint32) Value { return in.vals[id] }
+func (in *Interner) Value(id uint32) Value { return in.pages[id>>pageBits][id&pageMask] }
 
 // Len returns the number of distinct values interned.
-func (in *Interner) Len() int { return len(in.vals) }
+func (in *Interner) Len() int {
+	if len(in.pages) == 0 {
+		return 0
+	}
+	return (len(in.pages)-1)<<pageBits + len(in.pages[len(in.pages)-1])
+}
 
 // Clone returns a deep copy of the dictionary: same values, same IDs,
-// fully independent storage. The clone starts a chunk of its own: both
-// sides appending into one chunk tail would overwrite each other's
-// strings. It is the copy-on-write primitive of the epoch machinery —
-// a writer that must keep interning after its dictionary was sealed
-// into a published snapshot clones it first, so the snapshot's readers
-// never observe a write.
+// fully independent storage, each page as large as its original. The
+// clone starts a chunk of its own: both sides appending into one chunk
+// tail would overwrite each other's strings. It is the copy-on-write
+// primitive of the epoch machinery — a writer that must keep interning
+// after its dictionary was sealed into a published snapshot clones it
+// first, so the snapshot's readers never observe a write.
 func (in *Interner) Clone() *Interner {
-	return &Interner{slots: slices.Clone(in.slots), vals: slices.Clone(in.vals)}
+	c := &Interner{slots: slices.Clone(in.slots), pages: make([][]Value, len(in.pages))}
+	for i, p := range in.pages {
+		c.pages[i] = append(make([]Value, 0, cap(p)), p...)
+	}
+	return c
 }
 
 // HashIDs mixes a sequence of interned IDs into a 64-bit hash

@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestInternerDenseIDs(t *testing.T) {
@@ -57,14 +58,61 @@ func TestInternerManyValues(t *testing.T) {
 			t.Fatalf("Value(%d) = %v after growth", i, v)
 		}
 	}
-	// The dictionary doubles when full, so filling it copies it about
-	// once over, not the five times append's 1.25x steps would.
-	if got := cap(in.vals); got != 1024 {
-		t.Errorf("dictionary of 1000 values has capacity %d, want 1024", got)
-	}
 	// The index is kept at most half full.
 	if got := len(in.slots); got != 2048 {
 		t.Errorf("dictionary of 1000 values has %d slots, want 2048", got)
+	}
+}
+
+// dictOrder returns a dictionary's values in ID order.
+func dictOrder(in *Interner) Tuple {
+	vs := make(Tuple, in.Len())
+	for id := range vs {
+		vs[id] = in.Value(uint32(id))
+	}
+	return vs
+}
+
+// TestInternerValuesNeverMove: a stored value stays where it is once
+// its page is full, a small dictionary costs no full page, and a large
+// one allocates its values once — only the index still doubles.
+func TestInternerValuesNeverMove(t *testing.T) {
+	in := NewInterner()
+	for i := 0; i < pageSize; i++ {
+		in.Intern(Int(int64(i)))
+	}
+	first := &in.pages[0][0]
+	for i := pageSize; i <= 3*pageSize; i++ {
+		in.Intern(Int(int64(i)))
+	}
+	if len(in.pages) != 4 || &in.pages[0][0] != first || in.Value(0) != Int(0) {
+		t.Errorf("value 0 moved as the dictionary grew to %d pages", len(in.pages))
+	}
+
+	var one *Interner
+	if got := allocatedBytes(func() { one = NewInterner(); one.Intern(Int(1)) }); got > 512 {
+		t.Errorf("a dictionary of one value allocated %d B, want at most 512", got)
+	}
+
+	const n = 100000
+	var big *Interner
+	got := allocatedBytes(func() {
+		big = NewInterner()
+		for i := 0; i < n; i++ {
+			big.Intern(Int(int64(i)))
+		}
+	})
+	valueBytes := int(unsafe.Sizeof(Value{}))
+	kept := 0
+	for _, p := range big.pages {
+		kept += cap(p) * valueBytes
+	}
+	// A doubling index allocates just under twice its final table; the
+	// first page's doubling and the page list add under two pages.
+	limit := kept + 2*8*len(big.slots) + 2*pageSize*valueBytes
+	t.Logf("%d values: %d B allocated, %d B of value pages kept, %d B of slots", n, got, kept, 8*len(big.slots))
+	if got > uint64(limit) {
+		t.Errorf("%d values allocated %d B, want at most %d: the values were copied as they grew", n, got, limit)
 	}
 }
 
@@ -215,7 +263,7 @@ func TestInternerAgainstModel(t *testing.T) {
 	}{
 		{"growth boundaries", func(c *checkedDict, rng *rand.Rand) {
 			// Fresh values nearly every step; a sweep at every size next
-			// to a doubling of the value slice or the index.
+			// to a doubling of the first page or the index, or to a new page.
 			swept := -1
 			for c.in.Len() <= 1<<17+1 {
 				if n := c.in.Len(); boundary[n] && n != swept {
@@ -303,6 +351,9 @@ func TestInternerAgainstModel(t *testing.T) {
 // operation adds a dictionary, and every later operation goes to one of
 // those made so far, so clones and their sources keep growing apart.
 func FuzzInterner(f *testing.F) {
+	for _, n := range []int{pageSize - 1, pageSize, pageSize + 1, 2*pageSize + 1} {
+		f.Add(pageBoundarySeed(n))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dicts := []*checkedDict{newCheckedDict(t)}
 		for len(data) > 0 {
@@ -332,6 +383,25 @@ func FuzzInterner(f *testing.F) {
 			c.sweep()
 		}
 	})
+}
+
+// pageBoundarySeed is a FuzzInterner input that interns n distinct
+// integers, clones the dictionary, and then interns a page and one
+// more into each side, the clone first.
+func pageBoundarySeed(n int) []byte {
+	var ops []byte
+	intern := func(op byte, i int) { // operands avoid the zero separator
+		ops = append(ops, op, byte(i%255+1), byte(i/255+1), 0)
+	}
+	for i := 0; i < n; i++ {
+		intern(0x00, i) // dictionary 0
+	}
+	ops = append(ops, 0x04, 0) // clone dictionary 0 as dictionary 1
+	for i := n; i <= n+pageSize; i++ {
+		intern(0x14, i)            // dictionary 1
+		intern(0x00, i+pageSize+1) // dictionary 0
+	}
+	return ops
 }
 
 // The relation index must key on value identity, not on hash buckets

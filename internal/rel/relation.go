@@ -224,7 +224,7 @@ func (r *Relation) AddBatch(b *Batch) int {
 // have the relation's arity, and returns buf.
 func (r *Relation) row(buf Tuple, pos int) Tuple {
 	for k, col := range r.rows.cols {
-		buf[k] = r.intern.vals[col[pos]]
+		buf[k] = r.intern.Value(col[pos])
 	}
 	return buf
 }
@@ -467,7 +467,7 @@ func (r *Relation) Project(idx ...int) *Relation {
 	buf := make(Tuple, len(idx))
 	for pos := 0; pos < r.Len(); pos++ {
 		for p, i := range idx {
-			buf[p] = r.intern.vals[r.rows.cols[i-1][pos]]
+			buf[p] = r.intern.Value(r.rows.cols[i-1][pos])
 		}
 		out.Add(buf)
 	}
@@ -483,7 +483,7 @@ func (r *Relation) Values() []Value {
 		for _, id := range col {
 			if !seen[id] {
 				seen[id] = true
-				vs = append(vs, r.intern.vals[id])
+				vs = append(vs, r.intern.Value(id))
 			}
 		}
 	}
