@@ -194,7 +194,7 @@ func benchDivisionInput(n int) (*rel.Relation, *rel.Relation) {
 func BenchmarkP26Division(b *testing.B) {
 	for _, n := range []int{200, 800} {
 		r, s := benchDivisionInput(n)
-		for _, alg := range division.All() {
+		for _, alg := range division.All(0) {
 			b.Run(fmt.Sprintf("%s/n=%d", alg.Name(), n), func(b *testing.B) {
 				var st division.Stats
 				for i := 0; i < b.N; i++ {
@@ -209,7 +209,7 @@ func BenchmarkP26Division(b *testing.B) {
 // BenchmarkP26EqualityDivision covers the equality variant.
 func BenchmarkP26EqualityDivision(b *testing.B) {
 	r, s := benchDivisionInput(400)
-	for _, alg := range division.All() {
+	for _, alg := range division.All(0) {
 		b.Run(alg.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				alg.Divide(r, s, division.Equality)
@@ -226,7 +226,7 @@ func BenchmarkSJ1Containment(b *testing.B) {
 			Dist: workload.Uniform, Domain: 400, ContainFraction: 0.05, Seed: 7}
 		r, s := wl.Generate()
 		gr, gs := setjoin.Groups(r), setjoin.Groups(s)
-		for _, alg := range setjoin.ContainmentAlgorithms() {
+		for _, alg := range setjoin.ContainmentAlgorithms(0) {
 			b.Run(fmt.Sprintf("%s/n=%d", alg.Name(), n), func(b *testing.B) {
 				var st setjoin.Stats
 				for i := 0; i < b.N; i++ {
@@ -244,7 +244,7 @@ func BenchmarkSJ1Zipf(b *testing.B) {
 		Dist: workload.Zipf, Domain: 500, ContainFraction: 0.1, Seed: 11}
 	r, s := wl.Generate()
 	gr, gs := setjoin.Groups(r), setjoin.Groups(s)
-	for _, alg := range setjoin.ContainmentAlgorithms() {
+	for _, alg := range setjoin.ContainmentAlgorithms(0) {
 		b.Run(alg.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				alg.Join(gr, gs)
@@ -260,7 +260,7 @@ func BenchmarkSJ2Equality(b *testing.B) {
 			Dist: workload.Fixed, Domain: 12, ContainFraction: 0, Seed: 3}
 		r, s := wl.Generate()
 		gr, gs := setjoin.Groups(r), setjoin.Groups(s)
-		for _, alg := range setjoin.EqualityAlgorithms() {
+		for _, alg := range setjoin.EqualityAlgorithms(0) {
 			b.Run(fmt.Sprintf("%s/n=%d", alg.Name(), n), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					alg.Join(gr, gs)
@@ -328,7 +328,7 @@ func BenchmarkAblationJoinStrategies(b *testing.B) {
 	_ = s
 }
 
-// largeDivisionInput is the big workload behind the engine
+// largeDivisionInput is the big workload behind the interning
 // before/after comparison: 20k dividend tuples over 2000 groups with a
 // 32-element divisor and a 20% match rate.
 func largeDivisionInput() (*rel.Relation, *rel.Relation) {
@@ -340,10 +340,11 @@ func largeDivisionInput() (*rel.Relation, *rel.Relation) {
 }
 
 // BenchmarkEngineDivisionKeyPath compares the string-key hash division
-// (the pre-engine implementation, kept as HashStringKey) against the
-// interned path and the parallel partitioned executor on the large
-// division workload. This is the acceptance benchmark for the
-// interning engine: hash must beat hash-string by ≥2x.
+// (the pre-interning implementation, kept as HashStringKey) against the
+// interned path and ParallelHash — the same kernel over partitions on
+// the worker pool, exec.Run — on the large division workload. This is
+// the acceptance benchmark for interning: hash must beat hash-string
+// by ≥2x.
 func BenchmarkEngineDivisionKeyPath(b *testing.B) {
 	r, s := largeDivisionInput()
 	algs := []division.Algorithm{
@@ -361,8 +362,9 @@ func BenchmarkEngineDivisionKeyPath(b *testing.B) {
 }
 
 // BenchmarkEngineSetJoinParallel compares the sequential signature
-// containment join and hash equality join against their partitioned
-// parallel counterparts on a large set-join workload.
+// containment join and hash equality join against their chunked
+// parallel counterparts on the worker pool (exec.Run) on a large
+// set-join workload.
 func BenchmarkEngineSetJoinParallel(b *testing.B) {
 	wl := workload.SetJoin{RGroups: 2000, SGroups: 2000, MeanSize: 8,
 		Dist: workload.Uniform, Domain: 2000, ContainFraction: 0.05, Seed: 13}

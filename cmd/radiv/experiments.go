@@ -8,7 +8,7 @@ import (
 	"radiv/internal/bisim"
 	"radiv/internal/core"
 	"radiv/internal/division"
-	"radiv/internal/engine"
+	"radiv/internal/exec"
 	"radiv/internal/gf"
 	"radiv/internal/paperfigs"
 	"radiv/internal/plan"
@@ -252,7 +252,7 @@ func runP26(w io.Writer) {
 	t := stats.NewTable("n", "algorithm", "time", "max memory tuples", "comparisons+probes")
 	for _, n := range []int{200, 400, 800} {
 		r, s := divisionScaling(n)
-		for _, alg := range division.AllWorkers(workers) {
+		for _, alg := range division.All(workers) {
 			start := time.Now()
 			_, st := alg.Divide(r, s, division.Containment)
 			t.AddRow(r.Len()+s.Len(), alg.Name(), time.Since(start).Round(time.Microsecond),
@@ -537,14 +537,14 @@ func runST6(w io.Writer) {
 				cursors[q] = sdb.ShardRel(q, "R").BatchScanSized(size)
 			}
 			qualified := make([]map[rel.Value]bool, exShards)
-			engine.Executor{Workers: wk}.StreamShardedBatchesGov(nil, cursors, func(q int, shard rel.BatchCursor) {
-				qualified[q], _ = dt.DivideShardBatches(shard, division.Containment)
+			exec.Run(wk, exShards, func(q int) {
+				qualified[q], _ = dt.DivideShardBatches(cursors[q], division.Containment)
 			})
 			mergeStart := time.Now()
 			out := rel.NewRelationSized(1, rt.Len())
 			for gid := 0; gid < rt.Len(); gid++ {
 				v := rt.Value(uint32(gid))
-				if qualified[engine.PartOf(uint32(gid), exShards)][v] {
+				if qualified[exec.PartOf(uint32(gid), exShards)][v] {
 					out.Add(rel.Tuple{v})
 				}
 			}
@@ -603,7 +603,7 @@ func runSJ1(w io.Writer) {
 			Domain: 400, ContainFraction: 0.05, Seed: 7}
 		r, s := wl.Generate()
 		gr, gs := setjoin.Groups(r), setjoin.Groups(s)
-		for _, alg := range setjoin.ContainmentAlgorithmsWorkers(workers) {
+		for _, alg := range setjoin.ContainmentAlgorithms(workers) {
 			start := time.Now()
 			res, st := alg.Join(gr, gs)
 			t.AddRow(n, alg.Name(), time.Since(start).Round(time.Microsecond),
@@ -620,7 +620,7 @@ func runSJ2(w io.Writer) {
 			Domain: 12, ContainFraction: 0, Seed: 3}
 		r, s := wl.Generate()
 		gr, gs := setjoin.Groups(r), setjoin.Groups(s)
-		for _, alg := range setjoin.EqualityAlgorithmsWorkers(workers) {
+		for _, alg := range setjoin.EqualityAlgorithms(workers) {
 			start := time.Now()
 			res, st := alg.Join(gr, gs)
 			t.AddRow(n, alg.Name(), time.Since(start).Round(time.Microsecond),

@@ -2,7 +2,7 @@
 // the radiv analyzers over Go packages and fails the build on any
 // finding. It mechanically enforces the three contracts the engine's
 // correctness rests on — caller-owned evaluator results, dictionary
-// quiescence inside exchange workers, and exactly-once release of
+// quiescence inside pool workers, and exactly-once release of
 // pooled batches — plus the ra:/sa:/xra: panic-prefix convention.
 //
 // Usage:

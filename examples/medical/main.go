@@ -28,14 +28,14 @@ func run(w io.Writer) {
 	person := setjoin.Groups(d.Rel("Person"))
 	disease := setjoin.Groups(d.Rel("Disease"))
 	fmt.Fprintln(w, "set-containment join Person ⋈[⊇] Disease (all algorithms):")
-	for _, alg := range setjoin.ContainmentAlgorithms() {
+	for _, alg := range setjoin.ContainmentAlgorithms(0) {
 		res, st := alg.Join(person, disease)
 		fmt.Fprintf(w, "  %-18s %d pairs, %d verifications: %v\n",
 			alg.Name(), res.Len(), st.Verifications, res.Sorted())
 	}
 
 	fmt.Fprintln(w, "\ndivision Person ÷ Symptoms (all algorithms):")
-	for _, alg := range division.All() {
+	for _, alg := range division.All(0) {
 		res, st := alg.Divide(d.Rel("Person"), d.Rel("Symptoms"), division.Containment)
 		fmt.Fprintf(w, "  %-13s max memory %3d tuples: %v\n", alg.Name(), st.MaxMemoryTuples, res.Sorted())
 	}

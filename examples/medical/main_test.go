@@ -16,13 +16,13 @@ func TestMedicalCorePath(t *testing.T) {
 	d := paperfigs.Fig1()
 	person := setjoin.Groups(d.Rel("Person"))
 	disease := setjoin.Groups(d.Rel("Disease"))
-	for _, alg := range setjoin.ContainmentAlgorithms() {
+	for _, alg := range setjoin.ContainmentAlgorithms(0) {
 		res, _ := alg.Join(person, disease)
 		if res.Len() != 3 {
 			t.Errorf("%s: containment join has %d pairs, want 3", alg.Name(), res.Len())
 		}
 	}
-	for _, alg := range division.All() {
+	for _, alg := range division.All(0) {
 		res, _ := alg.Divide(d.Rel("Person"), d.Rel("Symptoms"), division.Containment)
 		if res.Len() != 2 {
 			t.Errorf("%s: Person ÷ Symptoms has %d tuples, want 2", alg.Name(), res.Len())

@@ -23,11 +23,10 @@
 // no Relation.Add, Interner.Intern, or IDMap.Intern into snapshot
 // state, anywhere. Mutation goes through the epoch writer
 // (rel.Epoch, shard.Database) and becomes visible only at Publish.
-// The same law covers the worker callbacks of engine.Executor's Run,
-// RunGoverned and StreamShardedBatchesGov: they must not intern on
-// captured state — new values are interned through the writer before
-// the workers start — while reads of sealed snapshot dictionaries are
-// legal from any worker.
+// The same law covers the task callbacks of exec.Run, the one worker
+// pool: they must not intern on captured state — new values are
+// interned through the writer before the workers start — while reads
+// of sealed snapshot dictionaries are legal from any worker.
 // A violation is a data race the race detector only sees under lucky
 // schedules; the analyzer sees it lexically. Enforced by
 // radiv/internal/analysis/quiescence.

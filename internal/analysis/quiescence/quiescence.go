@@ -1,5 +1,5 @@
 // Package quiescence enforces the snapshot contract of the storage
-// and execution layers (rel/snapshot.go, engine/engine.go). Since the
+// and execution layers (rel/snapshot.go, exec/pool.go). Since the
 // epoch refactor the law has two halves:
 //
 //  1. Published snapshots are immutable. A *rel.Snapshot or
@@ -10,9 +10,8 @@
 //     dictionary. Interning goes through the epoch writer, before the
 //     snapshot is published.
 //
-//  2. Exchange workers do not intern into shared dictionaries. Worker
-//     callbacks of engine.Executor's Run, RunGoverned and
-//     StreamShardedBatchesGov run concurrently with each other, and a
+//  2. Pool workers do not intern into shared dictionaries. The task
+//     callbacks of exec.Run run concurrently with each other, and a
 //     rel.Interner is not safe for concurrent mutation — so no worker
 //     may intern into any dictionary captured from the enclosing
 //     scope. Reading captured dictionaries is legal: under the
@@ -25,7 +24,7 @@
 // snapshot dictionary) are tainted, mutating method calls on tainted
 // receivers are flagged, and Clone sanitizes — a cloned relation is
 // the caller's to mutate. Half 2 inspects every function-literal
-// worker callback passed to one of those three methods and flags
+// task callback passed to exec.Run and flags
 // interning calls — Interner.Intern, IDMap.Intern,
 // Relation.Add/AddBatch, Store.Add, setjoin's Dict.Key — whose
 // receiver is captured from the enclosing scope. A receiver declared
@@ -43,24 +42,16 @@ import (
 // Analyzer is the quiescence check.
 var Analyzer = &analysis.Analyzer{
 	Name: "quiescence",
-	Doc:  "forbid mutation of published snapshots and interning on captured dictionaries inside engine.Executor worker callbacks",
+	Doc:  "forbid mutation of published snapshots and interning on captured dictionaries inside exec.Run task callbacks",
 	Run:  run,
 }
 
 const (
 	relPath     = "radiv/internal/rel"
-	enginePath  = "radiv/internal/engine"
+	execPath    = "radiv/internal/exec"
 	setjoinPath = "radiv/internal/setjoin"
 	shardPath   = "radiv/internal/shard"
 )
-
-// exchangeMethods are the engine.Executor methods whose last argument
-// is a worker callback run concurrently with its siblings.
-var exchangeMethods = map[string]bool{
-	"Run":                     true,
-	"RunGoverned":             true,
-	"StreamShardedBatchesGov": true,
-}
 
 func run(pass *analysis.Pass) error {
 	storeIface := analysis.NamedInterface(pass, relPath, "Store")
@@ -71,17 +62,11 @@ func run(pass *analysis.Pass) error {
 				checkSnapshotMutation(pass, fd.Body)
 			}
 		}
-		// Half 2: worker interning bans.
+		// Half 2: worker interning bans. exec.Run's last argument is
+		// the task callback its workers run concurrently.
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
-			if !ok || len(call.Args) == 0 {
-				return true
-			}
-			sel, recv := analysis.MethodCall(pass, call)
-			if sel == nil || recv == nil {
-				return true
-			}
-			if !exchangeMethods[sel.Sel.Name] || !analysis.IsNamed(recv, enginePath, "Executor") {
+			if !ok || !analysis.CalleePkgFunc(pass, call, execPath, "Run") {
 				return true
 			}
 			work, ok := call.Args[len(call.Args)-1].(*ast.FuncLit)
@@ -120,7 +105,7 @@ func checkWorker(pass *analysis.Pass, work *ast.FuncLit, storeIface *types.Inter
 				return true // worker-local dictionary: private to this goroutine
 			}
 		}
-		pass.Reportf(call.Pos(), "%s inside an exchange worker: workers share it with other goroutines; intern through the epoch writer before the exchange (snapshot contract, see rel.Snapshot)", kind)
+		pass.Reportf(call.Pos(), "%s inside a pool worker: workers share it with other goroutines; intern through the epoch writer before exec.Run (snapshot contract, see rel.Snapshot)", kind)
 		return true
 	})
 }

@@ -1,24 +1,24 @@
 // Package a reproduces the worker-interning hazard: a worker mutating
 // a dictionary shared with its sibling workers races rel.Interner's
 // table. The legal patterns — worker-local dictionaries and reads of
-// captured dictionaries — must stay silent. Every engine.Executor
-// entry point that runs a worker callback is covered: Run,
-// RunGoverned and StreamShardedBatchesGov.
+// captured dictionaries — must stay silent. The worker pool is
+// exec.Run, in both its shapes: one task per shard cursor and one task
+// per partition; a function that is merely named Run is not the pool.
 package a
 
 import (
-	"radiv/internal/engine"
 	"radiv/internal/exec"
 	"radiv/internal/rel"
 )
 
-// InternInWorker is the bug shape on the sharded exchange: each worker
-// decodes its shard's batches and interns the values into a dictionary
-// every other worker also holds. Reading the captured dictionary is
-// not flagged — under the snapshot contract the dictionaries a worker
-// is handed are sealed.
-func InternInWorker(ex engine.Executor, g *exec.Governor, shards []rel.BatchCursor, dict *rel.Interner, sink *rel.Relation, s rel.Store) {
-	ex.StreamShardedBatchesGov(g, shards, func(q int, shard rel.BatchCursor) {
+// InternInWorker is the bug shape on the sharded operators: each
+// worker decodes its shard's batches and interns the values into a
+// dictionary every other worker also holds. Reading the captured
+// dictionary is not flagged — under the snapshot contract the
+// dictionaries a worker is handed are sealed.
+func InternInWorker(workers int, shards []rel.BatchCursor, dict *rel.Interner, sink *rel.Relation, s rel.Store) {
+	exec.Run(workers, len(shards), func(q int) {
+		shard := shards[q]
 		for b, ok := shard.NextBatch(); ok; b, ok = shard.NextBatch() {
 			for row := 0; row < b.Len(); row++ {
 				t := rel.Tuple{b.Value(0, row)}
@@ -34,8 +34,8 @@ func InternInWorker(ex engine.Executor, g *exec.Governor, shards []rel.BatchCurs
 
 // IDMapInWorker interns through a translation cache whose target
 // dictionary is captured — the same race one indirection later.
-func IDMapInWorker(ex engine.Executor, batches []*rel.Batch, xl *rel.IDMap) {
-	ex.Run(len(batches), func(q int) {
+func IDMapInWorker(workers int, batches []*rel.Batch, xl *rel.IDMap) {
+	exec.Run(workers, len(batches), func(q int) {
 		b := batches[q]
 		xl.Intern(b.Dict(0), b.Col(0)[0]) // want `IDMap.Intern interning into a captured target dictionary`
 	})
@@ -43,8 +43,8 @@ func IDMapInWorker(ex engine.Executor, batches []*rel.Batch, xl *rel.IDMap) {
 
 // WorkerLocal builds every dictionary inside the callback: private to
 // the worker, outside the contract.
-func WorkerLocal(ex engine.Executor, g *exec.Governor, parts [][]rel.Tuple, results []*rel.Relation) {
-	ex.RunGoverned(g, len(parts), func(q int) {
+func WorkerLocal(workers int, parts [][]rel.Tuple, results []*rel.Relation) {
+	exec.Run(workers, len(parts), func(q int) {
 		local := rel.NewInterner()
 		out := rel.NewRelation(1)
 		for _, t := range parts[q] {
@@ -55,12 +55,11 @@ func WorkerLocal(ex engine.Executor, g *exec.Governor, parts [][]rel.Tuple, resu
 	})
 }
 
-// ShardedReads probes a captured dictionary from the sharded
-// exchange's workers: read-only probing is the documented safe
-// pattern.
-func ShardedReads(ex engine.Executor, shards []rel.BatchCursor, dict *rel.Interner, hits []int) {
-	ex.StreamShardedBatchesGov(nil, shards, func(q int, shard rel.BatchCursor) {
-		for b, ok := shard.NextBatch(); ok; b, ok = shard.NextBatch() {
+// ShardedReads probes a captured dictionary from the per-shard
+// workers: read-only probing is the documented safe pattern.
+func ShardedReads(workers int, shards []rel.BatchCursor, dict *rel.Interner, hits []int) {
+	exec.Run(workers, len(shards), func(q int) {
+		for b, ok := shards[q].NextBatch(); ok; b, ok = shards[q].NextBatch() {
 			for row := 0; row < b.Len(); row++ {
 				if _, ok := dict.ID(b.Value(0, row)); ok {
 					hits[q]++
@@ -73,10 +72,30 @@ func ShardedReads(ex engine.Executor, shards []rel.BatchCursor, dict *rel.Intern
 
 // ShardedIntern may not mutate a captured dictionary from a pool task
 // either: the sibling tasks share it.
-func ShardedIntern(ex engine.Executor, g *exec.Governor, parts [][]rel.Tuple, dict *rel.Interner) {
-	ex.RunGoverned(g, len(parts), func(q int) {
+func ShardedIntern(workers int, parts [][]rel.Tuple, dict *rel.Interner) {
+	exec.Run(workers, len(parts), func(q int) {
 		for _, t := range parts[q] {
 			dict.Intern(t[0]) // want `Interner.Intern on a captured dictionary`
+		}
+	})
+}
+
+// Run shares exec.Run's name and signature but calls its tasks in
+// order on the caller's goroutine: it is not the pool.
+func Run(workers, tasks int, f func(task int)) {
+	for i := 0; i < tasks; i++ {
+		f(i)
+	}
+}
+
+// LocalRunIsNotThePool interns into a captured dictionary from the
+// callback of the local Run. Only exec.Run's callbacks are workers, so
+// the matcher must check the callee's package as well as its name:
+// silent.
+func LocalRunIsNotThePool(parts [][]rel.Tuple, dict *rel.Interner) {
+	Run(2, len(parts), func(q int) {
+		for _, t := range parts[q] {
+			dict.Intern(t[0])
 		}
 	})
 }

@@ -1,13 +1,13 @@
 // Package b pins the snapshot half of the contract: state obtained
 // from a published snapshot (rel.Snapshot, shard.Snapshot) is sealed —
 // mutating it must be flagged — while reads of snapshot state,
-// including concurrent reads from exchange workers, are the entire
+// including concurrent reads from exec.Run workers, are the entire
 // point of snapshots and must stay silent. Cloning sanitizes: a clone
 // is the caller's to mutate.
 package b
 
 import (
-	"radiv/internal/engine"
+	"radiv/internal/exec"
 	"radiv/internal/rel"
 	"radiv/internal/shard"
 )
@@ -47,9 +47,9 @@ func MutateMaterialized(snap *rel.Snapshot, t rel.Tuple) {
 // MutateInWorker is the race the contract exists to prevent: a worker
 // goroutine writing into captured snapshot state while other workers
 // read it — both halves of the law flag it.
-func MutateInWorker(ex engine.Executor, parts [][]rel.Tuple, snap *rel.Snapshot) {
+func MutateInWorker(workers int, parts [][]rel.Tuple, snap *rel.Snapshot) {
 	r := snap.Rel("R")
-	ex.Run(len(parts), func(q int) {
+	exec.Run(workers, len(parts), func(q int) {
 		for _, t := range parts[q] {
 			r.Add(t) // want `Relation.Add interning into a captured relation` `Relation.Add mutating a published snapshot`
 		}
@@ -77,13 +77,13 @@ func ReadSnapshot(snap *rel.Snapshot, t rel.Tuple) int {
 }
 
 // WorkerReadsSnapshotDict is the pattern the snapshot contract
-// legalizes: sharded-exchange workers decode against a captured
+// legalizes: per-shard pool workers decode against a captured
 // snapshot dictionary while their siblings do the same. The dictionary
 // is sealed, so the reads are safe — silent.
-func WorkerReadsSnapshotDict(ex engine.Executor, shards []rel.BatchCursor, snap *rel.Snapshot, hits []int) {
+func WorkerReadsSnapshotDict(workers int, shards []rel.BatchCursor, snap *rel.Snapshot, hits []int) {
 	dict := snap.Rel("R").Interner()
-	ex.StreamShardedBatchesGov(nil, shards, func(q int, shard rel.BatchCursor) {
-		for b, ok := shard.NextBatch(); ok; b, ok = shard.NextBatch() {
+	exec.Run(workers, len(shards), func(q int) {
+		for b, ok := shards[q].NextBatch(); ok; b, ok = shards[q].NextBatch() {
 			for row := 0; row < b.Len(); row++ {
 				_ = dict.Value(b.Col(0)[row]) // sealed dictionary: reads are safe mid-exchange
 				hits[q]++

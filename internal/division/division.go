@@ -280,14 +280,22 @@ func (Hash) Name() string { return "hash" }
 func (Hash) Divide(r, s *rel.Relation, sem Semantics) (*rel.Relation, Stats) {
 	checkInputs(r, s)
 	keys, st := NewDivisorTable(s).divideBatches(r.BatchScan(), sem)
-	// The kernel counts the dividend; building the table read, probed
-	// and holds one entry per divisor tuple.
+	return hashResult([][]rel.Value{keys}, st, s)
+}
+
+// hashResult is the merge of a hash division: the qualifying group keys
+// concatenated in order, and the kernel's dividend stats plus the
+// divisor table's build, which read, probed and holds one entry per
+// divisor tuple.
+func hashResult(keys [][]rel.Value, st Stats, s *rel.Relation) (*rel.Relation, Stats) {
 	st.TuplesRead += s.Len()
 	st.Probes += s.Len()
 	st.MaxMemoryTuples += s.Len()
 	out := rel.NewRelation(1)
-	for _, a := range keys {
-		out.Add(rel.Tuple{a})
+	for _, ks := range keys {
+		for _, a := range ks {
+			out.Add(rel.Tuple{a})
+		}
 	}
 	return out, st
 }
@@ -420,13 +428,9 @@ func (ClassicRA) Divide(r, s *rel.Relation, sem Semantics) (*rel.Relation, Stats
 }
 
 // All returns the direct algorithms plus the classical RA expression,
-// in presentation order. Parallel variants use the default worker
-// count (one per CPU); use AllWorkers to pin it.
-func All() []Algorithm { return AllWorkers(0) }
-
-// AllWorkers is All with an explicit worker count for the parallel
-// variants (<= 0 means one worker per CPU).
-func AllWorkers(workers int) []Algorithm {
+// in presentation order, with workers goroutines for the parallel
+// variant (<= 0 means one worker per CPU).
+func All(workers int) []Algorithm {
 	return []Algorithm{
 		ClassicRA{}, NestedLoop{}, MergeSort{}, Hash{}, HashStringKey{}, Aggregate{},
 		ParallelHash{Workers: workers},

@@ -3,17 +3,18 @@ package division
 import (
 	"fmt"
 
-	"radiv/internal/engine"
+	"radiv/internal/exec"
 	"radiv/internal/rel"
 )
 
-// ParallelHash is hash division over the partitioned parallel
-// executor of internal/engine: R is sharded by the interned ID of the
-// group key, so every candidate group lives in exactly one partition
-// and partitions divide independently against the shared divisor
-// dictionary. Per-partition results concatenate in partition order,
+// ParallelHash is hash division on the worker pool: R's ID columns
+// are routed by group ID (exec.PartOf), so every candidate group lives
+// in exactly one partition, and each partition runs the hash-division
+// kernel (DivisorTable.divideBatches) against the shared read-only
+// divisor table. Per-partition results concatenate in partition order,
 // which makes the output deterministic for a fixed worker count and
-// set-equal to the sequential Hash result for every worker count.
+// set-equal to the sequential Hash result for every worker count; the
+// Stats equal Hash's.
 type ParallelHash struct {
 	// Workers is the goroutine pool size; values <= 0 mean one worker
 	// per CPU.
@@ -26,85 +27,56 @@ func (ParallelHash) Name() string { return "parallel-hash" }
 // Divide implements Algorithm.
 func (p ParallelHash) Divide(r, s *rel.Relation, sem Semantics) (*rel.Relation, Stats) {
 	checkInputs(r, s)
-	ex := engine.Executor{Workers: p.Workers}
-	if ex.WorkerCount() <= 1 {
+	workers := exec.Workers(p.Workers)
+	if workers <= 1 {
 		// One worker cannot beat the sequential algorithm; skip the
 		// partitioning overhead entirely.
 		return Hash{}.Divide(r, s, sem)
 	}
-
-	// Build phase (sequential): divisor dictionary and partition map.
-	var build Stats
-	slots := rel.NewInterner() // S value -> dense slot, shared read-only
-	for _, t := range s.Tuples() {
-		build.TuplesRead++
-		build.Probes++
-		slots.Intern(t[0])
+	dt := NewDivisorTable(s)
+	// A small multiple of the worker count, so skewed partitions
+	// balance across workers; it depends only on the worker count,
+	// which keeps the merge order deterministic.
+	parts := min(4*workers, 256)
+	ids, dict := r.IDColumns()
+	cols := make([][][]uint32, parts) // per partition: group and element IDs
+	for q := range cols {
+		cols[q] = make([][]uint32, 2)
 	}
-	need := slots.Len()
-	words := (need + 63) / 64
-	rt := r.Tuples()
-	gids := rel.NewInterner() // group value -> ID; drives partitioning
-	parts := ex.PartitionCount()
-	partIdx := engine.PartitionByFirst(gids, rt, parts)
-
-	// Work phase: each partition runs the Graefe bitmap scheme on its
-	// shard, probing only the shared read-only dictionaries.
-	qualified := make([][]rel.Value, parts)
-	partStats := make([]Stats, parts)
-	ex.Run(parts, func(q int) {
-		st := &partStats[q]
-		local := make(map[uint32]*divGroup) // global group ID -> state
-		var order []uint32
-		for _, i := range partIdx[q] {
-			t := rt[i]
-			st.TuplesRead++
-			st.Probes++
-			gid, _ := gids.ID(t[0]) // present: interned during partitioning
-			g := local[gid]
-			if g == nil {
-				g = &divGroup{rep: t[0], seen: make([]uint64, words)}
-				local[gid] = g
-				order = append(order, gid)
-			}
-			st.Probes++
-			if slot, ok := slots.ID(t[1]); ok {
-				g.mark(slot)
-			} else {
-				g.extras++
-			}
+	for row, g := range ids[0] {
+		q := exec.PartOf(g, parts)
+		cols[q][0] = append(cols[q][0], g)
+		cols[q][1] = append(cols[q][1], ids[1][row])
+	}
+	keys := make([][]rel.Value, parts)
+	per := make([]Stats, parts)
+	exec.Run(workers, parts, func(q int) {
+		if len(cols[q][0]) == 0 {
+			return
 		}
-		st.MaxMemoryTuples = len(local) + len(local)*words
-		for _, gid := range order {
-			g := local[gid]
-			if g.hits != need {
-				continue
-			}
-			if sem == Equality && g.extras > 0 {
-				continue
-			}
-			qualified[q] = append(qualified[q], g.rep)
-		}
+		var b rel.Batch
+		b.MakeView(cols[q], dict)
+		b.SliceView(cols[q], 0, len(cols[q][0]))
+		keys[q], per[q] = dt.divideBatches(&oneBatch{&b}, sem)
 	})
+	// All partitions are resident at once, so their memory adds up.
+	var st Stats
+	for _, ps := range per {
+		st.Comparisons += ps.Comparisons
+		st.Probes += ps.Probes
+		st.TuplesRead += ps.TuplesRead
+		st.MaxMemoryTuples += ps.MaxMemoryTuples
+	}
+	return hashResult(keys, st, s)
+}
 
-	// Merge phase: concatenate in partition order; sum the stats. All
-	// partitions are resident at once, so memory adds up (plus the
-	// shared divisor table).
-	st := build
-	st.MaxMemoryTuples = s.Len()
-	for q := range partStats {
-		st.Comparisons += partStats[q].Comparisons
-		st.Probes += partStats[q].Probes
-		st.TuplesRead += partStats[q].TuplesRead
-		st.MaxMemoryTuples += partStats[q].MaxMemoryTuples
-	}
-	out := rel.NewRelation(1)
-	for _, reps := range qualified {
-		for _, rep := range reps {
-			out.Add(rel.Tuple{rep})
-		}
-	}
-	return out, st
+// oneBatch is a cursor over a single batch.
+type oneBatch struct{ b *rel.Batch }
+
+func (c *oneBatch) NextBatch() (*rel.Batch, bool) {
+	b := c.b
+	c.b = nil
+	return b, b != nil
 }
 
 // DivisorTable is the shared read-only divisor dictionary of one hash
@@ -151,7 +123,7 @@ func (dt *DivisorTable) DivideShardBatches(shard rel.BatchCursor, sem Semantics)
 }
 
 // divideBatches is the one hash-division kernel, shared by
-// DivideShardBatches and the sequential Hash: the Graefe bitmap scheme
+// DivideShardBatches, the sequential Hash and ParallelHash: the Graefe bitmap scheme
 // over (group, element) ID batches. It returns the qualifying group
 // keys in first-occurrence order; the stats cover the dividend only.
 func (dt *DivisorTable) divideBatches(shard rel.BatchCursor, sem Semantics) ([]rel.Value, Stats) {

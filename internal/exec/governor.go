@@ -1,17 +1,17 @@
-// Package exec provides the fault-tolerance substrate for query
-// execution: per-query cancellation, resource budgets, and the
-// panic-to-error boundary protocol shared by every evaluator.
+// Package exec provides the execution substrate shared by every
+// evaluator: the worker pool (Run, PartOf; pool.go) and the
+// fault-tolerance layer of query execution — per-query cancellation,
+// resource budgets, and the panic-to-error boundary protocol.
 //
 // The engine's internals keep their panic discipline (package-prefixed
 // panics on programming errors); exec adds a second, *recoverable*
 // kind of unwinding — the abort panic — raised only at pull
-// boundaries by guard cursors and exchange loops, where the
-// pull-before-hold idiom guarantees the panicking frame owns no
-// pooled batch. Cursors that do retain pooled batches across calls
-// register a cleanup with the query's Governor at construction time;
-// the boundary recovery (Governor.Recover) runs those cleanups after
-// all worker goroutines have joined, so every abort path releases
-// every pooled batch exactly once.
+// boundaries by guard cursors, where the pull-before-hold idiom
+// guarantees the panicking frame owns no pooled batch. Cursors that
+// do retain pooled batches across calls register a cleanup with the
+// query's Governor at construction time; the boundary recovery
+// (Governor.Recover) runs those cleanups on the boundary goroutine,
+// so every abort path releases every pooled batch exactly once.
 //
 // A nil *Governor is valid everywhere and means "ungoverned": every
 // method is a no-op, so legacy entry points pay nothing.
@@ -85,7 +85,7 @@ type Governor struct {
 	limits   Limits
 	baseLive int64 // pooled-batch live count at creation
 
-	quit chan struct{} // closed on abort or finish; Aborted, Check and the ctx watcher read it
+	quit chan struct{} // closed on abort or finish; Check and the ctx watcher read it
 
 	mu       sync.Mutex
 	cause    error
@@ -121,7 +121,7 @@ func NewGovernor(ctx context.Context, limits Limits) *Governor {
 }
 
 // Abort records err as the query's failure cause (first call wins)
-// and closes the quit channel Aborted and Check observe. Safe to call
+// and closes the quit channel Check observes. Safe to call
 // from any goroutine, any number of times.
 func (g *Governor) Abort(err error) {
 	if g == nil || err == nil {
@@ -135,19 +135,6 @@ func (g *Governor) Abort(err error) {
 	if !g.closed {
 		g.closed = true
 		close(g.quit)
-	}
-}
-
-// Aborted reports whether the query has been aborted.
-func (g *Governor) Aborted() bool {
-	if g == nil {
-		return false
-	}
-	select {
-	case <-g.quit:
-		return g.Err() != nil
-	default:
-		return false
 	}
 }
 
@@ -228,25 +215,9 @@ func (g *Governor) Watch(c any) {
 	}
 }
 
-// AbortRecovered records a panic value recovered on a worker
-// goroutine: an abort panic contributes its cause (usually the one
-// already recorded), anything else becomes a *PanicError. Unlike
-// Recover it runs no cleanups — those belong to the boundary
-// goroutine after workers have joined.
-func (g *Governor) AbortRecovered(r any) {
-	if g == nil || r == nil {
-		return
-	}
-	if ap, ok := r.(abortPanic); ok {
-		g.Abort(ap.err)
-		return
-	}
-	g.Abort(&PanicError{Value: r, Stack: debug.Stack()})
-}
-
 // Throw aborts the query with err and unwinds with an abort panic
 // that only Governor.Recover catches. The abort is recorded first so
-// concurrent workers observe Done before the stack unwinds.
+// other goroutines' Check calls observe it before the stack unwinds.
 func Throw(g *Governor, err error) {
 	g.Abort(err)
 	panic(abortPanic{err})

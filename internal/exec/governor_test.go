@@ -17,15 +17,11 @@ func TestNilGovernorIsUngoverned(t *testing.T) {
 	g.Check()
 	g.CheckResident(1 << 30)
 	g.Abort(errors.New("ignored"))
-	if g.Aborted() {
-		t.Error("nil governor reports aborted")
-	}
 	if g.Err() != nil {
 		t.Error("nil governor has an error")
 	}
 	g.OnAbort(func() { t.Error("cleanup ran on nil governor") })
 	g.Watch(nil)
-	g.AbortRecovered("ignored")
 }
 
 // TestNilGovernorRecoverConvertsPanics: even without a governor,
@@ -52,7 +48,7 @@ func TestAbortFirstWins(t *testing.T) {
 	g := exec.NewGovernor(nil, exec.Limits{})
 	g.Abort(first)
 	g.Abort(errors.New("second failure"))
-	if !g.Aborted() {
+	if g.Err() == nil {
 		t.Fatal("governor not aborted")
 	}
 	if !errors.Is(g.Err(), first) {
@@ -164,14 +160,13 @@ func TestCanceledContext(t *testing.T) {
 }
 
 // TestWatcherAbortsBlockedQuery: the watcher goroutine converts a
-// cancel into an abort even when no guard is running, so workers that
-// only poll Aborted (engine.Executor.RunGoverned) stop claiming tasks.
+// cancel into an abort even when no guard is running.
 func TestWatcherAbortsBlockedQuery(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	g := exec.NewGovernor(ctx, exec.Limits{})
 	cancel()
 	deadline := time.Now().Add(5 * time.Second)
-	for !g.Aborted() {
+	for g.Err() == nil {
 		if time.Now().After(deadline) {
 			t.Fatal("watcher never aborted the query after cancel")
 		}
@@ -219,27 +214,6 @@ func TestWatchRegistersBatchHolders(t *testing.T) {
 	func() { defer g.Recover(&err) }()
 	if h.n != 1 {
 		t.Fatalf("ReleaseHeld ran %d times; want 1", h.n)
-	}
-}
-
-// TestAbortRecoveredFromWorker: a worker's recovered panic becomes
-// the governor's cause as a *PanicError that unwraps to the value.
-func TestAbortRecoveredFromWorker(t *testing.T) {
-	boom := errors.New("worker panic")
-	g := exec.NewGovernor(nil, exec.Limits{})
-	func() {
-		defer func() { g.AbortRecovered(recover()) }()
-		panic(boom)
-	}()
-	if !errors.Is(g.Err(), boom) {
-		t.Fatalf("cause %v does not wrap the worker panic", g.Err())
-	}
-	var pe *exec.PanicError
-	if !errors.As(g.Err(), &pe) {
-		t.Fatalf("cause %v is not a *PanicError", g.Err())
-	}
-	if len(pe.Stack) == 0 {
-		t.Error("PanicError carries no stack")
 	}
 }
 

@@ -253,7 +253,7 @@ func TestCancelMidFlight(t *testing.T) {
 // matrix: random plan × batch size × injection kind × injection row,
 // every iteration re-asserting the abort contract and, at the
 // end, snapshot identity. Run under -race this doubles as the
-// goroutine-join proof for the governed exchanges.
+// goroutine-join proof for governed queries.
 func TestRandomizedAbortSuite(t *testing.T) {
 	leakcheck.Check(t)
 	snap := newSnapshot()

@@ -41,7 +41,7 @@ import (
 //
 // An Interner is not safe for concurrent mutation. Concurrent readers
 // (ID, Value, Len) are safe once interning is complete, which is the
-// access pattern of the parallel executors in internal/engine: intern
+// access pattern of the worker pool's callers (exec.Run): intern
 // sequentially during the build phase, probe read-only from workers.
 // The epoch machinery (epoch.go, snapshot.go) turns this discipline
 // into a structural guarantee: dictionaries reachable from a

@@ -304,13 +304,9 @@ func (EquijoinOverlap) Join(r, s []*Group) (*rel.Relation, Stats) {
 }
 
 // ContainmentAlgorithms returns the containment-join implementations,
-// parallel variants at their default worker count.
-func ContainmentAlgorithms() []Algorithm { return ContainmentAlgorithmsWorkers(0) }
-
-// ContainmentAlgorithmsWorkers is ContainmentAlgorithms with an
-// explicit worker count for the parallel variants (<= 0 means one
+// with workers goroutines for the parallel variant (<= 0 means one
 // worker per CPU).
-func ContainmentAlgorithmsWorkers(workers int) []Algorithm {
+func ContainmentAlgorithms(workers int) []Algorithm {
 	return []Algorithm{
 		NestedLoopContainment{},
 		SignatureContainment{},
@@ -320,14 +316,10 @@ func ContainmentAlgorithmsWorkers(workers int) []Algorithm {
 	}
 }
 
-// EqualityAlgorithms returns the equality-join implementations,
-// parallel variants at their default worker count.
-func EqualityAlgorithms() []Algorithm { return EqualityAlgorithmsWorkers(0) }
-
-// EqualityAlgorithmsWorkers is EqualityAlgorithms with an explicit
-// worker count for the parallel variants (<= 0 means one worker per
-// CPU).
-func EqualityAlgorithmsWorkers(workers int) []Algorithm {
+// EqualityAlgorithms returns the equality-join implementations, with
+// workers goroutines for the parallel variant (<= 0 means one worker
+// per CPU).
+func EqualityAlgorithms(workers int) []Algorithm {
 	return []Algorithm{
 		NestedLoopEquality{}, SortEquality{}, HashEquality{},
 		ParallelHashEquality{Workers: workers},

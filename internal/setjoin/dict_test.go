@@ -60,7 +60,7 @@ func TestEqualityJoinsAgreeOnHandBuiltGroups(t *testing.T) {
 	if want.Len() != 1 {
 		t.Fatalf("reference found %d pairs, want 1", want.Len())
 	}
-	for _, alg := range EqualityAlgorithmsWorkers(2) {
+	for _, alg := range EqualityAlgorithms(2) {
 		got, _ := alg.Join(gr, hand)
 		if !got.Equal(want) {
 			t.Errorf("%s: hand-built group missed:\ngot %vwant %v", alg.Name(), got, want)

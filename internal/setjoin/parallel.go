@@ -1,13 +1,15 @@
 package setjoin
 
 import (
-	"radiv/internal/engine"
+	"radiv/internal/exec"
 	"radiv/internal/rel"
 )
 
 // chunkRanges splits n items into at most parts contiguous [lo, hi)
 // ranges of near-equal size. Contiguity keeps the merged output in
-// exactly the order the sequential algorithm would emit it.
+// exactly the order the sequential algorithm would emit it. The
+// parallel joins ask for a small multiple of the worker count (at most
+// 256), so uneven chunks balance across workers.
 func chunkRanges(n, parts int) [][2]int {
 	if parts < 1 {
 		parts = 1
@@ -43,7 +45,7 @@ type pair struct{ a, c rel.Value }
 
 // ParallelSignatureContainment shards the R side of the signature
 // nested-loop containment join into contiguous chunks processed by the
-// engine worker pool. Group lists and signatures are shared read-only;
+// worker pool (exec.Run). Group lists and signatures are shared read-only;
 // per-chunk outputs concatenate in chunk order, so the emitted pair
 // sequence — and therefore the result relation, byte for byte — is
 // identical to the sequential SignatureContainment run.
@@ -61,16 +63,16 @@ func (ParallelSignatureContainment) Predicate() Predicate { return Containment }
 
 // Join implements Algorithm.
 func (p ParallelSignatureContainment) Join(r, s []*Group) (*rel.Relation, Stats) {
-	ex := engine.Executor{Workers: p.Workers}
-	if ex.WorkerCount() <= 1 {
+	workers := exec.Workers(p.Workers)
+	if workers <= 1 {
 		// One worker cannot beat the sequential join; skip the
 		// chunking overhead entirely.
 		return SignatureContainment{}.Join(r, s)
 	}
-	chunks := chunkRanges(len(r), ex.PartitionCount())
+	chunks := chunkRanges(len(r), min(4*workers, 256))
 	pairs := make([][]pair, len(chunks))
 	per := make([]Stats, len(chunks))
-	ex.Run(len(chunks), func(c int) {
+	exec.Run(workers, len(chunks), func(c int) {
 		st := &per[c]
 		for _, gr := range r[chunks[c][0]:chunks[c][1]] {
 			for _, gs := range s {
@@ -115,8 +117,8 @@ func (ParallelHashEquality) Predicate() Predicate { return Equal }
 
 // Join implements Algorithm.
 func (p ParallelHashEquality) Join(r, s []*Group) (*rel.Relation, Stats) {
-	ex := engine.Executor{Workers: p.Workers}
-	if ex.WorkerCount() <= 1 {
+	workers := exec.Workers(p.Workers)
+	if workers <= 1 {
 		return HashEquality{}.Join(r, s)
 	}
 	var build Stats
@@ -127,10 +129,10 @@ func (p ParallelHashEquality) Join(r, s []*Group) (*rel.Relation, Stats) {
 		k := dict.Key(gr)
 		index[k] = append(index[k], gr)
 	}
-	chunks := chunkRanges(len(s), ex.PartitionCount())
+	chunks := chunkRanges(len(s), min(4*workers, 256))
 	pairs := make([][]pair, len(chunks))
 	per := make([]Stats, len(chunks))
-	ex.Run(len(chunks), func(c int) {
+	exec.Run(workers, len(chunks), func(c int) {
 		st := &per[c]
 		for _, gs := range s[chunks[c][0]:chunks[c][1]] {
 			st.Probes++

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"radiv/internal/rel"
+	"radiv/internal/workload"
 )
 
 func randomGroupRelation(rng *rand.Rand, groups, domain, size int) *rel.Relation {
@@ -115,6 +116,35 @@ func TestChunkRanges(t *testing.T) {
 		}
 		if covered != tc.n {
 			t.Errorf("chunkRanges(%d, %d) covers %d items", tc.n, tc.parts, covered)
+		}
+	}
+}
+
+// TestParallelSetJoinEquivalenceOnRandomWorkloads: on the generated
+// set-join workloads, the sequential signature join agrees with the
+// reference, and both parallel joins return exactly their sequential
+// twin's relation — same tuple set and same String rendering — at
+// several worker counts.
+func TestParallelSetJoinEquivalenceOnRandomWorkloads(t *testing.T) {
+	for seed := int64(0); seed < 12; seed++ {
+		wl := workload.RandomSetJoin(seed)
+		r, s := wl.Generate()
+		gr, gs := Groups(r), Groups(s)
+
+		wantC, _ := SignatureContainment{}.Join(gr, gs)
+		if ref := Reference(gr, gs, Containment); !wantC.Equal(ref) {
+			t.Fatalf("seed %d (%s): sequential signature disagrees with reference", seed, wl)
+		}
+		wantE, _ := HashEquality{}.Join(gr, gs)
+		for _, workers := range []int{1, 2, 4, 9} {
+			gotC, _ := ParallelSignatureContainment{Workers: workers}.Join(gr, gs)
+			if !gotC.Equal(wantC) || gotC.String() != wantC.String() {
+				t.Fatalf("seed %d workers=%d (%s): containment differs", seed, workers, wl)
+			}
+			gotE, _ := ParallelHashEquality{Workers: workers}.Join(gr, gs)
+			if !gotE.Equal(wantE) || gotE.String() != wantE.String() {
+				t.Fatalf("seed %d workers=%d (%s): equality differs", seed, workers, wl)
+			}
 		}
 	}
 }

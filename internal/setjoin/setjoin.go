@@ -215,9 +215,9 @@ func normalizeElems(elems []rel.Value) []rel.Value {
 // Sharing one Dict across both join sides is what makes the keys
 // comparable; per-relation dictionaries would assign incompatible IDs.
 // A Dict is not safe for concurrent interning: the parallel equality
-// join interns both sides in its sequential build phase and hands
-// workers the read-only ProbeKey path, the usage pattern of
-// internal/engine.
+// join interns both sides in its sequential build phase and hands its
+// exec.Run workers the read-only ProbeKey path (Contract 2 in
+// internal/analysis/doc.go).
 type Dict struct {
 	elems *rel.Interner
 	buf   []byte

@@ -40,7 +40,7 @@ func TestFigure1SetContainmentJoin(t *testing.T) {
 		rel.Strs("Bob", "flu"),
 		rel.Strs("Bob", "Lyme"),
 	)
-	for _, alg := range ContainmentAlgorithms() {
+	for _, alg := range ContainmentAlgorithms(0) {
 		got, _ := alg.Join(person, disease)
 		if !got.Equal(want) {
 			t.Errorf("%s:\n%vwant\n%v", alg.Name(), got, want)
@@ -122,7 +122,7 @@ func randomGroups(rng *rand.Rand, nGroups, dom, maxSet int) []*Group {
 // against the reference for its predicate.
 func TestAllAlgorithmsAgreeRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	algos := append(append([]Algorithm{}, ContainmentAlgorithms()...), EqualityAlgorithms()...)
+	algos := append(append([]Algorithm{}, ContainmentAlgorithms(0)...), EqualityAlgorithms(0)...)
 	algos = append(algos, EquijoinOverlap{})
 	for trial := 0; trial < 40; trial++ {
 		r := randomGroups(rng, 1+rng.Intn(8), 6, 5)
@@ -143,7 +143,7 @@ func TestAllAlgorithmsAgreeRandom(t *testing.T) {
 func TestEmptyDSet(t *testing.T) {
 	r := randomGroups(rand.New(rand.NewSource(1)), 3, 5, 3)
 	empty := &Group{Key: rel.Int(99)}
-	for _, alg := range ContainmentAlgorithms() {
+	for _, alg := range ContainmentAlgorithms(0) {
 		got, _ := alg.Join(r, []*Group{empty})
 		if got.Len() != len(r) {
 			t.Errorf("%s: empty divisor set should match every group: %v", alg.Name(), got)
@@ -280,7 +280,7 @@ func TestCanonicalKeyHandBuiltGroups(t *testing.T) {
 	if got := Reference(r, s, Equal); !got.Equal(want) {
 		t.Errorf("Reference equality join on hand-built groups:\n%swant:\n%s", got, want)
 	}
-	for _, alg := range EqualityAlgorithms() {
+	for _, alg := range EqualityAlgorithms(0) {
 		if got, _ := alg.Join(r, s); !got.Equal(want) {
 			t.Errorf("%s on hand-built unsorted groups:\n%swant:\n%s", alg.Name(), got, want)
 		}

@@ -16,7 +16,8 @@ package shard
 // the store view's batch scan, each shard's pairs come back as two ID
 // columns cut into runs (setjoin.ShardPairs), and the merge feeds the
 // runs to the result's AddBatch as view batches (see shardedSetJoin).
-// None of them runs under a query governor: the executor in
+// The shard-local work runs one task per shard on the worker pool
+// (exec.Run). None of it runs under a query governor: the executor in
 // internal/plan runs every plan, division included, over a sharded
 // store's views, and these entry points are library calls.
 //
@@ -32,7 +33,7 @@ import (
 	"time"
 
 	"radiv/internal/division"
-	"radiv/internal/engine"
+	"radiv/internal/exec"
 	"radiv/internal/rel"
 	"radiv/internal/setjoin"
 )
@@ -62,8 +63,8 @@ func arityOf(db Source, name string, want int) {
 // Divide computes rName ÷ sName shard-locally: the divisor is
 // materialized once into a shared read-only dictionary
 // (division.DivisorTable), each shard runs the Graefe bitmap scheme
-// over its local dividend batch scan on the worker pool
-// (engine.StreamShardedBatchesGov), and the merge emits qualifying
+// over its local dividend batch scan on the worker pool (exec.Run,
+// one task per shard), and the merge emits qualifying
 // groups in the dividend router's gid order — the sequential Hash
 // emission order, so the result is byte-identical to division.Hash on
 // the merged relations at every shard count. workers <= 0 means one
@@ -84,19 +85,15 @@ func Divide(db Source, rName, sName string, sem division.Semantics, workers int)
 	sRel, _ := rel.Materialized(db, sName) // broadcast side, read-only
 	dt := division.NewDivisorTable(sRel)
 	n := db.NumShards()
-	// Shard-local dividends flow as columnar batches straight off the
-	// relations' stored ID columns: no tuple decoding, no re-interning —
-	// each worker runs the vectorized bitmap scheme on flat uint32
-	// columns.
-	cursors := make([]rel.BatchCursor, n)
-	for q := range cursors {
-		cursors[q] = db.ShardRel(q, rName).BatchScan()
-	}
 	qualified := make([]map[rel.Value]bool, n)
 	resident := make([]int, n)
-	engine.Executor{Workers: workers}.StreamShardedBatchesGov(nil, cursors, func(q int, shard rel.BatchCursor) {
+	exec.Run(workers, n, func(q int) {
+		// Shard-local dividends flow as columnar batches straight off
+		// the relations' stored ID columns: no tuple decoding, no
+		// re-interning — each worker runs the vectorized bitmap scheme
+		// on flat uint32 columns.
 		var st division.Stats
-		qualified[q], st = dt.DivideShardBatches(shard, sem)
+		qualified[q], st = dt.DivideShardBatches(db.ShardRel(q, rName).BatchScan(), sem)
 		resident[q] = st.MaxMemoryTuples
 	})
 	st := Stats{ShardResident: resident}
@@ -106,7 +103,7 @@ func Divide(db Source, rName, sName string, sem division.Semantics, workers int)
 	for gid := 0; gid < rt.Len(); gid++ {
 		st.Merged++
 		v := rt.Value(uint32(gid))
-		if qualified[engine.PartOf(uint32(gid), n)][v] {
+		if qualified[exec.PartOf(uint32(gid), n)][v] {
 			out.Add(rel.Tuple{v})
 		}
 	}
@@ -176,12 +173,12 @@ func shardedSetJoin(db Source, rName, sName string, workers int, containment boo
 	rt := db.Router(rName)
 	ranks := make([][]uint32, n)
 	for gid := 0; gid < rt.Len(); gid++ {
-		q := engine.PartOf(uint32(gid), n)
+		q := exec.PartOf(uint32(gid), n)
 		ranks[q] = append(ranks[q], uint32(gid))
 	}
 	pairs := make([]setjoin.ShardPairs, n)
 	resident := make([]int, n)
-	engine.Executor{Workers: workers}.Run(n, func(q int) {
+	exec.Run(workers, n, func(q int) {
 		// Shard-local R sides flow as columnar batches straight off the
 		// relations' stored ID columns into the group builder — no tuple
 		// decoding on the grouping pass, and each worker's translation
@@ -227,7 +224,7 @@ func shardedSetJoin(db Source, rName, sName string, workers int, containment boo
 		// splice in each group's run from its owning shard.
 		for gid := 0; gid < rt.Len(); gid++ {
 			st.Merged++
-			q := engine.PartOf(uint32(gid), n)
+			q := exec.PartOf(uint32(gid), n)
 			emit(q, pairs[q].Start[next[q]], pairs[q].Start[next[q]+1])
 			next[q]++
 		}

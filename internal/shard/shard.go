@@ -2,9 +2,9 @@
 // epochs: one logical database split across N shard-local epoch
 // writers (rel.Epoch), publishing immutable Snapshots in lockstep.
 // Every relation is partitioned by the interned ID of its tuples'
-// first column — routed through the same deterministic avalanche
-// partitioner (engine.PartOf) the parallel executors use — so all
-// tuples sharing a group key land in the same shard. That invariant is
+// first column — routed through the deterministic avalanche
+// partitioner exec.PartOf, which division.ParallelHash routes by too —
+// so all tuples sharing a group key land in the same shard. That invariant is
 // what lets the group-keyed algorithms (hash division, the set joins)
 // run shard-locally and merge without cross-shard traffic: a shard
 // holds its groups whole.
@@ -57,7 +57,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"radiv/internal/engine"
+	"radiv/internal/exec"
 	"radiv/internal/rel"
 )
 
@@ -185,7 +185,7 @@ func (s *Database) load(name string, src *rel.Relation) {
 		bufs, counts = s.scatter(name, cols, dict, src.Len())
 	}
 	added := make([]int, len(s.shards))
-	engine.Executor{}.Run(len(s.shards), func(q int) {
+	exec.Run(0, len(s.shards), func(q int) {
 		n := int(counts[q])
 		if n == 0 {
 			return
@@ -227,7 +227,7 @@ func (s *Database) scatter(name string, cols [][]uint32, dict *rel.Interner, row
 		for row, id := range cols[0] {
 			q := shardOf[id] - 1
 			if q < 0 {
-				q = int32(engine.PartOf(rt.Intern(dict.Value(id)), k))
+				q = int32(exec.PartOf(rt.Intern(dict.Value(id)), k))
 				shardOf[id] = q + 1
 			}
 			log[row] = place{q, counts[q]}
@@ -324,14 +324,14 @@ func (s *Database) route(name string, t rel.Tuple) int {
 		s.routers[name] = rt
 	}
 	if id, ok := rt.ID(t[0]); ok {
-		return engine.PartOf(id, len(s.shards))
+		return exec.PartOf(id, len(s.shards))
 	}
 	if s.sealed[name] {
 		rt = rt.Clone()
 		s.routers[name] = rt
 		delete(s.sealed, name)
 	}
-	return engine.PartOf(rt.Intern(t[0]), len(s.shards))
+	return exec.PartOf(rt.Intern(t[0]), len(s.shards))
 }
 
 // ShardOf reports which shard holds tuples with t's first column, or
@@ -349,7 +349,7 @@ func (s *Database) ShardOf(name string, t rel.Tuple) int {
 	if !ok {
 		return -1
 	}
-	return engine.PartOf(id, len(s.shards))
+	return exec.PartOf(id, len(s.shards))
 }
 
 // View implements rel.Store over the writer's uncommitted view. With

@@ -13,7 +13,7 @@ package shard
 import (
 	"fmt"
 
-	"radiv/internal/engine"
+	"radiv/internal/exec"
 	"radiv/internal/rel"
 )
 
@@ -112,7 +112,7 @@ func (s *Snapshot) ShardOf(name string, t rel.Tuple) int {
 	if !ok {
 		return -1
 	}
-	return engine.PartOf(id, len(s.shards))
+	return exec.PartOf(id, len(s.shards))
 }
 
 // Equal reports whether the snapshot holds the same schema domain and

@@ -23,7 +23,7 @@ package shard
 import (
 	"fmt"
 
-	"radiv/internal/engine"
+	"radiv/internal/exec"
 	"radiv/internal/rel"
 )
 
@@ -88,7 +88,7 @@ func (v *relView) Contains(t rel.Tuple) bool {
 	if !ok {
 		return false
 	}
-	return v.rels[engine.PartOf(id, len(v.rels))].Contains(t)
+	return v.rels[exec.PartOf(id, len(v.rels))].Contains(t)
 }
 
 // BatchScanSized implements rel.StoredRel: zero-copy columnar batches
