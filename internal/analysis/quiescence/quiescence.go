@@ -26,8 +26,8 @@
 // the caller's to mutate. Half 2 inspects every function-literal
 // task callback passed to exec.Run and flags
 // interning calls — Interner.Intern, IDMap.Intern,
-// Relation.Add/AddBatch, Store.Add, setjoin's Dict.Key — whose
-// receiver is captured from the enclosing scope. A receiver declared
+// Relation.Add/AddBatch, Store.Add — whose receiver is captured from
+// the enclosing scope. A receiver declared
 // inside the callback (a worker-local relation or interner) is private
 // to the worker and exempt.
 package quiescence
@@ -47,10 +47,9 @@ var Analyzer = &analysis.Analyzer{
 }
 
 const (
-	relPath     = "radiv/internal/rel"
-	execPath    = "radiv/internal/exec"
-	setjoinPath = "radiv/internal/setjoin"
-	shardPath   = "radiv/internal/shard"
+	relPath   = "radiv/internal/rel"
+	execPath  = "radiv/internal/exec"
+	shardPath = "radiv/internal/shard"
 )
 
 func run(pass *analysis.Pass) error {
@@ -131,10 +130,6 @@ func classify(name string, recv types.Type, storeIface *types.Interface) string 
 	case "AddBatch":
 		if analysis.IsNamed(recv, relPath, "Relation") {
 			return "Relation.AddBatch interning into a captured relation's dictionary"
-		}
-	case "Key":
-		if analysis.IsNamed(recv, setjoinPath, "Dict") {
-			return "Dict.Key interning into a captured canonical-key dictionary"
 		}
 	}
 	return ""

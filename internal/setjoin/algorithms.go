@@ -1,6 +1,7 @@
 package setjoin
 
 import (
+	"slices"
 	"sort"
 
 	"radiv/internal/rel"
@@ -20,11 +21,12 @@ func (NestedLoopContainment) Predicate() Predicate { return Containment }
 func (NestedLoopContainment) Join(r, s []*Group) (*rel.Relation, Stats) {
 	var st Stats
 	out := rel.NewRelation(2)
+	s = align(r, s)
 	for _, gr := range r {
 		for _, gs := range s {
 			st.PairsConsidered++
 			st.Verifications++
-			if gr.ContainsAll(gs, &st.Comparisons) {
+			if containsAll(gr.ids, gs.ids, &st.Comparisons) {
 				out.Add(rel.Tuple{gr.Key, gs.Key})
 			}
 		}
@@ -48,6 +50,7 @@ func (SignatureContainment) Predicate() Predicate { return Containment }
 func (SignatureContainment) Join(r, s []*Group) (*rel.Relation, Stats) {
 	var st Stats
 	out := rel.NewRelation(2)
+	s = align(r, s)
 	for _, gr := range r {
 		for _, gs := range s {
 			st.PairsConsidered++
@@ -55,7 +58,7 @@ func (SignatureContainment) Join(r, s []*Group) (*rel.Relation, Stats) {
 				continue // a bit of D is missing from B: cannot contain
 			}
 			st.Verifications++
-			if gr.ContainsAll(gs, &st.Comparisons) {
+			if containsAll(gr.ids, gs.ids, &st.Comparisons) {
 				out.Add(rel.Tuple{gr.Key, gs.Key})
 			}
 		}
@@ -80,37 +83,19 @@ func (InvertedIndexContainment) Predicate() Predicate { return Containment }
 func (InvertedIndexContainment) Join(r, s []*Group) (*rel.Relation, Stats) {
 	var st Stats
 	out := rel.NewRelation(2)
-	elems := rel.NewInterner() // shared element dictionary: ID -> postings index
-	index := map[uint32][]*Group{}
-	for _, gr := range r {
-		for _, e := range gr.Elems {
-			id := elems.Intern(e)
-			index[id] = append(index[id], gr)
-			st.Probes++
-		}
-	}
-	for _, gs := range s {
-		if len(gs.Elems) == 0 {
-			// The empty set is contained in every B-set.
-			for _, gr := range r {
-				st.PairsConsidered++
-				out.Add(rel.Tuple{gr.Key, gs.Key})
-			}
-			continue
-		}
-		// Probe with the rarest element of D. An element missing from
-		// the dictionary appears in no R-set: no candidates at all.
+	index := postings(r, &st.Probes)
+	for _, gs := range align(r, s) {
+		// Probe with the rarest element of D, the first in the run on a
+		// tie. absent appears in no R-set: no candidates at all.
 		var candidates []*Group
-		first := true
-		for _, e := range gs.Elems {
+		for i, id := range gs.ids {
 			st.Probes++
 			var posting []*Group
-			if id, ok := elems.ID(e); ok {
+			if int(id) < len(index) {
 				posting = index[id]
 			}
-			if first || len(posting) < len(candidates) {
+			if i == 0 || len(posting) < len(candidates) {
 				candidates = posting
-				first = false
 			}
 		}
 		for _, gr := range candidates {
@@ -119,7 +104,7 @@ func (InvertedIndexContainment) Join(r, s []*Group) (*rel.Relation, Stats) {
 				continue
 			}
 			st.Verifications++
-			if gr.ContainsAll(gs, &st.Comparisons) {
+			if containsAll(gr.ids, gs.ids, &st.Comparisons) {
 				out.Add(rel.Tuple{gr.Key, gs.Key})
 			}
 		}
@@ -131,11 +116,10 @@ func (InvertedIndexContainment) Join(r, s []*Group) (*rel.Relation, Stats) {
 // set-equality predicate: hash every R-group by the canonical
 // encoding of its element set and probe with each S-group. Expected
 // O(input) + output, realizing footnote 1's bound (the sort inside
-// Groups contributes the n log n term). Encodings run on one shared
-// Dict — dense interned element IDs instead of the Tuple.Key string
-// path — so the build interns and the probe is read-only: an S-set
-// with an element the dictionary has never seen matches nothing and
-// skips its lookup outright.
+// Groups contributes the n log n term). The encoding is the group's
+// run of element IDs, 4 bytes each, with S aligned to R's dictionary
+// first; an S-set with an element no R-set has ends in absent and
+// matches nothing.
 type HashEquality struct{}
 
 // Name implements Algorithm.
@@ -148,29 +132,21 @@ func (HashEquality) Predicate() Predicate { return Equal }
 func (HashEquality) Join(r, s []*Group) (*rel.Relation, Stats) {
 	var st Stats
 	out := rel.NewRelation(2)
-	dict := NewDict()
-	index := map[string][]*Group{}
-	for _, gr := range r {
+	index := keyIndex(r, &st.Probes)
+	var buf []byte
+	for _, gs := range align(r, s) {
 		st.Probes++
-		k := dict.Key(gr)
-		index[k] = append(index[k], gr)
-	}
-	for _, gs := range s {
-		st.Probes++
-		k, ok := dict.ProbeKey(gs)
-		if !ok {
-			continue
-		}
-		for _, gr := range index[k] {
+		buf = runKey(buf[:0], gs.ids)
+		for _, ri := range index[string(buf)] {
 			st.PairsConsidered++
-			out.Add(rel.Tuple{gr.Key, gs.Key})
+			out.Add(rel.Tuple{r[ri].Key, gs.Key})
 		}
 	}
 	return out, st
 }
 
 // SortEquality is the sort-based set-equality join: sort both sides by
-// canonical encoding — interned through one shared Dict — and merge
+// the encoding of their ID runs, S aligned to R's dictionary, and merge
 // equal runs. O(n log n) + output.
 type SortEquality struct{}
 
@@ -184,7 +160,6 @@ func (SortEquality) Predicate() Predicate { return Equal }
 func (SortEquality) Join(r, s []*Group) (*rel.Relation, Stats) {
 	var st Stats
 	out := rel.NewRelation(2)
-	dict := NewDict()
 	type keyed struct {
 		key string
 		g   *Group
@@ -192,7 +167,7 @@ func (SortEquality) Join(r, s []*Group) (*rel.Relation, Stats) {
 	mk := func(gs []*Group) []keyed {
 		out := make([]keyed, len(gs))
 		for i, g := range gs {
-			out[i] = keyed{dict.Key(g), g}
+			out[i] = keyed{string(runKey(nil, g.ids)), g}
 		}
 		sort.Slice(out, func(i, j int) bool {
 			st.Comparisons++
@@ -200,7 +175,7 @@ func (SortEquality) Join(r, s []*Group) (*rel.Relation, Stats) {
 		})
 		return out
 	}
-	rk, sk := mk(r), mk(s)
+	rk, sk := mk(r), mk(align(r, s))
 	i, j := 0, 0
 	for i < len(rk) && j < len(sk) {
 		st.Comparisons++
@@ -244,18 +219,13 @@ func (NestedLoopEquality) Predicate() Predicate { return Equal }
 func (NestedLoopEquality) Join(r, s []*Group) (*rel.Relation, Stats) {
 	var st Stats
 	out := rel.NewRelation(2)
-	dict := NewDict()
-	sKeys := make([]string, len(s))
-	for i, gs := range s {
-		sKeys[i] = dict.Key(gs)
-	}
+	aligned := align(r, s)
 	for _, gr := range r {
-		rk := dict.Key(gr)
-		for i, gs := range s {
+		for i, gs := range aligned {
 			st.PairsConsidered++
 			st.Verifications++
-			st.Comparisons += min(len(gr.Elems), len(gs.Elems)) + 1
-			if rk == sKeys[i] {
+			st.Comparisons += min(len(gr.ids), len(s[i].ids)) + 1
+			if slices.Equal(gr.ids, gs.ids) {
 				out.Add(rel.Tuple{gr.Key, gs.Key})
 			}
 		}
@@ -278,21 +248,12 @@ func (EquijoinOverlap) Predicate() Predicate { return Overlap }
 func (EquijoinOverlap) Join(r, s []*Group) (*rel.Relation, Stats) {
 	var st Stats
 	out := rel.NewRelation(2)
-	elems := rel.NewInterner()
-	index := map[uint32][]*Group{}
-	for _, gr := range r {
-		for _, e := range gr.Elems {
+	index := postings(r, &st.Probes)
+	for _, gs := range align(r, s) {
+		for _, id := range gs.ids {
 			st.Probes++
-			id := elems.Intern(e)
-			index[id] = append(index[id], gr)
-		}
-	}
-	for _, gs := range s {
-		for _, e := range gs.Elems {
-			st.Probes++
-			id, ok := elems.ID(e)
-			if !ok {
-				continue // element in no R-set: joins with nothing
+			if int(id) >= len(index) {
+				continue // absent: in no R-set, joins with nothing
 			}
 			for _, gr := range index[id] {
 				st.PairsConsidered++

@@ -69,6 +69,7 @@ func (p ParallelSignatureContainment) Join(r, s []*Group) (*rel.Relation, Stats)
 		// chunking overhead entirely.
 		return SignatureContainment{}.Join(r, s)
 	}
+	s = align(r, s)
 	chunks := chunkRanges(len(r), min(4*workers, 256))
 	pairs := make([][]pair, len(chunks))
 	per := make([]Stats, len(chunks))
@@ -81,7 +82,7 @@ func (p ParallelSignatureContainment) Join(r, s []*Group) (*rel.Relation, Stats)
 					continue // a bit of D is missing from B: cannot contain
 				}
 				st.Verifications++
-				if gr.ContainsAll(gs, &st.Comparisons) {
+				if containsAll(gr.ids, gs.ids, &st.Comparisons) {
 					pairs[c] = append(pairs[c], pair{gr.Key, gs.Key})
 				}
 			}
@@ -97,10 +98,9 @@ func (p ParallelSignatureContainment) Join(r, s []*Group) (*rel.Relation, Stats)
 }
 
 // ParallelHashEquality is the canonical-encoding hash equality join
-// with a parallel probe phase: the R-side index is built sequentially
-// on a shared Dict (interned element IDs — the build phase is the only
-// writer of the dictionary), then contiguous chunks of S probe it
-// concurrently through the read-only Dict.ProbeKey path. Chunk outputs
+// with a parallel probe phase: the R-side index is built and S aligned
+// to R's dictionary sequentially, then contiguous chunks of S probe the
+// index concurrently, each with its own key buffer. Chunk outputs
 // concatenate in chunk order, matching the sequential HashEquality
 // emission order exactly.
 type ParallelHashEquality struct {
@@ -122,27 +122,20 @@ func (p ParallelHashEquality) Join(r, s []*Group) (*rel.Relation, Stats) {
 		return HashEquality{}.Join(r, s)
 	}
 	var build Stats
-	dict := NewDict()
-	index := make(map[string][]*Group, len(r))
-	for _, gr := range r {
-		build.Probes++
-		k := dict.Key(gr)
-		index[k] = append(index[k], gr)
-	}
+	index := keyIndex(r, &build.Probes)
+	s = align(r, s)
 	chunks := chunkRanges(len(s), min(4*workers, 256))
 	pairs := make([][]pair, len(chunks))
 	per := make([]Stats, len(chunks))
 	exec.Run(workers, len(chunks), func(c int) {
 		st := &per[c]
+		var buf []byte
 		for _, gs := range s[chunks[c][0]:chunks[c][1]] {
 			st.Probes++
-			k, ok := dict.ProbeKey(gs)
-			if !ok {
-				continue // an element no R-set has: equality impossible
-			}
-			for _, gr := range index[k] {
+			buf = runKey(buf[:0], gs.ids)
+			for _, ri := range index[string(buf)] {
 				st.PairsConsidered++
-				pairs[c] = append(pairs[c], pair{gr.Key, gs.Key})
+				pairs[c] = append(pairs[c], pair{r[ri].Key, gs.Key})
 			}
 		}
 	})

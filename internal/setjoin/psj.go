@@ -33,17 +33,21 @@ func (p PartitionedContainment) Join(r, s []*Group) (*rel.Relation, Stats) {
 	}
 	var st Stats
 	out := rel.NewRelation(2)
+	if len(r) == 0 {
+		return out, st
+	}
+	hash := r[0].dict.hash
 
 	// Build phase: replicate each R-group into the partition of each
-	// of its distinct elements (at most once per partition).
+	// of its distinct elements (at most once per partition: seen[q]
+	// holds the last group placed into q, plus one).
 	parts := make([][]*Group, P)
-	for _, gr := range r {
-		seen := make(map[int]bool, len(gr.Elems))
-		for _, e := range gr.Elems {
+	seen := make([]int, P)
+	for i, gr := range r {
+		for _, id := range gr.ids {
 			st.Probes++
-			q := int(hashValue(e) % uint64(P))
-			if !seen[q] {
-				seen[q] = true
+			if q := hash[id] % uint64(P); seen[q] != i+1 {
+				seen[q] = i + 1
 				parts[q] = append(parts[q], gr)
 			}
 		}
@@ -53,25 +57,21 @@ func (p PartitionedContainment) Join(r, s []*Group) (*rel.Relation, Stats) {
 	// designated element. Any element works for correctness (a
 	// containing R-group holds them all, so it is replicated into
 	// every one of these partitions); the least frequent one would be
-	// optimal, and PSJ's heuristic of hashing the first element is
-	// kept here.
-	for _, gs := range s {
-		if len(gs.Elems) == 0 {
-			for _, gr := range r {
-				st.PairsConsidered++
-				out.Add(rel.Tuple{gr.Key, gs.Key})
-			}
+	// optimal, and PSJ's heuristic of hashing the first element of
+	// the run is kept here. A run that starts with absent has no
+	// element in any R-set and no candidates.
+	for _, gs := range align(r, s) {
+		st.Probes++
+		if gs.ids[0] == absent {
 			continue
 		}
-		st.Probes++
-		q := int(hashValue(gs.Elems[0]) % uint64(P))
-		for _, gr := range parts[q] {
+		for _, gr := range parts[hash[gs.ids[0]]%uint64(P)] {
 			st.PairsConsidered++
 			if gs.sig&^gr.sig != 0 {
 				continue
 			}
 			st.Verifications++
-			if gr.ContainsAll(gs, &st.Comparisons) {
+			if containsAll(gr.ids, gs.ids, &st.Comparisons) {
 				out.Add(rel.Tuple{gr.Key, gs.Key})
 			}
 		}

@@ -50,18 +50,6 @@ func TestPSJPartitioningPrunes(t *testing.T) {
 	}
 }
 
-// TestPSJEmptyProbeSet: the empty set matches every R-group regardless
-// of partitioning.
-func TestPSJEmptyProbeSet(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	r := randomGroups(rng, 5, 6, 3)
-	empty := &Group{Key: rel.Int(42)}
-	got, _ := PartitionedContainment{Partitions: 4}.Join(r, []*Group{empty})
-	if got.Len() != len(r) {
-		t.Errorf("empty probe matched %d of %d groups", got.Len(), len(r))
-	}
-}
-
 // TestPSJSinglePartitionEqualsSignature: with P = 1 every R-group is
 // in the probe partition, so PSJ degenerates to the signature join.
 func TestPSJSinglePartitionEqualsSignature(t *testing.T) {

@@ -13,47 +13,51 @@
 // O(n log n) + output bound of the paper's footnote 1; no
 // sub-quadratic algorithm is known for the containment join, matching
 // the paper's remark.
+//
+// Every algorithm runs on element IDs. Groups turns a relation's stored
+// ID columns into groups whose sets are ascending uint32 runs in one
+// element dictionary per group list; each Join first re-expresses S in
+// R's dictionary (align), so verifying a pair merges two uint32 runs,
+// an equality key is a run's 4-byte encoding, and postings are indexed
+// by ID. Only Reference, the oracle, decodes the elements to values.
 package setjoin
 
 import (
+	"encoding/binary"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"strings"
 
 	"radiv/internal/rel"
 )
 
-// Group is one set-valued row: a key value and its associated element
-// set, sorted.
-//
-// Elems must be sorted and distinct for the containment machinery —
-// ContainsAll merges and ContainsElem binary-searches, so an unsorted
-// hand-built group silently misses elements there. Groups and NewGroup
-// establish the invariant; build hand-made groups through NewGroup
-// rather than struct literals. CanonicalKey alone is lenient: it
-// normalizes unsorted literal-built groups before encoding, because
-// equality joins are the documented consumer of ad-hoc probe groups.
+// Group is one set-valued row: a key value and its element set. The set
+// is an ascending run of distinct element IDs, a sub-slice of one flat
+// array per group list; the IDs index the element dictionary all groups
+// of one Groups or GroupsFromBatches call share. Those two are the only
+// constructors, so no group is empty.
 type Group struct {
-	Key   rel.Value
-	Elems []rel.Value // sorted, distinct
-	sig   uint64
+	Key rel.Value
 	// keyID is Key's ID in the dictionary of the batch column the group
-	// was first seen in (GroupsFromBatches only). Over a stored
-	// relation's scan that is the relation's own dictionary, which is
-	// what lets the shard-local joins emit pairs as IDs.
+	// was first seen in. Over a stored relation's scan that is the
+	// relation's own dictionary, which is what lets the shard-local
+	// joins emit pairs as IDs.
 	keyID uint32
+	ids   []uint32
+	sig   uint64
+	dict  *elemDict
 }
 
-// NewGroup builds one group from a key and its elements, establishing
-// the same invariants Groups establishes for whole relations: Elems
-// sorted and deduplicated (into a private copy — the caller keeps
-// ownership of elems), signature precomputed. Use it for hand-built
-// groups so every consumer, containment checks included, sees
-// normalized input.
-func NewGroup(key rel.Value, elems ...rel.Value) *Group {
-	g := &Group{Key: key, Elems: normalizeElems(append([]rel.Value(nil), elems...))}
-	g.sig = signature(g.Elems)
-	return g
+// Len returns the number of elements in the group's set.
+func (g *Group) Len() int { return len(g.ids) }
+
+// elemDict is the element dictionary of one group list: the values its
+// runs' IDs stand for, and hashValue of each, computed once per
+// distinct value for the signatures and PSJ's partitions.
+type elemDict struct {
+	values *rel.Interner
+	hash   []uint64
 }
 
 // Groups converts a binary relation into its set-valued form, one
@@ -68,53 +72,74 @@ func Groups(r *rel.Relation) []*Group {
 }
 
 // GroupsFromBatches builds the groups of a columnar batch stream of
-// binary rows: grouping runs on interned IDs translated through a
-// rel.IDMap cache (after the first occurrence of a key value, assigning
-// a row to its group is an array load), and the cursor's batches are
-// released as they are consumed. Groups come in first-occurrence order
-// of their keys in the stream, so any two streams carrying the same
-// tuples in the same order — a relation's BatchScan, a shard view's —
-// yield identical groups, which is what lets the sharded set joins feed
-// shard-local batch scans straight into the group builder.
+// binary rows. Keys and elements are translated through rel.IDMap
+// caches — keys into a dense group index, elements into the list's own
+// dictionary — so after a value's first occurrence each is an array
+// load, and the cursor's batches are released as they are consumed.
+// The rows are then laid out by group in one flat array, each run
+// sorted by ID. Groups come in first-occurrence order of their keys in
+// the stream, so any two streams carrying the same tuples in the same
+// order — a relation's BatchScan, a shard view's — yield identical
+// groups, which is what lets the sharded set joins feed shard-local
+// batch scans straight into the group builder.
 func GroupsFromBatches(in rel.BatchCursor) []*Group {
-	gids := rel.NewInterner() // group key -> dense index into order
-	xl := rel.NewIDMap(gids)
-	var order []*Group
+	keys := rel.NewIDMap(rel.NewInterner()) // group key -> dense index
+	d := &elemDict{values: rel.NewInterner()}
+	elems := rel.NewIDMap(d.values)
+	var keyIDs []uint32     // per group: its key's ID in its first batch
+	var gids, eids []uint32 // per row: its group and its element
 	for b, ok := in.NextBatch(); ok; b, ok = in.NextBatch() {
 		if b.Arity() != 2 {
 			panic(fmt.Sprintf("setjoin: batch arity %d, want 2", b.Arity()))
 		}
-		n := b.Len()
 		kcol, ecol := b.Col(0), b.Col(1)
 		kdict, edict := b.Dict(0), b.Dict(1)
-		for row := 0; row < n; row++ {
-			gid := xl.Intern(kdict, kcol[row])
-			if int(gid) == len(order) {
-				order = append(order, &Group{Key: kdict.Value(kcol[row]), keyID: kcol[row]})
+		for row := range b.Len() {
+			gid := keys.Intern(kdict, kcol[row])
+			if int(gid) == len(keyIDs) {
+				keyIDs = append(keyIDs, kcol[row])
 			}
-			// No per-group dedup needed: the source has set semantics,
-			// so (key, elem) pairs — and hence elems within a group —
-			// arrive distinct.
-			order[gid].Elems = append(order[gid].Elems, edict.Value(ecol[row]))
+			gids = append(gids, gid)
+			eids = append(eids, elems.Intern(edict, ecol[row]))
 		}
 		b.Release()
 	}
-	for _, g := range order {
-		sort.Slice(g.Elems, func(i, j int) bool { return g.Elems[i].Less(g.Elems[j]) })
-		g.sig = signature(g.Elems)
+	d.hash = make([]uint64, d.values.Len())
+	for id := range d.hash {
+		d.hash[id] = hashValue(d.values.Value(uint32(id)))
 	}
-	return order
-}
-
-// signature builds a 64-bit superset-monotone signature: the bitwise
-// OR of one hash bit per element. sig(X) ⊇bits sig(Y) is necessary
-// for X ⊇ Y, so signatures prune containment candidates.
-func signature(elems []rel.Value) uint64 {
-	var s uint64
-	for _, e := range elems {
-		s |= 1 << (hashValue(e) % 64)
+	// Counting sort of the rows by group: end[g] ends up past g's run.
+	// No per-group dedup is needed: the source has set semantics, so
+	// (key, elem) pairs — and hence elems within a group — arrive
+	// distinct.
+	groups := make([]Group, len(keyIDs))
+	end := make([]int, len(groups)+1)
+	for _, gid := range gids {
+		end[gid+1]++
 	}
-	return s
+	for g := range groups {
+		end[g+1] += end[g]
+	}
+	flat := make([]uint32, len(eids))
+	for row, gid := range gids {
+		flat[end[gid]] = eids[row]
+		end[gid]++
+	}
+	out := make([]*Group, len(groups))
+	lo := 0
+	for i := range groups {
+		g := &groups[i]
+		*g = Group{Key: keys.To().Value(uint32(i)), keyID: keyIDs[i], ids: flat[lo:end[i]:end[i]], dict: d}
+		slices.Sort(g.ids)
+		// The signature is the OR of one hash bit per element, so it is
+		// superset-monotone: sig(X) ⊇bits sig(Y) is necessary for X ⊇ Y,
+		// which lets signatures prune containment candidates.
+		for _, id := range g.ids {
+			g.sig |= 1 << (d.hash[id] % 64)
+		}
+		lo, out[i] = end[i], g
+	}
+	return out
 }
 
 // hashValue hashes a value's payload directly (FNV-1a), without
@@ -143,134 +168,121 @@ func hashValue(v rel.Value) uint64 {
 	return h
 }
 
-// ContainsAll reports Elems(g) ⊇ Elems(h) by merging the sorted
-// element lists; cmp receives the number of comparisons performed.
-func (g *Group) ContainsAll(h *Group, cmp *int) bool {
-	if len(h.Elems) > len(g.Elems) {
+// absent ends an aligned run whose group has elements R's dictionary
+// lacks. No R run holds it, so such a group is contained in no R set
+// and equal to none; being the largest ID, it keeps the run ascending.
+const absent = math.MaxUint32
+
+// align re-expresses the S list s in the element dictionary of the R
+// list r, the step every Join starts with. It only looks values up —
+// r's dictionary is never written, so concurrent joins against one R
+// list may align at once — and re-sorts each translated run. An S
+// group with elements r's dictionary lacks keeps the ones it has and
+// ends in absent. Keys and signatures are copied unchanged, so the
+// signature filter passes exactly the pairs it passed before. A list
+// already in r's dictionary comes back as it is.
+func align(r, s []*Group) []*Group {
+	if len(r) == 0 {
+		return s // nothing to join with
+	}
+	d := r[0].dict
+	elsewhere := func(g *Group) bool { return g.dict != d }
+	if slices.ContainsFunc(r, elsewhere) {
+		panic("setjoin: the R groups come from more than one Groups call")
+	}
+	if !slices.ContainsFunc(s, elsewhere) {
+		return s
+	}
+	xl := rel.NewIDMap(d.values)
+	var flat []uint32
+	groups := make([]Group, len(s))
+	out := make([]*Group, len(s))
+	for i, g := range s {
+		if g.dict == d {
+			out[i] = g
+			continue
+		}
+		lo, missing := len(flat), false
+		for _, id := range g.ids {
+			if t, ok := xl.Lookup(g.dict.values, id); ok {
+				flat = append(flat, t)
+			} else {
+				missing = true
+			}
+		}
+		slices.Sort(flat[lo:])
+		if missing {
+			flat = append(flat, absent)
+		}
+		groups[i] = *g
+		groups[i].ids, groups[i].dict = flat[lo:len(flat):len(flat)], d
+		out[i] = &groups[i]
+	}
+	return out
+}
+
+// containsAll reports have ⊇ want for two ascending runs in one
+// dictionary by merging them; cmp receives the number of comparisons.
+func containsAll(have, want []uint32, cmp *int) bool {
+	if len(want) > len(have) {
 		*cmp++
 		return false
 	}
-	i := 0
-	for _, want := range h.Elems {
-		for i < len(g.Elems) && g.Elems[i].Less(want) {
-			*cmp++
-			i++
+	i, n := 0, 0
+	for _, w := range want {
+		j := i
+		for j < len(have) && have[j] < w {
+			j++
 		}
-		*cmp++
-		if i == len(g.Elems) || !g.Elems[i].Equal(want) {
+		n += j - i + 1
+		if j == len(have) || have[j] != w {
+			*cmp += n
 			return false
 		}
-		i++
+		i = j + 1
 	}
+	*cmp += n
 	return true
 }
 
-// CanonicalKey returns an injective encoding of the element set that
-// needs no shared dictionary: what Reference decides set equality by
-// (the equality joins key through a Dict instead). It normalizes first
-// — Elems is sorted and deduplicated into a copy if needed — so a
-// hand-built group with unsorted or repeated elements encodes to the
-// same key as the Groups-built group of the same set. It is a pure
-// function of Elems: nothing is memoized on the group, so groups shared
-// by concurrent workers stay read-only.
-func (g *Group) CanonicalKey() string {
-	var b strings.Builder
-	for _, e := range normalizeElems(g.Elems) {
-		b.WriteString(rel.Tuple{e}.Key())
+// runKey appends the 4-byte little-endian encoding of a run to buf. Two
+// runs in one dictionary are equal exactly when their encodings are, so
+// it is the equality joins' canonical key.
+func runKey(buf []byte, ids []uint32) []byte {
+	for _, id := range ids {
+		buf = binary.LittleEndian.AppendUint32(buf, id)
 	}
-	return b.String()
+	return buf
 }
 
-// normalizeElems returns elems sorted and deduplicated. The input is
-// returned as-is when already strictly increasing (the invariant Groups
-// establishes); otherwise a normalized copy is built, leaving the
-// caller's slice untouched.
-func normalizeElems(elems []rel.Value) []rel.Value {
-	for i := 1; i < len(elems); i++ {
-		if !elems[i-1].Less(elems[i]) {
-			c := make([]rel.Value, len(elems))
-			copy(c, elems)
-			sort.Slice(c, func(i, j int) bool { return c[i].Less(c[j]) })
-			out := c[:1]
-			for _, v := range c[1:] {
-				if !out[len(out)-1].Equal(v) {
-					out = append(out, v)
-				}
-			}
-			return out
+// keyIndex maps each R group's key to its positions in r, in r's
+// order: the build side of the hash equality joins. probes counts one
+// per group.
+func keyIndex(r []*Group, probes *int) map[string][]int32 {
+	index := make(map[string][]int32, len(r))
+	var buf []byte
+	for i, g := range r {
+		buf = runKey(buf[:0], g.ids)
+		index[string(buf)] = append(index[string(buf)], int32(i))
+	}
+	*probes += len(r)
+	return index
+}
+
+// postings indexes r by element: postings[id] lists the R groups whose
+// run holds id, in r's order. probes counts one per element.
+func postings(r []*Group, probes *int) [][]*Group {
+	if len(r) == 0 {
+		return nil
+	}
+	index := make([][]*Group, r[0].dict.values.Len())
+	for _, g := range r {
+		for _, id := range g.ids {
+			index[id] = append(index[id], g)
 		}
+		*probes += len(g.ids)
 	}
-	return elems
-}
-
-// Dict is the shared canonical-key dictionary of one equality join:
-// one value interner covering the elements of both sides, so the
-// canonical encoding of a set becomes the sequence of its elements'
-// dense IDs (4 bytes each) instead of their Tuple.Key string
-// encodings. The encoding is injective for sets keyed through the
-// same Dict — IDs are assigned per value, and the elements are sorted
-// and deduplicated first (the same normalization CanonicalKey applies,
-// so hand-built unsorted groups keep encoding correctly).
-//
-// Sharing one Dict across both join sides is what makes the keys
-// comparable; per-relation dictionaries would assign incompatible IDs.
-// A Dict is not safe for concurrent interning: the parallel equality
-// join interns both sides in its sequential build phase and hands its
-// exec.Run workers the read-only ProbeKey path (Contract 2 in
-// internal/analysis/doc.go).
-type Dict struct {
-	elems *rel.Interner
-	buf   []byte
-}
-
-// NewDict returns an empty dictionary.
-func NewDict() *Dict { return &Dict{elems: rel.NewInterner()} }
-
-// Key returns the canonical interned encoding of g's element set,
-// interning unseen elements.
-func (d *Dict) Key(g *Group) string {
-	elems := normalizeElems(g.Elems)
-	d.buf = d.buf[:0]
-	for _, e := range elems {
-		id := d.elems.Intern(e)
-		d.buf = append(d.buf, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
-	}
-	return string(d.buf)
-}
-
-// ProbeKey is the read-only variant for concurrent probe phases: it
-// never interns, and reports ok = false when an element has no ID yet
-// — such a set cannot equal any set keyed through this Dict, so the
-// probe can skip the lookup entirely.
-func (d *Dict) ProbeKey(g *Group) (string, bool) {
-	elems := normalizeElems(g.Elems)
-	buf := make([]byte, 0, 4*len(elems))
-	for _, e := range elems {
-		id, ok := d.elems.ID(e)
-		if !ok {
-			return "", false
-		}
-		buf = append(buf, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
-	}
-	return string(buf), true
-}
-
-// ContainsElem reports whether v is an element of the group's set, by
-// binary search over the sorted element list.
-func (g *Group) ContainsElem(v rel.Value) bool {
-	lo, hi := 0, len(g.Elems)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		switch c := g.Elems[mid].Cmp(v); {
-		case c == 0:
-			return true
-		case c < 0:
-			lo = mid + 1
-		default:
-			hi = mid
-		}
-	}
-	return false
+	return index
 }
 
 // Stats counts the work performed by a set-join algorithm.
@@ -318,37 +330,27 @@ type Algorithm interface {
 	Join(r, s []*Group) (*rel.Relation, Stats)
 }
 
-func canonicalKeys(gs []*Group) []string {
-	keys := make([]string, len(gs))
-	for i, g := range gs {
-		keys[i] = g.CanonicalKey()
-	}
-	return keys
-}
-
-// Reference computes any predicate naively; the tests' oracle.
+// Reference computes any predicate naively on the groups' values; the
+// tests' oracle. It shares nothing with the ID kernels it checks: each
+// group's elements are decoded and sorted by Value.Less, and pairs are
+// decided by a value merge, a canonical string key and a binary search.
 func Reference(r, s []*Group, p Predicate) *rel.Relation {
 	out := rel.NewRelation(2)
-	var cmp int
+	rv, sv := decodeAll(r), decodeAll(s)
 	var rKeys, sKeys []string // canonical keys, once per group per side
 	if p == Equal {
-		rKeys, sKeys = canonicalKeys(r), canonicalKeys(s)
+		rKeys, sKeys = canonicalKeys(rv), canonicalKeys(sv)
 	}
 	for ri, gr := range r {
 		for si, gs := range s {
 			ok := false
 			switch p {
 			case Containment:
-				ok = gr.ContainsAll(gs, &cmp)
+				ok = containsValues(rv[ri], sv[si])
 			case Equal:
 				ok = rKeys[ri] == sKeys[si]
 			case Overlap:
-				for _, e := range gs.Elems {
-					if gr.ContainsElem(e) {
-						ok = true
-						break
-					}
-				}
+				ok = slices.ContainsFunc(sv[si], func(e rel.Value) bool { return containsValue(rv[ri], e) })
 			}
 			if ok {
 				out.Add(rel.Tuple{gr.Key, gs.Key})
@@ -356,4 +358,54 @@ func Reference(r, s []*Group, p Predicate) *rel.Relation {
 		}
 	}
 	return out
+}
+
+// decodeAll returns each group's elements as values sorted by
+// Value.Less.
+func decodeAll(gs []*Group) [][]rel.Value {
+	out := make([][]rel.Value, len(gs))
+	for i, g := range gs {
+		for _, id := range g.ids {
+			out[i] = append(out[i], g.dict.values.Value(id))
+		}
+		slices.SortFunc(out[i], rel.Value.Cmp)
+	}
+	return out
+}
+
+// containsValues reports have ⊇ want for two sorted value lists by
+// merging them.
+func containsValues(have, want []rel.Value) bool {
+	i := 0
+	for _, w := range want {
+		for i < len(have) && have[i].Less(w) {
+			i++
+		}
+		if i == len(have) || !have[i].Equal(w) {
+			return false
+		}
+		i++
+	}
+	return true
+}
+
+// canonicalKeys encodes each sorted value list injectively, with no
+// shared dictionary: the concatenation of its values' Tuple.Key.
+func canonicalKeys(vs [][]rel.Value) []string {
+	keys := make([]string, len(vs))
+	for i, elems := range vs {
+		var b strings.Builder
+		for _, e := range elems {
+			b.WriteString(rel.Tuple{e}.Key())
+		}
+		keys[i] = b.String()
+	}
+	return keys
+}
+
+// containsValue reports whether v is in the sorted list, by binary
+// search.
+func containsValue(elems []rel.Value, v rel.Value) bool {
+	_, ok := slices.BinarySearchFunc(elems, v, rel.Value.Cmp)
+	return ok
 }

@@ -29,17 +29,21 @@ type ShardPairs struct {
 }
 
 // ShardContainment runs the signature nested-loop containment join of
-// one R shard against the full S group list; r must come from
-// GroupsFromBatches. There is one run per R group, in r's order, and
+// one R shard against the full S group list, after aligning S to the
+// shard's element dictionary; r must come from GroupsFromBatches. There
+// is one run per R group, in r's order, and
 // within a run the pairs are in S order — exactly what
 // SignatureContainment would emit while that group was the outer tuple
 // — so a merge that walks R groups in global first-occurrence order
 // and concatenates their runs reproduces the sequential emission byte
 // for byte. The signature filter reads a flat copy of the S signatures
 // rather than chasing one group pointer per candidate. Concurrent
-// calls on disjoint shards are safe: both group lists are read-only.
+// calls on disjoint shards are safe: both group lists and their
+// dictionaries are only read, and the aligned copy of S is the call's
+// own.
 func ShardContainment(r, s []*Group) (ShardPairs, Stats) {
 	var st Stats
+	s = align(r, s)
 	sigs := make([]uint64, len(s))
 	for si, gs := range s {
 		sigs[si] = gs.sig
@@ -52,7 +56,7 @@ func ShardContainment(r, s []*Group) (ShardPairs, Stats) {
 				continue // a bit of D is missing from B: cannot contain
 			}
 			st.Verifications++
-			if gr.ContainsAll(s[si], &st.Comparisons) {
+			if containsAll(gr.ids, s[si].ids, &st.Comparisons) {
 				out.R = append(out.R, gr.keyID)
 				out.S = append(out.S, uint32(si))
 			}
@@ -65,32 +69,26 @@ func ShardContainment(r, s []*Group) (ShardPairs, Stats) {
 
 // ShardEquality runs the canonical-encoding hash equality join of one
 // R shard against the full S group list: the shard's groups (from
-// GroupsFromBatches) build a local index on a local dictionary, then
-// every S group probes it. rank[i] is the global rank of r[i]; there is
+// GroupsFromBatches) build a local index keyed by their ID runs, then
+// every S group, aligned to the shard's element dictionary, probes it.
+// rank[i] is the global rank of r[i]; there is
 // one run per S position, each ascending in rank (local insertion
 // order respects global first-occurrence order), so the cross-shard
 // merge only has to interleave sorted runs to reproduce the sequential
 // HashEquality emission: S-major, R insertion order within a probe.
 func ShardEquality(r, s []*Group, rank []uint32) (ShardPairs, Stats) {
 	var st Stats
-	dict := NewDict()
-	index := make(map[string][]int32, len(r)) // canonical key -> positions in r
-	for ri, gr := range r {
-		st.Probes++
-		k := dict.Key(gr)
-		index[k] = append(index[k], int32(ri))
-	}
+	index := keyIndex(r, &st.Probes)
 	out := ShardPairs{Start: make([]int, 1, len(s)+1)}
-	for si, gs := range s {
+	var buf []byte
+	for si, gs := range align(r, s) {
 		st.Probes++
-		// An element no local R-set has makes equality impossible here.
-		if k, ok := dict.ProbeKey(gs); ok {
-			for _, ri := range index[k] {
-				st.PairsConsidered++
-				out.R = append(out.R, r[ri].keyID)
-				out.S = append(out.S, uint32(si))
-				out.Rank = append(out.Rank, rank[ri])
-			}
+		buf = runKey(buf[:0], gs.ids)
+		for _, ri := range index[string(buf)] {
+			st.PairsConsidered++
+			out.R = append(out.R, r[ri].keyID)
+			out.S = append(out.S, uint32(si))
+			out.Rank = append(out.Rank, rank[ri])
 		}
 		out.Start = append(out.Start, len(out.R))
 	}

@@ -12,10 +12,10 @@ package shard
 // load time and none is paid here.
 //
 // The set joins never leave interned-ID space between the stored
-// columns and the result: the broadcast side is grouped straight off
-// the store view's batch scan, each shard's pairs come back as two ID
-// columns cut into runs (setjoin.ShardPairs), and the merge feeds the
-// runs to the result's AddBatch as view batches (see shardedSetJoin).
+// columns and the result: both sides are grouped into uint32 runs off
+// batch scans, each task aligns S to its shard's element dictionary and
+// verifies by merging runs, the pairs come back as ID columns cut into
+// runs (setjoin.ShardPairs), and the merge feeds those to AddBatch.
 // The shard-local work runs one task per shard on the worker pool
 // (exec.Run). None of it runs under a query governor: the executor in
 // internal/plan runs every plan, division included, over a sharded
@@ -138,7 +138,7 @@ func EqualityJoin(db Source, rName, sName string, workers int) (*rel.Relation, S
 func groupsHeld(gs []*setjoin.Group) int {
 	held := 0
 	for _, g := range gs {
-		held += 1 + len(g.Elems)
+		held += 1 + g.Len()
 	}
 	return held
 }

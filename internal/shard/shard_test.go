@@ -319,30 +319,72 @@ func TestShardedDivisionEquivalence(t *testing.T) {
 // set joins: both shard-local joins are byte-identical to their
 // sequential counterparts at shard counts 1, 2 and 4 — tuples,
 // insertion order, and the result's ID columns and dictionary order
-// too, since the merges insert interned pairs rather than tuples.
+// too, since the merges insert interned pairs rather than tuples. Two
+// more sets of cases run at 1, 2, 3 and 4 shards: (c) S holds elements
+// some shard's R groups lack, so each shard's alignment of S drops
+// them differently, and (d) int 1 and string "1" share an element
+// column.
 func TestShardedSetJoinEquivalence(t *testing.T) {
+	type tc struct {
+		label  string
+		r, s   *rel.Relation
+		shards []int
+	}
+	var cases []tc
 	for seed := int64(0); seed < 20; seed++ {
-		r, sRel := workload.RandomSetJoin(seed).Generate()
+		r, s := workload.RandomSetJoin(seed).Generate()
+		cases = append(cases, tc{fmt.Sprintf("seed %d", seed), r, s, shardCounts})
+	}
+	// (c): every third S set gains elements from outside R's domain; R
+	// sets are small, so a shard's groups also miss part of R's own
+	// domain. (d): elements alternate between an int and its string.
+	for seed := int64(0); seed < 10; seed++ {
+		r, s := workload.SetJoin{RGroups: 40, SGroups: 40, MeanSize: 3, Dist: workload.Uniform,
+			Domain: 20, ContainFraction: 0.3, Seed: seed}.Generate()
+		wide := rel.NewRelation(2)
+		for _, tup := range s.Tuples() {
+			wide.Add(tup)
+			if tup[0].AsInt()%3 == 0 {
+				wide.Add(rel.Tuple{tup[0], rel.Int(tup[1].AsInt() + 20)})
+			}
+		}
+		cases = append(cases, tc{fmt.Sprintf("(c) seed %d", seed), r, wide, []int{1, 2, 3, 4}})
+		mixed := func(in *rel.Relation) *rel.Relation {
+			out := rel.NewRelation(2)
+			for i, tup := range in.Tuples() {
+				if i%2 == 1 {
+					tup = rel.Tuple{tup[0], rel.Str(tup[1].String())}
+				}
+				out.Add(tup)
+			}
+			return out
+		}
+		cases = append(cases, tc{fmt.Sprintf("(d) seed %d", seed), mixed(r), mixed(s), []int{1, 2, 3, 4}})
+	}
+	for _, c := range cases {
 		d := rel.NewDatabase(rel.NewSchema(map[string]int{"R": 2, "S": 2}))
-		for _, tup := range r.Tuples() {
+		for _, tup := range c.r.Tuples() {
 			d.Add("R", tup)
 		}
-		for _, tup := range sRel.Tuples() {
+		for _, tup := range c.s.Tuples() {
 			d.Add("S", tup)
 		}
 		rG, sG := setjoin.Groups(d.Rel("R")), setjoin.Groups(d.Rel("S"))
 		wantC, _ := setjoin.SignatureContainment{}.Join(rG, sG)
 		wantE, _ := setjoin.HashEquality{}.Join(rG, sG)
-		for _, n := range shardCounts {
+		if !wantC.Equal(setjoin.Reference(rG, sG, setjoin.Containment)) || !wantE.Equal(setjoin.Reference(rG, sG, setjoin.Equal)) {
+			t.Fatalf("%s: the sequential joins disagree with setjoin.Reference", c.label)
+		}
+		for _, n := range c.shards {
 			s := shard.FromStore(d, n)
 			for _, workers := range []int{1, 2, 4} {
 				gotC, _ := shard.ContainmentJoin(s, "R", "S", workers)
 				if err := sameStorage(wantC, gotC); err != nil {
-					t.Fatalf("containment seed %d shards %d workers %d: %v", seed, n, workers, err)
+					t.Fatalf("containment %s shards %d workers %d: %v", c.label, n, workers, err)
 				}
 				gotE, _ := shard.EqualityJoin(s, "R", "S", workers)
 				if err := sameStorage(wantE, gotE); err != nil {
-					t.Fatalf("equality seed %d shards %d workers %d: %v", seed, n, workers, err)
+					t.Fatalf("equality %s shards %d workers %d: %v", c.label, n, workers, err)
 				}
 			}
 		}

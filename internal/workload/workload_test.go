@@ -83,10 +83,10 @@ func TestSizeDistributions(t *testing.T) {
 		}
 		total := 0
 		for _, g := range gs {
-			if len(g.Elems) == 0 {
+			if g.Len() == 0 {
 				t.Errorf("%s: empty group", dist)
 			}
-			total += len(g.Elems)
+			total += g.Len()
 		}
 		if dist == Fixed && total > 50*6 {
 			t.Errorf("fixed dist produced %d elements", total)
