@@ -70,7 +70,8 @@ func (SignatureContainment) Join(r, s []*Group) (*rel.Relation, Stats) {
 // the R-groups containing them; each S-group probes the index with its
 // rarest element and verifies only those candidates. This is the
 // probe-smallest-postings strategy behind PSJ-style partitioned set
-// joins.
+// joins, run as ShardContainment over the whole of R; the pairs come
+// out R-major.
 type InvertedIndexContainment struct{}
 
 // Name implements Algorithm.
@@ -81,32 +82,11 @@ func (InvertedIndexContainment) Predicate() Predicate { return Containment }
 
 // Join implements Algorithm.
 func (InvertedIndexContainment) Join(r, s []*Group) (*rel.Relation, Stats) {
-	var st Stats
-	out := rel.NewRelation(2)
-	index := postings(r, &st.Probes)
-	for _, gs := range align(r, s) {
-		// Probe with the rarest element of D, the first in the run on a
-		// tie. absent appears in no R-set: no candidates at all.
-		var candidates []*Group
-		for i, id := range gs.ids {
-			st.Probes++
-			var posting []*Group
-			if int(id) < len(index) {
-				posting = index[id]
-			}
-			if i == 0 || len(posting) < len(candidates) {
-				candidates = posting
-			}
-		}
-		for _, gr := range candidates {
-			st.PairsConsidered++
-			if gs.sig&^gr.sig != 0 {
-				continue
-			}
-			st.Verifications++
-			if containsAll(gr.ids, gs.ids, &st.Comparisons) {
-				out.Add(rel.Tuple{gr.Key, gs.Key})
-			}
+	p, st := ShardContainment(r, s)
+	out := rel.NewRelationSized(2, len(p.S))
+	for ri, gr := range r {
+		for _, si := range p.S[p.Start[ri]:p.Start[ri+1]] {
+			out.Add(rel.Tuple{gr.Key, s[si].Key})
 		}
 	}
 	return out, st
@@ -248,16 +228,14 @@ func (EquijoinOverlap) Predicate() Predicate { return Overlap }
 func (EquijoinOverlap) Join(r, s []*Group) (*rel.Relation, Stats) {
 	var st Stats
 	out := rel.NewRelation(2)
-	index := postings(r, &st.Probes)
+	index := newPostings(r)
+	st.Probes += len(index.pos)
 	for _, gs := range align(r, s) {
 		for _, id := range gs.ids {
 			st.Probes++
-			if int(id) >= len(index) {
-				continue // absent: in no R-set, joins with nothing
-			}
-			for _, gr := range index[id] {
+			for _, ri := range index.of(id) { // absent: in no R-set, joins with nothing
 				st.PairsConsidered++
-				out.Add(rel.Tuple{gr.Key, gs.Key})
+				out.Add(rel.Tuple{r[ri].Key, gs.Key})
 			}
 		}
 	}

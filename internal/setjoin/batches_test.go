@@ -120,3 +120,26 @@ func TestGroupsFromBatchesArityPanic(t *testing.T) {
 	r.Add(rel.Ints(1))
 	GroupsFromBatches(r.BatchScanSized(4))
 }
+
+// TestGroupsFromBatchesElementLimit pins the capacity check: a group
+// list whose element dictionary would hand out absent as an ID panics,
+// checked once per batch. The limit is lowered to 3 elements.
+func TestGroupsFromBatchesElementLimit(t *testing.T) {
+	defer func(was int) { maxElems = was }(maxElems)
+	maxElems = 3
+	r := rel.NewRelation(2)
+	for e := range int64(3) {
+		r.Add(rel.Ints(e%2, e))
+	}
+	if gs := GroupsFromBatches(r.BatchScanSized(2)); len(gs) != 2 {
+		t.Fatalf("%d groups at the limit, want 2", len(gs))
+	}
+	r.Add(rel.Ints(0, 3))
+	defer func() {
+		want := "setjoin: 4 distinct elements in one group list, at most 3 have an ID below absent"
+		if p := recover(); p == nil || fmt.Sprint(p) != want {
+			t.Fatalf("panic %v, want %q", p, want)
+		}
+	}()
+	GroupsFromBatches(r.BatchScanSized(2))
+}

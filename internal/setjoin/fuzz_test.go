@@ -12,8 +12,10 @@ import (
 // three bits the key; the second byte's low three bits are the element
 // and its fourth bit makes it the string of that number, so int and
 // string elements that print alike meet. Every containment, equality
-// and overlap join must then equal Reference, both ways round. The seed
-// corpus is testdata/fuzz/FuzzSetJoin.
+// and overlap join must then equal Reference, both ways round, and so
+// must ShardContainment's pairs, in Reference's order. The seed corpus
+// is testdata/fuzz/FuzzSetJoin; dense-postings has every S element in
+// most R sets, sparse-postings every element in one.
 func FuzzSetJoin(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rels := [2]*rel.Relation{rel.NewRelation(2), rel.NewRelation(2)}
@@ -28,5 +30,40 @@ func FuzzSetJoin(f *testing.F) {
 		r, s := Groups(rels[0]), Groups(rels[1])
 		agreeWithReference(t, "R ⋈ S", r, s)
 		agreeWithReference(t, "S ⋈ R", s, r)
+		agreeShardContainment(t, "R ⋈ S", r, s)
+		agreeShardContainment(t, "S ⋈ R", s, r)
 	})
+}
+
+// agreeShardContainment fails unless ShardContainment cuts its pairs
+// into one run per R group, considers no more pairs than the |R|·|S| of
+// the signature nested loop, and its pairs decode to Reference's
+// containment join in Reference's order: R-major, S ascending.
+func agreeShardContainment(t *testing.T, label string, r, s []*Group) {
+	t.Helper()
+	p, st := ShardContainment(r, s)
+	if len(p.Start) != len(r)+1 || p.Rank != nil {
+		t.Fatalf("%s: %d run starts for %d R groups, Rank %v", label, len(p.Start), len(r), p.Rank)
+	}
+	if st.PairsConsidered > len(r)*len(s) {
+		t.Fatalf("%s: %d pairs considered, the nested loop has %d", label, st.PairsConsidered, len(r)*len(s))
+	}
+	keys := make(map[uint32]rel.Value, len(r))
+	for ri, g := range r {
+		keys[g.keyID] = g.Key
+		for _, k := range p.R[p.Start[ri]:p.Start[ri+1]] {
+			if k != g.keyID {
+				t.Fatalf("%s: R group %d's run holds key ID %d, want %d", label, ri, k, g.keyID)
+			}
+		}
+	}
+	want := Reference(r, s, Containment).Tuples()
+	if len(want) != len(p.R) {
+		t.Fatalf("%s: %d pairs, Reference has %d", label, len(p.R), len(want))
+	}
+	for i, tup := range want {
+		if got := (rel.Tuple{keys[p.R[i]], s[p.S[i]].Key}); !got.Equal(tup) {
+			t.Fatalf("%s: pair %d is %v, Reference's is %v", label, i, got, tup)
+		}
+	}
 }

@@ -103,6 +103,9 @@ func GroupsFromBatches(in rel.BatchCursor) []*Group {
 			eids = append(eids, elems.Intern(edict, ecol[row]))
 		}
 		b.Release()
+		if d.values.Len() > maxElems {
+			panic(fmt.Sprintf("setjoin: %d distinct elements in one group list, at most %d have an ID below absent", d.values.Len(), maxElems))
+		}
 	}
 	d.hash = make([]uint64, d.values.Len())
 	for id := range d.hash {
@@ -167,6 +170,11 @@ func hashValue(v rel.Value) uint64 {
 	}
 	return h
 }
+
+// maxElems is the most distinct elements one group list may hold: their
+// IDs must stay below absent. GroupsFromBatches checks it once per
+// batch, the step its dictionary grows by; a test lowers it.
+var maxElems = int(absent)
 
 // absent ends an aligned run whose group has elements R's dictionary
 // lacks. No R run holds it, so such a group is contained in no R set
@@ -269,20 +277,72 @@ func keyIndex(r []*Group, probes *int) map[string][]int32 {
 	return index
 }
 
-// postings indexes r by element: postings[id] lists the R groups whose
-// run holds id, in r's order. probes counts one per element.
-func postings(r []*Group, probes *int) [][]*Group {
+// postings is an inverted index over one R group list in CSR form: the
+// positions in r of the groups whose run holds element id are
+// pos[start[id]:start[id+1]], ascending.
+type postings struct {
+	start []int32
+	pos   []int32
+}
+
+// newPostings indexes r in two passes: one counts each element's
+// postings into start, the other scatters each group's position into
+// its elements' postings, in r's order, so len(pos) is Σ|R|. Each
+// start[id] serves as id's write cursor and ends at start[id+1]'s old
+// value, so one shift puts every start back.
+func newPostings(r []*Group) postings {
 	if len(r) == 0 {
-		return nil
+		return postings{}
 	}
-	index := make([][]*Group, r[0].dict.values.Len())
+	x := postings{start: make([]int32, r[0].dict.values.Len()+1)}
 	for _, g := range r {
 		for _, id := range g.ids {
-			index[id] = append(index[id], g)
+			x.start[id+1]++
 		}
-		*probes += len(g.ids)
 	}
-	return index
+	for id := 1; id < len(x.start); id++ {
+		x.start[id] += x.start[id-1]
+	}
+	x.pos = make([]int32, x.start[len(x.start)-1])
+	for i, g := range r {
+		for _, id := range g.ids {
+			x.pos[x.start[id]] = int32(i)
+			x.start[id]++
+		}
+	}
+	copy(x.start[1:], x.start)
+	x.start[0] = 0
+	return x
+}
+
+// count returns |R_id|, the length of id's postings; absent, and any ID
+// past r's dictionary, has none.
+func (x *postings) count(id uint32) int {
+	if int(id)+1 >= len(x.start) {
+		return 0
+	}
+	return int(x.start[id+1] - x.start[id])
+}
+
+// of returns id's postings.
+func (x *postings) of(id uint32) []int32 {
+	if int(id)+1 >= len(x.start) {
+		return nil
+	}
+	return x.pos[x.start[id]:x.start[id+1]]
+}
+
+// rarest returns the element of an aligned S run with the fewest R
+// postings, the first in the run on a tie. A run holding absent has no
+// candidates.
+func (x *postings) rarest(ids []uint32) uint32 {
+	best, n := ids[0], x.count(ids[0])
+	for _, id := range ids[1:] {
+		if c := x.count(id); c < n {
+			best, n = id, c
+		}
+	}
+	return best
 }
 
 // Stats counts the work performed by a set-join algorithm.

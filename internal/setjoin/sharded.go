@@ -28,42 +28,59 @@ type ShardPairs struct {
 	Start []int
 }
 
-// ShardContainment runs the signature nested-loop containment join of
-// one R shard against the full S group list, after aligning S to the
-// shard's element dictionary; r must come from GroupsFromBatches. There
-// is one run per R group, in r's order, and
-// within a run the pairs are in S order — exactly what
-// SignatureContainment would emit while that group was the outer tuple
-// — so a merge that walks R groups in global first-occurrence order
-// and concatenates their runs reproduces the sequential emission byte
-// for byte. The signature filter reads a flat copy of the S signatures
-// rather than chasing one group pointer per candidate. Concurrent
-// calls on disjoint shards are safe: both group lists and their
-// dictionaries are only read, and the aligned copy of S is the call's
-// own.
+// ShardContainment runs the containment join of one R shard against
+// the full S group list, after aligning S to the shard's element
+// dictionary; r must come from GroupsFromBatches. It is the inverted
+// file probe of PSJ-style set joins: an index over r's runs lists the
+// R groups holding each element, each S group considers only the
+// groups holding its rarest element — Σ_{s∈S} min_{e∈s} |R_e| pairs,
+// never more than the signature nested loop's |R|·|S| — and each
+// candidate passes the signature filter and containsAll. The pairs
+// come out S-major; a stable counting sort by R position makes them
+// R-major, one run per R group in r's order with S ascending inside
+// it — exactly what SignatureContainment would emit while that group
+// was the outer tuple — so a merge that walks R groups in global
+// first-occurrence order and concatenates their runs reproduces the
+// sequential emission byte for byte. Concurrent calls on disjoint
+// shards are safe: both group lists and their dictionaries are only
+// read, and the aligned copy of S and the index are the call's own.
 func ShardContainment(r, s []*Group) (ShardPairs, Stats) {
 	var st Stats
-	s = align(r, s)
-	sigs := make([]uint64, len(s))
-	for si, gs := range s {
-		sigs[si] = gs.sig
+	x := newPostings(r)
+	st.Probes = len(x.pos)
+	sigs := make([]uint64, len(r))
+	for ri, gr := range r {
+		sigs[ri] = gr.sig
 	}
-	out := ShardPairs{Start: make([]int, 1, len(r)+1)}
-	for _, gr := range r {
-		absent := ^gr.sig
-		for si, sig := range sigs {
-			if sig&absent != 0 {
+	type pair struct{ r, s uint32 }
+	var found []pair
+	start := make([]int, len(r)+1)
+	for si, gs := range align(r, s) {
+		st.Probes += len(gs.ids)
+		for _, ri := range x.of(x.rarest(gs.ids)) {
+			st.PairsConsidered++
+			if gs.sig&^sigs[ri] != 0 {
 				continue // a bit of D is missing from B: cannot contain
 			}
 			st.Verifications++
-			if containsAll(gr.ids, s[si].ids, &st.Comparisons) {
-				out.R = append(out.R, gr.keyID)
-				out.S = append(out.S, uint32(si))
+			if containsAll(r[ri].ids, gs.ids, &st.Comparisons) {
+				found = append(found, pair{uint32(ri), uint32(si)})
+				start[ri+1]++
 			}
 		}
-		out.Start = append(out.Start, len(out.R))
 	}
-	st.PairsConsidered = len(r) * len(s)
+	for ri := range r {
+		start[ri+1] += start[ri]
+	}
+	// start[ri] is each run's write cursor and ends where the next run
+	// begins, so one shift puts every start back, as in newPostings.
+	out := ShardPairs{R: make([]uint32, len(found)), S: make([]uint32, len(found)), Start: start}
+	for _, p := range found {
+		out.R[start[p.r]], out.S[start[p.r]] = r[p.r].keyID, p.s
+		start[p.r]++
+	}
+	copy(start[1:], start)
+	start[0] = 0
 	return out, st
 }
 

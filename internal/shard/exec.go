@@ -15,7 +15,10 @@ package shard
 // columns and the result: both sides are grouped into uint32 runs off
 // batch scans, each task aligns S to its shard's element dictionary and
 // verifies by merging runs, the pairs come back as ID columns cut into
-// runs (setjoin.ShardPairs), and the merge feeds those to AddBatch.
+// runs (setjoin.ShardPairs), and the merge feeds those to AddBatch. The
+// containment task probes each S set's rarest element through an
+// inverted index over the shard's R groups, and cuts its pairs into the
+// runs the signature nested loop would emit.
 // The shard-local work runs one task per shard on the worker pool
 // (exec.Run). None of it runs under a query governor: the executor in
 // internal/plan runs every plan, division included, over a sharded
@@ -114,10 +117,12 @@ func Divide(db Source, rName, sName string, sem division.Semantics, workers int)
 // ContainmentJoin computes the set-containment join rName ⋈[B⊇D] sName
 // shard-locally: the S side is grouped once straight off its batch
 // scan (broadcast, read-only), each shard joins its local R groups
-// against it with the signature nested loop, and the merge concatenates
-// each group's run of pairs in the R router's gid order — reproducing
-// the sequential setjoin.SignatureContainment emission byte for byte
-// at every shard count. workers <= 0 means one per CPU.
+// against it with setjoin.ShardContainment — each S set probes the
+// shard's R groups holding its rarest element — and the merge
+// concatenates each group's run of pairs in the R router's gid order,
+// reproducing the sequential setjoin.SignatureContainment emission byte
+// for byte at every shard count. With one shard it is
+// SignatureContainment itself. workers <= 0 means one per CPU.
 func ContainmentJoin(db Source, rName, sName string, workers int) (*rel.Relation, Stats) {
 	return shardedSetJoin(db, rName, sName, workers, true)
 }

@@ -391,6 +391,90 @@ func TestShardedSetJoinEquivalence(t *testing.T) {
 	}
 }
 
+// TestShardedSetJoinPostings pins the pairs each shard's containment
+// join considers, Σ_{s∈S} min_{e∈s} |R_e| over the shard's R groups,
+// recomputed here from the shard's tuples, on two shapes. In the dense
+// one every set holds element 0, every R set lacks one of 1..4 and
+// every S set holds all four, so no R set contains an S set while each
+// S element lies in about three quarters of a shard's R sets: the
+// count comes close to the signature nested loop's |R|·|S|. The Zipf
+// case is shaped like the benchmark's sharded set join, skewed set
+// sizes over a domain as large as the group count, and the count is a
+// small part of |R|·|S|. Both are byte-identical to
+// SignatureContainment at 1–4 shards and 1, 2 and 4 workers.
+func TestShardedSetJoinPostings(t *testing.T) {
+	dense := rel.NewDatabase(rel.NewSchema(map[string]int{"R": 2, "S": 2}))
+	const domain = 12
+	for g := int64(0); g < 120; g++ {
+		for e := int64(0); e < domain; e++ {
+			if e != 1+g%4 {
+				dense.AddInts("R", g, e)
+			}
+			if e != 5+g%(domain-5) {
+				dense.AddInts("S", g, e)
+			}
+		}
+	}
+	zr, zs := workload.SetJoin{RGroups: 300, SGroups: 300, MeanSize: 6, Dist: workload.Zipf,
+		Domain: 300, ContainFraction: 0.2, Seed: 1}.Generate()
+	zipf := rel.NewDatabase(rel.NewSchema(map[string]int{"R": 2, "S": 2}))
+	for _, tup := range zr.Tuples() {
+		zipf.Add("R", tup)
+	}
+	for _, tup := range zs.Tuples() {
+		zipf.Add("S", tup)
+	}
+	for _, c := range []struct {
+		label  string
+		d      *rel.Database
+		sparse bool
+	}{{"dense", dense, false}, {"zipf", zipf, true}} {
+		rG, sG := setjoin.Groups(c.d.Rel("R")), setjoin.Groups(c.d.Rel("S"))
+		want, _ := setjoin.SignatureContainment{}.Join(rG, sG)
+		if c.sparse && want.Len() == 0 {
+			t.Fatalf("%s: the instance has no pairs", c.label)
+		}
+		for n := 1; n <= 4; n++ {
+			s := shard.FromStore(c.d, n)
+			for q := range n {
+				local := s.ShardRel(q, "R")
+				_, st := setjoin.ShardContainment(setjoin.GroupsFromBatches(local.BatchScan()), sG)
+				sigPairs, count := len(setjoin.Groups(local))*len(sG), postingsCount(local, c.d.Rel("S"))
+				if st.PairsConsidered != count || (c.sparse && 4*count >= sigPairs) || (!c.sparse && 2*count < sigPairs) {
+					t.Fatalf("%s shards %d shard %d: %d pairs considered, want the postings count %d (signature: %d)", c.label, n, q, st.PairsConsidered, count, sigPairs)
+				}
+			}
+			for _, workers := range []int{1, 2, 4} {
+				got, _ := shard.ContainmentJoin(s, "R", "S", workers)
+				if err := sameStorage(want, got); err != nil {
+					t.Fatalf("%s shards %d workers %d: %v", c.label, n, workers, err)
+				}
+			}
+		}
+	}
+}
+
+// postingsCount is Σ_{s∈S} min_{e∈s} |R_e| over the tuples of a binary
+// R and S, where |R_e| is the number of R groups holding e: the pairs
+// the postings kernel considers.
+func postingsCount(r, s *rel.Relation) int {
+	postings := map[rel.Value]int{}
+	for _, tup := range r.Tuples() {
+		postings[tup[1]]++
+	}
+	rarest := map[rel.Value]int{}
+	for _, tup := range s.Tuples() {
+		if m, ok := rarest[tup[0]]; !ok || postings[tup[1]] < m {
+			rarest[tup[0]] = postings[tup[1]]
+		}
+	}
+	count := 0
+	for _, m := range rarest {
+		count += m
+	}
+	return count
+}
+
 // TestShardedAllocationCeilings pins the interned-ID data path by what
 // it does not allocate, at 2 shards: the containment join makes well
 // under one allocation per emitted pair (a rel.Tuple per pair and a
@@ -400,8 +484,9 @@ func TestShardedSetJoinEquivalence(t *testing.T) {
 func TestShardedAllocationCeilings(t *testing.T) {
 	// 200 R sets over a 40-value domain, each holding all but one value;
 	// 200 two-element S sets: an S set is contained unless it names the
-	// R set's missing value, so 200 × 200 × 0.95 = 38 000 pairs. Bulk is
-	// there for the load only: 100 000 more tuples.
+	// R set's missing value, so 200 × 200 × 0.95 = 38 000 pairs, and
+	// each S element lies in 195 R sets. Bulk is there for the load
+	// only: 100 000 more tuples.
 	d := rel.NewDatabase(rel.NewSchema(map[string]int{"R": 2, "S": 2, "Bulk": 2}))
 	for g := int64(0); g < 200; g++ {
 		for e := int64(0); e < 40; e++ {
@@ -415,20 +500,54 @@ func TestShardedAllocationCeilings(t *testing.T) {
 	for i := int64(0); i < 100000; i++ {
 		d.AddInts("Bulk", i/100, i%100)
 	}
-	s := shard.FromStore(d, 2).Snapshot()
-	pairs := 0
-	allocs := testing.AllocsPerRun(3, func() {
-		out, _ := shard.ContainmentJoin(s, "R", "S", 2)
-		pairs = out.Len()
-	})
-	if pairs < 20000 {
-		t.Fatalf("the instance yields %d pairs, the ceiling is stated for at least 20000", pairs)
+	// The same shape with a rare element: 1000 R sets and 400 S sets
+	// each also hold one of 100..109, so an S set's rarest element lies
+	// in 100 R sets and the postings probe considers a tenth of
+	// |R|·|S|, with 400 × 100 × 0.95 = 38 000 pairs again.
+	rare := rel.NewDatabase(rel.NewSchema(map[string]int{"R": 2, "S": 2}))
+	for g := int64(0); g < 1000; g++ {
+		for e := int64(0); e < 40; e++ {
+			if e != g%40 {
+				rare.AddInts("R", g, e)
+			}
+		}
+		rare.AddInts("R", g, 100+g%10)
+		if g < 400 {
+			rare.AddInts("S", g, g%40)
+			rare.AddInts("S", g, (g+7)%40)
+			rare.AddInts("S", g, 100+g%10)
+		}
 	}
-	if perPair := allocs / float64(pairs); perPair > 0.5 {
-		t.Errorf("ContainmentJoin: %.0f allocations for %d pairs (%.2f each), want at most 0.5 each", allocs, pairs, perPair)
+	for _, c := range []struct {
+		label string
+		d     *rel.Database
+	}{{"dense", d}, {"rare", rare}} {
+		s := shard.FromStore(c.d, 2).Snapshot()
+		pairs := 0
+		allocs := testing.AllocsPerRun(3, func() {
+			out, _ := shard.ContainmentJoin(s, "R", "S", 2)
+			pairs = out.Len()
+		})
+		if pairs < 20000 {
+			t.Fatalf("%s: the instance yields %d pairs, the ceiling is stated for at least 20000", c.label, pairs)
+		}
+		if perPair := allocs / float64(pairs); perPair > 0.5 {
+			t.Errorf("%s: ContainmentJoin: %.0f allocations for %d pairs (%.2f each), want at most 0.5 each", c.label, allocs, pairs, perPair)
+		}
+		if c.d != rare {
+			continue
+		}
+		sG := setjoin.Groups(c.d.Rel("S"))
+		for q := range 2 {
+			local := s.ShardRel(q, "R")
+			_, st := setjoin.ShardContainment(setjoin.GroupsFromBatches(local.BatchScan()), sG)
+			if sigPairs := len(setjoin.Groups(local)) * len(sG); st.PairsConsidered != postingsCount(local, c.d.Rel("S")) || 5*st.PairsConsidered > sigPairs {
+				t.Errorf("rare shard %d: %d pairs considered, want the postings count %d, at most a fifth of %d", q, st.PairsConsidered, postingsCount(local, c.d.Rel("S")), sigPairs)
+			}
+		}
 	}
 	tuples := d.Size()
-	allocs = testing.AllocsPerRun(3, func() { shard.FromStore(d, 2) })
+	allocs := testing.AllocsPerRun(3, func() { shard.FromStore(d, 2) })
 	if perTuple := allocs / float64(tuples); perTuple > 0.01 {
 		t.Errorf("FromStore: %.0f allocations for %d tuples (%.4f each), want at most 0.01 each", allocs, tuples, perTuple)
 	}
