@@ -23,6 +23,7 @@ import (
 	"radiv/internal/rel"
 	"radiv/internal/sa"
 	"radiv/internal/setjoin"
+	"radiv/internal/stats"
 	"radiv/internal/translate"
 	"radiv/internal/workload"
 	"radiv/internal/xra"
@@ -149,10 +150,19 @@ func BenchmarkT17Dichotomy(b *testing.B) {
 	linear := ra.EquiSemijoinExpr(ra.R("R", 2), ra.Eq(2, 1), ra.R("S", 1))
 	quadratic := ra.DivisionExpr("R", "S")
 	scales := []int{16, 32, 64, 128}
+	growth := func(e ra.Expr) float64 {
+		var sizes, peaks []float64
+		for _, scale := range scales {
+			d := gen(scale)
+			_, tr := ra.EvalTraced(e, d)
+			sizes = append(sizes, float64(d.Size()))
+			peaks = append(peaks, float64(tr.MaxIntermediate))
+		}
+		return stats.GrowthExponent(sizes, peaks)
+	}
 	var pLin, pQuad float64
 	for i := 0; i < b.N; i++ {
-		pLin = ra.GrowthExponent(ra.Profile(linear, gen, scales))
-		pQuad = ra.GrowthExponent(ra.Profile(quadratic, gen, scales))
+		pLin, pQuad = growth(linear), growth(quadratic)
 	}
 	b.ReportMetric(pLin, "linear-exponent")
 	b.ReportMetric(pQuad, "quadratic-exponent")
@@ -290,7 +300,7 @@ func BenchmarkG5GammaDivision(b *testing.B) {
 		b.ReportMetric(float64(tr.MaxIntermediate), "max-intermediate")
 	})
 	b.Run("gamma", func(b *testing.B) {
-		var tr *xra.Trace
+		var tr *ra.Trace
 		for i := 0; i < b.N; i++ {
 			_, tr = xra.EvalTraced(xra.ContainmentDivision("R", "S"), d)
 		}

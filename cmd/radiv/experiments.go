@@ -224,8 +224,14 @@ func runT17(w io.Writer) {
 		if err == nil {
 			verdict = v.Class.String()
 		}
-		p := ra.GrowthExponent(ra.Profile(c.e, gen, []int{16, 32, 64, 128, 256}))
-		t.AddRow(c.name, verdict, p)
+		var sizes, peaks []float64
+		for _, scale := range []int{16, 32, 64, 128, 256} {
+			d := gen(scale)
+			_, tr := ra.EvalTraced(c.e, d)
+			sizes = append(sizes, float64(d.Size()))
+			peaks = append(peaks, float64(tr.MaxIntermediate))
+		}
+		t.AddRow(c.name, verdict, stats.GrowthExponent(sizes, peaks))
 	}
 	fmt.Fprint(w, t)
 	fmt.Fprintln(w, "\nexponents cluster at ≤1 or ≥2: no expression lives in between (Theorem 17)")
@@ -281,7 +287,7 @@ func executed(root *plan.Node, d rel.ReadStore) (*rel.Relation, *plan.Trace) {
 func runST1(w io.Writer) {
 	e := ra.DivisionExpr("R", "S")
 	t := stats.NewTable("n", "|D|", "max intermediate", "executor flow max", "max resident")
-	var interPts, resPts []ra.SizePoint
+	var sizes, inter, resident []float64
 	for _, n := range []int{100, 200, 400, 800} {
 		r, s := divisionScaling(n)
 		d := rel.NewDatabase(rel.NewSchema(map[string]int{"R": 2, "S": 1}))
@@ -298,15 +304,13 @@ func runST1(w io.Writer) {
 			return
 		}
 		t.AddRow(n, d.Size(), mt.MaxIntermediate, st.MaxIntermediate, st.MaxResident)
-		interPts = append(interPts, ra.SizePoint{DatabaseSize: d.Size(), MaxIntermediate: mt.MaxIntermediate})
-		// GrowthExponent fits whatever sits in the MaxIntermediate
-		// field against DatabaseSize; here the fitted quantity is the
-		// resident peak.
-		resPts = append(resPts, ra.SizePoint{DatabaseSize: d.Size(), MaxIntermediate: st.MaxResident})
+		sizes = append(sizes, float64(d.Size()))
+		inter = append(inter, float64(mt.MaxIntermediate))
+		resident = append(resident, float64(st.MaxResident))
 	}
 	fmt.Fprint(w, t)
 	fmt.Fprintf(w, "\ngrowth exponents: intermediate %.2f, resident %.2f\n",
-		ra.GrowthExponent(interPts), ra.GrowthExponent(resPts))
+		stats.GrowthExponent(sizes, inter), stats.GrowthExponent(sizes, resident))
 	fmt.Fprintln(w, "pipelining cannot cut the flow (Proposition 26) but cuts what is held")
 }
 
@@ -323,7 +327,7 @@ func runST2(w io.Writer) {
 	saExpr := sa.NewProject([]int{1}, sa.NewAntijoin(sa.R("R", 2), ra.Eq(2, 1), sa.R("S", 1)))
 	xraExpr := xra.ContainmentDivision("R", "S")
 	t := stats.NewTable("n", "|D|", "SA max intermediate", "SA max resident", "γ max intermediate", "γ max resident")
-	var saRes, xraRes []ra.SizePoint
+	var sizes, saRes, xraRes []float64
 	for _, n := range []int{100, 200, 400, 800} {
 		r, s := divisionScaling(n)
 		d := rel.NewDatabase(rel.NewSchema(map[string]int{"R": 2, "S": 1}))
@@ -342,14 +346,13 @@ func runST2(w io.Writer) {
 			return
 		}
 		t.AddRow(n, d.Size(), saT.MaxIntermediate, saS.MaxResident, xT.MaxIntermediate, xS.MaxResident)
-		// GrowthExponent fits the MaxIntermediate field; carry the
-		// resident peaks there, as ST1 does.
-		saRes = append(saRes, ra.SizePoint{DatabaseSize: d.Size(), MaxIntermediate: saS.MaxResident})
-		xraRes = append(xraRes, ra.SizePoint{DatabaseSize: d.Size(), MaxIntermediate: xS.MaxResident})
+		sizes = append(sizes, float64(d.Size()))
+		saRes = append(saRes, float64(saS.MaxResident))
+		xraRes = append(xraRes, float64(xS.MaxResident))
 	}
 	fmt.Fprint(w, t)
 	fmt.Fprintf(w, "\nresident growth exponents: SA %.2f, γ-division %.2f (both ≈ 1: linear)\n",
-		ra.GrowthExponent(saRes), ra.GrowthExponent(xraRes))
+		stats.GrowthExponent(sizes, saRes), stats.GrowthExponent(sizes, xraRes))
 }
 
 // runST3 measures the sharded storage layer on the P26 scaling family
@@ -452,7 +455,7 @@ func runST3(w io.Writer) {
 func runST5(w io.Writer) {
 	e := ra.DivisionExpr("R", "S")
 	t := stats.NewTable("n", "|D|", "flow max as written", "flow max optimized", "engine")
-	var plainPts, optPts []ra.SizePoint
+	var sizes, plainFlow, optFlow []float64
 	var last *plan.Plan
 	for _, n := range []int{100, 200, 400, 800} {
 		r, s := divisionScaling(n)
@@ -481,8 +484,9 @@ func runST5(w io.Writer) {
 			return
 		}
 		t.AddRow(n, d.Size(), t0.MaxIntermediate, t1.MaxIntermediate, string(p1.Engine()))
-		plainPts = append(plainPts, ra.SizePoint{DatabaseSize: d.Size(), MaxIntermediate: t0.MaxIntermediate})
-		optPts = append(optPts, ra.SizePoint{DatabaseSize: d.Size(), MaxIntermediate: t1.MaxIntermediate})
+		sizes = append(sizes, float64(d.Size()))
+		plainFlow = append(plainFlow, float64(t0.MaxIntermediate))
+		optFlow = append(optFlow, float64(t1.MaxIntermediate))
 		last = p1
 	}
 	fmt.Fprint(w, t)
@@ -490,7 +494,7 @@ func runST5(w io.Writer) {
 		fmt.Fprintf(w, "\nrule fired: %s: %s", f.Rule, f.Note)
 	}
 	fmt.Fprintf(w, "\nflow growth exponents: as written %.2f, optimized %.2f\n",
-		ra.GrowthExponent(plainPts), ra.GrowthExponent(optPts))
+		stats.GrowthExponent(sizes, plainFlow), stats.GrowthExponent(sizes, optFlow))
 	fmt.Fprintln(w, "results byte-identical at every scale; the planner turns the quadratic")
 	fmt.Fprintln(w, "expression into the linear γ-division automatically")
 }

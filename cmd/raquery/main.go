@@ -99,6 +99,12 @@ func run(args []string, out io.Writer) error {
 	if (*optimize || *explain) && *raSrc == "" {
 		return fmt.Errorf("-optimize and -explain apply to -ra queries only")
 	}
+	if *trace && *raSrc == "" && *saSrc == "" {
+		return fmt.Errorf("-trace applies to -ra and -sa queries only")
+	}
+	if (*vars != "" || *consts != "") && *gfSrc == "" {
+		return fmt.Errorf("-vars and -consts apply to -gf queries only")
+	}
 
 	// Budgets put the executor under a governor: a timeout cancels the
 	// context mid-flight, a resident cap aborts on budget.
@@ -117,56 +123,51 @@ func run(args []string, out io.Writer) error {
 	switch {
 	case *raSrc != "" || *saSrc != "":
 		var root *plan.Node
+		var res *rel.Relation
+		var tr *ra.Trace
 		if *raSrc != "" {
 			e, err := parser.ParseRA(*raSrc, d.Schema())
 			if err != nil {
 				return err
 			}
 			if *oracle {
-				res, tr := ra.EvalTraced(e, d)
-				if *trace {
-					fmt.Fprint(out, tr)
-				}
-				fmt.Fprint(out, res)
-				return nil
+				res, tr = ra.EvalTraced(e, d)
+			} else {
+				root = plan.FromRA(e)
 			}
-			root = plan.FromRA(e)
 		} else {
 			e, err := parser.ParseSA(*saSrc, d.Schema())
 			if err != nil {
 				return err
 			}
 			if *oracle {
-				res, tr := sa.EvalTraced(e, d)
-				if *trace {
-					for _, s := range tr.Steps {
-						fmt.Fprintf(out, "%8d  %s\n", s.Size, s.Expr)
-					}
-					fmt.Fprintf(out, "max intermediate: %d\n", tr.MaxIntermediate)
+				res, tr = sa.EvalTraced(e, d)
+			} else {
+				root = plan.FromSA(e)
+			}
+		}
+		var ptr *plan.Trace
+		if root != nil {
+			p := plan.CompileIR(root, d, plan.Options{Optimize: *optimize, Limits: lim})
+			if *explain {
+				fmt.Fprint(out, p.Explain())
+			}
+			if governed {
+				if res, ptr, err = p.ExecuteTracedContext(ctx); err != nil {
+					return err
 				}
-				fmt.Fprint(out, res)
-				return nil
+			} else {
+				res, ptr = p.ExecuteTraced()
 			}
-			root = plan.FromSA(e)
-		}
-		p := plan.CompileIR(root, d, plan.Options{Optimize: *optimize, Limits: lim})
-		if *explain {
-			fmt.Fprint(out, p.Explain())
-		}
-		var res *rel.Relation
-		var tr *plan.Trace
-		if governed {
-			if res, tr, err = p.ExecuteTracedContext(ctx); err != nil {
-				return err
-			}
-		} else {
-			res, tr = p.ExecuteTraced()
+			tr = &ptr.Trace
 		}
 		if *trace {
-			for _, s := range tr.Steps {
-				fmt.Fprintf(out, "%8d  %s\n", s.Size, s.Label)
+			fmt.Fprint(out, tr)
+			if ptr != nil {
+				// The resident peak is the executor's own measure; the
+				// materialized evaluators hold every result in full.
+				fmt.Fprintf(out, "max resident: %d\n", ptr.MaxResident)
 			}
-			fmt.Fprintf(out, "max intermediate: %d\nmax resident: %d\n", tr.MaxIntermediate, tr.MaxResident)
 		}
 		fmt.Fprint(out, res)
 	case *gfSrc != "":

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"errors"
+	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -97,6 +99,7 @@ func TestRunErrors(t *testing.T) {
 		{"-db", db, "-gf", "R(x"},            // bad formula
 		{"-db", db, "-gf", "Nope(x)"},        // unknown relation
 		{"-db", db, "-sa", "semijoin[2=1](R, S)", "-optimize"}, // planner is -ra only
+		{"-db", db, "-sa", "semijoin[true](R, S)"},             // Definition 2: a condition atom
 	}
 	for _, args := range cases {
 		var out bytes.Buffer
@@ -145,43 +148,70 @@ func TestRunExecutorMatchesOracle(t *testing.T) {
 	}
 }
 
+var updateGolden = flag.Bool("update", false, "rewrite testdata/trace.golden from this run")
+
+const traceGolden = "testdata/trace.golden"
+
 // TestRunTraceFormats: -trace prints the executor's trace — flows and
 // the resident peak — on every executor route, and the materialized
-// evaluators' cardinality trace only under -oracle.
+// evaluators' cardinality trace only under -oracle. The full output of
+// every route is held byte for byte to testdata/trace.golden; after a
+// deliberate format change run `go test ./cmd/raquery -run
+// TestRunTraceFormats -update` and review the diff.
 func TestRunTraceFormats(t *testing.T) {
 	db := writeDB(t)
+	var all strings.Builder
+	trace := func(args ...string) string {
+		out := mustRun(t, append([]string{"-db", db, "-trace"}, args...)...)
+		fmt.Fprintf(&all, "== %s\n%s", strings.Join(args, " "), out)
+		return out
+	}
 	// The executor replays the stored S in place under the cartesian
 	// join, so nothing flows out of it; the materialized evaluator
 	// reports its cardinality.
 	const flowLine, sizeLine = "       0  S\n", "       2  S\n"
 	for _, route := range [][]string{nil, {"-timeout", "1m"}, {"-max-resident", "100000"}} {
-		out := mustRun(t, append([]string{"-db", db, "-ra", divisionQuery, "-trace"}, route...)...)
+		out := trace(append([]string{"-ra", divisionQuery}, route...)...)
 		if !strings.Contains(out, flowLine) || !strings.Contains(out, "max intermediate: 4\nmax resident: 3\n") {
 			t.Errorf("-ra %v: -trace is not the executor's trace:\n%s", route, out)
 		}
 	}
 	// Optimized, the γ-division runs as one aggregate-division operator,
 	// which holds S's two values and one counter per matched group.
-	if out := mustRun(t, "-db", db, "-ra", divisionQuery, "-trace", "-optimize"); !strings.Contains(out, "max intermediate: 3\nmax resident: 4\n") {
+	if out := trace("-ra", divisionQuery, "-optimize"); !strings.Contains(out, "max intermediate: 3\nmax resident: 4\n") {
 		t.Errorf("-ra -optimize: -trace is not the executor's trace:\n%s", out)
 	}
 	for _, route := range [][]string{nil, {"-timeout", "1m"}} {
-		out := mustRun(t, append([]string{"-db", db, "-sa", "semijoin[2=1](R, S)", "-trace"}, route...)...)
+		out := trace(append([]string{"-sa", "semijoin[2=1](R, S)"}, route...)...)
 		if !strings.Contains(out, "max intermediate: 3\nmax resident: 2\n") {
 			t.Errorf("-sa %v: -trace is not the executor's trace:\n%s", route, out)
 		}
 	}
 	for _, q := range [][]string{{"-ra", divisionQuery}, {"-sa", "semijoin[2=1](R, S)"}} {
-		out := mustRun(t, append([]string{"-db", db, "-trace", "-oracle"}, q...)...)
+		out := trace(append(q, "-oracle")...)
 		if !strings.Contains(out, sizeLine) || !strings.Contains(out, "max intermediate: ") || strings.Contains(out, "max resident") {
 			t.Errorf("%v -oracle: -trace is not the materialized trace:\n%s", q, out)
 		}
+	}
+	if *updateGolden {
+		if err := os.WriteFile(traceGolden, []byte(all.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(traceGolden)
+	if err != nil {
+		t.Fatalf("%v (run with -update)", err)
+	}
+	if got := all.String(); got != string(want) {
+		t.Errorf("-trace output differs from %s:\ngot:\n%s\nwant:\n%s", traceGolden, got, want)
 	}
 }
 
 // TestRunOracleExcludesExecutorFlags: -oracle is the unbudgeted,
 // unplanned evaluation; combining it with a budget or planner flag is
-// a usage error, not a silently ignored flag.
+// a usage error, not a silently ignored flag. So is -trace on -gf, and
+// -vars or -consts on anything but -gf.
 func TestRunOracleExcludesExecutorFlags(t *testing.T) {
 	db := writeDB(t)
 	for _, flags := range [][]string{{"-timeout", "1m"}, {"-max-resident", "10"}, {"-optimize"}, {"-explain"}} {
@@ -191,9 +221,19 @@ func TestRunOracleExcludesExecutorFlags(t *testing.T) {
 			t.Errorf("-oracle %v: error %v, output %q; want a usage error naming -oracle", flags, err, out.String())
 		}
 	}
-	var out bytes.Buffer
-	if err := run([]string{"-db", db, "-gf", "exists y (R(x, y))", "-oracle"}, &out); err == nil {
-		t.Error("-gf -oracle should fail")
+	// The same rule holds off -oracle: a flag that does not apply to the
+	// query is refused, not ignored.
+	for _, args := range [][]string{
+		{"-gf", "exists y (R(x, y))", "-oracle"},
+		{"-gf", "exists y (R(x, y) & y = '10')", "-vars", "x", "-trace"},
+		{"-ra", "R", "-vars", "x"},
+		{"-ra", "R", "-consts", "5"},
+		{"-sa", "R", "-vars", "x", "-consts", "5"},
+	} {
+		var out bytes.Buffer
+		if err := run(append([]string{"-db", db}, args...), &out); err == nil || out.Len() != 0 {
+			t.Errorf("%v: error %v, output %q; want a usage error and no output", args, err, out.String())
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"radiv/internal/ra"
 	"radiv/internal/rel"
 	"radiv/internal/sa"
+	"radiv/internal/stats"
 )
 
 // linearCorpus returns RA expressions that are linear (every join is
@@ -247,7 +248,14 @@ func growthGenerators() []func(scale int) *rel.Database {
 func maxExponent(e ra.Expr, scales []int) float64 {
 	max := 0.0
 	for _, gen := range growthGenerators() {
-		if p := ra.GrowthExponent(ra.Profile(e, gen, scales)); p > max {
+		var sizes, peaks []float64
+		for _, scale := range scales {
+			d := gen(scale)
+			_, tr := ra.EvalTraced(e, d)
+			sizes = append(sizes, float64(d.Size()))
+			peaks = append(peaks, float64(tr.MaxIntermediate))
+		}
+		if p := stats.GrowthExponent(sizes, peaks); p > max {
 			max = p
 		}
 	}

@@ -134,6 +134,8 @@ func TestParseErrors(t *testing.T) {
 		"join[1=1](R, S)",
 		"semijoin[5=1](R, S)",
 		"semijoin[1=1](R",
+		"semijoin[true](R, S)", // Definition 2: at least one atom
+		"antijoin[true](R, S)",
 	}
 	for _, src := range saCases {
 		if _, err := ParseSA(src, schema); err == nil {

@@ -72,42 +72,24 @@ type Plan struct {
 	engine  Engine
 }
 
-// Trace is what one execution measured. Its step order is the
-// materialized evaluators' (post-order), but its sizes are flows, not
-// cardinalities: a dedup-deferring projection counts the duplicates it
-// emits, and a stored relation consumed in place (the subtrahend of a
-// difference, the replayed side of a θ-only join or semijoin) counts
-// zero, because nothing flows through the operator graph for it.
+// Trace is what one execution measured. Its steps are the materialized
+// evaluators' record (ra.Trace, post-order, labelled by Node.String()),
+// but its sizes are flows, not cardinalities: a dedup-deferring
+// projection counts the duplicates it emits, and a stored relation
+// consumed in place (the subtrahend of a difference, the replayed side
+// of a θ-only join or semijoin) counts zero, because nothing flows
+// through the operator graph for it. So MaxIntermediate is the maximum
+// emission count — the paper's intermediate-result measure, which ST5
+// watches drop from quadratic to linear under the rewrite — and
+// TotalTuples the summed emission count.
 type Trace struct {
-	// Steps lists each executed operator with its emission count, in
-	// post-order.
-	Steps []Step
-	// MaxIntermediate is the maximum emission count over all
-	// operators — the paper's intermediate-result measure, which ST5
-	// watches drop from quadratic to linear under the rewrite.
-	MaxIntermediate int
-	// TotalTuples is the summed emission count.
-	TotalTuples int
+	ra.Trace
 	// MaxResident is the peak number of tuples simultaneously held in
 	// operator state — join build tables, union and difference sinks,
 	// dedup filters, γ accumulators — across the whole plan. The result
 	// relation is not counted: every evaluator must hold its output, so
 	// MaxResident measures auxiliary state only.
 	MaxResident int
-}
-
-// Step is one operator's trace record.
-type Step struct {
-	Label string
-	Size  int
-}
-
-func (tr *Trace) record(label string, size int) {
-	tr.Steps = append(tr.Steps, Step{Label: label, Size: size})
-	if size > tr.MaxIntermediate {
-		tr.MaxIntermediate = size
-	}
-	tr.TotalTuples += size
 }
 
 // Compile validates the RA expression and compiles its IR form.
@@ -343,7 +325,7 @@ func (c *countNode) record(tr *Trace) {
 	for _, k := range c.kids {
 		k.record(tr)
 	}
-	tr.record(c.n.String(), c.size)
+	tr.Record(c.n.String(), c.size)
 }
 
 // countCursor counts rows flowing out of an operator into the plan's

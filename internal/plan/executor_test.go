@@ -125,32 +125,20 @@ func (g *golden) save(t *testing.T) {
 
 // materialized evaluates a plan tree with the materialized evaluator of
 // the smallest algebra that expresses it, returning the result and the
-// trace's step labels and cardinalities. ok is false for a mixed plan,
-// which no materialized evaluator runs.
-func materialized(n *plan.Node, d rel.ReadStore) (res *rel.Relation, steps []plan.Step, ok bool) {
-	add := func(e fmt.Stringer, size int) { steps = append(steps, plan.Step{Label: e.String(), Size: size}) }
+// trace's steps (labels and cardinalities). ok is false for a mixed
+// plan, which no materialized evaluator runs.
+func materialized(n *plan.Node, d rel.ReadStore) (res *rel.Relation, steps []ra.Step, ok bool) {
+	var tr *ra.Trace
 	if e, ok := plan.ToRA(n); ok {
-		res, tr := ra.EvalTraced(e, d)
-		for _, s := range tr.Steps {
-			add(s.Expr, s.Size)
-		}
-		return res, steps, true
+		res, tr = ra.EvalTraced(e, d)
+	} else if e, ok := plan.ToSA(n); ok {
+		res, tr = sa.EvalTraced(e, d)
+	} else if e, ok := plan.ToXRA(n); ok {
+		res, tr = xra.EvalTraced(e, d)
+	} else {
+		return nil, nil, false
 	}
-	if e, ok := plan.ToSA(n); ok {
-		res, tr := sa.EvalTraced(e, d)
-		for _, s := range tr.Steps {
-			add(s.Expr, s.Size)
-		}
-		return res, steps, true
-	}
-	if e, ok := plan.ToXRA(n); ok {
-		res, tr := xra.EvalTraced(e, d)
-		for _, s := range tr.Steps {
-			add(s.Expr, s.Size)
-		}
-		return res, steps, true
-	}
-	return nil, nil, false
+	return res, tr.Steps, true
 }
 
 // planStep is one node occurrence of a plan in trace (post-) order;
@@ -177,7 +165,7 @@ func postOrder(n *plan.Node, inPlace bool, out []planStep) []planStep {
 }
 
 // checkFlow is law 2.
-func checkFlow(t *testing.T, label string, root *plan.Node, tr *plan.Trace, sizes []plan.Step) {
+func checkFlow(t *testing.T, label string, root *plan.Node, tr *plan.Trace, sizes []ra.Step) {
 	t.Helper()
 	nodes := postOrder(root, false, nil)
 	if len(tr.Steps) != len(sizes) || len(tr.Steps) != len(nodes) {

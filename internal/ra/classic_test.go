@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"radiv/internal/rel"
+	"radiv/internal/stats"
 )
 
 // fig1Database is the medical database of Fig. 1.
@@ -163,9 +164,7 @@ func TestDivisionExprQuadraticGrowth(t *testing.T) {
 		}
 		return d
 	}
-	pts := Profile(DivisionExpr("R", "S"), gen, []int{20, 40, 80, 160})
-	p := GrowthExponent(pts)
-	if p < 1.8 {
+	if p := growth(DivisionExpr("R", "S"), gen, []int{20, 40, 80, 160}); p < 1.8 {
 		t.Errorf("division expression growth exponent = %.2f, expected ≈ 2", p)
 	}
 }
@@ -180,18 +179,20 @@ func TestGrowthExponentLinear(t *testing.T) {
 		return d
 	}
 	e := EquiSemijoinExpr(R("R", 2), Eq(2, 1), R("S", 1))
-	pts := Profile(e, gen, []int{20, 40, 80, 160})
-	p := GrowthExponent(pts)
-	if p > 1.2 {
+	if p := growth(e, gen, []int{20, 40, 80, 160}); p > 1.2 {
 		t.Errorf("semijoin growth exponent = %.2f, expected ≈ 1", p)
 	}
 }
 
-func TestGrowthExponentDegenerate(t *testing.T) {
-	if GrowthExponent(nil) != 0 {
-		t.Error("empty profile should yield 0")
+// growth fits the exponent p of MaxIntermediate ≈ c·|D|^p over
+// e's evaluations on gen(scale), one per scale.
+func growth(e Expr, gen func(scale int) *rel.Database, scales []int) float64 {
+	var sizes, peaks []float64
+	for _, scale := range scales {
+		d := gen(scale)
+		_, tr := EvalTraced(e, d)
+		sizes = append(sizes, float64(d.Size()))
+		peaks = append(peaks, float64(tr.MaxIntermediate))
 	}
-	if GrowthExponent([]SizePoint{{Scale: 1, DatabaseSize: 10, MaxIntermediate: 5}}) != 0 {
-		t.Error("single point should yield 0")
-	}
+	return stats.GrowthExponent(sizes, peaks)
 }

@@ -2,39 +2,41 @@ package ra
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"strings"
 
 	"radiv/internal/rel"
 )
 
-// Trace records, for one evaluation, the output cardinality of every
+// Trace records, for one evaluation, the output size of every
 // subexpression. It is the observable that Definition 16's c(E)
 // function measures: an expression is linear when every subexpression
-// stays O(n) and quadratic when some subexpression reaches Ω(n²).
+// stays O(n) and quadratic when some subexpression reaches Ω(n²). It
+// is the one trace record: the materialized evaluators of ra, sa and
+// xra fill it with cardinalities, and the executor's plan.Trace embeds
+// it and fills it with flows.
 type Trace struct {
 	// Steps lists each evaluated node with its output size, in
 	// post-order (children before parents).
-	Steps []TraceStep
-	// MaxIntermediate is the maximum output cardinality over all
-	// subexpressions, including the root. (The executor's plan.Trace
-	// reports emission counts instead, which are not like-for-like
-	// cardinalities.)
+	Steps []Step
+	// MaxIntermediate is the maximum output size over all
+	// subexpressions, including the root.
 	MaxIntermediate int
-	// TotalTuples is the sum of all output cardinalities — a proxy for
-	// the total work an iterator-based executor would materialize.
+	// TotalTuples is the sum of all output sizes — a proxy for the
+	// total work an iterator-based executor would materialize.
 	TotalTuples int
 }
 
-// TraceStep is one subexpression's evaluation record.
-type TraceStep struct {
-	Expr Expr
-	Size int
+// Step is one subexpression's evaluation record: its rendering
+// (Expr.String(), or the equal plan.Node.String()) and its output
+// size.
+type Step struct {
+	Label string
+	Size  int
 }
 
-func (tr *Trace) record(e Expr, size int) {
-	tr.Steps = append(tr.Steps, TraceStep{e, size})
+// Record appends one step and folds its size into the totals.
+func (tr *Trace) Record(label string, size int) {
+	tr.Steps = append(tr.Steps, Step{label, size})
 	if size > tr.MaxIntermediate {
 		tr.MaxIntermediate = size
 	}
@@ -45,7 +47,7 @@ func (tr *Trace) record(e Expr, size int) {
 func (tr *Trace) String() string {
 	var b strings.Builder
 	for _, s := range tr.Steps {
-		fmt.Fprintf(&b, "%8d  %s\n", s.Size, s.Expr)
+		fmt.Fprintf(&b, "%8d  %s\n", s.Size, s.Label)
 	}
 	fmt.Fprintf(&b, "max intermediate: %d\n", tr.MaxIntermediate)
 	return b.String()
@@ -55,8 +57,7 @@ func (tr *Trace) String() string {
 // rel.Database or any other rel.ReadStore backend, such as the
 // hash-partitioned shard.Database — and returns the result relation.
 func Eval(e Expr, d rel.ReadStore) *rel.Relation {
-	res, _ := EvalTraced(e, d)
-	return res
+	return evaluate(e, d, nil)
 }
 
 // EvalTraced evaluates the expression and also returns the
@@ -72,22 +73,30 @@ func Eval(e Expr, d rel.ReadStore) *rel.Relation {
 // fresh relation; interior relation-name results are aliased read-only
 // views that never escape.
 func EvalTraced(e Expr, d rel.ReadStore) (*rel.Relation, *Trace) {
+	tr := &Trace{}
+	return evaluate(e, d, tr), tr
+}
+
+// evaluate is Eval (tr nil) and EvalTraced. A nil tr records nothing,
+// so the untraced Eval renders no step labels.
+func evaluate(e Expr, d rel.ReadStore, tr *Trace) *rel.Relation {
 	if err := Validate(e); err != nil {
 		panic("ra: invalid expression: " + err.Error())
 	}
-	tr := &Trace{}
 	v := newEvaluator(d)
 	if n, bare := e.(*Rel); bare {
 		r, aliased := v.base(n)
-		tr.record(e, r.Len())
+		if tr != nil {
+			tr.Record(e.String(), r.Len())
+		}
 		if aliased {
 			// The store handed out its own relation: clone, so the
 			// caller owns the result. Snapshots are already fresh.
 			r = r.Clone()
 		}
-		return r, tr
+		return r
 	}
-	return v.eval(e, tr), tr
+	return v.eval(e, tr)
 }
 
 // evaluator carries the materialized evaluation's base-relation
@@ -197,7 +206,9 @@ func (v *evaluator) eval(e Expr, tr *Trace) *rel.Relation {
 	default:
 		panic(fmt.Sprintf("ra: unknown expression %T", e))
 	}
-	tr.record(e, out.Len())
+	if tr != nil {
+		tr.Record(e.String(), out.Len())
+	}
 	return out
 }
 
@@ -283,80 +294,4 @@ func evalJoin(j *Join, r1, r2 *rel.Relation) *rel.Relation {
 		}
 	}
 	return out
-}
-
-// SizeProfile runs the expression on a family of databases produced by
-// gen for increasing scale parameters and returns, per scale, the
-// database size and the maximum intermediate size. It is the raw
-// material for the empirical dichotomy experiments (Theorem 17).
-type SizePoint struct {
-	Scale           int
-	DatabaseSize    int
-	OutputSize      int
-	MaxIntermediate int
-}
-
-// Profile evaluates e on gen(scale) for each scale and records the
-// growth of intermediate results.
-func Profile(e Expr, gen func(scale int) *rel.Database, scales []int) []SizePoint {
-	pts := make([]SizePoint, 0, len(scales))
-	for _, s := range scales {
-		d := gen(s)
-		res, tr := EvalTraced(e, d)
-		pts = append(pts, SizePoint{
-			Scale:           s,
-			DatabaseSize:    d.Size(),
-			OutputSize:      res.Len(),
-			MaxIntermediate: tr.MaxIntermediate,
-		})
-	}
-	return pts
-}
-
-// GrowthExponent estimates the exponent p such that max-intermediate ≈
-// c·|D|^p from a profile, by least-squares on the log–log points.
-// Points with zero sizes are skipped; if fewer than two usable points
-// remain it returns 0.
-func GrowthExponent(pts []SizePoint) float64 {
-	type xy struct{ x, y float64 }
-	var data []xy
-	for _, p := range pts {
-		if p.DatabaseSize > 0 && p.MaxIntermediate > 0 {
-			data = append(data, xy{math.Log(float64(p.DatabaseSize)), math.Log(float64(p.MaxIntermediate))})
-		}
-	}
-	if len(data) < 2 {
-		return 0
-	}
-	var sx, sy, sxx, sxy float64
-	for _, d := range data {
-		sx += d.x
-		sy += d.y
-		sxx += d.x * d.x
-		sxy += d.x * d.y
-	}
-	n := float64(len(data))
-	den := n*sxx - sx*sx
-	if den == 0 {
-		return 0
-	}
-	return (n*sxy - sx*sy) / den
-}
-
-// sortSteps orders the steps of a trace by decreasing size; useful for
-// reporting the dominating subexpression.
-func (tr *Trace) sortSteps() []TraceStep {
-	s := make([]TraceStep, len(tr.Steps))
-	copy(s, tr.Steps)
-	sort.SliceStable(s, func(i, j int) bool { return s[i].Size > s[j].Size })
-	return s
-}
-
-// Dominating returns the subexpression with the largest output in the
-// trace.
-func (tr *Trace) Dominating() TraceStep {
-	if len(tr.Steps) == 0 {
-		return TraceStep{}
-	}
-	return tr.sortSteps()[0]
 }

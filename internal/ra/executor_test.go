@@ -11,6 +11,7 @@ import (
 	"radiv/internal/ra"
 	"radiv/internal/rel"
 	"radiv/internal/shard"
+	"radiv/internal/stats"
 	"radiv/internal/workload"
 )
 
@@ -69,8 +70,8 @@ func checkAgainstMaterialized(t *testing.T, name string, e ra.Expr, d *rel.Datab
 		t.Fatalf("%s: step counts differ: materialized %d, executor %d", name, len(mt.Steps), len(tr.Steps))
 	}
 	for i := range mt.Steps {
-		if mt.Steps[i].Expr.String() != tr.Steps[i].Label {
-			t.Errorf("%s: step %d: materialized %s, executor %s", name, i, mt.Steps[i].Expr, tr.Steps[i].Label)
+		if mt.Steps[i].Label != tr.Steps[i].Label {
+			t.Errorf("%s: step %d: materialized %s, executor %s", name, i, mt.Steps[i].Label, tr.Steps[i].Label)
 		}
 	}
 	if tr.MaxResident > tr.TotalTuples {
@@ -202,16 +203,15 @@ func TestStreamedResidentGrowsSlower(t *testing.T) {
 		return d
 	}
 	e := ra.DivisionExpr("R", "S")
-	// GrowthExponent fits the MaxIntermediate field against
-	// DatabaseSize; the resident series carries MaxResident there.
-	var resident, flow []ra.SizePoint
+	var sizes, resident, flow []float64
 	for _, n := range []int{64, 128, 256, 512} {
 		d := gen(n)
 		_, tr := executed(e, d, 0)
-		resident = append(resident, ra.SizePoint{DatabaseSize: d.Size(), MaxIntermediate: tr.MaxResident})
-		flow = append(flow, ra.SizePoint{DatabaseSize: d.Size(), MaxIntermediate: tr.MaxIntermediate})
+		sizes = append(sizes, float64(d.Size()))
+		resident = append(resident, float64(tr.MaxResident))
+		flow = append(flow, float64(tr.MaxIntermediate))
 	}
-	pRes, pFlow := ra.GrowthExponent(resident), ra.GrowthExponent(flow)
+	pRes, pFlow := stats.GrowthExponent(sizes, resident), stats.GrowthExponent(sizes, flow)
 	if pFlow < 1.7 {
 		t.Errorf("flow exponent %.2f, want quadratic (the paper's lower bound)", pFlow)
 	}

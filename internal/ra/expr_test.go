@@ -247,9 +247,15 @@ func TestEvalTrace(t *testing.T) {
 	if len(tr.Steps) == 0 || tr.TotalTuples == 0 {
 		t.Error("trace not recorded")
 	}
-	dom := tr.Dominating()
-	if dom.Size != tr.MaxIntermediate {
-		t.Error("Dominating disagrees with MaxIntermediate")
+	peak, total := 0, 0
+	for _, s := range tr.Steps {
+		peak, total = max(peak, s.Size), total+s.Size
+	}
+	if peak != tr.MaxIntermediate || total != tr.TotalTuples {
+		t.Errorf("steps give max %d, total %d; trace says %d, %d", peak, total, tr.MaxIntermediate, tr.TotalTuples)
+	}
+	if last := tr.Steps[len(tr.Steps)-1]; last.Label != e.String() || last.Size != res.Len() {
+		t.Errorf("last step %+v, want the root %s with size %d", last, e, res.Len())
 	}
 	if !strings.Contains(tr.String(), "max intermediate") {
 		t.Error("trace String missing summary")

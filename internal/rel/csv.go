@@ -127,11 +127,23 @@ func slurp(r io.Reader) ([]byte, error) {
 
 // readLines reads r to its end through buf and calls fn on every line
 // that is neither blank nor a comment, surrounding whitespace removed.
-// It stops at fn's first error, which it returns prefixed with the line
+// It stops at fn's first error, or at a relation or dictionary that
+// fills up (capacityError), which it returns prefixed with the line
 // number. A line longer than buf grows it; readLines returns the buffer
 // it ended with, for the next pass to reuse.
-func readLines(r io.Reader, buf []byte, fn func(line []byte) error) ([]byte, error) {
+func readLines(r io.Reader, buf []byte, fn func(line []byte) error) (_ []byte, err error) {
 	lineno, held := 0, 0 // buf[:held] is a line the last read did not end
+	defer func() {
+		// A relation or dictionary that fills up is the input's fault,
+		// not a broken invariant: report it with its line.
+		if p := recover(); p != nil {
+			full, ok := p.(capacityError)
+			if !ok {
+				panic(p)
+			}
+			err = fmt.Errorf("line %d: %w", lineno, full)
+		}
+	}()
 	for {
 		n, rerr := r.Read(buf[held:])
 		data := buf[:held+n]

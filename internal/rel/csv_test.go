@@ -3,6 +3,7 @@ package rel
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -424,5 +425,26 @@ func TestReadTextKnownSizeReaders(t *testing.T) {
 	opaque := testing.AllocsPerRun(5, func() { _, _ = slurp(struct{ io.Reader }{bytes.NewReader(data)}) })
 	if sized > opaque/4 {
 		t.Errorf("slurp made %.0f allocations with a known length and %.0f without; want one buffer, not a doubling series", sized, opaque)
+	}
+}
+
+// TestReadTextCapacityError: a relation or dictionary that fills up
+// while loading ends ReadText with an error naming the line, not a
+// panic. Duplicate lines and values already held at the limit load.
+func TestReadTextCapacityError(t *testing.T) {
+	defer func(rows, values int) { maxRows, maxValues = rows, values }(maxRows, maxValues)
+	maxRows, maxValues = 2, 3
+	for _, c := range []struct {
+		name, input string
+		want        capacityError
+		line        int
+	}{
+		{"rows", "@R 1\nR 1\nR 2\nR 1\n# comment\nR 3\n", errRowSetFull, 6},
+		{"values", "@R 2\nR 1,2\nR 2,1\n\nR 3,4\n", errDictionaryFull, 5},
+	} {
+		_, err := ReadText(strings.NewReader(c.input))
+		if want := fmt.Sprintf("line %d: %s", c.line, c.want); err == nil || err.Error() != want || !errors.Is(err, c.want) {
+			t.Errorf("%s: error %v, want %q", c.name, err, want)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package rel
 
 import (
 	"hash/maphash"
+	"math"
 	"math/rand/v2"
 	"slices"
 	"strings"
@@ -107,7 +108,11 @@ func (in *Interner) Intern(v Value) uint32 {
 // short of pageSize doubles. A half-full index doubles too, and its
 // words are re-placed as they stand.
 func (in *Interner) insert(h uint64, v Value) uint32 {
-	id := uint32(in.Len())
+	n := in.Len()
+	if n >= maxValues {
+		panic(errDictionaryFull)
+	}
+	id := uint32(n)
 	last := len(in.pages) - 1
 	switch {
 	case last < 0:
@@ -132,6 +137,22 @@ func (in *Interner) insert(h uint64, v Value) uint32 {
 	in.place(h>>32<<32 | uint64(id+1))
 	return id
 }
+
+// maxValues is the most values one dictionary may hold: a slot word
+// keeps id+1 in 32 bits, so the largest ID is 2³²−2. insert checks it
+// once per new value, never on a lookup; a test lowers it.
+var maxValues = math.MaxUint32
+
+// capacityError is the panic of a dictionary or row set that is full.
+// ReadText returns it as an error carrying the line number.
+type capacityError string
+
+func (e capacityError) Error() string { return string(e) }
+
+const (
+	errDictionaryFull capacityError = "rel: dictionary full: it holds 2^32-1 values, the most 32-bit IDs allow"
+	errRowSetFull     capacityError = "rel: row set full: it holds 2^31-1 rows, the most int32 positions allow"
+)
 
 // place stores a word that is not in the table at the end of its run.
 func (in *Interner) place(w uint64) {

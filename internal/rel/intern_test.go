@@ -472,3 +472,45 @@ func TestTuplesDefensiveView(t *testing.T) {
 		t.Errorf("insertion order lost: %v", again)
 	}
 }
+
+// fullPanic runs f and returns the capacityError it panics with, or
+// fails the test when it returns or panics with anything else.
+func fullPanic(t *testing.T, f func()) (got capacityError) {
+	t.Helper()
+	defer func() {
+		p := recover()
+		got, _ = p.(capacityError)
+		if got == "" || !strings.HasPrefix(string(got), "rel: ") {
+			t.Fatalf("panic %v (%T), want a rel: capacityError", p, p)
+		}
+	}()
+	f()
+	return ""
+}
+
+// TestInternerLimit: a dictionary at its value limit still finds what
+// it holds and refuses the next new value, from Intern and from the
+// text loader's internText alike. The limit is lowered to 3 values.
+func TestInternerLimit(t *testing.T) {
+	defer func(was int) { maxValues = was }(maxValues)
+	maxValues = 3
+	in := NewInterner()
+	for i := range int64(3) {
+		in.Intern(Int(i))
+	}
+	if id := in.Intern(Int(2)); id != 2 {
+		t.Fatalf("Intern of a held value at the limit: id %d, want 2", id)
+	}
+	if id := in.internText([]byte("1")); id != 1 {
+		t.Fatalf("internText of a held value at the limit: id %d, want 1", id)
+	}
+	if got := fullPanic(t, func() { in.Intern(Str("x")) }); got != errDictionaryFull {
+		t.Errorf("Intern past the limit: %q", got)
+	}
+	if got := fullPanic(t, func() { in.internText([]byte("y")) }); got != errDictionaryFull {
+		t.Errorf("internText past the limit: %q", got)
+	}
+	if in.Len() != 3 {
+		t.Errorf("a refused value changed Len to %d", in.Len())
+	}
+}

@@ -2,6 +2,7 @@ package rel
 
 import (
 	"fmt"
+	"math"
 	"slices"
 )
 
@@ -48,6 +49,11 @@ func (s *RowSet) Len() int { return s.n }
 // storage, valid until the next Insert.
 func (s *RowSet) Cols() [][]uint32 { return s.cols }
 
+// maxRows is the most rows a set may hold: heads and next keep 1 + a
+// position in an int32. Insert checks it once per new row, never on a
+// probe; a test lowers it.
+var maxRows = math.MaxInt32
+
 // minBuckets is the smallest index allocated.
 const minBuckets = 8
 
@@ -63,6 +69,9 @@ func (s *RowSet) Insert(ids []uint32) (pos int, fresh bool) {
 		if s.rowEqual(int(p-1), ids) {
 			return int(p - 1), false
 		}
+	}
+	if s.n >= maxRows {
+		panic(errRowSetFull)
 	}
 	if 2*s.n >= len(s.heads) {
 		s.rechain(2 * len(s.heads))

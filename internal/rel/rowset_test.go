@@ -401,3 +401,24 @@ func FuzzRowSet(f *testing.F) {
 		}
 	})
 }
+
+// TestRowSetLimit: a set at its row limit still finds and re-inserts
+// what it holds and refuses the next new row, unchanged. The limit is
+// lowered to 3 rows.
+func TestRowSetLimit(t *testing.T) {
+	defer func(was int) { maxRows = was }(maxRows)
+	maxRows = 3
+	s := NewRowSet(2)
+	for i := range uint32(3) {
+		s.Insert([]uint32{i, i})
+	}
+	if pos, fresh := s.Insert([]uint32{1, 1}); pos != 1 || fresh {
+		t.Fatalf("Insert of a held row at the limit: pos %d fresh %v", pos, fresh)
+	}
+	if got := fullPanic(t, func() { s.Insert([]uint32{3, 3}) }); got != errRowSetFull {
+		t.Errorf("Insert past the limit: %q", got)
+	}
+	if s.Len() != 3 || s.Find([]uint32{3, 3}) != -1 || s.Find([]uint32{2, 2}) != 2 {
+		t.Errorf("a refused row changed the set: Len %d", s.Len())
+	}
+}

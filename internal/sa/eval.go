@@ -7,39 +7,16 @@ import (
 	"radiv/internal/rel"
 )
 
-// Trace mirrors ra.Trace for semijoin algebra evaluation. Because
-// every SA operator's output is bounded by the size of one of its
-// inputs, MaxIntermediate never exceeds the database size plus the
-// constant-tagging overhead — the syntactic linearity the paper
-// exploits.
-type Trace struct {
-	Steps           []TraceStep
-	MaxIntermediate int
-	TotalTuples     int
-}
-
-// TraceStep is one subexpression's evaluation record.
-type TraceStep struct {
-	Expr Expr
-	Size int
-}
-
-func (tr *Trace) record(e Expr, size int) {
-	tr.Steps = append(tr.Steps, TraceStep{e, size})
-	if size > tr.MaxIntermediate {
-		tr.MaxIntermediate = size
-	}
-	tr.TotalTuples += size
-}
-
 // Eval evaluates the expression on a store (any rel.ReadStore backend).
 func Eval(e Expr, d rel.ReadStore) *rel.Relation {
-	res, _ := EvalTraced(e, d)
-	return res
+	return evaluate(e, d, nil)
 }
 
 // EvalTraced evaluates the expression and returns the intermediate-size
-// trace. The expression is validated first (Validate), so malformed
+// trace. Because every SA operator's output is bounded by the size of
+// one of its inputs, the trace's MaxIntermediate never exceeds the
+// database size plus the constant-tagging overhead — the syntactic
+// linearity the paper exploits. The expression is validated first (Validate), so malformed
 // trees — possible through direct struct construction, which bypasses
 // the checking constructors — fail with a clear "sa:"-prefixed panic
 // instead of a raw index-out-of-range mid-eval.
@@ -50,23 +27,31 @@ func Eval(e Expr, d rel.ReadStore) *rel.Relation {
 // writes through to the store. Every operator node already returns a
 // fresh relation; interior relation-name results are aliased read-only
 // views that never escape.
-func EvalTraced(e Expr, d rel.ReadStore) (*rel.Relation, *Trace) {
+func EvalTraced(e Expr, d rel.ReadStore) (*rel.Relation, *ra.Trace) {
+	tr := &ra.Trace{}
+	return evaluate(e, d, tr), tr
+}
+
+// evaluate is Eval (tr nil) and EvalTraced. A nil tr records nothing,
+// so the untraced Eval renders no step labels.
+func evaluate(e Expr, d rel.ReadStore, tr *ra.Trace) *rel.Relation {
 	if err := Validate(e); err != nil {
 		panic("sa: invalid expression: " + err.Error())
 	}
-	tr := &Trace{}
 	v := newEvaluator(d)
 	if n, bare := e.(*Rel); bare {
 		r, aliased := v.base(n)
-		tr.record(e, r.Len())
+		if tr != nil {
+			tr.Record(e.String(), r.Len())
+		}
 		if aliased {
 			// The store handed out its own relation: clone, so the
 			// caller owns the result. Snapshots are already fresh.
 			r = r.Clone()
 		}
-		return r, tr
+		return r
 	}
-	return v.eval(e, tr), tr
+	return v.eval(e, tr)
 }
 
 // evaluator mirrors the ra evaluator context: the shared
@@ -86,7 +71,7 @@ func (v *evaluator) base(n *Rel) (*rel.Relation, bool) {
 	return v.rels.Resolve(n.Name, n.arity)
 }
 
-func (v *evaluator) eval(e Expr, tr *Trace) *rel.Relation {
+func (v *evaluator) eval(e Expr, tr *ra.Trace) *rel.Relation {
 	var out *rel.Relation
 	switch n := e.(type) {
 	case *Rel:
@@ -128,7 +113,9 @@ func (v *evaluator) eval(e Expr, tr *Trace) *rel.Relation {
 	default:
 		panic(fmt.Sprintf("sa: unknown expression %T", e))
 	}
-	tr.record(e, out.Len())
+	if tr != nil {
+		tr.Record(e.String(), out.Len())
+	}
 	return out
 }
 

@@ -64,6 +64,8 @@ func TestValidateCatchesMalformedTrees(t *testing.T) {
 		{"selectconst range", &SelectConst{I: 5, C: rel.Int(1), E: r2}},
 		{"semijoin cond", &Semijoin{L: r2, E: s1, Cond: ra.Eq(3, 1)}},
 		{"antijoin cond", &Antijoin{L: r2, E: s1, Cond: ra.Eq(1, 4)}},
+		{"semijoin no atom", &Semijoin{L: r2, E: s1}},
+		{"antijoin no atom", &Antijoin{L: r2, E: s1}},
 		{"nested", &Union{L: r2, E: &Project{Cols: []int{9}, E: r2}}},
 	}
 	for _, c := range bad {

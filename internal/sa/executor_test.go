@@ -12,6 +12,7 @@ import (
 	"radiv/internal/rel"
 	"radiv/internal/sa"
 	"radiv/internal/shard"
+	"radiv/internal/stats"
 	"radiv/internal/workload"
 )
 
@@ -68,8 +69,8 @@ func checkAgainstMaterialized(t *testing.T, name string, e sa.Expr, d *rel.Datab
 		t.Fatalf("%s: step counts differ: materialized %d, executor %d", name, len(mt.Steps), len(tr.Steps))
 	}
 	for i := range mt.Steps {
-		if mt.Steps[i].Expr.String() != tr.Steps[i].Label {
-			t.Errorf("%s: step %d: materialized %s, executor %s", name, i, mt.Steps[i].Expr, tr.Steps[i].Label)
+		if mt.Steps[i].Label != tr.Steps[i].Label {
+			t.Errorf("%s: step %d: materialized %s, executor %s", name, i, mt.Steps[i].Label, tr.Steps[i].Label)
 		}
 	}
 	if tr.MaxResident > tr.TotalTuples {
@@ -209,13 +210,14 @@ func TestStreamedResidentLinear(t *testing.T) {
 		return d
 	}
 	e := sa.NewProject([]int{1}, sa.NewAntijoin(sa.R("R", 2), ra.Eq(2, 1), sa.R("S", 1)))
-	var resident []ra.SizePoint
+	var sizes, resident []float64
 	for _, n := range []int{64, 128, 256, 512} {
 		d := gen(n)
 		_, tr := executed(e, d, 0)
-		resident = append(resident, ra.SizePoint{DatabaseSize: d.Size(), MaxIntermediate: tr.MaxResident})
+		sizes = append(sizes, float64(d.Size()))
+		resident = append(resident, float64(tr.MaxResident))
 	}
-	if p := ra.GrowthExponent(resident); p > 1.3 {
+	if p := stats.GrowthExponent(sizes, resident); p > 1.3 {
 		t.Errorf("SA resident exponent %.2f, want ~linear", p)
 	}
 }

@@ -198,7 +198,7 @@ type Semijoin struct {
 
 // NewSemijoin builds E1 ⋉θ E2, validating the condition.
 func NewSemijoin(l Expr, c ra.Cond, r Expr) *Semijoin {
-	if err := c.Validate(l.Arity(), r.Arity()); err != nil {
+	if err := validateCond(c, l, r); err != nil {
 		panic("sa: " + err.Error())
 	}
 	return &Semijoin{L: l, E: r, Cond: append(ra.Cond(nil), c...)}
@@ -223,9 +223,9 @@ type Antijoin struct {
 	Cond ra.Cond
 }
 
-// NewAntijoin builds E1 ▷θ E2.
+// NewAntijoin builds E1 ▷θ E2, validating the condition.
 func NewAntijoin(l Expr, c ra.Cond, r Expr) *Antijoin {
-	if err := c.Validate(l.Arity(), r.Arity()); err != nil {
+	if err := validateCond(c, l, r); err != nil {
 		panic("sa: " + err.Error())
 	}
 	return &Antijoin{L: l, E: r, Cond: append(ra.Cond(nil), c...)}

@@ -1,14 +1,18 @@
 package sa
 
-import "fmt"
+import (
+	"fmt"
+
+	"radiv/internal/ra"
+)
 
 // Validate checks every node of the expression tree for structural
 // errors: projection and selection column indices out of the child's
-// arity, semijoin/antijoin condition atoms out of the operands'
-// arities, and union/difference arity mismatches. The checking
-// constructors (NewSelect, NewProject, NewSemijoin, ...) enforce the
-// same invariants at build time; Validate covers trees assembled from
-// struct literals, which previously panicked with raw
+// arity, semijoin/antijoin conditions that are empty or whose atoms
+// leave the operands' arities, and union/difference arity mismatches.
+// The checking constructors (NewSelect, NewProject, NewSemijoin, ...)
+// enforce the same invariants at build time; Validate covers trees
+// assembled from struct literals, which previously panicked with raw
 // index-out-of-range errors mid-eval. EvalTraced calls it at entry,
 // mirroring ra.Validate.
 func Validate(e Expr) error {
@@ -45,15 +49,25 @@ func Validate(e Expr) error {
 	case *ConstTag:
 		// Always well formed.
 	case *Semijoin:
-		if err := n.Cond.Validate(n.L.Arity(), n.E.Arity()); err != nil {
+		if err := validateCond(n.Cond, n.L, n.E); err != nil {
 			return err
 		}
 	case *Antijoin:
-		if err := n.Cond.Validate(n.L.Arity(), n.E.Arity()); err != nil {
+		if err := validateCond(n.Cond, n.L, n.E); err != nil {
 			return err
 		}
 	default:
 		return fmt.Errorf("unknown expression %T", e)
 	}
 	return nil
+}
+
+// validateCond checks a semijoin or antijoin condition: Definition 2
+// requires at least one atom, and every atom must address a column of
+// its side.
+func validateCond(c ra.Cond, l, r Expr) error {
+	if len(c) == 0 {
+		return fmt.Errorf("semijoin condition with no atom (Definition 2 requires one)")
+	}
+	return c.Validate(l.Arity(), r.Arity())
 }

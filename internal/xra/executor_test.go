@@ -12,6 +12,7 @@ import (
 	"radiv/internal/ra"
 	"radiv/internal/rel"
 	"radiv/internal/shard"
+	"radiv/internal/stats"
 	"radiv/internal/workload"
 	"radiv/internal/xra"
 )
@@ -67,8 +68,8 @@ func checkAgainstMaterialized(t *testing.T, name string, e xra.Expr, d *rel.Data
 		t.Fatalf("%s: step counts differ: materialized %d, executor %d", name, len(mt.Steps), len(tr.Steps))
 	}
 	for i := range mt.Steps {
-		if mt.Steps[i].Expr.String() != tr.Steps[i].Label {
-			t.Errorf("%s: step %d: materialized %s, executor %s", name, i, mt.Steps[i].Expr, tr.Steps[i].Label)
+		if mt.Steps[i].Label != tr.Steps[i].Label {
+			t.Errorf("%s: step %d: materialized %s, executor %s", name, i, mt.Steps[i].Label, tr.Steps[i].Label)
 		}
 	}
 	if tr.MaxResident > tr.TotalTuples {
@@ -183,13 +184,14 @@ func TestStreamedResidentLinear(t *testing.T) {
 		return d
 	}
 	e := xra.ContainmentDivision("R", "S")
-	var resident []ra.SizePoint
+	var sizes, resident []float64
 	for _, n := range []int{64, 128, 256, 512} {
 		d := gen(n)
 		_, tr := executed(e, d, 0)
-		resident = append(resident, ra.SizePoint{DatabaseSize: d.Size(), MaxIntermediate: tr.MaxResident})
+		sizes = append(sizes, float64(d.Size()))
+		resident = append(resident, float64(tr.MaxResident))
 	}
-	if p := ra.GrowthExponent(resident); p > 1.3 {
+	if p := stats.GrowthExponent(sizes, resident); p > 1.3 {
 		t.Errorf("γ-division resident exponent %.2f, want ~linear", p)
 	}
 }

@@ -134,35 +134,14 @@ func (p *Project) String() string {
 	return fmt.Sprintf("project[%s](%s)", strings.Join(cols, ","), p.E)
 }
 
-// Trace mirrors ra.Trace for the extended algebra.
-type Trace struct {
-	Steps           []TraceStep
-	MaxIntermediate int
-	TotalTuples     int
-}
-
-// TraceStep is one evaluation record.
-type TraceStep struct {
-	Expr Expr
-	Size int
-}
-
-func (tr *Trace) record(e Expr, size int) {
-	tr.Steps = append(tr.Steps, TraceStep{e, size})
-	if size > tr.MaxIntermediate {
-		tr.MaxIntermediate = size
-	}
-	tr.TotalTuples += size
-}
-
 // Eval evaluates the expression on a store (any rel.ReadStore backend).
 func Eval(e Expr, d rel.ReadStore) *rel.Relation {
-	r, _ := EvalTraced(e, d)
-	return r
+	return evaluate(e, d, nil)
 }
 
 // EvalTraced evaluates the expression with intermediate-size tracing.
-// Wrapped pure-RA subexpressions contribute their own internal trace.
+// A wrapped pure-RA subexpression contributes the steps of its own
+// ra.EvalTraced unchanged (a Wrap renders as its RA expression).
 // The expression is validated first (Validate), so malformed trees —
 // possible through direct struct construction — fail with a clear
 // "xra:"-prefixed panic instead of a raw index-out-of-range.
@@ -170,22 +149,30 @@ func Eval(e Expr, d rel.ReadStore) *rel.Relation {
 // The returned relation is always owned by the caller: every operator
 // node returns a fresh relation, and a root *Wrap delegates to
 // ra.EvalTraced, which clones bare-relation results.
-func EvalTraced(e Expr, d rel.ReadStore) (*rel.Relation, *Trace) {
+func EvalTraced(e Expr, d rel.ReadStore) (*rel.Relation, *ra.Trace) {
+	tr := &ra.Trace{}
+	return evaluate(e, d, tr), tr
+}
+
+// evaluate is Eval (tr nil) and EvalTraced. A nil tr records nothing,
+// so the untraced Eval renders no step labels.
+func evaluate(e Expr, d rel.ReadStore, tr *ra.Trace) *rel.Relation {
 	if err := Validate(e); err != nil {
 		panic("xra: invalid expression: " + err.Error())
 	}
-	tr := &Trace{}
-	res := eval(e, d, tr)
-	return res, tr
+	return eval(e, d, tr)
 }
 
-func eval(e Expr, d rel.ReadStore, tr *Trace) *rel.Relation {
+func eval(e Expr, d rel.ReadStore, tr *ra.Trace) *rel.Relation {
 	var out *rel.Relation
 	switch n := e.(type) {
 	case *Wrap:
+		if tr == nil {
+			return ra.Eval(n.E, d)
+		}
 		res, inner := ra.EvalTraced(n.E, d)
 		for _, s := range inner.Steps {
-			tr.record(&Wrap{E: s.Expr}, s.Size)
+			tr.Record(s.Label, s.Size)
 		}
 		return res // already recorded via inner steps
 	case *Gamma:
@@ -200,7 +187,9 @@ func eval(e Expr, d rel.ReadStore, tr *Trace) *rel.Relation {
 	default:
 		panic(fmt.Sprintf("xra: unknown expression %T", e))
 	}
-	tr.record(e, out.Len())
+	if tr != nil {
+		tr.Record(e.String(), out.Len())
+	}
 	return out
 }
 
