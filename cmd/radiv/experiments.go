@@ -356,7 +356,7 @@ func runST2(w io.Writer) {
 }
 
 // runST3 measures the sharded storage layer on the P26 scaling family
-// and a set-join workload: a shard.Database is loaded at each shard
+// and a set-join workload: a shard.Snapshot is built at each shard
 // count, division and both set joins run shard-locally (one worker
 // task per shard-local batch scan, broadcast divisor/S side), and the
 // table reports the per-shard resident peak
@@ -392,7 +392,7 @@ func runST3(w io.Writer) {
 		}
 		want, _ := division.Hash{}.Divide(r, s, division.Containment)
 		for _, sc := range counts {
-			sdb := shard.FromStore(d, sc)
+			sdb := shard.FromStore(d, sc).Publish()
 			start := time.Now()
 			got, st := shard.Divide(sdb, "R", "S", division.Containment, workers)
 			total := time.Since(start)
@@ -419,7 +419,7 @@ func runST3(w io.Writer) {
 	wantC, _ := setjoin.SignatureContainment{}.Join(rG, sG)
 	wantE, _ := setjoin.HashEquality{}.Join(rG, sG)
 	for _, sc := range counts {
-		sdb := shard.FromStore(d, sc)
+		sdb := shard.FromStore(d, sc).Publish()
 		start := time.Now()
 		gotC, stC := shard.ContainmentJoin(sdb, "R", "S", workers)
 		tC := time.Since(start)
@@ -524,7 +524,7 @@ func runST6(w io.Writer) {
 
 	// Exchange arm.
 	const exShards = 4
-	sdb := shard.FromStore(d, exShards)
+	sdb := shard.FromStore(d, exShards).Publish()
 	want, _ := division.Hash{}.Divide(r, s, division.Containment)
 	dt := division.NewDivisorTable(s)
 	rt := sdb.Router("R")

@@ -75,6 +75,12 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q: every input is a flag", fs.Arg(0))
+	}
+	if *timeout < 0 || *maxResident < 0 {
+		return fmt.Errorf("-timeout and -max-resident must not be negative (0 = none)")
+	}
 
 	if *dbPath == "" {
 		return fmt.Errorf("missing -db")

@@ -100,6 +100,9 @@ func TestRunErrors(t *testing.T) {
 		{"-db", db, "-gf", "Nope(x)"},        // unknown relation
 		{"-db", db, "-sa", "semijoin[2=1](R, S)", "-optimize"}, // planner is -ra only
 		{"-db", db, "-sa", "semijoin[true](R, S)"},             // Definition 2: a condition atom
+		{"-db", db, "-ra", "R", "-timeout", "-1s"},             // a negative budget is no budget
+		{"-db", db, "-ra", "R", "-max-resident", "-5"},
+		{"-db", db, "-ra", "R", "extra"}, // a stray positional argument
 	}
 	for _, args := range cases {
 		var out bytes.Buffer

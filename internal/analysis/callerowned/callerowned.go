@@ -11,8 +11,8 @@
 //
 //   - any call whose single result is the rel.StoredRel interface
 //     (Store.View, rel.CheckView);
-//   - any method named Rel returning *rel.Relation (Database.Rel and
-//     the shard layer's delegates);
+//   - any method named Rel returning *rel.Relation (Database.Rel,
+//     Epoch.Rel, Snapshot.Rel);
 //   - any call returning (*rel.Relation, bool) — the possibly-aliased
 //     shape of rel.Materialized and BaseResolver.Resolve, whose bool
 //     reports whether the store handed out its own storage.
@@ -36,8 +36,9 @@
 // documented contract (Store.View, Materialized's aliased flag); the
 // ownership contract binds the layers above it, entry-point methods
 // (plan.Plan.Execute, shard accessors) included. The shard layer's
-// documented view accessors (ShardRel) carry //radivvet:ignore
-// directives instead, mirroring package rel's exemption. Function
+// documented read accessor (Snapshot.ShardRel) carries a
+// //radivvet:ignore directive instead, mirroring package rel's
+// exemption. Function
 // literals are not analyzed (and taint neither enters nor escapes
 // them): interior cursors and sinks hold read-only views by design.
 package callerowned

@@ -21,8 +21,9 @@
 // every relation and dictionary reachable from it may be read from
 // any goroutine with no coordination, and must never be written —
 // no Relation.Add, Interner.Intern, or IDMap.Intern into snapshot
-// state, anywhere. Mutation goes through the epoch writer
-// (rel.Epoch, shard.Database) and becomes visible only at Publish.
+// state, anywhere. Mutation goes through the epoch writer (rel.Epoch)
+// and becomes visible only at Publish; a shard.Snapshot seals the
+// partition shard.FromStore built, and nothing writes to it after.
 // The same law covers the task callbacks of exec.Run, the one worker
 // pool: they must not intern on captured state — new values are
 // interned through the writer before the workers start — while reads

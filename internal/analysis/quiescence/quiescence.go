@@ -7,8 +7,9 @@
 //     dictionaries, their translation targets — and nothing obtained
 //     from one may ever be mutated: no Relation.Add/AddBatch/Reserve,
 //     no Interner.Intern, no IDMap interning into a snapshot
-//     dictionary. Interning goes through the epoch writer, before the
-//     snapshot is published.
+//     dictionary. Interning goes through the epoch writer (or, for
+//     a shard.Snapshot, shard.FromStore's build) before the snapshot
+//     is published.
 //
 //  2. Pool workers do not intern into shared dictionaries. The task
 //     callbacks of exec.Run run concurrently with each other, and a

@@ -142,8 +142,8 @@ func (c *counter) add(b *rel.Batch) {
 }
 
 // rekey moves the group keys out of R's column-0 dictionary into one
-// the kernel owns, for an R whose batches switch dictionaries (a
-// sharded store's view): from then on every key is translated, so a
+// the kernel owns, for an R whose batches switch dictionaries (a view
+// of a store other than the in-memory database): from then on every key is translated, so a
 // value met under two dictionaries is still one group.
 func (c *counter) rekey() {
 	from := c.keys

@@ -15,7 +15,6 @@ import (
 	"radiv/internal/plan"
 	"radiv/internal/ra"
 	"radiv/internal/rel"
-	"radiv/internal/shard"
 	"radiv/internal/xra"
 )
 
@@ -322,9 +321,8 @@ func TestCleanRunAfterAborts(t *testing.T) {
 // and 1024. The fault store's row counter measures exactly how far
 // the (synthetically slow) scan ran past the cancel. Beside a plain
 // scan, the θ-only join and semijoin read Big as their replayed right
-// side, which a wrapped or sharded view cannot replay in place, so the
-// operator copies it: that copy is a scan like any other, on a
-// rel.Snapshot and on a 2-shard shard.Snapshot.
+// side, which a wrapped view cannot replay in place, so the operator
+// copies it: that copy is a scan like any other.
 func TestCancellationLatencyWithinOneBatch(t *testing.T) {
 	leakcheck.Check(t)
 	ep := rel.NewEpoch(rel.NewSchema(map[string]int{"Big": 1, "L": 1}))
@@ -335,13 +333,6 @@ func TestCancellationLatencyWithinOneBatch(t *testing.T) {
 		ep.AddInts("L", int64(i))
 	}
 	snap := ep.Publish()
-	stores := []struct {
-		name string
-		d    rel.ReadStore
-	}{
-		{"rel.Snapshot", snap},
-		{"shard.Snapshot/2", shard.FromStore(snap, 2).Snapshot()},
-	}
 	scan, err := parser.ParseRA("project[1](Big)", snap.Schema())
 	if err != nil {
 		t.Fatal(err)
@@ -360,26 +351,24 @@ func TestCancellationLatencyWithinOneBatch(t *testing.T) {
 		{name: "theta-semijoin", root: plan.FromSA(semijoin)},
 	}
 	const cancelAt = 100
-	for _, s := range stores {
-		for _, q := range queries {
-			for _, bs := range []int{1, 64, 1024} {
-				label := fmt.Sprintf("%s/%s/bs=%d", s.name, q.name, bs)
-				ctx, cancel := context.WithCancel(context.Background())
-				st := faultinject.Wrap(s.d, faultinject.Fault{
-					Rel:        "Big",
-					CancelAt:   cancelAt,
-					OnRow:      cancel,
-					DelayEvery: 50,
-					Delay:      100 * time.Microsecond,
-				})
-				live, _, _ := rel.BatchPoolStats()
-				res, rerr := q.run(ctx, st, bs, exec.Limits{})
-				checkAborted(t, label, res, rerr, context.Canceled, live)
-				if extra := st.Rows() - cancelAt; extra < 0 || extra > bs {
-					t.Errorf("%s: scan ran %d rows past the cancel; want at most one batch (%d)", label, extra, bs)
-				}
-				cancel()
+	for _, q := range queries {
+		for _, bs := range []int{1, 64, 1024} {
+			label := fmt.Sprintf("%s/bs=%d", q.name, bs)
+			ctx, cancel := context.WithCancel(context.Background())
+			st := faultinject.Wrap(snap, faultinject.Fault{
+				Rel:        "Big",
+				CancelAt:   cancelAt,
+				OnRow:      cancel,
+				DelayEvery: 50,
+				Delay:      100 * time.Microsecond,
+			})
+			live, _, _ := rel.BatchPoolStats()
+			res, rerr := q.run(ctx, st, bs, exec.Limits{})
+			checkAborted(t, label, res, rerr, context.Canceled, live)
+			if extra := st.Rows() - cancelAt; extra < 0 || extra > bs {
+				t.Errorf("%s: scan ran %d rows past the cancel; want at most one batch (%d)", label, extra, bs)
 			}
+			cancel()
 		}
 	}
 }
@@ -390,59 +379,49 @@ func TestCancellationLatencyWithinOneBatch(t *testing.T) {
 // and the CancelAt hook fires with exactly k rows out and the abort
 // lands before another row is pulled. Every arm scans R (400 rows)
 // once; at a k beyond R's end the run is clean. k straddles every
-// batch boundary, on a rel.Snapshot and on a 2-shard shard.Snapshot,
-// whose scans switch dictionaries mid-stream.
+// batch boundary.
 func TestRowExactInjectionAborts(t *testing.T) {
 	leakcheck.Check(t)
 	snap := newSnapshot()
 	rows := snap.Rel("R").Len()
-	stores := []struct {
-		name string
-		d    rel.ReadStore
-	}{
-		{"rel.Snapshot", snap},
-		{"shard.Snapshot/2", shard.FromStore(snap, 2).Snapshot()},
-	}
-	for _, s := range stores {
-		for _, a := range arms(t, s.d.Schema()) {
-			for _, bs := range []int{1, 7, 64, 1024} {
-				for _, k := range []int{1, bs - 1, bs, bs + 1} {
-					if k < 1 {
-						continue
+	for _, a := range arms(t, snap.Schema()) {
+		for _, bs := range []int{1, 7, 64, 1024} {
+			for _, k := range []int{1, bs - 1, bs, bs + 1} {
+				if k < 1 {
+					continue
+				}
+				label := fmt.Sprintf("%s/bs=%d/k=%d", a.name, bs, k)
+				live, _, _ := rel.BatchPoolStats()
+				fail := faultinject.Wrap(snap, faultinject.Fault{Rel: "R", FailAfter: k, Err: errInjected})
+				res, err := a.run(context.Background(), fail, bs, exec.Limits{})
+				if k <= rows {
+					checkAborted(t, label+"/fail", res, err, errInjected, live)
+					if got := fail.Rows(); got != k {
+						t.Errorf("%s/fail: aborted with %d rows out, want %d", label, got, k)
 					}
-					label := fmt.Sprintf("%s/%s/bs=%d/k=%d", s.name, a.name, bs, k)
-					live, _, _ := rel.BatchPoolStats()
-					fail := faultinject.Wrap(s.d, faultinject.Fault{Rel: "R", FailAfter: k, Err: errInjected})
-					res, err := a.run(context.Background(), fail, bs, exec.Limits{})
-					if k <= rows {
-						checkAborted(t, label+"/fail", res, err, errInjected, live)
-						if got := fail.Rows(); got != k {
-							t.Errorf("%s/fail: aborted with %d rows out, want %d", label, got, k)
-						}
-					} else if err != nil || fail.Rows() != rows {
-						t.Errorf("%s/fail: past R's end, got err %v after %d rows", label, err, fail.Rows())
-					}
+				} else if err != nil || fail.Rows() != rows {
+					t.Errorf("%s/fail: past R's end, got err %v after %d rows", label, err, fail.Rows())
+				}
 
-					ctx, cancel := context.WithCancel(context.Background())
-					fired := -1
-					var cs *faultinject.Store
-					cs = faultinject.Wrap(s.d, faultinject.Fault{Rel: "R", CancelAt: k, OnRow: func() {
-						fired = cs.Rows()
-						cancel()
-					}})
-					res, err = a.run(ctx, cs, bs, exec.Limits{})
+				ctx, cancel := context.WithCancel(context.Background())
+				fired := -1
+				var cs *faultinject.Store
+				cs = faultinject.Wrap(snap, faultinject.Fault{Rel: "R", CancelAt: k, OnRow: func() {
+					fired = cs.Rows()
 					cancel()
-					if k <= rows {
-						checkAborted(t, label+"/cancel", res, err, context.Canceled, live)
-						if fired != k || cs.Rows() != k {
-							t.Errorf("%s/cancel: hook fired at row %d, abort after %d rows; want both %d", label, fired, cs.Rows(), k)
-						}
-					} else if err != nil || fired != -1 {
-						t.Errorf("%s/cancel: past R's end, got err %v, hook at %d", label, err, fired)
+				}})
+				res, err = a.run(ctx, cs, bs, exec.Limits{})
+				cancel()
+				if k <= rows {
+					checkAborted(t, label+"/cancel", res, err, context.Canceled, live)
+					if fired != k || cs.Rows() != k {
+						t.Errorf("%s/cancel: hook fired at row %d, abort after %d rows; want both %d", label, fired, cs.Rows(), k)
 					}
-					if after, _, _ := rel.BatchPoolStats(); after != live {
-						t.Fatalf("%s: %d pooled batches live", label, after-live)
-					}
+				} else if err != nil || fired != -1 {
+					t.Errorf("%s/cancel: past R's end, got err %v, hook at %d", label, err, fired)
+				}
+				if after, _, _ := rel.BatchPoolStats(); after != live {
+					t.Fatalf("%s: %d pooled batches live", label, after-live)
 				}
 			}
 		}

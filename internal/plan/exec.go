@@ -209,7 +209,7 @@ func (p *Plan) run(g *exec.Governor) (*rel.Relation, *Trace) {
 
 // canonical rebuilds a result in sorted tuple order. The copy is
 // cheap relative to evaluation and buys order-stability across
-// rewrites, shard counts and batch sizes.
+// rewrites, stores and batch sizes.
 func canonical(r *rel.Relation) *rel.Relation {
 	out := rel.NewRelationSized(r.Arity(), r.Len())
 	for _, t := range r.Sorted() {
@@ -382,8 +382,8 @@ type builder struct {
 
 // baseRel resolves a relation-name node against the store, with the
 // same arity check the materialized evaluators perform. For the
-// in-memory database the view is the stored *rel.Relation itself; a
-// sharded store routes probes and scans through its placement log.
+// in-memory database the view is the stored *rel.Relation itself;
+// another backend answers probes and scans through its own view.
 func (b *builder) baseRel(n *Node) rel.StoredRel {
 	return rel.CheckView(b.d, n.Name, n.arity, "plan")
 }

@@ -15,15 +15,14 @@ import (
 	"radiv/internal/ra"
 	"radiv/internal/rel"
 	"radiv/internal/sa"
-	"radiv/internal/shard"
 	"radiv/internal/workload"
 	"radiv/internal/xra"
 )
 
 // This file is the executor suite: every row of executor_cases_test.go,
 // on randomized databases, crossed with {as written, optimized} × batch
-// size {1, 2, 64, 1024} × store {rel.Database, shard.Database at 1/2/4
-// shards} × {ungoverned, governed}. The materialized evaluators are the
+// size {1, 2, 64, 1024} × store {rel.Database, a two-run store} ×
+// {ungoverned, governed}. The materialized evaluators are the
 // oracle; each execution is held to three laws:
 //
 //  1. Result. Byte-identical, in canonical order, to the materialized
@@ -212,16 +211,72 @@ type backend struct {
 	d    rel.ReadStore
 }
 
-// backends returns the crossing's stores, all holding d's data: d
-// itself and hash-partitioned copies, whose scans switch dictionaries
-// at shard-run boundaries.
+// backends returns the crossing's stores, both holding d's data: d
+// itself and a splitStore, whose scans switch dictionaries at the run
+// boundary.
 func backends(d *rel.Database) []backend {
-	return []backend{
-		{"database", d},
-		{"shards=1", shard.FromStore(d, 1)},
-		{"shards=2", shard.FromStore(d, 2)},
-		{"shards=4", shard.FromStore(d, 4)},
+	return []backend{{"database", d}, {"two-run", newSplitStore(d)}}
+}
+
+// splitStore is a rel.ReadStore holding each relation of a database as
+// two runs, the first half of its rows and the rest, in two
+// *rel.Relations with dictionaries of their own. It is the executor's
+// view of a store that is not a *rel.Database: nothing is replayed in
+// place, and a scan's batches change dictionaries mid-relation.
+type splitStore struct {
+	d    *rel.Database
+	rels map[string]*splitRel
+}
+
+func newSplitStore(d *rel.Database) *splitStore {
+	s := &splitStore{d: d, rels: map[string]*splitRel{}}
+	for _, name := range d.Schema().Names() {
+		src := d.Rel(name)
+		r := &splitRel{arity: src.Arity(), runs: [2]*rel.Relation{rel.NewRelation(src.Arity()), rel.NewRelation(src.Arity())}}
+		for i, tp := range src.Tuples() {
+			r.runs[2*i/max(src.Len(), 1)].Add(tp)
+		}
+		s.rels[name] = r
 	}
+	return s
+}
+
+func (s *splitStore) Schema() rel.Schema { return s.d.Schema() }
+
+func (s *splitStore) View(name string) rel.StoredRel {
+	s.d.Rel(name) // panics for a name outside the schema
+	return s.rels[name]
+}
+
+func (s *splitStore) Size() int { return s.d.Size() }
+
+// splitRel is one relation of a splitStore.
+type splitRel struct {
+	arity int
+	runs  [2]*rel.Relation
+}
+
+func (r *splitRel) Arity() int { return r.arity }
+
+func (r *splitRel) Len() int { return r.runs[0].Len() + r.runs[1].Len() }
+
+func (r *splitRel) Contains(t rel.Tuple) bool { return r.runs[0].Contains(t) || r.runs[1].Contains(t) }
+
+func (r *splitRel) BatchScanSized(size int) rel.BatchCursor {
+	return &runsCursor{cs: []rel.BatchCursor{r.runs[0].BatchScanSized(size), r.runs[1].BatchScanSized(size)}}
+}
+
+// runsCursor drains its cursors one after the other.
+type runsCursor struct{ cs []rel.BatchCursor }
+
+func (c *runsCursor) NextBatch() (*rel.Batch, bool) {
+	for len(c.cs) > 0 {
+		if b, ok := c.cs[0].NextBatch(); ok {
+			return b, true
+		}
+		c.cs = c.cs[1:]
+	}
+	return nil, false
 }
 
 // checkExecutor runs one case through the whole crossing, over stores
@@ -278,9 +333,9 @@ func checkExecutor(t *testing.T, g *golden, key string, c suiteCase, d *rel.Data
 					}
 				}
 			}
-			if _, sharded := st.d.(shard.Source); sharded && optimize {
+			if st.d != rel.ReadStore(d) && optimize {
 				// The untraced entries run the same executor; hold them to
-				// the oracle once per sharded store.
+				// the oracle once per non-database store.
 				p := plan.CompileIR(c.root, st.d, plan.Options{Optimize: true})
 				if err := sameEmission(want, p.Execute()); err != nil {
 					t.Errorf("%s store=%s: Execute differs from the materialized evaluation: %v", gkey, st.name, err)

@@ -91,7 +91,7 @@ func (s *colStore) append(b *rel.Batch) {
 // copy of build — or, when build is nil, of the stored backend's batch
 // scan — charging every buffered row to m. Only the in-memory relation
 // exposes zero-copy ID columns, so a stored right side on any other
-// backend (a shard view, a wrapper) is materialized and metered; its
+// backend (a wrapper, any other view) is materialized and metered; its
 // scan goes through m's guard like every leaf scan, so a governed run
 // checks it per batch. The caller releases held from m when done with
 // the columns. Exactly one of build and stored is non-nil

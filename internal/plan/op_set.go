@@ -13,9 +13,8 @@ import "radiv/internal/rel"
 
 // drainBatches pulls in to exhaustion into the result sink, then drops
 // the sink's translation cache: the cache pins every source dictionary
-// the stream carried (stored relations', shard-local and operator
-// dictionaries), which must not outlive the evaluation on a
-// caller-retained result.
+// the stream carried (stored relations' and operator dictionaries),
+// which must not outlive the evaluation on a caller-retained result.
 func drainBatches(in rel.BatchCursor, sink *rel.Relation) {
 	for b, ok := in.NextBatch(); ok; b, ok = in.NextBatch() {
 		sink.AddBatch(b)

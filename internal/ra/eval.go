@@ -54,8 +54,8 @@ func (tr *Trace) String() string {
 }
 
 // Eval evaluates the expression on a store — the in-memory
-// rel.Database or any other rel.ReadStore backend, such as the
-// hash-partitioned shard.Database — and returns the result relation.
+// rel.Database or any other rel.ReadStore backend — and returns the
+// result relation.
 func Eval(e Expr, d rel.ReadStore) *rel.Relation {
 	return evaluate(e, d, nil)
 }

@@ -10,7 +10,6 @@ import (
 	"radiv/internal/plan"
 	"radiv/internal/ra"
 	"radiv/internal/rel"
-	"radiv/internal/shard"
 	"radiv/internal/stats"
 	"radiv/internal/workload"
 )
@@ -310,28 +309,6 @@ func TestVectorizedSetJoinEquivalence(t *testing.T) {
 		d := setJoinDatabase(seed)
 		checkBatchInvariance(t, fmt.Sprintf("set-containment seed %d", seed), ra.SetContainmentJoinExpr("R", "S"), d, d)
 		checkBatchInvariance(t, fmt.Sprintf("set-equality seed %d", seed), ra.SetEqualityJoinExpr("R", "S"), d, d)
-	}
-}
-
-// TestVectorizedOnShardedStores runs the sweep over hash-partitioned
-// stores at shard counts 1, 2 and 4, whose views scan batch-natively
-// across shard-local dictionaries.
-func TestVectorizedOnShardedStores(t *testing.T) {
-	exprs := []struct {
-		name string
-		e    ra.Expr
-	}{
-		{"division", ra.DivisionExpr("R", "S")},
-		{"join-diff", ra.NewDiff(ra.NewProject([]int{1}, ra.NewJoin(ra.R("R", 2), ra.Eq(2, 1), ra.R("S", 1))), ra.NewProject([]int{1}, ra.R("R", 2)))},
-	}
-	for seed := int64(0); seed < 6; seed++ {
-		d := workload.RandomDivision(seed).Database()
-		for _, shards := range []int{1, 2, 4} {
-			sdb := shard.FromStore(d, shards)
-			for _, c := range exprs {
-				checkBatchInvariance(t, fmt.Sprintf("%s seed %d shards=%d", c.name, seed, shards), c.e, d, sdb)
-			}
-		}
 	}
 }
 

@@ -66,8 +66,8 @@ func TestBatchScanRoundTrip(t *testing.T) {
 // insertion order, same dictionary — and report the same new-row
 // count, whether the batches carry one foreign dictionary or a
 // different one in every column, rotated from batch to batch: a join
-// output carries each side's dictionary through, and a shard view's
-// scan changes dictionaries at run boundaries.
+// output carries each side's dictionary through, and a sharded
+// relation's source-order scan changes dictionaries at run boundaries.
 func TestAddBatchMatchesAdd(t *testing.T) {
 	sources := []struct {
 		name string

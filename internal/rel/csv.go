@@ -48,7 +48,7 @@ import (
 
 // WriteText writes a store in the text format. It accepts any ReadStore
 // backend; relations are emitted in name order and tuples in sorted
-// order, so equal stores — sharded or not — serialize identically.
+// order, so equal stores of any backend serialize identically.
 func WriteText(w io.Writer, d ReadStore) error {
 	bw := bufio.NewWriter(w)
 	for _, name := range d.Schema().Names() {

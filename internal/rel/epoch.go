@@ -150,9 +150,8 @@ func (w *Epoch) Dirty(name string) bool {
 // Publish seals this epoch's working copies, bumps their relations'
 // versions and the epoch number, and atomically publishes the new
 // snapshot. With no writes since the last Publish it still advances
-// the epoch (publishing is how lockstep coordination across sharded
-// writers is expressed) at O(#relations) cost, sharing every sealed
-// relation with the previous snapshot.
+// the epoch at O(#relations) cost, sharing every sealed relation with
+// the previous snapshot.
 func (w *Epoch) Publish() *Snapshot {
 	for name, r := range w.work {
 		w.sealed[name] = r

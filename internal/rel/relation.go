@@ -275,7 +275,7 @@ type Cursor struct {
 const arenaChunkRows = 256
 
 // scanTuples returns the tuple cursor over any stored relation — the
-// row reader of CopyStore, StoresEqual and the text writer.
+// row reader of CopyStore and the text writer.
 func scanTuples(v StoredRel) *Cursor { return &Cursor{in: v.BatchScanSized(arenaChunkRows)} }
 
 // Next returns the next tuple, or (nil, false) when the cursor is

@@ -126,7 +126,7 @@ func TestEpochFromStore(t *testing.T) {
 	if s.Epoch() != 1 {
 		t.Fatalf("EpochFromStore published epoch %d", s.Epoch())
 	}
-	if !StoresEqual(d, s) {
+	if !storesEqual(d, s) {
 		t.Fatalf("epoch snapshot differs from source")
 	}
 	sameRows(t, "snapshot scan order", drainTuples(s.Rel("R").Cursor()), drainTuples(d.Rel("R").Cursor()))
@@ -267,4 +267,32 @@ func TestSnapshotIsolationRandomized(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
+}
+
+// storesEqual reports whether two stores have the same schema domain
+// and identical relation contents (as sets — insertion order is not
+// compared): Database.Equal generalized over backends, so a snapshot
+// can be compared against the database it was loaded from.
+func storesEqual(a, b ReadStore) bool {
+	as, bs := a.Schema(), b.Schema()
+	if len(as) != len(bs) {
+		return false
+	}
+	for name, ar := range as {
+		br, ok := bs[name]
+		if !ok || ar != br {
+			return false
+		}
+		av, bv := a.View(name), b.View(name)
+		if av.Len() != bv.Len() {
+			return false
+		}
+		c := scanTuples(av)
+		for t, ok := c.Next(); ok; t, ok = c.Next() {
+			if !bv.Contains(t) {
+				return false
+			}
+		}
+	}
+	return true
 }

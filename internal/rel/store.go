@@ -5,9 +5,8 @@ package rel
 // the materialized ra/sa/xra evaluators, the executor in internal/plan,
 // the text codec, and the engine's dictionary builders all consume this
 // interface rather than the concrete in-memory *Database. The
-// in-memory Database is one implementation; internal/shard provides a
-// hash-partitioned one that splits every relation across shard-local
-// stores behind the same contract.
+// in-memory Database, the epoch writer and its published Snapshots
+// implement it, and internal/faultinject wraps any of them.
 //
 // The contract every implementation must honor, because the
 // executor's byte-identity guarantees rest on it:
@@ -73,14 +72,13 @@ var _ StoredRel = (*Relation)(nil)
 
 // Materialized returns the named relation of s as a *Relation, for
 // consumers that need whole-relation operations (the materialized
-// evaluators' base case, the divisor of a sharded division, the ID
-// columns shard.FromStore loads from). For
-// the in-memory Database — and for a published Snapshot, whose sealed
-// relations are frozen — it is the stored relation itself: aliased is
-// true and the caller must treat it as read-only. Any other backend
-// materializes a fresh copy from its batch scan, owned by the caller:
-// AddBatch interns row by row, column by column, so the copy has the
-// dictionary order tuple-wise Adds of the scan would give it.
+// evaluators' base case, the ID columns shard.FromStore loads from).
+// For the in-memory Database — and for a published Snapshot, whose
+// sealed relations are frozen — it is the stored relation itself:
+// aliased is true and the caller must treat it as read-only. Any other
+// backend materializes a fresh copy from its batch scan, owned by the
+// caller: AddBatch interns row by row, column by column, so the copy
+// has the dictionary order tuple-wise Adds of the scan would give it.
 func Materialized(s ReadStore, name string) (r *Relation, aliased bool) {
 	switch d := s.(type) {
 	case *Database:
@@ -124,35 +122,6 @@ func CopyStore(dst Store, src ReadStore) {
 			dst.Add(name, t)
 		}
 	}
-}
-
-// StoresEqual reports whether two stores have the same schema domain
-// and identical relation contents (as sets — insertion order is not
-// compared). It is Database.Equal generalized over backends, so a
-// sharded store can be compared against the in-memory database it was
-// loaded from.
-func StoresEqual(a, b ReadStore) bool {
-	as, bs := a.Schema(), b.Schema()
-	if len(as) != len(bs) {
-		return false
-	}
-	for name, ar := range as {
-		br, ok := bs[name]
-		if !ok || ar != br {
-			return false
-		}
-		av, bv := a.View(name), b.View(name)
-		if av.Len() != bv.Len() {
-			return false
-		}
-		c := scanTuples(av)
-		for t, ok := c.Next(); ok; t, ok = c.Next() {
-			if !bv.Contains(t) {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // CheckView resolves the named relation's view and verifies its arity

@@ -11,7 +11,6 @@ import (
 	"radiv/internal/ra"
 	"radiv/internal/rel"
 	"radiv/internal/sa"
-	"radiv/internal/shard"
 	"radiv/internal/stats"
 	"radiv/internal/workload"
 )
@@ -282,23 +281,6 @@ func TestVectorizedSADivisionFamily(t *testing.T) {
 		d := workload.RandomDivision(seed).Database()
 		for _, c := range divisionFamily() {
 			checkBatchInvariance(t, fmt.Sprintf("%s seed %d", c.name, seed), c.e, d, d)
-		}
-	}
-}
-
-// TestVectorizedSAOnShardedStores runs the sweep over hash-partitioned
-// stores at shard counts 1, 2 and 4, whose views scan batch-natively
-// across shard-local dictionaries. (A sharded θ replay materializes its
-// stored side; the sweep still requires every batch size to agree on
-// that.)
-func TestVectorizedSAOnShardedStores(t *testing.T) {
-	for seed := int64(0); seed < 6; seed++ {
-		d := workload.RandomDivision(seed).Database()
-		for _, shards := range []int{1, 2, 4} {
-			sdb := shard.FromStore(d, shards)
-			for _, c := range divisionFamily() {
-				checkBatchInvariance(t, fmt.Sprintf("%s seed %d shards=%d", c.name, seed, shards), c.e, d, sdb)
-			}
 		}
 	}
 }

@@ -79,9 +79,9 @@ func Groups(r *rel.Relation) []*Group {
 // The rows are then laid out by group in one flat array, each run
 // sorted by ID. Groups come in first-occurrence order of their keys in
 // the stream, so any two streams carrying the same tuples in the same
-// order — a relation's BatchScan, a shard view's — yield identical
-// groups, which is what lets the sharded set joins feed shard-local
-// batch scans straight into the group builder.
+// order — a relation's BatchScan, a sharded relation's source-order
+// scan — yield identical groups, which is what lets the sharded set
+// joins feed shard-local batch scans straight into the group builder.
 func GroupsFromBatches(in rel.BatchCursor) []*Group {
 	keys := rel.NewIDMap(rel.NewInterner()) // group key -> dense index
 	d := &elemDict{values: rel.NewInterner()}

@@ -20,16 +20,11 @@ package shard
 // inverted index over the shard's R groups, and cuts its pairs into the
 // runs the signature nested loop would emit.
 // The shard-local work runs one task per shard on the worker pool
-// (exec.Run). None of it runs under a query governor: the executor in
-// internal/plan runs every plan, division included, over a sharded
-// store's views, and these entry points are library calls.
+// (exec.Run). None of it runs under a query governor: these entry
+// points are library calls, not plans.
 //
-// Every entry point takes a Source: the live *Database (the writer's
-// uncommitted view, safe when nothing is concurrently mutating) or a
-// published *Snapshot (safe unconditionally — run on snapshot N while
-// the writer loads N+1). Either way the source is only read, and the
-// results are byte-identical: a snapshot scans, routes and merges
-// exactly like the live store that published it.
+// Every entry point takes a sealed *Snapshot and only reads it, so any
+// number of goroutines may run them on one snapshot.
 
 import (
 	"fmt"
@@ -57,10 +52,16 @@ type Stats struct {
 	MergeTime time.Duration
 }
 
-// arityOf checks a relation's arity with a shard-prefixed panic,
-// through the same rel.CheckView the evaluators use.
-func arityOf(db Source, name string, want int) {
-	rel.CheckView(db, name, want, "shard")
+// arityOf checks that the snapshot's schema holds the named relation
+// at the arity the operator needs, panicking with the package prefix.
+func arityOf(db *Snapshot, name string, want int) {
+	a, ok := db.schema.Arity(name)
+	if !ok {
+		panic(fmt.Sprintf("shard: relation %q not in schema", name))
+	}
+	if a != want {
+		panic(fmt.Sprintf("shard: relation %s has arity %d in database, the operator expects %d", name, a, want))
+	}
 }
 
 // Divide computes rName ÷ sName shard-locally: the divisor is
@@ -72,7 +73,7 @@ func arityOf(db Source, name string, want int) {
 // emission order, so the result is byte-identical to division.Hash on
 // the merged relations at every shard count. workers <= 0 means one
 // per CPU.
-func Divide(db Source, rName, sName string, sem division.Semantics, workers int) (*rel.Relation, Stats) {
+func Divide(db *Snapshot, rName, sName string, sem division.Semantics, workers int) (*rel.Relation, Stats) {
 	arityOf(db, rName, 2)
 	arityOf(db, sName, 1)
 	if db.NumShards() == 1 {
@@ -85,7 +86,15 @@ func Divide(db Source, rName, sName string, sem division.Semantics, workers int)
 		// across shard counts.
 		return out, Stats{ShardResident: []int{st.MaxMemoryTuples - sRel.Len()}}
 	}
-	sRel, _ := rel.Materialized(db, sName) // broadcast side, read-only
+	// Broadcast side, read-only: S's rows in source order, the order
+	// division.Hash reads the divisor in.
+	sRel := rel.NewRelationSized(1, len(db.placement[sName]))
+	c := db.scan(sName)
+	for b, ok := c.NextBatch(); ok; b, ok = c.NextBatch() {
+		sRel.AddBatch(b)
+		b.Release()
+	}
+	sRel.DropBatchCache()
 	dt := division.NewDivisorTable(sRel)
 	n := db.NumShards()
 	qualified := make([]map[rel.Value]bool, n)
@@ -123,7 +132,7 @@ func Divide(db Source, rName, sName string, sem division.Semantics, workers int)
 // reproducing the sequential setjoin.SignatureContainment emission byte
 // for byte at every shard count. With one shard it is
 // SignatureContainment itself. workers <= 0 means one per CPU.
-func ContainmentJoin(db Source, rName, sName string, workers int) (*rel.Relation, Stats) {
+func ContainmentJoin(db *Snapshot, rName, sName string, workers int) (*rel.Relation, Stats) {
 	return shardedSetJoin(db, rName, sName, workers, true)
 }
 
@@ -134,7 +143,7 @@ func ContainmentJoin(db Source, rName, sName string, workers int) (*rel.Relation
 // rank — reproducing the sequential setjoin.HashEquality emission
 // (S-major, R insertion order within a probe) byte for byte at every
 // shard count. workers <= 0 means one per CPU.
-func EqualityJoin(db Source, rName, sName string, workers int) (*rel.Relation, Stats) {
+func EqualityJoin(db *Snapshot, rName, sName string, workers int) (*rel.Relation, Stats) {
 	return shardedSetJoin(db, rName, sName, workers, false)
 }
 
@@ -157,7 +166,7 @@ func groupsHeld(gs []*setjoin.Group) int {
 // emission order. AddBatch translates a row's R key before its S key,
 // the order Add interns a pair in, so the result's dictionary comes out
 // in the sequential order too.
-func shardedSetJoin(db Source, rName, sName string, workers int, containment bool) (*rel.Relation, Stats) {
+func shardedSetJoin(db *Snapshot, rName, sName string, workers int, containment bool) (*rel.Relation, Stats) {
 	arityOf(db, rName, 2)
 	arityOf(db, sName, 2)
 	if db.NumShards() == 1 {
@@ -172,7 +181,7 @@ func shardedSetJoin(db Source, rName, sName string, workers int, containment boo
 	}
 	n := db.NumShards()
 	// Broadcast side, read-only: no copy of S is made.
-	sGroups := setjoin.GroupsFromBatches(db.View(sName).BatchScanSized(rel.BatchCap))
+	sGroups := setjoin.GroupsFromBatches(db.scan(sName))
 	// A shard meets its groups in ascending gid order, so the i-th gid
 	// the router sends to shard q is the rank of q's i-th local group.
 	rt := db.Router(rName)

@@ -3,19 +3,19 @@ package shard_test
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
 	"radiv/internal/division"
+	"radiv/internal/exec"
 	"radiv/internal/faultinject"
 	"radiv/internal/plan"
 	"radiv/internal/ra"
 	"radiv/internal/rel"
-	"radiv/internal/sa"
 	"radiv/internal/setjoin"
 	"radiv/internal/shard"
 	"radiv/internal/workload"
-	"radiv/internal/xra"
 )
 
 // shardCounts is the sweep every equivalence test runs: delegation (1)
@@ -23,11 +23,10 @@ import (
 var shardCounts = []int{1, 2, 4}
 
 // divisionStores builds one RandomDivision workload as an in-memory
-// database and as a sharded database with n shards holding identical
-// data.
-func divisionStores(seed int64, n int) (*rel.Database, *shard.Database) {
+// database and as its sealed n-shard partition.
+func divisionStores(seed int64, n int) (*rel.Database, *shard.Snapshot) {
 	d := workload.RandomDivision(seed).Database()
-	return d, shard.FromStore(d, n)
+	return d, shard.FromStore(d, n).Publish()
 }
 
 // sameTuples compares two relations byte for byte: same arity, same
@@ -74,59 +73,14 @@ func sameStorage(a, b *rel.Relation) error {
 	return nil
 }
 
-// TestShardStoreContract pins the rel.Store contract on the sharded
-// backend: scans yield global insertion order (byte-identical to the
-// in-memory database), Len/Size/Contains agree, and set semantics
-// holds across shards.
-func TestShardStoreContract(t *testing.T) {
-	for seed := int64(0); seed < 10; seed++ {
-		for _, n := range shardCounts {
-			d, s := divisionStores(seed, n)
-			if !rel.StoresEqual(d, s) || !s.Equal(d) {
-				t.Fatalf("seed %d shards %d: stores not equal", seed, n)
-			}
-			if d.Size() != s.Size() {
-				t.Fatalf("seed %d shards %d: size %d vs %d", seed, n, d.Size(), s.Size())
-			}
-			for _, name := range d.Schema().Names() {
-				dv, sv := d.View(name), s.View(name)
-				if dv.Len() != sv.Len() {
-					t.Fatalf("seed %d shards %d: %s Len %d vs %d", seed, n, name, dv.Len(), sv.Len())
-				}
-				dts, sts := scanRows(dv, 0), scanRows(sv, 0)
-				if len(dts) != len(sts) {
-					t.Fatalf("seed %d shards %d: %s scans %d tuples vs %d", seed, n, name, len(dts), len(sts))
-				}
-				for i, dt := range dts {
-					if !dt.Equal(sts[i]) {
-						t.Fatalf("seed %d shards %d: %s scan order diverges at %d: %s vs %s", seed, n, name, i, dt, sts[i])
-					}
-					if !sv.Contains(dt) {
-						t.Fatalf("seed %d shards %d: %s missing scanned tuple %s", seed, n, name, dt)
-					}
-				}
-				// A second scan replays the same sequence.
-				if err := scanMatches(sv, dts); err != nil {
-					t.Fatalf("seed %d shards %d: %s rescan: %v", seed, n, name, err)
-				}
-			}
-			// Duplicate adds are rejected globally.
-			if d.Rel("R").Len() > 0 && s.Add("R", d.Rel("R").At(0)) {
-				t.Fatalf("seed %d shards %d: duplicate add accepted", seed, n)
-			}
-		}
-	}
-}
-
-// TestFromStoreReserveChangesNothing pins FromStore's bulk load
-// against the incremental write path (the name dates from when
-// FromStore was Add plus a capacity hint): for every kind of source it
-// builds exactly what tuple-by-tuple Adds into an empty store build —
-// the same shard-local relations down to ID columns and dictionary
-// order, the same routing dictionaries, versions and placement-derived
-// global scan order — and it leaves the routers, their sealed flags and
-// the placement log in the state Add expects, so the two stores stay
-// identical through further Adds and another Publish.
+// TestFromStoreReserveChangesNothing pins FromStore's partition (the
+// name dates from when FromStore was Add plus a capacity hint) against
+// an expectation computed here, for every kind of source: shard q
+// holds exactly the source rows whose first-column router ID maps to q
+// under exec.PartOf, in source order — the same ID columns and
+// dictionary order as tuple-wise Relation.Adds of those rows — and
+// Router lists each relation's first-column values in first-occurrence
+// order (nothing at one shard, where nothing is routed).
 func TestFromStoreReserveChangesNothing(t *testing.T) {
 	sources := map[string]*rel.Database{}
 	for seed := int64(0); seed < 4; seed++ {
@@ -153,120 +107,71 @@ func TestFromStoreReserveChangesNothing(t *testing.T) {
 	sources["one heavy key"] = skewed
 
 	for label, d := range sources {
-		// The same data behind every kind of backend: the in-memory
+		// The same data behind every kind of source: the in-memory
 		// database and a published snapshot hand out their stored
-		// relations, and a sharded snapshot and the fault-injection
-		// wrapper are copied off their batch scans.
+		// relations, and the fault-injection wrapper is copied off its
+		// batch scan.
 		backends := map[string]rel.ReadStore{
-			"rel.Database":   d,
-			"rel.Snapshot":   rel.EpochFromStore(d).Snapshot(),
-			"shard.Snapshot": shard.FromStore(d, 2).Snapshot(),
-			"faultinject":    faultinject.Wrap(d, faultinject.Fault{}),
+			"rel.Database": d,
+			"rel.Snapshot": rel.EpochFromStore(d).Snapshot(),
+			"faultinject":  faultinject.Wrap(d, faultinject.Fault{}),
 		}
 		for backend, src := range backends {
 			for _, n := range shardCounts {
-				bulk := shard.FromStore(src, n)
-				plain := shard.New(d.Schema(), n)
-				for _, name := range d.Schema().Names() {
-					for _, tup := range d.Rel(name).Tuples() {
-						plain.Add(name, tup)
-					}
-				}
-				plain.Publish()
+				snap := shard.FromStore(src, n).Publish()
 				where := fmt.Sprintf("%s from %s at %d shards", label, backend, n)
-				if err := sameShardedStores(bulk, plain); err != nil {
-					t.Fatalf("%s: %v", where, err)
+				if snap.NumShards() != n {
+					t.Fatalf("%s: %d shards", where, snap.NumShards())
 				}
-				// A duplicate, a new element under a known key, and new
-				// keys, in every relation that has columns to vary.
 				for _, name := range d.Schema().Names() {
-					if d.Rel(name).Len() == 0 || d.Rel(name).Arity() == 0 {
-						continue
+					if err := samePartition(snap, d.Rel(name), name); err != nil {
+						t.Fatalf("%s: %v", where, err)
 					}
-					first := d.Rel(name).At(0)
-					fresh := first.Clone()
-					fresh[len(fresh)-1] = rel.Str("a value nobody has")
-					newKey := first.Clone()
-					newKey[0] = rel.Int(-1)
-					for _, tup := range []rel.Tuple{first, fresh, newKey, fresh} {
-						if b, p := bulk.Add(name, tup), plain.Add(name, tup); b != p {
-							t.Fatalf("%s: Add(%s, %s) = %v after the bulk load, %v after Adds", where, name, tup, b, p)
-						}
-					}
-				}
-				// Before Publish the new tuples are the writer's alone.
-				if err := sameShardedStores(bulk, plain); err != nil {
-					t.Fatalf("%s, after further Adds: %v", where, err)
-				}
-				bulk.Publish()
-				plain.Publish()
-				if err := sameShardedStores(bulk, plain); err != nil {
-					t.Fatalf("%s, after further Adds and Publish: %v", where, err)
 				}
 			}
 		}
 	}
 }
 
-// sameShardedStores compares two sharded databases of one schema and
-// shard count in everything a reader or a later Add can observe, on the
-// writer's view and on the published snapshot: per shard the stored
-// relations (sameStorage), per relation the routing dictionary, the
-// version and the global scan order.
-func sameShardedStores(a, b *shard.Database) error {
-	for _, name := range a.Schema().Names() {
-		for _, src := range [][2]shard.Source{{a, b}, {a.Snapshot(), b.Snapshot()}} {
-			for q := 0; q < a.NumShards(); q++ {
-				if err := sameStorage(src[0].ShardRel(q, name), src[1].ShardRel(q, name)); err != nil {
-					return fmt.Errorf("%s on shard %d of %T: %v", name, q, src[0], err)
-				}
-			}
-			ar, br := src[0].Router(name), src[1].Router(name)
-			if ar.Len() != br.Len() {
-				return fmt.Errorf("%s router of %T has %d values, want %d", name, src[0], ar.Len(), br.Len())
-			}
-			for id := 0; id < br.Len(); id++ {
-				if !ar.Value(uint32(id)).Equal(br.Value(uint32(id))) {
-					return fmt.Errorf("%s router of %T diverges at ID %d", name, src[0], id)
-				}
-			}
-			am, _ := rel.Materialized(src[0], name)
-			bm, _ := rel.Materialized(src[1], name)
-			if err := sameTuples(am, bm); err != nil {
-				return fmt.Errorf("%s global order of %T: %v", name, src[0], err)
-			}
+// samePartition compares the named relation of a snapshot with the
+// partition of src the routing rule gives: its router against
+// src's first-column values in first-occurrence order, and each shard
+// against a relation built by adding src's rows that route there, in
+// source order (sameStorage).
+func samePartition(snap *shard.Snapshot, src *rel.Relation, name string) error {
+	n := snap.NumShards()
+	router := rel.NewInterner()
+	want := make([]*rel.Relation, n)
+	for q := range want {
+		want[q] = rel.NewRelation(src.Arity())
+	}
+	for _, tup := range src.Tuples() {
+		q := 0
+		if len(tup) > 0 && n > 1 {
+			q = exec.PartOf(router.Intern(tup[0]), n)
 		}
-		if av, bv := a.Snapshot().Version(name), b.Snapshot().Version(name); av != bv {
-			return fmt.Errorf("%s version %d, want %d", name, av, bv)
+		want[q].Add(tup)
+	}
+	rt := snap.Router(name)
+	if rt.Len() != router.Len() {
+		return fmt.Errorf("%s router has %d values, want %d", name, rt.Len(), router.Len())
+	}
+	for id := 0; id < router.Len(); id++ {
+		if !rt.Value(uint32(id)).Equal(router.Value(uint32(id))) {
+			return fmt.Errorf("%s router diverges at ID %d: %s vs %s", name, id, rt.Value(uint32(id)), router.Value(uint32(id)))
+		}
+	}
+	for q := range want {
+		if err := sameStorage(snap.ShardRel(q, name), want[q]); err != nil {
+			return fmt.Errorf("%s on shard %d: %v", name, q, err)
 		}
 	}
 	return nil
 }
 
-// TestShardSingleShardDelegation pins the zero-overhead contract at
-// shard count 1: no routing state exists and the view is the
-// underlying relation itself, exactly what the in-memory database
-// would hand out.
-func TestShardSingleShardDelegation(t *testing.T) {
-	d, s := divisionStores(1, 1)
-	if s.Router("R").Len() != 0 {
-		t.Errorf("single-shard store keeps a router")
-	}
-	v, ok := s.View("R").(*rel.Relation)
-	if !ok {
-		t.Fatalf("single-shard View is a %T, want the underlying *rel.Relation", s.View("R"))
-	}
-	if v != s.Shard(0).Rel("R") {
-		t.Errorf("single-shard View is not the shard-local relation itself")
-	}
-	if !rel.StoresEqual(d, s) {
-		t.Errorf("single-shard store diverges from source")
-	}
-}
-
 // TestShardRoutingGroupsWhole pins the partition invariant everything
-// rests on: all tuples sharing a first column land in one shard, and
-// ShardOf reports it.
+// rests on: all tuples sharing a first column land in one shard, the
+// one its router ID maps to.
 func TestShardRoutingGroupsWhole(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		for _, n := range []int{2, 4} {
@@ -274,14 +179,15 @@ func TestShardRoutingGroupsWhole(t *testing.T) {
 			for _, name := range []string{"R", "S"} {
 				owner := map[rel.Value]int{}
 				for q := 0; q < s.NumShards(); q++ {
-					c := s.Shard(q).Rel(name).Cursor()
+					c := s.ShardRel(q, name).Cursor()
 					for tup, ok := c.Next(); ok; tup, ok = c.Next() {
 						if prev, seen := owner[tup[0]]; seen && prev != q {
 							t.Fatalf("seed %d shards %d: %s group %s split across shards %d and %d", seed, n, name, tup[0], prev, q)
 						}
 						owner[tup[0]] = q
-						if got := s.ShardOf(name, tup); got != q {
-							t.Fatalf("seed %d shards %d: ShardOf(%s)=%d, tuple lives in %d", seed, n, tup, got, q)
+						id, ok := s.Router(name).ID(tup[0])
+						if !ok || exec.PartOf(id, n) != q {
+							t.Fatalf("seed %d shards %d: %s's router sends %s elsewhere, it lives in %d", seed, n, name, tup, q)
 						}
 					}
 				}
@@ -309,6 +215,50 @@ func TestShardedDivisionEquivalence(t *testing.T) {
 					if len(st.ShardResident) != n {
 						t.Fatalf("seed %d shards %d: %d resident entries", seed, n, len(st.ShardResident))
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestShardSnapshotExecEquivalence ties the three operators on a
+// published snapshot to the paper's expressions: Divide computes what
+// the executor computes for the classical division expression and the
+// equality division, ContainmentJoin and EqualityJoin what it computes
+// for the set-join expressions, all run over the source database, at
+// shard counts 1, 2 and 4 (compared as sets: the executor emits in its
+// own order).
+func TestShardSnapshotExecEquivalence(t *testing.T) {
+	onExecutor := func(e ra.Expr, d rel.ReadStore) *rel.Relation {
+		return plan.CompileIR(plan.FromRA(e), d, plan.Options{Optimize: true}).Execute()
+	}
+	for seed := int64(0); seed < 6; seed++ {
+		d := workload.RandomDivision(seed).Database()
+		wantC := onExecutor(ra.DivisionExpr("R", "S"), d)
+		wantE := onExecutor(ra.EqualityDivisionExpr("R", "S"), d)
+		sr, ss := workload.RandomSetJoin(seed).Generate()
+		sj := rel.NewDatabase(rel.NewSchema(map[string]int{"R": 2, "S": 2}))
+		for _, tup := range sr.Tuples() {
+			sj.Add("R", tup)
+		}
+		for _, tup := range ss.Tuples() {
+			sj.Add("S", tup)
+		}
+		wantSC := onExecutor(ra.SetContainmentJoinExpr("R", "S"), sj)
+		wantSE := onExecutor(ra.SetEqualityJoinExpr("R", "S"), sj)
+		for _, n := range shardCounts {
+			snap := shard.FromStore(d, n).Publish()
+			gotC, _ := shard.Divide(snap, "R", "S", division.Containment, 2)
+			gotE, _ := shard.Divide(snap, "R", "S", division.Equality, 2)
+			sjSnap := shard.FromStore(sj, n).Publish()
+			gotSC, _ := shard.ContainmentJoin(sjSnap, "R", "S", 2)
+			gotSE, _ := shard.EqualityJoin(sjSnap, "R", "S", 2)
+			for _, c := range []struct {
+				op        string
+				want, got *rel.Relation
+			}{{"divide", wantC, gotC}, {"equality divide", wantE, gotE}, {"containment join", wantSC, gotSC}, {"equality join", wantSE, gotSE}} {
+				if !c.got.Equal(c.want) {
+					t.Fatalf("seed %d shards %d: %s has %d tuples, the executor's %d, or they differ", seed, n, c.op, c.got.Len(), c.want.Len())
 				}
 			}
 		}
@@ -376,7 +326,7 @@ func TestShardedSetJoinEquivalence(t *testing.T) {
 			t.Fatalf("%s: the sequential joins disagree with setjoin.Reference", c.label)
 		}
 		for _, n := range c.shards {
-			s := shard.FromStore(d, n)
+			s := shard.FromStore(d, n).Publish()
 			for _, workers := range []int{1, 2, 4} {
 				gotC, _ := shard.ContainmentJoin(s, "R", "S", workers)
 				if err := sameStorage(wantC, gotC); err != nil {
@@ -435,7 +385,7 @@ func TestShardedSetJoinPostings(t *testing.T) {
 			t.Fatalf("%s: the instance has no pairs", c.label)
 		}
 		for n := 1; n <= 4; n++ {
-			s := shard.FromStore(c.d, n)
+			s := shard.FromStore(c.d, n).Publish()
 			for q := range n {
 				local := s.ShardRel(q, "R")
 				_, st := setjoin.ShardContainment(setjoin.GroupsFromBatches(local.BatchScan()), sG)
@@ -522,7 +472,7 @@ func TestShardedAllocationCeilings(t *testing.T) {
 		label string
 		d     *rel.Database
 	}{{"dense", d}, {"rare", rare}} {
-		s := shard.FromStore(c.d, 2).Snapshot()
+		s := shard.FromStore(c.d, 2).Publish()
 		pairs := 0
 		allocs := testing.AllocsPerRun(3, func() {
 			out, _ := shard.ContainmentJoin(s, "R", "S", 2)
@@ -553,73 +503,86 @@ func TestShardedAllocationCeilings(t *testing.T) {
 	}
 }
 
-// TestShardedEvaluatorEquivalence is the acceptance criterion for the
-// algebra layers: the materialized ra/sa/xra evaluators — the oracle
-// every execution is tested against — evaluate byte-identically over a
-// sharded store and the in-memory database at shard counts 1, 2 and 4:
-// the Store abstraction leaks nothing. (The executor over sharded
-// stores is a dimension of internal/plan's executor suite.)
-func TestShardedEvaluatorEquivalence(t *testing.T) {
-	raExpr := ra.DivisionExpr("R", "S")
-	saExpr := sa.NewProject([]int{1}, sa.NewAntijoin(sa.R("R", 2), ra.Eq(2, 1), sa.R("S", 1)))
-	xraExpr := xra.ContainmentDivision("R", "S")
-	for seed := int64(0); seed < 12; seed++ {
-		for _, n := range shardCounts {
-			d, s := divisionStores(seed, n)
-			if err := sameTuples(ra.Eval(raExpr, d), ra.Eval(raExpr, s)); err != nil {
-				t.Fatalf("ra seed %d shards %d: %v", seed, n, err)
-			}
-			if err := sameTuples(sa.Eval(saExpr, d), sa.Eval(saExpr, s)); err != nil {
-				t.Fatalf("sa seed %d shards %d: %v", seed, n, err)
-			}
-			if err := sameTuples(xra.Eval(xraExpr, d), xra.Eval(xraExpr, s)); err != nil {
-				t.Fatalf("xra seed %d shards %d: %v", seed, n, err)
-			}
-		}
-	}
-}
-
-// TestShardedEvalResultOwnership extends the result-ownership contract
-// to sharded stores: a bare-relation evaluation must hand back a
-// caller-owned snapshot, never a view into a shard.
-func TestShardedEvalResultOwnership(t *testing.T) {
-	_, s := divisionStores(3, 2)
-	before := s.View("R").Len()
-	res := ra.Eval(ra.R("R", 2), s)
-	res.Add(rel.Ints(-99, -99))
-	if s.View("R").Len() != before || s.View("R").Contains(rel.Ints(-99, -99)) {
-		t.Errorf("mutating a bare-relation result wrote through to the sharded store")
-	}
-}
-
-// TestShardConcurrentReaders pins the "concurrent readers are safe
-// once loading is complete" contract under the race detector: several
-// goroutines scan and probe a relation that most shards never
-// received a tuple of (the regression: lazily materializing those
-// empty shard-local relations was a map write on the read path).
+// TestShardConcurrentReaders pins "any number of goroutines may run
+// the operators on one snapshot" under the race detector, on relations
+// most shards never received a tuple of (the regression: lazily
+// materializing those empty shard-local relations was a map write on
+// the read path). S and Q hold one group each, so three of four shards
+// hold none of either; four goroutines run the three operators,
+// each result byte-identical to the sequential algorithm.
 func TestShardConcurrentReaders(t *testing.T) {
-	s := shard.New(rel.NewSchema(map[string]int{"R": 2, "S": 1}), 4)
-	s.AddInts("S", 7) // one group: three shards hold no S at all
+	d := rel.NewDatabase(rel.NewSchema(map[string]int{"R": 2, "S": 1, "P": 2, "Q": 2}))
+	d.AddInts("S", 7)
+	d.AddInts("Q", 1, 3)
+	d.AddInts("Q", 1, 5)
 	for i := int64(0); i < 40; i++ {
-		s.AddInts("R", i, i%7)
+		d.AddInts("R", i%9, i%8)
+		d.AddInts("P", i%6, i%7)
 	}
+	wantD, _ := division.Hash{}.Divide(d.Rel("R"), d.Rel("S"), division.Containment)
+	pG, qG := setjoin.Groups(d.Rel("P")), setjoin.Groups(d.Rel("Q"))
+	wantC, _ := setjoin.SignatureContainment{}.Join(pG, qG)
+	wantE, _ := setjoin.HashEquality{}.Join(pG, qG)
+	if wantD.Len() == 0 || wantC.Len() == 0 {
+		t.Fatalf("the instance has an empty division (%d) or containment join (%d)", wantD.Len(), wantC.Len())
+	}
+	s := shard.FromStore(d, 4).Publish()
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for rep := 0; rep < 50; rep++ {
-				v := s.View("S")
-				if n := len(scanRows(v, 0)); n != 1 || !v.Contains(rel.Ints(7)) || v.Contains(rel.Ints(8)) {
-					t.Errorf("concurrent reader saw wrong contents (n=%d)", n)
-					return
-				}
-				if got := plan.CompileIR(plan.NRel("S", 1), s, plan.Options{}).Execute(); got.Len() != 1 {
-					t.Errorf("concurrent execution saw %d tuples", got.Len())
-					return
+				gotD, _ := shard.Divide(s, "R", "S", division.Containment, 2)
+				gotC, _ := shard.ContainmentJoin(s, "P", "Q", 2)
+				gotE, _ := shard.EqualityJoin(s, "P", "Q", 2)
+				for _, c := range []struct {
+					op        string
+					want, got *rel.Relation
+				}{{"divide", wantD, gotD}, {"containment", wantC, gotC}, {"equality", wantE, gotE}} {
+					if err := sameStorage(c.want, c.got); err != nil {
+						t.Errorf("concurrent %s: %v", c.op, err)
+						return
+					}
 				}
 			}
 		}()
 	}
 	wg.Wait()
+}
+
+// TestShardOperatorPanics pins one panic prefix at every shard count:
+// each operator rejects a relation outside the schema and one of the
+// wrong arity with a "shard: " panic, at one shard (which delegates to
+// the sequential algorithms) as at two and four.
+func TestShardOperatorPanics(t *testing.T) {
+	d := rel.NewDatabase(rel.NewSchema(map[string]int{"R": 2, "S": 1, "T": 3}))
+	d.AddInts("R", 1, 2)
+	d.AddInts("S", 2)
+	d.AddInts("T", 1, 2, 3)
+	ops := map[string]func(s *shard.Snapshot, r, sName string){
+		"Divide": func(s *shard.Snapshot, r, sName string) {
+			shard.Divide(s, r, sName, division.Containment, 1)
+		},
+		"ContainmentJoin": func(s *shard.Snapshot, r, sName string) { shard.ContainmentJoin(s, r, sName, 1) },
+		"EqualityJoin":    func(s *shard.Snapshot, r, sName string) { shard.EqualityJoin(s, r, sName, 1) },
+	}
+	for _, n := range shardCounts {
+		s := shard.FromStore(d, n).Publish()
+		for name, op := range ops {
+			for _, c := range []struct{ label, r, s string }{
+				{"unknown", "R", "Nope"},
+				{"wrong arity", "T", "S"},
+			} {
+				msg := func() (msg string) {
+					defer func() { msg = fmt.Sprint(recover()) }()
+					op(s, c.r, c.s)
+					return ""
+				}()
+				if !strings.HasPrefix(msg, "shard: ") {
+					t.Errorf("shards %d %s %s: panic %q, want a \"shard: \" panic", n, name, c.label, msg)
+				}
+			}
+		}
+	}
 }

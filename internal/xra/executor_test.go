@@ -11,7 +11,6 @@ import (
 	"radiv/internal/plan"
 	"radiv/internal/ra"
 	"radiv/internal/rel"
-	"radiv/internal/shard"
 	"radiv/internal/stats"
 	"radiv/internal/workload"
 	"radiv/internal/xra"
@@ -288,28 +287,6 @@ func TestVectorizedGammaEmpty(t *testing.T) {
 	checkBatchInvariance(t, "grouped-empty", xra.NewGamma([]int{1}, 0, r2), d, d)
 	if got, _ := executed(xra.NewGamma(nil, 1, r2), d, 0); !got.Contains(rel.Ints(0)) {
 		t.Errorf("grand aggregate over an empty input = %v, want the zero row", got)
-	}
-}
-
-// TestVectorizedXRAOnShardedStores runs the sweep over hash-partitioned
-// stores at shard counts 1, 2 and 4, whose views scan batch-natively
-// across shard-local dictionaries.
-func TestVectorizedXRAOnShardedStores(t *testing.T) {
-	exprs := []struct {
-		name string
-		e    xra.Expr
-	}{
-		{"gamma-division", xra.ContainmentDivision("R", "S")},
-		{"gamma-star", xra.NewGamma([]int{1}, 0, &xra.Wrap{E: ra.R("R", 2)})},
-	}
-	for seed := int64(0); seed < 6; seed++ {
-		d := workload.RandomDivision(seed).Database()
-		for _, shards := range []int{1, 2, 4} {
-			sdb := shard.FromStore(d, shards)
-			for _, c := range exprs {
-				checkBatchInvariance(t, fmt.Sprintf("%s seed %d shards=%d", c.name, seed, shards), c.e, d, sdb)
-			}
-		}
 	}
 }
 
