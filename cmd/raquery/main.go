@@ -13,6 +13,10 @@
 //	raquery -db data.txt -ra '...' -max-resident 100000  # tuple budget
 //	raquery -db data.txt -ra '...' -oracle       # the paper's materialized semantics
 //
+// Exactly one of -ra, -sa and -gf is given. A flag that does not apply
+// to the query is a usage error, reported before the database is
+// loaded.
+//
 // One executor runs every -ra and -sa query: the expression becomes
 // internal/plan's IR (rewritten only under -optimize, which applies to
 // -ra) and plan builds and runs its batch cursor tree. -timeout and
@@ -81,10 +85,39 @@ func run(args []string, out io.Writer) error {
 	if *timeout < 0 || *maxResident < 0 {
 		return fmt.Errorf("-timeout and -max-resident must not be negative (0 = none)")
 	}
-
 	if *dbPath == "" {
 		return fmt.Errorf("missing -db")
 	}
+	// Every flag combination is checked before the database is loaded,
+	// so a usage error costs nothing.
+	queries := 0
+	for _, src := range []string{*raSrc, *saSrc, *gfSrc} {
+		if src != "" {
+			queries++
+		}
+	}
+	if queries != 1 {
+		return fmt.Errorf("provide exactly one of -ra, -sa, -gf")
+	}
+	if (*optimize || *explain) && *raSrc == "" {
+		return fmt.Errorf("-optimize and -explain apply to -ra queries only")
+	}
+	if *trace && *gfSrc != "" {
+		return fmt.Errorf("-trace applies to -ra and -sa queries only")
+	}
+	if (*vars != "" || *consts != "") && *gfSrc == "" {
+		return fmt.Errorf("-vars and -consts apply to -gf queries only")
+	}
+	// Budgets put the executor under a governor: a timeout cancels the
+	// context mid-flight, a resident cap aborts on budget.
+	governed := *timeout > 0 || *maxResident > 0
+	if *oracle && (governed || *optimize || *explain) {
+		return fmt.Errorf("-oracle evaluates the expression as written, unbudgeted: it excludes -optimize, -explain, -timeout and -max-resident")
+	}
+	if (governed || *oracle) && *gfSrc != "" {
+		return fmt.Errorf("-timeout, -max-resident and -oracle apply to -ra and -sa queries only")
+	}
+
 	f, err := os.Open(*dbPath)
 	if err != nil {
 		return err
@@ -102,22 +135,6 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	if (*optimize || *explain) && *raSrc == "" {
-		return fmt.Errorf("-optimize and -explain apply to -ra queries only")
-	}
-	if *trace && *raSrc == "" && *saSrc == "" {
-		return fmt.Errorf("-trace applies to -ra and -sa queries only")
-	}
-	if (*vars != "" || *consts != "") && *gfSrc == "" {
-		return fmt.Errorf("-vars and -consts apply to -gf queries only")
-	}
-
-	// Budgets put the executor under a governor: a timeout cancels the
-	// context mid-flight, a resident cap aborts on budget.
-	governed := *timeout > 0 || *maxResident > 0
-	if *oracle && (governed || *optimize || *explain) {
-		return fmt.Errorf("-oracle evaluates the expression as written, unbudgeted: it excludes -optimize, -explain, -timeout and -max-resident")
-	}
 	lim := exec.Limits{MaxResident: *maxResident}
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -176,10 +193,7 @@ func run(args []string, out io.Writer) error {
 			}
 		}
 		fmt.Fprint(out, res)
-	case *gfSrc != "":
-		if governed || *oracle {
-			return fmt.Errorf("-timeout, -max-resident and -oracle apply to -ra and -sa queries only")
-		}
+	default:
 		formula, err := parser.ParseGF(*gfSrc)
 		if err != nil {
 			return err
@@ -203,8 +217,6 @@ func run(args []string, out io.Writer) error {
 		}
 		c := gf.Constants(formula).Union(rel.Consts(cs...))
 		fmt.Fprint(out, gf.Answers(formula, d, c, vlist))
-	default:
-		return fmt.Errorf("provide one of -ra, -sa, -gf")
 	}
 	return nil
 }

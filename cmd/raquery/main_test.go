@@ -5,6 +5,8 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -103,6 +105,26 @@ func TestRunErrors(t *testing.T) {
 		{"-db", db, "-ra", "R", "-timeout", "-1s"},             // a negative budget is no budget
 		{"-db", db, "-ra", "R", "-max-resident", "-5"},
 		{"-db", db, "-ra", "R", "extra"}, // a stray positional argument
+	}
+	// A usage error is reported before the database is opened: each of
+	// these names a file that does not exist, and must not get as far
+	// as saying so.
+	usage := [][]string{
+		{"-ra", "R", "-sa", "S"}, // one query at a time
+		{"-ra", "R", "-gf", "S(x)"},
+		{"-sa", "S", "-gf", "S(x)"},
+		{"-ra", "R", "-sa", "S", "-gf", "S(x)"},
+		{"-sa", "S", "-optimize"},
+		{"-gf", "S(x)", "-trace"},
+		{"-ra", "R", "-vars", "x"},
+		{"-gf", "S(x)", "-timeout", "1s"},
+		{"-ra", "R", "-oracle", "-max-resident", "5"},
+	}
+	for _, args := range usage {
+		args = append([]string{"-db", "/nonexistent"}, args...)
+		if err := run(args, io.Discard); err == nil || errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("run(%v): error %v, want a usage error before the database is opened", args, err)
+		}
 	}
 	for _, args := range cases {
 		var out bytes.Buffer

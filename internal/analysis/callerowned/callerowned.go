@@ -10,9 +10,8 @@
 // calls of the storage layer:
 //
 //   - any call whose single result is the rel.StoredRel interface
-//     (Store.View, rel.CheckView);
-//   - any method named Rel returning *rel.Relation (Database.Rel,
-//     Epoch.Rel, Snapshot.Rel);
+//     (ReadStore.View, rel.CheckView);
+//   - any method named Rel returning *rel.Relation (Database.Rel);
 //   - any call returning (*rel.Relation, bool) — the possibly-aliased
 //     shape of rel.Materialized and BaseResolver.Resolve, whose bool
 //     reports whether the store handed out its own storage.
@@ -33,7 +32,7 @@
 //
 // Scope: exported package-level functions AND exported methods,
 // outside package rel itself — the storage layer hands out views by
-// documented contract (Store.View, Materialized's aliased flag); the
+// documented contract (ReadStore.View, Materialized's aliased flag); the
 // ownership contract binds the layers above it, entry-point methods
 // (plan.Plan.Execute, shard accessors) included. The shard layer's
 // documented read accessor (Snapshot.ShardRel) carries a

@@ -14,27 +14,27 @@ func EvalBare(d *rel.Database, name string) *rel.Relation {
 
 // EvalView launders the store's view through a local before returning
 // it.
-func EvalView(s rel.Store, name string) rel.StoredRel {
+func EvalView(s rel.ReadStore, name string) rel.StoredRel {
 	v := s.View(name)
 	return v // want `store-owned relation`
 }
 
 // EvalMaterialized drops the aliased flag of the (relation, bool)
 // contract shape and returns the possibly-aliased relation.
-func EvalMaterialized(s rel.Store, name string) *rel.Relation {
+func EvalMaterialized(s rel.ReadStore, name string) *rel.Relation {
 	r, _ := rel.Materialized(s, name)
 	return r // want `store-owned relation`
 }
 
 // EvalForwarded forwards the pair wholesale, pushing the ownership
 // decision onto a caller who never sees the contract.
-func EvalForwarded(s rel.Store, name string) (*rel.Relation, bool) {
+func EvalForwarded(s rel.ReadStore, name string) (*rel.Relation, bool) {
 	return rel.Materialized(s, name) // want `possibly-aliased`
 }
 
 // EvalCloned is the canonical fix: conditional clone on the aliased
 // flag before the result escapes.
-func EvalCloned(s rel.Store, name string) *rel.Relation {
+func EvalCloned(s rel.ReadStore, name string) *rel.Relation {
 	r, aliased := rel.Materialized(s, name)
 	if aliased {
 		r = r.Clone()
@@ -49,7 +49,7 @@ func EvalDirectClone(d *rel.Database, name string) *rel.Relation {
 
 // EvalFresh builds its result from scratch: operator results are
 // always caller-owned.
-func EvalFresh(s rel.Store, name string) *rel.Relation {
+func EvalFresh(s rel.ReadStore, name string) *rel.Relation {
 	v := s.View(name)
 	out := rel.NewRelation(v.Arity())
 	c := v.BatchScanSized(0)
@@ -62,11 +62,11 @@ func EvalFresh(s rel.Store, name string) *rel.Relation {
 
 // probe holds interior views legitimately: unexported helpers are the
 // evaluator internals the contract explicitly permits to alias.
-func probe(s rel.Store, name string) rel.StoredRel {
+func probe(s rel.ReadStore, name string) rel.StoredRel {
 	return s.View(name)
 }
 
 // EvalUsesProbe consumes an interior view without returning it.
-func EvalUsesProbe(s rel.Store, name string, t rel.Tuple) bool {
+func EvalUsesProbe(s rel.ReadStore, name string, t rel.Tuple) bool {
 	return probe(s, name).Contains(t)
 }

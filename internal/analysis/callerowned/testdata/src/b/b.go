@@ -18,19 +18,19 @@ func (e *Engine) Rel(name string) *rel.Relation {
 }
 
 // View launders the view through a local first.
-func (e *Engine) View(s rel.Store, name string) rel.StoredRel {
+func (e *Engine) View(s rel.ReadStore, name string) rel.StoredRel {
 	v := s.View(name)
 	return v // want `store-owned relation`
 }
 
 // Forward pushes the (relation, bool) pair wholesale onto the caller.
-func (e *Engine) Forward(s rel.Store, name string) (*rel.Relation, bool) {
+func (e *Engine) Forward(s rel.ReadStore, name string) (*rel.Relation, bool) {
 	return rel.Materialized(s, name) // want `possibly-aliased`
 }
 
 // Execute is the canonical entry-point shape: conditional clone on
 // the aliased flag, so the result is caller-owned. Must stay silent.
-func (e *Engine) Execute(s rel.Store, name string) *rel.Relation {
+func (e *Engine) Execute(s rel.ReadStore, name string) *rel.Relation {
 	r, aliased := rel.Materialized(s, name)
 	if aliased {
 		r = r.Clone()
@@ -44,7 +44,7 @@ func (e *Engine) Snapshot(name string) *rel.Relation {
 }
 
 // Fresh builds its result from scratch. Must stay silent.
-func (e *Engine) Fresh(s rel.Store, name string) *rel.Relation {
+func (e *Engine) Fresh(s rel.ReadStore, name string) *rel.Relation {
 	v := s.View(name)
 	out := rel.NewRelation(v.Arity())
 	c := v.BatchScanSized(0)

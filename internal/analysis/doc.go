@@ -7,27 +7,27 @@
 // Every relation an exported evaluator entry point returns belongs to
 // the caller: mutating it must never write through into a store. The
 // storage layer hands out aliased views by documented contract
-// (rel.Store.View, rel.Materialized's aliased flag, Database.Rel);
+// (rel.ReadStore.View, rel.Materialized's aliased flag, Database.Rel);
 // the layers above must snapshot — Clone, or the conditional clone on
 // Materialized's flag — before a store-reachable relation escapes.
 // PRs 2–4 fixed this class by hand after ra.Eval returned the
 // database's own relation for a bare-Rel root. Enforced by
 // radiv/internal/analysis/callerowned.
 //
-// # Contract 2: published snapshots are immutable; interning goes
-// through the epoch writer
+// # Contract 2: a sealed partition is immutable; pool workers do not
+// intern on captured state
 //
-// A published snapshot (rel.Snapshot, shard.Snapshot) is sealed:
-// every relation and dictionary reachable from it may be read from
-// any goroutine with no coordination, and must never be written —
-// no Relation.Add, Interner.Intern, or IDMap.Intern into snapshot
-// state, anywhere. Mutation goes through the epoch writer (rel.Epoch)
-// and becomes visible only at Publish; a shard.Snapshot seals the
-// partition shard.FromStore built, and nothing writes to it after.
-// The same law covers the task callbacks of exec.Run, the one worker
-// pool: they must not intern on captured state — new values are
-// interned through the writer before the workers start — while reads
-// of sealed snapshot dictionaries are legal from any worker.
+// A published shard.Snapshot is sealed: every shard-local relation
+// and dictionary reachable from it may be read from any goroutine with
+// no coordination, and must never be written — no Relation.Add,
+// Interner.Intern, or IDMap.Intern into snapshot state, anywhere.
+// shard.FromStore builds the partition and interns everything it
+// needs before Publish seals it; nothing writes to it after. The same
+// law covers the task callbacks of exec.Run, the one worker pool: they
+// must not intern on captured state (Interner.Intern, IDMap.Intern,
+// Relation.Add/AddBatch, Database.Add/AddInts/AddStrs) — new values
+// are interned before the workers start — while reads of captured
+// dictionaries are legal from any worker.
 // A violation is a data race the race detector only sees under lucky
 // schedules; the analyzer sees it lexically. Enforced by
 // radiv/internal/analysis/quiescence.

@@ -1,36 +1,33 @@
-// Package quiescence enforces the snapshot contract of the storage
-// and execution layers (rel/snapshot.go, exec/pool.go). Since the
-// epoch refactor the law has two halves:
+// Package quiescence enforces the sealing contract of the sharded
+// partition and the worker pool (shard/snapshot.go, exec/pool.go). The
+// law has two halves:
 //
-//  1. Published snapshots are immutable. A *rel.Snapshot or
-//     *shard.Snapshot hands out sealed state — relations, their
-//     dictionaries, their translation targets — and nothing obtained
-//     from one may ever be mutated: no Relation.Add/AddBatch/Reserve,
-//     no Interner.Intern, no IDMap interning into a snapshot
-//     dictionary. Interning goes through the epoch writer (or, for
-//     a shard.Snapshot, shard.FromStore's build) before the snapshot
-//     is published.
+//  1. A published shard.Snapshot is immutable. It hands out sealed
+//     state — shard-local relations, their dictionaries, their
+//     translation targets — and nothing obtained from one may ever be
+//     mutated: no Relation.Add/AddBatch/Reserve, no Interner.Intern,
+//     no IDMap interning into a snapshot dictionary. Interning happens
+//     in shard.FromStore's build, before Publish.
 //
 //  2. Pool workers do not intern into shared dictionaries. The task
 //     callbacks of exec.Run run concurrently with each other, and a
 //     rel.Interner is not safe for concurrent mutation — so no worker
 //     may intern into any dictionary captured from the enclosing
-//     scope. Reading captured dictionaries is legal: under the
-//     snapshot contract the dictionaries a worker sees are sealed;
-//     what workers must not do is mutate.
+//     scope. Reading captured dictionaries is legal: the dictionaries
+//     a worker is handed are sealed; what workers must not do is
+//     mutate.
 //
-// Half 1 is a lexical taint walk per function body: snapshot method
-// results (and values derived from them through method chains,
-// assignments, rel.Materialized on a snapshot, rel.NewIDMap over a
-// snapshot dictionary) are tainted, mutating method calls on tainted
-// receivers are flagged, and Clone sanitizes — a cloned relation is
-// the caller's to mutate. Half 2 inspects every function-literal
-// task callback passed to exec.Run and flags
-// interning calls — Interner.Intern, IDMap.Intern,
-// Relation.Add/AddBatch, Store.Add — whose receiver is captured from
-// the enclosing scope. A receiver declared
-// inside the callback (a worker-local relation or interner) is private
-// to the worker and exempt.
+// Half 1 is a lexical taint walk per function body: shard.Snapshot
+// method results (and values derived from them through method chains,
+// assignments and rel.NewIDMap over a snapshot dictionary) are
+// tainted, mutating method calls on tainted receivers are flagged,
+// and Clone sanitizes — a cloned relation is the caller's to mutate.
+// Half 2 inspects every function-literal task callback passed to
+// exec.Run and flags interning calls — Interner.Intern, IDMap.Intern,
+// Relation.Add/AddBatch, Database.Add/AddInts/AddStrs — whose receiver
+// is captured from the enclosing scope. A receiver declared inside the
+// callback (a worker-local relation or interner) is private to the
+// worker and exempt.
 package quiescence
 
 import (
@@ -54,7 +51,6 @@ const (
 )
 
 func run(pass *analysis.Pass) error {
-	storeIface := analysis.NamedInterface(pass, relPath, "Store")
 	for _, f := range pass.Files {
 		// Half 1: snapshot immutability, one taint walk per function.
 		for _, d := range f.Decls {
@@ -73,7 +69,7 @@ func run(pass *analysis.Pass) error {
 			if !ok {
 				return true // a named worker function: outside the lexical contract
 			}
-			checkWorker(pass, work, storeIface)
+			checkWorker(pass, work)
 			return true
 		})
 	}
@@ -82,7 +78,7 @@ func run(pass *analysis.Pass) error {
 
 // checkWorker flags interning on captured receivers anywhere lexically
 // inside the worker callback.
-func checkWorker(pass *analysis.Pass, work *ast.FuncLit, storeIface *types.Interface) {
+func checkWorker(pass *analysis.Pass, work *ast.FuncLit) {
 	ast.Inspect(work.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
@@ -92,7 +88,7 @@ func checkWorker(pass *analysis.Pass, work *ast.FuncLit, storeIface *types.Inter
 		if sel == nil || recv == nil {
 			return true
 		}
-		kind := classify(sel.Sel.Name, recv, storeIface)
+		kind := classify(sel.Sel.Name, recv)
 		if kind == "" {
 			return true
 		}
@@ -105,14 +101,21 @@ func checkWorker(pass *analysis.Pass, work *ast.FuncLit, storeIface *types.Inter
 				return true // worker-local dictionary: private to this goroutine
 			}
 		}
-		pass.Reportf(call.Pos(), "%s inside a pool worker: workers share it with other goroutines; intern through the epoch writer before exec.Run (snapshot contract, see rel.Snapshot)", kind)
+		pass.Reportf(call.Pos(), "%s inside a pool worker: workers share it with other goroutines; intern before exec.Run", kind)
 		return true
 	})
 }
 
 // classify returns a description of the hazardous interning call, or
 // "" for calls outside the contract.
-func classify(name string, recv types.Type, storeIface *types.Interface) string {
+func classify(name string, recv types.Type) string {
+	if analysis.IsNamed(recv, relPath, "Database") {
+		switch name {
+		case "Add", "AddInts", "AddStrs":
+			return "Database." + name + " interning into a captured database"
+		}
+		return ""
+	}
 	switch name {
 	case "Intern":
 		if analysis.IsNamed(recv, relPath, "Interner") {
@@ -125,9 +128,6 @@ func classify(name string, recv types.Type, storeIface *types.Interface) string 
 		if analysis.IsNamed(recv, relPath, "Relation") {
 			return "Relation.Add interning into a captured relation's dictionary"
 		}
-		if analysis.Implements(recv, storeIface) {
-			return "Store.Add interning into a captured store"
-		}
 	case "AddBatch":
 		if analysis.IsNamed(recv, relPath, "Relation") {
 			return "Relation.AddBatch interning into a captured relation's dictionary"
@@ -136,11 +136,9 @@ func classify(name string, recv types.Type, storeIface *types.Interface) string 
 	return ""
 }
 
-// isSnapshotType reports whether t is one of the published snapshot
-// types: rel.Snapshot or shard.Snapshot (possibly behind a pointer).
-func isSnapshotType(t types.Type) bool {
-	return analysis.IsNamed(t, relPath, "Snapshot") || analysis.IsNamed(t, shardPath, "Snapshot")
-}
+// isSnapshotType reports whether t is the published snapshot type,
+// shard.Snapshot (possibly behind a pointer).
+func isSnapshotType(t types.Type) bool { return analysis.IsNamed(t, shardPath, "Snapshot") }
 
 // snapSink returns a description of a mutating call on a
 // snapshot-derived receiver, or "" for reads (which are the point of
@@ -169,9 +167,8 @@ func snapSink(name string, recv types.Type) string {
 // checkSnapshotMutation runs the snapshot-immutability taint walk over
 // one function body in source order. Taint sources are snapshot method
 // results; taint propagates through assignments, method chains (Clone
-// excepted — a clone is caller-owned), rel.Materialized on a
-// statically snapshot-typed store, rel.NewIDMap over a tainted
-// dictionary, and IDColumns' dictionary result. Mutating method calls
+// excepted — a clone is caller-owned), rel.NewIDMap over a tainted
+// dictionary, and IDColumns' results. Mutating method calls
 // on tainted receivers are flagged. Function literals are walked too:
 // a worker closure mutating captured snapshot state is exactly the
 // race the contract exists to prevent.
@@ -196,14 +193,8 @@ func checkSnapshotMutation(pass *analysis.Pass, body *ast.BlockStmt) {
 				}
 				return exprTaint(sel.X) // method chain off tainted state
 			}
-			if analysis.CalleePkgFunc(pass, e, relPath, "Materialized") && len(e.Args) > 0 {
-				return materializedFromSnapshot(pass, e)
-			}
 			if analysis.CalleePkgFunc(pass, e, relPath, "NewIDMap") && len(e.Args) == 1 {
 				return exprTaint(e.Args[0]) // the map interns into its target
-			}
-			if analysis.CalleePkgFunc(pass, e, relPath, "FreezeDict") {
-				return false // the frozen facade has no mutators anyway
 			}
 		}
 		return false
@@ -225,22 +216,17 @@ func checkSnapshotMutation(pass *analysis.Pass, body *ast.BlockStmt) {
 
 	handleAssign := func(lhs, rhs []ast.Expr) {
 		if len(rhs) == 1 && len(lhs) > 1 {
-			// Multi-value call: taint flows into the results of the two
-			// multi-result sources — rel.Materialized on a snapshot
-			// (first result) and IDColumns on a tainted relation (the
+			// Multi-value call: taint flows into the results of the one
+			// multi-result source, IDColumns on a tainted relation (the
 			// columns and their dictionary).
-			taintAll := false
-			taintFirst := false
+			taint := false
 			if call, ok := ast.Unparen(rhs[0]).(*ast.CallExpr); ok {
-				if analysis.CalleePkgFunc(pass, call, relPath, "Materialized") {
-					taintFirst = materializedFromSnapshot(pass, call)
-				} else if sel, recv := analysis.MethodCall(pass, call); sel != nil && recv != nil && sel.Sel.Name == "IDColumns" {
-					taintAll = exprTaint(sel.X)
+				if sel, recv := analysis.MethodCall(pass, call); sel != nil && recv != nil && sel.Sel.Name == "IDColumns" {
+					taint = exprTaint(sel.X)
 				}
 			}
-			setTaint(lhs[0], taintFirst || taintAll)
-			for _, l := range lhs[1:] {
-				setTaint(l, taintAll)
+			for _, l := range lhs {
+				setTaint(l, taint)
 			}
 			return
 		}
@@ -269,21 +255,9 @@ func checkSnapshotMutation(pass *analysis.Pass, body *ast.BlockStmt) {
 				return true
 			}
 			if kind := snapSink(sel.Sel.Name, recv); kind != "" && exprTaint(sel.X) {
-				pass.Reportf(n.Pos(), "%s mutating a published snapshot: snapshots are immutable; mutate through the epoch writer and Publish (snapshot contract, see rel.Snapshot)", kind)
+				pass.Reportf(n.Pos(), "%s mutating a published snapshot: a shard.Snapshot is sealed; build the partition with shard.FromStore before Publish", kind)
 			}
 		}
 		return true
 	})
-}
-
-// materializedFromSnapshot reports whether a rel.Materialized call
-// takes a statically snapshot-typed store, in which case its relation
-// result aliases sealed snapshot storage (aliased is always true for
-// snapshots).
-func materializedFromSnapshot(pass *analysis.Pass, call *ast.CallExpr) bool {
-	if len(call.Args) == 0 {
-		return false
-	}
-	tv, ok := pass.TypesInfo.Types[ast.Unparen(call.Args[0])]
-	return ok && isSnapshotType(tv.Type)
 }

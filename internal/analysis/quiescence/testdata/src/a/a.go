@@ -16,7 +16,7 @@ import (
 // dictionary every other worker also holds. Reading the captured
 // dictionary is not flagged — under the snapshot contract the
 // dictionaries a worker is handed are sealed.
-func InternInWorker(workers int, shards []rel.BatchCursor, dict *rel.Interner, sink *rel.Relation, s rel.Store) {
+func InternInWorker(workers int, shards []rel.BatchCursor, dict *rel.Interner, sink *rel.Relation, d *rel.Database) {
 	exec.Run(workers, len(shards), func(q int) {
 		shard := shards[q]
 		for b, ok := shard.NextBatch(); ok; b, ok = shard.NextBatch() {
@@ -24,7 +24,10 @@ func InternInWorker(workers int, shards []rel.BatchCursor, dict *rel.Interner, s
 				t := rel.Tuple{b.Value(0, row)}
 				dict.Intern(t[0])    // want `Interner.Intern on a captured dictionary`
 				sink.Add(t)          // want `Relation.Add interning into a captured relation`
-				s.Add("out", t)      // want `Store.Add interning into a captured store`
+				d.Add("out", t)      // want `Database.Add interning into a captured database`
+				d.AddInts("n", 1)    // want `Database.AddInts interning into a captured database`
+				d.AddStrs("s", "x")  // want `Database.AddStrs interning into a captured database`
+				_ = d.Rel("out")     // reading a captured database is legal
 				_, _ = dict.ID(t[0]) // reads of a captured dictionary are legal: sealed under the snapshot contract
 			}
 			b.Release()

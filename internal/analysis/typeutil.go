@@ -30,39 +30,6 @@ func IsNamed(t types.Type, pkgPath, name string) bool {
 	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == pkgPath && obj.Name() == name
 }
 
-// NamedInterface resolves the interface type pkgPath.name through the
-// pass's import graph, or nil when the package is not imported (in
-// which case the contract the interface anchors cannot be violated by
-// this package either).
-func NamedInterface(pass *Pass, pkgPath, name string) *types.Interface {
-	for _, imp := range pass.Pkg.Imports() {
-		if imp.Path() != pkgPath {
-			continue
-		}
-		obj := imp.Scope().Lookup(name)
-		if obj == nil {
-			return nil
-		}
-		iface, _ := obj.Type().Underlying().(*types.Interface)
-		return iface
-	}
-	return nil
-}
-
-// Implements reports whether t or *t satisfies iface.
-func Implements(t types.Type, iface *types.Interface) bool {
-	if iface == nil || t == nil {
-		return false
-	}
-	if types.Implements(t, iface) {
-		return true
-	}
-	if _, isPtr := t.(*types.Pointer); !isPtr {
-		return types.Implements(types.NewPointer(t), iface)
-	}
-	return false
-}
-
 // MethodCall matches a call expression of the form recv.name(...) and
 // returns the selector and the static type of recv. The second result
 // is nil for plain function calls and conversions.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -26,36 +27,53 @@ import (
 //   - a nil result,
 //   - zero pooled batches live beyond the pre-query level,
 //   - zero leaked goroutines (leakcheck),
-//   - the source snapshot byte-identical to before the query.
+//   - the source database byte-identical to before the query.
 
 var errInjected = errors.New("faultinject: injected cursor failure")
 
-// newSnapshot publishes the suite's shared database: sizes are chosen
-// so every relation survives FailAfter/CancelAt in [1,5] and so at
-// least one batch of pulls remains after any injection point — that is
-// what makes the abort deterministic rather than watcher-scheduling
-// dependent.
-func newSnapshot() *rel.Snapshot {
-	ep := rel.NewEpoch(rel.NewSchema(map[string]int{"R": 2, "S": 1, "T": 2}))
-	for i := 0; i < 400; i++ {
-		ep.AddInts("R", int64(i%50), int64(i%37))
-		ep.AddInts("T", int64(i%23), int64(i%41))
-	}
-	for j := 0; j < 30; j++ {
-		ep.AddInts("S", int64(j))
-	}
-	return ep.Publish()
+// source is a database the suite queries and its fingerprint when it
+// was built: every abort is followed by the check that the query left
+// it untouched.
+type source struct {
+	d      *rel.Database
+	before string
 }
 
-// fingerprint renders every relation of the snapshot; the randomized
-// suite compares these before and after each abort to prove aborted
-// queries never touch published state.
-func fingerprint(snap *rel.Snapshot) map[string]string {
-	fp := make(map[string]string)
-	for _, name := range snap.Schema().Names() {
-		fp[name] = fmt.Sprintf("%v", snap.Rel(name))
+func sourceOf(d *rel.Database) source { return source{d, fingerprint(d)} }
+
+// newSource builds the suite's shared database: sizes are chosen so
+// every relation survives FailAfter/CancelAt in [1,5] and so at least
+// one batch of pulls remains after any injection point — that is what
+// makes the abort deterministic rather than watcher-scheduling
+// dependent.
+func newSource() source {
+	d := rel.NewDatabase(rel.NewSchema(map[string]int{"R": 2, "S": 1, "T": 2}))
+	for i := 0; i < 400; i++ {
+		d.AddInts("R", int64(i%50), int64(i%37))
+		d.AddInts("T", int64(i%23), int64(i%41))
 	}
-	return fp
+	for j := 0; j < 30; j++ {
+		d.AddInts("S", int64(j))
+	}
+	return sourceOf(d)
+}
+
+// fingerprint renders every relation of d, tuples in insertion order.
+func fingerprint(d *rel.Database) string {
+	var b strings.Builder
+	for _, name := range d.Schema().Names() {
+		fmt.Fprintf(&b, "%s: %v\n", name, d.Rel(name).Tuples())
+	}
+	return b.String()
+}
+
+// requireUntouched fails unless the source still renders as it did
+// when it was built.
+func (src source) requireUntouched(t *testing.T, label string) {
+	t.Helper()
+	if fingerprint(src.d) != src.before {
+		t.Fatalf("%s: the aborted query changed the source", label)
+	}
 }
 
 // arm is one plan under test. zeroResident marks queries that
@@ -105,8 +123,9 @@ func arms(t *testing.T, schema rel.Schema) []arm {
 }
 
 // checkAborted asserts the per-abort contract shared by every test:
-// exactly one error wrapping want, nil result, balanced batch pool.
-func checkAborted(t *testing.T, label string, res *rel.Relation, err error, want error, liveBefore int64) {
+// exactly one error wrapping want, nil result, balanced batch pool,
+// untouched source.
+func (src source) checkAborted(t *testing.T, label string, res *rel.Relation, err error, want error, liveBefore int64) {
 	t.Helper()
 	if err == nil {
 		t.Fatalf("%s: want abort error, got nil (res=%v)", label, res)
@@ -120,29 +139,24 @@ func checkAborted(t *testing.T, label string, res *rel.Relation, err error, want
 	if after, _, _ := rel.BatchPoolStats(); after != liveBefore {
 		t.Fatalf("%s: %d pooled batches leaked on abort", label, after-liveBefore)
 	}
+	src.requireUntouched(t, label)
 }
 
 // TestInjectedCursorErrorAborts: a cursor failure at row N surfaces
 // as a single wrapped error on every plan, with no result, no leaked
-// batches, no leaked goroutines and an untouched snapshot.
+// batches, no leaked goroutines and an untouched source.
 func TestInjectedCursorErrorAborts(t *testing.T) {
 	leakcheck.Check(t)
-	snap := newSnapshot()
-	before := fingerprint(snap)
+	src := newSource()
 	for _, batchSize := range []int{1, 64} {
-		for _, a := range arms(t, snap.Schema()) {
+		for _, a := range arms(t, src.d.Schema()) {
 			for _, failAfter := range []int{1, 3, 5} {
 				label := fmt.Sprintf("%s/bs=%d/failAfter=%d", a.name, batchSize, failAfter)
-				st := faultinject.Wrap(snap, faultinject.Fault{FailAfter: failAfter, Err: errInjected})
+				st := faultinject.Wrap(src.d, faultinject.Fault{FailAfter: failAfter, Err: errInjected})
 				live, _, _ := rel.BatchPoolStats()
 				res, err := a.run(context.Background(), st, batchSize, exec.Limits{})
-				checkAborted(t, label, res, err, errInjected, live)
+				src.checkAborted(t, label, res, err, errInjected, live)
 			}
-		}
-	}
-	for name, fp := range fingerprint(snap) {
-		if fp != before[name] {
-			t.Errorf("relation %s changed across aborted queries", name)
 		}
 	}
 }
@@ -151,13 +165,13 @@ func TestInjectedCursorErrorAborts(t *testing.T) {
 // its resident-tuple budget is exceeded, releasing all batches.
 func TestBudgetTripAborts(t *testing.T) {
 	leakcheck.Check(t)
-	snap := newSnapshot()
-	for _, a := range arms(t, snap.Schema()) {
+	src := newSource()
+	for _, a := range arms(t, src.d.Schema()) {
 		if a.zeroResident {
 			continue
 		}
 		live, _, _ := rel.BatchPoolStats()
-		res, err := a.run(context.Background(), snap, 16, exec.Limits{MaxResident: 2})
+		res, err := a.run(context.Background(), src.d, 16, exec.Limits{MaxResident: 2})
 		if err == nil {
 			t.Fatalf("%s: want budget error, got nil (res=%v)", a.name, res)
 		}
@@ -171,15 +185,16 @@ func TestBudgetTripAborts(t *testing.T) {
 		if after, _, _ := rel.BatchPoolStats(); after != live {
 			t.Fatalf("%s: %d pooled batches leaked on budget trip", a.name, after-live)
 		}
+		src.requireUntouched(t, a.name)
 	}
 	// The γ-division runs as one operator that charges the meter as
 	// groups appear: with room for S's 30 values and 10 groups, the trip
 	// must come inside R's scan (50 groups over 400 rows), not after it.
-	for _, a := range arms(t, snap.Schema()) {
+	for _, a := range arms(t, src.d.Schema()) {
 		if a.name != "xra/gamma-division" {
 			continue
 		}
-		st := faultinject.Wrap(snap, faultinject.Fault{Rel: "R"})
+		st := faultinject.Wrap(src.d, faultinject.Fault{Rel: "R"})
 		live, _, _ := rel.BatchPoolStats()
 		res, err := a.run(context.Background(), st, 16, exec.Limits{MaxResident: 40})
 		var be *exec.BudgetError
@@ -192,18 +207,19 @@ func TestBudgetTripAborts(t *testing.T) {
 		if after, _, _ := rel.BatchPoolStats(); after != live {
 			t.Fatalf("%s: %d pooled batches leaked on budget trip", a.name, after-live)
 		}
+		src.requireUntouched(t, a.name+" inside R's scan")
 	}
 	// A θ-only join copies a stored right side that is not the in-memory
 	// relation (here the wrapped R), charging the meter as it reads:
 	// the trip must come within one batch of the budget, not after the
 	// copy has read all of R.
-	theta, err := parser.ParseRA("join[1<1](S, R)", snap.Schema())
+	theta, err := parser.ParseRA("join[1<1](S, R)", src.d.Schema())
 	if err != nil {
 		t.Fatal(err)
 	}
 	const budget = 100
 	for _, bs := range []int{1, 16, 64} {
-		st := faultinject.Wrap(snap, faultinject.Fault{Rel: "R"})
+		st := faultinject.Wrap(src.d, faultinject.Fault{Rel: "R"})
 		live, _, _ := rel.BatchPoolStats()
 		res, err := arm{root: plan.FromRA(theta)}.run(context.Background(), st, bs, exec.Limits{MaxResident: budget})
 		var be *exec.BudgetError
@@ -211,11 +227,12 @@ func TestBudgetTripAborts(t *testing.T) {
 			t.Fatalf("theta-join bs=%d: want a budget error and no result, got %v, %v", bs, res, err)
 		}
 		if rows := st.Rows(); rows > budget+bs {
-			t.Errorf("theta-join bs=%d: the budget tripped after %d of R's %d rows; want at most one batch past %d", bs, rows, snap.Rel("R").Len(), budget)
+			t.Errorf("theta-join bs=%d: the budget tripped after %d of R's %d rows; want at most one batch past %d", bs, rows, src.d.Rel("R").Len(), budget)
 		}
 		if after, _, _ := rel.BatchPoolStats(); after != live {
 			t.Fatalf("theta-join bs=%d: %d pooled batches leaked on budget trip", bs, after-live)
 		}
+		src.requireUntouched(t, fmt.Sprintf("theta-join bs=%d", bs))
 	}
 }
 
@@ -223,13 +240,13 @@ func TestBudgetTripAborts(t *testing.T) {
 // aborts at the first guard without touching the pool.
 func TestPreCanceledContext(t *testing.T) {
 	leakcheck.Check(t)
-	snap := newSnapshot()
+	src := newSource()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, a := range arms(t, snap.Schema()) {
+	for _, a := range arms(t, src.d.Schema()) {
 		live, _, _ := rel.BatchPoolStats()
-		res, err := a.run(ctx, snap, 64, exec.Limits{})
-		checkAborted(t, a.name, res, err, context.Canceled, live)
+		res, err := a.run(ctx, src.d, 64, exec.Limits{})
+		src.checkAborted(t, a.name, res, err, context.Canceled, live)
 	}
 }
 
@@ -237,29 +254,28 @@ func TestPreCanceledContext(t *testing.T) {
 // exact row, via the fault hook) aborts every plan cleanly.
 func TestCancelMidFlight(t *testing.T) {
 	leakcheck.Check(t)
-	snap := newSnapshot()
-	for _, a := range arms(t, snap.Schema()) {
+	src := newSource()
+	for _, a := range arms(t, src.d.Schema()) {
 		ctx, cancel := context.WithCancel(context.Background())
-		st := faultinject.Wrap(snap, faultinject.Fault{CancelAt: 5, OnRow: cancel})
+		st := faultinject.Wrap(src.d, faultinject.Fault{CancelAt: 5, OnRow: cancel})
 		live, _, _ := rel.BatchPoolStats()
 		res, err := a.run(ctx, st, 32, exec.Limits{})
-		checkAborted(t, a.name, res, err, context.Canceled, live)
+		src.checkAborted(t, a.name, res, err, context.Canceled, live)
 		cancel()
 	}
 }
 
 // TestRandomizedAbortSuite is the seeded fuzz pass over the whole
 // matrix: random plan × batch size × injection kind × injection row,
-// every iteration re-asserting the abort contract and, at the
-// end, snapshot identity. Run under -race this doubles as the
+// every iteration re-asserting the abort contract, source identity
+// included. Run under -race this doubles as the
 // goroutine-join proof for governed queries.
 func TestRandomizedAbortSuite(t *testing.T) {
 	leakcheck.Check(t)
-	snap := newSnapshot()
-	before := fingerprint(snap)
+	src := newSource()
 	rng := rand.New(rand.NewSource(0x5eed))
 	batchSizes := []int{1, 8, 64, 1024}
-	as := arms(t, snap.Schema())
+	as := arms(t, src.d.Schema())
 	for iter := 0; iter < 80; iter++ {
 		bs := batchSizes[rng.Intn(len(batchSizes))]
 		a := as[rng.Intn(len(as))]
@@ -269,43 +285,39 @@ func TestRandomizedAbortSuite(t *testing.T) {
 		live, _, _ := rel.BatchPoolStats()
 		switch kind {
 		case 0: // injected cursor error
-			st := faultinject.Wrap(snap, faultinject.Fault{FailAfter: k, Err: errInjected})
+			st := faultinject.Wrap(src.d, faultinject.Fault{FailAfter: k, Err: errInjected})
 			res, err := a.run(context.Background(), st, bs, exec.Limits{})
-			checkAborted(t, label, res, err, errInjected, live)
+			src.checkAborted(t, label, res, err, errInjected, live)
 		case 1: // cancellation at row k
 			ctx, cancel := context.WithCancel(context.Background())
-			st := faultinject.Wrap(snap, faultinject.Fault{CancelAt: k, OnRow: cancel})
+			st := faultinject.Wrap(src.d, faultinject.Fault{CancelAt: k, OnRow: cancel})
 			res, err := a.run(ctx, st, bs, exec.Limits{})
-			checkAborted(t, label, res, err, context.Canceled, live)
+			src.checkAborted(t, label, res, err, context.Canceled, live)
 			cancel()
-		}
-	}
-	for name, fp := range fingerprint(snap) {
-		if fp != before[name] {
-			t.Errorf("relation %s changed across the randomized abort suite", name)
 		}
 	}
 }
 
 // TestCleanRunAfterAborts: after a storm of aborts the engine still
-// answers correctly — the same query over the unwrapped snapshot
+// answers correctly — the same query over the unwrapped source
 // matches the materialized evaluator.
 func TestCleanRunAfterAborts(t *testing.T) {
 	leakcheck.Check(t)
-	snap := newSnapshot()
-	e, err := parser.ParseRA("join[2=1](R, S)", snap.Schema())
+	src := newSource()
+	e, err := parser.ParseRA("join[2=1](R, S)", src.d.Schema())
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := arm{root: plan.FromRA(e)}
 	for i := 0; i < 5; i++ {
-		st := faultinject.Wrap(snap, faultinject.Fault{FailAfter: 2, Err: errInjected})
+		st := faultinject.Wrap(src.d, faultinject.Fault{FailAfter: 2, Err: errInjected})
 		if _, err := a.run(context.Background(), st, 8, exec.Limits{}); !errors.Is(err, errInjected) {
 			t.Fatalf("warm-up abort %d: %v", i, err)
 		}
+		src.requireUntouched(t, fmt.Sprintf("warm-up abort %d", i))
 	}
-	want := ra.Eval(e, snap)
-	got, err := a.run(context.Background(), snap, 8, exec.Limits{})
+	want := ra.Eval(e, src.d)
+	got, err := a.run(context.Background(), src.d, 8, exec.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,23 +337,23 @@ func TestCleanRunAfterAborts(t *testing.T) {
 // copies it: that copy is a scan like any other.
 func TestCancellationLatencyWithinOneBatch(t *testing.T) {
 	leakcheck.Check(t)
-	ep := rel.NewEpoch(rel.NewSchema(map[string]int{"Big": 1, "L": 1}))
+	d := rel.NewDatabase(rel.NewSchema(map[string]int{"Big": 1, "L": 1}))
 	for i := 0; i < 5000; i++ {
-		ep.AddInts("Big", int64(i))
+		d.AddInts("Big", int64(i))
 	}
 	for i := 0; i < 10; i++ {
-		ep.AddInts("L", int64(i))
+		d.AddInts("L", int64(i))
 	}
-	snap := ep.Publish()
-	scan, err := parser.ParseRA("project[1](Big)", snap.Schema())
+	src := sourceOf(d)
+	scan, err := parser.ParseRA("project[1](Big)", src.d.Schema())
 	if err != nil {
 		t.Fatal(err)
 	}
-	join, err := parser.ParseRA("join[1<1](L, Big)", snap.Schema())
+	join, err := parser.ParseRA("join[1<1](L, Big)", src.d.Schema())
 	if err != nil {
 		t.Fatal(err)
 	}
-	semijoin, err := parser.ParseSA("semijoin[1<1](L, Big)", snap.Schema())
+	semijoin, err := parser.ParseSA("semijoin[1<1](L, Big)", src.d.Schema())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +367,7 @@ func TestCancellationLatencyWithinOneBatch(t *testing.T) {
 		for _, bs := range []int{1, 64, 1024} {
 			label := fmt.Sprintf("%s/bs=%d", q.name, bs)
 			ctx, cancel := context.WithCancel(context.Background())
-			st := faultinject.Wrap(snap, faultinject.Fault{
+			st := faultinject.Wrap(src.d, faultinject.Fault{
 				Rel:        "Big",
 				CancelAt:   cancelAt,
 				OnRow:      cancel,
@@ -364,7 +376,7 @@ func TestCancellationLatencyWithinOneBatch(t *testing.T) {
 			})
 			live, _, _ := rel.BatchPoolStats()
 			res, rerr := q.run(ctx, st, bs, exec.Limits{})
-			checkAborted(t, label, res, rerr, context.Canceled, live)
+			src.checkAborted(t, label, res, rerr, context.Canceled, live)
 			if extra := st.Rows() - cancelAt; extra < 0 || extra > bs {
 				t.Errorf("%s: scan ran %d rows past the cancel; want at most one batch (%d)", label, extra, bs)
 			}
@@ -382,9 +394,9 @@ func TestCancellationLatencyWithinOneBatch(t *testing.T) {
 // batch boundary.
 func TestRowExactInjectionAborts(t *testing.T) {
 	leakcheck.Check(t)
-	snap := newSnapshot()
-	rows := snap.Rel("R").Len()
-	for _, a := range arms(t, snap.Schema()) {
+	src := newSource()
+	rows := src.d.Rel("R").Len()
+	for _, a := range arms(t, src.d.Schema()) {
 		for _, bs := range []int{1, 7, 64, 1024} {
 			for _, k := range []int{1, bs - 1, bs, bs + 1} {
 				if k < 1 {
@@ -392,10 +404,10 @@ func TestRowExactInjectionAborts(t *testing.T) {
 				}
 				label := fmt.Sprintf("%s/bs=%d/k=%d", a.name, bs, k)
 				live, _, _ := rel.BatchPoolStats()
-				fail := faultinject.Wrap(snap, faultinject.Fault{Rel: "R", FailAfter: k, Err: errInjected})
+				fail := faultinject.Wrap(src.d, faultinject.Fault{Rel: "R", FailAfter: k, Err: errInjected})
 				res, err := a.run(context.Background(), fail, bs, exec.Limits{})
 				if k <= rows {
-					checkAborted(t, label+"/fail", res, err, errInjected, live)
+					src.checkAborted(t, label+"/fail", res, err, errInjected, live)
 					if got := fail.Rows(); got != k {
 						t.Errorf("%s/fail: aborted with %d rows out, want %d", label, got, k)
 					}
@@ -406,14 +418,14 @@ func TestRowExactInjectionAborts(t *testing.T) {
 				ctx, cancel := context.WithCancel(context.Background())
 				fired := -1
 				var cs *faultinject.Store
-				cs = faultinject.Wrap(snap, faultinject.Fault{Rel: "R", CancelAt: k, OnRow: func() {
+				cs = faultinject.Wrap(src.d, faultinject.Fault{Rel: "R", CancelAt: k, OnRow: func() {
 					fired = cs.Rows()
 					cancel()
 				}})
 				res, err = a.run(ctx, cs, bs, exec.Limits{})
 				cancel()
 				if k <= rows {
-					checkAborted(t, label+"/cancel", res, err, context.Canceled, live)
+					src.checkAborted(t, label+"/cancel", res, err, context.Canceled, live)
 					if fired != k || cs.Rows() != k {
 						t.Errorf("%s/cancel: hook fired at row %d, abort after %d rows; want both %d", label, fired, cs.Rows(), k)
 					}
@@ -431,14 +443,14 @@ func TestRowExactInjectionAborts(t *testing.T) {
 // TestFaultStoreIsTransparent: with a zero Fault the wrapper changes
 // nothing — results match the unwrapped store exactly.
 func TestFaultStoreIsTransparent(t *testing.T) {
-	snap := newSnapshot()
-	e, err := parser.ParseRA("join[2=1](R, S)", snap.Schema())
+	src := newSource()
+	e, err := parser.ParseRA("join[2=1](R, S)", src.d.Schema())
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := faultinject.Wrap(snap, faultinject.Fault{})
+	st := faultinject.Wrap(src.d, faultinject.Fault{})
 	got := plan.CompileIR(plan.FromRA(e), st, plan.Options{}).Execute()
-	want := ra.Eval(e, snap)
+	want := ra.Eval(e, src.d)
 	if got.String() != want.String() {
 		t.Fatalf("transparent wrap diverged:\n got %v\nwant %v", got, want)
 	}

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -261,6 +262,50 @@ func addTextRows(t *testing.T, r *Relation, prefix string, n int) {
 	}
 }
 
+// TestEpochCOWIdentity pins the byte-identity property of copy-on-write
+// through Relation.Clone, the way a writer works on a relation others
+// read: after the writer clones a sealed relation and keeps appending
+// — far enough to re-chain the clone's index — the source is untouched
+// down to its batch scan, and the clone replays the source's interned
+// ID columns and scan order as an exact prefix.
+func TestEpochCOWIdentity(t *testing.T) {
+	const base, more = 30000, 10000
+	d := NewDatabase(NewSchema(map[string]int{"R": 2}))
+	for i := int64(0); i < base; i++ {
+		d.AddInts("R", i%17, i)
+	}
+	r1 := d.Rel("R")
+	_, dict1 := r1.IDColumns()
+	sealed, members := stateOf(r1), batchScanRows(r1)
+	// Write through the clone: the sealed relation must not move.
+	w := r1.Clone()
+	var added []Tuple
+	for i := int64(base); i < base+more; i++ {
+		added = append(added, Ints(i%17, i))
+		w.Add(Ints(i%17, i))
+	}
+	if len(w.rows.heads) == len(r1.rows.heads) {
+		t.Fatalf("%d inserts did not re-chain the clone's index of %d buckets", more, len(r1.rows.heads))
+	}
+	requireState(t, "sealed relation under the writer", r1, sealed, members, added)
+	if _, dict1b := r1.IDColumns(); dict1b != dict1 {
+		t.Fatalf("sealed relation's dictionary changed identity")
+	}
+	sameRows(t, "sealed relation's batch scan under the writer", batchScanRows(r1), members)
+	if w.Len() != base+more {
+		t.Fatalf("grown clone has %d tuples", w.Len())
+	}
+	// The clone copied the columns and the dictionary: identical ID
+	// assignment, columns and scan order on the shared prefix.
+	cols2, _ := w.IDColumns()
+	for k, col := range sealed.cols {
+		if !slices.Equal(cols2[k][:len(col)], col) {
+			t.Fatalf("COW clone diverges in ID column %d", k)
+		}
+	}
+	sameRows(t, "COW clone's scan order on the shared prefix", drainTuples(w.Cursor())[:base], members)
+}
+
 // requireTextRows checks that the rows addTextRows appended after the
 // first base ones read back as written, and that the other side's are
 // absent.
@@ -278,21 +323,6 @@ func requireTextRows(t *testing.T, r *Relation, base int, prefix, others string,
 			t.Fatalf("%s side sees a string interned on the %s side only", prefix, others)
 		}
 	}
-}
-
-// publishedStringDatabase loads a string file into an epoch writer,
-// adds a few rows the way the text loader does so that the relation's
-// dictionary ends in a part-full chunk of strings, and publishes.
-func publishedStringDatabase(t *testing.T, lines int) *Epoch {
-	t.Helper()
-	d, err := ReadText(bytes.NewReader(stringFile(lines)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := EpochFromStore(d)
-	addTextRows(t, w.Mutable("Likes"), "published", 100)
-	w.Publish()
-	return w
 }
 
 // requirePartFullChunk fails unless r's dictionary has room left in a
@@ -322,10 +352,6 @@ func TestCloneSharesNoWritableStorage(t *testing.T) {
 	for name, clone := range map[string]func() (source, copy *Relation){
 		"Relation.Clone": func() (*Relation, *Relation) { r := load().Rel("Likes"); return r, r.Clone() },
 		"Database.Clone": func() (*Relation, *Relation) { d := load(); return d.Rel("Likes"), d.Clone().Rel("Likes") },
-		"Epoch.Mutable": func() (*Relation, *Relation) {
-			w := publishedStringDatabase(t, 3000)
-			return w.Snapshot().Rel("Likes"), w.Mutable("Likes")
-		},
 	} {
 		t.Run(name, func(t *testing.T) {
 			source, copy := clone()
@@ -336,12 +362,8 @@ func TestCloneSharesNoWritableStorage(t *testing.T) {
 				t.Fatal("clone differs from its source")
 			}
 			addTextRows(t, copy, "clone", added)
-			if name != "Epoch.Mutable" { // a published relation is never written
-				addTextRows(t, source, "source", added)
-				requireTextRows(t, source, rows, "source", "clone", added)
-			} else if source.Len() != rows || source.intern.Len() != entries {
-				t.Fatal("the published relation grew under the writer's inserts")
-			}
+			addTextRows(t, source, "source", added)
+			requireTextRows(t, source, rows, "source", "clone", added)
 			requireTextRows(t, copy, rows, "clone", "source", added)
 			for side, r := range map[string]*Relation{"source": source, "clone": copy} {
 				if storageDump(r, entries, rows) != before {
@@ -352,20 +374,22 @@ func TestCloneSharesNoWritableStorage(t *testing.T) {
 	}
 }
 
-// TestPublishedDictionaryIsNeverWritten: readers dump a published
-// snapshot's dictionary and rows over and over while the writer clones
-// the relation and loads ten thousand new strings into its copy; the
-// dump never changes. Under -race this is also the check that the
-// writer's chunk is not the snapshot's.
+// TestPublishedDictionaryIsNeverWritten: readers dump a relation's
+// dictionary and rows, and probe its frozen dictionary, over and over
+// while a writer clones the relation and loads ten thousand new
+// strings into the clone; the dump never changes. Under -race this is
+// also the check that the clone's chunk is not its source's.
 func TestPublishedDictionaryIsNeverWritten(t *testing.T) {
-	w := publishedStringDatabase(t, 600)
-	snap := w.Snapshot()
-	requirePartFullChunk(t, snap.Rel("Likes"))
-	dump := func() string {
-		r := snap.Rel("Likes")
-		return storageDump(r, r.Interner().Len(), r.Len())
+	d, err := ReadText(bytes.NewReader(stringFile(600)))
+	if err != nil {
+		t.Fatal(err)
 	}
-	before := dump()
+	source := d.Rel("Likes")
+	requirePartFullChunk(t, source)
+	rows, entries := source.Len(), source.intern.Len()
+	dict := FreezeDict(source.Interner())
+	before := storageDump(source, entries, rows)
+	copy := source.Clone()
 
 	var wg sync.WaitGroup
 	done := make(chan struct{})
@@ -374,12 +398,12 @@ func TestPublishedDictionaryIsNeverWritten(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for {
-				if dump() != before {
-					t.Error("published snapshot changed while the writer was interning")
+				if storageDump(source, entries, rows) != before {
+					t.Error("the source changed while its clone was interning")
 					return
 				}
-				if id, ok := snap.Dict("Likes").ID(Str("beer-000007")); !ok || snap.Dict("Likes").Value(id) != Str("beer-000007") {
-					t.Error("published dictionary lost a value")
+				if id, ok := dict.ID(Str("beer-000007")); !ok || dict.Value(id) != Str("beer-000007") {
+					t.Error("the source's dictionary lost a value")
 					return
 				}
 				select {
@@ -390,12 +414,104 @@ func TestPublishedDictionaryIsNeverWritten(t *testing.T) {
 			}
 		}()
 	}
-	addTextRows(t, w.Mutable("Likes"), "writer", 10000)
-	next := w.Publish()
+	addTextRows(t, copy, "writer", 10000)
 	close(done)
 	wg.Wait()
-	if dump() != before {
-		t.Error("the earlier snapshot changed after the next publish")
+	if storageDump(source, entries, rows) != before {
+		t.Error("the source changed after its clone was written")
 	}
-	requireTextRows(t, next.Rel("Likes"), snap.Rel("Likes").Len(), "writer", "nobody", 10000)
+	if source.Len() != rows || source.intern.Len() != entries {
+		t.Fatal("the source grew under the clone's inserts")
+	}
+	requireTextRows(t, copy, rows, "writer", "nobody", 10000)
+}
+
+// TestSnapshotIsolationRandomized is the -race proof that readers of a
+// relation never see a writer that works on its clones: reader
+// goroutines continuously grab the current generation and verify it is
+// byte-identical to the expectation for that generation — same tuples,
+// same insertion order, same interned ID columns — through every row
+// reader, while the writer keeps cloning the current relation,
+// appending to the clone and swapping it in. A reader also pins stale
+// stability: the first generation it saw must still verify after every
+// later swap has happened.
+func TestSnapshotIsolationRandomized(t *testing.T) {
+	const generations = 24
+	// Deterministic schedule: generation e holds rows [0, 20e) in a
+	// shuffled-ish order derived from the row index.
+	expected := make([][]Tuple, generations+1)
+	for e := range expected {
+		for i := int64(0); i < int64(20*e); i++ {
+			expected[e] = append(expected[e], Ints((i*7)%13, i))
+		}
+	}
+	type generation struct {
+		n int
+		r *Relation
+	}
+	verify := func(g *generation) error {
+		want, r := expected[g.n], g.r
+		if r.Len() != len(want) {
+			return fmt.Errorf("generation %d: %d tuples, want %d", g.n, r.Len(), len(want))
+		}
+		// Every way of reading rows, from every reader goroutine at once:
+		// under -race this is the check that no accessor writes to the
+		// relation it reads.
+		for _, reader := range rowReaders {
+			if err := rowsDiffer(reader.read(r), want); err != nil {
+				return fmt.Errorf("generation %d: %s diverges: %v", g.n, reader.name, err)
+			}
+		}
+		if len(r.Sorted()) != len(want) || (len(want) > 0 && !r.Contains(want[len(want)-1])) {
+			return fmt.Errorf("generation %d: Sorted or Contains lost a tuple", g.n)
+		}
+		cols, dict := r.IDColumns()
+		for i, wt := range want {
+			for k := range wt {
+				if dict.Value(cols[k][i]) != wt[k] {
+					return fmt.Errorf("generation %d: ID column %d decodes wrong at %d", g.n, k, i)
+				}
+			}
+		}
+		return nil
+	}
+	var current atomic.Pointer[generation]
+	current.Store(&generation{0, NewRelation(2)})
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	errs := make(chan error, 8)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			first := current.Load()
+			for {
+				select {
+				case <-done:
+					if err := verify(first); err != nil {
+						errs <- fmt.Errorf("stale generation: %v", err)
+					}
+					return
+				default:
+				}
+				if err := verify(current.Load()); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	for e := 1; e <= generations; e++ {
+		next := current.Load().r.Clone()
+		for i := 20 * (e - 1); i < 20*e; i++ {
+			next.Add(Ints((int64(i)*7)%13, int64(i)))
+		}
+		current.Store(&generation{e, next})
+	}
+	close(done)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
 }

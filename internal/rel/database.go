@@ -71,18 +71,13 @@ func (d *Database) Rel(name string) *Relation {
 	return r
 }
 
-// View implements Store: the named relation itself is the view, with
+// View implements ReadStore: the named relation itself is the view, with
 // no indirection — evaluators running on the in-memory database pay
 // nothing for the storage abstraction.
 func (d *Database) View(name string) StoredRel { return d.Rel(name) }
 
 // Add inserts a tuple into the named relation.
 func (d *Database) Add(name string, t Tuple) bool { return d.Rel(name).Add(t) }
-
-// Reserve implements Reserver: it pre-sizes the named relation's
-// storage for n more tuples (creating it if necessary), so bulk loads
-// with a known cardinality skip the growth doublings.
-func (d *Database) Reserve(name string, n int) { d.Rel(name).Reserve(n) }
 
 // AddInts inserts a tuple of integers into the named relation.
 func (d *Database) AddInts(name string, ns ...int64) bool { return d.Rel(name).Add(Ints(ns...)) }

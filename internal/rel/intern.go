@@ -1,6 +1,7 @@
 package rel
 
 import (
+	"fmt"
 	"hash/maphash"
 	"math"
 	"math/rand/v2"
@@ -44,10 +45,6 @@ import (
 // (ID, Value, Len) are safe once interning is complete, which is the
 // access pattern of the worker pool's callers (exec.Run): intern
 // sequentially during the build phase, probe read-only from workers.
-// The epoch machinery (epoch.go, snapshot.go) turns this discipline
-// into a structural guarantee: dictionaries reachable from a
-// published Snapshot are sealed — no code path interns into them
-// again — so snapshot readers need no coordination at all, and
 // FrozenDict is the read-only facade that makes the freeze a type.
 type Interner struct {
 	slots []uint64        // the index: empty or a power of two, at least 2*Len()
@@ -228,10 +225,9 @@ func (in *Interner) Len() int {
 // Clone returns a deep copy of the dictionary: same values, same IDs,
 // fully independent storage, each page as large as its original. The
 // clone starts a chunk of its own: both sides appending into one chunk
-// tail would overwrite each other's strings. It is the copy-on-write
-// primitive of the epoch machinery — a writer that must keep interning
-// after its dictionary was sealed into a published snapshot clones it
-// first, so the snapshot's readers never observe a write.
+// tail would overwrite each other's strings. Relation.Clone calls it,
+// so a clone can keep interning while readers of its source never
+// observe a write.
 func (in *Interner) Clone() *Interner {
 	c := &Interner{slots: slices.Clone(in.slots), pages: make([][]Value, len(in.pages))}
 	for i, p := range in.pages {
@@ -266,4 +262,56 @@ func hashFinish(h uint64) uint64 {
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33
 	return h
+}
+
+// FrozenDict is a read-only dictionary facade over a prefix of an
+// Interner's value table: the IDs [0, Len()) assigned up to the
+// moment the dictionary was frozen. It has no interning method, so a
+// holder cannot grow the dictionary — reads only, by type.
+//
+// Safety: a FrozenDict over an interner that no writer will ever touch
+// again (a sealed shard router) is safe for unlimited concurrent
+// readers. The prefix bound adds a second guarantee — a facade frozen
+// over a still-live dictionary (FreezeDict on a writer's working
+// interner) never reports values interned after the freeze point — but
+// read-safety against a concurrently-interning writer comes only from
+// sealing, never from the bound: freeze live dictionaries for
+// single-goroutine use only.
+type FrozenDict struct {
+	in *Interner
+	n  int
+}
+
+// FreezeDict freezes the dictionary at its current length. The zero
+// FrozenDict is valid and empty.
+func FreezeDict(in *Interner) FrozenDict {
+	if in == nil {
+		return FrozenDict{}
+	}
+	return FrozenDict{in: in, n: in.Len()}
+}
+
+// Len returns the number of values in the frozen prefix.
+func (d FrozenDict) Len() int { return d.n }
+
+// Value returns the value with the given ID. It panics when the ID is
+// outside the frozen prefix.
+func (d FrozenDict) Value(id uint32) Value {
+	if int(id) >= d.n {
+		panic(fmt.Sprintf("rel: frozen dictionary ID %d outside prefix of length %d", id, d.n))
+	}
+	return d.in.Value(id)
+}
+
+// ID returns the ID of v; ok is false when v was not interned before
+// the freeze point.
+func (d FrozenDict) ID(v Value) (uint32, bool) {
+	if d.in == nil {
+		return 0, false
+	}
+	id, ok := d.in.ID(v)
+	if !ok || int(id) >= d.n {
+		return 0, false
+	}
+	return id, true
 }

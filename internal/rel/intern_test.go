@@ -514,3 +514,44 @@ func TestInternerLimit(t *testing.T) {
 		t.Errorf("a refused value changed Len to %d", in.Len())
 	}
 }
+
+// TestFrozenDictPrefix pins the facade semantics: the frozen prefix is
+// fixed at freeze time, post-freeze interns are invisible, and
+// out-of-prefix access panics.
+func TestFrozenDictPrefix(t *testing.T) {
+	in := NewInterner()
+	a := in.Intern(Int(1))
+	b := in.Intern(Str("x"))
+	d := FreezeDict(in)
+	if d.Len() != 2 {
+		t.Fatalf("frozen Len %d", d.Len())
+	}
+	late := in.Intern(Int(99)) // post-freeze intern: outside the prefix
+	if d.Len() != 2 {
+		t.Fatalf("freeze point moved")
+	}
+	if id, ok := d.ID(Int(1)); !ok || id != a {
+		t.Fatalf("frozen ID(1) = %d, %v", id, ok)
+	}
+	if d.Value(b).String() != "x" {
+		t.Fatalf("frozen Value(%d) = %s", b, d.Value(b))
+	}
+	if _, ok := d.ID(Int(99)); ok {
+		t.Fatalf("post-freeze value visible through the facade")
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("Value outside the prefix did not panic")
+			}
+		}()
+		d.Value(late)
+	}()
+	var zero FrozenDict
+	if zero.Len() != 0 {
+		t.Fatalf("zero FrozenDict Len %d", zero.Len())
+	}
+	if _, ok := zero.ID(Int(1)); ok {
+		t.Fatalf("zero FrozenDict resolved an ID")
+	}
+}

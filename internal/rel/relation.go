@@ -275,7 +275,7 @@ type Cursor struct {
 const arenaChunkRows = 256
 
 // scanTuples returns the tuple cursor over any stored relation — the
-// row reader of CopyStore and the text writer.
+// text writer's row reader.
 func scanTuples(v StoredRel) *Cursor { return &Cursor{in: v.BatchScanSized(arenaChunkRows)} }
 
 // Next returns the next tuple, or (nil, false) when the cursor is
@@ -388,8 +388,7 @@ func (r *Relation) Sorted() []Tuple {
 // re-hashed or re-interned, so the copy has the original's IDs, chains
 // and scan order. It shares nothing mutable with the original: adds to
 // either side after cloning, re-chaining included, can never reach the
-// other (regression-tested in TestCloneInternerIndependence). It is
-// the copy-on-write step of the epoch writer.
+// other (regression-tested in TestCloneInternerIndependence).
 func (r *Relation) Clone() *Relation {
 	return &Relation{
 		arity:  r.arity,

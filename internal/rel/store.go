@@ -1,12 +1,11 @@
 package rel
 
-// This file defines the storage abstraction of the library: Store is
-// what a "database" looks like to every layer above the tuple store —
-// the materialized ra/sa/xra evaluators, the executor in internal/plan,
-// the text codec, and the engine's dictionary builders all consume this
+// This file defines the storage abstraction of the library: ReadStore
+// is what a "database" looks like to every layer above the tuple store
+// — the materialized ra/sa/xra evaluators, the executor in
+// internal/plan, the text writer and shard.FromStore all consume this
 // interface rather than the concrete in-memory *Database. The
-// in-memory Database, the epoch writer and its published Snapshots
-// implement it, and internal/faultinject wraps any of them.
+// in-memory Database implements it, and internal/faultinject wraps it.
 //
 // The contract every implementation must honor, because the
 // executor's byte-identity guarantees rest on it:
@@ -15,14 +14,13 @@ package rel
 //     order (the order Add first accepted them), so any evaluator
 //     produces the same output sequence on any backend holding the
 //     same data;
-//   - Add deduplicates with set semantics, exactly like Relation.Add;
 //   - View panics for names outside the schema, mirroring
 //     Database.Rel;
 //   - yielded batches may alias backend storage and are read-only.
 
 import "fmt"
 
-// StoredRel is the per-relation handle of a Store: the read-only view
+// StoredRel is the per-relation handle of a ReadStore: the read-only view
 // the evaluators scan, probe and replay in place. *Relation implements
 // it directly, so for the in-memory Database the view is the stored
 // relation itself, with no indirection.
@@ -43,9 +41,7 @@ type StoredRel interface {
 // read-only relation view per schema name. It is the parameter type of
 // every evaluator in internal/ra, internal/sa and internal/xra — the
 // evaluators never write into their input store, and taking only the
-// read interface makes that a type-level fact. A published *Snapshot
-// implements ReadStore and nothing more: there is no way to route a
-// mutation through it.
+// read interface makes that a type-level fact.
 type ReadStore interface {
 	// Schema returns the store's schema.
 	Schema() Schema
@@ -56,34 +52,19 @@ type ReadStore interface {
 	Size() int
 }
 
-// Store is a writable database backend: the read side plus Add. It is
-// what loaders (CopyStore, the text codec's ReadText consumers) and
-// result sinks require.
-type Store interface {
-	ReadStore
-	// Add inserts a tuple into the named relation, reporting whether it
-	// was new. It panics when name is not in the schema or the arity is
-	// wrong.
-	Add(name string, t Tuple) bool
-}
-
-var _ Store = (*Database)(nil)
+var _ ReadStore = (*Database)(nil)
 var _ StoredRel = (*Relation)(nil)
 
 // Materialized returns the named relation of s as a *Relation, for
 // consumers that need whole-relation operations (the materialized
 // evaluators' base case, the ID columns shard.FromStore loads from).
-// For the in-memory Database — and for a published Snapshot, whose
-// sealed relations are frozen — it is the stored relation itself:
-// aliased is true and the caller must treat it as read-only. Any other
+// For the in-memory Database it is the stored relation itself: aliased
+// is true and the caller must treat it as read-only. Any other
 // backend materializes a fresh copy from its batch scan, owned by the
 // caller: AddBatch interns row by row, column by column, so the copy
 // has the dictionary order tuple-wise Adds of the scan would give it.
 func Materialized(s ReadStore, name string) (r *Relation, aliased bool) {
-	switch d := s.(type) {
-	case *Database:
-		return d.Rel(name), true
-	case *Snapshot:
+	if d, ok := s.(*Database); ok {
 		return d.Rel(name), true
 	}
 	v := s.View(name)
@@ -95,33 +76,6 @@ func Materialized(s ReadStore, name string) (r *Relation, aliased bool) {
 	}
 	r.DropBatchCache()
 	return r, false
-}
-
-// Reserver is the optional capacity-hint hook of a Store: Reserve
-// pre-sizes the named relation's storage for n more tuples. *Database
-// and *Epoch implement it; CopyStore uses it so bulk loads never grow
-// storage from zero.
-type Reserver interface {
-	Reserve(name string, n int)
-}
-
-// CopyStore adds every tuple of src into dst, relations in schema name
-// order, tuples in scan (insertion) order — so a deterministically
-// built source reproduces deterministically in any destination
-// backend. Every relation of src's schema must exist in dst's schema
-// with the same arity; dst keeps any relations of its own.
-func CopyStore(dst Store, src ReadStore) {
-	res, _ := dst.(Reserver)
-	for _, name := range src.Schema().Names() {
-		v := src.View(name)
-		if res != nil {
-			res.Reserve(name, v.Len())
-		}
-		c := scanTuples(v)
-		for t, ok := c.Next(); ok; t, ok = c.Next() {
-			dst.Add(name, t)
-		}
-	}
 }
 
 // CheckView resolves the named relation's view and verifies its arity
@@ -139,25 +93,22 @@ func CheckView(s ReadStore, name string, arity int, pkg string) StoredRel {
 // BaseResolver is the base-relation resolution of a materialized
 // evaluator over a ReadStore, shared by the ra and sa evaluators so
 // the ownership and memoization rules live in one place. For the
-// in-memory Database and for a published Snapshot it hands out the
-// stored relations themselves (aliased, zero copies); any other
+// in-memory Database it hands out the stored relations themselves
+// (aliased, zero copies); any other
 // backend materializes each relation once per evaluation and serves
 // later references from the memo — a relation named k times in an
 // expression is copied once.
 type BaseResolver struct {
 	s    ReadStore
 	pkg  string
-	memo map[string]*Relation // nil for the zero-copy backends
+	memo map[string]*Relation // nil for the in-memory Database
 }
 
 // NewBaseResolver returns a resolver panicking with the given package
 // prefix on arity mismatches.
 func NewBaseResolver(s ReadStore, pkg string) *BaseResolver {
 	r := &BaseResolver{s: s, pkg: pkg}
-	switch s.(type) {
-	case *Database, *Snapshot:
-		// zero-copy views: no memo needed
-	default:
+	if _, ok := s.(*Database); !ok {
 		r.memo = make(map[string]*Relation)
 	}
 	return r

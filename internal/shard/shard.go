@@ -16,8 +16,9 @@
 // column buffers, and lets one builder per shard insert its buffer
 // through Relation.AddBatch in parallel — no tuple is decoded and no
 // value re-interned per row, and every row still passes the
-// shard-local relation's dedup. Each shard is a rel.Epoch with its own
-// per-relation interners and dedup indexes.
+// shard-local relation's dedup. Each shard is a rel.Database with its
+// own per-relation interners and dedup indexes, built once by
+// FromStore and never written after it returns.
 //
 // Routing dictionaries are per relation: each relation name owns a
 // rel.Interner over its first-column values in source order, so a
@@ -51,7 +52,7 @@ type place struct {
 // its only writer; no rows are added after it returns.
 type Database struct {
 	schema rel.Schema
-	shards []*rel.Epoch
+	shards []*rel.Database
 	// routers maps each relation to its routing dictionary, first-column
 	// value → dense ID in source order. Nil map when single-shard.
 	routers map[string]*rel.Interner
@@ -70,16 +71,22 @@ func FromStore(src rel.ReadStore, n int) *Database {
 		n = 1
 	}
 	schema := src.Schema()
-	s := &Database{schema: schema, shards: make([]*rel.Epoch, n)}
+	s := &Database{schema: schema, shards: make([]*rel.Database, n)}
 	for i := range s.shards {
-		s.shards[i] = rel.NewEpoch(schema)
+		s.shards[i] = rel.NewDatabase(schema)
+		// Database.Rel creates an absent relation: a map write. Create
+		// every one now, so that neither the concurrent builders nor the
+		// readers of the sealed partition ever write a shard's map.
+		for name := range schema {
+			s.shards[i].Rel(name)
+		}
 	}
 	if n > 1 {
 		s.routers = make(map[string]*rel.Interner, len(schema))
 		s.placement = make(map[string][]place, len(schema))
 	}
 	for _, name := range schema.Names() {
-		// The stored relation itself for the in-memory backends, a
+		// The stored relation itself for the in-memory Database, a
 		// one-off copy for any other: either way its ID columns.
 		r, _ := rel.Materialized(src, name)
 		s.load(name, r)
@@ -91,7 +98,7 @@ func FromStore(src rel.ReadStore, n int) *Database {
 // FromStore is building. The rows stay interned IDs in src's dictionary until a
 // shard-local relation translates them into its own: scatter deals
 // them out to per-shard column buffers, then one builder per shard, in
-// parallel (each writes its own rel.Epoch and only reads src's
+// parallel (each writes its own shard database and only reads src's
 // dictionary), inserts its buffer through Relation.AddBatch — the same
 // dedup probe and dictionary assignment order as tuple-wise
 // Relation.Adds of the shard's rows in source order. With one shard
@@ -99,7 +106,7 @@ func FromStore(src rel.ReadStore, n int) *Database {
 // place.
 func (s *Database) load(name string, src *rel.Relation) {
 	if src.Len() == 0 {
-		return // no working copy, no router, no log
+		return // no router, no log
 	}
 	cols, dict := src.IDColumns()
 	bufs, counts := [][][]uint32{cols}, []int32{int32(src.Len())}
@@ -112,7 +119,7 @@ func (s *Database) load(name string, src *rel.Relation) {
 		if n == 0 {
 			return
 		}
-		r := s.shards[q].Mutable(name)
+		r := s.shards[q].Rel(name)
 		r.Reserve(n)
 		var b rel.Batch
 		b.MakeView(bufs[q], dict)
@@ -172,15 +179,11 @@ func (s *Database) scatter(name string, cols [][]uint32, dict *rel.Interner, row
 	return bufs, counts
 }
 
-// Publish seals the partition: one rel.Epoch.Publish per shard, the
-// routing dictionaries frozen. The snapshot shares every relation,
-// router and placement log with the database; O(#shards × #relations)
-// pointer and map work.
+// Publish seals the partition: the routing dictionaries frozen. The
+// snapshot shares the shard databases, routers and placement logs with
+// the database; O(#relations) map work.
 func (s *Database) Publish() *Snapshot {
-	snap := &Snapshot{schema: s.schema, shards: make([]*rel.Snapshot, len(s.shards)), placement: s.placement}
-	for i, e := range s.shards {
-		snap.shards[i] = e.Publish()
-	}
+	snap := &Snapshot{schema: s.schema, shards: s.shards, placement: s.placement}
 	if s.routers != nil {
 		snap.routers = make(map[string]rel.FrozenDict, len(s.routers))
 		for name, rt := range s.routers {

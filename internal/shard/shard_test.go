@@ -107,13 +107,11 @@ func TestFromStoreReserveChangesNothing(t *testing.T) {
 	sources["one heavy key"] = skewed
 
 	for label, d := range sources {
-		// The same data behind every kind of source: the in-memory
-		// database and a published snapshot hand out their stored
-		// relations, and the fault-injection wrapper is copied off its
-		// batch scan.
+		// The same data behind both kinds of source: the in-memory
+		// database hands out its stored relations, and the
+		// fault-injection wrapper is copied off its batch scan.
 		backends := map[string]rel.ReadStore{
 			"rel.Database": d,
-			"rel.Snapshot": rel.EpochFromStore(d).Snapshot(),
 			"faultinject":  faultinject.Wrap(d, faultinject.Fault{}),
 		}
 		for backend, src := range backends {

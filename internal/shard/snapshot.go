@@ -1,14 +1,14 @@
 package shard
 
 // This file is the sealed side of the partition: Snapshot is every
-// shard's rel.Snapshot plus the frozen routing dictionaries and the
+// shard's database plus the frozen routing dictionaries and the
 // placement logs, as of the Publish that produced it. It has no method
 // through which a mutation could reach it, so any number of goroutines
 // may run the operators on one snapshot.
 
 import "radiv/internal/rel"
 
-// Snapshot is a sealed partition: one rel.Snapshot per shard, the
+// Snapshot is a sealed partition: one rel.Database per shard, the
 // frozen per-relation routing dictionaries, and the placement logs
 // that replay source order. It is what Divide, ContainmentJoin and
 // EqualityJoin read.
@@ -18,7 +18,7 @@ import "radiv/internal/rel"
 // the quiescence analyzer flags statically.
 type Snapshot struct {
 	schema    rel.Schema
-	shards    []*rel.Snapshot
+	shards    []*rel.Database
 	routers   map[string]rel.FrozenDict // nil map when single-shard
 	placement map[string][]place        // nil map when single-shard
 }
