@@ -204,7 +204,7 @@ func benchDivisionInput(n int) (*rel.Relation, *rel.Relation) {
 func BenchmarkP26Division(b *testing.B) {
 	for _, n := range []int{200, 800} {
 		r, s := benchDivisionInput(n)
-		for _, alg := range division.All(0) {
+		for _, alg := range division.All() {
 			b.Run(fmt.Sprintf("%s/n=%d", alg.Name(), n), func(b *testing.B) {
 				var st division.Stats
 				for i := 0; i < b.N; i++ {
@@ -219,7 +219,7 @@ func BenchmarkP26Division(b *testing.B) {
 // BenchmarkP26EqualityDivision covers the equality variant.
 func BenchmarkP26EqualityDivision(b *testing.B) {
 	r, s := benchDivisionInput(400)
-	for _, alg := range division.All(0) {
+	for _, alg := range division.All() {
 		b.Run(alg.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				alg.Divide(r, s, division.Equality)
@@ -236,7 +236,7 @@ func BenchmarkSJ1Containment(b *testing.B) {
 			Dist: workload.Uniform, Domain: 400, ContainFraction: 0.05, Seed: 7}
 		r, s := wl.Generate()
 		gr, gs := setjoin.Groups(r), setjoin.Groups(s)
-		for _, alg := range setjoin.ContainmentAlgorithms(0) {
+		for _, alg := range setjoin.ContainmentAlgorithms() {
 			b.Run(fmt.Sprintf("%s/n=%d", alg.Name(), n), func(b *testing.B) {
 				var st setjoin.Stats
 				for i := 0; i < b.N; i++ {
@@ -254,7 +254,7 @@ func BenchmarkSJ1Zipf(b *testing.B) {
 		Dist: workload.Zipf, Domain: 500, ContainFraction: 0.1, Seed: 11}
 	r, s := wl.Generate()
 	gr, gs := setjoin.Groups(r), setjoin.Groups(s)
-	for _, alg := range setjoin.ContainmentAlgorithms(0) {
+	for _, alg := range setjoin.ContainmentAlgorithms() {
 		b.Run(alg.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				alg.Join(gr, gs)
@@ -270,7 +270,7 @@ func BenchmarkSJ2Equality(b *testing.B) {
 			Dist: workload.Fixed, Domain: 12, ContainFraction: 0, Seed: 3}
 		r, s := wl.Generate()
 		gr, gs := setjoin.Groups(r), setjoin.Groups(s)
-		for _, alg := range setjoin.EqualityAlgorithms(0) {
+		for _, alg := range setjoin.EqualityAlgorithms() {
 			b.Run(fmt.Sprintf("%s/n=%d", alg.Name(), n), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					alg.Join(gr, gs)
@@ -336,63 +336,6 @@ func BenchmarkAblationJoinStrategies(b *testing.B) {
 		}
 	})
 	_ = s
-}
-
-// largeDivisionInput is the big workload behind the interning
-// before/after comparison: 20k dividend tuples over 2000 groups with a
-// 32-element divisor and a 20% match rate.
-func largeDivisionInput() (*rel.Relation, *rel.Relation) {
-	wl := workload.Division{
-		Groups: 2000, GroupSize: 10, Dist: workload.Uniform,
-		DivisorSize: 32, MatchFraction: 0.2, Domain: 4096, Seed: 5,
-	}
-	return wl.Generate()
-}
-
-// BenchmarkEngineDivisionKeyPath compares the string-key hash division
-// (the pre-interning implementation, kept as HashStringKey) against the
-// interned path and ParallelHash — the same kernel over partitions on
-// the worker pool, exec.Run — on the large division workload. This is
-// the acceptance benchmark for interning: hash must beat hash-string
-// by ≥2x.
-func BenchmarkEngineDivisionKeyPath(b *testing.B) {
-	r, s := largeDivisionInput()
-	algs := []division.Algorithm{
-		division.HashStringKey{},
-		division.Hash{},
-		division.ParallelHash{},
-	}
-	for _, alg := range algs {
-		b.Run(alg.Name(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				alg.Divide(r, s, division.Containment)
-			}
-		})
-	}
-}
-
-// BenchmarkEngineSetJoinParallel compares the sequential signature
-// containment join and hash equality join against their chunked
-// parallel counterparts on the worker pool (exec.Run) on a large
-// set-join workload.
-func BenchmarkEngineSetJoinParallel(b *testing.B) {
-	wl := workload.SetJoin{RGroups: 2000, SGroups: 2000, MeanSize: 8,
-		Dist: workload.Uniform, Domain: 2000, ContainFraction: 0.05, Seed: 13}
-	r, s := wl.Generate()
-	gr, gs := setjoin.Groups(r), setjoin.Groups(s)
-	algs := []setjoin.Algorithm{
-		setjoin.SignatureContainment{},
-		setjoin.ParallelSignatureContainment{},
-		setjoin.HashEquality{},
-		setjoin.ParallelHashEquality{},
-	}
-	for _, alg := range algs {
-		b.Run(alg.Name(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				alg.Join(gr, gs)
-			}
-		})
-	}
 }
 
 // execute runs a plan as written at the given batch size b.N times.

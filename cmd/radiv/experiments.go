@@ -8,7 +8,6 @@ import (
 	"radiv/internal/bisim"
 	"radiv/internal/core"
 	"radiv/internal/division"
-	"radiv/internal/exec"
 	"radiv/internal/gf"
 	"radiv/internal/paperfigs"
 	"radiv/internal/plan"
@@ -25,7 +24,7 @@ import (
 
 // sameEmission reports byte-identity of two tuple sequences: same
 // length, same tuples, same order — the check the equivalence
-// experiments (ST3, ST5, ST6) make against their references.
+// experiments (ST3, ST5) make against their references.
 func sameEmission(got, want []rel.Tuple) bool {
 	if len(got) != len(want) {
 		return false
@@ -45,27 +44,13 @@ type experiment struct {
 	Run   func(w io.Writer)
 }
 
-// workers is the -workers flag: the pool size handed to the parallel
-// algorithm variants swept by P26, SJ1 and SJ2 (0 = one per CPU).
+// workers is the -workers flag: the pool size of ST3's shard-local
+// work (0 = one per CPU).
 var workers int
 
 // shards is the -shards flag: the shard count ST3 partitions its
 // stores into (0 = sweep 1, 2, 4).
 var shards int
-
-// batchSize is the -batch flag: the batch row capacity ST6 runs at
-// (0 = the default sweep).
-var batchSize int
-
-// batchSizes is ST6's batch-capacity sweep: the -batch flag pins a
-// single size; the default sweeps 1 — pricing the batch machinery with
-// none of its amortization — then 64 and 1024 (rel.BatchCap).
-func batchSizes() []int {
-	if batchSize > 0 {
-		return []int{batchSize}
-	}
-	return []int{1, 64, 1024}
-}
 
 func experiments() []experiment {
 	return []experiment{
@@ -86,7 +71,6 @@ func experiments() []experiment {
 		{"ST2", "SA and γ plans: linear resident memory", runST2},
 		{"ST3", "Sharded stores: shard-local division and set joins, per-shard resident memory, merge cost", runST3},
 		{"ST5", "Query planner: automatic linearization — division flow exponent 2 → 1, identical results", runST5},
-		{"ST6", "Sharded batch division: workers × batch sweep, exchange overhead vs worker compute", runST6},
 	}
 }
 
@@ -258,7 +242,7 @@ func runP26(w io.Writer) {
 	t := stats.NewTable("n", "algorithm", "time", "max memory tuples", "comparisons+probes")
 	for _, n := range []int{200, 400, 800} {
 		r, s := divisionScaling(n)
-		for _, alg := range division.All(workers) {
+		for _, alg := range division.All() {
 			start := time.Now()
 			_, st := alg.Divide(r, s, division.Containment)
 			t.AddRow(r.Len()+s.Len(), alg.Name(), time.Since(start).Round(time.Microsecond),
@@ -499,107 +483,6 @@ func runST5(w io.Writer) {
 	fmt.Fprintln(w, "expression into the linear γ-division automatically")
 }
 
-// runST6 sweeps sharded batch division across worker counts and batch
-// sizes, separating the two costs parallel batch execution pays:
-// division runs sharded four ways, feeding shard-local sized batch
-// scans into the batch probe (division.DivideShardBatches) over the
-// worker pool at each workers × batch point, and the gid-ordered merge
-// is timed separately, because merge time is pure exchange overhead —
-// paid once, whatever the worker count — while the shard compute
-// divides across workers and amortizes with batch size. Every merged
-// result is checked byte for byte against the sequential hash
-// division, and a planner tail pins the executor, on the optimized
-// set-containment plan, against the materialized ra.Eval at every batch
-// size. -workers and -batch pin single points of the sweep.
-func runST6(w io.Writer) {
-	r, s := divisionScaling(400)
-	d := rel.NewDatabase(rel.NewSchema(map[string]int{"R": 2, "S": 1}))
-	for _, tp := range r.Tuples() {
-		d.Add("R", tp)
-	}
-	for _, tp := range s.Tuples() {
-		d.Add("S", tp)
-	}
-	liveBefore, _, _ := rel.BatchPoolStats()
-
-	// Exchange arm.
-	const exShards = 4
-	sdb := shard.FromStore(d, exShards).Publish()
-	want, _ := division.Hash{}.Divide(r, s, division.Containment)
-	dt := division.NewDivisorTable(s)
-	rt := sdb.Router("R")
-	counts := []int{1, 2, 4}
-	if workers > 0 {
-		counts = []int{workers}
-	}
-	et := stats.NewTable("workers", "batch", "total", "merge (exchange)", "shard compute")
-	for _, wk := range counts {
-		for _, size := range batchSizes() {
-			start := time.Now()
-			cursors := make([]rel.BatchCursor, exShards)
-			for q := range cursors {
-				cursors[q] = sdb.ShardRel(q, "R").BatchScanSized(size)
-			}
-			qualified := make([]map[rel.Value]bool, exShards)
-			exec.Run(wk, exShards, func(q int) {
-				qualified[q], _ = dt.DivideShardBatches(cursors[q], division.Containment)
-			})
-			mergeStart := time.Now()
-			out := rel.NewRelationSized(1, rt.Len())
-			for gid := 0; gid < rt.Len(); gid++ {
-				v := rt.Value(uint32(gid))
-				if qualified[exec.PartOf(uint32(gid), exShards)][v] {
-					out.Add(rel.Tuple{v})
-				}
-			}
-			merge := time.Since(mergeStart)
-			total := time.Since(start)
-			if !sameEmission(out.Tuples(), want.Tuples()) {
-				fmt.Fprintln(w, "!! sharded vectorized division diverges from sequential hash")
-				return
-			}
-			et.AddRow(wk, size, total.Round(time.Microsecond), merge.Round(time.Microsecond),
-				(total - merge).Round(time.Microsecond))
-		}
-	}
-	fmt.Fprintln(w, "exchange arm (4 shards): every merged emission matched sequential hash")
-	fmt.Fprintln(w, "division byte for byte")
-	fmt.Fprint(w, et)
-
-	// Planner tail: the optimized set-containment plan must match the
-	// materialized evaluation of the source expression byte for byte
-	// at every batch size.
-	wl := workload.SetJoin{RGroups: 200, SGroups: 200, MeanSize: 5, Dist: workload.Uniform,
-		Domain: 50, ContainFraction: 0.1, Seed: 21}
-	rRel, sRel := wl.Generate()
-	dj := rel.NewDatabase(rel.NewSchema(map[string]int{"R": 2, "S": 2}))
-	for _, tp := range rRel.Tuples() {
-		dj.Add("R", tp)
-	}
-	for _, tp := range sRel.Tuples() {
-		dj.Add("S", tp)
-	}
-	pe := ra.SetContainmentJoinExpr("R", "S")
-	wantJ := ra.Eval(pe, dj).Sorted()
-	var engine plan.Engine
-	for _, size := range batchSizes() {
-		p, err := plan.Compile(pe, dj, plan.Options{Optimize: true, BatchSize: size})
-		if err != nil {
-			fmt.Fprintf(w, "!! planner tail compile: %v\n", err)
-			return
-		}
-		if !sameEmission(p.Execute().Tuples(), wantJ) {
-			fmt.Fprintf(w, "!! optimized plan diverges from ra.Eval at batch %d\n", size)
-			return
-		}
-		engine = p.Engine()
-	}
-	liveAfter, _, _ := rel.BatchPoolStats()
-	fmt.Fprintf(w, "\noptimized set-containment plan (engine %s) == materialized ra.Eval at every batch size; batch pool:\n", engine)
-	fmt.Fprintf(w, "%d batches live before the sweep, %d after — transport recycled, nothing leaked\n",
-		liveBefore, liveAfter)
-}
-
 func runSJ1(w io.Writer) {
 	t := stats.NewTable("groups", "algorithm", "time", "pairs considered", "verifications", "result")
 	for _, n := range []int{100, 200, 400} {
@@ -607,7 +490,7 @@ func runSJ1(w io.Writer) {
 			Domain: 400, ContainFraction: 0.05, Seed: 7}
 		r, s := wl.Generate()
 		gr, gs := setjoin.Groups(r), setjoin.Groups(s)
-		for _, alg := range setjoin.ContainmentAlgorithms(workers) {
+		for _, alg := range setjoin.ContainmentAlgorithms() {
 			start := time.Now()
 			res, st := alg.Join(gr, gs)
 			t.AddRow(n, alg.Name(), time.Since(start).Round(time.Microsecond),
@@ -624,7 +507,7 @@ func runSJ2(w io.Writer) {
 			Domain: 12, ContainFraction: 0, Seed: 3}
 		r, s := wl.Generate()
 		gr, gs := setjoin.Groups(r), setjoin.Groups(s)
-		for _, alg := range setjoin.EqualityAlgorithms(workers) {
+		for _, alg := range setjoin.EqualityAlgorithms() {
 			start := time.Now()
 			res, st := alg.Join(gr, gs)
 			t.AddRow(n, alg.Name(), time.Since(start).Round(time.Microsecond),

@@ -31,7 +31,7 @@ func TestExperimentIDsUnique(t *testing.T) {
 			t.Errorf("experiment %s has no title", e.ID)
 		}
 	}
-	for _, id := range []string{"F1", "F2", "F3", "F4", "F5", "F6", "E3", "T8", "T17", "P26", "SJ1", "SJ2", "G5", "ST1", "ST2", "ST3", "ST5", "ST6"} {
+	for _, id := range []string{"F1", "F2", "F3", "F4", "F5", "F6", "E3", "T8", "T17", "P26", "SJ1", "SJ2", "G5", "ST1", "ST2", "ST3", "ST5"} {
 		if !seen[id] {
 			t.Errorf("experiment %s missing from registry", id)
 		}
@@ -79,10 +79,6 @@ func TestExperimentOutputsCarryTheClaims(t *testing.T) {
 	if out := get("ST5"); !strings.Contains(out, "rule fired: division") || !strings.Contains(out, "xra") ||
 		strings.Contains(out, "diverges") {
 		t.Errorf("ST5 lost the planner claim:\n%s", out)
-	}
-	if out := get("ST6"); !strings.Contains(out, "byte for byte") || strings.Contains(out, "diverges") ||
-		!strings.Contains(out, "== materialized ra.Eval") || !strings.Contains(out, "nothing leaked") {
-		t.Errorf("ST6 lost the sharded byte-identity or executor-vs-oracle claims:\n%s", out)
 	}
 }
 

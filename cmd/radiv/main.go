@@ -21,11 +21,9 @@ func main() {
 	exp := flag.String("exp", "", "run one experiment by id")
 	all := flag.Bool("all", false, "run every experiment")
 	flag.IntVar(&workers, "workers", 0,
-		"worker count for the parallel algorithm variants in P26/SJ1/SJ2 (0 = one per CPU)")
+		"worker pool size for the sharded-store experiment ST3 (0 = one per CPU)")
 	flag.IntVar(&shards, "shards", 0,
 		"shard count for the sharded-store experiment ST3 (0 = sweep 1, 2, 4)")
-	flag.IntVar(&batchSize, "batch", 0,
-		"batch row capacity for the sweeps in ST6 (0 = sweep 1, 64, 1024)")
 	flag.Parse()
 
 	switch {

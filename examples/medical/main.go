@@ -1,7 +1,7 @@
 // Medical: the paper's Fig. 1 scenario end to end — patients with
 // symptom sets, diseases with symptom profiles, a symptom checklist.
 // Runs the set-containment join (which patients exhibit all symptoms
-// of which disease?) with all three algorithms, and the division
+// of which disease?) with all four algorithms, and the division
 // (who has every symptom on the checklist?) with all five, comparing
 // their costs.
 package main
@@ -28,14 +28,14 @@ func run(w io.Writer) {
 	person := setjoin.Groups(d.Rel("Person"))
 	disease := setjoin.Groups(d.Rel("Disease"))
 	fmt.Fprintln(w, "set-containment join Person ⋈[⊇] Disease (all algorithms):")
-	for _, alg := range setjoin.ContainmentAlgorithms(0) {
+	for _, alg := range setjoin.ContainmentAlgorithms() {
 		res, st := alg.Join(person, disease)
 		fmt.Fprintf(w, "  %-18s %d pairs, %d verifications: %v\n",
 			alg.Name(), res.Len(), st.Verifications, res.Sorted())
 	}
 
 	fmt.Fprintln(w, "\ndivision Person ÷ Symptoms (all algorithms):")
-	for _, alg := range division.All(0) {
+	for _, alg := range division.All() {
 		res, st := alg.Divide(d.Rel("Person"), d.Rel("Symptoms"), division.Containment)
 		fmt.Fprintf(w, "  %-13s max memory %3d tuples: %v\n", alg.Name(), st.MaxMemoryTuples, res.Sorted())
 	}
@@ -49,11 +49,7 @@ func run(w io.Writer) {
 			DivisorSize: sz, MatchFraction: 0.2, Seed: 1,
 		}
 		r, s := wl.Generate()
-		algs := []division.Algorithm{
-			division.MergeSort{}, division.Hash{}, division.Aggregate{},
-			division.ParallelHash{},
-		}
-		for _, alg := range algs {
+		for _, alg := range []division.Algorithm{division.MergeSort{}, division.Hash{}, division.Aggregate{}} {
 			start := time.Now()
 			res, _ := alg.Divide(r, s, division.Containment)
 			t.AddRow(sz, alg.Name(), time.Since(start).Round(time.Microsecond), res.Len())

@@ -300,65 +300,6 @@ func hashResult(keys [][]rel.Value, st Stats, s *rel.Relation) (*rel.Relation, S
 	return out, st
 }
 
-// HashStringKey is the pre-interning hash division, kept as the
-// string-key reference path: every probe builds a Tuple.Key string
-// and hits a map[string]. It computes exactly what Hash computes and
-// exists so benchmarks can measure what interning buys on identical
-// inputs (see BenchmarkEngineDivisionKeyPath).
-type HashStringKey struct{}
-
-// Name implements Algorithm.
-func (HashStringKey) Name() string { return "hash-string" }
-
-// Divide implements Algorithm.
-func (HashStringKey) Divide(r, s *rel.Relation, sem Semantics) (*rel.Relation, Stats) {
-	checkInputs(r, s)
-	var st Stats
-	slot := make(map[string]int, s.Len())
-	for _, t := range s.Tuples() {
-		st.TuplesRead++
-		st.Probes++
-		k := rel.Tuple{t[0]}.Key()
-		if _, ok := slot[k]; !ok {
-			slot[k] = len(slot)
-		}
-	}
-	need := len(slot)
-	words := (need + 63) / 64
-	groups := make(map[string]*divGroup)
-	var order []string
-	for _, t := range r.Tuples() {
-		st.TuplesRead++
-		gk := rel.Tuple{t[0]}.Key()
-		st.Probes++
-		g := groups[gk]
-		if g == nil {
-			g = &divGroup{rep: t[0], seen: make([]uint64, words)}
-			groups[gk] = g
-			order = append(order, gk)
-		}
-		st.Probes++
-		if idx, ok := slot[rel.Tuple{t[1]}.Key()]; ok {
-			g.mark(uint32(idx))
-		} else {
-			g.extras++
-		}
-	}
-	st.MaxMemoryTuples = len(groups) + s.Len() + len(groups)*words
-	out := rel.NewRelation(1)
-	for _, gk := range order {
-		g := groups[gk]
-		if g.hits != need {
-			continue
-		}
-		if sem == Equality && g.extras > 0 {
-			continue
-		}
-		out.Add(rel.Tuple{g.rep})
-	}
-	return out, st
-}
-
 // Aggregate is counting division (Graefe's "aggregate division", the
 // trick behind the linear grouping expression of Section 5): count the
 // B's of each group that are in S, and compare the count to |S|. It is
@@ -428,11 +369,7 @@ func (ClassicRA) Divide(r, s *rel.Relation, sem Semantics) (*rel.Relation, Stats
 }
 
 // All returns the direct algorithms plus the classical RA expression,
-// in presentation order, with workers goroutines for the parallel
-// variant (<= 0 means one worker per CPU).
-func All(workers int) []Algorithm {
-	return []Algorithm{
-		ClassicRA{}, NestedLoop{}, MergeSort{}, Hash{}, HashStringKey{}, Aggregate{},
-		ParallelHash{Workers: workers},
-	}
+// in presentation order.
+func All() []Algorithm {
+	return []Algorithm{ClassicRA{}, NestedLoop{}, MergeSort{}, Hash{}, Aggregate{}}
 }

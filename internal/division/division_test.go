@@ -30,7 +30,7 @@ func fig1Person() (*rel.Relation, *rel.Relation) {
 func TestFigure1AllAlgorithms(t *testing.T) {
 	r, s := fig1Person()
 	want := rel.FromTuples(1, rel.Strs("An"), rel.Strs("Bob"))
-	for _, alg := range All(0) {
+	for _, alg := range All() {
 		got, _ := alg.Divide(r, s, Containment)
 		if !got.Equal(want) {
 			t.Errorf("%s: Person ÷ Symptoms = %v, want {An, Bob}", alg.Name(), got)
@@ -45,7 +45,7 @@ func TestEqualitySemantics(t *testing.T) {
 		[]int64{3, 10}, // subset
 	)
 	s := rel.FromTuples(1, rel.Ints(10), rel.Ints(20))
-	for _, alg := range All(0) {
+	for _, alg := range All() {
 		cont, _ := alg.Divide(r, s, Containment)
 		if cont.Len() != 2 || !cont.Contains(rel.Ints(1)) || !cont.Contains(rel.Ints(2)) {
 			t.Errorf("%s containment = %v, want {1,2}", alg.Name(), cont)
@@ -60,7 +60,7 @@ func TestEqualitySemantics(t *testing.T) {
 func TestEmptyDivisor(t *testing.T) {
 	r := rel.FromRows(2, []int64{1, 10}, []int64{2, 20})
 	s := rel.NewRelation(1)
-	for _, alg := range All(0) {
+	for _, alg := range All() {
 		cont, _ := alg.Divide(r, s, Containment)
 		if cont.Len() != 2 {
 			t.Errorf("%s: R ÷ ∅ = %v, want all groups", alg.Name(), cont)
@@ -75,7 +75,7 @@ func TestEmptyDivisor(t *testing.T) {
 func TestEmptyDividend(t *testing.T) {
 	r := rel.NewRelation(2)
 	s := rel.FromTuples(1, rel.Ints(1))
-	for _, alg := range All(0) {
+	for _, alg := range All() {
 		for _, sem := range []Semantics{Containment, Equality} {
 			got, _ := alg.Divide(r, s, sem)
 			if got.Len() != 0 {
@@ -88,7 +88,7 @@ func TestEmptyDividend(t *testing.T) {
 func TestDivisorValueNotInR(t *testing.T) {
 	r := rel.FromRows(2, []int64{1, 10}, []int64{1, 20})
 	s := rel.FromTuples(1, rel.Ints(10), rel.Ints(99))
-	for _, alg := range All(0) {
+	for _, alg := range All() {
 		got, _ := alg.Divide(r, s, Containment)
 		if got.Len() != 0 {
 			t.Errorf("%s: group cannot contain 99: %v", alg.Name(), got)
@@ -113,7 +113,7 @@ func TestAllAlgorithmsAgreeRandom(t *testing.T) {
 		}
 		for _, sem := range []Semantics{Containment, Equality} {
 			want := Reference(r, s, sem)
-			for _, alg := range All(0) {
+			for _, alg := range All() {
 				got, _ := alg.Divide(r, s, sem)
 				if !got.Equal(want) {
 					t.Fatalf("trial %d %s/%s:\ngot %vwant %v\nR:\n%sS:\n%s",
@@ -220,7 +220,7 @@ func TestCostShapes(t *testing.T) {
 func TestInputValidation(t *testing.T) {
 	bad := rel.NewRelation(3)
 	s := rel.NewRelation(1)
-	for _, alg := range All(0) {
+	for _, alg := range All() {
 		func() {
 			defer func() {
 				if recover() == nil {

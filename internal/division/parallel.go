@@ -14,7 +14,8 @@ import (
 // divisor table. Per-partition results concatenate in partition order,
 // which makes the output deterministic for a fixed worker count and
 // set-equal to the sequential Hash result for every worker count; the
-// Stats equal Hash's.
+// Stats equal Hash's. Outside its tests only the benchmark's routed
+// division probe calls it.
 type ParallelHash struct {
 	// Workers is the goroutine pool size; values <= 0 mean one worker
 	// per CPU.
@@ -82,8 +83,9 @@ func (c *oneBatch) NextBatch() (*rel.Batch, bool) {
 // DivisorTable is the shared read-only divisor dictionary of one hash
 // division: every divisor value gets a dense slot (its interned ID),
 // so per-shard workers probe integers and mark bitmap bits without
-// touching shared mutable state. It is the build-phase artifact the
-// shard-local division in internal/shard divides against.
+// touching shared mutable state. Hash and ParallelHash build one per
+// call, and so does shard.Divide, the one caller of
+// DivideShardBatches.
 type DivisorTable struct {
 	slots *rel.Interner
 	need  int
@@ -122,9 +124,9 @@ func (dt *DivisorTable) DivideShardBatches(shard rel.BatchCursor, sem Semantics)
 	return qualified, st
 }
 
-// divideBatches is the one hash-division kernel, shared by
-// DivideShardBatches, the sequential Hash and ParallelHash: the Graefe bitmap scheme
-// over (group, element) ID batches. It returns the qualifying group
+// divideBatches is the one hash-division kernel, shared by Hash,
+// ParallelHash and DivideShardBatches: the Graefe bitmap scheme over
+// (group, element) ID batches. It returns the qualifying group
 // keys in first-occurrence order; the stats cover the dividend only.
 func (dt *DivisorTable) divideBatches(shard rel.BatchCursor, sem Semantics) ([]rel.Value, Stats) {
 	var st Stats

@@ -242,25 +242,17 @@ func (EquijoinOverlap) Join(r, s []*Group) (*rel.Relation, Stats) {
 	return out, st
 }
 
-// ContainmentAlgorithms returns the containment-join implementations,
-// with workers goroutines for the parallel variant (<= 0 means one
-// worker per CPU).
-func ContainmentAlgorithms(workers int) []Algorithm {
+// ContainmentAlgorithms returns the containment-join implementations.
+func ContainmentAlgorithms() []Algorithm {
 	return []Algorithm{
 		NestedLoopContainment{},
 		SignatureContainment{},
 		InvertedIndexContainment{},
 		PartitionedContainment{},
-		ParallelSignatureContainment{Workers: workers},
 	}
 }
 
-// EqualityAlgorithms returns the equality-join implementations, with
-// workers goroutines for the parallel variant (<= 0 means one worker
-// per CPU).
-func EqualityAlgorithms(workers int) []Algorithm {
-	return []Algorithm{
-		NestedLoopEquality{}, SortEquality{}, HashEquality{},
-		ParallelHashEquality{Workers: workers},
-	}
+// EqualityAlgorithms returns the equality-join implementations.
+func EqualityAlgorithms() []Algorithm {
+	return []Algorithm{NestedLoopEquality{}, SortEquality{}, HashEquality{}}
 }

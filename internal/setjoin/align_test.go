@@ -13,7 +13,7 @@ import (
 
 // allAlgorithms is every containment, equality and overlap join.
 func allAlgorithms() []Algorithm {
-	algs := append(ContainmentAlgorithms(2), EqualityAlgorithms(2)...)
+	algs := append(ContainmentAlgorithms(), EqualityAlgorithms()...)
 	return append(algs, EquijoinOverlap{}, PartitionedContainment{Partitions: 3})
 }
 
@@ -60,7 +60,7 @@ func TestAlignAcrossDictionaries(t *testing.T) {
 		t.Error("aligning a list to its own dictionary copied it")
 	}
 	matched := rel.FromTuples(2, rel.Ints(1, 8), rel.Ints(2, 7))
-	for _, alg := range append(ContainmentAlgorithms(2), EqualityAlgorithms(2)...) {
+	for _, alg := range append(ContainmentAlgorithms(), EqualityAlgorithms()...) {
 		if got, _ := alg.Join(r, s); !got.Equal(matched) {
 			t.Errorf("%s across dictionaries:\ngot %vwant %v", alg.Name(), got, matched)
 		}
@@ -128,12 +128,10 @@ func TestSignatureCountsOnSJ1(t *testing.T) {
 			Domain: 400, ContainFraction: 0.05, Seed: 7}
 		r, s := wl.Generate()
 		gr, gs := Groups(r), Groups(s)
-		for _, alg := range []Algorithm{SignatureContainment{}, ParallelSignatureContainment{Workers: 2}} {
-			res, st := alg.Join(gr, gs)
-			if st.PairsConsidered != tc.n*tc.n || st.Verifications != tc.verifications || res.Len() != tc.result {
-				t.Errorf("n=%d %s: %d pairs, %d verifications, %d results; want %d, %d, %d",
-					tc.n, alg.Name(), st.PairsConsidered, st.Verifications, res.Len(), tc.n*tc.n, tc.verifications, tc.result)
-			}
+		res, st := SignatureContainment{}.Join(gr, gs)
+		if st.PairsConsidered != tc.n*tc.n || st.Verifications != tc.verifications || res.Len() != tc.result {
+			t.Errorf("n=%d: %d pairs, %d verifications, %d results; want %d, %d, %d",
+				tc.n, st.PairsConsidered, st.Verifications, res.Len(), tc.n*tc.n, tc.verifications, tc.result)
 		}
 	}
 }

@@ -42,7 +42,7 @@ func TestFigure1SetContainmentJoin(t *testing.T) {
 		rel.Strs("Bob", "flu"),
 		rel.Strs("Bob", "Lyme"),
 	)
-	for _, alg := range ContainmentAlgorithms(0) {
+	for _, alg := range ContainmentAlgorithms() {
 		got, _ := alg.Join(person, disease)
 		if !got.Equal(want) {
 			t.Errorf("%s:\n%vwant\n%v", alg.Name(), got, want)

@@ -7,9 +7,10 @@ package shard
 // router assigns IDs in first-occurrence order, gid order is exactly
 // the group order the sequential algorithms emit in, so the merged
 // result is byte-identical to the single-store run at every shard
-// count. With one shard every entry point delegates straight to the
-// sequential algorithm on the underlying store: no routing happened at
-// load time and none is paid here.
+// count. With one shard no routing happened at load time and none is
+// paid here: Divide runs division.Hash on the one store, ContainmentJoin
+// runs setjoin.InvertedIndexContainment (the shard kernel over all of
+// R) and EqualityJoin runs setjoin.HashEquality.
 //
 // The set joins never leave interned-ID space between the stored
 // columns and the result: both sides are grouped into uint32 runs off
@@ -131,7 +132,8 @@ func Divide(db *Snapshot, rName, sName string, sem division.Semantics, workers i
 // concatenates each group's run of pairs in the R router's gid order,
 // reproducing the sequential setjoin.SignatureContainment emission byte
 // for byte at every shard count. With one shard it is
-// SignatureContainment itself. workers <= 0 means one per CPU.
+// setjoin.InvertedIndexContainment, the same kernel over all of R.
+// workers <= 0 means one per CPU.
 func ContainmentJoin(db *Snapshot, rName, sName string, workers int) (*rel.Relation, Stats) {
 	return shardedSetJoin(db, rName, sName, workers, true)
 }
@@ -173,7 +175,7 @@ func shardedSetJoin(db *Snapshot, rName, sName string, workers int, containment 
 		rG, sG := setjoin.Groups(db.ShardRel(0, rName)), setjoin.Groups(db.ShardRel(0, sName))
 		var out *rel.Relation
 		if containment {
-			out, _ = setjoin.SignatureContainment{}.Join(rG, sG)
+			out, _ = setjoin.InvertedIndexContainment{}.Join(rG, sG)
 		} else {
 			out, _ = setjoin.HashEquality{}.Join(rG, sG)
 		}

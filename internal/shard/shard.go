@@ -30,7 +30,7 @@
 // (view.go), in the order the sequential algorithms read it.
 //
 // With one shard nothing is routed and no placement log is kept: the
-// operators delegate to the sequential algorithms on the one shard.
+// operators run without a merge on the one shard (exec.go).
 package shard
 
 import (

@@ -551,8 +551,8 @@ func TestShardConcurrentReaders(t *testing.T) {
 
 // TestShardOperatorPanics pins one panic prefix at every shard count:
 // each operator rejects a relation outside the schema and one of the
-// wrong arity with a "shard: " panic, at one shard (which delegates to
-// the sequential algorithms) as at two and four.
+// wrong arity with a "shard: " panic, at one shard (which runs without
+// a merge) as at two and four.
 func TestShardOperatorPanics(t *testing.T) {
 	d := rel.NewDatabase(rel.NewSchema(map[string]int{"R": 2, "S": 1, "T": 3}))
 	d.AddInts("R", 1, 2)
