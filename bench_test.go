@@ -15,7 +15,6 @@ import (
 	"radiv/internal/bisim"
 	"radiv/internal/core"
 	"radiv/internal/division"
-	"radiv/internal/exec"
 	"radiv/internal/gf"
 	"radiv/internal/paperfigs"
 	"radiv/internal/plan"
@@ -617,9 +616,9 @@ func BenchmarkBisimScaling(b *testing.B) {
 // BenchmarkGovernedOverhead prices the fault-tolerance plumbing: the
 // same division plan run ungoverned (nil governor: no guards at all)
 // and through the governed Context boundary with an active context and
-// budgets. The governed arm's only steady-state cost is one guard
-// branch per batch, so the two arms must stay within noise of each
-// other.
+// a resident budget. The governed arm's only steady-state cost is one
+// guard branch per batch, so the two arms must stay within noise of
+// each other.
 func BenchmarkGovernedOverhead(b *testing.B) {
 	r, s := benchDivisionInput(400)
 	d := rel.NewDatabase(rel.NewSchema(map[string]int{"R": 2, "S": 1}))
@@ -636,7 +635,7 @@ func BenchmarkGovernedOverhead(b *testing.B) {
 			b.ReportAllocs()
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			p := plan.CompileIR(root, d, plan.Options{BatchSize: size, Limits: exec.Limits{MaxResident: 1 << 30}})
+			p := plan.CompileIR(root, d, plan.Options{BatchSize: size, MaxResident: 1 << 30})
 			for i := 0; i < b.N; i++ {
 				if _, err := p.ExecuteContext(ctx); err != nil {
 					b.Fatal(err)

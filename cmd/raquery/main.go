@@ -44,7 +44,6 @@ import (
 	"runtime/debug"
 	"strings"
 
-	"radiv/internal/exec"
 	"radiv/internal/gf"
 	"radiv/internal/parser"
 	"radiv/internal/plan"
@@ -135,7 +134,6 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	lim := exec.Limits{MaxResident: *maxResident}
 	ctx := context.Background()
 	if *timeout > 0 {
 		var cancel context.CancelFunc
@@ -171,7 +169,7 @@ func run(args []string, out io.Writer) error {
 		}
 		var ptr *plan.Trace
 		if root != nil {
-			p := plan.CompileIR(root, d, plan.Options{Optimize: *optimize, Limits: lim})
+			p := plan.CompileIR(root, d, plan.Options{Optimize: *optimize, MaxResident: *maxResident})
 			if *explain {
 				fmt.Fprint(out, p.Explain())
 			}

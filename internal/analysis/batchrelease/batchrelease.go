@@ -39,11 +39,11 @@
 // programming errors, and the boundary turns them into a dead query
 // whose pooled arrays are GC-recoverable.
 //
-// Governed abort paths are different, and checked (the PR 10 abort
-// contract): exec.Throw and the Governor checkpoints Check and
-// CheckResident unwind in *normal operation* — on cancellation or a
-// budget trip — and the boundary recovery releases only batches
-// registered with the governor. A batch that is definitely held at
+// Governed abort paths are different, and checked (the abort
+// contract): the Governor checkpoints Check and CheckResident unwind
+// in *normal operation* — on cancellation or a budget trip — and the
+// boundary recovery releases only the holders registered with the
+// governor (Governor.Watch). A batch that is definitely held at
 // such a checkpoint call therefore leaks live pool count on every
 // abort; the pull-boundary idiom (check first, then pull) or a
 // deferred Release (defers run during the unwind) are the accepted
@@ -195,8 +195,8 @@ func (c *checker) walkStmt(s ast.Stmt, st stateMap) bool {
 			}
 		}
 		if c.isGovCheck(call) {
-			// Governor checkpoints unwind on abort with only registered
-			// cleanups running: a batch held here leaks on every abort.
+			// Governor checkpoints unwind on abort with only watched
+			// holders released: a batch held here leaks on every abort.
 			c.reportHeld(st, "is held across a governor checkpoint that can unwind on abort; check before pulling, defer the release, or register the holder with Governor.Watch")
 			return false
 		}
@@ -488,14 +488,11 @@ func (c *checker) releaseTarget(call *ast.CallExpr) types.Object {
 	return c.pass.TypesInfo.Uses[id]
 }
 
-// isGovCheck matches the abort checkpoints: the package function
-// exec.Throw and the methods Check/CheckResident on *exec.Governor.
-// These are the only calls that unwind during normal (governed)
-// operation, so they are where the held-across-abort rule applies.
+// isGovCheck matches the abort checkpoints: the methods
+// Check/CheckResident on *exec.Governor. These are the only calls that
+// unwind during normal (governed) operation, so they are where the
+// held-across-abort rule applies.
 func (c *checker) isGovCheck(call *ast.CallExpr) bool {
-	if analysis.CalleePkgFunc(c.pass, call, execPath, "Throw") {
-		return true
-	}
 	sel, recv := analysis.MethodCall(c.pass, call)
 	if sel == nil || recv == nil {
 		return false

@@ -1,8 +1,8 @@
-// The abort-path bug classes of the governed executor: exec.Throw and
-// the Governor checkpoints Check/CheckResident unwind during normal
-// operation (cancellation, budget trips), running only cleanups
-// registered with the governor — so a pooled batch definitely held at
-// such a call site leaks live pool count on every abort. The accepted
+// The abort-path bug classes of the governed executor: the Governor
+// checkpoints Check/CheckResident unwind during normal operation
+// (cancellation, budget trips), releasing only the holders registered
+// with the governor — so a pooled batch definitely held at such a call
+// site leaks live pool count on every abort. The accepted
 // shapes — checkpoint before the pull, deferred release, handoff to a
 // registered holder — must stay silent.
 package a
@@ -33,12 +33,12 @@ func HeldAcrossCheckResident(g *exec.Governor, cur int) {
 	b.Release()
 }
 
-// HeldAcrossThrow: the throw unwinds unconditionally; the held batch
-// can never reach its Release on that path.
-func HeldAcrossThrow(g *exec.Governor, err error, cond bool) {
+// HeldAcrossConditionalCheck: a checkpoint on one branch only still
+// unwinds past the Release on that path.
+func HeldAcrossConditionalCheck(g *exec.Governor, cond bool) {
 	b := rel.NewBatch(1) // want `held across a governor checkpoint`
 	if cond {
-		exec.Throw(g, err)
+		g.Check()
 	}
 	b.Release()
 }
@@ -69,13 +69,6 @@ func DeferAcrossCheckOK(g *exec.Governor, c rel.BatchCursor) int {
 	defer b.Release()
 	g.CheckResident(b.Len())
 	return b.Len()
-}
-
-// ThrowAfterReleaseOK: nothing is held when the throw unwinds.
-func ThrowAfterReleaseOK(g *exec.Governor, err error) {
-	b := rel.NewBatch(1)
-	b.Release()
-	exec.Throw(g, err)
 }
 
 // WatchedHandoffOK: handing the batch to a registered holder (or any

@@ -46,23 +46,22 @@
 // # Contract 4: abort paths hold no unregistered pooled batch
 //
 // Governed execution (internal/exec) adds a recoverable kind of
-// unwinding: exec.Throw and the Governor checkpoints Check and
-// CheckResident panic during *normal operation* — on cancellation or
-// a budget trip — and the boundary recovery (Governor.Recover) runs
-// only the cleanups registered with the governor. The contract has
-// two halves. First, checkpoints fire only at pull boundaries, where
-// the calling frame holds no pooled batch (check, then pull); a
-// batch definitely held across a checkpoint call leaks live pool
-// count on every abort and is flagged by the batchrelease extension.
-// Second, any cursor that retains pooled batches across calls
-// implements rel.BatchHolder and is registered at construction
-// (Governor.Watch, or the executor's meter.watch), so the boundary can release its
-// held batches after all workers have joined. Deferred releases are
-// accepted — defers run during the unwind. Enforced by
-// radiv/internal/analysis/batchrelease (the governor-checkpoint
-// rule), and dynamically by the internal/faultinject suites, which
-// drive every abort path and assert the pool returns to its
-// pre-query level.
+// unwinding: the Governor checkpoints Check and CheckResident panic
+// during *normal operation* — on cancellation or a budget trip — and
+// the boundary recovery (Governor.Recover) releases only the holders
+// registered with the governor. The contract has two halves. First,
+// checkpoints fire only at pull boundaries, where the calling frame
+// holds no pooled batch (check, then pull); a batch definitely held
+// across a checkpoint call leaks live pool count on every abort and
+// is flagged by the batchrelease extension. Second, any cursor that
+// retains pooled batches across calls implements rel.BatchHolder and
+// is registered at construction (Governor.Watch, or the executor's
+// meter.watch), so the boundary can release its held batches once the
+// unwind has reached it. Deferred releases are accepted — defers run
+// during the unwind. Enforced by radiv/internal/analysis/batchrelease
+// (the governor-checkpoint rule), and dynamically by the
+// internal/faultinject suites, which drive every abort path and assert
+// the pool returns to its pre-query level.
 //
 // A fifth, stylistic rule rides along: panic messages carry their
 // package prefix (ra:, sa:, xra:, …) so a query-abort names the layer

@@ -139,7 +139,7 @@ func TestRunDrainsEveryShardOnce(t *testing.T) {
 	leakcheck.Check(t)
 	const shards, rows = 3, 20
 	for _, workers := range []int{1, 2, 4, 8} {
-		live, _, _ := rel.BatchPoolStats()
+		live := rel.LiveBatches()
 		cursors := make([]rel.BatchCursor, shards)
 		for q := range cursors {
 			s := &packedScan{rows: rows, dict: rel.NewInterner()}
@@ -170,7 +170,7 @@ func TestRunDrainsEveryShardOnce(t *testing.T) {
 				t.Errorf("workers %d: shard %d saw %d rows, want %d", workers, q, seen[q], rows)
 			}
 		}
-		if after, _, _ := rel.BatchPoolStats(); after != live {
+		if after := rel.LiveBatches(); after != live {
 			t.Fatalf("workers %d: %d batches leaked", workers, after-live)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -43,9 +44,8 @@ func sourceOf(d *rel.Database) source { return source{d, fingerprint(d)} }
 
 // newSource builds the suite's shared database: sizes are chosen so
 // every relation survives FailAfter/CancelAt in [1,5] and so at least
-// one batch of pulls remains after any injection point — that is what
-// makes the abort deterministic rather than watcher-scheduling
-// dependent.
+// one batch of pulls remains after any injection point — the guard
+// before that pull is where a cancellation lands.
 func newSource() source {
 	d := rel.NewDatabase(rel.NewSchema(map[string]int{"R": 2, "S": 1, "T": 2}))
 	for i := 0; i < 400; i++ {
@@ -88,9 +88,9 @@ type arm struct {
 }
 
 // run executes the arm's plan under a governor at the given batch
-// size.
-func (a arm) run(ctx context.Context, d rel.ReadStore, batchSize int, lim exec.Limits) (*rel.Relation, error) {
-	p := plan.CompileIR(a.root, d, plan.Options{Optimize: a.optimize, BatchSize: batchSize, Limits: lim})
+// size and resident budget (0 = none).
+func (a arm) run(ctx context.Context, d rel.ReadStore, batchSize, maxResident int) (*rel.Relation, error) {
+	p := plan.CompileIR(a.root, d, plan.Options{Optimize: a.optimize, BatchSize: batchSize, MaxResident: maxResident})
 	res, _, err := p.ExecuteTracedContext(ctx)
 	return res, err
 }
@@ -136,7 +136,7 @@ func (src source) checkAborted(t *testing.T, label string, res *rel.Relation, er
 	if res != nil {
 		t.Fatalf("%s: aborted query returned a result", label)
 	}
-	if after, _, _ := rel.BatchPoolStats(); after != liveBefore {
+	if after := rel.LiveBatches(); after != liveBefore {
 		t.Fatalf("%s: %d pooled batches leaked on abort", label, after-liveBefore)
 	}
 	src.requireUntouched(t, label)
@@ -153,8 +153,8 @@ func TestInjectedCursorErrorAborts(t *testing.T) {
 			for _, failAfter := range []int{1, 3, 5} {
 				label := fmt.Sprintf("%s/bs=%d/failAfter=%d", a.name, batchSize, failAfter)
 				st := faultinject.Wrap(src.d, faultinject.Fault{FailAfter: failAfter, Err: errInjected})
-				live, _, _ := rel.BatchPoolStats()
-				res, err := a.run(context.Background(), st, batchSize, exec.Limits{})
+				live := rel.LiveBatches()
+				res, err := a.run(context.Background(), st, batchSize, 0)
 				src.checkAborted(t, label, res, err, errInjected, live)
 			}
 		}
@@ -170,8 +170,8 @@ func TestBudgetTripAborts(t *testing.T) {
 		if a.zeroResident {
 			continue
 		}
-		live, _, _ := rel.BatchPoolStats()
-		res, err := a.run(context.Background(), src.d, 16, exec.Limits{MaxResident: 2})
+		live := rel.LiveBatches()
+		res, err := a.run(context.Background(), src.d, 16, 2)
 		if err == nil {
 			t.Fatalf("%s: want budget error, got nil (res=%v)", a.name, res)
 		}
@@ -182,7 +182,7 @@ func TestBudgetTripAborts(t *testing.T) {
 		if res != nil {
 			t.Fatalf("%s: budget-tripped query returned a result", a.name)
 		}
-		if after, _, _ := rel.BatchPoolStats(); after != live {
+		if after := rel.LiveBatches(); after != live {
 			t.Fatalf("%s: %d pooled batches leaked on budget trip", a.name, after-live)
 		}
 		src.requireUntouched(t, a.name)
@@ -195,8 +195,8 @@ func TestBudgetTripAborts(t *testing.T) {
 			continue
 		}
 		st := faultinject.Wrap(src.d, faultinject.Fault{Rel: "R"})
-		live, _, _ := rel.BatchPoolStats()
-		res, err := a.run(context.Background(), st, 16, exec.Limits{MaxResident: 40})
+		live := rel.LiveBatches()
+		res, err := a.run(context.Background(), st, 16, 40)
 		var be *exec.BudgetError
 		if !errors.As(err, &be) || res != nil {
 			t.Fatalf("%s: want a budget error and no result, got %v, %v", a.name, res, err)
@@ -204,7 +204,7 @@ func TestBudgetTripAborts(t *testing.T) {
 		if rows := st.Rows(); rows >= 400 {
 			t.Errorf("%s: the budget trip came after R's scan (%d of 400 rows read)", a.name, rows)
 		}
-		if after, _, _ := rel.BatchPoolStats(); after != live {
+		if after := rel.LiveBatches(); after != live {
 			t.Fatalf("%s: %d pooled batches leaked on budget trip", a.name, after-live)
 		}
 		src.requireUntouched(t, a.name+" inside R's scan")
@@ -220,8 +220,8 @@ func TestBudgetTripAborts(t *testing.T) {
 	const budget = 100
 	for _, bs := range []int{1, 16, 64} {
 		st := faultinject.Wrap(src.d, faultinject.Fault{Rel: "R"})
-		live, _, _ := rel.BatchPoolStats()
-		res, err := arm{root: plan.FromRA(theta)}.run(context.Background(), st, bs, exec.Limits{MaxResident: budget})
+		live := rel.LiveBatches()
+		res, err := arm{root: plan.FromRA(theta)}.run(context.Background(), st, bs, budget)
 		var be *exec.BudgetError
 		if !errors.As(err, &be) || res != nil {
 			t.Fatalf("theta-join bs=%d: want a budget error and no result, got %v, %v", bs, res, err)
@@ -229,7 +229,7 @@ func TestBudgetTripAborts(t *testing.T) {
 		if rows := st.Rows(); rows > budget+bs {
 			t.Errorf("theta-join bs=%d: the budget tripped after %d of R's %d rows; want at most one batch past %d", bs, rows, src.d.Rel("R").Len(), budget)
 		}
-		if after, _, _ := rel.BatchPoolStats(); after != live {
+		if after := rel.LiveBatches(); after != live {
 			t.Fatalf("theta-join bs=%d: %d pooled batches leaked on budget trip", bs, after-live)
 		}
 		src.requireUntouched(t, fmt.Sprintf("theta-join bs=%d", bs))
@@ -244,8 +244,8 @@ func TestPreCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, a := range arms(t, src.d.Schema()) {
-		live, _, _ := rel.BatchPoolStats()
-		res, err := a.run(ctx, src.d, 64, exec.Limits{})
+		live := rel.LiveBatches()
+		res, err := a.run(ctx, src.d, 64, 0)
 		src.checkAborted(t, a.name, res, err, context.Canceled, live)
 	}
 }
@@ -258,18 +258,39 @@ func TestCancelMidFlight(t *testing.T) {
 	for _, a := range arms(t, src.d.Schema()) {
 		ctx, cancel := context.WithCancel(context.Background())
 		st := faultinject.Wrap(src.d, faultinject.Fault{CancelAt: 5, OnRow: cancel})
-		live, _, _ := rel.BatchPoolStats()
-		res, err := a.run(ctx, st, 32, exec.Limits{})
+		live := rel.LiveBatches()
+		res, err := a.run(ctx, st, 32, 0)
 		src.checkAborted(t, a.name, res, err, context.Canceled, live)
 		cancel()
+	}
+}
+
+// TestGovernedQueryStartsNoGoroutine: a governed query runs on the
+// caller's goroutine. With a deadline on its context, every arm reads
+// the goroutine count mid-query (from the CancelAt hook, which here
+// cancels nothing) and must find it where it was before the call.
+func TestGovernedQueryStartsNoGoroutine(t *testing.T) {
+	src := newSource()
+	for _, a := range arms(t, src.d.Schema()) {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		mid := -1
+		st := faultinject.Wrap(src.d, faultinject.Fault{CancelAt: 1, OnRow: func() { mid = runtime.NumGoroutine() }})
+		before := runtime.NumGoroutine()
+		_, err := a.run(ctx, st, 16, 0)
+		cancel()
+		if err != nil {
+			t.Fatalf("%s: %v", a.name, err)
+		}
+		if mid != before {
+			t.Errorf("%s: %d goroutines mid-query, %d before", a.name, mid, before)
+		}
 	}
 }
 
 // TestRandomizedAbortSuite is the seeded fuzz pass over the whole
 // matrix: random plan × batch size × injection kind × injection row,
 // every iteration re-asserting the abort contract, source identity
-// included. Run under -race this doubles as the
-// goroutine-join proof for governed queries.
+// included.
 func TestRandomizedAbortSuite(t *testing.T) {
 	leakcheck.Check(t)
 	src := newSource()
@@ -282,16 +303,16 @@ func TestRandomizedAbortSuite(t *testing.T) {
 		k := 1 + rng.Intn(5)
 		kind := rng.Intn(2)
 		label := fmt.Sprintf("iter=%d/%s/bs=%d/k=%d/kind=%d", iter, a.name, bs, k, kind)
-		live, _, _ := rel.BatchPoolStats()
+		live := rel.LiveBatches()
 		switch kind {
 		case 0: // injected cursor error
 			st := faultinject.Wrap(src.d, faultinject.Fault{FailAfter: k, Err: errInjected})
-			res, err := a.run(context.Background(), st, bs, exec.Limits{})
+			res, err := a.run(context.Background(), st, bs, 0)
 			src.checkAborted(t, label, res, err, errInjected, live)
 		case 1: // cancellation at row k
 			ctx, cancel := context.WithCancel(context.Background())
 			st := faultinject.Wrap(src.d, faultinject.Fault{CancelAt: k, OnRow: cancel})
-			res, err := a.run(ctx, st, bs, exec.Limits{})
+			res, err := a.run(ctx, st, bs, 0)
 			src.checkAborted(t, label, res, err, context.Canceled, live)
 			cancel()
 		}
@@ -311,13 +332,13 @@ func TestCleanRunAfterAborts(t *testing.T) {
 	a := arm{root: plan.FromRA(e)}
 	for i := 0; i < 5; i++ {
 		st := faultinject.Wrap(src.d, faultinject.Fault{FailAfter: 2, Err: errInjected})
-		if _, err := a.run(context.Background(), st, 8, exec.Limits{}); !errors.Is(err, errInjected) {
+		if _, err := a.run(context.Background(), st, 8, 0); !errors.Is(err, errInjected) {
 			t.Fatalf("warm-up abort %d: %v", i, err)
 		}
 		src.requireUntouched(t, fmt.Sprintf("warm-up abort %d", i))
 	}
 	want := ra.Eval(e, src.d)
-	got, err := a.run(context.Background(), src.d, 8, exec.Limits{})
+	got, err := a.run(context.Background(), src.d, 8, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,8 +395,8 @@ func TestCancellationLatencyWithinOneBatch(t *testing.T) {
 				DelayEvery: 50,
 				Delay:      100 * time.Microsecond,
 			})
-			live, _, _ := rel.BatchPoolStats()
-			res, rerr := q.run(ctx, st, bs, exec.Limits{})
+			live := rel.LiveBatches()
+			res, rerr := q.run(ctx, st, bs, 0)
 			src.checkAborted(t, label, res, rerr, context.Canceled, live)
 			if extra := st.Rows() - cancelAt; extra < 0 || extra > bs {
 				t.Errorf("%s: scan ran %d rows past the cancel; want at most one batch (%d)", label, extra, bs)
@@ -403,9 +424,9 @@ func TestRowExactInjectionAborts(t *testing.T) {
 					continue
 				}
 				label := fmt.Sprintf("%s/bs=%d/k=%d", a.name, bs, k)
-				live, _, _ := rel.BatchPoolStats()
+				live := rel.LiveBatches()
 				fail := faultinject.Wrap(src.d, faultinject.Fault{Rel: "R", FailAfter: k, Err: errInjected})
-				res, err := a.run(context.Background(), fail, bs, exec.Limits{})
+				res, err := a.run(context.Background(), fail, bs, 0)
 				if k <= rows {
 					src.checkAborted(t, label+"/fail", res, err, errInjected, live)
 					if got := fail.Rows(); got != k {
@@ -422,7 +443,7 @@ func TestRowExactInjectionAborts(t *testing.T) {
 					fired = cs.Rows()
 					cancel()
 				}})
-				res, err = a.run(ctx, cs, bs, exec.Limits{})
+				res, err = a.run(ctx, cs, bs, 0)
 				cancel()
 				if k <= rows {
 					src.checkAborted(t, label+"/cancel", res, err, context.Canceled, live)
@@ -432,7 +453,7 @@ func TestRowExactInjectionAborts(t *testing.T) {
 				} else if err != nil || fired != -1 {
 					t.Errorf("%s/cancel: past R's end, got err %v, hook at %d", label, err, fired)
 				}
-				if after, _, _ := rel.BatchPoolStats(); after != live {
+				if after := rel.LiveBatches(); after != live {
 					t.Fatalf("%s: %d pooled batches live", label, after-live)
 				}
 			}

@@ -4,9 +4,9 @@
 // period expires — failing with a full stack dump so the leaked
 // goroutine's identity is in the test log, not just its count.
 //
-// Exchange and fault-injection tests use it to prove the abort paths
-// join every goroutine they started: pool workers and context
-// watchers all run within one Check window.
+// The worker-pool and fault-injection tests use it to prove that no
+// path, an aborted query's included, leaves a goroutine behind: every
+// pool worker starts and ends within one Check window.
 package leakcheck
 
 import (
@@ -25,7 +25,7 @@ const grace = 5 * time.Second
 // Check snapshots the current goroutine count and registers a cleanup
 // that fails t if, after the grace period, more goroutines are alive
 // than at the snapshot. Call it first thing in any test that spawns
-// workers, routers, or governed queries.
+// workers or runs governed queries.
 func Check(t testing.TB) {
 	t.Helper()
 	base := runtime.NumGoroutine()

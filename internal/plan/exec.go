@@ -35,10 +35,12 @@ type Options struct {
 	// BatchSize is the row capacity of the batches operators exchange
 	// (0 = rel.BatchCap).
 	BatchSize int
-	// Limits bounds the query's resource use on the governed entry
-	// points (ExecuteContext, ExecuteTracedContext). Zero values mean
-	// unlimited; the legacy Execute/ExecuteTraced entries ignore it.
-	Limits exec.Limits
+	// MaxResident caps the plan's resident-tuple count (Trace.MaxResident)
+	// on the governed entry points (ExecuteContext, ExecuteTracedContext);
+	// 0 means unlimited, and Execute/ExecuteTraced ignore it. The guards
+	// check it before each pull, so a query overshoots by at most one
+	// batch of growth before it aborts.
+	MaxResident int
 }
 
 // Engine labels a plan with the smallest algebra that expresses it. It
@@ -140,9 +142,9 @@ func (p *Plan) Execute() *rel.Relation {
 
 // ExecuteContext is the governed Execute: one governor spans the
 // whole plan, honoring ctx cancellation and deadlines at every pull
-// boundary, enforcing Options.Limits, converting internal panics into
-// typed errors, and releasing every pooled batch on every abort path.
-// On error the relation is nil.
+// boundary, enforcing Options.MaxResident, converting internal panics
+// into typed errors, and releasing every pooled batch on every abort
+// path. On error the relation is nil.
 func (p *Plan) ExecuteContext(ctx context.Context) (*rel.Relation, error) {
 	res, _, err := p.ExecuteTracedContext(ctx)
 	return res, err
@@ -160,7 +162,7 @@ func (p *Plan) ExecuteTraced() (*rel.Relation, *Trace) {
 // nil.
 func (p *Plan) ExecuteTracedContext(ctx context.Context) (*rel.Relation, *Trace, error) {
 	res, tr, err := func() (res *rel.Relation, tr *Trace, err error) {
-		g := exec.NewGovernor(ctx, p.opts.Limits)
+		g := exec.NewGovernor(ctx, p.opts.MaxResident)
 		defer g.Recover(&err)
 		r, t := p.run(g)
 		return canonical(r), t, nil

@@ -304,7 +304,7 @@ func checkExecutor(t *testing.T, g *golden, key string, c suiteCase, d *rel.Data
 				p := plan.CompileIR(c.root, st.d, plan.Options{Optimize: optimize, BatchSize: batch})
 				for _, governed := range []bool{false, true} {
 					label := fmt.Sprintf("%s engine=%s store=%s batch=%d governed=%v", gkey, p.Engine(), st.name, batch, governed)
-					live, _, _ := rel.BatchPoolStats()
+					live := rel.LiveBatches()
 					var res *rel.Relation
 					var tr *plan.Trace
 					if governed {
@@ -316,7 +316,7 @@ func checkExecutor(t *testing.T, g *golden, key string, c suiteCase, d *rel.Data
 					} else {
 						res, tr = p.ExecuteTraced()
 					}
-					if after, _, _ := rel.BatchPoolStats(); after != live {
+					if after := rel.LiveBatches(); after != live {
 						t.Errorf("%s: %d pooled batches still live", label, after-live)
 					}
 					if err := sameEmission(want, res); err != nil {

@@ -2,8 +2,8 @@
 // the executor: a unified plan IR spanning the repository's three
 // algebras (RA of Definition 1, the semijoin algebra SA of Definition 2,
 // and the γ-extended algebra of Section 5), a rule-driven rewrite
-// framework priced by the shared cost model of internal/plan/cost, and
-// the one builder that turns any plan — rewritten or as written, from
+// framework priced by one cost model (estimate.go), and the one
+// builder that turns any plan — rewritten or as written, from
 // whichever algebra — into a tree of this package's batch operator
 // cursors (op_*.go) and runs it (exec.go).
 //

@@ -13,9 +13,9 @@ import (
 // division — so the peak is the true concurrent footprint of the plan.
 //
 // A meter bound to a query governor enforces, through the guard cursors
-// guardBatches returns, the governor's cancellation and budgets against
-// its live count; a nil governor (or a plain &meter{}) is ungoverned
-// and the guards are free passthroughs.
+// guardBatches returns, the governor's cancellation and resident budget
+// against its live count; a nil governor (or a plain &meter{}) is
+// ungoverned and the guards are free passthroughs.
 type meter struct {
 	cur, max int
 	gov      *exec.Governor
@@ -42,8 +42,8 @@ func (m *meter) watch(c any) {
 
 // guardBatches wraps a batch cursor with the governor check point: at
 // every batch boundary it observes cancellation and enforces the
-// resident-tuple and batch-pool budgets — the "≤ one branch per batch"
-// the cancellation-latency contract promises. With no governor the
+// resident-tuple budget — the "≤ one branch per batch" the
+// cancellation-latency contract promises. With no governor the
 // cursor is returned unchanged, so ungoverned plans pay nothing. The
 // check happens before the pull, when the guard's frame holds no pooled
 // batch — the only place an abort is allowed to unwind from. Every scan

@@ -16,7 +16,7 @@ package plan
 // Operator state — build tables, sinks, dedup filters, γ accumulators —
 // grows the shared meter by exactly the rows held and releases them at
 // exhaustion, while the batches themselves are pooled transport buffers
-// tracked separately by rel.BatchPoolStats.
+// the meter does not count.
 
 import (
 	"radiv/internal/ra"

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"radiv/internal/division"
-	"radiv/internal/exec"
 	"radiv/internal/plan"
 	"radiv/internal/ra"
 	"radiv/internal/rel"
@@ -369,7 +368,7 @@ func TestBudgetExcludesRootUnionResult(t *testing.T) {
 	}
 	join := ra.NewJoin(ra.R("Small", 2), ra.Eq(2, 1).And(ra.A(1, ra.OpLt, 2)), ra.R("Huge", 2))
 	e := ra.NewUnion(ra.NewProject([]int{1, 2}, join), ra.R("Huge", 2))
-	p, err := plan.Compile(e, d, plan.Options{Optimize: true, Limits: exec.Limits{MaxResident: 1000}})
+	p, err := plan.Compile(e, d, plan.Options{Optimize: true, MaxResident: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}

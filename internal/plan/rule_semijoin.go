@@ -3,7 +3,6 @@ package plan
 import (
 	"fmt"
 
-	"radiv/internal/plan/cost"
 	"radiv/internal/ra"
 	"radiv/internal/rel"
 )
@@ -50,9 +49,9 @@ func (semijoinReduceRule) rewrite(d rel.ReadStore, root *Node) (*Node, []Firing)
 		}
 		m := len(eqs)
 		le, re := estimate(d, l), estimate(d, r)
-		lKeys := cost.KeyDistinct(le, m, l.arity)
-		rKeys := cost.KeyDistinct(re, m, r.arity)
-		sel := cost.SemijoinSelectivity(rKeys, lKeys)
+		lKeys := keyDistinct(le, m, l.arity)
+		rKeys := keyDistinct(re, m, r.arity)
+		sel := semijoinSelectivity(rKeys, lKeys)
 		residentSave := re.Rows*(1-sel) - lKeys
 		flowAdded := sel*re.Rows + estFlow(d, l)
 		if residentSave <= flowAdded {

@@ -1,7 +1,5 @@
 package ra
 
-import "radiv/internal/rel"
-
 // This file collects well-known derived expressions that the paper
 // discusses: the textbook RA expressions for relational division and
 // for the set joins. They are deliberately written in the pure algebra
@@ -109,40 +107,4 @@ func EquiSemijoinExpr(l Expr, c Cond, r Expr) Expr {
 		lcols[i] = i + 1
 	}
 	return NewProject(lcols, NewJoin(l, cond, proj))
-}
-
-// Divide computes R ÷ S directly on relations (containment semantics):
-// the set of a such that {b | (a,b) ∈ R} ⊇ S. It is the reference
-// implementation used to validate both the RA expression and the
-// algorithms in internal/division. S empty yields π1(R), matching the
-// algebraic identity.
-func Divide(r, s *rel.Relation) *rel.Relation {
-	if r.Arity() != 2 || s.Arity() != 1 {
-		panic("ra: Divide expects R binary and S unary")
-	}
-	groups := make(map[string]map[string]bool)
-	reps := make(map[string]rel.Value)
-	for _, t := range r.Tuples() {
-		k := rel.Tuple{t[0]}.Key()
-		if groups[k] == nil {
-			groups[k] = make(map[string]bool)
-			reps[k] = t[0]
-		}
-		groups[k][rel.Tuple{t[1]}.Key()] = true
-	}
-	out := rel.NewRelation(1)
-	stp := s.Tuples()
-	for k, set := range groups {
-		ok := true
-		for _, st := range stp {
-			if !set[rel.Tuple{st[0]}.Key()] {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			out.Add(rel.Tuple{reps[k]})
-		}
-	}
-	return out
 }

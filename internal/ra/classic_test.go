@@ -1,7 +1,6 @@
 package ra
 
 import (
-	"math/rand"
 	"testing"
 
 	"radiv/internal/rel"
@@ -55,40 +54,6 @@ func TestFigure1SetContainmentJoinRA(t *testing.T) {
 	)
 	if !res.Equal(want) {
 		t.Errorf("set-containment join =\n%vwant\n%v", res, want)
-	}
-}
-
-func TestDivideReference(t *testing.T) {
-	r := rel.FromRows(2, []int64{1, 10}, []int64{1, 20}, []int64{2, 10})
-	s := rel.FromTuples(1, rel.Ints(10), rel.Ints(20))
-	got := Divide(r, s)
-	if got.Len() != 1 || !got.Contains(rel.Ints(1)) {
-		t.Errorf("Divide = %v", got)
-	}
-	// Empty divisor: all group keys qualify.
-	empty := rel.NewRelation(1)
-	got = Divide(r, empty)
-	if got.Len() != 2 {
-		t.Errorf("Divide by empty = %v", got)
-	}
-}
-
-func TestDivisionExprMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 50; trial++ {
-		d := rel.NewDatabase(rel.NewSchema(map[string]int{"R": 2, "S": 1}))
-		for i := 0; i < 30; i++ {
-			d.AddInts("R", int64(rng.Intn(6)), int64(rng.Intn(8)))
-		}
-		for i := 0; i < rng.Intn(4); i++ {
-			d.AddInts("S", int64(rng.Intn(8)))
-		}
-		want := Divide(d.Rel("R"), d.Rel("S"))
-		got := Eval(DivisionExpr("R", "S"), d)
-		if !want.Equal(got) {
-			t.Fatalf("trial %d: DivisionExpr disagrees with reference\nR:\n%sS:\n%sgot %v want %v",
-				trial, d.Rel("R"), d.Rel("S"), got, want)
-		}
 	}
 }
 

@@ -1,8 +1,10 @@
 package ra_test
 
 import (
+	"math/rand"
 	"testing"
 
+	"radiv/internal/division"
 	"radiv/internal/ra"
 	"radiv/internal/rel"
 )
@@ -114,5 +116,27 @@ func TestEvalJoinManyEqualitiesStrings(t *testing.T) {
 	}
 	if got := onExecutor(e, d); !got.Equal(want) {
 		t.Errorf("executor join[%s] on strings: got\n%swant\n%s", c, got, want)
+	}
+}
+
+// TestDivisionExprMatchesReference holds the classical division
+// expression to the containment oracle, division.Reference, on random
+// inputs whose divisor has 0–3 tuples (the empty divisor included).
+func TestDivisionExprMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 50; trial++ {
+		d := rel.NewDatabase(rel.NewSchema(map[string]int{"R": 2, "S": 1}))
+		for i := 0; i < 30; i++ {
+			d.AddInts("R", int64(rng.Intn(6)), int64(rng.Intn(8)))
+		}
+		for i := 0; i < rng.Intn(4); i++ {
+			d.AddInts("S", int64(rng.Intn(8)))
+		}
+		want := division.Reference(d.Rel("R"), d.Rel("S"), division.Containment)
+		got := ra.Eval(ra.DivisionExpr("R", "S"), d)
+		if !want.Equal(got) {
+			t.Fatalf("trial %d: DivisionExpr disagrees with reference\nR:\n%sS:\n%sgot %v want %v",
+				trial, d.Rel("R"), d.Rel("S"), got, want)
+		}
 	}
 }

@@ -253,9 +253,9 @@ func checkBatchInvariance(t *testing.T, name string, e ra.Expr, d *rel.Database,
 	want := ra.Eval(e, d)
 	var first *plan.Trace
 	for _, size := range batchSizes {
-		live, _, _ := rel.BatchPoolStats()
+		live := rel.LiveBatches()
 		got, tr := executed(e, store, size)
-		if after, _, _ := rel.BatchPoolStats(); after != live {
+		if after := rel.LiveBatches(); after != live {
 			t.Fatalf("%s size=%d: batch leak: %d batches live before, %d after", name, size, live, after)
 		}
 		if !got.Equal(want) {
@@ -327,9 +327,9 @@ func TestVectorizedConstSelectGrowingDictionary(t *testing.T) {
 	root := plan.NSelectConst(2, rel.Int(2), plan.NGamma([]int{1}, 0, plan.NRel("R", 2)))
 	want := rel.FromRows(2, []int64{2, 2})
 	for _, size := range batchSizes {
-		live, _, _ := rel.BatchPoolStats()
+		live := rel.LiveBatches()
 		got := plan.CompileIR(root, d, plan.Options{BatchSize: size}).Execute()
-		if after, _, _ := rel.BatchPoolStats(); after != live {
+		if after := rel.LiveBatches(); after != live {
 			t.Fatalf("size=%d: %d batches leaked", size, after-live)
 		}
 		if !got.Equal(want) {
@@ -357,21 +357,16 @@ func TestVectorizedResultOwnership(t *testing.T) {
 // TestVectorizedPoolSeparateFromResident pins the accounting split:
 // the division trace reports operator state only — the candidates'
 // dedup filter under the product and the outer difference's sink, each
-// bounded by the candidate count — while the batches the plan moved
-// live in the pool, visible as pool traffic and never as resident
-// tuples.
+// bounded by the candidate count — while the tuples the plan moved
+// through its batches count as flow and never as resident tuples.
 func TestVectorizedPoolSeparateFromResident(t *testing.T) {
 	d := workload.RandomDivision(4).Database()
-	rel.ResetBatchPoolPeak()
 	_, tr := executed(ra.DivisionExpr("R", "S"), d, 0)
 	if candidates := ra.Eval(ra.NewProject([]int{1}, ra.R("R", 2)), d).Len(); tr.MaxResident > 2*candidates {
 		t.Fatalf("MaxResident %d exceeds what a filter and a sink of %d candidates can hold", tr.MaxResident, candidates)
 	}
 	if tr.TotalTuples <= tr.MaxResident {
 		t.Fatalf("flow %d not above resident %d: the workload does not separate the two", tr.TotalTuples, tr.MaxResident)
-	}
-	if _, peak, _ := rel.BatchPoolStats(); peak < 1 {
-		t.Fatalf("expected pooled batch traffic, peak %d", peak)
 	}
 }
 
@@ -387,9 +382,9 @@ func checkAborted(t *testing.T, name string, e ra.Expr, d rel.ReadStore) {
 	t.Helper()
 	for _, size := range batchSizes {
 		st := faultinject.Wrap(d, faultinject.Fault{FailAfter: 3, Err: errAbort})
-		live, _, _ := rel.BatchPoolStats()
+		live := rel.LiveBatches()
 		res, _, err := plan.CompileIR(plan.FromRA(e), st, plan.Options{BatchSize: size}).ExecuteTracedContext(context.Background())
-		if after, _, _ := rel.BatchPoolStats(); after != live {
+		if after := rel.LiveBatches(); after != live {
 			t.Fatalf("%s size=%d: aborted run leaked %d batches", name, size, after-live)
 		}
 		if err != nil {

@@ -12,7 +12,6 @@ package ra
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"radiv/internal/rel"
@@ -398,13 +397,6 @@ func Walk(e Expr, visit func(Expr)) {
 	}
 }
 
-// Subexpressions returns e and all its subexpressions in preorder.
-func Subexpressions(e Expr) []Expr {
-	var out []Expr
-	Walk(e, func(x Expr) { out = append(out, x) })
-	return out
-}
-
 // Constants returns the set of constants used by the expression (in τc
 // and σi=c nodes), sorted.
 func Constants(e Expr) rel.ConstSet {
@@ -418,22 +410,6 @@ func Constants(e Expr) rel.ConstSet {
 		}
 	})
 	return rel.Consts(vs...)
-}
-
-// RelationNames returns the sorted set of relation names used in e.
-func RelationNames(e Expr) []string {
-	seen := map[string]bool{}
-	Walk(e, func(x Expr) {
-		if r, ok := x.(*Rel); ok {
-			seen[r.Name] = true
-		}
-	})
-	names := make([]string, 0, len(seen))
-	for n := range seen {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // IsEquiOnly reports whether every join in e uses only equality atoms,

@@ -104,14 +104,6 @@ func TestWalkAndMetadata(t *testing.T) {
 		NewProject([]int{1}, R("R", 2)),
 		NewProject([]int{1}, NewJoin(R("R", 2), Eq(2, 1), NewConstTag(rel.Int(9), R("S", 1)))),
 	)
-	subs := Subexpressions(e)
-	if len(subs) != 8 {
-		t.Errorf("Subexpressions = %d nodes", len(subs))
-	}
-	names := RelationNames(e)
-	if len(names) != 2 || names[0] != "R" || names[1] != "S" {
-		t.Errorf("RelationNames = %v", names)
-	}
 	cs := Constants(e)
 	if cs.Len() != 1 || !cs.Contains(rel.Int(9)) {
 		t.Errorf("Constants = %v", cs.Values())

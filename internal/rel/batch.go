@@ -137,28 +137,17 @@ func (b *Batch) Release() {
 	batchPool.Put(b)
 }
 
-// The pool recycles non-view batches. Stats are tracked so pooled
-// batch capacity can be reported separately from operator state: a
-// resident meter counts tuples an operator must hold, while pool
-// occupancy is a bounded, recycled transport buffer.
+// The pool recycles non-view batches. The live count is what every
+// leak check reads: after a query, run or abort, it must be back at
+// its level before the query.
 var (
-	batchPool   sync.Pool
-	batchLive   atomic.Int64 // batches currently checked out
-	batchPeak   atomic.Int64 // high-water mark of batchLive
-	batchAllocs atomic.Int64 // batches actually allocated (pool misses)
+	batchPool sync.Pool
+	batchLive atomic.Int64 // batches currently checked out
 )
 
-// BatchPoolStats reports the pool's live batch count (checked out, not
-// yet released), the high-water mark since ResetBatchPoolPeak, and the
-// number of batches ever allocated. live×BatchCap bounds the rows the
-// in-flight batches of every running plan can hold.
-func BatchPoolStats() (live, peak, allocs int64) {
-	return batchLive.Load(), batchPeak.Load(), batchAllocs.Load()
-}
-
-// ResetBatchPoolPeak restarts the high-water mark from the current
-// live count, for per-experiment reporting.
-func ResetBatchPoolPeak() { batchPeak.Store(batchLive.Load()) }
+// LiveBatches reports the number of pooled batches checked out and not
+// yet released.
+func LiveBatches() int64 { return batchLive.Load() }
 
 // NewBatch returns an empty writable batch of the given arity and
 // BatchCap row capacity, recycled from the pool when possible.
@@ -171,11 +160,7 @@ func NewBatchSized(arity, capacity int) *Batch {
 	if arity < 0 || capacity < 1 {
 		panic(fmt.Sprintf("rel: batch arity %d capacity %d", arity, capacity))
 	}
-	if live := batchLive.Add(1); live > batchPeak.Load() {
-		// Benign race: a concurrent higher peak may win; the mark is a
-		// monotone high-water estimate, not an exact ledger.
-		batchPeak.Store(live)
-	}
+	batchLive.Add(1)
 	if v := batchPool.Get(); v != nil {
 		b := v.(*Batch)
 		if b.physical >= capacity {
@@ -185,7 +170,6 @@ func NewBatchSized(arity, capacity int) *Batch {
 		// Too small for this request (only possible when capacity >
 		// BatchCap): drop it and allocate fresh below.
 	}
-	batchAllocs.Add(1)
 	physical := capacity
 	if physical < BatchCap {
 		physical = BatchCap // never pool undersized column arrays
@@ -246,10 +230,10 @@ type BatchCursor interface {
 // BatchHolder is implemented by cursors that retain ownership of a
 // pooled Batch between calls (or across an inner pull that may
 // abort). ReleaseHeld releases whatever the cursor currently owns
-// and is idempotent; governed evaluators register it as an abort
-// cleanup so no abort path can strand a pooled batch. It must only
-// be called once the cursor is quiescent (the boundary goroutine,
-// after all workers have joined).
+// and is idempotent; governed evaluators register the cursor with
+// the query's governor, whose boundary recovery calls it, so no abort
+// path can strand a pooled batch. It must only be called once the
+// cursor is quiescent: no pull of it is in progress.
 type BatchHolder interface{ ReleaseHeld() }
 
 // IDMap is a translation cache between dictionaries: it maps (source

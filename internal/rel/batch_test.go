@@ -37,7 +37,7 @@ func TestBatchScanRoundTrip(t *testing.T) {
 		}
 		want := r.Tuples()
 		for _, size := range []int{1, 7, 1024} {
-			live, _, _ := BatchPoolStats()
+			live := LiveBatches()
 			var got []Tuple
 			cur := r.BatchScanSized(size)
 			for b, ok := cur.NextBatch(); ok; b, ok = cur.NextBatch() {
@@ -46,7 +46,7 @@ func TestBatchScanRoundTrip(t *testing.T) {
 				}
 				b.Release()
 			}
-			if after, _, _ := BatchPoolStats(); after != live {
+			if after := LiveBatches(); after != live {
 				t.Fatalf("arity=%d size=%d: view batches leaked into the pool accounting", arity, size)
 			}
 			if len(got) != len(want) {

@@ -154,19 +154,3 @@ func ParseValue(s string) Value {
 	}
 	return Str(s)
 }
-
-// MinValue returns the smaller of two values.
-func MinValue(v, w Value) Value {
-	if w.Less(v) {
-		return w
-	}
-	return v
-}
-
-// MaxValue returns the larger of two values.
-func MaxValue(v, w Value) Value {
-	if v.Less(w) {
-		return w
-	}
-	return v
-}

@@ -90,18 +90,6 @@ func TestValueStringRendering(t *testing.T) {
 	}
 }
 
-func TestMinMaxValue(t *testing.T) {
-	if !MinValue(Int(3), Int(5)).Equal(Int(3)) {
-		t.Error("MinValue broken")
-	}
-	if !MaxValue(Int(3), Int(5)).Equal(Int(5)) {
-		t.Error("MaxValue broken")
-	}
-	if !MinValue(Str("b"), Str("a")).Equal(Str("a")) {
-		t.Error("MinValue on strings broken")
-	}
-}
-
 // Property: Cmp is a total order — antisymmetric, transitive, and
 // consistent with Equal.
 func TestValueCmpIsTotalOrderProperty(t *testing.T) {

@@ -12,7 +12,6 @@ package sa
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"radiv/internal/ra"
@@ -281,20 +280,4 @@ func Constants(e Expr) rel.ConstSet {
 		}
 	})
 	return rel.Consts(vs...)
-}
-
-// RelationNames returns the sorted set of relation names used in e.
-func RelationNames(e Expr) []string {
-	seen := map[string]bool{}
-	Walk(e, func(x Expr) {
-		if r, ok := x.(*Rel); ok {
-			seen[r.Name] = true
-		}
-	})
-	names := make([]string, 0, len(seen))
-	for n := range seen {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -195,10 +195,6 @@ func TestIsEquiOnlyAndMetadata(t *testing.T) {
 	if IsEquiOnly(anti) {
 		t.Error("antijoin with > reported as SA=")
 	}
-	names := RelationNames(NewUnion(R("B", 1), R("A", 1)))
-	if len(names) != 2 || names[0] != "A" {
-		t.Errorf("RelationNames = %v", names)
-	}
 	cs := Constants(NewSelectConst(1, rel.Str("x"), NewConstTag(rel.Int(3), R("R", 0))))
 	if cs.Len() != 2 {
 		t.Errorf("Constants = %v", cs.Values())

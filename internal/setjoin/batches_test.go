@@ -95,9 +95,9 @@ func TestGroupsFromBatchesMatchesGroups(t *testing.T) {
 				want := groupsByRows(r)
 				check(label+" Groups", Groups(r), want)
 				for _, size := range []int{1, 2, 1024} {
-					liveBefore, _, _ := rel.BatchPoolStats()
+					liveBefore := rel.LiveBatches()
 					got := GroupsFromBatches(r.BatchScanSized(size))
-					liveAfter, _, _ := rel.BatchPoolStats()
+					liveAfter := rel.LiveBatches()
 					if liveAfter != liveBefore {
 						t.Fatalf("%s size=%d: batch leak: %d live before, %d after", label, size, liveBefore, liveAfter)
 					}

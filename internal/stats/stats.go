@@ -99,12 +99,3 @@ func (t *Table) String() string {
 	}
 	return b.String()
 }
-
-// Ratio returns a/b, or 0 when b is 0, formatted conveniently for
-// speedup columns.
-func Ratio(a, b float64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return a / b
-}

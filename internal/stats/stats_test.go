@@ -82,12 +82,3 @@ func TestTableRendering(t *testing.T) {
 		t.Error("column not padded")
 	}
 }
-
-func TestRatio(t *testing.T) {
-	if Ratio(10, 2) != 5 {
-		t.Error("Ratio broken")
-	}
-	if Ratio(1, 0) != 0 {
-		t.Error("Ratio by zero should be 0")
-	}
-}

@@ -230,9 +230,9 @@ func checkBatchInvariance(t *testing.T, name string, e xra.Expr, d *rel.Database
 	want := xra.Eval(e, d)
 	var first *plan.Trace
 	for _, size := range batchSizes {
-		live, _, _ := rel.BatchPoolStats()
+		live := rel.LiveBatches()
 		got, tr := executed(e, store, size)
-		if after, _, _ := rel.BatchPoolStats(); after != live {
+		if after := rel.LiveBatches(); after != live {
 			t.Fatalf("%s size=%d: batch leak: %d batches live before, %d after", name, size, live, after)
 		}
 		if !got.Equal(want) {
@@ -303,9 +303,9 @@ func TestVectorizedXRAAbortedRunsReleasePool(t *testing.T) {
 	for _, c := range operatorCorpus() {
 		for _, size := range batchSizes {
 			st := faultinject.Wrap(d, faultinject.Fault{FailAfter: 3, Err: errAbort})
-			live, _, _ := rel.BatchPoolStats()
+			live := rel.LiveBatches()
 			res, _, err := plan.CompileIR(plan.FromXRA(c.e), st, plan.Options{BatchSize: size}).ExecuteTracedContext(context.Background())
-			if after, _, _ := rel.BatchPoolStats(); after != live {
+			if after := rel.LiveBatches(); after != live {
 				t.Fatalf("%s size=%d: aborted run leaked %d batches", c.name, size, after-live)
 			}
 			if err != nil {
