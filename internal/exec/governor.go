@@ -28,13 +28,12 @@ import (
 // BudgetError is returned when a query exceeds its resident-tuple
 // budget.
 type BudgetError struct {
-	Resource string // "resident tuples"
-	Limit    int64
-	Used     int64
+	Limit int64
+	Used  int64
 }
 
 func (e *BudgetError) Error() string {
-	return fmt.Sprintf("exec: %s budget exceeded: %d > %d", e.Resource, e.Used, e.Limit)
+	return fmt.Sprintf("exec: resident tuples budget exceeded: %d > %d", e.Used, e.Limit)
 }
 
 // PanicError wraps a non-abort panic recovered at an evaluator
@@ -96,7 +95,7 @@ func (g *Governor) Check() {
 // meter value. Like Check, call only at pull boundaries.
 func (g *Governor) CheckResident(cur int) {
 	if g.maxResident > 0 && cur > g.maxResident {
-		throw(&BudgetError{Resource: "resident tuples", Limit: int64(g.maxResident), Used: int64(cur)})
+		throw(&BudgetError{Limit: int64(g.maxResident), Used: int64(cur)})
 	}
 }
 

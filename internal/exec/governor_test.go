@@ -53,8 +53,11 @@ func TestResidentBudget(t *testing.T) {
 	if !errors.As(err, &be) {
 		t.Fatalf("want *BudgetError, got %v", err)
 	}
-	if be.Resource != "resident tuples" || be.Limit != 10 || be.Used != 11 {
+	if be.Limit != 10 || be.Used != 11 {
 		t.Fatalf("wrong budget fields: %+v", be)
+	}
+	if got, want := be.Error(), "exec: resident tuples budget exceeded: 11 > 10"; got != want {
+		t.Fatalf("Error() = %q, want %q", got, want)
 	}
 }
 

@@ -243,8 +243,8 @@ func storageDump(r *Relation, entries, rows int) string {
 }
 
 // addTextRows appends n fresh binary rows of strings to r the way the
-// text loader does, through internText and addIDs, and checks that the
-// dictionary hands out the next free IDs for them.
+// text loader does, through internText and the row index, and checks
+// that the dictionary hands out the next free IDs for them.
 func addTextRows(t *testing.T, r *Relation, prefix string, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
@@ -256,7 +256,7 @@ func addTextRows(t *testing.T, r *Relation, prefix string, n int) {
 				t.Fatalf("%s row %d: new string interned as %d, want the next free ID %d", prefix, i, ids[k], next+uint32(k))
 			}
 		}
-		if !r.addIDs(ids) {
+		if _, fresh := r.rows.Insert(ids); !fresh {
 			t.Fatalf("%s row %d rejected as a duplicate", prefix, i)
 		}
 	}
@@ -371,6 +371,60 @@ func TestCloneSharesNoWritableStorage(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCloneSharesNoStagingScratch: AddBatch stages rows in scratch
+// that its relation keeps between calls, and a Clone taken with that
+// scratch filled gets none of it — not the staging columns, not the
+// row index's hash scratch. Source and clone then take batches from
+// two goroutines at once (under -race, shared scratch is a race), and
+// each ends up holding its own rows in its own order.
+func TestCloneSharesNoStagingScratch(t *testing.T) {
+	const n = 3 * BatchCap
+	src := func(base int64) *Relation {
+		r := NewRelation(2)
+		for i := int64(0); i < n; i++ {
+			r.Add(Ints(base+i%97, base+i))
+		}
+		return r
+	}
+	addAll := func(r, from *Relation) {
+		c := from.BatchScanSized(100)
+		for b, ok := c.NextBatch(); ok; b, ok = c.NextBatch() {
+			r.AddBatch(b)
+		}
+	}
+	source := NewRelation(2)
+	addAll(source, src(0))
+	if source.stage == nil || source.rows.hashes == nil {
+		t.Fatal("AddBatch kept no staging scratch: nothing to check")
+	}
+	clone := source.Clone()
+	if clone.stage != nil || clone.rows.hashes != nil || clone.rows.touched != nil {
+		t.Fatal("the clone carries its source's staging scratch")
+	}
+	var wg sync.WaitGroup
+	for base, r := range map[int64]*Relation{1 << 20: source, 1 << 21: clone} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			addAll(r, src(base))
+		}()
+	}
+	wg.Wait()
+	for base, r := range map[int64]*Relation{1 << 20: source, 1 << 21: clone} {
+		want := src(0).Tuples()
+		want = append(want, src(base).Tuples()...)
+		if got := r.Tuples(); len(got) != len(want) {
+			t.Fatalf("%d tuples, want %d", len(got), len(want))
+		} else {
+			for i := range got {
+				if !got[i].Equal(want[i]) {
+					t.Fatalf("tuple %d is %v, want %v", i, got[i], want[i])
+				}
+			}
+		}
 	}
 }
 

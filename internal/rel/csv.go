@@ -40,9 +40,11 @@ import (
 // second loads, allocating per relation and per chunk of strings, not
 // per tuple: fields are sliced in place, integers decoded by a byte
 // loop, every field interned straight into its relation's dictionary
-// (a string is copied only the first time the relation sees it, into a
-// chunk the dictionary owns), and the row enters the relation by those
-// IDs through Relation.addIDs. Nothing keeps a slice of the buffer. An
+// in file order (a string is copied only the first time the relation
+// sees it, into a chunk the dictionary owns), and the row's IDs are
+// staged in the relation's staging columns. A relation's staged rows
+// go into its row index as one batch when BatchCap of them are staged,
+// and at the end of the input. Nothing keeps a slice of the buffer. An
 // input that cannot seek back for the second pass, such as a pipe, is
 // read into memory once and parsed from there by the same code.
 
@@ -104,6 +106,12 @@ func ReadText(r io.Reader) (*Database, error) {
 		}
 		if buf, err = readLines(in, buf, pass); err != nil {
 			return nil, err
+		}
+	}
+	for _, lr := range ld.rels {
+		if lr.rel != nil {
+			lr.flush()
+			lr.rel.dropScratch()
 		}
 	}
 	return ld.d, nil
@@ -186,6 +194,16 @@ type loadRel struct {
 	name  string
 	lines int       // tuple lines in the input, counted before loading
 	rel   *Relation // nil until the first tuple line is loaded
+	// rel's staging columns hold staged rows of room; the rest of the
+	// relation's rows are in its row index.
+	staged, room int
+}
+
+// flush inserts the staged rows into the relation's row index, in file
+// order.
+func (lr *loadRel) flush() {
+	lr.rel.rows.insertBatch(lr.rel.stage, lr.staged, nil)
+	lr.staged = 0
 }
 
 // rel returns the entry for a relation name, creating it when new. It
@@ -278,16 +296,24 @@ func (ld *loader) tuple(line []byte) error {
 	r := lr.rel
 	if r == nil {
 		r = NewRelationSized(arity, lr.lines)
-		lr.rel = r
+		lr.rel, lr.room = r, min(lr.lines, BatchCap)
+		r.staging(lr.room)
 		ld.d.schema[lr.name], ld.d.rels[lr.name] = arity, r
 	}
-	ids := r.idbuf
-	for k := range ids {
+	for _, col := range r.stage {
 		var f []byte
 		f, fields, _ = bytes.Cut(fields, comma)
-		ids[k] = r.intern.internText(bytes.TrimSpace(f))
+		col[lr.staged] = r.intern.internText(bytes.TrimSpace(f))
 	}
-	r.addIDs(ids)
+	lr.staged++
+	// A full stage goes in at once. So does a stage whose rows could
+	// fill the relation up, which near the row limit is every row: the
+	// row that finds the relation full then panics while its own line
+	// is read, and readLines reports that line. No other flush, the one
+	// at the end of the input included, can fill the relation up.
+	if lr.staged == lr.room || r.rows.n+lr.staged >= maxRows {
+		lr.flush()
+	}
 	return nil
 }
 

@@ -430,21 +430,45 @@ func TestReadTextKnownSizeReaders(t *testing.T) {
 
 // TestReadTextCapacityError: a relation or dictionary that fills up
 // while loading ends ReadText with an error naming the line, not a
-// panic. Duplicate lines and values already held at the limit load.
+// panic. Duplicate lines and values already held at the limit load. The
+// loader stages rows before they enter a relation's row index, so the
+// limit is also hit with rows staged — of the relation itself after a
+// batch has gone in, or of another relation — and the error still
+// names the row's own line, as does an arity error on the line after
+// staged rows.
 func TestReadTextCapacityError(t *testing.T) {
 	defer func(rows, values int) { maxRows, maxValues = rows, values }(maxRows, maxValues)
-	maxRows, maxValues = 2, 3
+	// staged returns the lines "R i" for i in [lo, hi).
+	staged := func(lo, hi int) string {
+		var b strings.Builder
+		for i := lo; i < hi; i++ {
+			fmt.Fprintf(&b, "R %d\n", i)
+		}
+		return b.String()
+	}
 	for _, c := range []struct {
-		name, input string
-		want        capacityError
-		line        int
+		name, input        string
+		maxRows, maxValues int
+		want               error
+		line               int
 	}{
-		{"rows", "@R 1\nR 1\nR 2\nR 1\n# comment\nR 3\n", errRowSetFull, 6},
-		{"values", "@R 2\nR 1,2\nR 2,1\n\nR 3,4\n", errDictionaryFull, 5},
+		{"rows", "@R 1\nR 1\nR 2\nR 1\n# comment\nR 3\n", 2, 3, errRowSetFull, 6},
+		{"values", "@R 2\nR 1,2\nR 2,1\n\nR 3,4\n", 2, 3, errDictionaryFull, 5},
+		{"rows, another relation's row staged", "@R 1\n@S 1\nR 1\nS 1\nS 2\nS 1\nS 3\n", 2, 3, errRowSetFull, 7},
+		// A batch of BatchCap rows goes in, then BatchCap/2 more are
+		// staged: the relation fills up partway through the second batch.
+		{"rows, a batch in and more staged", "@R 1\n" + staged(0, BatchCap+BatchCap/2) + "R 0\nR -1\n",
+			BatchCap + BatchCap/2, 1 << 20, errRowSetFull, BatchCap + BatchCap/2 + 3},
+		{"arity after staged rows", "@R 1\n" + staged(0, 10) + "R 1,2\n" + staged(10, 20), 1 << 20, 1 << 20,
+			errors.New("tuple arity 2 for relation R of arity 1"), 12},
 	} {
+		maxRows, maxValues = c.maxRows, c.maxValues
 		_, err := ReadText(strings.NewReader(c.input))
-		if want := fmt.Sprintf("line %d: %s", c.line, c.want); err == nil || err.Error() != want || !errors.Is(err, c.want) {
+		if want := fmt.Sprintf("line %d: %s", c.line, c.want); err == nil || err.Error() != want {
 			t.Errorf("%s: error %v, want %q", c.name, err, want)
+		}
+		if full, ok := c.want.(capacityError); ok && !errors.Is(err, full) {
+			t.Errorf("%s: error %v does not wrap %q", c.name, err, full)
 		}
 	}
 }

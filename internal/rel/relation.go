@@ -13,8 +13,9 @@ import (
 //
 // A relation is stored as its columns and nothing else: each relation
 // owns an Interner, every insert path (Add, AddBatch, the text loader)
-// reduces its row to IDs in that dictionary and goes through one insert
-// core, addIDs, and the IDs are kept in flat per-attribute columns
+// reduces its rows to IDs in that dictionary and hands them to the row
+// index — Add one row at a time, AddBatch and the loader a batch at a
+// time — and the IDs are kept in flat per-attribute columns
 // (struct-of-arrays) — 4 bytes per value. The columns are what
 // BatchScan emits — the executor scans stored relations without
 // re-interning a single value — and what the deduplication probes
@@ -28,16 +29,17 @@ import (
 //
 // The ID columns and the dedup index over them are one RowSet, the
 // module's row index: insertion-ordered columns under chained buckets,
-// at least two per tuple, re-chained only inside Add, AddBatch and
-// Reserve — the writer side — so probing a sealed relation never
-// writes. The relation does not hand the RowSet out: IDColumns exposes
-// the columns read-only, and the index stays private.
+// at least two per tuple, re-chained only inside Add, AddBatch, the
+// loader and Reserve — the writer side — so probing a sealed relation
+// never writes. The relation does not hand the RowSet out: IDColumns
+// exposes the columns read-only, and the index stays private.
 type Relation struct {
 	arity  int
 	rows   RowSet // the ID columns, one entry per stored tuple, and their dedup index
 	intern *Interner
-	idbuf  []uint32 // scratch for the insert paths, avoids per-call allocation
-	xlat   *IDMap   // lazy translation cache for AddBatch sinks
+	idbuf  []uint32   // scratch for Add, avoids per-call allocation
+	xlat   *IDMap     // lazy translation cache for AddBatch sinks
+	stage  [][]uint32 // AddBatch's and the loader's staged rows, as columns; never cloned
 }
 
 // NewRelation returns an empty relation of the given arity. Arity 0 is
@@ -125,16 +127,29 @@ func (r *Relation) Add(t Tuple) bool {
 	for i, v := range t {
 		ids[i] = r.intern.Intern(v)
 	}
-	return r.addIDs(ids)
-}
-
-// addIDs is the insert core shared by Add, AddBatch and the text
-// loader: it inserts the tuple whose components have the given IDs in
-// the relation's own dictionary unless it is already stored, and
-// reports whether it was new. ids is read, not retained.
-func (r *Relation) addIDs(ids []uint32) bool {
 	_, fresh := r.rows.Insert(ids)
 	return fresh
+}
+
+// staging returns the relation's staging columns, one per attribute,
+// each with room for at least m rows.
+func (r *Relation) staging(m int) [][]uint32 {
+	if r.stage == nil {
+		r.stage = make([][]uint32, r.arity)
+	}
+	for k, col := range r.stage {
+		if len(col) < m {
+			r.stage[k] = make([]uint32, m)
+		}
+	}
+	return r.stage
+}
+
+// dropScratch releases what the batch insert paths keep between calls:
+// the staging columns and the row index's hash scratch.
+func (r *Relation) dropScratch() {
+	r.stage = nil
+	r.rows.hashes, r.rows.touched = nil, nil
 }
 
 // Contains reports membership of t in the relation. It is read-only
@@ -168,11 +183,12 @@ func (r *Relation) ContainsIDs(ids []uint32) bool {
 // exactly like Add, and reports how many rows were new. Batch IDs are
 // translated into the relation's dictionary through a cached IDMap, so
 // a sink fed by a long batch stream interns each distinct (dictionary,
-// ID) pair once and then runs on array lookups. The batch is read, not
-// retained; the caller keeps ownership. The cache pins the source
-// dictionaries it has seen — call DropBatchCache once the stream is
-// exhausted so a long-lived result relation does not keep a whole
-// plan's dictionaries reachable.
+// ID) pair once and then runs on array lookups. The translated rows are
+// staged as columns, up to BatchCap at a time, and go into the row
+// index as one batch. The batch is read, not retained; the caller keeps
+// ownership. The cache pins the source dictionaries it has seen — call
+// DropBatchCache once the stream is exhausted so a long-lived result
+// relation does not keep a whole plan's dictionaries reachable.
 func (r *Relation) AddBatch(b *Batch) int {
 	if b.Arity() != r.arity {
 		panic(fmt.Sprintf("rel: batch arity %d added to relation of arity %d", b.Arity(), r.arity))
@@ -193,29 +209,31 @@ func (r *Relation) AddBatch(b *Batch) int {
 	for k, d := range b.dicts {
 		trs[k] = x.m[d]
 	}
-	ids := r.idbuf
+	n := b.Len()
+	stage := r.staging(min(n, BatchCap))
 	added := 0
-	for row := 0; row < b.Len(); row++ {
-		for k, tr := range trs {
-			id := b.cols[k][row]
-			if d := b.dicts[k]; d != r.intern {
-				if int(id) < len(tr) && tr[id] >= xlatOffset {
-					id = tr[id] - xlatOffset
-				} else {
-					// First sight of the value. Intern leaves d's slice,
-					// regrown if id lay beyond it, in the memo. Another
-					// column sharing d may keep reading the slice from
-					// before the regrowth: what it holds stays valid, and
-					// what it lacks sends that column here too.
-					id = x.Intern(d, id)
-					trs[k] = x.lastTr
+	for lo := 0; lo < n; lo += BatchCap {
+		hi := min(n, lo+BatchCap)
+		for row := lo; row < hi; row++ {
+			for k, tr := range trs {
+				id := b.cols[k][row]
+				if d := b.dicts[k]; d != r.intern {
+					if int(id) < len(tr) && tr[id] >= xlatOffset {
+						id = tr[id] - xlatOffset
+					} else {
+						// First sight of the value. Intern leaves d's slice,
+						// regrown if id lay beyond it, in the memo. Another
+						// column sharing d may keep reading the slice from
+						// before the regrowth: what it holds stays valid,
+						// and what it lacks sends that column here too.
+						id = x.Intern(d, id)
+						trs[k] = x.lastTr
+					}
 				}
+				stage[k][row-lo] = id
 			}
-			ids[k] = id
 		}
-		if r.addIDs(ids) {
-			added++
-		}
+		added += r.rows.insertBatch(stage, hi-lo, nil)
 	}
 	return added
 }
@@ -363,10 +381,14 @@ func (r *Relation) At(i int) Tuple {
 	return r.row(make(Tuple, r.arity), i)
 }
 
-// DropBatchCache releases the AddBatch translation cache and the
-// source dictionaries it references. Call it when a batch stream has
-// been fully drained; a later AddBatch simply rebuilds the cache.
-func (r *Relation) DropBatchCache() { r.xlat = nil }
+// DropBatchCache releases the AddBatch translation cache, the source
+// dictionaries it references and the staging scratch. Call it when a
+// batch stream has been fully drained; a later AddBatch simply rebuilds
+// them.
+func (r *Relation) DropBatchCache() {
+	r.xlat = nil
+	r.dropScratch()
+}
 
 // IDColumns returns the relation's stored ID columns and the
 // dictionary decoding them — the zero-copy substrate of the vectorized

@@ -21,8 +21,15 @@ import (
 // at least two buckets per row, so chains stay short: the array is
 // doubled, and every chain rebuilt from the columns, when the row count
 // reaches half the bucket count, and reserve sizes it ahead of a bulk
-// load. Rebuilding happens only inside Insert and reserve, so Find never
-// writes and any number of readers may probe a set nobody inserts into.
+// load. Rebuilding happens only inside Insert, insertBatch and reserve,
+// so Find never writes and any number of readers may probe a set nobody
+// inserts into.
+//
+// The bulk writers — the text loader and Relation.AddBatch — insert a
+// batch of rows at a time through insertBatch, which hashes the batch
+// column by column and loads every row's bucket head before it walks a
+// single chain: the loads do not depend on each other, so their cache
+// misses overlap instead of being waited on one row at a time.
 //
 // Width 0 is allowed: such a set holds at most the empty row, which is
 // how the arity-0 relations {} and {()} are stored.
@@ -31,6 +38,12 @@ type RowSet struct {
 	cols  [][]uint32 // one flat column per row component
 	heads []int32    // per bucket: 1 + newest position in its chain (0 = empty); nil while empty
 	next  []int32    // per row: 1 + next position in its hash chain (0 ends)
+
+	// insertBatch's scratch, per row of the chunk in hand: its hash, and
+	// its bucket's head as the second pass loaded it (kept only so those
+	// loads are not dead code). Never cloned.
+	hashes  []uint64
+	touched []int32
 }
 
 // NewRowSet returns an empty set of rows of the given width.
@@ -46,12 +59,12 @@ func (s *RowSet) Len() int { return s.n }
 
 // Cols returns the rows as columns, in insertion order: column k holds
 // component k of every row. The slices are read-only views of live
-// storage, valid until the next Insert.
+// storage, valid until the next insert.
 func (s *RowSet) Cols() [][]uint32 { return s.cols }
 
 // maxRows is the most rows a set may hold: heads and next keep 1 + a
-// position in an int32. Insert checks it once per new row, never on a
-// probe; a test lowers it.
+// position in an int32. Insert and insertBatch check it once per new
+// row, never on a probe; a test lowers it.
 var maxRows = math.MaxInt32
 
 // minBuckets is the smallest index allocated.
@@ -65,11 +78,29 @@ func (s *RowSet) Insert(ids []uint32) (pos int, fresh bool) {
 		s.badWidth(ids)
 	}
 	h := HashIDs(ids)
+	if pos := s.find(h, ids); pos >= 0 {
+		return pos, false
+	}
+	return s.add(h, ids), true
+}
+
+// find is the probe of Find, Insert and insertBatch: the position of
+// the row ids, whose hash is h, or -1 when the set does not hold it.
+// It is small enough to be inlined into each of them.
+func (s *RowSet) find(h uint64, ids []uint32) int {
 	for p := s.chain(h); p != 0; p = s.next[p-1] {
 		if s.rowEqual(int(p-1), ids) {
-			return int(p - 1), false
+			return int(p - 1)
 		}
 	}
+	return -1
+}
+
+// add is the append of Insert and insertBatch: it appends the row ids,
+// whose hash is h and which the set does not hold, and returns its
+// position, re-chaining first when the set has reached half its bucket
+// count.
+func (s *RowSet) add(h uint64, ids []uint32) int {
 	if s.n >= maxRows {
 		panic(errRowSetFull)
 	}
@@ -83,7 +114,80 @@ func (s *RowSet) Insert(ids []uint32) (pos int, fresh bool) {
 	for k := range s.cols {
 		s.cols[k] = append(s.cols[k], ids[k])
 	}
-	return s.n - 1, true
+	return s.n - 1
+}
+
+// insertBatch inserts n rows given as columns — row i is cols[k][i] for
+// every k — in row order, exactly as n calls of Insert would: a row
+// equal to an earlier one of the batch is a duplicate of it, so the
+// first occurrence is the one kept, and the index grows at the same
+// rows. When fresh is not nil, fresh[i] reports whether row i was
+// added. It returns the number of rows added. The columns are read, not
+// retained. Rows past a full set panic as Insert does, after the rows
+// before them went in.
+//
+// The rows go in chunks of at most BatchCap, each in three passes: the
+// chunk is hashed column by column, every row's bucket head is loaded,
+// and only then are the chains walked and the rows appended. The second
+// pass's loads are independent of each other, so the CPU overlaps their
+// cache misses; the third finds the heads in cache.
+func (s *RowSet) insertBatch(cols [][]uint32, n int, fresh []bool) int {
+	if len(cols) != len(s.cols) {
+		panic(fmt.Sprintf("rel: batch of width %d inserted into a set of width %d", len(cols), len(s.cols)))
+	}
+	var few [4]uint32
+	ids := few[:min(len(cols), len(few))]
+	if len(cols) > len(few) {
+		ids = make([]uint32, len(cols))
+	}
+	added := 0
+	for lo := 0; lo < n; lo += BatchCap {
+		hi := min(n, lo+BatchCap)
+		hs := s.hashBatch(cols, lo, hi)
+		if len(s.heads) > 0 {
+			heads, mask, touched := s.heads, uint64(len(s.heads)-1), s.touched[:len(hs)]
+			for i, h := range hs {
+				touched[i] = heads[h&mask]
+			}
+		}
+		for i, h := range hs {
+			for k, col := range cols {
+				ids[k] = col[lo+i]
+			}
+			isNew := s.find(h, ids) < 0
+			if isNew {
+				s.add(h, ids)
+				added++
+			}
+			if fresh != nil {
+				fresh[lo+i] = isNew
+			}
+		}
+	}
+	return added
+}
+
+// hashBatch returns HashIDs of rows [lo, hi) of cols, computed column
+// by column into the set's scratch.
+func (s *RowSet) hashBatch(cols [][]uint32, lo, hi int) []uint64 {
+	m := hi - lo
+	if cap(s.hashes) < m {
+		s.hashes, s.touched = make([]uint64, m), make([]int32, m)
+	}
+	hs := s.hashes[:m]
+	for i := range hs {
+		hs[i] = hashOffset
+	}
+	for _, col := range cols {
+		col = col[lo:hi]
+		for i, id := range col {
+			hs[i] = (hs[i] ^ uint64(id)) * hashPrime
+		}
+	}
+	for i, h := range hs {
+		hs[i] = hashFinish(h)
+	}
+	return hs
 }
 
 // Find returns the position of the row ids, or -1 when the set does
@@ -92,12 +196,7 @@ func (s *RowSet) Find(ids []uint32) int {
 	if len(ids) != len(s.cols) {
 		s.badWidth(ids)
 	}
-	for p := s.chain(HashIDs(ids)); p != 0; p = s.next[p-1] {
-		if s.rowEqual(int(p-1), ids) {
-			return int(p - 1)
-		}
-	}
-	return -1
+	return s.find(HashIDs(ids), ids)
 }
 
 // badWidth panics on a row of the wrong width, which would otherwise

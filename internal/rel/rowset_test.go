@@ -53,6 +53,41 @@ func (c *checkedRows) insert(ids []uint32) {
 	}
 }
 
+// insertBatch inserts rows as one batch through RowSet.insertBatch and
+// checks the count it returns, each row's fresh flag and each row's
+// position against the model, which takes the rows one at a time in
+// batch order: a row repeated inside the batch is fresh only the first
+// time.
+func (c *checkedRows) insertBatch(rows [][]uint32) {
+	c.t.Helper()
+	cols := make([][]uint32, len(c.s.cols))
+	for _, ids := range rows {
+		for k, id := range ids {
+			cols[k] = append(cols[k], id)
+		}
+	}
+	fresh := make([]bool, len(rows))
+	added := c.s.insertBatch(cols, len(rows), fresh)
+	want := 0
+	for i, ids := range rows {
+		_, seen := c.pos[rowKey(ids)]
+		if !seen {
+			c.pos[rowKey(ids)] = len(c.rows)
+			c.rows = append(c.rows, slices.Clone(ids))
+			want++
+		}
+		if fresh[i] == seen {
+			c.t.Fatalf("insertBatch row %d %v: fresh %v, model says %v", i, ids, fresh[i], !seen)
+		}
+	}
+	if added != want || c.s.Len() != len(c.rows) {
+		c.t.Fatalf("insertBatch of %d rows added %d, Len %d; model added %d, holds %d", len(rows), added, c.s.Len(), want, len(c.rows))
+	}
+	for _, ids := range rows {
+		c.find(ids)
+	}
+}
+
 func (c *checkedRows) find(ids []uint32) {
 	c.t.Helper()
 	want, seen := c.pos[rowKey(ids)]
@@ -215,6 +250,12 @@ func TestRowSetAgainstModel(t *testing.T) {
 					c.find(nil)
 					c.sweep()
 				}
+				c.insertBatch([][]uint32{{}, {}, {}})
+				c.sweep()
+				c = newCheckedRows(t, 0)
+				c.insertBatch(nil)
+				c.insertBatch([][]uint32{{}, {}})
+				c.sweep()
 				r := NewRelation(0)
 				if r.Contains(Tuple{}) || !r.Add(Tuple{}) || r.Add(Tuple{}) || !r.Contains(Tuple{}) || r.Len() != 1 {
 					t.Fatalf("the arity-0 relation is not {} then {()}: Len %d", r.Len())
@@ -266,6 +307,48 @@ func TestRowSetAgainstModel(t *testing.T) {
 						}
 					}
 					c.sweep()
+				}
+			})
+
+			t.Run("batches", func(t *testing.T) {
+				// Batches of every size around the chunk boundary, each
+				// drawn from fresh rows, rows held before it and rows it
+				// already holds, so duplicates fall inside one batch and
+				// across batches; the index doubles partway through many of
+				// them.
+				c := newCheckedRows(t, width)
+				fresh := freshRows(width, 1)
+				rechained := 0
+				for _, n := range []int{1, 2, 3, 7, 40, 100, BatchCap - 1, BatchCap, BatchCap + 1, 2*BatchCap + 5, 3000} {
+					rows := make([][]uint32, n)
+					for i := range rows {
+						switch {
+						case i > 0 && rng.Intn(4) == 0:
+							rows[i] = rows[rng.Intn(i)] // a duplicate inside the batch
+						case len(c.rows) > 0 && rng.Intn(4) == 0:
+							rows[i] = c.rows[rng.Intn(len(c.rows))]
+						default:
+							rows[i] = fresh()
+						}
+					}
+					buckets := len(c.s.heads)
+					c.insertBatch(rows)
+					if len(c.s.heads) != buckets {
+						rechained++
+					}
+					c.sweep()
+				}
+				if rechained < 5 {
+					t.Fatalf("only %d batches re-chained the index", rechained)
+				}
+				// The batch path and the one-row path leave the same set:
+				// the same columns, the same bucket count, the same chains.
+				d := newCheckedRows(t, width)
+				for _, ids := range c.rows {
+					d.insert(ids)
+				}
+				if !slices.Equal(c.s.heads, d.s.heads) || !slices.Equal(c.s.next, d.s.next) {
+					t.Fatalf("insertBatch left another index than Insert on the same rows")
 				}
 			})
 
@@ -333,6 +416,36 @@ func TestRowSetAgainstModel(t *testing.T) {
 				growApart(c, d)
 			})
 
+			t.Run("batches on clones", func(t *testing.T) {
+				// A clone shares no scratch with its source: batches on
+				// both, after the source's own batches filled its scratch,
+				// grow them apart.
+				c := newCheckedRows(t, width)
+				fresh := freshRows(width, 1)
+				batch := func(src func() []uint32, n int) [][]uint32 {
+					rows := make([][]uint32, n)
+					for i := range rows {
+						rows[i] = src()
+					}
+					return rows
+				}
+				c.insertBatch(batch(fresh, 3000))
+				d := c.clone()
+				if d.s.hashes != nil || d.s.touched != nil {
+					t.Fatalf("a clone carries its source's batch scratch")
+				}
+				toC, toD := freshRows(width, 1<<24), freshRows(width, 1<<25)
+				onC, onD := batch(toC, 5000), batch(toD, 5000)
+				c.insertBatch(onC)
+				d.insertBatch(onD)
+				c.sweep()
+				d.sweep()
+				for i := range onC {
+					c.find(onD[i])
+					d.find(onC[i])
+				}
+			})
+
 			t.Run("Relation.Clone", func(t *testing.T) {
 				// The same over a relation's own index and its Clone's.
 				r := NewRelation(width)
@@ -340,7 +453,7 @@ func TestRowSetAgainstModel(t *testing.T) {
 				fresh := freshRows(width, 1)
 				for i := 0; i < 3000; i++ {
 					ids := fresh()
-					if !r.addIDs(ids) {
+					if _, fresh := r.rows.Insert(ids); !fresh {
 						t.Fatalf("fresh row %v rejected", ids)
 					}
 					c.rows = append(c.rows, ids)
@@ -358,10 +471,13 @@ func TestRowSetAgainstModel(t *testing.T) {
 
 // FuzzRowSet reads its input as a width byte and then a stream of
 // operations — a byte that picks the operation and the set it goes to,
-// then one byte per component of its row — and runs them against the
-// model. Components are single bytes, so rows collide often. The clone
-// operation adds a set, and later operations go to any set made so
-// far, so clones and their sources keep growing apart.
+// then what the operation reads: one byte per component of a row, or
+// for a batch insert a count byte and that many rows — and runs them
+// against the model. Components are single bytes, so rows collide
+// often, inside one batch too, and a batch of up to 63 rows re-chains
+// a small set partway through. The clone operation adds a set, and
+// later operations go to any set made so far, so clones and their
+// sources keep growing apart, one row or one batch at a time.
 func FuzzRowSet(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
@@ -369,10 +485,7 @@ func FuzzRowSet(f *testing.F) {
 		}
 		width := int(data[0] % 5)
 		data = data[1:]
-		sets := []*checkedRows{newCheckedRows(t, width)}
-		for len(data) > 0 {
-			op := data[0]
-			data = data[1:]
+		row := func() []uint32 {
 			ids := make([]uint32, width)
 			for k := range ids {
 				if len(data) > 0 {
@@ -380,12 +493,18 @@ func FuzzRowSet(f *testing.F) {
 					data = data[1:]
 				}
 			}
+			return ids
+		}
+		sets := []*checkedRows{newCheckedRows(t, width)}
+		for len(data) > 0 {
+			op := data[0]
+			data = data[1:]
 			c := sets[int(op>>4)%len(sets)]
-			switch op % 5 {
+			switch op % 6 {
 			case 0, 1:
-				c.insert(ids)
+				c.insert(row())
 			case 2:
-				c.find(ids)
+				c.find(row())
 			case 3:
 				// Reserve room for a few rows the set has never seen: byte
 				// components stay below 256, so these cannot collide.
@@ -394,6 +513,17 @@ func FuzzRowSet(f *testing.F) {
 				if len(sets) < 4 {
 					sets = append(sets, c.clone())
 				}
+			case 5:
+				n := 0
+				if len(data) > 0 {
+					n = int(data[0] % 64)
+					data = data[1:]
+				}
+				rows := make([][]uint32, n)
+				for i := range rows {
+					rows[i] = row()
+				}
+				c.insertBatch(rows)
 			}
 		}
 		for _, c := range sets {
@@ -420,5 +550,94 @@ func TestRowSetLimit(t *testing.T) {
 	}
 	if s.Len() != 3 || s.Find([]uint32{3, 3}) != -1 || s.Find([]uint32{2, 2}) != 2 {
 		t.Errorf("a refused row changed the set: Len %d", s.Len())
+	}
+
+	// A batch that reaches the limit partway through: the rows before
+	// the one that finds the set full go in, duplicates of held rows
+	// included, and nothing after it does.
+	s = NewRowSet(2)
+	s.Insert([]uint32{0, 0})
+	batch := [][]uint32{{0, 5, 0, 6, 6, 7, 0}, {0, 5, 0, 6, 6, 7, 0}}
+	if got := fullPanic(t, func() { s.insertBatch(batch, len(batch[0]), nil) }); got != errRowSetFull {
+		t.Errorf("insertBatch past the limit: %q", got)
+	}
+	cols := s.Cols()
+	if s.Len() != 3 || !slices.Equal(cols[0], []uint32{0, 5, 6}) || !slices.Equal(cols[1], []uint32{0, 5, 6}) {
+		t.Errorf("after a batch past the limit the set holds %v", cols)
+	}
+	if s.Find([]uint32{7, 7}) != -1 || s.Find([]uint32{6, 6}) != 2 || len(s.next) != 3 {
+		t.Errorf("the row past the limit changed the set: Len %d, %d chain links", s.Len(), len(s.next))
+	}
+}
+
+// plannedDivisionRows returns the ID columns of a relation shaped like
+// the R of the div-planned benchmark workload: 133 000 binary rows,
+// 10 000 groups of about 13 elements drawn from a few dozen values, in
+// group order, with IDs in first-occurrence order as the text loader
+// assigns them.
+func plannedDivisionRows() [][]uint32 {
+	const groups, rows = 10000, 133000
+	rng := rand.New(rand.NewSource(45))
+	ids := map[int64]uint32{}
+	id := func(v int64) uint32 {
+		x, ok := ids[v]
+		if !ok {
+			x = uint32(len(ids))
+			ids[v] = x
+		}
+		return x
+	}
+	cols := [][]uint32{make([]uint32, 0, rows), make([]uint32, 0, rows)}
+	for g := 0; len(cols[0]) < rows; g = (g + 1) % groups {
+		for _, e := range rng.Perm(68)[:13+g%2] {
+			if len(cols[0]) == rows {
+				break
+			}
+			cols[0] = append(cols[0], id(int64(g)))
+			cols[1] = append(cols[1], id(1_000_000+int64(e)))
+		}
+	}
+	return cols
+}
+
+// BenchmarkRowSetInsert inserts the rows of plannedDivisionRows into a
+// set that is pre-sized for them or grows from empty, one row at a time
+// through Insert and a batch of BatchCap rows at a time through
+// insertBatch, the way the text loader and Relation.AddBatch do.
+func BenchmarkRowSetInsert(b *testing.B) {
+	cols := plannedDivisionRows()
+	n := len(cols[0])
+	for _, sized := range []bool{true, false} {
+		fill := func() *RowSet {
+			s := NewRowSet(2)
+			if sized {
+				s.reserve(n)
+			}
+			return s
+		}
+		name := map[bool]string{true: "presized", false: "growing"}[sized]
+		b.Run("row/"+name, func(b *testing.B) {
+			ids := make([]uint32, 2)
+			for range b.N {
+				s := fill()
+				for i := range n {
+					ids[0], ids[1] = cols[0][i], cols[1][i]
+					s.Insert(ids)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
+		})
+		b.Run("batch/"+name, func(b *testing.B) {
+			chunk := make([][]uint32, 2)
+			for range b.N {
+				s := fill()
+				for lo := 0; lo < n; lo += BatchCap {
+					hi := min(n, lo+BatchCap)
+					chunk[0], chunk[1] = cols[0][lo:hi], cols[1][lo:hi]
+					s.insertBatch(chunk, hi-lo, nil)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
+		})
 	}
 }

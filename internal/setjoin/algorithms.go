@@ -80,15 +80,45 @@ func (InvertedIndexContainment) Name() string { return "inverted-index" }
 // Predicate implements Algorithm.
 func (InvertedIndexContainment) Predicate() Predicate { return Containment }
 
-// Join implements Algorithm.
+// Join implements Algorithm. The pairs stay IDs from the kernel to the
+// result: ShardContainment's columns are re-pointed at the group lists'
+// own key dictionaries and handed to the result's AddBatch as one view
+// batch, as the sharded merge does. AddBatch translates a row's R key
+// before its S key, the order Add interns a pair in, so the result's
+// rows and dictionary come out as pair-by-pair Adds would leave them.
 func (InvertedIndexContainment) Join(r, s []*Group) (*rel.Relation, Stats) {
 	p, st := ShardContainment(r, s)
-	out := rel.NewRelationSized(2, len(p.S))
-	for ri, gr := range r {
-		for _, si := range p.S[p.Start[ri]:p.Start[ri+1]] {
-			out.Add(rel.Tuple{gr.Key, s[si].Key})
+	out := rel.NewRelationSized(2, len(p.R))
+	if len(p.R) == 0 {
+		return out, st
+	}
+	for ri, g := range r {
+		if lo, hi := p.Start[ri], p.Start[ri+1]; lo < hi {
+			id := g.gid
+			for j := lo; j < hi; j++ {
+				p.R[j] = id
+			}
 		}
 	}
+	sKeys := s[0].dict.keys
+	if slices.ContainsFunc(p.S, func(si uint32) bool { return s[si].dict != s[0].dict }) {
+		// S mixes groups of several lists: their keys get one dictionary.
+		sKeys = rel.NewInterner()
+		for j, si := range p.S {
+			p.S[j] = sKeys.Intern(s[si].Key)
+		}
+	} else {
+		for j, si := range p.S {
+			p.S[j] = s[si].gid
+		}
+	}
+	cols := [][]uint32{p.R, p.S}
+	var view rel.Batch
+	view.MakeView(cols, r[0].dict.keys)
+	view.SetDict(1, sKeys)
+	view.SliceView(cols, 0, len(p.R))
+	out.AddBatch(&view)
+	out.DropBatchCache()
 	return out, st
 }
 

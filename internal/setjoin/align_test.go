@@ -89,10 +89,32 @@ func mixedRelation(rng *rand.Rand, groups, dom, maxSet int, strs bool) *rel.Rela
 	return r
 }
 
+// sameAsSignature fails unless InvertedIndexContainment's result is
+// SignatureContainment's down to its storage: the same rows in the same
+// order over the same dictionary, value for value in ID order.
+func sameAsSignature(t *testing.T, label string, r, s []*Group) {
+	t.Helper()
+	want, _ := SignatureContainment{}.Join(r, s)
+	got, _ := InvertedIndexContainment{}.Join(r, s)
+	wc, wd := want.IDColumns()
+	gc, gd := got.IDColumns()
+	if !slices.Equal(wc[0], gc[0]) || !slices.Equal(wc[1], gc[1]) || wd.Len() != gd.Len() {
+		t.Fatalf("%s: inverted-index ID columns %v over %d values, signature's %v over %d", label, gc, gd.Len(), wc, wd.Len())
+	}
+	for id := range uint32(wd.Len()) {
+		if !wd.Value(id).Equal(gd.Value(id)) {
+			t.Fatalf("%s: dictionary ID %d is %v, signature's is %v", label, id, gd.Value(id), wd.Value(id))
+		}
+	}
+}
+
 // TestAlignedJoinsAgainstReference crosses every join with the ways two
 // group lists can meet: (a) both from one relation, so alignment is the
 // identity; (b) from two relations; (c) with S elements R has nowhere;
-// (d) with int 1 and string "1" in one element column.
+// (d) with int 1 and string "1" in one element column; (e) an S list
+// that mixes the groups of two relations, keys repeating. The
+// inverted-index join's storage is checked against the signature
+// join's throughout.
 func TestAlignedJoinsAgainstReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	for trial := 0; trial < 30; trial++ {
@@ -102,17 +124,25 @@ func TestAlignedJoinsAgainstReference(t *testing.T) {
 			t.Fatal("(a): alignment within one list is not the identity")
 		}
 		agreeWithReference(t, fmt.Sprintf("(a) trial %d", trial), one[:k], one[k:])
+		sameAsSignature(t, fmt.Sprintf("(a) trial %d", trial), one[k:], one[:k])
 
 		r := Groups(mixedRelation(rng, 1+rng.Intn(10), 5, 4, false))
 		s := Groups(mixedRelation(rng, 1+rng.Intn(10), 5, 3, false))
 		agreeWithReference(t, fmt.Sprintf("(b) trial %d", trial), r, s)
+		sameAsSignature(t, fmt.Sprintf("(b) trial %d", trial), r, s)
 
 		s = Groups(mixedRelation(rng, 1+rng.Intn(10), 8, 3, false))
 		agreeWithReference(t, fmt.Sprintf("(c) trial %d", trial), r, s)
+		sameAsSignature(t, fmt.Sprintf("(c) trial %d", trial), r, s)
 
 		r = Groups(mixedRelation(rng, 1+rng.Intn(10), 4, 5, true))
 		s = Groups(mixedRelation(rng, 1+rng.Intn(10), 4, 3, true))
 		agreeWithReference(t, fmt.Sprintf("(d) trial %d", trial), r, s)
+		sameAsSignature(t, fmt.Sprintf("(d) trial %d", trial), r, s)
+
+		s = append(s, Groups(mixedRelation(rng, 1+rng.Intn(10), 4, 3, true))...)
+		agreeWithReference(t, fmt.Sprintf("(e) trial %d", trial), r, s)
+		sameAsSignature(t, fmt.Sprintf("(e) trial %d", trial), r, s)
 	}
 }
 

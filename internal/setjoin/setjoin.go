@@ -44,9 +44,11 @@ type Group struct {
 	// relation's own dictionary, which is what lets the shard-local
 	// joins emit pairs as IDs.
 	keyID uint32
-	ids   []uint32
-	sig   uint64
-	dict  *elemDict
+	// gid is Key's ID in dict.keys, the keys of the group's list.
+	gid  uint32
+	ids  []uint32
+	sig  uint64
+	dict *elemDict
 }
 
 // Len returns the number of elements in the group's set.
@@ -54,10 +56,12 @@ func (g *Group) Len() int { return len(g.ids) }
 
 // elemDict is the element dictionary of one group list: the values its
 // runs' IDs stand for, and hashValue of each, computed once per
-// distinct value for the signatures and PSJ's partitions.
+// distinct value for the signatures and PSJ's partitions. keys holds
+// the list's group keys in list order.
 type elemDict struct {
 	values *rel.Interner
 	hash   []uint64
+	keys   *rel.Interner
 }
 
 // Groups converts a binary relation into its set-valued form, one
@@ -84,7 +88,7 @@ func Groups(r *rel.Relation) []*Group {
 // joins feed shard-local batch scans straight into the group builder.
 func GroupsFromBatches(in rel.BatchCursor) []*Group {
 	keys := rel.NewIDMap(rel.NewInterner()) // group key -> dense index
-	d := &elemDict{values: rel.NewInterner()}
+	d := &elemDict{values: rel.NewInterner(), keys: keys.To()}
 	elems := rel.NewIDMap(d.values)
 	var keyIDs []uint32     // per group: its key's ID in its first batch
 	var gids, eids []uint32 // per row: its group and its element
@@ -132,7 +136,7 @@ func GroupsFromBatches(in rel.BatchCursor) []*Group {
 	lo := 0
 	for i := range groups {
 		g := &groups[i]
-		*g = Group{Key: keys.To().Value(uint32(i)), keyID: keyIDs[i], ids: flat[lo:end[i]:end[i]], dict: d}
+		*g = Group{Key: keys.To().Value(uint32(i)), keyID: keyIDs[i], gid: uint32(i), ids: flat[lo:end[i]:end[i]], dict: d}
 		slices.Sort(g.ids)
 		// The signature is the OR of one hash bit per element, so it is
 		// superset-monotone: sig(X) ⊇bits sig(Y) is necessary for X ⊇ Y,
