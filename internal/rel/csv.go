@@ -44,9 +44,10 @@ import (
 // sees it, into a chunk the dictionary owns), and the row's IDs are
 // staged in the relation's staging columns. A relation's staged rows
 // go into its row index as one batch when BatchCap of them are staged,
-// and at the end of the input. Nothing keeps a slice of the buffer. An
-// input that cannot seek back for the second pass, such as a pipe, is
-// read into memory once and parsed from there by the same code.
+// and at the end of the input. No slice of the buffer outlives the
+// call. An input that cannot seek back for the second pass, such as a
+// pipe, is read into memory once and parsed from there by the same
+// code.
 
 // WriteText writes a store in the text format. It accepts any ReadStore
 // backend; relations are emitted in name order and tuples in sorted
@@ -197,6 +198,7 @@ type loadRel struct {
 	// rel's staging columns hold staged rows of room; the rest of the
 	// relation's rows are in its row index.
 	staged, room int
+	cut          [][]byte // the fields of the line being loaded, one per column
 }
 
 // flush inserts the staged rows into the relation's row index, in file
@@ -271,39 +273,32 @@ func (ld *loader) declare(line []byte) error {
 }
 
 // tuple handles "<rel> <v1,v2,...>", and the bare "<rel>" that is the
-// empty tuple of a relation declared with arity 0. A relation is built
-// only once a tuple line of its arity is in hand, so a declared arity
-// costs nothing until the input backs it with a line that long.
+// empty tuple of a relation declared with arity 0. The field list is
+// cut, and its arity checked, in one pass before any field is
+// interned: every field but the last must end at a comma and the last
+// must not. Only a relation's first line, whose arity create still has
+// to learn, and a line of the wrong arity, whose error names it, count
+// the commas.
 func (ld *loader) tuple(line []byte) error {
 	name, fields := cutName(line)
 	fields = bytes.TrimSpace(fields)
-	arity := 0
-	if len(fields) > 0 {
-		arity = bytes.Count(fields, comma) + 1
-	}
 	lr := ld.rel(name)
-	want := arity
-	if lr.rel != nil {
-		want = lr.rel.arity
-	} else if a, ok := ld.d.schema[lr.name]; ok {
-		want = a
-	} else if arity == 0 {
-		return fmt.Errorf("expected '<rel> <v1,v2,...>', got %q", line)
+	if lr.rel == nil {
+		if err := ld.create(lr, line, fields); err != nil {
+			return err
+		}
 	}
-	if arity != want {
-		return fmt.Errorf("tuple arity %d for relation %s of arity %d", arity, name, want)
+	r, cut := lr.rel, lr.cut
+	rest, ok := fields, (len(fields) == 0) == (r.arity == 0)
+	for k := 0; ok && k < len(cut); k++ {
+		f, tail, found := bytes.Cut(rest, comma)
+		cut[k], rest, ok = bytes.TrimSpace(f), tail, found == (k < len(cut)-1)
 	}
-	r := lr.rel
-	if r == nil {
-		r = NewRelationSized(arity, lr.lines)
-		lr.rel, lr.room = r, min(lr.lines, BatchCap)
-		r.staging(lr.room)
-		ld.d.schema[lr.name], ld.d.rels[lr.name] = arity, r
+	if !ok {
+		return fmt.Errorf("tuple arity %d for relation %s of arity %d", arity(fields), name, r.arity)
 	}
-	for _, col := range r.stage {
-		var f []byte
-		f, fields, _ = bytes.Cut(fields, comma)
-		col[lr.staged] = r.intern.internText(bytes.TrimSpace(f))
+	for k, col := range r.stage {
+		col[lr.staged] = r.intern.internText(cut[k])
 	}
 	lr.staged++
 	// A full stage goes in at once. So does a stage whose rows could
@@ -315,6 +310,37 @@ func (ld *loader) tuple(line []byte) error {
 		lr.flush()
 	}
 	return nil
+}
+
+// create builds the relation of a name's first tuple line. A relation
+// is built only once a tuple line of its arity is in hand — the
+// declared arity, or the line's own for an undeclared name — so a
+// declared arity costs nothing until the input backs it with a line
+// that long.
+func (ld *loader) create(lr *loadRel, line, fields []byte) error {
+	n := arity(fields)
+	want := n
+	if a, ok := ld.d.schema[lr.name]; ok {
+		want = a
+	} else if n == 0 {
+		return fmt.Errorf("expected '<rel> <v1,v2,...>', got %q", line)
+	}
+	if n != want {
+		return fmt.Errorf("tuple arity %d for relation %s of arity %d", n, lr.name, want)
+	}
+	r := NewRelationSized(n, lr.lines)
+	lr.rel, lr.room, lr.cut = r, min(lr.lines, BatchCap), make([][]byte, n)
+	r.staging(lr.room)
+	ld.d.schema[lr.name], ld.d.rels[lr.name] = n, r
+	return nil
+}
+
+// arity returns the number of fields in a trimmed field list.
+func arity(fields []byte) int {
+	if len(fields) == 0 {
+		return 0
+	}
+	return bytes.Count(fields, comma) + 1
 }
 
 // parseInt decodes b as strconv.ParseInt(string(b), 10, 64) would,

@@ -318,7 +318,7 @@ func stringFile(n int) []byte {
 // reserved ID columns and dedup index, the dictionary and the one read
 // buffer — no copy of the input, no decoded row and no earlier copy of
 // a dictionary's values beside them. The string file has a distinct
-// string for every second tuple, so there the dictionary (values,
+// string for every second tuple, so there the dictionary (words,
 // index, string chunks) is most of it.
 func TestReadTextFootprint(t *testing.T) {
 	const tuples = 100000
@@ -327,8 +327,8 @@ func TestReadTextFootprint(t *testing.T) {
 		file    []byte
 		ceiling float64
 	}{
-		{"integers", integerFile(tuples), 36},
-		{"strings", stringFile(tuples), 85},
+		{"integers", integerFile(tuples), 30},
+		{"strings", stringFile(tuples), 62},
 	} {
 		var d *Database
 		got := allocatedBytes(func() {

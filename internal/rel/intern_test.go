@@ -102,17 +102,57 @@ func TestInternerValuesNeverMove(t *testing.T) {
 			big.Intern(Int(int64(i)))
 		}
 	})
-	valueBytes := int(unsafe.Sizeof(Value{}))
-	kept := 0
+	// A value is one word in its page and one bit in the kind bitmap.
+	const wordBytes = int(unsafe.Sizeof(uint64(0)))
+	kept := wordBytes * cap(big.kinds)
 	for _, p := range big.pages {
-		kept += cap(p) * valueBytes
+		kept += cap(p) * wordBytes
 	}
-	// A doubling index allocates just under twice its final table; the
-	// first page's doubling and the page list add under two pages.
-	limit := kept + 2*8*len(big.slots) + 2*pageSize*valueBytes
-	t.Logf("%d values: %d B allocated, %d B of value pages kept, %d B of slots", n, got, kept, 8*len(big.slots))
+	// A doubling index allocates just under twice its final table, and
+	// the first page's doubling under a page. The bitmap and the page
+	// list grow by append, which past 256 elements adds a quarter at a
+	// time: each allocates under five times its final size.
+	list := int(unsafe.Sizeof(big.pages[0])) * cap(big.pages)
+	limit := kept + 2*8*len(big.slots) + pageSize*wordBytes + 5*(wordBytes*cap(big.kinds)+list)
+	t.Logf("%d values: %d B allocated, %d B of pages and bitmap kept, %d B of slots", n, got, kept, 8*len(big.slots))
 	if got > uint64(limit) {
 		t.Errorf("%d values allocated %d B, want at most %d: the values were copied as they grew", n, got, limit)
+	}
+}
+
+// TestInternerReadsAllocateNothing: Value rebuilds a value from its
+// word, an integer from its bits and a string as a substring of its
+// chunk, and ID compares words and chunk bytes in place. Neither
+// allocates, for strings kept through Intern, through the loader, and
+// in chunks of their own.
+func TestInternerReadsAllocateNothing(t *testing.T) {
+	in := NewInterner()
+	vals := []Value{Int(-7), Str("beer"), Str(""), Str(strings.Repeat("x", maxChunk/4+1)), Str("1"), Int(1)}
+	ids := make([]uint32, len(vals))
+	for i, v := range vals {
+		if v.IsInt() || i%2 == 0 {
+			ids[i] = in.Intern(v)
+		} else {
+			ids[i] = in.internText([]byte(v.AsString()))
+		}
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		for i, id := range ids {
+			if in.Value(id) != vals[i] {
+				t.Fatalf("Value(%d) = %#v, want %#v", id, in.Value(id), vals[i])
+			}
+		}
+	}); got != 0 {
+		t.Errorf("Value allocated %.1f times per sweep, want none", got)
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		for i, v := range vals {
+			if id, ok := in.ID(v); !ok || id != ids[i] {
+				t.Fatalf("ID(%#v) = %d, %v; want %d", v, id, ok, ids[i])
+			}
+		}
+	}); got != 0 {
+		t.Errorf("ID allocated %.1f times per sweep, want none", got)
 	}
 }
 

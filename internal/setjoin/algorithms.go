@@ -81,24 +81,21 @@ func (InvertedIndexContainment) Name() string { return "inverted-index" }
 func (InvertedIndexContainment) Predicate() Predicate { return Containment }
 
 // Join implements Algorithm. The pairs stay IDs from the kernel to the
-// result: ShardContainment's columns are re-pointed at the group lists'
-// own key dictionaries and handed to the result's AddBatch as one view
+// result: each R group's rank is its gid, its ID in the list's key
+// dictionary, ShardContainment's S column is re-pointed at the S
+// list's, and the columns go to the result's AddBatch as one view
 // batch, as the sharded merge does. AddBatch translates a row's R key
 // before its S key, the order Add interns a pair in, so the result's
 // rows and dictionary come out as pair-by-pair Adds would leave them.
 func (InvertedIndexContainment) Join(r, s []*Group) (*rel.Relation, Stats) {
-	p, st := ShardContainment(r, s)
+	rank := make([]uint32, len(r))
+	for i, g := range r {
+		rank[i] = g.gid
+	}
+	p, st := ShardContainment(r, s, rank)
 	out := rel.NewRelationSized(2, len(p.R))
 	if len(p.R) == 0 {
 		return out, st
-	}
-	for ri, g := range r {
-		if lo, hi := p.Start[ri], p.Start[ri+1]; lo < hi {
-			id := g.gid
-			for j := lo; j < hi; j++ {
-				p.R[j] = id
-			}
-		}
 	}
 	sKeys := s[0].dict.keys
 	if slices.ContainsFunc(p.S, func(si uint32) bool { return s[si].dict != s[0].dict }) {

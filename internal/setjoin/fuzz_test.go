@@ -41,19 +41,21 @@ func FuzzSetJoin(f *testing.F) {
 // containment join in Reference's order: R-major, S ascending.
 func agreeShardContainment(t *testing.T, label string, r, s []*Group) {
 	t.Helper()
-	p, st := ShardContainment(r, s)
-	if len(p.Start) != len(r)+1 || p.Rank != nil {
-		t.Fatalf("%s: %d run starts for %d R groups, Rank %v", label, len(p.Start), len(r), p.Rank)
+	rank := make([]uint32, len(r))
+	for ri := range rank {
+		rank[ri] = uint32(len(r) - ri) // any distinct ranks; these descend
+	}
+	p, st := ShardContainment(r, s, rank)
+	if len(p.Start) != len(r)+1 {
+		t.Fatalf("%s: %d run starts for %d R groups", label, len(p.Start), len(r))
 	}
 	if st.PairsConsidered > len(r)*len(s) {
 		t.Fatalf("%s: %d pairs considered, the nested loop has %d", label, st.PairsConsidered, len(r)*len(s))
 	}
-	keys := make(map[uint32]rel.Value, len(r))
-	for ri, g := range r {
-		keys[g.keyID] = g.Key
+	for ri := range r {
 		for _, k := range p.R[p.Start[ri]:p.Start[ri+1]] {
-			if k != g.keyID {
-				t.Fatalf("%s: R group %d's run holds key ID %d, want %d", label, ri, k, g.keyID)
+			if k != rank[ri] {
+				t.Fatalf("%s: R group %d's run holds rank %d, want %d", label, ri, k, rank[ri])
 			}
 		}
 	}
@@ -62,7 +64,7 @@ func agreeShardContainment(t *testing.T, label string, r, s []*Group) {
 		t.Fatalf("%s: %d pairs, Reference has %d", label, len(p.R), len(want))
 	}
 	for i, tup := range want {
-		if got := (rel.Tuple{keys[p.R[i]], s[p.S[i]].Key}); !got.Equal(tup) {
+		if got := (rel.Tuple{r[len(r)-int(p.R[i])].Key, s[p.S[i]].Key}); !got.Equal(tup) {
 			t.Fatalf("%s: pair %d is %v, Reference's is %v", label, i, got, tup)
 		}
 	}

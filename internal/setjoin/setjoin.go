@@ -39,11 +39,6 @@ import (
 // constructors, so no group is empty.
 type Group struct {
 	Key rel.Value
-	// keyID is Key's ID in the dictionary of the batch column the group
-	// was first seen in. Over a stored relation's scan that is the
-	// relation's own dictionary, which is what lets the shard-local
-	// joins emit pairs as IDs.
-	keyID uint32
 	// gid is Key's ID in dict.keys, the keys of the group's list.
 	gid  uint32
 	ids  []uint32
@@ -90,7 +85,6 @@ func GroupsFromBatches(in rel.BatchCursor) []*Group {
 	keys := rel.NewIDMap(rel.NewInterner()) // group key -> dense index
 	d := &elemDict{values: rel.NewInterner(), keys: keys.To()}
 	elems := rel.NewIDMap(d.values)
-	var keyIDs []uint32     // per group: its key's ID in its first batch
 	var gids, eids []uint32 // per row: its group and its element
 	for b, ok := in.NextBatch(); ok; b, ok = in.NextBatch() {
 		if b.Arity() != 2 {
@@ -99,11 +93,7 @@ func GroupsFromBatches(in rel.BatchCursor) []*Group {
 		kcol, ecol := b.Col(0), b.Col(1)
 		kdict, edict := b.Dict(0), b.Dict(1)
 		for row := range b.Len() {
-			gid := keys.Intern(kdict, kcol[row])
-			if int(gid) == len(keyIDs) {
-				keyIDs = append(keyIDs, kcol[row])
-			}
-			gids = append(gids, gid)
+			gids = append(gids, keys.Intern(kdict, kcol[row]))
 			eids = append(eids, elems.Intern(edict, ecol[row]))
 		}
 		b.Release()
@@ -119,7 +109,7 @@ func GroupsFromBatches(in rel.BatchCursor) []*Group {
 	// No per-group dedup is needed: the source has set semantics, so
 	// (key, elem) pairs — and hence elems within a group — arrive
 	// distinct.
-	groups := make([]Group, len(keyIDs))
+	groups := make([]Group, keys.To().Len())
 	end := make([]int, len(groups)+1)
 	for _, gid := range gids {
 		end[gid+1]++
@@ -136,7 +126,7 @@ func GroupsFromBatches(in rel.BatchCursor) []*Group {
 	lo := 0
 	for i := range groups {
 		g := &groups[i]
-		*g = Group{Key: keys.To().Value(uint32(i)), keyID: keyIDs[i], gid: uint32(i), ids: flat[lo:end[i]:end[i]], dict: d}
+		*g = Group{Key: keys.To().Value(uint32(i)), gid: uint32(i), ids: flat[lo:end[i]:end[i]], dict: d}
 		slices.Sort(g.ids)
 		// The signature is the OR of one hash bit per element, so it is
 		// superset-monotone: sig(X) ⊇bits sig(Y) is necessary for X ⊇ Y,

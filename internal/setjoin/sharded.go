@@ -9,31 +9,29 @@ package setjoin
 // sequential emission orders differ: the signature containment join is
 // R-major (outer loop over R groups), so there is one run per R group;
 // the hash equality join is S-major (probe loop over S groups), so
-// there is one run per S position, its pairs tagged with the R group's
-// global rank for the within-probe order.
+// there is one run per S position, ascending in the R groups' global
+// rank.
 
 // ShardPairs is one shard's join result in interned-ID space. Pair i is
-// (R[i], S[i]): R[i] is the R group key's ID in the dictionary of the
-// batches GroupsFromBatches grouped — the shard-local relation's own
-// dictionary when fed by its scan — and S[i] is the S group's position
-// in the broadcast list, which is its ID in any dictionary holding the
-// S keys in list order. Run j is the pairs [Start[j], Start[j+1]).
-// Nothing in it is a rel.Value: the merge hands runs to
-// Relation.AddBatch as view batches over these columns.
+// (R[i], S[i]): R[i] is the R group's global rank, the rank argument of
+// the join that made it, which is its ID in any dictionary holding the
+// R keys in global order (a relation's router); S[i] is the S group's
+// position in the broadcast list, which is its ID in any dictionary
+// holding the S keys in list order. Run j is the pairs
+// [Start[j], Start[j+1]). Nothing in it is a rel.Value: the merge hands
+// the pairs to Relation.AddBatch as a view batch over these columns.
 type ShardPairs struct {
-	R, S []uint32
-	// Rank is parallel to R and S in ShardEquality's result (the R
-	// group's global rank) and nil in ShardContainment's.
-	Rank  []uint32
+	R, S  []uint32
 	Start []int
 }
 
 // ShardContainment runs the containment join of one R shard against
 // the full S group list, after aligning S to the shard's element
-// dictionary; r must come from GroupsFromBatches. It is the inverted
-// file probe of PSJ-style set joins: an index over r's runs lists the
-// R groups holding each element, each S group considers only the
-// groups holding its rarest element — Σ_{s∈S} min_{e∈s} |R_e| pairs,
+// dictionary; r must come from GroupsFromBatches, and rank[i] is the
+// global rank of r[i]. It is the inverted file probe of PSJ-style set
+// joins: an index over r's runs lists the R groups holding each
+// element, each S group considers only the groups holding its rarest
+// element — Σ_{s∈S} min_{e∈s} |R_e| pairs,
 // never more than the signature nested loop's |R|·|S| — and each
 // candidate passes the signature filter and containsAll. The pairs
 // come out S-major; a stable counting sort by R position makes them
@@ -44,7 +42,7 @@ type ShardPairs struct {
 // sequential emission byte for byte. Concurrent calls on disjoint
 // shards are safe: both group lists and their dictionaries are only
 // read, and the aligned copy of S and the index are the call's own.
-func ShardContainment(r, s []*Group) (ShardPairs, Stats) {
+func ShardContainment(r, s []*Group, rank []uint32) (ShardPairs, Stats) {
 	var st Stats
 	x := newPostings(r)
 	st.Probes = len(x.pos)
@@ -76,7 +74,7 @@ func ShardContainment(r, s []*Group) (ShardPairs, Stats) {
 	// begins, so one shift puts every start back, as in newPostings.
 	out := ShardPairs{R: make([]uint32, len(found)), S: make([]uint32, len(found)), Start: start}
 	for _, p := range found {
-		out.R[start[p.r]], out.S[start[p.r]] = r[p.r].keyID, p.s
+		out.R[start[p.r]], out.S[start[p.r]] = rank[p.r], p.s
 		start[p.r]++
 	}
 	copy(start[1:], start)
@@ -103,9 +101,8 @@ func ShardEquality(r, s []*Group, rank []uint32) (ShardPairs, Stats) {
 		buf = runKey(buf[:0], gs.ids)
 		for _, ri := range index[string(buf)] {
 			st.PairsConsidered++
-			out.R = append(out.R, r[ri].keyID)
+			out.R = append(out.R, rank[ri])
 			out.S = append(out.S, uint32(si))
-			out.Rank = append(out.Rank, rank[ri])
 		}
 		out.Start = append(out.Start, len(out.R))
 	}

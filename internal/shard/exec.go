@@ -16,10 +16,10 @@ package shard
 // columns and the result: both sides are grouped into uint32 runs off
 // batch scans, each task aligns S to its shard's element dictionary and
 // verifies by merging runs, the pairs come back as ID columns cut into
-// runs (setjoin.ShardPairs), and the merge feeds those to AddBatch. The
-// containment task probes each S set's rarest element through an
-// inverted index over the shard's R groups, and cuts its pairs into the
-// runs the signature nested loop would emit.
+// runs (setjoin.ShardPairs), and the merge gathers those into one
+// AddBatch. The containment task probes each S set's rarest element
+// through an inverted index over the shard's R groups, and cuts its
+// pairs into the runs the signature nested loop would emit.
 // The shard-local work runs one task per shard on the worker pool
 // (exec.Run). None of it runs under a query governor: these entry
 // points are library calls, not plans.
@@ -161,13 +161,14 @@ func groupsHeld(gs []*setjoin.Group) int {
 
 // shardedSetJoin is both set joins. Between the group builders and the
 // result relation the data stays interned IDs: each shard returns its
-// pairs as two ID columns (setjoin.ShardPairs) — the R key in the
-// shard-local relation's dictionary, the S key as its position in the
-// broadcast group list — and the merge hands runs of those columns to
-// the result's AddBatch as view batches, in the sequential algorithm's
-// emission order. AddBatch translates a row's R key before its S key,
-// the order Add interns a pair in, so the result's dictionary comes out
-// in the sequential order too.
+// pairs as two ID columns (setjoin.ShardPairs) — the R group's router
+// ID, which is its global rank, and the S key's position in the
+// broadcast group list — and the merge gathers them, in the sequential
+// algorithm's emission order, into two flat columns that it hands to
+// the result's AddBatch as one view batch, decoded by the router and
+// by a dictionary of the S keys in list order. AddBatch translates a
+// row's R key before its S key, the order Add interns a pair in, so
+// the result's dictionary comes out in the sequential order too.
 func shardedSetJoin(db *Snapshot, rName, sName string, workers int, containment bool) (*rel.Relation, Stats) {
 	arityOf(db, rName, 2)
 	arityOf(db, sName, 2)
@@ -186,11 +187,14 @@ func shardedSetJoin(db *Snapshot, rName, sName string, workers int, containment 
 	sGroups := setjoin.GroupsFromBatches(db.scan(sName))
 	// A shard meets its groups in ascending gid order, so the i-th gid
 	// the router sends to shard q is the rank of q's i-th local group.
-	rt := db.Router(rName)
+	rt := db.routers[rName]
+	if rt == nil {
+		rt = rel.NewInterner() // R has no tuples, so it has no router
+	}
 	ranks := make([][]uint32, n)
-	for gid := 0; gid < rt.Len(); gid++ {
-		q := exec.PartOf(uint32(gid), n)
-		ranks[q] = append(ranks[q], uint32(gid))
+	for gid := range uint32(rt.Len()) {
+		q := exec.PartOf(gid, n)
+		ranks[q] = append(ranks[q], gid)
 	}
 	pairs := make([]setjoin.ShardPairs, n)
 	resident := make([]int, n)
@@ -205,7 +209,7 @@ func shardedSetJoin(db *Snapshot, rName, sName string, workers int, containment 
 		}
 		resident[q] = groupsHeld(rGroups)
 		if containment {
-			pairs[q], _ = setjoin.ShardContainment(rGroups, sGroups)
+			pairs[q], _ = setjoin.ShardContainment(rGroups, sGroups, ranks[q])
 		} else {
 			pairs[q], _ = setjoin.ShardEquality(rGroups, sGroups, ranks[q])
 		}
@@ -218,30 +222,23 @@ func shardedSetJoin(db *Snapshot, rName, sName string, workers int, containment 
 	for _, g := range sGroups {
 		sKeys.Intern(g.Key)
 	}
-	// One view batch per shard over its pair columns, re-sliced per run.
-	// The result is sized exactly, so the splice never grows it.
 	total := 0
-	cols := make([][][]uint32, n)
-	views := make([]rel.Batch, n)
-	for q, p := range pairs {
+	for _, p := range pairs {
 		total += len(p.R)
-		cols[q] = [][]uint32{p.R, p.S}
-		views[q].MakeView(cols[q], db.ShardRel(q, rName).Interner())
-		views[q].SetDict(1, sKeys)
 	}
-	out := rel.NewRelationSized(2, total)
-	emit := func(q, lo, hi int) {
-		views[q].SliceView(cols[q], lo, hi)
-		out.AddBatch(&views[q])
+	cols := [][]uint32{make([]uint32, 0, total), make([]uint32, 0, total)}
+	gather := func(q, lo, hi int) {
+		cols[0] = append(cols[0], pairs[q].R[lo:hi]...)
+		cols[1] = append(cols[1], pairs[q].S[lo:hi]...)
 	}
 	next := make([]int, n) // per shard: its next run (R-major) or pair (S-major)
 	if containment {
 		// R-major merge: walk the dividend router's gids in order and
-		// splice in each group's run from its owning shard.
-		for gid := 0; gid < rt.Len(); gid++ {
+		// take each group's run from its owning shard.
+		for gid := range rt.Len() {
 			st.Merged++
 			q := exec.PartOf(uint32(gid), n)
-			emit(q, pairs[q].Start[next[q]], pairs[q].Start[next[q]+1])
+			gather(q, pairs[q].Start[next[q]], pairs[q].Start[next[q]+1])
 			next[q]++
 		}
 	} else {
@@ -251,7 +248,7 @@ func shardedSetJoin(db *Snapshot, rName, sName string, workers int, containment 
 			for {
 				bq := -1
 				for q, p := range pairs {
-					if next[q] < p.Start[si+1] && (bq < 0 || p.Rank[next[q]] < pairs[bq].Rank[next[bq]]) {
+					if next[q] < p.Start[si+1] && (bq < 0 || p.R[next[q]] < pairs[bq].R[next[bq]]) {
 						bq = q
 					}
 				}
@@ -259,11 +256,18 @@ func shardedSetJoin(db *Snapshot, rName, sName string, workers int, containment 
 					break
 				}
 				st.Merged++
-				emit(bq, next[bq], next[bq]+1)
+				gather(bq, next[bq], next[bq]+1)
 				next[bq]++
 			}
 		}
 	}
+	// The result is sized exactly, so the one insert never grows it.
+	var view rel.Batch
+	view.MakeView(cols, rt)
+	view.SetDict(1, sKeys)
+	view.SliceView(cols, 0, total)
+	out := rel.NewRelationSized(2, total)
+	out.AddBatch(&view)
 	out.DropBatchCache() // the result must not pin the shards' dictionaries
 	st.MergeTime = time.Since(mergeStart)
 	return out, st

@@ -179,16 +179,9 @@ func (s *Database) scatter(name string, cols [][]uint32, dict *rel.Interner, row
 	return bufs, counts
 }
 
-// Publish seals the partition: the routing dictionaries frozen. The
-// snapshot shares the shard databases, routers and placement logs with
-// the database; O(#relations) map work.
+// Publish seals the partition. The snapshot shares the shard
+// databases, routers and placement logs with the database, which
+// FromStore no longer writes; Router hands a router out frozen.
 func (s *Database) Publish() *Snapshot {
-	snap := &Snapshot{schema: s.schema, shards: s.shards, placement: s.placement}
-	if s.routers != nil {
-		snap.routers = make(map[string]rel.FrozenDict, len(s.routers))
-		for name, rt := range s.routers {
-			snap.routers[name] = rel.FreezeDict(rt)
-		}
-	}
-	return snap
+	return &Snapshot{schema: s.schema, shards: s.shards, routers: s.routers, placement: s.placement}
 }

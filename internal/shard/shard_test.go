@@ -386,7 +386,7 @@ func TestShardedSetJoinPostings(t *testing.T) {
 			s := shard.FromStore(c.d, n).Publish()
 			for q := range n {
 				local := s.ShardRel(q, "R")
-				_, st := setjoin.ShardContainment(setjoin.GroupsFromBatches(local.BatchScan()), sG)
+				_, st := shardContainment(local, sG)
 				sigPairs, count := len(setjoin.Groups(local))*len(sG), postingsCount(local, c.d.Rel("S"))
 				if st.PairsConsidered != count || (c.sparse && 4*count >= sigPairs) || (!c.sparse && 2*count < sigPairs) {
 					t.Fatalf("%s shards %d shard %d: %d pairs considered, want the postings count %d (signature: %d)", c.label, n, q, st.PairsConsidered, count, sigPairs)
@@ -488,7 +488,7 @@ func TestShardedAllocationCeilings(t *testing.T) {
 		sG := setjoin.Groups(c.d.Rel("S"))
 		for q := range 2 {
 			local := s.ShardRel(q, "R")
-			_, st := setjoin.ShardContainment(setjoin.GroupsFromBatches(local.BatchScan()), sG)
+			_, st := shardContainment(local, sG)
 			if sigPairs := len(setjoin.Groups(local)) * len(sG); st.PairsConsidered != postingsCount(local, c.d.Rel("S")) || 5*st.PairsConsidered > sigPairs {
 				t.Errorf("rare shard %d: %d pairs considered, want the postings count %d, at most a fifth of %d", q, st.PairsConsidered, postingsCount(local, c.d.Rel("S")), sigPairs)
 			}
@@ -583,4 +583,11 @@ func TestShardOperatorPanics(t *testing.T) {
 			}
 		}
 	}
+}
+
+// shardContainment runs the containment kernel on one shard's R for its
+// counts; the ranks it is given do not move them.
+func shardContainment(local *rel.Relation, s []*setjoin.Group) (setjoin.ShardPairs, setjoin.Stats) {
+	r := setjoin.GroupsFromBatches(local.BatchScan())
+	return setjoin.ShardContainment(r, s, make([]uint32, len(r)))
 }

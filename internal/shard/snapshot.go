@@ -19,8 +19,8 @@ import "radiv/internal/rel"
 type Snapshot struct {
 	schema    rel.Schema
 	shards    []*rel.Database
-	routers   map[string]rel.FrozenDict // nil map when single-shard
-	placement map[string][]place        // nil map when single-shard
+	routers   map[string]*rel.Interner // sealed; nil map when single-shard
+	placement map[string][]place       // nil map when single-shard
 }
 
 // NumShards returns the shard count.
@@ -36,4 +36,4 @@ func (s *Snapshot) ShardRel(q int, name string) *rel.Relation { return s.shards[
 // value → dense ID in source order, the group-ID order the shard-local
 // merges emit in. It is empty (Len 0) when the snapshot has one shard
 // (no routing happens) or the relation has no tuples.
-func (s *Snapshot) Router(name string) rel.FrozenDict { return s.routers[name] }
+func (s *Snapshot) Router(name string) rel.FrozenDict { return rel.FreezeDict(s.routers[name]) }
