@@ -449,30 +449,6 @@ func BenchmarkRelationAdd(b *testing.B) {
 			}
 		}
 	})
-	// Two foreign dictionaries in one batch, the shape of every join
-	// output reaching a sink: the translation cache must not fall back to
-	// its map probe whenever the dictionary changes from one column to
-	// the next.
-	b.Run("batch-two-dicts", func(b *testing.B) {
-		src := rel.NewRelationSized(2, len(tuples))
-		other := rel.NewInterner()
-		second := make([]uint32, len(tuples))
-		for i, t := range tuples {
-			src.Add(t)
-			second[i] = other.Intern(t[1])
-		}
-		cols, dict := src.IDColumns()
-		var view rel.Batch
-		view.MakeView(cols, dict)
-		view.SetDict(1, other)
-		view.SliceView([][]uint32{cols[0], second}, 0, len(tuples))
-		b.ResetTimer()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			r := rel.NewRelationSized(2, len(tuples))
-			r.AddBatch(&view)
-		}
-	})
 }
 
 // BenchmarkReadText measures the text loader with -benchmem on a

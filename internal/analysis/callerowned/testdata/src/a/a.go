@@ -67,6 +67,6 @@ func probe(s rel.ReadStore, name string) rel.StoredRel {
 }
 
 // EvalUsesProbe consumes an interior view without returning it.
-func EvalUsesProbe(s rel.ReadStore, name string, t rel.Tuple) bool {
-	return probe(s, name).Contains(t)
+func EvalUsesProbe(s rel.ReadStore, name string, ids []uint32) bool {
+	return probe(s, name).ContainsIDs(ids)
 }

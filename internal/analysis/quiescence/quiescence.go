@@ -24,7 +24,8 @@
 // and Clone sanitizes — a cloned relation is the caller's to mutate.
 // Half 2 inspects every function-literal task callback passed to
 // exec.Run and flags interning calls — Interner.Intern, IDMap.Intern,
-// Relation.Add/AddBatch, Database.Add/AddInts/AddStrs — whose receiver
+// QueryDict.Intern (into its tail), Relation.Add/AddBatch,
+// Database.Add/AddInts/AddStrs — whose receiver
 // is captured from the enclosing scope. A receiver declared inside the
 // callback (a worker-local relation or interner) is private to the
 // worker and exempt.
@@ -123,6 +124,9 @@ func classify(name string, recv types.Type) string {
 		}
 		if analysis.IsNamed(recv, relPath, "IDMap") {
 			return "IDMap.Intern interning into a captured target dictionary"
+		}
+		if analysis.IsNamed(recv, relPath, "QueryDict") {
+			return "QueryDict.Intern on a captured query dictionary"
 		}
 	case "Add":
 		if analysis.IsNamed(recv, relPath, "Relation") {

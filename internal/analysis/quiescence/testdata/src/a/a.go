@@ -21,7 +21,7 @@ func InternInWorker(workers int, shards []rel.BatchCursor, dict *rel.Interner, s
 		shard := shards[q]
 		for b, ok := shard.NextBatch(); ok; b, ok = shard.NextBatch() {
 			for row := 0; row < b.Len(); row++ {
-				t := rel.Tuple{b.Value(0, row)}
+				t := rel.Tuple{b.Dict().Value(b.Col(0)[row])}
 				dict.Intern(t[0])    // want `Interner.Intern on a captured dictionary`
 				sink.Add(t)          // want `Relation.Add interning into a captured relation`
 				d.Add("out", t)      // want `Database.Add interning into a captured database`
@@ -40,7 +40,30 @@ func InternInWorker(workers int, shards []rel.BatchCursor, dict *rel.Interner, s
 func IDMapInWorker(workers int, batches []*rel.Batch, xl *rel.IDMap) {
 	exec.Run(workers, len(batches), func(q int) {
 		b := batches[q]
-		xl.Intern(b.Dict(0), b.Col(0)[0]) // want `IDMap.Intern interning into a captured target dictionary`
+		xl.Intern(b.Dict(), b.Col(0)[0]) // want `IDMap.Intern interning into a captured target dictionary`
+	})
+}
+
+// QueryDictInWorker interns into a query dictionary's tail from the
+// workers that share it: the tail is an Interner like any other.
+func QueryDictInWorker(workers int, parts [][]rel.Tuple, q *rel.QueryDict) {
+	exec.Run(workers, len(parts), func(i int) {
+		for _, t := range parts[i] {
+			q.Intern(t[0]) // want `QueryDict.Intern on a captured query dictionary`
+		}
+	})
+}
+
+// QueryDictPerWorker gives each worker a query dictionary of its own
+// over one frozen store dictionary: the tails are private and the base
+// is only read — silent.
+func QueryDictPerWorker(workers int, parts [][]rel.Tuple, d *rel.Database) {
+	base := rel.FreezeDict(d.Dict())
+	exec.Run(workers, len(parts), func(i int) {
+		q := rel.NewQueryDict(base)
+		for _, t := range parts[i] {
+			q.Intern(t[0])
+		}
 	})
 }
 
@@ -64,7 +87,7 @@ func ShardedReads(workers int, shards []rel.BatchCursor, dict *rel.Interner, hit
 	exec.Run(workers, len(shards), func(q int) {
 		for b, ok := shards[q].NextBatch(); ok; b, ok = shards[q].NextBatch() {
 			for row := 0; row < b.Len(); row++ {
-				if _, ok := dict.ID(b.Value(0, row)); ok {
+				if _, ok := dict.ID(b.Dict().Value(b.Col(0)[row])); ok {
 					hits[q]++
 				}
 			}

@@ -26,7 +26,15 @@ func MutateSnapshotRel(snap *shard.Snapshot, t rel.Tuple) {
 func MutateThroughIDMap(snap *shard.Snapshot, b *rel.Batch) {
 	dict := snap.ShardRel(0, "R").Interner()
 	xl := rel.NewIDMap(dict)
-	xl.Intern(b.Dict(0), b.Col(0)[0]) // want `IDMap.Intern mutating a published snapshot`
+	xl.Intern(b.Dict(), b.Col(0)[0]) // want `IDMap.Intern mutating a published snapshot`
+}
+
+// QueryOverSnapshot decodes through a query dictionary frozen over a
+// snapshot dictionary: interning writes the query's own tail, never the
+// frozen base — silent.
+func QueryOverSnapshot(snap *shard.Snapshot, t rel.Tuple) uint32 {
+	q := rel.NewQueryDict(rel.FreezeDict(snap.ShardRel(0, "R").Interner()))
+	return q.Intern(t[0])
 }
 
 // MutateInWorker is the race the contract exists to prevent: a worker

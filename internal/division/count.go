@@ -30,7 +30,7 @@ type Counts struct {
 // of the executor's γ-division operator. It reads the unary S into a
 // set of values, then the binary R, counting per group the rows whose
 // element is in S (matched) and all its rows (total) in flat slices
-// indexed through R's column-0 dictionary; S-membership is cached per
+// indexed through R's dictionary; S-membership is cached per
 // column-1 ID in a flat table. A group qualifies when matched = |S|,
 // and under Equality when total = |S| too. Counting is exact because a
 // stored relation is a set, so each matched row is a distinct divisor
@@ -47,7 +47,7 @@ func Count(r, s rel.BatchCursor, sem Semantics, grow func(int)) Counts {
 		}
 		n := c.inS.Len()
 		for _, id := range b.Col(0) {
-			c.inS.Intern(b.Dict(0).Value(id))
+			c.inS.Intern(b.Dict().Value(id))
 		}
 		b.Release()
 		grow(c.inS.Len() - n)
@@ -81,9 +81,9 @@ type counter struct {
 	Counts
 	sem    Semantics
 	inS    *rel.Interner             // S's distinct values
-	member map[*rel.Interner][]uint8 // per column-1 dictionary, by ID: 0 unknown, 1 outside S, 2 in S
-	// keys is the dictionary group keys are IDs of: R's column-0
-	// dictionary, until a batch brings a second one (rekey).
+	member map[*rel.Interner][]uint8 // per R dictionary, by ID: 0 unknown, 1 outside S, 2 in S
+	// keys is the dictionary group keys are IDs of: R's dictionary,
+	// until a batch brings a second one (rekey).
 	keys           *rel.Interner
 	xl             *rel.IDMap // set by rekey: translates every key into keys
 	slot           []int32    // by key ID: 1 + the group's index, 0 if unseen
@@ -93,16 +93,16 @@ type counter struct {
 
 // add folds one batch of R into the counters.
 func (c *counter) add(b *rel.Batch) {
-	d0, d1 := b.Dict(0), b.Dict(1)
+	d := b.Dict()
 	if c.keys == nil {
-		c.keys = d0
-	} else if d0 != c.keys && c.xl == nil {
+		c.keys = d
+	} else if d != c.keys && c.xl == nil {
 		c.rekey()
 	}
-	in := c.member[d1]
-	if n := d1.Len(); len(in) < n {
+	in := c.member[d]
+	if n := d.Len(); len(in) < n {
 		in = append(in, make([]uint8, n-len(in))...)
-		c.member[d1] = in
+		c.member[d] = in
 	}
 	c0 := b.Col(0)
 	c.Rows += len(c0)
@@ -110,7 +110,7 @@ func (c *counter) add(b *rel.Batch) {
 		m := in[e]
 		if m == 0 {
 			m = 1
-			if _, ok := c.inS.ID(d1.Value(e)); ok {
+			if _, ok := c.inS.ID(d.Value(e)); ok {
 				m = 2
 			}
 			in[e] = m
@@ -120,7 +120,7 @@ func (c *counter) add(b *rel.Batch) {
 		}
 		k := c0[row]
 		if c.xl != nil {
-			k = c.xl.Intern(d0, k)
+			k = c.xl.Intern(d, k)
 		}
 		if int(k) >= len(c.slot) {
 			c.slot = append(c.slot, make([]int32, int(k)+1-len(c.slot))...)
@@ -141,7 +141,7 @@ func (c *counter) add(b *rel.Batch) {
 	}
 }
 
-// rekey moves the group keys out of R's column-0 dictionary into one
+// rekey moves the group keys out of R's dictionary into one
 // the kernel owns, for an R whose batches switch dictionaries (a view
 // of a store other than the in-memory database): from then on every key is translated, so a
 // value met under two dictionaries is still one group.

@@ -138,26 +138,26 @@ func (dt *DivisorTable) divideBatches(shard rel.BatchCursor, sem Semantics) ([]r
 			panic(fmt.Sprintf("division: R batch has arity %d, want 2", b.Arity()))
 		}
 		c0, c1 := b.Col(0), b.Col(1)
-		d0, d1 := b.Dict(0), b.Dict(1)
-		slots := slotOf[d1]
-		if len(slots) < d1.Len() {
-			grown := make([]int32, d1.Len())
+		d := b.Dict()
+		slots := slotOf[d]
+		if len(slots) < d.Len() {
+			grown := make([]int32, d.Len())
 			copy(grown, slots)
 			slots = grown
-			slotOf[d1] = slots
+			slotOf[d] = slots
 		}
 		for row := range c0 {
 			st.TuplesRead++
 			st.Probes++
-			gi := groupOf.Intern(d0, c0[row])
+			gi := groupOf.Intern(d, c0[row])
 			if int(gi) == len(groups) {
-				groups = append(groups, &divGroup{rep: d0.Value(c0[row]), seen: make([]uint64, dt.words)})
+				groups = append(groups, &divGroup{rep: d.Value(c0[row]), seen: make([]uint64, dt.words)})
 			}
 			g := groups[gi]
 			st.Probes++
 			s := slots[c1[row]]
 			if s == 0 {
-				if slot, ok := dt.slots.ID(d1.Value(c1[row])); ok {
+				if slot, ok := dt.slots.ID(d.Value(c1[row])); ok {
 					s = int32(slot) + 2
 				} else {
 					s = 1

@@ -110,7 +110,7 @@ func TestPartOfRange(t *testing.T) {
 }
 
 // packedScan yields the IDs 0…rows-1 of its dictionary in pooled
-// batches of 8 rows.
+// batches of 8 rows, which its reader decodes through dict.
 type packedScan struct {
 	rows, i int
 	dict    *rel.Interner
@@ -121,7 +121,6 @@ func (s *packedScan) NextBatch() (*rel.Batch, bool) {
 		return nil, false
 	}
 	b := rel.NewBatchSized(1, 8)
-	b.SetDict(0, s.dict)
 	col, n := b.WritableCol(0), 0
 	for ; n < 8 && s.i < s.rows; n++ {
 		col[n] = uint32(s.i)
@@ -152,9 +151,10 @@ func TestRunDrainsEveryShardOnce(t *testing.T) {
 		var seen [shards]int
 		exec.Run(workers, shards, func(q int) {
 			calls[q].Add(1)
+			dict := cursors[q].(*packedScan).dict
 			for b, ok := cursors[q].NextBatch(); ok; b, ok = cursors[q].NextBatch() {
 				for row := 0; row < b.Len(); row++ {
-					if v := b.Value(0, row).AsInt(); int(v)%shards != q {
+					if v := dict.Value(b.Col(0)[row]).AsInt(); int(v)%shards != q {
 						t.Errorf("workers %d: shard %d saw row %d", workers, q, v)
 					}
 					seen[q]++

@@ -55,9 +55,10 @@ type Fault struct {
 }
 
 // Store wraps a ReadStore, injecting the Fault into matching views'
-// scans. It implements exactly rel.ReadStore.
+// scans. It implements exactly rel.ReadStore: the schema, size and
+// dictionary are the wrapped store's.
 type Store struct {
-	d rel.ReadStore
+	rel.ReadStore
 	f Fault
 	// Rows counts every row yielded through injecting scans, across
 	// cursors; latency tests read it after an abort.
@@ -65,13 +66,7 @@ type Store struct {
 }
 
 // Wrap returns a Store injecting f into d's scans.
-func Wrap(d rel.ReadStore, f Fault) *Store { return &Store{d: d, f: f} }
-
-// Schema implements rel.ReadStore.
-func (s *Store) Schema() rel.Schema { return s.d.Schema() }
-
-// Size implements rel.ReadStore.
-func (s *Store) Size() int { return s.d.Size() }
+func Wrap(d rel.ReadStore, f Fault) *Store { return &Store{ReadStore: d, f: f} }
 
 // Rows reports how many rows injecting scans have yielded so far.
 // Single-goroutine evaluators only (the counter is unsynchronized by
@@ -80,7 +75,7 @@ func (s *Store) Rows() int { return int(s.rows) }
 
 // View implements rel.ReadStore, wrapping matching relations.
 func (s *Store) View(name string) rel.StoredRel {
-	v := s.d.View(name)
+	v := s.ReadStore.View(name)
 	if s.f.Rel != "" && s.f.Rel != name {
 		//radivvet:ignore callerowned rel.ReadStore.View hands out views by contract; the fault wrapper implements that same contract
 		return v
@@ -159,10 +154,7 @@ func (c *faultCursor) NextBatch() (*rel.Batch, bool) {
 			for k := 0; k < c.held.Arity(); k++ {
 				c.cols = append(c.cols, c.held.Col(k))
 			}
-			c.view.MakeView(c.cols, nil)
-			for k := range c.cols {
-				c.view.SetDict(k, c.held.Dict(k))
-			}
+			c.view.MakeView(c.cols, c.held.Dict())
 		}
 		c.view.SliceView(c.cols, c.off, c.off+take)
 		c.off += take

@@ -125,17 +125,6 @@ func dedupProjection(d rel.ReadStore, n *Node, bucket float64) bool {
 	return dups*bucket > distinct
 }
 
-// sinkHint sizes a result sink from the distinct-output estimate,
-// clamped so a wild quadratic guess cannot balloon an empty result's
-// allocation.
-func sinkHint(d rel.ReadStore, n *Node) int {
-	est := estimate(d, n).Distinct
-	if math.IsNaN(est) || est <= 0 {
-		return 0
-	}
-	return int(math.Min(est, 1<<16))
-}
-
 // card guesses the tuples a streamed subplan emits (Rows, duplicates
 // included — projections defer dedup) and how many of them are
 // distinct.

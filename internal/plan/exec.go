@@ -3,6 +3,7 @@ package plan
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"radiv/internal/division"
 	"radiv/internal/exec"
@@ -18,9 +19,12 @@ import (
 // constant selection and tagging, projection, the dedup filter),
 // op_set.go (the union and difference sinks), op_join.go (joins,
 // semijoins, antijoins) and op_gamma.go (γ) — all charging one resident
-// meter (meter.go), and Plan.run drains the root into the result. The
-// materialized Eval of each algebra is the semantics this is tested
-// against, not a second way to run a plan.
+// meter (meter.go), and Plan.run drains the root into the result. Every
+// operator reads and writes IDs of one query dictionary (rel.QueryDict:
+// the store's, frozen at query start, plus a tail for the values the
+// query creates), so no operator translates between dictionaries and
+// the store is never written. The materialized Eval of each algebra is
+// the semantics this is tested against, not a second way to run a plan.
 
 // Options tunes compilation and execution.
 type Options struct {
@@ -137,7 +141,7 @@ func (p *Plan) Root() *Node { return p.root }
 // alike.
 func (p *Plan) Execute() *rel.Relation {
 	res, _ := p.run(nil)
-	return canonical(res)
+	return res
 }
 
 // ExecuteContext is the governed Execute: one governor spans the
@@ -152,10 +156,7 @@ func (p *Plan) ExecuteContext(ctx context.Context) (*rel.Relation, error) {
 
 // ExecuteTraced runs the plan and returns the canonical result plus
 // the trace.
-func (p *Plan) ExecuteTraced() (*rel.Relation, *Trace) {
-	res, tr := p.run(nil)
-	return canonical(res), tr
-}
+func (p *Plan) ExecuteTraced() (*rel.Relation, *Trace) { return p.run(nil) }
 
 // ExecuteTracedContext is the governed ExecuteTraced, under one
 // governor like ExecuteContext. On error the relation and trace are
@@ -165,7 +166,7 @@ func (p *Plan) ExecuteTracedContext(ctx context.Context) (*rel.Relation, *Trace,
 		g := exec.NewGovernor(ctx, p.opts.MaxResident)
 		defer g.Recover(&err)
 		r, t := p.run(g)
-		return canonical(r), t, nil
+		return r, t, nil
 	}()
 	if err != nil {
 		return nil, nil, err
@@ -173,24 +174,25 @@ func (p *Plan) ExecuteTracedContext(ctx context.Context) (*rel.Relation, *Trace,
 	return res, tr, nil
 }
 
-// run builds the plan's cursor tree and drains it into a fresh result
-// relation, threading the governor (nil = ungoverned: no guards, no
-// overhead) through the meter so every leaf scan and the root drain
-// check it once per batch.
+// run builds the plan's cursor tree over a query dictionary, drains
+// the root into a row set and returns it decoded in canonical order,
+// threading the governor (nil = ungoverned: no guards, no overhead)
+// through the meter so every leaf scan and the root drain check it once
+// per batch.
 func (p *Plan) run(g *exec.Governor) (*rel.Relation, *Trace) {
 	m := &meter{gov: g}
 	capacity := p.opts.BatchSize
 	if capacity <= 0 {
 		capacity = rel.BatchCap
 	}
-	b := &builder{d: p.d, meter: m, capacity: capacity}
-	out := rel.NewRelationSized(p.root.arity, sinkHint(p.d, p.root))
+	b := &builder{d: p.d, meter: m, capacity: capacity, dict: rel.NewQueryDict(rel.FreezeDict(p.d.Dict()))}
+	out := rel.NewRowSet(p.root.arity)
 	var root *countNode
 	if p.root.Kind == KUnion {
 		// A root union's sink would be the result itself: drain both
-		// inputs straight into the output relation instead, so the
-		// result is built once and — per the MaxResident contract — not
-		// counted as resident.
+		// inputs straight into the output rows instead, so the result is
+		// built once and — per the MaxResident contract — not counted as
+		// resident.
 		l, ln := b.batches(p.root.Kids[0])
 		r, rn := b.batches(p.root.Kids[1])
 		l, r = m.guardBatches(l), m.guardBatches(r)
@@ -206,15 +208,26 @@ func (p *Plan) run(g *exec.Governor) (*rel.Relation, *Trace) {
 	tr := &Trace{}
 	root.record(tr)
 	tr.MaxResident = m.max
-	return out, tr
+	return canonical(out, b.dict), tr
 }
 
-// canonical rebuilds a result in sorted tuple order. The copy is
-// cheap relative to evaluation and buys order-stability across
-// rewrites, stores and batch sizes.
-func canonical(r *rel.Relation) *rel.Relation {
-	out := rel.NewRelationSized(r.Arity(), r.Len())
-	for _, t := range r.Sorted() {
+// canonical decodes the result rows into a fresh relation in sorted
+// tuple order, the one decode of a query's result: order-stability
+// across rewrites, stores and batch sizes.
+func canonical(rows *rel.RowSet, dict *rel.QueryDict) *rel.Relation {
+	cols := rows.Cols()
+	ts := make([]rel.Tuple, rows.Len())
+	vals := make([]rel.Value, len(ts)*len(cols))
+	for i := range ts {
+		t := rel.Tuple(vals[i*len(cols) : (i+1)*len(cols) : (i+1)*len(cols)])
+		for k, col := range cols {
+			t[k] = dict.Value(col[i])
+		}
+		ts[i] = t
+	}
+	slices.SortFunc(ts, rel.Tuple.Cmp)
+	out := rel.NewRelationSized(len(cols), len(ts))
+	for _, t := range ts {
 		out.Add(t)
 	}
 	return out
@@ -297,8 +310,10 @@ func (c *aggDivCursor) NextBatch() (*rel.Batch, bool) {
 		for i, size := range sizes {
 			c.nodes[i].size = size
 		}
+		// The groups are IDs of R's scan, the store's dictionary: the
+		// query dictionary's base.
 		c.out, c.held = [][]uint32{k.Qualified}, k.Divisor+k.Groups
-		c.view.MakeView(c.out, k.Dict)
+		c.view.MakeView(c.out, nil)
 	}
 	if c.at == len(c.out[0]) {
 		c.meter.release(c.held)
@@ -374,6 +389,7 @@ type builder struct {
 	d        rel.ReadStore
 	meter    *meter
 	capacity int
+	dict     *rel.QueryDict
 	// probeBucket carries consumer context one level down the
 	// recursion: when a join builds its probe (left) input, it holds
 	// the estimated per-probe candidate scan, so a projection directly
@@ -443,15 +459,15 @@ func (b *builder) batches(n *Node) (rel.BatchCursor, *countNode) {
 	case KSelect:
 		in, kn := b.batches(n.Kids[0])
 		node.kids = []*countNode{kn}
-		cur = &selectCursor{in: in, i: n.I - 1, op: n.Op, j: n.J - 1}
+		cur = &selectCursor{in: in, i: n.I - 1, op: n.Op, j: n.J - 1, dict: b.dict}
 	case KSelectConst:
 		in, kn := b.batches(n.Kids[0])
 		node.kids = []*countNode{kn}
-		cur = &selectConstCursor{in: in, i: n.I - 1, c: n.C}
+		cur = &selectConstCursor{in: in, i: n.I - 1, id: b.dict.Intern(n.C)}
 	case KConstTag:
 		in, kn := b.batches(n.Kids[0])
 		node.kids = []*countNode{kn}
-		cur = newTagCursor(in, n.C)
+		cur = &tagCursor{in: in, id: b.dict.Intern(n.C)}
 	case KJoin:
 		b.probeBucket = joinBucket(b.d, n)
 		l, ln := b.batches(n.Kids[0])
@@ -459,10 +475,10 @@ func (b *builder) batches(n *Node) (rel.BatchCursor, *countNode) {
 		if keys := splitEquiKeys(n.Cond); len(keys.probeCols) > 0 {
 			rc, rn := b.batches(n.Kids[1])
 			node.kids = append(node.kids, rn)
-			cur = &hashJoinCursor{left: l, buildC: rc, equiKeys: keys, meter: b.meter, capacity: b.capacity}
+			cur = &hashJoinCursor{left: l, buildC: rc, equiKeys: keys, meter: b.meter, capacity: b.capacity, dict: b.dict}
 		} else {
 			rc, stored := b.inPlace(n.Kids[1], node)
-			cur = &loopJoinCursor{left: l, buildC: rc, stored: stored, cond: n.Cond, meter: b.meter, capacity: b.capacity}
+			cur = &loopJoinCursor{left: l, buildC: rc, stored: stored, cond: n.Cond, meter: b.meter, capacity: b.capacity, dict: b.dict}
 		}
 	case KSemijoin, KAntijoin:
 		keep := n.Kind == KSemijoin
@@ -471,16 +487,16 @@ func (b *builder) batches(n *Node) (rel.BatchCursor, *countNode) {
 		if keys := splitEquiKeys(n.Cond); len(keys.probeCols) > 0 {
 			rc, rn := b.batches(n.Kids[1])
 			node.kids = append(node.kids, rn)
-			cur = &hashSemijoinCursor{left: l, buildC: rc, equiKeys: keys, keep: keep, meter: b.meter}
+			cur = &hashSemijoinCursor{left: l, buildC: rc, equiKeys: keys, keep: keep, meter: b.meter, dict: b.dict}
 		} else {
 			rc, stored := b.inPlace(n.Kids[1], node)
-			cur = &loopSemijoinCursor{left: l, buildC: rc, stored: stored, cond: n.Cond, keep: keep, meter: b.meter, capacity: b.capacity}
+			cur = &loopSemijoinCursor{left: l, buildC: rc, stored: stored, cond: n.Cond, keep: keep, meter: b.meter, capacity: b.capacity, dict: b.dict}
 		}
 	case KGamma:
 		in, kn := b.batches(n.Kids[0])
 		node.kids = []*countNode{kn}
 		cur = &gammaCursor{in: in, groupCols: n.Cols, countCol: n.CountCol, inputArity: n.Kids[0].arity,
-			dedupAll: n.CountCol == 0 && mayEmitDuplicates(n.Kids[0]), meter: b.meter, capacity: b.capacity}
+			dedupAll: n.CountCol == 0 && mayEmitDuplicates(n.Kids[0]), meter: b.meter, capacity: b.capacity, dict: b.dict}
 	default:
 		panic(fmt.Sprintf("plan: unknown kind %d", n.Kind))
 	}

@@ -6,9 +6,11 @@ package plan
 // columnar rel.Batch blocks — flat uint32 ID columns, ~1024 rows each —
 // through rel.BatchCursor, so the per-row interface call and the
 // per-row allocation of a tuple-at-a-time pipeline are amortized over
-// a whole batch, and the hot loops run on interned IDs through rel.IDMap
-// translation caches: after the first occurrence of a value, a probe is
-// an array load and an integer compare.
+// a whole batch. Every ID in every batch is an ID of the query's one
+// dictionary (rel.QueryDict: the store's, plus the values the query
+// creates), so equality is ID equality wherever the IDs came from, and
+// the hot loops compare raw uint32s; only an order comparison decodes
+// values.
 //
 // Batch ownership follows the contract in rel: a cursor's caller owns
 // the yielded batch and releases it (or passes it on); operators that
@@ -42,7 +44,6 @@ func filterBatch(src *rel.Batch, keep func(row int) bool) *rel.Batch {
 		return src
 	}
 	dst := rel.NewBatchSized(src.Arity(), n)
-	dst.AdoptDicts(src)
 	for k := 0; k < src.Arity(); k++ {
 		copy(dst.WritableCol(k)[:first], src.Col(k)[:first])
 	}
@@ -56,13 +57,24 @@ func filterBatch(src *rel.Batch, keep func(row int) bool) *rel.Batch {
 	return dst
 }
 
-// selectCursor is σ_{i op j} (i, j 0-based): same-dictionary equality
-// and inequality compare raw IDs; everything else decodes the two
-// values.
+// opHolds evaluates op on two IDs of the query dictionary q: equality and
+// inequality compare the IDs, an order comparison decodes the values.
+func opHolds(q *rel.QueryDict, op ra.Op, x, y uint32) bool {
+	switch op {
+	case ra.OpEq:
+		return x == y
+	case ra.OpNe:
+		return x != y
+	}
+	return op.Eval(q.Value(x), q.Value(y))
+}
+
+// selectCursor is σ_{i op j} (i, j 0-based).
 type selectCursor struct {
 	in   rel.BatchCursor
 	i, j int
 	op   ra.Op
+	dict *rel.QueryDict
 }
 
 func (c *selectCursor) NextBatch() (*rel.Batch, bool) {
@@ -72,15 +84,7 @@ func (c *selectCursor) NextBatch() (*rel.Batch, bool) {
 			return nil, false
 		}
 		ci, cj := b.Col(c.i), b.Col(c.j)
-		di, dj := b.Dict(c.i), b.Dict(c.j)
-		var out *rel.Batch
-		if di == dj && (c.op == ra.OpEq || c.op == ra.OpNe) {
-			wantEq := c.op == ra.OpEq
-			out = filterBatch(b, func(row int) bool { return (ci[row] == cj[row]) == wantEq })
-		} else {
-			op := c.op
-			out = filterBatch(b, func(row int) bool { return op.Eval(di.Value(ci[row]), dj.Value(cj[row])) })
-		}
+		out := filterBatch(b, func(row int) bool { return opHolds(c.dict, c.op, ci[row], cj[row]) })
 		if out.Len() > 0 {
 			return out, true
 		}
@@ -88,24 +92,13 @@ func (c *selectCursor) NextBatch() (*rel.Batch, bool) {
 	}
 }
 
-// selectConstCursor is σ_{i=c} (i 0-based): the constant is resolved to
-// an ID in the column's dictionary once, then the filter is a flat ID
-// compare; a constant absent from the dictionary kills the whole batch
-// without touching a row. A positive resolution is stable (interner IDs
-// are never reassigned), but a negative one can go stale when the
-// dictionary is still growing — γ interns each count into its output
-// dictionary as it emits, so σ_{2=2} over γ's counts meets 2 only in a
-// later batch — so an absent verdict is re-checked whenever the
-// dictionary has grown since it was cached.
+// selectConstCursor is σ_{i=c} (i 0-based): the builder interns the
+// constant into the query dictionary, so the filter is a flat compare
+// with its ID — one a stored value and a created one share alike.
 type selectConstCursor struct {
 	in rel.BatchCursor
 	i  int
-	c  rel.Value
-
-	dict    *rel.Interner
-	dictLen int
-	id      uint32
-	present bool
+	id uint32
 }
 
 func (c *selectConstCursor) NextBatch() (*rel.Batch, bool) {
@@ -113,14 +106,6 @@ func (c *selectConstCursor) NextBatch() (*rel.Batch, bool) {
 		b, ok := c.in.NextBatch()
 		if !ok {
 			return nil, false
-		}
-		if d := b.Dict(c.i); d != c.dict || (!c.present && d.Len() != c.dictLen) {
-			c.dict, c.dictLen = d, d.Len()
-			c.id, c.present = d.ID(c.c)
-		}
-		if !c.present {
-			b.Release()
-			continue
 		}
 		col, id := b.Col(c.i), c.id
 		out := filterBatch(b, func(row int) bool { return col[row] == id })
@@ -131,17 +116,12 @@ func (c *selectConstCursor) NextBatch() (*rel.Batch, bool) {
 	}
 }
 
-// tagCursor is τ_c: input columns are block-copied and one constant
-// column — a single-entry dictionary, all IDs zero — is appended.
+// tagCursor is τ_c: input columns are block-copied and one column of
+// the constant's ID — interned into the query dictionary by the
+// builder — is appended.
 type tagCursor struct {
-	in   rel.BatchCursor
-	dict *rel.Interner // contains exactly the tag constant, ID 0
-}
-
-func newTagCursor(in rel.BatchCursor, c rel.Value) *tagCursor {
-	d := rel.NewInterner()
-	d.Intern(c)
-	return &tagCursor{in: in, dict: d}
+	in rel.BatchCursor
+	id uint32
 }
 
 func (c *tagCursor) NextBatch() (*rel.Batch, bool) {
@@ -158,13 +138,11 @@ func (c *tagCursor) NextBatch() (*rel.Batch, bool) {
 	out := rel.NewBatchSized(ar+1, n)
 	for k := 0; k < ar; k++ {
 		copy(out.WritableCol(k)[:n], b.Col(k))
-		out.SetDict(k, b.Dict(k))
 	}
 	tag := out.WritableCol(ar)[:n]
 	for i := range tag {
-		tag[i] = 0
+		tag[i] = c.id
 	}
-	out.SetDict(ar, c.dict)
 	out.SetLen(n)
 	b.Release()
 	return out, true
@@ -172,7 +150,7 @@ func (c *tagCursor) NextBatch() (*rel.Batch, bool) {
 
 // projectCursor is π_{cols} (cols 1-based): a column gather — each
 // output column block-copies (possibly repeating or reordering) an
-// input column with its dictionary. Deduplication is deferred, which is
+// input column. Deduplication is deferred, which is
 // sound because every consumer either pipelines further or deduplicates
 // in a sink (the dedup filter drops duplicates where they arise
 // instead).
@@ -194,7 +172,6 @@ func (c *projectCursor) NextBatch() (*rel.Batch, bool) {
 	out := rel.NewBatchSized(len(c.cols), n)
 	for p, col := range c.cols {
 		copy(out.WritableCol(p)[:n], b.Col(col-1))
-		out.SetDict(p, b.Dict(col-1))
 	}
 	out.SetLen(n)
 	b.Release()

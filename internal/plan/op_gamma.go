@@ -1,16 +1,16 @@
 package plan
 
-// This file holds the executor's γ operator. γ gathers group keys
-// columnar-ly: group columns are translated into one key dictionary
-// through rel.IDMap caches, so after the first occurrence of a value,
-// grouping a row is an array load and — past a single key column — a
+// This file holds the executor's γ operator. γ groups on the raw IDs
+// of its group columns — IDs of the query's one dictionary, so key
+// equality is ID equality — and past a single key column through a
 // rel.RowSet probe: a hash of flat IDs and an integer-compare chain
-// walk (no per-row tuple is built, and key equality is ID equality —
-// exact, because the IDs live in a single dictionary). The accumulator
-// is rel.RowSets of IDs, one row per metered entry — groups, distinct
-// counted values, deduplicated input rows — so what it holds is what a
-// governor's MaxResident budget sees. Emission is first-occurrence
-// group order with the SQL-style zero row for an empty grand aggregate.
+// walk (no per-row tuple is built). The accumulator is rel.RowSets of
+// IDs, one row per metered entry — groups, distinct counted values,
+// deduplicated input rows — so what it holds is what a governor's
+// MaxResident budget sees. Emission is first-occurrence group order
+// with the SQL-style zero row for an empty grand aggregate; a count is
+// interned into the query dictionary as it is emitted, so a count equal
+// to a stored integer gets that integer's ID.
 //
 // That is the Section 5 punchline in memory terms: the γ-division
 // expression not only keeps its *flow* linear (what xra.EvalTraced
@@ -20,22 +20,15 @@ package plan
 
 import "radiv/internal/rel"
 
-// gammaBatchAgg is γ's accumulator: group keys and counted values are
-// translated into accumulator-owned dictionaries through rel.IDMap
-// caches (amortizing interning over batch dictionary reuse), so key
-// equality is ID equality. Groups are rows of key IDs in one RowSet, in
-// first-occurrence order; the distinct counted values are (group index,
-// value ID) rows in a second one — one flat row per metered entry,
-// never a per-group structure sized by the value dictionary. Exact
-// count(*) over duplicate-capable inputs deduplicates full rows in an
-// idSet.
+// gammaBatchAgg is γ's accumulator. Groups are rows of key IDs in one
+// RowSet, in first-occurrence order; the distinct counted values are
+// (group index, value ID) rows in a second one — one flat row per
+// metered entry, never a per-group structure sized by the dictionary.
+// Exact count(*) over duplicate-capable inputs deduplicates full rows
+// in an idSet.
 type gammaBatchAgg struct {
-	groupCols []int // 1-based
-	countCol  int   // 1-based; 0 is count(*)
-	keys      *rel.Interner
-	keysXl    *rel.IDMap
-	vals      *rel.Interner
-	valsXl    *rel.IDMap
+	groupCols []int       // 1-based
+	countCol  int         // 1-based; 0 is count(*)
 	groups    *rel.RowSet // group key rows
 	counts    []int       // per group, parallel to groups
 	byKey     []int32     // single group column: 1 + group index by key ID
@@ -50,16 +43,11 @@ func newGammaBatchAgg(groupCols []int, countCol, inputArity int, dedupAll bool) 
 	a := &gammaBatchAgg{
 		groupCols: groupCols,
 		countCol:  countCol,
-		keys:      rel.NewInterner(),
 		groups:    rel.NewRowSet(len(groupCols)),
 		pairs:     rel.NewRowSet(2),
 		idbuf:     make([]uint32, len(groupCols)),
 	}
-	a.keysXl = rel.NewIDMap(a.keys)
-	if countCol > 0 {
-		a.vals = rel.NewInterner()
-		a.valsXl = rel.NewIDMap(a.vals)
-	} else if dedupAll {
+	if countCol == 0 && dedupAll {
 		a.seen = newIDSet(inputArity)
 	}
 	return a
@@ -76,16 +64,15 @@ func (a *gammaBatchAgg) add(b *rel.Batch, row int) int {
 		grew++
 	}
 	for i, c := range a.groupCols {
-		a.idbuf[i] = a.keysXl.Intern(b.Dict(c-1), b.Col(c - 1)[row])
+		a.idbuf[i] = b.Col(c - 1)[row]
 	}
 	var gi int
 	var fresh bool
 	if len(a.idbuf) == 1 {
-		// Single-key fast path: key IDs are dense in the key
-		// dictionary, so the group is an array load away — no hash, no
-		// probe but a new group's insert. The index doubles when a key
-		// ID outruns it; sizing it to the dictionary instead would copy
-		// it once per new group.
+		// Single-key fast path: the group is an array load away — no
+		// hash, no probe but a new group's insert. The index doubles
+		// when a key ID outruns it; sizing it to each new ID instead
+		// would copy it once per new group.
 		kid := a.idbuf[0]
 		if int(kid) >= len(a.byKey) {
 			grown := make([]int32, max(2*len(a.byKey), int(kid)+1, 16))
@@ -109,7 +96,7 @@ func (a *gammaBatchAgg) add(b *rel.Batch, row int) int {
 		a.counts[gi]++
 	} else {
 		a.pair[0] = uint32(gi)
-		a.pair[1] = a.valsXl.Intern(b.Dict(a.countCol-1), b.Col(a.countCol - 1)[row])
+		a.pair[1] = b.Col(a.countCol - 1)[row]
 		if _, fresh := a.pairs.Insert(a.pair[:]); fresh {
 			a.counts[gi]++
 			grew++
@@ -121,11 +108,10 @@ func (a *gammaBatchAgg) add(b *rel.Batch, row int) int {
 
 // gammaCursor is γ_{groupCols; count(countCol)}: it streams its input
 // into a gammaBatchAgg, then emits the aggregate rows as pooled batches
-// in group first-occurrence order: group-key columns carry the
-// accumulator's key dictionary, and the count column a fresh dictionary
-// of the distinct counts. dedupAll is set when countCol is 0 and the
-// input can deliver duplicate tuples (mayEmitDuplicates) — count(*) is
-// only exact over a set.
+// in group first-occurrence order: the group keys' IDs, and each
+// count's ID in the query dictionary. dedupAll is set when countCol is
+// 0 and the input can deliver duplicate tuples (mayEmitDuplicates) —
+// count(*) is only exact over a set.
 type gammaCursor struct {
 	in         rel.BatchCursor
 	groupCols  []int
@@ -134,10 +120,10 @@ type gammaCursor struct {
 	dedupAll   bool
 	meter      *meter
 	capacity   int
+	dict       *rel.QueryDict
 
 	opened bool
 	agg    *gammaBatchAgg
-	counts *rel.Interner
 	gi     int
 	done   bool
 }
@@ -155,7 +141,6 @@ func (c *gammaCursor) NextBatch() (*rel.Batch, bool) {
 			}
 			b.Release()
 		}
-		c.counts = rel.NewInterner()
 	}
 	if c.done {
 		return nil, false
@@ -164,10 +149,6 @@ func (c *gammaCursor) NextBatch() (*rel.Batch, bool) {
 	if c.gi < ng {
 		k := len(c.groupCols)
 		out := rel.NewBatchSized(k+1, c.capacity)
-		for i := 0; i < k; i++ {
-			out.SetDict(i, c.agg.keys)
-		}
-		out.SetDict(k, c.counts)
 		hi := c.gi + c.capacity
 		if hi > ng {
 			hi = ng
@@ -178,7 +159,7 @@ func (c *gammaCursor) NextBatch() (*rel.Batch, bool) {
 			for i, col := range keys {
 				out.WritableCol(i)[rows] = col[c.gi]
 			}
-			out.WritableCol(k)[rows] = c.counts.Intern(rel.Int(int64(c.agg.counts[c.gi])))
+			out.WritableCol(k)[rows] = c.dict.Intern(rel.Int(int64(c.agg.counts[c.gi])))
 			rows++
 		}
 		out.SetLen(rows)
@@ -192,8 +173,7 @@ func (c *gammaCursor) NextBatch() (*rel.Batch, bool) {
 		// Grand aggregate over an empty input is a single zero row, as
 		// in SQL.
 		out := rel.NewBatchSized(1, c.capacity)
-		out.SetDict(0, c.counts)
-		out.WritableCol(0)[0] = c.counts.Intern(rel.Int(0))
+		out.WritableCol(0)[0] = c.dict.Intern(rel.Int(0))
 		out.SetLen(1)
 		return out, true
 	}

@@ -10,7 +10,8 @@ package plan
 //     condition is pure equality — the partner *set* is all it needs —
 //     and every build row otherwise. A probe resolves its key once and
 //     walks exactly the rows with that key, so equality atoms are never
-//     re-verified; only residual atoms decode values;
+//     re-verified; residual atoms compare IDs, and only an order atom
+//     decodes values;
 //   - a θ-only condition replays the right side per probe row, opened by
 //     replaySide: in place over the in-memory relation's ID columns
 //     (nothing held), otherwise from a materialized, metered columnar
@@ -54,20 +55,11 @@ func splitEquiKeys(cond ra.Cond) equiKeys {
 	return k
 }
 
-// colStore is a materialized build side: every row, translated into
-// one store-owned dictionary through an IDMap — so the stored columns
-// outlive the batches they came from, whatever dictionaries those
-// carried — and kept as flat columns in arrival order.
+// colStore is a materialized build side: every row, its IDs kept as
+// flat columns in arrival order.
 type colStore struct {
-	dict *rel.Interner
-	xl   *rel.IDMap
 	cols [][]uint32 // nil until the first batch fixes the arity
 	n    int
-}
-
-func newColStore() *colStore {
-	d := rel.NewInterner()
-	return &colStore{dict: d, xl: rel.NewIDMap(d)}
 }
 
 // append stores every row of b.
@@ -75,14 +67,10 @@ func (s *colStore) append(b *rel.Batch) {
 	if s.cols == nil {
 		s.cols = make([][]uint32, b.Arity())
 	}
-	n := b.Len()
 	for k := range s.cols {
-		col, d := b.Col(k), b.Dict(k)
-		for row := 0; row < n; row++ {
-			s.cols[k] = append(s.cols[k], s.xl.Intern(d, col[row]))
-		}
+		s.cols[k] = append(s.cols[k], b.Col(k)...)
 	}
-	s.n += n
+	s.n += b.Len()
 }
 
 // replaySide opens the right side of a θ-only join or semijoin, which
@@ -96,21 +84,21 @@ func (s *colStore) append(b *rel.Batch) {
 // checks it per batch. The caller releases held from m when done with
 // the columns. Exactly one of build and stored is non-nil
 // (builder.inPlace).
-func replaySide(build rel.BatchCursor, stored rel.StoredRel, m *meter, capacity int) (cols [][]uint32, dict *rel.Interner, rows, held int) {
+func replaySide(build rel.BatchCursor, stored rel.StoredRel, m *meter, capacity int) (cols [][]uint32, rows, held int) {
 	if build == nil {
 		if r, ok := stored.(*rel.Relation); ok {
-			cols, dict = r.IDColumns()
-			return cols, dict, r.Len(), 0
+			cols, _ = r.IDColumns()
+			return cols, r.Len(), 0
 		}
 		build = m.guardBatches(stored.BatchScanSized(capacity))
 	}
-	s := newColStore()
+	var s colStore
 	for b, ok := build.NextBatch(); ok; b, ok = build.NextBatch() {
 		s.append(b)
 		m.grow(b.Len())
 		b.Release()
 	}
-	return s.cols, s.dict, s.n, s.n
+	return s.cols, s.n, s.n
 }
 
 // buildTable is the build side of the equality-keyed operators — the
@@ -123,6 +111,7 @@ func replaySide(build rel.BatchCursor, stored rel.StoredRel, m *meter, capacity 
 // the meter as it is built — one per distinct key, or one per build
 // row — and held reports the charge for the caller to release.
 type buildTable struct {
+	dict  *rel.QueryDict
 	keys  *idSet
 	rows  *colStore // every build row; nil when only the keys are kept
 	first []int32   // per key: 1 + its first build row
@@ -133,8 +122,8 @@ type buildTable struct {
 // newBuildTable drains in into a table keyed on the build columns
 // keyCols (0-based). keysOnly keeps the distinct key rows alone, which
 // is all a semijoin without residual atoms needs.
-func newBuildTable(in rel.BatchCursor, keyCols []int, keysOnly bool, m *meter) *buildTable {
-	t := &buildTable{keys: newIDSet(len(keyCols))}
+func newBuildTable(in rel.BatchCursor, keyCols []int, keysOnly bool, m *meter, dict *rel.QueryDict) *buildTable {
+	t := &buildTable{dict: dict, keys: newIDSet(len(keyCols))}
 	if keysOnly {
 		for b, ok := in.NextBatch(); ok; b, ok = in.NextBatch() {
 			for row := 0; row < b.Len(); row++ {
@@ -147,7 +136,7 @@ func newBuildTable(in rel.BatchCursor, keyCols []int, keysOnly bool, m *meter) *
 		}
 		return t
 	}
-	t.rows = newColStore()
+	t.rows = new(colStore)
 	var last []int32 // per key: 1 + its latest build row, while building
 	for b, ok := in.NextBatch(); ok; b, ok = in.NextBatch() {
 		n := b.Len()
@@ -185,7 +174,7 @@ func (t *buildTable) candidates(b *rel.Batch, row int, probeCols []int) int32 {
 // against probe row `row` of b.
 func (t *buildTable) holds(resid []ra.Atom, b *rel.Batch, row, brow int) bool {
 	for _, at := range resid {
-		if !at.Op.Eval(b.Value(at.L-1, row), t.rows.dict.Value(t.rows.cols[at.R-1][brow])) {
+		if !opHolds(t.dict, at.Op, b.Col(at.L - 1)[row], t.rows.cols[at.R-1][brow]) {
 			return false
 		}
 	}
@@ -212,15 +201,14 @@ func (t *buildTable) partner(b *rel.Batch, row int, probeCols []int, resid []ra.
 // materialized into a buildTable, and probe batches stream against it —
 // each probe row resolves its key once, walks the build rows with
 // exactly that key, and decodes values only for residual
-// (non-equality) atoms. Output batches carry the probe side's
-// dictionaries on the left columns and the table's on the right, so
-// nothing is re-interned on the way out.
+// (non-equality) atoms.
 type hashJoinCursor struct {
 	left   rel.BatchCursor
 	buildC rel.BatchCursor
 	equiKeys
 	meter    *meter
 	capacity int
+	dict     *rel.QueryDict
 
 	opened bool
 	table  *buildTable
@@ -247,12 +235,6 @@ func (c *hashJoinCursor) emit(brow int) {
 	rs := c.table.rows
 	if c.out == nil {
 		c.out = rel.NewBatchSized(la+len(rs.cols), c.capacity)
-		for k := 0; k < la; k++ {
-			c.out.SetDict(k, c.probe.Dict(k))
-		}
-		for k := range rs.cols {
-			c.out.SetDict(la+k, rs.dict)
-		}
 	}
 	row := c.out.Len()
 	for k := 0; k < la; k++ {
@@ -267,13 +249,15 @@ func (c *hashJoinCursor) emit(brow int) {
 func (c *hashJoinCursor) NextBatch() (*rel.Batch, bool) {
 	if !c.opened {
 		c.opened = true
-		c.table = newBuildTable(c.buildC, c.buildCols, false, c.meter)
+		c.table = newBuildTable(c.buildC, c.buildCols, false, c.meter, c.dict)
 		c.held = c.table.held
 	}
 	for {
 		if c.probe == nil {
-			// Flush at probe-batch boundaries, so one output batch never
-			// mixes left columns from two probe dictionaries.
+			// Flush at probe-batch boundaries, so what a consumer builds
+			// from one probe batch's output grows while the probe side
+			// below still holds its state, at every batch size: without
+			// it MaxResident depends on the batch size.
 			if c.out != nil && c.out.Len() > 0 {
 				o := c.out
 				c.out = nil
@@ -331,10 +315,10 @@ type loopJoinCursor struct {
 	cond     ra.Cond
 	meter    *meter
 	capacity int
+	dict     *rel.QueryDict
 
 	opened bool
 	rcols  [][]uint32
-	rdict  *rel.Interner
 	rn     int
 	held   int
 
@@ -358,19 +342,12 @@ func (c *loopJoinCursor) ensureOut() {
 	if c.out != nil {
 		return
 	}
-	la := c.probe.Arity()
-	c.out = rel.NewBatchSized(la+len(c.rcols), c.capacity)
-	for k := 0; k < la; k++ {
-		c.out.SetDict(k, c.probe.Dict(k))
-	}
-	for k := range c.rcols {
-		c.out.SetDict(la+k, c.rdict)
-	}
+	c.out = rel.NewBatchSized(c.probe.Arity()+len(c.rcols), c.capacity)
 }
 
 func (c *loopJoinCursor) holds() bool {
 	for _, at := range c.cond {
-		if !at.Op.Eval(c.probe.Value(at.L-1, c.prow), c.rdict.Value(c.rcols[at.R-1][c.ri])) {
+		if !opHolds(c.dict, at.Op, c.probe.Col(at.L - 1)[c.prow], c.rcols[at.R-1][c.ri]) {
 			return false
 		}
 	}
@@ -380,7 +357,7 @@ func (c *loopJoinCursor) holds() bool {
 func (c *loopJoinCursor) NextBatch() (*rel.Batch, bool) {
 	if !c.opened {
 		c.opened = true
-		c.rcols, c.rdict, c.rn, c.held = replaySide(c.buildC, c.stored, c.meter, c.capacity)
+		c.rcols, c.rn, c.held = replaySide(c.buildC, c.stored, c.meter, c.capacity)
 	}
 	for {
 		if c.probe == nil {
@@ -395,7 +372,7 @@ func (c *loopJoinCursor) NextBatch() (*rel.Batch, bool) {
 				c.out = nil
 				c.meter.release(c.held)
 				c.held = 0
-				c.rcols, c.rdict = nil, nil
+				c.rcols = nil
 				return nil, false
 			}
 			if b.Len() == 0 {
@@ -477,6 +454,7 @@ type hashSemijoinCursor struct {
 	equiKeys
 	keep  bool
 	meter *meter
+	dict  *rel.QueryDict
 
 	opened bool
 	table  *buildTable
@@ -486,7 +464,7 @@ type hashSemijoinCursor struct {
 func (c *hashSemijoinCursor) NextBatch() (*rel.Batch, bool) {
 	if !c.opened {
 		c.opened = true
-		c.table = newBuildTable(c.buildC, c.buildCols, len(c.resid) == 0, c.meter)
+		c.table = newBuildTable(c.buildC, c.buildCols, len(c.resid) == 0, c.meter, c.dict)
 		c.held = c.table.held
 	}
 	for {
@@ -516,10 +494,10 @@ type loopSemijoinCursor struct {
 	keep     bool
 	meter    *meter
 	capacity int
+	dict     *rel.QueryDict
 
 	opened bool
 	rcols  [][]uint32
-	rdict  *rel.Interner
 	rn     int
 	held   int
 }
@@ -528,14 +506,14 @@ type loopSemijoinCursor struct {
 // against any replayed right row.
 func (c *loopSemijoinCursor) partner(b *rel.Batch, row int) bool {
 	for ri := 0; ri < c.rn; ri++ {
-		holds := true
+		all := true
 		for _, at := range c.cond {
-			if !at.Op.Eval(b.Value(at.L-1, row), c.rdict.Value(c.rcols[at.R-1][ri])) {
-				holds = false
+			if !opHolds(c.dict, at.Op, b.Col(at.L - 1)[row], c.rcols[at.R-1][ri]) {
+				all = false
 				break
 			}
 		}
-		if holds {
+		if all {
 			return true
 		}
 	}
@@ -545,14 +523,14 @@ func (c *loopSemijoinCursor) partner(b *rel.Batch, row int) bool {
 func (c *loopSemijoinCursor) NextBatch() (*rel.Batch, bool) {
 	if !c.opened {
 		c.opened = true
-		c.rcols, c.rdict, c.rn, c.held = replaySide(c.buildC, c.stored, c.meter, c.capacity)
+		c.rcols, c.rn, c.held = replaySide(c.buildC, c.stored, c.meter, c.capacity)
 	}
 	for {
 		b, ok := c.left.NextBatch()
 		if !ok {
 			c.meter.release(c.held)
 			c.held = 0
-			c.rcols, c.rdict = nil, nil
+			c.rcols = nil
 			return nil, false
 		}
 		out := filterBatch(b, func(row int) bool { return c.partner(b, row) == c.keep })

@@ -42,7 +42,7 @@ func rowsOut(c rel.BatchCursor) int {
 // operator builds n on the in-memory database d and returns its
 // operator cursor, unwrapped from the flow count.
 func operator(d rel.ReadStore, n *Node) rel.BatchCursor {
-	c, _ := (&builder{d: d, meter: &meter{}, capacity: rel.BatchCap}).batches(n)
+	c, _ := (&builder{d: d, meter: &meter{}, capacity: rel.BatchCap, dict: queryDict(d)}).batches(n)
 	return c.(*countCursor).in
 }
 
@@ -76,13 +76,20 @@ func TestGammaBatchCursorContract(t *testing.T) {
 	mustPanic(t, "count-col", "plan: count column 5 out of range 0..2", func() { NGamma([]int{1}, 5, r) })
 }
 
-// buildRelation is 100 000 rows with 100 000 distinct (a, a mod 7) keys.
-func buildRelation() *rel.Relation {
-	build := rel.NewRelationSized(2, 100000)
+// queryDict is the query dictionary a plan over d decodes through.
+func queryDict(d rel.ReadStore) *rel.QueryDict { return rel.NewQueryDict(rel.FreezeDict(d.Dict())) }
+
+// buildDatabase holds B, 100 000 rows with 100 000 distinct
+// (a, a mod 7) keys, and the probe rows P.
+func buildDatabase(probe ...[]int64) *rel.Database {
+	d := rel.NewDatabase(rel.NewSchema(map[string]int{"B": 2, "P": 2}))
 	for i := 0; i < 100000; i++ {
-		build.Add(rel.Ints(int64(i), int64(i%7)))
+		d.AddInts("B", int64(i), int64(i%7))
 	}
-	return build
+	for _, p := range probe {
+		d.AddInts("P", p...)
+	}
+	return d
 }
 
 // TestHashJoinBuildAllocations holds the hash join's build table to a
@@ -90,12 +97,11 @@ func buildRelation() *rel.Relation {
 // keys its columns, dictionary and index grow by doubling, where a
 // slice per key would make 100 000 allocations.
 func TestHashJoinBuildAllocations(t *testing.T) {
-	build := buildRelation()
-	probe := rel.FromRows(2, []int64{5, 5})
+	d := buildDatabase([]int64{5, 5})
 	out := 0
 	allocs := testing.AllocsPerRun(1, func() {
-		out = rowsOut(&hashJoinCursor{left: probe.BatchScan(), buildC: build.BatchScan(),
-			equiKeys: splitEquiKeys(ra.EqAll([2]int{1, 1}, [2]int{2, 2})), meter: &meter{}, capacity: rel.BatchCap})
+		out = rowsOut(&hashJoinCursor{left: d.Rel("P").BatchScan(), buildC: d.Rel("B").BatchScan(),
+			equiKeys: splitEquiKeys(ra.EqAll([2]int{1, 1}, [2]int{2, 2})), meter: &meter{}, capacity: rel.BatchCap, dict: queryDict(d)})
 	})
 	if out != 1 {
 		t.Fatalf("join emitted %d rows, want 1", out)
@@ -111,12 +117,11 @@ func TestHashJoinBuildAllocations(t *testing.T) {
 // chained per key — to a number of allocations logarithmic in its
 // size: 100 000 distinct keys must not cost a slice per key.
 func TestResidualSemijoinBuildAllocations(t *testing.T) {
-	build := buildRelation()
-	probe := rel.FromRows(2, []int64{5, 9}, []int64{5, 1})
+	d := buildDatabase([]int64{5, 9}, []int64{5, 1})
 	out := 0
 	allocs := testing.AllocsPerRun(1, func() {
-		out = rowsOut(&hashSemijoinCursor{left: probe.BatchScan(), buildC: build.BatchScan(),
-			equiKeys: splitEquiKeys(ra.Eq(1, 1).And(ra.A(2, ra.OpGt, 2))), keep: true, meter: &meter{}})
+		out = rowsOut(&hashSemijoinCursor{left: d.Rel("P").BatchScan(), buildC: d.Rel("B").BatchScan(),
+			equiKeys: splitEquiKeys(ra.Eq(1, 1).And(ra.A(2, ra.OpGt, 2))), keep: true, meter: &meter{}, dict: queryDict(d)})
 	})
 	if out != 1 {
 		t.Fatalf("semijoin kept %d rows, want 1", out)

@@ -3,14 +3,20 @@ package rel
 // This file implements the columnar batch layer of the library: the
 // unit of vectorized execution. A Batch is a struct-of-arrays slice of
 // a relation — one flat []uint32 column of interned value IDs per
-// attribute, each column paired with the dictionary its IDs are drawn
-// from — holding up to BatchCap rows. Moving batches instead of tuples
-// removes the two constant factors that dominate tuple-at-a-time
-// execution: one interface call per row per operator, and one
-// allocation per row at every tuple-producing operator. A batch
+// attribute — holding up to BatchCap rows. Moving batches instead of
+// tuples removes the two constant factors that dominate
+// tuple-at-a-time execution: one interface call per row per operator,
+// and one allocation per row at every tuple-producing operator. A batch
 // amortizes both over ~1024 rows, and the hot inner loops (selection,
 // projection, dedup probes, join probes) become flat array walks over
 // uint32 IDs.
+//
+// A batch carries at most one dictionary. A view over stored columns
+// (a relation's scan, a view a caller builds with MakeView) carries the
+// dictionary its IDs are drawn from, so Row and Cursor can decode it.
+// A pooled batch carries none: the executor's operators write IDs of
+// the one query dictionary they all share (rel.QueryDict) and decode
+// through it themselves.
 //
 // Ownership contract: a batch yielded by a BatchCursor belongs to the
 // consumer, which must call Release when done with it (passing it
@@ -35,17 +41,15 @@ import (
 const BatchCap = 1024
 
 // Batch is a fixed-capacity columnar block of rows: per attribute one
-// flat column of interned value IDs plus the dictionary that decodes
-// them. Columns may reference different dictionaries (a join output
-// carries each side's dictionary through), which is what lets scans
-// emit stored ID columns without re-interning.
+// flat column of interned value IDs, and for a view the dictionary
+// that decodes them.
 type Batch struct {
 	capacity int // logical row capacity (the Full bound)
 	physical int // allocated column length, >= capacity for pooled batches
 	n        int
 	store    [][]uint32 // backing columns, each len == physical (nil for views)
 	cols     [][]uint32 // active columns; for views these alias foreign storage
-	dicts    []*Interner
+	dict     *Interner  // a view's dictionary; nil on a pooled batch
 	view     bool
 }
 
@@ -84,32 +88,25 @@ func (b *Batch) SetLen(n int) {
 	b.n = n
 }
 
-// Dict returns the dictionary of column i.
-func (b *Batch) Dict(i int) *Interner { return b.dicts[i] }
+// Dict returns the dictionary of a view's IDs, nil for a pooled batch.
+func (b *Batch) Dict() *Interner { return b.dict }
 
-// SetDict assigns the dictionary of column i.
-func (b *Batch) SetDict(i int, d *Interner) { b.dicts[i] = d }
-
-// Value decodes the value at (column, row).
-func (b *Batch) Value(col, row int) Value { return b.dicts[col].Value(b.cols[col][row]) }
-
-// Row decodes one row into buf (grown as needed) and returns it. The
-// returned tuple is freshly decoded and owned by the caller only until
-// the next Row call with the same buf.
+// Row decodes one row of a view into buf (grown as needed) and returns
+// it. The returned tuple is freshly decoded and owned by the caller
+// only until the next Row call with the same buf.
 func (b *Batch) Row(buf Tuple, row int) Tuple {
 	if cap(buf) < len(b.cols) {
 		buf = make(Tuple, len(b.cols))
 	}
 	buf = buf[:len(b.cols)]
 	for k := range b.cols {
-		buf[k] = b.dicts[k].Value(b.cols[k][row])
+		buf[k] = b.dict.Value(b.cols[k][row])
 	}
 	return buf
 }
 
-// AppendRowFrom copies row `row` of src onto the end of b. The batch
-// must not be full, and b's dictionaries must be src's (see
-// AdoptDicts); the IDs are copied verbatim.
+// AppendRowFrom copies row `row` of src onto the end of b, which must
+// not be full; the IDs are copied verbatim.
 func (b *Batch) AppendRowFrom(src *Batch, row int) {
 	for k := range b.cols {
 		b.cols[k][b.n] = src.cols[k][row]
@@ -117,21 +114,12 @@ func (b *Batch) AppendRowFrom(src *Batch, row int) {
 	b.n++
 }
 
-// AdoptDicts copies src's per-column dictionaries onto b.
-func (b *Batch) AdoptDicts(src *Batch) { copy(b.dicts, src.dicts) }
-
-// Reset empties the batch, keeping columns and dictionaries.
-func (b *Batch) Reset() { b.n = 0 }
-
 // Release returns the batch to the pool. Views (whose columns alias
 // relation or operator storage) are not pooled: their Release is a
 // no-op. Release must be called at most once per batch obtained.
 func (b *Batch) Release() {
 	if b == nil || b.view {
 		return
-	}
-	for k := range b.dicts {
-		b.dicts[k] = nil // don't pin dictionaries from the pool
 	}
 	batchLive.Add(-1)
 	batchPool.Put(b)
@@ -189,26 +177,17 @@ func (b *Batch) reshape(arity, capacity int) {
 		b.store = append(b.store, make([]uint32, b.physical))
 	}
 	b.cols = b.store[:arity]
-	if cap(b.dicts) < arity {
-		b.dicts = make([]*Interner, arity)
-	}
-	b.dicts = b.dicts[:arity]
-	for k := range b.dicts {
-		b.dicts[k] = nil
-	}
 }
 
-// MakeView initializes b as a view batch of len(cols) columns, all
-// decoded by dict. Pair with SliceView; the view's Release is a no-op,
-// so aliased storage can never reach the pool.
+// MakeView initializes b as a view batch of len(cols) columns decoded
+// by dict (nil for IDs a caller decodes itself). Pair with SliceView;
+// the view's Release is a no-op, so aliased storage can never reach
+// the pool.
 func (b *Batch) MakeView(cols [][]uint32, dict *Interner) {
 	b.view = true
 	b.store = nil
 	b.cols = make([][]uint32, len(cols))
-	b.dicts = make([]*Interner, len(cols))
-	for k := range b.dicts {
-		b.dicts[k] = dict
-	}
+	b.dict = dict
 }
 
 // SliceView re-points a view batch's columns at rows [lo, hi) of src.
@@ -240,9 +219,10 @@ type BatchHolder interface{ ReleaseHeld() }
 // dictionary, source ID) pairs to IDs in a target dictionary, caching
 // per source dictionary in a flat array indexed by the dense source
 // ID — so after the first occurrence of a value, translation is one
-// array load. It is the building block of every vectorized consumer
-// that must reconcile batches from different dictionaries (sinks,
-// join builds, dedup filters, divisor probes).
+// array load. It reconciles the dictionaries of different stores: a
+// relation's AddBatch from another store's view, the shard routers and
+// the set-join element lists. The executor needs none, since every
+// query decodes through one dictionary.
 //
 // An IDMap is owned by a single operator and is not safe for
 // concurrent use; Lookup never mutates the target dictionary, so

@@ -64,19 +64,21 @@ func TestBatchScanRoundTrip(t *testing.T) {
 // TestAddBatchMatchesAdd: feeding a relation through AddBatch must
 // produce exactly the relation built by tuple-wise Add — same set, same
 // insertion order, same dictionary — and report the same new-row
-// count, whether the batches carry one foreign dictionary or a
-// different one in every column, rotated from batch to batch: a join
-// output carries each side's dictionary through, and a sharded
-// relation's source-order scan changes dictionaries at run boundaries.
+// count, whether the batches carry the relation's own dictionary
+// (inserted as they stand), one foreign dictionary, or a different one
+// from batch to batch.
 func TestAddBatchMatchesAdd(t *testing.T) {
 	sources := []struct {
 		name string
-		open func(tuples []Tuple, arity int) BatchCursor
+		open func(tuples []Tuple, arity int, into *Relation) BatchCursor
 	}{
-		{"one dictionary", func(tuples []Tuple, arity int) BatchCursor {
+		{"own dictionary", func(tuples []Tuple, arity int, into *Relation) BatchCursor {
+			return &rotatingBatcher{ts: tuples, arity: arity, dicts: []*Interner{into.Interner()}}
+		}},
+		{"one dictionary", func(tuples []Tuple, arity int, _ *Relation) BatchCursor {
 			return &rotatingBatcher{ts: tuples, arity: arity, dicts: []*Interner{NewInterner()}}
 		}},
-		{"rotating dictionaries", func(tuples []Tuple, arity int) BatchCursor {
+		{"rotating dictionaries", func(tuples []Tuple, arity int, _ *Relation) BatchCursor {
 			return &rotatingBatcher{ts: tuples, arity: arity, dicts: []*Interner{NewInterner(), NewInterner(), NewInterner()}}
 		}},
 	}
@@ -96,7 +98,7 @@ func TestAddBatchMatchesAdd(t *testing.T) {
 			// deduplicated relation.
 			got := NewRelationSized(arity, len(tuples))
 			gotAdded := 0
-			cur := src.open(tuples, arity)
+			cur := src.open(tuples, arity, got)
 			for b, ok := cur.NextBatch(); ok; b, ok = cur.NextBatch() {
 				gotAdded += got.AddBatch(b)
 				b.Release()
@@ -120,16 +122,15 @@ func TestAddBatchMatchesAdd(t *testing.T) {
 	}
 }
 
-// rotatingBatcher packs tuples, duplicates included, into pooled
-// batches of 17 rows in which column k of the i-th batch carries
-// dictionary (i+k) mod len(dicts): with three dictionaries no two
-// columns of a batch share one, and every column changes dictionary at
-// every batch boundary; with one, every batch carries the same.
+// rotatingBatcher packs tuples, duplicates included, into view batches
+// of 17 rows, the i-th over dictionary i mod len(dicts), interning the
+// rows into it row by row as it goes.
 type rotatingBatcher struct {
 	ts      []Tuple
 	arity   int
 	dicts   []*Interner
 	batches int
+	view    Batch
 }
 
 func (r *rotatingBatcher) NextBatch() (*Batch, bool) {
@@ -137,19 +138,18 @@ func (r *rotatingBatcher) NextBatch() (*Batch, bool) {
 		return nil, false
 	}
 	n := min(17, len(r.ts))
-	b := NewBatchSized(r.arity, n)
-	for k := 0; k < r.arity; k++ {
-		d := r.dicts[(r.batches+k)%len(r.dicts)]
-		b.SetDict(k, d)
-		col := b.WritableCol(k)
-		for row, tp := range r.ts[:n] {
-			col[row] = d.Intern(tp[k])
+	d := r.dicts[r.batches%len(r.dicts)]
+	cols := make([][]uint32, r.arity)
+	for _, tp := range r.ts[:n] {
+		for k := range cols {
+			cols[k] = append(cols[k], d.Intern(tp[k]))
 		}
 	}
-	b.SetLen(n)
+	r.view.MakeView(cols, d)
+	r.view.SliceView(cols, 0, n)
 	r.ts = r.ts[n:]
 	r.batches++
-	return b, true
+	return &r.view, true
 }
 
 // TestIDMap: interning and read-only lookup across dictionaries, with

@@ -39,8 +39,8 @@ import (
 // each relation's tuple lines so its storage is reserved once; the
 // second loads, allocating per relation and per chunk of strings, not
 // per tuple: fields are sliced in place, integers decoded by a byte
-// loop, every field interned straight into its relation's dictionary
-// in file order (a string is copied only the first time the relation
+// loop, every field interned straight into the database's dictionary
+// in file order (a string is copied only the first time the database
 // sees it, into a chunk the dictionary owns), and the row's IDs are
 // staged in the relation's staging columns. A relation's staged rows
 // go into its row index as one batch when BatchCap of them are staged,
@@ -328,7 +328,8 @@ func (ld *loader) create(lr *loadRel, line, fields []byte) error {
 	if n != want {
 		return fmt.Errorf("tuple arity %d for relation %s of arity %d", n, lr.name, want)
 	}
-	r := NewRelationSized(n, lr.lines)
+	r := newRelation(n, ld.d.dict)
+	r.Reserve(lr.lines)
 	lr.rel, lr.room, lr.cut = r, min(lr.lines, BatchCap), make([][]byte, n)
 	r.staging(lr.room)
 	ld.d.schema[lr.name], ld.d.rels[lr.name] = n, r

@@ -41,19 +41,27 @@ func (s Schema) Names() []string {
 }
 
 // Database assigns a finite relation to each relation name of a schema
-// (Section 2). Relations are created lazily as empty.
+// (Section 2). Relations are created lazily as empty. The database owns
+// one append-only dictionary, and every relation it creates draws its
+// IDs from it, so one value has one ID across all of them and the
+// executor compares IDs of different relations as they stand.
 type Database struct {
 	schema Schema
+	dict   *Interner
 	rels   map[string]*Relation
 }
 
 // NewDatabase returns an empty database over the schema.
 func NewDatabase(schema Schema) *Database {
-	return &Database{schema: schema, rels: make(map[string]*Relation, len(schema))}
+	return &Database{schema: schema, dict: NewInterner(), rels: make(map[string]*Relation, len(schema))}
 }
 
 // Schema returns the database's schema.
 func (d *Database) Schema() Schema { return d.schema }
+
+// Dict implements ReadStore: the dictionary of every relation of the
+// database.
+func (d *Database) Dict() *Interner { return d.dict }
 
 // Rel returns the relation assigned to name. It panics when name is not
 // in the schema; a name that has not been populated yields an empty
@@ -65,7 +73,7 @@ func (d *Database) Rel(name string) *Relation {
 	}
 	r, ok := d.rels[name]
 	if !ok {
-		r = NewRelation(a)
+		r = newRelation(a, d.dict)
 		d.rels[name] = r
 	}
 	return r
@@ -95,11 +103,12 @@ func (d *Database) Size() int {
 	return n
 }
 
-// Clone returns a deep copy of the database.
+// Clone returns a deep copy of the database: its dictionary is copied
+// once, and every relation's rows over the copy.
 func (d *Database) Clone() *Database {
-	c := NewDatabase(d.schema)
+	c := &Database{schema: d.schema, dict: d.dict.Clone(), rels: make(map[string]*Relation, len(d.rels))}
 	for name, r := range d.rels {
-		c.rels[name] = r.Clone()
+		c.rels[name] = r.cloneIn(c.dict)
 	}
 	return c
 }

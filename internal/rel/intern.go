@@ -41,8 +41,9 @@ import (
 // slots: no value is hashed again. Words never move: the word of ID id
 // is pages[id>>pageBits][id&pageMask], every page but the last is
 // full, and growth appends a page without copying any. Only the first
-// page grows in place, doubling up to a page, so that the many small
-// dictionaries of the executor do not each cost a page.
+// page grows in place, doubling up to a page, so that a small
+// dictionary (a query's tail, a standalone relation's) does not cost a
+// page.
 
 // Interner assigns dense uint32 IDs to values. IDs are allocated in
 // first-intern order starting at 0, so an Interner also acts as an
@@ -368,8 +369,8 @@ func hashFinish(h uint64) uint64 {
 // holder cannot grow the dictionary — reads only, by type.
 //
 // Safety: a FrozenDict over an interner that no writer will ever touch
-// again (a sealed shard router) is safe for unlimited concurrent
-// readers. The prefix bound adds a second guarantee — a facade frozen
+// again (a sealed shard router, a database no one writes while queries
+// read it) is safe for unlimited concurrent readers. The prefix bound adds a second guarantee — a facade frozen
 // over a still-live dictionary (FreezeDict on a writer's working
 // interner) never reports values interned after the freeze point — but
 // read-safety against a concurrently-interning writer comes only from
@@ -412,4 +413,43 @@ func (d FrozenDict) ID(v Value) (uint32, bool) {
 		return 0, false
 	}
 	return id, true
+}
+
+// QueryDict is the dictionary one query decodes through: a store's
+// dictionary frozen at query start (the base) and a tail of its own for
+// the values the query creates — τ constants, γ counts — that the base
+// lacks. A created value the base holds gets its base ID, so IDs stay
+// injective and a created value equals the stored one as an ID. Tail
+// IDs start at the base's length. Interning writes the tail only: the
+// store is never written during a query, so queries may run on one
+// store at once, each with its own QueryDict. A QueryDict is not safe
+// for concurrent use.
+type QueryDict struct {
+	base FrozenDict
+	tail Interner
+}
+
+// NewQueryDict returns a query dictionary over base with an empty tail.
+func NewQueryDict(base FrozenDict) *QueryDict { return &QueryDict{base: base} }
+
+// Intern returns the ID of v: its base ID when the base holds it,
+// otherwise its tail ID, assigned on first sight.
+func (q *QueryDict) Intern(v Value) uint32 {
+	if id, ok := q.base.ID(v); ok {
+		return id
+	}
+	id := uint64(q.base.n) + uint64(q.tail.Intern(v))
+	if id >= uint64(maxValues) {
+		panic(errDictionaryFull)
+	}
+	return uint32(id)
+}
+
+// Value returns the value with the given ID. It panics when the ID has
+// not been assigned.
+func (q *QueryDict) Value(id uint32) Value {
+	if int(id) < q.base.n {
+		return q.base.in.Value(id)
+	}
+	return q.tail.Value(id - uint32(q.base.n))
 }

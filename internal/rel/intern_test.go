@@ -385,22 +385,112 @@ func TestInternerAgainstModel(t *testing.T) {
 	}
 }
 
+// checkedQuery drives a QueryDict over a checked dictionary frozen at
+// its creation, against the model: the dictionary's model up to the
+// frozen length, and a map-and-slice tail. The dictionary may keep
+// growing after the freeze; what it gains is outside the base.
+type checkedQuery struct {
+	t    testing.TB
+	q    *QueryDict
+	base *checkedDict
+	n    int // the base's length at the freeze
+	tail map[Value]uint32
+	vals []Value
+}
+
+func (c *checkedDict) query() *checkedQuery {
+	return &checkedQuery{t: c.t, q: NewQueryDict(FreezeDict(c.in)), base: c, n: c.in.Len(), tail: map[Value]uint32{}}
+}
+
+// intern checks that a value of the frozen base gets its base ID, and
+// any other value a tail ID from the frozen length on, first come first
+// numbered; and that the base's length never moves.
+func (c *checkedQuery) intern(v Value) {
+	c.t.Helper()
+	got := c.q.Intern(v)
+	want, inBase := c.base.ids[v]
+	if !inBase || int(want) >= c.n {
+		id, seen := c.tail[v]
+		if !seen {
+			id = uint32(len(c.vals))
+			c.tail[v] = id
+			c.vals = append(c.vals, v)
+		}
+		want = uint32(c.n) + id
+	}
+	if got != want {
+		c.t.Fatalf("query dictionary over a base of %d: %#v interned as %d, model says %d", c.n, v, got, want)
+	}
+	if back := c.q.Value(got); back != v {
+		c.t.Fatalf("query dictionary Value(%d) = %#v right after interning %#v", got, back, v)
+	}
+	if c.q.base.Len() != c.n {
+		c.t.Fatalf("the frozen base moved from %d to %d values", c.n, c.q.base.Len())
+	}
+}
+
+// sweep checks every base and tail value against the model.
+func (c *checkedQuery) sweep() {
+	c.t.Helper()
+	for id, v := range c.base.vals[:c.n] {
+		if got := c.q.Value(uint32(id)); got != v {
+			c.t.Fatalf("query dictionary Value(%d) = %#v, base model says %#v", id, got, v)
+		}
+	}
+	for i, v := range c.vals {
+		c.intern(v)
+		if got := c.q.Value(uint32(c.n + i)); got != v {
+			c.t.Fatalf("query dictionary Value(%d) = %#v, tail model says %#v", c.n+i, got, v)
+		}
+	}
+	if c.q.tail.Len() != len(c.vals) {
+		c.t.Fatalf("tail of %d values, model holds %d", c.q.tail.Len(), len(c.vals))
+	}
+}
+
 // FuzzInterner reads its input as a stream of operations — a byte that
 // picks the operation and the dictionary it goes to, then an operand up
 // to the next zero byte — and runs them against the model. The clone
 // operation adds a dictionary, and every later operation goes to one of
 // those made so far, so clones and their sources keep growing apart.
+// A byte with bit 3 set is a query-dictionary operation instead: freeze
+// a query dictionary over a dictionary, or intern into one made so far,
+// while the dictionaries below them keep growing.
 func FuzzInterner(f *testing.F) {
 	for _, n := range []int{pageSize - 1, pageSize, pageSize + 1, 2*pageSize + 1} {
 		f.Add(pageBoundarySeed(n))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dicts := []*checkedDict{newCheckedDict(t)}
+		var queries []*checkedQuery
 		for len(data) > 0 {
 			op := data[0]
 			var arg []byte
 			arg, data, _ = bytes.Cut(data[1:], []byte{0})
 			c := dicts[int(op>>4)%len(dicts)]
+			if op&8 != 0 {
+				if op&3 == 0 {
+					if len(queries) < 4 {
+						queries = append(queries, c.query())
+					}
+					continue
+				}
+				if len(queries) == 0 {
+					continue
+				}
+				q := queries[int(op>>4)%len(queries)]
+				switch op & 3 {
+				case 1:
+					q.intern(ParseValue(string(arg)))
+				case 2:
+					q.intern(Str(string(arg)))
+				case 3:
+					var n [8]byte
+					copy(n[:], arg)
+					q.intern(Int(int64(binary.LittleEndian.Uint64(n[:]))))
+				}
+				continue
+			}
 			switch op % 5 {
 			case 0:
 				var n [8]byte
@@ -421,6 +511,9 @@ func FuzzInterner(f *testing.F) {
 		}
 		for _, c := range dicts {
 			c.sweep()
+		}
+		for _, q := range queries {
+			q.sweep()
 		}
 	})
 }

@@ -2,6 +2,7 @@ package rel
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -11,14 +12,17 @@ import (
 // preserved for deterministic iteration, which keeps tests and
 // benchmark output stable.
 //
-// A relation is stored as its columns and nothing else: each relation
-// owns an Interner, every insert path (Add, AddBatch, the text loader)
-// reduces its rows to IDs in that dictionary and hands them to the row
+// A relation is stored as its columns and nothing else: a relation of
+// a Database shares the database's one Interner, and a standalone one
+// (NewRelation, Clone) owns a private one; every insert path (Add,
+// AddBatch, the text loader) reduces its rows to IDs in that
+// dictionary and hands them to the row
 // index — Add one row at a time, AddBatch and the loader a batch at a
 // time — and the IDs are kept in flat per-attribute columns
 // (struct-of-arrays) — 4 bytes per value. The columns are what
 // BatchScan emits — the executor scans stored relations without
-// re-interning a single value — and what the deduplication probes
+// re-interning a single value, and compares the IDs of two relations
+// of one database as they stand — and what the deduplication probes
 // compare, turning candidate verification into uint32 comparisons. No
 // decoded row is kept beside them: Tuples, Sorted, Cursor and At decode
 // rows from columns and dictionary when asked, into storage the caller
@@ -38,21 +42,24 @@ type Relation struct {
 	rows   RowSet // the ID columns, one entry per stored tuple, and their dedup index
 	intern *Interner
 	idbuf  []uint32   // scratch for Add, avoids per-call allocation
-	xlat   *IDMap     // lazy translation cache for AddBatch sinks
+	xlat   *IDMap     // lazy translation cache for AddBatch from another dictionary
 	stage  [][]uint32 // AddBatch's and the loader's staged rows, as columns; never cloned
 }
 
 // NewRelation returns an empty relation of the given arity. Arity 0 is
 // allowed: the two arity-0 relations {} and {()} act as boolean false
 // and true, which several algebraic rewrites rely on.
-func NewRelation(arity int) *Relation {
+func NewRelation(arity int) *Relation { return newRelation(arity, NewInterner()) }
+
+// newRelation returns an empty relation whose IDs are drawn from dict.
+func newRelation(arity int, dict *Interner) *Relation {
 	if arity < 0 {
 		panic("rel: negative arity")
 	}
 	return &Relation{
 		arity:  arity,
 		rows:   RowSet{cols: make([][]uint32, arity)},
-		intern: NewInterner(),
+		intern: dict,
 		idbuf:  make([]uint32, arity),
 	}
 }
@@ -77,9 +84,10 @@ func NewRelationSized(arity, n int) *Relation {
 func (r *Relation) Reserve(n int) { r.rows.reserve(n) }
 
 // Interner exposes the relation's value dictionary: every value
-// occurring in the relation has an ID, in first-occurrence order. The
-// dictionary is read-only for callers; concurrent reads are safe as
-// long as no Add runs.
+// occurring in the relation has an ID, in first-intern order — over
+// the whole database for a relation of one. The dictionary is
+// read-only for callers; concurrent reads are safe as long as no Add
+// runs.
 func (r *Relation) Interner() *Interner { return r.intern }
 
 // FromTuples builds a relation of the given arity from tuples,
@@ -170,67 +178,58 @@ func (r *Relation) Contains(t Tuple) bool {
 	return r.ContainsIDs(ids)
 }
 
-// ContainsIDs reports membership of the tuple whose components have
-// the given IDs in the relation's own dictionary — the probe primitive
-// of the vectorized difference and division operators, which translate
-// batch IDs once and then probe without touching values. Read-only and
-// safe for concurrent use with other readers.
+// ContainsIDs implements StoredRel: membership of the tuple whose
+// components have the given IDs in the relation's dictionary — the
+// executor's difference probes a stored subtrahend with its batch IDs
+// as they stand. An ID the dictionary never assigned matches no row.
+// Read-only and safe for concurrent use with other readers.
 func (r *Relation) ContainsIDs(ids []uint32) bool {
 	return len(ids) == r.arity && r.rows.Find(ids) >= 0
 }
 
-// AddBatch inserts every row of the batch in row order, deduplicating
-// exactly like Add, and reports how many rows were new. Batch IDs are
-// translated into the relation's dictionary through a cached IDMap, so
-// a sink fed by a long batch stream interns each distinct (dictionary,
-// ID) pair once and then runs on array lookups. The translated rows are
-// staged as columns, up to BatchCap at a time, and go into the row
-// index as one batch. The batch is read, not retained; the caller keeps
-// ownership. The cache pins the source dictionaries it has seen — call
-// DropBatchCache once the stream is exhausted so a long-lived result
-// relation does not keep a whole plan's dictionaries reachable.
+// AddBatch inserts every row of a view batch in row order,
+// deduplicating exactly like Add, and reports how many rows were new.
+// A batch of the relation's own dictionary is inserted as it stands;
+// one of another dictionary is translated into the relation's through
+// a cached IDMap, row by row and column by column as Adds would intern
+// it, so a sink fed by a long batch stream interns each distinct value
+// once and then runs on array lookups. The rows are staged as columns,
+// up to BatchCap at a time, and go into the row index as one batch. The
+// batch is read, not retained; the caller keeps ownership. The cache
+// pins the source dictionary — call DropBatchCache once the stream is
+// exhausted so a long-lived relation does not keep it reachable.
 func (r *Relation) AddBatch(b *Batch) int {
 	if b.Arity() != r.arity {
 		panic(fmt.Sprintf("rel: batch arity %d added to relation of arity %d", b.Arity(), r.arity))
 	}
-	if r.xlat == nil {
+	if r.xlat == nil && b.dict != r.intern {
 		r.xlat = NewIDMap(r.intern)
-	}
-	x := r.xlat
-	// Each column's translation slice is looked up once per batch, not
-	// once per value: the columns of one batch may carry different
-	// dictionaries (a join output carries each side's through), and the
-	// IDMap's one-entry memo would then miss on every value.
-	var few [4][]uint32
-	trs := few[:min(r.arity, len(few))]
-	if r.arity > len(few) {
-		trs = make([][]uint32, r.arity)
-	}
-	for k, d := range b.dicts {
-		trs[k] = x.m[d]
 	}
 	n := b.Len()
 	stage := r.staging(min(n, BatchCap))
 	added := 0
 	for lo := 0; lo < n; lo += BatchCap {
 		hi := min(n, lo+BatchCap)
-		for row := lo; row < hi; row++ {
-			for k, tr := range trs {
-				id := b.cols[k][row]
-				if d := b.dicts[k]; d != r.intern {
+		if b.dict == r.intern {
+			for k, col := range b.cols {
+				copy(stage[k], col[lo:hi])
+			}
+		} else {
+			// The batch's translation slice is read inline; a value seen
+			// for the first time goes through Intern, which leaves the
+			// slice, regrown if the ID lay beyond it, in the memo.
+			tr := r.xlat.m[b.dict]
+			for row := lo; row < hi; row++ {
+				for k, col := range b.cols {
+					id := col[row]
 					if int(id) < len(tr) && tr[id] >= xlatOffset {
 						id = tr[id] - xlatOffset
 					} else {
-						// First sight of the value. Intern leaves d's slice,
-						// regrown if id lay beyond it, in the memo. Another
-						// column sharing d may keep reading the slice from
-						// before the regrowth: what it holds stays valid,
-						// and what it lacks sends that column here too.
-						id = x.Intern(d, id)
-						trs[k] = x.lastTr
+						id = r.xlat.Intern(b.dict, id)
+						tr = r.xlat.lastTr
 					}
+					stage[k][row-lo] = id
 				}
-				stage[k][row-lo] = id
 			}
 		}
 		added += r.rows.insertBatch(stage, hi-lo, nil)
@@ -333,12 +332,7 @@ func (r *Relation) BatchScanSized(size int) BatchCursor {
 		size = BatchCap
 	}
 	c := &relBatchCursor{r: r, size: size}
-	c.view.view = true
-	c.view.cols = make([][]uint32, r.arity)
-	c.view.dicts = make([]*Interner, r.arity)
-	for k := range c.view.dicts {
-		c.view.dicts[k] = r.intern
-	}
+	c.view.MakeView(r.rows.cols, r.intern)
 	return c
 }
 
@@ -357,15 +351,8 @@ func (c *relBatchCursor) NextBatch() (*Batch, bool) {
 	if c.i >= n {
 		return nil, false
 	}
-	hi := c.i + c.size
-	if hi > n {
-		hi = n
-	}
-	for k := range c.view.cols {
-		c.view.cols[k] = c.r.rows.cols[k][c.i:hi]
-	}
-	c.view.n = hi - c.i
-	c.view.capacity = c.view.n
+	hi := min(c.i+c.size, n)
+	c.view.SliceView(c.r.rows.cols, c.i, hi)
 	c.i = hi
 	return &c.view, true
 }
@@ -382,7 +369,7 @@ func (r *Relation) At(i int) Tuple {
 }
 
 // DropBatchCache releases the AddBatch translation cache, the source
-// dictionaries it references and the staging scratch. Call it when a
+// dictionary it references and the staging scratch. Call it when a
 // batch stream has been fully drained; a later AddBatch simply rebuilds
 // them.
 func (r *Relation) DropBatchCache() {
@@ -406,18 +393,21 @@ func (r *Relation) Sorted() []Tuple {
 }
 
 // Clone returns a deep copy of the relation: a copy of the ID columns,
-// of the dedup index as it stands and of the dictionary — nothing is
-// re-hashed or re-interned, so the copy has the original's IDs, chains
-// and scan order. It shares nothing mutable with the original: adds to
-// either side after cloning, re-chaining included, can never reach the
-// other (regression-tested in TestCloneInternerIndependence).
-func (r *Relation) Clone() *Relation {
-	return &Relation{
-		arity:  r.arity,
-		rows:   r.rows.clone(),
-		intern: r.intern.Clone(),
-		idbuf:  make([]uint32, r.arity),
-	}
+// of the dedup index as it stands and of the dictionary, which the
+// copy owns privately even when the original shares its database's —
+// nothing is re-hashed or re-interned, so the copy has the original's
+// IDs, chains and scan order. It shares nothing mutable with the
+// original: adds to either side after cloning, re-chaining included,
+// can never reach the other (regression-tested in
+// TestCloneInternerIndependence).
+func (r *Relation) Clone() *Relation { return r.cloneIn(r.intern.Clone()) }
+
+// cloneIn copies the relation's rows over dict, a copy of its
+// dictionary with the same IDs.
+func (r *Relation) cloneIn(dict *Interner) *Relation {
+	c := newRelation(r.arity, dict)
+	c.rows = r.rows.clone()
+	return c
 }
 
 // Equal reports whether two relations hold exactly the same set of
@@ -496,17 +486,15 @@ func (r *Relation) Project(idx ...int) *Relation {
 }
 
 // Values returns the sorted set of all values occurring in the
-// relation.
+// relation. It works on the relation's IDs, not on its dictionary,
+// which a relation of a database shares with every other relation.
 func (r *Relation) Values() []Value {
-	seen := make([]bool, r.intern.Len())
-	var vs []Value
-	for _, col := range r.rows.cols {
-		for _, id := range col {
-			if !seen[id] {
-				seen[id] = true
-				vs = append(vs, r.intern.Value(id))
-			}
-		}
+	ids := slices.Concat(r.rows.cols...)
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	vs := make([]Value, len(ids))
+	for i, id := range ids {
+		vs[i] = r.intern.Value(id)
 	}
 	return Tuple(vs).Set()
 }

@@ -10,6 +10,10 @@ package rel
 // The contract every implementation must honor, because the
 // executor's byte-identity guarantees rest on it:
 //
+//   - every relation's IDs are drawn from the store's one dictionary,
+//     Dict: its scans and ContainsIDs speak that dictionary's IDs, so
+//     the executor compares IDs of two relations as they stand. A store
+//     whose relations mix dictionaries is not a ReadStore;
 //   - BatchScanSized yields the stored ID columns in global insertion
 //     order (the order Add first accepted them), so any evaluator
 //     produces the same output sequence on any backend holding the
@@ -33,8 +37,9 @@ type StoredRel interface {
 	// insertion order, in batches of at most size rows (size < 1 means
 	// BatchCap). Yielded batches may alias backend storage: read-only.
 	BatchScanSized(size int) BatchCursor
-	// Contains reports membership of t.
-	Contains(t Tuple) bool
+	// ContainsIDs reports membership of the row whose components have
+	// the given IDs in the store's dictionary.
+	ContainsIDs(ids []uint32) bool
 }
 
 // ReadStore is the read side of a database backend: a schema plus one
@@ -50,6 +55,10 @@ type ReadStore interface {
 	View(name string) StoredRel
 	// Size returns the sum of the relations' cardinalities.
 	Size() int
+	// Dict returns the dictionary every relation's IDs are drawn from.
+	// A reader must not write to it: the executor freezes it for the
+	// length of a query (QueryDict).
+	Dict() *Interner
 }
 
 var _ ReadStore = (*Database)(nil)
@@ -61,8 +70,9 @@ var _ StoredRel = (*Relation)(nil)
 // For the in-memory Database it is the stored relation itself: aliased
 // is true and the caller must treat it as read-only. Any other
 // backend materializes a fresh copy from its batch scan, owned by the
-// caller: AddBatch interns row by row, column by column, so the copy
-// has the dictionary order tuple-wise Adds of the scan would give it.
+// caller and with a dictionary of its own: AddBatch interns row by row,
+// column by column, so the copy has the dictionary order tuple-wise
+// Adds of the scan would give it.
 func Materialized(s ReadStore, name string) (r *Relation, aliased bool) {
 	if d, ok := s.(*Database); ok {
 		return d.Rel(name), true

@@ -82,11 +82,13 @@ func (InvertedIndexContainment) Predicate() Predicate { return Containment }
 
 // Join implements Algorithm. The pairs stay IDs from the kernel to the
 // result: each R group's rank is its gid, its ID in the list's key
-// dictionary, ShardContainment's S column is re-pointed at the S
-// list's, and the columns go to the result's AddBatch as one view
-// batch, as the sharded merge does. AddBatch translates a row's R key
-// before its S key, the order Add interns a pair in, so the result's
-// rows and dictionary come out as pair-by-pair Adds would leave them.
+// dictionary, and ShardContainment's S column (positions in s) is
+// re-pointed at a copy of that dictionary grown by the S keys, so one
+// dictionary decodes both columns, which go to the result's AddBatch as
+// one view batch, as the sharded merge does. AddBatch translates a
+// row's R key before its S key, the order Add interns a pair in, so the
+// result's rows and dictionary come out as pair-by-pair Adds would
+// leave them.
 func (InvertedIndexContainment) Join(r, s []*Group) (*rel.Relation, Stats) {
 	rank := make([]uint32, len(r))
 	for i, g := range r {
@@ -97,22 +99,17 @@ func (InvertedIndexContainment) Join(r, s []*Group) (*rel.Relation, Stats) {
 	if len(p.R) == 0 {
 		return out, st
 	}
-	sKeys := s[0].dict.keys
-	if slices.ContainsFunc(p.S, func(si uint32) bool { return s[si].dict != s[0].dict }) {
-		// S mixes groups of several lists: their keys get one dictionary.
-		sKeys = rel.NewInterner()
-		for j, si := range p.S {
-			p.S[j] = sKeys.Intern(s[si].Key)
-		}
-	} else {
-		for j, si := range p.S {
-			p.S[j] = s[si].gid
-		}
+	dict := r[0].dict.keys.Clone()
+	sIDs := make([]uint32, len(s))
+	for i, g := range s {
+		sIDs[i] = dict.Intern(g.Key)
+	}
+	for j, si := range p.S {
+		p.S[j] = sIDs[si]
 	}
 	cols := [][]uint32{p.R, p.S}
 	var view rel.Batch
-	view.MakeView(cols, r[0].dict.keys)
-	view.SetDict(1, sKeys)
+	view.MakeView(cols, dict)
 	view.SliceView(cols, 0, len(p.R))
 	out.AddBatch(&view)
 	out.DropBatchCache()

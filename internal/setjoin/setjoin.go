@@ -90,11 +90,10 @@ func GroupsFromBatches(in rel.BatchCursor) []*Group {
 		if b.Arity() != 2 {
 			panic(fmt.Sprintf("setjoin: batch arity %d, want 2", b.Arity()))
 		}
-		kcol, ecol := b.Col(0), b.Col(1)
-		kdict, edict := b.Dict(0), b.Dict(1)
+		kcol, ecol, dict := b.Col(0), b.Col(1), b.Dict()
 		for row := range b.Len() {
-			gids = append(gids, keys.Intern(kdict, kcol[row]))
-			eids = append(eids, elems.Intern(edict, ecol[row]))
+			gids = append(gids, keys.Intern(dict, kcol[row]))
+			eids = append(eids, elems.Intern(dict, ecol[row]))
 		}
 		b.Release()
 		if d.values.Len() > maxElems {

@@ -165,10 +165,10 @@ func groupsHeld(gs []*setjoin.Group) int {
 // ID, which is its global rank, and the S key's position in the
 // broadcast group list — and the merge gathers them, in the sequential
 // algorithm's emission order, into two flat columns that it hands to
-// the result's AddBatch as one view batch, decoded by the router and
-// by a dictionary of the S keys in list order. AddBatch translates a
-// row's R key before its S key, the order Add interns a pair in, so
-// the result's dictionary comes out in the sequential order too.
+// the result's AddBatch as one view batch, decoded by one dictionary:
+// a copy of the router grown by the S keys. AddBatch translates a row's
+// R key before its S key, the order Add interns a pair in, so the
+// result's dictionary comes out in the sequential order too.
 func shardedSetJoin(db *Snapshot, rName, sName string, workers int, containment bool) (*rel.Relation, Stats) {
 	arityOf(db, rName, 2)
 	arityOf(db, sName, 2)
@@ -216,12 +216,6 @@ func shardedSetJoin(db *Snapshot, rName, sName string, workers int, containment 
 	})
 	st := Stats{ShardResident: resident}
 	mergeStart := time.Now()
-	// The pairs' S column counts positions in sGroups: a dictionary
-	// holding the S keys in that order decodes it.
-	sKeys := rel.NewInterner()
-	for _, g := range sGroups {
-		sKeys.Intern(g.Key)
-	}
 	total := 0
 	for _, p := range pairs {
 		total += len(p.R)
@@ -261,10 +255,21 @@ func shardedSetJoin(db *Snapshot, rName, sName string, workers int, containment 
 			}
 		}
 	}
-	// The result is sized exactly, so the one insert never grows it.
+	// The R column holds router gids and the S column positions in
+	// sGroups. One dictionary decodes both: a copy of the router, whose
+	// IDs are the gids, grown by the S keys, whose IDs replace the
+	// positions. The result is sized exactly, so the one insert never
+	// grows it.
+	dict := rt.Clone()
+	sIDs := make([]uint32, len(sGroups))
+	for i, g := range sGroups {
+		sIDs[i] = dict.Intern(g.Key)
+	}
+	for j, pos := range cols[1] {
+		cols[1][j] = sIDs[pos]
+	}
 	var view rel.Batch
-	view.MakeView(cols, rt)
-	view.SetDict(1, sKeys)
+	view.MakeView(cols, dict)
 	view.SliceView(cols, 0, total)
 	out := rel.NewRelationSized(2, total)
 	out.AddBatch(&view)

@@ -78,7 +78,9 @@ func sameStorage(a, b *rel.Relation) error {
 // an expectation computed here, for every kind of source: shard q
 // holds exactly the source rows whose first-column router ID maps to q
 // under exec.PartOf, in source order — the same ID columns and
-// dictionary order as tuple-wise Relation.Adds of those rows — and
+// dictionary order as tuple-wise Database.Adds of those rows into a
+// database of its own, relations in name order, since a shard's
+// relations share its dictionary — and
 // Router lists each relation's first-column values in first-occurrence
 // order (nothing at one shard, where nothing is routed).
 func TestFromStoreReserveChangesNothing(t *testing.T) {
@@ -121,9 +123,20 @@ func TestFromStoreReserveChangesNothing(t *testing.T) {
 				if snap.NumShards() != n {
 					t.Fatalf("%s: %d shards", where, snap.NumShards())
 				}
+				want := make([]*rel.Database, n)
+				for q := range want {
+					want[q] = rel.NewDatabase(d.Schema())
+				}
 				for _, name := range d.Schema().Names() {
-					if err := samePartition(snap, d.Rel(name), name); err != nil {
+					if err := samePartition(snap, d.Rel(name), name, want); err != nil {
 						t.Fatalf("%s: %v", where, err)
+					}
+				}
+				for _, name := range d.Schema().Names() {
+					for q := range want {
+						if err := sameStorage(snap.ShardRel(q, name), want[q].Rel(name)); err != nil {
+							t.Fatalf("%s: %s on shard %d: %v", where, name, q, err)
+						}
 					}
 				}
 			}
@@ -131,24 +144,20 @@ func TestFromStoreReserveChangesNothing(t *testing.T) {
 	}
 }
 
-// samePartition compares the named relation of a snapshot with the
-// partition of src the routing rule gives: its router against
-// src's first-column values in first-occurrence order, and each shard
-// against a relation built by adding src's rows that route there, in
-// source order (sameStorage).
-func samePartition(snap *shard.Snapshot, src *rel.Relation, name string) error {
+// samePartition compares the named relation's router in a snapshot
+// with src's first-column values in first-occurrence order, and adds
+// src's rows that route to shard q to want[q], in source order. Called
+// for the relations in name order, as FromStore loads them, it leaves
+// in want what each shard must hold (sameStorage).
+func samePartition(snap *shard.Snapshot, src *rel.Relation, name string, want []*rel.Database) error {
 	n := snap.NumShards()
 	router := rel.NewInterner()
-	want := make([]*rel.Relation, n)
-	for q := range want {
-		want[q] = rel.NewRelation(src.Arity())
-	}
 	for _, tup := range src.Tuples() {
 		q := 0
 		if len(tup) > 0 && n > 1 {
 			q = exec.PartOf(router.Intern(tup[0]), n)
 		}
-		want[q].Add(tup)
+		want[q].Add(name, tup)
 	}
 	rt := snap.Router(name)
 	if rt.Len() != router.Len() {
@@ -157,11 +166,6 @@ func samePartition(snap *shard.Snapshot, src *rel.Relation, name string) error {
 	for id := 0; id < router.Len(); id++ {
 		if !rt.Value(uint32(id)).Equal(router.Value(uint32(id))) {
 			return fmt.Errorf("%s router diverges at ID %d: %s vs %s", name, id, rt.Value(uint32(id)), router.Value(uint32(id)))
-		}
-	}
-	for q := range want {
-		if err := sameStorage(snap.ShardRel(q, name), want[q]); err != nil {
-			return fmt.Errorf("%s on shard %d: %v", name, q, err)
 		}
 	}
 	return nil

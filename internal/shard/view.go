@@ -12,7 +12,8 @@ package shard
 // and the batch cursor yields it as a zero-copy view batch over that
 // shard's stored ID columns — no tuple decoding, no re-interning, no
 // per-row work at all. Batches switch dictionaries at run boundaries
-// (each shard owns its interners), which is legal for a BatchCursor.
+// (each shard database owns its interner), so its consumers translate
+// (the set-join group builder does).
 
 import "radiv/internal/rel"
 
@@ -20,7 +21,7 @@ import "radiv/internal/rel"
 // of at most rel.BatchCap rows. The yielded batches are views aliasing
 // shard-local relation storage — read-only, valid until the next
 // NextBatch call, their Release a no-op — and carry the owning shard's
-// dictionaries. With one shard it is that shard's own batch scan.
+// dictionary. With one shard it is that shard's own batch scan.
 func (s *Snapshot) scan(name string) rel.BatchCursor {
 	if len(s.shards) == 1 {
 		return s.shards[0].Rel(name).BatchScan()

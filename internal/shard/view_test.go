@@ -61,7 +61,7 @@ func TestShardViewNativeBatchScan(t *testing.T) {
 func ownsColumns(s *Snapshot, name string, b *rel.Batch) bool {
 	for q := 0; q < s.NumShards(); q++ {
 		r := s.ShardRel(q, name)
-		if b.Arity() == 0 || b.Dict(0) != r.Interner() {
+		if b.Arity() == 0 || b.Dict() != r.Interner() {
 			continue
 		}
 		cols, _ := r.IDColumns()
