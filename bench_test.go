@@ -505,10 +505,10 @@ func BenchmarkVectorizedSemijoin(b *testing.B) {
 // BenchmarkVectorizedGamma prices γ on a flow-dominated aggregate:
 // 20000 input tuples collapse into 7 groups, so the numbers price the
 // per-row grouping cost.
-// Group keys gather columnar-ly through IDMap caches into one key
-// dictionary, so grouping a seen value is an array load, a hash of
-// flat IDs and a chained-index walk — no per-row tuple build or
-// re-interning.
+// Group keys are the input's IDs in the query's one dictionary, as
+// they stand, so grouping a seen value on one key column is an array
+// load (a hash of flat IDs and a chained-index walk past one) — no
+// per-row tuple build, translation or re-interning.
 func BenchmarkVectorizedGamma(b *testing.B) {
 	d := rel.NewDatabase(rel.NewSchema(map[string]int{"G": 2}))
 	for i := 0; i < 20000; i++ {

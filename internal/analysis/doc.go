@@ -17,17 +17,18 @@
 // # Contract 2: a sealed partition is immutable; pool workers do not
 // intern on captured state
 //
-// A published shard.Snapshot is sealed: every shard-local relation
-// and dictionary reachable from it may be read from any goroutine with
-// no coordination, and must never be written — no Relation.Add,
-// Interner.Intern, or IDMap.Intern into snapshot state, anywhere.
-// shard.FromStore builds the partition and interns everything it
-// needs before Publish seals it; nothing writes to it after. The same
-// law covers the task callbacks of exec.Run, the one worker pool: they
-// must not intern on captured state (Interner.Intern, IDMap.Intern,
-// Relation.Add/AddBatch, Database.Add/AddInts/AddStrs) — new values
-// are interned before the workers start — while reads of captured
-// dictionaries are legal from any worker.
+// A published shard.Snapshot is sealed: every shard-local relation,
+// and the one dictionary all of them share, may be read from any
+// goroutine with no coordination, and must never be written — no
+// Relation.Add or Interner.Intern into snapshot state, anywhere.
+// shard.FromStore builds the partition over one copy of its source's
+// dictionary, interning nothing, before Publish seals it; nothing
+// writes to it after. The same law covers the task callbacks of
+// exec.Run, the one worker pool: they must not intern on captured
+// state (Interner.Intern, QueryDict.Intern, Relation.Add/AddBatch,
+// Database.Add/AddInts/AddStrs) — new values are interned before the
+// workers start — while reads of captured dictionaries are legal from
+// any worker.
 // A violation is a data race the race detector only sees under lucky
 // schedules; the analyzer sees it lexically. Enforced by
 // radiv/internal/analysis/quiescence.

@@ -3,11 +3,10 @@
 // law has two halves:
 //
 //  1. A published shard.Snapshot is immutable. It hands out sealed
-//     state — shard-local relations, their dictionaries, their
-//     translation targets — and nothing obtained from one may ever be
-//     mutated: no Relation.Add/AddBatch/Reserve, no Interner.Intern,
-//     no IDMap interning into a snapshot dictionary. Interning happens
-//     in shard.FromStore's build, before Publish.
+//     state — shard-local relations and the one dictionary every shard
+//     shares — and nothing obtained from one may ever be mutated: no
+//     Relation.Add/AddBatch/Reserve, no Interner.Intern. The partition
+//     is written in shard.FromStore's build, before Publish.
 //
 //  2. Pool workers do not intern into shared dictionaries. The task
 //     callbacks of exec.Run run concurrently with each other, and a
@@ -18,13 +17,12 @@
 //     mutate.
 //
 // Half 1 is a lexical taint walk per function body: shard.Snapshot
-// method results (and values derived from them through method chains,
-// assignments and rel.NewIDMap over a snapshot dictionary) are
-// tainted, mutating method calls on tainted receivers are flagged,
-// and Clone sanitizes — a cloned relation is the caller's to mutate.
-// Half 2 inspects every function-literal task callback passed to
-// exec.Run and flags interning calls — Interner.Intern, IDMap.Intern,
-// QueryDict.Intern (into its tail), Relation.Add/AddBatch,
+// method results (and values derived from them through method chains
+// and assignments) are tainted, mutating method calls on tainted
+// receivers are flagged, and Clone sanitizes — a cloned relation is
+// the caller's to mutate. Half 2 inspects every function-literal task
+// callback passed to exec.Run and flags interning calls —
+// Interner.Intern, QueryDict.Intern (into its tail), Relation.Add/AddBatch,
 // Database.Add/AddInts/AddStrs — whose receiver
 // is captured from the enclosing scope. A receiver declared inside the
 // callback (a worker-local relation or interner) is private to the
@@ -122,9 +120,6 @@ func classify(name string, recv types.Type) string {
 		if analysis.IsNamed(recv, relPath, "Interner") {
 			return "Interner.Intern on a captured dictionary"
 		}
-		if analysis.IsNamed(recv, relPath, "IDMap") {
-			return "IDMap.Intern interning into a captured target dictionary"
-		}
 		if analysis.IsNamed(recv, relPath, "QueryDict") {
 			return "QueryDict.Intern on a captured query dictionary"
 		}
@@ -157,9 +152,6 @@ func snapSink(name string, recv types.Type) string {
 		if analysis.IsNamed(recv, relPath, "Interner") {
 			return "Interner.Intern"
 		}
-		if analysis.IsNamed(recv, relPath, "IDMap") {
-			return "IDMap.Intern"
-		}
 	case "DropBatchCache":
 		if analysis.IsNamed(recv, relPath, "Relation") {
 			return "Relation.DropBatchCache"
@@ -171,11 +163,10 @@ func snapSink(name string, recv types.Type) string {
 // checkSnapshotMutation runs the snapshot-immutability taint walk over
 // one function body in source order. Taint sources are snapshot method
 // results; taint propagates through assignments, method chains (Clone
-// excepted — a clone is caller-owned), rel.NewIDMap over a tainted
-// dictionary, and IDColumns' results. Mutating method calls
-// on tainted receivers are flagged. Function literals are walked too:
-// a worker closure mutating captured snapshot state is exactly the
-// race the contract exists to prevent.
+// excepted — a clone is caller-owned) and IDColumns' results. Mutating
+// method calls on tainted receivers are flagged. Function literals are
+// walked too: a worker closure mutating captured snapshot state is
+// exactly the race the contract exists to prevent.
 func checkSnapshotMutation(pass *analysis.Pass, body *ast.BlockStmt) {
 	tainted := make(map[types.Object]bool)
 
@@ -196,9 +187,6 @@ func checkSnapshotMutation(pass *analysis.Pass, body *ast.BlockStmt) {
 					return false // a clone is the caller's to mutate
 				}
 				return exprTaint(sel.X) // method chain off tainted state
-			}
-			if analysis.CalleePkgFunc(pass, e, relPath, "NewIDMap") && len(e.Args) == 1 {
-				return exprTaint(e.Args[0]) // the map interns into its target
 			}
 		}
 		return false

@@ -35,15 +35,6 @@ func InternInWorker(workers int, shards []rel.BatchCursor, dict *rel.Interner, s
 	})
 }
 
-// IDMapInWorker interns through a translation cache whose target
-// dictionary is captured — the same race one indirection later.
-func IDMapInWorker(workers int, batches []*rel.Batch, xl *rel.IDMap) {
-	exec.Run(workers, len(batches), func(q int) {
-		b := batches[q]
-		xl.Intern(b.Dict(), b.Col(0)[0]) // want `IDMap.Intern interning into a captured target dictionary`
-	})
-}
-
 // QueryDictInWorker interns into a query dictionary's tail from the
 // workers that share it: the tail is an Interner like any other.
 func QueryDictInWorker(workers int, parts [][]rel.Tuple, q *rel.QueryDict) {

@@ -21,12 +21,13 @@ func MutateSnapshotRel(snap *shard.Snapshot, t rel.Tuple) {
 	snap.ShardRel(0, "R").Interner().Intern(t[0]) // want `Interner.Intern mutating a published snapshot`
 }
 
-// MutateThroughIDMap interns into a snapshot dictionary one
-// indirection later, through a translation cache targeting it.
-func MutateThroughIDMap(snap *shard.Snapshot, b *rel.Batch) {
-	dict := snap.ShardRel(0, "R").Interner()
-	xl := rel.NewIDMap(dict)
-	xl.Intern(b.Dict(), b.Col(0)[0]) // want `IDMap.Intern mutating a published snapshot`
+// MutateSharedDict interns into the dictionary every shard's
+// relations share, reached through another shard's relation's
+// IDColumns: one dictionary for the whole partition, sealed like the
+// rest of it.
+func MutateSharedDict(snap *shard.Snapshot, v rel.Value) {
+	_, dict := snap.ShardRel(1, "S").IDColumns()
+	dict.Intern(v) // want `Interner.Intern mutating a published snapshot`
 }
 
 // QueryOverSnapshot decodes through a query dictionary frozen over a
@@ -49,8 +50,8 @@ func MutateInWorker(workers int, parts [][]rel.Tuple, snap *shard.Snapshot) {
 	})
 }
 
-// ReadSnapshot exercises the legal surface: scans, probes, dictionary
-// lookups, frozen routers — all reads, all silent.
+// ReadSnapshot exercises the legal surface: scans, probes and
+// dictionary lookups — all reads, all silent.
 func ReadSnapshot(snap *shard.Snapshot, t rel.Tuple) int {
 	n := 0
 	r := snap.ShardRel(0, "R")
@@ -59,9 +60,6 @@ func ReadSnapshot(snap *shard.Snapshot, t rel.Tuple) int {
 		if r.Contains(tup) {
 			n++
 		}
-	}
-	if id, ok := snap.Router("R").ID(t[0]); ok {
-		n += int(id)
 	}
 	if _, ok := snap.ShardRel(0, "R").Interner().ID(t[0]); ok {
 		n++
@@ -78,7 +76,7 @@ func WorkerReadsSnapshotDict(workers int, shards []rel.BatchCursor, snap *shard.
 	exec.Run(workers, len(shards), func(q int) {
 		for b, ok := shards[q].NextBatch(); ok; b, ok = shards[q].NextBatch() {
 			for row := 0; row < b.Len(); row++ {
-				_ = dict.Value(b.Col(0)[row]) // sealed dictionary: reads are safe mid-exchange
+				_ = dict.Value(b.Col(0)[row]) // sealed dictionary: reads are safe
 				hits[q]++
 			}
 			b.Release()

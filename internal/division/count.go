@@ -10,8 +10,8 @@ import (
 // and on the side the cardinalities of the nodes of Section 5's
 // γ-expression, which the executor reports as those nodes' flows.
 type Counts struct {
-	// Qualified holds the qualifying groups as IDs in Dict, in
-	// first-occurrence order.
+	// Qualified holds the qualifying groups as IDs in Dict, R's
+	// dictionary, in first-occurrence order.
 	Qualified []uint32
 	Dict      *rel.Interner
 	// Rows is |R| and Divisor is |S|.
@@ -30,8 +30,9 @@ type Counts struct {
 // of the executor's γ-division operator. It reads the unary S into a
 // set of values, then the binary R, counting per group the rows whose
 // element is in S (matched) and all its rows (total) in flat slices
-// indexed through R's dictionary; S-membership is cached per
-// column-1 ID in a flat table. A group qualifies when matched = |S|,
+// indexed by R's IDs, all of one dictionary (an R stream whose batches
+// switch dictionaries panics); S-membership is cached per column-1 ID
+// in a flat table. A group qualifies when matched = |S|,
 // and under Equality when total = |S| too. Counting is exact because a
 // stored relation is a set, so each matched row is a distinct divisor
 // value. Under Containment a row outside S is skipped, so only matched
@@ -40,7 +41,7 @@ type Counts struct {
 // the batch added — divisor values, then groups: Divisor + Groups in
 // all. Every batch is released once read.
 func Count(r, s rel.BatchCursor, sem Semantics, grow func(int)) Counts {
-	c := counter{sem: sem, inS: rel.NewInterner(), member: map[*rel.Interner][]uint8{}}
+	c := counter{sem: sem, inS: rel.NewInterner()}
 	for b, ok := s.NextBatch(); ok; b, ok = s.NextBatch() {
 		if b.Arity() != 1 {
 			panic(fmt.Sprintf("division: S batch has arity %d, want 1", b.Arity()))
@@ -73,55 +74,47 @@ func Count(r, s rel.BatchCursor, sem Semantics, grow func(int)) Counts {
 			}
 		}
 	}
-	c.Divisor, c.Groups, c.Dict = int(need), len(c.ids), c.keys
+	c.Divisor, c.Groups = int(need), len(c.ids)
 	return c.Counts
 }
 
 type counter struct {
-	Counts
-	sem    Semantics
-	inS    *rel.Interner             // S's distinct values
-	member map[*rel.Interner][]uint8 // per R dictionary, by ID: 0 unknown, 1 outside S, 2 in S
-	// keys is the dictionary group keys are IDs of: R's dictionary,
-	// until a batch brings a second one (rekey).
-	keys           *rel.Interner
-	xl             *rel.IDMap // set by rekey: translates every key into keys
-	slot           []int32    // by key ID: 1 + the group's index, 0 if unseen
-	ids            []uint32   // per group: its key ID
-	matched, total []int32    // per group
+	Counts         // Dict is R's dictionary, set by its first batch
+	sem            Semantics
+	inS            *rel.Interner // S's distinct values
+	member         []uint8       // by R ID: 0 unknown, 1 outside S, 2 in S
+	slot           []int32       // by key ID: 1 + the group's index, 0 if unseen
+	ids            []uint32      // per group: its key ID
+	matched, total []int32       // per group
 }
 
-// add folds one batch of R into the counters.
+// add folds one batch of R into the counters. Every batch of R must
+// carry the dictionary of the first: the group keys are its IDs.
 func (c *counter) add(b *rel.Batch) {
 	d := b.Dict()
-	if c.keys == nil {
-		c.keys = d
-	} else if d != c.keys && c.xl == nil {
-		c.rekey()
+	if c.Dict == nil {
+		c.Dict = d
+	} else if d != c.Dict {
+		panic("division: the R batches switch dictionaries")
 	}
-	in := c.member[d]
-	if n := d.Len(); len(in) < n {
-		in = append(in, make([]uint8, n-len(in))...)
-		c.member[d] = in
+	if n := d.Len(); len(c.member) < n {
+		c.member = append(c.member, make([]uint8, n-len(c.member))...)
 	}
 	c0 := b.Col(0)
 	c.Rows += len(c0)
 	for row, e := range b.Col(1) {
-		m := in[e]
+		m := c.member[e]
 		if m == 0 {
 			m = 1
 			if _, ok := c.inS.ID(d.Value(e)); ok {
 				m = 2
 			}
-			in[e] = m
+			c.member[e] = m
 		}
 		if m == 1 && c.sem == Containment {
 			continue
 		}
 		k := c0[row]
-		if c.xl != nil {
-			k = c.xl.Intern(d, k)
-		}
 		if int(k) >= len(c.slot) {
 			c.slot = append(c.slot, make([]int32, int(k)+1-len(c.slot))...)
 		}
@@ -138,20 +131,5 @@ func (c *counter) add(b *rel.Batch) {
 			c.matched[g]++
 			c.Matched++
 		}
-	}
-}
-
-// rekey moves the group keys out of R's dictionary into one
-// the kernel owns, for an R whose batches switch dictionaries (a view
-// of a store other than the in-memory database): from then on every key is translated, so a
-// value met under two dictionaries is still one group.
-func (c *counter) rekey() {
-	from := c.keys
-	c.keys = rel.NewInterner()
-	c.xl = rel.NewIDMap(c.keys)
-	c.slot = make([]int32, len(c.ids))
-	for g, k := range c.ids {
-		c.ids[g] = c.keys.Intern(from.Value(k))
-		c.slot[c.ids[g]] = int32(g) + 1
 	}
 }

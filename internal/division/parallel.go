@@ -107,14 +107,14 @@ func NewDivisorTable(s *rel.Relation) *DivisorTable {
 // DivideShardBatches runs the Graefe bitmap scheme on one shard of the
 // dividend and returns the set of group keys that qualify under the
 // semantics. The shard arrives as columnar batches of (group, element)
-// ID columns, and both probes run through flat per-dictionary
-// translation caches — after the first occurrence of a group or element
-// value, a row costs two array loads instead of two value-keyed
-// dictionary probes. Correctness requires the shard to hold its groups
-// whole — every tuple of a qualifying group must flow through the same
-// call — which is exactly the invariant hash partitioning on the group
-// key establishes. Concurrent calls are safe: the divisor table is
-// read-only and the caches are call-local.
+// ID columns, all of one dictionary, and both probes run through flat
+// slices indexed by those IDs — after the first occurrence of a group
+// or element value, a row costs two array loads instead of two
+// value-keyed dictionary probes. Correctness requires the shard to
+// hold its groups whole — every tuple of a qualifying group must flow
+// through the same call — which is exactly the invariant hash
+// partitioning on the group key establishes. Concurrent calls are
+// safe: the divisor table is read-only and the slices are call-local.
 func (dt *DivisorTable) DivideShardBatches(shard rel.BatchCursor, sem Semantics) (map[rel.Value]bool, Stats) {
 	keys, st := dt.divideBatches(shard, sem)
 	qualified := make(map[rel.Value]bool, len(keys))
@@ -126,31 +126,36 @@ func (dt *DivisorTable) DivideShardBatches(shard rel.BatchCursor, sem Semantics)
 
 // divideBatches is the one hash-division kernel, shared by Hash,
 // ParallelHash and DivideShardBatches: the Graefe bitmap scheme over
-// (group, element) ID batches. It returns the qualifying group
-// keys in first-occurrence order; the stats cover the dividend only.
+// (group, element) ID batches of one dictionary; a stream whose batches
+// switch dictionaries panics. It returns the qualifying group keys in
+// first-occurrence order; the stats cover the dividend only.
 func (dt *DivisorTable) divideBatches(shard rel.BatchCursor, sem Semantics) ([]rel.Value, Stats) {
 	var st Stats
 	var groups []*divGroup
-	groupOf := rel.NewIDMap(rel.NewInterner()) // group value -> dense local index
-	slotOf := make(map[*rel.Interner][]int32)  // element id -> divisor slot+2, 1 = absent
+	var d *rel.Interner
+	var groupOf []int32 // by group ID: 1 + its local index, 0 if unseen
+	var slots []int32   // by element ID: divisor slot + 2, 1 if absent, 0 if unknown
 	for b, ok := shard.NextBatch(); ok; b, ok = shard.NextBatch() {
 		if b.Arity() != 2 {
 			panic(fmt.Sprintf("division: R batch has arity %d, want 2", b.Arity()))
 		}
-		c0, c1 := b.Col(0), b.Col(1)
-		d := b.Dict()
-		slots := slotOf[d]
-		if len(slots) < d.Len() {
-			grown := make([]int32, d.Len())
-			copy(grown, slots)
-			slots = grown
-			slotOf[d] = slots
+		if d == nil {
+			d = b.Dict()
+		} else if b.Dict() != d {
+			panic("division: the R batches switch dictionaries")
 		}
+		if n := d.Len(); len(slots) < n {
+			groupOf = append(groupOf, make([]int32, n-len(groupOf))...)
+			slots = append(slots, make([]int32, n-len(slots))...)
+		}
+		c0, c1 := b.Col(0), b.Col(1)
 		for row := range c0 {
 			st.TuplesRead++
 			st.Probes++
-			gi := groupOf.Intern(d, c0[row])
-			if int(gi) == len(groups) {
+			gi := groupOf[c0[row]] - 1
+			if gi < 0 {
+				gi = int32(len(groups))
+				groupOf[c0[row]] = gi + 1
 				groups = append(groups, &divGroup{rep: d.Value(c0[row]), seen: make([]uint64, dt.words)})
 			}
 			g := groups[gi]

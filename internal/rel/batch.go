@@ -214,108 +214,3 @@ type BatchCursor interface {
 // path can strand a pooled batch. It must only be called once the
 // cursor is quiescent: no pull of it is in progress.
 type BatchHolder interface{ ReleaseHeld() }
-
-// IDMap is a translation cache between dictionaries: it maps (source
-// dictionary, source ID) pairs to IDs in a target dictionary, caching
-// per source dictionary in a flat array indexed by the dense source
-// ID — so after the first occurrence of a value, translation is one
-// array load. It reconciles the dictionaries of different stores: a
-// relation's AddBatch from another store's view, the shard routers and
-// the set-join element lists. The executor needs none, since every
-// query decodes through one dictionary.
-//
-// An IDMap is owned by a single operator and is not safe for
-// concurrent use; Lookup never mutates the target dictionary, so
-// read-only probing of shared dictionaries is safe.
-type IDMap struct {
-	to *Interner
-	m  map[*Interner][]uint32
-	// One-entry memo of the last source dictionary and its translation
-	// slice: consecutive rows of a batch stream overwhelmingly share
-	// one dictionary, so the hot path is a pointer compare and an
-	// array load instead of a map lookup per row.
-	lastD  *Interner
-	lastTr []uint32
-}
-
-// Translation cache encoding: 0 = not yet resolved, 1 = known absent
-// from the target (Lookup only), id+2 otherwise.
-const (
-	xlatUnknown = 0
-	xlatAbsent  = 1
-	xlatOffset  = 2
-)
-
-// NewIDMap returns a cache translating into dictionary to.
-func NewIDMap(to *Interner) *IDMap {
-	return &IDMap{to: to, m: make(map[*Interner][]uint32)}
-}
-
-// To returns the target dictionary.
-func (x *IDMap) To() *Interner { return x.to }
-
-func (x *IDMap) slot(d *Interner, id uint32) []uint32 {
-	tr := x.m[d]
-	if int(id) >= len(tr) {
-		// The first miss sizes the cache to the dictionary; a dictionary
-		// still growing then doubles it, where refitting it to d.Len()
-		// would copy it once per batch of new values.
-		grown := make([]uint32, max(d.Len(), int(id)+1, 2*len(tr)))
-		copy(grown, tr)
-		tr = grown
-		x.m[d] = tr
-	}
-	x.lastD, x.lastTr = d, tr
-	return tr
-}
-
-// Intern translates (d, id) into the target dictionary, interning the
-// decoded value on first sight.
-func (x *IDMap) Intern(d *Interner, id uint32) uint32 {
-	if d == x.to {
-		return id
-	}
-	if d == x.lastD && int(id) < len(x.lastTr) {
-		if v := x.lastTr[id]; v >= xlatOffset {
-			return v - xlatOffset
-		}
-	}
-	tr := x.slot(d, id)
-	if v := tr[id]; v >= xlatOffset {
-		return v - xlatOffset
-	}
-	v := x.to.Intern(d.Value(id))
-	tr[id] = v + xlatOffset
-	return v
-}
-
-// Lookup translates (d, id) without mutating the target dictionary;
-// ok is false when the value does not occur in the target. Negative
-// results are cached too.
-func (x *IDMap) Lookup(d *Interner, id uint32) (uint32, bool) {
-	if d == x.to {
-		return id, true
-	}
-	if d == x.lastD && int(id) < len(x.lastTr) {
-		switch v := x.lastTr[id]; {
-		case v >= xlatOffset:
-			return v - xlatOffset, true
-		case v == xlatAbsent:
-			return 0, false
-		}
-	}
-	tr := x.slot(d, id)
-	switch v := tr[id]; {
-	case v >= xlatOffset:
-		return v - xlatOffset, true
-	case v == xlatAbsent:
-		return 0, false
-	}
-	v, ok := x.to.ID(d.Value(id))
-	if !ok {
-		tr[id] = xlatAbsent
-		return 0, false
-	}
-	tr[id] = v + xlatOffset
-	return v, true
-}

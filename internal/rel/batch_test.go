@@ -152,54 +152,30 @@ func (r *rotatingBatcher) NextBatch() (*Batch, bool) {
 	return &r.view, true
 }
 
-// TestIDMap: interning and read-only lookup across dictionaries, with
-// the negative cache.
-func TestIDMap(t *testing.T) {
-	src, dst := NewInterner(), NewInterner()
-	a, b := src.Intern(Int(1)), src.Intern(Str("x"))
-	dst.Intern(Str("x"))
-	x := NewIDMap(dst)
-	if id, ok := x.Lookup(src, b); !ok || dst.Value(id) != Str("x") {
-		t.Fatalf("Lookup of shared value failed: id=%d ok=%v", id, ok)
-	}
-	if _, ok := x.Lookup(src, a); ok {
-		t.Fatal("Lookup found a value absent from the target")
-	}
-	if dst.Len() != 1 {
-		t.Fatalf("Lookup mutated the target dictionary: %d values", dst.Len())
-	}
-	id := x.Intern(src, a)
-	if dst.Value(id) != Int(1) || dst.Len() != 2 {
-		t.Fatalf("Intern failed: value %v, len %d", dst.Value(id), dst.Len())
-	}
-	// The identity fast path.
-	if got, ok := x.Lookup(dst, id); !ok || got != id {
-		t.Fatal("identity lookup failed")
-	}
-}
-
-// TestIDMapGrowingSourceAllocations: translating out of a dictionary
-// that grows between batches — γ interns each count into its output
-// dictionary as it emits — allocates in proportion to the values
-// translated, not one resized cache per batch.
-func TestIDMapGrowingSourceAllocations(t *testing.T) {
+// TestAddBatchGrowingSourceAllocations: adding batches of a
+// dictionary that grows between batches — a result fed from a source
+// still interning — allocates in proportion to the values translated,
+// not one resized translation cache per batch.
+func TestAddBatchGrowingSourceAllocations(t *testing.T) {
 	translate := func(values int) float64 {
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
 		src := NewInterner()
-		x := NewIDMap(NewInterner())
+		r := NewRelation(1)
+		col := make([]uint32, 64)
+		var b Batch
 		for v := 0; v < values; v += 64 {
-			for i := v; i < v+64; i++ {
-				src.Intern(Int(int64(i)))
+			for i := range col {
+				col[i] = src.Intern(Int(int64(v + i)))
 			}
-			for i := v; i < v+64; i++ {
-				x.Intern(src, uint32(i))
-			}
+			b.MakeView([][]uint32{col}, src)
+			b.SliceView([][]uint32{col}, 0, len(col))
+			r.AddBatch(&b)
 		}
 		runtime.ReadMemStats(&after)
-		if x.To().Len() != values {
-			t.Fatalf("translated %d values, want %d", x.To().Len(), values)
+		if r.Len() != values || r.Interner().Len() != values {
+			t.Fatalf("translated %d rows, %d values, want %d", r.Len(), r.Interner().Len(), values)
 		}
 		return float64(after.TotalAlloc - before.TotalAlloc)
 	}

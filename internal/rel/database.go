@@ -52,8 +52,18 @@ type Database struct {
 }
 
 // NewDatabase returns an empty database over the schema.
-func NewDatabase(schema Schema) *Database {
-	return &Database{schema: schema, dict: NewInterner(), rels: make(map[string]*Relation, len(schema))}
+func NewDatabase(schema Schema) *Database { return NewDatabaseOver(schema, NewInterner()) }
+
+// NewDatabaseOver returns an empty database over the schema whose
+// relations draw their IDs from dict, which the caller may share with
+// other databases: shard.FromStore gives every shard one copy of its
+// source's dictionary, which replaces a dictionary per shard, the
+// router interners and the IDMap translations between them. Writes to
+// any database over dict write dict, so databases sharing one are
+// written by one goroutine at a time, or only with IDs dict already
+// holds (Relation.AddBatch of a batch over dict interns nothing).
+func NewDatabaseOver(schema Schema, dict *Interner) *Database {
+	return &Database{schema: schema, dict: dict, rels: make(map[string]*Relation, len(schema))}
 }
 
 // Schema returns the database's schema.

@@ -369,7 +369,7 @@ func hashFinish(h uint64) uint64 {
 // holder cannot grow the dictionary — reads only, by type.
 //
 // Safety: a FrozenDict over an interner that no writer will ever touch
-// again (a sealed shard router, a database no one writes while queries
+// again (a sealed partition's dictionary, a database no one writes while queries
 // read it) is safe for unlimited concurrent readers. The prefix bound adds a second guarantee — a facade frozen
 // over a still-live dictionary (FreezeDict on a writer's working
 // interner) never reports values interned after the freeze point — but

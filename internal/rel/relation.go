@@ -41,9 +41,13 @@ type Relation struct {
 	arity  int
 	rows   RowSet // the ID columns, one entry per stored tuple, and their dedup index
 	intern *Interner
-	idbuf  []uint32   // scratch for Add, avoids per-call allocation
-	xlat   *IDMap     // lazy translation cache for AddBatch from another dictionary
-	stage  [][]uint32 // AddBatch's and the loader's staged rows, as columns; never cloned
+	idbuf  []uint32 // scratch for Add, avoids per-call allocation
+	// AddBatch's translation cache for batches of another dictionary:
+	// the dictionary it was filled from and, by ID in it, 1 + the ID in
+	// intern (0 until that value is first met).
+	xlatFrom *Interner
+	xlat     []uint32
+	stage    [][]uint32 // AddBatch's and the loader's staged rows, as columns; never cloned
 }
 
 // NewRelation returns an empty relation of the given arity. Arity 0 is
@@ -191,19 +195,21 @@ func (r *Relation) ContainsIDs(ids []uint32) bool {
 // deduplicating exactly like Add, and reports how many rows were new.
 // A batch of the relation's own dictionary is inserted as it stands;
 // one of another dictionary is translated into the relation's through
-// a cached IDMap, row by row and column by column as Adds would intern
-// it, so a sink fed by a long batch stream interns each distinct value
-// once and then runs on array lookups. The rows are staged as columns,
-// up to BatchCap at a time, and go into the row index as one batch. The
-// batch is read, not retained; the caller keeps ownership. The cache
-// pins the source dictionary — call DropBatchCache once the stream is
-// exhausted so a long-lived relation does not keep it reachable.
+// a flat cache indexed by the source ID, row by row and column by
+// column as Adds would intern it, so a sink fed by a long batch stream
+// interns each distinct value once and then runs on array lookups. The
+// cache holds one source dictionary: a batch of another starts it
+// afresh. The rows are staged as columns, up to BatchCap at a time,
+// and go into the row index as one batch. The batch is read, not
+// retained; the caller keeps ownership. The cache pins the source
+// dictionary — call DropBatchCache once the stream is exhausted so a
+// long-lived relation does not keep it reachable.
 func (r *Relation) AddBatch(b *Batch) int {
 	if b.Arity() != r.arity {
 		panic(fmt.Sprintf("rel: batch arity %d added to relation of arity %d", b.Arity(), r.arity))
 	}
-	if r.xlat == nil && b.dict != r.intern {
-		r.xlat = NewIDMap(r.intern)
+	if b.dict != r.intern && b.dict != r.xlatFrom {
+		r.xlatFrom, r.xlat = b.dict, nil
 	}
 	n := b.Len()
 	stage := r.staging(min(n, BatchCap))
@@ -215,26 +221,39 @@ func (r *Relation) AddBatch(b *Batch) int {
 				copy(stage[k], col[lo:hi])
 			}
 		} else {
-			// The batch's translation slice is read inline; a value seen
-			// for the first time goes through Intern, which leaves the
-			// slice, regrown if the ID lay beyond it, in the memo.
-			tr := r.xlat.m[b.dict]
+			// A value met before costs one load of the cache, read
+			// inline; translate interns a first sight and may regrow it.
+			tr := r.xlat
 			for row := lo; row < hi; row++ {
 				for k, col := range b.cols {
-					id := col[row]
-					if int(id) < len(tr) && tr[id] >= xlatOffset {
-						id = tr[id] - xlatOffset
+					if id := col[row]; int(id) < len(tr) && tr[id] != 0 {
+						stage[k][row-lo] = tr[id] - 1
 					} else {
-						id = r.xlat.Intern(b.dict, id)
-						tr = r.xlat.lastTr
+						stage[k][row-lo] = r.translate(id)
+						tr = r.xlat
 					}
-					stage[k][row-lo] = id
 				}
 			}
 		}
 		added += r.rows.insertBatch(stage, hi-lo, nil)
 	}
 	return added
+}
+
+// translate returns the ID in the relation's dictionary of the value
+// with ID id in xlatFrom, which AddBatch's cache does not hold yet,
+// interning it. The first miss sizes the cache to the source
+// dictionary; a source still growing then doubles it, where refitting
+// it to the source's length would copy it once per batch of new values.
+func (r *Relation) translate(id uint32) uint32 {
+	if int(id) >= len(r.xlat) {
+		grown := make([]uint32, max(r.xlatFrom.Len(), int(id)+1, 2*len(r.xlat)))
+		copy(grown, r.xlat)
+		r.xlat = grown
+	}
+	t := r.intern.Intern(r.xlatFrom.Value(id))
+	r.xlat[id] = t + 1
+	return t
 }
 
 // row decodes the stored tuple at position pos into buf, which must
@@ -373,7 +392,7 @@ func (r *Relation) At(i int) Tuple {
 // batch stream has been fully drained; a later AddBatch simply rebuilds
 // them.
 func (r *Relation) DropBatchCache() {
-	r.xlat = nil
+	r.xlatFrom, r.xlat = nil, nil
 	r.dropScratch()
 }
 

@@ -66,7 +66,7 @@ var _ StoredRel = (*Relation)(nil)
 
 // Materialized returns the named relation of s as a *Relation, for
 // consumers that need whole-relation operations (the materialized
-// evaluators' base case, the ID columns shard.FromStore loads from).
+// evaluators' base case).
 // For the in-memory Database it is the stored relation itself: aliased
 // is true and the caller must treat it as read-only. Any other
 // backend materializes a fresh copy from its batch scan, owned by the

@@ -81,14 +81,13 @@ func (InvertedIndexContainment) Name() string { return "inverted-index" }
 func (InvertedIndexContainment) Predicate() Predicate { return Containment }
 
 // Join implements Algorithm. The pairs stay IDs from the kernel to the
-// result: each R group's rank is its gid, its ID in the list's key
-// dictionary, and ShardContainment's S column (positions in s) is
-// re-pointed at a copy of that dictionary grown by the S keys, so one
-// dictionary decodes both columns, which go to the result's AddBatch as
-// one view batch, as the sharded merge does. AddBatch translates a
-// row's R key before its S key, the order Add interns a pair in, so the
-// result's rows and dictionary come out as pair-by-pair Adds would
-// leave them.
+// result: each R group's rank is its gid, and when every S group was
+// grouped from R's source dictionary the two columns are re-pointed at
+// the keys' IDs there and go to the result's AddBatch as one view
+// batch, as the sharded merge does. AddBatch translates a row's R key
+// before its S key, the order Add interns a pair in, so the result's
+// rows and dictionary come out as pair-by-pair Adds would leave them;
+// S keys of another dictionary go in by those Adds.
 func (InvertedIndexContainment) Join(r, s []*Group) (*rel.Relation, Stats) {
 	rank := make([]uint32, len(r))
 	for i, g := range r {
@@ -99,17 +98,22 @@ func (InvertedIndexContainment) Join(r, s []*Group) (*rel.Relation, Stats) {
 	if len(p.R) == 0 {
 		return out, st
 	}
-	dict := r[0].dict.keys.Clone()
-	sIDs := make([]uint32, len(s))
-	for i, g := range s {
-		sIDs[i] = dict.Intern(g.Key)
+	d := r[0].dict
+	if slices.ContainsFunc(s, func(g *Group) bool { return g.dict.src != d.src }) {
+		t := make(rel.Tuple, 2)
+		for j, gid := range p.R {
+			t[0], t[1] = d.src.Value(d.keys[gid]), s[p.S[j]].Key
+			out.Add(t)
+		}
+		return out, st
 	}
 	for j, si := range p.S {
-		p.S[j] = sIDs[si]
+		g := s[si]
+		p.R[j], p.S[j] = d.keys[p.R[j]], g.dict.keys[g.gid]
 	}
 	cols := [][]uint32{p.R, p.S}
 	var view rel.Batch
-	view.MakeView(cols, dict)
+	view.MakeView(cols, d.src)
 	view.SliceView(cols, 0, len(p.R))
 	out.AddBatch(&view)
 	out.DropBatchCache()

@@ -143,3 +143,36 @@ func TestGroupsFromBatchesElementLimit(t *testing.T) {
 	}()
 	GroupsFromBatches(r.BatchScanSized(2))
 }
+
+// TestGroupsFromBatchesMixedDictionaries: a group list's element and
+// key IDs index the one dictionary of its stream, so a stream whose
+// batches switch dictionaries — two standalone relations back to back
+// — is refused with a "setjoin: " panic. No production cursor produces
+// such a stream: a store's relations share its dictionary.
+func TestGroupsFromBatchesMixedDictionaries(t *testing.T) {
+	r1 := rel.FromRows(2, []int64{1, 10}, []int64{1, 11})
+	r2 := rel.FromRows(2, []int64{2, 11}, []int64{3, 10})
+	defer func() {
+		want := "setjoin: the batches of one group list switch dictionaries"
+		if p := recover(); p == nil || fmt.Sprint(p) != want {
+			t.Fatalf("panic %v, want %q", p, want)
+		}
+	}()
+	GroupsFromBatches(&concatBatches{cs: []rel.BatchCursor{r1.BatchScan(), r2.BatchScan()}})
+}
+
+// concatBatches yields the batches of its cursors one after another.
+type concatBatches struct {
+	cs []rel.BatchCursor
+	i  int
+}
+
+func (c *concatBatches) NextBatch() (*rel.Batch, bool) {
+	for c.i < len(c.cs) {
+		if b, ok := c.cs[c.i].NextBatch(); ok {
+			return b, true
+		}
+		c.i++
+	}
+	return nil, false
+}

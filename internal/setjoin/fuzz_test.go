@@ -13,12 +13,20 @@ import (
 // and its fourth bit makes it the string of that number, so int and
 // string elements that print alike meet. Every containment, equality
 // and overlap join must then equal Reference, both ways round, and so
-// must ShardContainment's pairs, in Reference's order. The seed corpus
-// is testdata/fuzz/FuzzSetJoin; dense-postings has every S element in
-// most R sets, sparse-postings every element in one.
+// must ShardContainment's pairs, in Reference's order. The top bit of
+// the first byte builds R and S in one rel.Database, so the two group
+// lists share a source dictionary and align maps S by array lookup;
+// otherwise they are two standalone relations and align looks values
+// up across dictionaries. The seed corpus is testdata/fuzz/FuzzSetJoin;
+// dense-postings has every S element in most R sets, sparse-postings
+// every element in one, one-database takes the shared path.
 func FuzzSetJoin(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rels := [2]*rel.Relation{rel.NewRelation(2), rel.NewRelation(2)}
+		if len(data) > 0 && data[0]&0x80 != 0 {
+			d := rel.NewDatabase(rel.NewSchema(map[string]int{"R": 2, "S": 2}))
+			rels = [2]*rel.Relation{d.Rel("R"), d.Rel("S")}
+		}
 		for i := 0; i+1 < len(data); i += 2 {
 			key, e := rel.Int(int64(data[i]>>1&7)), int64(data[i+1]&7)
 			v := rel.Int(e)

@@ -17,9 +17,11 @@
 // Every algorithm runs on element IDs. Groups turns a relation's stored
 // ID columns into groups whose sets are ascending uint32 runs in one
 // element dictionary per group list; each Join first re-expresses S in
-// R's dictionary (align), so verifying a pair merges two uint32 runs,
-// an equality key is a run's 4-byte encoding, and postings are indexed
-// by ID. Only Reference, the oracle, decodes the elements to values.
+// R's dictionary (align: an array lookup per distinct element when both
+// lists were grouped from one database), so verifying a pair merges two
+// uint32 runs, an equality key is a run's 4-byte encoding, and postings
+// are indexed by ID. Only Reference, the oracle, decodes the elements
+// to values.
 package setjoin
 
 import (
@@ -39,7 +41,7 @@ import (
 // constructors, so no group is empty.
 type Group struct {
 	Key rel.Value
-	// gid is Key's ID in dict.keys, the keys of the group's list.
+	// gid is Key's index in dict.keys, the keys of the group's list.
 	gid  uint32
 	ids  []uint32
 	sig  uint64
@@ -49,15 +51,22 @@ type Group struct {
 // Len returns the number of elements in the group's set.
 func (g *Group) Len() int { return len(g.ids) }
 
-// elemDict is the element dictionary of one group list: the values its
-// runs' IDs stand for, and hashValue of each, computed once per
-// distinct value for the signatures and PSJ's partitions. keys holds
-// the list's group keys in list order.
+// elemDict is the element dictionary of one group list. Its element IDs
+// and gids are dense, in first-occurrence order over the stream the
+// list was grouped from, and map to IDs in that stream's one source
+// dictionary: values by element ID, elemOf back again, keys by gid.
+// hash holds hashValue of each element, computed once per distinct
+// value for the signatures and PSJ's partitions.
 type elemDict struct {
-	values *rel.Interner
+	src    *rel.Interner
+	values []uint32 // by element ID: its ID in src
+	elemOf []uint32 // by ID in src: 1 + its element ID, 0 if no run holds it
 	hash   []uint64
-	keys   *rel.Interner
+	keys   []uint32 // by gid: the key's ID in src
 }
+
+// value decodes element id.
+func (d *elemDict) value(id uint32) rel.Value { return d.src.Value(d.values[id]) }
 
 // Groups converts a binary relation into its set-valued form, one
 // group per distinct first-column value, in first-occurrence order: it
@@ -71,44 +80,62 @@ func Groups(r *rel.Relation) []*Group {
 }
 
 // GroupsFromBatches builds the groups of a columnar batch stream of
-// binary rows. Keys and elements are translated through rel.IDMap
-// caches — keys into a dense group index, elements into the list's own
-// dictionary — so after a value's first occurrence each is an array
-// load, and the cursor's batches are released as they are consumed.
-// The rows are then laid out by group in one flat array, each run
-// sorted by ID. Groups come in first-occurrence order of their keys in
-// the stream, so any two streams carrying the same tuples in the same
-// order — a relation's BatchScan, a sharded relation's source-order
-// scan — yield identical groups, which is what lets the sharded set
-// joins feed shard-local batch scans straight into the group builder.
+// binary rows, all of one dictionary: a stream whose batches switch
+// dictionaries panics. Keys and elements get dense IDs in
+// first-occurrence order through flat slices indexed by the source ID,
+// so each row costs two array loads, and the cursor's batches are
+// released as they are consumed. The rows are then laid out by group
+// in one flat array, each run sorted by ID. Groups come in
+// first-occurrence order of their keys in the stream, so any two
+// streams carrying the same tuples in the same order — a relation's
+// BatchScan, a sharded relation's source-order scan — yield identical
+// groups, which is what lets the sharded set joins feed shard-local
+// batch scans straight into the group builder.
 func GroupsFromBatches(in rel.BatchCursor) []*Group {
-	keys := rel.NewIDMap(rel.NewInterner()) // group key -> dense index
-	d := &elemDict{values: rel.NewInterner(), keys: keys.To()}
-	elems := rel.NewIDMap(d.values)
+	d := &elemDict{}
+	var keyOf []uint32      // by ID in src: 1 + the key's gid, 0 until met
 	var gids, eids []uint32 // per row: its group and its element
 	for b, ok := in.NextBatch(); ok; b, ok = in.NextBatch() {
 		if b.Arity() != 2 {
 			panic(fmt.Sprintf("setjoin: batch arity %d, want 2", b.Arity()))
 		}
-		kcol, ecol, dict := b.Col(0), b.Col(1), b.Dict()
+		if d.src == nil {
+			d.src = b.Dict()
+		} else if b.Dict() != d.src {
+			panic("setjoin: the batches of one group list switch dictionaries")
+		}
+		if n := d.src.Len(); len(keyOf) < n {
+			keyOf = append(keyOf, make([]uint32, n-len(keyOf))...)
+			d.elemOf = append(d.elemOf, make([]uint32, n-len(d.elemOf))...)
+		}
+		kcol, ecol := b.Col(0), b.Col(1)
 		for row := range b.Len() {
-			gids = append(gids, keys.Intern(dict, kcol[row]))
-			eids = append(eids, elems.Intern(dict, ecol[row]))
+			k, e := kcol[row], ecol[row]
+			if keyOf[k] == 0 {
+				d.keys = append(d.keys, k)
+				keyOf[k] = uint32(len(d.keys))
+			}
+			if d.elemOf[e] == 0 {
+				d.values = append(d.values, e)
+				d.elemOf[e] = uint32(len(d.values))
+			}
+			gids = append(gids, keyOf[k]-1)
+			eids = append(eids, d.elemOf[e]-1)
 		}
 		b.Release()
-		if d.values.Len() > maxElems {
-			panic(fmt.Sprintf("setjoin: %d distinct elements in one group list, at most %d have an ID below absent", d.values.Len(), maxElems))
+		if len(d.values) > maxElems {
+			panic(fmt.Sprintf("setjoin: %d distinct elements in one group list, at most %d have an ID below absent", len(d.values), maxElems))
 		}
 	}
-	d.hash = make([]uint64, d.values.Len())
+	d.hash = make([]uint64, len(d.values))
 	for id := range d.hash {
-		d.hash[id] = hashValue(d.values.Value(uint32(id)))
+		d.hash[id] = hashValue(d.value(uint32(id)))
 	}
 	// Counting sort of the rows by group: end[g] ends up past g's run.
 	// No per-group dedup is needed: the source has set semantics, so
 	// (key, elem) pairs — and hence elems within a group — arrive
 	// distinct.
-	groups := make([]Group, keys.To().Len())
+	groups := make([]Group, len(d.keys))
 	end := make([]int, len(groups)+1)
 	for _, gid := range gids {
 		end[gid+1]++
@@ -125,7 +152,7 @@ func GroupsFromBatches(in rel.BatchCursor) []*Group {
 	lo := 0
 	for i := range groups {
 		g := &groups[i]
-		*g = Group{Key: keys.To().Value(uint32(i)), gid: uint32(i), ids: flat[lo:end[i]:end[i]], dict: d}
+		*g = Group{Key: d.src.Value(d.keys[i]), gid: uint32(i), ids: flat[lo:end[i]:end[i]], dict: d}
 		slices.Sort(g.ids)
 		// The signature is the OR of one hash bit per element, so it is
 		// superset-monotone: sig(X) ⊇bits sig(Y) is necessary for X ⊇ Y,
@@ -175,13 +202,13 @@ var maxElems = int(absent)
 const absent = math.MaxUint32
 
 // align re-expresses the S list s in the element dictionary of the R
-// list r, the step every Join starts with. It only looks values up —
-// r's dictionary is never written, so concurrent joins against one R
-// list may align at once — and re-sorts each translated run. An S
-// group with elements r's dictionary lacks keeps the ones it has and
-// ends in absent. Keys and signatures are copied unchanged, so the
-// signature filter passes exactly the pairs it passed before. A list
-// already in r's dictionary comes back as it is.
+// list r, the step every Join starts with. It only reads — r's
+// dictionary is never written, so concurrent joins against one R list
+// may align at once — and re-sorts each translated run. An S group with
+// elements r's dictionary lacks keeps the ones it has and ends in
+// absent. Keys and signatures are copied unchanged, so the signature
+// filter passes exactly the pairs it passed before. A list already in
+// r's dictionary comes back as it is.
 func align(r, s []*Group) []*Group {
 	if len(r) == 0 {
 		return s // nothing to join with
@@ -194,7 +221,8 @@ func align(r, s []*Group) []*Group {
 	if !slices.ContainsFunc(s, elsewhere) {
 		return s
 	}
-	xl := rel.NewIDMap(d.values)
+	var from *elemDict
+	var tr []uint32 // by element ID of from: the element ID in d, or absent
 	var flat []uint32
 	groups := make([]Group, len(s))
 	out := make([]*Group, len(s))
@@ -203,9 +231,12 @@ func align(r, s []*Group) []*Group {
 			out[i] = g
 			continue
 		}
+		if g.dict != from {
+			from, tr = g.dict, d.translate(g.dict)
+		}
 		lo, missing := len(flat), false
 		for _, id := range g.ids {
-			if t, ok := xl.Lookup(g.dict.values, id); ok {
+			if t := tr[id]; t != absent {
 				flat = append(flat, t)
 			} else {
 				missing = true
@@ -220,6 +251,27 @@ func align(r, s []*Group) []*Group {
 		out[i] = &groups[i]
 	}
 	return out
+}
+
+// translate maps every element ID of from to d's element ID of the same
+// value, or to absent. Over one source dictionary that is an array
+// lookup per element; across two, each value is looked up in d's with
+// Interner.ID, which writes nothing.
+func (d *elemDict) translate(from *elemDict) []uint32 {
+	tr := make([]uint32, len(from.values))
+	for e, id := range from.values {
+		tr[e] = absent
+		if from.src != d.src {
+			var ok bool
+			if id, ok = d.src.ID(from.src.Value(id)); !ok {
+				continue
+			}
+		}
+		if int(id) < len(d.elemOf) && d.elemOf[id] != 0 {
+			tr[e] = d.elemOf[id] - 1
+		}
+	}
+	return tr
 }
 
 // containsAll reports have ⊇ want for two ascending runs in one
@@ -287,7 +339,7 @@ func newPostings(r []*Group) postings {
 	if len(r) == 0 {
 		return postings{}
 	}
-	x := postings{start: make([]int32, r[0].dict.values.Len()+1)}
+	x := postings{start: make([]int32, len(r[0].dict.values)+1)}
 	for _, g := range r {
 		for _, id := range g.ids {
 			x.start[id+1]++
@@ -419,7 +471,7 @@ func decodeAll(gs []*Group) [][]rel.Value {
 	out := make([][]rel.Value, len(gs))
 	for i, g := range gs {
 		for _, id := range g.ids {
-			out[i] = append(out[i], g.dict.values.Value(id))
+			out[i] = append(out[i], g.dict.value(id))
 		}
 		slices.SortFunc(out[i], rel.Value.Cmp)
 	}

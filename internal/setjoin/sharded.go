@@ -14,12 +14,12 @@ package setjoin
 
 // ShardPairs is one shard's join result in interned-ID space. Pair i is
 // (R[i], S[i]): R[i] is the R group's global rank, the rank argument of
-// the join that made it, which is its ID in any dictionary holding the
-// R keys in global order (a relation's router); S[i] is the S group's
-// position in the broadcast list, which is its ID in any dictionary
-// holding the S keys in list order. Run j is the pairs
-// [Start[j], Start[j+1]). Nothing in it is a rel.Value: the merge hands
-// the pairs to Relation.AddBatch as a view batch over these columns.
+// the join that made it (a gid of the relation's router); S[i] is the S
+// group's position in the broadcast list, which is its gid in any list
+// of the S keys in first-occurrence order. Run j is the pairs
+// [Start[j], Start[j+1]). Nothing in it is a rel.Value: the merge maps
+// both columns to the keys' IDs and hands them to Relation.AddBatch as
+// a view batch.
 type ShardPairs struct {
 	R, S  []uint32
 	Start []int

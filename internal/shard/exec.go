@@ -3,9 +3,9 @@ package shard
 // This file is the shard-aware execution layer: division and the set
 // joins run shard-locally — each shard's worker touches only its own
 // store plus read-only broadcast state — and a sequential merge walks
-// the routing dictionary's group IDs in order. Because a relation's
-// router assigns IDs in first-occurrence order, gid order is exactly
-// the group order the sequential algorithms emit in, so the merged
+// the router's gids in order. Because a relation's router assigns
+// gids in first-occurrence order, gid order is exactly the group order
+// the sequential algorithms emit in, so the merged
 // result is byte-identical to the single-store run at every shard
 // count. With one shard no routing happened at load time and none is
 // paid here: Divide runs division.Hash on the one store, ContainmentJoin
@@ -14,10 +14,10 @@ package shard
 //
 // The set joins never leave interned-ID space between the stored
 // columns and the result: both sides are grouped into uint32 runs off
-// batch scans, each task aligns S to its shard's element dictionary and
-// verifies by merging runs, the pairs come back as ID columns cut into
-// runs (setjoin.ShardPairs), and the merge gathers those into one
-// AddBatch. The containment task probes each S set's rarest element
+// batch scans over the partition's one dictionary, each task aligns S
+// to its shard's R list by array lookups and verifies by merging runs,
+// the pairs come back as ID columns cut into runs (setjoin.ShardPairs),
+// and the merge gathers those into one AddBatch. The containment task probes each S set's rarest element
 // through an inverted index over the shard's R groups, and cuts its
 // pairs into the runs the signature nested loop would emit.
 // The shard-local work runs one task per shard on the worker pool
@@ -111,11 +111,11 @@ func Divide(db *Snapshot, rName, sName string, sem division.Semantics, workers i
 	})
 	st := Stats{ShardResident: resident}
 	mergeStart := time.Now()
-	rt := db.Router(rName)
-	out := rel.NewRelationSized(1, rt.Len())
-	for gid := 0; gid < rt.Len(); gid++ {
+	rt := db.routers[rName]
+	out := rel.NewRelationSized(1, len(rt))
+	for gid, id := range rt {
 		st.Merged++
-		v := rt.Value(uint32(gid))
+		v := db.dict.Value(id)
 		if qualified[exec.PartOf(uint32(gid), n)][v] {
 			out.Add(rel.Tuple{v})
 		}
@@ -162,13 +162,14 @@ func groupsHeld(gs []*setjoin.Group) int {
 // shardedSetJoin is both set joins. Between the group builders and the
 // result relation the data stays interned IDs: each shard returns its
 // pairs as two ID columns (setjoin.ShardPairs) — the R group's router
-// ID, which is its global rank, and the S key's position in the
-// broadcast group list — and the merge gathers them, in the sequential
-// algorithm's emission order, into two flat columns that it hands to
-// the result's AddBatch as one view batch, decoded by one dictionary:
-// a copy of the router grown by the S keys. AddBatch translates a row's
-// R key before its S key, the order Add interns a pair in, so the
-// result's dictionary comes out in the sequential order too.
+// gid, which is its global rank, and the S key's position in the
+// broadcast group list, which is its gid in S's router — and the merge
+// gathers them, in the sequential algorithm's emission order, into two
+// flat columns. The routers turn both into the keys' IDs in the
+// partition's one dictionary, and the columns go to the result's
+// AddBatch as one view batch over it. AddBatch translates a row's R key
+// before its S key, the order Add interns a pair in, so the result's
+// dictionary comes out in the sequential order too.
 func shardedSetJoin(db *Snapshot, rName, sName string, workers int, containment bool) (*rel.Relation, Stats) {
 	arityOf(db, rName, 2)
 	arityOf(db, sName, 2)
@@ -187,12 +188,13 @@ func shardedSetJoin(db *Snapshot, rName, sName string, workers int, containment 
 	sGroups := setjoin.GroupsFromBatches(db.scan(sName))
 	// A shard meets its groups in ascending gid order, so the i-th gid
 	// the router sends to shard q is the rank of q's i-th local group.
-	rt := db.routers[rName]
-	if rt == nil {
-		rt = rel.NewInterner() // R has no tuples, so it has no router
+	// A relation with no tuples has no router.
+	rt, sKeys := db.routers[rName], db.routers[sName]
+	if len(sGroups) != len(sKeys) {
+		panic(fmt.Sprintf("shard: %s has %d groups, its router %d keys", sName, len(sGroups), len(sKeys)))
 	}
 	ranks := make([][]uint32, n)
-	for gid := range uint32(rt.Len()) {
+	for gid := range uint32(len(rt)) {
 		q := exec.PartOf(gid, n)
 		ranks[q] = append(ranks[q], gid)
 	}
@@ -201,8 +203,8 @@ func shardedSetJoin(db *Snapshot, rName, sName string, workers int, containment 
 	exec.Run(workers, n, func(q int) {
 		// Shard-local R sides flow as columnar batches straight off the
 		// relations' stored ID columns into the group builder — no tuple
-		// decoding on the grouping pass, and each worker's translation
-		// cache only reads the shard's sealed dictionaries.
+		// decoding on the grouping pass, and the partition's sealed
+		// dictionary is only read.
 		rGroups := setjoin.GroupsFromBatches(db.ShardRel(q, rName).BatchScan())
 		if len(rGroups) != len(ranks[q]) {
 			panic(fmt.Sprintf("shard: shard %d holds %d groups of %s, its router sends %d there", q, len(rGroups), rName, len(ranks[q])))
@@ -229,7 +231,7 @@ func shardedSetJoin(db *Snapshot, rName, sName string, workers int, containment 
 	if containment {
 		// R-major merge: walk the dividend router's gids in order and
 		// take each group's run from its owning shard.
-		for gid := range rt.Len() {
+		for gid := range len(rt) {
 			st.Merged++
 			q := exec.PartOf(uint32(gid), n)
 			gather(q, pairs[q].Start[next[q]], pairs[q].Start[next[q]+1])
@@ -255,25 +257,18 @@ func shardedSetJoin(db *Snapshot, rName, sName string, workers int, containment 
 			}
 		}
 	}
-	// The R column holds router gids and the S column positions in
-	// sGroups. One dictionary decodes both: a copy of the router, whose
-	// IDs are the gids, grown by the S keys, whose IDs replace the
-	// positions. The result is sized exactly, so the one insert never
-	// grows it.
-	dict := rt.Clone()
-	sIDs := make([]uint32, len(sGroups))
-	for i, g := range sGroups {
-		sIDs[i] = dict.Intern(g.Key)
-	}
-	for j, pos := range cols[1] {
-		cols[1][j] = sIDs[pos]
+	// The R column holds R's router gids and the S column S's: the
+	// routers turn both into IDs in the partition's dictionary. The
+	// result is sized exactly, so the one insert never grows it.
+	for j := range total {
+		cols[0][j], cols[1][j] = rt[cols[0][j]], sKeys[cols[1][j]]
 	}
 	var view rel.Batch
-	view.MakeView(cols, dict)
+	view.MakeView(cols, db.dict)
 	view.SliceView(cols, 0, total)
 	out := rel.NewRelationSized(2, total)
 	out.AddBatch(&view)
-	out.DropBatchCache() // the result must not pin the shards' dictionaries
+	out.DropBatchCache() // the result must not pin the partition's dictionary
 	st.MergeTime = time.Since(mergeStart)
 	return out, st
 }

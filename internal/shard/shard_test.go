@@ -2,6 +2,8 @@ package shard_test
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -76,13 +78,13 @@ func sameStorage(a, b *rel.Relation) error {
 // TestFromStoreReserveChangesNothing pins FromStore's partition (the
 // name dates from when FromStore was Add plus a capacity hint) against
 // an expectation computed here, for every kind of source: shard q
-// holds exactly the source rows whose first-column router ID maps to q
-// under exec.PartOf, in source order — the same ID columns and
-// dictionary order as tuple-wise Database.Adds of those rows into a
-// database of its own, relations in name order, since a shard's
-// relations share its dictionary — and
-// Router lists each relation's first-column values in first-occurrence
-// order (nothing at one shard, where nothing is routed).
+// holds exactly the source rows whose first-column router gid maps to
+// q under exec.PartOf, in source order, as the source's own IDs over
+// one copy of the source's dictionary that every shard shares — the
+// same ID columns and dictionary as tuple-wise Database.Adds of those
+// rows into a database over another copy — and the router lists each
+// relation's first-column values in first-occurrence order (nothing at
+// one shard, where nothing is routed).
 func TestFromStoreReserveChangesNothing(t *testing.T) {
 	sources := map[string]*rel.Database{}
 	for seed := int64(0); seed < 4; seed++ {
@@ -125,7 +127,11 @@ func TestFromStoreReserveChangesNothing(t *testing.T) {
 				}
 				want := make([]*rel.Database, n)
 				for q := range want {
-					want[q] = rel.NewDatabase(d.Schema())
+					want[q] = rel.NewDatabaseOver(d.Schema(), d.Dict().Clone())
+				}
+				dict := snap.ShardRel(0, d.Schema().Names()[0]).Interner()
+				if dict == d.Dict() {
+					t.Fatalf("%s: the shards share the source's dictionary, not a copy", where)
 				}
 				for _, name := range d.Schema().Names() {
 					if err := samePartition(snap, d.Rel(name), name, want); err != nil {
@@ -134,10 +140,16 @@ func TestFromStoreReserveChangesNothing(t *testing.T) {
 				}
 				for _, name := range d.Schema().Names() {
 					for q := range want {
+						if snap.ShardRel(q, name).Interner() != dict {
+							t.Fatalf("%s: %s on shard %d has a dictionary of its own", where, name, q)
+						}
 						if err := sameStorage(snap.ShardRel(q, name), want[q].Rel(name)); err != nil {
 							t.Fatalf("%s: %s on shard %d: %v", where, name, q, err)
 						}
 					}
+				}
+				if dict.Len() != d.Dict().Len() {
+					t.Fatalf("%s: the shards' dictionary holds %d values, the source's %d", where, dict.Len(), d.Dict().Len())
 				}
 			}
 		}
@@ -146,26 +158,33 @@ func TestFromStoreReserveChangesNothing(t *testing.T) {
 
 // samePartition compares the named relation's router in a snapshot
 // with src's first-column values in first-occurrence order, and adds
-// src's rows that route to shard q to want[q], in source order. Called
-// for the relations in name order, as FromStore loads them, it leaves
-// in want what each shard must hold (sameStorage).
+// src's rows that route to shard q to want[q], in source order. Over a
+// copy of src's dictionary those Adds intern nothing, so want holds
+// what each shard must hold (sameStorage): the source's IDs.
 func samePartition(snap *shard.Snapshot, src *rel.Relation, name string, want []*rel.Database) error {
 	n := snap.NumShards()
-	router := rel.NewInterner()
+	gidOf := map[rel.Value]int{}
+	var router []rel.Value // by gid: first-column values in first-occurrence order
 	for _, tup := range src.Tuples() {
 		q := 0
 		if len(tup) > 0 && n > 1 {
-			q = exec.PartOf(router.Intern(tup[0]), n)
+			gid, ok := gidOf[tup[0]]
+			if !ok {
+				gid = len(router)
+				gidOf[tup[0]] = gid
+				router = append(router, tup[0])
+			}
+			q = exec.PartOf(uint32(gid), n)
 		}
 		want[q].Add(name, tup)
 	}
-	rt := snap.Router(name)
-	if rt.Len() != router.Len() {
-		return fmt.Errorf("%s router has %d values, want %d", name, rt.Len(), router.Len())
+	rt := shard.RouterValues(snap, name)
+	if len(rt) != len(router) {
+		return fmt.Errorf("%s router has %d values, want %d", name, len(rt), len(router))
 	}
-	for id := 0; id < router.Len(); id++ {
-		if !rt.Value(uint32(id)).Equal(router.Value(uint32(id))) {
-			return fmt.Errorf("%s router diverges at ID %d: %s vs %s", name, id, rt.Value(uint32(id)), router.Value(uint32(id)))
+	for gid, v := range router {
+		if !rt[gid].Equal(v) {
+			return fmt.Errorf("%s router diverges at gid %d: %s vs %s", name, gid, rt[gid], v)
 		}
 	}
 	return nil
@@ -173,12 +192,16 @@ func samePartition(snap *shard.Snapshot, src *rel.Relation, name string, want []
 
 // TestShardRoutingGroupsWhole pins the partition invariant everything
 // rests on: all tuples sharing a first column land in one shard, the
-// one its router ID maps to.
+// one its router gid maps to.
 func TestShardRoutingGroupsWhole(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		for _, n := range []int{2, 4} {
 			_, s := divisionStores(seed, n)
 			for _, name := range []string{"R", "S"} {
+				gidOf := map[rel.Value]int{}
+				for gid, v := range shard.RouterValues(s, name) {
+					gidOf[v] = gid
+				}
 				owner := map[rel.Value]int{}
 				for q := 0; q < s.NumShards(); q++ {
 					c := s.ShardRel(q, name).Cursor()
@@ -187,8 +210,8 @@ func TestShardRoutingGroupsWhole(t *testing.T) {
 							t.Fatalf("seed %d shards %d: %s group %s split across shards %d and %d", seed, n, name, tup[0], prev, q)
 						}
 						owner[tup[0]] = q
-						id, ok := s.Router(name).ID(tup[0])
-						if !ok || exec.PartOf(id, n) != q {
+						gid, ok := gidOf[tup[0]]
+						if !ok || exec.PartOf(uint32(gid), n) != q {
 							t.Fatalf("seed %d shards %d: %s's router sends %s elsewhere, it lives in %d", seed, n, name, tup, q)
 						}
 					}
@@ -430,9 +453,13 @@ func postingsCount(r, s *rel.Relation) int {
 // TestShardedAllocationCeilings pins the interned-ID data path by what
 // it does not allocate, at 2 shards: the containment join makes well
 // under one allocation per emitted pair (a rel.Tuple per pair and a
-// pair list per group made it 2.7), and FromStore's allocations do not
+// pair list per group made it 2.7), FromStore's allocations do not
 // scale with the tuple count (buffers and reservations per relation
-// and shard, never per tuple).
+// and shard, never per tuple), and FromStore, Publish and the three
+// operators on a division and a set-join instance of 86 466 tuples
+// allocate at most 6.7 MB: 6.08 MB measured plus 10 %, where a
+// dictionary per shard, the routers' interners and the translations
+// between them took 6.86 MB.
 func TestShardedAllocationCeilings(t *testing.T) {
 	// 200 R sets over a 40-value domain, each holding all but one value;
 	// 200 two-element S sets: an S set is contained unless it names the
@@ -502,6 +529,107 @@ func TestShardedAllocationCeilings(t *testing.T) {
 	allocs := testing.AllocsPerRun(3, func() { shard.FromStore(d, 2) })
 	if perTuple := allocs / float64(tuples); perTuple > 0.01 {
 		t.Errorf("FromStore: %.0f allocations for %d tuples (%.4f each), want at most 0.01 each", allocs, tuples, perTuple)
+	}
+
+	both := rel.NewDatabase(rel.NewSchema(map[string]int{"R": 2, "S": 1, "P": 2, "Q": 2}))
+	dr, ds := workload.Division{Groups: 2000, GroupSize: 20, Dist: workload.Uniform, DivisorSize: 20,
+		MatchFraction: 0.3, Domain: 1000, Seed: 1}.Generate()
+	sp, sq := workload.SetJoin{RGroups: 600, SGroups: 600, MeanSize: 8, Dist: workload.Zipf,
+		Domain: 300, ContainFraction: 0.2, Seed: 1}.Generate()
+	for name, r := range map[string]*rel.Relation{"R": dr, "S": ds, "P": sp, "Q": sq} {
+		for _, tup := range r.Tuples() {
+			both.Add(name, tup)
+		}
+	}
+	const ceiling = 6_700_000
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		s := shard.FromStore(both, 2).Publish()
+		shard.Divide(s, "R", "S", division.Containment, 2)
+		shard.ContainmentJoin(s, "P", "Q", 2)
+		shard.EqualityJoin(s, "P", "Q", 2)
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if both.Size() != 86466 || least > ceiling {
+		t.Errorf("FromStore, Publish and the three operators on %d tuples: %d bytes allocated, want at most %d on 86466", both.Size(), least, ceiling)
+	}
+}
+
+// TestShardSnapshotIndependentOfSource pins the copy of the source's
+// dictionary that FromStore makes once: after FromStore(src,
+// 4).Publish(), two goroutines add new values and rows to src (one at
+// a time: a database has one writer) while two others run the three
+// operators on the snapshot, and every result is byte-identical to the
+// one taken before the writes. A snapshot that shared src's dictionary
+// would race with the writers under -race, and would see S's new
+// divisor values.
+func TestShardSnapshotIndependentOfSource(t *testing.T) {
+	src := rel.NewDatabase(rel.NewSchema(map[string]int{"R": 2, "S": 1, "P": 2, "Q": 2}))
+	r, s := workload.Division{Groups: 60, GroupSize: 6, Dist: workload.Uniform, DivisorSize: 4,
+		MatchFraction: 0.5, Domain: 30, Seed: 3}.Generate()
+	p, q := workload.SetJoin{RGroups: 40, SGroups: 40, MeanSize: 4, Dist: workload.Uniform,
+		Domain: 20, ContainFraction: 0.3, Seed: 3}.Generate()
+	for name, rl := range map[string]*rel.Relation{"R": r, "S": s, "P": p, "Q": q} {
+		for _, tup := range rl.Tuples() {
+			src.Add(name, tup)
+		}
+	}
+	snap := shard.FromStore(src, 4).Publish()
+	run := func() [3]*rel.Relation {
+		d, _ := shard.Divide(snap, "R", "S", division.Containment, 2)
+		c, _ := shard.ContainmentJoin(snap, "P", "Q", 2)
+		e, _ := shard.EqualityJoin(snap, "P", "Q", 2)
+		return [3]*rel.Relation{d, c, e}
+	}
+	want := run()
+	if want[0].Len() == 0 || want[1].Len() == 0 {
+		t.Fatalf("the instance has an empty division (%d) or containment join (%d)", want[0].Len(), want[1].Len())
+	}
+	dictLen := src.Dict().Len()
+	var mu sync.Mutex // the writers take turns
+	var wg sync.WaitGroup
+	for w := range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range int64(200) {
+				mu.Lock()
+				v := fmt.Sprintf("new-%d-%d", w, i)
+				src.AddStrs("S", v)
+				src.Add("R", rel.Tuple{rel.Str(v), rel.Int(i)})
+				src.AddInts("R", i%60, 1000+i)
+				src.Add("P", rel.Tuple{rel.Int(i % 40), rel.Str(v)})
+				src.Add("Q", rel.Tuple{rel.Str(v), rel.Int(i % 20)})
+				mu.Unlock()
+			}
+		}()
+	}
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 20 {
+				for i, got := range run() {
+					if err := sameStorage(want[i], got); err != nil {
+						t.Errorf("operator %d while the source is written: %v", i, err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if src.Dict().Len() <= dictLen {
+		t.Fatalf("the writers added no value to the source's dictionary (%d)", dictLen)
+	}
+	for i, got := range run() {
+		if err := sameStorage(want[i], got); err != nil {
+			t.Errorf("operator %d after the writes: %v", i, err)
+		}
 	}
 }
 

@@ -11,16 +11,15 @@ package shard
 // every maximal same-shard run of the log is a contiguous local range,
 // and the batch cursor yields it as a zero-copy view batch over that
 // shard's stored ID columns — no tuple decoding, no re-interning, no
-// per-row work at all. Batches switch dictionaries at run boundaries
-// (each shard database owns its interner), so its consumers translate
-// (the set-join group builder does).
+// per-row work at all. Every batch carries the partition's one
+// dictionary, so a consumer reads the IDs as they stand.
 
 import "radiv/internal/rel"
 
 // scan returns the named relation's rows in source order, in batches
 // of at most rel.BatchCap rows. The yielded batches are views aliasing
 // shard-local relation storage — read-only, valid until the next
-// NextBatch call, their Release a no-op — and carry the owning shard's
+// NextBatch call, their Release a no-op — and carry the partition's
 // dictionary. With one shard it is that shard's own batch scan.
 func (s *Snapshot) scan(name string) rel.BatchCursor {
 	if len(s.shards) == 1 {
@@ -39,7 +38,7 @@ func (s *Snapshot) scan(name string) rel.BatchCursor {
 
 // shardBatchCursor yields view batches over maximal same-shard runs of
 // the placement log, capped at the batch size. It keeps one view batch
-// per shard (bound to that shard's columns and dictionaries) and
+// per shard (bound to that shard's columns) and
 // re-slices it per run, so the previous batch is invalidated by the
 // next NextBatch — exactly the ownership contract.
 type shardBatchCursor struct {
