@@ -8,6 +8,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"unicode/utf8"
 )
 
 // This file provides a minimal text format for databases so the cmd/
@@ -35,19 +36,19 @@ import (
 // whitespace (the empty string is fine) comes back split or trimmed.
 //
 // ReadText makes two passes over its input through one read buffer of
-// readBuf bytes, which grows only for a longer line. The first counts
-// each relation's tuple lines so its storage is reserved once; the
-// second loads, allocating per relation and per chunk of strings, not
-// per tuple: fields are sliced in place, integers decoded by a byte
-// loop, every field interned straight into the database's dictionary
-// in file order (a string is copied only the first time the database
-// sees it, into a chunk the dictionary owns), and the row's IDs are
-// staged in the relation's staging columns. A relation's staged rows
-// go into its row index as one batch when BatchCap of them are staged,
-// and at the end of the input. No slice of the buffer outlives the
-// call. An input that cannot seek back for the second pass, such as a
-// pipe, is read into memory once and parsed from there by the same
-// code.
+// readBuf bytes, which grows only for a longer line; both run one line
+// scanner, loader.scan. The first counts each relation's tuple lines
+// so its storage is reserved once; the second loads, allocating per
+// relation and per chunk of strings, not per tuple: fields are sliced
+// in place in one walk of the line, integers decoded by a byte loop,
+// every field interned straight into the database's dictionary in file
+// order (a string is copied only the first time the database sees it,
+// into a chunk the dictionary owns), and the row's IDs are staged in
+// the relation's staging columns. A relation's staged rows go into its
+// row index as one batch when BatchCap of them are staged, and at the
+// end of the input. No slice of the buffer outlives the call. An input
+// that cannot seek back for the second pass, such as a pipe, is read
+// into memory once and parsed from there by the same code.
 
 // WriteText writes a store in the text format. It accepts any ReadStore
 // backend; relations are emitted in name order and tuples in sorted
@@ -101,11 +102,11 @@ func ReadText(r io.Reader) (*Database, error) {
 	}
 	ld := loader{d: NewDatabase(Schema{}), rels: make(map[string]*loadRel)}
 	buf := make([]byte, readBuf)
-	for _, pass := range []func([]byte) error{ld.count, ld.line} {
+	for _, load := range []bool{false, true} {
 		if _, err = in.Seek(start, io.SeekStart); err != nil {
 			return nil, fmt.Errorf("seeking to the start of the input: %w", err)
 		}
-		if buf, err = readLines(in, buf, pass); err != nil {
+		if buf, err = ld.scan(in, buf, load); err != nil {
 			return nil, err
 		}
 	}
@@ -134,13 +135,16 @@ func slurp(r io.Reader) ([]byte, error) {
 	return buf.Bytes(), err
 }
 
-// readLines reads r to its end through buf and calls fn on every line
-// that is neither blank nor a comment, surrounding whitespace removed.
-// It stops at fn's first error, or at a relation or dictionary that
-// fills up (capacityError), which it returns prefixed with the line
-// number. A line longer than buf grows it; readLines returns the buffer
-// it ended with, for the next pass to reuse.
-func readLines(r io.Reader, buf []byte, fn func(line []byte) error) (_ []byte, err error) {
+// scan is one pass: it reads r to its end through buf, finds each line
+// end with one IndexByte, carries the line a read does not end to the
+// front of buf, and handles every line that is neither blank nor a
+// comment, trimmed. The counting pass (load false) tallies tuple lines
+// per relation; the loading pass loads declarations and tuples. scan
+// stops at the first error, or at a relation or dictionary that fills
+// up (capacityError), which it returns prefixed with the line number.
+// A line longer than buf grows it; scan returns the buffer it ended
+// with, for the next pass to reuse.
+func (ld *loader) scan(r io.Reader, buf []byte, load bool) (_ []byte, err error) {
 	lineno, held := 0, 0 // buf[:held] is a line the last read did not end
 	defer func() {
 		// A relation or dictionary that fills up is the input's fault,
@@ -157,16 +161,33 @@ func readLines(r io.Reader, buf []byte, fn func(line []byte) error) (_ []byte, e
 		n, rerr := r.Read(buf[held:])
 		data := buf[:held+n]
 		for len(data) > 0 {
-			line, rest, found := bytes.Cut(data, newline)
-			if !found && rerr != io.EOF {
+			line := data
+			if i := bytes.IndexByte(data, '\n'); i >= 0 {
+				line, data = data[:i], data[i+1:]
+			} else if rerr != io.EOF {
 				break // the line goes on in the next read
+			} else {
+				data = nil
 			}
-			data = rest
 			lineno++
-			if line = bytes.TrimSpace(line); len(line) == 0 || line[0] == '#' {
+			if spaceAtEdge(line) {
+				line = bytes.TrimSpace(line)
+			}
+			if len(line) == 0 || line[0] == '#' {
 				continue
 			}
-			if err := fn(line); err != nil {
+			switch {
+			case line[0] == '@':
+				if load {
+					err = ld.declare(line)
+				}
+			case load:
+				err = ld.tuple(line)
+			default:
+				lr, _ := ld.rel(line)
+				lr.lines++
+			}
+			if err != nil {
 				return buf, fmt.Errorf("line %d: %w", lineno, err)
 			}
 		}
@@ -180,6 +201,14 @@ func readLines(r io.Reader, buf []byte, fn func(line []byte) error) (_ []byte, e
 			buf = buf[:cap(buf)]
 		}
 	}
+}
+
+// spaceAtEdge reports whether b's first or last byte is ASCII space or
+// control, or part of a multi-byte rune (U+0085, U+00A0, ...): only
+// such a line or field can need bytes.TrimSpace, so passing only those
+// to it trims exactly what TrimSpace trims.
+func spaceAtEdge(b []byte) bool {
+	return len(b) > 0 && (b[0] <= ' ' || b[0] >= utf8.RuneSelf || b[len(b)-1] <= ' ' || b[len(b)-1] >= utf8.RuneSelf)
 }
 
 // loader is the state of one ReadText call. The database's schema is
@@ -208,11 +237,23 @@ func (lr *loadRel) flush() {
 	lr.staged = 0
 }
 
-// rel returns the entry for a relation name, creating it when new. It
-// tries the previous line's entry before the map: names come in runs.
-func (ld *loader) rel(name []byte) *loadRel {
-	if ld.last != nil && ld.last.name == string(name) {
-		return ld.last
+// rel splits a trimmed tuple line at its first space or tab into the
+// entry of its relation name, created when new, and its untrimmed field
+// list, nil when the line is a name alone. Names come in runs, so the
+// previous line's name (which holds no space or tab) is first tried as
+// a prefix of the line.
+func (ld *loader) rel(line []byte) (*loadRel, []byte) {
+	if lr := ld.last; lr != nil && len(line) >= len(lr.name) && string(line[:len(lr.name)]) == lr.name {
+		switch n := len(lr.name); {
+		case n == len(line):
+			return lr, nil
+		case line[n] == ' ' || line[n] == '\t':
+			return lr, line[n+1:]
+		}
+	}
+	name, fields := line, []byte(nil)
+	if i := bytes.IndexAny(line, " \t"); i >= 0 {
+		name, fields = line[:i], line[i+1:]
 	}
 	lr, ok := ld.rels[string(name)]
 	if !ok {
@@ -220,38 +261,7 @@ func (ld *loader) rel(name []byte) *loadRel {
 		ld.rels[lr.name] = lr
 	}
 	ld.last = lr
-	return lr
-}
-
-// cutName splits a tuple line at its first space or tab into the
-// relation name and the untrimmed field list, which is nil when the
-// line is a name alone.
-func cutName(line []byte) (name, fields []byte) {
-	for i, c := range line {
-		if c == ' ' || c == '\t' {
-			return line[:i], line[i+1:]
-		}
-	}
-	return line, nil
-}
-
-var newline, comma = []byte{'\n'}, []byte{','}
-
-// count is the first pass: it tallies tuple lines per relation name.
-func (ld *loader) count(line []byte) error {
-	if line[0] != '@' {
-		name, _ := cutName(line)
-		ld.rel(name).lines++
-	}
-	return nil
-}
-
-// line is the second pass: it loads one declaration or tuple line.
-func (ld *loader) line(line []byte) error {
-	if line[0] == '@' {
-		return ld.declare(line)
-	}
-	return ld.tuple(line)
+	return lr, fields
 }
 
 // declare handles "@<name> <arity>".
@@ -274,15 +284,14 @@ func (ld *loader) declare(line []byte) error {
 
 // tuple handles "<rel> <v1,v2,...>", and the bare "<rel>" that is the
 // empty tuple of a relation declared with arity 0. The field list is
-// cut, and its arity checked, in one pass before any field is
-// interned: every field but the last must end at a comma and the last
-// must not. Only a relation's first line, whose arity create still has
-// to learn, and a line of the wrong arity, whose error names it, count
-// the commas.
+// walked once, one IndexByte per field, and its arity checked before
+// any field is interned: every field but the last must end at a comma
+// and the last must hold none. (The line is trimmed, so a field list
+// is never all white space.) Only a relation's first line, whose arity
+// create still has to learn, and a line of the wrong arity, whose
+// error names it, count the commas.
 func (ld *loader) tuple(line []byte) error {
-	name, fields := cutName(line)
-	fields = bytes.TrimSpace(fields)
-	lr := ld.rel(name)
+	lr, fields := ld.rel(line)
 	if lr.rel == nil {
 		if err := ld.create(lr, line, fields); err != nil {
 			return err
@@ -291,11 +300,17 @@ func (ld *loader) tuple(line []byte) error {
 	r, cut := lr.rel, lr.cut
 	rest, ok := fields, (len(fields) == 0) == (r.arity == 0)
 	for k := 0; ok && k < len(cut); k++ {
-		f, tail, found := bytes.Cut(rest, comma)
-		cut[k], rest, ok = bytes.TrimSpace(f), tail, found == (k < len(cut)-1)
+		f, i := rest, bytes.IndexByte(rest, ',')
+		if i >= 0 {
+			f, rest = rest[:i], rest[i+1:]
+		}
+		if spaceAtEdge(f) {
+			f = bytes.TrimSpace(f)
+		}
+		cut[k], ok = f, (i >= 0) == (k < len(cut)-1)
 	}
 	if !ok {
-		return fmt.Errorf("tuple arity %d for relation %s of arity %d", arity(fields), name, r.arity)
+		return fmt.Errorf("tuple arity %d for relation %s of arity %d", arity(fields), lr.name, r.arity)
 	}
 	for k, col := range r.stage {
 		col[lr.staged] = r.intern.internText(cut[k])
@@ -304,8 +319,8 @@ func (ld *loader) tuple(line []byte) error {
 	// A full stage goes in at once. So does a stage whose rows could
 	// fill the relation up, which near the row limit is every row: the
 	// row that finds the relation full then panics while its own line
-	// is read, and readLines reports that line. No other flush, the one
-	// at the end of the input included, can fill the relation up.
+	// is read, and scan reports that line. No other flush, the one at
+	// the end of the input included, can fill the relation up.
 	if lr.staged == lr.room || r.rows.n+lr.staged >= maxRows {
 		lr.flush()
 	}
@@ -336,12 +351,12 @@ func (ld *loader) create(lr *loadRel, line, fields []byte) error {
 	return nil
 }
 
-// arity returns the number of fields in a trimmed field list.
+// arity returns the number of fields in a tuple line's field list.
 func arity(fields []byte) int {
 	if len(fields) == 0 {
 		return 0
 	}
-	return bytes.Count(fields, comma) + 1
+	return bytes.Count(fields, []byte{','}) + 1
 }
 
 // parseInt decodes b as strconv.ParseInt(string(b), 10, 64) would,

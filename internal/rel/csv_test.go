@@ -147,7 +147,7 @@ func sameLoad(t *testing.T, got, want *Database) {
 // FuzzReadText checks that ReadText never panics, that a reader it
 // streams and one it must read into memory load the same, and, away
 // from the deliberate divergences, that it agrees with the oracle on
-// error-or-not and on everything it loads.
+// error-or-not, on the line an error names and on everything it loads.
 func FuzzReadText(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := ReadText(bytes.NewReader(data))
@@ -165,7 +165,7 @@ func FuzzReadText(f *testing.F) {
 			return
 		}
 		want, werr := readTextOracle(bytes.NewReader(data))
-		if (err == nil) != (werr == nil) {
+		if (err == nil) != (werr == nil) || err != nil && errorLine(err) != errorLine(werr) {
 			t.Fatalf("ReadText error %v, oracle error %v", err, werr)
 		}
 		if err == nil {
@@ -173,6 +173,17 @@ func FuzzReadText(f *testing.F) {
 		}
 	})
 }
+
+// errorLine returns the "line N:" an error message starts with, or the
+// whole message when it names no line.
+func errorLine(err error) string {
+	if m := lineOfError.FindString(err.Error()); m != "" {
+		return m
+	}
+	return err.Error()
+}
+
+var lineOfError = regexp.MustCompile(`^line [0-9]+:`)
 
 // seedCorpus returns the inputs committed under testdata/fuzz.
 func seedCorpus(t *testing.T) map[string][]byte {
@@ -260,6 +271,26 @@ func TestReadTextCorpusOutcomes(t *testing.T) {
 	}
 	if d := load("late-redeclaration"); d.Rel("R").Len() != 2 || d.Rel("T").Arity() != 3 {
 		t.Errorf("late redeclaration loaded as\n%s", d)
+	}
+	if d := load("inner-space"); !d.Rel("R").Equal(FromTuples(2, T(Str("a b"), Str("c d")), T(Str("a b"), Str("c\td")),
+		T(Str("1 2"), Int(3)), T(Str("a  b"), Str("c d")))) || d.Rel("S").Len() != 2 {
+		t.Errorf("inner spaces loaded as\n%s", d)
+	}
+	if d := load("nbsp-nel-edges"); !d.Rel("R").Equal(FromTuples(2, T(Int(1), Int(2)), T(Int(3), Int(4)), T(Str("a"), Str("b")),
+		T(Int(5), Int(6)), T(Int(7), Int(8)), T(Str(""), Str("x")))) ||
+		!d.Rel("R\u00a0").Contains(T(Int(9), Int(10))) || !d.Rel("R\u0085").Contains(T(Int(11), Int(12))) {
+		t.Errorf("U+00A0 and U+0085 loaded as\n%s", d)
+	}
+	if d := load("empty-last-field"); !d.Rel("R").Equal(FromTuples(2, T(Int(1), Str("")), T(Int(2), Str("")), T(Str(""), Str("")), T(Int(3), Str("")))) ||
+		!d.Rel("S").Equal(FromTuples(3, T(Int(1), Str(""), Str("")), T(Int(1), Int(2), Str("")))) {
+		t.Errorf("empty last fields loaded as\n%s", d)
+	}
+	if d := load("crlf-ints"); !d.Rel("R").Equal(FromRows(2, []int64{1, 2}, []int64{10, -3}, []int64{4, 5}, []int64{7, 8}, []int64{6, 7})) ||
+		!d.Rel("S").Equal(FromRows(1, []int64{9}, []int64{0})) {
+		t.Errorf("CRLF integers loaded as\n%s", d)
+	}
+	if _, err := ReadText(bytes.NewReader(corpus["name-switches"])); err == nil || !strings.HasPrefix(err.Error(), "line 16: ") {
+		t.Errorf("name-switches: error %v, want one on line 16", err)
 	}
 	for _, name := range []string{"redeclared-arity", "arity-mismatch", "huge-declared-arity", "large-declared-arity", "strict-declarations", "unicode-space"} {
 		if _, err := ReadText(bytes.NewReader(corpus[name])); err == nil || !strings.HasPrefix(err.Error(), "line ") {
@@ -425,6 +456,85 @@ func TestReadTextKnownSizeReaders(t *testing.T) {
 	opaque := testing.AllocsPerRun(5, func() { _, _ = slurp(struct{ io.Reader }{bytes.NewReader(data)}) })
 	if sized > opaque/4 {
 		t.Errorf("slurp made %.0f allocations with a known length and %.0f without; want one buffer, not a doubling series", sized, opaque)
+	}
+}
+
+// shortReader is a seekable reader whose Read returns at most max
+// bytes, and io.EOF with the last of them when eofWithData is set.
+type shortReader struct {
+	*bytes.Reader
+	max         int
+	eofWithData bool
+}
+
+func (r shortReader) Read(p []byte) (int, error) {
+	n, err := r.Reader.Read(p[:min(len(p), r.max)])
+	if err == nil && r.eofWithData && r.Len() == 0 {
+		err = io.EOF
+	}
+	return n, err
+}
+
+// TestReadTextBufferBoundaries: ReadText carries the line a read does
+// not end to the next read, so every way a line can be split across
+// reads must load what the oracle loads and fail on the line the
+// oracle fails on. The inputs are the seed corpus and a file of several
+// relations, read 1, 7 and 4096 bytes at a time, and a file in which
+// the end of the first full buffer falls on each byte of one tuple
+// line in turn.
+func TestReadTextBufferBoundaries(t *testing.T) {
+	check := func(name string, data []byte, r io.Reader) error {
+		t.Helper()
+		got, err := ReadText(r)
+		want, werr := readTextOracle(bytes.NewReader(data))
+		if (err == nil) != (werr == nil) || err != nil && errorLine(err) != errorLine(werr) {
+			t.Fatalf("%s: error %v, oracle error %v", name, err, werr)
+		}
+		if err == nil {
+			sameLoad(t, got, want)
+		}
+		return err
+	}
+
+	inputs := seedCorpus(t)
+	var mixed bytes.Buffer
+	for i := 0; i < 3000; i++ {
+		fmt.Fprintf(&mixed, "R %d,v%d\r\n# %d\n\nS \u00a0s%d\u0085\n T\t%d , %d,x\n", i, i%7, i, i%11, i%5, i)
+	}
+	inputs["mixed"] = mixed.Bytes()
+	inputs["mixed, arity error"] = append(mixed.Bytes(), "T 1,2\n"...)
+	if _, err := ReadText(bytes.NewReader(mixed.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range inputs {
+		if divergesFromOracle(data) {
+			continue
+		}
+		for _, max := range []int{1, 7, 4096} {
+			for _, eof := range []bool{false, true} {
+				check(fmt.Sprintf("%s, %d-byte reads, EOF with data %v", name, max, eof), data,
+					shortReader{bytes.NewReader(data), max, eof})
+			}
+		}
+	}
+
+	const line = "R \u00a0 12 ,beer\u0085\r\n"
+	for k := 0; k <= len(line); k++ {
+		// A comment pads the file so that line starts k bytes before
+		// the end of the first buffer; the bad file has a third field
+		// there.
+		head := "@R 2\n#" + strings.Repeat("x", readBuf-k-7) + "\n"
+		good := []byte(head + line + "R 13,ale\n" + line)
+		bad := []byte(head + strings.Replace(line, ",beer", ",be,er", 1) + "R 13,ale\n")
+		if i := bytes.Index(good, []byte(line)); i != readBuf-k {
+			t.Fatalf("line starts at %d, want %d", i, readBuf-k)
+		}
+		if err := check(fmt.Sprintf("buffer ends %d bytes into the line", k), good, bytes.NewReader(good)); err != nil {
+			t.Fatal(err)
+		}
+		if err := check(fmt.Sprintf("buffer ends %d bytes into a bad line", k), bad, bytes.NewReader(bad)); err == nil || errorLine(err) != "line 3:" {
+			t.Fatalf("bad line %d bytes before the buffer's end: error %v, want one on line 3", k, err)
+		}
 	}
 }
 
