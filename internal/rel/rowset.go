@@ -25,11 +25,11 @@ import (
 // so Find never writes and any number of readers may probe a set nobody
 // inserts into.
 //
-// The bulk writers — the text loader and Relation.AddBatch — insert a
-// batch of rows at a time through insertBatch, which hashes the batch
-// column by column and loads every row's bucket head before it walks a
-// single chain: the loads do not depend on each other, so their cache
-// misses overlap instead of being waited on one row at a time.
+// The bulk writers — the text loader and Relation.AddBatch, and through
+// it the shards, the sharded merges and the sinks — insert a batch of
+// rows at a time through insertBatch, which links rows at their chains'
+// heads first and checks them for duplicates after, so that no row
+// waits on the cache misses of the row before it.
 //
 // Width 0 is allowed: such a set holds at most the empty row, which is
 // how the arity-0 relations {} and {()} are stored.
@@ -39,9 +39,14 @@ type RowSet struct {
 	heads []int32    // per bucket: 1 + newest position in its chain (0 = empty); nil while empty
 	next  []int32    // per row: 1 + next position in its hash chain (0 ends)
 
+	// dups reports that the last chunk insertBatch took held a row the
+	// set already had, so the next chunk skips link.
+	dups bool
+
 	// insertBatch's scratch, per row of the chunk in hand: its hash, and
-	// its bucket's head as the second pass loaded it (kept only so those
-	// loads are not dead code). Never cloned.
+	// its bucket's head before the row went in. link keeps those heads as
+	// the undo log of a chunk linked before it was checked; the one-row
+	// loop loads them only so that its chains are in cache. Never cloned.
 	hashes  []uint64
 	touched []int32
 }
@@ -120,17 +125,21 @@ func (s *RowSet) add(h uint64, ids []uint32) int {
 // insertBatch inserts n rows given as columns — row i is cols[k][i] for
 // every k — in row order, exactly as n calls of Insert would: a row
 // equal to an earlier one of the batch is a duplicate of it, so the
-// first occurrence is the one kept, and the index grows at the same
-// rows. When fresh is not nil, fresh[i] reports whether row i was
-// added. It returns the number of rows added. The columns are read, not
-// retained. Rows past a full set panic as Insert does, after the rows
-// before them went in.
+// first occurrence is the one kept, the index grows at the same rows,
+// and heads, next and the columns end up as Insert leaves them. When
+// fresh is not nil, fresh[i] reports whether row i was added. It
+// returns the number of rows added. The columns are read, not retained.
+// Rows past a full set panic as Insert does, after the rows before them
+// went in.
 //
-// The rows go in chunks of at most BatchCap, each in three passes: the
-// chunk is hashed column by column, every row's bucket head is loaded,
-// and only then are the chains walked and the rows appended. The second
-// pass's loads are independent of each other, so the CPU overlaps their
-// cache misses; the third finds the heads in cache.
+// The rows go in chunks of at most BatchCap, each hashed column by
+// column. A chunk that can neither re-chain the index nor reach
+// maxRows, even if every row is new, goes through link. The others,
+// and a linked chunk from its first duplicate on, take the one-row
+// loop, which loads every row's bucket head before it walks a chain so
+// that those loads overlap. After a chunk that met a duplicate the
+// next one skips link, where a duplicate costs an undo; a chunk the
+// one-row loop added whole re-arms it.
 func (s *RowSet) insertBatch(cols [][]uint32, n int, fresh []bool) int {
 	if len(cols) != len(s.cols) {
 		panic(fmt.Sprintf("rel: batch of width %d inserted into a set of width %d", len(cols), len(s.cols)))
@@ -143,28 +152,84 @@ func (s *RowSet) insertBatch(cols [][]uint32, n int, fresh []bool) int {
 	added := 0
 	for lo := 0; lo < n; lo += BatchCap {
 		hi := min(n, lo+BatchCap)
-		hs := s.hashBatch(cols, lo, hi)
+		hs, at := s.hashBatch(cols, lo, hi), lo
+		if !s.dups && 2*(s.n+len(hs)-1) < len(s.heads) && s.n+len(hs) <= maxRows {
+			linked := s.link(cols, lo, hs)
+			if fresh != nil {
+				for i := range linked {
+					fresh[lo+i] = true
+				}
+			}
+			added += linked
+			if linked == len(hs) {
+				continue
+			}
+			hs, at = hs[linked:], lo+linked
+		}
 		if len(s.heads) > 0 {
 			heads, mask, touched := s.heads, uint64(len(s.heads)-1), s.touched[:len(hs)]
 			for i, h := range hs {
 				touched[i] = heads[h&mask]
 			}
 		}
+		s.dups = false
 		for i, h := range hs {
 			for k, col := range cols {
-				ids[k] = col[lo+i]
+				ids[k] = col[at+i]
 			}
 			isNew := s.find(h, ids) < 0
 			if isNew {
 				s.add(h, ids)
 				added++
+			} else {
+				s.dups = true
 			}
 			if fresh != nil {
-				fresh[lo+i] = isNew
+				fresh[at+i] = isNew
 			}
 		}
 	}
 	return added
+}
+
+// link appends the rows [lo, lo+len(hs)) of cols, whose hashes are hs,
+// and links each at the head of its chain without a probe, saving the
+// heads it replaces in touched. Then it compares every row, in row
+// order, with the older rows of its chain, the chunk's earlier rows
+// included. Neither pass's iterations wait on each other, so the CPU
+// overlaps their cache misses. At the first row the set already held,
+// it restores the heads of that row and every later one, newest first,
+// from touched, and truncates those rows; it returns how many rows
+// stayed in. The index must take all the rows without re-chaining or
+// reaching maxRows.
+func (s *RowSet) link(cols [][]uint32, lo int, hs []uint64) int {
+	base, m := s.n, len(hs)
+	heads, mask, touched := s.heads, uint64(len(s.heads)-1), s.touched[:m]
+	next := slices.Grow(s.next, m)[:base+m]
+	for i, h := range hs {
+		b := h & mask
+		touched[i], next[base+i] = heads[b], heads[b]
+		heads[b] = int32(base + i + 1)
+	}
+	for k, col := range cols {
+		s.cols[k] = append(s.cols[k], col[lo:lo+m]...)
+	}
+	s.next, s.n = next, base+m
+	for i := range m {
+		for p := touched[i]; p != 0; p = next[p-1] {
+			if s.samePos(int(p-1), base+i) {
+				for j := m - 1; j >= i; j-- {
+					heads[hs[j]&mask] = touched[j]
+				}
+				s.n, s.next = base+i, next[:base+i]
+				for k := range s.cols {
+					s.cols[k] = s.cols[k][:base+i]
+				}
+				return i
+			}
+		}
+	}
+	return m
 }
 
 // hashBatch returns HashIDs of rows [lo, hi) of cols, computed column
@@ -212,6 +277,16 @@ func (s *RowSet) chain(h uint64) int32 {
 		return 0
 	}
 	return s.heads[h&uint64(len(s.heads)-1)]
+}
+
+// samePos reports whether the rows at positions p and q are equal.
+func (s *RowSet) samePos(p, q int) bool {
+	for _, col := range s.cols {
+		if col[p] != col[q] {
+			return false
+		}
+	}
+	return true
 }
 
 // rowEqual reports whether the row at position pos is exactly ids.

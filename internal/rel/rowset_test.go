@@ -14,16 +14,27 @@ import (
 // its position — through the same operations and fails on the first
 // difference. The model shares nothing with the RowSet, not even
 // HashIDs, so an index bug cannot hide behind the relation-based
-// oracles that every executor test uses.
+// oracles that every executor test uses. Beside them, one is a second
+// RowSet that takes every row through Insert alone, so that sweep can
+// hold the batch path to leaving the very index the one-row path does.
+// A new row past maxRows must panic, leaving the set as it was.
 type checkedRows struct {
 	t    testing.TB
 	s    *RowSet
+	one  *RowSet
 	rows [][]uint32
 	pos  map[string]int
 }
 
 func newCheckedRows(t testing.TB, width int) *checkedRows {
-	return &checkedRows{t: t, s: NewRowSet(width), pos: map[string]int{}}
+	return &checkedRows{t: t, s: NewRowSet(width), one: NewRowSet(width), pos: map[string]int{}}
+}
+
+// panicOf runs f and returns what it panics with, nil when it returns.
+func panicOf(f func()) (p any) {
+	defer func() { p = recover() }()
+	f()
+	return nil
 }
 
 // rowKey is the model's canonical encoding of a row: its IDs as
@@ -38,8 +49,18 @@ func rowKey(ids []uint32) string {
 
 func (c *checkedRows) insert(ids []uint32) {
 	c.t.Helper()
-	got, fresh := c.s.Insert(ids)
 	want, seen := c.pos[rowKey(ids)]
+	if !seen && len(c.rows) >= maxRows {
+		if p := panicOf(func() { c.s.Insert(ids) }); p != errRowSetFull {
+			c.t.Fatalf("Insert(%v) into a full set of %d rows: panic %v, want %q", ids, len(c.rows), p, errRowSetFull)
+		}
+		if c.s.Len() != len(c.rows) {
+			c.t.Fatalf("a refused Insert left %d rows, model holds %d", c.s.Len(), len(c.rows))
+		}
+		return
+	}
+	got, fresh := c.s.Insert(ids)
+	c.one.Insert(ids)
 	if !seen {
 		want = len(c.rows)
 		c.pos[rowKey(ids)] = want
@@ -57,7 +78,9 @@ func (c *checkedRows) insert(ids []uint32) {
 // checks the count it returns, each row's fresh flag and each row's
 // position against the model, which takes the rows one at a time in
 // batch order: a row repeated inside the batch is fresh only the first
-// time.
+// time, and a new row past maxRows panics with the rows before it in.
+// It also checks the state the batch leaves for the next one: dups is
+// set exactly when the batch's last chunk held a duplicate.
 func (c *checkedRows) insertBatch(rows [][]uint32) {
 	c.t.Helper()
 	cols := make([][]uint32, len(c.s.cols))
@@ -67,21 +90,40 @@ func (c *checkedRows) insertBatch(rows [][]uint32) {
 		}
 	}
 	fresh := make([]bool, len(rows))
-	added := c.s.insertBatch(cols, len(rows), fresh)
-	want := 0
+	added := 0
+	p := panicOf(func() { added = c.s.insertBatch(cols, len(rows), fresh) })
+	want, full, lastDup := 0, false, false
 	for i, ids := range rows {
 		_, seen := c.pos[rowKey(ids)]
 		if !seen {
+			if full = len(c.rows) >= maxRows; full {
+				break
+			}
 			c.pos[rowKey(ids)] = len(c.rows)
 			c.rows = append(c.rows, slices.Clone(ids))
 			want++
 		}
+		c.one.Insert(ids)
 		if fresh[i] == seen {
 			c.t.Fatalf("insertBatch row %d %v: fresh %v, model says %v", i, ids, fresh[i], !seen)
 		}
+		if i%BatchCap == 0 {
+			lastDup = false
+		}
+		lastDup = lastDup || seen
 	}
-	if added != want || c.s.Len() != len(c.rows) {
-		c.t.Fatalf("insertBatch of %d rows added %d, Len %d; model added %d, holds %d", len(rows), added, c.s.Len(), want, len(c.rows))
+	switch {
+	case full && p != errRowSetFull:
+		c.t.Fatalf("insertBatch past maxRows %d: panic %v, want %q", maxRows, p, errRowSetFull)
+	case !full && p != nil:
+		panic(p)
+	case !full && added != want:
+		c.t.Fatalf("insertBatch of %d rows added %d; model added %d", len(rows), added, want)
+	case !full && len(rows) > 0 && c.s.dups != lastDup:
+		c.t.Fatalf("insertBatch of %d rows left dups %v; its last chunk held a duplicate: %v", len(rows), c.s.dups, lastDup)
+	}
+	if c.s.Len() != len(c.rows) {
+		c.t.Fatalf("insertBatch of %d rows left %d, model holds %d", len(rows), c.s.Len(), len(c.rows))
 	}
 	for _, ids := range rows {
 		c.find(ids)
@@ -105,6 +147,7 @@ func (c *checkedRows) find(ids []uint32) {
 func (c *checkedRows) reserve(n int, fresh func() []uint32) {
 	c.t.Helper()
 	c.s.reserve(n)
+	c.one.reserve(n)
 	buckets := len(c.s.heads)
 	if n > 0 && buckets < 2*(len(c.rows)+n) {
 		c.t.Fatalf("reserve(%d) at %d rows left %d buckets", n, len(c.rows), buckets)
@@ -129,12 +172,16 @@ func (c *checkedRows) reserve(n int, fresh func() []uint32) {
 // sweep checks the whole set against the model: every row at its
 // position in the columns and found there, and the shape of the index —
 // a power of two of at least two buckets per row, every row on exactly
-// one chain, the one of its hash's bucket, chains newest first.
+// one chain, the one of its hash's bucket, chains newest first — and
+// the index itself: the one the rows left when inserted one at a time.
 func (c *checkedRows) sweep() {
 	c.t.Helper()
 	n := len(c.rows)
 	if c.s.Len() != n {
 		c.t.Fatalf("Len = %d, model holds %d", c.s.Len(), n)
+	}
+	if !slices.Equal(c.s.heads, c.one.heads) || !slices.Equal(c.s.next, c.one.next) || !slices.EqualFunc(c.s.cols, c.one.cols, slices.Equal) {
+		c.t.Fatalf("the set's index differs from the one its rows leave when inserted one at a time")
 	}
 	cols := c.s.Cols()
 	for k, col := range cols {
@@ -179,12 +226,12 @@ func (c *checkedRows) sweep() {
 }
 
 func (c *checkedRows) clone() *checkedRows {
-	s := c.s.clone()
+	s, one := c.s.clone(), c.one.clone()
 	rows := make([][]uint32, len(c.rows))
 	for i, r := range c.rows {
 		rows[i] = slices.Clone(r)
 	}
-	return &checkedRows{t: c.t, s: &s, rows: rows, pos: maps.Clone(c.pos)}
+	return &checkedRows{t: c.t, s: &s, one: &one, rows: rows, pos: maps.Clone(c.pos)}
 }
 
 // randomRow draws a row of the set's width over [0, domain).
@@ -341,14 +388,85 @@ func TestRowSetAgainstModel(t *testing.T) {
 				if rechained < 5 {
 					t.Fatalf("only %d batches re-chained the index", rechained)
 				}
-				// The batch path and the one-row path leave the same set:
-				// the same columns, the same bucket count, the same chains.
-				d := newCheckedRows(t, width)
-				for _, ids := range c.rows {
-					d.insert(ids)
+			})
+
+			t.Run("batch shapes", func(t *testing.T) {
+				// Batches aimed at link and its undo: a duplicate first, in
+				// the middle or last, of a held row, of a row of its own
+				// chunk or of the chunk before; a chunk that ends where the
+				// index re-chains or one row past it; one that fills a
+				// lowered maxRows or runs past it. A batch without a
+				// duplicate follows each case, and must send the next chunk
+				// back to link.
+				fresh := freshRows(width, 1)
+				run := func(n int) [][]uint32 {
+					rows := make([][]uint32, n)
+					for i := range rows {
+						rows[i] = fresh()
+					}
+					return rows
 				}
-				if !slices.Equal(c.s.heads, d.s.heads) || !slices.Equal(c.s.next, d.s.next) {
-					t.Fatalf("insertBatch left another index than Insert on the same rows")
+				for _, sh := range []struct {
+					name       string
+					held, room int // rows inserted one at a time first, then room reserved for more
+					limit      int // maxRows when not 0
+					batches    func(held [][]uint32) [][][]uint32
+				}{
+					{name: "duplicate first", held: 300, room: BatchCap, batches: func(h [][]uint32) [][][]uint32 {
+						b := run(100)
+						b[0] = h[7]
+						return [][][]uint32{b}
+					}},
+					{name: "duplicate in the middle", held: 300, room: BatchCap, batches: func(h [][]uint32) [][][]uint32 {
+						b := run(100)
+						b[50], b[70] = h[299], b[60]
+						return [][][]uint32{b}
+					}},
+					{name: "duplicate last", held: 300, room: BatchCap, batches: func(h [][]uint32) [][][]uint32 {
+						b := run(100)
+						b[99] = h[0]
+						return [][][]uint32{b}
+					}},
+					{name: "duplicate of the chunk before", held: 300, room: 4 * BatchCap, batches: func(h [][]uint32) [][][]uint32 {
+						b, c := run(2*BatchCap), run(100)
+						b[BatchCap+1], b[BatchCap+500], c[0] = b[BatchCap-1], b[3], b[2*BatchCap-1]
+						return [][][]uint32{b, c}
+					}},
+					{name: "ends where the index re-chains", held: 974, batches: func(h [][]uint32) [][][]uint32 {
+						return [][][]uint32{run(50), {h[9]}}
+					}},
+					{name: "crosses the growth threshold", held: 975, batches: func(h [][]uint32) [][][]uint32 {
+						b := run(100)
+						b[20], b[80] = b[10], h[5]
+						return [][][]uint32{b}
+					}},
+					{name: "fills a lowered maxRows", held: 300, room: BatchCap, limit: 400, batches: func(h [][]uint32) [][][]uint32 {
+						return [][][]uint32{run(100), {h[5], h[6]}, {fresh()}}
+					}},
+					{name: "runs past a lowered maxRows", held: 300, room: BatchCap, limit: 399, batches: func(h [][]uint32) [][][]uint32 {
+						return [][][]uint32{run(100), {h[2]}, {h[3], fresh(), h[4]}}
+					}},
+				} {
+					t.Run(sh.name, func(t *testing.T) {
+						if sh.limit > 0 {
+							defer func(was int) { maxRows = was }(maxRows)
+							maxRows = sh.limit
+						}
+						c := newCheckedRows(t, width)
+						for range sh.held {
+							c.insert(fresh())
+						}
+						c.s.reserve(sh.room)
+						c.one.reserve(sh.room)
+						for _, b := range sh.batches(c.rows) {
+							c.insertBatch(b)
+							c.sweep()
+						}
+						if sh.limit == 0 {
+							c.insertBatch(run(40))
+							c.sweep()
+						}
+					})
 				}
 			})
 
@@ -449,13 +567,14 @@ func TestRowSetAgainstModel(t *testing.T) {
 			t.Run("Relation.Clone", func(t *testing.T) {
 				// The same over a relation's own index and its Clone's.
 				r := NewRelation(width)
-				c := &checkedRows{t: t, s: &r.rows, pos: map[string]int{}}
+				c := &checkedRows{t: t, s: &r.rows, one: NewRowSet(width), pos: map[string]int{}}
 				fresh := freshRows(width, 1)
 				for i := 0; i < 3000; i++ {
 					ids := fresh()
 					if _, fresh := r.rows.Insert(ids); !fresh {
 						t.Fatalf("fresh row %v rejected", ids)
 					}
+					c.one.Insert(ids)
 					c.rows = append(c.rows, ids)
 					c.pos[rowKey(ids)] = i
 				}
@@ -477,13 +596,18 @@ func TestRowSetAgainstModel(t *testing.T) {
 // often, inside one batch too, and a batch of up to 63 rows re-chains
 // a small set partway through. The clone operation adds a set, and
 // later operations go to any set made so far, so clones and their
-// sources keep growing apart, one row or one batch at a time.
+// sources keep growing apart, one row or one batch at a time. The
+// width byte's top bit lowers maxRows to between 1 and 26 rows.
 func FuzzRowSet(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
 		}
-		width := int(data[0] % 5)
+		width := int(data[0]&0x7f) % 5
+		if data[0]&0x80 != 0 {
+			defer func(was int) { maxRows = was }(maxRows)
+			maxRows = 1 + int(data[0]&0x7f)/5
+		}
 		data = data[1:]
 		row := func() []uint32 {
 			ids := make([]uint32, width)
@@ -600,37 +724,42 @@ func plannedDivisionRows() [][]uint32 {
 	return cols
 }
 
+// dupEvery returns the rows of cols with every k-th row, the first
+// included when k is 1, followed at once by a copy of itself.
+func dupEvery(cols [][]uint32, k int) [][]uint32 {
+	out := make([][]uint32, len(cols))
+	for i := range cols[0] {
+		for range 1 + (i+1)/k - i/k {
+			for c, col := range cols {
+				out[c] = append(out[c], col[i])
+			}
+		}
+	}
+	return out
+}
+
 // BenchmarkRowSetInsert inserts the rows of plannedDivisionRows into a
 // set that is pre-sized for them or grows from empty, one row at a time
 // through Insert and a batch of BatchCap rows at a time through
-// insertBatch, the way the text loader and Relation.AddBatch do.
+// insertBatch, the way the text loader and Relation.AddBatch do. The
+// dups cases feed the pre-sized batch path the same rows with every
+// row, or every 16th, repeated right after itself.
 func BenchmarkRowSetInsert(b *testing.B) {
 	cols := plannedDivisionRows()
 	n := len(cols[0])
-	for _, sized := range []bool{true, false} {
-		fill := func() *RowSet {
-			s := NewRowSet(2)
-			if sized {
-				s.reserve(n)
-			}
-			return s
+	fill := func(sized bool, n int) *RowSet {
+		s := NewRowSet(2)
+		if sized {
+			s.reserve(n)
 		}
-		name := map[bool]string{true: "presized", false: "growing"}[sized]
-		b.Run("row/"+name, func(b *testing.B) {
-			ids := make([]uint32, 2)
-			for range b.N {
-				s := fill()
-				for i := range n {
-					ids[0], ids[1] = cols[0][i], cols[1][i]
-					s.Insert(ids)
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
-		})
-		b.Run("batch/"+name, func(b *testing.B) {
+		return s
+	}
+	batch := func(cols [][]uint32, sized bool) func(*testing.B) {
+		return func(b *testing.B) {
+			n := len(cols[0])
 			chunk := make([][]uint32, 2)
 			for range b.N {
-				s := fill()
+				s := fill(sized, n)
 				for lo := 0; lo < n; lo += BatchCap {
 					hi := min(n, lo+BatchCap)
 					chunk[0], chunk[1] = cols[0][lo:hi], cols[1][lo:hi]
@@ -638,6 +767,23 @@ func BenchmarkRowSetInsert(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
-		})
+		}
 	}
+	for _, sized := range []bool{true, false} {
+		name := map[bool]string{true: "presized", false: "growing"}[sized]
+		b.Run("row/"+name, func(b *testing.B) {
+			ids := make([]uint32, 2)
+			for range b.N {
+				s := fill(sized, n)
+				for i := range n {
+					ids[0], ids[1] = cols[0][i], cols[1][i]
+					s.Insert(ids)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
+		})
+		b.Run("batch/"+name, batch(cols, sized))
+	}
+	b.Run("batch/dups", batch(dupEvery(cols, 1), true))
+	b.Run("batch/dups16", batch(dupEvery(cols, 16), true))
 }
