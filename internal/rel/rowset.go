@@ -39,10 +39,6 @@ type RowSet struct {
 	heads []int32    // per bucket: 1 + newest position in its chain (0 = empty); nil while empty
 	next  []int32    // per row: 1 + next position in its hash chain (0 ends)
 
-	// dups reports that the last chunk insertBatch took held a row the
-	// set already had, so the next chunk skips link.
-	dups bool
-
 	// insertBatch's scratch, per row of the chunk in hand: its hash, and
 	// its bucket's head before the row went in. link keeps those heads as
 	// the undo log of a chunk linked before it was checked; the one-row
@@ -137,9 +133,7 @@ func (s *RowSet) add(h uint64, ids []uint32) int {
 // maxRows, even if every row is new, goes through link. The others,
 // and a linked chunk from its first duplicate on, take the one-row
 // loop, which loads every row's bucket head before it walks a chain so
-// that those loads overlap. After a chunk that met a duplicate the
-// next one skips link, where a duplicate costs an undo; a chunk the
-// one-row loop added whole re-arms it.
+// that those loads overlap.
 func (s *RowSet) insertBatch(cols [][]uint32, n int, fresh []bool) int {
 	if len(cols) != len(s.cols) {
 		panic(fmt.Sprintf("rel: batch of width %d inserted into a set of width %d", len(cols), len(s.cols)))
@@ -153,7 +147,7 @@ func (s *RowSet) insertBatch(cols [][]uint32, n int, fresh []bool) int {
 	for lo := 0; lo < n; lo += BatchCap {
 		hi := min(n, lo+BatchCap)
 		hs, at := s.hashBatch(cols, lo, hi), lo
-		if !s.dups && 2*(s.n+len(hs)-1) < len(s.heads) && s.n+len(hs) <= maxRows {
+		if 2*(s.n+len(hs)-1) < len(s.heads) && s.n+len(hs) <= maxRows {
 			linked := s.link(cols, lo, hs)
 			if fresh != nil {
 				for i := range linked {
@@ -172,7 +166,6 @@ func (s *RowSet) insertBatch(cols [][]uint32, n int, fresh []bool) int {
 				touched[i] = heads[h&mask]
 			}
 		}
-		s.dups = false
 		for i, h := range hs {
 			for k, col := range cols {
 				ids[k] = col[at+i]
@@ -181,8 +174,6 @@ func (s *RowSet) insertBatch(cols [][]uint32, n int, fresh []bool) int {
 			if isNew {
 				s.add(h, ids)
 				added++
-			} else {
-				s.dups = true
 			}
 			if fresh != nil {
 				fresh[at+i] = isNew

@@ -79,8 +79,6 @@ func (c *checkedRows) insert(ids []uint32) {
 // position against the model, which takes the rows one at a time in
 // batch order: a row repeated inside the batch is fresh only the first
 // time, and a new row past maxRows panics with the rows before it in.
-// It also checks the state the batch leaves for the next one: dups is
-// set exactly when the batch's last chunk held a duplicate.
 func (c *checkedRows) insertBatch(rows [][]uint32) {
 	c.t.Helper()
 	cols := make([][]uint32, len(c.s.cols))
@@ -92,7 +90,7 @@ func (c *checkedRows) insertBatch(rows [][]uint32) {
 	fresh := make([]bool, len(rows))
 	added := 0
 	p := panicOf(func() { added = c.s.insertBatch(cols, len(rows), fresh) })
-	want, full, lastDup := 0, false, false
+	want, full := 0, false
 	for i, ids := range rows {
 		_, seen := c.pos[rowKey(ids)]
 		if !seen {
@@ -107,10 +105,6 @@ func (c *checkedRows) insertBatch(rows [][]uint32) {
 		if fresh[i] == seen {
 			c.t.Fatalf("insertBatch row %d %v: fresh %v, model says %v", i, ids, fresh[i], !seen)
 		}
-		if i%BatchCap == 0 {
-			lastDup = false
-		}
-		lastDup = lastDup || seen
 	}
 	switch {
 	case full && p != errRowSetFull:
@@ -119,8 +113,6 @@ func (c *checkedRows) insertBatch(rows [][]uint32) {
 		panic(p)
 	case !full && added != want:
 		c.t.Fatalf("insertBatch of %d rows added %d; model added %d", len(rows), added, want)
-	case !full && len(rows) > 0 && c.s.dups != lastDup:
-		c.t.Fatalf("insertBatch of %d rows left dups %v; its last chunk held a duplicate: %v", len(rows), c.s.dups, lastDup)
 	}
 	if c.s.Len() != len(c.rows) {
 		c.t.Fatalf("insertBatch of %d rows left %d, model holds %d", len(rows), c.s.Len(), len(c.rows))
@@ -396,8 +388,7 @@ func TestRowSetAgainstModel(t *testing.T) {
 				// chunk or of the chunk before; a chunk that ends where the
 				// index re-chains or one row past it; one that fills a
 				// lowered maxRows or runs past it. A batch without a
-				// duplicate follows each case, and must send the next chunk
-				// back to link.
+				// duplicate follows each case.
 				fresh := freshRows(width, 1)
 				run := func(n int) [][]uint32 {
 					rows := make([][]uint32, n)

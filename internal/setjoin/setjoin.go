@@ -109,7 +109,6 @@ func GroupsFromBatches(in rel.BatchCursor) []*Group {
 			d.elemOf = append(d.elemOf, make([]uint32, n-len(d.elemOf))...)
 		}
 		kcol, ecol := b.Col(0), b.Col(1)
-		gids, eids = room(gids, b.Len()), room(eids, b.Len())
 		for row := range b.Len() {
 			k, e := kcol[row], ecol[row]
 			if keyOf[k] == 0 {
@@ -164,19 +163,6 @@ func GroupsFromBatches(in rel.BatchCursor) []*Group {
 		lo, out[i] = end[i], g
 	}
 	return out
-}
-
-// room returns s with room for n more elements, reallocated when short
-// to at least twice its capacity. Append's own growth steps by 1.25×
-// on large slices, which leaves about four times the final size behind
-// as garbage; doubling leaves about one.
-func room[T any](s []T, n int) []T {
-	if len(s)+n <= cap(s) {
-		return s
-	}
-	grown := make([]T, len(s), max(2*cap(s), len(s)+n))
-	copy(grown, s)
-	return grown
 }
 
 // hashValue hashes a value's payload directly (FNV-1a), without
@@ -237,15 +223,7 @@ func align(r, s []*Group) []*Group {
 	}
 	var from *elemDict
 	var tr []uint32 // by element ID of from: the element ID in d, or absent
-	// A run never outgrows its group: absent stands in for at least one
-	// element left out.
-	size := 0
-	for _, g := range s {
-		if g.dict != d {
-			size += len(g.ids)
-		}
-	}
-	flat := make([]uint32, 0, size)
+	var flat []uint32
 	groups := make([]Group, len(s))
 	out := make([]*Group, len(s))
 	for i, g := range s {

@@ -62,7 +62,7 @@ func ShardContainment(r, s []*Group, rank []uint32) (ShardPairs, Stats) {
 			}
 			st.Verifications++
 			if containsAll(r[ri].ids, gs.ids, &st.Comparisons) {
-				found = append(room(found, 1), pair{uint32(ri), uint32(si)})
+				found = append(found, pair{uint32(ri), uint32(si)})
 				start[ri+1]++
 			}
 		}
