@@ -349,8 +349,9 @@ func execute(b *testing.B, root *plan.Node, d rel.ReadStore, batchSize int) {
 // BenchmarkVectorizedDivision runs the classical division expression
 // on the executor at batch sizes 1, 64 and 1024: batch size 1 prices
 // the batch machinery with none of its amortization. allocs/op
-// (visible with -benchmem) stay flat in the flow because batches are
-// pooled and the hot loops never leave interned IDs.
+// (visible with -benchmem) stay flat in the flow because each cursor
+// refills one batch of its own and the hot loops never leave interned
+// IDs.
 func BenchmarkVectorizedDivision(b *testing.B) {
 	r, s := benchDivisionInput(400)
 	d := rel.NewDatabase(rel.NewSchema(map[string]int{"R": 2, "S": 1}))
@@ -445,7 +446,6 @@ func BenchmarkRelationAdd(b *testing.B) {
 			cur := src.BatchScan()
 			for bt, ok := cur.NextBatch(); ok; bt, ok = cur.NextBatch() {
 				r.AddBatch(bt)
-				bt.Release()
 			}
 		}
 	})

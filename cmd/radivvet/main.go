@@ -1,9 +1,9 @@
 // Command radivvet is the engine's own vet: a multichecker that runs
 // the radiv analyzers over Go packages and fails the build on any
-// finding. It mechanically enforces the three contracts the engine's
-// correctness rests on — caller-owned evaluator results, dictionary
-// quiescence inside pool workers, and exactly-once release of
-// pooled batches — plus the ra:/sa:/xra: panic-prefix convention.
+// finding. It mechanically enforces the two contracts the engine's
+// correctness rests on — caller-owned evaluator results and dictionary
+// quiescence inside pool workers — plus the ra:/sa:/xra: panic-prefix
+// convention.
 //
 // Usage:
 //
@@ -27,7 +27,6 @@ import (
 	"os"
 
 	"radiv/internal/analysis"
-	"radiv/internal/analysis/batchrelease"
 	"radiv/internal/analysis/callerowned"
 	"radiv/internal/analysis/loadpkg"
 	"radiv/internal/analysis/panicprefix"
@@ -35,7 +34,6 @@ import (
 )
 
 var analyzers = []*analysis.Analyzer{
-	batchrelease.Analyzer,
 	callerowned.Analyzer,
 	panicprefix.Analyzer,
 	quiescence.Analyzer,

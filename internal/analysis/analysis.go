@@ -10,9 +10,9 @@
 //
 // The suite is driven by cmd/radivvet (a multichecker over ./...) and
 // by per-analyzer analysistest fixtures under each analyzer's
-// testdata directory. See doc.go in this package for the three
-// contracts the analyzers enforce and run.go for the suppression
-// directive grammar.
+// testdata directory. See doc.go in this package for the contracts
+// the analyzers enforce and run.go for the suppression directive
+// grammar.
 package analysis
 
 import (

@@ -55,7 +55,6 @@ func EvalFresh(s rel.ReadStore, name string) *rel.Relation {
 	c := v.BatchScanSized(0)
 	for b, ok := c.NextBatch(); ok; b, ok = c.NextBatch() {
 		out.AddBatch(b)
-		b.Release()
 	}
 	return out
 }

@@ -50,7 +50,6 @@ func (e *Engine) Fresh(s rel.ReadStore, name string) *rel.Relation {
 	c := v.BatchScanSized(0)
 	for b, ok := c.NextBatch(); ok; b, ok = c.NextBatch() {
 		out.AddBatch(b)
-		b.Release()
 	}
 	return out
 }

@@ -1,6 +1,6 @@
-// This file states the four engine contracts the radivvet suite
-// enforces, with pointers to the analyzers that enforce them. It is
-// documentation only.
+// This file states the engine's three contracts, with pointers to the
+// radivvet analyzers that enforce the first two and to the dynamic
+// check of the third. It is documentation only.
 //
 // # Contract 1: evaluator results are caller-owned
 //
@@ -33,38 +33,21 @@
 // schedules; the analyzer sees it lexically. Enforced by
 // radiv/internal/analysis/quiescence.
 //
-// # Contract 3: pooled batches are released exactly once
+// # Contract 3: a yielded batch is valid until the next pull
 //
-// A rel.Batch from NewBatch/NewBatchSized or a cursor's NextBatch
-// owns pooled column arrays. The holder must Release exactly once on
-// every path or hand the batch off downstream; a missed Release
-// leaks pool capacity (the skip-empty-batch loop bug shape), and a
-// double Release puts live storage back in the pool for two future
-// acquirers to share. View batches (BatchScan provenance) are exempt:
-// their Release is a no-op. Enforced by
-// radiv/internal/analysis/batchrelease.
+// A rel.Batch a cursor's NextBatch yields is valid until the
+// consumer's next pull of that cursor, and read-only to the consumer.
+// Each cursor owns the one batch it yields and overwrites it on every
+// pull, or yields a view over storage it reads; nothing is handed back,
+// so no path — an abort included — owes a release. A consumer that
+// keeps rows past its next pull copies them. No analyzer checks this
+// rule: it is checked dynamically. Under the race detector
+// rel.Batch.Reset overwrites the rows it drops with an ID no
+// dictionary holds, so every suite run with -race fails where a
+// consumer keeps a batch too long, and internal/plan's
+// TestKeptBatchReadsPoison shows the check biting.
 //
-// # Contract 4: abort paths hold no unregistered pooled batch
-//
-// Governed execution (internal/exec) adds a recoverable kind of
-// unwinding: the Governor checkpoints Check and CheckResident panic
-// during *normal operation* — on cancellation or a budget trip — and
-// the boundary recovery (Governor.Recover) releases only the holders
-// registered with the governor. The contract has two halves. First,
-// checkpoints fire only at pull boundaries, where the calling frame
-// holds no pooled batch (check, then pull); a batch definitely held
-// across a checkpoint call leaks live pool count on every abort and
-// is flagged by the batchrelease extension. Second, any cursor that
-// retains pooled batches across calls implements rel.BatchHolder and
-// is registered at construction (Governor.Watch, or the executor's
-// meter.watch), so the boundary can release its held batches once the
-// unwind has reached it. Deferred releases are accepted — defers run
-// during the unwind. Enforced by radiv/internal/analysis/batchrelease
-// (the governor-checkpoint rule), and dynamically by the
-// internal/faultinject suites, which drive every abort path and assert
-// the pool returns to its pre-query level.
-//
-// A fifth, stylistic rule rides along: panic messages carry their
+// A fourth, stylistic rule rides along: panic messages carry their
 // package prefix (ra:, sa:, xra:, …) so a query-abort names the layer
 // that gave up. Enforced by radiv/internal/analysis/panicprefix.
 package analysis

@@ -30,7 +30,6 @@ func InternInWorker(workers int, shards []rel.BatchCursor, dict *rel.Interner, s
 				_ = d.Rel("out")     // reading a captured database is legal
 				_, _ = dict.ID(t[0]) // reads of a captured dictionary are legal: sealed under the snapshot contract
 			}
-			b.Release()
 		}
 	})
 }
@@ -82,7 +81,6 @@ func ShardedReads(workers int, shards []rel.BatchCursor, dict *rel.Interner, hit
 					hits[q]++
 				}
 			}
-			b.Release()
 		}
 	})
 }

@@ -79,7 +79,6 @@ func WorkerReadsSnapshotDict(workers int, shards []rel.BatchCursor, snap *shard.
 				_ = dict.Value(b.Col(0)[row]) // sealed dictionary: reads are safe
 				hits[q]++
 			}
-			b.Release()
 		}
 	})
 }

@@ -11,8 +11,8 @@ import (
 	"go/types"
 )
 
-// Deref unwraps one level of pointer; other types pass through.
-func Deref(t types.Type) types.Type {
+// deref unwraps one level of pointer; other types pass through.
+func deref(t types.Type) types.Type {
 	if p, ok := t.(*types.Pointer); ok {
 		return p.Elem()
 	}
@@ -22,7 +22,7 @@ func Deref(t types.Type) types.Type {
 // IsNamed reports whether t (possibly behind a pointer) is the named
 // type pkgPath.name.
 func IsNamed(t types.Type, pkgPath, name string) bool {
-	n, ok := Deref(t).(*types.Named)
+	n, ok := deref(t).(*types.Named)
 	if !ok {
 		return false
 	}

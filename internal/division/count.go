@@ -39,7 +39,7 @@ type Counts struct {
 // groups get counters. Like the γ-expression, and unlike division, it
 // yields ∅ on an empty S. grow is told, once per batch, of the entries
 // the batch added — divisor values, then groups: Divisor + Groups in
-// all. Every batch is released once read.
+// all.
 func Count(r, s rel.BatchCursor, sem Semantics, grow func(int)) Counts {
 	c := counter{sem: sem, inS: rel.NewInterner()}
 	for b, ok := s.NextBatch(); ok; b, ok = s.NextBatch() {
@@ -50,7 +50,6 @@ func Count(r, s rel.BatchCursor, sem Semantics, grow func(int)) Counts {
 		for _, id := range b.Col(0) {
 			c.inS.Intern(b.Dict().Value(id))
 		}
-		b.Release()
 		grow(c.inS.Len() - n)
 	}
 	for b, ok := r.NextBatch(); ok; b, ok = r.NextBatch() {
@@ -59,7 +58,6 @@ func Count(r, s rel.BatchCursor, sem Semantics, grow func(int)) Counts {
 		}
 		n := len(c.ids)
 		c.add(b)
-		b.Release()
 		grow(len(c.ids) - n)
 	}
 	need := int32(c.inS.Len())

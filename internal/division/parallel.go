@@ -175,7 +175,6 @@ func (dt *DivisorTable) divideBatches(shard rel.BatchCursor, sem Semantics) ([]r
 				g.extras++
 			}
 		}
-		b.Release()
 	}
 	st.MaxMemoryTuples = len(groups) + len(groups)*dt.words
 	var qualified []rel.Value

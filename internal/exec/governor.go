@@ -6,12 +6,10 @@
 // The engine's internals keep their panic discipline (package-prefixed
 // panics on programming errors); exec adds a second, *recoverable*
 // kind of unwinding — the abort panic — raised only at pull
-// boundaries by guard cursors, where the pull-before-hold idiom
-// guarantees the panicking frame owns no pooled batch. Cursors that
-// do retain pooled batches across calls register with the query's
-// Governor (Watch) at construction time; the boundary recovery
-// (Governor.Recover) releases them, so every abort path releases every
-// pooled batch exactly once.
+// boundaries by guard cursors and turned into an error by the boundary
+// recovery (Governor.Recover). An abort hands nothing back: each
+// cursor owns the one batch it yields (rel.Batch's validity rule), so
+// the unwound cursor tree is simply garbage.
 //
 // A governed query runs on one goroutine, the caller's: the Governor
 // starts none and is not safe for concurrent use.
@@ -21,8 +19,6 @@ import (
 	"context"
 	"fmt"
 	"runtime/debug"
-
-	"radiv/internal/rel"
 )
 
 // BudgetError is returned when a query exceeds its resident-tuple
@@ -59,14 +55,12 @@ func (e *PanicError) Unwrap() error {
 // throw raises it and only Recover catches it.
 type abortPanic struct{ err error }
 
-// Governor holds one query to its context and resident-tuple budget
-// and releases its watched cursors at the end. Create it with
-// NewGovernor and close the query out with a deferred Recover at the
-// API boundary.
+// Governor holds one query to its context and resident-tuple budget.
+// Create it with NewGovernor and close the query out with a deferred
+// Recover at the API boundary.
 type Governor struct {
 	ctx         context.Context
 	maxResident int
-	cleanups    []func()
 }
 
 // NewGovernor builds a Governor for one query. A nil ctx is treated
@@ -80,9 +74,8 @@ func NewGovernor(ctx context.Context, maxResident int) *Governor {
 
 // Check is the per-pull cancellation guard: it unwinds with an error
 // wrapping context.Cause once the query's context is done. Call it
-// only at pull boundaries, where the calling frame holds no pooled
-// batch; its stride — one batch on the batch path — bounds the
-// cancellation latency.
+// at pull boundaries; its stride — one batch on the batch path —
+// bounds the cancellation latency.
 func (g *Governor) Check() {
 	select {
 	case <-g.ctx.Done():
@@ -99,16 +92,6 @@ func (g *Governor) CheckResident(cur int) {
 	}
 }
 
-// Watch registers c's held-batch release (rel.BatchHolder) to run at
-// Recover, when c retains pooled batches across calls; anything else
-// is ignored. Releases run in reverse registration order, on success
-// too, where released cursors hold nothing and the calls are no-ops.
-func (g *Governor) Watch(c any) {
-	if h, ok := c.(rel.BatchHolder); ok {
-		g.cleanups = append(g.cleanups, h.ReleaseHeld)
-	}
-}
-
 // throw unwinds with an abort panic that only Governor.Recover
 // catches.
 func throw(err error) { panic(abortPanic{err}) }
@@ -116,8 +99,7 @@ func throw(err error) { panic(abortPanic{err}) }
 // Recover is the evaluator-boundary handler: defer it with the named
 // error result. It converts an abort panic into its cause and any
 // other panic into a *PanicError (the package-prefixed panic
-// convention becomes a typed error at the API surface), then runs the
-// watched releases exactly once.
+// convention becomes a typed error at the API surface).
 func (g *Governor) Recover(errp *error) {
 	if r := recover(); r != nil {
 		if ap, ok := r.(abortPanic); ok {
@@ -125,10 +107,5 @@ func (g *Governor) Recover(errp *error) {
 		} else {
 			*errp = &PanicError{Value: r, Stack: debug.Stack()}
 		}
-	}
-	cleanups := g.cleanups
-	g.cleanups = nil
-	for i := len(cleanups) - 1; i >= 0; i-- {
-		cleanups[i]()
 	}
 }

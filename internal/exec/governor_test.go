@@ -79,47 +79,6 @@ func TestCanceledContext(t *testing.T) {
 	}
 }
 
-// heldRelease implements rel.BatchHolder: each release appends its id
-// to a shared log.
-type heldRelease struct {
-	id  int
-	log *[]int
-}
-
-func (h *heldRelease) ReleaseHeld() { *h.log = append(*h.log, h.id) }
-
-// TestCleanupsReverseOrderOnce: watched releases run at the boundary
-// in reverse registration order, exactly once even if the governor is
-// recovered twice.
-func TestCleanupsReverseOrderOnce(t *testing.T) {
-	g := exec.NewGovernor(nil, 0)
-	var order []int
-	for i := 0; i < 3; i++ {
-		g.Watch(&heldRelease{id: i, log: &order})
-	}
-	var err error
-	func() { defer g.Recover(&err) }()
-	func() { defer g.Recover(&err) }()
-	if len(order) != 3 || order[0] != 2 || order[1] != 1 || order[2] != 0 {
-		t.Fatalf("cleanups ran %v; want [2 1 0]", order)
-	}
-}
-
-// TestWatchRegistersBatchHolders: Watch hooks a BatchHolder's release
-// into the boundary cleanups and ignores everything else.
-func TestWatchRegistersBatchHolders(t *testing.T) {
-	g := exec.NewGovernor(nil, 0)
-	var log []int
-	g.Watch(&heldRelease{log: &log})
-	g.Watch(42)  // not a holder: ignored
-	g.Watch(nil) // ignored
-	var err error
-	func() { defer g.Recover(&err) }()
-	if len(log) != 1 {
-		t.Fatalf("ReleaseHeld ran %d times; want 1", len(log))
-	}
-}
-
 // TestSuccessfulRecoverYieldsNil: a clean run leaves *errp nil.
 func TestSuccessfulRecoverYieldsNil(t *testing.T) {
 	err := func() (err error) {

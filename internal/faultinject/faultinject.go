@@ -2,15 +2,15 @@
 // a rel.ReadStore wrapper whose scans fail or stall at an exact row,
 // so tests can drive every abort path — cursor failure mid-stream,
 // cancellation mid-scan, budget trips at a chosen size — and then
-// assert the robustness contract (typed error, zero leaked batches,
-// zero leaked goroutines, untouched snapshots).
+// assert the robustness contract (typed error, zero leaked goroutines,
+// untouched snapshots).
 //
 // The injected panic carries the Fault's error value, which the
 // boundary recovery wraps in *exec.PanicError; PanicError.Unwrap
 // exposes it, so tests reach the injected fault with errors.Is
 // through any number of layers. Injection happens at the pull
-// boundary — before the row is produced — matching the engine's
-// abort-panic discipline: the panicking frame holds no pooled batch.
+// boundary — before the row is produced — where the engine's governor
+// checks too.
 //
 // A wrapped view's batch scan is the wrapped backend's own, injected
 // per batch and row-exact: a batch that would carry the scan across a
@@ -98,10 +98,9 @@ func (r *faultRel) BatchScanSized(size int) rel.BatchCursor {
 }
 
 // faultCursor injects at the pull boundary: the failure fires before
-// the underlying pull, after releasing what the cursor holds, so this
-// frame — and by the guard-cursor idiom every downstream frame — holds
-// no pooled batch. A batch crossing an injection row is held and
-// handed out as view pieces over its columns.
+// the underlying pull. A batch crossing an injection row is held —
+// valid, since the cursor does not pull again until it is handed out —
+// and handed out as view pieces over its columns.
 type faultCursor struct {
 	in   rel.BatchCursor
 	s    *Store
@@ -112,24 +111,15 @@ type faultCursor struct {
 	view rel.Batch
 }
 
-// ReleaseHeld implements rel.BatchHolder.
-func (c *faultCursor) ReleaseHeld() {
-	b := c.held
-	c.held = nil
-	b.Release()
-}
-
 func (c *faultCursor) NextBatch() (*rel.Batch, bool) {
 	f := &c.s.f
 	if f.FailAfter > 0 && f.Err != nil && c.n >= f.FailAfter {
-		c.ReleaseHeld()
 		panic(f.Err)
 	}
 	if f.DelayEvery > 0 && c.n > 0 && c.n%f.DelayEvery == 0 {
 		time.Sleep(f.Delay)
 	}
 	for c.held == nil || c.off == c.held.Len() {
-		c.ReleaseHeld()
 		b, ok := c.in.NextBatch()
 		if !ok {
 			return nil, false
@@ -147,7 +137,7 @@ func (c *faultCursor) NextBatch() (*rel.Batch, bool) {
 	}
 	out := &c.view
 	if c.off == 0 && take == c.held.Len() {
-		out, c.held = c.held, nil // the whole batch: ownership passes on
+		out, c.held = c.held, nil // the whole batch passes through
 	} else {
 		if c.off == 0 {
 			c.cols = c.cols[:0]

@@ -26,7 +26,6 @@ import (
 //
 //   - exactly one typed error that wraps the injected cause,
 //   - a nil result,
-//   - zero pooled batches live beyond the pre-query level,
 //   - zero leaked goroutines (leakcheck),
 //   - the source database byte-identical to before the query.
 
@@ -123,9 +122,8 @@ func arms(t *testing.T, schema rel.Schema) []arm {
 }
 
 // checkAborted asserts the per-abort contract shared by every test:
-// exactly one error wrapping want, nil result, balanced batch pool,
-// untouched source.
-func (src source) checkAborted(t *testing.T, label string, res *rel.Relation, err error, want error, liveBefore int64) {
+// exactly one error wrapping want, nil result, untouched source.
+func (src source) checkAborted(t *testing.T, label string, res *rel.Relation, err error, want error) {
 	t.Helper()
 	if err == nil {
 		t.Fatalf("%s: want abort error, got nil (res=%v)", label, res)
@@ -136,15 +134,12 @@ func (src source) checkAborted(t *testing.T, label string, res *rel.Relation, er
 	if res != nil {
 		t.Fatalf("%s: aborted query returned a result", label)
 	}
-	if after := rel.LiveBatches(); after != liveBefore {
-		t.Fatalf("%s: %d pooled batches leaked on abort", label, after-liveBefore)
-	}
 	src.requireUntouched(t, label)
 }
 
 // TestInjectedCursorErrorAborts: a cursor failure at row N surfaces
 // as a single wrapped error on every plan, with no result, no leaked
-// batches, no leaked goroutines and an untouched source.
+// goroutines and an untouched source.
 func TestInjectedCursorErrorAborts(t *testing.T) {
 	leakcheck.Check(t)
 	src := newSource()
@@ -153,16 +148,15 @@ func TestInjectedCursorErrorAborts(t *testing.T) {
 			for _, failAfter := range []int{1, 3, 5} {
 				label := fmt.Sprintf("%s/bs=%d/failAfter=%d", a.name, batchSize, failAfter)
 				st := faultinject.Wrap(src.d, faultinject.Fault{FailAfter: failAfter, Err: errInjected})
-				live := rel.LiveBatches()
 				res, err := a.run(context.Background(), st, batchSize, 0)
-				src.checkAborted(t, label, res, err, errInjected, live)
+				src.checkAborted(t, label, res, err, errInjected)
 			}
 		}
 	}
 }
 
 // TestBudgetTripAborts: every plan aborts with *exec.BudgetError once
-// its resident-tuple budget is exceeded, releasing all batches.
+// its resident-tuple budget is exceeded.
 func TestBudgetTripAborts(t *testing.T) {
 	leakcheck.Check(t)
 	src := newSource()
@@ -170,7 +164,6 @@ func TestBudgetTripAborts(t *testing.T) {
 		if a.zeroResident {
 			continue
 		}
-		live := rel.LiveBatches()
 		res, err := a.run(context.Background(), src.d, 16, 2)
 		if err == nil {
 			t.Fatalf("%s: want budget error, got nil (res=%v)", a.name, res)
@@ -182,9 +175,6 @@ func TestBudgetTripAborts(t *testing.T) {
 		if res != nil {
 			t.Fatalf("%s: budget-tripped query returned a result", a.name)
 		}
-		if after := rel.LiveBatches(); after != live {
-			t.Fatalf("%s: %d pooled batches leaked on budget trip", a.name, after-live)
-		}
 		src.requireUntouched(t, a.name)
 	}
 	// The γ-division runs as one operator that charges the meter as
@@ -195,7 +185,6 @@ func TestBudgetTripAborts(t *testing.T) {
 			continue
 		}
 		st := faultinject.Wrap(src.d, faultinject.Fault{Rel: "R"})
-		live := rel.LiveBatches()
 		res, err := a.run(context.Background(), st, 16, 40)
 		var be *exec.BudgetError
 		if !errors.As(err, &be) || res != nil {
@@ -203,9 +192,6 @@ func TestBudgetTripAborts(t *testing.T) {
 		}
 		if rows := st.Rows(); rows >= 400 {
 			t.Errorf("%s: the budget trip came after R's scan (%d of 400 rows read)", a.name, rows)
-		}
-		if after := rel.LiveBatches(); after != live {
-			t.Fatalf("%s: %d pooled batches leaked on budget trip", a.name, after-live)
 		}
 		src.requireUntouched(t, a.name+" inside R's scan")
 	}
@@ -220,7 +206,6 @@ func TestBudgetTripAborts(t *testing.T) {
 	const budget = 100
 	for _, bs := range []int{1, 16, 64} {
 		st := faultinject.Wrap(src.d, faultinject.Fault{Rel: "R"})
-		live := rel.LiveBatches()
 		res, err := arm{root: plan.FromRA(theta)}.run(context.Background(), st, bs, budget)
 		var be *exec.BudgetError
 		if !errors.As(err, &be) || res != nil {
@@ -229,24 +214,20 @@ func TestBudgetTripAborts(t *testing.T) {
 		if rows := st.Rows(); rows > budget+bs {
 			t.Errorf("theta-join bs=%d: the budget tripped after %d of R's %d rows; want at most one batch past %d", bs, rows, src.d.Rel("R").Len(), budget)
 		}
-		if after := rel.LiveBatches(); after != live {
-			t.Fatalf("theta-join bs=%d: %d pooled batches leaked on budget trip", bs, after-live)
-		}
 		src.requireUntouched(t, fmt.Sprintf("theta-join bs=%d", bs))
 	}
 }
 
 // TestPreCanceledContext: a context canceled before the query starts
-// aborts at the first guard without touching the pool.
+// aborts at the first guard.
 func TestPreCanceledContext(t *testing.T) {
 	leakcheck.Check(t)
 	src := newSource()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, a := range arms(t, src.d.Schema()) {
-		live := rel.LiveBatches()
 		res, err := a.run(ctx, src.d, 64, 0)
-		src.checkAborted(t, a.name, res, err, context.Canceled, live)
+		src.checkAborted(t, a.name, res, err, context.Canceled)
 	}
 }
 
@@ -258,9 +239,8 @@ func TestCancelMidFlight(t *testing.T) {
 	for _, a := range arms(t, src.d.Schema()) {
 		ctx, cancel := context.WithCancel(context.Background())
 		st := faultinject.Wrap(src.d, faultinject.Fault{CancelAt: 5, OnRow: cancel})
-		live := rel.LiveBatches()
 		res, err := a.run(ctx, st, 32, 0)
-		src.checkAborted(t, a.name, res, err, context.Canceled, live)
+		src.checkAborted(t, a.name, res, err, context.Canceled)
 		cancel()
 	}
 }
@@ -303,17 +283,16 @@ func TestRandomizedAbortSuite(t *testing.T) {
 		k := 1 + rng.Intn(5)
 		kind := rng.Intn(2)
 		label := fmt.Sprintf("iter=%d/%s/bs=%d/k=%d/kind=%d", iter, a.name, bs, k, kind)
-		live := rel.LiveBatches()
 		switch kind {
 		case 0: // injected cursor error
 			st := faultinject.Wrap(src.d, faultinject.Fault{FailAfter: k, Err: errInjected})
 			res, err := a.run(context.Background(), st, bs, 0)
-			src.checkAborted(t, label, res, err, errInjected, live)
+			src.checkAborted(t, label, res, err, errInjected)
 		case 1: // cancellation at row k
 			ctx, cancel := context.WithCancel(context.Background())
 			st := faultinject.Wrap(src.d, faultinject.Fault{CancelAt: k, OnRow: cancel})
 			res, err := a.run(ctx, st, bs, 0)
-			src.checkAborted(t, label, res, err, context.Canceled, live)
+			src.checkAborted(t, label, res, err, context.Canceled)
 			cancel()
 		}
 	}
@@ -395,9 +374,8 @@ func TestCancellationLatencyWithinOneBatch(t *testing.T) {
 				DelayEvery: 50,
 				Delay:      100 * time.Microsecond,
 			})
-			live := rel.LiveBatches()
 			res, rerr := q.run(ctx, st, bs, 0)
-			src.checkAborted(t, label, res, rerr, context.Canceled, live)
+			src.checkAborted(t, label, res, rerr, context.Canceled)
 			if extra := st.Rows() - cancelAt; extra < 0 || extra > bs {
 				t.Errorf("%s: scan ran %d rows past the cancel; want at most one batch (%d)", label, extra, bs)
 			}
@@ -424,11 +402,10 @@ func TestRowExactInjectionAborts(t *testing.T) {
 					continue
 				}
 				label := fmt.Sprintf("%s/bs=%d/k=%d", a.name, bs, k)
-				live := rel.LiveBatches()
 				fail := faultinject.Wrap(src.d, faultinject.Fault{Rel: "R", FailAfter: k, Err: errInjected})
 				res, err := a.run(context.Background(), fail, bs, 0)
 				if k <= rows {
-					src.checkAborted(t, label+"/fail", res, err, errInjected, live)
+					src.checkAborted(t, label+"/fail", res, err, errInjected)
 					if got := fail.Rows(); got != k {
 						t.Errorf("%s/fail: aborted with %d rows out, want %d", label, got, k)
 					}
@@ -446,15 +423,12 @@ func TestRowExactInjectionAborts(t *testing.T) {
 				res, err = a.run(ctx, cs, bs, 0)
 				cancel()
 				if k <= rows {
-					src.checkAborted(t, label+"/cancel", res, err, context.Canceled, live)
+					src.checkAborted(t, label+"/cancel", res, err, context.Canceled)
 					if fired != k || cs.Rows() != k {
 						t.Errorf("%s/cancel: hook fired at row %d, abort after %d rows; want both %d", label, fired, cs.Rows(), k)
 					}
 				} else if err != nil || fired != -1 {
 					t.Errorf("%s/cancel: past R's end, got err %v, hook at %d", label, err, fired)
-				}
-				if after := rel.LiveBatches(); after != live {
-					t.Fatalf("%s: %d pooled batches live", label, after-live)
 				}
 			}
 		}

@@ -146,9 +146,8 @@ func (p *Plan) Execute() *rel.Relation {
 
 // ExecuteContext is the governed Execute: one governor spans the
 // whole plan, honoring ctx cancellation and deadlines at every pull
-// boundary, enforcing Options.MaxResident, converting internal panics
-// into typed errors, and releasing every pooled batch on every abort
-// path. On error the relation is nil.
+// boundary, enforcing Options.MaxResident and converting internal
+// panics into typed errors. On error the relation is nil.
 func (p *Plan) ExecuteContext(ctx context.Context) (*rel.Relation, error) {
 	res, _, err := p.ExecuteTracedContext(ctx)
 	return res, err
@@ -447,7 +446,7 @@ func (b *builder) batches(n *Node) (rel.BatchCursor, *countNode) {
 		l, ln := b.batches(n.Kids[0])
 		node.kids = []*countNode{ln}
 		rc, stored := b.inPlace(n.Kids[1], node)
-		cur = &diffCursor{in: l, buildC: rc, stored: stored, arity: n.arity, meter: b.meter}
+		cur = &diffCursor{filter: filter{in: l}, buildC: rc, stored: stored, arity: n.arity, meter: b.meter}
 	case KProject:
 		if rName, sName, sem, ok := matchGammaDivision(n); ok {
 			return b.aggregateDivision(n, rName, sName, sem)
@@ -459,11 +458,11 @@ func (b *builder) batches(n *Node) (rel.BatchCursor, *countNode) {
 	case KSelect:
 		in, kn := b.batches(n.Kids[0])
 		node.kids = []*countNode{kn}
-		cur = &selectCursor{in: in, i: n.I - 1, op: n.Op, j: n.J - 1, dict: b.dict}
+		cur = &selectCursor{filter: filter{in: in}, i: n.I - 1, op: n.Op, j: n.J - 1, dict: b.dict}
 	case KSelectConst:
 		in, kn := b.batches(n.Kids[0])
 		node.kids = []*countNode{kn}
-		cur = &selectConstCursor{in: in, i: n.I - 1, id: b.dict.Intern(n.C)}
+		cur = &selectConstCursor{filter: filter{in: in}, i: n.I - 1, id: b.dict.Intern(n.C)}
 	case KConstTag:
 		in, kn := b.batches(n.Kids[0])
 		node.kids = []*countNode{kn}
@@ -487,10 +486,10 @@ func (b *builder) batches(n *Node) (rel.BatchCursor, *countNode) {
 		if keys := splitEquiKeys(n.Cond); len(keys.probeCols) > 0 {
 			rc, rn := b.batches(n.Kids[1])
 			node.kids = append(node.kids, rn)
-			cur = &hashSemijoinCursor{left: l, buildC: rc, equiKeys: keys, keep: keep, meter: b.meter, dict: b.dict}
+			cur = &hashSemijoinCursor{filter: filter{in: l}, buildC: rc, equiKeys: keys, keep: keep, meter: b.meter, dict: b.dict}
 		} else {
 			rc, stored := b.inPlace(n.Kids[1], node)
-			cur = &loopSemijoinCursor{left: l, buildC: rc, stored: stored, cond: n.Cond, keep: keep, meter: b.meter, capacity: b.capacity, dict: b.dict}
+			cur = &loopSemijoinCursor{filter: filter{in: l}, buildC: rc, stored: stored, cond: n.Cond, keep: keep, meter: b.meter, capacity: b.capacity, dict: b.dict}
 		}
 	case KGamma:
 		in, kn := b.batches(n.Kids[0])
@@ -500,15 +499,12 @@ func (b *builder) batches(n *Node) (rel.BatchCursor, *countNode) {
 	default:
 		panic(fmt.Sprintf("plan: unknown kind %d", n.Kind))
 	}
-	// An operator that holds batches across calls (the joins) releases
-	// them when an abort unwinds through it.
-	b.meter.watch(cur)
 	counted := &countCursor{in: cur, node: node}
 	if dedup {
 		// The filter sits outside the count, so the node's flow number
 		// still reports what the operator emitted (duplicates included)
 		// and only the downstream consumers see the deduplicated stream.
-		return &dedupCursor{in: counted, arity: n.arity, meter: b.meter}, node
+		return &dedupCursor{filter: filter{in: counted}, arity: n.arity, meter: b.meter}, node
 	}
 	return counted, node
 }

@@ -314,7 +314,6 @@ func checkExecutor(t *testing.T, g *golden, key string, c suiteCase, d *rel.Data
 				p := plan.CompileIR(c.root, st.d, plan.Options{Optimize: optimize, BatchSize: batch})
 				for _, governed := range []bool{false, true} {
 					label := fmt.Sprintf("%s engine=%s store=%s batch=%d governed=%v", gkey, p.Engine(), st.name, batch, governed)
-					live := rel.LiveBatches()
 					var res *rel.Relation
 					var tr *plan.Trace
 					if governed {
@@ -325,9 +324,6 @@ func checkExecutor(t *testing.T, g *golden, key string, c suiteCase, d *rel.Data
 						}
 					} else {
 						res, tr = p.ExecuteTraced()
-					}
-					if after := rel.LiveBatches(); after != live {
-						t.Errorf("%s: %d pooled batches still live", label, after-live)
 					}
 					if err := sameEmission(want, res); err != nil {
 						t.Errorf("%s: result differs from the materialized evaluation: %v", label, err)

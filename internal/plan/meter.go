@@ -32,27 +32,17 @@ func (m *meter) grow(n int) {
 // release records n tuples leaving operator state.
 func (m *meter) release(n int) { m.cur -= n }
 
-// watch registers c's held-batch cleanup with the meter's governor
-// when both exist (see rel.BatchHolder); a no-op otherwise.
-func (m *meter) watch(c any) {
-	if m != nil && m.gov != nil {
-		m.gov.Watch(c)
-	}
-}
-
 // guardBatches wraps a batch cursor with the governor check point: at
 // every batch boundary it observes cancellation and enforces the
 // resident-tuple budget — the "≤ one branch per batch" the
 // cancellation-latency contract promises. With no governor the
 // cursor is returned unchanged, so ungoverned plans pay nothing. The
-// check happens before the pull, when the guard's frame holds no pooled
-// batch — the only place an abort is allowed to unwind from. Every scan
-// of a stored relation the executor makes goes through one.
+// check happens before the pull, the only place an abort unwinds from.
+// Every scan of a stored relation the executor makes goes through one.
 func (m *meter) guardBatches(in rel.BatchCursor) rel.BatchCursor {
 	if m == nil || m.gov == nil {
 		return in
 	}
-	m.gov.Watch(in)
 	return &guardBatchCursor{in: in, g: m.gov, m: m}
 }
 

@@ -107,8 +107,8 @@ func (a *gammaBatchAgg) add(b *rel.Batch, row int) int {
 }
 
 // gammaCursor is γ_{groupCols; count(countCol)}: it streams its input
-// into a gammaBatchAgg, then emits the aggregate rows as pooled batches
-// in group first-occurrence order: the group keys' IDs, and each
+// into a gammaBatchAgg, then emits the aggregate rows through its own
+// batch in group first-occurrence order: the group keys' IDs, and each
 // count's ID in the query dictionary. dedupAll is set when countCol is
 // 0 and the input can deliver duplicate tuples (mayEmitDuplicates) —
 // count(*) is only exact over a set.
@@ -126,6 +126,7 @@ type gammaCursor struct {
 	agg    *gammaBatchAgg
 	gi     int
 	done   bool
+	out    *rel.Batch
 }
 
 func (c *gammaCursor) NextBatch() (*rel.Batch, bool) {
@@ -139,7 +140,6 @@ func (c *gammaCursor) NextBatch() (*rel.Batch, bool) {
 					c.meter.grow(grew)
 				}
 			}
-			b.Release()
 		}
 	}
 	if c.done {
@@ -148,11 +148,8 @@ func (c *gammaCursor) NextBatch() (*rel.Batch, bool) {
 	ng := c.agg.groups.Len()
 	if c.gi < ng {
 		k := len(c.groupCols)
-		out := rel.NewBatchSized(k+1, c.capacity)
-		hi := c.gi + c.capacity
-		if hi > ng {
-			hi = ng
-		}
+		out := refill(&c.out, k+1, c.capacity)
+		hi := min(c.gi+c.capacity, ng)
 		rows := 0
 		keys := c.agg.groups.Cols()
 		for ; c.gi < hi; c.gi++ {
@@ -172,7 +169,7 @@ func (c *gammaCursor) NextBatch() (*rel.Batch, bool) {
 	if emitZero {
 		// Grand aggregate over an empty input is a single zero row, as
 		// in SQL.
-		out := rel.NewBatchSized(1, c.capacity)
+		out := refill(&c.out, 1, c.capacity)
 		out.WritableCol(0)[0] = c.dict.Intern(rel.Int(0))
 		out.SetLen(1)
 		return out, true

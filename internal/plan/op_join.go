@@ -18,7 +18,7 @@ package plan
 //     copy. The empty condition — the cartesian product — is a pure
 //     block copy.
 //
-// A semijoin's probe side streams through filterBatch, so its order is
+// A semijoin's probe side streams through a filter, so its order is
 // preserved, and the meter is charged what is held — distinct key rows,
 // full build rows, or nothing — and released at probe exhaustion.
 //
@@ -96,7 +96,6 @@ func replaySide(build rel.BatchCursor, stored rel.StoredRel, m *meter, capacity 
 	for b, ok := build.NextBatch(); ok; b, ok = build.NextBatch() {
 		s.append(b)
 		m.grow(b.Len())
-		b.Release()
 	}
 	return s.cols, s.n, s.n
 }
@@ -132,7 +131,6 @@ func newBuildTable(in rel.BatchCursor, keyCols []int, keysOnly bool, m *meter, d
 					t.held++
 				}
 			}
-			b.Release()
 		}
 		return t
 	}
@@ -154,7 +152,6 @@ func newBuildTable(in rel.BatchCursor, keyCols []int, keysOnly bool, m *meter, d
 		}
 		m.grow(n)
 		t.held += n
-		b.Release()
 	}
 	return t
 }
@@ -201,7 +198,10 @@ func (t *buildTable) partner(b *rel.Batch, row int, probeCols []int, resid []ra.
 // materialized into a buildTable, and probe batches stream against it —
 // each probe row resolves its key once, walks the build rows with
 // exactly that key, and decodes values only for residual
-// (non-equality) atoms.
+// (non-equality) atoms. The probe batch is read across several pulls
+// of the join, which is valid: the join pulls its left input again
+// only once the batch is done. Joined rows fill the join's own batch,
+// Reset at the start of every pull.
 type hashJoinCursor struct {
 	left   rel.BatchCursor
 	buildC rel.BatchCursor
@@ -218,16 +218,6 @@ type hashJoinCursor struct {
 	prow  int
 	cand  int32 // 1 + the next candidate build row, 0 when exhausted
 	out   *rel.Batch
-}
-
-// ReleaseHeld implements rel.BatchHolder: the hash join retains the
-// probe batch and the staging output batch across NextBatch calls;
-// both are released when an abort unwinds through the cursor.
-func (c *hashJoinCursor) ReleaseHeld() {
-	p, o := c.probe, c.out
-	c.probe, c.out = nil, nil
-	p.Release()
-	o.Release()
 }
 
 func (c *hashJoinCursor) emit(brow int) {
@@ -252,6 +242,9 @@ func (c *hashJoinCursor) NextBatch() (*rel.Batch, bool) {
 		c.table = newBuildTable(c.buildC, c.buildCols, false, c.meter, c.dict)
 		c.held = c.table.held
 	}
+	if c.out != nil {
+		c.out.Reset()
+	}
 	for {
 		if c.probe == nil {
 			// Flush at probe-batch boundaries, so what a consumer builds
@@ -259,21 +252,16 @@ func (c *hashJoinCursor) NextBatch() (*rel.Batch, bool) {
 			// below still holds its state, at every batch size: without
 			// it MaxResident depends on the batch size.
 			if c.out != nil && c.out.Len() > 0 {
-				o := c.out
-				c.out = nil
-				return o, true
+				return c.out, true
 			}
 			b, ok := c.left.NextBatch()
 			if !ok {
-				c.out.Release()
-				c.out = nil
 				c.meter.release(c.held)
 				c.held = 0
 				c.table = nil
 				return nil, false
 			}
 			if b.Len() == 0 {
-				b.Release()
 				continue
 			}
 			c.probe, c.prow = b, 0
@@ -282,7 +270,6 @@ func (c *hashJoinCursor) NextBatch() (*rel.Batch, bool) {
 		if c.cand == 0 {
 			c.prow++
 			if c.prow >= c.probe.Len() {
-				c.probe.Release()
 				c.probe = nil
 				continue
 			}
@@ -296,9 +283,7 @@ func (c *hashJoinCursor) NextBatch() (*rel.Batch, bool) {
 		}
 		c.emit(brow)
 		if c.out.Full() {
-			o := c.out
-			c.out = nil
-			return o, true
+			return c.out, true
 		}
 	}
 }
@@ -307,7 +292,8 @@ func (c *hashJoinCursor) NextBatch() (*rel.Batch, bool) {
 // is opened by replaySide and replayed per probe row. The empty
 // condition — the cartesian product — is a pure block copy: the probe
 // value is broadcast down the left columns while the right columns are
-// copied in slabs.
+// copied in slabs. Like the hash join, it reads a probe batch across
+// several of its pulls and fills its own batch.
 type loopJoinCursor struct {
 	left     rel.BatchCursor
 	buildC   rel.BatchCursor
@@ -326,16 +312,6 @@ type loopJoinCursor struct {
 	prow  int
 	ri    int
 	out   *rel.Batch
-}
-
-// ReleaseHeld implements rel.BatchHolder: the loop join retains the
-// probe batch and the staging output batch across NextBatch calls;
-// both are released when an abort unwinds through the cursor.
-func (c *loopJoinCursor) ReleaseHeld() {
-	p, o := c.probe, c.out
-	c.probe, c.out = nil, nil
-	p.Release()
-	o.Release()
 }
 
 func (c *loopJoinCursor) ensureOut() {
@@ -359,30 +335,27 @@ func (c *loopJoinCursor) NextBatch() (*rel.Batch, bool) {
 		c.opened = true
 		c.rcols, c.rn, c.held = replaySide(c.buildC, c.stored, c.meter, c.capacity)
 	}
+	if c.out != nil {
+		c.out.Reset()
+	}
 	for {
 		if c.probe == nil {
 			if c.out != nil && c.out.Len() > 0 {
-				o := c.out
-				c.out = nil
-				return o, true
+				return c.out, true
 			}
 			b, ok := c.left.NextBatch()
 			if !ok {
-				c.out.Release()
-				c.out = nil
 				c.meter.release(c.held)
 				c.held = 0
 				c.rcols = nil
 				return nil, false
 			}
 			if b.Len() == 0 {
-				b.Release()
 				continue
 			}
 			c.probe, c.prow, c.ri = b, 0, 0
 		}
 		if c.prow >= c.probe.Len() {
-			c.probe.Release()
 			c.probe = nil
 			continue
 		}
@@ -414,9 +387,7 @@ func (c *loopJoinCursor) NextBatch() (*rel.Batch, bool) {
 			c.out.SetLen(start + m)
 			c.ri += m
 			if c.out.Full() {
-				o := c.out
-				c.out = nil
-				return o, true
+				return c.out, true
 			}
 			continue
 		}
@@ -433,9 +404,7 @@ func (c *loopJoinCursor) NextBatch() (*rel.Batch, bool) {
 			c.out.SetLen(row + 1)
 			c.ri++
 			if c.out.Full() {
-				o := c.out
-				c.out = nil
-				return o, true
+				return c.out, true
 			}
 			continue
 		}
@@ -449,7 +418,7 @@ func (c *loopJoinCursor) NextBatch() (*rel.Batch, bool) {
 // alone when there are no residual atoms — and compacts probe batches
 // through the partner test.
 type hashSemijoinCursor struct {
-	left   rel.BatchCursor
+	filter
 	buildC rel.BatchCursor
 	equiKeys
 	keep  bool
@@ -467,27 +436,20 @@ func (c *hashSemijoinCursor) NextBatch() (*rel.Batch, bool) {
 		c.table = newBuildTable(c.buildC, c.buildCols, len(c.resid) == 0, c.meter, c.dict)
 		c.held = c.table.held
 	}
-	for {
-		b, ok := c.left.NextBatch()
-		if !ok {
-			c.meter.release(c.held)
-			c.held = 0
-			c.table = nil
-			return nil, false
-		}
-		out := filterBatch(b, func(row int) bool { return c.table.partner(b, row, c.probeCols, c.resid) == c.keep })
-		if out.Len() > 0 {
-			return out, true
-		}
-		out.Release()
+	b, ok := c.next(func(b *rel.Batch, row int) bool { return c.table.partner(b, row, c.probeCols, c.resid) == c.keep })
+	if !ok {
+		c.meter.release(c.held)
+		c.held = 0
+		c.table = nil
 	}
+	return b, ok
 }
 
 // loopSemijoinCursor is the semijoin (keep) or antijoin (!keep) of a
 // θ-only condition: the right side, opened by replaySide, is replayed
 // per probe row over flat ID columns.
 type loopSemijoinCursor struct {
-	left     rel.BatchCursor
+	filter
 	buildC   rel.BatchCursor
 	stored   rel.StoredRel
 	cond     ra.Cond
@@ -525,18 +487,11 @@ func (c *loopSemijoinCursor) NextBatch() (*rel.Batch, bool) {
 		c.opened = true
 		c.rcols, c.rn, c.held = replaySide(c.buildC, c.stored, c.meter, c.capacity)
 	}
-	for {
-		b, ok := c.left.NextBatch()
-		if !ok {
-			c.meter.release(c.held)
-			c.held = 0
-			c.rcols = nil
-			return nil, false
-		}
-		out := filterBatch(b, func(row int) bool { return c.partner(b, row) == c.keep })
-		if out.Len() > 0 {
-			return out, true
-		}
-		out.Release()
+	b, ok := c.next(func(b *rel.Batch, row int) bool { return c.partner(b, row) == c.keep })
+	if !ok {
+		c.meter.release(c.held)
+		c.held = 0
+		c.rcols = nil
 	}
+	return b, ok
 }

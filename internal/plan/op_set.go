@@ -21,7 +21,6 @@ func drainBatches(in rel.BatchCursor, rows *rel.RowSet) {
 			}
 			rows.Insert(ids)
 		}
-		b.Release()
 	}
 }
 
@@ -150,7 +149,6 @@ func (c *unionCursor) drain(in rel.BatchCursor) {
 				c.held++
 			}
 		}
-		b.Release()
 	}
 }
 
@@ -181,7 +179,7 @@ func (c *unionCursor) NextBatch() (*rel.Batch, bool) {
 // into an idSet first. Exactly one of buildC and stored is set
 // (builder.inPlace).
 type diffCursor struct {
-	in     rel.BatchCursor
+	filter
 	buildC rel.BatchCursor
 	stored rel.StoredRel
 	arity  int
@@ -206,26 +204,18 @@ func (c *diffCursor) NextBatch() (*rel.Batch, bool) {
 						c.held++
 					}
 				}
-				b.Release()
 			}
 		} else {
 			c.ids = make([]uint32, c.arity)
 		}
 	}
-	for {
-		b, ok := c.in.NextBatch()
-		if !ok {
-			c.meter.release(c.held)
-			c.held = 0
-			c.set = nil
-			return nil, false
-		}
-		out := filterBatch(b, func(row int) bool { return !c.containsRow(b, row) })
-		if out.Len() > 0 {
-			return out, true
-		}
-		out.Release()
+	b, ok := c.next(func(b *rel.Batch, row int) bool { return !c.containsRow(b, row) })
+	if !ok {
+		c.meter.release(c.held)
+		c.held = 0
+		c.set = nil
 	}
+	return b, ok
 }
 
 func (c *diffCursor) containsRow(b *rel.Batch, row int) bool {

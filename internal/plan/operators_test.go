@@ -34,7 +34,6 @@ func rowsOut(c rel.BatchCursor) int {
 	out := 0
 	for b, ok := c.NextBatch(); ok; b, ok = c.NextBatch() {
 		out += b.Len()
-		b.Release()
 	}
 	return out
 }
@@ -44,6 +43,38 @@ func rowsOut(c rel.BatchCursor) int {
 func operator(d rel.ReadStore, n *Node) rel.BatchCursor {
 	c, _ := (&builder{d: d, meter: &meter{}, capacity: rel.BatchCap, dict: queryDict(d)}).batches(n)
 	return c.(*countCursor).in
+}
+
+// TestKeptBatchReadsPoison proves the race build's poison check bites:
+// a consumer that keeps a filter cursor's batch across a second pull
+// reads ^uint32(0) in every row it kept, where rel.Batch.Reset
+// overwrote them.
+func TestKeptBatchReadsPoison(t *testing.T) {
+	if !raceEnabled {
+		t.Skip("batches are poisoned only under the race detector")
+	}
+	d := rel.NewDatabase(rel.NewSchema(map[string]int{"R": 2}))
+	d.AddInts("R", 1, 1)
+	d.AddInts("R", 2, 2) // the first batch is kept in part: the filter's own batch
+	d.AddInts("R", 3, 3) // the second batch is dropped whole
+	b := &builder{d: d, meter: &meter{}, capacity: 2, dict: queryDict(d)}
+	c, _ := b.batches(NSelectConst(1, rel.Int(1), NRel("R", 2)))
+	first, ok := c.NextBatch()
+	if !ok || first.Len() != 1 {
+		t.Fatalf("first pull: ok %v, want one row", ok)
+	}
+	kept := [][]uint32{first.Col(0), first.Col(1)}
+	if kept[0][0] != kept[1][0] {
+		t.Fatalf("first pull yielded row %v, want (1, 1)", kept)
+	}
+	if _, ok := c.NextBatch(); ok {
+		t.Fatal("second pull yielded a batch, want exhaustion")
+	}
+	for k, col := range kept {
+		if col[0] != ^uint32(0) {
+			t.Errorf("kept column %d reads ID %d after the second pull, want the poison ID", k, col[0])
+		}
+	}
 }
 
 // TestSemijoinBatchCursorContract pins what the semijoin cursors rely
@@ -120,7 +151,7 @@ func TestResidualSemijoinBuildAllocations(t *testing.T) {
 	d := buildDatabase([]int64{5, 9}, []int64{5, 1})
 	out := 0
 	allocs := testing.AllocsPerRun(1, func() {
-		out = rowsOut(&hashSemijoinCursor{left: d.Rel("P").BatchScan(), buildC: d.Rel("B").BatchScan(),
+		out = rowsOut(&hashSemijoinCursor{filter: filter{in: d.Rel("P").BatchScan()}, buildC: d.Rel("B").BatchScan(),
 			equiKeys: splitEquiKeys(ra.Eq(1, 1).And(ra.A(2, ra.OpGt, 2))), keep: true, meter: &meter{}, dict: queryDict(d)})
 	})
 	if out != 1 {

@@ -246,18 +246,13 @@ var batchSizes = []int{1, 2, 1024}
 // checkBatchInvariance runs the plan at every sweep batch size over
 // store and asserts what batching must not change: the result (the
 // materialized evaluation over d, which holds the same data), the
-// per-step flow counts, the resident peak — and that no batch leaks
-// from the pool.
+// per-step flow counts and the resident peak.
 func checkBatchInvariance(t *testing.T, name string, e ra.Expr, d *rel.Database, store rel.ReadStore) {
 	t.Helper()
 	want := ra.Eval(e, d)
 	var first *plan.Trace
 	for _, size := range batchSizes {
-		live := rel.LiveBatches()
 		got, tr := executed(e, store, size)
-		if after := rel.LiveBatches(); after != live {
-			t.Fatalf("%s size=%d: batch leak: %d batches live before, %d after", name, size, live, after)
-		}
 		if !got.Equal(want) {
 			t.Fatalf("%s size=%d: result differs from materialized:\n%s\nwant:\n%s", name, size, got, want)
 		}
@@ -327,11 +322,7 @@ func TestVectorizedConstSelectGrowingDictionary(t *testing.T) {
 	root := plan.NSelectConst(2, rel.Int(2), plan.NGamma([]int{1}, 0, plan.NRel("R", 2)))
 	want := rel.FromRows(2, []int64{2, 2})
 	for _, size := range batchSizes {
-		live := rel.LiveBatches()
 		got := plan.CompileIR(root, d, plan.Options{BatchSize: size}).Execute()
-		if after := rel.LiveBatches(); after != live {
-			t.Fatalf("size=%d: %d batches leaked", size, after-live)
-		}
 		if !got.Equal(want) {
 			t.Fatalf("size=%d: σ_{2=2}(γ_{[1],count}(R)) = %v, want %v", size, got, want)
 		}
@@ -376,17 +367,12 @@ var errAbort = errors.New("ra_test: injected abort")
 // checkAborted runs the plan under a governor over a store whose scans
 // fail at row 3, asserting the abort contract at every sweep batch
 // size: the injected error (when the plan pulls far enough to hit it)
-// surfaces wrapped, the result is nil, and — always — the batch pool
-// returns to its pre-query level.
+// surfaces wrapped and the result is nil.
 func checkAborted(t *testing.T, name string, e ra.Expr, d rel.ReadStore) {
 	t.Helper()
 	for _, size := range batchSizes {
 		st := faultinject.Wrap(d, faultinject.Fault{FailAfter: 3, Err: errAbort})
-		live := rel.LiveBatches()
 		res, _, err := plan.CompileIR(plan.FromRA(e), st, plan.Options{BatchSize: size}).ExecuteTracedContext(context.Background())
-		if after := rel.LiveBatches(); after != live {
-			t.Fatalf("%s size=%d: aborted run leaked %d batches", name, size, after-live)
-		}
 		if err != nil {
 			if !errors.Is(err, errAbort) {
 				t.Fatalf("%s size=%d: abort error %v does not wrap the injection", name, size, err)
@@ -405,8 +391,8 @@ func checkAborted(t *testing.T, name string, e ra.Expr, d rel.ReadStore) {
 
 // TestVectorizedAbortedRunsReleasePool runs the full operator corpus
 // through mid-run aborts at every sweep batch size, then re-runs the
-// clean check to prove an abort storm leaves the executor (and the
-// shared batch pool) fully serviceable.
+// clean check to prove an abort storm leaves the executor fully
+// serviceable.
 func TestVectorizedAbortedRunsReleasePool(t *testing.T) {
 	d := setJoinDatabase(1)
 	for _, c := range operatorCorpus() {

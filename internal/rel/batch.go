@@ -14,42 +14,36 @@ package rel
 // A batch carries at most one dictionary. A view over stored columns
 // (a relation's scan, a view a caller builds with MakeView) carries the
 // dictionary its IDs are drawn from, so Row and Cursor can decode it.
-// A pooled batch carries none: the executor's operators write IDs of
-// the one query dictionary they all share (rel.QueryDict) and decode
-// through it themselves.
+// A batch from NewBatchSized carries none: the executor's operators
+// write IDs of the one query dictionary they all share (rel.QueryDict)
+// and decode through it themselves.
 //
-// Ownership contract: a batch yielded by a BatchCursor belongs to the
-// consumer, which must call Release when done with it (passing it
-// downstream transfers ownership). A batch stays valid until the
-// consumer calls Release or pulls the next batch from the same cursor,
-// whichever comes first. Released non-view batches return to a
-// sync.Pool; view batches — whose columns alias relation or operator
-// storage, such as the ones Relation.BatchScan yields — are read-only
-// and their Release is a no-op, so aliased storage can never be
-// recycled into a writable batch.
+// Validity rule: a batch yielded by a BatchCursor's NextBatch is valid
+// until the consumer's next pull of that cursor, and it is read-only to
+// the consumer. Each cursor owns the one batch it yields and overwrites
+// it on every pull (the vector-at-a-time contract of MonetDB/X100), or
+// yields a view over storage it reads, so nothing is handed back and
+// an abort leaves nothing to return. A consumer that keeps rows past
+// its next pull copies them, as sinks, build tables and row decoders
+// do. Under the race detector Reset first overwrites the rows it drops
+// with an ID no dictionary holds (poisonBatches), so every suite run
+// with -race fails loudly where a consumer keeps a batch too long.
 
-import (
-	"fmt"
-	"sync"
-	"sync/atomic"
-)
+import "fmt"
 
 // BatchCap is the default number of rows per batch: large enough to
-// amortize per-batch overhead (channel sends, virtual calls, pool
-// round-trips), small enough that a batch of a few columns stays
-// within L1/L2 cache.
+// amortize per-batch overhead (virtual calls, per-batch setup), small
+// enough that a batch of a few columns stays within L1/L2 cache.
 const BatchCap = 1024
 
 // Batch is a fixed-capacity columnar block of rows: per attribute one
 // flat column of interned value IDs, and for a view the dictionary
 // that decodes them.
 type Batch struct {
-	capacity int // logical row capacity (the Full bound)
-	physical int // allocated column length, >= capacity for pooled batches
+	capacity int // row capacity (the Full bound)
 	n        int
-	store    [][]uint32 // backing columns, each len == physical (nil for views)
-	cols     [][]uint32 // active columns; for views these alias foreign storage
-	dict     *Interner  // a view's dictionary; nil on a pooled batch
+	cols     [][]uint32 // the columns; a view's alias foreign storage
+	dict     *Interner  // a view's dictionary; nil on an owned batch
 	view     bool
 }
 
@@ -88,7 +82,7 @@ func (b *Batch) SetLen(n int) {
 	b.n = n
 }
 
-// Dict returns the dictionary of a view's IDs, nil for a pooled batch.
+// Dict returns the dictionary of a view's IDs, nil for an owned batch.
 func (b *Batch) Dict() *Interner { return b.dict }
 
 // Row decodes one row of a view into buf (grown as needed) and returns
@@ -114,78 +108,45 @@ func (b *Batch) AppendRowFrom(src *Batch, row int) {
 	b.n++
 }
 
-// Release returns the batch to the pool. Views (whose columns alias
-// relation or operator storage) are not pooled: their Release is a
-// no-op. Release must be called at most once per batch obtained.
-func (b *Batch) Release() {
-	if b == nil || b.view {
-		return
-	}
-	batchLive.Add(-1)
-	batchPool.Put(b)
-}
-
-// The pool recycles non-view batches. The live count is what every
-// leak check reads: after a query, run or abort, it must be back at
-// its level before the query.
-var (
-	batchPool sync.Pool
-	batchLive atomic.Int64 // batches currently checked out
-)
-
-// LiveBatches reports the number of pooled batches checked out and not
-// yet released.
-func LiveBatches() int64 { return batchLive.Load() }
-
-// NewBatch returns an empty writable batch of the given arity and
-// BatchCap row capacity, recycled from the pool when possible.
-func NewBatch(arity int) *Batch { return NewBatchSized(arity, BatchCap) }
-
-// NewBatchSized is NewBatch with an explicit row capacity (the ST4
-// batch-size sweep uses 1 and 64 next to the default 1024). Pooled
-// batches keep their largest capacity, so mixed sizes still recycle.
+// NewBatchSized returns an empty writable batch of the given arity and
+// row capacity, its columns in one allocation. The cursor that yields
+// it keeps it and refills it on every pull (Reset).
 func NewBatchSized(arity, capacity int) *Batch {
 	if arity < 0 || capacity < 1 {
 		panic(fmt.Sprintf("rel: batch arity %d capacity %d", arity, capacity))
 	}
-	batchLive.Add(1)
-	if v := batchPool.Get(); v != nil {
-		b := v.(*Batch)
-		if b.physical >= capacity {
-			b.reshape(arity, capacity)
-			return b
-		}
-		// Too small for this request (only possible when capacity >
-		// BatchCap): drop it and allocate fresh below.
+	b := &Batch{capacity: capacity, cols: make([][]uint32, arity)}
+	backing := make([]uint32, arity*capacity)
+	for k := range b.cols {
+		b.cols[k] = backing[k*capacity : (k+1)*capacity : (k+1)*capacity]
 	}
-	physical := capacity
-	if physical < BatchCap {
-		physical = BatchCap // never pool undersized column arrays
-	}
-	b := &Batch{physical: physical}
-	b.reshape(arity, capacity)
 	return b
 }
 
-// reshape prepares a pooled batch for reuse at the given arity and
-// logical capacity, recycling its column arrays.
-func (b *Batch) reshape(arity, capacity int) {
-	b.n = 0
-	b.view = false
-	b.capacity = capacity
-	for len(b.store) < arity {
-		b.store = append(b.store, make([]uint32, b.physical))
+// Reset empties a batch from NewBatchSized for refilling; its owner
+// calls it on every pull, which ends the previous batch's validity.
+// Under the race detector it first overwrites the rows it held with
+// ^uint32(0), so a consumer that kept the batch, or a column of it,
+// across the pull reads an ID no dictionary holds. It panics on a view
+// batch, whose columns alias foreign storage.
+func (b *Batch) Reset() {
+	if b.view {
+		panic("rel: Reset on a view batch")
 	}
-	b.cols = b.store[:arity]
+	if poisonBatches {
+		for _, col := range b.cols {
+			for i := range col[:b.n] {
+				col[i] = ^uint32(0)
+			}
+		}
+	}
+	b.n = 0
 }
 
 // MakeView initializes b as a view batch of len(cols) columns decoded
-// by dict (nil for IDs a caller decodes itself). Pair with SliceView;
-// the view's Release is a no-op, so aliased storage can never reach
-// the pool.
+// by dict (nil for IDs a caller decodes itself). Pair with SliceView.
 func (b *Batch) MakeView(cols [][]uint32, dict *Interner) {
 	b.view = true
-	b.store = nil
 	b.cols = make([][]uint32, len(cols))
 	b.dict = dict
 }
@@ -200,17 +161,9 @@ func (b *Batch) SliceView(src [][]uint32, lo, hi int) {
 }
 
 // BatchCursor is the pull-based batch iterator: NextBatch returns the
-// next batch and true, or (nil, false) at exhaustion. The yielded
-// batch is owned by the caller (see the ownership contract above).
+// next batch and true, or (nil, false) at exhaustion. The batch is
+// valid until the caller's next pull, and read-only to the caller (see
+// the validity rule above).
 type BatchCursor interface {
 	NextBatch() (*Batch, bool)
 }
-
-// BatchHolder is implemented by cursors that retain ownership of a
-// pooled Batch between calls (or across an inner pull that may
-// abort). ReleaseHeld releases whatever the cursor currently owns
-// and is idempotent; governed evaluators register the cursor with
-// the query's governor, whose boundary recovery calls it, so no abort
-// path can strand a pooled batch. It must only be called once the
-// cursor is quiescent: no pull of it is in progress.
-type BatchHolder interface{ ReleaseHeld() }

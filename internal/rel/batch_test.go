@@ -26,8 +26,7 @@ func randomTuples(rng *rand.Rand, n, arity, domain int) []Tuple {
 }
 
 // TestBatchScanRoundTrip: decoding a relation's batch scan must yield
-// exactly its tuples in insertion order, at several batch sizes,
-// without touching the pool (scan batches are views).
+// exactly its tuples in insertion order, at several batch sizes.
 func TestBatchScanRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, arity := range []int{0, 1, 3} {
@@ -37,17 +36,12 @@ func TestBatchScanRoundTrip(t *testing.T) {
 		}
 		want := r.Tuples()
 		for _, size := range []int{1, 7, 1024} {
-			live := LiveBatches()
 			var got []Tuple
 			cur := r.BatchScanSized(size)
 			for b, ok := cur.NextBatch(); ok; b, ok = cur.NextBatch() {
 				for row := 0; row < b.Len(); row++ {
 					got = append(got, b.Row(nil, row))
 				}
-				b.Release()
-			}
-			if after := LiveBatches(); after != live {
-				t.Fatalf("arity=%d size=%d: view batches leaked into the pool accounting", arity, size)
 			}
 			if len(got) != len(want) {
 				t.Fatalf("arity=%d size=%d: %d rows, want %d", arity, size, len(got), len(want))
@@ -101,7 +95,6 @@ func TestAddBatchMatchesAdd(t *testing.T) {
 			cur := src.open(tuples, arity, got)
 			for b, ok := cur.NextBatch(); ok; b, ok = cur.NextBatch() {
 				gotAdded += got.AddBatch(b)
-				b.Release()
 			}
 			if gotAdded != wantAdded {
 				t.Fatalf("trial %d, %s: AddBatch accepted %d rows, Add %d", trial, src.name, gotAdded, wantAdded)
@@ -186,22 +179,47 @@ func TestAddBatchGrowingSourceAllocations(t *testing.T) {
 	}
 }
 
-// TestBatchPoolRecycles: released batches come back from the pool
-// reshaped, and view batches never enter it.
-func TestBatchPoolRecycles(t *testing.T) {
-	b := NewBatch(3)
-	if b.Arity() != 3 || b.Cap() != BatchCap || b.Len() != 0 {
-		t.Fatalf("fresh batch: arity %d cap %d len %d", b.Arity(), b.Cap(), b.Len())
+// TestNewBatchSizedReset: a new batch has the asked shape, SetLen and
+// Full follow its rows, and Reset empties it for refilling, overwriting
+// the rows it drops exactly when poisonBatches is on; Reset panics on a
+// view.
+func TestNewBatchSizedReset(t *testing.T) {
+	b := NewBatchSized(3, 4)
+	if b.Arity() != 3 || b.Cap() != 4 || b.Len() != 0 || b.Full() {
+		t.Fatalf("new batch: arity %d cap %d len %d full %v", b.Arity(), b.Cap(), b.Len(), b.Full())
 	}
-	b.Release()
-	c := NewBatchSized(5, 64)
-	if c.Arity() != 5 || c.Cap() != 64 {
-		t.Fatalf("reshaped batch: arity %d cap %d", c.Arity(), c.Cap())
+	for k := range 3 {
+		col := b.WritableCol(k)
+		for i := range col {
+			col[i] = uint32(10*k + i)
+		}
 	}
-	if c.Full() {
-		t.Fatal("empty batch reports full")
+	b.SetLen(4)
+	if !b.Full() {
+		t.Fatal("a batch of 4 rows at capacity 4 is not full")
 	}
-	c.Release()
+	kept := b.Col(2)
+	b.Reset()
+	if b.Len() != 0 || b.Arity() != 3 || b.Cap() != 4 {
+		t.Fatalf("reset batch: arity %d cap %d len %d", b.Arity(), b.Cap(), b.Len())
+	}
+	for i, id := range kept {
+		want := uint32(20 + i)
+		if poisonBatches {
+			want = ^uint32(0)
+		}
+		if id != want {
+			t.Errorf("row %d reads %d after Reset, want %d", i, id, want)
+		}
+	}
+	var v Batch
+	v.MakeView([][]uint32{{1}}, nil)
+	defer func() {
+		if recover() == nil {
+			t.Error("Reset on a view did not panic")
+		}
+	}()
+	v.Reset()
 }
 
 // TestRelationSizedEquivalent: a pre-sized relation behaves exactly

@@ -316,9 +316,9 @@ func scanTuples(v StoredRel) *Cursor { return &Cursor{in: v.BatchScanSized(arena
 
 // Next returns the next tuple, or (nil, false) when the cursor is
 // exhausted. The tuple is the caller's to keep and to modify: each
-// batch is decoded whole into fresh storage, one arena per batch, and
-// released at once, never into a buffer the cursor reuses, because
-// callers do retain what they are handed.
+// batch is decoded whole into fresh storage, one arena per batch,
+// never into a buffer the cursor reuses, because callers do retain
+// what they are handed.
 func (c *Cursor) Next() (Tuple, bool) {
 	for len(c.rows) == 0 {
 		b, ok := c.in.NextBatch()
@@ -329,7 +329,6 @@ func (c *Cursor) Next() (Tuple, bool) {
 		for row, t := range c.rows {
 			b.Row(t, row)
 		}
-		b.Release()
 	}
 	t := c.rows[0]
 	c.rows = c.rows[1:]
@@ -343,9 +342,9 @@ func (r *Relation) BatchScan() BatchCursor { return r.BatchScanSized(BatchCap) }
 // rows (size < 1 means BatchCap) over the relation's stored ID columns
 // in insertion order, without decoding or re-interning anything. The
 // yielded batches are views aliasing the relation's storage —
-// read-only, valid until the next NextBatch call, their Release a no-op
-// — so a full scan allocates nothing per row. The relation must not be
-// modified while the cursor is in use.
+// read-only and valid until the next NextBatch call — so a full scan
+// allocates nothing per row. The relation must not be modified while
+// the cursor is in use.
 func (r *Relation) BatchScanSized(size int) BatchCursor {
 	if size < 1 {
 		size = BatchCap

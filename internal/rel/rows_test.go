@@ -35,7 +35,6 @@ func batchScanRows(r *Relation) []Tuple {
 		for row := 0; row < b.Len(); row++ {
 			ts = append(ts, b.Row(nil, row))
 		}
-		b.Release()
 	}
 	return ts
 }
@@ -117,7 +116,6 @@ func TestRowsMatchColumns(t *testing.T) {
 			in := &rotatingBatcher{ts: rows, arity: arity, dicts: []*Interner{NewInterner(), NewInterner(), NewInterner()}}
 			for b, ok := in.NextBatch(); ok; b, ok = in.NextBatch() {
 				r.AddBatch(b)
-				b.Release()
 			}
 			r.DropBatchCache()
 			return r

@@ -82,7 +82,6 @@ func Materialized(s ReadStore, name string) (r *Relation, aliased bool) {
 	c := v.BatchScanSized(BatchCap)
 	for b, ok := c.NextBatch(); ok; b, ok = c.NextBatch() {
 		r.AddBatch(b)
-		b.Release()
 	}
 	r.DropBatchCache()
 	return r, false

@@ -45,7 +45,7 @@ func groupsByRows(r *rel.Relation) []rowGroup {
 // own ID columns) and GroupsFromBatches over the relation's batch scan
 // at batch sizes 1, 2 and 1024 all yield the same groups, same
 // first-occurrence order, same element sets in ascending runs, same
-// signature, with no pool leak.
+// signature.
 func TestGroupsFromBatchesMatchesGroups(t *testing.T) {
 	str := func(v rel.Value) rel.Value { return rel.Str("v" + v.String()) }
 	variants := []struct {
@@ -95,12 +95,7 @@ func TestGroupsFromBatchesMatchesGroups(t *testing.T) {
 				want := groupsByRows(r)
 				check(label+" Groups", Groups(r), want)
 				for _, size := range []int{1, 2, 1024} {
-					liveBefore := rel.LiveBatches()
 					got := GroupsFromBatches(r.BatchScanSized(size))
-					liveAfter := rel.LiveBatches()
-					if liveAfter != liveBefore {
-						t.Fatalf("%s size=%d: batch leak: %d live before, %d after", label, size, liveBefore, liveAfter)
-					}
 					check(fmt.Sprintf("%s size=%d", label, size), got, want)
 				}
 			}

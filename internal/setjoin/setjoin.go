@@ -83,8 +83,7 @@ func Groups(r *rel.Relation) []*Group {
 // binary rows, all of one dictionary: a stream whose batches switch
 // dictionaries panics. Keys and elements get dense IDs in
 // first-occurrence order through flat slices indexed by the source ID,
-// so each row costs two array loads, and the cursor's batches are
-// released as they are consumed. The rows are then laid out by group
+// so each row costs two array loads. The rows are then laid out by group
 // in one flat array, each run sorted by ID. Groups come in
 // first-occurrence order of their keys in the stream, so any two
 // streams carrying the same tuples in the same order — a relation's
@@ -122,7 +121,6 @@ func GroupsFromBatches(in rel.BatchCursor) []*Group {
 			gids = append(gids, keyOf[k]-1)
 			eids = append(eids, d.elemOf[e]-1)
 		}
-		b.Release()
 		if len(d.values) > maxElems {
 			panic(fmt.Sprintf("setjoin: %d distinct elements in one group list, at most %d have an ID below absent", len(d.values), maxElems))
 		}

@@ -93,7 +93,6 @@ func Divide(db *Snapshot, rName, sName string, sem division.Semantics, workers i
 	c := db.scan(sName)
 	for b, ok := c.NextBatch(); ok; b, ok = c.NextBatch() {
 		sRel.AddBatch(b)
-		b.Release()
 	}
 	sRel.DropBatchCache()
 	dt := division.NewDivisorTable(sRel)

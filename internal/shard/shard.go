@@ -121,7 +121,6 @@ func columns(src rel.ReadStore, name string) ([][]uint32, int) {
 			cols[k] = append(cols[k], b.Col(k)...)
 		}
 		rows += b.Len()
-		b.Release()
 	}
 	return cols, rows
 }

@@ -18,9 +18,8 @@ import "radiv/internal/rel"
 
 // scan returns the named relation's rows in source order, in batches
 // of at most rel.BatchCap rows. The yielded batches are views aliasing
-// shard-local relation storage — read-only, valid until the next
-// NextBatch call, their Release a no-op — and carry the partition's
-// dictionary. With one shard it is that shard's own batch scan.
+// shard-local relation storage — read-only and valid until the next
+// NextBatch call — and carry the partition's dictionary. With one shard it is that shard's own batch scan.
 func (s *Snapshot) scan(name string) rel.BatchCursor {
 	if len(s.shards) == 1 {
 		return s.shards[0].Rel(name).BatchScan()

@@ -45,7 +45,6 @@ func TestShardViewNativeBatchScan(t *testing.T) {
 							}
 							rows++
 						}
-						b.Release() // view batches: must be a no-op
 					}
 					if rows != len(want) {
 						t.Fatalf("seed %d shards %d %s: %d rows scanned, %d in the source", seed, n, name, rows, len(want))

@@ -6,9 +6,11 @@
 #   2. radivvet          — the engine's contract analyzers
 #                          (caller-owned results — exported functions
 #                          AND methods, so the planner's Plan entry
-#                          points are covered — snapshot/exchange
-#                          quiescence, pooled-batch release,
-#                          panic prefixes); see internal/analysis
+#                          points are covered — snapshot and worker
+#                          quiescence, panic prefixes); see
+#                          internal/analysis. The batch validity rule
+#                          has no analyzer: go test -race checks it
+#                          (rel.Batch.Reset poisons under -race)
 #   3. fixtures          — the analyzers' own must-flag/must-not-flag
 #                          fixture suites (testdata is invisible to
 #                          go list patterns, so radivvet alone never
