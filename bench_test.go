@@ -392,7 +392,8 @@ func BenchmarkVectorizedPipeline(b *testing.B) {
 // NewRelation and calls Reserve with half the tuples already in, so it
 // adds the growth of that half and the one re-chaining of the dedup
 // index Reserve does; dup re-adds existing tuples, and rejected
-// duplicates must not allocate at all.
+// duplicates must not allocate at all; add-batch inserts a relation's
+// scan, batch by batch, into a relation over its dictionary.
 func BenchmarkRelationAdd(b *testing.B) {
 	tuples := make([]rel.Tuple, 4096)
 	for i := range tuples {
@@ -442,7 +443,8 @@ func BenchmarkRelationAdd(b *testing.B) {
 		b.ResetTimer()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			r := rel.NewRelationSized(2, len(tuples))
+			r := rel.NewRelationOver(2, src.Interner())
+			r.Reserve(len(tuples))
 			cur := src.BatchScan()
 			for bt, ok := cur.NextBatch(); ok; bt, ok = cur.NextBatch() {
 				r.AddBatch(bt)

@@ -25,10 +25,13 @@
 // dictionary, interning nothing, before Publish seals it; nothing
 // writes to it after. The same law covers the task callbacks of
 // exec.Run, the one worker pool: they must not intern on captured
-// state (Interner.Intern, QueryDict.Intern, Relation.Add/AddBatch,
+// state (Interner.Intern, Relation.Add/AddBatch,
 // Database.Add/AddInts/AddStrs) — new values are interned before the
 // workers start — while reads of captured dictionaries are legal from
-// any worker.
+// any worker. A based dictionary (a result's, rel.NewRelationOver)
+// is an Interner like any other: interning writes its own tail, never
+// its base, and it reads its base, so no goroutine may write the base
+// while another reads a dictionary based on it.
 // A violation is a data race the race detector only sees under lucky
 // schedules; the analyzer sees it lexically. Enforced by
 // radiv/internal/analysis/quiescence.

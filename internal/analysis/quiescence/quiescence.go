@@ -5,8 +5,8 @@
 //  1. A published shard.Snapshot is immutable. It hands out sealed
 //     state — shard-local relations and the one dictionary every shard
 //     shares — and nothing obtained from one may ever be mutated: no
-//     Relation.Add/AddBatch/Reserve, no Interner.Intern. The partition
-//     is written in shard.FromStore's build, before Publish.
+//     Relation.Add/AddBatch/Reserve/Sort, no Interner.Intern. The
+//     partition is written in shard.FromStore's build, before Publish.
 //
 //  2. Pool workers do not intern into shared dictionaries. The task
 //     callbacks of exec.Run run concurrently with each other, and a
@@ -22,7 +22,7 @@
 // receivers are flagged, and Clone sanitizes — a cloned relation is
 // the caller's to mutate. Half 2 inspects every function-literal task
 // callback passed to exec.Run and flags interning calls —
-// Interner.Intern, QueryDict.Intern (into its tail), Relation.Add/AddBatch,
+// Interner.Intern, Relation.Add/AddBatch,
 // Database.Add/AddInts/AddStrs — whose receiver
 // is captured from the enclosing scope. A receiver declared inside the
 // callback (a worker-local relation or interner) is private to the
@@ -120,9 +120,6 @@ func classify(name string, recv types.Type) string {
 		if analysis.IsNamed(recv, relPath, "Interner") {
 			return "Interner.Intern on a captured dictionary"
 		}
-		if analysis.IsNamed(recv, relPath, "QueryDict") {
-			return "QueryDict.Intern on a captured query dictionary"
-		}
 	case "Add":
 		if analysis.IsNamed(recv, relPath, "Relation") {
 			return "Relation.Add interning into a captured relation's dictionary"
@@ -144,17 +141,13 @@ func isSnapshotType(t types.Type) bool { return analysis.IsNamed(t, shardPath, "
 // snapshots and always legal).
 func snapSink(name string, recv types.Type) string {
 	switch name {
-	case "Add", "AddBatch", "Reserve":
+	case "Add", "AddBatch", "Reserve", "Sort":
 		if analysis.IsNamed(recv, relPath, "Relation") {
 			return "Relation." + name
 		}
 	case "Intern":
 		if analysis.IsNamed(recv, relPath, "Interner") {
 			return "Interner.Intern"
-		}
-	case "DropBatchCache":
-		if analysis.IsNamed(recv, relPath, "Relation") {
-			return "Relation.DropBatchCache"
 		}
 	}
 	return ""

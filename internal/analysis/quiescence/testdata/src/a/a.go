@@ -34,25 +34,28 @@ func InternInWorker(workers int, shards []rel.BatchCursor, dict *rel.Interner, s
 	})
 }
 
-// QueryDictInWorker interns into a query dictionary's tail from the
-// workers that share it: the tail is an Interner like any other.
-func QueryDictInWorker(workers int, parts [][]rel.Tuple, q *rel.QueryDict) {
+// BasedInWorker interns into a result's dictionary, based on a store's,
+// from the workers that share it: its tail is an Interner like any
+// other.
+func BasedInWorker(workers int, parts [][]rel.Tuple, d *rel.Database) {
+	res := rel.NewRelationOver(1, d.Dict())
+	tail := res.Interner()
 	exec.Run(workers, len(parts), func(i int) {
 		for _, t := range parts[i] {
-			q.Intern(t[0]) // want `QueryDict.Intern on a captured query dictionary`
+			tail.Intern(t[0]) // want `Interner.Intern on a captured dictionary`
+			res.Add(t)        // want `Relation.Add interning into a captured relation`
 		}
 	})
 }
 
-// QueryDictPerWorker gives each worker a query dictionary of its own
-// over one frozen store dictionary: the tails are private and the base
-// is only read — silent.
-func QueryDictPerWorker(workers int, parts [][]rel.Tuple, d *rel.Database) {
-	base := rel.FreezeDict(d.Dict())
+// BasedPerWorker gives each worker a result of its own over one store
+// dictionary: the tails are private and the base is only read — silent.
+func BasedPerWorker(workers int, parts [][]rel.Tuple, d *rel.Database) {
+	base := d.Dict()
 	exec.Run(workers, len(parts), func(i int) {
-		q := rel.NewQueryDict(base)
+		res := rel.NewRelationOver(1, base)
 		for _, t := range parts[i] {
-			q.Intern(t[0])
+			res.Add(t)
 		}
 	})
 }

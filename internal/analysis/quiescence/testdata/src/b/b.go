@@ -17,6 +17,7 @@ func MutateSnapshotRel(snap *shard.Snapshot, t rel.Tuple) {
 	r := snap.ShardRel(0, "R")
 	r.Add(t)                                      // want `Relation.Add mutating a published snapshot`
 	r.Reserve(10)                                 // want `Relation.Reserve mutating a published snapshot`
+	r.Sort()                                      // want `Relation.Sort mutating a published snapshot`
 	snap.ShardRel(0, "R").Add(t)                  // want `Relation.Add mutating a published snapshot`
 	snap.ShardRel(0, "R").Interner().Intern(t[0]) // want `Interner.Intern mutating a published snapshot`
 }
@@ -30,12 +31,14 @@ func MutateSharedDict(snap *shard.Snapshot, v rel.Value) {
 	dict.Intern(v) // want `Interner.Intern mutating a published snapshot`
 }
 
-// QueryOverSnapshot decodes through a query dictionary frozen over a
-// snapshot dictionary: interning writes the query's own tail, never the
-// frozen base — silent.
-func QueryOverSnapshot(snap *shard.Snapshot, t rel.Tuple) uint32 {
-	q := rel.NewQueryDict(rel.FreezeDict(snap.ShardRel(0, "R").Interner()))
-	return q.Intern(t[0])
+// ResultOverSnapshot adds to a result whose dictionary is based on a
+// snapshot dictionary: interning writes the result's own tail, never
+// the base — silent.
+func ResultOverSnapshot(snap *shard.Snapshot, t rel.Tuple) *rel.Relation {
+	r := rel.NewRelationOver(1, snap.ShardRel(0, "R").Interner())
+	r.Add(t)
+	r.Interner().Intern(t[0])
+	return r
 }
 
 // MutateInWorker is the race the contract exists to prevent: a worker

@@ -12,8 +12,9 @@ import (
 	"radiv/internal/xra"
 )
 
-// A query decodes through one dictionary: the store's, frozen at query
-// start, plus a tail for the values the query creates. A created value
+// A query decodes through one dictionary: its result's, based on the
+// store's as it stood at query start, with a tail for the values the
+// query creates; the result keeps it. A created value
 // the store already holds must get the stored ID — or a τ constant
 // would never join the stored string it equals — and a created value
 // the store lacks must get an ID of its own, never one a stored value
@@ -156,5 +157,121 @@ func TestQueriesCreatingValuesRunConcurrently(t *testing.T) {
 	}
 	if after := d.Dict().Len(); after != before {
 		t.Errorf("the database's dictionary grew from %d to %d values during queries", before, after)
+	}
+}
+
+// TestResultReadsAfterStoreInterns: a result reads its store's
+// dictionary as it stood when the query ran. The store then interns
+// new values, and the result reads as it did: String, Contains and
+// Equal are unchanged. A value the result then Adds, one the store
+// gained meanwhile included, gets the next ID of the result's own
+// tail, and the store never sees it.
+func TestResultReadsAfterStoreInterns(t *testing.T) {
+	d := collisionDB()
+	cs := created()
+	q := plan.NUnion(cs["tag new value"], cs["gamma count(*)"])
+	res := plan.CompileIR(q, d, plan.Options{}).Execute()
+	again := plan.CompileIR(q, d, plan.Options{}).Execute()
+	text, tuples := res.String(), res.Tuples()
+	for i := range 100 {
+		d.Add("A", rel.T(rel.Str(fmt.Sprintf("late %d", i)), rel.Int(int64(1000+i))))
+	}
+	if res.String() != text || !res.Equal(again) || !again.Equal(res) {
+		t.Fatalf("the result reads differently after the store interned:\n%s", res.String())
+	}
+	for _, tp := range tuples {
+		if !res.Contains(tp) {
+			t.Fatalf("the result lost %v", tp)
+		}
+	}
+	if res.Contains(rel.T(rel.Str("late 0"), rel.Int(1000))) {
+		t.Fatal("the result holds a tuple the store gained")
+	}
+	storeLen := d.Dict().Len()
+	for _, tp := range []rel.Tuple{
+		{rel.Str("fresh"), rel.Int(-1)},
+		{rel.Str("late 7"), rel.Int(1007)}, // values the store gained after the query
+	} {
+		n := res.Interner().Len()
+		if !res.Add(tp) {
+			t.Fatalf("Add(%v) reported a duplicate", tp)
+		}
+		for k, v := range tp {
+			id, ok := res.Interner().ID(v)
+			if want := uint32(n + k); !ok || id != want {
+				t.Errorf("%v: ID %d, %v; want the tail ID %d", v, id, ok, want)
+			}
+		}
+		if !res.Contains(tp) {
+			t.Errorf("the result lost the added %v", tp)
+		}
+	}
+	if d.Dict().Len() != storeLen {
+		t.Errorf("the result's Adds grew the store's dictionary from %d to %d values", storeLen, d.Dict().Len())
+	}
+	if _, ok := d.Dict().ID(rel.Str("fresh")); ok {
+		t.Error("a value added to the result reached the store")
+	}
+	if res.String() == text || res.Len() != len(tuples)+2 {
+		t.Errorf("the result has %d tuples after two Adds, want %d", res.Len(), len(tuples)+2)
+	}
+}
+
+// TestResultsTakeFreshValuesWhileQueriesRun: a result and its clone take
+// fresh values, each from a goroutine of its own, while other
+// goroutines run queries on the store the result's dictionary is based
+// on. Under -race nothing races: the Adds write the results' own tails,
+// and the store's dictionary does not move.
+func TestResultsTakeFreshValuesWhileQueriesRun(t *testing.T) {
+	d := collisionDB()
+	cs := created()
+	q := plan.CompileIR(plan.NUnion(cs["tag new value"], cs["gamma count(*)"]), d, plan.Options{})
+	res := q.Execute()
+	want, rows := res.String(), res.Len()
+	before := d.Dict().Len()
+	clone := res.Clone()
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for g := range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 20 {
+				if got := q.Execute().String(); got != want {
+					errs <- fmt.Errorf("query goroutine %d: got\n%swant\n%s", g, got, want)
+					return
+				}
+			}
+		}()
+	}
+	for name, r := range map[string]*rel.Relation{"result": res, "clone": clone} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 500 {
+				tp := rel.T(rel.Str(fmt.Sprintf("%s %d", name, i)), rel.Str("not stored"))
+				if !r.Add(tp) || !r.Contains(tp) {
+					errs <- fmt.Errorf("%s: Add(%v) lost the tuple", name, tp)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if after := d.Dict().Len(); after != before {
+		t.Errorf("the store's dictionary grew from %d to %d values while results took fresh values", before, after)
+	}
+	for name, r := range map[string]*rel.Relation{"result": res, "clone": clone} {
+		other := map[string]string{"result": "clone", "clone": "result"}[name]
+		if r.Contains(rel.T(rel.Str(other+" 0"), rel.Str("not stored"))) {
+			t.Errorf("%s holds a tuple only the %s took", name, other)
+		}
+		if r.Len() != rows+500 {
+			t.Errorf("%s: %d tuples, want %d", name, r.Len(), rows+500)
+		}
 	}
 }

@@ -3,7 +3,6 @@ package plan
 import (
 	"context"
 	"fmt"
-	"slices"
 
 	"radiv/internal/division"
 	"radiv/internal/exec"
@@ -20,11 +19,14 @@ import (
 // op_set.go (the union and difference sinks), op_join.go (joins,
 // semijoins, antijoins) and op_gamma.go (γ) — all charging one resident
 // meter (meter.go), and Plan.run drains the root into the result. Every
-// operator reads and writes IDs of one query dictionary (rel.QueryDict:
-// the store's, frozen at query start, plus a tail for the values the
-// query creates), so no operator translates between dictionaries and
-// the store is never written. The materialized Eval of each algebra is
-// the semantics this is tested against, not a second way to run a plan.
+// operator reads and writes IDs of one query dictionary, the result's:
+// it is based on the store's (rel.NewRelationOver), whose IDs are its
+// IDs, and the values the query creates go into its own tail. So no
+// operator translates, the store is never written, and the result keeps
+// the rows' IDs; it reads the store's dictionary, so no goroutine may
+// write the store while another reads a result. The materialized Eval
+// of each algebra is the semantics this is tested against, not a second
+// way to run a plan.
 
 // Options tunes compilation and execution.
 type Options struct {
@@ -173,63 +175,43 @@ func (p *Plan) ExecuteTracedContext(ctx context.Context) (*rel.Relation, *Trace,
 	return res, tr, nil
 }
 
-// run builds the plan's cursor tree over a query dictionary, drains
-// the root into a row set and returns it decoded in canonical order,
-// threading the governor (nil = ungoverned: no guards, no overhead)
-// through the meter so every leaf scan and the root drain check it once
-// per batch.
+// run builds the plan's cursor tree over the result's dictionary,
+// drains the root into the result and puts its rows in canonical
+// order, threading the governor (nil = ungoverned: no guards, no
+// overhead) through the meter so every leaf scan and the root drain
+// check it once per batch.
 func (p *Plan) run(g *exec.Governor) (*rel.Relation, *Trace) {
 	m := &meter{gov: g}
 	capacity := p.opts.BatchSize
 	if capacity <= 0 {
 		capacity = rel.BatchCap
 	}
-	b := &builder{d: p.d, meter: m, capacity: capacity, dict: rel.NewQueryDict(rel.FreezeDict(p.d.Dict()))}
-	out := rel.NewRowSet(p.root.arity)
+	res := rel.NewRelationOver(p.root.arity, p.d.Dict())
+	b := &builder{d: p.d, meter: m, capacity: capacity, dict: res.Interner()}
 	var root *countNode
 	if p.root.Kind == KUnion {
 		// A root union's sink would be the result itself: drain both
-		// inputs straight into the output rows instead, so the result is
-		// built once and — per the MaxResident contract — not counted as
-		// resident.
+		// inputs straight into the result instead, so it is built once
+		// and — per the MaxResident contract — not counted as resident.
 		l, ln := b.batches(p.root.Kids[0])
 		r, rn := b.batches(p.root.Kids[1])
 		l, r = m.guardBatches(l), m.guardBatches(r)
 		root = &countNode{n: p.root, kids: []*countNode{ln, rn}}
-		drainBatches(l, out)
-		drainBatches(r, out)
-		root.size = out.Len()
+		drainBatches(l, res)
+		drainBatches(r, res)
+		root.size = res.Len()
 	} else {
 		var cur rel.BatchCursor
 		cur, root = b.batches(p.root)
-		drainBatches(m.guardBatches(cur), out)
+		drainBatches(m.guardBatches(cur), res)
 	}
 	tr := &Trace{}
 	root.record(tr)
 	tr.MaxResident = m.max
-	return canonical(out, b.dict), tr
-}
-
-// canonical decodes the result rows into a fresh relation in sorted
-// tuple order, the one decode of a query's result: order-stability
-// across rewrites, stores and batch sizes.
-func canonical(rows *rel.RowSet, dict *rel.QueryDict) *rel.Relation {
-	cols := rows.Cols()
-	ts := make([]rel.Tuple, rows.Len())
-	vals := make([]rel.Value, len(ts)*len(cols))
-	for i := range ts {
-		t := rel.Tuple(vals[i*len(cols) : (i+1)*len(cols) : (i+1)*len(cols)])
-		for k, col := range cols {
-			t[k] = dict.Value(col[i])
-		}
-		ts[i] = t
-	}
-	slices.SortFunc(ts, rel.Tuple.Cmp)
-	out := rel.NewRelationSized(len(cols), len(ts))
-	for _, t := range ts {
-		out.Add(t)
-	}
-	return out
+	// Sorted tuple order: order-stability across rewrites, stores and
+	// batch sizes, with no row decoded and no value re-interned.
+	res.Sort()
+	return res, tr
 }
 
 // matchGammaDivision recognizes the IR of xra.ContainmentDivision and
@@ -388,7 +370,7 @@ type builder struct {
 	d        rel.ReadStore
 	meter    *meter
 	capacity int
-	dict     *rel.QueryDict
+	dict     *rel.Interner // the query dictionary, the result's
 	// probeBucket carries consumer context one level down the
 	// recursion: when a join builds its probe (left) input, it holds
 	// the estimated per-probe candidate scan, so a projection directly

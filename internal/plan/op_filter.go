@@ -7,8 +7,8 @@ package plan
 // through rel.BatchCursor, so the per-row interface call and the
 // per-row allocation of a tuple-at-a-time pipeline are amortized over
 // a whole batch. Every ID in every batch is an ID of the query's one
-// dictionary (rel.QueryDict: the store's, plus the values the query
-// creates), so equality is ID equality wherever the IDs came from, and
+// dictionary (the result's, based on the store's: rel.NewRelationOver),
+// so equality is ID equality wherever the IDs came from, and
 // the hot loops compare raw uint32s; only an order comparison decodes
 // values.
 //
@@ -91,7 +91,7 @@ func (f *filter) next(keep func(b *rel.Batch, row int) bool) (*rel.Batch, bool) 
 
 // opHolds evaluates op on two IDs of the query dictionary q: equality and
 // inequality compare the IDs, an order comparison decodes the values.
-func opHolds(q *rel.QueryDict, op ra.Op, x, y uint32) bool {
+func opHolds(q *rel.Interner, op ra.Op, x, y uint32) bool {
 	switch op {
 	case ra.OpEq:
 		return x == y
@@ -106,7 +106,7 @@ type selectCursor struct {
 	filter
 	i, j int
 	op   ra.Op
-	dict *rel.QueryDict
+	dict *rel.Interner
 }
 
 func (c *selectCursor) NextBatch() (*rel.Batch, bool) {

@@ -120,7 +120,7 @@ type gammaCursor struct {
 	dedupAll   bool
 	meter      *meter
 	capacity   int
-	dict       *rel.QueryDict
+	dict       *rel.Interner
 
 	opened bool
 	agg    *gammaBatchAgg

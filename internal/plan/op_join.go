@@ -110,7 +110,7 @@ func replaySide(build rel.BatchCursor, stored rel.StoredRel, m *meter, capacity 
 // the meter as it is built — one per distinct key, or one per build
 // row — and held reports the charge for the caller to release.
 type buildTable struct {
-	dict  *rel.QueryDict
+	dict  *rel.Interner
 	keys  *idSet
 	rows  *colStore // every build row; nil when only the keys are kept
 	first []int32   // per key: 1 + its first build row
@@ -121,7 +121,7 @@ type buildTable struct {
 // newBuildTable drains in into a table keyed on the build columns
 // keyCols (0-based). keysOnly keeps the distinct key rows alone, which
 // is all a semijoin without residual atoms needs.
-func newBuildTable(in rel.BatchCursor, keyCols []int, keysOnly bool, m *meter, dict *rel.QueryDict) *buildTable {
+func newBuildTable(in rel.BatchCursor, keyCols []int, keysOnly bool, m *meter, dict *rel.Interner) *buildTable {
 	t := &buildTable{dict: dict, keys: newIDSet(len(keyCols))}
 	if keysOnly {
 		for b, ok := in.NextBatch(); ok; b, ok = in.NextBatch() {
@@ -208,7 +208,7 @@ type hashJoinCursor struct {
 	equiKeys
 	meter    *meter
 	capacity int
-	dict     *rel.QueryDict
+	dict     *rel.Interner
 
 	opened bool
 	table  *buildTable
@@ -301,7 +301,7 @@ type loopJoinCursor struct {
 	cond     ra.Cond
 	meter    *meter
 	capacity int
-	dict     *rel.QueryDict
+	dict     *rel.Interner
 
 	opened bool
 	rcols  [][]uint32
@@ -423,7 +423,7 @@ type hashSemijoinCursor struct {
 	equiKeys
 	keep  bool
 	meter *meter
-	dict  *rel.QueryDict
+	dict  *rel.Interner
 
 	opened bool
 	table  *buildTable
@@ -456,7 +456,7 @@ type loopSemijoinCursor struct {
 	keep     bool
 	meter    *meter
 	capacity int
-	dict     *rel.QueryDict
+	dict     *rel.Interner
 
 	opened bool
 	rcols  [][]uint32

@@ -6,21 +6,24 @@ package plan
 // index of the executor is a rel.RowSet, the module's one row index:
 // idSet keeps its rows in one, buildTable keeps its distinct keys in an
 // idSet, γ its groups and counted values in two, and the root drains
-// into one. How rows are hashed and chained is decided in
+// into the result's. How rows are hashed and chained is decided in
 // rel/rowset.go alone.
 
 import "radiv/internal/rel"
 
-// drainBatches pulls in to exhaustion into the root's row set.
-func drainBatches(in rel.BatchCursor, rows *rel.RowSet) {
-	ids := make([]uint32, len(rows.Cols()))
+// drainBatches pulls in to exhaustion into the result. The query's
+// batches hold IDs of the result's dictionary, the query dictionary,
+// and go in as views that say so.
+func drainBatches(in rel.BatchCursor, res *rel.Relation) {
+	cols := make([][]uint32, res.Arity())
+	var view rel.Batch
+	view.MakeView(cols, res.Interner())
 	for b, ok := in.NextBatch(); ok; b, ok = in.NextBatch() {
-		for row := range b.Len() {
-			for k := range ids {
-				ids[k] = b.Col(k)[row]
-			}
-			rows.Insert(ids)
+		for k := range cols {
+			cols[k] = b.Col(k)
 		}
+		view.SliceView(cols, 0, b.Len())
+		res.AddBatch(&view)
 	}
 }
 

@@ -107,8 +107,9 @@ func TestGammaBatchCursorContract(t *testing.T) {
 	mustPanic(t, "count-col", "plan: count column 5 out of range 0..2", func() { NGamma([]int{1}, 5, r) })
 }
 
-// queryDict is the query dictionary a plan over d decodes through.
-func queryDict(d rel.ReadStore) *rel.QueryDict { return rel.NewQueryDict(rel.FreezeDict(d.Dict())) }
+// queryDict is the query dictionary a plan over d decodes through: a
+// result's, based on d's.
+func queryDict(d rel.ReadStore) *rel.Interner { return rel.NewRelationOver(0, d.Dict()).Interner() }
 
 // buildDatabase holds B, 100 000 rows with 100 000 distinct
 // (a, a mod 7) keys, and the probe rows P.

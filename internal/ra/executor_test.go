@@ -345,12 +345,12 @@ func TestVectorizedResultOwnership(t *testing.T) {
 	}
 }
 
-// TestVectorizedPoolSeparateFromResident pins the accounting split:
+// TestVectorizedFlowSeparateFromResident pins the accounting split:
 // the division trace reports operator state only — the candidates'
 // dedup filter under the product and the outer difference's sink, each
 // bounded by the candidate count — while the tuples the plan moved
 // through its batches count as flow and never as resident tuples.
-func TestVectorizedPoolSeparateFromResident(t *testing.T) {
+func TestVectorizedFlowSeparateFromResident(t *testing.T) {
 	d := workload.RandomDivision(4).Database()
 	_, tr := executed(ra.DivisionExpr("R", "S"), d, 0)
 	if candidates := ra.Eval(ra.NewProject([]int{1}, ra.R("R", 2)), d).Len(); tr.MaxResident > 2*candidates {
@@ -389,11 +389,11 @@ func checkAborted(t *testing.T, name string, e ra.Expr, d rel.ReadStore) {
 	}
 }
 
-// TestVectorizedAbortedRunsReleasePool runs the full operator corpus
+// TestVectorizedAbortedRunsStayServiceable runs the full operator corpus
 // through mid-run aborts at every sweep batch size, then re-runs the
 // clean check to prove an abort storm leaves the executor fully
 // serviceable.
-func TestVectorizedAbortedRunsReleasePool(t *testing.T) {
+func TestVectorizedAbortedRunsStayServiceable(t *testing.T) {
 	d := setJoinDatabase(1)
 	for _, c := range operatorCorpus() {
 		checkAborted(t, c.name, c.e, d)

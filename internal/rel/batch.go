@@ -15,8 +15,13 @@ package rel
 // (a relation's scan, a view a caller builds with MakeView) carries the
 // dictionary its IDs are drawn from, so Row and Cursor can decode it.
 // A batch from NewBatchSized carries none: the executor's operators
-// write IDs of the one query dictionary they all share (rel.QueryDict)
-// and decode through it themselves.
+// write IDs of the one query dictionary they all share and decode
+// through it themselves. That dictionary is the result's, based on the
+// store's (NewRelationOver): the store's IDs are its IDs, and the
+// values a query creates go into its own tail, so the store is never
+// written and the result takes the rows' IDs as they stand. A result
+// reads its store's dictionary, so no goroutine may write the store
+// while another reads a result, as for any read of the store.
 //
 // Validity rule: a batch yielded by a BatchCursor's NextBatch is valid
 // until the consumer's next pull of that cursor, and it is read-only to

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -55,27 +56,11 @@ func TestBatchScanRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAddBatchMatchesAdd: feeding a relation through AddBatch must
-// produce exactly the relation built by tuple-wise Add — same set, same
-// insertion order, same dictionary — and report the same new-row
-// count, whether the batches carry the relation's own dictionary
-// (inserted as they stand), one foreign dictionary, or a different one
-// from batch to batch.
+// TestAddBatchMatchesAdd: feeding a relation through AddBatch batches
+// of its own dictionary must produce exactly the relation built by
+// tuple-wise Add — same set, same insertion order, same dictionary —
+// and report the same new-row count.
 func TestAddBatchMatchesAdd(t *testing.T) {
-	sources := []struct {
-		name string
-		open func(tuples []Tuple, arity int, into *Relation) BatchCursor
-	}{
-		{"own dictionary", func(tuples []Tuple, arity int, into *Relation) BatchCursor {
-			return &rotatingBatcher{ts: tuples, arity: arity, dicts: []*Interner{into.Interner()}}
-		}},
-		{"one dictionary", func(tuples []Tuple, arity int, _ *Relation) BatchCursor {
-			return &rotatingBatcher{ts: tuples, arity: arity, dicts: []*Interner{NewInterner()}}
-		}},
-		{"rotating dictionaries", func(tuples []Tuple, arity int, _ *Relation) BatchCursor {
-			return &rotatingBatcher{ts: tuples, arity: arity, dicts: []*Interner{NewInterner(), NewInterner(), NewInterner()}}
-		}},
-	}
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 20; trial++ {
 		arity := rng.Intn(4)
@@ -87,75 +72,144 @@ func TestAddBatchMatchesAdd(t *testing.T) {
 				wantAdded++
 			}
 		}
-		for _, src := range sources {
-			// Replay the raw tuple stream, duplicates included, not the
-			// deduplicated relation.
-			got := NewRelationSized(arity, len(tuples))
-			gotAdded := 0
-			cur := src.open(tuples, arity, got)
-			for b, ok := cur.NextBatch(); ok; b, ok = cur.NextBatch() {
-				gotAdded += got.AddBatch(b)
+		// Replay the raw tuple stream, duplicates included, not the
+		// deduplicated relation.
+		got := NewRelationSized(arity, len(tuples))
+		gotAdded := 0
+		cur := &ownBatcher{ts: tuples, arity: arity, dict: got.Interner()}
+		for b, ok := cur.NextBatch(); ok; b, ok = cur.NextBatch() {
+			gotAdded += got.AddBatch(b)
+		}
+		if gotAdded != wantAdded {
+			t.Fatalf("trial %d: AddBatch accepted %d rows, Add %d", trial, gotAdded, wantAdded)
+		}
+		wt, gt := want.Tuples(), got.Tuples()
+		if len(wt) != len(gt) {
+			t.Fatalf("trial %d: %d tuples, want %d", trial, len(gt), len(wt))
+		}
+		for i := range wt {
+			if !wt[i].Equal(gt[i]) {
+				t.Fatalf("trial %d: tuple %d is %v, want %v", trial, i, gt[i], wt[i])
 			}
-			if gotAdded != wantAdded {
-				t.Fatalf("trial %d, %s: AddBatch accepted %d rows, Add %d", trial, src.name, gotAdded, wantAdded)
-			}
-			wt, gt := want.Tuples(), got.Tuples()
-			if len(wt) != len(gt) {
-				t.Fatalf("trial %d, %s: %d tuples, want %d", trial, src.name, len(gt), len(wt))
-			}
-			for i := range wt {
-				if !wt[i].Equal(gt[i]) {
-					t.Fatalf("trial %d, %s: tuple %d is %v, want %v", trial, src.name, i, gt[i], wt[i])
-				}
-			}
-			if wd, gd := dictOrder(want.Interner()), dictOrder(got.Interner()); !wd.Equal(gd) {
-				t.Fatalf("trial %d, %s: dictionary order %v, want %v", trial, src.name, gd, wd)
-			}
+		}
+		if wd, gd := dictOrder(want.Interner()), dictOrder(got.Interner()); !wd.Equal(gd) {
+			t.Fatalf("trial %d: dictionary order %v, want %v", trial, gd, wd)
 		}
 	}
 }
 
-// rotatingBatcher packs tuples, duplicates included, into view batches
-// of 17 rows, the i-th over dictionary i mod len(dicts), interning the
-// rows into it row by row as it goes.
-type rotatingBatcher struct {
-	ts      []Tuple
-	arity   int
-	dicts   []*Interner
-	batches int
-	view    Batch
+// TestAddBatchRefusesForeignIDs: AddBatch takes IDs as they stand, so
+// it takes a batch of the relation's own dictionary or of the one
+// NewRelationOver based it on, as that stood — a store's, or a result's
+// that is itself based on a store's — and panics with a rel: message
+// on any other: a batch of another dictionary, of a base that grew
+// since basing, of a dictionary based on the same base, of the store
+// under a result's dictionary, and a batch that carries no dictionary.
+func TestAddBatchRefusesForeignIDs(t *testing.T) {
+	view := func(dict *Interner, vals ...Value) *Batch {
+		col := make([]uint32, len(vals))
+		for i, v := range vals {
+			col[i] = dict.Intern(v)
+		}
+		var b Batch
+		b.MakeView([][]uint32{col}, dict)
+		b.SliceView([][]uint32{col}, 0, len(col))
+		return &b
+	}
+	store := NewInterner()
+	view(store, Int(1), Int(2), Str("tail"))
+	type refused struct {
+		name string
+		run  func(base *Interner) *Batch
+	}
+	cases := []refused{
+		{"another dictionary", func(*Interner) *Batch { return view(NewInterner(), Int(1)) }},
+		{"a base grown since basing", func(base *Interner) *Batch { return view(base, Int(int64(100+base.Len()))) }},
+		{"the base grown, an old ID", func(base *Interner) *Batch {
+			base.Intern(Int(int64(100 + base.Len())))
+			return view(base, Int(1))
+		}},
+		{"a sibling over the same base", func(base *Interner) *Batch {
+			return view(NewRelationOver(1, base).Interner(), Str("x"))
+		}},
+		{"no dictionary", func(*Interner) *Batch {
+			b := NewBatchSized(1, 4)
+			b.SetLen(1)
+			return b
+		}},
+	}
+	for _, over := range []struct {
+		name  string
+		base  func() *Interner
+		cases []refused
+	}{
+		{"store", func() *Interner { return store }, cases},
+		{"result", func() *Interner {
+			res := NewRelationOver(1, store)
+			res.Add(T(Str("the result's own")))
+			return res.Interner()
+		}, append(cases, refused{"the store under it", func(*Interner) *Batch { return view(store, Int(1)) }})},
+	} {
+		for _, tc := range over.cases {
+			t.Run(over.name+"/"+tc.name, func(t *testing.T) {
+				base := over.base()
+				r := NewRelationOver(1, base)
+				if r.AddBatch(view(base, Int(2), Str("tail"))) != 2 || r.AddBatch(view(r.Interner(), Str("own"))) != 1 {
+					t.Fatal("a batch of the base as it stood, or of the own dictionary, was refused")
+				}
+				b := tc.run(base)
+				defer func() {
+					p := recover()
+					if msg, _ := p.(string); !strings.HasPrefix(msg, "rel: ") {
+						t.Fatalf("panic %v, want a rel: message", p)
+					}
+					if r.Len() != 3 {
+						t.Fatalf("the refused batch left %d rows, want 3", r.Len())
+					}
+				}()
+				r.AddBatch(b)
+			})
+		}
+	}
 }
 
-func (r *rotatingBatcher) NextBatch() (*Batch, bool) {
+// ownBatcher packs tuples, duplicates included, into view batches of
+// 17 rows over dict, interning the rows into it row by row as it goes.
+type ownBatcher struct {
+	ts    []Tuple
+	arity int
+	dict  *Interner
+	view  Batch
+}
+
+func (r *ownBatcher) NextBatch() (*Batch, bool) {
 	if len(r.ts) == 0 {
 		return nil, false
 	}
 	n := min(17, len(r.ts))
-	d := r.dicts[r.batches%len(r.dicts)]
 	cols := make([][]uint32, r.arity)
 	for _, tp := range r.ts[:n] {
 		for k := range cols {
-			cols[k] = append(cols[k], d.Intern(tp[k]))
+			cols[k] = append(cols[k], r.dict.Intern(tp[k]))
 		}
 	}
-	r.view.MakeView(cols, d)
+	r.view.MakeView(cols, r.dict)
 	r.view.SliceView(cols, 0, n)
 	r.ts = r.ts[n:]
-	r.batches++
 	return &r.view, true
 }
 
-// TestAddBatchGrowingSourceAllocations: adding batches of a
-// dictionary that grows between batches — a result fed from a source
-// still interning — allocates in proportion to the values translated,
-// not one resized translation cache per batch.
+// TestAddBatchGrowingSourceAllocations: adding batches of the
+// relation's own dictionary while it grows between batches — rows
+// interned as they stream in — allocates in proportion to the rows,
+// not once per batch in the size of the relation or its dictionary.
 func TestAddBatchGrowingSourceAllocations(t *testing.T) {
-	translate := func(values int) float64 {
+	add := func(values int) float64 {
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		src := NewInterner()
 		r := NewRelation(1)
+		src := r.Interner()
 		col := make([]uint32, 64)
 		var b Batch
 		for v := 0; v < values; v += 64 {
@@ -168,12 +222,12 @@ func TestAddBatchGrowingSourceAllocations(t *testing.T) {
 		}
 		runtime.ReadMemStats(&after)
 		if r.Len() != values || r.Interner().Len() != values {
-			t.Fatalf("translated %d rows, %d values, want %d", r.Len(), r.Interner().Len(), values)
+			t.Fatalf("added %d rows, %d values, want %d", r.Len(), r.Interner().Len(), values)
 		}
 		return float64(after.TotalAlloc - before.TotalAlloc)
 	}
 	const values = 1 << 15
-	base, doubled := translate(values), translate(2*values)
+	base, doubled := add(values), add(2*values)
 	if doubled > 2.3*base {
 		t.Errorf("%.0f bytes for %d values, %.0f for %d (×%.2f); want at most ×2.3", base, values, doubled, 2*values, doubled/base)
 	}

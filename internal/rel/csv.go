@@ -44,7 +44,7 @@ import (
 // every field interned straight into the database's dictionary in file
 // order (a string is copied only the first time the database sees it,
 // into a chunk the dictionary owns), and the row's IDs are staged in
-// the relation's staging columns. A relation's staged rows go into its
+// the loader's columns for the relation. A relation's staged rows go into its
 // row index as one batch when BatchCap of them are staged, and at the
 // end of the input. No slice of the buffer outlives the call. An input
 // that cannot seek back for the second pass, such as a pipe, is read
@@ -113,7 +113,6 @@ func ReadText(r io.Reader) (*Database, error) {
 	for _, lr := range ld.rels {
 		if lr.rel != nil {
 			lr.flush()
-			lr.rel.dropScratch()
 		}
 	}
 	return ld.d, nil
@@ -224,8 +223,9 @@ type loadRel struct {
 	name  string
 	lines int       // tuple lines in the input, counted before loading
 	rel   *Relation // nil until the first tuple line is loaded
-	// rel's staging columns hold staged rows of room; the rest of the
-	// relation's rows are in its row index.
+	// stage holds staged rows of rel as columns of room; the rest of
+	// the relation's rows are in its row index.
+	stage        [][]uint32
 	staged, room int
 	cut          [][]byte // the fields of the line being loaded, one per column
 }
@@ -233,7 +233,7 @@ type loadRel struct {
 // flush inserts the staged rows into the relation's row index, in file
 // order.
 func (lr *loadRel) flush() {
-	lr.rel.rows.insertBatch(lr.rel.stage, lr.staged, nil)
+	lr.rel.rows.insertBatch(lr.stage, lr.staged, nil)
 	lr.staged = 0
 }
 
@@ -312,7 +312,7 @@ func (ld *loader) tuple(line []byte) error {
 	if !ok {
 		return fmt.Errorf("tuple arity %d for relation %s of arity %d", arity(fields), lr.name, r.arity)
 	}
-	for k, col := range r.stage {
+	for k, col := range lr.stage {
 		col[lr.staged] = r.intern.internText(cut[k])
 	}
 	lr.staged++
@@ -345,8 +345,10 @@ func (ld *loader) create(lr *loadRel, line, fields []byte) error {
 	}
 	r := newRelation(n, ld.d.dict)
 	r.Reserve(lr.lines)
-	lr.rel, lr.room, lr.cut = r, min(lr.lines, BatchCap), make([][]byte, n)
-	r.staging(lr.room)
+	lr.rel, lr.room, lr.cut, lr.stage = r, min(lr.lines, BatchCap), make([][]byte, n), make([][]uint32, n)
+	for k := range lr.stage {
+		lr.stage[k] = make([]uint32, lr.room)
+	}
 	ld.d.schema[lr.name], ld.d.rels[lr.name] = n, r
 	return nil
 }

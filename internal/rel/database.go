@@ -61,7 +61,11 @@ func NewDatabase(schema Schema) *Database { return NewDatabaseOver(schema, NewIn
 // router interners and the IDMap translations between them. Writes to
 // any database over dict write dict, so databases sharing one are
 // written by one goroutine at a time, or only with IDs dict already
-// holds (Relation.AddBatch of a batch over dict interns nothing).
+// holds (Relation.AddBatch interns nothing). dict may be a based
+// dictionary, a result's (NewRelationOver): its base's IDs are its IDs
+// and its own values sit in a tail, so writes reach the tail only; the
+// database then reads the base, and no goroutine may write the base
+// while another reads the database, as for any read of the base.
 func NewDatabaseOver(schema Schema, dict *Interner) *Database {
 	return &Database{schema: schema, dict: dict, rels: make(map[string]*Relation, len(schema))}
 }

@@ -1,7 +1,6 @@
 package rel
 
 import (
-	"fmt"
 	"hash/maphash"
 	"math"
 	"math/rand/v2"
@@ -44,6 +43,19 @@ import (
 // page grows in place, doubling up to a page, so that a small
 // dictionary (a query's tail, a standalone relation's) does not cost a
 // page.
+//
+// A dictionary may sit on a base (newInternerOver): a store's
+// dictionary, which a query result keeps, the main dictionary beside
+// its private delta as in SAP HANA's column store (Krüger et al.,
+// PVLDB 5(1), 2011). The IDs below the base's length at basing are the
+// base's; new values go into the dictionary's own tail, from that
+// length on. The based dictionary shares the base's pages, kind bitmap
+// and chunk headers as slices capped at that length, so Value reads a
+// base ID and a tail ID alike; a write would either append past a cap,
+// which copies, or set a bit in the bitmap's last word, so the first
+// tail value copies the bitmap. The base is never written through it.
+// Its index holds the tail's values only; a lookup probes the base's
+// index first, one hop, since bases do not chain.
 
 // Interner assigns dense uint32 IDs to values. IDs are allocated in
 // first-intern order starting at 0, so an Interner also acts as an
@@ -60,16 +72,26 @@ import (
 // (ID, Value, Len) are safe once interning is complete, which is the
 // access pattern of the worker pool's callers (exec.Run): intern
 // sequentially during the build phase, probe read-only from workers.
-// FrozenDict is the read-only facade that makes the freeze a type.
+// A based dictionary reads its base, so it is read under the base's
+// rule: no goroutine writes the base while another reads the based
+// one, as for any read of the base.
 type Interner struct {
-	slots  []uint64   // the index: empty or a power of two, at least 2*Len()
+	slots  []uint64   // the index of its own values: empty or a power of two, at least twice as many
 	pages  [][]uint64 // the values' words in ID order
 	kinds  []uint64   // the kind bitmap: a set bit is a string
 	chunks []string   // the string storage a string's word indexes
 	// chunk is the storage of chunks[open] while keep fills it, and
-	// zero when no chunk is open (a new or cloned dictionary).
+	// zero when no chunk is open (a new, based or cloned dictionary).
 	chunk strings.Builder
 	open  uint32
+	// base is the dictionary this one sits on, nil for none; the IDs
+	// below based are base's. over is the dictionary it was made over,
+	// base or one based on base whose tail it copied, and overLen that
+	// one's length then: up to there the two agree on every ID.
+	base    *Interner
+	based   uint32
+	over    *Interner
+	overLen uint32
 }
 
 // A page holds pageSize words (8 KB); the first starts at firstPage.
@@ -94,6 +116,29 @@ var hashSeed, hashKey = maphash.MakeSeed(), rand.Uint64()
 // NewInterner returns an empty dictionary.
 func NewInterner() *Interner { return new(Interner) }
 
+// newInternerOver returns a dictionary based on base as base stands:
+// its IDs below base.Len() are base's, read through slices of base's
+// storage capped there, and its tail is empty. Over a based dictionary
+// it sits on that one's base and interns its tail anew, in ID order,
+// so every ID is kept and bases never chain.
+func newInternerOver(base *Interner) *Interner {
+	root, n := base, uint32(base.Len())
+	if base.base != nil {
+		root, n = base.base, base.based
+	}
+	words := (n + 63) / 64
+	in := &Interner{base: root, based: n, over: base, overLen: uint32(base.Len()), kinds: root.kinds[:words:words]}
+	if n > 0 {
+		last := (n - 1) >> pageBits
+		in.pages = append(slices.Clip(root.pages[:last]), root.pages[last][:n-last<<pageBits:n-last<<pageBits])
+		in.chunks = slices.Clip(root.chunks)
+	}
+	for id := n; id < in.overLen; id++ {
+		in.Intern(base.Value(id))
+	}
+	return in
+}
+
 // hashOf returns the hash of v; a slot keeps its high half.
 func hashOf(v Value) uint64 {
 	if v.kind == KindInt {
@@ -115,9 +160,15 @@ func (in *Interner) str(w uint64) string {
 }
 
 // find walks the probe run of hash h, which ends at an empty slot, and
-// returns the ID of v when the run holds it. It writes nothing. (The
-// len test is for the dictionary that has no table yet.)
+// returns the ID of v when the run holds it, after asking the base. It
+// writes nothing. (The len test is for the dictionary that has no
+// table yet.)
 func (in *Interner) find(h uint64, v Value) (uint32, bool) {
+	if in.base != nil {
+		if id, ok := in.base.find(h, v); ok && id < in.based {
+			return id, true
+		}
+	}
 	mask := uint64(len(in.slots) - 1)
 	for i := h >> 32 & mask; len(in.slots) > 0 && in.slots[i] != 0; i = (i + 1) & mask {
 		if w := in.slots[i]; w>>32 == h>>32 {
@@ -148,14 +199,23 @@ func (in *Interner) Intern(v Value) uint32 {
 // returns its ID. The word goes at the end of the last page, or of a
 // new one when that is full: no stored word is copied, so a bulk load
 // allocates the words it keeps and no earlier copies of them. Only a
-// first page short of pageSize doubles. A half-full index doubles too,
-// and its slots are re-placed as they stand.
+// first page short of pageSize doubles, and so does a based
+// dictionary's last page, copied from the base. A half-full index
+// doubles too, and its slots are re-placed as they stand.
 func (in *Interner) insert(h, w uint64, isString bool) uint32 {
 	n := in.Len()
 	if n >= maxValues {
 		panic(errDictionaryFull)
 	}
 	id := uint32(n)
+	if id == in.based && in.base != nil {
+		// The first tail value: the bitmap's last word may be the base's,
+		// with bits the base set after basing.
+		in.kinds = slices.Clone(in.kinds)
+		if id&63 != 0 {
+			in.kinds[id>>6] &= 1<<(id&63) - 1
+		}
+	}
 	last := len(in.pages) - 1
 	switch {
 	case last < 0:
@@ -175,7 +235,7 @@ func (in *Interner) insert(h, w uint64, isString bool) uint32 {
 	if isString {
 		in.kinds[id>>6] |= 1 << (id & 63)
 	}
-	if old := in.slots; 2*int(id+1) > len(old) {
+	if old := in.slots; 2*int(id+1-in.based) > len(old) {
 		in.slots = make([]uint64, max(2*len(old), 8))
 		for _, s := range old {
 			if s != 0 {
@@ -222,6 +282,9 @@ func (in *Interner) place(s uint64) {
 func (in *Interner) internText(b []byte) uint32 {
 	if n, ok := parseInt(b); ok {
 		return in.Intern(Int(n))
+	}
+	if in.base != nil {
+		panic("rel: internText on a based dictionary") // the loader's dictionaries have no base
 	}
 	h := maphash.Bytes(hashSeed, b)
 	mask := uint64(len(in.slots) - 1)
@@ -314,23 +377,32 @@ func (in *Interner) Len() int {
 	return (len(in.pages)-1)<<pageBits + len(in.pages[len(in.pages)-1])
 }
 
-// Clone returns a deep copy of the dictionary: same values, same IDs,
-// its own copy of the index, of every page (as large as its original)
-// and of the kind bitmap. It shares the chunks' strings, which never
-// change within their length, and opens a chunk of its own for its
-// next string: both sides appending into one chunk tail would
-// overwrite each other's strings. Relation.Clone calls it, so a clone
-// can keep interning while readers of its source never observe a
-// write.
+// Clone returns a copy of the dictionary: same values, same IDs, its
+// own copy of the index, of the kind bitmap and of every page (as
+// large as its original) but a based dictionary's full pages of the
+// base, which no one writes again. It shares the chunks' strings,
+// which never change within their length, and opens a chunk of its
+// own for its next string: both sides appending into one chunk tail
+// would overwrite each other's strings. A clone of a based dictionary
+// sits on the same base. Relation.Clone calls it, so a clone can keep
+// interning while readers of its source never observe a write.
 func (in *Interner) Clone() *Interner {
 	c := &Interner{
-		slots:  slices.Clone(in.slots),
-		pages:  make([][]uint64, len(in.pages)),
-		kinds:  slices.Clone(in.kinds),
-		chunks: slices.Clone(in.chunks),
+		slots:   slices.Clone(in.slots),
+		pages:   make([][]uint64, len(in.pages)),
+		kinds:   slices.Clone(in.kinds),
+		chunks:  slices.Clone(in.chunks),
+		base:    in.base,
+		based:   in.based,
+		over:    in.over,
+		overLen: in.overLen,
 	}
 	for i, p := range in.pages {
-		c.pages[i] = append(make([]uint64, 0, cap(p)), p...)
+		if i < int(in.based>>pageBits) {
+			c.pages[i] = p
+		} else {
+			c.pages[i] = append(make([]uint64, 0, cap(p)), p...)
+		}
 	}
 	return c
 }
@@ -361,95 +433,4 @@ func hashFinish(h uint64) uint64 {
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33
 	return h
-}
-
-// FrozenDict is a read-only dictionary facade over a prefix of an
-// Interner's value table: the IDs [0, Len()) assigned up to the
-// moment the dictionary was frozen. It has no interning method, so a
-// holder cannot grow the dictionary — reads only, by type.
-//
-// Safety: a FrozenDict over an interner that no writer will ever touch
-// again (a sealed partition's dictionary, a database no one writes while queries
-// read it) is safe for unlimited concurrent readers. The prefix bound adds a second guarantee — a facade frozen
-// over a still-live dictionary (FreezeDict on a writer's working
-// interner) never reports values interned after the freeze point — but
-// read-safety against a concurrently-interning writer comes only from
-// sealing, never from the bound: freeze live dictionaries for
-// single-goroutine use only.
-type FrozenDict struct {
-	in *Interner
-	n  int
-}
-
-// FreezeDict freezes the dictionary at its current length. The zero
-// FrozenDict is valid and empty.
-func FreezeDict(in *Interner) FrozenDict {
-	if in == nil {
-		return FrozenDict{}
-	}
-	return FrozenDict{in: in, n: in.Len()}
-}
-
-// Len returns the number of values in the frozen prefix.
-func (d FrozenDict) Len() int { return d.n }
-
-// Value returns the value with the given ID. It panics when the ID is
-// outside the frozen prefix.
-func (d FrozenDict) Value(id uint32) Value {
-	if int(id) >= d.n {
-		panic(fmt.Sprintf("rel: frozen dictionary ID %d outside prefix of length %d", id, d.n))
-	}
-	return d.in.Value(id)
-}
-
-// ID returns the ID of v; ok is false when v was not interned before
-// the freeze point.
-func (d FrozenDict) ID(v Value) (uint32, bool) {
-	if d.in == nil {
-		return 0, false
-	}
-	id, ok := d.in.ID(v)
-	if !ok || int(id) >= d.n {
-		return 0, false
-	}
-	return id, true
-}
-
-// QueryDict is the dictionary one query decodes through: a store's
-// dictionary frozen at query start (the base) and a tail of its own for
-// the values the query creates — τ constants, γ counts — that the base
-// lacks. A created value the base holds gets its base ID, so IDs stay
-// injective and a created value equals the stored one as an ID. Tail
-// IDs start at the base's length. Interning writes the tail only: the
-// store is never written during a query, so queries may run on one
-// store at once, each with its own QueryDict. A QueryDict is not safe
-// for concurrent use.
-type QueryDict struct {
-	base FrozenDict
-	tail Interner
-}
-
-// NewQueryDict returns a query dictionary over base with an empty tail.
-func NewQueryDict(base FrozenDict) *QueryDict { return &QueryDict{base: base} }
-
-// Intern returns the ID of v: its base ID when the base holds it,
-// otherwise its tail ID, assigned on first sight.
-func (q *QueryDict) Intern(v Value) uint32 {
-	if id, ok := q.base.ID(v); ok {
-		return id
-	}
-	id := uint64(q.base.n) + uint64(q.tail.Intern(v))
-	if id >= uint64(maxValues) {
-		panic(errDictionaryFull)
-	}
-	return uint32(id)
-}
-
-// Value returns the value with the given ID. It panics when the ID has
-// not been assigned.
-func (q *QueryDict) Value(id uint32) Value {
-	if int(id) < q.base.n {
-		return q.base.in.Value(id)
-	}
-	return q.tail.Value(id - uint32(q.base.n))
 }

@@ -290,8 +290,8 @@ func sharingLastBucket(n, tableSize int) (vals []Value) {
 }
 
 // TestInternerAgainstModel runs random interleavings of Intern,
-// internText and ID against the model, then freezes the dictionary at
-// that point and keeps interning.
+// internText and ID against the model, then bases a dictionary on it at
+// that point and keeps interning into both.
 func TestInternerAgainstModel(t *testing.T) {
 	boundary := map[int]bool{0: true, 1: true, 7: true, 8: true, 9: true}
 	for k := 4; k <= 17; k++ {
@@ -356,95 +356,138 @@ func TestInternerAgainstModel(t *testing.T) {
 			tc.run(c, rng)
 			c.sweep()
 
-			frozen := FreezeDict(c.in)
+			b := c.based()
 			prefix := slices.Clone(c.vals)
 			for i := 0; i < 2000; i++ {
 				c.randomOp(rng, 1<<50)
+				b.randomOp(rng, 1<<50)
 			}
 			c.sweep()
-			if frozen.Len() != len(prefix) {
-				t.Fatalf("frozen Len = %d, want %d", frozen.Len(), len(prefix))
-			}
+			b.sweep()
 			for id, v := range c.vals {
-				got, ok := frozen.ID(v)
-				if inPrefix := id < len(prefix); ok != inPrefix || (ok && got != uint32(id)) {
-					t.Fatalf("frozen ID(%#v) = %d, %v; the value has ID %d and the prefix ends at %d", v, got, ok, id, len(prefix))
+				got, ok := b.in.ID(v)
+				if inPrefix := id < len(prefix); inPrefix && (!ok || got != uint32(id)) || !inPrefix && ok && got < uint32(len(prefix)) {
+					t.Fatalf("based ID(%#v) = %d, %v; the value has ID %d in the base and the prefix ends at %d", v, got, ok, id, len(prefix))
 				}
-			}
-			if len(c.vals) > len(prefix) {
-				func() {
-					defer func() {
-						if recover() == nil {
-							t.Error("frozen Value past the prefix did not panic")
-						}
-					}()
-					frozen.Value(uint32(len(prefix)))
-				}()
 			}
 		})
 	}
 }
 
-// checkedQuery drives a QueryDict over a checked dictionary frozen at
-// its creation, against the model: the dictionary's model up to the
-// frozen length, and a map-and-slice tail. The dictionary may keep
-// growing after the freeze; what it gains is outside the base.
-type checkedQuery struct {
+// checkedBased drives a dictionary based on a checked dictionary as it
+// stood at basing, against the model: the base's model up to that
+// length, and a map-and-slice tail. The base may keep growing after
+// basing; what it gains is outside the based dictionary.
+type checkedBased struct {
 	t    testing.TB
-	q    *QueryDict
+	in   *Interner
 	base *checkedDict
-	n    int // the base's length at the freeze
+	n    int // the base's length at basing
 	tail map[Value]uint32
 	vals []Value
 }
 
-func (c *checkedDict) query() *checkedQuery {
-	return &checkedQuery{t: c.t, q: NewQueryDict(FreezeDict(c.in)), base: c, n: c.in.Len(), tail: map[Value]uint32{}}
+func (c *checkedDict) based() *checkedBased {
+	return &checkedBased{t: c.t, in: newInternerOver(c.in), base: c, n: c.in.Len(), tail: map[Value]uint32{}}
 }
 
-// intern checks that a value of the frozen base gets its base ID, and
-// any other value a tail ID from the frozen length on, first come first
-// numbered; and that the base's length never moves.
-func (c *checkedQuery) intern(v Value) {
+// clone is Interner.Clone of the based dictionary, and rebase a
+// dictionary based on it, which sits on its base and copies its tail:
+// the model of both is a copy of this one's.
+func (c *checkedBased) clone() *checkedBased  { return c.copyTo(c.in.Clone()) }
+func (c *checkedBased) rebase() *checkedBased { return c.copyTo(newInternerOver(c.in)) }
+
+func (c *checkedBased) copyTo(in *Interner) *checkedBased {
+	return &checkedBased{t: c.t, in: in, base: c.base, n: c.n, tail: maps.Clone(c.tail), vals: slices.Clone(c.vals)}
+}
+
+// want returns the ID the model gives v, and whether it holds v: its
+// base ID when the base held v at basing, else its tail ID.
+func (c *checkedBased) want(v Value) (uint32, bool) {
+	if id, ok := c.base.ids[v]; ok && int(id) < c.n {
+		return id, true
+	}
+	id, ok := c.tail[v]
+	return uint32(c.n) + id, ok
+}
+
+// interned checks the ID an interning call returned for v: a value of
+// the base as it stood gets its base ID, any other a tail ID from the
+// basing length on, first come first numbered; and the base's prefix
+// reads as it did.
+func (c *checkedBased) interned(got uint32, v Value) {
 	c.t.Helper()
-	got := c.q.Intern(v)
-	want, inBase := c.base.ids[v]
-	if !inBase || int(want) >= c.n {
-		id, seen := c.tail[v]
-		if !seen {
-			id = uint32(len(c.vals))
-			c.tail[v] = id
-			c.vals = append(c.vals, v)
-		}
-		want = uint32(c.n) + id
+	want, ok := c.want(v)
+	if !ok {
+		want = uint32(c.n + len(c.vals))
+		c.tail[v] = uint32(len(c.vals))
+		c.vals = append(c.vals, v)
 	}
 	if got != want {
-		c.t.Fatalf("query dictionary over a base of %d: %#v interned as %d, model says %d", c.n, v, got, want)
+		c.t.Fatalf("dictionary based on %d values: %#v interned as %d, model says %d", c.n, v, got, want)
 	}
-	if back := c.q.Value(got); back != v {
-		c.t.Fatalf("query dictionary Value(%d) = %#v right after interning %#v", got, back, v)
+	if back := c.in.Value(got); back != v {
+		c.t.Fatalf("based Value(%d) = %#v right after interning %#v", got, back, v)
 	}
-	if c.q.base.Len() != c.n {
-		c.t.Fatalf("the frozen base moved from %d to %d values", c.n, c.q.base.Len())
+	if c.in.Len() != c.n+len(c.vals) {
+		c.t.Fatalf("based Len = %d, model holds %d + %d", c.in.Len(), c.n, len(c.vals))
+	}
+}
+
+func (c *checkedBased) intern(v Value) { c.t.Helper(); c.interned(c.in.Intern(v), v) }
+
+func (c *checkedBased) id(v Value) {
+	c.t.Helper()
+	got, ok := c.in.ID(v)
+	want, seen := c.want(v)
+	if ok != seen || (ok && got != want) {
+		c.t.Fatalf("based ID(%#v) = %d, %v; model says %d, %v", v, got, ok, want, seen)
+	}
+}
+
+// randomOp applies one random operation over the domain [0, domain).
+func (c *checkedBased) randomOp(rng *rand.Rand, domain int64) {
+	c.t.Helper()
+	vals, fields := lookAlikes(rng.Int63n(domain))
+	switch rng.Intn(3) {
+	case 0:
+		c.intern(vals[rng.Intn(len(vals))])
+	case 1:
+		c.intern(ParseValue(fields[rng.Intn(len(fields))]))
+	case 2:
+		c.id(vals[rng.Intn(len(vals))])
 	}
 }
 
 // sweep checks every base and tail value against the model.
-func (c *checkedQuery) sweep() {
+func (c *checkedBased) sweep() {
 	c.t.Helper()
+	if c.in.Len() != c.n+len(c.vals) {
+		c.t.Fatalf("based Len = %d, model holds %d + %d", c.in.Len(), c.n, len(c.vals))
+	}
 	for id, v := range c.base.vals[:c.n] {
-		if got := c.q.Value(uint32(id)); got != v {
-			c.t.Fatalf("query dictionary Value(%d) = %#v, base model says %#v", id, got, v)
+		if got := c.in.Value(uint32(id)); got != v {
+			c.t.Fatalf("based Value(%d) = %#v, base model says %#v", id, got, v)
 		}
+		c.id(v)
 	}
 	for i, v := range c.vals {
-		c.intern(v)
-		if got := c.q.Value(uint32(c.n + i)); got != v {
-			c.t.Fatalf("query dictionary Value(%d) = %#v, tail model says %#v", c.n+i, got, v)
+		if got := c.in.Value(uint32(c.n + i)); got != v {
+			c.t.Fatalf("based Value(%d) = %#v, tail model says %#v", c.n+i, got, v)
+		}
+		c.id(v)
+	}
+	for _, v := range c.base.vals[c.n:] {
+		c.id(v) // what the base gained after basing: in the tail or absent
+	}
+	used := 0
+	for _, w := range c.in.slots {
+		if w != 0 {
+			used++
 		}
 	}
-	if c.q.tail.Len() != len(c.vals) {
-		c.t.Fatalf("tail of %d values, model holds %d", c.q.tail.Len(), len(c.vals))
+	if used != len(c.vals) {
+		c.t.Fatalf("%d slots in use for a tail of %d values: the index holds the tail only", used, len(c.vals))
 	}
 }
 
@@ -453,41 +496,57 @@ func (c *checkedQuery) sweep() {
 // to the next zero byte — and runs them against the model. The clone
 // operation adds a dictionary, and every later operation goes to one of
 // those made so far, so clones and their sources keep growing apart.
-// A byte with bit 3 set is a query-dictionary operation instead: freeze
-// a query dictionary over a dictionary, or intern into one made so far,
-// while the dictionaries below them keep growing.
+// A byte with bit 3 set is a based-dictionary operation instead: base a
+// dictionary on one of the first kind, intern into one made so far,
+// look a value up in it, clone it, or base a dictionary on it, while
+// the dictionaries below them keep growing.
 func FuzzInterner(f *testing.F) {
-	for _, n := range []int{pageSize - 1, pageSize, pageSize + 1, 2*pageSize + 1} {
+	sizes := []int{pageSize - 1, pageSize, pageSize + 1, 2*pageSize + 1}
+	for _, n := range sizes {
 		f.Add(pageBoundarySeed(n))
+	}
+	for _, n := range sizes {
+		f.Add(basedBoundarySeed(n))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dicts := []*checkedDict{newCheckedDict(t)}
-		var queries []*checkedQuery
+		var based []*checkedBased
 		for len(data) > 0 {
 			op := data[0]
 			var arg []byte
 			arg, data, _ = bytes.Cut(data[1:], []byte{0})
 			c := dicts[int(op>>4)%len(dicts)]
 			if op&8 != 0 {
-				if op&3 == 0 {
-					if len(queries) < 4 {
-						queries = append(queries, c.query())
+				if op&7 == 0 {
+					if len(based) < 6 {
+						based = append(based, c.based())
 					}
 					continue
 				}
-				if len(queries) == 0 {
+				if len(based) == 0 {
 					continue
 				}
-				q := queries[int(op>>4)%len(queries)]
-				switch op & 3 {
+				b := based[int(op>>4)%len(based)]
+				switch op & 7 {
 				case 1:
-					q.intern(ParseValue(string(arg)))
+					b.intern(ParseValue(string(arg)))
 				case 2:
-					q.intern(Str(string(arg)))
+					b.intern(Str(string(arg)))
 				case 3:
 					var n [8]byte
 					copy(n[:], arg)
-					q.intern(Int(int64(binary.LittleEndian.Uint64(n[:]))))
+					b.intern(Int(int64(binary.LittleEndian.Uint64(n[:]))))
+				case 4:
+					if len(based) < 6 {
+						based = append(based, b.clone())
+					}
+				case 5:
+					if len(based) < 6 {
+						based = append(based, b.rebase())
+					}
+				case 6, 7:
+					b.id(ParseValue(string(arg)))
+					b.id(Str(string(arg)))
 				}
 				continue
 			}
@@ -512,8 +571,8 @@ func FuzzInterner(f *testing.F) {
 		for _, c := range dicts {
 			c.sweep()
 		}
-		for _, q := range queries {
-			q.sweep()
+		for _, b := range based {
+			b.sweep()
 		}
 	})
 }
@@ -534,6 +593,35 @@ func pageBoundarySeed(n int) []byte {
 		intern(0x14, i)            // dictionary 1
 		intern(0x00, i+pageSize+1) // dictionary 0
 	}
+	return ops
+}
+
+// basedBoundarySeed is a FuzzInterner input that interns n distinct
+// integers, bases a dictionary on them, interns a string and an
+// integer into the based one — its first tail value, past a part-full
+// or a full last page — then clones and re-bases it, grows the base by
+// values the based dictionaries then intern too, and interns into each.
+func basedBoundarySeed(n int) []byte {
+	var ops []byte
+	op := func(code byte, arg ...byte) { ops = append(append(append(ops, code), arg...), 0) }
+	for i := 0; i < n; i++ {
+		op(0x00, byte(i%255+1), byte(i/255+1)) // dictionary 0
+	}
+	op(0x08)                // base dictionary 0 as based 0
+	op(0x0a, 's')           // a string into based 0
+	op(0x0b, 0xff, 0xff, 9) // an integer no base holds
+	op(0x0c)                // clone based 0 as based 1
+	op(0x0d)                // re-base on based 0 as based 2
+	for _, late := range []byte{'a', 'b'} {
+		op(0x01, late) // the base grows
+		for _, b := range []byte{0x0a, 0x1a, 0x2a} {
+			op(b, late)
+		}
+	}
+	op(0x19, '7')  // the integer 7 into based 1
+	op(0x2f, 's')  // lookups in based 2
+	op(0x09, 'b')  // a tail value into based 0 again
+	op(0x2b, 1, 1) // an integer the base held at basing, into based 2
 	return ops
 }
 
@@ -648,43 +736,77 @@ func TestInternerLimit(t *testing.T) {
 	}
 }
 
-// TestFrozenDictPrefix pins the facade semantics: the frozen prefix is
-// fixed at freeze time, post-freeze interns are invisible, and
-// out-of-prefix access panics.
-func TestFrozenDictPrefix(t *testing.T) {
+// TestBasedDictPrefix pins what a dictionary based on another reads:
+// the base's values as they stood at basing, under their IDs, and none
+// the base gains later; a value of its own gets the next tail ID, even
+// one the base gained after basing, and the base never sees it.
+func TestBasedDictPrefix(t *testing.T) {
 	in := NewInterner()
 	a := in.Intern(Int(1))
 	b := in.Intern(Str("x"))
-	d := FreezeDict(in)
+	d := newInternerOver(in)
 	if d.Len() != 2 {
-		t.Fatalf("frozen Len %d", d.Len())
+		t.Fatalf("based Len %d", d.Len())
 	}
-	late := in.Intern(Int(99)) // post-freeze intern: outside the prefix
+	late := in.Intern(Int(99)) // after basing: outside the prefix
 	if d.Len() != 2 {
-		t.Fatalf("freeze point moved")
+		t.Fatalf("the basing point moved")
 	}
 	if id, ok := d.ID(Int(1)); !ok || id != a {
-		t.Fatalf("frozen ID(1) = %d, %v", id, ok)
+		t.Fatalf("based ID(1) = %d, %v", id, ok)
 	}
 	if d.Value(b).String() != "x" {
-		t.Fatalf("frozen Value(%d) = %s", b, d.Value(b))
+		t.Fatalf("based Value(%d) = %s", b, d.Value(b))
 	}
 	if _, ok := d.ID(Int(99)); ok {
-		t.Fatalf("post-freeze value visible through the facade")
+		t.Fatalf("a value the base gained after basing is visible")
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("Value outside the prefix did not panic")
-			}
-		}()
-		d.Value(late)
-	}()
-	var zero FrozenDict
-	if zero.Len() != 0 {
-		t.Fatalf("zero FrozenDict Len %d", zero.Len())
+	if id := d.Intern(Str("y")); id != 2 || d.Value(id) != Str("y") {
+		t.Fatalf("first tail value: ID %d, value %v", id, d.Value(id))
 	}
-	if _, ok := zero.ID(Int(1)); ok {
-		t.Fatalf("zero FrozenDict resolved an ID")
+	if id := d.Intern(Int(99)); id != 3 || id == late {
+		t.Fatalf("the base's late value interned as %d in the tail, want 3", id)
+	}
+	if in.Len() != 3 || in.Value(late) != Int(99) {
+		t.Fatalf("the base changed: %d values", in.Len())
+	}
+	if _, ok := in.ID(Str("y")); ok {
+		t.Fatal("a tail value reached the base")
+	}
+}
+
+// TestBasedDictSharesBase: basing copies none of the base's values — a
+// dictionary based on a large one allocates a page list, not its pages
+// — its first tail value copies the bitmap and the part-full last page
+// and leaves the base's untouched, and its clone shares the base's full
+// pages.
+func TestBasedDictSharesBase(t *testing.T) {
+	base := NewInterner()
+	for i := range int64(10*pageSize + 5) {
+		base.Intern(Int(i))
+	}
+	base.Intern(Str("s"))
+	var d *Interner
+	if got := allocatedBytes(func() { d = newInternerOver(base) }); got > 1024 {
+		t.Errorf("basing on %d values allocated %d B, want at most 1024", base.Len(), got)
+	}
+	kinds, last := slices.Clone(base.kinds), slices.Clone(base.pages[10])
+	id := d.Intern(Str("t"))
+	if !slices.Equal(base.kinds, kinds) || !slices.Equal(base.pages[10], last) || base.Len() != 10*pageSize+6 {
+		t.Fatal("the first tail value wrote into the base")
+	}
+	if &d.pages[0][0] != &base.pages[0][0] || &d.pages[10][0] == &base.pages[10][0] {
+		t.Error("the based dictionary copied a full page or shares the base's last one")
+	}
+	if d.Value(id) != Str("t") || d.Value(uint32(10*pageSize+5)) != Str("s") || d.Value(7) != Int(7) {
+		t.Fatal("based values decode wrong")
+	}
+	c := d.Clone()
+	if &c.pages[9][0] != &base.pages[9][0] || &c.pages[10][0] == &d.pages[10][0] {
+		t.Error("the clone copied a full page of the base or shares the tail's")
+	}
+	c.Intern(Str("u"))
+	if _, ok := d.ID(Str("u")); ok || c.Value(id) != Str("t") {
+		t.Error("clone and source share a tail")
 	}
 }

@@ -10,13 +10,14 @@ import (
 // Relation is a finite set of tuples of a fixed arity. Relations have
 // set semantics (no duplicates) as in Definition 1; insertion order is
 // preserved for deterministic iteration, which keeps tests and
-// benchmark output stable.
+// benchmark output stable, until Sort puts the rows in tuple order.
 //
 // A relation is stored as its columns and nothing else: a relation of
-// a Database shares the database's one Interner, and a standalone one
-// (NewRelation, Clone) owns a private one; every insert path (Add,
-// AddBatch, the text loader) reduces its rows to IDs in that
-// dictionary and hands them to the row
+// a Database shares the database's one Interner, a standalone one
+// (NewRelation, Clone) owns a private one, and one made by
+// NewRelationOver (a query's result) owns one based on a store's; every
+// insert path (Add, AddBatch, the text loader) reduces its rows to IDs
+// in that dictionary and hands them to the row
 // index — Add one row at a time, AddBatch and the loader a batch at a
 // time — and the IDs are kept in flat per-attribute columns
 // (struct-of-arrays) — 4 bytes per value. The columns are what
@@ -34,20 +35,14 @@ import (
 // The ID columns and the dedup index over them are one RowSet, the
 // module's row index: insertion-ordered columns under chained buckets,
 // at least two per tuple, re-chained only inside Add, AddBatch, the
-// loader and Reserve — the writer side — so probing a sealed relation
-// never writes. The relation does not hand the RowSet out: IDColumns
-// exposes the columns read-only, and the index stays private.
+// loader, Reserve and Sort — the writer side — so probing a sealed
+// relation never writes. The relation does not hand the RowSet out:
+// IDColumns exposes the columns read-only, and the index stays private.
 type Relation struct {
 	arity  int
 	rows   RowSet // the ID columns, one entry per stored tuple, and their dedup index
 	intern *Interner
 	idbuf  []uint32 // scratch for Add, avoids per-call allocation
-	// AddBatch's translation cache for batches of another dictionary:
-	// the dictionary it was filled from and, by ID in it, 1 + the ID in
-	// intern (0 until that value is first met).
-	xlatFrom *Interner
-	xlat     []uint32
-	stage    [][]uint32 // AddBatch's and the loader's staged rows, as columns; never cloned
 }
 
 // NewRelation returns an empty relation of the given arity. Arity 0 is
@@ -66,6 +61,19 @@ func newRelation(arity int, dict *Interner) *Relation {
 		intern: dict,
 		idbuf:  make([]uint32, arity),
 	}
+}
+
+// NewRelationOver returns an empty relation over a new dictionary based
+// on base: the IDs of base's values as base stands now are its IDs, and
+// a value base lacks goes into the relation's own tail, so base is
+// never written through it. It is how a result keeps the IDs of the
+// store it was computed from: the executor interns the values a query
+// creates into the tail of its result's dictionary, and AddBatch takes
+// batches of base unchanged. The relation reads base, so no goroutine
+// may write base while another reads the relation, as for any read of
+// base.
+func NewRelationOver(arity int, base *Interner) *Relation {
+	return newRelation(arity, newInternerOver(base))
 }
 
 // NewRelationSized is NewRelation followed by Reserve(n): an empty
@@ -87,11 +95,42 @@ func NewRelationSized(arity, n int) *Relation {
 // not sized: how many distinct values n tuples bring is not known here.
 func (r *Relation) Reserve(n int) { r.rows.reserve(n) }
 
+// Sort puts the rows in lexicographic tuple order (Tuple.Cmp) — the
+// canonical order of a query's result — and re-chains the index once
+// over the same buckets. Rows are sorted by position, decoding values
+// only where two IDs differ; the rows and their IDs are unchanged.
+func (r *Relation) Sort() {
+	s := &r.rows
+	if s.n < 2 {
+		return
+	}
+	order := make([]int32, s.n)
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		for _, col := range s.cols {
+			if x, y := col[a], col[b]; x != y {
+				return r.intern.Value(x).Cmp(r.intern.Value(y))
+			}
+		}
+		return 0
+	})
+	spare := make([]uint32, s.n)
+	for k, col := range s.cols {
+		for i, pos := range order {
+			spare[i] = col[pos]
+		}
+		s.cols[k], spare = spare, col
+	}
+	s.rechain(len(s.heads))
+}
+
 // Interner exposes the relation's value dictionary: every value
 // occurring in the relation has an ID, in first-intern order — over
-// the whole database for a relation of one. The dictionary is
-// read-only for callers; concurrent reads are safe as long as no Add
-// runs.
+// the whole database for a relation of one, and over its base and then
+// its tail for one of NewRelationOver. Only the relation's owner
+// interns into it; concurrent reads are safe as long as no Add runs.
 func (r *Relation) Interner() *Interner { return r.intern }
 
 // FromTuples builds a relation of the given arity from tuples,
@@ -143,27 +182,6 @@ func (r *Relation) Add(t Tuple) bool {
 	return fresh
 }
 
-// staging returns the relation's staging columns, one per attribute,
-// each with room for at least m rows.
-func (r *Relation) staging(m int) [][]uint32 {
-	if r.stage == nil {
-		r.stage = make([][]uint32, r.arity)
-	}
-	for k, col := range r.stage {
-		if len(col) < m {
-			r.stage[k] = make([]uint32, m)
-		}
-	}
-	return r.stage
-}
-
-// dropScratch releases what the batch insert paths keep between calls:
-// the staging columns and the row index's hash scratch.
-func (r *Relation) dropScratch() {
-	r.stage = nil
-	r.rows.hashes, r.rows.touched = nil, nil
-}
-
 // Contains reports membership of t in the relation. It is read-only
 // and safe for concurrent use with other readers.
 func (r *Relation) Contains(t Tuple) bool {
@@ -191,69 +209,23 @@ func (r *Relation) ContainsIDs(ids []uint32) bool {
 	return len(ids) == r.arity && r.rows.Find(ids) >= 0
 }
 
-// AddBatch inserts every row of a view batch in row order,
-// deduplicating exactly like Add, and reports how many rows were new.
-// A batch of the relation's own dictionary is inserted as it stands;
-// one of another dictionary is translated into the relation's through
-// a flat cache indexed by the source ID, row by row and column by
-// column as Adds would intern it, so a sink fed by a long batch stream
-// interns each distinct value once and then runs on array lookups. The
-// cache holds one source dictionary: a batch of another starts it
-// afresh. The rows are staged as columns, up to BatchCap at a time,
-// and go into the row index as one batch. The batch is read, not
-// retained; the caller keeps ownership. The cache pins the source
-// dictionary — call DropBatchCache once the stream is exhausted so a
-// long-lived relation does not keep it reachable.
+// AddBatch inserts every row of a batch in row order, deduplicating
+// exactly like Add, and reports how many rows were new. The batch's
+// IDs go in as they stand, so the batch must be of the relation's own
+// dictionary, or of the one NewRelationOver based it on, unchanged
+// since: a based dictionary holds that one's IDs and keeps its own
+// values in a tail. AddBatch panics on any other batch. The batch is
+// read, not retained; the caller keeps ownership. A based relation
+// reads its base, so no goroutine may write the base while another
+// reads the relation.
 func (r *Relation) AddBatch(b *Batch) int {
 	if b.Arity() != r.arity {
 		panic(fmt.Sprintf("rel: batch arity %d added to relation of arity %d", b.Arity(), r.arity))
 	}
-	if b.dict != r.intern && b.dict != r.xlatFrom {
-		r.xlatFrom, r.xlat = b.dict, nil
+	if d := r.intern; b.dict != d && (b.dict == nil || b.dict != d.over || b.dict.Len() != int(d.overLen)) {
+		panic("rel: AddBatch of a batch of another dictionary, or of a base that grew since basing")
 	}
-	n := b.Len()
-	stage := r.staging(min(n, BatchCap))
-	added := 0
-	for lo := 0; lo < n; lo += BatchCap {
-		hi := min(n, lo+BatchCap)
-		if b.dict == r.intern {
-			for k, col := range b.cols {
-				copy(stage[k], col[lo:hi])
-			}
-		} else {
-			// A value met before costs one load of the cache, read
-			// inline; translate interns a first sight and may regrow it.
-			tr := r.xlat
-			for row := lo; row < hi; row++ {
-				for k, col := range b.cols {
-					if id := col[row]; int(id) < len(tr) && tr[id] != 0 {
-						stage[k][row-lo] = tr[id] - 1
-					} else {
-						stage[k][row-lo] = r.translate(id)
-						tr = r.xlat
-					}
-				}
-			}
-		}
-		added += r.rows.insertBatch(stage, hi-lo, nil)
-	}
-	return added
-}
-
-// translate returns the ID in the relation's dictionary of the value
-// with ID id in xlatFrom, which AddBatch's cache does not hold yet,
-// interning it. The first miss sizes the cache to the source
-// dictionary; a source still growing then doubles it, where refitting
-// it to the source's length would copy it once per batch of new values.
-func (r *Relation) translate(id uint32) uint32 {
-	if int(id) >= len(r.xlat) {
-		grown := make([]uint32, max(r.xlatFrom.Len(), int(id)+1, 2*len(r.xlat)))
-		copy(grown, r.xlat)
-		r.xlat = grown
-	}
-	t := r.intern.Intern(r.xlatFrom.Value(id))
-	r.xlat[id] = t + 1
-	return t
+	return r.rows.insertBatch(b.cols, b.n, nil)
 }
 
 // row decodes the stored tuple at position pos into buf, which must
@@ -386,15 +358,6 @@ func (r *Relation) At(i int) Tuple {
 	return r.row(make(Tuple, r.arity), i)
 }
 
-// DropBatchCache releases the AddBatch translation cache, the source
-// dictionary it references and the staging scratch. Call it when a
-// batch stream has been fully drained; a later AddBatch simply rebuilds
-// them.
-func (r *Relation) DropBatchCache() {
-	r.xlatFrom, r.xlat = nil, nil
-	r.dropScratch()
-}
-
 // IDColumns returns the relation's stored ID columns and the
 // dictionary decoding them — the zero-copy substrate of the vectorized
 // executors' in-place operators (a cartesian join replays a stored
@@ -417,7 +380,8 @@ func (r *Relation) Sorted() []Tuple {
 // IDs, chains and scan order. It shares nothing mutable with the
 // original: adds to either side after cloning, re-chaining included,
 // can never reach the other (regression-tested in
-// TestCloneInternerIndependence).
+// TestCloneInternerIndependence). The copy of a based dictionary sits
+// on the same base, which neither side writes.
 func (r *Relation) Clone() *Relation { return r.cloneIn(r.intern.Clone()) }
 
 // cloneIn copies the relation's rows over dict, a copy of its

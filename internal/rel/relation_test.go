@@ -117,6 +117,38 @@ func TestRelationSortedDeterministic(t *testing.T) {
 	}
 }
 
+// TestRelationSortInPlace: Sort leaves the rows of Sorted in the order
+// of Sorted, over a dictionary whose ID order is not value order, and
+// the re-chained index still finds every row, rejects it again, and
+// takes new rows.
+func TestRelationSortInPlace(t *testing.T) {
+	r := NewRelation(2)
+	for i := int64(0); i < 3000; i++ {
+		r.Add(Tuple{Int((i * 7919) % 1009), Str(string(rune('a' + i%26)))})
+	}
+	r.Add(Tuple{Str("z"), Int(-1)})
+	want, buckets := r.Sorted(), len(r.rows.heads)
+	r.Sort()
+	if len(r.rows.heads) != buckets {
+		t.Errorf("Sort changed the bucket count %d to %d", buckets, len(r.rows.heads))
+	}
+	got := r.Tuples()
+	if len(got) != len(want) {
+		t.Fatalf("%d rows after Sort, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !got[i].Equal(want[i]) {
+			t.Fatalf("row %d after Sort is %v, want %v", i, got[i], want[i])
+		}
+		if !r.Contains(want[i]) || r.Add(want[i]) {
+			t.Fatalf("row %v is not found after Sort", want[i])
+		}
+	}
+	if !r.Add(Ints(5000, 5000)) || r.At(r.Len()-1).Cmp(Ints(5000, 5000)) != 0 || r.Len() != len(want)+1 {
+		t.Errorf("Add after Sort did not append a new row")
+	}
+}
+
 func TestRelationArityMismatchPanics(t *testing.T) {
 	r := NewRelation(2)
 	s := NewRelation(3)

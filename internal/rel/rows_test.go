@@ -113,11 +113,10 @@ func TestRowsMatchColumns(t *testing.T) {
 		}},
 		{"AddBatch", func(_ *testing.T, arity int, rows []Tuple) *Relation {
 			r := NewRelation(arity)
-			in := &rotatingBatcher{ts: rows, arity: arity, dicts: []*Interner{NewInterner(), NewInterner(), NewInterner()}}
+			in := &ownBatcher{ts: rows, arity: arity, dict: r.Interner()}
 			for b, ok := in.NextBatch(); ok; b, ok = in.NextBatch() {
 				r.AddBatch(b)
 			}
-			r.DropBatchCache()
 			return r
 		}},
 		{"ReadText", func(t *testing.T, arity int, rows []Tuple) *Relation {

@@ -38,13 +38,6 @@ type RowSet struct {
 	cols  [][]uint32 // one flat column per row component
 	heads []int32    // per bucket: 1 + newest position in its chain (0 = empty); nil while empty
 	next  []int32    // per row: 1 + next position in its hash chain (0 ends)
-
-	// insertBatch's scratch, per row of the chunk in hand: its hash, and
-	// its bucket's head before the row went in. link keeps those heads as
-	// the undo log of a chunk linked before it was checked; the one-row
-	// loop loads them only so that its chains are in cache. Never cloned.
-	hashes  []uint64
-	touched []int32
 }
 
 // NewRowSet returns an empty set of rows of the given width.
@@ -134,6 +127,12 @@ func (s *RowSet) add(h uint64, ids []uint32) int {
 // and a linked chunk from its first duplicate on, take the one-row
 // loop, which loads every row's bucket head before it walks a chain so
 // that those loads overlap.
+//
+// The scratch is on the stack, per row of the chunk in hand: its hash,
+// and its bucket's head before the row went in. link keeps those heads
+// as the undo log of a chunk linked before it was checked; the one-row
+// loop loads them only so that its chains are in cache. So a set keeps
+// nothing of a batch insert but its rows.
 func (s *RowSet) insertBatch(cols [][]uint32, n int, fresh []bool) int {
 	if len(cols) != len(s.cols) {
 		panic(fmt.Sprintf("rel: batch of width %d inserted into a set of width %d", len(cols), len(s.cols)))
@@ -143,12 +142,14 @@ func (s *RowSet) insertBatch(cols [][]uint32, n int, fresh []bool) int {
 	if len(cols) > len(few) {
 		ids = make([]uint32, len(cols))
 	}
+	var hashes [BatchCap]uint64
+	var touched [BatchCap]int32
 	added := 0
 	for lo := 0; lo < n; lo += BatchCap {
 		hi := min(n, lo+BatchCap)
-		hs, at := s.hashBatch(cols, lo, hi), lo
+		hs, at := hashBatch(hashes[:hi-lo], cols, lo), lo
 		if 2*(s.n+len(hs)-1) < len(s.heads) && s.n+len(hs) <= maxRows {
-			linked := s.link(cols, lo, hs)
+			linked := s.link(cols, lo, hs, touched[:len(hs)])
 			if fresh != nil {
 				for i := range linked {
 					fresh[lo+i] = true
@@ -161,7 +162,7 @@ func (s *RowSet) insertBatch(cols [][]uint32, n int, fresh []bool) int {
 			hs, at = hs[linked:], lo+linked
 		}
 		if len(s.heads) > 0 {
-			heads, mask, touched := s.heads, uint64(len(s.heads)-1), s.touched[:len(hs)]
+			heads, mask, touched := s.heads, uint64(len(s.heads)-1), touched[:len(hs)]
 			for i, h := range hs {
 				touched[i] = heads[h&mask]
 			}
@@ -185,18 +186,23 @@ func (s *RowSet) insertBatch(cols [][]uint32, n int, fresh []bool) int {
 
 // link appends the rows [lo, lo+len(hs)) of cols, whose hashes are hs,
 // and links each at the head of its chain without a probe, saving the
-// heads it replaces in touched. Then it compares every row, in row
-// order, with the older rows of its chain, the chunk's earlier rows
-// included. Neither pass's iterations wait on each other, so the CPU
-// overlaps their cache misses. At the first row the set already held,
-// it restores the heads of that row and every later one, newest first,
-// from touched, and truncates those rows; it returns how many rows
-// stayed in. The index must take all the rows without re-chaining or
-// reaching maxRows.
-func (s *RowSet) link(cols [][]uint32, lo int, hs []uint64) int {
+// heads it replaces in touched, which has a row for each. Then it
+// compares every row, in row order, with the older rows of its chain,
+// the chunk's earlier rows included. Neither pass's iterations wait on
+// each other, so the CPU overlaps their cache misses. At the first row
+// the set already held, it restores the heads of that row and every
+// later one, newest first, from touched, and truncates those rows; it
+// returns how many rows stayed in. The index must take all the rows
+// without re-chaining or reaching maxRows. When the columns are full,
+// link sizes them and the chain links for every row the index takes
+// before it re-chains, so bulk inserts grow them as the index grows.
+func (s *RowSet) link(cols [][]uint32, lo int, hs []uint64, touched []int32) int {
 	base, m := s.n, len(hs)
-	heads, mask, touched := s.heads, uint64(len(s.heads)-1), s.touched[:m]
-	next := slices.Grow(s.next, m)[:base+m]
+	if cap(s.next) < base+m {
+		s.reserve(len(s.heads)/2 - base)
+	}
+	heads, mask := s.heads, uint64(len(s.heads)-1)
+	next := s.next[:base+m]
 	for i, h := range hs {
 		b := h & mask
 		touched[i], next[base+i] = heads[b], heads[b]
@@ -223,14 +229,10 @@ func (s *RowSet) link(cols [][]uint32, lo int, hs []uint64) int {
 	return m
 }
 
-// hashBatch returns HashIDs of rows [lo, hi) of cols, computed column
-// by column into the set's scratch.
-func (s *RowSet) hashBatch(cols [][]uint32, lo, hi int) []uint64 {
-	m := hi - lo
-	if cap(s.hashes) < m {
-		s.hashes, s.touched = make([]uint64, m), make([]int32, m)
-	}
-	hs := s.hashes[:m]
+// hashBatch sets hs to HashIDs of the rows [lo, lo+len(hs)) of cols,
+// computed column by column, and returns it.
+func hashBatch(hs []uint64, cols [][]uint32, lo int) []uint64 {
+	hi := lo + len(hs)
 	for i := range hs {
 		hs[i] = hashOffset
 	}
@@ -315,7 +317,8 @@ func (s *RowSet) reserve(n int) {
 }
 
 // rechain replaces the index with one of at least n buckets (rounded up
-// to a power of two) and rebuilds every chain from the columns.
+// to a power of two), clearing the old one in place when it has that
+// many, and rebuilds every chain from the columns.
 // Positions are re-linked in insertion order, so a chain lists its rows
 // newest first exactly as incremental inserts leave it.
 func (s *RowSet) rechain(n int) {
@@ -323,7 +326,11 @@ func (s *RowSet) rechain(n int) {
 	for size < n {
 		size <<= 1
 	}
-	s.heads = make([]int32, size)
+	if len(s.heads) == size {
+		clear(s.heads)
+	} else {
+		s.heads = make([]int32, size)
+	}
 	mask := uint64(size - 1)
 	for pos := 0; pos < s.n; pos++ {
 		h := uint64(hashOffset)

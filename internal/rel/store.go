@@ -21,6 +21,12 @@ package rel
 //   - View panics for names outside the schema, mirroring
 //     Database.Rel;
 //   - yielded batches may alias backend storage and are read-only.
+//
+// A result computed from a store keeps the store's IDs: its dictionary
+// is based on Dict (NewRelationOver), and values the store lacks go
+// into the result's own tail. So a result reads its store's
+// dictionary, and no goroutine may write the store while another reads
+// a result, as for any read of the store.
 
 import "fmt"
 
@@ -56,8 +62,8 @@ type ReadStore interface {
 	// Size returns the sum of the relations' cardinalities.
 	Size() int
 	// Dict returns the dictionary every relation's IDs are drawn from.
-	// A reader must not write to it: the executor freezes it for the
-	// length of a query (QueryDict).
+	// A reader must not write to it: the executor's result, and the
+	// values a query creates, sit on it as a base (NewRelationOver).
 	Dict() *Interner
 }
 
@@ -70,20 +76,22 @@ var _ StoredRel = (*Relation)(nil)
 // For the in-memory Database it is the stored relation itself: aliased
 // is true and the caller must treat it as read-only. Any other
 // backend materializes a fresh copy from its batch scan, owned by the
-// caller and with a dictionary of its own: AddBatch interns row by row,
-// column by column, so the copy has the dictionary order tuple-wise
-// Adds of the scan would give it.
+// caller: its rows keep the store's IDs, over a dictionary based on the
+// store's (NewRelationOver) that keeps values the store lacks in a tail
+// of its own, so an Add to the copy writes that tail only. The copy
+// reads the store's dictionary: no goroutine may write the store while
+// another reads the copy.
 func Materialized(s ReadStore, name string) (r *Relation, aliased bool) {
 	if d, ok := s.(*Database); ok {
 		return d.Rel(name), true
 	}
 	v := s.View(name)
-	r = NewRelationSized(v.Arity(), v.Len())
+	r = NewRelationOver(v.Arity(), s.Dict())
+	r.Reserve(v.Len())
 	c := v.BatchScanSized(BatchCap)
 	for b, ok := c.NextBatch(); ok; b, ok = c.NextBatch() {
 		r.AddBatch(b)
 	}
-	r.DropBatchCache()
 	return r, false
 }
 

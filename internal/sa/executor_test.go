@@ -283,12 +283,12 @@ func TestVectorizedSADivisionFamily(t *testing.T) {
 // errAbort is the injected cursor failure of the aborted-run sweep.
 var errAbort = errors.New("sa_test: injected abort")
 
-// TestVectorizedSAAbortedRunsReleasePool: under a governor, over a
+// TestVectorizedSAAbortedRunsStayServiceable: under a governor, over a
 // store whose scans fail at row 3, every corpus plan at every sweep
 // batch size surfaces the injected error (when it pulls far enough to
 // reach it) and returns no result — and the executor stays
 // serviceable.
-func TestVectorizedSAAbortedRunsReleasePool(t *testing.T) {
+func TestVectorizedSAAbortedRunsStayServiceable(t *testing.T) {
 	d := setJoinDatabase(1)
 	for _, c := range operatorCorpus() {
 		for _, size := range batchSizes {

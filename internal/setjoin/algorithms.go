@@ -20,7 +20,7 @@ func (NestedLoopContainment) Predicate() Predicate { return Containment }
 // Join implements Algorithm.
 func (NestedLoopContainment) Join(r, s []*Group) (*rel.Relation, Stats) {
 	var st Stats
-	out := rel.NewRelation(2)
+	out := result(r)
 	s = align(r, s)
 	for _, gr := range r {
 		for _, gs := range s {
@@ -49,7 +49,7 @@ func (SignatureContainment) Predicate() Predicate { return Containment }
 // Join implements Algorithm.
 func (SignatureContainment) Join(r, s []*Group) (*rel.Relation, Stats) {
 	var st Stats
-	out := rel.NewRelation(2)
+	out := result(r)
 	s = align(r, s)
 	for _, gr := range r {
 		for _, gs := range s {
@@ -83,21 +83,21 @@ func (InvertedIndexContainment) Predicate() Predicate { return Containment }
 // Join implements Algorithm. The pairs stay IDs from the kernel to the
 // result: each R group's rank is its gid, and when every S group was
 // grouped from R's source dictionary the two columns are re-pointed at
-// the keys' IDs there and go to the result's AddBatch as one view
-// batch, as the sharded merge does. AddBatch translates a row's R key
-// before its S key, the order Add interns a pair in, so the result's
-// rows and dictionary come out as pair-by-pair Adds would leave them;
-// S keys of another dictionary go in by those Adds.
+// the keys' IDs there and go to the result, whose dictionary is based
+// on that one, as one view batch, as the sharded merge does. S keys of
+// another dictionary go in by pair-by-pair Adds, which give the result
+// the rows and dictionary the other joins give it.
 func (InvertedIndexContainment) Join(r, s []*Group) (*rel.Relation, Stats) {
 	rank := make([]uint32, len(r))
 	for i, g := range r {
 		rank[i] = g.gid
 	}
 	p, st := ShardContainment(r, s, rank)
-	out := rel.NewRelationSized(2, len(p.R))
+	out := result(r)
 	if len(p.R) == 0 {
 		return out, st
 	}
+	out.Reserve(len(p.R))
 	d := r[0].dict
 	if slices.ContainsFunc(s, func(g *Group) bool { return g.dict.src != d.src }) {
 		t := make(rel.Tuple, 2)
@@ -116,7 +116,6 @@ func (InvertedIndexContainment) Join(r, s []*Group) (*rel.Relation, Stats) {
 	view.MakeView(cols, d.src)
 	view.SliceView(cols, 0, len(p.R))
 	out.AddBatch(&view)
-	out.DropBatchCache()
 	return out, st
 }
 
@@ -139,7 +138,7 @@ func (HashEquality) Predicate() Predicate { return Equal }
 // Join implements Algorithm.
 func (HashEquality) Join(r, s []*Group) (*rel.Relation, Stats) {
 	var st Stats
-	out := rel.NewRelation(2)
+	out := result(r)
 	index := keyIndex(r, &st.Probes)
 	var buf []byte
 	for _, gs := range align(r, s) {
@@ -167,7 +166,7 @@ func (SortEquality) Predicate() Predicate { return Equal }
 // Join implements Algorithm.
 func (SortEquality) Join(r, s []*Group) (*rel.Relation, Stats) {
 	var st Stats
-	out := rel.NewRelation(2)
+	out := result(r)
 	type keyed struct {
 		key string
 		g   *Group
@@ -226,7 +225,7 @@ func (NestedLoopEquality) Predicate() Predicate { return Equal }
 // Join implements Algorithm.
 func (NestedLoopEquality) Join(r, s []*Group) (*rel.Relation, Stats) {
 	var st Stats
-	out := rel.NewRelation(2)
+	out := result(r)
 	aligned := align(r, s)
 	for _, gr := range r {
 		for i, gs := range aligned {
@@ -255,7 +254,7 @@ func (EquijoinOverlap) Predicate() Predicate { return Overlap }
 // Join implements Algorithm.
 func (EquijoinOverlap) Join(r, s []*Group) (*rel.Relation, Stats) {
 	var st Stats
-	out := rel.NewRelation(2)
+	out := result(r)
 	index := newPostings(r)
 	st.Probes += len(index.pos)
 	for _, gs := range align(r, s) {

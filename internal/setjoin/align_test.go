@@ -91,7 +91,8 @@ func mixedRelation(rng *rand.Rand, groups, dom, maxSet int, strs bool) *rel.Rela
 
 // sameAsSignature fails unless InvertedIndexContainment's result is
 // SignatureContainment's down to its storage: the same rows in the same
-// order over the same dictionary, value for value in ID order.
+// order over the same dictionary, value for value in ID order — both
+// based on R's source dictionary, so the rows keep the keys' IDs there.
 func sameAsSignature(t *testing.T, label string, r, s []*Group) {
 	t.Helper()
 	want, _ := SignatureContainment{}.Join(r, s)
@@ -112,9 +113,10 @@ func sameAsSignature(t *testing.T, label string, r, s []*Group) {
 // group lists can meet: (a) both from one relation, so alignment is the
 // identity; (b) from two relations; (c) with S elements R has nowhere;
 // (d) with int 1 and string "1" in one element column; (e) an S list
-// that mixes the groups of two relations, keys repeating. The
-// inverted-index join's storage is checked against the signature
-// join's throughout.
+// that mixes the groups of two relations, keys repeating; (f) both
+// from a relation whose dictionary is based on another's, as a query
+// result's is, with values in its own tail. The inverted-index join's
+// storage is checked against the signature join's throughout.
 func TestAlignedJoinsAgainstReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	for trial := 0; trial < 30; trial++ {
@@ -143,6 +145,15 @@ func TestAlignedJoinsAgainstReference(t *testing.T) {
 		s = append(s, Groups(mixedRelation(rng, 1+rng.Intn(10), 4, 3, true))...)
 		agreeWithReference(t, fmt.Sprintf("(e) trial %d", trial), r, s)
 		sameAsSignature(t, fmt.Sprintf("(e) trial %d", trial), r, s)
+
+		src := mixedRelation(rng, 1+rng.Intn(10), 5, 4, false)
+		res := rel.NewRelationOver(2, src.Interner())
+		for _, tp := range append(src.Tuples(), mixedRelation(rng, 1+rng.Intn(10), 9, 3, true).Tuples()...) {
+			res.Add(tp)
+		}
+		f := Groups(res)
+		agreeWithReference(t, fmt.Sprintf("(f) trial %d", trial), f, f)
+		sameAsSignature(t, fmt.Sprintf("(f) trial %d", trial), f, f)
 	}
 }
 

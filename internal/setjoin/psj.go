@@ -32,7 +32,7 @@ func (p PartitionedContainment) Join(r, s []*Group) (*rel.Relation, Stats) {
 		P = 64
 	}
 	var st Stats
-	out := rel.NewRelation(2)
+	out := result(r)
 	if len(r) == 0 {
 		return out, st
 	}

@@ -433,6 +433,18 @@ type Algorithm interface {
 	Join(r, s []*Group) (*rel.Relation, Stats)
 }
 
+// result returns the empty result of a join of the R list r, over a
+// dictionary based on r's source dictionary (rel.NewRelationOver): the
+// pairs keep the IDs their keys have there, and an S key that
+// dictionary lacks goes into the result's own tail. An empty r has no
+// source, and its result a dictionary of its own.
+func result(r []*Group) *rel.Relation {
+	if len(r) == 0 {
+		return rel.NewRelation(2)
+	}
+	return rel.NewRelationOver(2, r[0].dict.src)
+}
+
 // Reference computes any predicate naively on the groups' values; the
 // tests' oracle. It shares nothing with the ID kernels it checks: each
 // group's elements are decoded and sorted by Value.Less, and pairs are

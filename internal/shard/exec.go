@@ -88,13 +88,14 @@ func Divide(db *Snapshot, rName, sName string, sem division.Semantics, workers i
 		return out, Stats{ShardResident: []int{st.MaxMemoryTuples - sRel.Len()}}
 	}
 	// Broadcast side, read-only: S's rows in source order, the order
-	// division.Hash reads the divisor in.
-	sRel := rel.NewRelationSized(1, len(db.placement[sName]))
+	// division.Hash reads the divisor in, over a dictionary based on the
+	// partition's, so the rows keep their IDs.
+	sRel := rel.NewRelationOver(1, db.dict)
+	sRel.Reserve(len(db.placement[sName]))
 	c := db.scan(sName)
 	for b, ok := c.NextBatch(); ok; b, ok = c.NextBatch() {
 		sRel.AddBatch(b)
 	}
-	sRel.DropBatchCache()
 	dt := division.NewDivisorTable(sRel)
 	n := db.NumShards()
 	qualified := make([]map[rel.Value]bool, n)
@@ -165,10 +166,9 @@ func groupsHeld(gs []*setjoin.Group) int {
 // broadcast group list, which is its gid in S's router — and the merge
 // gathers them, in the sequential algorithm's emission order, into two
 // flat columns. The routers turn both into the keys' IDs in the
-// partition's one dictionary, and the columns go to the result's
-// AddBatch as one view batch over it. AddBatch translates a row's R key
-// before its S key, the order Add interns a pair in, so the result's
-// dictionary comes out in the sequential order too.
+// partition's one dictionary, and the columns go to the result, whose
+// dictionary is based on that one, as one view batch over it: the
+// result keeps the IDs, as the sequential joins' results do.
 func shardedSetJoin(db *Snapshot, rName, sName string, workers int, containment bool) (*rel.Relation, Stats) {
 	arityOf(db, rName, 2)
 	arityOf(db, sName, 2)
@@ -265,9 +265,9 @@ func shardedSetJoin(db *Snapshot, rName, sName string, workers int, containment 
 	var view rel.Batch
 	view.MakeView(cols, db.dict)
 	view.SliceView(cols, 0, total)
-	out := rel.NewRelationSized(2, total)
+	out := rel.NewRelationOver(2, db.dict)
+	out.Reserve(total)
 	out.AddBatch(&view)
-	out.DropBatchCache() // the result must not pin the partition's dictionary
 	st.MergeTime = time.Since(mergeStart)
 	return out, st
 }

@@ -154,7 +154,6 @@ func (s *Database) load(name string, cols [][]uint32, rows int) {
 		b.MakeView(bufs[q], s.dict)
 		b.SliceView(bufs[q], 0, n)
 		added[q] = r.AddBatch(&b)
-		r.DropBatchCache() // the staging scratch
 	})
 	for q, n := range added {
 		// The placement log was written from the routed counts: a

@@ -288,12 +288,12 @@ func TestVectorizedGammaEmpty(t *testing.T) {
 // errAbort is the injected cursor failure of the aborted-run sweep.
 var errAbort = errors.New("xra_test: injected abort")
 
-// TestVectorizedXRAAbortedRunsReleasePool: under a governor, over a
+// TestVectorizedXRAAbortedRunsStayServiceable: under a governor, over a
 // store whose scans fail at row 3, every corpus plan at every sweep
 // batch size surfaces the injected error (when it pulls far enough to
 // reach it) and returns no result — and the executor stays
 // serviceable.
-func TestVectorizedXRAAbortedRunsReleasePool(t *testing.T) {
+func TestVectorizedXRAAbortedRunsStayServiceable(t *testing.T) {
 	d := setJoinDatabase(1)
 	for _, c := range operatorCorpus() {
 		for _, size := range batchSizes {
