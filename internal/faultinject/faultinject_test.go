@@ -332,9 +332,9 @@ func TestCleanRunAfterAborts(t *testing.T) {
 // batch of rows past the cancellation point — at batch sizes 1, 64
 // and 1024. The fault store's row counter measures exactly how far
 // the (synthetically slow) scan ran past the cancel. Beside a plain
-// scan, the θ-only join and semijoin read Big as their replayed right
-// side, which a wrapped view cannot replay in place, so the operator
-// copies it: that copy is a scan like any other.
+// scan, the θ-only join and semijoin take Big as their build table,
+// which a wrapped view cannot lend in place, so the table copies it:
+// that copy is a scan like any other.
 func TestCancellationLatencyWithinOneBatch(t *testing.T) {
 	leakcheck.Check(t)
 	d := rel.NewDatabase(rel.NewSchema(map[string]int{"Big": 1, "L": 1}))

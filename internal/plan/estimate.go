@@ -200,9 +200,9 @@ func keyDistinct(side card, m, arity int) float64 {
 }
 
 // probeBucket estimates how many build-side candidates one probe tuple
-// scans: the whole build side for a loop join (no equality atoms), a
-// hash bucket — build rows over estimated distinct join keys — for an
-// equi-join with m equality atoms.
+// scans: the whole build side for a θ-only join (no equality atoms,
+// so one empty key), a hash bucket — build rows over estimated
+// distinct join keys — for an equi-join with m equality atoms.
 func probeBucket(build card, m, buildArity int) float64 {
 	if m == 0 || buildArity <= 0 {
 		return build.Rows

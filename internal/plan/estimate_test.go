@@ -62,7 +62,7 @@ func TestCostJoinArithmetic(t *testing.T) {
 	approx(t, "floor at one key", keyDistinct(card{Distinct: 0.25}, 1, 2), 1)
 	approx(t, "m beyond arity clamps", keyDistinct(side, 5, 2), 100)
 
-	approx(t, "loop join scans everything", probeBucket(side, 0, 2), 100)
+	approx(t, "θ-only join scans everything", probeBucket(side, 0, 2), 100)
 	approx(t, "hash bucket", probeBucket(side, 1, 2), 10)
 
 	j := estJoin(card{Rows: 8, Distinct: 8}, 10)

@@ -84,12 +84,12 @@ type Plan struct {
 // evaluators' record (ra.Trace, post-order, labelled by Node.String()),
 // but its sizes are flows, not cardinalities: a dedup-deferring
 // projection counts the duplicates it emits, and a stored relation
-// consumed in place (the subtrahend of a difference, the replayed side
-// of a θ-only join or semijoin) counts zero, because nothing flows
-// through the operator graph for it. So MaxIntermediate is the maximum
-// emission count — the paper's intermediate-result measure, which ST5
-// watches drop from quadratic to linear under the rewrite — and
-// TotalTuples the summed emission count.
+// consumed in place (the subtrahend of a difference, the right side of
+// a θ-only join or semijoin, whose ID columns are its build table)
+// counts zero, because nothing flows through the operator graph for
+// it. So MaxIntermediate is the maximum emission count — the paper's
+// intermediate-result measure, which ST5 watches drop from quadratic to
+// linear under the rewrite — and TotalTuples the summed emission count.
 type Trace struct {
 	ra.Trace
 	// MaxResident is the peak number of tuples simultaneously held in
@@ -406,9 +406,10 @@ func (b *builder) inPlace(sub *Node, node *countNode) (rel.BatchCursor, rel.Stor
 // batches builds the cursor for n and its count node. Every operator
 // is filled in here from its node, which validated its columns and
 // condition when it was built (the N* constructors): the one place
-// that picks an operator's strategy — hash or loop join and semijoin by
-// whether the condition has equality atoms, consumed in place or built
-// for a right input (inPlace).
+// that picks an operator's strategy — the key columns of a join's or
+// semijoin's build table, and whether a right input is consumed in
+// place or built (inPlace; an equality-keyed build side is always
+// built).
 func (b *builder) batches(n *Node) (rel.BatchCursor, *countNode) {
 	node := &countNode{n: n}
 	var cur rel.BatchCursor
@@ -449,29 +450,24 @@ func (b *builder) batches(n *Node) (rel.BatchCursor, *countNode) {
 		in, kn := b.batches(n.Kids[0])
 		node.kids = []*countNode{kn}
 		cur = &tagCursor{in: in, id: b.dict.Intern(n.C)}
-	case KJoin:
-		b.probeBucket = joinBucket(b.d, n)
-		l, ln := b.batches(n.Kids[0])
-		node.kids = []*countNode{ln}
-		if keys := splitEquiKeys(n.Cond); len(keys.probeCols) > 0 {
-			rc, rn := b.batches(n.Kids[1])
-			node.kids = append(node.kids, rn)
-			cur = &hashJoinCursor{left: l, buildC: rc, equiKeys: keys, meter: b.meter, capacity: b.capacity, dict: b.dict}
-		} else {
-			rc, stored := b.inPlace(n.Kids[1], node)
-			cur = &loopJoinCursor{left: l, buildC: rc, stored: stored, cond: n.Cond, meter: b.meter, capacity: b.capacity, dict: b.dict}
+	case KJoin, KSemijoin, KAntijoin:
+		if n.Kind == KJoin {
+			b.probeBucket = joinBucket(b.d, n)
 		}
-	case KSemijoin, KAntijoin:
-		keep := n.Kind == KSemijoin
 		l, ln := b.batches(n.Kids[0])
 		node.kids = []*countNode{ln}
-		if keys := splitEquiKeys(n.Cond); len(keys.probeCols) > 0 {
-			rc, rn := b.batches(n.Kids[1])
+		side := buildSide{equiKeys: splitEquiKeys(n.Cond), meter: b.meter, capacity: b.capacity, dict: b.dict}
+		if len(side.probeCols) > 0 {
+			var rn *countNode
+			side.buildC, rn = b.batches(n.Kids[1])
 			node.kids = append(node.kids, rn)
-			cur = &hashSemijoinCursor{filter: filter{in: l}, buildC: rc, equiKeys: keys, keep: keep, meter: b.meter, dict: b.dict}
 		} else {
-			rc, stored := b.inPlace(n.Kids[1], node)
-			cur = &loopSemijoinCursor{filter: filter{in: l}, buildC: rc, stored: stored, cond: n.Cond, keep: keep, meter: b.meter, capacity: b.capacity, dict: b.dict}
+			side.buildC, side.stored = b.inPlace(n.Kids[1], node)
+		}
+		if n.Kind == KJoin {
+			cur = &joinCursor{left: l, buildSide: side}
+		} else {
+			cur = &semijoinCursor{filter: filter{in: l}, buildSide: side, keep: n.Kind == KSemijoin}
 		}
 	case KGamma:
 		in, kn := b.batches(n.Kids[0])

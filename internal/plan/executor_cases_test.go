@@ -71,9 +71,9 @@ func raCorpus() []struct {
 }
 
 // saCorpus covers the semijoin and antijoin in each build strategy —
-// distinct-key table, full build rows with residual atoms, in-place
-// replay of a stored right side, materialized replay of a computed one
-// — alone and nested. SA's other operators are the IR nodes raCorpus
+// distinct-key table, full build rows with residual atoms, a θ-only
+// table over a stored right side's own columns and over a computed
+// one's copy — alone and nested. SA's other operators are the IR nodes raCorpus
 // already runs.
 func saCorpus() []struct {
 	name string

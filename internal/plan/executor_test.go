@@ -38,8 +38,8 @@ import (
 //     the batch size and with or without a governor. The table was
 //     captured from the tuple-at-a-time evaluators at the last commit
 //     that had them, so it pins the accounting this executor inherited.
-//     Other backends may hold more: a θ-only join materializes (and
-//     meters) a stored right side it cannot replay in place.
+//     Other backends may hold more: a θ-only join copies (and meters)
+//     a stored right side whose ID columns it cannot take in place.
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/max_resident.golden from this run")
 

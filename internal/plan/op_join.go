@@ -1,22 +1,15 @@
 package plan
 
-// This file holds the executor's joins and semijoins. Both materialize
-// only their build (right) side and stream the probe (left) side, and
-// both pick their strategy from the condition's shape:
-//
-//   - a condition with equality atoms keys a buildTable on the equality
-//     columns (equiKeys). The hash join keeps every build row, chained
-//     per key; a semijoin keeps only the distinct key rows when the
-//     condition is pure equality — the partner *set* is all it needs —
-//     and every build row otherwise. A probe resolves its key once and
-//     walks exactly the rows with that key, so equality atoms are never
-//     re-verified; residual atoms compare IDs, and only an order atom
-//     decodes values;
-//   - a θ-only condition replays the right side per probe row, opened by
-//     replaySide: in place over the in-memory relation's ID columns
-//     (nothing held), otherwise from a materialized, metered columnar
-//     copy. The empty condition — the cartesian product — is a pure
-//     block copy.
+// This file holds the executor's join and semijoin. Both materialize
+// only their build (right) side, in a buildTable keyed on the
+// condition's equality columns, and stream the probe (left) side. A
+// probe resolves its key once and walks exactly the build rows with
+// that key, so equality atoms are never re-verified; residual atoms
+// compare IDs, and only an order atom decodes values. A θ-only
+// condition keys the table on zero columns: every build row has the one
+// empty key, and a probe walks them all in build order, hashing
+// nothing. The empty condition — the cartesian product — copies that
+// walk in blocks.
 //
 // A semijoin's probe side streams through a filter, so its order is
 // preserved, and the meter is charged what is held — distinct key rows,
@@ -34,9 +27,9 @@ import (
 	"radiv/internal/rel"
 )
 
-// equiKeys is a condition split for the equality-keyed operators: the
-// 0-based probe and build columns of its equality atoms, aligned, and
-// its residual (non-equality) atoms.
+// equiKeys is a condition split for the build table: the 0-based probe
+// and build columns of its equality atoms, aligned, and its residual
+// (non-equality) atoms.
 type equiKeys struct {
 	probeCols, buildCols []int
 	resid                []ra.Atom
@@ -55,92 +48,85 @@ func splitEquiKeys(cond ra.Cond) equiKeys {
 	return k
 }
 
-// colStore is a materialized build side: every row, its IDs kept as
-// flat columns in arrival order.
-type colStore struct {
-	cols [][]uint32 // nil until the first batch fixes the arity
-	n    int
-}
-
-// append stores every row of b.
-func (s *colStore) append(b *rel.Batch) {
-	if s.cols == nil {
-		s.cols = make([][]uint32, b.Arity())
-	}
-	for k := range s.cols {
-		s.cols[k] = append(s.cols[k], b.Col(k)...)
-	}
-	s.n += b.Len()
-}
-
-// replaySide opens the right side of a θ-only join or semijoin, which
-// is replayed per probe row: a stored in-memory relation's own ID
-// columns in place (nothing held), otherwise a materialized columnar
-// copy of build — or, when build is nil, of the stored backend's batch
-// scan — charging every buffered row to m. Only the in-memory relation
-// exposes zero-copy ID columns, so a stored right side on any other
-// backend (a wrapper, any other view) is materialized and metered; its
-// scan goes through m's guard like every leaf scan, so a governed run
-// checks it per batch. The caller releases held from m when done with
-// the columns. Exactly one of build and stored is non-nil
-// (builder.inPlace).
-func replaySide(build rel.BatchCursor, stored rel.StoredRel, m *meter, capacity int) (cols [][]uint32, rows, held int) {
-	if build == nil {
-		if r, ok := stored.(*rel.Relation); ok {
-			cols, _ = r.IDColumns()
-			return cols, r.Len(), 0
-		}
-		build = m.guardBatches(stored.BatchScanSized(capacity))
-	}
-	var s colStore
-	for b, ok := build.NextBatch(); ok; b, ok = build.NextBatch() {
-		s.append(b)
-		m.grow(b.Len())
-	}
-	return s.cols, s.n, s.n
-}
-
-// buildTable is the build side of the equality-keyed operators — the
-// hash join and the hash semijoins: the distinct equality-key rows in
-// an idSet and, unless the operator needs only those, every build row
-// in a colStore, the rows of each key chained in build order. A probe
-// finds its key row once and then walks exactly the build rows with
-// that key, so equality atoms are never re-verified; only residual
-// (non-equality) atoms are evaluated per candidate. The table charges
-// the meter as it is built — one per distinct key, or one per build
-// row — and held reports the charge for the caller to release.
+// buildTable is the build side of every join and semijoin: the build
+// rows' IDs as flat columns in arrival order and, keyed on the equality
+// columns, their distinct key rows in an idSet, the rows of each key
+// chained in build order. A semijoin without residual atoms keeps the
+// key rows alone: the partner set is all it needs. With zero key
+// columns every row has the one empty key, there is no idSet, and the
+// chain is the positions in order. The table charges the meter as it
+// is built — one per distinct key, or one per build row — and release
+// returns the charge.
 type buildTable struct {
 	dict  *rel.Interner
-	keys  *idSet
-	rows  *colStore // every build row; nil when only the keys are kept
-	first []int32   // per key: 1 + its first build row
-	next  []int32   // per build row: 1 + the next build row with its key (0 ends)
+	keys  *idSet     // nil for zero key columns
+	cols  [][]uint32 // every build row; nil until the first batch, or when only the keys are kept
+	n     int        // the rows in cols
+	first []int32    // per key: 1 + its first build row
+	next  []int32    // per build row: 1 + the next build row with its key (0 ends); nil for zero key columns
 	held  int
 }
 
-// newBuildTable drains in into a table keyed on the build columns
-// keyCols (0-based). keysOnly keeps the distinct key rows alone, which
-// is all a semijoin without residual atoms needs.
-func newBuildTable(in rel.BatchCursor, keyCols []int, keysOnly bool, m *meter, dict *rel.Interner) *buildTable {
-	t := &buildTable{dict: dict, keys: newIDSet(len(keyCols))}
-	if keysOnly {
-		for b, ok := in.NextBatch(); ok; b, ok = in.NextBatch() {
-			for row := 0; row < b.Len(); row++ {
+// emptyKey holds the first arrays of zero-key tables, indexed by
+// whether the table has rows: the one empty key's chain is empty (0)
+// or starts at build row 0 (1).
+var emptyKey = [2][]int32{{0}, {1}}
+
+// buildSide is what a join or semijoin builds its table from: exactly
+// one of a build cursor and a stored view (builder.inPlace), the split
+// condition, and the meter, batch capacity and dictionary the table
+// needs.
+type buildSide struct {
+	buildC rel.BatchCursor
+	stored rel.StoredRel
+	equiKeys
+	meter    *meter
+	capacity int
+	dict     *rel.Interner
+}
+
+// build drains the side into a table keyed on its build columns. The
+// builder hands over a stored view only for zero key columns
+// (builder.inPlace): an in-memory relation's own ID columns are then
+// the table, with nothing copied or charged. Any other backend's view
+// is drained through the meter's guard like every leaf scan, so a
+// governed run checks it per batch. keysOnly keeps the distinct key
+// rows alone, which is all a semijoin without residual atoms needs.
+func (s *buildSide) build(keysOnly bool) buildTable {
+	t := buildTable{dict: s.dict}
+	build, keyCols, m := s.buildC, s.buildCols, s.meter
+	if build == nil {
+		if r, ok := s.stored.(*rel.Relation); ok {
+			t.cols, _ = r.IDColumns()
+			t.n = r.Len()
+			t.first = emptyKey[min(t.n, 1)]
+			return t
+		}
+		build = m.guardBatches(s.stored.BatchScanSized(s.capacity))
+	}
+	if len(keyCols) > 0 {
+		t.keys = newIDSet(len(keyCols))
+	}
+	var last []int32 // per key: 1 + its latest build row, while building
+	for b, ok := build.NextBatch(); ok; b, ok = build.NextBatch() {
+		n := b.Len()
+		if keysOnly {
+			for row := 0; row < n; row++ {
 				if _, fresh := t.keys.insert(b, row, keyCols); fresh {
 					m.grow(1)
 					t.held++
 				}
 			}
+			continue
 		}
-		return t
-	}
-	t.rows = new(colStore)
-	var last []int32 // per key: 1 + its latest build row, while building
-	for b, ok := in.NextBatch(); ok; b, ok = in.NextBatch() {
-		n := b.Len()
-		t.rows.append(b)
-		for row := 0; row < n; row++ {
-			pos := int32(len(t.next)) + 1
+		if t.cols == nil {
+			t.cols = make([][]uint32, b.Arity())
+		}
+		for k := range t.cols {
+			t.cols[k] = append(t.cols[k], b.Col(k)...)
+		}
+		for row := 0; t.keys != nil && row < n; row++ {
+			pos := int32(t.n+row) + 1
 			t.next = append(t.next, 0)
 			if k, fresh := t.keys.insert(b, row, keyCols); fresh {
 				t.first = append(t.first, pos)
@@ -150,28 +136,52 @@ func newBuildTable(in rel.BatchCursor, keyCols []int, keysOnly bool, m *meter, d
 				last[k] = pos
 			}
 		}
+		t.n += n
 		m.grow(n)
 		t.held += n
+	}
+	if t.keys == nil {
+		t.first = emptyKey[min(t.n, 1)]
 	}
 	return t
 }
 
+// release returns the table's charge to m and drops the table.
+func (t *buildTable) release(m *meter) {
+	m.release(t.held)
+	*t = buildTable{}
+}
+
 // candidates returns 1 + the first build row whose key equals probe
 // row `row` of b read through probeCols (0-based, aligned with the
-// table's key columns), 0 when no build row has that key.
+// table's key columns), 0 when no build row has that key. Under zero
+// key columns the nil key set finds the one empty key without hashing,
+// and emptyKey says whether it has rows: no branch of candidates' own,
+// so it stays small enough to inline into the probe loop.
 func (t *buildTable) candidates(b *rel.Batch, row int, probeCols []int) int32 {
-	k := t.keys.find(b, row, probeCols)
-	if k < 0 {
+	if k := t.keys.find(b, row, probeCols); k >= 0 {
+		return t.first[k]
+	}
+	return 0
+}
+
+// after returns 1 + the build row after build row p-1 in its key's
+// chain, 0 at the chain's end.
+func (t *buildTable) after(p int32) int32 {
+	if t.keys == nil {
+		if int(p) < t.n {
+			return p + 1
+		}
 		return 0
 	}
-	return t.first[k]
+	return t.next[p-1]
 }
 
 // holds reports whether build row brow satisfies every residual atom
 // against probe row `row` of b.
 func (t *buildTable) holds(resid []ra.Atom, b *rel.Batch, row, brow int) bool {
 	for _, at := range resid {
-		if !opHolds(t.dict, at.Op, b.Col(at.L - 1)[row], t.rows.cols[at.R-1][brow]) {
+		if !opHolds(t.dict, at.Op, b.Col(at.L - 1)[row], t.cols[at.R-1][brow]) {
 			return false
 		}
 	}
@@ -180,13 +190,13 @@ func (t *buildTable) holds(resid []ra.Atom, b *rel.Batch, row, brow int) bool {
 
 // partner reports whether probe row `row` of b has a build row with
 // its key (read through probeCols) that satisfies every residual atom:
-// the semijoin's test. A keys-only table answers from its keys alone,
-// so it must be built only for a condition without residual atoms.
+// the semijoin's test. Without residual atoms it answers from the keys
+// alone, so the table may be keys-only exactly then.
 func (t *buildTable) partner(b *rel.Batch, row int, probeCols []int, resid []ra.Atom) bool {
-	if t.rows == nil {
+	if len(resid) == 0 {
 		return t.keys.contains(b, row, probeCols)
 	}
-	for p := t.candidates(b, row, probeCols); p != 0; p = t.next[p-1] {
+	for p := t.candidates(b, row, probeCols); p != 0; p = t.after(p) {
 		if t.holds(resid, b, row, int(p-1)) {
 			return true
 		}
@@ -194,25 +204,20 @@ func (t *buildTable) partner(b *rel.Batch, row int, probeCols []int, resid []ra.
 	return false
 }
 
-// hashJoinCursor is the equality-keyed hash join: the build side is
-// materialized into a buildTable, and probe batches stream against it —
-// each probe row resolves its key once, walks the build rows with
-// exactly that key, and decodes values only for residual
-// (non-equality) atoms. The probe batch is read across several pulls
-// of the join, which is valid: the join pulls its left input again
-// only once the batch is done. Joined rows fill the join's own batch,
-// Reset at the start of every pull.
-type hashJoinCursor struct {
-	left   rel.BatchCursor
-	buildC rel.BatchCursor
-	equiKeys
-	meter    *meter
-	capacity int
-	dict     *rel.Interner
+// joinCursor is the join: its build side is materialized into a
+// buildTable on the first pull, and probe batches stream against it,
+// each probe row walking the build rows with its key. The empty
+// condition is a block copy: the probe row is broadcast down the left
+// columns while the build columns are copied in slabs. The probe batch
+// is read across several pulls of the join, which is valid: the join
+// pulls its left input again only once the batch is done. Joined rows
+// fill the join's own batch, Reset at the start of every pull.
+type joinCursor struct {
+	left rel.BatchCursor
+	buildSide
 
 	opened bool
-	table  *buildTable
-	held   int
+	table  buildTable
 
 	probe *rel.Batch
 	prow  int
@@ -220,27 +225,51 @@ type hashJoinCursor struct {
 	out   *rel.Batch
 }
 
-func (c *hashJoinCursor) emit(brow int) {
+// emit writes the probe row beside build row brow. The output batch is
+// allocated on first use, here and in slab.
+func (c *joinCursor) emit(brow int) {
 	la := c.probe.Arity()
-	rs := c.table.rows
 	if c.out == nil {
-		c.out = rel.NewBatchSized(la+len(rs.cols), c.capacity)
+		c.out = rel.NewBatchSized(la+len(c.table.cols), c.capacity)
 	}
 	row := c.out.Len()
 	for k := 0; k < la; k++ {
 		c.out.WritableCol(k)[row] = c.probe.Col(k)[c.prow]
 	}
-	for k, col := range rs.cols {
+	for k, col := range c.table.cols {
 		c.out.WritableCol(la + k)[row] = col[brow]
 	}
 	c.out.SetLen(row + 1)
 }
 
-func (c *hashJoinCursor) NextBatch() (*rel.Batch, bool) {
+// slab writes the probe row beside build rows brow, brow+1, … up to the
+// last or as many as the output batch has room for, in one block copy,
+// and returns 1 + the last row written.
+func (c *joinCursor) slab(brow int) int32 {
+	la := c.probe.Arity()
+	if c.out == nil {
+		c.out = rel.NewBatchSized(la+len(c.table.cols), c.capacity)
+	}
+	start := c.out.Len()
+	m := min(c.table.n-brow, c.capacity-start)
+	for k := 0; k < la; k++ {
+		id := c.probe.Col(k)[c.prow]
+		dst := c.out.WritableCol(k)[start : start+m]
+		for i := range dst {
+			dst[i] = id
+		}
+	}
+	for k, col := range c.table.cols {
+		copy(c.out.WritableCol(la + k)[start:start+m], col[brow:brow+m])
+	}
+	c.out.SetLen(start + m)
+	return int32(brow + m)
+}
+
+func (c *joinCursor) NextBatch() (*rel.Batch, bool) {
 	if !c.opened {
 		c.opened = true
-		c.table = newBuildTable(c.buildC, c.buildCols, false, c.meter, c.dict)
-		c.held = c.table.held
+		c.table = c.build(false)
 	}
 	if c.out != nil {
 		c.out.Reset()
@@ -256,9 +285,7 @@ func (c *hashJoinCursor) NextBatch() (*rel.Batch, bool) {
 			}
 			b, ok := c.left.NextBatch()
 			if !ok {
-				c.meter.release(c.held)
-				c.held = 0
-				c.table = nil
+				c.table.release(c.meter)
 				return nil, false
 			}
 			if b.Len() == 0 {
@@ -276,222 +303,49 @@ func (c *hashJoinCursor) NextBatch() (*rel.Batch, bool) {
 			c.cand = c.table.candidates(c.probe, c.prow, c.probeCols)
 			continue
 		}
-		brow := int(c.cand - 1)
-		c.cand = c.table.next[brow]
-		if !c.table.holds(c.resid, c.probe, c.prow, brow) {
-			continue
-		}
-		c.emit(brow)
-		if c.out.Full() {
-			return c.out, true
-		}
-	}
-}
-
-// loopJoinCursor handles joins without equality atoms. The right side
-// is opened by replaySide and replayed per probe row. The empty
-// condition — the cartesian product — is a pure block copy: the probe
-// value is broadcast down the left columns while the right columns are
-// copied in slabs. Like the hash join, it reads a probe batch across
-// several of its pulls and fills its own batch.
-type loopJoinCursor struct {
-	left     rel.BatchCursor
-	buildC   rel.BatchCursor
-	stored   rel.StoredRel
-	cond     ra.Cond
-	meter    *meter
-	capacity int
-	dict     *rel.Interner
-
-	opened bool
-	rcols  [][]uint32
-	rn     int
-	held   int
-
-	probe *rel.Batch
-	prow  int
-	ri    int
-	out   *rel.Batch
-}
-
-func (c *loopJoinCursor) ensureOut() {
-	if c.out != nil {
-		return
-	}
-	c.out = rel.NewBatchSized(c.probe.Arity()+len(c.rcols), c.capacity)
-}
-
-func (c *loopJoinCursor) holds() bool {
-	for _, at := range c.cond {
-		if !opHolds(c.dict, at.Op, c.probe.Col(at.L - 1)[c.prow], c.rcols[at.R-1][c.ri]) {
-			return false
-		}
-	}
-	return true
-}
-
-func (c *loopJoinCursor) NextBatch() (*rel.Batch, bool) {
-	if !c.opened {
-		c.opened = true
-		c.rcols, c.rn, c.held = replaySide(c.buildC, c.stored, c.meter, c.capacity)
-	}
-	if c.out != nil {
-		c.out.Reset()
-	}
-	for {
-		if c.probe == nil {
-			if c.out != nil && c.out.Len() > 0 {
+		if len(c.probeCols)+len(c.resid) == 0 {
+			// The cartesian product: the rest of the build rows in one
+			// slab, then the row after the last one written.
+			c.cand = c.table.after(c.slab(int(c.cand - 1)))
+			if c.out.Full() {
 				return c.out, true
 			}
-			b, ok := c.left.NextBatch()
-			if !ok {
-				c.meter.release(c.held)
-				c.held = 0
-				c.rcols = nil
-				return nil, false
-			}
-			if b.Len() == 0 {
-				continue
-			}
-			c.probe, c.prow, c.ri = b, 0, 0
-		}
-		if c.prow >= c.probe.Len() {
-			c.probe = nil
 			continue
 		}
-		if c.ri >= c.rn {
-			c.prow++
-			c.ri = 0
-			continue
-		}
-		if len(c.cond) == 0 {
-			// Cartesian slab: fill as much of the output batch as the
-			// remaining right rows allow in one block copy.
-			c.ensureOut()
-			la := c.probe.Arity()
-			start := c.out.Len()
-			m := c.capacity - start
-			if rest := c.rn - c.ri; m > rest {
-				m = rest
-			}
-			for k := 0; k < la; k++ {
-				id := c.probe.Col(k)[c.prow]
-				dst := c.out.WritableCol(k)[start : start+m]
-				for i := range dst {
-					dst[i] = id
+		for c.cand != 0 {
+			brow := int(c.cand - 1)
+			c.cand = c.table.after(c.cand)
+			if c.table.holds(c.resid, c.probe, c.prow, brow) {
+				c.emit(brow)
+				if c.out.Full() {
+					return c.out, true
 				}
 			}
-			for k := range c.rcols {
-				copy(c.out.WritableCol(la + k)[start:start+m], c.rcols[k][c.ri:c.ri+m])
-			}
-			c.out.SetLen(start + m)
-			c.ri += m
-			if c.out.Full() {
-				return c.out, true
-			}
-			continue
 		}
-		if c.holds() {
-			c.ensureOut()
-			la := c.probe.Arity()
-			row := c.out.Len()
-			for k := 0; k < la; k++ {
-				c.out.WritableCol(k)[row] = c.probe.Col(k)[c.prow]
-			}
-			for k := range c.rcols {
-				c.out.WritableCol(la + k)[row] = c.rcols[k][c.ri]
-			}
-			c.out.SetLen(row + 1)
-			c.ri++
-			if c.out.Full() {
-				return c.out, true
-			}
-			continue
-		}
-		c.ri++
 	}
 }
 
-// hashSemijoinCursor is the semijoin (keep) or antijoin (!keep) of a
-// condition with equality atoms: it drains the build side into a
-// buildTable keyed on the equality columns — the distinct key rows
-// alone when there are no residual atoms — and compacts probe batches
-// through the partner test.
-type hashSemijoinCursor struct {
+// semijoinCursor is the semijoin (keep) or antijoin (!keep): it drains
+// its build side into a buildTable on the first pull — the distinct key
+// rows alone when there are no residual atoms — and compacts probe
+// batches through the partner test.
+type semijoinCursor struct {
 	filter
-	buildC rel.BatchCursor
-	equiKeys
-	keep  bool
-	meter *meter
-	dict  *rel.Interner
+	buildSide
+	keep bool
 
 	opened bool
-	table  *buildTable
-	held   int
+	table  buildTable
 }
 
-func (c *hashSemijoinCursor) NextBatch() (*rel.Batch, bool) {
+func (c *semijoinCursor) NextBatch() (*rel.Batch, bool) {
 	if !c.opened {
 		c.opened = true
-		c.table = newBuildTable(c.buildC, c.buildCols, len(c.resid) == 0, c.meter, c.dict)
-		c.held = c.table.held
+		c.table = c.build(len(c.resid) == 0)
 	}
 	b, ok := c.next(func(b *rel.Batch, row int) bool { return c.table.partner(b, row, c.probeCols, c.resid) == c.keep })
 	if !ok {
-		c.meter.release(c.held)
-		c.held = 0
-		c.table = nil
-	}
-	return b, ok
-}
-
-// loopSemijoinCursor is the semijoin (keep) or antijoin (!keep) of a
-// θ-only condition: the right side, opened by replaySide, is replayed
-// per probe row over flat ID columns.
-type loopSemijoinCursor struct {
-	filter
-	buildC   rel.BatchCursor
-	stored   rel.StoredRel
-	cond     ra.Cond
-	keep     bool
-	meter    *meter
-	capacity int
-	dict     *rel.Interner
-
-	opened bool
-	rcols  [][]uint32
-	rn     int
-	held   int
-}
-
-// partner reports whether probe row `row` of b satisfies the condition
-// against any replayed right row.
-func (c *loopSemijoinCursor) partner(b *rel.Batch, row int) bool {
-	for ri := 0; ri < c.rn; ri++ {
-		all := true
-		for _, at := range c.cond {
-			if !opHolds(c.dict, at.Op, b.Col(at.L - 1)[row], c.rcols[at.R-1][ri]) {
-				all = false
-				break
-			}
-		}
-		if all {
-			return true
-		}
-	}
-	return false
-}
-
-func (c *loopSemijoinCursor) NextBatch() (*rel.Batch, bool) {
-	if !c.opened {
-		c.opened = true
-		c.rcols, c.rn, c.held = replaySide(c.buildC, c.stored, c.meter, c.capacity)
-	}
-	b, ok := c.next(func(b *rel.Batch, row int) bool { return c.partner(b, row) == c.keep })
-	if !ok {
-		c.meter.release(c.held)
-		c.held = 0
-		c.rcols = nil
+		c.table.release(c.meter)
 	}
 	return b, ok
 }

@@ -87,8 +87,12 @@ func (s *idSet) insert(b *rel.Batch, row int, cols []int) (pos int, fresh bool) 
 }
 
 // find returns the position of row `row` of b, read through cols as in
-// load, or -1.
+// load, or -1. A nil set is a zero-column key set: its one row, the
+// empty one, is at position 0.
 func (s *idSet) find(b *rel.Batch, row int, cols []int) int {
+	if s == nil {
+		return 0
+	}
 	s.load(b, row, cols)
 	if len(s.buf) == 1 {
 		if id := s.buf[0]; int(id) < len(s.at) {

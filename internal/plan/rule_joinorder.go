@@ -21,7 +21,7 @@ import (
 //	rows(E2) − rows(E1) > rows(E1 ⋈θ E2).
 //
 // Only equi-joins are considered: a θ-only join against a stored right
-// side is replayed in place at zero resident cost, which a swap would
+// side is walked in place at zero resident cost, which a swap would
 // destroy. Nor are the joins inside a γ-division (isGammaDivision),
 // which the executor runs as one operator holding less than either
 // order would.

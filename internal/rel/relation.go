@@ -360,9 +360,10 @@ func (r *Relation) At(i int) Tuple {
 
 // IDColumns returns the relation's stored ID columns and the
 // dictionary decoding them — the zero-copy substrate of the vectorized
-// executors' in-place operators (a cartesian join replays a stored
-// relation by block-copying its columns). Both are read-only views of
-// live storage: the relation must not be modified while they are held.
+// executor's in-place operators (a θ-only join or semijoin takes a
+// stored relation's columns as its build table). Both are read-only
+// views of live storage: the relation must not be modified while they
+// are held.
 func (r *Relation) IDColumns() ([][]uint32, *Interner) { return r.rows.cols, r.intern }
 
 // Sorted returns the tuples in lexicographic order, caller-owned like
