@@ -66,6 +66,6 @@ func probe(s rel.ReadStore, name string) rel.StoredRel {
 }
 
 // EvalUsesProbe consumes an interior view without returning it.
-func EvalUsesProbe(s rel.ReadStore, name string, ids []uint32) bool {
-	return probe(s, name).ContainsIDs(ids)
+func EvalUsesProbe(s rel.ReadStore, name string, cols [][]uint32, hit []bool) {
+	probe(s, name).ContainsBatch(cols, len(hit), hit)
 }

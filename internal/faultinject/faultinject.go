@@ -85,7 +85,8 @@ func (s *Store) View(name string) rel.StoredRel {
 
 // faultRel wraps one relation view; only the scan is intercepted. It
 // defines BatchScanSized itself, so the embedded view's uninjected
-// scan is never promoted.
+// scan is never promoted; Arity, Len and the batch probe ContainsBatch
+// are the wrapped view's, passed through.
 type faultRel struct {
 	rel.StoredRel
 	s *Store

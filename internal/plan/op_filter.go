@@ -41,19 +41,22 @@ func refill(out **rel.Batch, arity, rows int) *rel.Batch {
 
 // filter is the pull loop of the compacting operators — the
 // selections, the dedup filter, the difference and the semijoins: it
-// pulls in until keep leaves some row of a batch. keep is called
-// exactly once per row in row order (stateful predicates — the dedup
-// filter — rely on that). When every row of a batch passes, the batch
-// itself is yielded; otherwise the kept rows are copied into the
-// filter's own batch.
+// pulls in until mark keeps some row of a batch. mark decides a whole
+// batch at once: it is called exactly once per nonempty batch, in
+// order, and sets keep[row] for every row (stateful predicates — the
+// dedup filter — rely on seeing each batch once, in order); an empty
+// batch is skipped without a call. When every row of a batch is kept,
+// the batch itself is yielded; otherwise the kept rows are copied,
+// column by column, into the filter's own batch.
 type filter struct {
-	in  rel.BatchCursor
-	out *rel.Batch // the kept rows of a partly kept batch; nil until one
+	in   rel.BatchCursor
+	out  *rel.Batch // the kept rows of a partly kept batch; nil until one
+	keep []bool     // the selection vector mark fills, one entry per row
 }
 
 // next yields the next nonempty compacted batch, or false at
 // exhaustion.
-func (f *filter) next(keep func(b *rel.Batch, row int) bool) (*rel.Batch, bool) {
+func (f *filter) next(mark func(b *rel.Batch, keep []bool)) (*rel.Batch, bool) {
 	if f.out != nil {
 		f.out.Reset()
 	}
@@ -63,29 +66,38 @@ func (f *filter) next(keep func(b *rel.Batch, row int) bool) (*rel.Batch, bool) 
 			return nil, false
 		}
 		n := b.Len()
-		first := 0
-		for first < n && keep(b, first) {
-			first++
-		}
-		if first == n {
-			if n > 0 {
-				return b, true
-			}
+		if n == 0 {
 			continue
 		}
-		refill(&f.out, b.Arity(), n)
-		for k := 0; k < b.Arity(); k++ {
-			copy(f.out.WritableCol(k)[:first], b.Col(k)[:first])
+		if len(f.keep) < n {
+			f.keep = make([]bool, n)
 		}
-		f.out.SetLen(first)
-		for row := first + 1; row < n; row++ {
-			if keep(b, row) {
-				f.out.AppendRowFrom(b, row)
+		keep := f.keep[:n]
+		mark(b, keep)
+		kept := 0
+		for _, k := range keep {
+			if k {
+				kept++
 			}
 		}
-		if f.out.Len() > 0 {
-			return f.out, true
+		if kept == n {
+			return b, true
 		}
+		if kept == 0 {
+			continue
+		}
+		out := refill(&f.out, b.Arity(), n)
+		for k := 0; k < b.Arity(); k++ {
+			dst, m := out.WritableCol(k), 0
+			for row, id := range b.Col(k) {
+				dst[m] = id
+				if keep[row] {
+					m++
+				}
+			}
+		}
+		out.SetLen(kept)
+		return out, true
 	}
 }
 
@@ -110,8 +122,11 @@ type selectCursor struct {
 }
 
 func (c *selectCursor) NextBatch() (*rel.Batch, bool) {
-	return c.next(func(b *rel.Batch, row int) bool {
-		return opHolds(c.dict, c.op, b.Col(c.i)[row], b.Col(c.j)[row])
+	return c.next(func(b *rel.Batch, keep []bool) {
+		x, y := b.Col(c.i), b.Col(c.j)
+		for row := range keep {
+			keep[row] = opHolds(c.dict, c.op, x[row], y[row])
+		}
 	})
 }
 
@@ -125,7 +140,11 @@ type selectConstCursor struct {
 }
 
 func (c *selectConstCursor) NextBatch() (*rel.Batch, bool) {
-	return c.next(func(b *rel.Batch, row int) bool { return b.Col(c.i)[row] == c.id })
+	return c.next(func(b *rel.Batch, keep []bool) {
+		for row, id := range b.Col(c.i) {
+			keep[row] = id == c.id
+		}
+	})
 }
 
 // tagCursor is τ_c: input columns are block-copied into the cursor's
@@ -185,9 +204,10 @@ func (c *projectCursor) NextBatch() (*rel.Batch, bool) {
 }
 
 // dedupCursor is the pipelined dedup filter at batch granularity: the
-// idSet holds one row per distinct tuple (charged to the meter,
-// released at exhaustion) and each batch is compacted to its fresh
-// rows, so each distinct row of in passes exactly once.
+// idSet holds one row per distinct tuple (charged to the meter once
+// per batch, released at exhaustion), each batch goes into it at once,
+// and the batch is compacted to its fresh rows, so each distinct row of
+// in passes exactly once.
 type dedupCursor struct {
 	filter
 	arity int
@@ -200,13 +220,10 @@ func (c *dedupCursor) NextBatch() (*rel.Batch, bool) {
 	if c.set == nil && c.held == 0 {
 		c.set = newIDSet(c.arity)
 	}
-	b, ok := c.next(func(b *rel.Batch, row int) bool {
-		if c.set.add(b, row) {
-			c.meter.grow(1)
-			c.held++
-			return true
-		}
-		return false
+	b, ok := c.next(func(b *rel.Batch, keep []bool) {
+		added := c.set.insertBatch(b, keep)
+		c.meter.grow(added)
+		c.held += added
 	})
 	if !ok {
 		c.meter.release(c.held)

@@ -58,7 +58,7 @@ func newGammaBatchAgg(groupCols []int, countCol, inputArity int, dedupAll bool) 
 func (a *gammaBatchAgg) add(b *rel.Batch, row int) int {
 	grew := 0
 	if a.seen != nil {
-		if !a.seen.add(b, row) {
+		if _, fresh := a.seen.insert(b, row, nil); !fresh {
 			return 0
 		}
 		grew++

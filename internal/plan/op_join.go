@@ -188,20 +188,40 @@ func (t *buildTable) holds(resid []ra.Atom, b *rel.Batch, row, brow int) bool {
 	return true
 }
 
-// partner reports whether probe row `row` of b has a build row with
-// its key (read through probeCols) that satisfies every residual atom:
-// the semijoin's test. Without residual atoms it answers from the keys
-// alone, so the table may be keys-only exactly then.
-func (t *buildTable) partner(b *rel.Batch, row int, probeCols []int, resid []ra.Atom) bool {
-	if len(resid) == 0 {
-		return t.keys.contains(b, row, probeCols)
-	}
-	for p := t.candidates(b, row, probeCols); p != 0; p = t.after(p) {
-		if t.holds(resid, b, row, int(p-1)) {
-			return true
+// partners sets found[row] for every row of probe batch b: whether the
+// row has a build row with its key (probe holds the batch's probeCols
+// columns, aligned with the table's key columns) that satisfies every
+// residual atom — the semijoin's test, a batch at a time. Without
+// residual atoms the keys alone answer, in one findBatch over the
+// batch's own columns, so the table may be keys-only exactly then.
+// Under zero key columns every probe row has the one empty key, so the
+// batch is decided at once when the table is empty, and otherwise each
+// row walks the build rows from the same first one; with residual atoms
+// under a key, each row resolves its key and walks its chain.
+func (t *buildTable) partners(b *rel.Batch, probe [][]uint32, probeCols []int, resid []ra.Atom, found []bool) {
+	first := int32(0)
+	switch {
+	case t.keys == nil:
+		if first = t.first[0]; first == 0 || len(resid) == 0 {
+			for row := range found {
+				found[row] = first != 0
+			}
+			return
 		}
+	case len(resid) == 0:
+		t.keys.findBatch(probe, b.Len(), found)
+		return
 	}
-	return false
+	for row := range found {
+		p := first
+		if t.keys != nil {
+			p = t.candidates(b, row, probeCols)
+		}
+		for p != 0 && !t.holds(resid, b, row, int(p-1)) {
+			p = t.after(p)
+		}
+		found[row] = p != 0
+	}
 }
 
 // joinCursor is the join: its build side is materialized into a
@@ -328,7 +348,7 @@ func (c *joinCursor) NextBatch() (*rel.Batch, bool) {
 // semijoinCursor is the semijoin (keep) or antijoin (!keep): it drains
 // its build side into a buildTable on the first pull — the distinct key
 // rows alone when there are no residual atoms — and compacts probe
-// batches through the partner test.
+// batches through the partner test, a batch at a time.
 type semijoinCursor struct {
 	filter
 	buildSide
@@ -336,14 +356,26 @@ type semijoinCursor struct {
 
 	opened bool
 	table  buildTable
+	probe  [][]uint32 // the probe batch's probeCols columns, re-pointed per batch
 }
 
 func (c *semijoinCursor) NextBatch() (*rel.Batch, bool) {
 	if !c.opened {
 		c.opened = true
 		c.table = c.build(len(c.resid) == 0)
+		c.probe = make([][]uint32, len(c.probeCols))
 	}
-	b, ok := c.next(func(b *rel.Batch, row int) bool { return c.table.partner(b, row, c.probeCols, c.resid) == c.keep })
+	b, ok := c.next(func(b *rel.Batch, keep []bool) {
+		for k, col := range c.probeCols {
+			c.probe[k] = b.Col(col)
+		}
+		c.table.partners(b, c.probe, c.probeCols, c.resid, keep)
+		if !c.keep {
+			for row, found := range keep {
+				keep[row] = !found
+			}
+		}
+	})
 	if !ok {
 		c.table.release(c.meter)
 	}

@@ -32,9 +32,13 @@ func drainBatches(in rel.BatchCursor, res *rel.Relation) {
 // of buildTable's key rows: batch rows — or, through a column mapping,
 // the key columns of wider rows — are held as they stand in a
 // rel.RowSet, insertion order preserved, so re-emission is in
-// first-occurrence order. A one-column set also keeps a dense array by
-// ID, so its probes and repeated inserts are one array load. An idSet
-// is owned by one operator and is not safe for concurrent use.
+// first-occurrence order. The sinks and the dedup filter insert a
+// batch at a time and the difference and semijoins probe one; the
+// build table and γ insert and find a row at a time, because they need
+// each row's position. A one-column set also keeps a dense array by
+// ID, so its probes and repeated inserts are one array load, a whole
+// batch's in one loop. An idSet is owned by one operator and is not
+// safe for concurrent use.
 type idSet struct {
 	rows *rel.RowSet
 	buf  []uint32
@@ -44,12 +48,6 @@ type idSet struct {
 // newIDSet returns an empty set of rows of the given arity.
 func newIDSet(arity int) *idSet {
 	return &idSet{rows: rel.NewRowSet(arity), buf: make([]uint32, arity)}
-}
-
-// add inserts row `row` of b, reporting whether it was new.
-func (s *idSet) add(b *rel.Batch, row int) bool {
-	_, fresh := s.insert(b, row, nil)
-	return fresh
 }
 
 // load reads row `row` of b into buf: set column k from batch column
@@ -73,17 +71,66 @@ func (s *idSet) insert(b *rel.Batch, row int, cols []int) (pos int, fresh bool) 
 		return s.rows.Insert(s.buf)
 	}
 	id := s.buf[0]
-	if int(id) < len(s.at) && s.at[id] != 0 {
+	s.cover(id)
+	if s.at[id] != 0 {
 		return int(s.at[id]) - 1, false
 	}
+	return s.addID(id), true
+}
+
+// cover grows the one-column array to hold id. Doubling, not fitting:
+// a set meeting ever larger IDs would otherwise copy the array once per
+// new value.
+func (s *idSet) cover(id uint32) {
 	if int(id) >= len(s.at) {
-		// Doubling, not fitting: a set meeting ever larger IDs would
-		// otherwise copy the array once per new value.
 		s.at = append(s.at, make([]int32, max(int(id)+1, 2*len(s.at))-len(s.at))...)
 	}
-	pos, _ = s.rows.Insert(s.buf)
+}
+
+// addID appends the one-column row id, which the set does not hold,
+// and returns its position.
+func (s *idSet) addID(id uint32) int {
+	s.buf[0] = id
+	pos, _ := s.rows.Insert(s.buf)
 	s.at[id] = int32(pos) + 1
-	return pos, true
+	return pos
+}
+
+// insertBatch adds every row of b in row order, exactly as one insert
+// per row would, and returns the number of rows added; when fresh is
+// not nil, fresh[row] reports whether row `row` was. A one-column set
+// decides the batch in one loop over its array.
+func (s *idSet) insertBatch(b *rel.Batch, fresh []bool) int {
+	n, added := b.Len(), 0
+	if len(s.buf) != 1 {
+		for row := range n {
+			s.load(b, row, nil)
+			_, isNew := s.rows.Insert(s.buf)
+			if isNew {
+				added++
+			}
+			if fresh != nil {
+				fresh[row] = isNew
+			}
+		}
+		return added
+	}
+	at := s.at
+	for row, id := range b.Col(0) {
+		if int(id) >= len(at) {
+			s.cover(id)
+			at = s.at
+		}
+		isNew := at[id] == 0
+		if isNew {
+			s.addID(id)
+			added++
+		}
+		if fresh != nil {
+			fresh[row] = isNew
+		}
+	}
+	return added
 }
 
 // find returns the position of row `row` of b, read through cols as in
@@ -103,8 +150,19 @@ func (s *idSet) find(b *rel.Batch, row int, cols []int) int {
 	return s.rows.Find(s.buf)
 }
 
-// contains is find as a membership test.
-func (s *idSet) contains(b *rel.Batch, row int, cols []int) bool { return s.find(b, row, cols) >= 0 }
+// findBatch sets hit[i] to whether the set holds row i of the n rows
+// given as columns, one per set column: one pass over the array for a
+// one-column set, rel.RowSet.FindBatch for any other.
+func (s *idSet) findBatch(cols [][]uint32, n int, hit []bool) {
+	if len(s.buf) != 1 {
+		s.rows.FindBatch(cols, n, hit)
+		return
+	}
+	at := s.at
+	for i, id := range cols[0][:n] {
+		hit[i] = int(id) < len(at) && at[id] != 0
+	}
+}
 
 // batches re-emits the set's contents in insertion order as view
 // batches over its columns (valid until the next NextBatch call).
@@ -147,24 +205,24 @@ type unionCursor struct {
 	held   int
 }
 
-func (c *unionCursor) drain(in rel.BatchCursor) {
+// drainInto inserts in's rows into s to exhaustion, a batch at a time,
+// charging m once per batch for the rows added, and returns how many
+// were: the union sink's and the computed subtrahend's build.
+func drainInto(s *idSet, in rel.BatchCursor, m *meter) int {
+	held := 0
 	for b, ok := in.NextBatch(); ok; b, ok = in.NextBatch() {
-		n := b.Len()
-		for row := 0; row < n; row++ {
-			if c.set.add(b, row) {
-				c.meter.grow(1)
-				c.held++
-			}
-		}
+		added := s.insertBatch(b, nil)
+		m.grow(added)
+		held += added
 	}
+	return held
 }
 
 func (c *unionCursor) NextBatch() (*rel.Batch, bool) {
 	if !c.opened {
 		c.opened = true
 		c.set = newIDSet(c.arity)
-		c.drain(c.l)
-		c.drain(c.r)
+		c.held = drainInto(c.set, c.l, c.meter) + drainInto(c.set, c.r, c.meter)
 		c.out = c.set.batches(c.capacity)
 	}
 	if c.out == nil {
@@ -181,10 +239,11 @@ func (c *unionCursor) NextBatch() (*rel.Batch, bool) {
 }
 
 // diffCursor streams the left input through a membership filter
-// against the subtrahend: a stored relation is probed in place with
-// the batch's IDs (holding nothing); a computed subtrahend is drained
-// into an idSet first. Exactly one of buildC and stored is set
-// (builder.inPlace).
+// against the subtrahend, a batch at a time: a stored relation is
+// probed in place with the batch's own columns (ContainsBatch, holding
+// nothing); a computed subtrahend is drained into an idSet first, a
+// batch at a time, and probed with findBatch. Exactly one of buildC and
+// stored is set (builder.inPlace).
 type diffCursor struct {
 	filter
 	buildC rel.BatchCursor
@@ -194,43 +253,36 @@ type diffCursor struct {
 
 	opened bool
 	set    *idSet
-	ids    []uint32
+	cols   [][]uint32 // the probe batch's columns, re-pointed per batch
 	held   int
 }
 
 func (c *diffCursor) NextBatch() (*rel.Batch, bool) {
 	if !c.opened {
 		c.opened = true
+		c.cols = make([][]uint32, c.arity)
 		if c.buildC != nil {
 			c.set = newIDSet(c.arity)
-			for b, ok := c.buildC.NextBatch(); ok; b, ok = c.buildC.NextBatch() {
-				n := b.Len()
-				for row := 0; row < n; row++ {
-					if c.set.add(b, row) {
-						c.meter.grow(1)
-						c.held++
-					}
-				}
-			}
-		} else {
-			c.ids = make([]uint32, c.arity)
+			c.held = drainInto(c.set, c.buildC, c.meter)
 		}
 	}
-	b, ok := c.next(func(b *rel.Batch, row int) bool { return !c.containsRow(b, row) })
+	b, ok := c.next(func(b *rel.Batch, keep []bool) {
+		for k := range c.cols {
+			c.cols[k] = b.Col(k)
+		}
+		if c.set != nil {
+			c.set.findBatch(c.cols, b.Len(), keep)
+		} else {
+			c.stored.ContainsBatch(c.cols, b.Len(), keep)
+		}
+		for row, in := range keep {
+			keep[row] = !in
+		}
+	})
 	if !ok {
 		c.meter.release(c.held)
 		c.held = 0
 		c.set = nil
 	}
 	return b, ok
-}
-
-func (c *diffCursor) containsRow(b *rel.Batch, row int) bool {
-	if c.set != nil {
-		return c.set.contains(b, row, nil)
-	}
-	for k := range c.ids {
-		c.ids[k] = b.Col(k)[row]
-	}
-	return c.stored.ContainsIDs(c.ids)
 }

@@ -3,6 +3,7 @@ package plan
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"radiv/internal/exec"
@@ -86,6 +87,9 @@ func TestKeptBatchReadsPoison(t *testing.T) {
 // builder hands either operator exactly one right input — a build
 // cursor whenever the condition has an equality atom, and a stored view
 // consumed in place only for a θ-only condition over a stored relation.
+// Then it holds the difference and the dedup filter, which decide a
+// batch at a time, to the compacting filter's contract
+// (checkCompaction).
 func TestJoinBatchCursorContract(t *testing.T) {
 	r := NRel("R", 2)
 	mustPanic(t, "semijoin-no-cond", "plan: semijoin requires at least one condition atom", func() { NSemijoin(r, nil, r) })
@@ -117,6 +121,234 @@ func TestJoinBatchCursorContract(t *testing.T) {
 		}
 		if (side.buildC == nil) == (side.stored == nil) || (side.stored != nil) != tc.inPlace {
 			t.Errorf("%s: build cursor %v, stored view %v; want the stored view alone: %v", tc.name, side.buildC != nil, side.stored != nil, tc.inPlace)
+		}
+	}
+
+	for _, arity := range []int{1, 2} {
+		t.Run(fmt.Sprintf("difference/arity=%d", arity), func(t *testing.T) { checkDifferenceContract(t, arity) })
+		t.Run(fmt.Sprintf("dedup/arity=%d", arity), func(t *testing.T) { checkDedupContract(t, arity) })
+	}
+}
+
+// contractRows is the length of each of the three segments of the
+// compaction contract's inputs: rows all kept, rows none kept, and rows
+// kept and dropped in turn. A segment is one batch of BatchCap rows.
+const contractRows = rel.BatchCap
+
+// contractSizes are the batch sizes the compaction contract runs at.
+var contractSizes = []int{1, 7, rel.BatchCap}
+
+// scriptedCursor yields prepared batches, each a batch of its own, and
+// records the last one it yielded and the row each starts at.
+type scriptedCursor struct {
+	batches []*rel.Batch
+	start   map[*rel.Batch]int
+	last    *rel.Batch
+}
+
+// script cuts the rows of cols into fresh batches of size rows, with an
+// empty batch before every third one and one at the end.
+func script(cols [][]uint32, size int) *scriptedCursor {
+	c := &scriptedCursor{start: map[*rel.Batch]int{}}
+	n := len(cols[0])
+	for lo, i := 0, 0; lo <= n; lo, i = lo+size, i+1 {
+		if i%3 == 0 || lo == n {
+			c.batches = append(c.batches, rel.NewBatchSized(len(cols), size))
+		}
+		if lo == n {
+			break
+		}
+		hi := min(n, lo+size)
+		b := rel.NewBatchSized(len(cols), size)
+		for k, col := range cols {
+			copy(b.WritableCol(k), col[lo:hi])
+		}
+		b.SetLen(hi - lo)
+		c.start[b] = lo
+		c.batches = append(c.batches, b)
+	}
+	return c
+}
+
+func (c *scriptedCursor) NextBatch() (*rel.Batch, bool) {
+	if len(c.batches) == 0 {
+		return nil, false
+	}
+	c.last, c.batches = c.batches[0], c.batches[1:]
+	return c.last, true
+}
+
+// checkCompaction drains c, a compacting operator over in, which
+// yields the rows of cols, and holds it to the filter contract against
+// keep, the per-row reference: every batch it yields is nonempty and
+// holds exactly the kept rows of the last input batch, in order; a
+// batch whose every row is kept is yielded as that batch itself; and
+// no input batch with a kept row is passed over. It fails unless the
+// input held a batch of each kind — all kept, none kept and, above
+// batch size 1, partly kept — and returns the meter's reading after.
+func checkCompaction(t *testing.T, name string, c rel.BatchCursor, in *scriptedCursor, cols [][]uint32, keep []bool, size int) {
+	t.Helper()
+	kinds := map[string]int{}
+	for _, b := range in.batches {
+		if b.Len() == 0 {
+			continue
+		}
+		lo, kept := in.start[b], 0
+		for _, k := range keep[lo : lo+b.Len()] {
+			if k {
+				kept++
+			}
+		}
+		switch kept {
+		case b.Len():
+			kinds["all"]++
+		case 0:
+			kinds["none"]++
+		default:
+			kinds["part"]++
+		}
+	}
+	if kinds["all"] == 0 || kinds["none"] == 0 || (size > 1 && kinds["part"] == 0) {
+		t.Fatalf("%s: input batches all/none/partly kept %d/%d/%d: want each kind", name, kinds["all"], kinds["none"], kinds["part"])
+	}
+	yields := 0
+	for b, ok := c.NextBatch(); ok; b, ok = c.NextBatch() {
+		yields++
+		src := in.last
+		lo := in.start[src]
+		if b.Len() == 0 {
+			t.Fatalf("%s: yielded an empty batch", name)
+		}
+		var want []int
+		for row := range src.Len() {
+			if keep[lo+row] {
+				want = append(want, lo+row)
+			}
+		}
+		if (b == src) != (len(want) == src.Len()) {
+			t.Fatalf("%s: input batch at row %d, %d of %d rows kept: yielded as itself %v", name, lo, len(want), src.Len(), b == src)
+		}
+		if b.Len() != len(want) {
+			t.Fatalf("%s: input batch at row %d: yielded %d rows, want %d", name, lo, b.Len(), len(want))
+		}
+		for i, row := range want {
+			for k, col := range cols {
+				if got := b.Col(k)[i]; got != col[row] {
+					t.Fatalf("%s: input batch at row %d: output row %d column %d is ID %d, want row %d's %d", name, lo, i, k, got, row, col[row])
+				}
+			}
+		}
+	}
+	if want := kinds["all"] + kinds["part"]; yields != want {
+		t.Fatalf("%s: %d batches yielded, want one per input batch with a kept row: %d", name, yields, want)
+	}
+}
+
+// contractColumns returns the ID columns of the rows of v, as its scan
+// yields them.
+func contractColumns(v rel.StoredRel) [][]uint32 {
+	cols := make([][]uint32, v.Arity())
+	c := v.BatchScanSized(rel.BatchCap)
+	for b, ok := c.NextBatch(); ok; b, ok = c.NextBatch() {
+		for k := range cols {
+			cols[k] = append(cols[k], b.Col(k)...)
+		}
+	}
+	return cols
+}
+
+// checkDifferenceContract runs L − T over four subtrahends — T stored
+// in memory, computed (a cursor drained into an idSet), held in two
+// runs, and behind a fault-injection wrapper — at every contract batch
+// size. L's three segments are rows T lacks, rows T holds, and rows T
+// holds and lacks in turn; T also holds rows L lacks.
+func checkDifferenceContract(t *testing.T, arity int) {
+	d := rel.NewDatabase(rel.NewSchema(map[string]int{"L": arity, "T": arity}))
+	row := func(i int) []int64 {
+		return []int64{int64(i), int64(i % 5)}[:arity]
+	}
+	for i := range 3 * contractRows {
+		d.AddInts("L", row(i)...)
+		if seg := i / contractRows; seg == 1 || (seg == 2 && i%2 == 0) {
+			d.AddInts("T", row(i)...)
+		}
+	}
+	for i := range 100 {
+		d.AddInts("T", row(10*contractRows+i)...)
+	}
+	split, wrapped := newSplitStore(d), faultinject.Wrap(d, faultinject.Fault{})
+	for _, size := range contractSizes {
+		for _, tc := range []struct {
+			name     string
+			store    rel.ReadStore
+			computed bool
+		}{
+			{"in-memory relation", d, false},
+			{"computed", d, true},
+			{"two runs", split, false},
+			{"fault-injected view", wrapped, false},
+		} {
+			name := fmt.Sprintf("%s at batch size %d", tc.name, size)
+			cols, sub := contractColumns(tc.store.View("L")), contractColumns(tc.store.View("T"))
+			held := map[[2]uint32]bool{}
+			for i := range sub[0] {
+				var key [2]uint32
+				for k, col := range sub {
+					key[k] = col[i]
+				}
+				held[key] = true
+			}
+			keep := make([]bool, len(cols[0]))
+			for i := range keep {
+				var key [2]uint32
+				for k, col := range cols {
+					key[k] = col[i]
+				}
+				keep[i] = !held[key]
+			}
+			in := script(cols, size)
+			m := &meter{}
+			c := &diffCursor{filter: filter{in: in}, arity: arity, meter: m}
+			if tc.computed {
+				c.buildC = tc.store.View("T").BatchScanSized(size)
+			} else {
+				c.stored = tc.store.View("T")
+			}
+			checkCompaction(t, name, c, in, cols, keep, size)
+			if m.cur != 0 || (tc.computed && m.max != len(sub[0])) || (!tc.computed && m.max != 0) {
+				t.Errorf("%s: meter %d after, peak %d; want 0 after and a peak of the subtrahend's rows when computed", name, m.cur, m.max)
+			}
+		}
+	}
+}
+
+// checkDedupContract runs the dedup filter at every contract batch
+// size over three segments: fresh rows, repeats of them, and fresh rows
+// and repeats in turn.
+func checkDedupContract(t *testing.T, arity int) {
+	cols := make([][]uint32, arity)
+	keep := make([]bool, 3*contractRows)
+	for i := range keep {
+		id, seg := uint32(i), i/contractRows
+		switch {
+		case seg == 1:
+			id = uint32(i - contractRows)
+		case seg == 2 && i%2 == 0:
+			id = uint32(i % contractRows)
+		}
+		keep[i] = id == uint32(i)
+		for k := range cols {
+			cols[k] = append(cols[k], id*uint32(k+1))
+		}
+	}
+	distinct := contractRows + contractRows/2
+	for _, size := range contractSizes {
+		in := script(cols, size)
+		m := &meter{}
+		name := fmt.Sprintf("dedup at batch size %d", size)
+		checkCompaction(t, name, &dedupCursor{filter: filter{in: in}, arity: arity, meter: m}, in, cols, keep, size)
+		if m.cur != 0 || m.max != distinct {
+			t.Errorf("%s: meter %d after, peak %d; want 0 after and a peak of the %d distinct rows", name, m.cur, m.max, distinct)
 		}
 	}
 }

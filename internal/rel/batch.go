@@ -104,15 +104,6 @@ func (b *Batch) Row(buf Tuple, row int) Tuple {
 	return buf
 }
 
-// AppendRowFrom copies row `row` of src onto the end of b, which must
-// not be full; the IDs are copied verbatim.
-func (b *Batch) AppendRowFrom(src *Batch, row int) {
-	for k := range b.cols {
-		b.cols[k][b.n] = src.cols[k][row]
-	}
-	b.n++
-}
-
 // NewBatchSized returns an empty writable batch of the given arity and
 // row capacity, its columns in one allocation. The cursor that yields
 // it keeps it and refills it on every pull (Reset).

@@ -197,16 +197,15 @@ func (r *Relation) Contains(t Tuple) bool {
 		}
 		ids = append(ids, id)
 	}
-	return r.ContainsIDs(ids)
+	return r.rows.Find(ids) >= 0
 }
 
-// ContainsIDs implements StoredRel: membership of the tuple whose
-// components have the given IDs in the relation's dictionary — the
-// executor's difference probes a stored subtrahend with its batch IDs
-// as they stand. An ID the dictionary never assigned matches no row.
-// Read-only and safe for concurrent use with other readers.
-func (r *Relation) ContainsIDs(ids []uint32) bool {
-	return len(ids) == r.arity && r.rows.Find(ids) >= 0
+// ContainsBatch implements StoredRel through RowSet.FindBatch: hit[i]
+// reports membership of row i of the n rows given as ID columns in the
+// relation's dictionary. An ID the dictionary never assigned matches no
+// row. Read-only and safe for concurrent use with other readers.
+func (r *Relation) ContainsBatch(cols [][]uint32, n int, hit []bool) {
+	r.rows.FindBatch(cols, n, hit)
 }
 
 // AddBatch inserts every row of a batch in row order, deduplicating

@@ -3,6 +3,7 @@ package rel
 import (
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -242,7 +243,6 @@ func TestRelationIndexGrowth(t *testing.T) {
 			t.Fatalf("tuple %d rejected as a duplicate", i)
 		}
 	}
-	ids := make([]uint32, 2)
 	for i := 0; i < n; i++ {
 		tup := Ints(int64(i%71), int64(i))
 		if !grown.Contains(tup) || grown.Add(tup) || sized.Add(tup) {
@@ -251,10 +251,10 @@ func TestRelationIndexGrowth(t *testing.T) {
 		if !grown.At(i).Equal(sized.At(i)) {
 			t.Fatalf("position %d: %v vs %v", i, grown.At(i), sized.At(i))
 		}
-		ids[0], ids[1] = grown.rows.cols[0][i], grown.rows.cols[1][i]
-		if !grown.ContainsIDs(ids) {
-			t.Fatalf("IDs of tuple %d not found", i)
-		}
+	}
+	hit := make([]bool, n)
+	if grown.ContainsBatch(grown.rows.cols, n, hit); slices.Contains(hit, false) {
+		t.Fatalf("IDs of tuple %d not found", slices.Index(hit, false))
 	}
 	if grown.Contains(Ints(0, n)) || grown.Len() != n {
 		t.Errorf("Len = %d, spurious member = %v", grown.Len(), grown.Contains(Ints(0, n)))

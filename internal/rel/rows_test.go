@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -74,7 +75,7 @@ func sameRows(t *testing.T, label string, got, want []Tuple) {
 // {()} and duplicate-heavy insert sequences; built by Add, by AddBatch
 // from rotating foreign dictionaries and by ReadText) every row reader yields
 // the inserted sequence, Sorted is its sort, and Len, Contains and
-// ContainsIDs agree with it. Then every tuple every reader handed out
+// ContainsBatch agree with it. Then every tuple every reader handed out
 // is overwritten, and a second read, Contains of the original rows and
 // Equal against a clone taken beforehand must not notice.
 func TestRowsMatchColumns(t *testing.T) {
@@ -168,17 +169,19 @@ func TestRowsMatchColumns(t *testing.T) {
 					t.Fatalf("%s: Len %d arity %d, want %d and %d", label, r.Len(), r.Arity(), len(want), shape.arity)
 				}
 				cols, dict := r.IDColumns()
-				ids := make([]uint32, shape.arity)
 				for pos, row := range want {
-					for k := range ids {
-						ids[k] = cols[k][pos]
-						if !dict.Value(ids[k]).Equal(row[k]) {
-							t.Fatalf("%s: column %d at %d decodes to %v, want %v", label, k, pos, dict.Value(ids[k]), row[k])
+					for k, col := range cols {
+						if !dict.Value(col[pos]).Equal(row[k]) {
+							t.Fatalf("%s: column %d at %d decodes to %v, want %v", label, k, pos, dict.Value(col[pos]), row[k])
 						}
 					}
-					if !r.Contains(row) || !r.ContainsIDs(ids) {
+					if !r.Contains(row) {
 						t.Fatalf("%s: stored row %v not found", label, row)
 					}
+				}
+				hit := make([]bool, len(want))
+				if r.ContainsBatch(cols, len(want), hit); slices.Contains(hit, false) {
+					t.Fatalf("%s: ContainsBatch misses row %d of the relation's own columns", label, slices.Index(hit, false))
 				}
 				if shape.arity > 0 {
 					absent := make(Tuple, shape.arity)

@@ -21,15 +21,19 @@ import (
 // at least two buckets per row, so chains stay short: the array is
 // doubled, and every chain rebuilt from the columns, when the row count
 // reaches half the bucket count, and reserve sizes it ahead of a bulk
-// load. Rebuilding happens only inside Insert, insertBatch and reserve,
-// so Find never writes and any number of readers may probe a set nobody
-// inserts into.
+// load. Only the insert paths write — Insert, insertBatch and reserve,
+// the only places the index is rebuilt — so Find and FindBatch never
+// write and any number of readers may probe a set nobody inserts into.
 //
 // The bulk writers — the text loader and Relation.AddBatch, and through
-// it the shards, the sharded merges and the sinks — insert a batch of
-// rows at a time through insertBatch, which links rows at their chains'
-// heads first and checks them for duplicates after, so that no row
-// waits on the cache misses of the row before it.
+// it the shards, the sharded merges and the query result — insert a
+// batch of rows at a time through insertBatch, which links rows at
+// their chains' heads first and checks them for duplicates after, so
+// that no row waits on the cache misses of the row before it. The bulk
+// reader is FindBatch, the probe of the executor's difference and
+// semijoins: it hashes a batch, then loads every bucket head, then
+// walks the chains. Find stays the one-row probe, for callers that need
+// a position per row.
 //
 // Width 0 is allowed: such a set holds at most the empty row, which is
 // how the arity-0 relations {} and {()} are stored.
@@ -230,20 +234,38 @@ func (s *RowSet) link(cols [][]uint32, lo int, hs []uint64, touched []int32) int
 }
 
 // hashBatch sets hs to HashIDs of the rows [lo, lo+len(hs)) of cols,
-// computed column by column, and returns it.
+// computed column by column, and returns it. The first column's pass
+// starts every hash and the last column's finishes it, so a row of one
+// or two IDs takes one or two passes over hs.
 func hashBatch(hs []uint64, cols [][]uint32, lo int) []uint64 {
-	hi := lo + len(hs)
-	for i := range hs {
-		hs[i] = hashOffset
-	}
-	for _, col := range cols {
-		col = col[lo:hi]
-		for i, id := range col {
-			hs[i] = (hs[i] ^ uint64(id)) * hashPrime
+	hi, last := lo+len(hs), len(cols)-1
+	if last < 0 {
+		for i := range hs {
+			hs[i] = hashFinish(hashOffset)
 		}
+		return hs
 	}
-	for i, h := range hs {
-		hs[i] = hashFinish(h)
+	for k, col := range cols {
+		col = col[lo:hi]
+		hs := hs[:len(col)]
+		switch {
+		case k == 0 && k == last:
+			for i, id := range col {
+				hs[i] = hashFinish((hashOffset ^ uint64(id)) * hashPrime)
+			}
+		case k == 0:
+			for i, id := range col {
+				hs[i] = (hashOffset ^ uint64(id)) * hashPrime
+			}
+		case k == last:
+			for i, id := range col {
+				hs[i] = hashFinish((hs[i] ^ uint64(id)) * hashPrime)
+			}
+		default:
+			for i, id := range col {
+				hs[i] = (hs[i] ^ uint64(id)) * hashPrime
+			}
+		}
 	}
 	return hs
 }
@@ -255,6 +277,43 @@ func (s *RowSet) Find(ids []uint32) int {
 		s.badWidth(ids)
 	}
 	return s.find(HashIDs(ids), ids)
+}
+
+// FindBatch sets hit[i] to whether the set holds row i of the n rows
+// given as columns — row i is cols[k][i] for every k — exactly as n
+// calls of Find would. cols must have the set's width and hit at least
+// n entries. FindBatch only reads.
+//
+// The rows go in chunks of at most BatchCap, each hashed column by
+// column; then every row's bucket head is loaded, and only then are the
+// chains walked, so that no row waits on the cache misses of the row
+// before it. The scratch, a hash and a head per row of the chunk, is on
+// the stack.
+func (s *RowSet) FindBatch(cols [][]uint32, n int, hit []bool) {
+	if len(cols) != len(s.cols) {
+		panic(fmt.Sprintf("rel: batch of width %d probed in a set of width %d", len(cols), len(s.cols)))
+	}
+	hit = hit[:n]
+	if len(s.heads) == 0 {
+		clear(hit)
+		return
+	}
+	var hashes [BatchCap]uint64
+	var chains [BatchCap]int32
+	heads, mask := s.heads, uint64(len(s.heads)-1)
+	for lo := 0; lo < n; lo += BatchCap {
+		hs := hashBatch(hashes[:min(n-lo, BatchCap)], cols, lo)
+		ps := chains[:len(hs)]
+		for i, h := range hs {
+			ps[i] = heads[h&mask]
+		}
+		for i, p := range ps {
+			for p != 0 && !s.rowAt(int(p-1), cols, lo+i) {
+				p = s.next[p-1]
+			}
+			hit[lo+i] = p != 0
+		}
+	}
 }
 
 // badWidth panics on a row of the wrong width, which would otherwise
@@ -276,6 +335,16 @@ func (s *RowSet) chain(h uint64) int32 {
 func (s *RowSet) samePos(p, q int) bool {
 	for _, col := range s.cols {
 		if col[p] != col[q] {
+			return false
+		}
+	}
+	return true
+}
+
+// rowAt reports whether the row at position pos is row i of cols.
+func (s *RowSet) rowAt(pos int, cols [][]uint32, i int) bool {
+	for k, col := range s.cols {
+		if col[pos] != cols[k][i] {
 			return false
 		}
 	}

@@ -133,6 +133,49 @@ func (c *checkedRows) find(ids []uint32) {
 	}
 }
 
+// findBatch probes rows as one batch through RowSet.FindBatch and
+// checks every row's answer against the model. hit starts out the
+// opposite of the model's answer, so a row FindBatch skips shows, and
+// runs a row longer than the batch, which FindBatch must not touch.
+func (c *checkedRows) findBatch(rows [][]uint32) {
+	c.t.Helper()
+	cols := make([][]uint32, len(c.s.cols))
+	for _, ids := range rows {
+		for k, id := range ids {
+			cols[k] = append(cols[k], id)
+		}
+	}
+	hit := make([]bool, len(rows)+1)
+	for i, ids := range rows {
+		_, held := c.pos[rowKey(ids)]
+		hit[i] = !held
+	}
+	hit[len(rows)] = true
+	c.s.FindBatch(cols, len(rows), hit)
+	for i, ids := range rows {
+		if _, held := c.pos[rowKey(ids)]; hit[i] != held {
+			c.t.Fatalf("FindBatch row %d of %d %v: hit %v, model says %v", i, len(rows), ids, hit[i], held)
+		}
+	}
+	if !hit[len(rows)] {
+		c.t.Fatalf("FindBatch of %d rows wrote past them", len(rows))
+	}
+}
+
+// probeRows returns n rows for a batch probe: about half of them rows
+// the set holds and the rest rows it has never held, shuffled.
+func (c *checkedRows) probeRows(rng *rand.Rand, n int, miss func() []uint32) [][]uint32 {
+	rows := make([][]uint32, n)
+	for i := range rows {
+		if len(c.rows) > 0 && rng.Intn(2) == 0 {
+			rows[i] = c.rows[rng.Intn(len(c.rows))]
+		} else {
+			rows[i] = miss()
+		}
+	}
+	return rows
+}
+
 // reserve reserves room for n more rows and checks the promise: n
 // fresh inserts afterwards neither re-chain the index nor move a
 // column. It leaves those n rows inserted.
@@ -283,10 +326,12 @@ func TestRowSetAgainstModel(t *testing.T) {
 				// {} and {()}: the empty row is the only row there is.
 				c := newCheckedRows(t, 0)
 				c.find(nil)
+				c.findBatch([][]uint32{{}, {}})
 				c.sweep()
 				for i := 0; i < 3; i++ {
 					c.insert([]uint32{})
 					c.find(nil)
+					c.findBatch([][]uint32{{}, {}, {}})
 					c.sweep()
 				}
 				c.insertBatch([][]uint32{{}, {}, {}})
@@ -379,6 +424,29 @@ func TestRowSetAgainstModel(t *testing.T) {
 				}
 				if rechained < 5 {
 					t.Fatalf("only %d batches re-chained the index", rechained)
+				}
+			})
+
+			t.Run("find batches", func(t *testing.T) {
+				// Probe batches of every size around the chunk boundary,
+				// half held rows and half never held, on an empty set
+				// (no index yet), on a set of 2 000 rows and on a clone
+				// of it that has grown apart.
+				for _, n := range []int{0, 1, 7, BatchCap - 1, BatchCap, BatchCap + 1, 3000} {
+					c := newCheckedRows(t, width)
+					miss := freshRows(width, 1<<26)
+					c.findBatch(c.probeRows(rng, n, miss))
+					fresh := freshRows(width, 1)
+					for range 2000 {
+						c.insert(fresh())
+					}
+					c.findBatch(c.probeRows(rng, n, miss))
+					d := c.clone()
+					for range 1000 {
+						d.insert(miss())
+					}
+					c.findBatch(d.probeRows(rng, n, fresh))
+					d.findBatch(d.probeRows(rng, n, fresh))
 				}
 			})
 
@@ -578,14 +646,18 @@ func TestRowSetAgainstModel(t *testing.T) {
 
 // FuzzRowSet reads its input as a width byte and then a stream of
 // operations — a byte that picks the operation and the set it goes to,
-// then what the operation reads: one byte per component of a row, or
-// for a batch insert a count byte and that many rows — and runs them
+// then what the operation reads: one byte per component of a row, for
+// a batch insert a count byte and that many rows, and for a batch probe
+// a count byte and that many rows, each a selector byte and, unless the
+// selector picks a row the set holds, the row's bytes — and runs them
 // against the model. Components are single bytes, so rows collide
 // often, inside one batch too, and a batch of up to 63 rows re-chains
-// a small set partway through. The clone operation adds a set, and
-// later operations go to any set made so far, so clones and their
-// sources keep growing apart, one row or one batch at a time. The
-// width byte's top bit lowers maxRows to between 1 and 26 rows.
+// a small set partway through; a batch probe mixes held rows with rows
+// that may or may not be held, on any set, an empty one included. The
+// clone operation adds a set, and later operations go to any set made
+// so far, so clones and their sources keep growing apart, one row or
+// one batch at a time. The width byte's top bit lowers maxRows to
+// between 1 and 26 rows.
 func FuzzRowSet(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
@@ -612,7 +684,7 @@ func FuzzRowSet(f *testing.F) {
 			op := data[0]
 			data = data[1:]
 			c := sets[int(op>>4)%len(sets)]
-			switch op % 6 {
+			switch op % 7 {
 			case 0, 1:
 				c.insert(row())
 			case 2:
@@ -636,6 +708,26 @@ func FuzzRowSet(f *testing.F) {
 					rows[i] = row()
 				}
 				c.insertBatch(rows)
+			case 6:
+				n := 0
+				if len(data) > 0 {
+					n = int(data[0] % 64)
+					data = data[1:]
+				}
+				rows := make([][]uint32, n)
+				for i := range rows {
+					sel := byte(0)
+					if len(data) > 0 {
+						sel = data[0]
+						data = data[1:]
+					}
+					if sel&1 != 0 && len(c.rows) > 0 {
+						rows[i] = c.rows[int(sel>>1)%len(c.rows)]
+					} else {
+						rows[i] = row()
+					}
+				}
+				c.findBatch(rows)
 			}
 		}
 		for _, c := range sets {
@@ -774,4 +866,69 @@ func BenchmarkRowSetInsert(b *testing.B) {
 	}
 	b.Run("batch/dups", batch(dupEvery(cols, 1), true))
 	b.Run("batch/dups16", batch(dupEvery(cols, 16), true))
+}
+
+// BenchmarkRowSetFind probes a set of binary rows with 65 536 rows,
+// half of them held, one row at a time through Find and a batch of
+// BatchCap rows at a time through FindBatch, the way the executor's
+// difference and semijoins probe. The small set's 16 000 rows fit in
+// L2 with their index; the large set's 1 000 000 do not, so there every
+// probe misses the cache and FindBatch overlaps the misses.
+func BenchmarkRowSetFind(b *testing.B) {
+	const probes = 1 << 16
+	for _, size := range []struct {
+		name string
+		rows int
+	}{{"l2", 16000}, {"memory", 1000000}} {
+		rng := rand.New(rand.NewSource(int64(size.rows)))
+		s := NewRowSet(2)
+		s.reserve(size.rows)
+		for i := range size.rows {
+			s.Insert([]uint32{uint32(i / 13), uint32(rng.Intn(1 << 20))})
+		}
+		held := s.Cols()
+		probe := [][]uint32{make([]uint32, probes), make([]uint32, probes)}
+		for i := range probes {
+			if i%2 == 0 {
+				p := rng.Intn(size.rows)
+				probe[0][i], probe[1][i] = held[0][p], held[1][p]
+			} else {
+				probe[0][i], probe[1][i] = uint32(rng.Intn(size.rows/13)), uint32(1<<20+rng.Intn(1<<20))
+			}
+		}
+		found := 0
+		b.Run("row/"+size.name, func(b *testing.B) {
+			ids := make([]uint32, 2)
+			for range b.N {
+				found = 0
+				for i := range probes {
+					ids[0], ids[1] = probe[0][i], probe[1][i]
+					if s.Find(ids) >= 0 {
+						found++
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*probes), "ns/row")
+		})
+		b.Run("batch/"+size.name, func(b *testing.B) {
+			hit := make([]bool, BatchCap)
+			chunk := make([][]uint32, 2)
+			for range b.N {
+				found = 0
+				for lo := 0; lo < probes; lo += BatchCap {
+					chunk[0], chunk[1] = probe[0][lo:lo+BatchCap], probe[1][lo:lo+BatchCap]
+					s.FindBatch(chunk, BatchCap, hit)
+					for _, h := range hit {
+						if h {
+							found++
+						}
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*probes), "ns/row")
+		})
+		if found != probes/2 {
+			b.Fatalf("%s: %d probes found, want %d", size.name, found, probes/2)
+		}
+	}
 }

@@ -11,7 +11,7 @@ package rel
 // executor's byte-identity guarantees rest on it:
 //
 //   - every relation's IDs are drawn from the store's one dictionary,
-//     Dict: its scans and ContainsIDs speak that dictionary's IDs, so
+//     Dict: its scans and ContainsBatch speak that dictionary's IDs, so
 //     the executor compares IDs of two relations as they stand. A store
 //     whose relations mix dictionaries is not a ReadStore;
 //   - BatchScanSized yields the stored ID columns in global insertion
@@ -43,9 +43,14 @@ type StoredRel interface {
 	// insertion order, in batches of at most size rows (size < 1 means
 	// BatchCap). Yielded batches may alias backend storage: read-only.
 	BatchScanSized(size int) BatchCursor
-	// ContainsIDs reports membership of the row whose components have
-	// the given IDs in the store's dictionary.
-	ContainsIDs(ids []uint32) bool
+	// ContainsBatch sets hit[i] to whether the relation holds row i of
+	// the n rows given as columns of IDs in the store's dictionary — row
+	// i is cols[k][i] for every k. cols must have the relation's arity
+	// and hit at least n entries; an ID the dictionary never assigned
+	// matches no row. It only reads: the executor's difference probes a
+	// stored subtrahend with each batch's columns as they stand, one call
+	// per batch.
+	ContainsBatch(cols [][]uint32, n int, hit []bool)
 }
 
 // ReadStore is the read side of a database backend: a schema plus one
