@@ -259,7 +259,7 @@ func TestRelationIndexGrowth(t *testing.T) {
 	if grown.Contains(Ints(0, n)) || grown.Len() != n {
 		t.Errorf("Len = %d, spurious member = %v", grown.Len(), grown.Contains(Ints(0, n)))
 	}
-	if len(grown.rows.heads) < 2*n || len(grown.rows.heads)&(len(grown.rows.heads)-1) != 0 {
+	if len(grown.rows.heads) < n || len(grown.rows.heads)&(len(grown.rows.heads)-1) != 0 {
 		t.Errorf("index has %d buckets for %d tuples", len(grown.rows.heads), n)
 	}
 }

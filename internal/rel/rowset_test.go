@@ -184,7 +184,7 @@ func (c *checkedRows) reserve(n int, fresh func() []uint32) {
 	c.s.reserve(n)
 	c.one.reserve(n)
 	buckets := len(c.s.heads)
-	if n > 0 && buckets < 2*(len(c.rows)+n) {
+	if n > 0 && buckets < len(c.rows)+n {
 		c.t.Fatalf("reserve(%d) at %d rows left %d buckets", n, len(c.rows), buckets)
 	}
 	caps := make([]int, len(c.s.cols))
@@ -206,9 +206,11 @@ func (c *checkedRows) reserve(n int, fresh func() []uint32) {
 
 // sweep checks the whole set against the model: every row at its
 // position in the columns and found there, and the shape of the index —
-// a power of two of at least two buckets per row, every row on exactly
-// one chain, the one of its hash's bucket, chains newest first — and
-// the index itself: the one the rows left when inserted one at a time.
+// a power of two of at least one bucket per row, every row on exactly
+// one chain, the one of its hash's bucket, chains newest first, and
+// each bucket word's tag bits exactly the OR of its chain's rows' bits,
+// so a writer that drops a bit or keeps a stale one fails — and the
+// index itself: the one the rows left when inserted one at a time.
 func (c *checkedRows) sweep() {
 	c.t.Helper()
 	n := len(c.rows)
@@ -238,21 +240,26 @@ func (c *checkedRows) sweep() {
 	if n == 0 {
 		return
 	}
-	if b&(b-1) != 0 || b < minBuckets || b < 2*n {
-		c.t.Fatalf("%d buckets for %d rows: want a power of two, at least %d and twice the rows", b, n, minBuckets)
+	if b&(b-1) != 0 || b < minBuckets || b < n {
+		c.t.Fatalf("%d buckets for %d rows: want a power of two, at least %d and one per row", b, n, minBuckets)
 	}
 	on := 0
-	for bucket, head := range c.s.heads {
-		prev := int32(n + 1)
-		for p := head; p != 0; p = c.s.next[p-1] {
+	for bucket, word := range c.s.heads {
+		prev, tags := int32(n+1), uint32(0)
+		for p := int32(uint32(word)); p != 0; p = c.s.next[p-1] {
 			if p >= prev {
 				c.t.Fatalf("bucket %d chains row %d after row %d: not newest first", bucket, p-1, prev-1)
 			}
-			if HashIDs(c.rows[p-1])&uint64(b-1) != uint64(bucket) {
+			h := HashIDs(c.rows[p-1])
+			if h&uint64(b-1) != uint64(bucket) {
 				c.t.Fatalf("row %d chained in bucket %d, not its hash's", p-1, bucket)
 			}
+			tags |= 1 << (h >> 59)
 			prev = p
 			on++
+		}
+		if uint32(word>>32) != tags {
+			c.t.Fatalf("bucket %d's tag bits are %#x, its chain's rows set %#x", bucket, word>>32, tags)
 		}
 	}
 	if on != n {
@@ -294,8 +301,9 @@ func freshRows(width int, base uint32) func() []uint32 {
 
 // sharingLastRowBucket returns n distinct rows of the given width whose
 // hashes all fall in the last bucket of a table of the given size — and
-// so of every smaller table.
-func sharingLastRowBucket(n, width, tableSize int) [][]uint32 {
+// so of every smaller table — and, when oneTag is set, all set the same
+// tag bit, the last.
+func sharingLastRowBucket(n, width, tableSize int, oneTag bool) [][]uint32 {
 	mask := uint64(tableSize - 1)
 	var rows [][]uint32
 	for i := uint32(0); len(rows) < n; i++ {
@@ -303,7 +311,7 @@ func sharingLastRowBucket(n, width, tableSize int) [][]uint32 {
 		for k := range ids {
 			ids[k] = i ^ uint32(k)<<20
 		}
-		if HashIDs(ids)&mask == mask {
+		if h := HashIDs(ids); h&mask == mask && (!oneTag || h>>59 == 31) {
 			rows = append(rows, ids)
 		}
 	}
@@ -530,10 +538,10 @@ func TestRowSetAgainstModel(t *testing.T) {
 			})
 
 			t.Run("one bucket", func(t *testing.T) {
-				// 1000 rows sharing the last bucket of the 2048 buckets they
+				// 1000 rows sharing the last bucket of the 1024 buckets they
 				// end up in: one chain holds them all, and every re-chain
 				// keeps it whole.
-				rows := sharingLastRowBucket(1000, width, 2048)
+				rows := sharingLastRowBucket(1000, width, 1024, false)
 				rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
 				c := newCheckedRows(t, width)
 				for i, ids := range rows {
@@ -544,15 +552,52 @@ func TestRowSetAgainstModel(t *testing.T) {
 					}
 				}
 				c.sweep()
-				if len(c.s.heads) != 2048 {
-					t.Fatalf("%d buckets, the rows were picked for 2048", len(c.s.heads))
+				if len(c.s.heads) != 1024 {
+					t.Fatalf("%d buckets, the rows were picked for 1024", len(c.s.heads))
 				}
 				chain := 0
-				for p := c.s.heads[2047]; p != 0; p = c.s.next[p-1] {
+				for p := int32(uint32(c.s.heads[1023])); p != 0; p = c.s.next[p-1] {
 					chain++
 				}
 				if chain != len(rows) {
 					t.Fatalf("the last bucket chains %d rows, want all %d", chain, len(rows))
+				}
+			})
+
+			t.Run("one tag", func(t *testing.T) {
+				// 300 rows sharing the last bucket of the 512 buckets they
+				// end up in and one tag bit, so no probe is rejected by its
+				// tag: every one compares rows, and a row whose tag matches
+				// but whose columns differ must be a miss for Find,
+				// FindBatch, Insert and insertBatch alike. Half go in
+				// first, a batch at a time, the second batch linked into
+				// reserved room; the other half are probed one row and a
+				// batch at a time, then go in through a linked chunk that
+				// a held row in its middle undoes, and then one at a time.
+				rows := sharingLastRowBucket(300, width, 512, true)
+				rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+				held, rest := rows[:150], rows[150:]
+				c := newCheckedRows(t, width)
+				c.insertBatch(held[:50])
+				c.s.reserve(250)
+				c.one.reserve(250)
+				c.insertBatch(held[50:])
+				c.sweep()
+				for _, ids := range rest {
+					c.find(ids)
+				}
+				c.findBatch(rest)
+				c.findBatch(rows)
+				b := slices.Clone(rest[:100])
+				b[60] = held[10]
+				c.insertBatch(b)
+				c.sweep()
+				for _, ids := range rows {
+					c.insert(ids)
+				}
+				c.sweep()
+				if len(c.s.heads) != 512 || c.s.heads[511]>>32 != 1<<31 {
+					t.Fatalf("%d buckets, the last tagged %#x; the rows were picked for 512 and tag bit 31", len(c.s.heads), c.s.heads[511]>>32)
 				}
 			})
 
@@ -657,7 +702,10 @@ func TestRowSetAgainstModel(t *testing.T) {
 // clone operation adds a set, and later operations go to any set made
 // so far, so clones and their sources keep growing apart, one row or
 // one batch at a time. The width byte's top bit lowers maxRows to
-// between 1 and 26 rows.
+// between 1 and 26 rows. Every sweep holds each bucket word's tag bits
+// to its chain; the seed batch-undo-one-tag's rows share a bucket and a
+// tag bit, so its probes and linked chunks compare every row, and one
+// chunk is undone at a held row.
 func FuzzRowSet(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
@@ -869,11 +917,14 @@ func BenchmarkRowSetInsert(b *testing.B) {
 }
 
 // BenchmarkRowSetFind probes a set of binary rows with 65 536 rows,
-// half of them held, one row at a time through Find and a batch of
-// BatchCap rows at a time through FindBatch, the way the executor's
-// difference and semijoins probe. The small set's 16 000 rows fit in
-// L2 with their index; the large set's 1 000 000 do not, so there every
-// probe misses the cache and FindBatch overlaps the misses.
+// one row at a time through Find and a batch of BatchCap rows at a time
+// through FindBatch, the way the executor's difference and semijoins
+// probe. In the row and batch cases half the probes are held rows; in
+// the row-miss and batch-miss cases none is, as in div-asis' difference,
+// where 98 % of the probes miss and the tag bits reject most misses in
+// a non-empty bucket without reading a row. The small set's 16 000
+// rows fit in L2 with their index; the large set's 1 000 000 do not, so
+// there every probe misses the cache and FindBatch overlaps the misses.
 func BenchmarkRowSetFind(b *testing.B) {
 	const probes = 1 << 16
 	for _, size := range []struct {
@@ -887,48 +938,58 @@ func BenchmarkRowSetFind(b *testing.B) {
 			s.Insert([]uint32{uint32(i / 13), uint32(rng.Intn(1 << 20))})
 		}
 		held := s.Cols()
-		probe := [][]uint32{make([]uint32, probes), make([]uint32, probes)}
+		half := [][]uint32{make([]uint32, probes), make([]uint32, probes)}
 		for i := range probes {
 			if i%2 == 0 {
 				p := rng.Intn(size.rows)
-				probe[0][i], probe[1][i] = held[0][p], held[1][p]
+				half[0][i], half[1][i] = held[0][p], held[1][p]
 			} else {
-				probe[0][i], probe[1][i] = uint32(rng.Intn(size.rows/13)), uint32(1<<20+rng.Intn(1<<20))
+				half[0][i], half[1][i] = uint32(rng.Intn(size.rows/13)), uint32(1<<20+rng.Intn(1<<20))
 			}
 		}
-		found := 0
-		b.Run("row/"+size.name, func(b *testing.B) {
-			ids := make([]uint32, 2)
-			for range b.N {
-				found = 0
-				for i := range probes {
-					ids[0], ids[1] = probe[0][i], probe[1][i]
-					if s.Find(ids) >= 0 {
-						found++
-					}
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*probes), "ns/row")
-		})
-		b.Run("batch/"+size.name, func(b *testing.B) {
-			hit := make([]bool, BatchCap)
-			chunk := make([][]uint32, 2)
-			for range b.N {
-				found = 0
-				for lo := 0; lo < probes; lo += BatchCap {
-					chunk[0], chunk[1] = probe[0][lo:lo+BatchCap], probe[1][lo:lo+BatchCap]
-					s.FindBatch(chunk, BatchCap, hit)
-					for _, h := range hit {
-						if h {
+		miss := [][]uint32{make([]uint32, probes), make([]uint32, probes)}
+		for i := range probes {
+			miss[0][i], miss[1][i] = uint32(rng.Intn(size.rows/13)), uint32(1<<20+rng.Intn(1<<20))
+		}
+		for _, mix := range []struct {
+			name  string
+			probe [][]uint32
+			want  int
+		}{{"", half, probes / 2}, {"-miss", miss, 0}} {
+			probe, found := mix.probe, -1 // -1 until a case below runs
+			b.Run("row"+mix.name+"/"+size.name, func(b *testing.B) {
+				ids := make([]uint32, 2)
+				for range b.N {
+					found = 0
+					for i := range probes {
+						ids[0], ids[1] = probe[0][i], probe[1][i]
+						if s.Find(ids) >= 0 {
 							found++
 						}
 					}
 				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*probes), "ns/row")
+			})
+			b.Run("batch"+mix.name+"/"+size.name, func(b *testing.B) {
+				hit := make([]bool, BatchCap)
+				chunk := make([][]uint32, 2)
+				for range b.N {
+					found = 0
+					for lo := 0; lo < probes; lo += BatchCap {
+						chunk[0], chunk[1] = probe[0][lo:lo+BatchCap], probe[1][lo:lo+BatchCap]
+						s.FindBatch(chunk, BatchCap, hit)
+						for _, h := range hit {
+							if h {
+								found++
+							}
+						}
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*probes), "ns/row")
+			})
+			if found >= 0 && found != mix.want {
+				b.Fatalf("batch%s/%s: %d probes found, want %d", mix.name, size.name, found, mix.want)
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*probes), "ns/row")
-		})
-		if found != probes/2 {
-			b.Fatalf("%s: %d probes found, want %d", size.name, found, probes/2)
 		}
 	}
 }
